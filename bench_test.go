@@ -1279,3 +1279,81 @@ func BenchmarkX20Replication(b *testing.B) {
 		b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
 }
+
+// BenchmarkX21KeyedDML measures the write statements durable_write sends,
+// through the same call talkbackd makes: core.AskContext with a deadline
+// budget bound, durable on wal.MemFS, over a 20 000-row generated MOVIES.
+//
+//   - update-by-key: one UPDATE … WHERE id = K per op, K striding the table.
+//   - insert+delete-by-key: one INSERT of a fresh id and one DELETE … WHERE
+//     id = K of that tail row per op, so the table size stays fixed.
+//   - quarter-table-update: one UPDATE over a 15-year span (a quarter of the
+//     rows) per op, shifting it a century forward and back in alternation.
+//
+// A keyed statement must cost the rows it touches — a PK probe, one copy of
+// the vectors a published snapshot shares, one zone rebuild — not a pass over
+// the table. Allocs and bytes are gated in cmd/benchgate/ceilings.json; one
+// warm-up op runs off the clock so -benchtime=1x measures the steady state.
+func BenchmarkX21KeyedDML(b *testing.B) {
+	const rows = 20_000
+	build := func(b *testing.B) *core.System {
+		b.Helper()
+		gen := dataset.DefaultGenConfig()
+		gen.Movies = rows
+		gen.Actors = rows / 2
+		db, err := dataset.GenerateMovieDB(gen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := core.MovieConfig()
+		cfg.DisableCache = true
+		sys, _, err := core.NewDurable(db, wal.NewMemFS(), storage.DurableOptions{CheckpointBytes: -1}, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sys
+	}
+	ask := func(b *testing.B, sys *core.System, want int, sql string) {
+		b.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		resp, err := sys.AskContext(ctx, sql)
+		cancel()
+		if err != nil {
+			b.Fatalf("%s: %v", sql, err)
+		}
+		if want >= 0 && resp.Affected != want {
+			b.Fatalf("%s: affected %d rows, want %d", sql, resp.Affected, want)
+		}
+	}
+	for _, shape := range []struct {
+		name string
+		op   func(b *testing.B, sys *core.System, i int)
+	}{
+		{"update-by-key", func(b *testing.B, sys *core.System, i int) {
+			ask(b, sys, 1, fmt.Sprintf("update MOVIES set year = %d where id = %d", 1950+i%60, 1+(i*7919)%rows))
+		}},
+		{"insert+delete-by-key", func(b *testing.B, sys *core.System, i int) {
+			id := 1_000_000 + i
+			ask(b, sys, 1, fmt.Sprintf("insert into MOVIES (id, title, year) values (%d, 'X21 %d', %d)", id, id, 1950+i%60))
+			ask(b, sys, 1, fmt.Sprintf("delete from MOVIES where id = %d", id))
+		}},
+		{"quarter-table-update", func(b *testing.B, sys *core.System, i int) {
+			if i%2 == 0 {
+				ask(b, sys, -1, "update MOVIES set year = year + 100 where year between 1950 and 1964")
+			} else {
+				ask(b, sys, -1, "update MOVIES set year = year - 100 where year between 2050 and 2064")
+			}
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			sys := build(b)
+			shape.op(b, sys, 0)
+			shape.op(b, sys, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shape.op(b, sys, i+2)
+			}
+		})
+	}
+}

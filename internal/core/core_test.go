@@ -108,6 +108,57 @@ func TestAskDML(t *testing.T) {
 	}
 }
 
+// TestAskUpdateRefusesDuplicateKey is the Ask-level regression test for
+// UPDATE forging a duplicate primary key: the statement is refused in
+// INSERT's words, and afterwards the key probe and a scan still agree that
+// exactly one movie holds id 100.
+func TestAskUpdateRefusesDuplicateKey(t *testing.T) {
+	s := movieSystem(t)
+	_, err := s.Ask("update MOVIES set id = 100 where id = 101")
+	if err == nil || !strings.Contains(err.Error(), "duplicate primary key 100 in MOVIES") {
+		t.Fatalf("update onto a taken key: %v", err)
+	}
+	for sql, want := range map[string]int64{
+		"select count(*) from MOVIES m where m.id = 100":     1, // primary-key probe
+		"select count(*) from MOVIES m where m.id + 0 = 100": 1, // scan
+		"select count(*) from MOVIES m where m.id = 101":     1,
+	} {
+		resp, err := s.Ask(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Result.Rows[0][0].Int(); got != want {
+			t.Errorf("%s = %d, want %d", sql, got, want)
+		}
+	}
+}
+
+// TestKeyedDMLNeverFallsBack pins that the four statement shapes of the
+// benchmark's durable_write workload resolve their rows through a plan: the
+// counted interpreter pre-scan stays at zero.
+func TestKeyedDMLNeverFallsBack(t *testing.T) {
+	s := movieSystem(t)
+	for _, sql := range []string{
+		"insert into MOVIES (id, title, year) values (900001, 'Scripted 900001', 1987)",
+		"update MOVIES set year = 1999 where id = 900001",
+		"update MOVIES set year = year + 100 where year between 1950 and 1964",
+		"delete from MOVIES where id = 900001",
+	} {
+		if _, err := s.Ask(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if got := s.Engine().DMLFallbacks(); len(got) != 0 {
+		t.Fatalf("durable_write's statement shapes took the interpreter pre-scan: %v", got)
+	}
+	if _, err := s.Ask("delete from MOVIES where nosuch = 1"); err == nil {
+		t.Fatal("a WHERE over an unknown column was accepted")
+	}
+	if got := s.Engine().DMLFallbacks(); got["unresolved column reference"] != 1 {
+		t.Fatalf("fallbacks after an unplannable WHERE = %v", got)
+	}
+}
+
 func TestNarrateSingleValue(t *testing.T) {
 	s := movieSystem(t)
 	resp, err := s.Ask("select count(*) from MOVIES m")

@@ -127,22 +127,47 @@ func TestCancelDifferentialRandomPoints(t *testing.T) {
 // Never half of each.
 func TestCancelDMLLossFree(t *testing.T) {
 	defer leakcheck.Check(t)()
-	stmts := []struct{ name, sql, rel string }{
-		{"insert-select", `insert into GENRE (mid, genre) select distinct c.mid, 'cancelled' from CAST c where c.aid < 40`, "GENRE"},
-		{"insert-values", `insert into DIRECTOR (id, name) values (9001, 'A'), (9002, 'B'), (9003, 'C')`, "DIRECTOR"},
-		{"update", `update MOVIES m set year = year + 1 where m.year > 1980`, "MOVIES"},
-		{"delete", `delete from GENRE g where g.genre = 'drama'`, "GENRE"},
+	stmts := []struct {
+		name, sql, rel string
+		naive          bool // planner off: the WHERE takes the interpreter pre-scan
+	}{
+		{name: "insert-select", sql: `insert into GENRE (mid, genre) select distinct c.mid, 'cancelled' from CAST c where c.aid < 40`, rel: "GENRE"},
+		{name: "insert-values", sql: `insert into DIRECTOR (id, name) values (9001, 'A'), (9002, 'B'), (9003, 'C')`, rel: "DIRECTOR"},
+		{name: "update", sql: `update MOVIES m set year = year + 1 where m.year > 1980`, rel: "MOVIES"},
+		{name: "delete", sql: `delete from GENRE g where g.genre = 'drama'`, rel: "GENRE"},
+		// One statement per way a WHERE resolves to positions.
+		{name: "update-pk-probe", sql: `update MOVIES set year = 1999 where id = 42`, rel: "MOVIES"},
+		{name: "delete-pk-probe", sql: `delete from MOVIES where id = 42`, rel: "MOVIES"},
+		{name: "delete-index-probe", sql: `delete from CAST where aid = 7`, rel: "CAST"},
+		{name: "update-vectorized-range", sql: `update MOVIES set year = year + 100 where year between 1960 and 1975`, rel: "MOVIES"},
+		{name: "delete-subquery-residual", sql: `delete from DIRECTED where did in (select d.id from DIRECTOR d where d.id < 20)`, rel: "DIRECTED"},
+		{name: "update-interpreter-fallback", sql: `update MOVIES m set year = year + 1 where m.year > 1980`, rel: "MOVIES", naive: true},
+		{name: "delete-interpreter-fallback", sql: `delete from DIRECTED where did in (select d.id from DIRECTOR d where d.id < 20)`, rel: "DIRECTED", naive: true},
+	}
+	// newDB builds the statement's database: the generated movies plus the
+	// index the index-probe shape needs.
+	newDB := func(t *testing.T) *storage.Database {
+		db := cancelTestDB(t)
+		if err := db.Table("CAST").CreateIndex("ix_cast_aid", "aid"); err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range stmts {
 		t.Run(tc.name, func(t *testing.T) {
+			newEngine := func(db *storage.Database) *Engine {
+				ex := New(db)
+				ex.SetPlannerEnabled(!tc.naive)
+				return ex
+			}
 			stmt, err := sqlparser.Parse(tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The uncancelled outcome, on its own database.
-			wantDB := cancelTestDB(t)
-			wantEng := New(wantDB)
+			wantDB := newDB(t)
+			wantEng := newEngine(wantDB)
 			_, wantN, err := wantEng.ExecStatement(stmt)
 			if err != nil {
 				t.Fatal(err)
@@ -153,8 +178,8 @@ func TestCancelDMLLossFree(t *testing.T) {
 			wantAfter := dumpTable(t, wantDB, tc.rel)
 
 			// Poll count for this statement on a fresh database.
-			countDB := cancelTestDB(t)
-			countEng, ctr := budgetAfter(New(countDB), 1<<62)
+			countDB := newDB(t)
+			countEng, ctr := budgetAfter(newEngine(countDB), 1<<62)
 			if _, _, err := countEng.ExecStatement(stmt); err != nil {
 				t.Fatal(err)
 			}
@@ -166,14 +191,23 @@ func TestCancelDMLLossFree(t *testing.T) {
 				t.Fatalf("%s: inert budget changed the outcome", tc.name)
 			}
 
-			points := []int64{0, polls - 1}
-			for i := 0; i < 8; i++ {
-				points = append(points, rng.Int63n(polls))
+			// Every poll point when there are few (a probe polls a handful of
+			// times), the edges plus a random sample otherwise.
+			var points []int64
+			if polls <= 12 {
+				for p := int64(0); p < polls; p++ {
+					points = append(points, p)
+				}
+			} else {
+				points = []int64{0, polls - 1}
+				for i := 0; i < 8; i++ {
+					points = append(points, rng.Int63n(polls))
+				}
 			}
 			for _, p := range points {
-				db := cancelTestDB(t)
+				db := newDB(t)
 				before := dumpTable(t, db, tc.rel)
-				bex, _ := budgetAfter(New(db), p)
+				bex, _ := budgetAfter(newEngine(db), p)
 				_, n, err := bex.ExecStatement(stmt)
 				after := dumpTable(t, db, tc.rel)
 				switch {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -119,10 +120,12 @@ func (ex *Engine) execInsert(stmt *sqlparser.InsertStmt) (n int, err error) {
 // execUpdate runs UPDATE ... SET ... WHERE; SET expressions may reference
 // the current tuple. The statement runs as one WAL batch (see execInsert).
 //
-// With a budget bound, the WHERE predicate is evaluated in a cancellable
-// pre-scan before any row mutates: a trip during the scan returns with the
-// table untouched (no trace), and the mutation pass then consults the
-// precomputed mask. Statements past the scan commit whole.
+// The WHERE is resolved to row positions before any row mutates (see
+// dmlPositions): a budget trip or an evaluation error there returns with the
+// table untouched. Past that point the statement commits what it applied: a
+// constraint failure stops it at that row with the earlier rows updated and
+// logged, and a row whose SET expression fails is left as it was while the
+// rest are updated.
 func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (n int, err error) {
 	ex.db.BeginBatch()
 	defer func() {
@@ -139,53 +142,40 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (n int, err error) {
 	if alias == "" {
 		alias = rel.Name
 	}
-	for _, a := range stmt.Set {
-		if rel.AttrIndex(a.Column) < 0 {
+	setPos := make([]int, len(stmt.Set))
+	for i, a := range stmt.Set {
+		if setPos[i] = rel.AttrIndex(a.Column); setPos[i] < 0 {
 			return 0, fmt.Errorf("engine: relation %s has no attribute %q", rel.Name, a.Column)
 		}
 	}
+	positions, err := ex.dmlPositions(tbl, alias, stmt.Where)
+	if err != nil {
+		return 0, err
+	}
 
 	var evalErr error
-	pred := func(tup storage.Tuple) bool {
-		if stmt.Where == nil {
-			return true
-		}
-		en := &env{bindings: []binding{{alias: alias, rel: rel, tuple: tup}}}
-		v, err := ex.evalExpr(stmt.Where, en, nil)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return !v.IsNull() && v.Kind() == value.Bool && v.Bool()
-	}
-	if ex.bud != nil {
-		maskPred, cerr := ex.dmlPrescan(tbl, stmt.Where, alias)
-		if cerr != nil {
-			return 0, cerr
-		}
-		if maskPred != nil {
-			pred = maskPred
-		}
-	}
+	// One environment and one value scratch serve every row: evaluation
+	// never retains them.
+	en := &env{bindings: []binding{{alias: alias, rel: rel}}}
+	newVals := make([]value.Value, len(stmt.Set))
 	apply := func(tup storage.Tuple) storage.Tuple {
-		en := &env{bindings: []binding{{alias: alias, rel: rel, tuple: tup}}}
+		en.bindings[0].tuple = tup
 		// Evaluate all RHS before assigning, per SQL simultaneous-update
 		// semantics (sal = sal * 2 uses the old sal).
-		newVals := make([]value.Value, len(stmt.Set))
 		for i, a := range stmt.Set {
 			v, err := ex.evalExpr(a.Value, en, nil)
 			if err != nil {
 				evalErr = err
-				return tup
+				return tup // this row stays as it is; the statement goes on
 			}
 			newVals[i] = v
 		}
-		for i, a := range stmt.Set {
-			tup[rel.AttrIndex(a.Column)] = newVals[i]
+		for i, p := range setPos {
+			tup[p] = newVals[i]
 		}
 		return tup
 	}
-	n, err = ex.db.Update(rel.Name, pred, apply)
+	n, err = ex.db.UpdateAt(rel.Name, positions, apply)
 	if evalErr != nil {
 		return n, evalErr
 	}
@@ -193,8 +183,8 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (n int, err error) {
 }
 
 // execDelete runs DELETE FROM ... WHERE. The statement runs as one WAL
-// batch (see execInsert); with a budget bound the WHERE predicate runs as a
-// cancellable pre-scan exactly like execUpdate.
+// batch (see execInsert); the WHERE resolves to positions before any row is
+// removed, exactly like execUpdate.
 func (ex *Engine) execDelete(stmt *sqlparser.DeleteStmt) (n int, err error) {
 	ex.db.BeginBatch()
 	defer func() {
@@ -206,80 +196,96 @@ func (ex *Engine) execDelete(stmt *sqlparser.DeleteStmt) (n int, err error) {
 	if tbl == nil {
 		return 0, fmt.Errorf("engine: unknown relation %q", stmt.Relation)
 	}
-	rel := tbl.Relation()
 	alias := stmt.Alias
 	if alias == "" {
-		alias = rel.Name
+		alias = tbl.Relation().Name
 	}
-	var evalErr error
-	pred := func(tup storage.Tuple) bool {
-		if stmt.Where == nil {
-			return true
-		}
-		en := &env{bindings: []binding{{alias: alias, rel: rel, tuple: tup}}}
-		v, err := ex.evalExpr(stmt.Where, en, nil)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return !v.IsNull() && v.Kind() == value.Bool && v.Bool()
+	positions, err := ex.dmlPositions(tbl, alias, stmt.Where)
+	if err != nil {
+		return 0, err
 	}
-	if ex.bud != nil {
-		maskPred, cerr := ex.dmlPrescan(tbl, stmt.Where, alias)
-		if cerr != nil {
-			return 0, cerr
-		}
-		if maskPred != nil {
-			pred = maskPred
-		}
-	}
-	n, err = ex.db.Delete(rel.Name, pred)
-	if evalErr != nil {
-		return n, evalErr
-	}
-	return n, err
+	return ex.db.DeleteAt(tbl.Relation().Name, positions)
 }
 
-// dmlPrescan evaluates where over every row of tbl with cooperative budget
-// polls, before any mutation. It returns a position-counting predicate that
-// replays the decisions during the storage layer's locked scan (the scan
-// visits rows 0..Len-1 in order, calling the predicate exactly once per
-// row), or (nil, nil) when there is no WHERE to pre-evaluate — the trivial
-// all-rows predicate cannot block on expression evaluation. A budget trip
-// or an evaluation error during the pre-scan aborts the statement before it
-// touches a single row.
+// dmlPositions resolves an UPDATE or DELETE WHERE to the ascending positions
+// of the rows it matches in the live table, before any of them mutates. It
+// builds the plan `SELECT * FROM rel alias WHERE where` would get and runs
+// it for the rows' provenance alone — a primary-key or index probe, or the
+// vectorized filter prefix with zone skipping and the compiled residual
+// filters — polling the budget where a SELECT's scan does. A budget trip or
+// an evaluation error therefore leaves no trace, with or without a budget.
 //
-// The replay is positionally consistent because engine DML is serialized
-// (core holds execMu) — nothing mutates the table between the pre-scan and
-// the locked scan.
-func (ex *Engine) dmlPrescan(tbl *storage.Table, where sqlparser.Expr, alias string) (func(storage.Tuple) bool, error) {
+// Positions stay valid until the apply because engine DML is serialized (core
+// holds execMu): nothing else mutates the table in between.
+//
+// Only a WHERE the planner refuses (an unresolvable column reference, or the
+// planner switched off) takes the interpreter pre-scan, and is counted.
+func (ex *Engine) dmlPositions(tbl *storage.Table, alias string, where sqlparser.Expr) ([]int, error) {
 	if err := ex.bud.Step(0); err != nil {
 		return nil, err
 	}
 	if where == nil {
-		return nil, nil
+		positions := make([]int, tbl.Len())
+		for i := range positions {
+			positions[i] = i
+		}
+		return positions, nil
 	}
+	sel := &sqlparser.SelectStmt{Where: where, Limit: -1}
+	plan := ex.planFor(sel, []fromEntry{{rel: tbl.Relation(), tbl: tbl, alias: alias}}, false)
+	if plan.Fallback {
+		ex.st.noteDMLFallback(plan.Reason)
+		return ex.dmlPrescan(tbl, where, alias)
+	}
+	pq := ex.compilePlan(plan, nil)
+	pq.track = true // the provenance is the answer
+	cur, err := ex.runPipeline(pq)
+	if err != nil {
+		return nil, err
+	}
+	positions := make([]int, len(cur.prov))
+	for i, p := range cur.prov {
+		positions[i] = int(p[0])
+	}
+	return positions, nil
+}
+
+// dmlPrescan is the interpreter fallback of dmlPositions: it evaluates where
+// over every row of tbl with cooperative budget polls.
+func (ex *Engine) dmlPrescan(tbl *storage.Table, where sqlparser.Expr, alias string) ([]int, error) {
 	rel := tbl.Relation()
 	nrows := tbl.Len()
 	ex.bud.AddTotal(nrows)
-	mask := make([]bool, nrows)
+	var positions []int
 	scratch := make(storage.Tuple, len(rel.Attributes))
+	en := &env{bindings: []binding{{alias: alias, rel: rel, tuple: scratch}}}
 	for i := 0; i < nrows; i++ {
 		if err := ex.bud.Tick(i); err != nil {
 			return nil, err
 		}
 		tbl.CopyRow(scratch, i)
-		en := &env{bindings: []binding{{alias: alias, rel: rel, tuple: scratch}}}
 		v, err := ex.evalExpr(where, en, nil)
 		if err != nil {
 			return nil, err
 		}
-		mask[i] = !v.IsNull() && v.Kind() == value.Bool && v.Bool()
+		if passes(v) {
+			positions = append(positions, i)
+		}
 	}
-	next := 0
-	return func(storage.Tuple) bool {
-		ok := next < len(mask) && mask[next]
-		next++
-		return ok
-	}, nil
+	return positions, nil
+}
+
+// DMLFallbacks reports, per planner refusal reason, how many UPDATE and
+// DELETE statements resolved their WHERE through the interpreter pre-scan
+// instead of a plan since the engine was created.
+func (ex *Engine) DMLFallbacks() map[string]uint64 {
+	ex.st.fbMu.Lock()
+	defer ex.st.fbMu.Unlock()
+	return maps.Clone(ex.st.dmlFallbacks)
+}
+
+func (st *engineState) noteDMLFallback(reason string) {
+	st.fbMu.Lock()
+	st.dmlFallbacks[reason]++
+	st.fbMu.Unlock()
 }

@@ -56,11 +56,19 @@ type engineState struct {
 	// scans to test every row instead of skipping morsels whose min/max
 	// bounds disprove the filters.
 	noZoneMaps atomic.Bool
+
+	// dmlFallbacks counts, per planner refusal reason, the UPDATE/DELETE
+	// statements whose WHERE took the interpreter pre-scan (see dmlPositions).
+	fbMu         sync.Mutex
+	dmlFallbacks map[string]uint64
 }
 
 // New creates an engine over db.
 func New(db *storage.Database) *Engine {
-	return &Engine{db: db, src: db, st: &engineState{views: make(map[string]*sqlparser.SelectStmt)}}
+	return &Engine{db: db, src: db, st: &engineState{
+		views:        make(map[string]*sqlparser.SelectStmt),
+		dmlFallbacks: make(map[string]uint64),
+	}}
 }
 
 // At returns a reader engine bound to the given snapshot: every table

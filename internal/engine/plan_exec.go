@@ -737,6 +737,20 @@ func growBatch(bud *Budget, b *batch) error {
 // runPlan executes the pipeline and returns the joined, residual-filtered
 // rows in the same order the naive nested-loop pipeline would produce.
 func (ex *Engine) runPlan(pq *plannedQuery) ([][]value.Value, error) {
+	cur, err := ex.runPipeline(pq)
+	if err != nil {
+		return nil, err
+	}
+	if pq.track && len(cur.rows) > 1 {
+		sortByProvenance(pq, &cur)
+	}
+	return cur.rows, nil
+}
+
+// runPipeline runs the scan step, the join steps and the residual filters,
+// and returns the surviving rows in pipeline order, with their provenance
+// when the query tracks it.
+func (ex *Engine) runPipeline(pq *plannedQuery) (batch, error) {
 	steps := pq.plan.Steps
 	var cur batch
 	for si, st := range steps {
@@ -747,7 +761,7 @@ func (ex *Engine) runPlan(pq *plannedQuery) ([][]value.Value, error) {
 			cur, err = ex.runJoinStep(pq, si, st, cur)
 		}
 		if err != nil {
-			return nil, err
+			return batch{}, err
 		}
 		st.ActualRows = len(cur.rows)
 		if len(cur.rows) == 0 {
@@ -782,15 +796,12 @@ func (ex *Engine) runPlan(pq *plannedQuery) ([][]value.Value, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return batch{}, err
 		}
 		cur = filtered
 	}
 	pq.plan.ActualRows = len(cur.rows)
-	if pq.track && len(cur.rows) > 1 {
-		sortByProvenance(pq, &cur)
-	}
-	return cur.rows, nil
+	return cur, nil
 }
 
 // sortByProvenance restores FROM-major lexicographic order — exactly the

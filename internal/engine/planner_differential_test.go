@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -365,4 +366,86 @@ func TestPlannerJoinReorderRestoresRowOrder(t *testing.T) {
 		t.Fatalf("expected the planner to reorder (GENRE filter first), fingerprint %s", plan.Fingerprint())
 	}
 	comparePlannedNaive(t, ex, sql)
+}
+
+// TestDMLPlannedVsInterpreter runs every way an UPDATE or DELETE resolves its
+// WHERE — primary-key probe, index probe, vectorized range with zone
+// skipping, compiled residual filter, subquery residual, no WHERE at all —
+// once with planned positions and once with the planner off, which sends the
+// same WHERE through the interpreter pre-scan. Both must affect the same
+// number of rows and leave the same table; a WHERE the planner refuses must
+// fail or succeed the same way on both, and is the only thing counted as a
+// fallback on the planned side.
+func TestDMLPlannedVsInterpreter(t *testing.T) {
+	newEngine := func(planned bool) *Engine {
+		// Two zones of MOVIES, so a year range can skip one.
+		db, err := dataset.GenerateMovieDB(dataset.GenConfig{
+			Seed: 23, Movies: 5000, Actors: 60, Directors: 8, CastPerMovie: 1, GenresPerMovie: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Table("CAST").CreateIndex("ix_cast_aid", "aid"); err != nil {
+			t.Fatal(err)
+		}
+		ex := New(db)
+		ex.SetPlannerEnabled(planned)
+		return ex
+	}
+	planned, naive := newEngine(true), newEngine(false)
+
+	rng := rand.New(rand.NewSource(77))
+	stmts := []struct{ rel, sql string }{
+		{"MOVIES", "update MOVIES set year = 1999 where id = 42"},
+		{"MOVIES", "update MOVIES m set id = 900001 where m.id = 43"},
+		{"MOVIES", "update MOVIES set id = 44 where id = 45"}, // refused: 44 is taken
+		{"MOVIES", "delete from MOVIES where id = 46"},
+		{"MOVIES", "delete from MOVIES where id = 46"}, // already gone
+		{"CAST", "update CAST set role = 'lead' where aid = 7"},
+		{"CAST", "delete from CAST c where c.aid = 9 and c.role != 'lead'"},
+		{"MOVIES", "update MOVIES set year = year + 100 where year between 1950 and 1964"},
+		{"MOVIES", "update MOVIES set year = year - 100 where year >= 2050"},
+		{"MOVIES", "delete from MOVIES where id > 4990"},
+		{"MOVIES", "delete from MOVIES where year + 0 = 1970 and title like 'S%'"},
+		// Subqueries over the eight directors: the interpreter side re-runs
+		// them for every outer row.
+		{"DIRECTED", "delete from DIRECTED where did in (select d.id from DIRECTOR d where d.id < 3)"},
+		{"GENRE", "update GENRE g set genre = 'old' where exists (select 1 from DIRECTOR d where d.id = g.mid and d.id > 2)"},
+		{"MOVIES", "update MOVIES set year = 1 / (year - year) where id = 50"}, // SET error
+		{"MOVIES", "delete from MOVIES where 1 / (id - 60) > 0 and id < 100"},  // WHERE error: no trace
+		{"MOVIES", "delete from MOVIES where nosuch = 1"},                      // the planner refuses this one
+		{"DIRECTED", "delete from DIRECTED"},
+	}
+	for i := 0; i < 12; i++ {
+		lo := 1950 + rng.Intn(60)
+		stmts = append(stmts,
+			struct{ rel, sql string }{"MOVIES", fmt.Sprintf("update MOVIES set title = 'r%d' where id = %d", i, 1+rng.Intn(4900))},
+			struct{ rel, sql string }{"MOVIES", fmt.Sprintf("delete from MOVIES where year between %d and %d and id %% 7 = %d", lo, lo+3, rng.Intn(7))},
+		)
+	}
+	for _, tc := range stmts {
+		_, nP, errP := planned.Exec(tc.sql)
+		_, nN, errN := naive.Exec(tc.sql)
+		if (errP != nil) != (errN != nil) {
+			t.Fatalf("%s\nplanned err = %v, interpreter err = %v", tc.sql, errP, errN)
+		}
+		if nP != nN {
+			t.Fatalf("%s\nplanned affected %d rows, interpreter %d", tc.sql, nP, nN)
+		}
+		if got, want := dumpTable(t, planned.Database(), tc.rel), dumpTable(t, naive.Database(), tc.rel); got != want {
+			t.Fatalf("%s\n%s differs between planned positions and the interpreter pre-scan", tc.sql, tc.rel)
+		}
+	}
+	if got := planned.DMLFallbacks(); len(got) != 1 || got["unresolved column reference"] != 1 {
+		t.Fatalf("planned engine's fallbacks = %v, want only the unresolvable WHERE", got)
+	}
+	withWhere := 0
+	for _, tc := range stmts {
+		if strings.Contains(tc.sql, " where ") {
+			withWhere++
+		}
+	}
+	if got := naive.DMLFallbacks(); got["planner disabled"] != uint64(withWhere) {
+		t.Fatalf("interpreter engine's fallbacks = %v, want %d under 'planner disabled'", got, withWhere)
+	}
 }

@@ -279,8 +279,8 @@ func (c *column) value(i int) value.Value {
 }
 
 // setVal overwrites position i (Update path; v is coerced or NULL). Zone
-// maps are NOT maintained here — the Update path rebuilds them from the first
-// updated row once the write completes.
+// maps are NOT maintained here — the Update path rebuilds the zones holding
+// an updated row once the write completes.
 func (c *column) setVal(i int, v value.Value) {
 	null := v.IsNull()
 	if c.kind == value.Text && !c.nulls.get(i) {
@@ -331,18 +331,28 @@ func (c *column) releaseRow(i int) {
 	c.dict.release(c.codes[i])
 }
 
-// moveRow copies position src onto dst (Delete compaction; dst <= src).
-func (c *column) moveRow(dst, src int) {
-	c.nulls.set(dst, c.nulls.get(src))
+// moveRows slides rows [src, end) down to start at dst (Delete compaction;
+// dst <= src). Payloads move as one block; null bits move one by one, and not
+// at all for a column that never stored a NULL.
+func (c *column) moveRows(dst, src, end int) {
+	if dst == src || src >= end {
+		return
+	}
 	switch c.kind {
 	case value.Int, value.Date:
-		c.ints[dst] = c.ints[src]
+		copy(c.ints[dst:], c.ints[src:end])
 	case value.Float:
-		c.flts[dst] = c.flts[src]
+		copy(c.flts[dst:], c.flts[src:end])
 	case value.Text:
-		c.codes[dst] = c.codes[src]
+		copy(c.codes[dst:], c.codes[src:end])
 	case value.Bool:
-		c.bls[dst] = c.bls[src]
+		copy(c.bls[dst:], c.bls[src:end])
+	}
+	if len(c.nulls.words) == 0 {
+		return
+	}
+	for i := src; i < end; i++ {
+		c.nulls.set(dst+i-src, c.nulls.get(i))
 	}
 }
 

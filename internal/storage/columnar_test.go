@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -106,26 +108,37 @@ func checkAgainstOracle(t *testing.T, db *Database, oracle []Tuple, step string)
 	if _, ok := tbl.LookupPK(Tuple{value.NewInt(-999)}); ok {
 		t.Fatalf("%s: LookupPK found a phantom row", step)
 	}
-	// LookupIndex over by_n (NULL keys never match; order is insertion order).
-	if tbl.Index("by_n") != nil {
-		for k := int64(0); k < 7; k++ {
-			key := value.NewInt(k)
-			got, err := tbl.LookupIndex("by_n", key)
+	// LookupIndex over every index and every key the oracle holds (rows with
+	// a NULL key attribute never match; order is row order).
+	for _, info := range tbl.IndexInfos() {
+		byKey := map[string][]Tuple{}
+		keyVals := map[string][]value.Value{}
+		for _, row := range oracle {
+			if nullKey(row, info.Positions) {
+				continue
+			}
+			k := row.Key(info.Positions)
+			byKey[k] = append(byKey[k], row)
+			if keyVals[k] == nil {
+				for _, p := range info.Positions {
+					keyVals[k] = append(keyVals[k], row[p])
+				}
+			}
+		}
+		if got := len(tbl.secondary[info.Name].buckets); got != len(byKey) {
+			t.Fatalf("%s: index %s holds %d keys, oracle %d", step, info.Name, got, len(byKey))
+		}
+		for k, want := range byKey {
+			got, err := tbl.LookupIndex(info.Name, keyVals[k]...)
 			if err != nil {
 				t.Fatalf("%s: LookupIndex: %v", step, err)
 			}
-			var want []Tuple
-			for _, row := range oracle {
-				if !row[1].IsNull() && row[1].Equal(key) {
-					want = append(want, row)
-				}
-			}
 			if len(got) != len(want) {
-				t.Fatalf("%s: LookupIndex(%d) = %d rows, oracle %d", step, k, len(got), len(want))
+				t.Fatalf("%s: LookupIndex(%s, %v) = %d rows, oracle %d", step, info.Name, keyVals[k], len(got), len(want))
 			}
 			for j := range got {
 				if !tuplesEqual(got[j], want[j]) {
-					t.Fatalf("%s: LookupIndex(%d)[%d] = %s, oracle %s", step, k, j, got[j], want[j])
+					t.Fatalf("%s: LookupIndex(%s, %v)[%d] = %s, oracle %s", step, info.Name, keyVals[k], j, got[j], want[j])
 				}
 			}
 		}
@@ -258,6 +271,190 @@ func TestColumnarDifferentialFuzz(t *testing.T) {
 					}
 				}
 				checkAgainstOracle(t, db, oracle, fmt.Sprintf("op %d", op))
+			}
+		})
+	}
+}
+
+// checkIndexesMatchRebuild proves the patched indexes are what a rebuild from
+// the vectors would produce — same keys, same positions, same bucket order,
+// no emptied bucket left behind — and then puts the patched maps back, so the
+// next statement patches what the previous one left.
+func checkIndexesMatchRebuild(t *testing.T, tbl *Table, step string) {
+	t.Helper()
+	pk, secondary, shared := tbl.pk, tbl.secondary, tbl.idxShared
+	tbl.rebuildIndexes()
+	if !reflect.DeepEqual(pk, tbl.pk) {
+		t.Fatalf("%s: patched primary-key map differs from a rebuild", step)
+	}
+	for name, idx := range tbl.secondary {
+		if !reflect.DeepEqual(secondary[name].buckets, idx.buckets) {
+			t.Fatalf("%s: patched index %s differs from a rebuild", step, name)
+		}
+	}
+	tbl.pk, tbl.secondary, tbl.idxShared = pk, secondary, shared
+}
+
+// TestPositionalDMLDifferentialFuzz drives UpdateAt, DeleteAt and the
+// predicate wrappers over a two-zone table with a single-attribute and a
+// composite index: key-changing updates (some onto a taken key, which must be
+// refused with the earlier rows applied), updates that NULL an indexed
+// attribute, and deletes at the head, the zone boundaries and the tail, with
+// inserts in between so the shared index maps keep growing. After every
+// statement the table must agree with the row-store oracle, its indexes with
+// a rebuild, and its zones and statistics with a from-scratch derivation. The
+// database is in-memory, so every statement publishes and the next one runs
+// the copy-on-write paths.
+func TestPositionalDMLDifferentialFuzz(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			db, err := NewDatabase(columnarTestSchema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl := db.Table("T")
+			if err := tbl.CreateIndex("by_n", "n"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.CreateIndex("by_s_n", "s", "n"); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			var oracle []Tuple
+			var nextID int64
+			const width = 6
+			insert := func() {
+				tup := make(Tuple, width)
+				for p := 0; p < width; p++ {
+					tup[p] = randVal(rng, p, &nextID)
+				}
+				if err := db.Insert("T", tup); err != nil {
+					t.Fatalf("insert: %v", err)
+				}
+				oracle = append(oracle, tup.Clone())
+			}
+			for len(oracle) < ZoneRows+700 {
+				insert()
+			}
+			// pick returns 1-4 ascending positions around one of the places
+			// where an off-by-one would hide.
+			pick := func() []int {
+				n := len(oracle)
+				anchors := []int{0, ZoneRows / 2, ZoneRows - 1, ZoneRows, n - 1, rng.Intn(n)}
+				at := anchors[rng.Intn(len(anchors))]
+				seen := map[int]bool{}
+				var out []int
+				for k := 1 + rng.Intn(4); k > 0; k-- {
+					p := at + rng.Intn(5) - 2
+					if p >= 0 && p < n && !seen[p] {
+						seen[p] = true
+						out = append(out, p)
+					}
+				}
+				sort.Ints(out)
+				return out
+			}
+			idOwner := func(id value.Value, except int) bool {
+				for i, row := range oracle {
+					if i != except && row[0].Equal(id) {
+						return true
+					}
+				}
+				return false
+			}
+			for op := 0; op < 30; op++ {
+				step := fmt.Sprintf("op %d", op)
+				switch choice := rng.Intn(10); {
+				case choice < 2:
+					insert()
+				case choice < 5: // DeleteAt
+					positions := pick()
+					n, err := db.DeleteAt("T", positions)
+					if err != nil || n != len(positions) {
+						t.Fatalf("%s: DeleteAt(%v) = %d, %v", step, positions, n, err)
+					}
+					for k := len(positions) - 1; k >= 0; k-- {
+						oracle = append(oracle[:positions[k]], oracle[positions[k]+1:]...)
+					}
+				case choice < 9: // UpdateAt
+					positions := pick()
+					var fn func(Tuple) Tuple
+					switch rng.Intn(4) {
+					case 0: // no indexed attribute changes
+						f := value.NewFloat(float64(rng.Intn(10)) / 4)
+						fn = func(tup Tuple) Tuple { tup[2] = f; return tup }
+					case 1: // both secondary keys change, sometimes to NULL
+						nv := randVal(rng, 1, &nextID)
+						sv := randVal(rng, 3, &nextID)
+						fn = func(tup Tuple) Tuple { tup[1], tup[3] = nv, sv; return tup }
+					case 2: // primary key moves to a fresh id
+						fn = func(tup Tuple) Tuple { nextID++; tup[0] = value.NewInt(nextID); return tup }
+					default: // primary key moves onto a neighbour's: refused
+						taken := oracle[rng.Intn(len(oracle))][0]
+						fn = func(tup Tuple) Tuple { tup[0] = taken; return tup }
+					}
+					want := 0
+					var wantErr bool
+					for _, p := range positions {
+						repl := fn(oracle[p].Clone())
+						if idOwner(repl[0], p) {
+							wantErr = true
+							break
+						}
+						oracle[p] = repl
+						want++
+					}
+					// fn draws fresh ids from nextID: replay the draw the
+					// oracle made so storage sees the same replacements.
+					next := 0
+					replay := func(Tuple) Tuple { next++; return oracle[positions[next-1]].Clone() }
+					if wantErr {
+						failing := fn(oracle[positions[want]].Clone())
+						replay = func(Tuple) Tuple {
+							next++
+							if next-1 == want {
+								return failing
+							}
+							return oracle[positions[next-1]].Clone()
+						}
+					}
+					n, err := db.UpdateAt("T", positions, replay)
+					if n != want || (err != nil) != wantErr {
+						t.Fatalf("%s: UpdateAt(%v) = %d, %v; oracle %d, refused=%v", step, positions, n, err, want, wantErr)
+					}
+					if wantErr && !strings.Contains(err.Error(), "duplicate primary key") {
+						t.Fatalf("%s: refusal reads %q", step, err)
+					}
+				default: // the predicate wrappers share the positional apply
+					k := value.NewInt(int64(rng.Intn(7)))
+					pred := func(tup Tuple) bool { return !tup[1].IsNull() && tup[1].Equal(k) && tup[0].Int()%5 == 0 }
+					if rng.Intn(2) == 0 {
+						if _, err := db.Delete("T", pred); err != nil {
+							t.Fatalf("%s: Delete: %v", step, err)
+						}
+						kept := oracle[:0]
+						for _, row := range oracle {
+							if !pred(row) {
+								kept = append(kept, row)
+							}
+						}
+						oracle = kept
+					} else {
+						fn := func(tup Tuple) Tuple { tup[1] = value.NewNull(); return tup }
+						if _, err := db.Update("T", pred, fn); err != nil {
+							t.Fatalf("%s: Update: %v", step, err)
+						}
+						for i, row := range oracle {
+							if pred(row) {
+								oracle[i] = fn(row.Clone())
+							}
+						}
+					}
+				}
+				checkAgainstOracle(t, db, oracle, step)
+				checkIndexesMatchRebuild(t, tbl, step)
+				checkZones(t, tbl)
+				checkStats(t, tbl)
 			}
 		})
 	}

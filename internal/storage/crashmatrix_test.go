@@ -29,7 +29,10 @@ type matrixStep struct {
 // matrixWorkload builds the deterministic statement sequence. Int values
 // stay in narrow ranges so the frame-of-reference encoding stays active
 // through checkpoints, and several statements fail on purpose (duplicate
-// keys, bad CSV) to exercise the no-op-commits-nothing path.
+// keys on INSERT and on UPDATE, bad CSV) to exercise the
+// no-op-commits-nothing and the partial-apply paths. Keyed statements go
+// through UpdateAt / DeleteAt, and every logged UPDATE and DELETE replays
+// through them.
 func matrixWorkload(rng *rand.Rand) []matrixStep {
 	var steps []matrixStep
 	add := func(f func(t *testing.T, db *Database)) {
@@ -53,8 +56,8 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 			}
 		})
 	}
-	for i := 0; i < 25; i++ {
-		switch rng.Intn(10) {
+	for i := 0; i < 30; i++ {
+		switch rng.Intn(12) {
 		case 0, 1, 2, 3: // movie inserts, batched three at a time
 			base, did, year := nextMovie, rng.Intn(10), 1960+rng.Intn(60)
 			nullTitle := rng.Intn(4) == 0
@@ -154,6 +157,46 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 					})
 				if hit >= 3 && err == nil {
 					t.Fatal("NOT NULL violation accepted")
+				}
+			})
+		case 10: // keyed update and delete by position, as the engine issues them
+			pick := rng.Intn(1 << 16)
+			year := int64(1960 + rng.Intn(60))
+			add(func(t *testing.T, db *Database) {
+				rows := db.Table("MOVIES").Len()
+				if rows < 2 {
+					return
+				}
+				at := pick % (rows - 1)
+				db.BeginBatch() // one step, one record
+				if n, err := db.UpdateAt("MOVIES", []int{at}, func(tup Tuple) Tuple {
+					tup[2] = value.NewInt(year)
+					return tup
+				}); err != nil || n != 1 {
+					t.Fatalf("keyed update: n=%d err=%v", n, err)
+				}
+				if n, err := db.DeleteAt("MOVIES", []int{at + 1}); err != nil || n != 1 {
+					t.Fatalf("keyed delete: n=%d err=%v", n, err)
+				}
+				if err := db.CommitBatch(); err != nil {
+					t.Fatalf("commit keyed pair: %v", err)
+				}
+			})
+		case 11: // re-key two rows onto one fresh id: the second is refused
+			pick := rng.Intn(1 << 16)
+			fresh := int64(10_000 + i)
+			add(func(t *testing.T, db *Database) {
+				rows := db.Table("MOVIES").Len()
+				if rows < 2 {
+					return
+				}
+				at := pick % (rows - 1)
+				n, err := db.UpdateAt("MOVIES", []int{at, at + 1}, func(tup Tuple) Tuple {
+					tup[0] = value.NewInt(fresh)
+					return tup
+				})
+				if n != 1 || err == nil {
+					t.Fatalf("re-key onto one id: n=%d err=%v", n, err)
 				}
 			})
 		}

@@ -823,56 +823,6 @@ func (d *durability) walIO(ctx context.Context, rec []byte) error {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Replay application (position-based, mirrors the logged physical ops)
-// ---------------------------------------------------------------------------
-
-// applyDeletePositions re-runs a logged DELETE: positions are ascending
-// pre-compaction row indexes, matched against the same scan Delete performs.
-func (db *Database) applyDeletePositions(rel string, positions []int) error {
-	k := 0
-	db.mu.Lock()
-	n, _, err := db.deleteLocked(rel, func(i int, _ Tuple) bool {
-		if k < len(positions) && positions[k] == i {
-			k++
-			return true
-		}
-		return false
-	})
-	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if n != len(positions) {
-		return fmt.Errorf("storage: wal replay: delete of %d rows matched %d", len(positions), n)
-	}
-	return nil
-}
-
-// applyUpdateRows re-runs a logged UPDATE: each (position, replacement) pair
-// overwrites the same physical row the original statement did.
-func (db *Database) applyUpdateRows(rel string, rows []updatedRow) error {
-	k := 0
-	db.mu.Lock()
-	n, err := db.updateLocked(rel,
-		func(i int, _ Tuple) bool {
-			return k < len(rows) && rows[k].pos == i
-		},
-		func(Tuple) Tuple {
-			repl := rows[k].repl
-			k++
-			return repl
-		})
-	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if n != len(rows) {
-		return fmt.Errorf("storage: wal replay: update of %d rows matched %d", len(rows), n)
-	}
-	return nil
-}
-
 // totalRows sums row counts across tables.
 func (db *Database) totalRows() int {
 	db.mu.RLock()

@@ -781,6 +781,99 @@ func TestPartialBatchReplayAtomicity(t *testing.T) {
 		craftRecord(t, fs, 3, 2, append(goodInsert(50), goodInsert(1)...))
 		check(t, fs, want)
 	})
+	// Keyed UPDATE and DELETE records replay through UpdateAt / DeleteAt: a
+	// record whose later op names a position the table does not have, or
+	// forges a duplicate key, must take its earlier, applied ops back out.
+	keyedUpdate := func(pos int, id int64, name string) []byte {
+		var sd durability
+		sd.logUpdate("DIRECTOR", []updatedRow{{pos: pos, repl: Tuple{value.NewInt(id), value.NewText(name), value.NewNull()}}})
+		return sd.pending
+	}
+	keyedDelete := func(positions ...int) []byte {
+		var sd durability
+		sd.logDelete("DIRECTOR", positions)
+		return sd.pending
+	}
+	for _, tc := range []struct {
+		name string
+		ops  [][]byte
+	}{
+		{"keyed update then delete past the table", [][]byte{goodInsert(50), keyedUpdate(0, 1, "renamed"), keyedDelete(7)}},
+		{"keyed delete then update past the table", [][]byte{goodInsert(50), keyedDelete(1), keyedUpdate(2, 9, "ghost")}},
+		{"keyed delete with descending positions", [][]byte{goodInsert(50), keyedDelete(1, 0)}},
+		{"keyed update onto a taken key", [][]byte{goodInsert(50), keyedUpdate(0, 7, "moved"), keyedUpdate(1, 7, "forged")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := setup(t)
+			want := wantOf(t, fs.Clone())
+			var ops []byte
+			for _, op := range tc.ops {
+				ops = append(ops, op...)
+			}
+			craftRecord(t, fs, 3, len(tc.ops), ops)
+			check(t, fs, want)
+		})
+	}
+}
+
+// TestUpdateRefusesDuplicatePrimaryKey is the regression test for UPDATE
+// forging a duplicate key: a replacement whose new key belongs to another
+// row is refused like INSERT refuses it, before the row mutates; the rows the
+// statement replaced earlier stay replaced, in memory and across a crash and
+// replay, and the key probe and a scan agree on what the table holds.
+func TestUpdateRefusesDuplicatePrimaryKey(t *testing.T) {
+	fs := wal.NewMemFS()
+	db := newDurDB(t)
+	if _, err := db.EnableDurability(fs, DurableOptions{CheckpointBytes: -1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(100); i < 104; i++ {
+		ins(t, db, "DIRECTOR", value.NewInt(i), value.NewText(fmt.Sprintf("d%d", i)), value.NewNull())
+	}
+	// 101 -> 200 is free and applies; 102 -> 100 is taken and stops the
+	// statement; 103 is never reached.
+	targets := map[int64]int64{101: 200, 102: 100, 103: 300}
+	n, err := db.Update("DIRECTOR",
+		func(tup Tuple) bool { return targets[tup[0].Int()] != 0 },
+		func(tup Tuple) Tuple { tup[0] = value.NewInt(targets[tup[0].Int()]); return tup })
+	if err == nil || !strings.Contains(err.Error(), "duplicate primary key 100 in DIRECTOR") {
+		t.Fatalf("update onto a taken key: n=%d err=%v", n, err)
+	}
+	if n != 1 {
+		t.Fatalf("rows replaced before the refusal = %d, want 1", n)
+	}
+	verify := func(db *Database, when string) {
+		t.Helper()
+		tbl := db.Table("DIRECTOR")
+		var ids []int64
+		tbl.Scan(func(tup Tuple) bool { ids = append(ids, tup[0].Int()); return true })
+		if fmt.Sprint(ids) != "[100 200 102 103]" {
+			t.Fatalf("%s: scan sees ids %v", when, ids)
+		}
+		for _, id := range ids {
+			row, ok := tbl.LookupPK(Tuple{value.NewInt(id)})
+			if !ok || row[0].Int() != id {
+				t.Fatalf("%s: key probe for %d = %v, %v", when, id, row, ok)
+			}
+		}
+		if row, ok := tbl.LookupPK(Tuple{value.NewInt(100)}); !ok || row[1].Text() != "d100" {
+			t.Fatalf("%s: key 100 resolves to %v", when, row)
+		}
+		if _, ok := tbl.LookupPK(Tuple{value.NewInt(101)}); ok {
+			t.Fatalf("%s: the old key 101 still resolves", when)
+		}
+	}
+	verify(db, "live")
+
+	crashed := newDurDB(t)
+	report, err := crashed.EnableDurability(fs.Clone(), DurableOptions{CheckpointBytes: -1})
+	if err != nil || !report.Clean() {
+		t.Fatalf("replay: %v %+v", err, report)
+	}
+	verify(crashed, "after crash and replay")
+	if got, want := fingerprint(t, crashed), fingerprint(t, db); got != want {
+		t.Fatalf("replayed state diverges:\n--- want\n%s\n--- got\n%s", want, got)
+	}
 }
 
 // TestConcurrentRawWriters hammers the raw Insert API from several

@@ -37,8 +37,9 @@ import (
 //     the partial chunk — clones the chunk when the d8Cow flag marks it
 //     shared.
 //   - Index maps are shared under a per-table idxMu; probes filter positions
-//     at or past the frozen row count, and DELETE/UPDATE swap in freshly
-//     built maps instead of mutating the shared ones.
+//     at or past the frozen row count, and a DELETE or key-changing UPDATE
+//     swaps in flat clones (ownIndexes) before it removes or re-points an
+//     entry, replacing — never editing — the bucket slices it changes.
 //   - Dictionary maps are shared under codeMu; compaction replaces structures
 //     instead of mutating them, and only after prepareMutate unshared the
 //     code vector.
@@ -270,6 +271,7 @@ func (t *Table) freeze() *Table {
 	sv := t.Stats()
 	ft.statsView = &sv
 	t.shared = true
+	t.idxShared = true
 	return ft
 }
 
@@ -364,10 +366,10 @@ func (t *Table) prepareMutate() {
 		if !c.forOff {
 			// Chunks themselves are rebuilt (never shifted in place) by the
 			// zone rebuild that follows every delete/update, so only the
-			// headers need to be private.
+			// headers need to be private. d8Cow stays as it is: an update that
+			// rebuilds an earlier zone leaves the partial chunk shared.
 			c.fb = append([]int64(nil), c.fb...)
 			c.d8 = append([][]uint8(nil), c.d8...)
-			c.d8Cow = false
 		}
 	}
 }

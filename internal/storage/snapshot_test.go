@@ -174,3 +174,158 @@ func TestCrashMatrixSealInstallWindow(t *testing.T) {
 		}
 	}
 }
+
+// viewPrint renders everything a reader can ask of one table view: every row
+// by position, a primary-key probe per row, an index probe per key, the
+// statistics, every zone's bounds, and a checksum of the frame-of-reference
+// decode.
+func viewPrint(tbl *Table) string {
+	var sb strings.Builder
+	keys := map[int64]bool{}
+	for i := 0; i < tbl.Len(); i++ {
+		row := tbl.Tuple(i)
+		got, ok := tbl.LookupPK(Tuple{row[0]})
+		fmt.Fprintf(&sb, "%d %s pk=%v %s\n", i, row, ok, got)
+		if !row[1].IsNull() {
+			keys[row[1].Int()] = true
+		}
+	}
+	for k := int64(-1); k < 10; k++ {
+		rows, err := tbl.LookupIndex("by_n", value.NewInt(k))
+		fmt.Fprintf(&sb, "by_n %d (held %v) %v %v\n", k, keys[k], rows, err)
+	}
+	st := tbl.Stats()
+	fmt.Fprintf(&sb, "rows=%d zones=%d\n", st.Rows, st.Zones)
+	for i, a := range st.Attrs {
+		fmt.Fprintf(&sb, "  %d nonNull=%d distinct=%d min=%s max=%s\n", i, a.NonNull, a.Distinct, a.Min, a.Max)
+	}
+	for p := range tbl.cols {
+		col := tbl.Col(p)
+		fmt.Fprintf(&sb, "col %d synced=%v", p, col.ZonesSynced(tbl.Len()))
+		for z := 0; z < col.ZoneCount(); z++ {
+			il, ih, iok := col.ZoneIntBounds(z)
+			fl, fh, fok := col.ZoneFloatBounds(z)
+			tl, th, tok := col.ZoneTextBounds(z)
+			fmt.Fprintf(&sb, " [n=%d s=%v %d:%d:%v %g:%g:%v %q:%q:%v]",
+				col.ZoneNulls(z), col.ZoneSorted(z), il, ih, iok, fl, fh, fok, tl, th, tok)
+		}
+		if base, delta, ok := col.FORInts(); ok {
+			var sum int64
+			for i := 0; i < tbl.Len(); i++ {
+				if !col.Null(i) {
+					sum = sum*31 + base[i>>ZoneShift] + int64(delta[i>>ZoneShift][i&ZoneMask])
+				}
+			}
+			fmt.Fprintf(&sb, " for=%d", sum)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestPinnedSnapshotSurvivesKeyedDML pins a snapshot, then runs a keyed
+// UPDATE (key-preserving and key-changing) or DELETE against the head, the
+// middle, both sides of a zone boundary and the tail of the live table,
+// followed — in the same statement batch, so no freeze re-arms the
+// copy-on-write flags in between — by inserts that grow the index maps and
+// rebase the frame-of-reference chunk the view shares. The pinned view must
+// answer every probe, scan, statistic and zone bound exactly as before —
+// while a concurrent reader keeps asking, which under -race is what catches
+// an index map or a chunk patched in place instead of copied.
+func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
+	db, err := NewDatabase(columnarTestSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Table("T").CreateIndex("by_n", "n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.EnableDurability(wal.NewMemFS(), DurableOptions{CheckpointBytes: -1}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	nextID := int64(0)
+	insert := func(day int64) {
+		t.Helper()
+		nextID++
+		n := value.NewNull()
+		if rng.Intn(5) > 0 {
+			n = value.NewInt(int64(rng.Intn(7)))
+		}
+		if err := db.Insert("T", Tuple{
+			value.NewInt(nextID), n, value.NewFloat(float64(rng.Intn(9)) / 2),
+			value.NewText(fmt.Sprintf("w-%d", rng.Intn(5))), value.NewDateDays(day), value.NewBool(rng.Intn(2) == 0),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < ZoneRows+300; i++ {
+		insert(int64(100 + rng.Intn(20)))
+	}
+	lowDay := int64(99) // each round inserts a new minimum: a rebase of the partial chunk
+
+	type dml struct {
+		name  string
+		apply func(pos int) (int, error)
+	}
+	kinds := []dml{
+		{"update", func(pos int) (int, error) {
+			return db.UpdateAt("T", []int{pos}, func(tup Tuple) Tuple { tup[2] = value.NewFloat(-1); return tup })
+		}},
+		{"rekey", func(pos int) (int, error) {
+			return db.UpdateAt("T", []int{pos}, func(tup Tuple) Tuple {
+				nextID++
+				tup[0], tup[1] = value.NewInt(nextID), value.NewInt(9)
+				return tup
+			})
+		}},
+		{"delete", func(pos int) (int, error) { return db.DeleteAt("T", []int{pos}) }},
+	}
+	for _, kind := range kinds {
+		for _, where := range []string{"head", "middle", "zone-end", "zone-start", "tail"} {
+			t.Run(kind.name+"/"+where, func(t *testing.T) {
+				rows := db.Table("T").Len()
+				pos := map[string]int{"head": 0, "middle": rows / 2, "zone-end": ZoneRows - 1, "zone-start": ZoneRows, "tail": rows - 1}[where]
+				view := db.Snapshot().Table("T")
+				want := viewPrint(view)
+
+				stop := make(chan struct{})
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					for {
+						if got := viewPrint(view); got != want {
+							t.Error("concurrent reader saw the pinned view change")
+							return
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+				db.BeginBatch()
+				n, err := kind.apply(pos)
+				for i := 0; i < 3; i++ {
+					insert(lowDay)
+					lowDay--
+				}
+				if cerr := db.CommitBatch(); cerr != nil {
+					t.Fatal(cerr)
+				}
+				close(stop)
+				<-done
+				if err != nil || n != 1 {
+					t.Fatalf("%s at %d: n=%d err=%v", kind.name, pos, n, err)
+				}
+				if got := viewPrint(view); got != want {
+					t.Fatalf("pinned view changed after %s at position %d", kind.name, pos)
+				}
+				if now := viewPrint(db.Snapshot().Table("T")); now == want {
+					t.Fatal("the statement is not visible to a fresh snapshot")
+				}
+			})
+		}
+	}
+}

@@ -30,7 +30,8 @@ type TableStats struct {
 }
 
 // tableStats is the live, incrementally maintained form. Insert adds, Delete
-// removes, Update does both (the storage contract makes writers exclusive).
+// removes, Update does both for the attributes whose value changed (the
+// storage contract makes writers exclusive).
 // Distinct counts are exact: each attribute keeps a count-map from encoded
 // value to multiplicity, so removals can retire a value when its count hits
 // zero. Bounds are O(1) to extend on insert; a removal that touches the
@@ -61,47 +62,53 @@ func (s *tableStats) init(rel *catalog.Relation) {
 // writer-side scratch buffer.
 func (s *tableStats) add(tup Tuple, keyBuf *[]byte) {
 	for i := range s.attrs {
-		a := &s.attrs[i]
-		v := tup[i]
-		if v.IsNull() {
-			continue
-		}
-		a.nonNull++
-		*keyBuf = v.AppendKey((*keyBuf)[:0])
-		a.counts[string(*keyBuf)]++
-		a.observeBounds(v)
+		s.attrs[i].add(tup[i], keyBuf)
 	}
 }
 
-// remove subtracts one deleted (or pre-update) tuple from the statistics.
-// Deleting a value equal to the current min or max invalidates that bound;
-// the owning Table rescans dirty columns once the write finishes.
+// remove subtracts one deleted tuple from the statistics.
 func (s *tableStats) remove(tup Tuple, keyBuf *[]byte) {
 	for i := range s.attrs {
-		a := &s.attrs[i]
-		v := tup[i]
-		if v.IsNull() {
-			continue
+		s.attrs[i].remove(tup[i], keyBuf)
+	}
+}
+
+// add folds one stored value into the attribute's statistics.
+func (a *attrStat) add(v value.Value, keyBuf *[]byte) {
+	if v.IsNull() {
+		return
+	}
+	a.nonNull++
+	*keyBuf = v.AppendKey((*keyBuf)[:0])
+	a.counts[string(*keyBuf)]++
+	a.observeBounds(v)
+}
+
+// remove subtracts one deleted (or pre-update) value. Removing a value equal
+// to the current min or max invalidates that bound; the owning Table rescans
+// dirty columns once the write finishes.
+func (a *attrStat) remove(v value.Value, keyBuf *[]byte) {
+	if v.IsNull() {
+		return
+	}
+	a.nonNull--
+	*keyBuf = v.AppendKey((*keyBuf)[:0])
+	if n, ok := a.counts[string(*keyBuf)]; ok {
+		if n <= 1 {
+			delete(a.counts, string(*keyBuf))
+		} else {
+			a.counts[string(*keyBuf)] = n - 1
 		}
-		a.nonNull--
-		*keyBuf = v.AppendKey((*keyBuf)[:0])
-		if n, ok := a.counts[string(*keyBuf)]; ok {
-			if n <= 1 {
-				delete(a.counts, string(*keyBuf))
-			} else {
-				a.counts[string(*keyBuf)] = n - 1
-			}
-		}
-		if isNaN(v) {
-			// NaN never enters the bounds (observeBounds skips it), so
-			// removing one cannot invalidate them. value.Equal would also
-			// miss it — NaN != NaN — which used to leave stale NaN bounds
-			// behind when a NaN arrived first.
-			continue
-		}
-		if !a.boundsDirty && (v.Equal(a.min) || v.Equal(a.max)) {
-			a.boundsDirty = true
-		}
+	}
+	if isNaN(v) {
+		// NaN never enters the bounds (observeBounds skips it), so removing
+		// one cannot invalidate them. value.Equal would also miss it — NaN !=
+		// NaN — which used to leave stale NaN bounds behind when a NaN
+		// arrived first.
+		return
+	}
+	if !a.boundsDirty && (v.Equal(a.min) || v.Equal(a.max)) {
+		a.boundsDirty = true
 	}
 }
 

@@ -22,6 +22,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -109,11 +111,14 @@ type Table struct {
 	statsView *TableStats
 	// shared marks that the live vectors are referenced by a published
 	// snapshot: the next in-place mutation must prepareMutate first, and
-	// dictionary compaction is deferred until then. dirty marks the table as
-	// changed since the last publish, so a publish re-freezes only what a
-	// statement touched. Both are guarded by db.mu.
-	shared bool
-	dirty  bool
+	// dictionary compaction is deferred until then. idxShared is the same for
+	// pk and secondary: the next removal or re-pointing of an index entry must
+	// ownIndexes first. dirty marks the table as changed since the last
+	// publish, so a publish re-freezes only what a statement touched. All
+	// three are guarded by db.mu.
+	shared    bool
+	idxShared bool
+	dirty     bool
 }
 
 type hashIndex struct {
@@ -687,174 +692,388 @@ func (db *Database) checkForeignKey(r *catalog.Relation, fk catalog.ForeignKey, 
 		r.Name, fk.RefRelation, keyVals.String())
 }
 
-// Delete removes all rows of relName matching pred and returns the count.
-// Statistics are decremented incrementally (bounds rescanned only when a
-// removed value touched the current min/max); indexes are rebuilt.
-func (db *Database) Delete(relName string, pred func(Tuple) bool) (int, error) {
+// write runs one mutating storage call: refuse it up front when the log has
+// latched or the database is a follower, apply it under db.mu, publish the
+// in-memory commit point (durable databases publish at WAL-commit time
+// instead), and flush. The flush runs even when apply failed — rows changed
+// before a mid-statement constraint failure are applied state that must reach
+// the log at this statement boundary, not ride inside the next one's record.
+func (db *Database) write(relName string, apply func(*Table) (int, error)) (int, error) {
 	if err := db.writeOK(); err != nil {
 		return 0, err
 	}
 	db.mu.Lock()
-	removed, _, err := db.deleteLocked(relName, func(_ int, tup Tuple) bool { return pred(tup) })
+	var n int
+	var err error
+	if tbl := db.tables[strings.ToLower(relName)]; tbl != nil {
+		n, err = apply(tbl)
+	} else {
+		err = fmt.Errorf("storage: unknown relation %q", relName)
+	}
 	if db.dur == nil {
 		db.publishLocked(db.nextPubSeqLocked())
 	}
 	db.mu.Unlock()
-	// Flush even on error: a failed scan may still have removed rows before
-	// the failure, and those are applied state that must reach the log now —
-	// not ride along inside the next statement's record.
 	if ferr := db.autoCommit(); err == nil {
 		err = ferr
 	}
-	return removed, err
+	return n, err
 }
 
-// deleteLocked is the shared delete scan: pred sees the pre-compaction row
-// position plus the materialized tuple, and the matched positions come back
-// in ascending order (they are what the WAL records — recovery replays a
-// DELETE by position, not by re-evaluating the predicate).
-func (db *Database) deleteLocked(relName string, pred func(int, Tuple) bool) (int, []int, error) {
-	tbl := db.tables[strings.ToLower(relName)]
-	if tbl == nil {
-		return 0, nil, fmt.Errorf("storage: unknown relation %q", relName)
-	}
-	w := 0
+// Delete removes all rows of relName matching pred and returns the count: a
+// scan for the matching positions in front of DeleteAt's apply. pred sees one
+// reused scratch tuple and must not retain it.
+func (db *Database) Delete(relName string, pred func(Tuple) bool) (int, error) {
+	return db.write(relName, func(tbl *Table) (int, error) {
+		return db.deleteAtLocked(tbl, tbl.positionsWhere(pred))
+	})
+}
+
+// DeleteAt removes the rows of relName at the given strictly ascending
+// positions — the shape the engine's planned WHERE produces and the WAL
+// records — in time proportional to the rows removed plus the rows behind the
+// first one, which shift down. Statistics are decremented incrementally
+// (bounds rescanned only when a removed value touched them), indexes are
+// patched for the removed and the shifted rows, and zone maps rebuild from the
+// first removed row's zone.
+func (db *Database) DeleteAt(relName string, positions []int) (int, error) {
+	return db.write(relName, func(tbl *Table) (int, error) {
+		return db.deleteAtLocked(tbl, positions)
+	})
+}
+
+// Update applies fn to every row of relName matching pred: a scan for the
+// matching positions in front of UpdateAt's apply, so pred sees every row as
+// it was before the first replacement. pred sees one reused scratch tuple and
+// must not retain it.
+func (db *Database) Update(relName string, pred func(Tuple) bool, fn func(Tuple) Tuple) (int, error) {
+	return db.write(relName, func(tbl *Table) (int, error) {
+		return db.updateAtLocked(tbl, tbl.positionsWhere(pred), fn)
+	})
+}
+
+// UpdateAt replaces the rows of relName at the given strictly ascending
+// positions with what fn returns for each (fn may edit and return its
+// argument). NOT NULL, types and primary-key uniqueness are re-checked on
+// every replacement before the row mutates; a failure stops the statement
+// there, leaving the earlier rows updated and logged. The cost is
+// proportional to the rows replaced: only changed attributes touch their
+// vectors and statistics, only indexes whose key changed are patched, and
+// only the zones holding a replaced row rebuild.
+func (db *Database) UpdateAt(relName string, positions []int, fn func(Tuple) Tuple) (int, error) {
+	return db.write(relName, func(tbl *Table) (int, error) {
+		return db.updateAtLocked(tbl, positions, fn)
+	})
+}
+
+// positionsWhere scans the table for the rows pred accepts. One scratch tuple
+// serves every call, keeping the scan allocation-free.
+func (t *Table) positionsWhere(pred func(Tuple) bool) []int {
 	var positions []int
-	dirtyFrom := -1 // first removed row: zones from its morsel onward rebuild
-	// One scratch tuple serves every pred call, keeping the scan
-	// allocation-free. This narrows the contract: pred must not retain its
-	// argument across calls (clone it to keep it). The engine's DML
-	// predicates evaluate synchronously and never retain.
-	scratch := make(Tuple, len(tbl.cols))
-	for i := 0; i < tbl.rows; i++ {
-		tbl.CopyRow(scratch, i)
-		if pred(i, scratch) {
-			if dirtyFrom < 0 {
-				dirtyFrom = i
-				// First in-place mutation of a possibly-shared table: unshare
-				// the vectors so frozen snapshot readers keep the originals.
-				// A zero-match delete never pays for the clone.
-				tbl.prepareMutate()
-			}
+	scratch := make(Tuple, len(t.cols))
+	for i := 0; i < t.rows; i++ {
+		t.CopyRow(scratch, i)
+		if pred(scratch) {
 			positions = append(positions, i)
-			tbl.stats.remove(scratch, &tbl.keyBuf)
-			for j := range tbl.cols {
-				tbl.cols[j].releaseRow(i)
-			}
-			continue
 		}
-		if w != i {
-			for j := range tbl.cols {
-				tbl.cols[j].moveRow(w, i)
-			}
+	}
+	return positions
+}
+
+// checkPositions rejects a position list that is not strictly ascending or
+// reaches past the table — a replayed log record or a caller bug, never
+// something to apply halfway.
+func (t *Table) checkPositions(positions []int) error {
+	prev := -1
+	for _, p := range positions {
+		if p <= prev || p >= t.rows {
+			return fmt.Errorf("storage: row position %d of %s is out of order or past its %d rows", p, t.rel.Name, t.rows)
 		}
-		w++
+		prev = p
+	}
+	return nil
+}
+
+// deleteAtLocked is the one delete path; the caller holds db.mu.
+func (db *Database) deleteAtLocked(tbl *Table, positions []int) (int, error) {
+	if err := tbl.checkPositions(positions); err != nil {
+		return 0, err
+	}
+	if len(positions) == 0 {
+		return 0, nil
+	}
+	// First in-place mutation of a possibly-shared table: unshare the vectors
+	// so frozen snapshot readers keep the originals.
+	tbl.prepareMutate()
+	scratch := make(Tuple, len(tbl.cols))
+	for _, p := range positions {
+		tbl.CopyRow(scratch, p)
+		tbl.stats.remove(scratch, &tbl.keyBuf)
+		for j := range tbl.cols {
+			tbl.cols[j].releaseRow(p)
+		}
+	}
+	tbl.unindexRows(positions) // reads the keys of the rows about to move
+	// Close the gaps: every run of surviving rows between two removed
+	// positions slides down as one block.
+	w := positions[0]
+	for k, p := range positions {
+		end := tbl.rows
+		if k+1 < len(positions) {
+			end = positions[k+1]
+		}
+		for j := range tbl.cols {
+			tbl.cols[j].moveRows(w, p+1, end)
+		}
+		w += end - p - 1
 	}
 	for j := range tbl.cols {
 		tbl.cols[j].truncate(w)
 	}
 	tbl.rows = w
-	tbl.rebuildIndexes()
-	tbl.finishWrite(dirtyFrom)
+	tbl.finishWrite(positions[0])
 	tbl.fixStatBounds() // after finishWrite: minMax folds the fresh zones
 	tbl.dirty = true
 	tbl.invalidate()
-	if db.dur != nil && len(positions) > 0 {
+	if db.dur != nil {
 		db.dur.logDelete(tbl.rel.Name, positions)
 	}
-	return len(positions), positions, nil
+	return len(positions), nil
 }
 
-// Update applies fn to every row of relName matching pred; fn must return
-// the replacement tuple. Constraints are re-checked on the replacement, and
-// statistics are adjusted incrementally (old values out, new values in).
-func (db *Database) Update(relName string, pred func(Tuple) bool, fn func(Tuple) Tuple) (int, error) {
-	if err := db.writeOK(); err != nil {
+// updateAtLocked is the one update path; the caller holds db.mu. Applied
+// (position, replacement) pairs are logged — even when a constraint aborts
+// the loop midway, because the earlier rows really were updated and recovery
+// must reproduce them.
+func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) Tuple) (int, error) {
+	if err := tbl.checkPositions(positions); err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
-	updated, err := db.updateLocked(relName, func(_ int, tup Tuple) bool { return pred(tup) }, fn)
-	if db.dur == nil {
-		db.publishLocked(db.nextPubSeqLocked())
-	}
-	db.mu.Unlock()
-	// Flush even on error: rows updated before a mid-scan constraint failure
-	// are applied state and must reach the log at this statement boundary.
-	if ferr := db.autoCommit(); err == nil {
-		err = ferr
-	}
-	return updated, err
-}
-
-// updateLocked is the shared update scan: pred sees the row position plus
-// the materialized tuple. Applied (position, replacement) pairs are logged —
-// even when a constraint aborts the loop midway, because the earlier rows
-// really were updated and recovery must reproduce them.
-func (db *Database) updateLocked(relName string, pred func(int, Tuple) bool, fn func(Tuple) Tuple) (int, error) {
-	tbl := db.tables[strings.ToLower(relName)]
-	if tbl == nil {
-		return 0, fmt.Errorf("storage: unknown relation %q", relName)
-	}
 	r := tbl.rel
-	updated := 0
-	var changed []updatedRow
-	dirtyFrom := -1 // first updated row: zones from its morsel onward rebuild
-	// Indexes, bounds, and the materialized view are refreshed even when a
+	var applied []updatedRow
+	var zones []int // ascending zones holding a replaced row
+	colChanged := make([]bool, len(tbl.cols))
+	// Zones, bounds, and the materialized view are refreshed even when a
 	// constraint aborts the loop midway: earlier rows were already updated.
 	defer func() {
-		tbl.rebuildIndexes()
-		tbl.finishWrite(dirtyFrom)
-		tbl.fixStatBounds() // after finishWrite: minMax folds the fresh zones
+		if len(applied) == 0 {
+			return
+		}
+		tbl.finishUpdate(zones, colChanged)
+		tbl.fixStatBounds() // after finishUpdate: minMax folds the fresh zones
 		tbl.dirty = true
 		tbl.invalidate()
-		if db.dur != nil && len(changed) > 0 {
-			db.dur.logUpdate(tbl.rel.Name, changed)
+		if db.dur != nil {
+			db.dur.logUpdate(r.Name, applied)
 		}
 	}()
-	old := make(Tuple, len(tbl.cols)) // reused pred scratch; see Delete
-	for i := 0; i < tbl.rows; i++ {
+	old := make(Tuple, len(tbl.cols))
+	for _, i := range positions {
 		tbl.CopyRow(old, i)
-		if !pred(i, old) {
-			continue
-		}
 		repl := fn(old.Clone())
 		if len(repl) != len(r.Attributes) {
-			return updated, fmt.Errorf("storage: update of %s produced wrong arity", r.Name)
+			return len(applied), fmt.Errorf("storage: update of %s produced wrong arity", r.Name)
 		}
 		for j, a := range r.Attributes {
-			if repl[j].IsNull() && a.NotNull {
-				return updated, fmt.Errorf("storage: %s.%s is NOT NULL", r.Name, a.Name)
-			}
-			if !repl[j].IsNull() {
-				want := value.CatalogKind(a.Type)
-				if repl[j].Kind() != want {
-					coerced, err := value.Coerce(repl[j], want)
-					if err != nil {
-						return updated, fmt.Errorf("storage: %s.%s: %v", r.Name, a.Name, err)
-					}
-					repl[j] = coerced
+			if repl[j].IsNull() {
+				if a.NotNull {
+					return len(applied), fmt.Errorf("storage: %s.%s is NOT NULL", r.Name, a.Name)
 				}
+				continue
+			}
+			if want := value.CatalogKind(a.Type); repl[j].Kind() != want {
+				coerced, err := value.Coerce(repl[j], want)
+				if err != nil {
+					return len(applied), fmt.Errorf("storage: %s.%s: %v", r.Name, a.Name, err)
+				}
+				repl[j] = coerced
 			}
 		}
-		if dirtyFrom < 0 {
-			dirtyFrom = i
+		if err := tbl.reindexRow(i, old, repl); err != nil {
+			return len(applied), err
+		}
+		for j := range tbl.cols {
+			if sameStored(old[j], repl[j]) {
+				continue
+			}
 			// First overwrite of a possibly-shared table: unshare the vectors
 			// so frozen snapshot readers keep the originals.
 			tbl.prepareMutate()
-		}
-		for j := range tbl.cols {
 			tbl.cols[j].setVal(i, repl[j])
+			tbl.stats.attrs[j].remove(old[j], &tbl.keyBuf)
+			tbl.stats.attrs[j].add(repl[j], &tbl.keyBuf)
+			colChanged[j] = true
 		}
-		tbl.stats.remove(old, &tbl.keyBuf)
-		tbl.stats.add(repl, &tbl.keyBuf)
-		changed = append(changed, updatedRow{pos: i, repl: repl})
-		updated++
+		if z := i >> ZoneShift; len(zones) == 0 || zones[len(zones)-1] != z {
+			zones = append(zones, z)
+		}
+		applied = append(applied, updatedRow{pos: i, repl: repl})
 	}
-	return updated, nil
+	return len(applied), nil
 }
 
-// rebuildIndexes rebuilds the primary-key map and every secondary index after
-// rows moved (DELETE compaction, UPDATE key changes). It builds fresh maps
+// sameStored reports whether replacing a by b would leave the stored value as
+// it is. NaN never equals itself, so a NaN replacement counts as a change —
+// harmless, the write just is not skipped.
+func sameStored(a, b value.Value) bool {
+	return a.Kind() == b.Kind() && a.Equal(b)
+}
+
+// keyChanged reports whether the replacement alters the key over positions.
+func keyChanged(old, repl Tuple, positions []int) bool {
+	for _, p := range positions {
+		if !sameStored(old[p], repl[p]) {
+			return true
+		}
+	}
+	return false
+}
+
+// ownIndexes makes the primary-key map and the secondary buckets private to
+// the live table before an entry is removed or re-pointed. Frozen snapshot
+// views share the maps and only filter by position, so they must keep an
+// untouched copy: the maps are cloned flat (bucket slices stay shared and are
+// replaced, never edited, by the patching code) and swapped in under idxMu.
+// Inserts never need this — they only add positions past every frozen view.
+func (t *Table) ownIndexes() {
+	if !t.idxShared {
+		return
+	}
+	t.idxShared = false
+	pk := maps.Clone(t.pk)
+	var secondary map[string]*hashIndex
+	if len(t.secondary) > 0 {
+		secondary = make(map[string]*hashIndex, len(t.secondary))
+		for name, idx := range t.secondary {
+			secondary[name] = &hashIndex{positions: idx.positions, buckets: maps.Clone(idx.buckets)}
+		}
+	}
+	t.idxMu.Lock()
+	t.pk, t.secondary = pk, secondary
+	t.idxMu.Unlock()
+}
+
+// reindexRow re-keys row i for a replacement tuple: nothing at all when no
+// primary-key or indexed attribute changes, otherwise the old key leaves and
+// the new key enters each affected index. A new primary key that already
+// belongs to another row is refused before anything is touched.
+func (t *Table) reindexRow(i int, old, repl Tuple) error {
+	pkChanged := t.pk != nil && keyChanged(old, repl, t.pkPos)
+	var newKey []byte
+	if pkChanged {
+		var kb [64]byte
+		newKey = repl.AppendKey(kb[:0], t.pkPos)
+		if at, dup := t.pk[string(newKey)]; dup && at != i {
+			return fmt.Errorf("storage: duplicate primary key %s in %s", repl.pkString(t.pkPos), t.rel.Name)
+		}
+	}
+	secChanged := false
+	for _, idx := range t.secondary {
+		if keyChanged(old, repl, idx.positions) {
+			secChanged = true
+			break
+		}
+	}
+	if !pkChanged && !secChanged {
+		return nil
+	}
+	t.ownIndexes()
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	if pkChanged {
+		t.keyBuf = old.AppendKey(t.keyBuf[:0], t.pkPos)
+		delete(t.pk, string(t.keyBuf))
+		t.pk[string(newKey)] = i
+	}
+	for _, idx := range t.secondary {
+		if !keyChanged(old, repl, idx.positions) {
+			continue
+		}
+		// Buckets ascend; a changed one is rebuilt as a fresh slice, because
+		// a frozen view's map may still hold the old one.
+		if !nullKey(old, idx.positions) {
+			t.keyBuf = old.AppendKey(t.keyBuf[:0], idx.positions)
+			bucket := idx.buckets[string(t.keyBuf)]
+			at := sort.SearchInts(bucket, i)
+			idx.replace(t.keyBuf, slices.Concat(bucket[:at], bucket[at+1:]))
+		}
+		if !nullKey(repl, idx.positions) {
+			t.keyBuf = repl.AppendKey(t.keyBuf[:0], idx.positions)
+			bucket := idx.buckets[string(t.keyBuf)]
+			at := sort.SearchInts(bucket, i)
+			idx.replace(t.keyBuf, slices.Concat(bucket[:at], []int{i}, bucket[at:]))
+		}
+	}
+	return nil
+}
+
+// replace installs a rebuilt bucket, dropping the key when it emptied.
+func (idx *hashIndex) replace(key []byte, bucket []int) {
+	if len(bucket) == 0 {
+		delete(idx.buckets, string(key))
+		return
+	}
+	idx.buckets[string(key)] = bucket
+}
+
+// unindexRows patches the indexes for a delete of the given ascending
+// positions, called while the vectors still hold the pre-compaction layout:
+// the removed rows' keys leave, and every row behind the first removed one is
+// re-pointed at the position it is about to slide down to. Rows in front of
+// it are not visited, re-encoded or allocated for.
+func (t *Table) unindexRows(removed []int) {
+	if t.pk == nil && len(t.secondary) == 0 {
+		return
+	}
+	t.ownIndexes()
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	first := removed[0]
+	if t.pk != nil {
+		k := 0 // removed positions below r
+		for r := first; r < t.rows; r++ {
+			t.keyBuf = t.appendKeyAt(t.keyBuf[:0], r, t.pkPos)
+			if k < len(removed) && removed[k] == r {
+				delete(t.pk, string(t.keyBuf))
+				k++
+				continue
+			}
+			t.pk[string(t.keyBuf)] = r - k
+		}
+	}
+	if len(t.secondary) == 0 {
+		return
+	}
+	// A bucket is rebuilt when the scan meets its first position at or behind
+	// the first removed row; seen marks its later positions as done.
+	seen := make([]bool, t.rows-first)
+	for _, idx := range t.secondary {
+		clear(seen)
+		for r := first; r < t.rows; r++ {
+			if seen[r-first] || t.nullKeyAt(r, idx.positions) {
+				continue
+			}
+			t.keyBuf = t.appendKeyAt(t.keyBuf[:0], r, idx.positions)
+			bucket := idx.buckets[string(t.keyBuf)]
+			at := sort.SearchInts(bucket, first)
+			shifted := make([]int, at, len(bucket))
+			copy(shifted, bucket[:at])
+			for _, q := range bucket[at:] {
+				seen[q-first] = true
+				k := sort.SearchInts(removed, q)
+				if k < len(removed) && removed[k] == q {
+					continue
+				}
+				shifted = append(shifted, q-k)
+			}
+			idx.replace(t.keyBuf, shifted)
+		}
+	}
+}
+
+// rebuildIndexes rebuilds the primary-key map and every secondary index from
+// the vectors — for a loaded segment, and for a rolled-back insert suffix,
+// whose keys are easier to drop wholesale than to find. It builds fresh maps
 // and swaps them in under idxMu: frozen snapshot views keep the previous —
 // now immutable — maps, whose positions still describe the frozen row layout
 // that the frozen vectors hold.
@@ -890,6 +1109,7 @@ func (t *Table) rebuildIndexes() {
 		t.secondary = secondary
 	}
 	t.idxMu.Unlock()
+	t.idxShared = false
 }
 
 // LoadCSV bulk-loads a relation from CSV with a header row naming the

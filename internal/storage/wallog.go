@@ -284,7 +284,7 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 			if d.err != nil {
 				return ops, d.err
 			}
-			if err := db.applyDeletePositions(rel, positions); err != nil {
+			if _, err := db.DeleteAt(rel, positions); err != nil {
 				return ops, err
 			}
 		case opUpdate:
@@ -296,15 +296,20 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 			if n > uint64(len(d.buf)) {
 				return ops, fmt.Errorf("storage: wal decode: update count %d exceeds record", n)
 			}
-			rows := make([]updatedRow, n)
-			for j := range rows {
-				rows[j].pos = int(d.uvarint())
-				rows[j].repl = d.tuple()
+			positions := make([]int, n)
+			repls := make([]Tuple, n)
+			for j := range positions {
+				positions[j] = int(d.uvarint())
+				repls[j] = d.tuple()
 			}
 			if d.err != nil {
 				return ops, d.err
 			}
-			if err := db.applyUpdateRows(rel, rows); err != nil {
+			next := 0 // UpdateAt asks for replacements in position order
+			if _, err := db.UpdateAt(rel, positions, func(Tuple) Tuple {
+				next++
+				return repls[next-1]
+			}); err != nil {
 				return ops, err
 			}
 		case opCreateIndex:

@@ -14,8 +14,9 @@ import (
 // null count, typed min/max bounds over the comparable values, and whether the
 // range is sorted — enough for a predicate to decide a whole morsel without
 // touching the payload vector. Zones are extended incrementally on Insert
-// (appendVal) and rebuilt only from the first dirty row after Delete/Update,
-// so a write never pays more than the suffix it disturbed.
+// (appendVal), rebuilt from the first removed row after Delete, and rebuilt
+// one by one where a row was replaced after Update, so a write never pays
+// more than the zones it disturbed.
 //
 // Two encodings ride on the same maintenance pass:
 //
@@ -209,7 +210,7 @@ func (c *column) forDrop() {
 
 // rebuildZonesFrom discards every zone from the one containing row onward and
 // re-derives them (and the frame-of-reference vectors) over rows [.., n).
-// Delete and Update call it once per write with the first disturbed row.
+// Delete calls it once per write with the first removed row.
 func (c *column) rebuildZonesFrom(row, n int) {
 	z0 := row >> ZoneShift
 	if z0 > len(c.zones) {
@@ -224,6 +225,33 @@ func (c *column) rebuildZonesFrom(row, n int) {
 	}
 	for r := c.zrows; r < n; r++ {
 		c.zoneExtend(r)
+	}
+}
+
+// rebuildZone re-derives zone z alone (and its frame-of-reference chunk, as a
+// fresh allocation — a frozen snapshot may hold the old one) over its rows
+// below n. Update calls it for each zone holding a replaced row; the zones
+// around it, and how many rows the zones cover, are left as they are.
+func (c *column) rebuildZone(z, n int) {
+	lo := z << ZoneShift
+	hi := lo + ZoneRows
+	last := hi >= n
+	if last {
+		hi = n
+	}
+	zrows, cow := c.zrows, c.d8Cow
+	c.zones[z] = zone{lastRow: -1}
+	if !c.forOff {
+		c.fb[z] = 0
+		c.d8[z] = make([]uint8, 0, hi-lo)
+		c.d8Cow = false // the chunk being refilled is private
+	}
+	for r := lo; r < hi; r++ {
+		c.zoneExtend(r)
+	}
+	c.zrows = zrows
+	if !last {
+		c.d8Cow = cow // still describes the partial chunk, which was not touched
 	}
 }
 
@@ -402,22 +430,36 @@ func (d *dict) buildRanks() {
 	d.rankStale.Store(false)
 }
 
-// finishWrite runs the per-column write-completion maintenance: rebuild zones
-// from the first disturbed row (dirtyFrom < 0 means no rows moved or changed
-// in place) and compact churned dictionaries. Sorted-dict ranks are NOT
-// rebuilt here — every statement of a bulk load grows the vocabulary, so an
-// eager per-statement re-sort would make loading quadratic; the next ranked
-// read rebuilds once instead.
+// finishWrite runs the per-column write-completion maintenance after rows
+// moved (Delete, suffix rollback): rebuild zones from the first disturbed row
+// and compact churned dictionaries. Sorted-dict ranks are NOT rebuilt here —
+// every statement of a bulk load grows the vocabulary, so an eager
+// per-statement re-sort would make loading quadratic; the next ranked read
+// rebuilds once instead.
 func (t *Table) finishWrite(dirtyFrom int) {
 	for j := range t.cols {
 		c := &t.cols[j]
-		if dirtyFrom >= 0 {
-			c.rebuildZonesFrom(dirtyFrom, t.rows)
-		}
+		c.rebuildZonesFrom(dirtyFrom, t.rows)
 		if !t.shared {
 			// Compaction remaps the code vector in place, so it may only run
 			// when prepareMutate has unshared it from every snapshot. The
 			// rollback path skips it; the next delete/update compacts instead.
+			c.maybeCompactDict()
+		}
+	}
+}
+
+// finishUpdate is finishWrite for rows replaced in place: only the given
+// zones rebuild, and only in the columns a replacement changed.
+func (t *Table) finishUpdate(zones []int, colChanged []bool) {
+	for j := range t.cols {
+		c := &t.cols[j]
+		if colChanged[j] {
+			for _, z := range zones {
+				c.rebuildZone(z, t.rows)
+			}
+		}
+		if !t.shared {
 			c.maybeCompactDict()
 		}
 	}

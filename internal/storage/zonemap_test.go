@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
@@ -200,6 +201,16 @@ func checkZones(t *testing.T, tbl *Table) {
 					t.Fatalf("col %d row %d: FOR decodes %d, payload %d", p, i, got, col.Ints()[i])
 				}
 			}
+		}
+		// Whatever mix of appends, suffix rebuilds and single-zone rebuilds
+		// produced the zones, they must equal (sortedness and last bounded
+		// row included) the zones of the same values appended from scratch.
+		fresh := newColumn(col.Kind())
+		for i := 0; i < n; i++ {
+			fresh.appendVal(col.Value(i), i)
+		}
+		if !reflect.DeepEqual(fresh.zones, tbl.cols[p].zones) {
+			t.Fatalf("col %d: zones differ from a from-scratch rebuild", p)
 		}
 	}
 }
