@@ -656,9 +656,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		// The engine's counted downgrades: UPDATE and DELETE statements whose
 		// WHERE the planner refused, so the interpreter pre-scan found their
-		// rows instead of a plan — per refusal reason, empty while none did.
+		// rows instead of a plan, and SELECTs the naive pipeline ran — per
+		// refusal reason, empty while none did.
 		"engine": map[string]any{
-			"dml_fallbacks": s.sys.Engine().DMLFallbacks(),
+			"dml_fallbacks":    s.sys.Engine().DMLFallbacks(),
+			"select_fallbacks": s.sys.Engine().SelectFallbacks(),
 		},
 	}
 	if s.repl != nil {

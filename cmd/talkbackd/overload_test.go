@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,6 +75,67 @@ func TestOverloadShedNarrated(t *testing.T) {
 	st := s.adm.Stats()
 	if st.Rejected != 1 || st.Admitted == 0 {
 		t.Fatalf("admission counters: %+v", st)
+	}
+}
+
+// cancelAfterPolls is a request context that reports cancellation from its
+// n-th Err() poll on — a deadline that falls at a chosen point of a narration.
+type cancelAfterPolls struct {
+	context.Context
+	left atomic.Int64
+}
+
+// Done is non-nil so the budget knows this context can fire.
+func (c *cancelAfterPolls) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *cancelAfterPolls) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEntityCancelledMidNarration: /entity narrates under the request budget.
+// Stopped between two of its queries it answers a narrated 504 with no
+// narrative at all, and the read counts as cancelled in /stats.
+func TestEntityCancelledMidNarration(t *testing.T) {
+	sys, err := buildSystem("movie", 300, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := overloadTestServer(t, sys, core.NewAdmission(1, 0), 1<<20, 16)
+	entity := func(ctx context.Context) (int, map[string]any) {
+		rec := httptest.NewRecorder()
+		s.handleEntity(rec, httptest.NewRequest("GET", "/entity?rel=DIRECTOR&attr=id&value=1", nil).WithContext(ctx))
+		var out map[string]any
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Code, out
+	}
+	if code, out := entity(context.Background()); code != http.StatusOK || out["narrative"] == "" {
+		t.Fatalf("uncancelled /entity: %d %v", code, out)
+	}
+	ctx := &cancelAfterPolls{Context: context.Background()}
+	ctx.left.Store(2) // the entry check and the entity lookup pass; the bridge join trips
+	code, out := entity(ctx)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("cancelled /entity: status %d %v, want 504", code, out)
+	}
+	if ans, _ := out["answer"].(string); !strings.Contains(ans, "I stopped this query") {
+		t.Fatalf("cancelled /entity answer: %v", out)
+	}
+	if _, partial := out["narrative"]; partial {
+		t.Fatalf("cancelled /entity carries a narrative: %v", out)
+	}
+	rec := httptest.NewRecorder()
+	s.handleStats(rec, httptest.NewRequest("GET", "/stats", nil))
+	var stats map[string]map[string]any
+	if err := json.NewDecoder(rec.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats["snapshots"]["reads_cancelled"]; got != float64(1) {
+		t.Fatalf("snapshots.reads_cancelled = %v, want 1", got)
 	}
 }
 

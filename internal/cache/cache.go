@@ -13,7 +13,6 @@ import (
 	"hash/maphash"
 	"strings"
 	"sync"
-	"unicode"
 )
 
 // shardCount is the number of independent lock domains. Must be a power of
@@ -150,12 +149,15 @@ func (c *Cache[V]) Stats() Stats {
 // NormalizeSQL canonicalizes a SQL string for use as a cache key, mirroring
 // the lexer's token-level insensitivities: "--" line comments and "/* */"
 // block comments are stripped (exactly as sqlparser's skipSpaceAndComments
-// does), whitespace runs collapse to one space, text outside quotes is
-// lowercased, and trailing semicolons/space are trimmed. Two statements
-// that differ only in layout, comments, keyword case, or identifier case
-// therefore share a cache entry; single-quoted literals and double-quoted
-// identifiers keep their exact bytes, so statements differing inside
-// quotes never collide.
+// does), runs of the four bytes that function skips (space, tab, LF, CR)
+// collapse to one space, ASCII letters outside quotes are lowercased, and
+// trailing semicolons/space are trimmed. Two statements that differ only in
+// layout, comments, keyword case, or identifier case therefore share a cache
+// entry; single-quoted literals and double-quoted identifiers keep their
+// exact bytes, so statements differing inside quotes never collide. Nothing
+// else is folded: a text the lexer rejects (a no-break space, a Kelvin sign
+// for K) must not share the key of a text it accepts, or its error would
+// depend on what is cached.
 func NormalizeSQL(sql string) string {
 	var b strings.Builder
 	b.Grow(len(sql))
@@ -200,7 +202,7 @@ func NormalizeSQL(sql string) string {
 			pendingSpace = b.Len() > 0
 			continue
 		}
-		if unicode.IsSpace(r) {
+		if r == ' ' || r == '\t' || r == '\n' || r == '\r' {
 			pendingSpace = b.Len() > 0
 			continue
 		}
@@ -216,7 +218,10 @@ func NormalizeSQL(sql string) string {
 			state = inIdent
 			b.WriteRune(r)
 		default:
-			b.WriteRune(unicode.ToLower(r))
+			if 'A' <= r && r <= 'Z' {
+				r += 'a' - 'A'
+			}
+			b.WriteRune(r)
 		}
 	}
 	out := b.String()

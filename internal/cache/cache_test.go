@@ -104,6 +104,24 @@ func TestNormalizeSQL(t *testing.T) {
 	if NormalizeSQL("select a / b from T") != "select a / b from t" {
 		t.Errorf("division mangled: %q", NormalizeSQL("select a / b from T"))
 	}
+	// Whitespace is what the lexer skips — space, tab, LF, CR — and nothing
+	// more, and only ASCII letters fold: a text the lexer rejects must not
+	// share the key of the clean text.
+	clean := "select m.title from MOVIES m where m.id = 100"
+	if NormalizeSQL("select\tm.title\r\nfrom MOVIES m where m.id = 100") != NormalizeSQL(clean) {
+		t.Error("tab/CR/LF are no longer token separators")
+	}
+	for _, odd := range []string{"\u00a0", "\f", "\v", "\u2003", "\u0085"} {
+		if dirty := "select m.title from MOVIES" + odd + "m where m.id = 100"; NormalizeSQL(dirty) == NormalizeSQL(clean) {
+			t.Errorf("%q, which the lexer rejects, normalizes to the clean key", dirty)
+		}
+	}
+	if NormalizeSQL("select m.title from MOVIES m where m.id = 100 \u00a0;") == NormalizeSQL(clean) {
+		t.Error("a trailing no-break space was trimmed")
+	}
+	if NormalizeSQL("select \u212a from t") == NormalizeSQL("select k from t") {
+		t.Error("the Kelvin sign folds to k")
+	}
 	// Double-quoted identifiers keep exact bytes: different idents must not
 	// collide, and case inside quotes is preserved.
 	if NormalizeSQL(`select "a  b" from T`) == NormalizeSQL(`select "a b" from T`) {

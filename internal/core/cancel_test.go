@@ -14,6 +14,7 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/querytotext"
 	"repro/internal/storage"
+	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -137,6 +138,63 @@ func TestAskContextCancelledDMLNoTrace(t *testing.T) {
 			t.Fatalf("cancel at poll %d left a trace in MOVIES", p)
 		}
 	}
+}
+
+// TestCancelNarrationLossFree: content narration runs under the request
+// budget. Cancelled at every poll point of its queries, /entity and the
+// database narrative return the uncancelled text or a CancelError with no
+// text — never a partial paragraph — and every cancelled read is counted
+// and releases its snapshot pin.
+func TestCancelNarrationLossFree(t *testing.T) {
+	defer leakcheck.Check(t)()
+	sys := generatedMovieSystem(t, 400)
+	narrations := map[string]func(ctx context.Context) (string, error){
+		"director": func(ctx context.Context) (string, error) {
+			return sys.DescribeEntityAsContext(ctx, "", "DIRECTOR", "id", value.NewInt(1))
+		},
+		"actor by name": func(ctx context.Context) (string, error) {
+			name := sys.Database().Table("ACTOR").Tuple(7)[1]
+			return sys.DescribeEntityAsContext(ctx, "", "ACTOR", "name", name)
+		},
+		"database": func(ctx context.Context) (string, error) {
+			return sys.DescribeDatabaseAsContext(ctx, "", "MOVIES")
+		},
+	}
+	for name, narrate := range narrations {
+		ctr := newPollCancelCtx(1 << 62)
+		want, err := narrate(ctr)
+		if err != nil || want == "" {
+			t.Fatalf("%s: uncancelled narration = %q, %v", name, want, err)
+		}
+		polls := ctr.polls.Load()
+		if polls < 3 {
+			t.Fatalf("%s polled its budget only %d times", name, polls)
+		}
+		_, _, cancelledBefore := sys.ReaderStats()
+		var cancels uint64
+		for p := int64(0); p <= polls; p++ {
+			got, err := narrate(newPollCancelCtx(p))
+			switch {
+			case err == nil && got != want:
+				t.Fatalf("%s, cancel at poll %d: narrative %q, want %q", name, p, got, want)
+			case err != nil && !engine.IsCancel(err):
+				t.Fatalf("%s, cancel at poll %d: %v", name, p, err)
+			case err != nil && got != "":
+				t.Fatalf("%s, cancel at poll %d: partial narrative %q beside %v", name, p, got, err)
+			case err != nil && p > 0:
+				cancels++ // poll 0 is refused before a snapshot is pinned
+			}
+		}
+		if cancels == 0 {
+			t.Fatalf("%s: no poll point cancelled the narration mid-flight", name)
+		}
+		inFlight, _, cancelledAfter := sys.ReaderStats()
+		if inFlight != 0 || cancelledAfter != cancelledBefore+cancels {
+			t.Fatalf("%s: %d reads in flight, reads_cancelled %d, want 0 and %d",
+				name, inFlight, cancelledAfter, cancelledBefore+cancels)
+		}
+	}
+	sys.DrainReaders()
 }
 
 func dumpRel(t *testing.T, sys *System, rel string) string {

@@ -155,7 +155,7 @@ func New(db *storage.Database, cfg Config) (*System, error) {
 	}
 	g.DefaultAnnotations()
 	eng := engine.New(db)
-	dataTr := datatotext.New(db, g, cfg.DataOptions)
+	dataTr := datatotext.New(eng, g, cfg.DataOptions)
 	for _, r := range cfg.Relationships {
 		if err := dataTr.AddRelationship(r); err != nil {
 			return nil, err
@@ -642,33 +642,38 @@ func (s *System) NarrateResult(res *engine.Result) string {
 // narration reads a pinned snapshot, so a concurrent writer can neither
 // block it nor change the entity mid-sentence.
 func (s *System) DescribeEntity(rel, attr string, val value.Value) (string, error) {
-	done := s.beginRead()
-	defer done(false)
-	return s.DataTranslator().WithSource(s.db.Snapshot()).DescribeEntity(rel, attr, val)
+	return s.DescribeEntityAs("", rel, attr, val)
 }
 
 // DescribeDatabase narrates the database from a starting relation, reading
 // one pinned snapshot throughout.
 func (s *System) DescribeDatabase(start string) (string, error) {
-	done := s.beginRead()
-	defer done(false)
-	return s.DataTranslator().WithSource(s.db.Snapshot()).DescribeDatabase(start)
+	return s.DescribeDatabaseAs("", start)
 }
 
-// translatorFor resolves a transient translator personalized for the named
-// profile ("" means the system default) without touching shared state.
-func (s *System) translatorFor(profile string) (*datatotext.Translator, error) {
+// narrate runs one content narration under the named profile ("" means the
+// system default, resolved without touching shared state): the translator
+// reads one pinned snapshot through the system's engine, bounded by the same
+// request budget as AskContext, so a tripped budget surfaces as an
+// *engine.CancelError and never as a partial paragraph.
+func (s *System) narrate(ctx context.Context, profile string, describe func(*datatotext.Translator) (string, error)) (text string, err error) {
+	bud := engine.NewBudget(ctx, s.cfg.MaxRowsScanned, s.cfg.MaxBytesScanned)
+	if err := bud.Step(0); err != nil {
+		return "", err
+	}
 	tr := s.DataTranslator()
-	if profile == "" {
-		return tr, nil
+	if profile != "" {
+		p := s.db.Schema().Profile(profile)
+		if p == nil {
+			return "", fmt.Errorf("core: unknown profile %q", profile)
+		}
+		opts := tr.Options()
+		opts.Profile = p
+		tr = tr.WithOptions(opts)
 	}
-	p := s.db.Schema().Profile(profile)
-	if p == nil {
-		return nil, fmt.Errorf("core: unknown profile %q", profile)
-	}
-	opts := tr.Options()
-	opts.Profile = p
-	return tr.WithOptions(opts), nil
+	done := s.beginRead()
+	defer func() { done(engine.IsCancel(err)) }()
+	return describe(tr.WithSource(s.db.Snapshot()).WithBudget(bud))
 }
 
 // DescribeEntityAs narrates one entity under the named profile without
@@ -678,22 +683,12 @@ func (s *System) DescribeEntityAs(profile, rel, attr string, val value.Value) (s
 	return s.DescribeEntityAsContext(context.Background(), profile, rel, attr, val)
 }
 
-// DescribeEntityAsContext is DescribeEntityAs with the request context
-// checked on entry: a request whose deadline already expired (e.g. while
-// queued at admission) is refused before it pins a snapshot. Narration
-// itself runs row loops too short to need mid-flight polling; the serving
-// layer's write timeout bounds it.
+// DescribeEntityAsContext is DescribeEntityAs bounded by the request budget
+// (see narrate).
 func (s *System) DescribeEntityAsContext(ctx context.Context, profile, rel, attr string, val value.Value) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	tr, err := s.translatorFor(profile)
-	if err != nil {
-		return "", err
-	}
-	done := s.beginRead()
-	defer done(false)
-	return tr.WithSource(s.db.Snapshot()).DescribeEntity(rel, attr, val)
+	return s.narrate(ctx, profile, func(tr *datatotext.Translator) (string, error) {
+		return tr.DescribeEntity(rel, attr, val)
+	})
 }
 
 // DescribeDatabaseAs narrates the database under the named profile without
@@ -702,19 +697,12 @@ func (s *System) DescribeDatabaseAs(profile, start string) (string, error) {
 	return s.DescribeDatabaseAsContext(context.Background(), profile, start)
 }
 
-// DescribeDatabaseAsContext is DescribeDatabaseAs with the request context
-// checked on entry (see DescribeEntityAsContext).
+// DescribeDatabaseAsContext is DescribeDatabaseAs bounded by the request
+// budget (see narrate).
 func (s *System) DescribeDatabaseAsContext(ctx context.Context, profile, start string) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	tr, err := s.translatorFor(profile)
-	if err != nil {
-		return "", err
-	}
-	done := s.beginRead()
-	defer done(false)
-	return tr.WithSource(s.db.Snapshot()).DescribeDatabase(start)
+	return s.narrate(ctx, profile, func(tr *datatotext.Translator) (string, error) {
+		return tr.DescribeDatabase(start)
+	})
 }
 
 // DescribeSchema narrates the schema itself (§2.1: "describing the schema

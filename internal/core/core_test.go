@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/dataset"
+	"repro/internal/datatotext"
+	"repro/internal/nlg"
 	"repro/internal/queryclassify"
 	"repro/internal/speech"
 	"repro/internal/sqlparser"
@@ -156,6 +158,87 @@ func TestKeyedDMLNeverFallsBack(t *testing.T) {
 	}
 	if got := s.Engine().DMLFallbacks(); got["unresolved column reference"] != 1 {
 		t.Fatalf("fallbacks after an unplannable WHERE = %v", got)
+	}
+}
+
+// TestNarrationNeverFallsBack pins that every query content narration issues
+// is planned: across every entity of both curated databases — compact,
+// procedural and split narratives, and the database narrative from every
+// relation — the engine's counted naive-pipeline runs stay at zero.
+func TestNarrationNeverFallsBack(t *testing.T) {
+	emp, err := NewEmpSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := []struct {
+		sys   *System
+		split map[string][]string
+	}{
+		{movieSystem(t), map[string][]string{
+			"MOVIES": {"DIRECTOR", "ACTOR", "GENRE"}, "DIRECTOR": {"MOVIES"}, "ACTOR": {"MOVIES"}}},
+		{emp, map[string][]string{"EMP": {"DEPT"}, "DEPT": {"EMP"}}},
+	}
+	for _, sc := range systems {
+		s := sc.sys
+		for _, rel := range s.Database().Schema().Relations() {
+			if _, err := s.DescribeDatabase(rel.Name); err != nil {
+				t.Fatalf("DescribeDatabase(%s): %v", rel.Name, err)
+			}
+			key := rel.PrimaryKey[0]
+			for _, tup := range s.Database().Table(rel.Name).Tuples() {
+				id := tup[rel.AttrIndex(key)]
+				for _, style := range []nlg.Realization{nlg.Compact, nlg.Procedural} {
+					tr := s.DataTranslator().WithOptions(datatotext.Options{Style: style, MaxListItems: 2})
+					if _, err := tr.DescribeEntity(rel.Name, key, id); err != nil {
+						t.Fatalf("DescribeEntity(%s %s): %v", rel.Name, id, err)
+					}
+				}
+				if to := sc.split[rel.Name]; to != nil {
+					// An entity related to nothing is an error, not a fallback.
+					_, _ = s.DataTranslator().DescribeEntitySplit(rel.Name, key, id, to)
+				}
+			}
+		}
+		if got := s.Engine().SelectFallbacks(); len(got) != 0 {
+			t.Fatalf("narration ran the naive pipeline: %v", got)
+		}
+		// The zero means something: this engine counts a SELECT the planner
+		// refuses.
+		if _, err := s.Engine().Query("select count(*) from " + s.Database().Schema().Relations()[0].Name + " x where nosuch = 1"); err == nil {
+			t.Fatal("an unresolvable column was accepted")
+		}
+		if got := s.Engine().SelectFallbacks(); got["unresolved column reference"] != 1 {
+			t.Fatalf("select fallbacks after an unplannable SELECT = %v", got)
+		}
+	}
+}
+
+// TestAskLexErrorSameColdAndWarm: a text the lexer rejects gets the same
+// error whether or not the clean text it resembles is cached — the cache key
+// folds only what the lexer skips.
+func TestAskLexErrorSameColdAndWarm(t *testing.T) {
+	s := movieSystem(t)
+	const clean = "select m.title from MOVIES m where m.id = 100"
+	for _, dirty := range []string{
+		"select m.title from MOVIES\u00a0m where m.id = 100", // no-break space
+		"select m.title from MOVIES\fm where m.id = 100",
+		"select m.title from MOVIES m where m.id = 100\u2003",
+		"select m.title from MOVIES m where m.id = 100 LIMIT 1\u212a", // Kelvin sign
+	} {
+		_, cold := s.Ask(dirty)
+		if cold == nil {
+			t.Fatalf("%q was accepted cold", dirty)
+		}
+		for _, warmer := range []string{clean, clean + " limit 1k"} {
+			_, _ = s.Ask(warmer)
+		}
+		_, warm := s.Ask(dirty)
+		if warm == nil || warm.Error() != cold.Error() {
+			t.Fatalf("%q: cold error %q, warm %v", dirty, cold, warm)
+		}
+		if _, err := s.DescribeQuery(dirty); err == nil || err.Error() != cold.Error() {
+			t.Fatalf("%q: DescribeQuery warm = %v, cold Ask error %q", dirty, err, cold)
+		}
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/engine"
 	"repro/internal/lexicon"
 	"repro/internal/nlg"
 	"repro/internal/schemagraph"
+	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/templates"
 	"repro/internal/value"
@@ -76,31 +78,41 @@ type Options struct {
 	Profile *catalog.Profile
 }
 
-// Translator translates contents of one database. It reads through a
-// storage.TableSource — the live database, or a pinned MVCC snapshot via
-// WithSource, which is how concurrent describe requests narrate a consistent
-// committed state while writers keep committing.
+// Translator translates contents of one database. Every tuple it narrates
+// is the answer to a SELECT it hands to an engine.Engine — the live database's
+// engine, or one bound to a pinned MVCC snapshot via WithSource, which is how
+// concurrent describe requests narrate a consistent committed state while
+// writers keep committing.
 type Translator struct {
-	db    storage.TableSource
+	eng   *engine.Engine
 	graph *schemagraph.Graph
 	rels  []Relationship
 	opts  Options
 }
 
-// New builds a translator over db with the given annotated schema graph.
-func New(db *storage.Database, graph *schemagraph.Graph, opts Options) *Translator {
+// New builds a translator that reads through eng, with the given annotated
+// schema graph.
+func New(eng *engine.Engine, graph *schemagraph.Graph, opts Options) *Translator {
 	if opts.MaxTuplesPerRelation == 0 {
 		opts.MaxTuplesPerRelation = 3
 	}
-	return &Translator{db: db, graph: graph, opts: opts}
+	return &Translator{eng: eng, graph: graph, opts: opts}
 }
 
-// WithSource returns a translator that reads tables from src (typically a
-// pinned storage.Snapshot) while sharing the schema graph, relationship
+// WithSource returns a translator that reads the version src pins (typically
+// a storage.Snapshot) while sharing the schema graph, relationship
 // annotations, and options. The clone is cheap; the original is not mutated.
 func (t *Translator) WithSource(src storage.TableSource) *Translator {
-	return &Translator{db: src, graph: t.graph, rels: t.rels, opts: t.opts}
+	return &Translator{eng: t.eng.At(src.Snapshot()), graph: t.graph, rels: t.rels, opts: t.opts}
 }
+
+// WithBudget returns a translator whose queries poll b, so a narration stops
+// with the budget's CancelError instead of outliving its request.
+func (t *Translator) WithBudget(b *engine.Budget) *Translator {
+	return &Translator{eng: t.eng.WithBudget(b), graph: t.graph, rels: t.rels, opts: t.opts}
+}
+
+func (t *Translator) schema() *catalog.Schema { return t.eng.Source().Schema() }
 
 // Options returns a copy of the translator's options.
 func (t *Translator) Options() Options { return t.opts }
@@ -124,24 +136,30 @@ func (t *Translator) WithOptions(opts Options) *Translator {
 	if opts.MaxTuplesPerRelation == 0 {
 		opts.MaxTuplesPerRelation = 3
 	}
-	return &Translator{db: t.db, graph: t.graph, rels: t.rels, opts: opts}
+	return &Translator{eng: t.eng, graph: t.graph, rels: t.rels, opts: opts}
 }
 
 // AddRelationship registers a relationship annotation after validating that
-// its relations and join path exist.
+// its relations and join path exist. A bridge must hold a foreign key onto
+// the primary key of each end, so that a bridge row names exactly one tuple
+// on either side.
 func (t *Translator) AddRelationship(r Relationship) error {
-	from := t.db.Schema().Relation(r.From)
-	to := t.db.Schema().Relation(r.To)
+	schema := t.schema()
+	from := schema.Relation(r.From)
+	to := schema.Relation(r.To)
 	if from == nil || to == nil {
 		return fmt.Errorf("datatotext: relationship %s→%s references unknown relations", r.From, r.To)
 	}
 	if r.Via != "" {
-		via := t.db.Schema().Relation(r.Via)
+		via := schema.Relation(r.Via)
 		if via == nil {
 			return fmt.Errorf("datatotext: bridge relation %q does not exist", r.Via)
 		}
-		if len(t.graph.JoinsBetween(r.Via, r.From)) == 0 || len(t.graph.JoinsBetween(r.Via, r.To)) == 0 {
-			return fmt.Errorf("datatotext: bridge %s does not connect %s and %s", r.Via, r.From, r.To)
+		for _, end := range []*catalog.Relation{from, to} {
+			fks := schema.ForeignKeysBetween(via, end)
+			if len(fks) == 0 || !end.IsPrimaryKey(fks[0].RefAttrs) {
+				return fmt.Errorf("datatotext: bridge %s has no foreign key onto the primary key of %s", r.Via, end.Name)
+			}
 		}
 	} else if len(t.graph.JoinsBetween(r.From, r.To)) == 0 {
 		return fmt.Errorf("datatotext: no join edge between %s and %s", r.From, r.To)
@@ -173,7 +191,7 @@ func bindingFor(rel *catalog.Relation, tup storage.Tuple) templates.MapBinding {
 
 // headingValue returns the subject string of a tuple under the profile.
 func (t *Translator) headingValue(rel *catalog.Relation, tup storage.Tuple) string {
-	h := t.db.Schema().HeadingFor(rel, t.opts.Profile)
+	h := t.schema().HeadingFor(rel, t.opts.Profile)
 	if h == nil {
 		return ""
 	}
@@ -231,97 +249,88 @@ func (t *Translator) attributeClauses(rel *catalog.Relation, tup storage.Tuple) 
 	return out
 }
 
-// relatedTuples collects the To-relation tuples related to the given From
-// tuple under r, ordered per r.OrderBy.
+// tuplesOf is SELECT t.* FROM rel t, the query every narration step refines.
+func tuplesOf(rel *catalog.Relation) *sqlparser.SelectStmt {
+	return &sqlparser.SelectStmt{
+		Items: []sqlparser.SelectItem{{Expr: col("t", "*")}},
+		From:  []*sqlparser.TableRef{{Relation: rel.Name, Alias: "t"}},
+		Limit: -1,
+	}
+}
+
+// query hands one SELECT of the narration to the engine.
+func (t *Translator) query(sel *sqlparser.SelectStmt) ([]storage.Tuple, error) {
+	res, err := t.eng.Select(sel)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
+func col(alias, attr string) *sqlparser.ColumnRef {
+	return &sqlparser.ColumnRef{Table: alias, Column: attr}
+}
+
+func equals(l, r sqlparser.Expr) sqlparser.Expr {
+	return &sqlparser.BinaryExpr{Op: sqlparser.OpEq, Left: l, Right: r}
+}
+
+// relatedTuples asks the engine for the To tuples related to the given From
+// tuple under r: through the bridge, one To tuple per bridge row in bridge
+// order (FROM via v, to t WHERE v.fk = <from key> AND t.pk = v.fk), or over
+// a direct foreign key in either direction, in To order. r.OrderBy sorts
+// them with NULLs last and ties left in that order; MaxListItems is the
+// LIMIT.
 func (t *Translator) relatedTuples(r Relationship, fromRel *catalog.Relation, fromTup storage.Tuple) ([]storage.Tuple, error) {
-	toTbl := t.db.Table(r.To)
-	if toTbl == nil {
-		return nil, fmt.Errorf("datatotext: missing table %q", r.To)
-	}
-	toRel := toTbl.Relation()
-	var out []storage.Tuple
-
-	matchFK := func(fk catalog.ForeignKey, ownRel *catalog.Relation, ownTup storage.Tuple, other *catalog.Relation, otherTup storage.Tuple) bool {
-		// fk declared by ownRel referencing other.
-		for i, a := range fk.Attrs {
-			av := ownTup[ownRel.AttrIndex(a)]
-			bv := otherTup[other.AttrIndex(fk.RefAttrs[i])]
-			if av.IsNull() || bv.IsNull() || !av.Equal(bv) {
-				return false
-			}
+	schema := t.schema()
+	toRel := schema.Relation(r.To)
+	sel := tuplesOf(toRel)
+	// fromKey compares alias.attrs with the From tuple's values of fromAttrs;
+	// a NULL among them makes the comparison unknown, so it matches nothing.
+	fromKey := func(alias string, attrs, fromAttrs []string) sqlparser.Expr {
+		parts := make([]sqlparser.Expr, len(attrs))
+		for i, a := range attrs {
+			parts[i] = equals(col(alias, a), &sqlparser.Literal{Value: fromTup[fromRel.AttrIndex(fromAttrs[i])]})
 		}
-		return true
+		return sqlparser.AndAll(parts)
 	}
-
 	if r.Via == "" {
-		// Direct FK in either direction.
-		fks := t.db.Schema().ForeignKeysBetween(fromRel, toRel)
-		rev := t.db.Schema().ForeignKeysBetween(toRel, fromRel)
-		toTbl.Scan(func(toTup storage.Tuple) bool {
-			for _, fk := range fks {
-				if matchFK(fk, fromRel, fromTup, toRel, toTup) {
-					out = append(out, toTup)
-					return true
-				}
-			}
-			for _, fk := range rev {
-				if matchFK(fk, toRel, toTup, fromRel, fromTup) {
-					out = append(out, toTup)
-					return true
-				}
-			}
-			return true
-		})
+		var alts []sqlparser.Expr
+		for _, fk := range schema.ForeignKeysBetween(fromRel, toRel) {
+			alts = append(alts, fromKey("t", fk.RefAttrs, fk.Attrs))
+		}
+		for _, fk := range schema.ForeignKeysBetween(toRel, fromRel) {
+			alts = append(alts, fromKey("t", fk.Attrs, fk.RefAttrs))
+		}
+		if len(alts) == 0 {
+			return nil, nil
+		}
+		sel.Where = alts[0]
+		for _, alt := range alts[1:] {
+			sel.Where = &sqlparser.BinaryExpr{Op: sqlparser.OpOr, Left: sel.Where, Right: alt}
+		}
 	} else {
-		viaTbl := t.db.Table(r.Via)
-		if viaTbl == nil {
-			return nil, fmt.Errorf("datatotext: missing bridge table %q", r.Via)
+		viaRel := schema.Relation(r.Via)
+		fkFrom := schema.ForeignKeysBetween(viaRel, fromRel)[0]
+		fkTo := schema.ForeignKeysBetween(viaRel, toRel)[0]
+		sel.From = []*sqlparser.TableRef{{Relation: viaRel.Name, Alias: "v"}, sel.From[0]}
+		conj := []sqlparser.Expr{fromKey("v", fkFrom.Attrs, fkFrom.RefAttrs)}
+		for i, a := range fkTo.Attrs {
+			conj = append(conj, equals(col("t", fkTo.RefAttrs[i]), col("v", a)))
 		}
-		viaRel := viaTbl.Relation()
-		fkFrom := t.db.Schema().ForeignKeysBetween(viaRel, fromRel)
-		fkTo := t.db.Schema().ForeignKeysBetween(viaRel, toRel)
-		if len(fkFrom) == 0 || len(fkTo) == 0 {
-			return nil, fmt.Errorf("datatotext: bridge %s lacks foreign keys to %s/%s", r.Via, r.From, r.To)
-		}
-		viaTbl.Scan(func(viaTup storage.Tuple) bool {
-			if !matchFK(fkFrom[0], viaRel, viaTup, fromRel, fromTup) {
-				return true
-			}
-			toTbl.Scan(func(toTup storage.Tuple) bool {
-				if matchFK(fkTo[0], viaRel, viaTup, toRel, toTup) {
-					out = append(out, toTup)
-					return false
-				}
-				return true
-			})
-			return true
-		})
+		sel.Where = sqlparser.AndAll(conj)
 	}
-
 	if r.OrderBy != "" {
-		p := toRel.AttrIndex(r.OrderBy)
-		if p < 0 {
+		if toRel.AttrIndex(r.OrderBy) < 0 {
 			return nil, fmt.Errorf("datatotext: order attribute %s.%s does not exist", r.To, r.OrderBy)
 		}
-		sort.SliceStable(out, func(a, b int) bool {
-			va, vb := out[a][p], out[b][p]
-			if va.IsNull() || vb.IsNull() {
-				return vb.IsNull() && !va.IsNull()
-			}
-			c, err := va.Compare(vb)
-			if err != nil {
-				return false
-			}
-			if r.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
+		by := col("t", r.OrderBy)
+		sel.OrderBy = []sqlparser.OrderItem{{Expr: &sqlparser.IsNullExpr{Inner: by}}, {Expr: by, Desc: r.Desc}}
 	}
-	if t.opts.MaxListItems > 0 && len(out) > t.opts.MaxListItems {
-		out = out[:t.opts.MaxListItems]
+	if t.opts.MaxListItems > 0 {
+		sel.Limit = t.opts.MaxListItems
 	}
-	return out, nil
+	return t.query(sel)
 }
 
 // DescribeEntity narrates one entity identified by rel.attr = val: its
@@ -370,7 +379,7 @@ func (t *Translator) relationshipSentences(r Relationship, fromRel *catalog.Rela
 	if len(related) == 0 {
 		return nil, nil
 	}
-	toRel := t.db.Table(r.To).Relation()
+	toRel := t.schema().Relation(r.To)
 	headBinding := bindingFor(fromRel, fromTup)
 
 	if style == nlg.Compact && r.List != nil {
@@ -415,27 +424,23 @@ func (t *Translator) relationshipSentences(r Relationship, fromRel *catalog.Rela
 
 // findTuple locates the first tuple of rel with attr = val.
 func (t *Translator) findTuple(rel, attr string, val value.Value) (*catalog.Relation, storage.Tuple, error) {
-	tbl := t.db.Table(rel)
-	if tbl == nil {
+	relMeta := t.schema().Relation(rel)
+	if relMeta == nil {
 		return nil, nil, fmt.Errorf("datatotext: unknown relation %q", rel)
 	}
-	relMeta := tbl.Relation()
-	p := relMeta.AttrIndex(attr)
-	if p < 0 {
+	if relMeta.AttrIndex(attr) < 0 {
 		return nil, nil, fmt.Errorf("datatotext: unknown attribute %s.%s", rel, attr)
 	}
-	var tup storage.Tuple
-	tbl.Scan(func(cand storage.Tuple) bool {
-		if !cand[p].IsNull() && cand[p].Equal(val) {
-			tup = cand
-			return false
-		}
-		return true
-	})
-	if tup == nil {
+	sel := tuplesOf(relMeta)
+	sel.Where, sel.Limit = equals(col("t", attr), &sqlparser.Literal{Value: val}), 1
+	rows, err := t.query(sel)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(rows) == 0 {
 		return nil, nil, fmt.Errorf("datatotext: no %s with %s = %s", rel, attr, val.String())
 	}
-	return relMeta, tup, nil
+	return relMeta, rows[0], nil
 }
 
 // DescribeEntitySplit narrates one entity through the paper's split pattern
@@ -457,11 +462,10 @@ func (t *Translator) DescribeEntitySplit(rel, attr string, val value.Value, toRe
 	var mentions []string
 	var subs []nlg.Clause
 	for _, toName := range toRelations {
-		toTbl := t.db.Table(toName)
-		if toTbl == nil {
+		toRel := t.schema().Relation(toName)
+		if toRel == nil {
 			return "", fmt.Errorf("datatotext: unknown relation %q", toName)
 		}
-		toRel := toTbl.Relation()
 		// Reuse a registered relationship in either direction to find the
 		// bridge; otherwise use a direct FK.
 		r := Relationship{From: relMeta.Name, To: toRel.Name}
@@ -509,15 +513,18 @@ func (t *Translator) DescribeRelation(rel string, limit int) (string, error) {
 // narrative contains, which DescribeDatabase uses for structural budgeting
 // (counting periods would miscount abbreviations like "G. Loucas").
 func (t *Translator) describeRelationCounted(rel string, limit int) (string, int, error) {
-	tbl := t.db.Table(rel)
-	if tbl == nil {
+	relMeta := t.schema().Relation(rel)
+	if relMeta == nil {
 		return "", 0, fmt.Errorf("datatotext: unknown relation %q", rel)
 	}
 	if limit <= 0 {
 		limit = t.opts.MaxTuplesPerRelation
 	}
-	relMeta := tbl.Relation()
-	tuples := t.rankTuples(relMeta, tbl.Tuples())
+	all, err := t.query(tuplesOf(relMeta))
+	if err != nil {
+		return "", 0, err
+	}
+	tuples := t.rankTuples(relMeta, all)
 	if len(tuples) > limit {
 		tuples = tuples[:limit]
 	}
@@ -565,7 +572,7 @@ func (t *Translator) rankTuples(rel *catalog.Relation, tuples []storage.Tuple) [
 		score := 0.0
 		for j, a := range rel.Attributes {
 			if !tup[j].IsNull() {
-				score += t.db.Schema().AttrWeightFor(rel, a, t.opts.Profile)
+				score += t.schema().AttrWeightFor(rel, a, t.opts.Profile)
 			}
 		}
 		rs[i] = ranked{tup: tup, score: score, key: t.headingValue(rel, tup)}
@@ -591,7 +598,7 @@ func (t *Translator) rankTuples(rel *catalog.Relation, tuples []storage.Tuple) [
 func (t *Translator) DescribeDatabase(start string) (string, error) {
 	skip := map[string]bool{}
 	for _, n := range t.graph.Nodes() {
-		w := t.db.Schema().WeightFor(n.Rel, t.opts.Profile)
+		w := t.schema().WeightFor(n.Rel, t.opts.Profile)
 		if t.opts.MinWeight > 0 && w < t.opts.MinWeight {
 			skip[strings.ToLower(n.Rel.Name)] = true
 		}

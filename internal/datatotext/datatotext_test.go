@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/nlg"
 	"repro/internal/schemagraph"
 	"repro/internal/storage"
@@ -229,7 +230,7 @@ func TestAddRelationshipValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := New(db, g, Options{})
+	tr := New(engine.New(db), g, Options{})
 	tpl := templates.MustParse(`"x" + LIST`)
 	cases := []Relationship{
 		{From: "NOPE", To: "MOVIES", Template: tpl},
@@ -250,11 +251,51 @@ func TestAddRelationshipValidation(t *testing.T) {
 	}
 }
 
+// TestAddRelationshipRefusesNonKeyBridge: a bridge whose foreign key lands on
+// a non-key attribute could name several tuples per bridge row; the
+// relationship is refused at registration, in either direction.
+func TestAddRelationshipRefusesNonKeyBridge(t *testing.T) {
+	schema := catalog.NewSchema("nonkey")
+	for _, r := range []*catalog.Relation{
+		{Name: "A", PrimaryKey: []string{"id"}, Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true}, {Name: "code", Type: catalog.Int}}},
+		{Name: "B", PrimaryKey: []string{"id"}, Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true}}},
+		{Name: "AB", Bridge: true, Attributes: []*catalog.Attribute{
+			{Name: "acode", Type: catalog.Int}, {Name: "bid", Type: catalog.Int}},
+			ForeignKey: []catalog.ForeignKey{
+				{Attrs: []string{"acode"}, RefRelation: "A", RefAttrs: []string{"code"}},
+				{Attrs: []string{"bid"}, RefRelation: "B", RefAttrs: []string{"id"}}}},
+	} {
+		if err := schema.AddRelation(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := storage.NewDatabase(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := schemagraph.Build(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := New(engine.New(db), g, Options{})
+	tpl := templates.MustParse(`"x" + LIST`)
+	for _, r := range []Relationship{
+		{From: "B", To: "A", Via: "AB", Template: tpl},
+		{From: "A", To: "B", Via: "AB", Template: tpl},
+	} {
+		if err := tr.AddRelationship(r); err == nil {
+			t.Errorf("bridge onto the non-key A.code accepted: %+v", r)
+		}
+	}
+}
+
 func TestRelationshipOrderByValidation(t *testing.T) {
 	db, _ := dataset.CuratedMovieDB()
 	g, _ := schemagraph.Build(db.Schema())
 	_ = AnnotateMovieGraph(g)
-	tr := New(db, g, Options{Style: nlg.Compact})
+	tr := New(engine.New(db), g, Options{Style: nlg.Compact})
 	bad := Relationship{
 		From: "DIRECTOR", To: "MOVIES", Via: "DIRECTED",
 		Template:  templates.MustParse(`NAME + " made " + L`),

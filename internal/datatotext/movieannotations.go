@@ -3,6 +3,7 @@ package datatotext
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/nlg"
 	"repro/internal/schemagraph"
 	"repro/internal/storage"
@@ -102,7 +103,7 @@ func NewMovieTranslator(db *storage.Database, opts Options) (*Translator, error)
 	if err := AnnotateMovieGraph(g); err != nil {
 		return nil, err
 	}
-	t := New(db, g, opts)
+	t := New(engine.New(db), g, opts)
 	for _, r := range MovieRelationships() {
 		if err := t.AddRelationship(r); err != nil {
 			return nil, err

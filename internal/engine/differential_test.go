@@ -24,19 +24,17 @@ func naiveSelect(db *storage.Database, relA, relB string, join [2]string, filter
 	pa := ta.Relation().AttrIndex(join[0])
 	pb := tb.Relation().AttrIndex(join[1])
 	var out []string
-	ta.Scan(func(a storage.Tuple) bool {
-		tb.Scan(func(b storage.Tuple) bool {
+	for _, a := range ta.Tuples() {
+		for _, b := range tb.Tuples() {
 			if a[pa].IsNull() || b[pb].IsNull() || !a[pa].Equal(b[pb]) {
-				return true
+				continue
 			}
 			if filter != nil && !filter(a, b) {
-				return true
+				continue
 			}
 			out = append(out, proj(a, b))
-			return true
-		})
-		return true
-	})
+		}
+	}
 	sort.Strings(out)
 	return out
 }
@@ -126,10 +124,9 @@ func TestDifferentialAggregates(t *testing.T) {
 	}
 	manual := map[string]int64{}
 	genrePos := db.Table("GENRE").Relation().AttrIndex("genre")
-	db.Table("GENRE").Scan(func(tup storage.Tuple) bool {
+	for _, tup := range db.Table("GENRE").Tuples() {
 		manual[tup[genrePos].Text()]++
-		return true
-	})
+	}
 	if len(res.Rows) != len(manual) {
 		t.Fatalf("groups: engine %d, manual %d", len(res.Rows), len(manual))
 	}

@@ -234,7 +234,7 @@ func (ex *Engine) dmlPositions(tbl *storage.Table, alias string, where sqlparser
 	sel := &sqlparser.SelectStmt{Where: where, Limit: -1}
 	plan := ex.planFor(sel, []fromEntry{{rel: tbl.Relation(), tbl: tbl, alias: alias}}, false)
 	if plan.Fallback {
-		ex.st.noteDMLFallback(plan.Reason)
+		ex.st.noteFallback(ex.st.dmlFallbacks, plan.Reason)
 		return ex.dmlPrescan(tbl, where, alias)
 	}
 	pq := ex.compilePlan(plan, nil)
@@ -284,8 +284,16 @@ func (ex *Engine) DMLFallbacks() map[string]uint64 {
 	return maps.Clone(ex.st.dmlFallbacks)
 }
 
-func (st *engineState) noteDMLFallback(reason string) {
+// SelectFallbacks reports, per planner refusal reason, how many SELECTs ran
+// the naive pipeline instead of a plan since the engine was created.
+func (ex *Engine) SelectFallbacks() map[string]uint64 {
+	ex.st.fbMu.Lock()
+	defer ex.st.fbMu.Unlock()
+	return maps.Clone(ex.st.selectFallbacks)
+}
+
+func (st *engineState) noteFallback(counts map[string]uint64, reason string) {
 	st.fbMu.Lock()
-	st.dmlFallbacks[reason]++
+	counts[reason]++
 	st.fbMu.Unlock()
 }

@@ -58,16 +58,20 @@ type engineState struct {
 	noZoneMaps atomic.Bool
 
 	// dmlFallbacks counts, per planner refusal reason, the UPDATE/DELETE
-	// statements whose WHERE took the interpreter pre-scan (see dmlPositions).
-	fbMu         sync.Mutex
-	dmlFallbacks map[string]uint64
+	// statements whose WHERE took the interpreter pre-scan (see dmlPositions);
+	// selectFallbacks the SELECTs (subqueries and view bodies included) that
+	// ran the naive pipeline.
+	fbMu            sync.Mutex
+	dmlFallbacks    map[string]uint64
+	selectFallbacks map[string]uint64
 }
 
 // New creates an engine over db.
 func New(db *storage.Database) *Engine {
 	return &Engine{db: db, src: db, st: &engineState{
-		views:        make(map[string]*sqlparser.SelectStmt),
-		dmlFallbacks: make(map[string]uint64),
+		views:           make(map[string]*sqlparser.SelectStmt),
+		dmlFallbacks:    make(map[string]uint64),
+		selectFallbacks: make(map[string]uint64),
 	}}
 }
 
@@ -286,6 +290,7 @@ func (ex *Engine) execSelectExplained(sel *sqlparser.SelectStmt, outer *env, ear
 	// Naive pipeline: build environments row by row, applying every
 	// WHERE conjunct as soon as all of its tuple variables are bound
 	// (predicate pushdown).
+	ex.st.noteFallback(ex.st.selectFallbacks, plan.Reason)
 	conjuncts := sqlparser.Conjuncts(sel.Where)
 	envs, err := ex.joinFrom(entries, conjuncts, outer)
 	if err != nil {

@@ -86,17 +86,15 @@ func checkAgainstOracle(t *testing.T, db *Database, oracle []Tuple, step string)
 	if tbl.Len() != len(oracle) {
 		t.Fatalf("%s: Len = %d, oracle %d", step, tbl.Len(), len(oracle))
 	}
-	// Scan order and contents.
-	i := 0
-	tbl.Scan(func(tup Tuple) bool {
+	// Row order and contents.
+	all := tbl.Tuples()
+	if len(all) != len(oracle) {
+		t.Fatalf("%s: Tuples holds %d rows, oracle %d", step, len(all), len(oracle))
+	}
+	for i, tup := range all {
 		if !tuplesEqual(tup, oracle[i]) {
 			t.Fatalf("%s: row %d = %s, oracle %s", step, i, tup, oracle[i])
 		}
-		i++
-		return true
-	})
-	if i != len(oracle) {
-		t.Fatalf("%s: Scan visited %d rows, oracle %d", step, i, len(oracle))
 	}
 	// LookupPK on every oracle row plus a missing key.
 	for _, row := range oracle {
@@ -475,13 +473,13 @@ func TestStatsConsistencyAfterDML(t *testing.T) {
 		t.Helper()
 		tbl := db.Table("T")
 		got := tbl.Stats()
-		// Recompute from scratch off the Scan surface.
+		// Recompute from scratch off the Tuples surface.
 		want := TableStats{Rows: tbl.Len(), Attrs: make([]AttrStats, width)}
 		distinct := make([]map[string]bool, width)
 		for p := range distinct {
 			distinct[p] = map[string]bool{}
 		}
-		tbl.Scan(func(tup Tuple) bool {
+		for _, tup := range tbl.Tuples() {
 			for p, v := range tup {
 				if v.IsNull() {
 					continue
@@ -500,8 +498,7 @@ func TestStatsConsistencyAfterDML(t *testing.T) {
 					a.Max = v
 				}
 			}
-			return true
-		})
+		}
 		for p := range distinct {
 			want.Attrs[p].Distinct = len(distinct[p])
 		}

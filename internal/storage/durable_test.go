@@ -846,7 +846,9 @@ func TestUpdateRefusesDuplicatePrimaryKey(t *testing.T) {
 		t.Helper()
 		tbl := db.Table("DIRECTOR")
 		var ids []int64
-		tbl.Scan(func(tup Tuple) bool { ids = append(ids, tup[0].Int()); return true })
+		for _, tup := range tbl.Tuples() {
+			ids = append(ids, tup[0].Int())
+		}
 		if fmt.Sprint(ids) != "[100 200 102 103]" {
 			t.Fatalf("%s: scan sees ids %v", when, ids)
 		}

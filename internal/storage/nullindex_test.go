@@ -72,13 +72,12 @@ func TestLookupIndexNullSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		var viaScan []Tuple
-		tbl.Scan(func(tup Tuple) bool {
+		for _, tup := range tbl.Tuples() {
 			// Scan semantics of `k = probe`: NULL on either side rejects.
 			if !tup[1].IsNull() && !probe.IsNull() && tup[1].Equal(probe) {
 				viaScan = append(viaScan, tup)
 			}
-			return true
-		})
+		}
 		if len(viaIndex) != len(viaScan) {
 			t.Fatalf("probe %s: index %d rows, scan %d rows", probe, len(viaIndex), len(viaScan))
 		}

@@ -11,11 +11,10 @@
 // Storage layout: a Table holds one column per attribute — []int64 for INT,
 // []float64 for FLOAT, []uint32 dictionary codes plus a per-column string
 // dictionary for TEXT, epoch-day []int64 for DATE, []bool for BOOL — each
-// with a packed null bitmap. The Tuple-based API (Tuple, Tuples, Scan,
-// LookupPK, LookupIndex) is a compatibility surface that materializes rows
-// on demand; Tuples() caches the materialization until the next write. The
-// query engine's hot paths bypass tuples entirely through Col handles and
-// CopyRow.
+// with a packed null bitmap. The Tuple-based API (Tuple, Tuples, LookupPK,
+// LookupIndex) is a compatibility surface that materializes rows on demand;
+// Tuples() caches the materialization until the next write. The query
+// engine's hot paths bypass tuples entirely through Col handles and CopyRow.
 package storage
 
 import (
@@ -92,12 +91,12 @@ type Table struct {
 	// keyBuf is writer-side scratch for key encoding; writers are exclusive
 	// per the storage contract, readers never touch it.
 	keyBuf []byte
-	// mat caches the materialized []Tuple view handed out by Tuples() and
-	// Scan; any write clears it. A frozen table gets its own zero-value mat,
-	// so each snapshot caches its own materialization and naive-engine
-	// readers can never observe a half-committed write. Concurrent readers
-	// may race to fill it — materialization is deterministic, so
-	// last-store-wins is harmless.
+	// mat caches the materialized []Tuple view handed out by Tuples(); any
+	// write clears it. A frozen table gets its own zero-value mat, so each
+	// snapshot caches its own materialization and naive-engine readers can
+	// never observe a half-committed write. Concurrent readers may race to
+	// fill it — materialization is deterministic, so last-store-wins is
+	// harmless.
 	mat atomic.Pointer[[]Tuple]
 	// idxMu guards pk and the secondary buckets, which are shared between the
 	// live table and its frozen snapshot views: writers mutate under it,
@@ -210,26 +209,6 @@ func (t *Table) Tuples() []Tuple {
 	}
 	t.mat.Store(&out)
 	return out
-}
-
-// Scan calls fn for each row until fn returns false. A warm materialization
-// cache is iterated directly; otherwise rows materialize one at a time, so
-// an early-stopping scan (entity point lookups) never pays for the whole
-// table. Either way each handed-out tuple is safe to retain.
-func (t *Table) Scan(fn func(Tuple) bool) {
-	if m := t.mat.Load(); m != nil {
-		for _, tup := range *m {
-			if !fn(tup) {
-				return
-			}
-		}
-		return
-	}
-	for i := 0; i < t.rows; i++ {
-		if !fn(t.materializeRow(i)) {
-			return
-		}
-	}
 }
 
 // LookupPK returns the tuple with the given primary-key values, if any. A

@@ -75,10 +75,8 @@ func TestInsertAndScan(t *testing.T) {
 	if got[1].Text() != "Match Point" || got[2].Int() != 2005 {
 		t.Errorf("tuple = %v", got)
 	}
-	count := 0
-	tbl.Scan(func(Tuple) bool { count++; return true })
-	if count != 1 {
-		t.Errorf("Scan visited %d", count)
+	if count := len(tbl.Tuples()); count != 1 {
+		t.Errorf("Tuples holds %d", count)
 	}
 }
 
@@ -400,12 +398,11 @@ func TestIndexScanAgreementProperty(t *testing.T) {
 				return false
 			}
 			scanCount := 0
-			tbl.Scan(func(tup Tuple) bool {
+			for _, tup := range tbl.Tuples() {
 				if tup[1].Int() == g {
 					scanCount++
 				}
-				return true
-			})
+			}
 			if len(idx) != scanCount {
 				return false
 			}

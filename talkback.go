@@ -33,10 +33,10 @@
 // attribute — []int64 for INT, []float64 for FLOAT, dictionary-encoded TEXT
 // as []uint32 codes into a per-column string dictionary, DATE as epoch-day
 // []int64, []bool for BOOL — each with a packed null bitmap. The row-shaped
-// API (Tuple, Tuples, Scan, LookupPK, LookupIndex, CSV import/export) is a
+// API (Tuple, Tuples, LookupPK, LookupIndex, CSV import/export) is a
 // compatibility surface that materializes tuples on demand and caches the
-// materialized view until the next write, so row-oriented consumers (the
-// naive pipeline, the data-to-text translators) are unaffected. The planned
+// materialized view until the next write, so its row-oriented consumer, the
+// naive pipeline, is unaffected. The planned
 // pipeline reads the vectors directly: arena rows fill via CopyRow, simple
 // filters vectorize into typed comparisons on the column payloads (text
 // equality compares dictionary codes; LIKE and text ordering precompute one
@@ -243,8 +243,10 @@
 // far the query got; querytotext.CancelEnglish renders it as a
 // first-person refusal. Cancellation is loss-free: a cancelled SELECT
 // returns the exact full answer or a refusal — never a partial row set
-// — and a cancelled DML either commits whole through the WAL or leaves
-// storage byte-identical to never having run. Cancelled readers release
+// — a cancelled DML either commits whole through the WAL or leaves
+// storage byte-identical to never having run, and a cancelled entity or
+// database narrative, whose tuples are the answers of planned SELECTs
+// under the same budget, is the whole text or a refusal. Cancelled readers release
 // their snapshot pins, so DrainReaders never waits on an abandoned
 // request. WAL fsyncs get a grace window (DurableOptions.SyncGrace)
 // past the request deadline: a sync inside it commits normally even
