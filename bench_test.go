@@ -649,6 +649,40 @@ func BenchmarkX14JoinBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkX22JoinSmallOuter measures a hash join whose outer side is one
+// row: the paper's MOVIES–CAST–ACTOR join for a single actor id, which plans
+// as a: primary-key probe → c: hash join → m: primary-key join. The engine
+// hashes the one ACTOR row and scans CAST.aid for it, so nothing is allocated
+// per CAST row: allocs/op at movies=20000 must stay within 1.25x of
+// movies=2000 (gated in cmd/benchgate/ceilings.json, tracked in
+// BENCH_19.json). The large-outer side of the same choice is X14 and X9.
+func BenchmarkX22JoinSmallOuter(b *testing.B) {
+	for _, movies := range []int{2000, 20000} {
+		gen := dataset.DefaultGenConfig()
+		gen.Movies = movies
+		gen.Actors = movies / 2
+		db, err := dataset.GenerateMovieDB(gen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := engine.New(db)
+		b.Run(fmt.Sprintf("movies=%d", movies), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sel, err := sqlparser.ParseSelect(fmt.Sprintf(
+					"select m.title from MOVIES m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id and a.id = %d",
+					1+(i*7919)%gen.Actors))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Select(sel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkX9ParallelJoin measures the engine's fan-out on a two-table
 // hash join at 10k and 100k probe rows, serial vs. all cores. On a
 // single-core host the parallel subbenches skip with an explanation instead

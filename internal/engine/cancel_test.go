@@ -9,10 +9,12 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/leakcheck"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // pollCancelCtx is a deterministic cancellation source: its Err() flips to
@@ -262,6 +264,98 @@ func TestCancelErrorNarratesProgress(t *testing.T) {
 	}
 	if ce.TotalRows == 0 {
 		t.Fatal("cancel error lost the planned total-rows counter")
+	}
+}
+
+// TestCancelDuringHashBuild pins the hash build as a cancellation point. One
+// row of S joins a column of 800k rows — the scale at which hashing that
+// column whole takes well over 100 ms, as every hash join did before the
+// smaller side was the one hashed, with no poll until it was done.
+//
+// A 2 ms deadline must end the query within 100 ms of expiring, whether it
+// expired in the build or the query got in first. A cancellation scripted to
+// land in the middle of each build routine — the outer side's scan of B.k, and
+// the table side's hashing of it when B joins itself — must stop the query
+// there, and the refusal must count the build's rows as examined.
+func TestCancelDuringHashBuild(t *testing.T) {
+	defer leakcheck.Check(t)()
+	const rows = 800_000
+	schema := catalog.NewSchema("build")
+	if err := schema.AddRelation(&catalog.Relation{
+		Name:       "S",
+		Attributes: []*catalog.Attribute{{Name: "id", Type: catalog.Int, NotNull: true}, {Name: "k", Type: catalog.Int}},
+		PrimaryKey: []string{"id"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := schema.AddRelation(&catalog.Relation{
+		Name:       "B",
+		Attributes: []*catalog.Attribute{{Name: "k", Type: catalog.Int}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := storage.NewDatabase(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("S", storage.Tuple{value.NewInt(1), value.NewInt(rows / 2)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if err := db.Insert("B", storage.Tuple{value.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := New(db)
+	oneRow, err := sqlparser.ParseSelect(`select b.k from S s, B b where s.k = b.k and s.id = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selfJoin, err := sqlparser.ParseSelect(`select b1.k from B b1, B b2 where b1.k = b2.k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const deadline, slack = 2 * time.Millisecond, 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	res, err := eng.WithBudget(budget.New(ctx, 0, 0)).Select(oneRow)
+	if took := time.Since(start); took > deadline+slack {
+		t.Fatalf("query under a %s deadline returned after %s", deadline, took)
+	}
+	if err == nil && len(res.Rows) != 1 {
+		t.Fatalf("query beat its deadline with %d rows, want 1", len(res.Rows))
+	}
+	if err != nil && !IsCancel(err) {
+		t.Fatalf("non-cancel error %v", err)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		sel       *sqlparser.SelectStmt
+		buildFrom int64 // polls before the build's first
+		before    int64 // rows examined before the build
+	}{
+		// Select's own poll, then one before the first outer key is hashed.
+		{"outer side hashed", oneRow, 2, 0},
+		// Select's own poll and b1's scan, a zone at a time.
+		{"table side hashed", selfJoin, 1 + (rows+storage.ZoneRows-1)/storage.ZoneRows, rows},
+	} {
+		const zonesIn = 50
+		bex, _ := budgetAfter(eng, tc.buildFrom+zonesIn)
+		_, err := bex.Select(tc.sel)
+		ce, ok := err.(*CancelError)
+		if !ok {
+			t.Fatalf("%s: cancelled %d zones into the build, got error %v", tc.name, zonesIn, err)
+		}
+		if want := tc.before + (zonesIn+1)*storage.ZoneRows; ce.Rows > want || ce.Rows <= tc.before {
+			t.Errorf("%s: refusal counts %d rows examined, want the %d before the build plus at most %d zones of it",
+				tc.name, ce.Rows, tc.before, zonesIn+1)
+		}
+		if want := tc.before + rows; ce.TotalRows != want {
+			t.Errorf("%s: refusal counts %d rows to visit, want %d with the build's", tc.name, ce.TotalRows, want)
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/planner"
+	"repro/internal/querytotext"
 	"repro/internal/sqlparser"
 )
 
@@ -37,6 +40,40 @@ func TestExplainPlanStatement(t *testing.T) {
 	for i, row := range res.Rows {
 		if row[5].IsNull() || row[5].Int() < 0 {
 			t.Errorf("row %d has no actual count: %s", i, row)
+		}
+	}
+}
+
+// TestExplainNarratesHashedSide: an executed hash join reports the side it
+// hashed — here the one ACTOR row, not the 1200 CAST rows — in the plan's
+// summary, its English and its tip.
+func TestExplainNarratesHashedSide(t *testing.T) {
+	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
+		Seed: 3, Movies: 300, Actors: 100, Directors: 9, CastPerMovie: 4, GenresPerMovie: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := sqlparser.ParseSelect("select m.title from MOVIES m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id and a.id = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, plan, err := New(db).SelectExplained(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := plan.Summarize()
+	cast := db.Table("CAST").Len()
+	if len(s.Steps) != 3 || s.Steps[1].HashSide != planner.HashOuter || s.Steps[1].HashedRows != 1 || s.Steps[1].ScannedRows != cast {
+		t.Fatalf("want step 2 to hash the 1 outer row and scan CAST's %d, got %+v", cast, s.Steps)
+	}
+	text := querytotext.PlanEnglish(s)
+	for _, want := range []string{
+		fmt.Sprintf("Step 2 hashes the one row so far and scans CAST (as c, %d rows) once for c.aid = a.id", cast),
+		"Tip: an index on CAST(aid) would let the join probe instead of scanning ",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("narration missing %q:\n%s", want, text)
 		}
 	}
 }

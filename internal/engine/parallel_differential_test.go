@@ -26,6 +26,13 @@ var parallelCorpus = []string{
 	 where m.id in (select c.mid from CAST c where c.aid < 50)`,
 	`select m.title from MOVIES m left join GENRE g on m.id = g.mid
 	 where g.genre is null or g.genre = 'comedy'`,
+	// Hash joins whose outer side is smaller than the table: the one actor's
+	// keys are hashed and CAST.aid scanned for them; in the second, CAST's own
+	// filter does not vectorize and runs as a pass of its own before the build.
+	`select m.title from MOVIES m, CAST c, ACTOR a
+	 where m.id = c.mid and c.aid = a.id and a.id = 7`,
+	`select a.name, c.role from ACTOR a, CAST c
+	 where a.id = c.aid and a.id < 4 and c.mid + 0 > 10`,
 }
 
 func cloneResult(r *Result) *Result {

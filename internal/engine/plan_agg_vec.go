@@ -1017,7 +1017,7 @@ func (fx *fusedRun) feed(fc *fusedCtx, si int) {
 			return
 		}
 		for p := fs.chain.head[k]; p != 0; p = fs.chain.next[p-1] {
-			fc.pos[si] = p - 1
+			fc.pos[si] = fs.chain.row(p - 1)
 			fc.stepRows[si]++
 			fx.feed(fc, si+1)
 		}
@@ -1077,7 +1077,10 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 		case planner.JoinHash:
 			psi, ppos := pq.slotOwner(st.ProbeSlot)
 			fs.probe = fusedProbe{si: psi, col: steps[psi].Input.Tbl.Col(ppos)}
-			fs.chain = pq.buildChain(si, st.Input.Tbl, st.BuildPos, nil)
+			var err error
+			if fs.chain, err = pq.buildChain(si, st, nil); err != nil {
+				return nil, err
+			}
 		case planner.JoinPK, planner.JoinIndex:
 			for _, slot := range st.ProbeSlots {
 				psi, ppos := pq.slotOwner(slot)

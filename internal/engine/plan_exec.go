@@ -37,11 +37,25 @@ type joinKey struct {
 // joinChain is a hash table over build-side row positions with one int32
 // head per key and a shared next vector — no per-key slice, so building it
 // costs O(1) allocations regardless of the number of distinct keys. Chains
-// are threaded in ascending row order (the build iterates in reverse), so
+// are threaded in ascending row order (both builds iterate in reverse), so
 // probes emit matches in insertion order, exactly like the naive pipeline.
+//
+// An entry is a row position when the whole table was hashed (buildChain:
+// rows is nil, next spans the table) and an index into rows when only the
+// outer batch's keys were (buildChainFromOuter: one entry per build row some
+// outer row can match).
 type joinChain struct {
-	head map[joinKey]int32 // key -> first matching row position + 1
-	next []int32           // next[i] -> following row position + 1, 0 ends
+	head map[joinKey]int32 // key -> first entry + 1, 0 for a key without rows
+	next []int32           // next[e] -> following entry + 1, 0 ends
+	rows []int32           // rows[e] -> build row position; nil when e is the position
+}
+
+// row resolves a chain entry to its build-side row position.
+func (c *joinChain) row(e int32) int32 {
+	if c.rows == nil {
+		return e
+	}
+	return c.rows[e]
 }
 
 // joinKeyOf normalizes v; ok is false for NULL, which never joins.
@@ -911,35 +925,235 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error)
 	}
 }
 
-// buildChain hashes the filtered rows of step si's table on attribute
-// buildPos into a chained join table. keep, when non-nil, is a precomputed
-// filter mask (generic self-filters); otherwise the step's vectorized prefix
-// decides. The chain is threaded in reverse so probes walk matches in
-// ascending row order. Shared by the batch join pipeline and the fused
-// aggregation pipeline.
-func (pq *plannedQuery) buildChain(si int, tbl *storage.Table, buildPos int, keep []bool) joinChain {
-	n := tbl.Len()
-	buildCol := tbl.Col(buildPos)
-	chain := joinChain{head: make(map[joinKey]int32, n), next: make([]int32, n)}
-	for ti := n - 1; ti >= 0; ti-- {
-		if keep != nil {
-			if !keep[ti] {
+// buildPass visits [0, n) one storage zone at a time — from the top when down
+// is set — charging each zone's rows to the budget before fn sees them, so
+// every pass a hash build makes over its table is a cancellation point and
+// counts in a refusal's "examined" rows.
+func buildPass(bud *Budget, n int, down bool, fn func(lo, hi int) error) error {
+	bud.AddTotal(n)
+	zones := (n + storage.ZoneRows - 1) >> storage.ZoneShift
+	for i := 0; i < zones; i++ {
+		z := i
+		if down {
+			z = zones - 1 - i
+		}
+		lo, hi := z<<storage.ZoneShift, min((z+1)<<storage.ZoneShift, n)
+		if err := bud.Step(hi - lo); err != nil {
+			return err
+		}
+		if err := fn(lo, hi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// buildKeep evaluates step si's compiled (non-vectorized) self-filters over
+// every row of its table that passes the vectorized prefix, and returns the
+// mask of survivors — nil when the step has no such filters. The pass runs
+// forward and before either build, so whichever side is hashed afterwards a
+// filter error surfaces, and it is the first in row order.
+func (pq *plannedQuery) buildKeep(si int, st *planner.Step) ([]bool, error) {
+	self := pq.stepSelf[si]
+	if len(self) == 0 {
+		return nil, nil
+	}
+	tbl := st.Input.Tbl
+	keep := make([]bool, tbl.Len())
+	ec := pq.newCtx()
+	row := ec.scratchRow()
+	width := len(st.Input.Rel.Attributes)
+	err := buildPass(pq.ex.bud, tbl.Len(), false, func(lo, hi int) error {
+	rows:
+		for ti := lo; ti < hi; ti++ {
+			if !pq.vecPass(si, ti) {
 				continue
 			}
-		} else if !pq.vecPass(si, ti) {
-			continue
+			tbl.CopyRow(row[st.Offset:st.Offset+width], ti)
+			for _, ev := range self {
+				v, err := ev(ec, row)
+				if err != nil {
+					return err
+				}
+				if !passes(v) {
+					continue rows
+				}
+			}
+			keep[ti] = true
 		}
-		// Col.Value materializes without allocating (text shares the
-		// dictionary string), so this shares joinKeyOf's normalization
-		// instead of duplicating it per column kind.
+		return nil
+	})
+	return keep, err
+}
+
+// buildKept reports whether build row ti survives the step's self-filters:
+// the precomputed mask when there is one, the vectorized prefix otherwise.
+func (pq *plannedQuery) buildKept(si int, keep []bool, ti int) bool {
+	if keep != nil {
+		return keep[ti]
+	}
+	return pq.vecPass(si, ti)
+}
+
+// buildChain hashes every filtered row of step si's table on its build
+// attribute — the build for an outer side at least as large as the table, and
+// for the fused aggregation pipeline, whose outer side is streamed and has no
+// count yet.
+func (pq *plannedQuery) buildChain(si int, st *planner.Step, keep []bool) (joinChain, error) {
+	n := st.Input.Tbl.Len()
+	buildCol := st.Input.Tbl.Col(st.BuildPos)
+	chain := joinChain{head: make(map[joinKey]int32, n), next: make([]int32, n)}
+	hashed := 0
+	err := buildPass(pq.ex.bud, n, true, func(lo, hi int) error {
+		for ti := hi - 1; ti >= lo; ti-- {
+			if !pq.buildKept(si, keep, ti) {
+				continue
+			}
+			// Col.Value materializes without allocating (text shares the
+			// dictionary string), so this shares joinKeyOf's normalization
+			// instead of duplicating it per column kind.
+			k, ok := joinKeyOf(buildCol.Value(ti))
+			if !ok {
+				continue
+			}
+			chain.next[ti] = chain.head[k]
+			chain.head[k] = int32(ti) + 1
+			hashed++
+		}
+		return nil
+	})
+	st.HashSide, st.HashedRows, st.ScannedRows = planner.HashTable, hashed, n
+	return chain, err
+}
+
+// buildChainFromOuter is the build for an outer batch smaller than the step's
+// table: it hashes the batch's join keys, then scans the build column once
+// and threads into the chain only the filtered rows whose key some outer row
+// holds. Probing the result emits exactly what probing buildChain's would.
+func (pq *plannedQuery) buildChainFromOuter(si int, st *planner.Step, keep []bool, outer [][]value.Value) (joinChain, error) {
+	n := st.Input.Tbl.Len()
+	buildCol := st.Input.Tbl.Col(st.BuildPos)
+	chain := joinChain{head: make(map[joinKey]int32, len(outer))}
+	st.HashSide, st.HashedRows, st.ScannedRows = planner.HashOuter, len(outer), n
+	for i, row := range outer {
+		// The outer rows were charged when their own step produced them.
+		if i&storage.ZoneMask == 0 {
+			if err := pq.ex.bud.Step(0); err != nil {
+				return chain, err
+			}
+		}
+		if k, ok := joinKeyOf(row[st.ProbeSlot]); ok {
+			chain.head[k] = 0
+		}
+	}
+	thread := func(ti int) {
+		if !pq.buildKept(si, keep, ti) {
+			return
+		}
 		k, ok := joinKeyOf(buildCol.Value(ti))
 		if !ok {
+			return
+		}
+		first, wanted := chain.head[k]
+		if !wanted {
+			return
+		}
+		chain.rows = append(chain.rows, int32(ti))
+		chain.next = append(chain.next, first)
+		chain.head[k] = int32(len(chain.rows))
+	}
+	// Int, date and dictionary-text columns are tested as raw payloads against
+	// the keys' images in that type; thread re-checks every candidate, so an
+	// image set only has to contain every payload that can join.
+	scan := func(lo, hi int) error {
+		for ti := hi - 1; ti >= lo; ti-- {
+			thread(ti)
+		}
+		return nil
+	}
+	switch kind := buildCol.Kind(); kind {
+	case value.Int, value.Date:
+		if images, exact := intImages(chain.head, kind); exact {
+			ints := buildCol.Ints()
+			scan = func(lo, hi int) error { images.candidates(ints, lo, hi, thread); return nil }
+		}
+	case value.Text:
+		images := codeImages(chain.head, buildCol)
+		codes := buildCol.Codes()
+		scan = func(lo, hi int) error { images.candidates(codes, lo, hi, thread); return nil }
+	}
+	return chain, buildPass(pq.ex.bud, n, true, scan)
+}
+
+// keyImages is a set of join keys in a build column's own payload type.
+type keyImages[T int64 | uint32] struct {
+	min, max T
+	set      map[T]struct{}
+}
+
+func (ki *keyImages[T]) add(v T) {
+	if len(ki.set) == 0 {
+		ki.min, ki.max, ki.set = v, v, map[T]struct{}{}
+	}
+	ki.min, ki.max = min(ki.min, v), max(ki.max, v)
+	ki.set[v] = struct{}{}
+}
+
+// candidates visits, from hi-1 down to lo, the positions of vec whose payload
+// is in the set. The bounds test settles most rows without a map lookup, and
+// all of them for a single key.
+func (ki *keyImages[T]) candidates(vec []T, lo, hi int, visit func(ti int)) {
+	// One unsigned comparison tests min <= v <= max (v-min wraps far past the
+	// span when v < min): a key in the middle of the column's range would make
+	// "v < min" a coin toss for the branch predictor on every row.
+	lowest, span, seg := ki.min, uint64(ki.max-ki.min), vec[lo:hi]
+	for i := len(seg) - 1; i >= 0; i-- {
+		v := seg[i]
+		if uint64(v-lowest) > span {
 			continue
 		}
-		chain.next[ti] = chain.head[k]
-		chain.head[k] = int32(ti) + 1
+		if _, in := ki.set[v]; in {
+			visit(lo + i)
+		}
 	}
-	return chain
+}
+
+// intImages projects join keys onto an Int column's payloads, or a Date
+// column's epoch days. joinKeyOf folds Int and Float into one float64 image,
+// so an int64 test is exact only for keys strictly inside ±2^53: beyond that
+// several ints share an image (and join each other), and exact is false.
+// Fractions and keys of another kind equal no payload and are left out.
+func intImages(keys map[joinKey]int32, kind value.Kind) (images keyImages[int64], exact bool) {
+	const lim = 1 << 53
+	for k := range keys {
+		switch {
+		case kind == value.Date && k.kind == 'd':
+			images.add(int64(k.bits) / 86400)
+		case kind == value.Int && k.kind == 'f':
+			f := math.Float64frombits(k.bits)
+			if !(f > -lim && f < lim) {
+				return images, false
+			}
+			if f == math.Trunc(f) {
+				images.add(int64(f))
+			}
+		}
+	}
+	return images, true
+}
+
+// codeImages projects text join keys onto col's dictionary codes; a string
+// the dictionary never saw equals no row.
+func codeImages(keys map[joinKey]int32, col storage.Col) (images keyImages[uint32]) {
+	for k := range keys {
+		if k.kind != 't' {
+			continue
+		}
+		if code, ok := col.DictCode(k.str); ok {
+			images.add(code)
+		}
+	}
+	return images
 }
 
 // loopInner lists the positions of step si's table that pass its vectorized
@@ -970,39 +1184,22 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 
 	switch st.Access {
 	case planner.JoinHash:
-		// Build (serial): hash the new table on the join attribute. The
-		// vectorized filter prefix tests column vectors directly; remaining
-		// self-filters evaluate against a scratch row filled per candidate.
-		// A filter mask is computed forward (so filter errors surface in row
-		// order), then the chain is threaded in reverse so probes walk
-		// matches in ascending row order.
-		n := tbl.Len()
-		var keep []bool
-		if len(self) > 0 {
-			keep = make([]bool, n)
-			buildEC := pq.newCtx()
-			width := len(st.Input.Rel.Attributes)
-			for ti := 0; ti < n; ti++ {
-				if !pq.vecPass(si, ti) {
-					continue
-				}
-				row := buildEC.scratchRow()
-				tbl.CopyRow(row[st.Offset:st.Offset+width], ti)
-				ok := true
-				for _, ev := range self {
-					v, err := ev(buildEC, row)
-					if err != nil {
-						return batch{}, err
-					}
-					if !passes(v) {
-						ok = false
-						break
-					}
-				}
-				keep[ti] = ok
-			}
+		// Build (serial), on whichever side is smaller: the filtered table, or
+		// the rows so far. Either way the probe below walks one chain per outer
+		// row, so rows come out in outer order, then ascending table position.
+		keep, err := pq.buildKeep(si, st)
+		if err != nil {
+			return batch{}, err
 		}
-		chain := pq.buildChain(si, tbl, st.BuildPos, keep)
+		var chain joinChain
+		if len(cur.rows) < tbl.Len() {
+			chain, err = pq.buildChainFromOuter(si, st, keep, cur.rows)
+		} else {
+			chain, err = pq.buildChain(si, st, keep)
+		}
+		if err != nil {
+			return batch{}, err
+		}
 		probeSlot := st.ProbeSlot
 		return ex.gatherBatches(pq, len(cur.rows), func(ec *evalCtx, lo, hi int, out *batch) error {
 			for i := lo; i < hi; i++ {
@@ -1012,7 +1209,7 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 					continue
 				}
 				for p := chain.head[k]; p != 0; p = chain.next[p-1] {
-					if err := ec.emit(out, base, baseProv(i), st, si, p-1, post); err != nil {
+					if err := ec.emit(out, base, baseProv(i), st, si, chain.row(p-1), post); err != nil {
 						return err
 					}
 				}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/dataset"
+	"repro/internal/planner"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -267,6 +268,154 @@ func TestPlannerDifferentialNulls(t *testing.T) {
 		"select count(l.k), sum(l.k), min(l.k), max(l.k), avg(l.k) from L l where l.id < 0",
 	} {
 		comparePlannedNaive(t, ex, sql)
+	}
+}
+
+// hashSidesOf runs sql on the planned pipeline and returns which side each
+// hash-join step hashed ("" for a step the pipeline never reached), or nil
+// when the query fails.
+func hashSidesOf(t *testing.T, ex *Engine, sql string) []string {
+	t.Helper()
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		t.Fatalf("parse %s: %v", sql, err)
+	}
+	_, plan, err := ex.SelectExplained(sel)
+	if err != nil {
+		return nil
+	}
+	if plan.Fallback {
+		t.Fatalf("%s: not planned (%s)", sql, plan.Reason)
+	}
+	var sides []string
+	for _, st := range plan.Steps {
+		if st.Access == planner.JoinHash {
+			sides = append(sides, st.HashSide)
+		}
+	}
+	if len(sides) == 0 {
+		t.Fatalf("%s: no hash join in %s", sql, plan.Fingerprint())
+	}
+	return sides
+}
+
+// TestPlannerDifferentialHashBuildSides drives the hash join's two build
+// routines — hashing the outer batch's keys and scanning the build column for
+// them, or hashing the whole table — over the key shapes where they could
+// part ways, and holds each to the interpreter. Every case runs once with a
+// handful of outer rows (the outer side is hashed) and once with the filter
+// dropped, so the outer side is as large as the table (the table is hashed).
+func TestPlannerDifferentialHashBuildSides(t *testing.T) {
+	schema := catalog.NewSchema("sides")
+	for _, name := range []string{"L", "R"} {
+		if err := schema.AddRelation(&catalog.Relation{
+			Name: name,
+			Attributes: []*catalog.Attribute{
+				{Name: "id", Type: catalog.Int, NotNull: true},
+				{Name: "k", Type: catalog.Int},
+				{Name: "f", Type: catalog.Float},
+				{Name: "t", Type: catalog.Text},
+				{Name: "d", Type: catalog.Date},
+			},
+			PrimaryKey: []string{"id"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := storage.NewDatabase(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 40
+	// NULLs in every key column on both sides, duplicate keys among the first
+	// rows, fractions beside whole floats, strings only one side holds, and at
+	// the end ints past 2^53, where neighbours share a float64 image: the
+	// interpreter compares numerics as floats, so 2^53 and 2^53+1 join.
+	orNull := func(null bool, v value.Value) value.Value {
+		if null {
+			return value.NewNull()
+		}
+		return v
+	}
+	for i := 0; i < rows; i++ {
+		for _, side := range []struct {
+			rel  string
+			big  [2]int64 // k of the last two rows
+			frac float64
+			word string
+		}{{"L", [2]int64{1<<53 + 1, 1 << 53}, 0.5, "left"}, {"R", [2]int64{1 << 53, 1<<53 + 1}, 0, "right"}} {
+			k := value.NewInt(int64(i % 7))
+			if i >= rows-2 {
+				k = value.NewInt(side.big[i-(rows-2)])
+			}
+			f := float64(i % 7)
+			if i%2 == 1 {
+				f += side.frac
+			}
+			text := fmt.Sprintf("t%d", i%5)
+			if i%10 == 3 {
+				text = side.word
+			}
+			if err := db.Insert(side.rel, storage.Tuple{
+				value.NewInt(int64(i)),
+				orNull(i%5 == 0, k),
+				orNull(i%6 == 0, value.NewFloat(f)),
+				orNull(i%4 == 0, value.NewText(text)),
+				orNull(i%9 == 0, value.NewDateDays(int64(10000+i%6))),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ex := New(db)
+	for _, tc := range []struct {
+		name  string
+		join  string // the join conjuncts, shared by both runs
+		few   string // the filter that leaves a handful of outer rows
+		never bool   // the handful is empty: the join step never runs
+		fails bool   // the planned run must raise the filter's error
+		apart bool   // ... which the interpreter does not: skip the comparison
+	}{
+		{name: "null and duplicate int keys", join: "l.k = r.k", few: "l.id < 8"},
+		{name: "int keys past 2^53", join: "l.k = r.k", few: "l.id >= 36"},
+		{name: "int keys into a float column", join: "l.k = r.f", few: "l.id < 8"},
+		{name: "float keys into an int column", join: "l.f = r.k", few: "l.id < 8"},
+		{name: "text keys", join: "l.t = r.t", few: "l.id < 8"},
+		{name: "date keys", join: "l.d = r.d", few: "l.id < 8"},
+		{name: "text keys into an int column", join: "l.t = r.k", few: "l.id < 8"},
+		{name: "empty outer batch", join: "l.k = r.k", few: "l.id < 0", never: true},
+		// R's own filter is not vectorizable. The planned pipeline runs it
+		// over every row of R before joining, whichever side it then hashes;
+		// the interpreter runs it on the rows its own hash lookup returns. So
+		// both fail on R row 22 (k = 1, as in L row 1), and only the planned
+		// pipeline fails on R row 20, whose k is NULL — on both build sides.
+		{name: "self filter", join: "1 / (r.id + 100) >= 0 and l.k = r.k", few: "l.id < 8"},
+		{name: "self filter failing on a row that joins", join: "1 / (r.id - 22) >= 0 and l.k = r.k", few: "l.id < 8", fails: true},
+		{name: "self filter failing on a row no key matches", join: "1 / (r.id - 20) >= 0 and l.k = r.k", few: "l.id < 8", fails: true, apart: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, run := range []struct{ sql, side string }{
+				{"select l.id, r.id from L l, R r where " + tc.join + " and " + tc.few, planner.HashOuter},
+				{"select l.id, r.id from L l, R r where " + tc.join, planner.HashTable},
+			} {
+				if !tc.apart {
+					comparePlannedNaive(t, ex, run.sql)
+				}
+				sides := hashSidesOf(t, ex, run.sql)
+				switch {
+				case tc.fails:
+					if sides != nil {
+						t.Fatalf("%s\nwant the self-filter's error, got a result", run.sql)
+					}
+				case tc.never && run.side == planner.HashOuter:
+					if len(sides) != 1 || sides[0] != "" {
+						t.Fatalf("%s\nhashed %q with no outer row to join", run.sql, sides)
+					}
+				case len(sides) != 1 || sides[0] != run.side:
+					t.Fatalf("%s\nhashed %q, want the %s side", run.sql, sides, run.side)
+				}
+			}
+		})
 	}
 }
 

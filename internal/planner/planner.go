@@ -108,11 +108,26 @@ type Step struct {
 	EstCost float64
 	// ActualRows is filled in by the engine during execution (-1 before).
 	ActualRows int
+	// HashSide, HashedRows and ScannedRows record what a JoinHash step did
+	// when it ran (zero before): the engine hashes whichever input is smaller
+	// at run time — this relation's filtered rows (HashTable), or the rows so
+	// far (HashOuter), after which it scans this relation's join column once
+	// for their keys. HashedRows counts the rows put in the hash table,
+	// ScannedRows the rows of this relation the build read.
+	HashSide    string
+	HashedRows  int
+	ScannedRows int
 
 	// consumedConjs is planning scratch: the conjuncts this step's access
 	// path folded in, flagged by markConsumed once the step wins.
 	consumedConjs []*conjunct
 }
+
+// The sides a JoinHash step can hash (Step.HashSide).
+const (
+	HashTable = "table"
+	HashOuter = "outer"
+)
 
 // ShapeKind enumerates the result-shaping steps that run after the join
 // pipeline: grouping with aggregation, sorting, bounded top-K selection, and

@@ -192,6 +192,33 @@ func TestPlanTips(t *testing.T) {
 	if !found {
 		t.Fatalf("want an index-on-CAST(role) tip, got %v", tips)
 	}
+
+	// A hash join's tip names what the run did to the relation: hashed it, or
+	// — when the rows so far were the smaller side — scanned it for their keys.
+	p = buildPlan(t, genDB(t), `select m.title from MOVIES m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id and a.id = 7`)
+	var hash *planner.Step
+	for _, st := range p.Steps {
+		if st.Access == planner.JoinHash {
+			hash = st
+		}
+	}
+	if hash == nil {
+		t.Fatalf("want a hash join onto CAST, got %s", p.Fingerprint())
+	}
+	planned := p.Fingerprint()
+	for side, want := range map[string]string{
+		"":                "an index on CAST(aid) would let the join probe instead of hashing ",
+		planner.HashTable: "an index on CAST(aid) would let the join probe instead of hashing ",
+		planner.HashOuter: "an index on CAST(aid) would let the join probe instead of scanning ",
+	} {
+		hash.HashSide = side
+		if tips := p.Tips(); len(tips) != 1 || !strings.HasPrefix(tips[0], want) {
+			t.Errorf("hash side %q: tips %q, want one starting %q", side, tips, want)
+		}
+	}
+	if got := p.Fingerprint(); got != planned {
+		t.Errorf("fingerprint %q changed with the side hashed, want %q: the run differs, the plan does not", got, planned)
+	}
 }
 
 // TestPlanEstimatesRangeFilter: range estimates interpolate between min and

@@ -23,6 +23,11 @@ type StepSummary struct {
 	EstRows    float64 `json:"estimated_rows"`
 	EstCost    float64 `json:"cost"`
 	ActualRows int     `json:"actual_rows"`
+	// HashSide, HashedRows and ScannedRows mirror the Step fields of the same
+	// names: what an executed hash join hashed ("table" or "outer") and read.
+	HashSide    string `json:"hash_side,omitempty"`
+	HashedRows  int    `json:"hashed_rows,omitempty"`
+	ScannedRows int    `json:"scanned_rows,omitempty"`
 }
 
 // ShapeSummary is the externally consumable description of one post-join
@@ -81,6 +86,10 @@ func (p *Plan) Summarize() *Summary {
 			EstRows:    st.EstRows,
 			EstCost:    st.EstCost,
 			ActualRows: st.ActualRows,
+
+			HashSide:    st.HashSide,
+			HashedRows:  st.HashedRows,
+			ScannedRows: st.ScannedRows,
 		}
 		if st.Access == ScanPK || st.Access == ScanIndex {
 			ss.JoinKey = "" // key probes are literal, not join-driven
@@ -171,9 +180,13 @@ func (p *Plan) Tips() []string {
 		case JoinHash:
 			if st.TableRows >= tipScanThreshold {
 				attr := st.Input.Rel.Attributes[st.BuildPos].Name
+				did := "hashing"
+				if st.HashSide == HashOuter {
+					did = "scanning"
+				}
 				tips = append(tips, fmt.Sprintf(
-					"an index on %s(%s) would let the join probe instead of hashing %s rows",
-					st.Input.Rel.Name, attr, lexicon.NumberWord(st.TableRows)))
+					"an index on %s(%s) would let the join probe instead of %s %s rows",
+					st.Input.Rel.Name, attr, did, lexicon.NumberWord(st.TableRows)))
 			}
 		case JoinLoop:
 			tips = append(tips, fmt.Sprintf(

@@ -42,7 +42,12 @@ func PlanEnglish(s *planner.Summary) string {
 		case "index probe":
 			fmt.Fprintf(&b, "probes the %s index of %s", st.Index, target)
 		case "hash join":
-			fmt.Fprintf(&b, "hashes %s and probes it with %s", target, st.JoinKey)
+			if st.HashSide == planner.HashOuter {
+				fmt.Fprintf(&b, "hashes the %s so far and scans %s once for %s",
+					lexicon.CountNoun(st.HashedRows, "row"), target, st.JoinKey)
+			} else {
+				fmt.Fprintf(&b, "hashes %s and probes it with %s", target, st.JoinKey)
+			}
 		case "primary-key join":
 			fmt.Fprintf(&b, "looks up %s by primary key for each row so far, using %s", target, st.JoinKey)
 		case "index join":

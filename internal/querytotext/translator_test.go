@@ -433,6 +433,20 @@ func TestPlanEnglish(t *testing.T) {
 			t.Errorf("narration missing %q:\n%s", want, text)
 		}
 	}
+	// A hash join narrates the side it hashed when it ran: the rows so far,
+	// the relation, or — for a plan that has not run — the relation by default.
+	hash := planner.StepSummary{Alias: "c", Relation: "CAST", Access: "hash join", JoinKey: "c.aid = a.id",
+		TableRows: 80407, EstRows: 8, EstCost: 80407, ActualRows: 9}
+	for side, want := range map[string]string{
+		planner.HashOuter: "Step 1 hashes the one row so far and scans CAST (as c, 80407 rows) once for c.aid = a.id",
+		planner.HashTable: "Step 1 hashes CAST (as c, 80407 rows) and probes it with c.aid = a.id",
+		"":                "Step 1 hashes CAST (as c, 80407 rows) and probes it with c.aid = a.id",
+	} {
+		hash.HashSide, hash.HashedRows, hash.ScannedRows = side, 1, 80407
+		if text := PlanEnglish(&planner.Summary{Steps: []planner.StepSummary{hash}, ActualRows: 9}); !strings.Contains(text, want) {
+			t.Errorf("hash side %q: narration missing %q:\n%s", side, want, text)
+		}
+	}
 	fb := PlanEnglish(&planner.Summary{Fallback: true, Reason: "outer join", ActualRows: 5})
 	if !strings.Contains(fb, "naive pipeline") || !strings.Contains(fb, "outer join") {
 		t.Errorf("fallback narration = %q", fb)
