@@ -1075,8 +1075,10 @@ func BenchmarkX18SnapshotReadDuringWrite(b *testing.B) {
 
 // BenchmarkX19OverloadShed measures what overload costs the victims: with a
 // 1-query admission limit held by a writer wedged in an injected slow fsync
-// (FaultFS delays every WAL sync by 200ms), each op is one request hitting
-// the full valve — instant shed, OverloadError, narrated answer. The op must
+// (FaultFS holds its WAL sync until the measured loop is over, and the loop
+// starts only once the commit is inside it, so the writer's own allocations
+// stay out of the meter), each op is one request hitting the full valve —
+// instant shed, OverloadError, narrated answer. The op must
 // return in microseconds even though the admitted query is stalled in disk
 // I/O for five orders of magnitude longer: shedding is gated on the valve,
 // never on the stalled disk. Every op asserts its latency stayed under the
@@ -1097,34 +1099,30 @@ func BenchmarkX19OverloadShed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ffs.DelaySyncs(200 * time.Millisecond)
+		// One sync that outlasts any measured loop; ClearFaults ends it.
+		ffs.DelaySyncs(time.Hour)
 		adm := core.NewAdmission(1, 0)
 
 		// The admitted query: holds the single execution slot for the whole
-		// benchmark, each of its commits wedged in the delayed fsync.
+		// benchmark, its commit wedged in the delayed fsync.
 		release, err := adm.Acquire(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer release()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := sys.Ask(fmt.Sprintf(
-					"insert into ACTOR (id, name) values (%d, 'x19 stalled writer')", 2_000_000+i)); err != nil {
-					b.Error(err)
-					return
-				}
+			if _, err := sys.Ask("insert into ACTOR (id, name) values (2000000, 'x19 stalled writer')"); err != nil {
+				b.Error(err)
 			}
 		}()
+		// Meter the shed path alone: the writer allocates nothing more once
+		// its commit is inside the fsync.
+		for ffs.StalledSyncs() == 0 {
+			time.Sleep(time.Millisecond)
+		}
 
 		const deadline = 100 * time.Millisecond
 		var maxShed time.Duration
@@ -1155,9 +1153,8 @@ func BenchmarkX19OverloadShed(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		close(stop)
-		wg.Wait()
 		ffs.ClearFaults()
+		wg.Wait()
 		b.ReportMetric(float64(maxShed.Nanoseconds()), "max-shed-ns")
 	})
 }

@@ -168,41 +168,44 @@ func NormalizeSQL(sql string) string {
 	)
 	state := code
 	pendingSpace := false
-	runes := []rune(sql)
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
+	// Byte by byte: every byte acted on below is ASCII, and no byte of a
+	// multi-byte UTF-8 sequence is, so valid text normalizes as it would rune
+	// by rune while invalid bytes — which the lexer reads as they are — stay
+	// distinct instead of all decoding to U+FFFD.
+	for i := 0; i < len(sql); i++ {
+		c := sql[i]
 		switch state {
 		case inString:
-			b.WriteRune(r)
-			if r == '\'' {
+			b.WriteByte(c)
+			if c == '\'' {
 				state = code
 			}
 			continue
 		case inIdent:
-			b.WriteRune(r)
-			if r == '"' {
+			b.WriteByte(c)
+			if c == '"' {
 				state = code
 			}
 			continue
 		}
 		// Comments separate tokens just like whitespace.
-		if r == '-' && i+1 < len(runes) && runes[i+1] == '-' {
-			for i < len(runes) && runes[i] != '\n' {
+		if c == '-' && i+1 < len(sql) && sql[i+1] == '-' {
+			for i < len(sql) && sql[i] != '\n' {
 				i++
 			}
 			pendingSpace = b.Len() > 0
 			continue
 		}
-		if r == '/' && i+1 < len(runes) && runes[i+1] == '*' {
+		if c == '/' && i+1 < len(sql) && sql[i+1] == '*' {
 			i += 2
-			for i+1 < len(runes) && !(runes[i] == '*' && runes[i+1] == '/') {
+			for i+1 < len(sql) && !(sql[i] == '*' && sql[i+1] == '/') {
 				i++
 			}
 			i++ // land on the trailing '/' (or past the end)
 			pendingSpace = b.Len() > 0
 			continue
 		}
-		if r == ' ' || r == '\t' || r == '\n' || r == '\r' {
+		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
 			pendingSpace = b.Len() > 0
 			continue
 		}
@@ -210,19 +213,17 @@ func NormalizeSQL(sql string) string {
 			b.WriteByte(' ')
 			pendingSpace = false
 		}
-		switch r {
+		switch c {
 		case '\'':
 			state = inString
-			b.WriteRune(r)
 		case '"':
 			state = inIdent
-			b.WriteRune(r)
 		default:
-			if 'A' <= r && r <= 'Z' {
-				r += 'a' - 'A'
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
 			}
-			b.WriteRune(r)
 		}
+		b.WriteByte(c)
 	}
 	out := b.String()
 	for strings.HasSuffix(out, ";") {

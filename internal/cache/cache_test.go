@@ -2,6 +2,8 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -129,6 +131,109 @@ func TestNormalizeSQL(t *testing.T) {
 	}
 	if NormalizeSQL(`select "Col" from T`) == NormalizeSQL(`select "col" from T`) {
 		t.Fatal("quoted identifier case was folded")
+	}
+	// Exact bytes means bytes: the lexer reads a quoted run byte by byte, so
+	// two literals (or identifiers) that differ in a byte that is not valid
+	// UTF-8 are different statements.
+	for _, q := range []string{`'`, `"`} {
+		a, b := "select * from T where c = "+q+"x\xff"+q, "select * from T where c = "+q+"x\xfe"+q
+		if NormalizeSQL(a) == NormalizeSQL(b) {
+			t.Errorf("%q and %q share the key %q", a, b, NormalizeSQL(a))
+		}
+		if NormalizeSQL(a) != "select * from t where c = "+q+"x\xff"+q {
+			t.Errorf("%q lost bytes inside quotes: %q", a, NormalizeSQL(a))
+		}
+	}
+}
+
+// normalizeSQLRunes is NormalizeSQL as it was written before it went byte by
+// byte: the same state machine over []rune.
+func normalizeSQLRunes(sql string) string {
+	var b strings.Builder
+	const (
+		code = iota
+		inString
+		inIdent
+	)
+	state := code
+	pendingSpace := false
+	runes := []rune(sql)
+	for i := 0; i < len(runes); i++ {
+		r := runes[i]
+		switch state {
+		case inString:
+			b.WriteRune(r)
+			if r == '\'' {
+				state = code
+			}
+			continue
+		case inIdent:
+			b.WriteRune(r)
+			if r == '"' {
+				state = code
+			}
+			continue
+		}
+		if r == '-' && i+1 < len(runes) && runes[i+1] == '-' {
+			for i < len(runes) && runes[i] != '\n' {
+				i++
+			}
+			pendingSpace = b.Len() > 0
+			continue
+		}
+		if r == '/' && i+1 < len(runes) && runes[i+1] == '*' {
+			i += 2
+			for i+1 < len(runes) && !(runes[i] == '*' && runes[i+1] == '/') {
+				i++
+			}
+			i++
+			pendingSpace = b.Len() > 0
+			continue
+		}
+		if r == ' ' || r == '\t' || r == '\n' || r == '\r' {
+			pendingSpace = b.Len() > 0
+			continue
+		}
+		if pendingSpace {
+			b.WriteByte(' ')
+			pendingSpace = false
+		}
+		switch r {
+		case '\'':
+			state = inString
+		case '"':
+			state = inIdent
+		default:
+			if 'A' <= r && r <= 'Z' {
+				r += 'a' - 'A'
+			}
+		}
+		b.WriteRune(r)
+	}
+	out := b.String()
+	for strings.HasSuffix(out, ";") {
+		out = strings.TrimRight(strings.TrimSuffix(out, ";"), " ")
+	}
+	return out
+}
+
+// TestNormalizeSQLKeysUnchangedOnValidUTF8: on valid UTF-8 the byte-wise
+// normalizer gives the key the rune-wise one gave, so no cached entry moved.
+func TestNormalizeSQLKeysUnchangedOnValidUTF8(t *testing.T) {
+	alphabet := []string{
+		"select", "FROM", "Movies", "m", ".", "title", "=", "'", "'", "\"", "--", "/*", "*/", "/", "*", "-",
+		" ", "  ", "\t", "\n", "\r\n", ";", "é", "É", "中文", "\u00a0", "\u212a", "\u2003", "\ufffd", "x", "K",
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 5000; i++ {
+		var sb strings.Builder
+		for n := rng.Intn(24); n > 0; n-- {
+			sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		sql := sb.String()
+		if got, want := NormalizeSQL(sql), normalizeSQLRunes(sql); got != want {
+			t.Fatalf("NormalizeSQL(%q) = %q, was %q", sql, got, want)
+		}
 	}
 }
 

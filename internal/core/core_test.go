@@ -242,6 +242,34 @@ func TestAskLexErrorSameColdAndWarm(t *testing.T) {
 	}
 }
 
+// TestAskInvalidBytesInLiteralStayDistinct: two statements whose literals
+// differ in a byte that is not valid UTF-8 are different questions — the
+// lexer reads literals byte by byte — so neither may be served the other's
+// cached answer.
+func TestAskInvalidBytesInLiteralStayDistinct(t *testing.T) {
+	s := movieSystem(t)
+	if _, err := s.Ask("insert into MOVIES (id, title, year) values (990, 'x\xff', 2000)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		for _, q := range []struct {
+			sql  string
+			rows int
+		}{
+			{"select m.id from MOVIES m where m.title = 'x\xff'", 1},
+			{"select m.id from MOVIES m where m.title = 'x\xfe'", 0},
+		} {
+			resp, err := s.Ask(q.sql)
+			if err != nil {
+				t.Fatalf("%s %q: %v", pass, q.sql, err)
+			}
+			if got := len(resp.Result.Rows); got != q.rows {
+				t.Errorf("%s %q: %d rows, want %d", pass, q.sql, got, q.rows)
+			}
+		}
+	}
+}
+
 func TestNarrateSingleValue(t *testing.T) {
 	s := movieSystem(t)
 	resp, err := s.Ask("select count(*) from MOVIES m")

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/planner"
 	"repro/internal/sqlparser"
@@ -204,27 +205,87 @@ func TestVecAggDifferential(t *testing.T) {
 		`select count(distinct d.bdate) from DIRECTOR d`,
 	)
 	for _, q := range queries {
-		sel, err := sqlparser.ParseSelect(q)
-		if err != nil {
-			t.Fatalf("template %q does not parse: %v", q, err)
-		}
-		vecRes, plan, vecErr := ex.SelectExplained(sel)
-		if vecErr == nil && vecAggStep(plan) != nil {
+		if vecAggThreeWays(t, ex, q) {
 			vecRan++
 		}
-		ex.SetVecAggEnabled(false)
-		streamRes, streamErr := ex.Select(sel)
-		ex.SetVecAggEnabled(true)
-		mustSame(t, q, "vec", "streaming", vecRes, streamRes, vecErr, streamErr)
-
-		ex.SetPlannerEnabled(false)
-		naiveRes, naiveErr := ex.Select(sel)
-		ex.SetPlannerEnabled(true)
-		mustSame(t, q, "vec", "naive", vecRes, naiveRes, vecErr, naiveErr)
 	}
 	if vecRan < len(queries)/3 {
 		t.Fatalf("vec-aggregate ran for only %d/%d templates — the differential is vacuous", vecRan, len(queries))
 	}
+
+	// Queries that take the fused pipeline on the engine's own compile-time
+	// bounds, the only ones there are: an AVG(DISTINCT) whose float sum is
+	// exact over the bitset the engine really allocates (64 codes here) though
+	// not over a maxBitsetDomain-wide one, and a star select list that expands
+	// to the group keys.
+	bounds := New(avgDistinctBoundDB(t))
+	for _, q := range []string{
+		`select t.g, avg(distinct t.v), count(distinct t.v) from T t group by t.g order by 1`,
+		`select avg(distinct t.v) from T t`,
+		`select * from T t group by t.id, t.g, t.v order by 1 limit 9`,
+	} {
+		if !vecAggThreeWays(t, bounds, q) {
+			t.Errorf("%s\ndid not run the fused pipeline", q)
+		}
+	}
+}
+
+// vecAggThreeWays runs q through the fused vectorized pipeline, the streaming
+// grouped pipeline and the naive environment pipeline, requires the same rows
+// or the same error from all three, and reports whether the first run really
+// was fused.
+func vecAggThreeWays(t *testing.T, ex *Engine, q string) (fused bool) {
+	t.Helper()
+	sel, err := sqlparser.ParseSelect(q)
+	if err != nil {
+		t.Fatalf("template %q does not parse: %v", q, err)
+	}
+	vecRes, plan, vecErr := ex.SelectExplained(sel)
+	fused = vecErr == nil && vecAggStep(plan) != nil
+
+	ex.SetVecAggEnabled(false)
+	streamRes, streamErr := ex.Select(sel)
+	ex.SetVecAggEnabled(true)
+	mustSame(t, q, "vec", "streaming", vecRes, streamRes, vecErr, streamErr)
+
+	ex.SetPlannerEnabled(false)
+	naiveRes, naiveErr := ex.Select(sel)
+	ex.SetPlannerEnabled(true)
+	mustSame(t, q, "vec", "naive", vecRes, naiveRes, vecErr, naiveErr)
+	return fused
+}
+
+// avgDistinctBoundDB builds T(id, g, v) with v in [2^40, 2^40+50): 64·max|v|
+// stays below 2^53 while maxBitsetDomain·max|v| does not.
+func avgDistinctBoundDB(t *testing.T) *storage.Database {
+	t.Helper()
+	schema := catalog.NewSchema("bounds")
+	if err := schema.AddRelation(&catalog.Relation{
+		Name: "T",
+		Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true},
+			{Name: "g", Type: catalog.Int},
+			{Name: "v", Type: catalog.Int},
+		},
+		PrimaryKey: []string{"id"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := storage.NewDatabase(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 600; i++ {
+		v := value.NewInt(int64(1)<<40 + int64(rng.Intn(50)))
+		if rng.Intn(9) == 0 {
+			v = value.NewNull()
+		}
+		if err := db.Insert("T", storage.Tuple{value.NewInt(int64(i)), value.NewInt(int64(i % 7)), v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
 }
 
 // TestVecAggParallelDifferential: morsel-driven parallel aggregation must be

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,9 +16,10 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the fused vectorized-aggregation pipeline: grouped queries the
-// planner marked vec-aggregate run scan → joins → grouping as one push-based
-// loop over table positions, never materializing a joined row. Group keys and
+// This file is the fused vectorized-aggregation pipeline: grouped queries
+// that compile onto it run scan → joins → grouping as one push-based loop
+// over table positions, never materializing a joined row, and the plan's
+// aggregate step becomes vec-aggregate to say so. Group keys and
 // aggregate arguments read typed column vectors directly; accumulators are
 // unboxed typed arrays indexed by a dense group number. Two tiers map a row
 // to its group: when every key is dictionary- or range-codeable with a small
@@ -28,12 +30,13 @@ import (
 // Parallelism is morsel-driven: workers claim fixed-size ranges of base-table
 // positions from an atomic cursor, aggregate into private states, and the
 // merge orders groups by their first-seen (morsel, sequence) stamp — so
-// parallel output is byte-identical to serial execution. The planner only
-// schedules a parallel scan when every aggregate's partial states merge
-// exactly (integer sums are associative; float sums qualify only when
-// provably free of rounding), and the fused pipeline as a whole runs only
-// when no predicate can raise an error, so the worker count can never change
-// results or error behavior.
+// parallel output is byte-identical to serial execution. A parallel scan is
+// scheduled (and the plan gains a parallel-scan step) only when every
+// aggregate's partial states merge exactly (integer sums are associative;
+// float sums qualify only when provably free of rounding) and the planner
+// prices the base table as large enough; the fused pipeline as a whole runs
+// only when no predicate can raise an error, so the worker count can never
+// change results or error behavior.
 //
 // Naive-pipeline parity details: integer group keys and MIN/MAX comparisons
 // go through float64 images, because that is how the generic pipeline's
@@ -51,8 +54,10 @@ const (
 	// maxArrayDomain bounds the composed group-code domain of the flat
 	// array tier (the per-state lookup array is this long at worst).
 	maxArrayDomain = uint64(1) << 16
-	// maxBitsetDomain bounds DISTINCT bitset width, mirroring the planner.
-	maxBitsetDomain = int64(planner.MaxBitsetDomain)
+	// maxBitsetDomain bounds the value-domain width a DISTINCT aggregate may
+	// track with a per-group bitset (dictionary size for text, min..max span
+	// for integers and dates).
+	maxBitsetDomain = int64(1) << 16
 	// exactInt bounds the float64-exact integer range: distinct int64
 	// payloads beyond it can share one float image.
 	exactInt = int64(1) << 53
@@ -229,112 +234,59 @@ func cacheVectors(col storage.Col, kind value.Kind) (ints []int64, flts []float6
 }
 
 // ---------------------------------------------------------------------------
-// Plan-shape bookkeeping
-// ---------------------------------------------------------------------------
-
-// vecAggStep finds the vec-aggregate shape step, if the planner scheduled one.
-func vecAggStep(plan *planner.Plan) *planner.ShapeStep {
-	for _, sh := range plan.Shape {
-		if sh.Kind == planner.ShapeVecAggregate {
-			return sh
-		}
-	}
-	return nil
-}
-
-func hasParallelScan(plan *planner.Plan) bool {
-	for _, sh := range plan.Shape {
-		if sh.Kind == planner.ShapeParallelScan {
-			return true
-		}
-	}
-	return false
-}
-
-// downgradeVecAgg rewrites the plan's shape back to the generic aggregate —
-// called when the engine cannot (or is told not to) run the fused pipeline,
-// so EXPLAIN always narrates the execution that actually happened.
-func downgradeVecAgg(plan *planner.Plan) {
-	shape := plan.Shape[:0]
-	for _, sh := range plan.Shape {
-		if sh.Kind == planner.ShapeParallelScan {
-			continue
-		}
-		if sh.Kind == planner.ShapeVecAggregate {
-			sh.Kind = planner.ShapeAggregate
-		}
-		shape = append(shape, sh)
-	}
-	plan.Shape = shape
-}
-
-// removeParallelScan drops the parallel-scan step (the engine found a
-// non-mergeable aggregate the planner's statistics missed).
-func removeParallelScan(plan *planner.Plan) {
-	shape := plan.Shape[:0]
-	for _, sh := range plan.Shape {
-		if sh.Kind != planner.ShapeParallelScan {
-			shape = append(shape, sh)
-		}
-	}
-	plan.Shape = shape
-}
-
-// setParallelScanActual records the scanned-row count on the parallel-scan
-// shape step.
-func setParallelScanActual(plan *planner.Plan, n int) {
-	for _, sh := range plan.Shape {
-		if sh.Kind == planner.ShapeParallelScan {
-			sh.ActualRows = n
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Compilation
 // ---------------------------------------------------------------------------
 
-// tryVecAgg runs the fused vectorized aggregation when the plan carries a
-// vec-aggregate shape step and the query compiles onto it. ok=false falls
-// back to the streaming grouped pipeline (after downgrading the shape so the
-// narrated plan stays truthful).
+// tryVecAgg runs the fused vectorized aggregation when the grouped query
+// compiles onto it. ok=false falls back to the streaming grouped pipeline.
 func (ex *Engine) tryVecAgg(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery) (*Result, bool, error) {
-	plan := pq.plan
-	if vecAggStep(plan) == nil {
-		return nil, false, nil
-	}
-	if ex.st.noVecAgg.Load() {
-		downgradeVecAgg(plan)
-		return nil, false, nil
-	}
-	va, ok := pq.compileVecAgg(sel)
+	va, cols, ok := pq.compileVecAgg(sel, entries)
 	if !ok {
-		downgradeVecAgg(plan)
 		return nil, false, nil
-	}
-	items, cols, err := expandItems(sel, entries)
-	if err != nil {
-		// The streaming path raises the identical error (its join phase
-		// cannot fail under the vec gate), so just decline.
-		return nil, false, nil
-	}
-	if !va.compilePost(sel, entries, items) {
-		downgradeVecAgg(plan)
-		return nil, false, nil
-	}
-	va.parallel = hasParallelScan(plan) && va.allExact() &&
-		plan.Steps[0].Access == planner.ScanFull
-	if hasParallelScan(plan) && !va.parallel {
-		removeParallelScan(plan)
 	}
 	res, err := ex.runVecAgg(sel, pq, va, cols)
 	return res, true, err
 }
 
-// compileVecAgg builds the structural half: pipeline invariants and the
-// group-key columns with their tier parameters. ok=false means the planner's
-// gate and the engine's compiler disagree — fall back.
-func (pq *plannedQuery) compileVecAgg(sel *sqlparser.SelectStmt) (*vecAggExec, bool) {
+// compileVecAgg compiles a grouped query for the fused pipeline and, when it
+// fits, records that on the plan: the aggregate shape step becomes
+// vec-aggregate, preceded by a parallel-scan step when every aggregate merges
+// exactly and the planner prices the base scan as worth fanning out. ok=false
+// — the pipeline is disabled, or a predicate, group key or grouped expression
+// is outside its dialect — leaves the plan as the planner built it.
+func (pq *plannedQuery) compileVecAgg(sel *sqlparser.SelectStmt, entries []fromEntry) (*vecAggExec, []string, bool) {
+	plan := pq.plan
+	if pq.ex.st.noVecAgg.Load() {
+		return nil, nil, false
+	}
+	va, ok := pq.compileVecKeys(sel)
+	if !ok {
+		return nil, nil, false
+	}
+	items, cols, err := expandItems(sel, entries)
+	if err != nil {
+		// The streaming path raises the identical error (its join phase
+		// cannot fail when every filter is vectorized), so just decline.
+		return nil, nil, false
+	}
+	if !va.compilePost(sel, entries, items) {
+		return nil, nil, false
+	}
+	// Every grouped plan has its aggregate step (planner.Build).
+	i := slices.IndexFunc(plan.Shape, func(sh *planner.ShapeStep) bool { return sh.Kind == planner.ShapeAggregate })
+	plan.Shape[i].Kind = planner.ShapeVecAggregate
+	if va.allExact() {
+		if ps := planner.ParallelScanStep(plan.Steps[0]); ps != nil {
+			va.parallel = true
+			plan.Shape = slices.Insert(plan.Shape, i, ps)
+		}
+	}
+	return va, cols, true
+}
+
+// compileVecKeys builds the structural half: pipeline invariants and the
+// group-key columns with their tier parameters.
+func (pq *plannedQuery) compileVecKeys(sel *sqlparser.SelectStmt) (*vecAggExec, bool) {
 	plan := pq.plan
 	if plan.Reordered || len(pq.postEvals) > 0 {
 		return nil, false
@@ -428,7 +380,7 @@ func (va *vecAggExec) keyCard(k *vecKey) uint64 {
 }
 
 // addAgg registers (or reuses) the typed accumulator for one aggregate
-// expression, applying the engine-authoritative gates the planner mirrored.
+// expression; ok=false means it is outside the typed-accumulator dialect.
 func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 	key := a.SQL()
 	if idx, ok := va.aggIdx[key]; ok {
@@ -1104,7 +1056,7 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 	if st0.Access == planner.ScanPK || st0.Access == planner.ScanIndex {
 		fc := fx.newCtx(va)
 		ctxs = []*fusedCtx{fc}
-		positions, err := scanProbePositions(pq, st0)
+		positions, err := scanProbePositions(st0)
 		if err != nil {
 			return nil, err
 		}
@@ -1209,41 +1161,19 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 		steps[si].ActualRows = int(total)
 	}
 	pq.plan.ActualRows = steps[len(steps)-1].ActualRows
-	setParallelScanActual(pq.plan, steps[0].ActualRows)
+	setShapeActual(pq.plan, planner.ShapeParallelScan, steps[0].ActualRows)
 	pq.finishZoneSkip()
 
 	return ex.finishVecAgg(sel, pq, va, final, ordered, cols)
 }
 
-// feedRange feeds the base rows [lo, hi) that pass step 0's vectorized
-// filters into the fused pipeline, consulting the zone probes (when compiled)
-// to skip storage morsels whose bounds disprove the filters. A morsel the
-// probes prove all-true feeds every row without testing one.
+// feedRange feeds the base rows of [lo, hi) that pass step 0's vectorized
+// filters into the fused pipeline.
 func (fx *fusedRun) feedRange(fc *fusedCtx, lo, hi int) {
 	pq := fx.pq
-	zp := pq.zp
-	if zp == nil {
-		for ti := lo; ti < hi; ti++ {
-			if !pq.vecPass(0, ti) {
-				continue
-			}
-			fc.pos[0] = int32(ti)
-			fc.stepRows[0]++
-			fx.feed(fc, 1)
-		}
-		return
-	}
-	zoneWalk(lo, hi, func(z, segLo, segHi int, owned bool) bool {
-		v := zp.verdict(z)
-		if owned {
-			zp.note(v)
-		}
-		if v == zoneAllFalse {
-			return true
-		}
-		skipVec := v == zoneAllTrue
+	pq.scanBase(lo, hi, true, func(segLo, segHi int, tested bool) bool {
 		for ti := segLo; ti < segHi; ti++ {
-			if !skipVec && !pq.vecPass(0, ti) {
+			if tested && !pq.vecPass(0, ti) {
 				continue
 			}
 			fc.pos[0] = int32(ti)
@@ -1252,29 +1182,6 @@ func (fx *fusedRun) feedRange(fc *fusedCtx, lo, hi int) {
 		}
 		return true
 	})
-}
-
-// scanProbePositions resolves a first-step primary-key or index probe to row
-// positions, mirroring runScanStep (a NULL key value matches nothing).
-func scanProbePositions(pq *plannedQuery, st *planner.Step) ([]int, error) {
-	var kb []byte
-	for _, v := range st.KeyValues {
-		if v.IsNull() {
-			return nil, nil
-		}
-		kb = v.AppendKey(kb)
-	}
-	if st.Access == planner.ScanPK {
-		if pos, ok := st.Input.Tbl.LookupPKPos(kb); ok {
-			return []int{pos}, nil
-		}
-		return nil, nil
-	}
-	ix := st.Input.Tbl.Index(st.IndexName)
-	if ix == nil {
-		return nil, fmt.Errorf("engine: plan references missing index %q on %s", st.IndexName, st.Input.Rel.Name)
-	}
-	return ix.Probe(kb), nil
 }
 
 // stampOrder sorts the merged groups by first-seen stamp — the order a

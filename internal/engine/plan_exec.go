@@ -168,8 +168,8 @@ type plannedQuery struct {
 	stepPost  [][]rowEval // compiled PostJoinFilters per step
 	postEvals []rowEval   // residual predicates after all joins
 	// zp, when set, holds the zone-map probes of the base scan's vectorized
-	// filters (the plan carries a zone-skip shape step). Scans consult it per
-	// storage zone and skip morsels whose bounds disprove the filters.
+	// filters (and the plan carries a zone-skip shape step). scanBase consults
+	// it per storage zone and skips morsels whose bounds disprove the filters.
 	zp    *zoneProbeSet
 	track bool // provenance tracking (plan was reordered)
 	// leaf, when set, intercepts compilation of every subexpression before
@@ -552,7 +552,8 @@ func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) (rowEval, bool) {
 
 // compilePlan resolves a plan's predicates against the engine. Filters that
 // fail to compile migrate to the residual phase (safe for inner joins — the
-// row set is identical, only evaluated later).
+// row set is identical, only evaluated later). When the base scan's filters
+// lower to zone probes the plan's shape gains its zone-skip step here.
 func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 	pq := &plannedQuery{
 		ex:        ex,
@@ -574,21 +575,34 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 		}
 		pq.postEvals = append(pq.postEvals, ev)
 	}
+	fast := !ex.st.noZoneMaps.Load()
 	for si, st := range plan.Steps {
 		// Vectorize the longest specializable prefix of the self-filters.
 		// Only a prefix is safe: vectorized predicates never error, so
 		// hoisting one past a generic filter that can error would change
 		// which rows (if any) reach that filter — the prefix keeps the
-		// original evaluation order intact.
+		// original evaluation order intact. The base scan's prefix also
+		// lowers to zone probes, when probing the scan can pay: only
+		// predicates the scan applies may justify skipping rows.
+		var zp *zoneProbeSet
+		if si == 0 {
+			zp = pq.newZoneProbeSet()
+		}
 		filters := st.SelfFilters
 		for len(filters) > 0 {
-			vp, ok := pq.compileVecFilter(st, filters[0])
+			f, ok := pq.lowerVecFilter(st, filters[0])
 			if !ok {
 				break
 			}
-			pq.stepVec[si] = append(pq.stepVec[si], vp)
+			pq.stepVec[si] = append(pq.stepVec[si], f.pred(fast))
+			if zp != nil {
+				if p, ok := f.probe(zp.n); ok {
+					zp.probes = append(zp.probes, p)
+				}
+			}
 			filters = filters[1:]
 		}
+		pq.useZoneProbes(zp)
 		for _, f := range filters {
 			if ev, ok := pq.compile(f); ok {
 				pq.stepSelf[si] = append(pq.stepSelf[si], ev)
@@ -606,9 +620,6 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 	}
 	for _, e := range plan.Post {
 		residual(e)
-	}
-	if hasZoneSkip(plan) {
-		pq.compileZoneSkip()
 	}
 	return pq
 }
@@ -662,8 +673,8 @@ func (ec *evalCtx) emit(out *batch, base []value.Value, baseProv []int32, st *pl
 // worker with its own evalCtx and arenas. With a budget bound, every worker
 // sub-chunks its range at storage-zone boundaries and polls the budget
 // between sub-chunks — the cooperative cancellation point of every planned
-// scan, join, and residual-filter loop. Zone alignment keeps zoneWalk's
-// "owned" accounting identical to the unbudgeted walk.
+// scan, join, and residual-filter loop. Zone alignment keeps scanBase's zone
+// accounting identical to the unbudgeted walk.
 func (ex *Engine) gatherBatches(pq *plannedQuery, n int, fn func(ec *evalCtx, lo, hi int, out *batch) error) (batch, error) {
 	if bud := ex.bud; bud != nil {
 		inner := fn
@@ -850,27 +861,12 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error)
 
 	switch st.Access {
 	case planner.ScanPK, planner.ScanIndex:
+		positions, err := scanProbePositions(st)
+		if err != nil {
+			return batch{}, err
+		}
 		ec := pq.newCtx()
 		var out batch
-		ec.keyBuf = ec.keyBuf[:0]
-		for _, v := range st.KeyValues {
-			if v.IsNull() {
-				return out, nil // NULL never matches an equality probe
-			}
-			ec.keyBuf = v.AppendKey(ec.keyBuf)
-		}
-		var positions []int
-		if st.Access == planner.ScanPK {
-			if pos, ok := tbl.LookupPKPos(ec.keyBuf); ok {
-				positions = []int{pos}
-			}
-		} else {
-			ix := tbl.Index(st.IndexName)
-			if ix == nil {
-				return batch{}, fmt.Errorf("engine: plan references missing index %q on %s", st.IndexName, st.Input.Rel.Name)
-			}
-			positions = ix.Probe(ec.keyBuf)
-		}
 		for _, pos := range positions {
 			if !pq.vecPass(si, pos) {
 				continue
@@ -883,31 +879,11 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error)
 
 	default: // ScanFull
 		ex.bud.AddTotal(tbl.Len())
-		zp := pq.zp
 		out, err := ex.gatherBatches(pq, tbl.Len(), func(ec *evalCtx, lo, hi int, out *batch) error {
-			if zp == nil {
-				for ti := lo; ti < hi; ti++ {
-					if !pq.vecPass(si, ti) {
-						continue
-					}
-					if err := ec.emit(out, nil, nil, st, si, int32(ti), evals...); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
 			var err error
-			zoneWalk(lo, hi, func(z, segLo, segHi int, owned bool) bool {
-				v := zp.verdict(z)
-				if owned {
-					zp.note(v)
-				}
-				if v == zoneAllFalse {
-					return true // bounds disproved the filters for the whole zone
-				}
-				skipVec := v == zoneAllTrue // probes proved the vectorized prefix
+			pq.scanBase(lo, hi, true, func(segLo, segHi int, tested bool) bool {
 				for ti := segLo; ti < segHi; ti++ {
-					if !skipVec && !pq.vecPass(si, ti) {
+					if tested && !pq.vecPass(si, ti) {
 						continue
 					}
 					if err = ec.emit(out, nil, nil, st, si, int32(ti), evals...); err != nil {
@@ -923,6 +899,29 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error)
 		}
 		return out, err
 	}
+}
+
+// scanProbePositions resolves a first-step primary-key or index probe to row
+// positions (a NULL key value matches nothing).
+func scanProbePositions(st *planner.Step) ([]int, error) {
+	var kb []byte
+	for _, v := range st.KeyValues {
+		if v.IsNull() {
+			return nil, nil
+		}
+		kb = v.AppendKey(kb)
+	}
+	if st.Access == planner.ScanPK {
+		if pos, ok := st.Input.Tbl.LookupPKPos(kb); ok {
+			return []int{pos}, nil
+		}
+		return nil, nil
+	}
+	ix := st.Input.Tbl.Index(st.IndexName)
+	if ix == nil {
+		return nil, fmt.Errorf("engine: plan references missing index %q on %s", st.IndexName, st.Input.Rel.Name)
+	}
+	return ix.Probe(kb), nil
 }
 
 // buildPass visits [0, n) one storage zone at a time — from the top when down
@@ -1414,9 +1413,8 @@ func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, pl
 			return res, err
 		}
 	} else {
-		// Grouped queries the planner marked vec-aggregate run the fused
-		// scan→join→aggregate pipeline over typed accumulators, never
-		// materializing a joined row.
+		// Grouped queries inside the fused dialect run the scan→join→aggregate
+		// pipeline over typed accumulators, never materializing a joined row.
 		if res, ok, err := ex.tryVecAgg(sel, entries, pq); ok {
 			return res, err
 		}
@@ -1559,14 +1557,24 @@ func (ex *Engine) SetVecAggEnabled(on bool) { ex.st.noVecAgg.Store(!on) }
 // differential tests and benchmarks compare the two executions.
 func (ex *Engine) SetZoneMapsEnabled(on bool) { ex.st.noZoneMaps.Store(!on) }
 
-// Plan builds (without executing) the plan the engine would use for sel.
-// Queries outside the planner's dialect return a plan with Fallback set.
+// Plan builds (without executing) the plan the engine would use for sel,
+// compiled as far as an execution compiles it before its first row: the shape
+// carries the zone-skip, parallel-scan and vec-aggregate steps a run would
+// report. Queries outside the planner's dialect return a plan with Fallback
+// set.
 func (ex *Engine) Plan(sel *sqlparser.SelectStmt) (*planner.Plan, error) {
 	entries, err := ex.flattenFrom(sel.From)
 	if err != nil {
 		return nil, err
 	}
-	return ex.planFor(sel, entries, false), nil
+	plan := ex.planFor(sel, entries, false)
+	if !plan.Fallback {
+		pq := ex.compilePlan(plan, nil)
+		if sel.Grouped() {
+			pq.compileVecAgg(sel, entries)
+		}
+	}
+	return plan, nil
 }
 
 // SelectExplained executes sel and returns both the result and the executed

@@ -9,15 +9,17 @@ import (
 
 // This file lowers plan predicates onto the columnar store: a self-filter
 // conjunct of the shape <column> <op> <literal> (plus IS NULL, BETWEEN, IN,
-// and LIKE) compiles to a vecPred that tests a row position against the
+// and LIKE) is matched once, by lowerVecFilter, into a vecFilter descriptor.
+// Its pred method builds the vecPred that tests a row position against the
 // column vector directly — integer and date comparisons run on []int64,
 // float on []float64, and text equality compares dictionary codes without
 // touching a single string (ordering and LIKE precompute one verdict per
 // dictionary entry). Vectorized predicates never error and never materialize
-// a row, so rejected rows cost a few loads. Only the longest specializable
-// prefix of a step's self-filters vectorizes: the remaining filters keep
-// their original evaluation order, preserving error parity with the naive
-// pipeline's short-circuit conjunct order.
+// a row, so rejected rows cost a few loads; its probe method (plan_zone.go)
+// builds the per-zone verdict of the same predicate. Only the longest
+// specializable prefix of a step's self-filters vectorizes: the remaining
+// filters keep their original evaluation order, preserving error parity with
+// the naive pipeline's short-circuit conjunct order.
 //
 // On top of the predicates sits a whole-query fast path: a single-table full
 // scan whose filters are all vectorized and whose select list reads columns
@@ -95,77 +97,176 @@ func notNull(col storage.Col, inner vecPred) vecPred {
 	return func(ti int) bool { return !col.Null(ti) && inner(ti) }
 }
 
-// compileVecFilter lowers one self-filter conjunct of step st to a vecPred.
-// ok=false means the conjunct is outside the vectorizable dialect (or could
-// raise an error the generic path must surface) and compiles normally.
-func (pq *plannedQuery) compileVecFilter(st *planner.Step, e sqlparser.Expr) (vecPred, bool) {
+// vecFilterKind names the predicate shapes of the vectorized dialect.
+type vecFilterKind uint8
+
+const (
+	vfCompare vecFilterKind = iota // column <comparison> literal
+	vfLike                         // column LIKE pattern
+	vfNull                         // column IS [NOT] NULL
+	vfBetween                      // column [NOT] BETWEEN literal AND literal
+	vfIn                           // column [NOT] IN (literal, ...)
+)
+
+// vecFilter is one self-filter conjunct inside the vectorized dialect, reduced
+// to what its consumers need: pred builds the row test the scan applies, and
+// probe (plan_zone.go) the per-zone verdict that lets the scan skip rows
+// without testing them. Both read the same descriptor, so the zone verdict is
+// about exactly the predicate the rows are tested with. lowerVecFilter is the
+// only constructor; a descriptor it returned cannot raise an error on any row.
+type vecFilter struct {
+	kind vecFilterKind
+	col  storage.Col
+	op   sqlparser.BinaryOp // vfCompare: the operator, oriented column-op-literal
+	lit  value.Value        // the literal, the pattern, or BETWEEN's lower bound
+	hi   value.Value        // BETWEEN's upper bound
+	list []value.Value      // vfIn: the non-NULL entries
+	// negate: IS NOT NULL, NOT BETWEEN, NOT IN.
+	negate bool
+	// sawNull: a NULL literal took part — a comparison or a bound that is true
+	// for no row, or an IN entry that makes every non-match unknown.
+	sawNull bool
+}
+
+// lowerVecFilter matches one self-filter conjunct of step st against the
+// vectorized dialect. ok=false means the conjunct is outside it — another
+// shape, an operand that is not a column of this step or a literal, or a kind
+// combination whose evaluation raises an error the generic path must surface
+// (an ordering across incomparable kinds, LIKE over non-text) — and compiles
+// normally.
+func (pq *plannedQuery) lowerVecFilter(st *planner.Step, e sqlparser.Expr) (vecFilter, bool) {
+	var f vecFilter
+	var ok bool
 	switch x := e.(type) {
 	case *sqlparser.BinaryExpr:
-		col, lit, op, ok := pq.splitVecCompare(st, x)
+		_, equality, isCmp := cmpTest(x.Op)
+		if !isCmp && x.Op != sqlparser.OpLike {
+			return f, false
+		}
+		f.op = x.Op
+		if f.col, ok = pq.stepCol(st, x.Left); ok {
+			f.lit, ok = litOf(x.Right)
+		} else if isCmp { // pattern LIKE col stays generic
+			if f.lit, ok = litOf(x.Left); ok {
+				f.col, ok = pq.stepCol(st, x.Right)
+				f.op = x.Op.Inverse()
+			}
+		}
 		if !ok {
-			return nil, false
+			return f, false
 		}
-		fast := !pq.ex.st.noZoneMaps.Load()
-		if op == sqlparser.OpLike {
-			return vecLike(col, lit, fast)
+		if !isCmp {
+			f.kind = vfLike
+			return f, f.col.Kind() == value.Text && f.lit.Kind() == value.Text
 		}
-		return vecCompare(col, op, lit, fast)
+		f.sawNull = f.lit.IsNull()
+		// = and <> across incomparable kinds are constant verdicts.
+		return f, f.sawNull || equality || comparableKinds(f.col.Kind(), f.lit.Kind())
 
 	case *sqlparser.IsNullExpr:
-		col, ok := pq.stepCol(st, x.Inner)
-		if !ok {
-			return nil, false
-		}
-		want := !x.Negate
-		return func(ti int) bool { return col.Null(ti) == want }, true
+		f.kind, f.negate = vfNull, x.Negate
+		f.col, ok = pq.stepCol(st, x.Inner)
+		return f, ok
 
 	case *sqlparser.BetweenExpr:
-		return pq.vecBetween(st, x)
+		f.kind, f.negate = vfBetween, x.Negate
+		if f.col, ok = pq.stepCol(st, x.Subject); !ok {
+			return f, false
+		}
+		if f.lit, ok = litOf(x.Lo); !ok {
+			return f, false
+		}
+		if f.hi, ok = litOf(x.Hi); !ok {
+			return f, false
+		}
+		f.sawNull = f.lit.IsNull() || f.hi.IsNull()
+		// Both bound comparisons must be error-free for every non-NULL subject.
+		return f, f.sawNull ||
+			comparableKinds(f.col.Kind(), f.lit.Kind()) && comparableKinds(f.col.Kind(), f.hi.Kind())
 
 	case *sqlparser.InExpr:
-		return pq.vecIn(st, x)
+		f.kind, f.negate = vfIn, x.Negate
+		if x.Subquery != nil {
+			return f, false
+		}
+		if f.col, ok = pq.stepCol(st, x.Subject); !ok {
+			return f, false
+		}
+		f.list = make([]value.Value, 0, len(x.List))
+		for _, it := range x.List {
+			lit, ok := litOf(it)
+			if !ok {
+				return f, false
+			}
+			if lit.IsNull() {
+				f.sawNull = true
+				continue
+			}
+			f.list = append(f.list, lit)
+		}
+		return f, true
 
 	default:
-		return nil, false
+		return f, false
 	}
 }
 
-// splitVecCompare matches col-op-lit (either orientation, flipping the
-// operator for lit-op-col) for comparison and LIKE operators.
-func (pq *plannedQuery) splitVecCompare(st *planner.Step, x *sqlparser.BinaryExpr) (storage.Col, value.Value, sqlparser.BinaryOp, bool) {
-	op := x.Op
-	if _, _, ok := cmpTest(op); !ok && op != sqlparser.OpLike {
-		return storage.Col{}, value.Value{}, 0, false
-	}
-	if col, ok := pq.stepCol(st, x.Left); ok {
-		if lit, ok := litOf(x.Right); ok {
-			return col, lit, op, true
+// emptyIn reports an IN with no entries at all: false — and NOT IN true — for
+// every row, NULL subjects included, like the compiled InExpr's special case.
+func (f *vecFilter) emptyIn() bool { return len(f.list) == 0 && !f.sawNull }
+
+// pred builds the row test. NULL subjects reject everything but IS NULL and
+// the empty NOT IN; the rest follows compareOp, likeMatch and value.Equal
+// exactly. fast gates the encoded fast paths (frame-of-reference deltas,
+// sorted-dictionary rank compares) together with the rest of the zone-map
+// layer, so disabling zone maps reverts the scan to plain payload reads.
+func (f *vecFilter) pred(fast bool) vecPred {
+	col := f.col
+	switch f.kind {
+	case vfCompare:
+		if f.sawNull {
+			return vecFalse // comparison with NULL is never true
 		}
-		return storage.Col{}, value.Value{}, 0, false
-	}
-	if op == sqlparser.OpLike {
-		return storage.Col{}, value.Value{}, 0, false // pattern LIKE col: keep generic
-	}
-	if lit, ok := litOf(x.Left); ok {
-		if col, ok := pq.stepCol(st, x.Right); ok {
-			switch op { // flip to col-op-lit orientation
-			case sqlparser.OpLt:
-				op = sqlparser.OpGt
-			case sqlparser.OpLe:
-				op = sqlparser.OpGe
-			case sqlparser.OpGt:
-				op = sqlparser.OpLt
-			case sqlparser.OpGe:
-				op = sqlparser.OpLe
+		return cmpPred(col, f.op, f.lit, fast)
+
+	case vfLike:
+		return likePred(col, f.lit.Text(), fast)
+
+	case vfNull:
+		want := !f.negate
+		return func(ti int) bool { return col.Null(ti) == want }
+
+	case vfBetween:
+		if f.sawNull {
+			return vecFalse // NULL bound: the test is unknown for every row
+		}
+		ge := cmpPred(col, sqlparser.OpGe, f.lit, fast)
+		le := cmpPred(col, sqlparser.OpLe, f.hi, fast)
+		if f.negate {
+			return notNull(col, func(ti int) bool { return !(ge(ti) && le(ti)) })
+		}
+		return func(ti int) bool { return ge(ti) && le(ti) }
+
+	default: // vfIn
+		negate, sawNull := f.negate, f.sawNull
+		if f.emptyIn() {
+			return func(int) bool { return negate }
+		}
+		member := vecMembership(col, f.list)
+		return notNull(col, func(ti int) bool {
+			if member(ti) {
+				return !negate
 			}
-			return col, lit, op, true
-		}
+			if sawNull {
+				return false // unknown either way
+			}
+			return negate
+		})
 	}
-	return storage.Col{}, value.Value{}, 0, false
 }
 
 // comparableKinds reports whether a column of kind ck orders against a
-// literal of kind lk without error (mirrors value.Compare).
+// literal of kind lk without error (value.Compare's rule).
 func comparableKinds(ck, lk value.Kind) bool {
 	if (ck == value.Int || ck == value.Float) && (lk == value.Int || lk == value.Float) {
 		return true
@@ -173,27 +274,16 @@ func comparableKinds(ck, lk value.Kind) bool {
 	return ck == lk && ck != value.Null
 }
 
-// vecCompare builds the column-vs-literal comparison predicate. Semantics
-// mirror compareOp exactly: NULL rejects, mismatched non-numeric kinds are
-// false (not an error) for = and <>, and an ordering across them stays on
-// the generic path so its error surfaces. fast gates the encoded fast paths
-// (frame-of-reference deltas, sorted-dictionary rank compares) together with
-// the rest of the zone-map layer, so disabling zone maps reverts the scan to
-// plain payload reads.
-func vecCompare(col storage.Col, op sqlparser.BinaryOp, lit value.Value, fast bool) (vecPred, bool) {
-	test, equality, _ := cmpTest(op)
-	if lit.IsNull() {
-		return vecFalse, true // comparison with NULL is never true
-	}
+// cmpPred tests the column against a non-NULL literal. Across incomparable
+// kinds only = and <> get here (lowerVecFilter keeps orderings generic, so
+// their error surfaces): = is false and <> true for every non-NULL row.
+func cmpPred(col storage.Col, op sqlparser.BinaryOp, lit value.Value, fast bool) vecPred {
+	test, _, _ := cmpTest(op)
 	if !comparableKinds(col.Kind(), lit.Kind()) {
-		if !equality {
-			return nil, false // ordering across kinds errors; keep generic
-		}
-		// = is false and <> is true across mismatched non-numeric kinds.
 		if op == sqlparser.OpEq {
-			return vecFalse, true
+			return vecFalse
 		}
-		return notNull(col, func(int) bool { return true }), true
+		return notNull(col, func(int) bool { return true })
 	}
 	switch col.Kind() {
 	case value.Int:
@@ -204,43 +294,43 @@ func vecCompare(col storage.Col, op sqlparser.BinaryOp, lit value.Value, fast bo
 			return notNull(col, func(ti int) bool {
 				x := fb[ti>>storage.ZoneShift] + int64(d8[ti>>storage.ZoneShift][ti&storage.ZoneMask])
 				return test(cmpFloat(float64(x), lf))
-			}), true
+			})
 		}
 		xs := col.Ints()
-		return notNull(col, func(ti int) bool { return test(cmpFloat(float64(xs[ti]), lf)) }), true
+		return notNull(col, func(ti int) bool { return test(cmpFloat(float64(xs[ti]), lf)) })
 	case value.Float:
 		xs := col.Floats()
 		lf := lit.Float()
-		return notNull(col, func(ti int) bool { return test(cmpFloat(xs[ti], lf)) }), true
+		return notNull(col, func(ti int) bool { return test(cmpFloat(xs[ti], lf)) })
 	case value.Date:
 		ld := lit.DateDays()
 		if fb, d8, ok := col.FORInts(); ok && fast {
 			return notNull(col, func(ti int) bool {
 				x := fb[ti>>storage.ZoneShift] + int64(d8[ti>>storage.ZoneShift][ti&storage.ZoneMask])
 				return test(cmpInt(x, ld))
-			}), true
+			})
 		}
 		xs := col.Ints()
-		return notNull(col, func(ti int) bool { return test(cmpInt(xs[ti], ld)) }), true
+		return notNull(col, func(ti int) bool { return test(cmpInt(xs[ti], ld)) })
 	case value.Bool:
 		xs := col.Bools()
 		lb := lit.Bool()
-		return notNull(col, func(ti int) bool { return test(cmpBool(xs[ti], lb)) }), true
-	case value.Text:
+		return notNull(col, func(ti int) bool { return test(cmpBool(xs[ti], lb)) })
+	default: // Text
 		codes := col.Codes()
 		switch op {
 		case sqlparser.OpEq:
 			code, present := col.DictCode(lit.Text())
 			if !present {
-				return vecFalse, true // the string never occurs in the column
+				return vecFalse // the string never occurs in the column
 			}
-			return notNull(col, func(ti int) bool { return codes[ti] == code }), true
+			return notNull(col, func(ti int) bool { return codes[ti] == code })
 		case sqlparser.OpNe:
 			code, present := col.DictCode(lit.Text())
 			if !present {
-				return notNull(col, func(int) bool { return true }), true
+				return notNull(col, func(int) bool { return true })
 			}
-			return notNull(col, func(ti int) bool { return codes[ti] != code }), true
+			return notNull(col, func(ti int) bool { return codes[ti] != code })
 		default:
 			ls := lit.Text()
 			if fast && col.SortedDict() {
@@ -263,7 +353,7 @@ func vecCompare(col storage.Col, op sqlparser.BinaryOp, lit value.Value, fast bo
 				default: // OpGe
 					rtest = func(r uint32) bool { return r >= lb }
 				}
-				return notNull(col, func(ti int) bool { return rtest(ranks[codes[ti]]) }), true
+				return notNull(col, func(ti int) bool { return rtest(ranks[codes[ti]]) })
 			}
 			// Ordering: one verdict per dictionary entry, then a code lookup
 			// per row.
@@ -272,22 +362,15 @@ func vecCompare(col storage.Col, op sqlparser.BinaryOp, lit value.Value, fast bo
 				s := col.DictString(uint32(c))
 				verdict[c] = test(cmpString(s, ls))
 			}
-			return notNull(col, func(ti int) bool { return verdict[codes[ti]] }), true
+			return notNull(col, func(ti int) bool { return verdict[codes[ti]] })
 		}
-	default:
-		return nil, false
 	}
 }
 
-// vecLike precomputes the LIKE verdict per dictionary entry. Non-text
-// operands error in the generic path, so they stay there. With a sorted
+// likePred precomputes the LIKE verdict per dictionary entry. With a sorted
 // dictionary, a pure prefix pattern ('abc%') becomes a rank-range compare:
 // matches are exactly the strings in [prefix, successor).
-func vecLike(col storage.Col, lit value.Value, fast bool) (vecPred, bool) {
-	if col.Kind() != value.Text || lit.Kind() != value.Text {
-		return nil, false // NULL patterns and non-text operands stay generic
-	}
-	pat := lit.Text()
+func likePred(col storage.Col, pat string, fast bool) vecPred {
 	if fast && col.SortedDict() {
 		if prefix, prefixOnly := planner.LikePrefix(pat); prefixOnly && (prefix == "" || likePrefixSafe(prefix)) {
 			lb := uint32(col.LowerBoundRank(prefix))
@@ -300,7 +383,7 @@ func vecLike(col storage.Col, lit value.Value, fast bool) (vecPred, bool) {
 			return notNull(col, func(ti int) bool {
 				r := ranks[codes[ti]]
 				return r >= lb && r < ub
-			}), true
+			})
 		}
 	}
 	verdict := make([]bool, col.DictLen())
@@ -308,96 +391,13 @@ func vecLike(col storage.Col, lit value.Value, fast bool) (vecPred, bool) {
 		verdict[c] = likeMatch(col.DictString(uint32(c)), pat)
 	}
 	codes := col.Codes()
-	return notNull(col, func(ti int) bool { return verdict[codes[ti]] }), true
-}
-
-// vecBetween lowers subject BETWEEN lo AND hi with literal bounds.
-func (pq *plannedQuery) vecBetween(st *planner.Step, x *sqlparser.BetweenExpr) (vecPred, bool) {
-	col, ok := pq.stepCol(st, x.Subject)
-	if !ok {
-		return nil, false
-	}
-	lo, ok := litOf(x.Lo)
-	if !ok {
-		return nil, false
-	}
-	hi, ok := litOf(x.Hi)
-	if !ok {
-		return nil, false
-	}
-	if lo.IsNull() || hi.IsNull() {
-		return vecFalse, true // NULL bound: the test is unknown for every row
-	}
-	// Both bound comparisons must be error-free for every non-NULL subject.
-	if !comparableKinds(col.Kind(), lo.Kind()) || !comparableKinds(col.Kind(), hi.Kind()) {
-		return nil, false
-	}
-	fast := !pq.ex.st.noZoneMaps.Load()
-	ge, ok := vecCompare(col, sqlparser.OpGe, lo, fast)
-	if !ok {
-		return nil, false
-	}
-	le, ok := vecCompare(col, sqlparser.OpLe, hi, fast)
-	if !ok {
-		return nil, false
-	}
-	if x.Negate {
-		return notNull(col, func(ti int) bool { return !(ge(ti) && le(ti)) }), true
-	}
-	return func(ti int) bool { return ge(ti) && le(ti) }, true
-}
-
-// vecIn lowers subject IN (literal, ...) via Equal semantics: membership by
-// payload, NULL list entries make non-matches unknown (rejected).
-func (pq *plannedQuery) vecIn(st *planner.Step, x *sqlparser.InExpr) (vecPred, bool) {
-	if x.Subquery != nil {
-		return nil, false
-	}
-	col, ok := pq.stepCol(st, x.Subject)
-	if !ok {
-		return nil, false
-	}
-	lits := make([]value.Value, 0, len(x.List))
-	sawNull := false
-	for _, it := range x.List {
-		lit, ok := litOf(it)
-		if !ok {
-			return nil, false
-		}
-		if lit.IsNull() {
-			sawNull = true
-			continue
-		}
-		lits = append(lits, lit)
-	}
-	if len(x.List) == 0 {
-		// IN () is false, NOT IN () is true — even for NULL subjects,
-		// matching the compiled InExpr's empty-list special case.
-		if x.Negate {
-			return func(int) bool { return true }, true
-		}
-		return vecFalse, true
-	}
-	member, ok := vecMembership(col, lits)
-	if !ok {
-		return nil, false
-	}
-	negate := x.Negate
-	return notNull(col, func(ti int) bool {
-		if member(ti) {
-			return !negate
-		}
-		if sawNull {
-			return false // unknown either way
-		}
-		return negate
-	}), true
+	return notNull(col, func(ti int) bool { return verdict[codes[ti]] })
 }
 
 // vecMembership builds a payload-set membership test for the column kind.
 // List entries of foreign kinds can never match (value.Equal semantics) and
 // are simply ignored.
-func vecMembership(col storage.Col, lits []value.Value) (vecPred, bool) {
+func vecMembership(col storage.Col, lits []value.Value) vecPred {
 	switch col.Kind() {
 	case value.Int, value.Float:
 		set := make(map[float64]bool, len(lits))
@@ -408,10 +408,10 @@ func vecMembership(col storage.Col, lits []value.Value) (vecPred, bool) {
 		}
 		if col.Kind() == value.Int {
 			xs := col.Ints()
-			return func(ti int) bool { return set[float64(xs[ti])] }, true
+			return func(ti int) bool { return set[float64(xs[ti])] }
 		}
 		xs := col.Floats()
-		return func(ti int) bool { return set[xs[ti]] }, true
+		return func(ti int) bool { return set[xs[ti]] }
 	case value.Text:
 		set := make(map[uint32]bool, len(lits))
 		for _, l := range lits {
@@ -422,7 +422,7 @@ func vecMembership(col storage.Col, lits []value.Value) (vecPred, bool) {
 			}
 		}
 		codes := col.Codes()
-		return func(ti int) bool { return set[codes[ti]] }, true
+		return func(ti int) bool { return set[codes[ti]] }
 	case value.Date:
 		set := make(map[int64]bool, len(lits))
 		for _, l := range lits {
@@ -431,8 +431,8 @@ func vecMembership(col storage.Col, lits []value.Value) (vecPred, bool) {
 			}
 		}
 		xs := col.Ints()
-		return func(ti int) bool { return set[xs[ti]] }, true
-	case value.Bool:
+		return func(ti int) bool { return set[xs[ti]] }
+	default: // Bool
 		var hasT, hasF bool
 		for _, l := range lits {
 			if l.Kind() == value.Bool {
@@ -449,9 +449,7 @@ func vecMembership(col storage.Col, lits []value.Value) (vecPred, bool) {
 				return hasT
 			}
 			return hasF
-		}, true
-	default:
-		return nil, false
+		}
 	}
 }
 
@@ -563,54 +561,46 @@ func (ex *Engine) tryVecScan(sel *sqlparser.SelectStmt, entries []fromEntry, pq 
 		}
 	}
 
-	preds := pq.stepVec[0]
 	n := tbl.Len()
 	bud := ex.bud
 	bud.AddTotal(n)
-	matched := 0
-	if zp := pq.zp; zp != nil {
-		// Zone-pruned counting: a morsel whose bounds disprove the filters
-		// contributes nothing without touching a payload, and one the probes
-		// prove all-true contributes its full length without testing a row.
-		zoneWalk(0, n, func(z, segLo, segHi int, owned bool) bool {
-			if bud.Step(segHi-segLo) != nil {
-				return false
+	// Both passes poll the budget once per storage zone — the first charges
+	// the zone's rows — and walk what the zone probes leave of it.
+	pass := func(charge, note bool, rows func(segLo, segHi int, tested bool) bool) error {
+		for lo := 0; lo < n; lo += storage.ZoneRows {
+			hi := min(lo+storage.ZoneRows, n)
+			examined := 0
+			if charge {
+				examined = hi - lo
 			}
-			v := zp.verdict(z)
-			if owned {
-				zp.note(v)
+			if err := bud.Step(examined); err != nil {
+				return err
 			}
-			switch v {
-			case zoneAllFalse:
-			case zoneAllTrue:
-				matched += segHi - segLo
-			default:
-				for ti := segLo; ti < segHi; ti++ {
-					if pq.vecPass(0, ti) {
-						matched++
-					}
-				}
+			if !pq.scanBase(lo, hi, note, rows) {
+				break
 			}
-			return true
-		})
-		if err := bud.Err(); err != nil {
-			return nil, true, err
 		}
-		pq.finishZoneSkip()
-	} else {
-	scan:
-		for ti := 0; ti < n; ti++ {
-			if err := bud.Tick(ti); err != nil {
-				return nil, true, err
-			}
-			for _, p := range preds {
-				if !p(ti) {
-					continue scan
-				}
-			}
-			matched++
-		}
+		return nil
 	}
+	// Counting pass: a morsel the probes prove all-true contributes its full
+	// length without testing a row.
+	matched := 0
+	err = pass(true, true, func(segLo, segHi int, tested bool) bool {
+		if !tested {
+			matched += segHi - segLo
+			return true
+		}
+		for ti := segLo; ti < segHi; ti++ {
+			if pq.vecPass(0, ti) {
+				matched++
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return nil, true, err
+	}
+	pq.finishZoneSkip()
 	st.ActualRows = matched
 	pq.plan.ActualRows = matched
 
@@ -648,41 +638,17 @@ func (ex *Engine) tryVecScan(sel *sqlparser.SelectStmt, entries []fromEntry, pq 
 		}
 		out.Rows = append(out.Rows, storage.Tuple(row))
 	}
-	if zp := pq.zp; zp != nil {
-		// Same pruning as the counting pass (verdicts were already accounted
-		// there); all-true morsels project without re-testing the filters.
-		zoneWalk(0, n, func(z, segLo, segHi int, _ bool) bool {
-			if bud.Step(0) != nil {
-				return false
+	// Same pruning as the counting pass, whose verdicts were accounted there.
+	err = pass(false, false, func(segLo, segHi int, tested bool) bool {
+		for ti := segLo; ti < segHi && len(out.Rows) < emitN; ti++ {
+			if !tested || pq.vecPass(0, ti) {
+				project(ti)
 			}
-			v := zp.verdict(z)
-			if v == zoneAllFalse {
-				return len(out.Rows) < emitN
-			}
-			skipVec := v == zoneAllTrue
-			for ti := segLo; ti < segHi && len(out.Rows) < emitN; ti++ {
-				if skipVec || pq.vecPass(0, ti) {
-					project(ti)
-				}
-			}
-			return len(out.Rows) < emitN
-		})
-		if err := bud.Err(); err != nil {
-			return nil, true, err
 		}
-	} else {
-	fill:
-		for ti := 0; ti < n && len(out.Rows) < emitN; ti++ {
-			if err := bud.Tick(ti); err != nil {
-				return nil, true, err
-			}
-			for _, p := range preds {
-				if !p(ti) {
-					continue fill
-				}
-			}
-			project(ti)
-		}
+		return len(out.Rows) < emitN
+	})
+	if err != nil {
+		return nil, true, err
 	}
 
 	keyOf := func(i int, k *plannedSortKey) (value.Value, error) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"unicode/utf8"
@@ -14,16 +15,15 @@ import (
 
 // This file consumes the storage layer's zone maps: per-morsel min/max/null
 // summaries (storage.ZoneRows positions each) that the scan probes before
-// touching column payloads. A probe compiles one vectorized filter conjunct to
-// a per-zone verdict — all-false lets the scan skip the morsel outright,
-// all-true lets counting passes take whole morsels without testing a row. The
-// verdicts must describe the predicate's result over EVERY row of the zone,
-// NULLs included (NULL rejects a comparison, satisfies IS NULL), and they are
-// deliberately conservative: anything the bounds cannot decide is "mixed" and
-// the rows are tested one by one, so zone-pruned execution is byte-identical
-// to the plain scan. Mirroring the vec-aggregate discipline, the engine
-// removes the planner's zone-skip shape step in place whenever it cannot
-// build a probe, so EXPLAIN always narrates what actually ran.
+// touching column payloads. A probe is a vecFilter's per-zone verdict —
+// all-false lets the scan skip the morsel outright, all-true lets it take the
+// whole morsel without testing a row. The verdicts must describe the
+// predicate's result over EVERY row of the zone, NULLs included (NULL rejects
+// a comparison, satisfies IS NULL), and they are deliberately conservative:
+// anything the bounds cannot decide is "mixed" and the rows are tested one by
+// one, so zone-pruned execution is byte-identical to the plain scan. The
+// plan's zone-skip shape step is added here, by compilePlan, when it built a
+// probe — so EXPLAIN narrates a skip exactly when the scan consults one.
 
 // zoneVerdict is a probe's answer for one zone.
 type zoneVerdict int8
@@ -47,21 +47,18 @@ const (
 // zoneProbe answers one filter conjunct for zone z.
 type zoneProbe func(z int) zoneVerdict
 
-// zoneCounter tallies probed and skipped zones for one query. It sits behind
-// a pointer on plannedQuery because the grouped pipeline copies the struct.
-type zoneCounter struct {
-	probed  atomic.Int64
-	skipped atomic.Int64
-}
-
-// zoneProbeSet is the compiled zone side of a scan: one probe per vectorized
-// filter conjunct that lowered to a bounds test.
+// zoneProbeSet is the compiled zone side of a base scan: one probe per
+// vectorized filter conjunct whose verdict zone bounds can give.
 type zoneProbeSet struct {
 	probes []zoneProbe
 	// full reports that every vectorized predicate has a probe, so an
 	// all-true combined verdict proves the whole vectorized prefix passes.
 	full bool
-	zc   *zoneCounter
+	// n is the table's row count; step the plan's zone-skip shape step, which
+	// reports the zones skipped once the scan is done.
+	n       int
+	step    *planner.ShapeStep
+	skipped atomic.Int64
 }
 
 // Cumulative process-wide counters, exposed for benchmarks to assert that
@@ -99,33 +96,44 @@ func (zp *zoneProbeSet) verdict(z int) zoneVerdict {
 	return v
 }
 
-// note records one probed zone's outcome. Callers invoke it only for zones
-// whose first row falls inside their range, so parallel workers never
-// double-count a zone split across chunk boundaries.
+// note records one probed zone's outcome.
 func (zp *zoneProbeSet) note(v zoneVerdict) {
-	zp.zc.probed.Add(1)
 	zoneStatProbed.Add(1)
 	if v == zoneAllFalse {
-		zp.zc.skipped.Add(1)
+		zp.skipped.Add(1)
 		zoneStatSkipped.Add(1)
 	}
 }
 
-// zoneWalk invokes fn once per storage-zone-aligned segment covering [lo, hi):
-// fn(z, segLo, segHi, owned), where owned reports that segLo is zone z's first
-// row (the caller owns that zone's accounting). fn returns false to stop.
-func zoneWalk(lo, hi int, fn func(z, segLo, segHi int, owned bool) bool) {
+// scanBase is the base-table walk every scan shares. It covers rows [lo, hi)
+// one storage zone at a time and hands rows each segment the zone probes
+// cannot rule out; tested=false means they proved the whole vectorized filter
+// prefix for the segment (or there is none), so the caller takes every row,
+// and otherwise it tests each with vecPass(0, ti). Without probes the range is
+// one segment. rows returns false to stop the walk, and scanBase reports
+// whether it ran to the end.
+//
+// With note set the walk accounts each zone whose first row lies in [lo, hi):
+// exactly one pass over the table sets it, and parallel workers never count a
+// zone twice however their ranges split it.
+func (pq *plannedQuery) scanBase(lo, hi int, note bool, rows func(segLo, segHi int, tested bool) bool) bool {
+	zp := pq.zp
+	if zp == nil {
+		return rows(lo, hi, len(pq.stepVec[0]) > 0)
+	}
 	for s := lo; s < hi; {
 		z := s >> storage.ZoneShift
-		e := (z + 1) << storage.ZoneShift
-		if e > hi {
-			e = hi
+		e := min((z+1)<<storage.ZoneShift, hi)
+		v := zp.verdict(z)
+		if note && s == z<<storage.ZoneShift {
+			zp.note(v)
 		}
-		if !fn(z, s, e, s == z<<storage.ZoneShift) {
-			return
+		if v != zoneAllFalse && !rows(s, e, v != zoneAllTrue) {
+			return false
 		}
 		s = e
 	}
+	return true
 }
 
 // zoneLenAt returns the number of rows zone z covers in a table of n rows.
@@ -138,119 +146,125 @@ func zoneLenAt(z, n int) int {
 	return hi - lo
 }
 
-// ---------------------------------------------------------------------------
-// Shape bookkeeping (mirrors the parallel-scan helpers)
-// ---------------------------------------------------------------------------
-
-func hasZoneSkip(plan *planner.Plan) bool {
-	for _, sh := range plan.Shape {
-		if sh.Kind == planner.ShapeZoneSkip {
-			return true
-		}
+// newZoneProbeSet returns an empty probe set for the plan's base scan when
+// probing it can pay — the planner's cost gate passes, zone maps are enabled
+// and every column's zones are in sync with the table — and nil otherwise.
+// compilePlan fills it from the step's vectorized filters.
+func (pq *plannedQuery) newZoneProbeSet() *zoneProbeSet {
+	st := pq.plan.Steps[0]
+	step := planner.ZoneSkipStep(st)
+	if step == nil || pq.ex.st.noZoneMaps.Load() {
+		return nil
 	}
-	return false
-}
-
-// removeZoneSkip drops the zone-skip step — the engine could not build (or
-// was told not to use) the probes, and the narrated plan must say so.
-func removeZoneSkip(plan *planner.Plan) {
-	shape := plan.Shape[:0]
-	for _, sh := range plan.Shape {
-		if sh.Kind != planner.ShapeZoneSkip {
-			shape = append(shape, sh)
-		}
-	}
-	plan.Shape = shape
-}
-
-// setZoneSkipActual records how many morsels the scan skipped.
-func setZoneSkipActual(plan *planner.Plan, skipped int) {
-	for _, sh := range plan.Shape {
-		if sh.Kind == planner.ShapeZoneSkip {
-			sh.ActualRows = skipped
-		}
-	}
-}
-
-// finishZoneSkip copies the skip counter onto the shape step after a scan.
-func (pq *plannedQuery) finishZoneSkip() {
-	if pq.zp != nil {
-		setZoneSkipActual(pq.plan, int(pq.zp.zc.skipped.Load()))
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Probe compilation
-// ---------------------------------------------------------------------------
-
-// compileZoneSkip builds the probe set for the plan's zone-skip shape step.
-// Probes compile per conjunct of the base step's vectorized filter prefix —
-// only predicates the scan actually applies may justify skipping rows. When
-// no conjunct lowers to a probe (or zone maps are disabled, or the zones are
-// out of sync with the table), the shape step is removed in place.
-func (pq *plannedQuery) compileZoneSkip() {
-	plan := pq.plan
-	if pq.ex.st.noZoneMaps.Load() {
-		removeZoneSkip(plan)
-		return
-	}
-	st := plan.Steps[0]
 	n := st.Input.Tbl.Len()
-	if st.Access != planner.ScanFull || n == 0 {
-		removeZoneSkip(plan)
-		return
-	}
 	for pos := range st.Input.Rel.Attributes {
 		if !st.Input.Tbl.Col(pos).ZonesSynced(n) {
-			removeZoneSkip(plan)
-			return
+			return nil
 		}
 	}
-	zp := &zoneProbeSet{zc: &zoneCounter{}}
-	nvec := len(pq.stepVec[0])
-	for i := 0; i < nvec; i++ {
-		if p, ok := pq.compileZoneProbe(st, st.SelfFilters[i], n); ok {
-			zp.probes = append(zp.probes, p)
-		}
-	}
-	if len(zp.probes) == 0 {
-		removeZoneSkip(plan)
-		return
-	}
-	zp.full = len(zp.probes) == nvec
-	pq.zp = zp
+	return &zoneProbeSet{n: n, step: step}
 }
 
-// compileZoneProbe lowers one vectorized filter conjunct to a zone probe.
-// The cases mirror compileVecFilter exactly — a probe's verdict must agree
-// with the vecPred it summarizes on every row.
-func (pq *plannedQuery) compileZoneProbe(st *planner.Step, e sqlparser.Expr, n int) (zoneProbe, bool) {
-	switch x := e.(type) {
-	case *sqlparser.BinaryExpr:
-		col, lit, op, ok := pq.splitVecCompare(st, x)
-		if !ok {
+// useZoneProbes arms the scan with the probes compilePlan collected, if any,
+// and says so first in the plan's shape.
+func (pq *plannedQuery) useZoneProbes(zp *zoneProbeSet) {
+	if zp == nil || len(zp.probes) == 0 {
+		return
+	}
+	zp.full = len(zp.probes) == len(pq.stepVec[0])
+	pq.zp = zp
+	pq.plan.Shape = slices.Insert(pq.plan.Shape, 0, zp.step)
+}
+
+// finishZoneSkip records on the shape step how many morsels the scan skipped.
+func (pq *plannedQuery) finishZoneSkip() {
+	if pq.zp != nil {
+		pq.zp.step.ActualRows = int(pq.zp.skipped.Load())
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Probes
+// ---------------------------------------------------------------------------
+
+// probe builds the filter's zone verdict for a table of n rows — the same
+// predicate pred tests row by row, answered from a zone's bounds and NULL
+// count. ok=false means bounds say nothing about it: a LIKE whose pattern has
+// no literal prefix to compare them with, or one byte-wise comparison cannot
+// be trusted on.
+func (f *vecFilter) probe(n int) (zoneProbe, bool) {
+	col := f.col
+	switch f.kind {
+	case vfCompare:
+		if f.sawNull {
+			return zoneConst(zoneAllFalse), true
+		}
+		return cmpProbe(col, f.op, f.lit, n), true
+
+	case vfLike:
+		// Any match sorts inside [prefix, successor), so zone string bounds
+		// outside that range are all-false; a pure prefix pattern inside it
+		// (NULL-free) is all-true.
+		prefix, prefixOnly := planner.LikePrefix(f.lit.Text())
+		if prefix == "" || !likePrefixSafe(prefix) {
 			return nil, false
 		}
-		if op == sqlparser.OpLike {
-			return zoneLikeProbe(col, lit, n)
+		succ, succOK := planner.PrefixSuccessor(prefix)
+		return wrapZoneProbe(col, n, func(z int) rangeVerdict {
+			lo, hi, ok := col.ZoneTextBounds(z)
+			if !ok {
+				return rMixed
+			}
+			if hi < prefix || (succOK && lo >= succ) {
+				return rNone
+			}
+			if prefixOnly && lo >= prefix && (!succOK || hi < succ) {
+				return rAll
+			}
+			return rMixed
+		}), true
+
+	case vfNull:
+		return zoneNullProbe(col, !f.negate, n), true
+
+	case vfBetween:
+		if f.sawNull {
+			return zoneConst(zoneAllFalse), true
 		}
-		return zoneCompareProbe(col, op, lit, n)
-
-	case *sqlparser.IsNullExpr:
-		col, ok := pq.stepCol(st, x.Inner)
-		if !ok {
-			return nil, false
+		// The two bound comparisons composed; NULL subjects reject either way.
+		ge := zoneCmpRange(col, sqlparser.OpGe, f.lit)
+		le := zoneCmpRange(col, sqlparser.OpLe, f.hi)
+		rv := func(z int) rangeVerdict {
+			a, b := ge(z), le(z)
+			switch {
+			case a == rNone || b == rNone:
+				return rNone
+			case a == rAll && b == rAll:
+				return rAll
+			}
+			return rMixed
 		}
-		return zoneNullProbe(col, !x.Negate, n), true
+		if f.negate {
+			rv = rangeNot(rv)
+		}
+		return wrapZoneProbe(col, n, rv), true
 
-	case *sqlparser.BetweenExpr:
-		return pq.zoneBetweenProbe(st, x, n)
-
-	case *sqlparser.InExpr:
-		return pq.zoneInProbe(st, x, n)
-
-	default:
-		return nil, false
+	default: // vfIn
+		if f.emptyIn() {
+			if f.negate {
+				return zoneConst(zoneAllTrue), true
+			}
+			return zoneConst(zoneAllFalse), true
+		}
+		if f.negate && f.sawNull {
+			// x NOT IN (..., NULL, ...): members are false, non-members unknown.
+			return zoneConst(zoneAllFalse), true
+		}
+		rv := zoneMembershipRange(col, f.list)
+		if f.negate {
+			rv = rangeNot(rv)
+		}
+		return wrapZoneProbe(col, n, rv), true
 	}
 }
 
@@ -325,16 +339,16 @@ func cmpRangeVerdict(op sqlparser.BinaryOp, cmpLo, cmpHi int) rangeVerdict {
 	return rMixed
 }
 
-// zoneCmpRange builds the value-level verdict of col-op-lit over zone bounds.
-// Kinds must already be comparable (caller mirrors vecCompare's checks).
-func zoneCmpRange(col storage.Col, op sqlparser.BinaryOp, lit value.Value) (func(z int) rangeVerdict, bool) {
+// zoneCmpRange builds the value-level verdict of col-op-lit over zone bounds,
+// for a literal of a kind the column orders against.
+func zoneCmpRange(col storage.Col, op sqlparser.BinaryOp, lit value.Value) func(z int) rangeVerdict {
 	test, _, _ := cmpTest(op)
 	switch col.Kind() {
 	case value.Int:
 		lf := lit.Float()
 		if math.IsNaN(lf) {
 			// cmpFloat(x, NaN) is 0 for every x: the predicate is constant.
-			return constRange(test(0)), true
+			return constRange(test(0))
 		}
 		return func(z int) rangeVerdict {
 			lo, hi, ok := col.ZoneIntBounds(z)
@@ -342,11 +356,11 @@ func zoneCmpRange(col storage.Col, op sqlparser.BinaryOp, lit value.Value) (func
 				return rMixed
 			}
 			return cmpRangeVerdict(op, cmpFloat(float64(lo), lf), cmpFloat(float64(hi), lf))
-		}, true
+		}
 	case value.Float:
 		lf := lit.Float()
 		if math.IsNaN(lf) {
-			return constRange(test(0)), true
+			return constRange(test(0))
 		}
 		return func(z int) rangeVerdict {
 			if col.ZoneHasNaN(z) {
@@ -359,7 +373,7 @@ func zoneCmpRange(col storage.Col, op sqlparser.BinaryOp, lit value.Value) (func
 				return rMixed
 			}
 			return cmpRangeVerdict(op, cmpFloat(lo, lf), cmpFloat(hi, lf))
-		}, true
+		}
 	case value.Date:
 		ld := lit.DateDays()
 		return func(z int) rangeVerdict {
@@ -368,7 +382,7 @@ func zoneCmpRange(col storage.Col, op sqlparser.BinaryOp, lit value.Value) (func
 				return rMixed
 			}
 			return cmpRangeVerdict(op, cmpInt(lo, ld), cmpInt(hi, ld))
-		}, true
+		}
 	case value.Bool:
 		var lb int64
 		if lit.Bool() {
@@ -380,8 +394,8 @@ func zoneCmpRange(col storage.Col, op sqlparser.BinaryOp, lit value.Value) (func
 				return rMixed
 			}
 			return cmpRangeVerdict(op, cmpInt(lo, lb), cmpInt(hi, lb))
-		}, true
-	case value.Text:
+		}
+	default: // Text
 		ls := lit.Text()
 		return func(z int) rangeVerdict {
 			lo, hi, ok := col.ZoneTextBounds(z)
@@ -389,9 +403,7 @@ func zoneCmpRange(col storage.Col, op sqlparser.BinaryOp, lit value.Value) (func
 				return rMixed
 			}
 			return cmpRangeVerdict(op, cmpString(lo, ls), cmpString(hi, ls))
-		}, true
-	default:
-		return nil, false
+		}
 	}
 }
 
@@ -402,39 +414,26 @@ func constRange(pass bool) func(int) rangeVerdict {
 	return func(int) rangeVerdict { return rNone }
 }
 
-// zoneCompareProbe mirrors vecCompare: NULL literals and mismatched-kind
-// equalities are constant verdicts, everything else decides from bounds.
-func zoneCompareProbe(col storage.Col, op sqlparser.BinaryOp, lit value.Value, n int) (zoneProbe, bool) {
-	_, equality, _ := cmpTest(op)
-	if lit.IsNull() {
-		return zoneConst(zoneAllFalse), true
-	}
+// cmpProbe is cmpPred's verdict: a mismatched-kind equality and a string the
+// dictionary never saw are constant, everything else decides from bounds.
+func cmpProbe(col storage.Col, op sqlparser.BinaryOp, lit value.Value, n int) zoneProbe {
 	if !comparableKinds(col.Kind(), lit.Kind()) {
-		if !equality {
-			return nil, false // vecCompare declined too; keep mirroring it
-		}
 		if op == sqlparser.OpEq {
-			return zoneConst(zoneAllFalse), true
+			return zoneConst(zoneAllFalse)
 		}
-		return wrapZoneProbe(col, n, rangeAll), true // <> across kinds: true when non-NULL
+		return wrapZoneProbe(col, n, rangeAll) // <> across kinds: true when non-NULL
 	}
 	if col.Kind() == value.Text {
-		// Mirror vecCompare's dictionary shortcut: a string absent from the
-		// dictionary occurs in no row.
 		if _, present := col.DictCode(lit.Text()); !present {
 			switch op {
 			case sqlparser.OpEq:
-				return zoneConst(zoneAllFalse), true
+				return zoneConst(zoneAllFalse)
 			case sqlparser.OpNe:
-				return wrapZoneProbe(col, n, rangeAll), true
+				return wrapZoneProbe(col, n, rangeAll)
 			}
 		}
 	}
-	rv, ok := zoneCmpRange(col, op, lit)
-	if !ok {
-		return nil, false
-	}
-	return wrapZoneProbe(col, n, rv), true
+	return wrapZoneProbe(col, n, zoneCmpRange(col, op, lit))
 }
 
 // zoneNullProbe answers IS [NOT] NULL straight from the zone's NULL count.
@@ -461,103 +460,12 @@ func zoneNullProbe(col storage.Col, want bool, n int) zoneProbe {
 	}
 }
 
-// zoneBetweenProbe composes the two bound comparisons, flipping the verdict
-// for NOT BETWEEN (NULL subjects reject either way, matching vecBetween).
-func (pq *plannedQuery) zoneBetweenProbe(st *planner.Step, x *sqlparser.BetweenExpr, n int) (zoneProbe, bool) {
-	col, ok := pq.stepCol(st, x.Subject)
-	if !ok {
-		return nil, false
-	}
-	lo, ok := litOf(x.Lo)
-	if !ok {
-		return nil, false
-	}
-	hi, ok := litOf(x.Hi)
-	if !ok {
-		return nil, false
-	}
-	if lo.IsNull() || hi.IsNull() {
-		return zoneConst(zoneAllFalse), true
-	}
-	if !comparableKinds(col.Kind(), lo.Kind()) || !comparableKinds(col.Kind(), hi.Kind()) {
-		return nil, false
-	}
-	ge, ok := zoneCmpRange(col, sqlparser.OpGe, lo)
-	if !ok {
-		return nil, false
-	}
-	le, ok := zoneCmpRange(col, sqlparser.OpLe, hi)
-	if !ok {
-		return nil, false
-	}
-	rv := func(z int) rangeVerdict {
-		a, b := ge(z), le(z)
-		switch {
-		case a == rNone || b == rNone:
-			return rNone
-		case a == rAll && b == rAll:
-			return rAll
-		}
-		return rMixed
-	}
-	if x.Negate {
-		rv = rangeNot(rv)
-	}
-	return wrapZoneProbe(col, n, rv), true
-}
-
-// zoneInProbe mirrors vecIn: membership over the zone range is the union of
-// per-literal equality verdicts; a NULL in a NOT IN list makes the predicate
-// constant false.
-func (pq *plannedQuery) zoneInProbe(st *planner.Step, x *sqlparser.InExpr, n int) (zoneProbe, bool) {
-	if x.Subquery != nil {
-		return nil, false
-	}
-	col, ok := pq.stepCol(st, x.Subject)
-	if !ok {
-		return nil, false
-	}
-	sawNull := false
-	lits := make([]value.Value, 0, len(x.List))
-	for _, it := range x.List {
-		lit, ok := litOf(it)
-		if !ok {
-			return nil, false
-		}
-		if lit.IsNull() {
-			sawNull = true
-			continue
-		}
-		lits = append(lits, lit)
-	}
-	if len(x.List) == 0 {
-		// IN () is false and NOT IN () true for every row, NULL included.
-		if x.Negate {
-			return zoneConst(zoneAllTrue), true
-		}
-		return zoneConst(zoneAllFalse), true
-	}
-	if x.Negate && sawNull {
-		// x NOT IN (..., NULL, ...): members are false, non-members unknown.
-		return zoneConst(zoneAllFalse), true
-	}
-	member, ok := zoneMembershipRange(col, lits)
-	if !ok {
-		return nil, false
-	}
-	rv := member
-	if x.Negate {
-		rv = rangeNot(member)
-	}
-	return wrapZoneProbe(col, n, rv), true
-}
-
 // zoneMembershipRange folds per-literal equality verdicts: one literal
 // covering the whole range makes every value a member; all literals missing
 // the range make none of them members. Literals of foreign kinds (and float
-// NaN, which never matches a hash probe) contribute nothing, mirroring
+// NaN, which never matches a hash probe) contribute nothing, as in
 // vecMembership.
-func zoneMembershipRange(col storage.Col, lits []value.Value) (func(z int) rangeVerdict, bool) {
+func zoneMembershipRange(col storage.Col, lits []value.Value) func(z int) rangeVerdict {
 	var eqs []func(z int) rangeVerdict
 	match := func(l value.Value) bool {
 		switch col.Kind() {
@@ -576,11 +484,7 @@ func zoneMembershipRange(col storage.Col, lits []value.Value) (func(z int) range
 				continue // never occurs in the column
 			}
 		}
-		eq, ok := zoneCmpRange(col, sqlparser.OpEq, l)
-		if !ok {
-			return nil, false
-		}
-		eqs = append(eqs, eq)
+		eqs = append(eqs, zoneCmpRange(col, sqlparser.OpEq, l))
 	}
 	hasNaN := func(z int) bool { return col.Kind() == value.Float && col.ZoneHasNaN(z) }
 	return func(z int) rangeVerdict {
@@ -600,41 +504,7 @@ func zoneMembershipRange(col storage.Col, lits []value.Value) (func(z int) range
 			}
 		}
 		return v // rNone holds even with NaN present: NaN is never a member
-	}, true
-}
-
-// zoneLikeProbe prunes LIKE through the pattern's literal prefix: any match
-// sorts inside [prefix, successor), so zone string bounds outside that range
-// are all-false; a pure prefix pattern inside it (NULL-free) is all-true.
-func zoneLikeProbe(col storage.Col, lit value.Value, n int) (zoneProbe, bool) {
-	if col.Kind() != value.Text || lit.Kind() != value.Text {
-		return nil, false
 	}
-	prefix, prefixOnly := planner.LikePrefix(lit.Text())
-	if prefix == "" {
-		if prefixOnly {
-			// The pattern is nothing but '%': every non-NULL string matches.
-			return wrapZoneProbe(col, n, rangeAll), true
-		}
-		return nil, false
-	}
-	if !likePrefixSafe(prefix) {
-		return nil, false
-	}
-	succ, succOK := planner.PrefixSuccessor(prefix)
-	return wrapZoneProbe(col, n, func(z int) rangeVerdict {
-		lo, hi, ok := col.ZoneTextBounds(z)
-		if !ok {
-			return rMixed
-		}
-		if hi < prefix || (succOK && lo >= succ) {
-			return rNone
-		}
-		if prefixOnly && lo >= prefix && (!succOK || hi < succ) {
-			return rAll
-		}
-		return rMixed
-	}), true
 }
 
 // likePrefixSafe reports whether byte-wise prefix pruning agrees with

@@ -23,7 +23,7 @@ func mustParse(t *testing.T, sql string) *sqlparser.SelectStmt {
 
 // This file stresses the vectorized predicate layer and the single-table
 // scan→project fast path: every template below lands (at least partly) in
-// compileVecFilter's dialect — column-vs-literal comparisons on every column
+// lowerVecFilter's dialect — column-vs-literal comparisons on every column
 // kind, IS NULL, BETWEEN, IN lists with NULLs, LIKE over dictionary text,
 // and cross-kind equality — and must agree with the forced-naive pipeline
 // row for row, order included, on NULL-riddled data.
@@ -74,15 +74,12 @@ func vecTestDB(t *testing.T, rows int, seed int64) *storage.Database {
 	return db
 }
 
-// TestVecDifferentialRandomized sweeps randomized vectorizable predicates on
-// a single table through planned (fast path) and naive execution.
-func TestVecDifferentialRandomized(t *testing.T) {
-	db := vecTestDB(t, 90, 31)
-	ex := New(db)
-	rng := rand.New(rand.NewSource(77))
+// vecTemplates is the vectorized predicate dialect as randomized query
+// builders over vecTestDB's table.
+func vecTemplates(rng *rand.Rand) []func() string {
 	ops := []string{"=", "!=", "<", "<=", ">", ">="}
 	op := func() string { return ops[rng.Intn(len(ops))] }
-	templates := []func() string{
+	return []func() string{
 		func() string {
 			return fmt.Sprintf("select v.id, v.n from V v where v.n %s %d", op(), rng.Intn(10))
 		},
@@ -177,6 +174,13 @@ func TestVecDifferentialRandomized(t *testing.T) {
 				20+rng.Intn(10), 1+rng.Intn(20))
 		},
 	}
+}
+
+// TestVecDifferentialRandomized sweeps randomized vectorizable predicates on
+// a single table through planned (fast path) and naive execution.
+func TestVecDifferentialRandomized(t *testing.T) {
+	ex := New(vecTestDB(t, 90, 31))
+	templates := vecTemplates(rand.New(rand.NewSource(77)))
 	for trial := 0; trial < 200; trial++ {
 		sql := templates[trial%len(templates)]()
 		comparePlannedNaive(t, ex, sql)

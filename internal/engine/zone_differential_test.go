@@ -125,6 +125,93 @@ func requireSameResult(t *testing.T, sql, aName string, a *Result, bName string,
 	}
 }
 
+// zoneTemplates is the zone-probe dialect as randomized query builders:
+// ordering and equality on every kind, IS NULL, BETWEEN, IN, LIKE prefixes,
+// floats with NaN, conjunctions, and shaping or grouping over the pruned scan.
+func zoneTemplates(rng *rand.Rand) []func() string {
+	ops := []string{"=", "!=", "<", "<=", ">", ">="}
+	op := func() string { return ops[rng.Intn(len(ops))] }
+	return []func() string{
+		func() string {
+			return fmt.Sprintf("select z.id from Z z where z.id %s %d", op(), rng.Intn(zoneTestRows))
+		},
+		func() string {
+			return fmt.Sprintf("select z.id, z.grp from Z z where z.grp = %d", rng.Intn(30))
+		},
+		func() string {
+			return fmt.Sprintf("select z.id from Z z where z.n %s %d", op(), rng.Intn(50))
+		},
+		func() string {
+			return fmt.Sprintf("select z.id from Z z where z.f %s %d.25", op(), rng.Intn(130))
+		},
+		func() string {
+			return fmt.Sprintf("select z.id, z.s from Z z where z.s %s 'c%03d-w2'", op(), rng.Intn(30))
+		},
+		func() string {
+			return fmt.Sprintf("select z.id from Z z where z.s like 'c%03d-%%'", rng.Intn(30))
+		},
+		func() string {
+			return fmt.Sprintf("select z.id from Z z where z.d %s DATE '1970-%02d-%02d'",
+				op(), 1+rng.Intn(12), 1+rng.Intn(28))
+		},
+		func() string {
+			return fmt.Sprintf("select z.id from Z z where z.b = %v and z.id < %d",
+				rng.Intn(2) == 0, rng.Intn(zoneTestRows))
+		},
+		func() string {
+			neg := ""
+			if rng.Intn(2) == 0 {
+				neg = " not"
+			}
+			return fmt.Sprintf("select z.id from Z z where z.f is%s null and z.id < %d",
+				neg, 1+rng.Intn(zoneTestRows))
+		},
+		func() string {
+			lo := rng.Intn(zoneTestRows)
+			neg := ""
+			if rng.Intn(2) == 0 {
+				neg = "not "
+			}
+			return fmt.Sprintf("select z.id from Z z where z.id %sbetween %d and %d", neg, lo, lo+600)
+		},
+		func() string {
+			neg := ""
+			if rng.Intn(2) == 0 {
+				neg = "not "
+			}
+			items := fmt.Sprintf("%d, %d", rng.Intn(30), rng.Intn(30))
+			if rng.Intn(3) == 0 {
+				items += ", null"
+			}
+			return fmt.Sprintf("select z.id from Z z where z.grp %sin (%s)", neg, items)
+		},
+		func() string {
+			return fmt.Sprintf("select z.id from Z z where z.s in ('c001-w1', 'c%03d-w%d', 'absent')",
+				rng.Intn(30), rng.Intn(6))
+		},
+		func() string {
+			// Conjunction across kinds: several probes must agree.
+			return fmt.Sprintf("select z.id from Z z where z.id < %d and z.grp >= %d and z.s like 'c00%d-%%'",
+				rng.Intn(zoneTestRows), rng.Intn(10), rng.Intn(10))
+		},
+		func() string {
+			// Vec prefix + generic conjunct: probes only cover the prefix.
+			return fmt.Sprintf("select z.id from Z z where z.id < %d and z.id + z.grp > %d",
+				rng.Intn(zoneTestRows), rng.Intn(100))
+		},
+		func() string {
+			// Shaping on top of the pruned scan.
+			return fmt.Sprintf("select z.id, z.n from Z z where z.id < %d order by z.n desc, z.id limit %d",
+				512+rng.Intn(1024), 1+rng.Intn(20))
+		},
+		func() string {
+			// Grouped: pruned scan under the fused vec-aggregate.
+			return fmt.Sprintf("select z.grp, count(*), sum(z.n) from Z z where z.id < %d group by z.grp order by z.grp",
+				256+rng.Intn(2048))
+		},
+	}
+}
+
 // TestZoneSkipDifferentialRandomized sweeps the zone-probe dialect — ordering
 // and equality on every kind, IS NULL, BETWEEN, IN, LIKE prefixes, floats
 // with NaN — over the multi-zone clustered table, with and without a sorted
@@ -137,88 +224,7 @@ func TestZoneSkipDifferentialRandomized(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			ex := New(zoneTestDB(t, sorted))
-			rng := rand.New(rand.NewSource(113))
-			ops := []string{"=", "!=", "<", "<=", ">", ">="}
-			op := func() string { return ops[rng.Intn(len(ops))] }
-			templates := []func() string{
-				func() string {
-					return fmt.Sprintf("select z.id from Z z where z.id %s %d", op(), rng.Intn(zoneTestRows))
-				},
-				func() string {
-					return fmt.Sprintf("select z.id, z.grp from Z z where z.grp = %d", rng.Intn(30))
-				},
-				func() string {
-					return fmt.Sprintf("select z.id from Z z where z.n %s %d", op(), rng.Intn(50))
-				},
-				func() string {
-					return fmt.Sprintf("select z.id from Z z where z.f %s %d.25", op(), rng.Intn(130))
-				},
-				func() string {
-					return fmt.Sprintf("select z.id, z.s from Z z where z.s %s 'c%03d-w2'", op(), rng.Intn(30))
-				},
-				func() string {
-					return fmt.Sprintf("select z.id from Z z where z.s like 'c%03d-%%'", rng.Intn(30))
-				},
-				func() string {
-					return fmt.Sprintf("select z.id from Z z where z.d %s DATE '1970-%02d-%02d'",
-						op(), 1+rng.Intn(12), 1+rng.Intn(28))
-				},
-				func() string {
-					return fmt.Sprintf("select z.id from Z z where z.b = %v and z.id < %d",
-						rng.Intn(2) == 0, rng.Intn(zoneTestRows))
-				},
-				func() string {
-					neg := ""
-					if rng.Intn(2) == 0 {
-						neg = " not"
-					}
-					return fmt.Sprintf("select z.id from Z z where z.f is%s null and z.id < %d",
-						neg, 1+rng.Intn(zoneTestRows))
-				},
-				func() string {
-					lo := rng.Intn(zoneTestRows)
-					neg := ""
-					if rng.Intn(2) == 0 {
-						neg = "not "
-					}
-					return fmt.Sprintf("select z.id from Z z where z.id %sbetween %d and %d", neg, lo, lo+600)
-				},
-				func() string {
-					neg := ""
-					if rng.Intn(2) == 0 {
-						neg = "not "
-					}
-					items := fmt.Sprintf("%d, %d", rng.Intn(30), rng.Intn(30))
-					if rng.Intn(3) == 0 {
-						items += ", null"
-					}
-					return fmt.Sprintf("select z.id from Z z where z.grp %sin (%s)", neg, items)
-				},
-				func() string {
-					return fmt.Sprintf("select z.id from Z z where z.s in ('c001-w1', 'c%03d-w%d', 'absent')",
-						rng.Intn(30), rng.Intn(6))
-				},
-				func() string {
-					// Conjunction across kinds: several probes must agree.
-					return fmt.Sprintf("select z.id from Z z where z.id < %d and z.grp >= %d and z.s like 'c00%d-%%'",
-						rng.Intn(zoneTestRows), rng.Intn(10), rng.Intn(10))
-				},
-				func() string {
-					// Vec prefix + generic conjunct: probes only cover the prefix.
-					return fmt.Sprintf("select z.id from Z z where z.id < %d and z.id + z.grp > %d",
-						rng.Intn(zoneTestRows), rng.Intn(100))
-				},
-				func() string {
-					// Shaping on top of the pruned scan.
-					return fmt.Sprintf("select z.id, z.n from Z z where z.id < %d order by z.n desc, z.id limit %d",
-						512+rng.Intn(1024), 1+rng.Intn(20))
-				},
-				func() string {
-					// Grouped: pruned scan under the fused vec-aggregate.
-					return fmt.Sprintf("select z.grp, count(*), sum(z.n) from Z z where z.id < %d group by z.grp order by z.grp",
-						256+rng.Intn(2048))
-				},
-			}
+			templates := zoneTemplates(rand.New(rand.NewSource(113)))
 			for trial := 0; trial < 120; trial++ {
 				compareZoneModes(t, ex, templates[trial%len(templates)]())
 			}
@@ -281,7 +287,7 @@ func TestZoneSkipExplain(t *testing.T) {
 		t.Fatalf("unselective scan kept a zone-skip step: %s", planAll.Fingerprint())
 	}
 
-	// With zone maps disabled the engine removes the step in place.
+	// With zone maps disabled no probe is built, so the step is never added.
 	ex.SetZoneMapsEnabled(false)
 	defer ex.SetZoneMapsEnabled(true)
 	if _, planOff, err := ex.SelectExplained(mustParse(t, "select z.id from Z z where z.id < 600")); err != nil {

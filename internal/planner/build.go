@@ -195,7 +195,10 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, onConjuncts []sqlparser.Ex
 
 // buildShape appends the post-join shaping stages — aggregate, sort or
 // top-k, limit — the engine will run after the join pipeline, with group
-// counts estimated from per-attribute distinct statistics.
+// counts estimated from per-attribute distinct statistics. The engine's
+// compilers add the steps that say how the scan and the aggregation run
+// (zone-skip, parallel-scan, vec-aggregate); see ZoneSkipStep and
+// ParallelScanStep.
 func buildShape(plan *Plan, sel *sqlparser.SelectStmt, res *resolver, stats []storage.TableStats) {
 	cur := plan.EstRows
 	if sel.Grouped() {
@@ -214,9 +217,6 @@ func buildShape(plan *Plan, sel *sqlparser.SelectStmt, res *resolver, stats []st
 		}
 		plan.Shape = append(plan.Shape, st)
 		cur = st.EstRows
-		// Upgrade to the vectorized-aggregation shape (and a morsel-parallel
-		// base scan) when the query fits the fused typed-accumulator dialect.
-		vecAggShape(plan, sel, res, stats, st)
 	}
 	if len(sel.OrderBy) > 0 {
 		st := &ShapeStep{Kind: ShapeSort, EstRows: cur, ActualRows: -1}
@@ -247,9 +247,6 @@ func buildShape(plan *Plan, sel *sqlparser.SelectStmt, res *resolver, stats []st
 	if len(plan.Shape) > 0 {
 		plan.EstRows = cur
 	}
-	// Last, decide whether the base scan should consult zone maps; the step
-	// is prepended so explains narrate the skip before the shaping stages.
-	zoneSkipShape(plan, res, stats)
 }
 
 // aggregateSQLs collects the distinct aggregate expressions of the select

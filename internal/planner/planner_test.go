@@ -246,9 +246,9 @@ func TestPlanShapeSteps(t *testing.T) {
 		t.Fatalf("shape steps = %d, want aggregate + top-k", len(p.Shape))
 	}
 	agg, topk := p.Shape[0], p.Shape[1]
-	// The grouped query fits the vectorized-aggregation dialect (column
-	// group key, COUNT(*), compiled HAVING), so the aggregate step upgrades.
-	if agg.Kind != planner.ShapeVecAggregate {
+	// How the aggregation runs is the engine's to say: its compiler turns
+	// this step into vec-aggregate (engine.TestPlanShapeVecAggregate).
+	if agg.Kind != planner.ShapeAggregate {
 		t.Fatalf("first shape step = %s", agg.Kind)
 	}
 	genres := float64(db.Table("GENRE").Stats().Attrs[1].Distinct)
@@ -264,13 +264,13 @@ func TestPlanShapeSteps(t *testing.T) {
 		t.Errorf("top-k step = %+v", topk)
 	}
 	fp := p.Fingerprint()
-	for _, want := range []string{">vagg{1,1}+having", ">topk{1,5}"} {
+	for _, want := range []string{">agg{1,1}+having", ">topk{1,5}"} {
 		if !strings.Contains(fp, want) {
 			t.Errorf("fingerprint %q missing %q", fp, want)
 		}
 	}
 	s := p.Summarize()
-	if len(s.Shape) != 2 || s.Shape[0].Kind != "vec-aggregate" || s.Shape[1].Kind != "top-k" {
+	if len(s.Shape) != 2 || s.Shape[0].Kind != "aggregate" || s.Shape[1].Kind != "top-k" {
 		t.Errorf("summary shape = %+v", s.Shape)
 	}
 
@@ -289,84 +289,42 @@ func TestPlanShapeSteps(t *testing.T) {
 	}
 }
 
-// TestVecAggGate pins the vectorized-aggregation gate: which grouped queries
-// earn the vec-aggregate shape, when a morsel-parallel scan is scheduled, and
-// which shapes stay on the generic aggregate.
-func TestVecAggGate(t *testing.T) {
-	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
-		Seed: 7, Movies: 4000, Actors: 500, Directors: 21, CastPerMovie: 2, GenresPerMovie: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestShapeStepCostGates pins the two cost decisions the planner keeps about
+// how a base scan runs; the engine's compilers ask them before annotating.
+func TestShapeStepCostGates(t *testing.T) {
+	scan := func(access planner.Access, rows int, est float64) *planner.Step {
+		return &planner.Step{Access: access, TableRows: rows, EstRows: est}
 	}
-	kinds := func(p *planner.Plan) []planner.ShapeKind {
-		var out []planner.ShapeKind
-		for _, sh := range p.Shape {
-			out = append(out, sh.Kind)
+	const m = planner.MorselRows
+	zs := planner.ZoneSkipStep(scan(planner.ScanFull, 2*m+1, float64(m)/2))
+	if zs == nil || zs.Kind != planner.ShapeZoneSkip || zs.K != 3 || zs.ActualRows != -1 {
+		t.Fatalf("selective multi-morsel scan: %+v", zs)
+	}
+	if want := (1 - float64(m)/2/float64(2*m+1)) * 3; zs.EstRows != want {
+		t.Errorf("zone-skip estimate %v, want %v morsels skipped", zs.EstRows, want)
+	}
+	for name, st := range map[string]*planner.Step{
+		"under one morsel":  scan(planner.ScanFull, m-1, 1),
+		"unselective":       scan(planner.ScanFull, 2*m, float64(m)+1),
+		"primary-key probe": scan(planner.ScanPK, 2*m, 1),
+		"index probe":       scan(planner.ScanIndex, 2*m, 1),
+	} {
+		if zs := planner.ZoneSkipStep(st); zs != nil {
+			t.Errorf("%s earned a zone-skip step: %+v", name, zs)
 		}
-		return out
+	}
+	if zs := planner.ZoneSkipStep(scan(planner.ScanFull, 2*m, float64(m))); zs == nil {
+		t.Error("a scan estimated to keep exactly half its rows is still worth probing")
 	}
 
-	// Single-table grouped scan over a vectorizable filter: vec-aggregate
-	// with a morsel-parallel scan (COUNT/MIN merge exactly; the table is
-	// large enough to fan out).
-	p := buildPlan(t, db, `select m.year, count(*), min(m.title) from MOVIES m
-		where m.year >= 1960 group by m.year`)
-	got := kinds(p)
-	if len(got) != 2 || got[0] != planner.ShapeParallelScan || got[1] != planner.ShapeVecAggregate {
-		t.Fatalf("shape kinds = %v, want [parallel-scan vec-aggregate]", got)
+	ps := planner.ParallelScanStep(scan(planner.ScanFull, planner.ParallelScanMinRows, 17))
+	if ps == nil || ps.Kind != planner.ShapeParallelScan || ps.K != m || ps.EstRows != 17 || ps.ActualRows != -1 {
+		t.Fatalf("large full scan: %+v", ps)
 	}
-	if !strings.Contains(p.Fingerprint(), ">pscan>vagg{1,2}") {
-		t.Errorf("fingerprint = %q", p.Fingerprint())
+	if ps := planner.ParallelScanStep(scan(planner.ScanFull, planner.ParallelScanMinRows-1, 17)); ps != nil {
+		t.Errorf("small table earned a parallel-scan step: %+v", ps)
 	}
-	if p.Shape[0].K != planner.MorselRows {
-		t.Errorf("parallel-scan K = %d, want the morsel size", p.Shape[0].K)
-	}
-
-	// Post-join grouping with AVG over a bounded int column still merges
-	// exactly: parallel-scan stays.
-	p = buildPlan(t, db, `select g.genre, count(*), avg(m.year) from MOVIES m, GENRE g
-		where m.id = g.mid group by g.genre`)
-	got = kinds(p)
-	if len(got) != 2 || got[0] != planner.ShapeParallelScan || got[1] != planner.ShapeVecAggregate {
-		t.Fatalf("join shape kinds = %v, want [parallel-scan vec-aggregate]", got)
-	}
-
-	// Float sums replicate naive row-order accumulation: vec-aggregate
-	// without a parallel scan. (MOVIES has no float column; a non-column
-	// aggregate argument must instead fall back entirely.)
-	p = buildPlan(t, db, `select m.year, sum(m.id + 1) from MOVIES m group by m.year`)
-	got = kinds(p)
-	if len(got) != 1 || got[0] != planner.ShapeAggregate {
-		t.Fatalf("expression-argument shape kinds = %v, want [aggregate]", got)
-	}
-
-	// A subquery in HAVING is outside the dialect.
-	p = buildPlan(t, db, `select m.year, count(*) from MOVIES m group by m.year
-		having count(*) > (select min(g.mid) from GENRE g)`)
-	got = kinds(p)
-	if len(got) != 1 || got[0] != planner.ShapeAggregate {
-		t.Fatalf("subquery-HAVING shape kinds = %v, want [aggregate]", got)
-	}
-
-	// A stray (ungrouped, unaggregated) column is a grouping-rule error the
-	// environment path raises: generic aggregate.
-	p = buildPlan(t, db, `select m.title, count(*) from MOVIES m group by m.year`)
-	got = kinds(p)
-	if len(got) != 1 || got[0] != planner.ShapeAggregate {
-		t.Fatalf("stray-column shape kinds = %v, want [aggregate]", got)
-	}
-
-	// A small base table aggregates vectorized but scans serially.
-	small, err := dataset.GenerateMovieDB(dataset.GenConfig{
-		Seed: 9, Movies: 100, Actors: 30, Directors: 3, CastPerMovie: 2, GenresPerMovie: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p = buildPlan(t, small, `select m.year, count(*) from MOVIES m group by m.year`)
-	got = kinds(p)
-	if len(got) != 1 || got[0] != planner.ShapeVecAggregate {
-		t.Fatalf("small-table shape kinds = %v, want [vec-aggregate]", got)
+	if ps := planner.ParallelScanStep(scan(planner.ScanIndex, 10*m, 17)); ps != nil {
+		t.Errorf("index probe earned a parallel-scan step: %+v", ps)
 	}
 }

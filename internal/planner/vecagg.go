@@ -1,24 +1,14 @@
 package planner
 
-import (
-	"math"
-	"strings"
+import "repro/internal/storage"
 
-	"repro/internal/sqlparser"
-	"repro/internal/storage"
-	"repro/internal/value"
-)
-
-// This file gates the vectorized-aggregation shape: whether a grouped query
-// can skip the generic row pipeline and run the engine's fused scan→join→
-// aggregate loop over typed column vectors. The gate is structural (every
-// group key and aggregate argument must be a plain column reference, every
-// filter inside the vectorizable predicate dialect, no residuals, no join
-// reordering) plus statistical (DISTINCT bitsets need a bounded value domain,
-// AVG merges need sums that stay exactly representable in a float64). It is
-// deliberately a mirror of what the engine's compiler accepts: the planner
-// decides, the engine re-verifies at compile time and downgrades the shape in
-// place when they disagree, so the narrated plan always tells the truth.
+// This file is the planner's share of the morsel-parallel aggregation scan:
+// its cost. Whether a grouped query runs the engine's fused vectorized
+// pipeline, and whether its aggregates merge exactly across workers, is
+// decided by the engine's compiler — the code that then runs — which turns
+// the plan's aggregate step into vec-aggregate and adds the parallel-scan
+// step itself. The planner only says when a base table is large enough for
+// fanning the scan out to pay.
 
 const (
 	// MorselRows is the number of base-table positions one morsel covers in a
@@ -30,420 +20,23 @@ const (
 	MorselRows = storage.ZoneRows
 
 	// ParallelScanMinRows is the base-table size below which a morsel-driven
-	// scan is not worth scheduling (mirrors the engine's fan-out threshold).
+	// scan is not worth scheduling.
 	ParallelScanMinRows = 2048
-
-	// MaxBitsetDomain bounds the value-domain width a DISTINCT aggregate may
-	// track with a per-group bitset (dictionary size for text, min..max span
-	// for integers and dates).
-	MaxBitsetDomain = 1 << 16
-
-	// exactFloat is the magnitude below which every intermediate float64 sum
-	// of integers is exactly representable, making float additions
-	// associative — the condition for AVG partial-state merges to be
-	// byte-identical to serial row-order accumulation.
-	exactFloat = 1 << 53
 )
 
-// vecAggShape upgrades the aggregate shape step to vec-aggregate (and, when
-// the merge is provably exact, prepends a parallel-scan step) if the grouped
-// query fits the engine's fused vectorized-aggregation dialect.
-func vecAggShape(plan *Plan, sel *sqlparser.SelectStmt, res *resolver, stats []storage.TableStats, agg *ShapeStep) {
-	if plan.Reordered || len(plan.Post) > 0 || len(plan.Steps) == 0 {
-		return
+// ParallelScanStep returns the parallel-scan shape step for a base step worth
+// fanning out — a full scan of at least ParallelScanMinRows rows — and nil for
+// any other. The engine asks once a grouped query has compiled onto the fused
+// pipeline with exactly mergeable aggregates, and puts the step in front of
+// the aggregate step when it schedules the workers.
+func ParallelScanStep(first *Step) *ShapeStep {
+	if first.Access != ScanFull || first.TableRows < ParallelScanMinRows {
+		return nil
 	}
-	for _, st := range plan.Steps {
-		if len(st.PostJoinFilters) > 0 {
-			return
-		}
-		for _, f := range st.SelfFilters {
-			if !vecFilterEligible(f, st.FromPos, res, stats) {
-				return
-			}
-		}
+	return &ShapeStep{
+		Kind:       ShapeParallelScan,
+		K:          MorselRows,
+		EstRows:    first.EstRows,
+		ActualRows: -1,
 	}
-	// Group keys: plain column references of storable kinds.
-	for _, g := range sel.GroupBy {
-		ref, ok := g.(*sqlparser.ColumnRef)
-		if !ok || ref.Column == "*" {
-			return
-		}
-		in, pos, err := res.resolve(ref)
-		if err != nil {
-			return
-		}
-		switch attrKind(res.inputs[in], pos) {
-		case value.Int, value.Float, value.Text, value.Date, value.Bool:
-		default:
-			return
-		}
-	}
-	// Select items, HAVING, and ORDER BY: compositions of group-key matches,
-	// gated aggregates, and pure scalar operators.
-	exact := true
-	check := func(e sqlparser.Expr) bool {
-		ok, ex := vecGroupExpr(e, sel, res, stats, plan)
-		exact = exact && ex
-		return ok
-	}
-	for _, it := range sel.Items {
-		if !check(it.Expr) {
-			return
-		}
-	}
-	if sel.Having != nil && !check(sel.Having) {
-		return
-	}
-	for _, o := range sel.OrderBy {
-		// Ordinals and select-list matches resolve to output columns; other
-		// expressions must compile over the synthetic group row.
-		if lit, ok := o.Expr.(*sqlparser.Literal); ok && lit.Value.Kind() == value.Int {
-			continue
-		}
-		if orderMatchesItem(o, sel) {
-			continue
-		}
-		if !check(o.Expr) {
-			return
-		}
-	}
-	agg.Kind = ShapeVecAggregate
-	first := plan.Steps[0]
-	if exact && first.Access == ScanFull && first.TableRows >= ParallelScanMinRows {
-		ps := &ShapeStep{
-			Kind:       ShapeParallelScan,
-			K:          MorselRows,
-			EstRows:    first.EstRows,
-			ActualRows: -1,
-		}
-		plan.Shape = append([]*ShapeStep{ps}, plan.Shape...)
-	}
-}
-
-// orderMatchesItem reports whether an ORDER BY expression textually matches a
-// select item or its alias — the cases orderTarget resolves to an output
-// column, needing no group-row compilation. Conservative: misses fall through
-// to the structural check.
-func orderMatchesItem(o sqlparser.OrderItem, sel *sqlparser.SelectStmt) bool {
-	oSQL := o.Expr.SQL()
-	for _, it := range sel.Items {
-		if it.Expr.SQL() == oSQL {
-			return true
-		}
-	}
-	if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok && ref.Table == "" {
-		for _, it := range sel.Items {
-			if it.Alias != "" && strings.EqualFold(it.Alias, ref.Column) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// vecGroupExpr checks one grouped expression: every column reference must be
-// a GROUP BY match, every aggregate must fit the typed-accumulator dialect.
-// exact reports whether all aggregates reached merge partial states without
-// rounding (the parallel-scan condition).
-func vecGroupExpr(e sqlparser.Expr, sel *sqlparser.SelectStmt, res *resolver, stats []storage.TableStats, plan *Plan) (ok, exact bool) {
-	ok, exact = true, true
-	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-		if !ok {
-			return false
-		}
-		if groupKeyMatch(x, sel.GroupBy, res) {
-			return false
-		}
-		switch n := x.(type) {
-		case *sqlparser.AggregateExpr:
-			aggOK, aggExact := vecAggEligible(n, res, stats, plan)
-			if !aggOK {
-				ok = false
-			}
-			exact = exact && aggExact
-			return false
-		case *sqlparser.ColumnRef, *sqlparser.Star,
-			*sqlparser.SubqueryExpr, *sqlparser.ExistsExpr, *sqlparser.QuantifiedExpr:
-			ok = false
-			return false
-		case *sqlparser.InExpr:
-			if n.Subquery != nil {
-				ok = false
-				return false
-			}
-		}
-		return true
-	})
-	return ok, exact
-}
-
-// groupKeyMatch mirrors the engine's groupByIndex: textually identical, or a
-// column reference resolving to the same attribute as a GROUP BY column.
-func groupKeyMatch(e sqlparser.Expr, groupBy []sqlparser.Expr, res *resolver) bool {
-	eSQL := e.SQL()
-	eRef, eIsRef := e.(*sqlparser.ColumnRef)
-	for _, g := range groupBy {
-		if g.SQL() == eSQL {
-			return true
-		}
-		if !eIsRef {
-			continue
-		}
-		gRef, okRef := g.(*sqlparser.ColumnRef)
-		if !okRef {
-			continue
-		}
-		ei, ep, eerr := res.resolve(eRef)
-		gi, gp, gerr := res.resolve(gRef)
-		if eerr == nil && gerr == nil && ei == gi && ep == gp {
-			return true
-		}
-	}
-	return false
-}
-
-// vecAggEligible gates one aggregate expression for the typed-accumulator
-// path, and reports whether its partial states merge exactly.
-func vecAggEligible(a *sqlparser.AggregateExpr, res *resolver, stats []storage.TableStats, plan *Plan) (ok, exact bool) {
-	if a.Arg == nil {
-		return true, true // COUNT(*): the group row count
-	}
-	ref, isRef := a.Arg.(*sqlparser.ColumnRef)
-	if !isRef || ref.Column == "*" {
-		return false, false
-	}
-	in, pos, err := res.resolve(ref)
-	if err != nil {
-		return false, false
-	}
-	kind := attrKind(res.inputs[in], pos)
-	at := &stats[in].Attrs[pos]
-	switch a.Func {
-	case sqlparser.AggCount:
-		if a.Distinct {
-			return bitsetDomainOK(kind, at), true
-		}
-		return true, true
-	case sqlparser.AggMin, sqlparser.AggMax:
-		switch kind {
-		case value.Int, value.Float, value.Text, value.Date, value.Bool:
-			return true, true
-		}
-		return false, false
-	case sqlparser.AggSum, sqlparser.AggAvg:
-		switch kind {
-		case value.Int:
-			if a.Distinct && !bitsetDomainOK(kind, at) {
-				return false, false
-			}
-			if a.Func == sqlparser.AggSum {
-				return true, true // int64 addition is associative
-			}
-			if a.Distinct {
-				// AVG(DISTINCT) recomputes its float sum from the value set
-				// in code order (not first-seen order), so it is eligible at
-				// all only when that sum is exact.
-				if !avgMergeExact(true, at, plan) {
-					return false, false
-				}
-				return true, true
-			}
-			return true, avgMergeExact(false, at, plan)
-		case value.Float:
-			// Float sums replicate naive row-order accumulation, which a
-			// partial-state merge would re-associate: serial only.
-			return !a.Distinct, false
-		}
-		return false, false
-	default:
-		return false, false
-	}
-}
-
-// bitsetDomainOK reports whether DISTINCT values of the attribute fit a
-// bounded per-group bitset: text by dictionary size (the distinct count is a
-// lower bound the engine re-verifies against the live dictionary), integers
-// and dates by their min..max span.
-func bitsetDomainOK(kind value.Kind, at *storage.AttrStats) bool {
-	switch kind {
-	case value.Text:
-		return at.Distinct <= MaxBitsetDomain
-	case value.Bool:
-		return true
-	case value.Int, value.Date:
-		return intSpanOK(kind, at)
-	default:
-		return false
-	}
-}
-
-// intSpanOK checks the min..max span fits the bitset domain and, for
-// integers, that the bounds stay inside the float64-exact range (beyond it
-// distinct int64 values can share one float image, which is how the naive
-// pipeline's encoded keys identify them). Dates carry their payload as epoch
-// days, which Value.Float rejects — read them through DateDays.
-func intSpanOK(kind value.Kind, at *storage.AttrStats) bool {
-	if at.Min.IsNull() {
-		return true // empty column: nothing to track
-	}
-	if kind == value.Date {
-		return at.Max.DateDays()-at.Min.DateDays() < MaxBitsetDomain
-	}
-	lo, hi := at.Min.Float(), at.Max.Float()
-	if math.Abs(lo) >= exactFloat || math.Abs(hi) >= exactFloat {
-		return false
-	}
-	return hi-lo < MaxBitsetDomain
-}
-
-// avgMergeExact reports whether AVG over an integer attribute merges
-// partial float sums without rounding: the worst-case sum magnitude (joined
-// row count × largest absolute value, or the distinct-domain width for
-// DISTINCT) must stay below 2^53.
-func avgMergeExact(distinct bool, at *storage.AttrStats, plan *Plan) bool {
-	if at.Min.IsNull() {
-		return true
-	}
-	maxAbs := math.Max(math.Abs(at.Min.Float()), math.Abs(at.Max.Float()))
-	n := 1.0
-	if distinct {
-		n = MaxBitsetDomain
-	} else {
-		for _, st := range plan.Steps {
-			n *= math.Max(float64(st.TableRows), 1)
-		}
-	}
-	return n*maxAbs < exactFloat
-}
-
-// attrKind returns the stored value kind of an input's attribute.
-func attrKind(in Input, pos int) value.Kind {
-	return value.CatalogKind(in.Rel.Attributes[pos].Type)
-}
-
-// ---------------------------------------------------------------------------
-// Vectorizable filter dialect (planner mirror of the engine's compileVecFilter)
-// ---------------------------------------------------------------------------
-
-// vecFilterEligible reports whether a self-filter conjunct of input `in`
-// lowers to a vectorized predicate — one that reads the column vector
-// directly and can never raise an error. The cases mirror the engine's
-// compileVecFilter: col-op-literal comparisons (including LIKE on text),
-// IS [NOT] NULL, BETWEEN with literal bounds, and IN over a literal list.
-func vecFilterEligible(e sqlparser.Expr, in int, res *resolver, stats []storage.TableStats) bool {
-	colKind := func(x sqlparser.Expr) (value.Kind, bool) {
-		ref, ok := x.(*sqlparser.ColumnRef)
-		if !ok || ref.Column == "*" {
-			return value.Null, false
-		}
-		ri, rp, err := res.resolve(ref)
-		if err != nil || ri != in {
-			return value.Null, false
-		}
-		return attrKind(res.inputs[ri], rp), true
-	}
-	switch x := e.(type) {
-	case *sqlparser.BinaryExpr:
-		op := x.Op
-		if _, _, ok := cmpOpClass(op); !ok && op != sqlparser.OpLike {
-			return false
-		}
-		ck, lit, flipped, ok := splitKindLit(x, colKind)
-		if !ok {
-			return false
-		}
-		if op == sqlparser.OpLike {
-			// Only col LIKE pattern vectorizes, with both sides text.
-			return !flipped && ck == value.Text && lit.Kind() == value.Text
-		}
-		if lit.IsNull() {
-			return true // always-false predicate, trivially vectorized
-		}
-		if !kindsComparable(ck, lit.Kind()) {
-			// Equality across mismatched kinds is a constant verdict;
-			// ordering raises an error the generic path must surface.
-			_, equality, _ := cmpOpClass(op)
-			return equality
-		}
-		return true
-	case *sqlparser.IsNullExpr:
-		_, ok := colKind(x.Inner)
-		return ok
-	case *sqlparser.BetweenExpr:
-		ck, ok := colKind(x.Subject)
-		if !ok {
-			return false
-		}
-		lo, okLo := litValue(x.Lo)
-		hi, okHi := litValue(x.Hi)
-		if !okLo || !okHi {
-			return false
-		}
-		if lo.IsNull() || hi.IsNull() {
-			return true
-		}
-		return kindsComparable(ck, lo.Kind()) && kindsComparable(ck, hi.Kind())
-	case *sqlparser.InExpr:
-		if x.Subquery != nil {
-			return false
-		}
-		if _, ok := colKind(x.Subject); !ok {
-			return false
-		}
-		for _, it := range x.List {
-			if _, ok := litValue(it); !ok {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-// cmpOpClass classifies a binary operator as a comparison and whether it is
-// an equality (mirrors the engine's cmpTest).
-func cmpOpClass(op sqlparser.BinaryOp) (isCmp, equality, ok bool) {
-	switch op {
-	case sqlparser.OpEq, sqlparser.OpNe:
-		return true, true, true
-	case sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-		return true, false, true
-	default:
-		return false, false, false
-	}
-}
-
-// kindsComparable mirrors the engine's comparableKinds: numerics order
-// against each other, other kinds only against themselves.
-func kindsComparable(ck, lk value.Kind) bool {
-	if (ck == value.Int || ck == value.Float) && (lk == value.Int || lk == value.Float) {
-		return true
-	}
-	return ck == lk && ck != value.Null
-}
-
-func litValue(e sqlparser.Expr) (value.Value, bool) {
-	l, ok := e.(*sqlparser.Literal)
-	if !ok {
-		return value.Value{}, false
-	}
-	return l.Value, true
-}
-
-// splitKindLit matches col-op-lit in either orientation, returning the
-// column kind, literal, and whether the literal sat on the left.
-func splitKindLit(x *sqlparser.BinaryExpr, colKind func(sqlparser.Expr) (value.Kind, bool)) (value.Kind, value.Value, bool, bool) {
-	if ck, ok := colKind(x.Left); ok {
-		if lit, ok := litValue(x.Right); ok {
-			return ck, lit, false, true
-		}
-		return value.Null, value.Value{}, false, false
-	}
-	if lit, ok := litValue(x.Left); ok {
-		if ck, ok := colKind(x.Right); ok {
-			return ck, lit, true, true
-		}
-	}
-	return value.Null, value.Value{}, false, false
 }

@@ -1,82 +1,41 @@
 package planner
 
-import (
-	"strings"
+import "strings"
 
-	"repro/internal/sqlparser"
-	"repro/internal/storage"
-)
-
-// This file gates the zone-skip shape: whether the base scan of a plan should
-// probe the storage layer's per-morsel zone maps (min/max/null summaries kept
-// per MorselRows-sized range) before touching column payloads, skipping
-// morsels whose bounds prove every filter row false. Like the vec-aggregate
-// gate, the decision is a planner-side mirror of what the engine's compiler
-// accepts; the engine re-verifies and downgrades the shape in place when the
-// probes cannot be built, so the narrated plan always tells the truth.
+// This file is the planner's share of zone-map scan pruning: its cost. Which
+// filters lower to a zone probe is decided by the engine's compiler, which
+// builds the probes from the same lowering that builds the row predicates and
+// adds the zone-skip shape step when it built at least one. The planner only
+// says when a base scan is large and selective enough for probing to pay.
+// LikePrefix and PrefixSuccessor are the string arithmetic the engine's LIKE
+// probe and its sorted-dictionary rank compare share.
 
 // zoneSkipMaxSelectivity is the estimated fraction of base rows surviving the
 // scan's own filters above which zone probing is not worth the bookkeeping:
 // an unselective scan touches nearly every morsel anyway.
 const zoneSkipMaxSelectivity = 0.5
 
-// zoneSkipShape prepends a zone-skip shape step when the plan's first step is
-// a full scan over a table large enough to have multiple zones, at least one
-// of its self-filters lowers to a zone probe, and the filters are estimated
-// selective enough that whole morsels plausibly fall out.
-func zoneSkipShape(plan *Plan, res *resolver, stats []storage.TableStats) {
-	if len(plan.Steps) == 0 {
-		return
-	}
-	first := plan.Steps[0]
+// ZoneSkipStep returns the zone-skip shape step for a base step worth probing
+// — a full scan over a table with more than one zone whose filters are
+// estimated selective enough that whole morsels plausibly fall out — and nil
+// for any other. The engine asks before it compiles the step's filters, so a
+// primary-key or index probe pays one comparison, and puts the step first in
+// the plan's shape when a filter lowered to a probe.
+func ZoneSkipStep(first *Step) *ShapeStep {
 	if first.Access != ScanFull || first.TableRows < MorselRows {
-		return
+		return nil
 	}
-	probeable := false
-	for _, f := range first.SelfFilters {
-		if zoneFilterEligible(f, first.FromPos, res, stats) {
-			probeable = true
-			break
-		}
-	}
-	if !probeable {
-		return
-	}
-	sel := 1.0
-	if first.TableRows > 0 {
-		sel = first.EstRows / float64(first.TableRows)
-	}
+	sel := first.EstRows / float64(first.TableRows)
 	if sel > zoneSkipMaxSelectivity {
-		return
+		return nil
 	}
 	morsels := (first.TableRows + MorselRows - 1) / MorselRows
-	st := &ShapeStep{
+	return &ShapeStep{
 		Kind:       ShapeZoneSkip,
 		K:          morsels,
 		EstRows:    (1 - sel) * float64(morsels),
 		ActualRows: -1,
 	}
-	plan.Shape = append([]*ShapeStep{st}, plan.Shape...)
-}
-
-// zoneFilterEligible reports whether a self-filter conjunct can be answered
-// (at least partially) from zone bounds. It is the vectorizable dialect
-// narrowed by one case: a LIKE pattern prunes zones only through its literal
-// prefix, so a pattern that starts with a wildcard gives the probe nothing to
-// compare against the zone's string bounds.
-func zoneFilterEligible(e sqlparser.Expr, in int, res *resolver, stats []storage.TableStats) bool {
-	if !vecFilterEligible(e, in, res, stats) {
-		return false
-	}
-	if b, ok := e.(*sqlparser.BinaryExpr); ok && b.Op == sqlparser.OpLike {
-		lit, ok := litValue(b.Right)
-		if !ok || lit.IsNull() {
-			return false
-		}
-		prefix, _ := LikePrefix(lit.Text())
-		return prefix != ""
-	}
-	return true
 }
 
 // LikePrefix splits a LIKE pattern into the literal prefix before its first

@@ -1,12 +1,9 @@
 package planner_test
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/planner"
-	"repro/internal/storage"
 )
 
 func TestLikePrefix(t *testing.T) {
@@ -66,107 +63,5 @@ func TestPrefixSuccessor(t *testing.T) {
 		if sample := p + "\xff\xff\xff"; !(sample < succ) {
 			t.Errorf("%q (extends %q) not below successor %q", sample, p, succ)
 		}
-	}
-}
-
-// bigDB builds a movie database whose MOVIES table spans multiple morsels,
-// clearing the zone-skip row-count gate.
-func bigDB(t *testing.T) *storage.Database {
-	t.Helper()
-	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
-		Seed: 7, Movies: 3 * planner.MorselRows, Actors: 500, Directors: 21,
-		CastPerMovie: 1, GenresPerMovie: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
-
-func zoneStep(p *planner.Plan) *planner.ShapeStep {
-	for _, sh := range p.Shape {
-		if sh.Kind == planner.ShapeZoneSkip {
-			return sh
-		}
-	}
-	return nil
-}
-
-// TestZoneSkipShapeGating pins when the planner plants a zone-skip step: a
-// selective vectorizable filter over a multi-morsel full scan qualifies;
-// small tables, unselective filters, probes, and prefix-free LIKEs do not.
-func TestZoneSkipShapeGating(t *testing.T) {
-	big := bigDB(t)
-	rows := big.Table("MOVIES").Len()
-	morsels := (rows + planner.MorselRows - 1) / planner.MorselRows
-
-	p := buildPlan(t, big, `select m.title from MOVIES m where m.year = 1975`)
-	st := zoneStep(p)
-	if st == nil {
-		t.Fatalf("selective scan lacks zone-skip step: %s", p.Fingerprint())
-	}
-	if p.Shape[0] != st {
-		t.Fatalf("zone-skip step not first in shape: %s", p.Fingerprint())
-	}
-	if st.K != morsels {
-		t.Fatalf("zone-skip K = %d, want %d", st.K, morsels)
-	}
-	if st.ActualRows != -1 {
-		t.Fatalf("unexecuted plan reports ActualRows %d", st.ActualRows)
-	}
-	if !strings.Contains(p.Fingerprint(), ">zskip") {
-		t.Fatalf("fingerprint %q lacks >zskip", p.Fingerprint())
-	}
-	if !strings.Contains(p.Summarize().Shape[0].Detail, "morsels") {
-		t.Fatalf("summary detail %q", p.Summarize().Shape[0].Detail)
-	}
-
-	// LIKE with a prefix qualifies; a prefix-free LIKE leaves nothing to probe.
-	if p := buildPlan(t, big, `select m.title from MOVIES m where m.title like 'Movie 42%'`); zoneStep(p) == nil {
-		t.Fatalf("prefix LIKE lacks zone-skip: %s", p.Fingerprint())
-	}
-	if p := buildPlan(t, big, `select m.title from MOVIES m where m.title like '%42'`); zoneStep(p) != nil {
-		t.Fatalf("suffix LIKE planted zone-skip: %s", p.Fingerprint())
-	}
-
-	// Unselective: the estimate exceeds the gate, pruning would be wasted work.
-	if p := buildPlan(t, big, `select m.title from MOVIES m where m.year != 1975`); zoneStep(p) != nil {
-		t.Fatalf("unselective filter planted zone-skip: %s", p.Fingerprint())
-	}
-	// No filter at all.
-	if p := buildPlan(t, big, `select m.title from MOVIES m`); zoneStep(p) != nil {
-		t.Fatalf("filterless scan planted zone-skip: %s", p.Fingerprint())
-	}
-	// Point probe: not a full scan.
-	if p := buildPlan(t, big, `select m.title from MOVIES m where m.id = 7`); zoneStep(p) != nil {
-		t.Fatalf("pk probe planted zone-skip: %s", p.Fingerprint())
-	}
-
-	// Small table: under one morsel there is nothing to skip.
-	small, err := dataset.GenerateMovieDB(dataset.GenConfig{
-		Seed: 7, Movies: 200, Actors: 50, Directors: 7, CastPerMovie: 1, GenresPerMovie: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := buildPlan(t, small, `select m.title from MOVIES m where m.year = 1975`); zoneStep(p) != nil {
-		t.Fatalf("small table planted zone-skip: %s", p.Fingerprint())
-	}
-}
-
-// TestZoneSkipShapeComposes: the step rides in front of vec-aggregate and
-// parallel-scan shaping without disturbing them.
-func TestZoneSkipShapeComposes(t *testing.T) {
-	p := buildPlan(t, bigDB(t),
-		`select m.year, count(*) from MOVIES m where m.year < 1940 group by m.year`)
-	if p.Fallback {
-		t.Fatalf("fallback: %s", p.Reason)
-	}
-	fp := p.Fingerprint()
-	if !strings.Contains(fp, ">zskip") || !strings.Contains(fp, ">pscan") || !strings.Contains(fp, ">vagg") {
-		t.Fatalf("fingerprint %q should compose zskip, pscan and vagg", fp)
-	}
-	if p.Shape[0].Kind != planner.ShapeZoneSkip {
-		t.Fatalf("zone-skip not first: %s", fp)
 	}
 }

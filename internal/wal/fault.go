@@ -41,11 +41,15 @@ type FaultFS struct {
 	delaySync time.Duration
 	// delayWrite stalls every Write the same way.
 	delayWrite time.Duration
+	// stalled counts the Syncs inside their delay right now; healed is closed
+	// by ClearFaults to end those delays early.
+	stalled int
+	healed  chan struct{}
 }
 
 // NewFaultFS wraps inner with no faults armed.
 func NewFaultFS(inner FS) *FaultFS {
-	return &FaultFS{inner: inner, syncsLeft: -1, writesLeft: -1, shortReads: make(map[string]int)}
+	return &FaultFS{inner: inner, syncsLeft: -1, writesLeft: -1, shortReads: make(map[string]int), healed: make(chan struct{})}
 }
 
 // FailSyncsAfter arms the fsync fault: the next n Syncs (across all files)
@@ -91,7 +95,8 @@ func (f *FaultFS) DelayWrites(d time.Duration) {
 	f.delayWrite = d
 }
 
-// ClearFaults disarms every scripted fault.
+// ClearFaults disarms every scripted fault; a Sync stalled by DelaySyncs
+// proceeds at once.
 func (f *FaultFS) ClearFaults() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -100,15 +105,36 @@ func (f *FaultFS) ClearFaults() {
 	f.shortReads = make(map[string]int)
 	f.delaySync = 0
 	f.delayWrite = 0
+	close(f.healed)
+	f.healed = make(chan struct{})
+}
+
+// StalledSyncs reports how many Syncs are inside a DelaySyncs delay right
+// now, so a test can wait until a writer is wedged before it measures.
+func (f *FaultFS) StalledSyncs() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.stalled
 }
 
 func (f *FaultFS) sleepSync() {
 	f.mu.Lock()
-	d := f.delaySync
-	f.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
+	d, healed := f.delaySync, f.healed
+	if d <= 0 {
+		f.mu.Unlock()
+		return
 	}
+	f.stalled++
+	f.mu.Unlock()
+	t := time.NewTimer(d)
+	select {
+	case <-t.C:
+	case <-healed:
+		t.Stop()
+	}
+	f.mu.Lock()
+	f.stalled--
+	f.mu.Unlock()
 }
 
 func (f *FaultFS) sleepWrite() {

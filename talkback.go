@@ -116,7 +116,7 @@
 // plan says so.
 //
 // Grouped queries aggregate in one of three tiers. The fastest is the fused
-// vectorized pipeline (the planner's vec-aggregate shape step): when every
+// vectorized pipeline (the plan's vec-aggregate shape step): when every
 // group key and aggregate argument is a plain column and every filter
 // vectorizes, scan, joins, and accumulation run as a single push-based loop
 // over table positions — group keys and COUNT/SUM/AVG/MIN/MAX (+ DISTINCT
@@ -131,16 +131,21 @@
 // sum under 2^53): workers claim fixed-size position ranges from an atomic
 // cursor and the merge restores first-seen group order by (morsel, sequence)
 // stamps, so any worker count is byte-identical to serial execution — the
-// planner's parallel-scan shape step records the choice. Grouped queries
+// plan's parallel-scan shape step records the choice. The planner knows
+// neither dialect: it prices the scan (is the base table large enough to fan
+// out), and the engine's compiler, having compiled the query onto the fused
+// pipeline, turns the plan's aggregate step into vec-aggregate and adds the
+// parallel-scan step — so the plan names a tier only if it runs. Grouped queries
 // outside that dialect use the streaming aggregation pass (group keys and
 // accumulators compiled to slot readers over arena rows; HAVING is a
 // compiled post-filter), and grouped expressions needing subquery evaluation
 // take the environment path just for the grouping stage.
 //
-// Selective scans prune whole morsels before touching payloads: when a
-// multi-morsel full scan carries selective vectorizable filters, the planner
-// plants a zone-skip shape step and the engine compiles each filter to a
-// probe over the column zone maps. Every scan site — the vectorized
+// Selective scans prune whole morsels before touching payloads: when the
+// planner prices a multi-morsel full scan as selective enough, the engine
+// lowers each filter the scan applies vectorized to a probe over the column
+// zone maps as well — one lowering feeds both the row test and the probe —
+// and, having built at least one, adds the zone-skip shape step to the plan. Every scan site — the vectorized
 // single-table scan, the general gather loop, and the fused aggregation's
 // serial and parallel morsel loops — skips a 4096-row morsel whose min/max
 // bounds disprove the filters, and count-style passes short-circuit morsels
