@@ -486,13 +486,14 @@ func BenchmarkX10PlannerScan(b *testing.B) {
 }
 
 // BenchmarkX11GroupedAggregate measures grouped aggregation over the 100k
-// corpus three ways: the planned pipeline (which now takes the fused
+// corpus two ways: the planned pipeline (which takes the fused
 // vectorized-aggregation path: typed accumulators straight off the column
-// vectors, no joined-row materialization), the streaming grouped pipeline
-// (vec disabled: slot readers over arena rows), and the forced-naive env+map
-// path. The planned variant's allocs and bytes are gated in benchgate
-// (tracked in BENCH_5.json; the acceptance floor is ≥ 4x fewer bytes/op than
-// the BENCH_4.json streaming recording).
+// vectors, no joined-row materialization) and the streaming grouped pipeline
+// (vec disabled: slot readers over arena rows). The planned variant's allocs
+// and bytes are gated in benchgate (tracked in BENCH_5.json; the acceptance
+// floor is ≥ 4x fewer bytes/op than the BENCH_4.json streaming recording).
+// The interpreter's env+map path, once a third variant, is a test oracle now;
+// its last numbers are in BENCH_4/5.json.
 func BenchmarkX11GroupedAggregate(b *testing.B) {
 	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
 		Seed: 17, Movies: 100000, Actors: 25000, Directors: 1001,
@@ -508,17 +509,12 @@ from MOVIES m, GENRE g where m.id = g.mid group by g.genre having count(*) > 10`
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name    string
-		planned bool
-		vec     bool
-	}{{"planned", true, true}, {"streaming", true, false}, {"naive", false, true}} {
+		name string
+		vec  bool
+	}{{"planned", true}, {"streaming", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			eng.SetPlannerEnabled(mode.planned)
 			eng.SetVecAggEnabled(mode.vec)
-			defer func() {
-				eng.SetPlannerEnabled(true)
-				eng.SetVecAggEnabled(true)
-			}()
+			defer eng.SetVecAggEnabled(true)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -579,11 +575,11 @@ func BenchmarkX12TopKSort(b *testing.B) {
 }
 
 // BenchmarkX13ScanFilter measures full-scan filter throughput over the 100k
-// corpus: a selective year-range predicate over MOVIES projecting the title,
-// planned (columnar vector filter + direct column projection) against the
-// forced-naive env-per-row pipeline. The planned variant's time and bytes/op
+// corpus: a selective year-range predicate over MOVIES projecting the title
+// (columnar vector filter + direct column projection). Its time and bytes/op
 // against the PR-3 row layout are tracked in BENCH_4.json (floors: 3x time,
-// 5x bytes/op).
+// 5x bytes/op), beside the interpreter's env-per-row numbers, which are no
+// longer measured: the interpreter is a test oracle now.
 func BenchmarkX13ScanFilter(b *testing.B) {
 	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
 		Seed: 23, Movies: 100000, Actors: 25000, Directors: 1001,
@@ -597,26 +593,19 @@ func BenchmarkX13ScanFilter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name    string
-		planned bool
-	}{{"planned", true}, {"naive", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng.SetPlannerEnabled(mode.planned)
-			defer eng.SetPlannerEnabled(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Select(sel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) == 0 {
-					b.Fatal("filter matched nothing")
-				}
+	b.Run("planned", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Select(sel)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if len(res.Rows) == 0 {
+				b.Fatal("filter matched nothing")
+			}
+		}
+	})
 }
 
 // BenchmarkX14JoinBuild measures hash-join build-side allocations on the

@@ -18,9 +18,8 @@
 //	                → entity narrative, personalized by the session profile.
 //	POST /session   {"session": "s1", "profile": "casual"}
 //	                → bind a personalization profile to a session.
-//	GET  /stats     → cache hit/miss counters, table cardinalities, the
-//	                  engine's counted DML fallbacks, MVCC snapshot shape
-//	                  (sealed zones vs. mutable tail rows, published
+//	GET  /stats     → cache hit/miss counters, table cardinalities, MVCC
+//	                  snapshot shape (sealed zones vs. mutable tail rows, published
 //	                  versions, reader traffic), and — for durable
 //	                  databases — WAL counters plus the last recovery
 //	                  narrated in English.
@@ -653,14 +652,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"readers_in_flight":  inFlight,
 			"reads_completed":    completed,
 			"reads_cancelled":    cancelled,
-		},
-		// The engine's counted downgrades: UPDATE and DELETE statements whose
-		// WHERE the planner refused, so the interpreter pre-scan found their
-		// rows instead of a plan, and SELECTs the naive pipeline ran — per
-		// refusal reason, empty while none did.
-		"engine": map[string]any{
-			"dml_fallbacks":    s.sys.Engine().DMLFallbacks(),
-			"select_fallbacks": s.sys.Engine().SelectFallbacks(),
 		},
 	}
 	if s.repl != nil {

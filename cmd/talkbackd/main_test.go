@@ -162,45 +162,3 @@ func TestInMemoryStatsOmitDurability(t *testing.T) {
 		t.Fatal("in-memory /stats reports durability")
 	}
 }
-
-// TestStatsCountDMLFallbacks: /stats shows, per reason, the UPDATE and DELETE
-// statements whose WHERE took the interpreter pre-scan — none for keyed
-// statements, one for a WHERE the planner refuses — and the SELECTs the naive
-// pipeline ran.
-func TestStatsCountDMLFallbacks(t *testing.T) {
-	sys, err := buildSystem("movie", 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newTestServer(t, sys)
-	counted := func(which string) map[string]any {
-		engine, ok := getJSON(t, ts, "/stats", http.StatusOK)["engine"].(map[string]any)
-		if !ok {
-			t.Fatal("no engine section in /stats")
-		}
-		return engine[which].(map[string]any)
-	}
-	fallbacks := func() map[string]any { return counted("dml_fallbacks") }
-	if code, out := postAsk(t, ts, "update MOVIES set year = 1999 where id = 101"); code != http.StatusOK {
-		t.Fatalf("keyed update: %d %v", code, out)
-	}
-	if got := fallbacks(); len(got) != 0 {
-		t.Fatalf("a keyed update was counted as a fallback: %v", got)
-	}
-	if code, _ := postAsk(t, ts, "delete from MOVIES where nosuch = 1"); code == http.StatusOK {
-		t.Fatal("a WHERE over an unknown column was accepted")
-	}
-	if got := fallbacks(); got["unresolved column reference"] != float64(1) {
-		t.Fatalf("dml_fallbacks = %v", got)
-	}
-	// SELECTs likewise: a planned one is not counted, an outer join is.
-	if got := counted("select_fallbacks"); len(got) != 0 {
-		t.Fatalf("select_fallbacks before any naive SELECT = %v", got)
-	}
-	if code, out := postAsk(t, ts, "select m.title from MOVIES m left join GENRE g on g.mid = m.id"); code != http.StatusOK {
-		t.Fatalf("outer join: %d %v", code, out)
-	}
-	if got := counted("select_fallbacks"); got["outer join"] != float64(1) {
-		t.Fatalf("select_fallbacks = %v", got)
-	}
-}

@@ -26,8 +26,9 @@ const (
 )
 
 // TickRows is how many iterations a row-at-a-time loop runs between budget
-// polls — the cooperative-cancellation granularity of the naive pipeline and
-// the DML pre-scans. A power of two so Tick stays a mask test.
+// polls — the cooperative-cancellation granularity of the environment-based
+// grouping, INSERT loops and the engine's test interpreter. A power of
+// two so Tick stays a mask test.
 const TickRows = 1024
 
 // CancelError reports that a query stopped before completing: its context

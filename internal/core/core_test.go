@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/dataset"
-	"repro/internal/datatotext"
-	"repro/internal/nlg"
 	"repro/internal/queryclassify"
 	"repro/internal/speech"
 	"repro/internal/sqlparser"
@@ -131,84 +129,6 @@ func TestAskUpdateRefusesDuplicateKey(t *testing.T) {
 		}
 		if got := resp.Result.Rows[0][0].Int(); got != want {
 			t.Errorf("%s = %d, want %d", sql, got, want)
-		}
-	}
-}
-
-// TestKeyedDMLNeverFallsBack pins that the four statement shapes of the
-// benchmark's durable_write workload resolve their rows through a plan: the
-// counted interpreter pre-scan stays at zero.
-func TestKeyedDMLNeverFallsBack(t *testing.T) {
-	s := movieSystem(t)
-	for _, sql := range []string{
-		"insert into MOVIES (id, title, year) values (900001, 'Scripted 900001', 1987)",
-		"update MOVIES set year = 1999 where id = 900001",
-		"update MOVIES set year = year + 100 where year between 1950 and 1964",
-		"delete from MOVIES where id = 900001",
-	} {
-		if _, err := s.Ask(sql); err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-	}
-	if got := s.Engine().DMLFallbacks(); len(got) != 0 {
-		t.Fatalf("durable_write's statement shapes took the interpreter pre-scan: %v", got)
-	}
-	if _, err := s.Ask("delete from MOVIES where nosuch = 1"); err == nil {
-		t.Fatal("a WHERE over an unknown column was accepted")
-	}
-	if got := s.Engine().DMLFallbacks(); got["unresolved column reference"] != 1 {
-		t.Fatalf("fallbacks after an unplannable WHERE = %v", got)
-	}
-}
-
-// TestNarrationNeverFallsBack pins that every query content narration issues
-// is planned: across every entity of both curated databases — compact,
-// procedural and split narratives, and the database narrative from every
-// relation — the engine's counted naive-pipeline runs stay at zero.
-func TestNarrationNeverFallsBack(t *testing.T) {
-	emp, err := NewEmpSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	systems := []struct {
-		sys   *System
-		split map[string][]string
-	}{
-		{movieSystem(t), map[string][]string{
-			"MOVIES": {"DIRECTOR", "ACTOR", "GENRE"}, "DIRECTOR": {"MOVIES"}, "ACTOR": {"MOVIES"}}},
-		{emp, map[string][]string{"EMP": {"DEPT"}, "DEPT": {"EMP"}}},
-	}
-	for _, sc := range systems {
-		s := sc.sys
-		for _, rel := range s.Database().Schema().Relations() {
-			if _, err := s.DescribeDatabase(rel.Name); err != nil {
-				t.Fatalf("DescribeDatabase(%s): %v", rel.Name, err)
-			}
-			key := rel.PrimaryKey[0]
-			for _, tup := range s.Database().Table(rel.Name).Tuples() {
-				id := tup[rel.AttrIndex(key)]
-				for _, style := range []nlg.Realization{nlg.Compact, nlg.Procedural} {
-					tr := s.DataTranslator().WithOptions(datatotext.Options{Style: style, MaxListItems: 2})
-					if _, err := tr.DescribeEntity(rel.Name, key, id); err != nil {
-						t.Fatalf("DescribeEntity(%s %s): %v", rel.Name, id, err)
-					}
-				}
-				if to := sc.split[rel.Name]; to != nil {
-					// An entity related to nothing is an error, not a fallback.
-					_, _ = s.DataTranslator().DescribeEntitySplit(rel.Name, key, id, to)
-				}
-			}
-		}
-		if got := s.Engine().SelectFallbacks(); len(got) != 0 {
-			t.Fatalf("narration ran the naive pipeline: %v", got)
-		}
-		// The zero means something: this engine counts a SELECT the planner
-		// refuses.
-		if _, err := s.Engine().Query("select count(*) from " + s.Database().Schema().Relations()[0].Name + " x where nosuch = 1"); err == nil {
-			t.Fatal("an unresolvable column was accepted")
-		}
-		if got := s.Engine().SelectFallbacks(); got["unresolved column reference"] != 1 {
-			t.Fatalf("select fallbacks after an unplannable SELECT = %v", got)
 		}
 	}
 }
@@ -481,9 +401,6 @@ func TestAskRecordsPlan(t *testing.T) {
 	}
 	if first.Plan == nil || first.Plan.Fingerprint == "" {
 		t.Fatal("SELECT response has no plan")
-	}
-	if first.Plan.Fallback {
-		t.Fatalf("Q1 should plan, got fallback: %s", first.Plan.Reason)
 	}
 	second, err := s.Ask(sql)
 	if err != nil {

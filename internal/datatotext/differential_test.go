@@ -364,9 +364,6 @@ func TestNarrationDifferential(t *testing.T) {
 						}
 					}
 				}
-				if fb := eng.SelectFallbacks(); len(fb) != 0 {
-					t.Fatalf("seed %d: narration ran the naive pipeline: %v", seed, fb)
-				}
 			}
 		}
 	}

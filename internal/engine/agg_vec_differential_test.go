@@ -248,9 +248,9 @@ func vecAggThreeWays(t *testing.T, ex *Engine, q string) (fused bool) {
 	ex.SetVecAggEnabled(true)
 	mustSame(t, q, "vec", "streaming", vecRes, streamRes, vecErr, streamErr)
 
-	ex.SetPlannerEnabled(false)
+	ex.useOracle(true)
 	naiveRes, naiveErr := ex.Select(sel)
-	ex.SetPlannerEnabled(true)
+	ex.useOracle(false)
 	mustSame(t, q, "vec", "naive", vecRes, naiveRes, vecErr, naiveErr)
 	return fused
 }
@@ -337,9 +337,9 @@ func TestVecAggDistinctSelect(t *testing.T) {
 			t.Fatal(err)
 		}
 		vecRes, vecErr := ex.Select(sel)
-		ex.SetPlannerEnabled(false)
+		ex.useOracle(true)
 		naiveRes, naiveErr := ex.Select(sel)
-		ex.SetPlannerEnabled(true)
+		ex.useOracle(false)
 		mustSame(t, q, "vec", "naive", vecRes, naiveRes, vecErr, naiveErr)
 	}
 }

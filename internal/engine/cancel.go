@@ -11,10 +11,10 @@ import (
 // the execution loops; every loop polls it cooperatively at morsel
 // boundaries (gatherBatches sub-chunks worker ranges at storage-zone
 // boundaries, the fused aggregation loop checks per claimed morsel, and the
-// naive pipeline ticks every budget.TickRows iterations). A tripped budget
-// latches a single *CancelError so concurrent workers agree on the first
-// cause, stop claiming work, and the whole pipeline unwinds without partial
-// results escaping.
+// interpreter — the tests' oracle — ticks every budget.TickRows iterations).
+// A tripped budget latches a single *CancelError so concurrent workers agree
+// on the first cause, stop claiming work, and the whole pipeline unwinds
+// without partial results escaping.
 //
 // The types live in the leaf package internal/budget (so the narration layer
 // can render a CancelError without importing the engine); these aliases keep

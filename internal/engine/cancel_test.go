@@ -131,7 +131,7 @@ func TestCancelDMLLossFree(t *testing.T) {
 	defer leakcheck.Check(t)()
 	stmts := []struct {
 		name, sql, rel string
-		naive          bool // planner off: the WHERE takes the interpreter pre-scan
+		naive          bool // on the interpreter: its pre-scan resolves the WHERE
 	}{
 		{name: "insert-select", sql: `insert into GENRE (mid, genre) select distinct c.mid, 'cancelled' from CAST c where c.aid < 40`, rel: "GENRE"},
 		{name: "insert-values", sql: `insert into DIRECTOR (id, name) values (9001, 'A'), (9002, 'B'), (9003, 'C')`, rel: "DIRECTOR"},
@@ -160,7 +160,7 @@ func TestCancelDMLLossFree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			newEngine := func(db *storage.Database) *Engine {
 				ex := New(db)
-				ex.SetPlannerEnabled(!tc.naive)
+				ex.useOracle(tc.naive)
 				return ex
 			}
 			stmt, err := sqlparser.Parse(tc.sql)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -217,9 +216,6 @@ func (ex *Engine) execDelete(stmt *sqlparser.DeleteStmt) (n int, err error) {
 //
 // Positions stay valid until the apply because engine DML is serialized (core
 // holds execMu): nothing else mutates the table in between.
-//
-// Only a WHERE the planner refuses (an unresolvable column reference, or the
-// planner switched off) takes the interpreter pre-scan, and is counted.
 func (ex *Engine) dmlPositions(tbl *storage.Table, alias string, where sqlparser.Expr) ([]int, error) {
 	if err := ex.bud.Step(0); err != nil {
 		return nil, err
@@ -231,13 +227,11 @@ func (ex *Engine) dmlPositions(tbl *storage.Table, alias string, where sqlparser
 		}
 		return positions, nil
 	}
-	sel := &sqlparser.SelectStmt{Where: where, Limit: -1}
-	plan := ex.planFor(sel, []fromEntry{{rel: tbl.Relation(), tbl: tbl, alias: alias}}, false)
-	if plan.Fallback {
-		ex.st.noteFallback(ex.st.dmlFallbacks, plan.Reason)
-		return ex.dmlPrescan(tbl, where, alias)
+	if o := ex.st.oracle.Load(); o != nil {
+		return o.positions(ex, tbl, alias, where)
 	}
-	pq := ex.compilePlan(plan, nil)
+	sel := &sqlparser.SelectStmt{Where: where, Limit: -1}
+	pq := ex.compilePlan(ex.planFor(sel, []fromEntry{{rel: tbl.Relation(), tbl: tbl, alias: alias}}, false), nil)
 	pq.track = true // the provenance is the answer
 	cur, err := ex.runPipeline(pq)
 	if err != nil {
@@ -248,52 +242,4 @@ func (ex *Engine) dmlPositions(tbl *storage.Table, alias string, where sqlparser
 		positions[i] = int(p[0])
 	}
 	return positions, nil
-}
-
-// dmlPrescan is the interpreter fallback of dmlPositions: it evaluates where
-// over every row of tbl with cooperative budget polls.
-func (ex *Engine) dmlPrescan(tbl *storage.Table, where sqlparser.Expr, alias string) ([]int, error) {
-	rel := tbl.Relation()
-	nrows := tbl.Len()
-	ex.bud.AddTotal(nrows)
-	var positions []int
-	scratch := make(storage.Tuple, len(rel.Attributes))
-	en := &env{bindings: []binding{{alias: alias, rel: rel, tuple: scratch}}}
-	for i := 0; i < nrows; i++ {
-		if err := ex.bud.Tick(i); err != nil {
-			return nil, err
-		}
-		tbl.CopyRow(scratch, i)
-		v, err := ex.evalExpr(where, en, nil)
-		if err != nil {
-			return nil, err
-		}
-		if passes(v) {
-			positions = append(positions, i)
-		}
-	}
-	return positions, nil
-}
-
-// DMLFallbacks reports, per planner refusal reason, how many UPDATE and
-// DELETE statements resolved their WHERE through the interpreter pre-scan
-// instead of a plan since the engine was created.
-func (ex *Engine) DMLFallbacks() map[string]uint64 {
-	ex.st.fbMu.Lock()
-	defer ex.st.fbMu.Unlock()
-	return maps.Clone(ex.st.dmlFallbacks)
-}
-
-// SelectFallbacks reports, per planner refusal reason, how many SELECTs ran
-// the naive pipeline instead of a plan since the engine was created.
-func (ex *Engine) SelectFallbacks() map[string]uint64 {
-	ex.st.fbMu.Lock()
-	defer ex.st.fbMu.Unlock()
-	return maps.Clone(ex.st.selectFallbacks)
-}
-
-func (st *engineState) noteFallback(counts map[string]uint64, reason string) {
-	st.fbMu.Lock()
-	counts[reason]++
-	st.fbMu.Unlock()
 }

@@ -21,10 +21,10 @@ import (
 // of SELECTs) — the view registry is lock-protected and query evaluation
 // never mutates engine or AST state. Reads resolve tables through src, which
 // is either the live database (DML statements read their own writes) or a
-// pinned storage.Snapshot (At); snapshot-bound engines run the whole
-// planned/vectorized/naive pipeline against immutable frozen tables, so any
-// number of them execute concurrently with a committing writer. DML always
-// goes to the live database and follows the storage layer's contract.
+// pinned storage.Snapshot (At); snapshot-bound engines run the whole planned
+// pipeline against immutable frozen tables, so any number of them execute
+// concurrently with a committing writer. DML always goes to the live database
+// and follows the storage layer's contract.
 type Engine struct {
 	db  *storage.Database
 	src storage.TableSource
@@ -43,10 +43,6 @@ type engineState struct {
 	// GOMAXPROCS, 1 forces serial execution.
 	par atomic.Int32
 
-	// noPlan disables the cost-based planner (SetPlannerEnabled), forcing
-	// the naive environment pipeline for every SELECT.
-	noPlan atomic.Bool
-
 	// noVecAgg disables the fused vectorized-aggregation pipeline
 	// (SetVecAggEnabled), forcing grouped queries onto the streaming
 	// row-at-a-time aggregation — differential tests compare the two.
@@ -57,22 +53,22 @@ type engineState struct {
 	// bounds disprove the filters.
 	noZoneMaps atomic.Bool
 
-	// dmlFallbacks counts, per planner refusal reason, the UPDATE/DELETE
-	// statements whose WHERE took the interpreter pre-scan (see dmlPositions);
-	// selectFallbacks the SELECTs (subqueries and view bodies included) that
-	// ran the naive pipeline.
-	fbMu            sync.Mutex
-	dmlFallbacks    map[string]uint64
-	selectFallbacks map[string]uint64
+	// oracle, when set, answers every SELECT (subqueries and view bodies
+	// included) and resolves every UPDATE/DELETE WHERE instead of a plan.
+	// Only the engine's tests set it (export_test.go), to hold the planned
+	// pipeline to the interpreter; it is nil in production.
+	oracle atomic.Pointer[oracle]
+}
+
+// oracle is the test-installed interpreter (see engineState.oracle).
+type oracle struct {
+	selectRows func(ex *Engine, sel *sqlparser.SelectStmt, entries []fromEntry, outer *env, earlyLimit int) (*Result, error)
+	positions  func(ex *Engine, tbl *storage.Table, alias string, where sqlparser.Expr) ([]int, error)
 }
 
 // New creates an engine over db.
 func New(db *storage.Database) *Engine {
-	return &Engine{db: db, src: db, st: &engineState{
-		views:           make(map[string]*sqlparser.SelectStmt),
-		dmlFallbacks:    make(map[string]uint64),
-		selectFallbacks: make(map[string]uint64),
-	}}
+	return &Engine{db: db, src: db, st: &engineState{views: make(map[string]*sqlparser.SelectStmt)}}
 }
 
 // At returns a reader engine bound to the given snapshot: every table
@@ -225,21 +221,14 @@ func (ex *Engine) View(name string) *sqlparser.SelectStmt {
 // SELECT execution
 // ---------------------------------------------------------------------------
 
-// fromEntry is one flattened FROM element.
+// fromEntry is one flattened FROM element; a view reference reads the table
+// its body was materialized into.
 type fromEntry struct {
 	rel      *catalog.Relation
 	tbl      *storage.Table
 	alias    string
 	joinKind sqlparser.JoinKind
 	joinOn   sqlparser.Expr // only for explicit joins
-	explicit bool
-	view     *viewInstance // non-nil when the entry is a view reference
-}
-
-// viewInstance materializes a view as a synthetic relation.
-type viewInstance struct {
-	rel  *catalog.Relation
-	rows []storage.Tuple
 }
 
 // execSelectRows runs a (sub)query and returns the raw rows; limit >= 0
@@ -262,9 +251,7 @@ func (ex *Engine) execSelectBounded(sel *sqlparser.SelectStmt, outer *env, early
 }
 
 // execSelectExplained is execSelectBounded plus the plan that produced the
-// result (with actual row counts filled in). Plannable queries run the flat
-// slot-addressed pipeline; everything else falls back to the environment
-// pipeline, reported as a Fallback plan.
+// result, with actual row counts filled in.
 func (ex *Engine) execSelectExplained(sel *sqlparser.SelectStmt, outer *env, earlyLimit int) (*Result, *planner.Plan, error) {
 	if err := ex.bud.Step(0); err != nil {
 		return nil, nil, err
@@ -273,53 +260,14 @@ func (ex *Engine) execSelectExplained(sel *sqlparser.SelectStmt, outer *env, ear
 	if err != nil {
 		return nil, nil, err
 	}
-
-	grouped := sel.Grouped()
-
+	if o := ex.st.oracle.Load(); o != nil {
+		res, err := o.selectRows(ex, sel, entries, outer, earlyLimit)
+		return res, nil, err
+	}
 	plan := ex.planFor(sel, entries, outer != nil)
-	if !plan.Fallback {
-		// Planned execution shapes the result (grouping, DISTINCT, ORDER BY,
-		// LIMIT) inside the slot-addressed pipeline.
-		out, err := ex.execPlanned(sel, entries, plan, outer, earlyLimit, grouped)
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, plan, nil
-	}
-
-	// Naive pipeline: build environments row by row, applying every
-	// WHERE conjunct as soon as all of its tuple variables are bound
-	// (predicate pushdown).
-	ex.st.noteFallback(ex.st.selectFallbacks, plan.Reason)
-	conjuncts := sqlparser.Conjuncts(sel.Where)
-	envs, err := ex.joinFrom(entries, conjuncts, outer)
+	out, err := ex.execPlanned(sel, entries, plan, outer, earlyLimit, sel.Grouped())
 	if err != nil {
 		return nil, nil, err
-	}
-	plan.ActualRows = len(envs)
-	var out *Result
-	var rowEnvs []*env    // aligned with out.Rows for ungrouped queries
-	var groups []groupRef // aligned with out.Rows for grouped queries
-	if grouped {
-		out, groups, err = ex.execGrouped(sel, entries, envs)
-	} else {
-		out, rowEnvs, err = ex.execUngrouped(sel, entries, envs, earlyLimit)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if sel.Distinct {
-		out.Rows = distinctRows(out.Rows)
-		rowEnvs, groups = nil, nil // row alignment is lost after dedup
-	}
-	if len(sel.OrderBy) > 0 {
-		if err := ex.orderRows(sel, entries, out, rowEnvs, groups); err != nil {
-			return nil, nil, err
-		}
-	}
-	if sel.Limit >= 0 && len(out.Rows) > sel.Limit {
-		out.Rows = out.Rows[:sel.Limit]
 	}
 	return out, plan, nil
 }
@@ -329,20 +277,14 @@ func (ex *Engine) execSelectExplained(sel *sqlparser.SelectStmt, outer *env, ear
 func explainResult(plan *planner.Plan) *Result {
 	out := &Result{Columns: []string{"step", "access", "target", "detail", "estimated_rows", "actual_rows", "cost"}}
 	s := plan.Summarize()
-	if s.Fallback {
-		out.Rows = append(out.Rows, storage.Tuple{
-			value.NewInt(1),
-			value.NewText("naive pipeline"),
-			value.NewText(s.Reason),
-			value.NewNull(),
-			value.NewNull(),
-			value.NewInt(int64(plan.ActualRows)),
-			value.NewNull(),
-		})
-		return out
-	}
 	for i, st := range s.Steps {
 		detail := st.JoinKey
+		if st.Join != "" {
+			if detail != "" {
+				detail = " on " + detail
+			}
+			detail = st.Join + " outer join" + detail
+		}
 		if st.Index != "" {
 			if detail != "" {
 				detail += " via " + st.Index
@@ -410,20 +352,20 @@ func round2(f float64) float64 {
 func (ex *Engine) flattenFrom(from []*sqlparser.TableRef) ([]fromEntry, error) {
 	var entries []fromEntry
 	seen := map[string]bool{}
-	var add func(t *sqlparser.TableRef, kind sqlparser.JoinKind, on sqlparser.Expr, explicit bool) error
-	add = func(t *sqlparser.TableRef, kind sqlparser.JoinKind, on sqlparser.Expr, explicit bool) error {
-		e := fromEntry{alias: t.Name(), joinKind: kind, joinOn: on, explicit: explicit}
-		if tbl := ex.src.Table(t.Relation); tbl != nil {
-			e.rel, e.tbl = tbl.Relation(), tbl
-		} else if v := ex.View(t.Relation); v != nil {
-			inst, err := ex.materializeView(t.Relation, v)
-			if err != nil {
+	var add func(t *sqlparser.TableRef, kind sqlparser.JoinKind, on sqlparser.Expr) error
+	add = func(t *sqlparser.TableRef, kind sqlparser.JoinKind, on sqlparser.Expr) error {
+		e := fromEntry{alias: t.Name(), joinKind: kind, joinOn: on, tbl: ex.src.Table(t.Relation)}
+		if e.tbl == nil {
+			v := ex.View(t.Relation)
+			if v == nil {
+				return fmt.Errorf("engine: unknown relation %q", t.Relation)
+			}
+			var err error
+			if e.tbl, err = ex.materializeView(t.Relation, v); err != nil {
 				return err
 			}
-			e.rel, e.view = inst.rel, inst
-		} else {
-			return fmt.Errorf("engine: unknown relation %q", t.Relation)
 		}
+		e.rel = e.tbl.Relation()
 		key := strings.ToLower(e.alias)
 		if seen[key] {
 			return fmt.Errorf("engine: duplicate tuple variable %q", e.alias)
@@ -431,375 +373,49 @@ func (ex *Engine) flattenFrom(from []*sqlparser.TableRef) ([]fromEntry, error) {
 		seen[key] = true
 		entries = append(entries, e)
 		if t.Join != nil {
-			return add(t.Join.Right, t.Join.Kind, t.Join.On, true)
+			return add(t.Join.Right, t.Join.Kind, t.Join.On)
 		}
 		return nil
 	}
 	for _, t := range from {
-		if err := add(t, sqlparser.JoinInner, nil, false); err != nil {
+		if err := add(t, sqlparser.JoinInner, nil); err != nil {
 			return nil, err
 		}
 	}
 	return entries, nil
 }
 
-// materializeView runs the view query and wraps the result as a relation.
-func (ex *Engine) materializeView(name string, q *sqlparser.SelectStmt) (*viewInstance, error) {
+// materializeView runs the view's body through the engine and loads the rows
+// into a detached table, which the plan then reads like any other. Each
+// column takes the one kind its values have — Text when all are NULL, the
+// type a view column always had — and a column whose values mix kinds, which
+// no column vector can hold, is refused.
+func (ex *Engine) materializeView(name string, q *sqlparser.SelectStmt) (*storage.Table, error) {
 	res, err := ex.execSelect(q, nil)
 	if err != nil {
 		return nil, fmt.Errorf("engine: materializing view %s: %v", name, err)
 	}
 	rel := &catalog.Relation{Name: name}
-	for _, c := range res.Columns {
-		rel.Attributes = append(rel.Attributes, &catalog.Attribute{Name: c, Type: catalog.Text})
+	for i, c := range res.Columns {
+		kind := value.Null
+		for _, row := range res.Rows {
+			switch k := row[i].Kind(); {
+			case k == value.Null || k == kind:
+			case kind == value.Null:
+				kind = k
+			default:
+				return nil, fmt.Errorf("engine: view %s: column %s mixes %s and %s values", name, c, kind, k)
+			}
+		}
+		typ := catalog.Text
+		for _, t := range []catalog.Type{catalog.Int, catalog.Float, catalog.Date, catalog.Bool} {
+			if value.CatalogKind(t) == kind {
+				typ = t
+			}
+		}
+		rel.Attributes = append(rel.Attributes, &catalog.Attribute{Name: c, Type: typ})
 	}
-	return &viewInstance{rel: rel, rows: res.Rows}, nil
-}
-
-func (e *fromEntry) tuples() []storage.Tuple {
-	if e.view != nil {
-		return e.view.rows
-	}
-	return e.tbl.Tuples()
-}
-
-// joinFrom produces every joined environment. Inner joins use nested loops
-// with pushed-down predicates plus a hash-join fast path for equality
-// predicates; LEFT/RIGHT joins null-extend.
-func (ex *Engine) joinFrom(entries []fromEntry, conjuncts []sqlparser.Expr, outer *env) ([]*env, error) {
-	// Start with a single environment holding no bindings.
-	envs := []*env{{parent: outer}}
-	if len(entries) == 0 {
-		return envs, nil
-	}
-	applied := make([]bool, len(conjuncts))
-
-	boundAliases := map[string]*catalog.Relation{}
-	// Aliases visible from outer scopes count as bound for pushdown
-	// purposes; conservatively treat unqualified refs as unbound until all
-	// entries are joined.
-	for idx := range entries {
-		e := &entries[idx]
-		boundAliases[strings.ToLower(e.alias)] = e.rel
-
-		var stepConj []sqlparser.Expr
-		if e.explicit && e.joinOn != nil {
-			stepConj = append(stepConj, sqlparser.Conjuncts(e.joinOn)...)
-		}
-		// Pull in WHERE conjuncts that just became fully bound (only for
-		// inner semantics — applying WHERE during an outer join would be
-		// wrong, but entries from comma-FROM are always inner).
-		if e.joinKind == sqlparser.JoinInner {
-			for ci, c := range conjuncts {
-				if applied[ci] {
-					continue
-				}
-				if conjBound(c, boundAliases, idx == len(entries)-1) {
-					stepConj = append(stepConj, c)
-					applied[ci] = true
-				}
-			}
-		}
-
-		next, err := ex.joinStep(envs, e, stepConj)
-		if err != nil {
-			return nil, err
-		}
-		envs = next
-	}
-	// Any conjunct not yet applied (e.g. due to outer joins or unqualified
-	// columns) filters the final environments.
-	for ci, c := range conjuncts {
-		if applied[ci] {
-			continue
-		}
-		filtered := envs[:0]
-		for _, en := range envs {
-			v, err := ex.evalExpr(c, en, nil)
-			if err != nil {
-				return nil, err
-			}
-			if !v.IsNull() && v.Kind() == value.Bool && v.Bool() {
-				filtered = append(filtered, en)
-			}
-		}
-		envs = filtered
-	}
-	return envs, nil
-}
-
-// conjBound reports whether every column reference of c resolves within
-// boundAliases (or, when last is true, anywhere — the final join step can
-// evaluate everything; unqualified refs are also allowed then).
-func conjBound(c sqlparser.Expr, bound map[string]*catalog.Relation, last bool) bool {
-	if last {
-		return true
-	}
-	ok := true
-	sqlparser.WalkExpr(c, func(x sqlparser.Expr) bool {
-		switch n := x.(type) {
-		case *sqlparser.ColumnRef:
-			if n.Table == "" {
-				// Unqualified: only safe when a unique bound relation has it.
-				count := 0
-				for _, rel := range bound {
-					if rel.AttrIndex(n.Column) >= 0 {
-						count++
-					}
-				}
-				if count != 1 {
-					ok = false
-					return false
-				}
-				return true
-			}
-			if _, b := bound[strings.ToLower(n.Table)]; !b {
-				ok = false
-				return false
-			}
-		case *sqlparser.InExpr:
-			if n.Subquery != nil {
-				// Correlated subqueries may reference anything; defer them.
-				ok = false
-				return false
-			}
-		case *sqlparser.ExistsExpr, *sqlparser.QuantifiedExpr, *sqlparser.SubqueryExpr:
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
-// joinStep extends each environment with every tuple of e that satisfies
-// stepConj. For equality conjuncts of the form bound.col = e.col it builds a
-// hash table over e once and probes it per environment.
-func (ex *Engine) joinStep(envs []*env, e *fromEntry, stepConj []sqlparser.Expr) ([]*env, error) {
-	tuples := e.tuples()
-	ex.bud.AddTotal(len(tuples))
-	if err := ex.bud.Step(0); err != nil {
-		return nil, err
-	}
-
-	// Hash-join fast path: find an equality conjunct linking e to an
-	// already-bound alias.
-	var probeExpr sqlparser.Expr // evaluated against the existing env
-	var buildPos int             // attribute position in e
-	rest := stepConj
-	if e.joinKind == sqlparser.JoinInner {
-		for i, c := range stepConj {
-			b, ok := c.(*sqlparser.BinaryExpr)
-			if !ok || b.Op != sqlparser.OpEq {
-				continue
-			}
-			l, lok := b.Left.(*sqlparser.ColumnRef)
-			r, rok := b.Right.(*sqlparser.ColumnRef)
-			if !lok || !rok {
-				continue
-			}
-			lIsE := strings.EqualFold(l.Table, e.alias)
-			rIsE := strings.EqualFold(r.Table, e.alias)
-			if lIsE == rIsE { // both or neither refer to e
-				continue
-			}
-			var eRef, oRef *sqlparser.ColumnRef
-			if lIsE {
-				eRef, oRef = l, r
-			} else {
-				eRef, oRef = r, l
-			}
-			pos := e.rel.AttrIndex(eRef.Column)
-			if pos < 0 {
-				return nil, fmt.Errorf("engine: relation %s has no attribute %q", e.rel.Name, eRef.Column)
-			}
-			probeExpr = oRef
-			buildPos = pos
-			// Drop the consumed conjunct with one exact-size allocation
-			// (append(append([]Expr{}, ...)...) copied twice and
-			// over-allocated on every join step).
-			rest = make([]sqlparser.Expr, 0, len(stepConj)-1)
-			rest = append(rest, stepConj[:i]...)
-			rest = append(rest, stepConj[i+1:]...)
-			break
-		}
-	}
-
-	// matchTuple extends base with tup and applies conds; nil env means the
-	// candidate failed a condition. It only reads shared state, so the
-	// parallel fan-out below may call it from many goroutines.
-	matchTuple := func(base *env, tup storage.Tuple, conds []sqlparser.Expr) (*env, error) {
-		cand := &env{parent: base.parent}
-		cand.bindings = append(append([]binding{}, base.bindings...), binding{alias: e.alias, rel: e.rel, tuple: tup})
-		for _, c := range conds {
-			v, err := ex.evalExpr(c, cand, nil)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() || v.Kind() != value.Bool || !v.Bool() {
-				return nil, nil
-			}
-		}
-		return cand, nil
-	}
-
-	if probeExpr != nil {
-		ht := make(map[string][]storage.Tuple, len(tuples))
-		for _, tup := range tuples {
-			v := tup[buildPos]
-			if v.IsNull() {
-				continue
-			}
-			ht[v.Key()] = append(ht[v.Key()], tup)
-		}
-		// Probe the (read-only) hash table for a chunk of environments.
-		probeRange := func(lo, hi int) ([]*env, error) {
-			var out []*env
-			for bi, base := range envs[lo:hi] {
-				if err := ex.bud.Tick(bi); err != nil {
-					return nil, err
-				}
-				pv, err := ex.evalExpr(probeExpr, base, nil)
-				if err != nil {
-					return nil, err
-				}
-				if pv.IsNull() {
-					continue
-				}
-				for _, tup := range ht[pv.Key()] {
-					cand, err := matchTuple(base, tup, rest)
-					if err != nil {
-						return nil, err
-					}
-					if cand != nil {
-						out = append(out, cand)
-					}
-				}
-			}
-			return out, nil
-		}
-		if w := ex.workersFor(len(envs)); w > 1 {
-			return gatherParallel(len(envs), w, probeRange)
-		}
-		return probeRange(0, len(envs))
-	}
-
-	// Nested loop, with LEFT/RIGHT outer handling for explicit joins.
-	if e.explicit && (e.joinKind == sqlparser.JoinLeft || e.joinKind == sqlparser.JoinRight) {
-		return ex.outerJoinStep(envs, e, stepConj)
-	}
-	// crossMatch is the one nested-loop body every serial and parallel
-	// variant below shares: bases × tups, in order.
-	crossMatch := func(bases []*env, tups []storage.Tuple) ([]*env, error) {
-		var out []*env
-		for bi, base := range bases {
-			if err := ex.bud.Tick(bi); err != nil {
-				return nil, err
-			}
-			for tj, tup := range tups {
-				if err := ex.bud.Tick(tj); err != nil {
-					return nil, err
-				}
-				cand, err := matchTuple(base, tup, stepConj)
-				if err != nil {
-					return nil, err
-				}
-				if cand != nil {
-					out = append(out, cand)
-				}
-			}
-		}
-		return out, nil
-	}
-	if w := ex.workersFor(len(envs)); w > 1 {
-		return gatherParallel(len(envs), w, func(lo, hi int) ([]*env, error) {
-			return crossMatch(envs[lo:hi], tuples)
-		})
-	}
-	// Few environments over a big table — the base-table scan/filter case —
-	// fans out across tuple chunks instead, per environment in order.
-	if w := ex.workersFor(len(envs) * len(tuples)); w > 1 && len(tuples) >= w {
-		var out []*env
-		for _, base := range envs {
-			part, err := gatherParallel(len(tuples), w, func(lo, hi int) ([]*env, error) {
-				return crossMatch([]*env{base}, tuples[lo:hi])
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, part...)
-		}
-		return out, nil
-	}
-	return crossMatch(envs, tuples)
-}
-
-// outerJoinStep implements LEFT JOIN (preserve existing envs) and RIGHT JOIN
-// (preserve new-table tuples) with NULL extension.
-func (ex *Engine) outerJoinStep(envs []*env, e *fromEntry, conds []sqlparser.Expr) ([]*env, error) {
-	tuples := e.tuples()
-	nullTuple := make(storage.Tuple, len(e.rel.Attributes))
-	var out []*env
-	matchedRight := make([]bool, len(tuples))
-	for bi, base := range envs {
-		if err := ex.bud.Tick(bi); err != nil {
-			return nil, err
-		}
-		matched := false
-		for ti, tup := range tuples {
-			if err := ex.bud.Tick(ti); err != nil {
-				return nil, err
-			}
-			cand := &env{parent: base.parent}
-			cand.bindings = append(append([]binding{}, base.bindings...), binding{alias: e.alias, rel: e.rel, tuple: tup})
-			ok := true
-			for _, c := range conds {
-				v, err := ex.evalExpr(c, cand, nil)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() || v.Kind() != value.Bool || !v.Bool() {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				matched = true
-				matchedRight[ti] = true
-				out = append(out, cand)
-			}
-		}
-		if !matched && e.joinKind == sqlparser.JoinLeft {
-			cand := &env{parent: base.parent}
-			cand.bindings = append(append([]binding{}, base.bindings...), binding{alias: e.alias, rel: e.rel, tuple: nullTuple})
-			out = append(out, cand)
-		}
-	}
-	if e.joinKind == sqlparser.JoinRight {
-		// Preserve unmatched right tuples with NULLs for all prior bindings.
-		var protoBindings []binding
-		if len(envs) > 0 {
-			for _, b := range envs[0].bindings {
-				protoBindings = append(protoBindings, binding{
-					alias: b.alias, rel: b.rel,
-					tuple: make(storage.Tuple, len(b.rel.Attributes)),
-				})
-			}
-		}
-		var parent *env
-		if len(envs) > 0 {
-			parent = envs[0].parent
-		}
-		for ti, tup := range tuples {
-			if matchedRight[ti] {
-				continue
-			}
-			cand := &env{parent: parent}
-			cand.bindings = append(append([]binding{}, protoBindings...), binding{alias: e.alias, rel: e.rel, tuple: tup})
-			out = append(out, cand)
-		}
-	}
-	return out, nil
+	return storage.DetachedTable(rel, res.Rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -856,35 +472,6 @@ func itemName(it sqlparser.SelectItem) string {
 		return c.Column
 	}
 	return it.Expr.SQL()
-}
-
-func (ex *Engine) execUngrouped(sel *sqlparser.SelectStmt, entries []fromEntry, envs []*env, earlyLimit int) (*Result, []*env, error) {
-	items, cols, err := expandItems(sel, entries)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := &Result{Columns: cols}
-	var rowEnvs []*env
-	for ei, en := range envs {
-		if err := ex.bud.Tick(ei); err != nil {
-			return nil, nil, err
-		}
-		row := make(storage.Tuple, len(items))
-		for i, it := range items {
-			v, err := ex.evalExpr(it.Expr, en, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
-		}
-		out.Rows = append(out.Rows, row)
-		rowEnvs = append(rowEnvs, en)
-		if earlyLimit >= 0 && len(out.Rows) >= earlyLimit &&
-			len(sel.OrderBy) == 0 && !sel.Distinct && sel.Limit < 0 {
-			return out, rowEnvs, nil
-		}
-	}
-	return out, rowEnvs, nil
 }
 
 // groupRef ties one grouped output row back to its group so ORDER BY can

@@ -78,19 +78,50 @@ func TestExplainNarratesHashedSide(t *testing.T) {
 	}
 }
 
-// TestExplainPlanStatementFallback renders fallback plans honestly.
+// TestExplainPlanStatementFallback: an outer join, which once fell back to
+// the interpreter and explained itself as one "naive pipeline" row, runs a
+// plan — real steps with estimated and actual rows — and its narration says
+// which side the join keeps and which it pads.
 func TestExplainPlanStatementFallback(t *testing.T) {
-	db, err := dataset.CuratedMovieDB()
+	db, err := dataset.CuratedEmpDept()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex := New(db)
-	res, _, err := ex.Exec("explain plan select m.title from MOVIES m left join CAST c on m.id = c.mid")
+	if _, _, err := ex.Exec("insert into DEPT (did, dname, mgr) values (30, 'R and D', NULL)"); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "select d.dname, e.name from DEPT d left join EMP e on e.did = d.did"
+	res, _, err := ex.Exec("explain plan " + sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][1].Text() != "naive pipeline" {
-		t.Fatalf("fallback rendering:\n%s", res)
+	if len(res.Rows) != 2 || res.Rows[1][2].Text() != "EMP e" || res.Rows[1][3].Text() != "left outer join on e.did = d.did" {
+		t.Fatalf("outer join rendering:\n%s", res)
+	}
+	emp := int64(db.Table("EMP").Len())
+	for i, row := range res.Rows {
+		if row[4].IsNull() || row[5].IsNull() || row[5].Int() < 0 {
+			t.Fatalf("step %d has no estimated or actual rows:\n%s", i+1, res)
+		}
+	}
+	// Every employee's department exists, and R and D has none: each matches
+	// once and the new department is kept, padded.
+	if got := res.Rows[1][5].Int(); got != emp+1 {
+		t.Fatalf("the join step saw %d rows, want %d:\n%s", got, emp+1, res)
+	}
+
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, plan, err := ex.SelectExplained(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := querytotext.PlanEnglish(plan.Summarize())
+	if want := "keeping every row so far and padding e with NULLs where nothing matches"; !strings.Contains(text, want) {
+		t.Fatalf("narration missing %q:\n%s", want, text)
 	}
 }
 

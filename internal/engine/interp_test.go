@@ -1,0 +1,484 @@
+package engine
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+
+	"repro/internal/catalog"
+	"repro/internal/sqlparser"
+	"repro/internal/storage"
+)
+
+// This file is the interpreter: the engine's original, environment-per-row
+// executor, kept as the oracle the differential suites hold the planned
+// pipeline to. It joins FROM entries left to right with nested loops (and a
+// hash lookup for an inner equi-join), binds every tuple variable in an
+// environment chain and evaluates every expression with evalExpr, applying
+// each WHERE conjunct as soon as its tuple variables are bound. export_test.go
+// installs it (useOracle); production never runs it.
+
+// interpSelect runs a SELECT on the interpreter.
+func interpSelect(ex *Engine, sel *sqlparser.SelectStmt, entries []fromEntry, outer *env, earlyLimit int) (*Result, error) {
+	envs, err := ex.joinFrom(entries, sqlparser.Conjuncts(sel.Where), outer)
+	if err != nil {
+		return nil, err
+	}
+	var out *Result
+	var rowEnvs []*env    // aligned with out.Rows for ungrouped queries
+	var groups []groupRef // aligned with out.Rows for grouped queries
+	if sel.Grouped() {
+		out, groups, err = ex.execGrouped(sel, entries, envs)
+	} else {
+		out, rowEnvs, err = ex.execUngrouped(sel, entries, envs, earlyLimit)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if sel.Distinct {
+		out.Rows = distinctRows(out.Rows)
+		rowEnvs, groups = nil, nil // row alignment is lost after dedup
+	}
+	if len(sel.OrderBy) > 0 {
+		if err := ex.orderRows(sel, entries, out, rowEnvs, groups); err != nil {
+			return nil, err
+		}
+	}
+	if sel.Limit >= 0 && len(out.Rows) > sel.Limit {
+		out.Rows = out.Rows[:sel.Limit]
+	}
+	return out, nil
+}
+
+// interpPositions resolves an UPDATE or DELETE WHERE on the interpreter: it
+// evaluates where over every row of tbl with cooperative budget polls.
+func interpPositions(ex *Engine, tbl *storage.Table, alias string, where sqlparser.Expr) ([]int, error) {
+	rel := tbl.Relation()
+	nrows := tbl.Len()
+	ex.bud.AddTotal(nrows)
+	var positions []int
+	scratch := make(storage.Tuple, len(rel.Attributes))
+	en := &env{bindings: []binding{{alias: alias, rel: rel, tuple: scratch}}}
+	for i := 0; i < nrows; i++ {
+		if err := ex.bud.Tick(i); err != nil {
+			return nil, err
+		}
+		tbl.CopyRow(scratch, i)
+		v, err := ex.evalExpr(where, en, nil)
+		if err != nil {
+			return nil, err
+		}
+		if passes(v) {
+			positions = append(positions, i)
+		}
+	}
+	return positions, nil
+}
+
+// joinFrom produces every joined environment. Inner joins use nested loops
+// with pushed-down predicates plus a hash-join fast path for equality
+// predicates; LEFT/RIGHT joins null-extend. A WHERE conjunct is pulled into an
+// inner join step once its tuple variables are bound, but never before the
+// last RIGHT join, which pads every entry before it with NULLs.
+func (ex *Engine) joinFrom(entries []fromEntry, conjuncts []sqlparser.Expr, outer *env) ([]*env, error) {
+	// Start with a single environment holding no bindings.
+	envs := []*env{{parent: outer}}
+	applied := make([]bool, len(conjuncts))
+	lastRight := -1
+	for idx := range entries {
+		if entries[idx].joinKind == sqlparser.JoinRight {
+			lastRight = idx
+		}
+	}
+
+	boundAliases := map[string]*catalog.Relation{}
+	// Aliases visible from outer scopes count as bound for pushdown
+	// purposes; conservatively treat unqualified refs as unbound until all
+	// entries are joined.
+	for idx := range entries {
+		e := &entries[idx]
+		boundAliases[strings.ToLower(e.alias)] = e.rel
+
+		stepConj := sqlparser.Conjuncts(e.joinOn)
+		// Pull in WHERE conjuncts that just became fully bound (only for
+		// inner semantics — applying WHERE during an outer join would be
+		// wrong, but entries from comma-FROM are always inner).
+		if e.joinKind == sqlparser.JoinInner && idx >= lastRight {
+			for ci, c := range conjuncts {
+				if applied[ci] {
+					continue
+				}
+				if conjBound(c, boundAliases, idx == len(entries)-1) {
+					stepConj = append(stepConj, c)
+					applied[ci] = true
+				}
+			}
+		}
+
+		next, err := ex.joinStep(envs, entries[:idx+1], stepConj, outer)
+		if err != nil {
+			return nil, err
+		}
+		envs = next
+	}
+	// Any conjunct not yet applied (e.g. due to outer joins or unqualified
+	// columns) filters the final environments.
+	for ci, c := range conjuncts {
+		if applied[ci] {
+			continue
+		}
+		filtered := envs[:0]
+		for _, en := range envs {
+			v, err := ex.evalExpr(c, en, nil)
+			if err != nil {
+				return nil, err
+			}
+			if passes(v) {
+				filtered = append(filtered, en)
+			}
+		}
+		envs = filtered
+	}
+	return envs, nil
+}
+
+// conjBound reports whether every column reference of c resolves within
+// boundAliases (or, when last is true, anywhere — the final join step can
+// evaluate everything; unqualified refs are also allowed then). The planner's
+// interpreterStep places the conjuncts it cannot resolve by this rule.
+func conjBound(c sqlparser.Expr, bound map[string]*catalog.Relation, last bool) bool {
+	if last {
+		return true
+	}
+	ok := true
+	sqlparser.WalkExpr(c, func(x sqlparser.Expr) bool {
+		switch n := x.(type) {
+		case *sqlparser.ColumnRef:
+			if n.Table == "" {
+				// Unqualified: only safe when a unique bound relation has it.
+				count := 0
+				for _, rel := range bound {
+					if rel.AttrIndex(n.Column) >= 0 {
+						count++
+					}
+				}
+				if count != 1 {
+					ok = false
+					return false
+				}
+				return true
+			}
+			if _, b := bound[strings.ToLower(n.Table)]; !b {
+				ok = false
+				return false
+			}
+		case *sqlparser.InExpr:
+			if n.Subquery != nil {
+				// Correlated subqueries may reference anything; defer them.
+				ok = false
+				return false
+			}
+		case *sqlparser.ExistsExpr, *sqlparser.QuantifiedExpr, *sqlparser.SubqueryExpr:
+			ok = false
+			return false
+		}
+		return true
+	})
+	return ok
+}
+
+// joinStep extends each environment with every tuple of the prefix's last
+// entry e that satisfies stepConj. For equality conjuncts of the form
+// bound.col = e.col it builds a hash table over e once and probes it per
+// environment. outer is the statement's enclosing scope.
+func (ex *Engine) joinStep(envs []*env, prefix []fromEntry, stepConj []sqlparser.Expr, outer *env) ([]*env, error) {
+	e := &prefix[len(prefix)-1]
+	tuples := e.tbl.Tuples()
+	ex.bud.AddTotal(len(tuples))
+	if err := ex.bud.Step(0); err != nil {
+		return nil, err
+	}
+
+	// Hash-join fast path: find an equality conjunct linking e to an
+	// already-bound alias.
+	var probeExpr sqlparser.Expr // evaluated against the existing env
+	var buildPos int             // attribute position in e
+	rest := stepConj
+	if e.joinKind == sqlparser.JoinInner {
+		for i, c := range stepConj {
+			b, ok := c.(*sqlparser.BinaryExpr)
+			if !ok || b.Op != sqlparser.OpEq {
+				continue
+			}
+			l, lok := b.Left.(*sqlparser.ColumnRef)
+			r, rok := b.Right.(*sqlparser.ColumnRef)
+			if !lok || !rok {
+				continue
+			}
+			lIsE := strings.EqualFold(l.Table, e.alias)
+			rIsE := strings.EqualFold(r.Table, e.alias)
+			if lIsE == rIsE { // both or neither refer to e
+				continue
+			}
+			var eRef, oRef *sqlparser.ColumnRef
+			if lIsE {
+				eRef, oRef = l, r
+			} else {
+				eRef, oRef = r, l
+			}
+			pos := e.rel.AttrIndex(eRef.Column)
+			if pos < 0 {
+				return nil, fmt.Errorf("engine: relation %s has no attribute %q", e.rel.Name, eRef.Column)
+			}
+			probeExpr = oRef
+			buildPos = pos
+			rest = make([]sqlparser.Expr, 0, len(stepConj)-1)
+			rest = append(rest, stepConj[:i]...)
+			rest = append(rest, stepConj[i+1:]...)
+			break
+		}
+	}
+
+	// matchTuple extends base with tup and applies conds; nil env means the
+	// candidate failed a condition. It only reads shared state, so the
+	// parallel fan-out below may call it from many goroutines.
+	matchTuple := func(base *env, tup storage.Tuple, conds []sqlparser.Expr) (*env, error) {
+		cand := &env{parent: base.parent}
+		cand.bindings = append(append([]binding{}, base.bindings...), binding{alias: e.alias, rel: e.rel, tuple: tup})
+		for _, c := range conds {
+			v, err := ex.evalExpr(c, cand, nil)
+			if err != nil {
+				return nil, err
+			}
+			if !passes(v) {
+				return nil, nil
+			}
+		}
+		return cand, nil
+	}
+
+	if probeExpr != nil {
+		ht := make(map[string][]storage.Tuple, len(tuples))
+		for _, tup := range tuples {
+			v := tup[buildPos]
+			if v.IsNull() {
+				continue
+			}
+			ht[v.Key()] = append(ht[v.Key()], tup)
+		}
+		// Probe the (read-only) hash table for a chunk of environments.
+		probeRange := func(lo, hi int) ([]*env, error) {
+			var out []*env
+			for bi, base := range envs[lo:hi] {
+				if err := ex.bud.Tick(bi); err != nil {
+					return nil, err
+				}
+				pv, err := ex.evalExpr(probeExpr, base, nil)
+				if err != nil {
+					return nil, err
+				}
+				if pv.IsNull() {
+					continue
+				}
+				for _, tup := range ht[pv.Key()] {
+					cand, err := matchTuple(base, tup, rest)
+					if err != nil {
+						return nil, err
+					}
+					if cand != nil {
+						out = append(out, cand)
+					}
+				}
+			}
+			return out, nil
+		}
+		if w := ex.workersFor(len(envs)); w > 1 {
+			return gatherParallel(len(envs), w, probeRange)
+		}
+		return probeRange(0, len(envs))
+	}
+
+	// Nested loop, with LEFT/RIGHT outer handling for explicit joins.
+	if e.joinKind != sqlparser.JoinInner {
+		return ex.outerJoinStep(envs, prefix, stepConj, outer)
+	}
+	// crossMatch is the one nested-loop body every serial and parallel
+	// variant below shares: bases × tups, in order.
+	crossMatch := func(bases []*env, tups []storage.Tuple) ([]*env, error) {
+		var out []*env
+		for bi, base := range bases {
+			if err := ex.bud.Tick(bi); err != nil {
+				return nil, err
+			}
+			for tj, tup := range tups {
+				if err := ex.bud.Tick(tj); err != nil {
+					return nil, err
+				}
+				cand, err := matchTuple(base, tup, stepConj)
+				if err != nil {
+					return nil, err
+				}
+				if cand != nil {
+					out = append(out, cand)
+				}
+			}
+		}
+		return out, nil
+	}
+	if w := ex.workersFor(len(envs)); w > 1 {
+		return gatherParallel(len(envs), w, func(lo, hi int) ([]*env, error) {
+			return crossMatch(envs[lo:hi], tuples)
+		})
+	}
+	// Few environments over a big table — the base-table scan/filter case —
+	// fans out across tuple chunks instead, per environment in order.
+	if w := ex.workersFor(len(envs) * len(tuples)); w > 1 && len(tuples) >= w {
+		var out []*env
+		for _, base := range envs {
+			part, err := gatherParallel(len(tuples), w, func(lo, hi int) ([]*env, error) {
+				return crossMatch([]*env{base}, tuples[lo:hi])
+			})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, part...)
+		}
+		return out, nil
+	}
+	return crossMatch(envs, tuples)
+}
+
+// outerJoinStep implements LEFT JOIN (preserve existing envs) and RIGHT JOIN
+// (preserve new-table tuples) with NULL extension of the prefix's last entry.
+// A RIGHT join pads the unmatched tuples with one NULL binding per earlier
+// entry, whether or not any environment reached this step.
+func (ex *Engine) outerJoinStep(envs []*env, prefix []fromEntry, conds []sqlparser.Expr, outer *env) ([]*env, error) {
+	e := &prefix[len(prefix)-1]
+	tuples := e.tbl.Tuples()
+	nullTuple := make(storage.Tuple, len(e.rel.Attributes))
+	var out []*env
+	matchedRight := make([]bool, len(tuples))
+	for bi, base := range envs {
+		if err := ex.bud.Tick(bi); err != nil {
+			return nil, err
+		}
+		matched := false
+		for ti, tup := range tuples {
+			if err := ex.bud.Tick(ti); err != nil {
+				return nil, err
+			}
+			cand := &env{parent: base.parent}
+			cand.bindings = append(append([]binding{}, base.bindings...), binding{alias: e.alias, rel: e.rel, tuple: tup})
+			ok := true
+			for _, c := range conds {
+				v, err := ex.evalExpr(c, cand, nil)
+				if err != nil {
+					return nil, err
+				}
+				if !passes(v) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				matched = true
+				matchedRight[ti] = true
+				out = append(out, cand)
+			}
+		}
+		if !matched && e.joinKind == sqlparser.JoinLeft {
+			cand := &env{parent: base.parent}
+			cand.bindings = append(append([]binding{}, base.bindings...), binding{alias: e.alias, rel: e.rel, tuple: nullTuple})
+			out = append(out, cand)
+		}
+	}
+	if e.joinKind == sqlparser.JoinRight {
+		// Preserve unmatched right tuples with NULLs for all prior bindings.
+		var padding []binding
+		for _, p := range prefix[:len(prefix)-1] {
+			padding = append(padding, binding{alias: p.alias, rel: p.rel, tuple: make(storage.Tuple, len(p.rel.Attributes))})
+		}
+		for ti, tup := range tuples {
+			if matchedRight[ti] {
+				continue
+			}
+			cand := &env{parent: outer}
+			cand.bindings = append(append([]binding{}, padding...), binding{alias: e.alias, rel: e.rel, tuple: tup})
+			out = append(out, cand)
+		}
+	}
+	return out, nil
+}
+
+func (ex *Engine) execUngrouped(sel *sqlparser.SelectStmt, entries []fromEntry, envs []*env, earlyLimit int) (*Result, []*env, error) {
+	items, cols, err := expandItems(sel, entries)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := &Result{Columns: cols}
+	var rowEnvs []*env
+	for ei, en := range envs {
+		if err := ex.bud.Tick(ei); err != nil {
+			return nil, nil, err
+		}
+		row := make(storage.Tuple, len(items))
+		for i, it := range items {
+			v, err := ex.evalExpr(it.Expr, en, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			row[i] = v
+		}
+		out.Rows = append(out.Rows, row)
+		rowEnvs = append(rowEnvs, en)
+		if earlyLimit >= 0 && len(out.Rows) >= earlyLimit &&
+			len(sel.OrderBy) == 0 && !sel.Distinct && sel.Limit < 0 {
+			return out, rowEnvs, nil
+		}
+	}
+	return out, rowEnvs, nil
+}
+
+// gatherParallel splits [0, n) into at most `workers` contiguous chunks,
+// runs fn over each chunk on its own goroutine, and concatenates the chunk
+// outputs in index order — so the combined result is identical to
+// fn(0, n) run serially, making parallel execution deterministic.
+func gatherParallel(n, workers int, fn func(lo, hi int) ([]*env, error)) ([]*env, error) {
+	if workers <= 1 || n <= 1 {
+		return fn(0, n)
+	}
+	chunk := (n + workers - 1) / workers
+	outs := make([][]*env, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		if lo >= n {
+			break
+		}
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			outs[w], errs[w] = fn(lo, hi)
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	total := 0
+	for _, o := range outs {
+		total += len(o)
+	}
+	out := make([]*env, 0, total)
+	for _, o := range outs {
+		out = append(out, o...)
+	}
+	return out, nil
+}

@@ -1,15 +1,12 @@
 package engine
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
-// parallelThreshold is the minimum number of work units (environments, or
-// env×tuple pairs for base scans) a join step must process before it fans
-// out across goroutines. Below it the goroutine and chunk bookkeeping costs
-// more than it saves. A variable so tests can lower it to force the parallel
-// paths on small datasets.
+// parallelThreshold is the minimum number of work units (rows so far, or
+// rows scanned) a join or scan step must process before it fans out across
+// goroutines. Below it the goroutine and chunk bookkeeping costs more than it
+// saves. A variable so tests can lower it to force the parallel paths on
+// small datasets.
 var parallelThreshold = 2048
 
 // SetParallelism caps the worker fan-out of parallel join and scan steps:
@@ -36,48 +33,4 @@ func (ex *Engine) workersFor(n int) int {
 		w = n
 	}
 	return w
-}
-
-// gatherParallel splits [0, n) into at most `workers` contiguous chunks,
-// runs fn over each chunk on its own goroutine, and concatenates the chunk
-// outputs in index order — so the combined result is identical to
-// fn(0, n) run serially, making parallel execution deterministic.
-func gatherParallel(n, workers int, fn func(lo, hi int) ([]*env, error)) ([]*env, error) {
-	if workers <= 1 || n <= 1 {
-		return fn(0, n)
-	}
-	chunk := (n + workers - 1) / workers
-	outs := make([][]*env, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			outs[w], errs[w] = fn(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make([]*env, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	return out, nil
 }

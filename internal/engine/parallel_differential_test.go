@@ -33,6 +33,13 @@ var parallelCorpus = []string{
 	 where m.id = c.mid and c.aid = a.id and a.id = 7`,
 	`select a.name, c.role from ACTOR a, CAST c
 	 where a.id = c.aid and a.id < 4 and c.mid + 0 > 10`,
+	// A LEFT nested loop whose padded side's ON filter does not vectorize and
+	// runs as a pass of its own, and a RIGHT hash join whose unmatched rows
+	// workers flag concurrently.
+	`select m.title, d.name from MOVIES m left join DIRECTOR d on d.id + 0 < 5
+	 where m.year > 2000`,
+	`select m.title, g.genre from MOVIES m right join GENRE g
+	 on m.id = g.mid and m.year > 1990`,
 }
 
 func cloneResult(r *Result) *Result {

@@ -38,12 +38,12 @@ import (
 // only when no predicate can raise an error, so the worker count can never
 // change results or error behavior.
 //
-// Naive-pipeline parity details: integer group keys and MIN/MAX comparisons
+// Interpreter parity details: integer group keys and MIN/MAX comparisons
 // go through float64 images, because that is how the generic pipeline's
 // encoded keys and value.Compare behave; MIN/MAX ties keep the first-seen
 // payload (tracked by stamp in parallel mode); AVG divides the same float
-// sum the naive accumulator builds, row by row in serial mode and merged
-// only when merging is exact.
+// sum the interpreter's accumulator builds, row by row in serial mode and
+// merged only when merging is exact.
 
 // morselRows is the number of base-table positions one morsel covers. A
 // variable so tests can shrink it to force multi-morsel scheduling on small
@@ -104,7 +104,7 @@ func (k *vecKey) arrayCode(ti int) uint64 {
 
 // pack appends the key's fixed-width (tag + 8 payload bytes) encoding at
 // position ti. Integers pack their float64 image — the same identity the
-// naive pipeline's encoded group keys use — and -0.0 collapses onto +0.0.
+// interpreter's encoded group keys use — and -0.0 collapses onto +0.0.
 func (k *vecKey) pack(buf []byte, ti int) []byte {
 	var tag byte
 	var b uint64
@@ -288,11 +288,11 @@ func (pq *plannedQuery) compileVecAgg(sel *sqlparser.SelectStmt, entries []fromE
 // group-key columns with their tier parameters.
 func (pq *plannedQuery) compileVecKeys(sel *sqlparser.SelectStmt) (*vecAggExec, bool) {
 	plan := pq.plan
-	if plan.Reordered || len(pq.postEvals) > 0 {
+	if plan.Reordered || len(pq.postEvals) > 0 || len(plan.Steps) == 0 {
 		return nil, false
 	}
-	for si := range plan.Steps {
-		if len(pq.stepSelf[si]) > 0 || len(pq.stepPost[si]) > 0 {
+	for si, st := range plan.Steps {
+		if len(pq.stepSelf[si]) > 0 || len(pq.stepPost[si]) > 0 || st.Join != sqlparser.JoinInner {
 			return nil, false
 		}
 	}
@@ -346,7 +346,7 @@ func (pq *plannedQuery) compileVecKeys(sel *sqlparser.SelectStmt) (*vecAggExec, 
 // one key and stores its code base. Zero means the key is outside the array
 // dialect: floats, an unbounded integer span, or integer bounds past the
 // float64-exact range (beyond it distinct int64 payloads can share one float
-// image — one group under the naive pipeline's encoded keys, which dense
+// image — one group under the interpreter's encoded keys, which dense
 // integer codes would wrongly split).
 func (va *vecAggExec) keyCard(k *vecKey) uint64 {
 	switch k.kind {
@@ -427,7 +427,7 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 					}
 					// The distinct sum is recomputed from the value set in
 					// code order; integer sums are order-free, float (AVG)
-					// sums must be provably exact to match the naive
+					// sums must be provably exact to match the interpreter's
 					// first-seen accumulation.
 					if a.Func == sqlparser.AggAvg && !va.avgExact(spec, pos, true) {
 						return 0, false
@@ -440,7 +440,7 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 				if spec.distinct {
 					return 0, false
 				}
-				spec.exact = false // float sums replicate naive row order: serial only
+				spec.exact = false // float sums replicate the interpreter's row order: serial only
 			default:
 				return 0, false // non-numeric SUM/AVG errors; keep the generic path
 			}
@@ -565,7 +565,7 @@ func (va *vecAggExec) compilePost(sel *sqlparser.SelectStmt, entries []fromEntry
 		} else if ok {
 			k.col = col
 		} else if sel.Distinct {
-			// Group alignment is lost after dedup; mirror the naive error.
+			// Group alignment is lost after dedup; mirror the interpreter's error.
 			k.err = fmt.Errorf("engine: ORDER BY expression %s is not in the select list", o.Expr.SQL())
 		} else if err := checkGroupedExpr(o.Expr, sel, entries); err != nil {
 			k.err = err
@@ -823,7 +823,7 @@ func (s *vecAggState) updateBest(spec *vecAgg, a *vecAccs, gi int32, ti int, fc 
 }
 
 // finalize materializes one aggregate's result for group gi, mirroring the
-// naive accumulator's semantics (NULL on empty input for SUM/AVG/MIN/MAX,
+// interpreter's accumulator semantics (NULL on empty input for SUM/AVG/MIN/MAX,
 // integer SUM over integer input, float AVG).
 func (s *vecAggState) finalize(va *vecAggExec, j int, gi int32) value.Value {
 	spec := va.aggs[j]
@@ -1045,7 +1045,7 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 				}
 			}
 		default: // JoinLoop
-			fs.inner = pq.loopInner(si, st.Input.Tbl)
+			fs.inner = pq.loopInner(si, st.Input.Tbl, nil)
 		}
 	}
 
@@ -1215,7 +1215,7 @@ func mergeVecAggStates(va *vecAggExec, parts []*vecAggState) *vecAggState {
 				g.firstM[mgi], g.firstSeq[mgi] = p.firstM[gi], p.firstSeq[gi]
 				// The earliest-seen row also defines the group's key values
 				// (identical payloads except for float -0/+0 and huge-int
-				// aliases, where the naive pipeline keeps the first).
+				// aliases, where the interpreter keeps the first).
 				copy(g.keyVals[int(mgi)*nK:(int(mgi)+1)*nK], p.keyVals[int(gi)*nK:(int(gi)+1)*nK])
 			}
 			g.rows[mgi] += p.rows[gi]

@@ -228,9 +228,6 @@ func TestZoneSkipShapeGating(t *testing.T) {
 func TestZoneSkipShapeComposes(t *testing.T) {
 	p := buildPlan(t, bigDB(t),
 		`select m.year, count(*) from MOVIES m where m.year < 1940 group by m.year`)
-	if p.Fallback {
-		t.Fatalf("fallback: %s", p.Reason)
-	}
 	fp := p.Fingerprint()
 	if !strings.Contains(fp, ">zskip") || !strings.Contains(fp, ">pscan") || !strings.Contains(fp, ">vagg") {
 		t.Fatalf("fingerprint %q should compose zskip, pscan and vagg", fp)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/planner"
 	"repro/internal/sqlparser"
@@ -18,8 +19,8 @@ import (
 // join inner loop performs no per-row allocations, no map lookups, and no
 // string comparisons. Predicates whose column references resolve at plan
 // time compile to closures over slots; anything else (subqueries, outer
-// correlations) evaluates through a reusable environment bridge after all
-// joins.
+// correlations, references the planner could not resolve) evaluates through a
+// reusable environment bridge, over the FROM entries bound where it runs.
 
 // ---------------------------------------------------------------------------
 // Hash keys
@@ -38,7 +39,7 @@ type joinKey struct {
 // head per key and a shared next vector — no per-key slice, so building it
 // costs O(1) allocations regardless of the number of distinct keys. Chains
 // are threaded in ascending row order (both builds iterate in reverse), so
-// probes emit matches in insertion order, exactly like the naive pipeline.
+// probes emit matches in insertion order, exactly like a nested loop.
 //
 // An entry is a row position when the whole table was hashed (buildChain:
 // rows is nil, next spans the table) and an index into rows when only the
@@ -172,6 +173,10 @@ type plannedQuery struct {
 	// it per storage zone and skips morsels whose bounds disprove the filters.
 	zp    *zoneProbeSet
 	track bool // provenance tracking (plan was reordered)
+	// scope is the number of steps whose FROM entries column references
+	// resolve against while compiling: all of them, except while compileAt
+	// compiles a step's filters over the entries bound so far.
+	scope int
 	// leaf, when set, intercepts compilation of every subexpression before
 	// the standard lowering. The grouped pipeline uses a copy of the query
 	// with leaf set to map aggregates and GROUP BY matches onto synthetic
@@ -184,14 +189,17 @@ type plannedQuery struct {
 type rowEval func(ec *evalCtx, row []value.Value) (value.Value, error)
 
 // evalCtx is per-worker scratch: arenas, a key-encoding buffer, a scratch
-// row for build-side filters, and the reusable environment bridge.
+// row for build-side filters, and the reusable environment bridges, one per
+// scope. matched, set while a RIGHT join step runs, flags the table rows the
+// step has emitted.
 type evalCtx struct {
 	pq      *plannedQuery
 	rows    rowArena
 	prov    provArena
 	keyBuf  []byte
 	scratch []value.Value
-	bridge  *env
+	bridges []*env
+	matched []atomic.Bool
 }
 
 func (pq *plannedQuery) newCtx() *evalCtx {
@@ -211,27 +219,39 @@ func (ec *evalCtx) scratchRow() []value.Value {
 	return ec.scratch
 }
 
-// envFor exposes the flat row as an environment chain (bindings in FROM
-// order, outer scope as parent) for predicates the compiler bridged. The env
-// and its bindings slice are reused across rows; evaluation never retains
-// them.
-func (ec *evalCtx) envFor(row []value.Value) *env {
+// envAt exposes the flat row as an environment chain over the FROM entries
+// the first scope steps bound (bindings in FROM order, outer scope as parent)
+// for predicates the compiler bridged. One env per scope is reused across
+// rows; evaluation never retains it.
+func (ec *evalCtx) envAt(scope int, row []value.Value) *env {
 	pq := ec.pq
-	if ec.bridge == nil {
-		b := make([]binding, len(pq.fromOrder))
-		for fi, si := range pq.fromOrder {
-			st := pq.plan.Steps[si]
-			b[fi] = binding{alias: st.Input.Alias, rel: st.Input.Rel}
+	if ec.bridges == nil {
+		ec.bridges = make([]*env, len(pq.plan.Steps)+1)
+	}
+	en := ec.bridges[scope]
+	if en == nil {
+		en = &env{parent: pq.outer, bindings: make([]binding, 0, scope)}
+		for _, si := range pq.fromOrder {
+			if si < scope {
+				st := pq.plan.Steps[si]
+				en.bindings = append(en.bindings, binding{alias: st.Input.Alias, rel: st.Input.Rel})
+			}
 		}
-		ec.bridge = &env{parent: pq.outer, bindings: b}
+		ec.bridges[scope] = en
 	}
-	for fi, si := range pq.fromOrder {
-		st := pq.plan.Steps[si]
-		n := len(st.Input.Rel.Attributes)
-		ec.bridge.bindings[fi].tuple = storage.Tuple(row[st.Offset : st.Offset+n])
+	b := 0
+	for _, si := range pq.fromOrder {
+		if si < scope {
+			st := pq.plan.Steps[si]
+			en.bindings[b].tuple = storage.Tuple(row[st.Offset : st.Offset+len(st.Input.Rel.Attributes)])
+			b++
+		}
 	}
-	return ec.bridge
+	return en
 }
+
+// envFor is envAt over every FROM entry.
+func (ec *evalCtx) envFor(row []value.Value) *env { return ec.envAt(len(ec.pq.plan.Steps), row) }
 
 // passes applies SQL WHERE truthiness: NULL and non-boolean reject.
 func passes(v value.Value) bool {
@@ -242,13 +262,17 @@ func passes(v value.Value) bool {
 // Expression compilation
 // ---------------------------------------------------------------------------
 
-// slotOf resolves a column reference to an absolute slot, mirroring
-// env.lookup (first alias-or-relation match in FROM order; unqualified names
-// must be unique). ok=false means the reference needs the bridge.
+// slotOf resolves a column reference to an absolute slot among the FROM
+// entries in scope, mirroring env.lookup (first alias-or-relation match in
+// FROM order; unqualified names must be unique). ok=false means the reference
+// needs the bridge.
 func (pq *plannedQuery) slotOf(ref *sqlparser.ColumnRef) (int, bool) {
 	steps := pq.plan.Steps
 	if ref.Table != "" {
 		for _, si := range pq.fromOrder {
+			if si >= pq.scope {
+				continue
+			}
 			st := steps[si]
 			if strings.EqualFold(st.Input.Alias, ref.Table) || strings.EqualFold(st.Input.Rel.Name, ref.Table) {
 				pos := st.Input.Rel.AttrIndex(ref.Column)
@@ -262,6 +286,9 @@ func (pq *plannedQuery) slotOf(ref *sqlparser.ColumnRef) (int, bool) {
 	}
 	found := -1
 	for _, si := range pq.fromOrder {
+		if si >= pq.scope {
+			continue
+		}
 		st := steps[si]
 		if pos := st.Input.Rel.AttrIndex(ref.Column); pos >= 0 {
 			if found >= 0 {
@@ -276,10 +303,27 @@ func (pq *plannedQuery) slotOf(ref *sqlparser.ColumnRef) (int, bool) {
 	return found, true
 }
 
-// bridge wraps an expression in an environment-based evaluation.
+// bridgeEval wraps an expression in an environment-based evaluation over every
+// FROM entry.
 func (pq *plannedQuery) bridgeEval(e sqlparser.Expr) rowEval {
 	return func(ec *evalCtx, row []value.Value) (value.Value, error) {
 		return ec.pq.ex.evalExpr(e, ec.envFor(row), nil)
+	}
+}
+
+// compileAt lowers a filter of step si over the FROM entries steps 0..si
+// bound — the entries the interpreter evaluates it over — and bridges it in
+// that scope when it does not compile.
+func (pq *plannedQuery) compileAt(si int, e sqlparser.Expr) rowEval {
+	pq.scope = si + 1
+	ev, ok := pq.compile(e)
+	pq.scope = len(pq.plan.Steps)
+	if ok {
+		return ev
+	}
+	scope := si + 1
+	return func(ec *evalCtx, row []value.Value) (value.Value, error) {
+		return ec.pq.ex.evalExpr(e, ec.envAt(scope, row), nil)
 	}
 }
 
@@ -550,10 +594,10 @@ func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) (rowEval, bool) {
 // Plan compilation
 // ---------------------------------------------------------------------------
 
-// compilePlan resolves a plan's predicates against the engine. Filters that
-// fail to compile migrate to the residual phase (safe for inner joins — the
-// row set is identical, only evaluated later). When the base scan's filters
-// lower to zone probes the plan's shape gains its zone-skip step here.
+// compilePlan resolves a plan's predicates against the engine. A step's
+// filters compile over the FROM entries bound by then, and are bridged there
+// when they do not compile. When the base scan's filters lower to zone probes
+// the plan's shape gains its zone-skip step here.
 func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 	pq := &plannedQuery{
 		ex:        ex,
@@ -564,16 +608,10 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 		stepSelf:  make([][]rowEval, len(plan.Steps)),
 		stepPost:  make([][]rowEval, len(plan.Steps)),
 		track:     plan.Reordered,
+		scope:     len(plan.Steps),
 	}
 	for si, st := range plan.Steps {
 		pq.fromOrder[st.FromPos] = si
-	}
-	residual := func(e sqlparser.Expr) {
-		ev, ok := pq.compile(e)
-		if !ok {
-			ev = pq.bridgeEval(e)
-		}
-		pq.postEvals = append(pq.postEvals, ev)
 	}
 	fast := !ex.st.noZoneMaps.Load()
 	for si, st := range plan.Steps {
@@ -604,22 +642,18 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 		}
 		pq.useZoneProbes(zp)
 		for _, f := range filters {
-			if ev, ok := pq.compile(f); ok {
-				pq.stepSelf[si] = append(pq.stepSelf[si], ev)
-			} else {
-				residual(f)
-			}
+			pq.stepSelf[si] = append(pq.stepSelf[si], pq.compileAt(si, f))
 		}
 		for _, f := range st.PostJoinFilters {
-			if ev, ok := pq.compile(f); ok {
-				pq.stepPost[si] = append(pq.stepPost[si], ev)
-			} else {
-				residual(f)
-			}
+			pq.stepPost[si] = append(pq.stepPost[si], pq.compileAt(si, f))
 		}
 	}
 	for _, e := range plan.Post {
-		residual(e)
+		ev, ok := pq.compile(e)
+		if !ok {
+			ev = pq.bridgeEval(e)
+		}
+		pq.postEvals = append(pq.postEvals, ev)
 	}
 	return pq
 }
@@ -657,6 +691,9 @@ func (ec *evalCtx) emit(out *batch, base []value.Value, baseProv []int32, st *pl
 	}
 	ec.rows.commit()
 	out.rows = append(out.rows, r)
+	if ec.matched != nil {
+		ec.matched[ti].Store(true)
+	}
 	if ec.pq.track {
 		p := ec.prov.peek()
 		if baseProv != nil {
@@ -760,7 +797,7 @@ func growBatch(bud *Budget, b *batch) error {
 }
 
 // runPlan executes the pipeline and returns the joined, residual-filtered
-// rows in the same order the naive nested-loop pipeline would produce.
+// rows in the order the nested-loop interpreter produces.
 func (ex *Engine) runPlan(pq *plannedQuery) ([][]value.Value, error) {
 	cur, err := ex.runPipeline(pq)
 	if err != nil {
@@ -778,23 +815,22 @@ func (ex *Engine) runPlan(pq *plannedQuery) ([][]value.Value, error) {
 func (ex *Engine) runPipeline(pq *plannedQuery) (batch, error) {
 	steps := pq.plan.Steps
 	var cur batch
+	if len(steps) == 0 {
+		cur.rows = [][]value.Value{{}} // a FROM-less SELECT's one empty row
+	}
 	for si, st := range steps {
 		var err error
-		if si == 0 {
+		switch {
+		case si == 0:
 			cur, err = ex.runScanStep(pq, st)
-		} else {
+		case len(cur.rows) > 0 || st.Join == sqlparser.JoinRight:
+			// With no row so far only a RIGHT join has rows to emit.
 			cur, err = ex.runJoinStep(pq, si, st, cur)
 		}
 		if err != nil {
 			return batch{}, err
 		}
 		st.ActualRows = len(cur.rows)
-		if len(cur.rows) == 0 {
-			for _, rest := range steps[si+1:] {
-				rest.ActualRows = 0
-			}
-			break
-		}
 	}
 	if len(pq.postEvals) > 0 && len(cur.rows) > 0 {
 		filtered, err := ex.gatherBatches(pq, len(cur.rows), func(ec *evalCtx, lo, hi int, out *batch) error {
@@ -830,7 +866,7 @@ func (ex *Engine) runPipeline(pq *plannedQuery) (batch, error) {
 }
 
 // sortByProvenance restores FROM-major lexicographic order — exactly the
-// order the naive nested-loop pipeline emits — after join reordering.
+// order the nested-loop interpreter emits — after join reordering.
 func sortByProvenance(pq *plannedQuery, cur *batch) {
 	idx := make([]int, len(cur.rows))
 	for i := range idx {
@@ -1155,21 +1191,22 @@ func codeImages(keys map[joinKey]int32, col storage.Col) (images keyImages[uint3
 	return images
 }
 
-// loopInner lists the positions of step si's table that pass its vectorized
-// filter prefix — the prefiltered inner side of a nested-loop join. Shared by
-// the batch join pipeline and the fused aggregation pipeline.
-func (pq *plannedQuery) loopInner(si int, tbl *storage.Table) []int32 {
+// loopInner lists the positions of step si's table that survive its
+// self-filters (see buildKept) — the prefiltered inner side of a nested-loop
+// join. Shared by the batch join pipeline and the fused aggregation pipeline.
+func (pq *plannedQuery) loopInner(si int, tbl *storage.Table, keep []bool) []int32 {
 	n := tbl.Len()
 	inner := make([]int32, 0, n)
 	for ti := 0; ti < n; ti++ {
-		if pq.vecPass(si, ti) {
+		if pq.buildKept(si, keep, ti) {
 			inner = append(inner, int32(ti))
 		}
 	}
 	return inner
 }
 
-// runJoinStep extends every current row with matches from the step's table.
+// runJoinStep extends every current row with matches from the step's table:
+// the access path finds row i's matches, joinRows emits them.
 func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur batch) (batch, error) {
 	tbl := st.Input.Tbl
 	self, post := pq.stepSelf[si], pq.stepPost[si]
@@ -1181,6 +1218,7 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 		return nil
 	}
 
+	var match func(ec *evalCtx, out *batch, i int) error
 	switch st.Access {
 	case planner.JoinHash:
 		// Build (serial), on whichever side is smaller: the filtered table, or
@@ -1200,183 +1238,148 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 			return batch{}, err
 		}
 		probeSlot := st.ProbeSlot
-		return ex.gatherBatches(pq, len(cur.rows), func(ec *evalCtx, lo, hi int, out *batch) error {
-			for i := lo; i < hi; i++ {
-				base := cur.rows[i]
-				k, ok := joinKeyOf(base[probeSlot])
-				if !ok {
-					continue
-				}
-				for p := chain.head[k]; p != 0; p = chain.next[p-1] {
-					if err := ec.emit(out, base, baseProv(i), st, si, chain.row(p-1), post); err != nil {
-						return err
-					}
-				}
+		match = func(ec *evalCtx, out *batch, i int) error {
+			k, ok := joinKeyOf(cur.rows[i][probeSlot])
+			if !ok {
+				return nil
 			}
-			return nil
-		})
-
-	case planner.JoinPK:
-		return ex.gatherBatches(pq, len(cur.rows), func(ec *evalCtx, lo, hi int, out *batch) error {
-		next:
-			for i := lo; i < hi; i++ {
-				base := cur.rows[i]
-				ec.keyBuf = ec.keyBuf[:0]
-				for _, slot := range st.ProbeSlots {
-					v := base[slot]
-					if v.IsNull() {
-						continue next
-					}
-					ec.keyBuf = v.AppendKey(ec.keyBuf)
-				}
-				pos, ok := tbl.LookupPKPos(ec.keyBuf)
-				if !ok || !pq.vecPass(si, pos) {
-					continue
-				}
-				if err := ec.emit(out, base, baseProv(i), st, si, int32(pos), self, post); err != nil {
+			for p := chain.head[k]; p != 0; p = chain.next[p-1] {
+				if err := ec.emit(out, cur.rows[i], baseProv(i), st, si, chain.row(p-1), post); err != nil {
 					return err
 				}
 			}
 			return nil
-		})
+		}
+
+	case planner.JoinPK:
+		match = func(ec *evalCtx, out *batch, i int) error {
+			if !ec.probeKey(cur.rows[i], st.ProbeSlots) {
+				return nil
+			}
+			pos, ok := tbl.LookupPKPos(ec.keyBuf)
+			if !ok || !pq.vecPass(si, pos) {
+				return nil
+			}
+			return ec.emit(out, cur.rows[i], baseProv(i), st, si, int32(pos), self, post)
+		}
 
 	case planner.JoinIndex:
 		ix := tbl.Index(st.IndexName)
 		if ix == nil {
 			return batch{}, fmt.Errorf("engine: plan references missing index %q on %s", st.IndexName, st.Input.Rel.Name)
 		}
-		return ex.gatherBatches(pq, len(cur.rows), func(ec *evalCtx, lo, hi int, out *batch) error {
-		next:
-			for i := lo; i < hi; i++ {
-				base := cur.rows[i]
-				ec.keyBuf = ec.keyBuf[:0]
-				for _, slot := range st.ProbeSlots {
-					v := base[slot]
-					if v.IsNull() {
-						continue next
-					}
-					ec.keyBuf = v.AppendKey(ec.keyBuf)
-				}
-				for _, pos := range ix.Probe(ec.keyBuf) {
-					if !pq.vecPass(si, pos) {
-						continue
-					}
-					if err := ec.emit(out, base, baseProv(i), st, si, int32(pos), self, post); err != nil {
-						return err
-					}
-				}
+		match = func(ec *evalCtx, out *batch, i int) error {
+			if !ec.probeKey(cur.rows[i], st.ProbeSlots) {
+				return nil
 			}
-			return nil
-		})
-
-	default: // JoinLoop — prefilter the inner side once, then cross.
-		n := tbl.Len()
-		var inner []int32
-		if len(self) > 0 {
-			inner = make([]int32, 0, n)
-			ec := pq.newCtx()
-			width := len(st.Input.Rel.Attributes)
-			row := ec.scratchRow()
-			for ti := 0; ti < n; ti++ {
-				if !pq.vecPass(si, ti) {
+			for _, pos := range ix.Probe(ec.keyBuf) {
+				if !pq.vecPass(si, pos) {
 					continue
 				}
-				tbl.CopyRow(row[st.Offset:st.Offset+width], ti)
-				keep := true
-				for _, ev := range self {
-					v, err := ev(ec, row)
-					if err != nil {
-						return batch{}, err
-					}
-					if !passes(v) {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					inner = append(inner, int32(ti))
-				}
-			}
-		} else {
-			inner = pq.loopInner(si, tbl)
-		}
-		return ex.gatherBatches(pq, len(cur.rows), func(ec *evalCtx, lo, hi int, out *batch) error {
-			for i := lo; i < hi; i++ {
-				base := cur.rows[i]
-				for _, ti := range inner {
-					if err := ec.emit(out, base, baseProv(i), st, si, ti, post); err != nil {
-						return err
-					}
+				if err := ec.emit(out, cur.rows[i], baseProv(i), st, si, int32(pos), self, post); err != nil {
+					return err
 				}
 			}
 			return nil
-		})
+		}
+
+	default: // JoinLoop — prefilter the inner side once, then cross.
+		keep, err := pq.buildKeep(si, st)
+		if err != nil {
+			return batch{}, err
+		}
+		inner := pq.loopInner(si, tbl, keep)
+		match = func(ec *evalCtx, out *batch, i int) error {
+			for _, ti := range inner {
+				if err := ec.emit(out, cur.rows[i], baseProv(i), st, si, ti, post); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
+	return ex.joinRows(pq, st, cur, match)
+}
+
+// probeKey encodes base's PK or index probe key from the given slots into
+// ec.keyBuf; false for a NULL part, which matches nothing.
+func (ec *evalCtx) probeKey(base []value.Value, slots []int) bool {
+	ec.keyBuf = ec.keyBuf[:0]
+	for _, slot := range slots {
+		v := base[slot]
+		if v.IsNull() {
+			return false
+		}
+		ec.keyBuf = v.AppendKey(ec.keyBuf)
+	}
+	return true
+}
+
+// joinRows runs match over every current row, in order-preserving worker
+// chunks, and applies an outer join's emission rule. A LEFT step emits, for an
+// outer row that kept no match, that row padded with NULLs in its place. A
+// RIGHT step flags every table row it emits — atomically, since workers may
+// match the same row — and afterwards emits the unflagged rows in ascending
+// position, NULL in every slot before the step's own. Outer-join plans keep
+// FROM order, so they never track provenance.
+func (ex *Engine) joinRows(pq *plannedQuery, st *planner.Step, cur batch, match func(ec *evalCtx, out *batch, i int) error) (batch, error) {
+	var matched []atomic.Bool
+	if st.Join == sqlparser.JoinRight {
+		matched = make([]atomic.Bool, st.Input.Tbl.Len())
+	}
+	width := len(st.Input.Rel.Attributes)
+	out, err := ex.gatherBatches(pq, len(cur.rows), func(ec *evalCtx, lo, hi int, out *batch) error {
+		ec.matched = matched
+		for i := lo; i < hi; i++ {
+			n := len(out.rows)
+			if err := match(ec, out, i); err != nil {
+				return err
+			}
+			if st.Join == sqlparser.JoinLeft && len(out.rows) == n {
+				r := ec.rows.peek()
+				copy(r, cur.rows[i])
+				clear(r[st.Offset : st.Offset+width])
+				ec.rows.commit()
+				out.rows = append(out.rows, r)
+			}
+		}
+		return nil
+	})
+	if err != nil || matched == nil {
+		return out, err
+	}
+	ec, kept := pq.newCtx(), len(out.rows)
+	for ti := range matched {
+		if ti&storage.ZoneMask == 0 {
+			if err := ex.bud.Step(0); err != nil {
+				return batch{}, err
+			}
+		}
+		if matched[ti].Load() {
+			continue
+		}
+		r := ec.rows.peek()
+		clear(r)
+		st.Input.Tbl.CopyRow(r[st.Offset:st.Offset+width], ti)
+		ec.rows.commit()
+		out.rows = append(out.rows, r)
+	}
+	return out, growBatch(ex.bud, &batch{rows: out.rows[kept:]})
 }
 
 // ---------------------------------------------------------------------------
 // Engine integration
 // ---------------------------------------------------------------------------
 
-// planFor builds a plan for the flattened FROM entries; the result has
-// Fallback set when the query is outside the planner's dialect (views,
-// outer joins, forward ON references, or the planner disabled). hasOuter
-// reports an enclosing scope whose bindings may satisfy otherwise
-// unresolvable column references (correlated subqueries).
+// planFor builds the plan for the flattened FROM entries. hasOuter reports an
+// enclosing scope whose bindings may satisfy otherwise unresolvable column
+// references (correlated subqueries).
 func (ex *Engine) planFor(sel *sqlparser.SelectStmt, entries []fromEntry, hasOuter bool) *planner.Plan {
-	if ex.st.noPlan.Load() {
-		return planner.NewFallback("planner disabled")
-	}
 	inputs := make([]planner.Input, len(entries))
-	var onConjs []sqlparser.Expr
-	for i := range entries {
-		e := &entries[i]
-		if e.view != nil {
-			return planner.NewFallback("view reference")
-		}
-		if e.explicit && e.joinKind != sqlparser.JoinInner {
-			return planner.NewFallback("outer join")
-		}
-		if e.explicit && e.joinOn != nil {
-			for _, c := range sqlparser.Conjuncts(e.joinOn) {
-				if !onPlannable(c, entries, i) {
-					return planner.NewFallback("ON condition outside the planner dialect")
-				}
-				onConjs = append(onConjs, c)
-			}
-		}
-		inputs[i] = planner.Input{Alias: e.alias, Rel: e.rel, Tbl: e.tbl}
+	for i, e := range entries {
+		inputs[i] = planner.Input{Alias: e.alias, Rel: e.rel, Tbl: e.tbl, Join: e.joinKind, On: e.joinOn}
 	}
-	return planner.Build(sel, inputs, onConjs, hasOuter)
-}
-
-// onPlannable reports whether an explicit-JOIN ON conjunct can be treated as
-// a WHERE conjunct: no subqueries, and every reference qualified and bound
-// by entry i's prefix (the naive pipeline evaluates ON at its own step, so
-// forward or unqualified references must keep naive semantics).
-func onPlannable(c sqlparser.Expr, entries []fromEntry, i int) bool {
-	if planner.HasSubquery(c) {
-		return false
-	}
-	ok := true
-	sqlparser.WalkExpr(c, func(x sqlparser.Expr) bool {
-		ref, isRef := x.(*sqlparser.ColumnRef)
-		if !isRef {
-			return true
-		}
-		if ref.Table == "" {
-			ok = false
-			return false
-		}
-		for j := 0; j <= i; j++ {
-			if strings.EqualFold(entries[j].alias, ref.Table) || strings.EqualFold(entries[j].rel.Name, ref.Table) {
-				return true
-			}
-		}
-		ok = false
-		return false
-	})
-	return ok
+	return planner.Build(sel, inputs, hasOuter)
 }
 
 // materializeEnvs exposes flat rows as environment chains (bindings in FROM
@@ -1399,7 +1402,7 @@ func (pq *plannedQuery) materializeEnvs(rows [][]value.Value) []*env {
 	return envs
 }
 
-// execPlanned runs a non-fallback plan end to end: the join pipeline, then
+// execPlanned runs a plan end to end: the join pipeline, then
 // aggregation or projection, DISTINCT, ORDER BY (full sort or a bounded
 // top-K heap), and LIMIT — all over flat slot-addressed rows. Grouped
 // queries whose expressions need environment semantics (subqueries) take
@@ -1455,12 +1458,12 @@ func (ex *Engine) execPlannedFlat(sel *sqlparser.SelectStmt, pq *plannedQuery, r
 		evals[i] = ev
 	}
 	// LIMIT pushdown: without ORDER BY or DISTINCT the first rows are the
-	// answer. The naive pipeline projects every joined row before
-	// truncating, so the LIMIT may stop the loop only when no projection
-	// expression can error past the bound — otherwise a planned run would
-	// swallow an error the naive run raises. The caller's bound (subquery
-	// probes) mirrors the naive early exit exactly, including its
-	// sel.Limit < 0 guard.
+	// answer. The interpreter projects every joined row before truncating,
+	// so the LIMIT may stop the loop only when no projection expression can
+	// error past the bound — otherwise a planned run would swallow an error
+	// the interpreter raises. The caller's bound (subquery probes) mirrors
+	// the interpreter's early exit exactly, including its sel.Limit < 0
+	// guard.
 	bound := -1
 	if len(sel.OrderBy) == 0 && !sel.Distinct {
 		if sel.Limit >= 0 && pure {
@@ -1507,7 +1510,7 @@ func (ex *Engine) execPlannedFlat(sel *sqlparser.SelectStmt, pq *plannedQuery, r
 // flatOrderKeys resolves ORDER BY items for the ungrouped planned path:
 // ordinals and select-list matches read output columns; other expressions
 // compile (or bridge) over the joined row. Resolution errors are deferred —
-// they surface only when there are rows to sort, matching the naive path.
+// they surface only when there are rows to sort, matching the interpreter.
 func (pq *plannedQuery) flatOrderKeys(sel *sqlparser.SelectStmt, items []sqlparser.SelectItem) ([]plannedSortKey, error) {
 	keys := make([]plannedSortKey, len(sel.OrderBy))
 	for j, o := range sel.OrderBy {
@@ -1520,7 +1523,7 @@ func (pq *plannedQuery) flatOrderKeys(sel *sqlparser.SelectStmt, items []sqlpars
 			continue
 		}
 		if sel.Distinct {
-			// Row/env alignment is lost after dedup in the naive path, and
+			// Row/env alignment is lost after dedup in the interpreter, and
 			// the planned path mirrors its error.
 			keys[j].err = fmt.Errorf("engine: ORDER BY expression %s is not in the select list", o.Expr.SQL())
 			continue
@@ -1538,12 +1541,6 @@ func (pq *plannedQuery) flatOrderKeys(sel *sqlparser.SelectStmt, items []sqlpars
 // Public planner API
 // ---------------------------------------------------------------------------
 
-// SetPlannerEnabled toggles the cost-based planner. Disabled, every SELECT
-// runs the naive environment pipeline — differential tests force this to
-// prove planned and naive execution produce identical rows. Safe for
-// concurrent use.
-func (ex *Engine) SetPlannerEnabled(on bool) { ex.st.noPlan.Store(!on) }
-
 // SetVecAggEnabled toggles the fused vectorized-aggregation pipeline.
 // Disabled, grouped queries that would take it run the streaming
 // row-at-a-time aggregation instead — differential tests force this to prove
@@ -1560,19 +1557,16 @@ func (ex *Engine) SetZoneMapsEnabled(on bool) { ex.st.noZoneMaps.Store(!on) }
 // Plan builds (without executing) the plan the engine would use for sel,
 // compiled as far as an execution compiles it before its first row: the shape
 // carries the zone-skip, parallel-scan and vec-aggregate steps a run would
-// report. Queries outside the planner's dialect return a plan with Fallback
-// set.
+// report.
 func (ex *Engine) Plan(sel *sqlparser.SelectStmt) (*planner.Plan, error) {
 	entries, err := ex.flattenFrom(sel.From)
 	if err != nil {
 		return nil, err
 	}
 	plan := ex.planFor(sel, entries, false)
-	if !plan.Fallback {
-		pq := ex.compilePlan(plan, nil)
-		if sel.Grouped() {
-			pq.compileVecAgg(sel, entries)
-		}
+	pq := ex.compilePlan(plan, nil)
+	if sel.Grouped() {
+		pq.compileVecAgg(sel, entries)
 	}
 	return plan, nil
 }

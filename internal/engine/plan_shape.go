@@ -19,10 +19,10 @@ import (
 // evaluator over materialized envs — correctness first, the fast path for
 // the common shapes.
 //
-// Error parity with the naive pipeline is deliberate: group iteration order
-// is first-seen order over naive-ordered rows, aggregate errors are recorded
-// during accumulation but surface only when the aggregate's value is first
-// used (HAVING before select items, ORDER BY keys last), and sort-key
+// Error parity with the interpreter is deliberate: group iteration order is
+// first-seen order over rows in the interpreter's order, aggregate errors are
+// recorded during accumulation but surface only when the aggregate's value is
+// first used (HAVING before select items, ORDER BY keys last), and sort-key
 // resolution errors are deferred until there is a row to sort.
 
 // ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ import (
 // (col >= 0) or a compiled expression over the row backing each output row —
 // the joined row in the flat path, the extended group row in the grouped
 // path. err defers a resolution failure until rows exist, mirroring the
-// naive pipeline's per-row key resolution.
+// interpreter's per-row key resolution.
 type plannedSortKey struct {
 	col  int
 	desc bool
@@ -43,8 +43,9 @@ type plannedSortKey struct {
 }
 
 // compareSortKeys orders two key vectors under the ORDER BY directions:
-// NULLs sort first ascending and last descending, exactly like the naive
-// comparator. Incomparable kinds record the first error and compare equal.
+// NULLs sort first ascending and last descending, exactly like the
+// interpreter's comparator. Incomparable kinds record the first error and
+// compare equal.
 func compareSortKeys(a, b []value.Value, order []sqlparser.OrderItem, errp *error) int {
 	for j, o := range order {
 		ka, kb := a[j], b[j]
@@ -150,7 +151,7 @@ func (ex *Engine) shapeResult(sel *sqlparser.SelectStmt, pq *plannedQuery, out *
 
 // sortPlanned orders out.Rows by the resolved keys: a bounded top-K heap
 // when 0 < LIMIT < rows, a stable full sort otherwise (LIMIT 0 still sorts,
-// so comparison errors match the naive pipeline).
+// so comparison errors match the interpreter).
 func (ex *Engine) sortPlanned(sel *sqlparser.SelectStmt, out *Result, keys []plannedSortKey, keyOf func(i int, k *plannedSortKey) (value.Value, error)) error {
 	// One flat backing array serves every row's key vector, so sorting n
 	// rows costs two allocations — not one per row (X12 regression: top-K
@@ -180,7 +181,7 @@ func (ex *Engine) sortPlanned(sel *sqlparser.SelectStmt, out *Result, keys []pla
 	if sel.Limit > 0 {
 		// The heap also handles LIMIT >= n (it simply keeps everything), so
 		// execution always matches the plan's top-k step. LIMIT 0 takes the
-		// full sort: the naive pipeline sorts before truncating, and its
+		// full sort: the interpreter sorts before truncating, and its
 		// comparison errors must still surface.
 		idx = topKIndices(n, sel.Limit, cmp)
 	} else {
@@ -238,7 +239,7 @@ type aggSpec struct {
 
 // aggAcc is one aggregate's running state within a group. Errors are
 // recorded, not raised: they surface when the aggregate's value is first
-// used, which is when the naive evaluator would compute it.
+// used, which is when the interpreter would compute it.
 type aggAcc struct {
 	err     error
 	count   int64 // non-NULL (post-DISTINCT) values
@@ -487,7 +488,7 @@ func newGroupedExec(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQ
 		} else if ok {
 			k.col = col
 		} else if sel.Distinct {
-			// Group alignment is lost after dedup; mirror the naive error.
+			// Group alignment is lost after dedup; mirror the interpreter's error.
 			k.err = fmt.Errorf("engine: ORDER BY expression %s is not in the select list", o.Expr.SQL())
 		} else if err := checkGroupedExpr(o.Expr, sel, entries); err != nil {
 			k.err = err
@@ -604,7 +605,7 @@ func (ex *Engine) runGroupedPlan(sel *sqlparser.SelectStmt, pq *plannedQuery, ge
 
 // execPlannedGroupedEnv is the fallback for grouped expressions outside the
 // compiled dialect: materialize environments over the planned rows and run
-// the naive grouped evaluator plus shaping.
+// the environment-based grouped evaluator plus shaping.
 func (ex *Engine) execPlannedGroupedEnv(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, rows [][]value.Value) (*Result, error) {
 	envs := pq.materializeEnvs(rows)
 	out, groups, err := ex.execGrouped(sel, entries, envs)

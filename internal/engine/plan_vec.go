@@ -19,7 +19,7 @@ import (
 // builds the per-zone verdict of the same predicate. Only the longest
 // specializable prefix of a step's self-filters vectorizes: the remaining
 // filters keep their original evaluation order, preserving error parity with
-// the naive pipeline's short-circuit conjunct order.
+// the interpreter's short-circuit conjunct order.
 //
 // On top of the predicates sits a whole-query fast path: a single-table full
 // scan whose filters are all vectorized and whose select list reads columns
@@ -515,7 +515,7 @@ type colReader struct {
 // exactly-sized projection straight from the columns. ok=false falls back to
 // the general pipeline. Select items expand only after the structural checks
 // pass: with every filter vectorized the pipeline cannot error, so resolving
-// the select list first cannot mask a join-phase error the naive pipeline
+// the select list first cannot mask a join-phase error the interpreter
 // would have raised.
 func (ex *Engine) tryVecScan(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, earlyLimit int) (*Result, bool, error) {
 	if len(pq.plan.Steps) != 1 {

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -14,18 +13,18 @@ import (
 	"repro/internal/value"
 )
 
-// comparePlannedNaive runs one query through the cost-based planner and
-// through the forced-naive pipeline and requires identical output — same
-// columns, same rows, same row ORDER (the planned pipeline restores
-// FROM-major order after join reordering, so even unordered queries must
-// match exactly). Both-error counts as agreement.
+// comparePlannedNaive runs one query through the planned pipeline and through
+// the interpreter (the oracle) and requires identical output — same columns,
+// same rows, same row ORDER (the planned pipeline restores FROM-major order
+// after join reordering, so even unordered queries must match exactly).
+// Both-error counts as agreement.
 func comparePlannedNaive(t *testing.T, ex *Engine, sql string) {
 	t.Helper()
-	ex.SetPlannerEnabled(true)
+	ex.useOracle(false)
 	planned, errP := ex.Query(sql)
-	ex.SetPlannerEnabled(false)
+	ex.useOracle(true)
 	naive, errN := ex.Query(sql)
-	ex.SetPlannerEnabled(true)
+	ex.useOracle(false)
 
 	if (errP != nil) != (errN != nil) {
 		t.Fatalf("%s\nplanned err = %v, naive err = %v", sql, errP, errN)
@@ -57,8 +56,8 @@ func comparePlannedNaive(t *testing.T, ex *Engine, sql string) {
 	}
 }
 
-// TestPlannerDifferentialPaperCorpus proves plan/naive row equality on every
-// query the paper quotes, over the curated databases.
+// TestPlannerDifferentialPaperCorpus proves planned/interpreter row equality
+// on every query the paper quotes, over the curated databases.
 func TestPlannerDifferentialPaperCorpus(t *testing.T) {
 	movieDB, err := dataset.CuratedMovieDB()
 	if err != nil {
@@ -191,7 +190,7 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 
 // TestPlannerDifferentialNulls builds a schema with nullable join and filter
 // columns, loads NULL-riddled rows, and proves the planner's hash, index,
-// and primary-key probes agree with naive three-valued evaluation.
+// and primary-key probes agree with the interpreter's three-valued evaluation.
 func TestPlannerDifferentialNulls(t *testing.T) {
 	schema := catalog.NewSchema("nulls")
 	if err := schema.AddRelation(&catalog.Relation{
@@ -283,9 +282,6 @@ func hashSidesOf(t *testing.T, ex *Engine, sql string) []string {
 	_, plan, err := ex.SelectExplained(sel)
 	if err != nil {
 		return nil
-	}
-	if plan.Fallback {
-		t.Fatalf("%s: not planned (%s)", sql, plan.Reason)
 	}
 	var sides []string
 	for _, st := range plan.Steps {
@@ -467,7 +463,7 @@ func TestPlannerDifferentialFuzzSeeds(t *testing.T) {
 
 // TestPlannerDifferentialUnknownColumn pins a review finding: a conjunct
 // referencing a nonexistent attribute of a matched relation must error like
-// the naive pipeline does, even when another filter empties the join (the
+// the interpreter does, even when another filter empties the join (the
 // planner must not swallow the typo by deferring it past a zero-row
 // pipeline).
 func TestPlannerDifferentialUnknownColumn(t *testing.T) {
@@ -490,7 +486,8 @@ func TestPlannerDifferentialUnknownColumn(t *testing.T) {
 
 // TestPlannerJoinReorderRestoresRowOrder pins the provenance-sort guarantee
 // directly: a query the planner reorders (selective filter on the second
-// FROM entry) must emit rows in the naive FROM-major nested-loop order.
+// FROM entry) must emit rows in the interpreter's FROM-major nested-loop
+// order.
 func TestPlannerJoinReorderRestoresRowOrder(t *testing.T) {
 	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
 		Seed: 5, Movies: 50, Actors: 20, Directors: 4, CastPerMovie: 2, GenresPerMovie: 2,
@@ -508,9 +505,6 @@ func TestPlannerJoinReorderRestoresRowOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Fallback {
-		t.Fatalf("expected a planned query, got fallback: %s", plan.Reason)
-	}
 	if !plan.Reordered {
 		t.Fatalf("expected the planner to reorder (GENRE filter first), fingerprint %s", plan.Fingerprint())
 	}
@@ -519,12 +513,11 @@ func TestPlannerJoinReorderRestoresRowOrder(t *testing.T) {
 
 // TestDMLPlannedVsInterpreter runs every way an UPDATE or DELETE resolves its
 // WHERE — primary-key probe, index probe, vectorized range with zone
-// skipping, compiled residual filter, subquery residual, no WHERE at all —
-// once with planned positions and once with the planner off, which sends the
-// same WHERE through the interpreter pre-scan. Both must affect the same
-// number of rows and leave the same table; a WHERE the planner refuses must
-// fail or succeed the same way on both, and is the only thing counted as a
-// fallback on the planned side.
+// skipping, compiled residual filter, subquery residual, bridged unknown
+// column, no WHERE at all — once with planned positions and once on the
+// interpreter, which pre-scans the table with the same WHERE. Both must
+// affect the same number of rows, leave the same table, and fail or succeed
+// the same way.
 func TestDMLPlannedVsInterpreter(t *testing.T) {
 	newEngine := func(planned bool) *Engine {
 		// Two zones of MOVIES, so a year range can skip one.
@@ -538,7 +531,7 @@ func TestDMLPlannedVsInterpreter(t *testing.T) {
 			t.Fatal(err)
 		}
 		ex := New(db)
-		ex.SetPlannerEnabled(planned)
+		ex.useOracle(!planned)
 		return ex
 	}
 	planned, naive := newEngine(true), newEngine(false)
@@ -562,7 +555,7 @@ func TestDMLPlannedVsInterpreter(t *testing.T) {
 		{"GENRE", "update GENRE g set genre = 'old' where exists (select 1 from DIRECTOR d where d.id = g.mid and d.id > 2)"},
 		{"MOVIES", "update MOVIES set year = 1 / (year - year) where id = 50"}, // SET error
 		{"MOVIES", "delete from MOVIES where 1 / (id - 60) > 0 and id < 100"},  // WHERE error: no trace
-		{"MOVIES", "delete from MOVIES where nosuch = 1"},                      // the planner refuses this one
+		{"MOVIES", "delete from MOVIES where nosuch = 1"},                      // bridged: the evaluator's error
 		{"DIRECTED", "delete from DIRECTED"},
 	}
 	for i := 0; i < 12; i++ {
@@ -584,17 +577,5 @@ func TestDMLPlannedVsInterpreter(t *testing.T) {
 		if got, want := dumpTable(t, planned.Database(), tc.rel), dumpTable(t, naive.Database(), tc.rel); got != want {
 			t.Fatalf("%s\n%s differs between planned positions and the interpreter pre-scan", tc.sql, tc.rel)
 		}
-	}
-	if got := planned.DMLFallbacks(); len(got) != 1 || got["unresolved column reference"] != 1 {
-		t.Fatalf("planned engine's fallbacks = %v, want only the unresolvable WHERE", got)
-	}
-	withWhere := 0
-	for _, tc := range stmts {
-		if strings.Contains(tc.sql, " where ") {
-			withWhere++
-		}
-	}
-	if got := naive.DMLFallbacks(); got["planner disabled"] != uint64(withWhere) {
-		t.Fatalf("interpreter engine's fallbacks = %v, want %d under 'planner disabled'", got, withWhere)
 	}
 }

@@ -25,7 +25,7 @@ func mustParse(t *testing.T, sql string) *sqlparser.SelectStmt {
 // scan→project fast path: every template below lands (at least partly) in
 // lowerVecFilter's dialect — column-vs-literal comparisons on every column
 // kind, IS NULL, BETWEEN, IN lists with NULLs, LIKE over dictionary text,
-// and cross-kind equality — and must agree with the forced-naive pipeline
+// and cross-kind equality — and must agree with the interpreter
 // row for row, order included, on NULL-riddled data.
 
 // vecTestDB builds one table exercising every column kind with ~25% NULLs
@@ -233,9 +233,6 @@ func TestVecScanFastPathExplain(t *testing.T) {
 	res, plan, err := ex.SelectExplained(sel)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plan.Fallback {
-		t.Fatalf("fallback: %s", plan.Reason)
 	}
 	if plan.ActualRows != len(res.Rows) {
 		t.Fatalf("plan.ActualRows = %d, rows = %d", plan.ActualRows, len(res.Rows))

@@ -89,7 +89,7 @@ func zoneTestDB(t testing.TB, sortedDict bool) *storage.Database {
 }
 
 // compareZoneModes runs sql with zone maps enabled, disabled, and on the
-// naive pipeline, requiring identical output (order included) in all three.
+// interpreter, requiring identical output (order included) in all three.
 func compareZoneModes(t *testing.T, ex *Engine, sql string) {
 	t.Helper()
 	ex.SetZoneMapsEnabled(true)
@@ -243,9 +243,6 @@ func TestZoneSkipExplain(t *testing.T) {
 	res, plan, err := ex.SelectExplained(sel)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plan.Fallback {
-		t.Fatalf("fallback: %s", plan.Reason)
 	}
 	var zs *planner.ShapeStep
 	for _, sh := range plan.Shape {

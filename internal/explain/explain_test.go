@@ -225,9 +225,6 @@ func TestExplainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diag.Plan.Fallback {
-		t.Fatalf("fallback plan: %s", diag.Plan.Reason)
-	}
 	if len(diag.Plan.Steps) != 2 {
 		t.Fatalf("steps = %d", len(diag.Plan.Steps))
 	}
@@ -253,8 +250,9 @@ func TestExplainPlan(t *testing.T) {
 	}
 }
 
-// TestExplainPlanFallback reports, rather than hides, queries the planner
-// cannot handle.
+// TestExplainPlanFallback: an outer join, which the planner once refused,
+// explains a real plan — every step with its actual rows, and the side the
+// join keeps.
 func TestExplainPlanFallback(t *testing.T) {
 	e := newExplainer(t)
 	diag, err := e.ExplainPlan(parse(t,
@@ -262,10 +260,15 @@ func TestExplainPlanFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !diag.Plan.Fallback {
-		t.Fatal("outer join should fall back")
+	if len(diag.Plan.Steps) != 2 || diag.Plan.Steps[1].Join != "left" {
+		t.Fatalf("steps = %+v, want a scan of MOVIES and a left join onto CAST", diag.Plan.Steps)
 	}
-	if !strings.Contains(diag.Text, "naive pipeline") {
+	for _, st := range diag.Plan.Steps {
+		if st.ActualRows < 0 {
+			t.Errorf("step %s has no actual row count", st.Relation)
+		}
+	}
+	if !strings.Contains(diag.Text, "keeping every row so far and padding c with NULLs where nothing matches") {
 		t.Errorf("narration = %q", diag.Text)
 	}
 }

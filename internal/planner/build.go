@@ -15,39 +15,58 @@ const (
 	costEmit     = 0.1 // materialize one output row
 )
 
-// Build plans a SELECT over the given FROM entries (engine-flattened, inner
-// joins only — the engine falls back before calling for outer joins or
-// views). onConjuncts carries explicit-JOIN ON predicates in clause order;
-// they are planned exactly like WHERE conjuncts, which is equivalent for
-// inner joins. hasOuter reports an enclosing scope (this SELECT is a
-// subquery), which legitimizes otherwise-unresolvable column references as
-// correlations. A non-nil Plan with Fallback set means the query is outside
-// the planner's dialect.
-func Build(sel *sqlparser.SelectStmt, inputs []Input, onConjuncts []sqlparser.Expr, hasOuter bool) *Plan {
-	if len(inputs) == 0 {
-		return fallback("no base tables")
-	}
-
+// Build plans a SELECT over the given FROM entries, engine-flattened in
+// clause order; every SELECT gets a plan. Without outer joins, explicit-JOIN ON
+// conjuncts resolved within their own join are planned exactly like WHERE
+// conjuncts, which is equivalent for inner joins, and the inputs are joined
+// greedily by estimated output size. A plan with an outer join, or with a
+// conjunct the planner cannot resolve, keeps FROM order instead. hasOuter
+// reports an enclosing scope (this SELECT is a subquery), which legitimizes
+// otherwise-unresolvable column references as correlations.
+func Build(sel *sqlparser.SelectStmt, inputs []Input, hasOuter bool) *Plan {
 	res := &resolver{inputs: inputs, offsets: make([]int, len(inputs))}
 	width := 0
+	after, outerJoins := -1, false
 	for i := range inputs {
 		res.offsets[i] = width
 		width += len(inputs[i].Rel.Attributes)
+		switch inputs[i].Join {
+		case sqlparser.JoinRight:
+			after = i
+			outerJoins = true
+		case sqlparser.JoinLeft:
+			outerJoins = true
+		}
 	}
 
-	// ON conjuncts of explicit inner joins behave exactly like WHERE
-	// conjuncts (the engine verifies they only reference their own or
-	// earlier FROM entries before planning), so the two lists merge.
 	whereConjs := sqlparser.Conjuncts(sel.Where)
-	conjs := make([]*conjunct, 0, len(onConjuncts)+len(whereConjs))
-	for _, list := range [][]sqlparser.Expr{onConjuncts, whereConjs} {
-		for _, e := range list {
-			c, err := analyze(e, res, hasOuter)
-			if err != nil {
-				return fallback(err.Error())
-			}
-			conjs = append(conjs, c)
+	conjs := make([]*conjunct, 0, len(whereConjs))
+	for i := range inputs {
+		for _, e := range sqlparser.Conjuncts(inputs[i].On) {
+			conjs = append(conjs, analyzeOn(e, res, i, hasOuter, outerJoins))
 		}
+	}
+	for _, e := range whereConjs {
+		c := analyze(e, res, hasOuter)
+		c.after = after
+		conjs = append(conjs, c)
+	}
+	fromOrder := outerJoins
+	for _, c := range conjs {
+		fromOrder = fromOrder || c.bridged || c.on >= 0
+	}
+
+	plan := &Plan{Width: width, ActualRows: -1}
+	if len(inputs) == 0 {
+		// A FROM-less SELECT: no step, one empty row, which every conjunct
+		// filters.
+		plan.EstRows = 1
+		for _, c := range conjs {
+			plan.Post = append(plan.Post, c.expr)
+			plan.EstRows *= defaultSelectivity
+		}
+		buildShape(plan, sel, res, nil)
+		return plan
 	}
 
 	stats := make([]storage.TableStats, len(inputs))
@@ -61,11 +80,10 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, onConjuncts []sqlparser.Ex
 		localSel[i] = 1
 	}
 	for _, c := range conjs {
-		if c.post || len(c.inputs) != 1 {
-			continue
-		}
 		for in := range c.inputs {
-			localSel[in] *= selectivity(c.expr, in, res, &stats[in])
+			if c.selfAt(in, &inputs[in]) {
+				localSel[in] *= selectivity(c.expr, in, res, &stats[in])
+			}
 		}
 	}
 	filteredRows := func(i int) float64 {
@@ -76,13 +94,12 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, onConjuncts []sqlparser.Ex
 		return r
 	}
 
-	plan := &Plan{Width: width, ActualRows: -1}
 	bound := make([]bool, len(inputs))
 	planPos := make([]int, len(inputs)) // input index -> step index
 
 	// ----- first step: cheapest filtered base table, best access path -----
 	first := 0
-	for i := 1; i < len(inputs); i++ {
+	for i := 1; i < len(inputs) && !fromOrder; i++ {
 		// Ascending iteration keeps the lowest FROM position on ties.
 		if filteredRows(i) < filteredRows(first) {
 			first = i
@@ -110,7 +127,24 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, onConjuncts []sqlparser.Ex
 	planPos[first] = 0
 	cur := firstStep.EstRows
 
-	// ----- remaining steps: greedy by estimated output cardinality -----
+	// ----- remaining steps: in FROM order when the plan keeps it -----
+	for i := 1; i < len(inputs) && fromOrder; i++ {
+		st := planJoinStep(i, cur, bound, conjs, res, inputs, &stats[i], localSel[i])
+		st.Join = inputs[i].Join
+		switch st.Join {
+		case sqlparser.JoinLeft: // every row so far survives
+			st.EstRows = max(st.EstRows, cur)
+		case sqlparser.JoinRight: // every row of the relation survives
+			st.EstRows = max(st.EstRows, float64(stats[i].Rows))
+		}
+		planPos[i] = i
+		plan.Steps = append(plan.Steps, st)
+		bound[i] = true
+		markConsumed(st)
+		cur = st.EstRows
+	}
+
+	// ----- otherwise greedy by estimated output cardinality -----
 	for len(plan.Steps) < len(inputs) {
 		type choice struct {
 			input int
@@ -147,10 +181,22 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, onConjuncts []sqlparser.Ex
 		if c.consumed {
 			continue
 		}
+		if fromOrder && !c.post {
+			si := stepOf(c, inputs)
+			switch {
+			case si < 0:
+				plan.Post = append(plan.Post, c.expr)
+			case c.selfAt(si, &inputs[si]):
+				plan.Steps[si].SelfFilters = append(plan.Steps[si].SelfFilters, c.expr)
+			default:
+				plan.Steps[si].PostJoinFilters = append(plan.Steps[si].PostJoinFilters, c.expr)
+			}
+			continue
+		}
 		if c.post || len(c.inputs) == 0 {
 			// Input-free conjuncts (constant predicates) run at the first
-			// step, like the naive pushdown; true residuals run after all
-			// joins.
+			// step, like the interpreter's pushdown; true residuals run after
+			// all joins.
 			if c.post {
 				plan.Post = append(plan.Post, c.expr)
 			} else {
@@ -341,7 +387,7 @@ func chooseScanAccess(st *Step, in int, conjs []*conjunct, res *resolver, stats 
 	// Literal equality per attribute position.
 	eqLit := map[int]value.Value{}
 	for _, c := range conjs {
-		if c.post || len(c.inputs) != 1 || !c.inputs[in] {
+		if !c.selfAt(in, &st.Input) {
 			continue
 		}
 		b, ok := c.expr.(*sqlparser.BinaryExpr)
@@ -419,7 +465,7 @@ func planJoinStep(i int, cur float64, bound []bool, conjs []*conjunct, res *reso
 	}
 	var edges []edgeInfo
 	for _, c := range conjs {
-		if c.eq == nil || c.consumed {
+		if c.eq == nil || c.consumed || !c.at(i, &inputs[i]) {
 			continue
 		}
 		e := c.eq
@@ -513,7 +559,7 @@ func planJoinStep(i int, cur float64, bound []bool, conjs []*conjunct, res *reso
 			})
 		}
 	}
-	// Hash join on the first edge (mirrors the naive engine's choice).
+	// Hash join on the first edge (the interpreter's choice).
 	he := edges[0]
 	methods = append(methods, method{
 		access: JoinHash, used: []edgeInfo{he},

@@ -9,10 +9,11 @@
 //
 // The planner resolves every column reference to a (step, attribute) slot at
 // plan time: the engine executes plans over flat slot-addressed rows, so the
-// join inner loop does no map or string-key work. Anything outside the
-// planner's dialect — outer joins, view references, ambiguous unqualified
-// columns — yields a Plan with Fallback set, and the engine runs its
-// environment-based pipeline instead.
+// join inner loop does no map or string-key work. Every SELECT gets a plan.
+// Outer joins keep FROM order, and a conjunct the planner cannot resolve — an
+// ambiguous or unknown column, an ON condition reaching past its own join —
+// is placed, unanalyzed, at the step where the engine's test interpreter
+// evaluates it; the engine bridges it through its evaluator there.
 package planner
 
 import (
@@ -25,11 +26,15 @@ import (
 	"repro/internal/value"
 )
 
-// Input is one FROM entry, in clause order, handed over by the engine.
+// Input is one FROM entry, in clause order, handed over by the engine. Join
+// and On say how an explicit JOIN attaches it to the entries before it; they
+// are JoinInner and nil for the first entry and a comma-separated one.
 type Input struct {
 	Alias string
 	Rel   *catalog.Relation
 	Tbl   *storage.Table
+	Join  sqlparser.JoinKind
+	On    sqlparser.Expr
 }
 
 // Access enumerates the access paths a step can use.
@@ -92,12 +97,21 @@ type Step struct {
 	// ProbeSlots drive JoinPK / JoinIndex: absolute slots supplying the key
 	// values, aligned with the pk/index key positions.
 	ProbeSlots []int
+	// Join is JoinLeft or JoinRight for an outer join step. A LEFT step keeps
+	// every row so far, padding this relation with NULLs for a row that kept
+	// no match; a RIGHT step keeps every row of this relation, padding the
+	// rows so far for one none of them matched. A plan with an outer step
+	// keeps FROM order. Its SelfFilters filter a LEFT step's padded side
+	// before the join; its PostJoinFilters are the join's match conditions.
+	Join sqlparser.JoinKind
 	// JoinDesc renders the consumed join equalities ("c.mid = m.id").
 	JoinDesc string
 	// SelfFilters are pushed-down conjuncts touching only this step's
 	// relation; the engine may apply them before the join (hash build /
 	// inner-loop prefilter). PostJoinFilters also reference earlier steps and
-	// run once the joined candidate row exists. Both keep WHERE-clause order.
+	// run once the joined candidate row exists; they include the conjuncts
+	// the planner could not resolve, which the engine evaluates over the FROM
+	// entries bound so far. Both keep WHERE-clause order.
 	SelfFilters     []sqlparser.Expr
 	PostJoinFilters []sqlparser.Expr
 	// TableRows is the relation's cardinality at plan time.
@@ -215,31 +229,30 @@ type Plan struct {
 	// Width is the total slot count of the flat row layout.
 	Width int
 	// Reordered reports that step order differs from FROM order, in which
-	// case the engine restores FROM-major row order after the pipeline so
-	// planned and naive execution are row-for-row identical.
+	// case the engine restores FROM-major row order after the pipeline, the
+	// order the nested-loop interpreter emits.
 	Reordered bool
 	EstRows   float64
 	EstCost   float64
 	// ActualRows is the final row count after Post filters (-1 before
 	// execution).
 	ActualRows int
-	// Fallback marks a query outside the planner's dialect; Reason says why.
-	Fallback bool
-	Reason   string
 }
 
 // Fingerprint is a compact stable description of the plan shape, used by the
 // serving layer to record which plan produced a cached response.
 func (p *Plan) Fingerprint() string {
-	if p.Fallback {
-		return "naive(" + p.Reason + ")"
-	}
 	var b strings.Builder
 	for i, st := range p.Steps {
 		if i > 0 {
 			b.WriteByte('>')
 		}
-		fmt.Fprintf(&b, "%s:%s", st.Input.Alias, st.Access)
+		b.WriteString(st.Input.Alias)
+		b.WriteByte(':')
+		if w := st.outerWord(); w != "" {
+			b.WriteString(w + " ")
+		}
+		b.WriteString(st.Access.String())
 		if st.IndexName != "" {
 			b.WriteByte('[')
 			b.WriteString(st.IndexName)
@@ -279,14 +292,18 @@ func (p *Plan) Fingerprint() string {
 	return b.String()
 }
 
-// NewFallback builds a Fallback plan for a query outside the planner's
-// dialect; the engine uses it to report why it ran the naive pipeline.
-func NewFallback(reason string) *Plan {
-	return &Plan{Fallback: true, Reason: reason, ActualRows: -1}
+// outerWord names an outer join step's kind, "left" or "right"; it is empty
+// for a scan or an inner join.
+func (st *Step) outerWord() string {
+	switch st.Join {
+	case sqlparser.JoinLeft:
+		return "left"
+	case sqlparser.JoinRight:
+		return "right"
+	default:
+		return ""
+	}
 }
-
-// fallback is the package-internal alias.
-func fallback(reason string) *Plan { return NewFallback(reason) }
 
 // ---------------------------------------------------------------------------
 // Conjunct analysis
@@ -304,6 +321,17 @@ type conjunct struct {
 	consumed bool
 	// eq is set for `colref = colref` conjuncts linking two distinct inputs.
 	eq *joinEdge
+	// bridged marks a conjunct the planner cannot resolve to slots: an
+	// ambiguous or unknown reference, or an ON conjunct that is not resolved
+	// within its own join. The plan keeps FROM order and places it where the
+	// interpreter evaluates it; the engine bridges it there.
+	bridged bool
+	// on is the FROM position whose join step an ON conjunct is pinned to, -1
+	// for a WHERE conjunct and for an inner join's ON conjunct planned like
+	// one. after is the last RIGHT join's position (-1 for none): a WHERE
+	// conjunct filters no step before it, since that join pads every input
+	// before it.
+	on, after int
 }
 
 // joinEdge is an equality between attributes of two FROM entries.
@@ -322,10 +350,9 @@ type resolver struct {
 }
 
 // errAmbiguous, errUnresolved, and errBadAttr classify resolution failures:
-// ambiguity forces fallback; an unresolved name may be an outer-scope
-// correlation (legal in subqueries); a matched table with a missing
-// attribute is a guaranteed runtime error in the naive pipeline and must
-// keep erroring, so it forces fallback too.
+// an unresolved name may be an outer-scope correlation (legal in
+// subqueries); ambiguity and a matched table with a missing attribute are
+// bridged, so they raise the evaluator's error wherever a row reaches them.
 var (
 	errAmbiguous  = fmt.Errorf("ambiguous column reference")
 	errUnresolved = fmt.Errorf("unresolved column reference")
@@ -372,10 +399,6 @@ func (r *resolver) resolve(c *sqlparser.ColumnRef) (int, int, error) {
 // slot converts an (input, attribute position) pair to an absolute slot.
 func (r *resolver) slot(input, pos int) int { return r.offsets[input] + pos }
 
-// HasSubquery reports whether the expression contains a nested SELECT (the
-// engine's ON-clause plannability check shares it).
-func HasSubquery(e sqlparser.Expr) bool { return hasSubquery(e) }
-
 // hasSubquery reports whether the expression contains a nested SELECT.
 func hasSubquery(e sqlparser.Expr) bool {
 	found := false
@@ -395,32 +418,34 @@ func hasSubquery(e sqlparser.Expr) bool {
 	return found
 }
 
-// analyze classifies one conjunct. A non-nil error forces whole-plan
-// fallback: ambiguous references, attributes missing on a matched relation
-// (a guaranteed naive-pipeline runtime error that deferral could swallow),
-// and names that resolve nowhere when no outer scope exists to supply them.
-func analyze(e sqlparser.Expr, res *resolver, hasOuter bool) (*conjunct, error) {
-	c := &conjunct{expr: e, inputs: map[int]bool{}}
+// analyze classifies one conjunct. Subqueries and outer-scope correlations
+// defer to the residual phase. Ambiguous references, attributes missing on a
+// matched relation and names that resolve nowhere when no outer scope can
+// supply them are bridged: the evaluator raises its error on the first row
+// that reaches the conjunct, and none when no row does.
+func analyze(e sqlparser.Expr, res *resolver, hasOuter bool) *conjunct {
+	c := &conjunct{expr: e, inputs: map[int]bool{}, on: -1, after: -1}
 	if hasSubquery(e) {
 		c.post = true
-		return c, nil
+		return c
 	}
 	for _, ref := range sqlparser.ColumnRefs(e) {
 		in, _, err := res.resolve(ref)
-		switch err {
-		case nil:
+		switch {
+		case err == nil:
 			c.inputs[in] = true
-		case errUnresolved:
-			if !hasOuter {
-				return nil, errUnresolved
-			}
+		case err == errUnresolved && hasOuter:
 			c.post = true // outer correlation: defer to the residual phase
-		default: // errAmbiguous, errBadAttr
-			return nil, err
+		default:
+			c.bridged = true
 		}
 	}
+	if c.bridged {
+		c.post = false
+		return c
+	}
 	if c.post {
-		return c, nil
+		return c
 	}
 	if b, ok := e.(*sqlparser.BinaryExpr); ok && b.Op == sqlparser.OpEq {
 		l, lok := b.Left.(*sqlparser.ColumnRef)
@@ -433,7 +458,110 @@ func analyze(e sqlparser.Expr, res *resolver, hasOuter bool) (*conjunct, error) 
 			}
 		}
 	}
-	return c, nil
+	return c
+}
+
+// analyzeOn classifies the ON conjunct of input i. In a query without outer
+// joins a conjunct resolved within its own join — every reference qualified
+// and bound by FROM positions 0..i — is planned like a WHERE conjunct, which
+// is equivalent for inner joins. Any other ON conjunct is pinned to its join
+// step, where it sees exactly its FROM prefix, and is bridged unless every
+// reference resolves within that prefix.
+func analyzeOn(e sqlparser.Expr, res *resolver, i int, hasOuter, outerJoins bool) *conjunct {
+	c := analyze(e, res, hasOuter)
+	within := !c.post && !c.bridged
+	for in := range c.inputs {
+		within = within && in <= i
+	}
+	qualified := true
+	for _, ref := range sqlparser.ColumnRefs(e) {
+		qualified = qualified && ref.Table != ""
+	}
+	if within && qualified && !outerJoins {
+		return c
+	}
+	c.on = i
+	if !within {
+		c.post, c.bridged, c.eq = false, true, nil
+	}
+	return c
+}
+
+// at reports whether c may filter, or drive the access path of, the step that
+// joins input in (at FROM position i): an ON conjunct pinned to its join step
+// only there, any other conjunct at an inner join step no earlier than the
+// last RIGHT join.
+func (c *conjunct) at(i int, in *Input) bool {
+	if c.on >= 0 {
+		return c.on == i
+	}
+	return in.Join == sqlparser.JoinInner && i >= c.after
+}
+
+// selfAt reports whether c filters input in's own rows before its join: a
+// resolved single-input conjunct over it that may filter its step, except on
+// a RIGHT step, whose own rows are the side it keeps.
+func (c *conjunct) selfAt(i int, in *Input) bool {
+	return !c.post && !c.bridged && len(c.inputs) == 1 && c.inputs[i] &&
+		c.at(i, in) && in.Join != sqlparser.JoinRight
+}
+
+// stepOf returns the FROM position of the step a conjunct filters in a plan
+// that keeps FROM order, or -1 when it filters the joined rows after every
+// step. An ON conjunct pinned to its join stays there; a bridged WHERE
+// conjunct goes where the interpreter evaluates it; a resolved one binds at
+// its last input, but no earlier than the last RIGHT join, and not at an outer
+// join step — a WHERE conjunct there filters the padded rows after the join.
+func stepOf(c *conjunct, inputs []Input) int {
+	switch {
+	case c.on >= 0:
+		return c.on
+	case c.bridged:
+		return interpreterStep(c.expr, inputs, c.after)
+	}
+	si := max(c.after, 0)
+	for in := range c.inputs {
+		si = max(si, in)
+	}
+	if inputs[si].Join != sqlparser.JoinInner {
+		return -1
+	}
+	return si
+}
+
+// interpreterStep is the interpreter's binding rule for a WHERE conjunct: the
+// first inner join step, not before the last RIGHT join, at which every
+// column reference is bound — qualified by the alias of an entry joined so
+// far, or unqualified and an attribute of exactly one of them — and failing
+// that the last step; -1 when that is an outer join, after which it filters
+// the joined rows.
+func interpreterStep(e sqlparser.Expr, inputs []Input, after int) int {
+	for i := range inputs {
+		if inputs[i].Join != sqlparser.JoinInner || i < after {
+			continue
+		}
+		if i == len(inputs)-1 || boundIn(e, inputs[:i+1]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// boundIn reports whether every column reference of e is bound by the prefix
+// in the interpreter's sense (see interpreterStep).
+func boundIn(e sqlparser.Expr, prefix []Input) bool {
+	for _, ref := range sqlparser.ColumnRefs(e) {
+		n := 0
+		for _, in := range prefix {
+			if ref.Table == "" && in.Rel.AttrIndex(ref.Column) >= 0 || ref.Table != "" && strings.EqualFold(in.Alias, ref.Table) {
+				n++
+			}
+		}
+		if n == 0 || ref.Table == "" && n > 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import (
 	"repro/internal/storage"
 )
 
-// buildPlan flattens a simple comma-FROM SELECT the way the engine does and
+// buildPlan flattens a SELECT's FROM clause the way the engine does and
 // plans it.
 func buildPlan(t *testing.T, db *storage.Database, sql string) *planner.Plan {
 	t.Helper()
@@ -19,25 +19,21 @@ func buildPlan(t *testing.T, db *storage.Database, sql string) *planner.Plan {
 		t.Fatal(err)
 	}
 	var inputs []planner.Input
-	var ons []sqlparser.Expr
-	var add func(ref *sqlparser.TableRef)
-	add = func(ref *sqlparser.TableRef) {
+	var add func(ref *sqlparser.TableRef, kind sqlparser.JoinKind, on sqlparser.Expr)
+	add = func(ref *sqlparser.TableRef, kind sqlparser.JoinKind, on sqlparser.Expr) {
 		tbl := db.Table(ref.Relation)
 		if tbl == nil {
 			t.Fatalf("unknown relation %q", ref.Relation)
 		}
-		inputs = append(inputs, planner.Input{Alias: ref.Name(), Rel: tbl.Relation(), Tbl: tbl})
+		inputs = append(inputs, planner.Input{Alias: ref.Name(), Rel: tbl.Relation(), Tbl: tbl, Join: kind, On: on})
 		if ref.Join != nil {
-			if ref.Join.On != nil {
-				ons = append(ons, sqlparser.Conjuncts(ref.Join.On)...)
-			}
-			add(ref.Join.Right)
+			add(ref.Join.Right, ref.Join.Kind, ref.Join.On)
 		}
 	}
 	for _, ref := range sel.From {
-		add(ref)
+		add(ref, sqlparser.JoinInner, nil)
 	}
-	p := planner.Build(sel, inputs, ons, false)
+	p := planner.Build(sel, inputs, false)
 	if p == nil {
 		t.Fatal("nil plan")
 	}
@@ -61,9 +57,6 @@ func genDB(t *testing.T) *storage.Database {
 func TestPlanOrdersBySelectivity(t *testing.T) {
 	p := buildPlan(t, genDB(t),
 		`select m.title from MOVIES m, CAST c where m.id = c.mid and c.role = 'Role 7-19'`)
-	if p.Fallback {
-		t.Fatalf("fallback: %s", p.Reason)
-	}
 	if got := p.Steps[0].Input.Alias; got != "c" {
 		t.Fatalf("first step = %s, want the filtered CAST scan", got)
 	}
@@ -89,9 +82,6 @@ func TestPlanPicksIndexProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := buildPlan(t, db, `select m.year from MOVIES m where m.title = 'Movie 42'`)
-	if p.Fallback {
-		t.Fatalf("fallback: %s", p.Reason)
-	}
 	st := p.Steps[0]
 	if st.Access != planner.ScanIndex || st.IndexName != "ix_movies_title" {
 		t.Fatalf("access = %s index %q, want index probe via ix_movies_title", st.Access, st.IndexName)
@@ -119,9 +109,6 @@ func TestPlanPicksIndexJoin(t *testing.T) {
 	}
 	p := buildPlan(t, db,
 		`select c.role from MOVIES m, CAST c where m.id = c.mid and m.id = 5`)
-	if p.Fallback {
-		t.Fatalf("fallback: %s", p.Reason)
-	}
 	if p.Steps[0].Access != planner.ScanPK {
 		t.Fatalf("first access = %s", p.Steps[0].Access)
 	}
@@ -136,9 +123,6 @@ func TestPlanPicksIndexJoin(t *testing.T) {
 func TestPlanSubqueryGoesResidual(t *testing.T) {
 	p := buildPlan(t, genDB(t),
 		`select m.title from MOVIES m where m.id in (select c.mid from CAST c) and m.year > 1960`)
-	if p.Fallback {
-		t.Fatalf("fallback: %s", p.Reason)
-	}
 	if len(p.Post) != 1 {
 		t.Fatalf("residual count = %d, want the IN subquery", len(p.Post))
 	}
@@ -148,23 +132,57 @@ func TestPlanSubqueryGoesResidual(t *testing.T) {
 	}
 }
 
-// TestPlanFallbacks: constructs outside the dialect are reported, not
-// mis-planned.
+// TestPlanFallbacks: constructs the planner once refused are planned now. An
+// ambiguous unqualified column keeps FROM order and waits, unanalyzed, where
+// the interpreter binds it — at the first entry that has the column, the
+// only one bound there — for the engine to bridge.
 func TestPlanFallbacks(t *testing.T) {
 	db := genDB(t)
-	// Ambiguous unqualified column: both MOVIES and CAST have "mid"? No —
-	// use id, present in MOVIES and ACTOR.
-	sel, err := sqlparser.ParseSelect(`select title from MOVIES m, ACTOR a where id = 3`)
-	if err != nil {
-		t.Fatal(err)
+	// id is an attribute of both MOVIES and ACTOR.
+	p := buildPlan(t, db, `select title from ACTOR a, MOVIES m where id = 3 and m.year > 2000`)
+	if p.Reordered || p.Steps[0].Input.Alias != "a" {
+		t.Fatalf("a plan with an unresolvable conjunct must keep FROM order, got %s", p.Fingerprint())
 	}
-	m, a := db.Table("MOVIES"), db.Table("ACTOR")
-	p := planner.Build(sel, []planner.Input{
-		{Alias: "m", Rel: m.Relation(), Tbl: m},
-		{Alias: "a", Rel: a.Relation(), Tbl: a},
-	}, nil, false)
-	if !p.Fallback {
-		t.Fatalf("ambiguous unqualified reference should fall back, got %s", p.Fingerprint())
+	if got := p.Steps[0].PostJoinFilters; len(got) != 1 || got[0].SQL() != "id = 3" {
+		t.Fatalf("step 1 filters %v, want the ambiguous conjunct where the interpreter binds it", got)
+	}
+	if got := p.Steps[1].SelfFilters; len(got) != 1 {
+		t.Fatalf("step 2 self-filters %v, want m.year > 2000", got)
+	}
+}
+
+// TestPlanOuterJoinKeepsFromOrder: an outer join keeps FROM order and picks its
+// access path by cost. A LEFT join's ON conjunct over the padded side filters
+// it before the join; a WHERE conjunct over a padded side filters the joined
+// rows, and a RIGHT join pads every input before it, so no WHERE conjunct
+// filters a step before it.
+func TestPlanOuterJoinKeepsFromOrder(t *testing.T) {
+	db := genDB(t)
+	p := buildPlan(t, db, `select m.title from MOVIES m left join CAST c on m.id = c.mid and c.role = 'Role 7-19'
+		where m.year > 2000 and c.aid is null`)
+	if got := p.Fingerprint(); got != "m:full scan{1}>c:left hash join{1}>post{1}" {
+		t.Fatalf("fingerprint %s", got)
+	}
+	if st := p.Steps[1]; st.Join != sqlparser.JoinLeft || len(st.SelfFilters) != 1 || st.EstRows < p.Steps[0].EstRows {
+		t.Fatalf("LEFT step %+v: want the padded side's ON filter before the join and at least the rows so far", st)
+	}
+	s := p.Summarize()
+	if s.Steps[1].Join != "left" {
+		t.Fatalf("summary step %+v", s.Steps[1])
+	}
+	for _, tip := range s.Tips {
+		if strings.Contains(tip, "subqueries") {
+			t.Fatalf("a residual without a subquery earned the subquery tip: %q", tip)
+		}
+	}
+
+	p = buildPlan(t, db, `select m.title from CAST c right join MOVIES m on c.mid = m.id and c.aid < 9
+		where m.year > 2000 and c.role = 'Role 7-19'`)
+	if got := p.Fingerprint(); got != "c:full scan>m:right primary-key join{1}>post{2}" {
+		t.Fatalf("fingerprint %s", got)
+	}
+	if st := p.Steps[1]; len(st.SelfFilters) != 0 || st.EstRows < float64(db.Table("MOVIES").Len()) {
+		t.Fatalf("RIGHT step %+v: its ON conjuncts are match conditions and it keeps every movie", st)
 	}
 }
 

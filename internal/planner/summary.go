@@ -10,12 +10,14 @@ import (
 
 // StepSummary is the externally consumable description of one plan step.
 type StepSummary struct {
-	Alias    string   `json:"alias"`
-	Relation string   `json:"relation"`
-	Access   string   `json:"access"`
-	Index    string   `json:"index,omitempty"`
-	JoinKey  string   `json:"join_key,omitempty"`
-	Filters  []string `json:"filters,omitempty"`
+	Alias    string `json:"alias"`
+	Relation string `json:"relation"`
+	Access   string `json:"access"`
+	// Join is "left" or "right" for an outer join step (see Step.Join).
+	Join    string   `json:"join,omitempty"`
+	Index   string   `json:"index,omitempty"`
+	JoinKey string   `json:"join_key,omitempty"`
+	Filters []string `json:"filters,omitempty"`
 	// TableRows is the relation cardinality at plan time; EstRows the
 	// estimated cumulative output after this step; ActualRows the observed
 	// count (-1 when the plan has not executed).
@@ -47,8 +49,6 @@ type ShapeSummary struct {
 // optimization tips) grown onto this engine.
 type Summary struct {
 	Fingerprint string        `json:"fingerprint"`
-	Fallback    bool          `json:"fallback,omitempty"`
-	Reason      string        `json:"reason,omitempty"`
 	EstRows     float64       `json:"estimated_rows"`
 	EstCost     float64       `json:"estimated_cost"`
 	ActualRows  int           `json:"actual_rows"`
@@ -68,8 +68,6 @@ type Summary struct {
 func (p *Plan) Summarize() *Summary {
 	s := &Summary{
 		Fingerprint: p.Fingerprint(),
-		Fallback:    p.Fallback,
-		Reason:      p.Reason,
 		EstRows:     p.EstRows,
 		EstCost:     p.EstCost,
 		ActualRows:  p.ActualRows,
@@ -80,6 +78,7 @@ func (p *Plan) Summarize() *Summary {
 			Alias:      st.Input.Alias,
 			Relation:   st.Input.Rel.Name,
 			Access:     st.Access.String(),
+			Join:       st.outerWord(),
 			Index:      st.IndexName,
 			JoinKey:    st.JoinDesc,
 			TableRows:  st.TableRows,
@@ -162,9 +161,6 @@ const tipScanThreshold = 1000
 // per-row residual subqueries — the §3.1 "why is this query expensive"
 // feedback in actionable form.
 func (p *Plan) Tips() []string {
-	if p.Fallback {
-		return nil
-	}
 	var tips []string
 	for _, st := range p.Steps {
 		switch st.Access {
@@ -194,10 +190,16 @@ func (p *Plan) Tips() []string {
 				st.Input.Alias))
 		}
 	}
-	if len(p.Post) > 0 {
+	subqueries := 0
+	for _, e := range p.Post {
+		if hasSubquery(e) {
+			subqueries++
+		}
+	}
+	if subqueries > 0 {
 		tips = append(tips, fmt.Sprintf(
 			"%s evaluated per row after all joins; rewriting subqueries as joins can help",
-			lexicon.CountNoun(len(p.Post), "residual predicate")))
+			lexicon.CountNoun(subqueries, "residual predicate")))
 	}
 	return tips
 }

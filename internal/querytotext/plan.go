@@ -16,14 +16,6 @@ func PlanEnglish(s *planner.Summary) string {
 	if s == nil {
 		return ""
 	}
-	if s.Fallback {
-		text := lexicon.Sentence(fmt.Sprintf(
-			"The query runs on the naive pipeline because the planner cannot handle it (%s)", s.Reason))
-		if s.ActualRows >= 0 {
-			text += " " + lexicon.Sentence(fmt.Sprintf("It produced %s", lexicon.CountNoun(s.ActualRows, "row")))
-		}
-		return text
-	}
 
 	var sentences []string
 	sentences = append(sentences, lexicon.Sentence(fmt.Sprintf(
@@ -55,8 +47,21 @@ func PlanEnglish(s *planner.Summary) string {
 		default: // nested loop
 			b.WriteString("pairs every row so far with every row of " + target)
 		}
-		if len(st.Filters) > 0 {
-			b.WriteString(", keeping rows where " + strings.Join(st.Filters, " and "))
+		switch st.Join {
+		case "left":
+			if len(st.Filters) > 0 {
+				b.WriteString(", matching where " + strings.Join(st.Filters, " and "))
+			}
+			fmt.Fprintf(&b, ", keeping every row so far and padding %s with NULLs where nothing matches", st.Alias)
+		case "right":
+			if len(st.Filters) > 0 {
+				b.WriteString(", matching where " + strings.Join(st.Filters, " and "))
+			}
+			fmt.Fprintf(&b, ", keeping every row of %s and padding the rows so far with NULLs where nothing matches", st.Relation)
+		default:
+			if len(st.Filters) > 0 {
+				b.WriteString(", keeping rows where " + strings.Join(st.Filters, " and "))
+			}
 		}
 		if st.ActualRows >= 0 {
 			fmt.Fprintf(&b, " — about %s expected, %d seen", formatCount(st.EstRows), st.ActualRows)

@@ -447,9 +447,16 @@ func TestPlanEnglish(t *testing.T) {
 			t.Errorf("hash side %q: narration missing %q:\n%s", side, want, text)
 		}
 	}
-	fb := PlanEnglish(&planner.Summary{Fallback: true, Reason: "outer join", ActualRows: 5})
-	if !strings.Contains(fb, "naive pipeline") || !strings.Contains(fb, "outer join") {
-		t.Errorf("fallback narration = %q", fb)
+	// An outer join says which side it keeps and which it pads.
+	for join, want := range map[string]string{
+		"left":  "probes it with c.aid = a.id, matching where c.role = 'Neo', keeping every row so far and padding c with NULLs where nothing matches — about 8 expected, 9 seen",
+		"right": "probes it with c.aid = a.id, matching where c.role = 'Neo', keeping every row of CAST and padding the rows so far with NULLs where nothing matches",
+	} {
+		outer := hash
+		outer.HashSide, outer.Join, outer.Filters = planner.HashTable, join, []string{"c.role = 'Neo'"}
+		if text := PlanEnglish(&planner.Summary{Steps: []planner.StepSummary{outer}, ActualRows: 9}); !strings.Contains(text, want) {
+			t.Errorf("%s join: narration missing %q:\n%s", join, want, text)
+		}
 	}
 }
 

@@ -290,7 +290,6 @@ func (db *Database) loadSegment(payload []byte) error {
 		tbl.CopyRow(scratch, i)
 		tbl.stats.add(scratch, &tbl.keyBuf)
 	}
-	tbl.invalidate()
 	return nil
 }
 

@@ -29,10 +29,9 @@ func snapDump(s *Snapshot) string {
 	return sb.String()
 }
 
-// TestSnapshotTuplesCacheIsolation pins the compatibility contract of the
-// naive scan path under MVCC: a frozen table caches its own materialized
-// []Tuple view, the cache is shared by repeated calls on the same snapshot,
-// and live writes neither invalidate it nor leak into it.
+// TestSnapshotTuplesCacheIsolation pins the Tuple compatibility surface under
+// MVCC: a frozen table's materialized rows are its own, and live writes never
+// leak into them.
 func TestSnapshotTuplesCacheIsolation(t *testing.T) {
 	db := newDurDB(t)
 	for i := 0; i < 5; i++ {
@@ -47,10 +46,6 @@ func TestSnapshotTuplesCacheIsolation(t *testing.T) {
 	first := frozen.Tuples()
 	if len(first) != 5 {
 		t.Fatalf("snapshot sees %d rows, want 5", len(first))
-	}
-	second := frozen.Tuples()
-	if &first[0][0] != &second[0][0] {
-		t.Fatal("repeated Tuples() on one snapshot did not reuse the cached materialization")
 	}
 
 	// Mutate the live table every way that could disturb shared vectors:
@@ -72,9 +67,6 @@ func TestSnapshotTuplesCacheIsolation(t *testing.T) {
 	}
 
 	third := frozen.Tuples()
-	if &first[0][0] != &third[0][0] {
-		t.Fatal("live writes invalidated a frozen table's materialization cache")
-	}
 	if got := third[0][1].Text(); got != "dir-0" {
 		t.Fatalf("live update leaked into the pinned snapshot: row 0 name %q", got)
 	}
@@ -82,7 +74,7 @@ func TestSnapshotTuplesCacheIsolation(t *testing.T) {
 		t.Fatalf("pinned snapshot length changed to %d", len(third))
 	}
 
-	// The new version sees everything; its cache is its own.
+	// The new version sees everything.
 	snap2 := db.Snapshot()
 	if snap2 == snap1 {
 		t.Fatal("writes did not publish a new version")

@@ -12,9 +12,8 @@
 // []float64 for FLOAT, []uint32 dictionary codes plus a per-column string
 // dictionary for TEXT, epoch-day []int64 for DATE, []bool for BOOL — each
 // with a packed null bitmap. The Tuple-based API (Tuple, Tuples, LookupPK,
-// LookupIndex) is a compatibility surface that materializes rows on demand;
-// Tuples() caches the materialization until the next write. The query
-// engine's hot paths bypass tuples entirely through Col handles and CopyRow.
+// LookupIndex) is a compatibility surface that materializes rows on demand.
+// The query engine reads tables through Col handles and CopyRow.
 package storage
 
 import (
@@ -91,13 +90,6 @@ type Table struct {
 	// keyBuf is writer-side scratch for key encoding; writers are exclusive
 	// per the storage contract, readers never touch it.
 	keyBuf []byte
-	// mat caches the materialized []Tuple view handed out by Tuples(); any
-	// write clears it. A frozen table gets its own zero-value mat, so each
-	// snapshot caches its own materialization and naive-engine readers can
-	// never observe a half-committed write. Concurrent readers may race to
-	// fill it — materialization is deterministic, so last-store-wins is
-	// harmless.
-	mat atomic.Pointer[[]Tuple]
 	// idxMu guards pk and the secondary buckets, which are shared between the
 	// live table and its frozen snapshot views: writers mutate under it,
 	// snapshot probes read under it and filter positions past their frozen
@@ -174,31 +166,16 @@ func (t *Table) CopyRow(dst []value.Value, i int) {
 	}
 }
 
-// materializeRow builds a fresh Tuple for row i.
-func (t *Table) materializeRow(i int) Tuple {
+// Tuple returns the i-th row, materialized.
+func (t *Table) Tuple(i int) Tuple {
 	tup := make(Tuple, len(t.cols))
 	t.CopyRow(tup, i)
 	return tup
 }
 
-// invalidate drops the cached materialized view (every write path calls it).
-func (t *Table) invalidate() { t.mat.Store(nil) }
-
-// Tuple returns the i-th row, materialized. The tuple is shared when the
-// table-wide materialization cache is warm; callers must not mutate it.
-func (t *Table) Tuple(i int) Tuple {
-	if m := t.mat.Load(); m != nil {
-		return (*m)[i]
-	}
-	return t.materializeRow(i)
-}
-
 // Tuples returns all rows in insertion order, materialized from the column
-// vectors and cached until the next write (shared slice; do not mutate).
+// vectors into one fresh backing array.
 func (t *Table) Tuples() []Tuple {
-	if m := t.mat.Load(); m != nil {
-		return *m
-	}
 	out := make([]Tuple, t.rows)
 	flat := make([]value.Value, t.rows*len(t.cols))
 	w := len(t.cols)
@@ -207,7 +184,6 @@ func (t *Table) Tuples() []Tuple {
 		t.CopyRow(row, i)
 		out[i] = row
 	}
-	t.mat.Store(&out)
 	return out
 }
 
@@ -458,26 +434,47 @@ func NewDatabase(schema *catalog.Schema) (*Database, error) {
 	}
 	db := &Database{schema: schema, tables: make(map[string]*Table)}
 	for _, r := range schema.Relations() {
-		tbl := &Table{rel: r, cols: make([]column, len(r.Attributes)), owner: db, idxMu: &sync.RWMutex{}}
-		for i, a := range r.Attributes {
-			tbl.cols[i] = newColumn(value.CatalogKind(a.Type))
-		}
-		tbl.stats.init(r)
-		if len(r.PrimaryKey) > 0 {
-			tbl.pk = make(map[string]int)
-			tbl.pkPos = make([]int, len(r.PrimaryKey))
-			for i, k := range r.PrimaryKey {
-				tbl.pkPos[i] = r.AttrIndex(k)
-			}
-		}
-		tbl.dirty = true
-		db.tables[strings.ToLower(r.Name)] = tbl
+		db.addTable(r)
 	}
 	// Publish version zero so snapshot readers exist from the first moment.
 	db.mu.Lock()
 	db.publishLocked(0)
 	db.mu.Unlock()
 	return db, nil
+}
+
+// addTable creates the empty table of relation r.
+func (db *Database) addTable(r *catalog.Relation) *Table {
+	tbl := &Table{rel: r, cols: make([]column, len(r.Attributes)), owner: db, idxMu: &sync.RWMutex{}}
+	for i, a := range r.Attributes {
+		tbl.cols[i] = newColumn(value.CatalogKind(a.Type))
+	}
+	tbl.stats.init(r)
+	if len(r.PrimaryKey) > 0 {
+		tbl.pk = make(map[string]int)
+		tbl.pkPos = make([]int, len(r.PrimaryKey))
+		for i, k := range r.PrimaryKey {
+			tbl.pkPos[i] = r.AttrIndex(k)
+		}
+	}
+	tbl.dirty = true
+	db.tables[strings.ToLower(r.Name)] = tbl
+	return tbl
+}
+
+// DetachedTable loads rows into a table of rel that belongs to no database —
+// no schema validation, log or snapshot — through the same insert path as a
+// database table, so it has the same column vectors, zone maps and
+// statistics. The engine materializes a view's rows into one.
+func DetachedTable(rel *catalog.Relation, rows []Tuple) (*Table, error) {
+	db := &Database{tables: make(map[string]*Table, 1)}
+	tbl := db.addTable(rel)
+	for _, row := range rows {
+		if err := db.insertLocked(rel.Name, row); err != nil {
+			return nil, err
+		}
+	}
+	return tbl, nil
 }
 
 // Schema returns the catalog schema.
@@ -604,7 +601,6 @@ func (db *Database) insertLocked(relName string, tup Tuple) error {
 	// Zone maps were extended incrementally by appendVal; sorted-dict ranks
 	// rebuild lazily on the next ranked read, so bulk loads stay linear.
 	tbl.dirty = true
-	tbl.invalidate()
 	if db.dur != nil {
 		db.dur.logInsert(r.Name, tup)
 	}
@@ -813,7 +809,6 @@ func (db *Database) deleteAtLocked(tbl *Table, positions []int) (int, error) {
 	tbl.finishWrite(positions[0])
 	tbl.fixStatBounds() // after finishWrite: minMax folds the fresh zones
 	tbl.dirty = true
-	tbl.invalidate()
 	if db.dur != nil {
 		db.dur.logDelete(tbl.rel.Name, positions)
 	}
@@ -832,8 +827,8 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 	var applied []updatedRow
 	var zones []int // ascending zones holding a replaced row
 	colChanged := make([]bool, len(tbl.cols))
-	// Zones, bounds, and the materialized view are refreshed even when a
-	// constraint aborts the loop midway: earlier rows were already updated.
+	// Zones and bounds are refreshed even when a constraint aborts the loop
+	// midway: earlier rows were already updated.
 	defer func() {
 		if len(applied) == 0 {
 			return
@@ -841,7 +836,6 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 		tbl.finishUpdate(zones, colChanged)
 		tbl.fixStatBounds() // after finishUpdate: minMax folds the fresh zones
 		tbl.dirty = true
-		tbl.invalidate()
 		if db.dur != nil {
 			db.dur.logUpdate(r.Name, applied)
 		}
@@ -1186,7 +1180,6 @@ func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
 	tbl.finishWrite(start)
 	tbl.fixStatBounds()
 	tbl.dirty = true
-	tbl.invalidate()
 }
 
 // RollbackInsertSuffix removes relName's rows from position keep onward —

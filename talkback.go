@@ -34,9 +34,7 @@
 // as []uint32 codes into a per-column string dictionary, DATE as epoch-day
 // []int64, []bool for BOOL — each with a packed null bitmap. The row-shaped
 // API (Tuple, Tuples, LookupPK, LookupIndex, CSV import/export) is a
-// compatibility surface that materializes tuples on demand and caches the
-// materialized view until the next write, so its row-oriented consumer, the
-// naive pipeline, is unaffected. The planned
+// compatibility surface that materializes tuples on demand. The query
 // pipeline reads the vectors directly: arena rows fill via CopyRow, simple
 // filters vectorize into typed comparisons on the column payloads (text
 // equality compares dictionary codes; LIKE and text ordering precompute one
@@ -72,16 +70,15 @@
 // a SELECT runs (vectorized filter prefix with zone skipping, compiled
 // residual filters, bridged subquery predicates), polling the request budget
 // where a SELECT does — so a WHERE error or a budget trip leaves no trace.
-// Only a WHERE the planner refuses (an unresolvable column; the planner
-// switched off) takes the interpreter's row-by-row pre-scan, counted per
-// reason in Engine.DMLFallbacks and talkbackd's /stats. Storage then applies
-// by position (Database.UpdateAt, DeleteAt; the predicate forms Update and
-// Delete are a scan for positions in front of the same code, and WAL replay
-// calls the positional forms with the positions it logged). An UPDATE copies
-// the vectors once when a published snapshot still shares them, rewrites
-// only changed attributes and their statistics, patches only the indexes
-// whose key changed (none at all for a non-key update), and rebuilds only
-// the zones holding a replaced row. A DELETE slides the rows behind the
+// Every WHERE runs a plan; a column the planner cannot resolve is evaluated
+// row by row where the plan reaches it, and raises its error there. Storage
+// then applies by position (Database.UpdateAt, DeleteAt; the predicate forms
+// Update and Delete are a scan for positions in front of the same code, and
+// WAL replay calls the positional forms with the positions it logged). An
+// UPDATE copies the vectors once when a published snapshot still shares them,
+// rewrites only changed attributes and their statistics, patches only the
+// indexes whose key changed (none at all for a non-key update), and rebuilds
+// only the zones holding a replaced row. A DELETE slides the rows behind the
 // first removed one down as blocks, copies the index maps flat once — frozen
 // snapshot views share them — and re-points only the removed and the moved
 // rows; the flat copy of the primary-key map is the one table-sized cost
@@ -108,12 +105,17 @@
 // join benchmark; see BENCH_2.json). The pipeline extends past the join:
 // ORDER BY sort keys compile to slot readers, a bounded top-K heap stands in
 // for the full sort when ORDER BY and LIMIT are both present, and a bare
-// LIMIT stops the projection loop early. The planned pipeline emits rows in
-// exactly the order the naive nested-loop pipeline would, so plans are
-// observable only through speed — a property the differential test suite
-// pins. Queries outside the planner's dialect (outer joins, views, ambiguous
-// unqualified columns) fall back to the environment-based pipeline, and the
-// plan says so.
+// LIMIT stops the projection loop early. The planned pipeline is the only one:
+// outer joins keep FROM order (a LEFT step pads a row so far that matched
+// nothing, a RIGHT step then emits its relation's unmatched rows), a view's
+// body is materialized into a table the plan reads like any other, a
+// FROM-less SELECT plans to zero steps and one empty row, and a condition the
+// planner cannot resolve is bridged through the expression evaluator at the
+// step that binds it. The engine's original interpreter survives only in its
+// tests, as the oracle: the planned pipeline emits exactly the rows, in
+// exactly the order, the interpreter's nested loops produce, so plans are
+// observable only through speed — a property the differential test suites
+// pin.
 //
 // Grouped queries aggregate in one of three tiers. The fastest is the fused
 // vectorized pipeline (the plan's vec-aggregate shape step): when every
