@@ -279,9 +279,11 @@ func (db *Database) loadSegment(payload []byte) error {
 	for i := range tbl.cols {
 		tbl.cols[i].rebuildZonesFrom(0, n)
 	}
-	tbl.rebuildIndexes()
+	if err := tbl.rebuildIndexes(); err != nil {
+		return fmt.Errorf("storage: checkpoint %s: %w", name, err)
+	}
 	for _, def := range defs {
-		if err := tbl.CreateIndex(def.name, def.attrs...); err != nil {
+		if err := tbl.addIndex(def.name, def.attrs); err != nil {
 			return fmt.Errorf("storage: checkpoint %s: %w", name, err)
 		}
 	}
@@ -312,6 +314,10 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 	c.nulls.words = make([]uint64, words)
 	for i := range c.nulls.words {
 		c.nulls.words[i] = d.uvarint()
+		// Bits at or past the row count would mark rows appended later NULL.
+		if past := rows - i*64; past < 64 && c.nulls.words[i]>>max(past, 0) != 0 {
+			return fmt.Errorf("null bitmap marks a row past %d", rows)
+		}
 	}
 	enc := d.byte()
 	if d.err != nil {
@@ -376,23 +382,26 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 		c.dict.refs = make([]int32, dictLen)
 		for i := range c.dict.strs {
 			s := d.string()
+			if _, dup := c.dict.code[s]; dup && d.err == nil {
+				return fmt.Errorf("dictionary holds %q twice", s)
+			}
 			c.dict.strs[i] = s
 			c.dict.code[s] = uint32(i)
 		}
 		c.codes = make([]uint32, rows)
 		for i := range c.codes {
 			code := d.uvarint()
-			if code >= dictLen && d.err == nil {
+			if d.err != nil {
+				return d.err
+			}
+			if c.nulls.get(i) {
+				continue // placeholder 0, parity with the live write path
+			}
+			if code >= dictLen {
 				return fmt.Errorf("code %d outside dictionary of %d", code, dictLen)
 			}
 			c.codes[i] = uint32(code)
-		}
-		for i := 0; i < rows; i++ {
-			if c.nulls.get(i) {
-				c.codes[i] = 0 // placeholder parity with the live write path
-			} else {
-				c.dict.retain(c.codes[i])
-			}
+			c.dict.retain(c.codes[i])
 		}
 		if ranked == 1 {
 			c.dict.ranked = true

@@ -36,10 +36,13 @@ import (
 //   - The one in-place append-path mutation — a frame-of-reference rebase of
 //     the partial chunk — clones the chunk when the d8Cow flag marks it
 //     shared.
-//   - Index maps are shared under a per-table idxMu; probes filter positions
-//     at or past the frozen row count, and a DELETE or key-changing UPDATE
-//     swaps in flat clones (ownIndexes) before it removes or re-points an
-//     entry, replacing — never editing — the bucket slices it changes.
+//   - Indexes are shared under a per-table idxMu; probes filter positions at
+//     or past the frozen row count. A shared index only gains entries: an
+//     INSERT fills an empty primary-key slot, and a slot array that must grow
+//     is replaced by a fresh one. A DELETE or key-changing UPDATE swaps in
+//     private copies (ownIndexes: one memmove of the slot array, flat clones
+//     of the secondary maps) before it removes or re-points an entry,
+//     replacing — never editing — the bucket slices it changes.
 //   - Dictionary maps are shared under codeMu; compaction replaces structures
 //     instead of mutating them, and only after prepareMutate unshared the
 //     code vector.

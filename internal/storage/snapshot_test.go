@@ -219,11 +219,13 @@ func viewPrint(tbl *Table) string {
 // UPDATE (key-preserving and key-changing) or DELETE against the head, the
 // middle, both sides of a zone boundary and the tail of the live table,
 // followed — in the same statement batch, so no freeze re-arms the
-// copy-on-write flags in between — by inserts that grow the index maps and
-// rebase the frame-of-reference chunk the view shares. The pinned view must
-// answer every probe, scan, statistic and zone bound exactly as before —
-// while a concurrent reader keeps asking, which under -race is what catches
-// an index map or a chunk patched in place instead of copied.
+// copy-on-write flags in between — by inserts that grow the indexes and
+// rebase the frame-of-reference chunk the view shares. The first statement's
+// inserts run on until the primary-key slot array the view shares has to
+// grow. The pinned view must answer every probe, scan, statistic and zone
+// bound exactly as before — while a concurrent reader keeps asking, which
+// under -race is what catches an index or a chunk patched in place instead
+// of copied.
 func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 	db, err := NewDatabase(columnarTestSchema())
 	if err != nil {
@@ -255,6 +257,7 @@ func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 		insert(int64(100 + rng.Intn(20)))
 	}
 	lowDay := int64(99) // each round inserts a new minimum: a rebase of the partial chunk
+	resized := false
 
 	type dml struct {
 		name  string
@@ -299,9 +302,12 @@ func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 				}()
 				db.BeginBatch()
 				n, err := kind.apply(pos)
-				for i := 0; i < 3; i++ {
+				live := db.Table("T")
+				slots := len(live.pk.slots)
+				for i := 0; i < 3 || !resized; i++ {
 					insert(lowDay)
 					lowDay--
+					resized = resized || len(live.pk.slots) != slots
 				}
 				if cerr := db.CommitBatch(); cerr != nil {
 					t.Fatal(cerr)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -78,11 +79,14 @@ type Table struct {
 	// owner points back to the containing database so table-level DDL
 	// (CreateIndex) can reach the durability layer.
 	owner *Database
-	// pk maps composite primary-key value keys to row positions.
-	pk map[string]int
+	// pk maps primary-key values to row positions (pkindex.go): a flat,
+	// pointer-free slot array that a frozen view shares by slice header.
+	// pkPos lists the key's attribute positions, nil for a relation without a
+	// primary key.
+	pk    pkIndex
+	pkPos []int
 	// secondary maps index name -> (value key -> row positions).
 	secondary map[string]*hashIndex
-	pkPos     []int
 	// stats carries per-attribute statistics, maintained incrementally on
 	// Insert, Delete, and Update (bounds are rescanned only when a removed
 	// value touched them).
@@ -90,10 +94,10 @@ type Table struct {
 	// keyBuf is writer-side scratch for key encoding; writers are exclusive
 	// per the storage contract, readers never touch it.
 	keyBuf []byte
-	// idxMu guards pk and the secondary buckets, which are shared between the
-	// live table and its frozen snapshot views: writers mutate under it,
-	// snapshot probes read under it and filter positions past their frozen
-	// row count. The pointer is shared across freezes.
+	// idxMu guards the pk slots and the secondary buckets, which are shared
+	// between the live table and its frozen snapshot views: writers mutate
+	// under it, snapshot probes read under it and filter positions past their
+	// frozen row count. The pointer is shared across freezes.
 	idxMu *sync.RWMutex
 	// frozen marks an immutable snapshot view (see snapshot.go); statsView is
 	// its point-in-time statistics. Live tables compute Stats() from the
@@ -103,7 +107,8 @@ type Table struct {
 	// shared marks that the live vectors are referenced by a published
 	// snapshot: the next in-place mutation must prepareMutate first, and
 	// dictionary compaction is deferred until then. idxShared is the same for
-	// pk and secondary: the next removal or re-pointing of an index entry must
+	// the pk slots and the secondary maps: while it is set they may only gain
+	// entries, and the next removal or re-pointing of an entry must
 	// ownIndexes first. dirty marks the table as changed since the last
 	// publish, so a publish re-freezes only what a statement touched. All
 	// three are guarded by db.mu.
@@ -191,7 +196,7 @@ func (t *Table) Tuples() []Tuple {
 // NULL key value never matches (an index equality probe follows SQL
 // comparison semantics, where NULL = x is unknown).
 func (t *Table) LookupPK(key Tuple) (Tuple, bool) {
-	if t.pk == nil {
+	if t.pkPos == nil {
 		return nil, false
 	}
 	for _, v := range key {
@@ -201,12 +206,7 @@ func (t *Table) LookupPK(key Tuple) (Tuple, bool) {
 	}
 	var kb [64]byte
 	buf := key.AppendKey(kb[:0], identityPositions(len(key)))
-	t.idxMu.RLock()
-	pos, ok := t.pk[string(buf)]
-	t.idxMu.RUnlock()
-	// Positions at or past the view's row count belong to rows committed
-	// after a frozen snapshot — invisible to it.
-	if ok && pos < t.rows {
+	if pos, ok := t.LookupPKPos(buf); ok {
 		return t.Tuple(pos), true
 	}
 	return nil, false
@@ -229,24 +229,17 @@ var identityPos = []int{0, 1, 2, 3, 4, 5, 6, 7}
 // PKPositions returns the attribute positions of the primary key in
 // declaration order, or nil when the relation has none. The slice is shared;
 // callers must not mutate it.
-func (t *Table) PKPositions() []int {
-	if t.pk == nil {
-		return nil
-	}
-	return t.pkPos
-}
+func (t *Table) PKPositions() []int { return t.pkPos }
 
 // LookupPKPos returns the row position for an encoded primary-key probe
 // (built with Tuple.AppendKey / value.AppendKey over PKPositions). The caller
 // must not encode NULL key values — a NULL probe never matches.
 func (t *Table) LookupPKPos(key []byte) (int, bool) {
+	h := pkHash(key)
 	t.idxMu.RLock()
-	pos, ok := t.pk[string(key)]
+	pos := t.pkFind(t.pk.slots, key, h)
 	t.idxMu.RUnlock()
-	if ok && pos >= t.rows {
-		return 0, false // inserted after this view froze
-	}
-	return pos, ok
+	return pos, pos >= 0
 }
 
 // CreateIndex builds a named hash index over the given attributes. Rows
@@ -254,6 +247,33 @@ func (t *Table) LookupPKPos(key []byte) (int, bool) {
 // equality probe can never match NULL, mirroring WHERE-clause comparison
 // semantics.
 func (t *Table) CreateIndex(name string, attrs ...string) error {
+	if err := t.addIndex(name, attrs); err != nil {
+		return err
+	}
+	if t.owner != nil && t.owner.dur != nil {
+		// The pending buffer is guarded by db.mu. During recovery dur is nil,
+		// so WAL replay never takes this branch.
+		t.owner.mu.Lock()
+		t.dirty = true
+		t.owner.dur.logCreateIndex(t.rel.Name, name, attrs)
+		t.owner.mu.Unlock()
+		return t.owner.autoCommit()
+	}
+	if t.owner != nil && !t.owner.recovering.Load() {
+		// In-memory path: publish so snapshot planners see the access path.
+		// During WAL replay publishes are suppressed.
+		t.owner.mu.Lock()
+		t.dirty = true
+		t.owner.publishLocked(t.owner.nextPubSeqLocked())
+		t.owner.mu.Unlock()
+	}
+	return nil
+}
+
+// addIndex builds the named index over the table's rows — CreateIndex without
+// the log record and the publish, which is what a checkpoint load (holding
+// db.mu) needs.
+func (t *Table) addIndex(name string, attrs []string) error {
 	if _, dup := t.secondary[name]; dup {
 		return fmt.Errorf("storage: duplicate index %q on %s", name, t.rel.Name)
 	}
@@ -279,25 +299,6 @@ func (t *Table) CreateIndex(name string, attrs ...string) error {
 	}
 	t.secondary[name] = idx
 	t.idxMu.Unlock()
-	if t.owner != nil && t.owner.dur != nil {
-		// The pending buffer is guarded by db.mu. During recovery dur is nil
-		// (this branch is never taken under loadCheckpoint's lock), so taking
-		// the lock here cannot deadlock.
-		t.owner.mu.Lock()
-		t.dirty = true
-		t.owner.dur.logCreateIndex(t.rel.Name, name, attrs)
-		t.owner.mu.Unlock()
-		return t.owner.autoCommit()
-	}
-	if t.owner != nil && !t.owner.recovering.Load() {
-		// In-memory path: publish so snapshot planners see the access path.
-		// During recovery (loadCheckpoint holds db.mu) publishes are
-		// suppressed, which also keeps this lock acquisition safe.
-		t.owner.mu.Lock()
-		t.dirty = true
-		t.owner.publishLocked(t.owner.nextPubSeqLocked())
-		t.owner.mu.Unlock()
-	}
 	return nil
 }
 
@@ -451,7 +452,6 @@ func (db *Database) addTable(r *catalog.Relation) *Table {
 	}
 	tbl.stats.init(r)
 	if len(r.PrimaryKey) > 0 {
-		tbl.pk = make(map[string]int)
 		tbl.pkPos = make([]int, len(r.PrimaryKey))
 		for i, k := range r.PrimaryKey {
 			tbl.pkPos[i] = r.AttrIndex(k)
@@ -565,22 +565,26 @@ func (db *Database) insertLocked(relName string, tup Tuple) error {
 			tup[i] = coerced
 		}
 	}
-	var pkKey string
-	if tbl.pk != nil {
+	var pkh uint32
+	if tbl.pkPos != nil {
+		if uint64(tbl.rows) >= math.MaxUint32 {
+			// The index stores pos+1 in 32 bits.
+			return fmt.Errorf("storage: %s is full at %d rows", r.Name, tbl.rows)
+		}
 		tbl.keyBuf = tup.AppendKey(tbl.keyBuf[:0], tbl.pkPos)
-		if _, dup := tbl.pk[string(tbl.keyBuf)]; dup {
+		pkh = pkHash(tbl.keyBuf)
+		if tbl.pkFind(tbl.pk.slots, tbl.keyBuf, pkh) >= 0 {
 			return fmt.Errorf("storage: duplicate primary key %s in %s", tup.pkString(tbl.pkPos), r.Name)
 		}
-		pkKey = string(tbl.keyBuf)
 	}
 	for _, fk := range r.ForeignKey {
 		if err := db.checkForeignKey(r, fk, tup); err != nil {
 			return err
 		}
 	}
-	// Index insertions mutate maps shared with frozen snapshot views, so they
-	// run under idxMu; the new positions sit at or past every frozen row
-	// count, which the snapshot-side probes filter out.
+	// Index insertions mutate structures shared with frozen snapshot views,
+	// so they run under idxMu; the new positions sit at or past every frozen
+	// row count, which the snapshot-side probes filter out.
 	tbl.idxMu.Lock()
 	for _, idx := range tbl.secondary {
 		if nullKey(tup, idx.positions) {
@@ -589,8 +593,8 @@ func (db *Database) insertLocked(relName string, tup Tuple) error {
 		k := tup.Key(idx.positions)
 		idx.buckets[k] = append(idx.buckets[k], tbl.rows)
 	}
-	if tbl.pk != nil {
-		tbl.pk[pkKey] = tbl.rows
+	if tbl.pkPos != nil {
+		tbl.pk.add(pkh, tbl.rows)
 	}
 	tbl.idxMu.Unlock()
 	for i := range tbl.cols {
@@ -630,7 +634,7 @@ func (db *Database) checkForeignKey(r *catalog.Relation, fk catalog.ForeignKey, 
 		keyVals[i] = v
 	}
 	// Fast path: FK references the primary key.
-	if ref.rel.IsPrimaryKey(fk.RefAttrs) && ref.pk != nil {
+	if ref.rel.IsPrimaryKey(fk.RefAttrs) && ref.pkPos != nil {
 		ordered := make(Tuple, len(fk.RefAttrs))
 		for i, pos := range ref.pkPos {
 			// pkPos is in PK declaration order; align keyVals to it.
@@ -902,18 +906,19 @@ func keyChanged(old, repl Tuple, positions []int) bool {
 	return false
 }
 
-// ownIndexes makes the primary-key map and the secondary buckets private to
+// ownIndexes makes the primary-key slots and the secondary buckets private to
 // the live table before an entry is removed or re-pointed. Frozen snapshot
-// views share the maps and only filter by position, so they must keep an
-// untouched copy: the maps are cloned flat (bucket slices stay shared and are
-// replaced, never edited, by the patching code) and swapped in under idxMu.
-// Inserts never need this — they only add positions past every frozen view.
+// views share them and only filter by position, so they must keep an
+// untouched copy: the slot array is copied in one memmove, the secondary maps
+// are cloned flat (bucket slices stay shared and are replaced, never edited,
+// by the patching code), and both are swapped in under idxMu. Inserts never
+// need this — they only add positions past every frozen view.
 func (t *Table) ownIndexes() {
 	if !t.idxShared {
 		return
 	}
 	t.idxShared = false
-	pk := maps.Clone(t.pk)
+	pk := pkIndex{slots: append([]uint64(nil), t.pk.slots...), n: t.pk.n}
 	var secondary map[string]*hashIndex
 	if len(t.secondary) > 0 {
 		secondary = make(map[string]*hashIndex, len(t.secondary))
@@ -931,12 +936,13 @@ func (t *Table) ownIndexes() {
 // the new key enters each affected index. A new primary key that already
 // belongs to another row is refused before anything is touched.
 func (t *Table) reindexRow(i int, old, repl Tuple) error {
-	pkChanged := t.pk != nil && keyChanged(old, repl, t.pkPos)
-	var newKey []byte
+	pkChanged := t.pkPos != nil && keyChanged(old, repl, t.pkPos)
+	var newHash uint32
 	if pkChanged {
 		var kb [64]byte
-		newKey = repl.AppendKey(kb[:0], t.pkPos)
-		if at, dup := t.pk[string(newKey)]; dup && at != i {
+		newKey := repl.AppendKey(kb[:0], t.pkPos)
+		newHash = pkHash(newKey)
+		if at := t.pkFind(t.pk.slots, newKey, newHash); at >= 0 && at != i {
 			return fmt.Errorf("storage: duplicate primary key %s in %s", repl.pkString(t.pkPos), t.rel.Name)
 		}
 	}
@@ -955,8 +961,8 @@ func (t *Table) reindexRow(i int, old, repl Tuple) error {
 	defer t.idxMu.Unlock()
 	if pkChanged {
 		t.keyBuf = old.AppendKey(t.keyBuf[:0], t.pkPos)
-		delete(t.pk, string(t.keyBuf))
-		t.pk[string(newKey)] = i
+		t.pk.removeAt(t.pk.slotOf(pkEntry(pkHash(t.keyBuf), i)))
+		t.pk.add(newHash, i)
 	}
 	for _, idx := range t.secondary {
 		if !keyChanged(old, repl, idx.positions) {
@@ -995,23 +1001,27 @@ func (idx *hashIndex) replace(key []byte, bucket []int) {
 // re-pointed at the position it is about to slide down to. Rows in front of
 // it are not visited, re-encoded or allocated for.
 func (t *Table) unindexRows(removed []int) {
-	if t.pk == nil && len(t.secondary) == 0 {
+	if t.pkPos == nil && len(t.secondary) == 0 {
 		return
 	}
 	t.ownIndexes()
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	first := removed[0]
-	if t.pk != nil {
+	if t.pkPos != nil {
+		// Ascending order keeps (hash, position) unique while the walk runs:
+		// every position re-pointed so far is below r.
 		k := 0 // removed positions below r
 		for r := first; r < t.rows; r++ {
 			t.keyBuf = t.appendKeyAt(t.keyBuf[:0], r, t.pkPos)
+			h := pkHash(t.keyBuf)
+			slot := t.pk.slotOf(pkEntry(h, r))
 			if k < len(removed) && removed[k] == r {
-				delete(t.pk, string(t.keyBuf))
+				t.pk.removeAt(slot)
 				k++
 				continue
 			}
-			t.pk[string(t.keyBuf)] = r - k
+			t.pk.slots[slot] = pkEntry(h, r-k)
 		}
 	}
 	if len(t.secondary) == 0 {
@@ -1044,19 +1054,25 @@ func (t *Table) unindexRows(removed []int) {
 	}
 }
 
-// rebuildIndexes rebuilds the primary-key map and every secondary index from
-// the vectors — for a loaded segment, and for a rolled-back insert suffix,
-// whose keys are easier to drop wholesale than to find. It builds fresh maps
-// and swaps them in under idxMu: frozen snapshot views keep the previous —
-// now immutable — maps, whose positions still describe the frozen row layout
-// that the frozen vectors hold.
-func (t *Table) rebuildIndexes() {
-	var pk map[string]int
-	if t.pk != nil {
-		pk = make(map[string]int, t.rows)
+// rebuildIndexes rebuilds the primary-key slots and every secondary index
+// from the vectors — for a loaded segment, and for a rolled-back insert
+// suffix, whose keys are easier to drop wholesale than to find. It builds
+// fresh structures and swaps them in under idxMu: frozen snapshot views keep
+// the previous — now immutable — ones, whose positions still describe the
+// frozen row layout that the frozen vectors hold. Two rows with one primary
+// key (only a corrupt checkpoint can hold them) are refused, leaving the
+// indexes as they were.
+func (t *Table) rebuildIndexes() error {
+	var pk pkIndex
+	if t.pkPos != nil {
+		pk.slots = make([]uint64, pkSlotsFor(t.rows))
 		for pos := 0; pos < t.rows; pos++ {
 			t.keyBuf = t.appendKeyAt(t.keyBuf[:0], pos, t.pkPos)
-			pk[string(t.keyBuf)] = pos
+			h := pkHash(t.keyBuf)
+			if at := t.pkFind(pk.slots, t.keyBuf, h); at >= 0 {
+				return fmt.Errorf("rows %d and %d share primary key %s", at, pos, t.Tuple(pos).pkString(t.pkPos))
+			}
+			pk.add(h, pos)
 		}
 	}
 	var secondary map[string]*hashIndex
@@ -1075,14 +1091,13 @@ func (t *Table) rebuildIndexes() {
 		}
 	}
 	t.idxMu.Lock()
-	if pk != nil {
-		t.pk = pk
-	}
+	t.pk = pk
 	if secondary != nil {
 		t.secondary = secondary
 	}
 	t.idxMu.Unlock()
 	t.idxShared = false
+	return nil
 }
 
 // LoadCSV bulk-loads a relation from CSV with a header row naming the
@@ -1176,7 +1191,7 @@ func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
 		tbl.cols[j].truncate(start)
 	}
 	tbl.rows = start
-	tbl.rebuildIndexes()
+	_ = tbl.rebuildIndexes() // a prefix of rows with distinct keys keeps them distinct
 	tbl.finishWrite(start)
 	tbl.fixStatBounds()
 	tbl.dirty = true

@@ -79,15 +79,17 @@
 // rewrites only changed attributes and their statistics, patches only the
 // indexes whose key changed (none at all for a non-key update), and rebuilds
 // only the zones holding a replaced row. A DELETE slides the rows behind the
-// first removed one down as blocks, copies the index maps flat once — frozen
-// snapshot views share them — and re-points only the removed and the moved
-// rows; the flat copy of the primary-key map is the one table-sized cost
-// left on a keyed DELETE. A replacement whose new primary key already belongs
-// to another row is refused with INSERT's "duplicate primary key" error
-// before that row mutates; as after any constraint failure mid-statement,
-// the rows replaced earlier stay replaced and logged. BENCH_17.json (X21)
-// records the effect: a keyed UPDATE on 20 000 rows went from 8.3 ms and
-// 60 201 allocations to 0.3 ms and 130.
+// first removed one down as blocks, copies the indexes once — frozen snapshot
+// views share them — and re-points only the removed and the moved rows. The
+// primary key is a flat, pointer-free slot table of row positions (each slot
+// the key's hash and a position; a probe confirms against the row's own
+// columns), so that copy is one memmove, like each column vector's, rather
+// than a re-insertion of every key. A replacement whose new primary key
+// already belongs to another row is refused with INSERT's "duplicate primary
+// key" error before that row mutates; as after any constraint failure
+// mid-statement, the rows replaced earlier stay replaced and logged.
+// BENCH_17.json (X21) records the effect: a keyed UPDATE on 20 000 rows went
+// from 8.3 ms and 60 201 allocations to 0.3 ms and 130.
 //
 // # The query planner
 //
