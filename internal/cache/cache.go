@@ -150,8 +150,8 @@ func (c *Cache[V]) Stats() Stats {
 // the lexer's token-level insensitivities: "--" line comments and "/* */"
 // block comments are stripped (exactly as sqlparser's skipSpaceAndComments
 // does), runs of the four bytes that function skips (space, tab, LF, CR)
-// collapse to one space, ASCII letters outside quotes are lowercased, and
-// trailing semicolons/space are trimmed. Two statements that differ only in
+// collapse to one space, ASCII letters outside quotes are lowercased, and one
+// trailing semicolon is trimmed with the space around it. Two statements that differ only in
 // layout, comments, keyword case, or identifier case therefore share a cache
 // entry; single-quoted literals and double-quoted identifiers keep their
 // exact bytes, so statements differing inside quotes never collide. Nothing
@@ -225,9 +225,11 @@ func NormalizeSQL(sql string) string {
 		}
 		b.WriteByte(c)
 	}
+	// The parser accepts one statement terminator, so only one is trimmed:
+	// "q;;" is a parse error and must not share the key of "q".
 	out := b.String()
-	for strings.HasSuffix(out, ";") {
-		out = strings.TrimRight(strings.TrimSuffix(out, ";"), " ")
+	if state == code {
+		out = strings.TrimSuffix(strings.TrimSuffix(out, ";"), " ")
 	}
 	return out
 }

@@ -68,13 +68,24 @@ func TestConcurrentAccess(t *testing.T) {
 func TestNormalizeSQL(t *testing.T) {
 	cases := []struct{ a, b string }{
 		{"select * from MOVIES", "SELECT  *\nFROM movies ;"},
-		{"select m.title from MOVIES m where m.year > 2000",
-			"SELECT M.TITLE FROM movies M WHERE m.year > 2000;;"},
+		{"select * from MOVIES", "select * from MOVIES; "},
 	}
 	for _, tc := range cases {
 		if NormalizeSQL(tc.a) != NormalizeSQL(tc.b) {
 			t.Errorf("Normalize(%q) = %q != Normalize(%q) = %q",
 				tc.a, NormalizeSQL(tc.a), tc.b, NormalizeSQL(tc.b))
+		}
+	}
+	// The parser accepts one terminator: a second one is a parse error, so
+	// the text must not share the key of the statement it would cut back to.
+	for _, tc := range []struct{ a, b string }{
+		{"select m.title from MOVIES m where m.year > 2000",
+			"SELECT M.TITLE FROM movies M WHERE m.year > 2000;;"},
+		{"select m.title from MOVIES m", "select m.title from MOVIES m ; ;"},
+		{"select 'a", "select 'a;"},
+	} {
+		if NormalizeSQL(tc.a) == NormalizeSQL(tc.b) {
+			t.Errorf("Normalize(%q) and Normalize(%q) share the key %q", tc.a, tc.b, NormalizeSQL(tc.a))
 		}
 	}
 	// Quoted literals keep their case; the same query with a different
@@ -211,8 +222,8 @@ func normalizeSQLRunes(sql string) string {
 		b.WriteRune(r)
 	}
 	out := b.String()
-	for strings.HasSuffix(out, ";") {
-		out = strings.TrimRight(strings.TrimSuffix(out, ";"), " ")
+	if state == code {
+		out = strings.TrimSuffix(strings.TrimSuffix(out, ";"), " ")
 	}
 	return out
 }

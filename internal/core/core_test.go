@@ -133,9 +133,9 @@ func TestAskUpdateRefusesDuplicateKey(t *testing.T) {
 	}
 }
 
-// TestAskLexErrorSameColdAndWarm: a text the lexer rejects gets the same
-// error whether or not the clean text it resembles is cached — the cache key
-// folds only what the lexer skips.
+// TestAskLexErrorSameColdAndWarm: a text the lexer or parser rejects gets the
+// same error whether or not the clean text it resembles is cached — the cache
+// key folds only what the lexer skips and the one terminator the parser takes.
 func TestAskLexErrorSameColdAndWarm(t *testing.T) {
 	s := movieSystem(t)
 	const clean = "select m.title from MOVIES m where m.id = 100"
@@ -144,6 +144,8 @@ func TestAskLexErrorSameColdAndWarm(t *testing.T) {
 		"select m.title from MOVIES\fm where m.id = 100",
 		"select m.title from MOVIES m where m.id = 100\u2003",
 		"select m.title from MOVIES m where m.id = 100 LIMIT 1\u212a", // Kelvin sign
+		"select m.title from MOVIES m where m.id = 100;;",
+		"select m.title from MOVIES m where m.id = 100; ;",
 	} {
 		_, cold := s.Ask(dirty)
 		if cold == nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -474,14 +473,6 @@ func itemName(it sqlparser.SelectItem) string {
 	return it.Expr.SQL()
 }
 
-// groupRef ties one grouped output row back to its group so ORDER BY can
-// evaluate aggregate expressions (and grouping keys outside the select list)
-// against the group context.
-type groupRef struct {
-	env *env
-	gc  *groupCtx
-}
-
 // resolveEntryColumn resolves a column reference against the FROM entries,
 // mirroring env.lookup's top scope: qualified names take the first
 // alias-or-relation match, unqualified names must be unique.
@@ -514,50 +505,64 @@ func resolveEntryColumn(entries []fromEntry, ref *sqlparser.ColumnRef) (int, int
 	return found, fpos, true
 }
 
-// groupByIndex matches e against the GROUP BY expressions: textually
-// identical, or a column reference resolving to the same attribute (so
-// `year` matches `group by m.year`).
-func groupByIndex(e sqlparser.Expr, groupBy []sqlparser.Expr, entries []fromEntry) (int, bool) {
+// grouping is a grouped query's GROUP BY list, each expression's SQL text
+// rendered once, for matching the expressions of HAVING, the select list and
+// ORDER BY against it.
+type grouping struct {
+	exprs   []sqlparser.Expr
+	sqls    []string
+	entries []fromEntry
+}
+
+func newGrouping(sel *sqlparser.SelectStmt, entries []fromEntry) *grouping {
+	g := &grouping{exprs: sel.GroupBy, sqls: make([]string, len(sel.GroupBy)), entries: entries}
+	for j, x := range sel.GroupBy {
+		g.sqls[j] = x.SQL()
+	}
+	return g
+}
+
+// index matches e against the GROUP BY expressions: textually identical, or
+// a column reference resolving to the same attribute (so `year` matches
+// `group by m.year`).
+func (g *grouping) index(e sqlparser.Expr) (int, bool) {
+	if len(g.exprs) == 0 {
+		return 0, false
+	}
 	eSQL := e.SQL()
 	eRef, eIsRef := e.(*sqlparser.ColumnRef)
-	for j, g := range groupBy {
-		if g.SQL() == eSQL {
+	for j, x := range g.exprs {
+		if g.sqls[j] == eSQL {
 			return j, true
 		}
 		if !eIsRef {
 			continue
 		}
-		gRef, ok := g.(*sqlparser.ColumnRef)
+		xRef, ok := x.(*sqlparser.ColumnRef)
 		if !ok {
 			continue
 		}
-		ei, ep, eok := resolveEntryColumn(entries, eRef)
-		gi, gp, gok := resolveEntryColumn(entries, gRef)
-		if eok && gok && ei == gi && ep == gp {
+		ei, ep, eok := resolveEntryColumn(g.entries, eRef)
+		xi, xp, xok := resolveEntryColumn(g.entries, xRef)
+		if eok && xok && ei == xi && ep == xp {
 			return j, true
 		}
 	}
 	return 0, false
 }
 
-// matchesGroupBy reports whether e is one of the GROUP BY expressions.
-func matchesGroupBy(e sqlparser.Expr, groupBy []sqlparser.Expr, entries []fromEntry) bool {
-	_, ok := groupByIndex(e, groupBy, entries)
-	return ok
-}
-
-// checkGroupedExpr enforces the standard-SQL grouping rule: in a grouped
-// query, a column reference is legal only inside an aggregate or when the
-// enclosing expression appears in GROUP BY. Subquery subtrees are exempt —
-// they evaluate against the group's representative environment, which is how
+// check enforces the standard-SQL grouping rule: in a grouped query, a
+// column reference is legal only inside an aggregate or when the enclosing
+// expression appears in GROUP BY. Subquery subtrees are exempt — they
+// evaluate against the group's representative environment, which is how
 // correlated HAVING subqueries reference grouping columns.
-func checkGroupedExpr(e sqlparser.Expr, sel *sqlparser.SelectStmt, entries []fromEntry) error {
+func (g *grouping) check(e sqlparser.Expr) error {
 	var bad *sqlparser.ColumnRef
 	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
 		if bad != nil {
 			return false
 		}
-		if matchesGroupBy(x, sel.GroupBy, entries) {
+		if _, ok := g.index(x); ok {
 			return false
 		}
 		switch n := x.(type) {
@@ -576,94 +581,6 @@ func checkGroupedExpr(e sqlparser.Expr, sel *sqlparser.SelectStmt, entries []fro
 		return fmt.Errorf("engine: column %s must appear in GROUP BY or an aggregate", bad.SQL())
 	}
 	return nil
-}
-
-func (ex *Engine) execGrouped(sel *sqlparser.SelectStmt, entries []fromEntry, envs []*env) (*Result, []groupRef, error) {
-	items, cols, err := expandItems(sel, entries)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Standard-SQL grouping rule: a select item or HAVING term must be a
-	// grouping expression or an aggregate — the group's first row is not a
-	// stand-in for ungrouped columns.
-	for _, it := range items {
-		if err := checkGroupedExpr(it.Expr, sel, entries); err != nil {
-			return nil, nil, err
-		}
-	}
-	if sel.Having != nil {
-		if err := checkGroupedExpr(sel.Having, sel, entries); err != nil {
-			return nil, nil, err
-		}
-	}
-	// Partition envs into groups keyed by the GROUP BY expressions; with no
-	// GROUP BY the whole input is one group.
-	type group struct {
-		ctx *groupCtx
-	}
-	groupsByKey := map[string]*group{}
-	var order []string
-	var keyBuf []byte // reused; value.AppendKey keys cannot collide across adjacent values
-	for ei, en := range envs {
-		if err := ex.bud.Tick(ei); err != nil {
-			return nil, nil, err
-		}
-		keyBuf = keyBuf[:0]
-		for _, g := range sel.GroupBy {
-			v, err := ex.evalExpr(g, en, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			keyBuf = v.AppendKey(keyBuf)
-		}
-		grp, ok := groupsByKey[string(keyBuf)]
-		if !ok {
-			k := string(keyBuf)
-			grp = &group{ctx: &groupCtx{}}
-			groupsByKey[k] = grp
-			order = append(order, k)
-		}
-		grp.ctx.rows = append(grp.ctx.rows, en)
-	}
-	// A grouped query with no GROUP BY and no input rows still yields one
-	// group (COUNT(*) = 0).
-	if len(sel.GroupBy) == 0 && len(order) == 0 {
-		k := ""
-		groupsByKey[k] = &group{ctx: &groupCtx{}}
-		order = append(order, k)
-	}
-
-	out := &Result{Columns: cols}
-	var refs []groupRef
-	for _, k := range order {
-		grp := groupsByKey[k]
-		// Evaluate HAVING with an env seeded from the group's first row so
-		// correlated subqueries can reference group-by columns.
-		he := &env{}
-		if len(grp.ctx.rows) > 0 {
-			he = grp.ctx.rows[0]
-		}
-		if sel.Having != nil {
-			v, err := ex.evalExpr(sel.Having, he, grp.ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			if v.IsNull() || v.Kind() != value.Bool || !v.Bool() {
-				continue
-			}
-		}
-		row := make(storage.Tuple, len(items))
-		for i, it := range items {
-			v, err := ex.evalExpr(it.Expr, he, grp.ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
-		}
-		out.Rows = append(out.Rows, row)
-		refs = append(refs, groupRef{env: he, gc: grp.ctx})
-	}
-	return out, refs, nil
 }
 
 // orderOrdinal resolves the SQL ordinal form `ORDER BY <n>`: a bare integer
@@ -714,100 +631,6 @@ func orderColumnTarget(o sqlparser.OrderItem, items []sqlparser.SelectItem) (int
 		}
 	}
 	return 0, false
-}
-
-func (ex *Engine) orderRows(sel *sqlparser.SelectStmt, entries []fromEntry, out *Result, rowEnvs []*env, groups []groupRef) error {
-	// Build sort keys: each ORDER BY expression is an ordinal, a select-list
-	// alias/position, or an expression over output columns; beyond those,
-	// grouped queries evaluate expressions (aggregates, grouping keys) in
-	// the row's group context and ungrouped queries against the stashed envs.
-	items, _, err := expandItems(sel, entries)
-	if err != nil {
-		return err
-	}
-	// Resolve each order item once; errors stay deferred until a row needs
-	// the key, matching the per-row resolution they replace.
-	specs := make([]struct {
-		col int
-		err error
-	}, len(sel.OrderBy))
-	for j, o := range sel.OrderBy {
-		specs[j].col = -1
-		if col, ok, err := orderTarget(o, items); err != nil {
-			specs[j].err = err
-		} else if ok {
-			specs[j].col = col
-		} else if groups != nil {
-			// Grouped: the expression evaluates in the group context (ORDER
-			// BY <aggregate>, grouping keys outside the select list) and
-			// must obey the grouping rule.
-			specs[j].err = checkGroupedExpr(o.Expr, sel, entries)
-		} else if rowEnvs == nil {
-			specs[j].err = fmt.Errorf("engine: ORDER BY expression %s is not in the select list", o.Expr.SQL())
-		}
-	}
-	keyFor := func(rowIdx, j int) (value.Value, error) {
-		o := sel.OrderBy[j]
-		if specs[j].err != nil {
-			return value.Value{}, specs[j].err
-		}
-		if specs[j].col >= 0 {
-			return out.Rows[rowIdx][specs[j].col], nil
-		}
-		if groups != nil && rowIdx < len(groups) {
-			return ex.evalExpr(o.Expr, groups[rowIdx].env, groups[rowIdx].gc)
-		}
-		return ex.evalExpr(o.Expr, rowEnvs[rowIdx], nil)
-	}
-	type keyedRow struct {
-		row  storage.Tuple
-		keys []value.Value
-	}
-	rows := make([]keyedRow, len(out.Rows))
-	for i := range out.Rows {
-		keys := make([]value.Value, len(sel.OrderBy))
-		for j := range sel.OrderBy {
-			v, err := keyFor(i, j)
-			if err != nil {
-				return err
-			}
-			keys[j] = v
-		}
-		rows[i] = keyedRow{row: out.Rows[i], keys: keys}
-	}
-	var sortErr error
-	sort.SliceStable(rows, func(a, b int) bool {
-		for j, o := range sel.OrderBy {
-			ka, kb := rows[a].keys[j], rows[b].keys[j]
-			// NULLs sort first ascending, last descending.
-			if ka.IsNull() || kb.IsNull() {
-				if ka.IsNull() && kb.IsNull() {
-					continue
-				}
-				return ka.IsNull() != o.Desc
-			}
-			c, err := ka.Compare(kb)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c == 0 {
-				continue
-			}
-			if o.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	if sortErr != nil {
-		return sortErr
-	}
-	for i := range rows {
-		out.Rows[i] = rows[i].row
-	}
-	return nil
 }
 
 func aliasMatches(it sqlparser.SelectItem, c *sqlparser.ColumnRef) bool {

@@ -397,47 +397,66 @@ func (ex *Engine) evalIn(x *sqlparser.InExpr, en *env, gc *groupCtx) (value.Valu
 	if err != nil {
 		return value.Value{}, err
 	}
-	var candidates []value.Value
 	if x.Subquery != nil {
 		rows, err := ex.execSelectRows(x.Subquery, en, -1)
 		if err != nil {
 			return value.Value{}, err
 		}
-		for _, row := range rows {
-			if len(row) != 1 {
-				return value.Value{}, fmt.Errorf("engine: IN subquery must produce one column, got %d", len(row))
-			}
-			candidates = append(candidates, row[0])
-		}
-	} else {
-		for _, item := range x.List {
-			v, err := ex.evalExpr(item, en, gc)
-			if err != nil {
-				return value.Value{}, err
-			}
-			candidates = append(candidates, v)
-		}
+		return inRows(subj, rows, x.Negate)
 	}
-	if subj.IsNull() {
-		if len(candidates) == 0 {
-			return value.NewBool(x.Negate), nil
+	var in inTest
+	for _, item := range x.List {
+		v, err := ex.evalExpr(item, en, gc)
+		if err != nil {
+			return value.Value{}, err
 		}
-		return value.NewNull(), nil
+		in.add(subj, v)
 	}
-	sawNull := false
-	for _, c := range candidates {
-		if c.IsNull() {
-			sawNull = true
-			continue
+	return in.result(subj, x.Negate), nil
+}
+
+// inTest accumulates SQL's three-valued IN over candidates seen one at a
+// time. Every candidate is evaluated before the outcome is known, so an error
+// in any of them surfaces even after a match.
+type inTest struct {
+	n              int
+	found, sawNull bool
+}
+
+func (t *inTest) add(subj, c value.Value) {
+	t.n++
+	switch {
+	case c.IsNull():
+		t.sawNull = true
+	case !t.found && !subj.IsNull():
+		t.found = subj.Equal(c)
+	}
+}
+
+func (t *inTest) result(subj value.Value, negate bool) value.Value {
+	switch {
+	case subj.IsNull() && t.n == 0:
+		return value.NewBool(negate)
+	case subj.IsNull():
+		return value.NewNull()
+	case t.found:
+		return value.NewBool(!negate)
+	case t.sawNull:
+		return value.NewNull()
+	}
+	return value.NewBool(negate)
+}
+
+// inRows is subj IN over a subquery's rows, which must have one column each.
+func inRows(subj value.Value, rows []storage.Tuple, negate bool) (value.Value, error) {
+	var in inTest
+	for _, row := range rows {
+		if len(row) != 1 {
+			return value.Value{}, fmt.Errorf("engine: IN subquery must produce one column, got %d", len(row))
 		}
-		if subj.Equal(c) {
-			return value.NewBool(!x.Negate), nil
-		}
+		in.add(subj, row[0])
 	}
-	if sawNull {
-		return value.NewNull(), nil
-	}
-	return value.NewBool(x.Negate), nil
+	return in.result(subj, negate), nil
 }
 
 func (ex *Engine) evalQuantified(x *sqlparser.QuantifiedExpr, en *env, gc *groupCtx) (value.Value, error) {
@@ -449,6 +468,11 @@ func (ex *Engine) evalQuantified(x *sqlparser.QuantifiedExpr, en *env, gc *group
 	if err != nil {
 		return value.Value{}, err
 	}
+	return quantify(x, subj, rows)
+}
+
+// quantify compares subj against a subquery's rows under x's ALL or ANY.
+func quantify(x *sqlparser.QuantifiedExpr, subj value.Value, rows []storage.Tuple) (value.Value, error) {
 	if x.All && len(rows) == 0 {
 		return value.NewBool(true), nil
 	}

@@ -144,17 +144,22 @@ func TestGroupedColumnRule(t *testing.T) {
 	}
 }
 
-// TestGroupedStreamingCompiles is a white-box check that the common grouped
-// shapes take the streaming compiled path, and subquery-bearing ones fall
-// back to the environment evaluator (both correct, only speed differs).
+// TestGroupedStreamingCompiles is a white-box check that grouped queries,
+// subquery-bearing ones included, compile to the streaming path's program —
+// the subquery bridged at its node — and answer as the interpreter does.
 func TestGroupedStreamingCompiles(t *testing.T) {
 	db, err := dataset.CuratedMovieDB()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex := New(db)
-	compiles := func(sql string) bool {
-		t.Helper()
+	for _, sql := range []string{
+		"select g.genre, count(*) from GENRE g group by g.genre",
+		"select g.genre, count(distinct g.mid), sum(g.mid), avg(g.mid), min(g.mid), max(g.mid) from GENRE g group by g.genre having count(*) > 1 order by count(*) desc",
+		"select m.year, count(*) from MOVIES m, GENRE g where m.id = g.mid group by m.year order by 2 desc",
+		sqlparser.PaperQueries["Q7"], // scalar subquery in HAVING
+		"select count(*) from MOVIES m group by m.year having exists (select * from GENRE g where g.mid = m.id)",
+	} {
 		sel, err := sqlparser.ParseSelect(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -163,31 +168,17 @@ func TestGroupedStreamingCompiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := ex.planFor(sel, entries, false)
-		pq := ex.compilePlan(plan, nil)
+		pq := ex.compilePlan(ex.planFor(sel, entries, false), nil)
 		items, _, err := expandItems(sel, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ok := newGroupedExec(sel, entries, pq, items)
-		return ok
-	}
-	for _, sql := range []string{
-		"select g.genre, count(*) from GENRE g group by g.genre",
-		"select g.genre, count(distinct g.mid), sum(g.mid), avg(g.mid), min(g.mid), max(g.mid) from GENRE g group by g.genre having count(*) > 1 order by count(*) desc",
-		"select m.year, count(*) from MOVIES m, GENRE g where m.id = g.mid group by m.year order by 2 desc",
-	} {
-		if !compiles(sql) {
-			t.Errorf("%s: expected the streaming grouped path", sql)
+		ge := newGroupedExec(sel, newGrouping(sel, entries), pq, items)
+		if len(ge.items) != len(items) || (sel.Having != nil) != (ge.having != nil) || len(ge.keys) != len(sel.OrderBy) {
+			t.Errorf("%s: streaming program incomplete: %d/%d items, having %v, %d/%d keys",
+				sql, len(ge.items), len(items), ge.having != nil, len(ge.keys), len(sel.OrderBy))
 		}
-	}
-	for _, sql := range []string{
-		sqlparser.PaperQueries["Q7"], // scalar subquery in HAVING
-		"select count(*) from MOVIES m group by m.year having exists (select * from GENRE g where g.mid = m.id)",
-	} {
-		if compiles(sql) {
-			t.Errorf("%s: subquery HAVING should take the environment path", sql)
-		}
+		comparePlannedNaive(t, ex, sql)
 	}
 }
 
@@ -285,5 +276,121 @@ func TestLimitPushdownErrorParity(t *testing.T) {
 		"select m.title, m.year from MOVIES m limit 2",
 	} {
 		comparePlannedNaive(t, ex, sql)
+	}
+}
+
+// compareAggPaths is comparePlannedNaive with the fused vec-aggregate
+// pipeline enabled and then disabled, so a grouped query is held to the
+// interpreter on both grouped executors.
+func compareAggPaths(t *testing.T, ex *Engine, sql string) {
+	t.Helper()
+	defer ex.SetVecAggEnabled(true)
+	for _, on := range []bool{true, false} {
+		ex.SetVecAggEnabled(on)
+		comparePlannedNaive(t, ex, sql)
+	}
+}
+
+// TestGroupedSubqueryDifferential holds grouped queries with subqueries — in
+// HAVING, select items, ORDER BY keys and aggregate arguments, correlated to
+// grouping columns or to an enclosing query — to the interpreter. The
+// streaming path bridges each subquery at its node over the group's
+// representative row; the no-rows group binds nothing, as in the interpreter.
+func TestGroupedSubqueryDifferential(t *testing.T) {
+	db, err := dataset.CuratedMovieDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := New(db)
+	for _, sql := range []string{
+		sqlparser.PaperQueries["Q7"],
+		// EXISTS, IN and quantified comparisons in HAVING; the subject of IN
+		// and ALL compiles to the group's aggregate.
+		"select m.id, count(*) from MOVIES m, CAST c where m.id = c.mid group by m.id having exists (select * from GENRE g where g.mid = m.id and g.genre = 'drama')",
+		"select m.year, count(*) from MOVIES m group by m.year having m.year in (select m2.year from MOVIES m2 where m2.id < 106) order by 1",
+		"select m.year from MOVIES m group by m.year having count(*) in (select count(*) from GENRE g group by g.genre)",
+		"select m.year from MOVIES m group by m.year having count(*) not in (select g.mid from GENRE g)",
+		"select m.year, count(*) from MOVIES m group by m.year having count(*) >= all (select count(*) from GENRE g where g.mid = m.id)",
+		// A scalar subquery in a select item and in an ORDER BY key.
+		"select g.genre, (select max(m.year) from MOVIES m, GENRE g2 where g2.mid = m.id and g2.genre = g.genre), count(*) from GENRE g group by g.genre",
+		"select g.genre, count(*) from GENRE g group by g.genre order by (select count(*) from CAST c, GENRE g2 where c.mid = g2.mid and g2.genre = g.genre) desc, g.genre",
+		"select g.genre from GENRE g group by g.genre order by (select count(*) from GENRE g2) + count(*) desc, 1 limit 3",
+		// A subquery inside an aggregate argument, per joined row.
+		"select m.year, sum((select count(*) from GENRE g where g.mid = m.id)) from MOVIES m group by m.year order by 1",
+		"select count(distinct (select min(g.genre) from GENRE g where g.mid = m.id)) from MOVIES m",
+		// An aggregate inside a subquery is outside its grouped context.
+		"select m.year, (select count(*) from GENRE g where g.mid = min(m.id)) from MOVIES m group by m.year",
+		// The no-rows group, without GROUP BY (one group, no bindings) and
+		// with it (no group at all).
+		"select count(*) from MOVIES m where m.id < 0 having exists (select * from GENRE g where g.mid = m.id)",
+		"select count(*), (select count(*) from GENRE g) from MOVIES m where m.id < 0",
+		"select count(*) from MOVIES m where m.id < 0 having not exists (select * from GENRE g where g.genre = 'western')",
+		"select m.year, count(*) from MOVIES m where m.id < 0 group by m.year having exists (select * from GENRE g where g.mid = m.id)",
+		// DISTINCT with ORDER BY over a grouped subquery item.
+		"select distinct count(*), (select count(*) from GENRE g where g.mid = m.id) from MOVIES m, CAST c where m.id = c.mid group by m.id order by 2 desc, 1",
+		"select distinct (select count(*) from GENRE g where g.mid = m.id) as n from MOVIES m group by m.id order by n desc",
+		"select distinct (select count(*) from GENRE g where g.mid = m.id) from MOVIES m group by m.id order by m.id",
+		// A grouped subquery inside a correlated outer query.
+		"select m.title from MOVIES m where exists (select g.genre from GENRE g where g.mid = m.id group by g.genre having count(*) >= (select count(*) from CAST c where c.mid = m.id) - 1)",
+		"select m.title, (select count(*) from GENRE g where g.mid = m.id having exists (select * from CAST c where c.mid = m.id)) from MOVIES m",
+		"select m.title from MOVIES m where 0 < (select count(*) from GENRE g where g.mid = m.id and 1 = 0 having exists (select * from CAST c where c.mid = m.id))",
+		"select m.title from MOVIES m where exists (select g.genre from GENRE g where g.mid = m.id group by g.genre having m.year > 1990)",
+	} {
+		compareAggPaths(t, ex, sql)
+	}
+}
+
+// TestGroupedAggregateErrorsOnlyWhenRead pins a streaming-path fix: an
+// aggregate's accumulation error surfaces only if the query reads the
+// aggregate, as in the interpreter — not because HAVING or an item mentions
+// it under a branch that is never taken.
+func TestGroupedAggregateErrorsOnlyWhenRead(t *testing.T) {
+	db, err := dataset.CuratedMovieDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := New(db)
+	for _, q := range []struct {
+		sql  string
+		rows int
+	}{
+		{"select m.year from MOVIES m group by m.year having 1 = 0 and sum(m.title) > 0", 0},
+		{"select m.year, case when 1 = 0 then sum(m.title) else 1 end from MOVIES m group by m.year", 10},
+	} {
+		compareAggPaths(t, ex, q.sql)
+		for _, on := range []bool{true, false} {
+			ex.SetVecAggEnabled(on)
+			res, err := ex.Query(q.sql)
+			if err != nil {
+				t.Errorf("%s (vec-aggregate %v): %v, want %d rows", q.sql, on, err, q.rows)
+			} else if len(res.Rows) != q.rows {
+				t.Errorf("%s (vec-aggregate %v): %d rows, want %d", q.sql, on, len(res.Rows), q.rows)
+			}
+		}
+		ex.SetVecAggEnabled(true)
+	}
+}
+
+// TestCompiledErrorOrderDifferential pins two places where the compiled
+// pipeline answered where the interpreter raised an error: an IN list
+// evaluates every item even after a match or against a NULL subject, and an
+// aggregate argument's evaluation error outranks a value the aggregate
+// cannot take on an earlier row.
+func TestCompiledErrorOrderDifferential(t *testing.T) {
+	db, err := dataset.CuratedMovieDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := New(db)
+	for _, sql := range []string{
+		"select m.title from MOVIES m where m.year in (m.year, m.title + 1)",
+		"select m.title from MOVIES m where null in (m.year, m.title + 1)",
+		"select m.title, m.year in (m.year, m.title + 1) from MOVIES m",
+		"select m.title from MOVIES m where m.year in (m.year, 1)",
+		"select sum(case when m.id = 100 then m.title else m.id / 0 end) from MOVIES m",
+		"select max(case when m.id = 100 then m.title else m.id end) from MOVIES m",
+		"select max(case when m.id = 100 then m.title when m.id = 101 then m.id else m.id / 0 end) from MOVIES m",
+	} {
+		compareAggPaths(t, ex, sql)
 	}
 }

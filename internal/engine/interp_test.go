@@ -2,12 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // This file is the interpreter: the engine's original, environment-per-row
@@ -15,8 +17,10 @@ import (
 // pipeline to. It joins FROM entries left to right with nested loops (and a
 // hash lookup for an inner equi-join), binds every tuple variable in an
 // environment chain and evaluates every expression with evalExpr, applying
-// each WHERE conjunct as soon as its tuple variables are bound. export_test.go
-// installs it (useOracle); production never runs it.
+// each WHERE conjunct as soon as its tuple variables are bound; grouped
+// queries partition those environments and evaluate aggregates lazily per
+// group (execGrouped), and ORDER BY sorts through them (orderRows).
+// export_test.go installs it (useOracle); production never runs it.
 
 // interpSelect runs a SELECT on the interpreter.
 func interpSelect(ex *Engine, sel *sqlparser.SelectStmt, entries []fromEntry, outer *env, earlyLimit int) (*Result, error) {
@@ -481,4 +485,199 @@ func gatherParallel(n, workers int, fn func(lo, hi int) ([]*env, error)) ([]*env
 		out = append(out, o...)
 	}
 	return out, nil
+}
+
+// checkGroupedExpr is the grouping rule (grouping.check) for one expression.
+func checkGroupedExpr(e sqlparser.Expr, sel *sqlparser.SelectStmt, entries []fromEntry) error {
+	return newGrouping(sel, entries).check(e)
+}
+
+// groupRef ties one grouped output row back to its group so ORDER BY can
+// evaluate aggregate expressions (and grouping keys outside the select list)
+// against the group context.
+type groupRef struct {
+	env *env
+	gc  *groupCtx
+}
+
+func (ex *Engine) execGrouped(sel *sqlparser.SelectStmt, entries []fromEntry, envs []*env) (*Result, []groupRef, error) {
+	items, cols, err := expandItems(sel, entries)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Standard-SQL grouping rule: a select item or HAVING term must be a
+	// grouping expression or an aggregate — the group's first row is not a
+	// stand-in for ungrouped columns.
+	for _, it := range items {
+		if err := checkGroupedExpr(it.Expr, sel, entries); err != nil {
+			return nil, nil, err
+		}
+	}
+	if sel.Having != nil {
+		if err := checkGroupedExpr(sel.Having, sel, entries); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Partition envs into groups keyed by the GROUP BY expressions; with no
+	// GROUP BY the whole input is one group.
+	type group struct {
+		ctx *groupCtx
+	}
+	groupsByKey := map[string]*group{}
+	var order []string
+	var keyBuf []byte // reused; value.AppendKey keys cannot collide across adjacent values
+	for ei, en := range envs {
+		if err := ex.bud.Tick(ei); err != nil {
+			return nil, nil, err
+		}
+		keyBuf = keyBuf[:0]
+		for _, g := range sel.GroupBy {
+			v, err := ex.evalExpr(g, en, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			keyBuf = v.AppendKey(keyBuf)
+		}
+		grp, ok := groupsByKey[string(keyBuf)]
+		if !ok {
+			k := string(keyBuf)
+			grp = &group{ctx: &groupCtx{}}
+			groupsByKey[k] = grp
+			order = append(order, k)
+		}
+		grp.ctx.rows = append(grp.ctx.rows, en)
+	}
+	// A grouped query with no GROUP BY and no input rows still yields one
+	// group (COUNT(*) = 0).
+	if len(sel.GroupBy) == 0 && len(order) == 0 {
+		k := ""
+		groupsByKey[k] = &group{ctx: &groupCtx{}}
+		order = append(order, k)
+	}
+
+	out := &Result{Columns: cols}
+	var refs []groupRef
+	for _, k := range order {
+		grp := groupsByKey[k]
+		// Evaluate HAVING with an env seeded from the group's first row so
+		// correlated subqueries can reference group-by columns.
+		he := &env{}
+		if len(grp.ctx.rows) > 0 {
+			he = grp.ctx.rows[0]
+		}
+		if sel.Having != nil {
+			v, err := ex.evalExpr(sel.Having, he, grp.ctx)
+			if err != nil {
+				return nil, nil, err
+			}
+			if v.IsNull() || v.Kind() != value.Bool || !v.Bool() {
+				continue
+			}
+		}
+		row := make(storage.Tuple, len(items))
+		for i, it := range items {
+			v, err := ex.evalExpr(it.Expr, he, grp.ctx)
+			if err != nil {
+				return nil, nil, err
+			}
+			row[i] = v
+		}
+		out.Rows = append(out.Rows, row)
+		refs = append(refs, groupRef{env: he, gc: grp.ctx})
+	}
+	return out, refs, nil
+}
+
+func (ex *Engine) orderRows(sel *sqlparser.SelectStmt, entries []fromEntry, out *Result, rowEnvs []*env, groups []groupRef) error {
+	// Build sort keys: each ORDER BY expression is an ordinal, a select-list
+	// alias/position, or an expression over output columns; beyond those,
+	// grouped queries evaluate expressions (aggregates, grouping keys) in
+	// the row's group context and ungrouped queries against the stashed envs.
+	items, _, err := expandItems(sel, entries)
+	if err != nil {
+		return err
+	}
+	// Resolve each order item once; errors stay deferred until a row needs
+	// the key, matching the per-row resolution they replace.
+	specs := make([]struct {
+		col int
+		err error
+	}, len(sel.OrderBy))
+	for j, o := range sel.OrderBy {
+		specs[j].col = -1
+		if col, ok, err := orderTarget(o, items); err != nil {
+			specs[j].err = err
+		} else if ok {
+			specs[j].col = col
+		} else if groups != nil {
+			// Grouped: the expression evaluates in the group context (ORDER
+			// BY <aggregate>, grouping keys outside the select list) and
+			// must obey the grouping rule.
+			specs[j].err = checkGroupedExpr(o.Expr, sel, entries)
+		} else if rowEnvs == nil {
+			specs[j].err = fmt.Errorf("engine: ORDER BY expression %s is not in the select list", o.Expr.SQL())
+		}
+	}
+	keyFor := func(rowIdx, j int) (value.Value, error) {
+		o := sel.OrderBy[j]
+		if specs[j].err != nil {
+			return value.Value{}, specs[j].err
+		}
+		if specs[j].col >= 0 {
+			return out.Rows[rowIdx][specs[j].col], nil
+		}
+		if groups != nil && rowIdx < len(groups) {
+			return ex.evalExpr(o.Expr, groups[rowIdx].env, groups[rowIdx].gc)
+		}
+		return ex.evalExpr(o.Expr, rowEnvs[rowIdx], nil)
+	}
+	type keyedRow struct {
+		row  storage.Tuple
+		keys []value.Value
+	}
+	rows := make([]keyedRow, len(out.Rows))
+	for i := range out.Rows {
+		keys := make([]value.Value, len(sel.OrderBy))
+		for j := range sel.OrderBy {
+			v, err := keyFor(i, j)
+			if err != nil {
+				return err
+			}
+			keys[j] = v
+		}
+		rows[i] = keyedRow{row: out.Rows[i], keys: keys}
+	}
+	var sortErr error
+	sort.SliceStable(rows, func(a, b int) bool {
+		for j, o := range sel.OrderBy {
+			ka, kb := rows[a].keys[j], rows[b].keys[j]
+			// NULLs sort first ascending, last descending.
+			if ka.IsNull() || kb.IsNull() {
+				if ka.IsNull() && kb.IsNull() {
+					continue
+				}
+				return ka.IsNull() != o.Desc
+			}
+			c, err := ka.Compare(kb)
+			if err != nil {
+				sortErr = err
+				return false
+			}
+			if c == 0 {
+				continue
+			}
+			if o.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+	if sortErr != nil {
+		return sortErr
+	}
+	for i := range rows {
+		out.Rows[i] = rows[i].row
+	}
+	return nil
 }

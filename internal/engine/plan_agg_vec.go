@@ -519,44 +519,42 @@ func (va *vecAggExec) avgExact(spec *vecAgg, pos int, distinct bool) bool {
 // the synthetic group row [key values..., aggregate results...]. Every
 // column reference must match a GROUP BY key; aggregates land in their
 // result slots. ok=false means some expression is outside the dialect (a
-// stray column, a subquery, an ungated aggregate) — fall back.
+// stray column, an ungated aggregate, or a node the standard lowering would
+// bridge over the synthetic row, which binds no FROM entry) — fall back.
 func (va *vecAggExec) compilePost(sel *sqlparser.SelectStmt, entries []fromEntry, items []sqlparser.SelectItem) bool {
 	pq := va.pq
 	nK := len(va.keys)
+	gb := newGrouping(sel, entries)
+	fits := true
+	refuse := func() (rowEval, bool) { fits = false; return nil, true }
 	gpq := *pq
-	gpq.leaf = func(e sqlparser.Expr) (rowEval, bool, bool) {
-		if j, ok := groupByIndex(e, sel.GroupBy, entries); ok {
+	gpq.leaf = func(e sqlparser.Expr) (rowEval, bool) {
+		if j, ok := gb.index(e); ok {
 			slot := j
-			return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }, true, true
+			return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }, true
 		}
-		if a, ok := e.(*sqlparser.AggregateExpr); ok {
-			idx, ok := va.addAgg(a)
+		switch x := e.(type) {
+		case *sqlparser.AggregateExpr:
+			idx, ok := va.addAgg(x)
 			if !ok {
-				return nil, true, false
+				return refuse()
 			}
 			slot := nK + idx
-			return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }, true, true
+			return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }, true
+		case *sqlparser.ColumnRef, *sqlparser.Star, *sqlparser.ExistsExpr, *sqlparser.SubqueryExpr, *sqlparser.QuantifiedExpr:
+			return refuse()
+		case *sqlparser.InExpr:
+			if x.Subquery != nil {
+				return refuse()
+			}
 		}
-		if _, ok := e.(*sqlparser.ColumnRef); ok {
-			// Neither grouped nor aggregated: the environment path raises
-			// the grouping-rule error.
-			return nil, true, false
-		}
-		return nil, false, false
+		return nil, false
 	}
 	if sel.Having != nil {
-		ev, ok := gpq.compile(sel.Having)
-		if !ok {
-			return false
-		}
-		va.having = ev
+		va.having = gpq.compile(sel.Having)
 	}
 	for _, it := range items {
-		ev, ok := gpq.compile(it.Expr)
-		if !ok {
-			return false
-		}
-		va.items = append(va.items, ev)
+		va.items = append(va.items, gpq.compile(it.Expr))
 	}
 	for _, o := range sel.OrderBy {
 		k := plannedSortKey{col: -1, desc: o.Desc}
@@ -567,18 +565,14 @@ func (va *vecAggExec) compilePost(sel *sqlparser.SelectStmt, entries []fromEntry
 		} else if sel.Distinct {
 			// Group alignment is lost after dedup; mirror the interpreter's error.
 			k.err = fmt.Errorf("engine: ORDER BY expression %s is not in the select list", o.Expr.SQL())
-		} else if err := checkGroupedExpr(o.Expr, sel, entries); err != nil {
+		} else if err := gb.check(o.Expr); err != nil {
 			k.err = err
 		} else {
-			ev, ok := gpq.compile(o.Expr)
-			if !ok {
-				return false
-			}
-			k.eval = ev
+			k.eval = gpq.compile(o.Expr)
 		}
 		va.sortKeys = append(va.sortKeys, k)
 	}
-	return true
+	return fits
 }
 
 // ---------------------------------------------------------------------------

@@ -132,7 +132,8 @@ func TestVecAggGate(t *testing.T) {
 		t.Fatalf("expression-argument shape kinds = %v, want [aggregate]", got)
 	}
 
-	// A subquery in HAVING is outside the dialect.
+	// A subquery in HAVING is outside the fused dialect: the streaming
+	// aggregate runs it, bridging the subquery at its node.
 	p = buildPlan(t, db, `select m.year, count(*) from MOVIES m group by m.year
 		having count(*) > (select min(g.mid) from GENRE g)`)
 	got = kinds(p)
@@ -141,7 +142,7 @@ func TestVecAggGate(t *testing.T) {
 	}
 
 	// A stray (ungrouped, unaggregated) column is a grouping-rule error the
-	// environment path raises: generic aggregate.
+	// streaming path raises: generic aggregate.
 	p = buildPlan(t, db, `select m.title, count(*) from MOVIES m group by m.year`)
 	got = kinds(p)
 	if len(got) != 1 || got[0] != planner.ShapeAggregate {

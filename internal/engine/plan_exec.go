@@ -17,10 +17,10 @@ import (
 // entry owns a contiguous slot range laid out in clause order; a row is one
 // []value.Value of the plan's width, allocated from chunked arenas so the
 // join inner loop performs no per-row allocations, no map lookups, and no
-// string comparisons. Predicates whose column references resolve at plan
-// time compile to closures over slots; anything else (subqueries, outer
-// correlations, references the planner could not resolve) evaluates through a
-// reusable environment bridge, over the FROM entries bound where it runs.
+// string comparisons. Every expression compiles to a closure over slots; only
+// the nodes that need an environment (subqueries, outer correlations,
+// references the planner could not resolve) evaluate through a reusable
+// environment bridge, over the FROM entries bound where they run.
 
 // ---------------------------------------------------------------------------
 // Hash keys
@@ -178,11 +178,11 @@ type plannedQuery struct {
 	// compiles a step's filters over the entries bound so far.
 	scope int
 	// leaf, when set, intercepts compilation of every subexpression before
-	// the standard lowering. The grouped pipeline uses a copy of the query
-	// with leaf set to map aggregates and GROUP BY matches onto synthetic
-	// slots appended after the joined row (see plan_shape.go). handled=false
-	// falls through to normal compilation; ok=false fails the compile.
-	leaf func(e sqlparser.Expr) (ev rowEval, handled, ok bool)
+	// the standard lowering. The grouped pipelines use a copy of the query
+	// with leaf set to map aggregates and GROUP BY matches onto their group
+	// state (see plan_shape.go and plan_agg_vec.go). handled=false falls
+	// through to the standard lowering.
+	leaf func(e sqlparser.Expr) (ev rowEval, handled bool)
 }
 
 // rowEval evaluates one expression against a flat row.
@@ -191,7 +191,8 @@ type rowEval func(ec *evalCtx, row []value.Value) (value.Value, error)
 // evalCtx is per-worker scratch: arenas, a key-encoding buffer, a scratch
 // row for build-side filters, and the reusable environment bridges, one per
 // scope. matched, set while a RIGHT join step runs, flags the table rows the
-// step has emitted.
+// step has emitted. group is the group whose HAVING, select items or sort
+// keys the streaming aggregation is evaluating; its aggregates read from it.
 type evalCtx struct {
 	pq      *plannedQuery
 	rows    rowArena
@@ -200,6 +201,7 @@ type evalCtx struct {
 	scratch []value.Value
 	bridges []*env
 	matched []atomic.Bool
+	group   *groupState
 }
 
 func (pq *plannedQuery) newCtx() *evalCtx {
@@ -221,9 +223,14 @@ func (ec *evalCtx) scratchRow() []value.Value {
 
 // envAt exposes the flat row as an environment chain over the FROM entries
 // the first scope steps bound (bindings in FROM order, outer scope as parent)
-// for predicates the compiler bridged. One env per scope is reused across
-// rows; evaluation never retains it.
+// for the nodes the compiler bridged. One env per scope is reused across
+// rows; evaluation never retains it. A nil row is the one group an aggregate
+// without GROUP BY forms over no rows: the interpreter evaluates it over an
+// environment with no bindings and no parent.
 func (ec *evalCtx) envAt(scope int, row []value.Value) *env {
+	if row == nil {
+		return &env{}
+	}
 	pq := ec.pq
 	if ec.bridges == nil {
 		ec.bridges = make([]*env, len(pq.plan.Steps)+1)
@@ -249,9 +256,6 @@ func (ec *evalCtx) envAt(scope int, row []value.Value) *env {
 	}
 	return en
 }
-
-// envFor is envAt over every FROM entry.
-func (ec *evalCtx) envFor(row []value.Value) *env { return ec.envAt(len(ec.pq.plan.Steps), row) }
 
 // passes applies SQL WHERE truthiness: NULL and non-boolean reject.
 func passes(v value.Value) bool {
@@ -303,62 +307,62 @@ func (pq *plannedQuery) slotOf(ref *sqlparser.ColumnRef) (int, bool) {
 	return found, true
 }
 
-// bridgeEval wraps an expression in an environment-based evaluation over every
-// FROM entry.
-func (pq *plannedQuery) bridgeEval(e sqlparser.Expr) rowEval {
+// bridge evaluates node x on the interpreter over the FROM entries in scope —
+// the one place planned execution calls evalExpr, for the nodes that need an
+// environment: subqueries, aggregates outside a group, stars and column
+// references slotOf cannot resolve. The node's parents stay compiled; each
+// mirrors evalExpr given its children's values and errors, so the mixture
+// answers as the interpreter does.
+func (pq *plannedQuery) bridge(x sqlparser.Expr) rowEval {
+	scope := pq.scope
 	return func(ec *evalCtx, row []value.Value) (value.Value, error) {
-		return ec.pq.ex.evalExpr(e, ec.envFor(row), nil)
+		return ec.pq.ex.evalExpr(x, ec.envAt(scope, row), nil)
+	}
+}
+
+// subqueryRows runs sub with the FROM entries in scope as its outer
+// environment, for the IN and quantified comparisons whose subject compiles.
+func (pq *plannedQuery) subqueryRows(sub *sqlparser.SelectStmt) func(ec *evalCtx, row []value.Value) ([]storage.Tuple, error) {
+	scope := pq.scope
+	return func(ec *evalCtx, row []value.Value) ([]storage.Tuple, error) {
+		return ec.pq.ex.execSelectRows(sub, ec.envAt(scope, row), -1)
 	}
 }
 
 // compileAt lowers a filter of step si over the FROM entries steps 0..si
-// bound — the entries the interpreter evaluates it over — and bridges it in
-// that scope when it does not compile.
+// bound — the entries the interpreter evaluates it over.
 func (pq *plannedQuery) compileAt(si int, e sqlparser.Expr) rowEval {
 	pq.scope = si + 1
-	ev, ok := pq.compile(e)
+	ev := pq.compile(e)
 	pq.scope = len(pq.plan.Steps)
-	if ok {
-		return ev
-	}
-	scope := si + 1
-	return func(ec *evalCtx, row []value.Value) (value.Value, error) {
-		return ec.pq.ex.evalExpr(e, ec.envAt(scope, row), nil)
-	}
+	return ev
 }
 
-// compile lowers an expression to a slot-addressed closure. ok=false means
-// some subtree needs environment semantics (subqueries, aggregates,
-// unresolvable references); callers bridge the whole expression then.
-func (pq *plannedQuery) compile(e sqlparser.Expr) (rowEval, bool) {
+// compile lowers an expression to a slot-addressed closure, bridging only the
+// nodes that need the interpreter (see bridge).
+func (pq *plannedQuery) compile(e sqlparser.Expr) rowEval {
 	if pq.leaf != nil {
-		if ev, handled, ok := pq.leaf(e); handled {
-			return ev, ok
+		if ev, handled := pq.leaf(e); handled {
+			return ev
 		}
 	}
 	switch x := e.(type) {
 	case *sqlparser.Literal:
 		v := x.Value
-		return func(*evalCtx, []value.Value) (value.Value, error) { return v, nil }, true
+		return func(*evalCtx, []value.Value) (value.Value, error) { return v, nil }
 
 	case *sqlparser.ColumnRef:
-		if x.Column == "*" {
-			return nil, false
-		}
 		slot, ok := pq.slotOf(x)
 		if !ok {
-			return nil, false
+			return pq.bridge(x) // an outer correlation, or env.lookup's error
 		}
-		return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }, true
+		return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }
 
 	case *sqlparser.BinaryExpr:
 		return pq.compileBinary(x)
 
 	case *sqlparser.NotExpr:
-		inner, ok := pq.compile(x.Inner)
-		if !ok {
-			return nil, false
-		}
+		inner := pq.compile(x.Inner)
 		return func(ec *evalCtx, row []value.Value) (value.Value, error) {
 			v, err := inner(ec, row)
 			if err != nil {
@@ -371,13 +375,10 @@ func (pq *plannedQuery) compile(e sqlparser.Expr) (rowEval, bool) {
 				return value.Value{}, fmt.Errorf("engine: NOT applied to %s", v.Kind())
 			}
 			return value.NewBool(!v.Bool()), nil
-		}, true
+		}
 
 	case *sqlparser.IsNullExpr:
-		inner, ok := pq.compile(x.Inner)
-		if !ok {
-			return nil, false
-		}
+		inner := pq.compile(x.Inner)
 		negate := x.Negate
 		return func(ec *evalCtx, row []value.Value) (value.Value, error) {
 			v, err := inner(ec, row)
@@ -385,15 +386,10 @@ func (pq *plannedQuery) compile(e sqlparser.Expr) (rowEval, bool) {
 				return value.Value{}, err
 			}
 			return value.NewBool(v.IsNull() != negate), nil
-		}, true
+		}
 
 	case *sqlparser.BetweenExpr:
-		subj, ok1 := pq.compile(x.Subject)
-		lo, ok2 := pq.compile(x.Lo)
-		hi, ok3 := pq.compile(x.Hi)
-		if !ok1 || !ok2 || !ok3 {
-			return nil, false
-		}
+		subj, lo, hi := pq.compile(x.Subject), pq.compile(x.Lo), pq.compile(x.Hi)
 		negate := x.Negate
 		return func(ec *evalCtx, row []value.Value) (value.Value, error) {
 			s, err := subj(ec, row)
@@ -421,77 +417,68 @@ func (pq *plannedQuery) compile(e sqlparser.Expr) (rowEval, bool) {
 			}
 			in := c1 >= 0 && c2 <= 0
 			return value.NewBool(in != negate), nil
-		}, true
+		}
 
 	case *sqlparser.InExpr:
+		subj := pq.compile(x.Subject)
+		negate := x.Negate
 		if x.Subquery != nil {
-			return nil, false
-		}
-		subj, ok := pq.compile(x.Subject)
-		if !ok {
-			return nil, false
+			rows := pq.subqueryRows(x.Subquery)
+			return func(ec *evalCtx, row []value.Value) (value.Value, error) {
+				s, err := subj(ec, row)
+				if err != nil {
+					return value.Value{}, err
+				}
+				rs, err := rows(ec, row)
+				if err != nil {
+					return value.Value{}, err
+				}
+				return inRows(s, rs, negate)
+			}
 		}
 		items := make([]rowEval, len(x.List))
 		for i, it := range x.List {
-			ev, ok := pq.compile(it)
-			if !ok {
-				return nil, false
-			}
-			items[i] = ev
+			items[i] = pq.compile(it)
 		}
-		negate := x.Negate
 		return func(ec *evalCtx, row []value.Value) (value.Value, error) {
 			s, err := subj(ec, row)
 			if err != nil {
 				return value.Value{}, err
 			}
-			if s.IsNull() {
-				if len(items) == 0 {
-					return value.NewBool(negate), nil
-				}
-				return value.NewNull(), nil
-			}
-			sawNull := false
+			var in inTest
 			for _, ev := range items {
 				c, err := ev(ec, row)
 				if err != nil {
 					return value.Value{}, err
 				}
-				if c.IsNull() {
-					sawNull = true
-					continue
-				}
-				if s.Equal(c) {
-					return value.NewBool(!negate), nil
-				}
+				in.add(s, c)
 			}
-			if sawNull {
-				return value.NewNull(), nil
+			return in.result(s, negate), nil
+		}
+
+	case *sqlparser.QuantifiedExpr:
+		subj, rows := pq.compile(x.Subject), pq.subqueryRows(x.Subquery)
+		return func(ec *evalCtx, row []value.Value) (value.Value, error) {
+			s, err := subj(ec, row)
+			if err != nil {
+				return value.Value{}, err
 			}
-			return value.NewBool(negate), nil
-		}, true
+			rs, err := rows(ec, row)
+			if err != nil {
+				return value.Value{}, err
+			}
+			return quantify(x, s, rs)
+		}
 
 	case *sqlparser.CaseExpr:
 		conds := make([]rowEval, len(x.Whens))
 		thens := make([]rowEval, len(x.Whens))
 		for i, w := range x.Whens {
-			c, ok := pq.compile(w.Cond)
-			if !ok {
-				return nil, false
-			}
-			t, ok := pq.compile(w.Then)
-			if !ok {
-				return nil, false
-			}
-			conds[i], thens[i] = c, t
+			conds[i], thens[i] = pq.compile(w.Cond), pq.compile(w.Then)
 		}
 		var els rowEval
 		if x.Else != nil {
-			e2, ok := pq.compile(x.Else)
-			if !ok {
-				return nil, false
-			}
-			els = e2
+			els = pq.compile(x.Else)
 		}
 		return func(ec *evalCtx, row []value.Value) (value.Value, error) {
 			for i, c := range conds {
@@ -507,23 +494,16 @@ func (pq *plannedQuery) compile(e sqlparser.Expr) (rowEval, bool) {
 				return els(ec, row)
 			}
 			return value.NewNull(), nil
-		}, true
+		}
 
 	default:
-		// Subqueries, quantifiers, EXISTS, aggregates, stars: bridge.
-		return nil, false
+		// EXISTS, scalar subqueries, aggregates outside a group, stars.
+		return pq.bridge(e)
 	}
 }
 
-func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) (rowEval, bool) {
-	l, ok := pq.compile(x.Left)
-	if !ok {
-		return nil, false
-	}
-	r, ok := pq.compile(x.Right)
-	if !ok {
-		return nil, false
-	}
+func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) rowEval {
+	l, r := pq.compile(x.Left), pq.compile(x.Right)
 	op := x.Op
 	switch op {
 	case sqlparser.OpAnd, sqlparser.OpOr:
@@ -546,7 +526,7 @@ func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) (rowEval, bool) {
 				return value.Value{}, err
 			}
 			return threeValued(op, lv, rv)
-		}, true
+		}
 	}
 	var pred func(int) bool
 	equality := false
@@ -587,7 +567,7 @@ func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) (rowEval, bool) {
 		default:
 			return compareOp(lv, rv, equality, pred)
 		}
-	}, true
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -595,8 +575,8 @@ func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) (rowEval, bool) {
 // ---------------------------------------------------------------------------
 
 // compilePlan resolves a plan's predicates against the engine. A step's
-// filters compile over the FROM entries bound by then, and are bridged there
-// when they do not compile. When the base scan's filters lower to zone probes
+// filters compile over the FROM entries bound by then. When the base scan's
+// filters lower to zone probes
 // the plan's shape gains its zone-skip step here.
 func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 	pq := &plannedQuery{
@@ -649,11 +629,7 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 		}
 	}
 	for _, e := range plan.Post {
-		ev, ok := pq.compile(e)
-		if !ok {
-			ev = pq.bridgeEval(e)
-		}
-		pq.postEvals = append(pq.postEvals, ev)
+		pq.postEvals = append(pq.postEvals, pq.compile(e))
 	}
 	return pq
 }
@@ -1382,31 +1358,9 @@ func (ex *Engine) planFor(sel *sqlparser.SelectStmt, entries []fromEntry, hasOut
 	return planner.Build(sel, inputs, hasOuter)
 }
 
-// materializeEnvs exposes flat rows as environment chains (bindings in FROM
-// order) so grouped evaluation and ORDER BY reuse the existing machinery.
-func (pq *plannedQuery) materializeEnvs(rows [][]value.Value) []*env {
-	envs := make([]*env, len(rows))
-	for i, row := range rows {
-		b := make([]binding, len(pq.fromOrder))
-		for fi, si := range pq.fromOrder {
-			st := pq.plan.Steps[si]
-			n := len(st.Input.Rel.Attributes)
-			b[fi] = binding{
-				alias: st.Input.Alias,
-				rel:   st.Input.Rel,
-				tuple: storage.Tuple(row[st.Offset : st.Offset+n]),
-			}
-		}
-		envs[i] = &env{parent: pq.outer, bindings: b}
-	}
-	return envs
-}
-
 // execPlanned runs a plan end to end: the join pipeline, then
 // aggregation or projection, DISTINCT, ORDER BY (full sort or a bounded
-// top-K heap), and LIMIT — all over flat slot-addressed rows. Grouped
-// queries whose expressions need environment semantics (subqueries) take
-// the materialized-environment path inside execPlannedGrouped.
+// top-K heap), and LIMIT — all over flat slot-addressed rows.
 func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, plan *planner.Plan, outer *env, earlyLimit int, grouped bool) (*Result, error) {
 	pq := ex.compilePlan(plan, outer)
 	if !grouped {
@@ -1443,19 +1397,17 @@ func (ex *Engine) execPlannedFlat(sel *sqlparser.SelectStmt, pq *plannedQuery, r
 	evals := make([]rowEval, len(items))
 	pure := true // no projection expression can error
 	for i, it := range items {
-		ev, ok := pq.compile(it.Expr)
-		if !ok {
-			ev = pq.bridgeEval(it.Expr)
-			pure = false // bridged lookups can fail (unknown columns, subqueries)
-		} else {
-			switch it.Expr.(type) {
-			case *sqlparser.ColumnRef, *sqlparser.Literal:
-				// compiled slot reads and constants cannot fail
-			default:
+		evals[i] = pq.compile(it.Expr)
+		switch x := it.Expr.(type) {
+		case *sqlparser.Literal:
+		case *sqlparser.ColumnRef:
+			// A slot read cannot fail; a bridged lookup can.
+			if _, ok := pq.slotOf(x); !ok {
 				pure = false
 			}
+		default:
+			pure = false
 		}
-		evals[i] = ev
 	}
 	// LIMIT pushdown: without ORDER BY or DISTINCT the first rows are the
 	// answer. The interpreter projects every joined row before truncating,
@@ -1500,18 +1452,14 @@ func (ex *Engine) execPlannedFlat(sel *sqlparser.SelectStmt, pq *plannedQuery, r
 		}
 		return k.eval(ec, rows[i])
 	}
-	keys, err := pq.flatOrderKeys(sel, items)
-	if err != nil {
-		return nil, err
-	}
-	return ex.shapeResult(sel, pq, out, keys, keyOf)
+	return ex.shapeResult(sel, pq, out, pq.flatOrderKeys(sel, items), keyOf)
 }
 
 // flatOrderKeys resolves ORDER BY items for the ungrouped planned path:
 // ordinals and select-list matches read output columns; other expressions
-// compile (or bridge) over the joined row. Resolution errors are deferred —
-// they surface only when there are rows to sort, matching the interpreter.
-func (pq *plannedQuery) flatOrderKeys(sel *sqlparser.SelectStmt, items []sqlparser.SelectItem) ([]plannedSortKey, error) {
+// compile over the joined row. Resolution errors are deferred — they surface
+// only when there are rows to sort, matching the interpreter.
+func (pq *plannedQuery) flatOrderKeys(sel *sqlparser.SelectStmt, items []sqlparser.SelectItem) []plannedSortKey {
 	keys := make([]plannedSortKey, len(sel.OrderBy))
 	for j, o := range sel.OrderBy {
 		keys[j] = plannedSortKey{col: -1, desc: o.Desc}
@@ -1528,13 +1476,9 @@ func (pq *plannedQuery) flatOrderKeys(sel *sqlparser.SelectStmt, items []sqlpars
 			keys[j].err = fmt.Errorf("engine: ORDER BY expression %s is not in the select list", o.Expr.SQL())
 			continue
 		}
-		ev, ok := pq.compile(o.Expr)
-		if !ok {
-			ev = pq.bridgeEval(o.Expr)
-		}
-		keys[j].eval = ev
+		keys[j].eval = pq.compile(o.Expr)
 	}
-	return keys, nil
+	return keys
 }
 
 // ---------------------------------------------------------------------------

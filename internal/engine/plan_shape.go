@@ -14,15 +14,14 @@ import (
 // aggregation over flat rows (group keys and aggregate accumulators compiled
 // to slot readers), slot-compiled ORDER BY sort keys with a bounded top-K
 // heap when a LIMIT is present, and LIMIT pushdown into the projection loop.
-// Grouped expressions that need environment semantics (subqueries in HAVING
-// or aggregate arguments) fall back to the environment-based grouped
-// evaluator over materialized envs — correctness first, the fast path for
-// the common shapes.
+// Every grouped query the fused pipeline (plan_agg_vec.go) declines runs
+// here; a subquery anywhere in it is bridged at its node like any other.
 //
-// Error parity with the interpreter is deliberate: group iteration order is
+// Error parity with the interpreter is deliberate: the grouping rule is
+// checked before any group key is evaluated, group iteration order is
 // first-seen order over rows in the interpreter's order, aggregate errors are
-// recorded during accumulation but surface only when the aggregate's value is
-// first used (HAVING before select items, ORDER BY keys last), and sort-key
+// recorded during accumulation but surface only when the query reads the
+// aggregate (HAVING before select items, ORDER BY keys last), and sort-key
 // resolution errors are deferred until there is a row to sort.
 
 // ---------------------------------------------------------------------------
@@ -31,14 +30,13 @@ import (
 
 // plannedSortKey is one resolved ORDER BY item: an output-column read
 // (col >= 0) or a compiled expression over the row backing each output row —
-// the joined row in the flat path, the extended group row in the grouped
-// path. err defers a resolution failure until rows exist, mirroring the
-// interpreter's per-row key resolution.
+// the joined row in the flat path, the group's representative row in the
+// grouped paths. err defers a resolution failure until rows exist, mirroring
+// the interpreter's per-row key resolution.
 type plannedSortKey struct {
 	col  int
 	desc bool
 	eval rowEval
-	use  []int // aggregate accumulators the eval reads (grouped path)
 	err  error
 }
 
@@ -238,10 +236,14 @@ type aggSpec struct {
 }
 
 // aggAcc is one aggregate's running state within a group. Errors are
-// recorded, not raised: they surface when the aggregate's value is first
-// used, which is when the interpreter would compute it.
+// recorded, not raised: they surface when the query reads the aggregate,
+// which is when the interpreter would compute it. err is the argument's first
+// evaluation error; valErr, the first value the aggregate cannot take (a
+// non-numeric SUM, incomparable MIN/MAX), stops accumulation but yields to an
+// evaluation error on a later row, as in evalAggregate.
 type aggAcc struct {
 	err     error
+	valErr  error
 	count   int64 // non-NULL (post-DISTINCT) values
 	sumI    int64
 	sumF    float64
@@ -261,7 +263,7 @@ func (a *aggAcc) update(ec *evalCtx, spec *aggSpec, row []value.Value) {
 		a.err = err
 		return
 	}
-	if v.IsNull() {
+	if v.IsNull() || a.valErr != nil {
 		return
 	}
 	if spec.distinct {
@@ -278,7 +280,7 @@ func (a *aggAcc) update(ec *evalCtx, spec *aggSpec, row []value.Value) {
 	switch spec.fn {
 	case sqlparser.AggSum, sqlparser.AggAvg:
 		if !v.IsNumeric() {
-			a.err = fmt.Errorf("engine: %s over non-numeric values", spec.fn)
+			a.valErr = fmt.Errorf("engine: %s over non-numeric values", spec.fn)
 			return
 		}
 		if v.Kind() == value.Int {
@@ -294,7 +296,7 @@ func (a *aggAcc) update(ec *evalCtx, spec *aggSpec, row []value.Value) {
 		}
 		c, err := v.Compare(a.best)
 		if err != nil {
-			a.err = err
+			a.valErr = err
 			return
 		}
 		if (spec.fn == sqlparser.AggMin && c < 0) || (spec.fn == sqlparser.AggMax && c > 0) {
@@ -312,6 +314,9 @@ func (a *aggAcc) result(spec *aggSpec, groupRows int64) (value.Value, error) {
 	}
 	if a.err != nil {
 		return value.Value{}, a.err
+	}
+	if a.valErr != nil {
+		return value.Value{}, a.valErr
 	}
 	switch spec.fn {
 	case sqlparser.AggCount:
@@ -355,131 +360,62 @@ func newGroupState(rep []value.Value, nAggs int) *groupState {
 	return gs
 }
 
-// emittedGroup is one group that survived HAVING, extended with lazily
-// resolved aggregate result slots for projection and sort keys.
-type emittedGroup struct {
-	gs       *groupState
-	ext      []value.Value // rep row ++ one slot per aggregate
-	resolved []bool
-}
-
-// resolve finalizes the listed aggregates into the extended row, surfacing
-// any accumulation error at first use.
-func (eg *emittedGroup) resolve(ge *groupedExec, use []int) error {
-	for _, idx := range use {
-		if eg.resolved[idx] {
-			continue
-		}
-		v, err := eg.gs.accs[idx].result(ge.aggs[idx], eg.gs.rows)
-		if err != nil {
-			return err
-		}
-		eg.ext[ge.width+idx] = v
-		eg.resolved[idx] = true
-	}
-	return nil
-}
-
 // groupedExec is a grouped query compiled against the planned row layout:
-// group keys and aggregate arguments as slot readers over the joined row,
-// HAVING, select items, and sort keys as slot readers over the extended
-// group row (rep row ++ aggregate results).
+// group keys and aggregate arguments over the joined row; HAVING, select
+// items and sort keys over the group's representative row, reading each
+// aggregate from the group under evaluation (evalCtx.group).
 type groupedExec struct {
-	pq        *plannedQuery // base query: row-level compiles
-	gpq       *plannedQuery // leaf-hooked copy: group-level compiles
-	width     int           // joined-row width; aggregate slots follow
-	gbEvals   []rowEval
-	aggs      []*aggSpec
-	aggIdx    map[string]int
-	curUse    *[]int // aggregates referenced by the expression being compiled
-	having    rowEval
-	havingUse []int
-	items     []rowEval
-	itemUse   [][]int
-	keys      []plannedSortKey
+	gbEvals []rowEval
+	aggs    []*aggSpec
+	having  rowEval
+	items   []rowEval
+	keys    []plannedSortKey
 }
 
-// addAgg registers (or reuses) the accumulator for one aggregate expression.
-// ok=false means the argument needs environment semantics.
-func (ge *groupedExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
-	key := a.SQL()
-	if idx, ok := ge.aggIdx[key]; ok {
-		return idx, true
-	}
-	spec := &aggSpec{fn: a.Func, distinct: a.Distinct}
-	if a.Arg != nil {
-		ev, ok := ge.pq.compile(a.Arg)
-		if !ok {
-			return 0, false
-		}
-		spec.arg = ev
-	}
-	idx := len(ge.aggs)
-	ge.aggIdx[key] = idx
-	ge.aggs = append(ge.aggs, spec)
-	return idx, true
-}
-
-// newGroupedExec compiles the grouped query. ok=false means some expression
-// needs environment semantics (subqueries, env-only aggregate arguments) and
-// the caller must take the materialized-environment path.
-func newGroupedExec(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, items []sqlparser.SelectItem) (*groupedExec, bool) {
-	ge := &groupedExec{pq: pq, width: pq.plan.Width, aggIdx: map[string]int{}}
+// newGroupedExec compiles the grouped query. The caller has enforced the
+// grouping rule, so outside subqueries every column reference of HAVING and
+// the select items sits in a grouping expression or an aggregate.
+func newGroupedExec(sel *sqlparser.SelectStmt, gb *grouping, pq *plannedQuery, items []sqlparser.SelectItem) *groupedExec {
+	ge := &groupedExec{}
 	for _, g := range sel.GroupBy {
-		ev, ok := pq.compile(g)
+		ge.gbEvals = append(ge.gbEvals, pq.compile(g))
+	}
+	aggIdx := map[string]int{}
+	gpq := *pq
+	gpq.leaf = func(e sqlparser.Expr) (rowEval, bool) {
+		if j, ok := gb.index(e); ok {
+			// The representative row is a joined row, so the grouping
+			// expression's compiled form reads it directly.
+			return ge.gbEvals[j], true
+		}
+		a, ok := e.(*sqlparser.AggregateExpr)
 		if !ok {
 			return nil, false
 		}
-		ge.gbEvals = append(ge.gbEvals, ev)
-	}
-	gpq := *pq
-	gpq.leaf = func(e sqlparser.Expr) (rowEval, bool, bool) {
-		if j, ok := groupByIndex(e, sel.GroupBy, entries); ok {
-			// The extended row's prefix is the representative joined row, so
-			// the grouping expression's compiled form reads it directly.
-			return ge.gbEvals[j], true, true
-		}
-		if a, ok := e.(*sqlparser.AggregateExpr); ok {
-			idx, ok := ge.addAgg(a)
-			if !ok {
-				return nil, true, false
+		key := a.SQL()
+		idx, seen := aggIdx[key]
+		if !seen {
+			idx = len(ge.aggs)
+			aggIdx[key] = idx
+			spec := &aggSpec{fn: a.Func, distinct: a.Distinct}
+			if a.Arg != nil {
+				spec.arg = pq.compile(a.Arg)
 			}
-			if ge.curUse != nil {
-				*ge.curUse = append(*ge.curUse, idx)
-			}
-			slot := ge.width + idx
-			return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }, true, true
+			ge.aggs = append(ge.aggs, spec)
 		}
-		if _, ok := e.(*sqlparser.ColumnRef); ok {
-			// A column that is neither grouped nor inside an aggregate:
-			// fail the compile so the query takes the environment path,
-			// where execGrouped raises the grouping-rule error.
-			return nil, true, false
-		}
-		return nil, false, false
-	}
-	ge.gpq = &gpq
-	compileGroup := func(e sqlparser.Expr) (rowEval, []int, bool) {
-		var use []int
-		ge.curUse = &use
-		ev, ok := ge.gpq.compile(e)
-		ge.curUse = nil
-		return ev, use, ok
+		spec := ge.aggs[idx]
+		// Finalized on every read, so an accumulation error surfaces only
+		// if the query reads the aggregate — when the interpreter would
+		// compute it.
+		return func(ec *evalCtx, _ []value.Value) (value.Value, error) {
+			return ec.group.accs[idx].result(spec, ec.group.rows)
+		}, true
 	}
 	if sel.Having != nil {
-		ev, use, ok := compileGroup(sel.Having)
-		if !ok {
-			return nil, false
-		}
-		ge.having, ge.havingUse = ev, use
+		ge.having = gpq.compile(sel.Having)
 	}
 	for _, it := range items {
-		ev, use, ok := compileGroup(it.Expr)
-		if !ok {
-			return nil, false
-		}
-		ge.items = append(ge.items, ev)
-		ge.itemUse = append(ge.itemUse, use)
+		ge.items = append(ge.items, gpq.compile(it.Expr))
 	}
 	for _, o := range sel.OrderBy {
 		k := plannedSortKey{col: -1, desc: o.Desc}
@@ -490,33 +426,32 @@ func newGroupedExec(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQ
 		} else if sel.Distinct {
 			// Group alignment is lost after dedup; mirror the interpreter's error.
 			k.err = fmt.Errorf("engine: ORDER BY expression %s is not in the select list", o.Expr.SQL())
-		} else if err := checkGroupedExpr(o.Expr, sel, entries); err != nil {
+		} else if err := gb.check(o.Expr); err != nil {
 			k.err = err
 		} else {
-			ev, use, ok := compileGroup(o.Expr)
-			if !ok {
-				return nil, false
-			}
-			k.eval, k.use = ev, use
+			k.eval = gpq.compile(o.Expr)
 		}
 		ge.keys = append(ge.keys, k)
 	}
-	return ge, true
+	return ge
 }
 
-// execPlannedGrouped aggregates the joined rows: the streaming compiled path
-// when every grouped expression lowers to slot readers, the materialized
-// environment path otherwise.
+// execPlannedGrouped aggregates the joined rows on the streaming path, after
+// enforcing the standard-SQL grouping rule in the interpreter's order: select
+// items, then HAVING.
 func (ex *Engine) execPlannedGrouped(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, rows [][]value.Value, items []sqlparser.SelectItem, cols []string) (*Result, error) {
-	// The standard-SQL grouping rule is enforced by execGrouped: an item or
-	// HAVING term with a stray column never compiles here (the leaf hook
-	// rejects it), so such queries take the environment path below and fail
-	// its shared check — one source of truth for the error.
-	ge, ok := newGroupedExec(sel, entries, pq, items)
-	if !ok {
-		return ex.execPlannedGroupedEnv(sel, entries, pq, rows)
+	gb := newGrouping(sel, entries)
+	for _, it := range items {
+		if err := gb.check(it.Expr); err != nil {
+			return nil, err
+		}
 	}
-	return ex.runGroupedPlan(sel, pq, ge, rows, cols)
+	if sel.Having != nil {
+		if err := gb.check(sel.Having); err != nil {
+			return nil, err
+		}
+	}
+	return ex.runGroupedPlan(sel, pq, newGroupedExec(sel, gb, pq, items), rows, cols)
 }
 
 // runGroupedPlan is the streaming hash aggregation: one pass over the joined
@@ -548,25 +483,17 @@ func (ex *Engine) runGroupedPlan(sel *sqlparser.SelectStmt, pq *plannedQuery, ge
 		}
 	}
 	// A grouped query with no GROUP BY and no input rows still yields one
-	// group (COUNT(*) = 0).
+	// group (COUNT(*) = 0), whose nil representative row binds nothing.
 	if len(sel.GroupBy) == 0 && len(order) == 0 {
 		order = append(order, newGroupState(nil, len(ge.aggs)))
 	}
 
 	out := &Result{Columns: cols}
-	var emitted []*emittedGroup
+	var emitted []*groupState
 	for _, gs := range order {
-		eg := &emittedGroup{
-			gs:       gs,
-			ext:      make([]value.Value, ge.width+len(ge.aggs)),
-			resolved: make([]bool, len(ge.aggs)),
-		}
-		copy(eg.ext, gs.rep)
+		ec.group = gs
 		if ge.having != nil {
-			if err := eg.resolve(ge, ge.havingUse); err != nil {
-				return nil, err
-			}
-			v, err := ge.having(ec, eg.ext)
+			v, err := ge.having(ec, gs.rep)
 			if err != nil {
 				return nil, err
 			}
@@ -576,17 +503,14 @@ func (ex *Engine) runGroupedPlan(sel *sqlparser.SelectStmt, pq *plannedQuery, ge
 		}
 		row := make(storage.Tuple, len(ge.items))
 		for i, itEval := range ge.items {
-			if err := eg.resolve(ge, ge.itemUse[i]); err != nil {
-				return nil, err
-			}
-			v, err := itEval(ec, eg.ext)
+			v, err := itEval(ec, gs.rep)
 			if err != nil {
 				return nil, err
 			}
 			row[i] = v
 		}
 		out.Rows = append(out.Rows, row)
-		emitted = append(emitted, eg)
+		emitted = append(emitted, gs)
 	}
 	setShapeActual(pq.plan, planner.ShapeAggregate, len(out.Rows))
 
@@ -594,37 +518,8 @@ func (ex *Engine) runGroupedPlan(sel *sqlparser.SelectStmt, pq *plannedQuery, ge
 		if k.col >= 0 {
 			return out.Rows[i][k.col], nil
 		}
-		eg := emitted[i]
-		if err := eg.resolve(ge, k.use); err != nil {
-			return value.Value{}, err
-		}
-		return k.eval(ec, eg.ext)
+		ec.group = emitted[i]
+		return k.eval(ec, emitted[i].rep)
 	}
 	return ex.shapeResult(sel, pq, out, ge.keys, keyOf)
-}
-
-// execPlannedGroupedEnv is the fallback for grouped expressions outside the
-// compiled dialect: materialize environments over the planned rows and run
-// the environment-based grouped evaluator plus shaping.
-func (ex *Engine) execPlannedGroupedEnv(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, rows [][]value.Value) (*Result, error) {
-	envs := pq.materializeEnvs(rows)
-	out, groups, err := ex.execGrouped(sel, entries, envs)
-	if err != nil {
-		return nil, err
-	}
-	setShapeActual(pq.plan, planner.ShapeAggregate, len(out.Rows))
-	if sel.Distinct {
-		out.Rows = distinctRows(out.Rows)
-		groups = nil
-	}
-	if len(sel.OrderBy) > 0 {
-		if err := ex.orderRows(sel, entries, out, nil, groups); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Limit >= 0 && len(out.Rows) > sel.Limit {
-		out.Rows = out.Rows[:sel.Limit]
-	}
-	setShapeFinal(pq.plan, len(out.Rows))
-	return out, nil
 }

@@ -551,10 +551,7 @@ func (ex *Engine) tryVecScan(sel *sqlparser.SelectStmt, entries []fromEntry, pq 
 	// general pipeline (one copy of the ordinal/select-list semantics);
 	// a key that compiled to an expression needs the source row, which
 	// the fast path never materializes — fall back.
-	keys, err := pq.flatOrderKeys(sel, items)
-	if err != nil {
-		return nil, false, nil
-	}
+	keys := pq.flatOrderKeys(sel, items)
 	for j := range keys {
 		if keys[j].eval != nil {
 			return nil, false, nil

@@ -137,3 +137,66 @@ func TestFrameScannerImplausibleLength(t *testing.T) {
 		t.Fatalf("want corrupt implausible-length error, got %v", err)
 	}
 }
+
+// FuzzFrameDecoders holds the log's two decoders — Scan over the bytes on
+// disk, FrameScanner over the replication stream — to one reading of any
+// bytes: the same payloads in order, the same reason for stopping, a clean end
+// for both or neither, and a tail that starts where the accepted frames end.
+// The seeds are a log written through MemFS, torn, bit-flipped, and with an
+// implausible length prefix.
+func FuzzFrameDecoders(f *testing.F) {
+	fs := NewMemFS()
+	file, err := fs.Create("wal.log")
+	if err != nil {
+		f.Fatal(err)
+	}
+	w := NewWriter(file, 0)
+	payloads := [][]byte{[]byte("insert into MOVIES"), {}, bytes.Repeat([]byte{0xAB}, 300), []byte("delete")}
+	for _, p := range payloads {
+		if err := w.Append(p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	log := fs.Bytes("wal.log")
+	f.Add(log)
+	torn := fs.Clone()
+	torn.Truncate("wal.log", len(log)-3)
+	f.Add(torn.Bytes("wal.log"))
+	flipped := fs.Clone()
+	flipped.FlipBit("wal.log", frameHeader+2, 0x10)
+	f.Add(flipped.Bytes("wal.log"))
+	implausible := append([]byte(nil), log...)
+	binary.LittleEndian.PutUint32(implausible[frameHeader+len(payloads[0]):], MaxRecord+1)
+	f.Add(implausible)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		records, tail := Scan(data)
+		frames, err := ReadFrames(bytes.NewReader(data))
+		if len(frames) != len(records) {
+			t.Fatalf("stream decoded %d frames, Scan %d records", len(frames), len(records))
+		}
+		accepted := 0
+		for i := range frames {
+			if !bytes.Equal(frames[i].Payload, records[i].Payload) {
+				t.Fatalf("frame %d: payload mismatch", i)
+			}
+			accepted += frameHeader + len(records[i].Payload)
+		}
+		if (tail == nil) != (err == nil) {
+			t.Fatalf("Scan tail %+v, stream error %v", tail, err)
+		}
+		if tail == nil {
+			if accepted != len(data) {
+				t.Fatalf("clean end after %d of %d bytes", accepted, len(data))
+			}
+			return
+		}
+		var fe *FrameError
+		if !errors.As(err, &fe) || fe.Reason != tail.Reason {
+			t.Fatalf("Scan classified %q, stream saw %v", tail.Reason, err)
+		}
+		if tail.Off != accepted {
+			t.Fatalf("tail at %d, accepted frames end at %d", tail.Off, accepted)
+		}
+	})
+}

@@ -119,7 +119,7 @@
 // observable only through speed — a property the differential test suites
 // pin.
 //
-// Grouped queries aggregate in one of three tiers. The fastest is the fused
+// Grouped queries aggregate in one of two executors. The faster is the fused
 // vectorized pipeline (the plan's vec-aggregate shape step): when every
 // group key and aggregate argument is a plain column and every filter
 // vectorizes, scan, joins, and accumulation run as a single push-based loop
@@ -139,11 +139,11 @@
 // neither dialect: it prices the scan (is the base table large enough to fan
 // out), and the engine's compiler, having compiled the query onto the fused
 // pipeline, turns the plan's aggregate step into vec-aggregate and adds the
-// parallel-scan step — so the plan names a tier only if it runs. Grouped queries
-// outside that dialect use the streaming aggregation pass (group keys and
-// accumulators compiled to slot readers over arena rows; HAVING is a
-// compiled post-filter), and grouped expressions needing subquery evaluation
-// take the environment path just for the grouping stage.
+// parallel-scan step — so the plan names a tier only if it runs. Every other
+// grouped query uses the streaming aggregation pass: group keys and
+// accumulators compiled to slot readers over arena rows, HAVING a compiled
+// post-filter, and a subquery anywhere in them bridged to the interpreter at
+// its own node.
 //
 // Selective scans prune whole morsels before touching payloads: when the
 // planner prices a multi-morsel full scan as selective enough, the engine
