@@ -1,6 +1,6 @@
 // Package planner chooses how SELECT statements execute: it classifies WHERE
-// conjuncts, estimates selectivities and join cardinalities from the
-// incrementally maintained storage statistics, orders inner joins greedily by
+// conjuncts, estimates selectivities and join cardinalities from the storage
+// statistics (Table.Stats), orders inner joins greedily by
 // estimated output size, and picks an access path per step — full scan,
 // primary-key probe, secondary-index probe, hash join, primary-key join, or
 // index-nested-loop join. The paper's §3.1 motivates feedback about *why* a

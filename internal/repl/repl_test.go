@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -491,30 +492,12 @@ func TestConstructionGuards(t *testing.T) {
 
 // TestProtoRoundTrip pins the wire encoding of every message kind.
 func TestProtoRoundTrip(t *testing.T) {
-	cases := []message{
-		{kind: msgHandshake, a: protoVersion, b: 0xDEADBEEF, c: 42},
-		{kind: msgWelcome, a: protoVersion, b: 7, c: 9},
-		{kind: msgCheckpoint, body: []byte("segment bytes")},
-		{kind: msgRecord, body: emptyRecord(3)},
-		{kind: msgHeartbeat, a: 17},
-		{kind: msgAck, a: 16},
-		{kind: msgReject, body: []byte("go away")},
-	}
-	for _, want := range cases {
-		var fields []uint64
-		switch uvarintCount(want.kind) {
-		case 3:
-			fields = []uint64{want.a, want.b, want.c}
-		case 1:
-			fields = []uint64{want.a}
-		}
-		payload := appendMessage(nil, want.kind, want.body, fields...)
-		got, err := parseMessage(payload)
+	for _, want := range protoCases() {
+		got, err := parseMessage(appendMessage(nil, want.kind, want.body, fields(want)...))
 		if err != nil {
 			t.Fatalf("%q: %v", want.kind, err)
 		}
-		if got.kind != want.kind || got.a != want.a || got.b != want.b || got.c != want.c ||
-			string(got.body) != string(want.body) {
+		if !sameMessage(got, want) {
 			t.Fatalf("%q round trip: got %+v want %+v", want.kind, got, want)
 		}
 	}
@@ -527,6 +510,53 @@ func TestProtoRoundTrip(t *testing.T) {
 	if _, err := parseMessage([]byte{msgAck}); err == nil {
 		t.Fatal("short ack parsed")
 	}
+}
+
+// protoCases holds one message of every kind.
+func protoCases() []message {
+	return []message{
+		{kind: msgHandshake, a: protoVersion, b: 0xDEADBEEF, c: 42},
+		{kind: msgWelcome, a: protoVersion, b: 7, c: 9},
+		{kind: msgCheckpoint, body: []byte("segment bytes")},
+		{kind: msgRecord, body: emptyRecord(3)},
+		{kind: msgHeartbeat, a: 17},
+		{kind: msgAck, a: 16},
+		{kind: msgReject, body: []byte("go away")},
+	}
+}
+
+// fields returns m's uvarint fields in wire order.
+func fields(m message) []uint64 {
+	return []uint64{m.a, m.b, m.c}[:uvarintCount(m.kind)]
+}
+
+func sameMessage(a, b message) bool {
+	return a.kind == b.kind && a.a == b.a && a.b == b.b && a.c == b.c && bytes.Equal(a.body, b.body)
+}
+
+// FuzzParseMessage feeds arbitrary frame payloads to the message decoder.
+// Whatever the bytes, parsing never panics, and a payload it accepts
+// re-encodes into one that parses to the same message (a non-canonical
+// uvarint may change the bytes, never the message).
+func FuzzParseMessage(f *testing.F) {
+	for _, m := range protoCases() {
+		f.Add(appendMessage(nil, m.kind, m.body, fields(m)...))
+	}
+	f.Add([]byte{msgAck})
+	f.Add([]byte{msgHandshake, 0x81, 0x00, 0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'x'})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		m, err := parseMessage(payload)
+		if err != nil {
+			return
+		}
+		again, err := parseMessage(appendMessage(nil, m.kind, m.body, fields(m)...))
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not parse: %v", m, err)
+		}
+		if !sameMessage(again, m) {
+			t.Fatalf("round trip changed the message: %+v, then %+v", m, again)
+		}
+	})
 }
 
 var _ io.Reader = deadlineReader{} // the scanner consumes links through this

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -82,7 +81,8 @@ type dict struct {
 	// pointer is shared across clones so everyone serializes on one lock.
 	codeMu *sync.RWMutex
 	// refs[c] counts live rows holding code c; live counts codes with
-	// refs > 0. Maintained by the writer paths (appendVal/setVal/releaseRow).
+	// refs > 0 — the column's distinct count. Maintained by the writer paths
+	// through retainRow/releaseRow (stats.go).
 	refs []int32
 	live int
 	// ranked turns on the sorted dictionary: rank maps code -> sort rank,
@@ -154,6 +154,11 @@ type column struct {
 	bls   []bool
 	codes []uint32 // Text dictionary codes
 	dict  *dict
+	// counts maps an Int, Float or Date value's value.Key64 to the number of
+	// live rows holding it — its size is the distinct count (stats.go). Nil
+	// for Text (dict.live counts) and Bool (the bounds tell), and in frozen
+	// columns, whose statistics are captured at freeze.
+	counts map[uint64]int32
 	// zones summarize ZoneRows-sized ranges; zrows is the number of rows they
 	// cover (== the table's row count whenever no write is in flight).
 	zones []zone
@@ -203,8 +208,11 @@ func (c *column) d8Rows() int {
 
 func newColumn(kind value.Kind) column {
 	c := column{kind: kind}
-	if kind == value.Text {
+	switch kind {
+	case value.Text:
 		c.dict = newDict()
+	case value.Int, value.Float, value.Date:
+		c.counts = make(map[uint64]int32)
 	}
 	if kind != value.Int && kind != value.Date {
 		c.forOff = true // frame-of-reference applies to Int/Date only
@@ -239,7 +247,6 @@ func (c *column) appendVal(v value.Value, row int) {
 		var x uint32
 		if !null {
 			x = c.dict.intern(v.Text())
-			c.dict.retain(x)
 		}
 		c.codes = append(c.codes, x)
 	case value.Date:
@@ -253,6 +260,7 @@ func (c *column) appendVal(v value.Value, row int) {
 	default:
 		panic(fmt.Sprintf("storage: column of kind %s", c.kind))
 	}
+	c.retainRow(row)
 	c.zoneExtend(row)
 }
 
@@ -283,9 +291,7 @@ func (c *column) value(i int) value.Value {
 // an updated row once the write completes.
 func (c *column) setVal(i int, v value.Value) {
 	null := v.IsNull()
-	if c.kind == value.Text && !c.nulls.get(i) {
-		c.dict.release(c.codes[i]) // the old string loses this row
-	}
+	c.releaseRow(i) // the old value loses this row
 	c.nulls.set(i, null)
 	if !null && v.Kind() != c.kind {
 		panic(fmt.Sprintf("storage: %s value stored into %s column", v.Kind(), c.kind))
@@ -307,9 +313,7 @@ func (c *column) setVal(i int, v value.Value) {
 		if null {
 			c.codes[i] = 0
 		} else {
-			x := c.dict.intern(v.Text())
-			c.dict.retain(x)
-			c.codes[i] = x
+			c.codes[i] = c.dict.intern(v.Text())
 		}
 	case value.Date:
 		if null {
@@ -320,15 +324,7 @@ func (c *column) setVal(i int, v value.Value) {
 	case value.Bool:
 		c.bls[i] = !null && v.Bool()
 	}
-}
-
-// releaseRow drops row i's dictionary reference ahead of its removal
-// (Delete path; no-op for non-text columns and NULL positions).
-func (c *column) releaseRow(i int) {
-	if c.kind != value.Text || c.nulls.get(i) {
-		return
-	}
-	c.dict.release(c.codes[i])
+	c.retainRow(i)
 }
 
 // moveRows slides rows [src, end) down to start at dst (Delete compaction;
@@ -369,109 +365,6 @@ func (c *column) truncate(n int) {
 	case value.Bool:
 		c.bls = c.bls[:n]
 	}
-}
-
-// minMax recomputes the column's bounds over rows [0, n) after a delete or
-// update invalidated them. When the zone maps cover exactly those rows the
-// bounds fold from ZoneRows-sized summaries instead of rescanning payloads;
-// otherwise a typed scan runs. Bounds cover the comparable values: NaN is
-// skipped (it compares as neither smaller nor larger), matching the
-// incremental statistics in stats.go.
-func (c *column) minMax(n int) (min, max value.Value) {
-	if n > 0 && c.zrows == n {
-		return c.minMaxZones()
-	}
-	return c.minMaxScan(n)
-}
-
-func (c *column) minMaxScan(n int) (min, max value.Value) {
-	min, max = value.NewNull(), value.NewNull()
-	switch c.kind {
-	case value.Int, value.Date:
-		first := true
-		var lo, hi int64
-		for i := 0; i < n; i++ {
-			if c.nulls.get(i) {
-				continue
-			}
-			x := c.ints[i]
-			if first {
-				lo, hi, first = x, x, false
-			} else if x < lo {
-				lo = x
-			} else if x > hi {
-				hi = x
-			}
-		}
-		if !first {
-			if c.kind == value.Int {
-				return value.NewInt(lo), value.NewInt(hi)
-			}
-			return value.NewDateDays(lo), value.NewDateDays(hi)
-		}
-	case value.Float:
-		first := true
-		var lo, hi float64
-		for i := 0; i < n; i++ {
-			if c.nulls.get(i) {
-				continue
-			}
-			x := c.flts[i]
-			if math.IsNaN(x) {
-				continue // incomparable; bounds describe the ordered values
-			}
-			if first {
-				lo, hi, first = x, x, false
-			} else if x < lo {
-				lo = x
-			} else if x > hi {
-				hi = x
-			}
-		}
-		if !first {
-			return value.NewFloat(lo), value.NewFloat(hi)
-		}
-	case value.Text:
-		first := true
-		var lo, hi string
-		for i := 0; i < n; i++ {
-			if c.nulls.get(i) {
-				continue
-			}
-			s := c.dict.strs[c.codes[i]]
-			if first {
-				lo, hi, first = s, s, false
-			} else if s < lo {
-				lo = s
-			} else if s > hi {
-				hi = s
-			}
-		}
-		if !first {
-			return value.NewText(lo), value.NewText(hi)
-		}
-	case value.Bool:
-		sawF, sawT := false, false
-		for i := 0; i < n; i++ {
-			if c.nulls.get(i) {
-				continue
-			}
-			if c.bls[i] {
-				sawT = true
-			} else {
-				sawF = true
-			}
-		}
-		switch {
-		case sawF && sawT:
-			return value.NewBool(false), value.NewBool(true)
-		case sawF:
-			return value.NewBool(false), value.NewBool(false)
-		case sawT:
-			return value.NewBool(true), value.NewBool(true)
-		}
-	}
-	return min, max
 }
 
 // Col is a read-only handle on one column vector, the engine's zero-copy

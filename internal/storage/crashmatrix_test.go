@@ -22,7 +22,7 @@ import (
 // matrixStep is one workload statement. Steps tagged checkpoint run only on
 // the durable database (the oracle has no log to fold).
 type matrixStep struct {
-	apply      func(t *testing.T, db *Database)
+	apply      func(t testing.TB, db *Database)
 	checkpoint bool
 }
 
@@ -35,7 +35,7 @@ type matrixStep struct {
 // through them.
 func matrixWorkload(rng *rand.Rand) []matrixStep {
 	var steps []matrixStep
-	add := func(f func(t *testing.T, db *Database)) {
+	add := func(f func(t testing.TB, db *Database)) {
 		steps = append(steps, matrixStep{apply: f})
 	}
 	names := []string{"lang", "allen", "besson", "varda", "kubrick"}
@@ -46,7 +46,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 		nullDate := rng.Intn(3) == 0
 		day := int64(rng.Intn(200) - 100)
 		nextDir++
-		add(func(t *testing.T, db *Database) {
+		add(func(t testing.TB, db *Database) {
 			bdate := value.NewNull()
 			if !nullDate {
 				bdate = value.NewDateDays(day)
@@ -62,7 +62,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 			base, did, year := nextMovie, rng.Intn(10), 1960+rng.Intn(60)
 			nullTitle := rng.Intn(4) == 0
 			nextMovie += 3
-			add(func(t *testing.T, db *Database) {
+			add(func(t testing.TB, db *Database) {
 				db.BeginBatch()
 				for j := 0; j < 3; j++ {
 					title := value.NewNull()
@@ -85,7 +85,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 			score := []float64{0.5, -1.25, 3e300, 0}[rng.Intn(4)]
 			fresh := rng.Intn(2) == 0
 			nextRating++
-			add(func(t *testing.T, db *Database) {
+			add(func(t testing.TB, db *Database) {
 				if err := db.Insert("RATINGS", Tuple{
 					value.NewInt(int64(id)), value.NewFloat(score),
 					value.NewBool(fresh), value.NewText(fmt.Sprintf("r%d", id%5)),
@@ -95,7 +95,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 			})
 		case 5: // delete by year band
 			lo := 1960 + rng.Intn(60)
-			add(func(t *testing.T, db *Database) {
+			add(func(t testing.TB, db *Database) {
 				if _, err := db.Delete("MOVIES", func(tup Tuple) bool {
 					return !tup[2].IsNull() && tup[2].Int() >= int64(lo) && tup[2].Int() < int64(lo+4)
 				}); err != nil {
@@ -104,7 +104,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 			})
 		case 6: // update titles
 			mod := int64(2 + rng.Intn(4))
-			add(func(t *testing.T, db *Database) {
+			add(func(t testing.TB, db *Database) {
 				if _, err := db.Update("MOVIES",
 					func(tup Tuple) bool { return tup[0].Int()%mod == 0 },
 					func(tup Tuple) Tuple {
@@ -119,7 +119,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 				}
 			})
 		case 7: // duplicate-key insert: fails, commits nothing
-			add(func(t *testing.T, db *Database) {
+			add(func(t testing.TB, db *Database) {
 				if err := db.Insert("DIRECTOR", Tuple{value.NewInt(0), value.NewText("dup"), value.NewNull()}); err == nil {
 					t.Fatal("duplicate director accepted")
 				}
@@ -128,7 +128,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 			base := nextMovie
 			nextMovie += 2
 			fail := rng.Intn(2) == 0
-			add(func(t *testing.T, db *Database) {
+			add(func(t testing.TB, db *Database) {
 				csv := fmt.Sprintf("id,title,year,did\n%d,csv-a,1970,1\n%d,csv-b,1971,2\n", base, base+1)
 				if fail {
 					csv += fmt.Sprintf("%d,csv-dup,1972,3\n", base) // duplicate pk
@@ -142,7 +142,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 				}
 			})
 		case 9: // update that trips NOT NULL midway: partial apply
-			add(func(t *testing.T, db *Database) {
+			add(func(t testing.TB, db *Database) {
 				hit := 0
 				_, err := db.Update("DIRECTOR",
 					func(tup Tuple) bool { return tup[0].Int()%4 == 1 },
@@ -162,7 +162,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 		case 10: // keyed update and delete by position, as the engine issues them
 			pick := rng.Intn(1 << 16)
 			year := int64(1960 + rng.Intn(60))
-			add(func(t *testing.T, db *Database) {
+			add(func(t testing.TB, db *Database) {
 				rows := db.Table("MOVIES").Len()
 				if rows < 2 {
 					return
@@ -185,7 +185,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 		case 11: // re-key two rows onto one fresh id: the second is refused
 			pick := rng.Intn(1 << 16)
 			fresh := int64(10_000 + i)
-			add(func(t *testing.T, db *Database) {
+			add(func(t testing.TB, db *Database) {
 				rows := db.Table("MOVIES").Len()
 				if rows < 2 {
 					return
@@ -203,7 +203,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 	}
 	// One secondary index mid-stream, then a little more churn after it.
 	steps = append(steps[:len(steps)/2],
-		append([]matrixStep{{apply: func(t *testing.T, db *Database) {
+		append([]matrixStep{{apply: func(t testing.TB, db *Database) {
 			if err := db.Table("MOVIES").CreateIndex("movies_did", "did"); err != nil {
 				t.Fatalf("create index: %v", err)
 			}

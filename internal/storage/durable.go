@@ -450,16 +450,7 @@ func (db *Database) replayWAL(fs wal.FS, ckData []byte, lastSeq uint64, appliedS
 // fails partway through replayBatch — rebuilding from scratch is O(log) but
 // only runs once, on the rare corrupt-record recovery.
 func (db *Database) rebuildPrefix(ckData []byte, records []wal.Record, lastSeq uint64) error {
-	fresh, err := NewDatabase(db.schema)
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	db.tables = fresh.tables
-	for _, t := range db.tables {
-		t.owner = db
-	}
-	db.mu.Unlock()
+	db.resetTables()
 	if ckData != nil {
 		if _, err := db.loadCheckpoint(ckData); err != nil {
 			return err

@@ -14,7 +14,7 @@ import (
 
 // durSchema extends the shared test schema with a relation covering Float
 // and Bool columns, so checkpoints serialize every value kind.
-func durSchema(t *testing.T) *catalog.Schema {
+func durSchema(t testing.TB) *catalog.Schema {
 	t.Helper()
 	s := testSchema(t)
 	if err := s.AddRelation(&catalog.Relation{
@@ -32,7 +32,7 @@ func durSchema(t *testing.T) *catalog.Schema {
 	return s
 }
 
-func newDurDB(t *testing.T) *Database {
+func newDurDB(t testing.TB) *Database {
 	t.Helper()
 	db, err := NewDatabase(durSchema(t))
 	if err != nil {

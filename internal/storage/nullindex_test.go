@@ -189,7 +189,7 @@ func TestCompositeIndexSeparatorCollision(t *testing.T) {
 }
 
 // TestStatsIncremental: row counts, distinct counts, and min/max follow
-// Insert incrementally and survive the Delete/Update rebuild.
+// Insert, and a Delete drops a value from the distinct count and the max.
 func TestStatsIncremental(t *testing.T) {
 	db := nullableSchema(t)
 	tbl := db.Table("T")

@@ -141,25 +141,13 @@ func (db *Database) LoadReplicatedCheckpoint(checkpoint []byte) (floor uint64, r
 	if db.dur != nil {
 		return 0, 0, errors.New("storage: replicated checkpoints load into in-memory followers only")
 	}
-	fresh, err := NewDatabase(db.schema)
-	if err != nil {
-		return 0, 0, err
-	}
-	db.mu.Lock()
-	db.tables = fresh.tables
-	for _, t := range db.tables {
-		t.owner = db
-	}
-	db.mu.Unlock()
+	db.resetTables()
 	floor, err = db.loadCheckpoint(checkpoint)
 	if err != nil {
 		return 0, 0, err
 	}
 	db.mu.Lock()
-	for _, t := range db.tables {
-		t.dirty = true
-	}
-	db.publishLocked(floor)
+	db.publishLocked(floor) // every table is fresh, hence dirty: all refreeze
 	db.mu.Unlock()
 	return floor, db.totalRows(), nil
 }

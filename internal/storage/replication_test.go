@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/value"
@@ -247,4 +248,66 @@ func TestRecoveryReportSeqRange(t *testing.T) {
 	if got := re.Snapshot().Seq(); got != 7 {
 		t.Fatalf("recovered snapshot at %d, want 7", got)
 	}
+}
+
+// fuzzRecordSeeds runs the crash-matrix workload on a durable primary,
+// checkpointing halfway, and returns that checkpoint and every record the
+// primary committed.
+func fuzzRecordSeeds(t testing.TB) (checkpoint []byte, records [][]byte) {
+	fs := wal.NewMemFS()
+	primary := newDurDB(t)
+	if _, err := primary.EnableDurability(fs, DurableOptions{CheckpointBytes: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.SetCommitSink(func(_ uint64, record []byte) {
+		records = append(records, append([]byte(nil), record...))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	steps := matrixWorkload(rand.New(rand.NewSource(42)))
+	for i, step := range steps {
+		if i == len(steps)/2 {
+			if err := primary.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			checkpoint = fs.Bytes(CheckpointFileName)
+		}
+		step.apply(t, primary)
+	}
+	return checkpoint, records
+}
+
+// FuzzApplyRecord feeds arbitrary record payloads through the WAL batch
+// decoder into a follower re-seeded from a checkpoint taken halfway through
+// the crash-matrix workload; the seeds are the records that workload
+// committed. Whatever the bytes: no panic; a refused record publishes no
+// version; after an accepted one every table's statistics — live and as
+// published — equal the oracle, its zones a from-scratch derivation, and its
+// indexes a rebuild.
+func FuzzApplyRecord(f *testing.F) {
+	checkpoint, records := fuzzRecordSeeds(f)
+	for _, rec := range records {
+		f.Add(rec)
+	}
+	f.Fuzz(func(t *testing.T, record []byte) {
+		follower := newDurDB(t)
+		follower.SetReadOnly(true)
+		if _, _, err := follower.LoadReplicatedCheckpoint(checkpoint); err != nil {
+			t.Fatal(err)
+		}
+		snap, published := follower.Snapshot(), follower.Published()
+		if _, _, err := follower.ApplyReplicatedRecord(record); err != nil {
+			if follower.Snapshot() != snap || follower.Published() != published {
+				t.Fatalf("refused record (%v) published a version", err)
+			}
+			return
+		}
+		for _, name := range follower.TableNames() {
+			tbl := follower.Table(name)
+			checkStats(t, tbl)
+			checkStats(t, follower.Snapshot().Table(name))
+			checkZones(t, tbl)
+			checkIndexesMatchRebuild(t, tbl, name)
+		}
+	})
 }

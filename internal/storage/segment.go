@@ -274,8 +274,8 @@ func (db *Database) loadSegment(payload []byte) error {
 	}
 
 	// Rebuild every piece of derived state from the loaded vectors: zones
-	// (and frame-of-reference deltas), primary key, secondary indexes, and
-	// statistics.
+	// (and frame-of-reference deltas, and with them the bounds and NULL counts
+	// the statistics read), primary key and secondary indexes.
 	for i := range tbl.cols {
 		tbl.cols[i].rebuildZonesFrom(0, n)
 	}
@@ -286,11 +286,6 @@ func (db *Database) loadSegment(payload []byte) error {
 		if err := tbl.addIndex(def.name, def.attrs); err != nil {
 			return fmt.Errorf("storage: checkpoint %s: %w", name, err)
 		}
-	}
-	scratch := make(Tuple, len(tbl.cols))
-	for i := 0; i < n; i++ {
-		tbl.CopyRow(scratch, i)
-		tbl.stats.add(scratch, &tbl.keyBuf)
 	}
 	return nil
 }
@@ -401,7 +396,6 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 				return fmt.Errorf("code %d outside dictionary of %d", code, dictLen)
 			}
 			c.codes[i] = uint32(code)
-			c.dict.retain(c.codes[i])
 		}
 		if ranked == 1 {
 			c.dict.ranked = true
@@ -422,5 +416,11 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 			c.bls[i] = packed[i>>3]&(1<<(uint(i)&7)) != 0
 		}
 	}
-	return d.err
+	if d.err != nil {
+		return d.err
+	}
+	for i := 0; i < rows; i++ {
+		c.retainRow(i) // dictionary references and distinct counts
+	}
+	return nil
 }

@@ -1,11 +1,15 @@
 package storage
 
-import (
-	"math"
+import "repro/internal/value"
 
-	"repro/internal/catalog"
-	"repro/internal/value"
-)
+// This file reads table statistics off state the columns already keep, so
+// every number has one copy: bounds fold from the zone maps (NaN excluded,
+// as the zones exclude it), the non-NULL count is the row count minus the
+// zones' NULL counts, a TEXT column's distinct count is its dictionary's
+// live-code count, and a BOOL column's follows from its bounds. Only INT,
+// DATE and FLOAT columns keep a count-map of their own — the numeric twin of
+// the dictionary's per-code references, maintained by the same column
+// writers (retainRow/releaseRow).
 
 // AttrStats summarizes one attribute for cardinality estimation.
 type AttrStats struct {
@@ -29,139 +33,10 @@ type TableStats struct {
 	Attrs []AttrStats
 }
 
-// tableStats is the live, incrementally maintained form. Insert adds, Delete
-// removes, Update does both for the attributes whose value changed (the
-// storage contract makes writers exclusive).
-// Distinct counts are exact: each attribute keeps a count-map from encoded
-// value to multiplicity, so removals can retire a value when its count hits
-// zero. Bounds are O(1) to extend on insert; a removal that touches the
-// current min/max just marks the attribute dirty, and Table.fixStatBounds
-// rescans only those columns after the write completes.
-type tableStats struct {
-	attrs []attrStat
-}
-
-type attrStat struct {
-	// counts maps encoded values (value.AppendKey) to their multiplicity;
-	// its size is the distinct count, read O(1).
-	counts   map[string]int
-	nonNull  int
-	min, max value.Value
-	// boundsDirty marks min/max as unreliable after a removal hit them.
-	boundsDirty bool
-}
-
-func (s *tableStats) init(rel *catalog.Relation) {
-	s.attrs = make([]attrStat, len(rel.Attributes))
-	for i := range s.attrs {
-		s.attrs[i].counts = make(map[string]int)
-	}
-}
-
-// add folds one inserted tuple into the statistics. keyBuf is the table's
-// writer-side scratch buffer.
-func (s *tableStats) add(tup Tuple, keyBuf *[]byte) {
-	for i := range s.attrs {
-		s.attrs[i].add(tup[i], keyBuf)
-	}
-}
-
-// remove subtracts one deleted tuple from the statistics.
-func (s *tableStats) remove(tup Tuple, keyBuf *[]byte) {
-	for i := range s.attrs {
-		s.attrs[i].remove(tup[i], keyBuf)
-	}
-}
-
-// add folds one stored value into the attribute's statistics.
-func (a *attrStat) add(v value.Value, keyBuf *[]byte) {
-	if v.IsNull() {
-		return
-	}
-	a.nonNull++
-	*keyBuf = v.AppendKey((*keyBuf)[:0])
-	a.counts[string(*keyBuf)]++
-	a.observeBounds(v)
-}
-
-// remove subtracts one deleted (or pre-update) value. Removing a value equal
-// to the current min or max invalidates that bound; the owning Table rescans
-// dirty columns once the write finishes.
-func (a *attrStat) remove(v value.Value, keyBuf *[]byte) {
-	if v.IsNull() {
-		return
-	}
-	a.nonNull--
-	*keyBuf = v.AppendKey((*keyBuf)[:0])
-	if n, ok := a.counts[string(*keyBuf)]; ok {
-		if n <= 1 {
-			delete(a.counts, string(*keyBuf))
-		} else {
-			a.counts[string(*keyBuf)] = n - 1
-		}
-	}
-	if isNaN(v) {
-		// NaN never enters the bounds (observeBounds skips it), so removing
-		// one cannot invalidate them. value.Equal would also miss it — NaN !=
-		// NaN — which used to leave stale NaN bounds behind when a NaN
-		// arrived first.
-		return
-	}
-	if !a.boundsDirty && (v.Equal(a.min) || v.Equal(a.max)) {
-		a.boundsDirty = true
-	}
-}
-
-// isNaN reports whether v is a float NaN — incomparable, so it is excluded
-// from min/max bounds everywhere (incremental add/remove, minMax rescans, and
-// zone maps all agree on this).
-func isNaN(v value.Value) bool {
-	return v.Kind() == value.Float && math.IsNaN(v.Float())
-}
-
-func (a *attrStat) observeBounds(v value.Value) {
-	if a.boundsDirty {
-		return // a pending rescan will see this value too
-	}
-	if isNaN(v) {
-		return // incomparable; bounds describe the ordered values
-	}
-	if a.min.IsNull() {
-		a.min, a.max = v, v
-		return
-	}
-	// Columns are typed, so comparisons against same-kind bounds cannot
-	// fail; a failure would mean corrupted bounds — rescan to recover.
-	if c, err := v.Compare(a.min); err != nil {
-		a.boundsDirty = true
-		return
-	} else if c < 0 {
-		a.min = v
-	}
-	if c, err := v.Compare(a.max); err != nil {
-		a.boundsDirty = true
-	} else if c > 0 {
-		a.max = v
-	}
-}
-
-// fixStatBounds rescans the column vector of every attribute whose bounds a
-// removal invalidated. Called once per Delete/Update, after the rows moved.
-func (t *Table) fixStatBounds() {
-	for i := range t.stats.attrs {
-		a := &t.stats.attrs[i]
-		if !a.boundsDirty {
-			continue
-		}
-		a.min, a.max = t.cols[i].minMax(t.rows)
-		a.boundsDirty = false
-	}
-}
-
 // Stats returns a snapshot of the table's statistics. A frozen snapshot view
-// returns the statistics captured at its freeze point; the live table builds
-// them from the incrementally maintained counters (safe under the storage
-// contract — writers are exclusive).
+// returns the statistics captured at its freeze point (the numeric count-maps
+// are live); the live table derives them from its columns, whose zones cover
+// exactly its rows after every storage call.
 func (t *Table) Stats() TableStats {
 	if t.statsView != nil {
 		return *t.statsView
@@ -169,16 +44,67 @@ func (t *Table) Stats() TableStats {
 	out := TableStats{
 		Rows:  t.rows,
 		Zones: (t.rows + ZoneRows - 1) / ZoneRows,
-		Attrs: make([]AttrStats, len(t.stats.attrs)),
+		Attrs: make([]AttrStats, len(t.cols)),
 	}
-	for i := range t.stats.attrs {
-		a := &t.stats.attrs[i]
-		out.Attrs[i] = AttrStats{
-			NonNull:  a.nonNull,
-			Distinct: len(a.counts),
-			Min:      a.min,
-			Max:      a.max,
-		}
+	for i := range t.cols {
+		out.Attrs[i] = t.cols[i].stats(t.rows)
 	}
 	return out
+}
+
+// stats derives one attribute's statistics; rows is the table's row count,
+// which the zones cover.
+func (c *column) stats(rows int) AttrStats {
+	a := AttrStats{NonNull: rows}
+	for z := range c.zones {
+		a.NonNull -= int(c.zones[z].nulls)
+	}
+	a.Min, a.Max = c.minMaxZones()
+	switch c.kind {
+	case value.Text:
+		a.Distinct = c.dict.live
+	case value.Bool:
+		if !a.Min.IsNull() {
+			a.Distinct = 1
+			if !a.Min.Equal(a.Max) {
+				a.Distinct = 2
+			}
+		}
+	default:
+		a.Distinct = len(c.counts)
+	}
+	return a
+}
+
+// retainRow notes that row i's stored value is live: a text row holds its
+// dictionary code, a numeric row counts once more under its value.Key64.
+// Writers call it after storing the payload and the null bit.
+func (c *column) retainRow(i int) {
+	if c.nulls.get(i) {
+		return
+	}
+	switch c.kind {
+	case value.Text:
+		c.dict.retain(c.codes[i])
+	case value.Int, value.Float, value.Date:
+		c.counts[c.value(i).Key64()]++
+	}
+}
+
+// releaseRow undoes retainRow ahead of row i's removal or overwrite.
+func (c *column) releaseRow(i int) {
+	if c.nulls.get(i) {
+		return
+	}
+	switch c.kind {
+	case value.Text:
+		c.dict.release(c.codes[i])
+	case value.Int, value.Float, value.Date:
+		k := c.value(i).Key64()
+		if c.counts[k] <= 1 {
+			delete(c.counts, k)
+		} else {
+			c.counts[k]--
+		}
+	}
 }

@@ -87,10 +87,6 @@ type Table struct {
 	pkPos []int
 	// secondary maps index name -> (value key -> row positions).
 	secondary map[string]*hashIndex
-	// stats carries per-attribute statistics, maintained incrementally on
-	// Insert, Delete, and Update (bounds are rescanned only when a removed
-	// value touched them).
-	stats tableStats
 	// keyBuf is writer-side scratch for key encoding; writers are exclusive
 	// per the storage contract, readers never touch it.
 	keyBuf []byte
@@ -100,8 +96,8 @@ type Table struct {
 	// frozen row count. The pointer is shared across freezes.
 	idxMu *sync.RWMutex
 	// frozen marks an immutable snapshot view (see snapshot.go); statsView is
-	// its point-in-time statistics. Live tables compute Stats() from the
-	// incrementally maintained tableStats instead.
+	// its point-in-time statistics. Live tables derive Stats() from their
+	// columns instead (stats.go).
 	frozen    bool
 	statsView *TableStats
 	// shared marks that the live vectors are referenced by a published
@@ -450,7 +446,6 @@ func (db *Database) addTable(r *catalog.Relation) *Table {
 	for i, a := range r.Attributes {
 		tbl.cols[i] = newColumn(value.CatalogKind(a.Type))
 	}
-	tbl.stats.init(r)
 	if len(r.PrimaryKey) > 0 {
 		tbl.pkPos = make([]int, len(r.PrimaryKey))
 		for i, k := range r.PrimaryKey {
@@ -460,6 +455,18 @@ func (db *Database) addTable(r *catalog.Relation) *Table {
 	tbl.dirty = true
 	db.tables[strings.ToLower(r.Name)] = tbl
 	return tbl
+}
+
+// resetTables replaces every table with an empty, dirty one — the schema-only
+// state a checkpoint loads into, for a follower re-seed and for recovery's
+// rebuild of a known-good prefix. Published versions keep the old tables.
+func (db *Database) resetTables() {
+	db.mu.Lock()
+	db.tables = make(map[string]*Table, len(db.tables))
+	for _, r := range db.schema.Relations() {
+		db.addTable(r)
+	}
+	db.mu.Unlock()
 }
 
 // DetachedTable loads rows into a table of rel that belongs to no database —
@@ -601,9 +608,8 @@ func (db *Database) insertLocked(relName string, tup Tuple) error {
 		tbl.cols[i].appendVal(tup[i], tbl.rows)
 	}
 	tbl.rows++
-	tbl.stats.add(tup, &tbl.keyBuf)
-	// Zone maps were extended incrementally by appendVal; sorted-dict ranks
-	// rebuild lazily on the next ranked read, so bulk loads stay linear.
+	// appendVal extended the zone maps and the distinct counts; sorted-dict
+	// ranks rebuild lazily on the next ranked read, so bulk loads stay linear.
 	tbl.dirty = true
 	if db.dur != nil {
 		db.dur.logInsert(r.Name, tup)
@@ -711,10 +717,9 @@ func (db *Database) Delete(relName string, pred func(Tuple) bool) (int, error) {
 // DeleteAt removes the rows of relName at the given strictly ascending
 // positions — the shape the engine's planned WHERE produces and the WAL
 // records — in time proportional to the rows removed plus the rows behind the
-// first one, which shift down. Statistics are decremented incrementally
-// (bounds rescanned only when a removed value touched them), indexes are
-// patched for the removed and the shifted rows, and zone maps rebuild from the
-// first removed row's zone.
+// first one, which shift down. The removed rows' values leave the distinct
+// counts, indexes are patched for the removed and the shifted rows, and zone
+// maps rebuild from the first removed row's zone.
 func (db *Database) DeleteAt(relName string, positions []int) (int, error) {
 	return db.write(relName, func(tbl *Table) (int, error) {
 		return db.deleteAtLocked(tbl, positions)
@@ -784,10 +789,7 @@ func (db *Database) deleteAtLocked(tbl *Table, positions []int) (int, error) {
 	// First in-place mutation of a possibly-shared table: unshare the vectors
 	// so frozen snapshot readers keep the originals.
 	tbl.prepareMutate()
-	scratch := make(Tuple, len(tbl.cols))
 	for _, p := range positions {
-		tbl.CopyRow(scratch, p)
-		tbl.stats.remove(scratch, &tbl.keyBuf)
 		for j := range tbl.cols {
 			tbl.cols[j].releaseRow(p)
 		}
@@ -811,7 +813,6 @@ func (db *Database) deleteAtLocked(tbl *Table, positions []int) (int, error) {
 	}
 	tbl.rows = w
 	tbl.finishWrite(positions[0])
-	tbl.fixStatBounds() // after finishWrite: minMax folds the fresh zones
 	tbl.dirty = true
 	if db.dur != nil {
 		db.dur.logDelete(tbl.rel.Name, positions)
@@ -831,14 +832,13 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 	var applied []updatedRow
 	var zones []int // ascending zones holding a replaced row
 	colChanged := make([]bool, len(tbl.cols))
-	// Zones and bounds are refreshed even when a constraint aborts the loop
-	// midway: earlier rows were already updated.
+	// Zones are refreshed even when a constraint aborts the loop midway:
+	// earlier rows were already updated.
 	defer func() {
 		if len(applied) == 0 {
 			return
 		}
 		tbl.finishUpdate(zones, colChanged)
-		tbl.fixStatBounds() // after finishUpdate: minMax folds the fresh zones
 		tbl.dirty = true
 		if db.dur != nil {
 			db.dur.logUpdate(r.Name, applied)
@@ -877,8 +877,6 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 			// so frozen snapshot readers keep the originals.
 			tbl.prepareMutate()
 			tbl.cols[j].setVal(i, repl[j])
-			tbl.stats.attrs[j].remove(old[j], &tbl.keyBuf)
-			tbl.stats.attrs[j].add(repl[j], &tbl.keyBuf)
 			colChanged[j] = true
 		}
 		if z := i >> ZoneShift; len(zones) == 0 || zones[len(zones)-1] != z {
@@ -1179,10 +1177,7 @@ func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
 	if tbl.rows <= start {
 		return
 	}
-	scratch := make(Tuple, len(tbl.cols))
 	for i := start; i < tbl.rows; i++ {
-		tbl.CopyRow(scratch, i)
-		tbl.stats.remove(scratch, &tbl.keyBuf)
 		for j := range tbl.cols {
 			tbl.cols[j].releaseRow(i)
 		}
@@ -1193,7 +1188,6 @@ func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
 	tbl.rows = start
 	_ = tbl.rebuildIndexes() // a prefix of rows with distinct keys keeps them distinct
 	tbl.finishWrite(start)
-	tbl.fixStatBounds()
 	tbl.dirty = true
 }
 
@@ -1259,8 +1253,8 @@ func (db *Database) Stats() map[string]int {
 }
 
 // DistinctCount returns the number of distinct non-NULL values in the named
-// attribute, used by cardinality estimation. It is O(1): the count is read
-// from the incrementally maintained table statistics.
+// attribute, used by cardinality estimation — the Distinct that Stats
+// derives, for one column.
 func (db *Database) DistinctCount(relName, attr string) (int, error) {
 	tbl := db.Table(relName)
 	if tbl == nil {
@@ -1270,5 +1264,5 @@ func (db *Database) DistinctCount(relName, attr string) (int, error) {
 	if p < 0 {
 		return 0, fmt.Errorf("storage: unknown attribute %s.%s", relName, attr)
 	}
-	return len(tbl.stats.attrs[p].counts), nil
+	return tbl.cols[p].stats(tbl.rows).Distinct, nil
 }

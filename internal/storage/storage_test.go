@@ -12,7 +12,7 @@ import (
 
 // testSchema is a two-relation schema with a foreign key, enough to exercise
 // all constraint paths.
-func testSchema(t *testing.T) *catalog.Schema {
+func testSchema(t testing.TB) *catalog.Schema {
 	t.Helper()
 	s := catalog.NewSchema("test")
 	must := func(err error) {

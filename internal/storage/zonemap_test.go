@@ -215,10 +215,61 @@ func checkZones(t *testing.T, tbl *Table) {
 	}
 }
 
-// checkStats verifies the incrementally maintained statistics against a
-// from-scratch rebuild over the live rows: exact non-null and distinct
-// counts, and min/max bounds over the comparable values (NaN excluded, -0.0
-// equal to +0.0).
+// oracleStats derives every attribute's statistics from the rows alone — the
+// one statistics oracle: exact non-NULL counts, distinct counts under
+// value.AppendKey's identity, and bounds over the comparable values (NaN
+// excluded) ordered within the column's kind, so ints compare as ints.
+func oracleStats(tbl *Table) []AttrStats {
+	out := make([]AttrStats, len(tbl.cols))
+	var buf []byte
+	for p := range tbl.cols {
+		col := tbl.Col(p)
+		a := &out[p]
+		a.Min, a.Max = value.NewNull(), value.NewNull()
+		distinct := map[string]bool{}
+		for i := 0; i < tbl.Len(); i++ {
+			if col.Null(i) {
+				continue
+			}
+			v := col.Value(i)
+			a.NonNull++
+			buf = v.AppendKey(buf[:0])
+			distinct[string(buf)] = true
+			if v.Kind() == value.Float && math.IsNaN(v.Float()) {
+				continue
+			}
+			if a.Min.IsNull() || kindLess(v, a.Min) {
+				a.Min = v
+			}
+			if a.Max.IsNull() || kindLess(a.Max, v) {
+				a.Max = v
+			}
+		}
+		a.Distinct = len(distinct)
+	}
+	return out
+}
+
+// kindLess orders two non-NULL values of one kind. value.Compare orders ints
+// by their float64 images, which cannot tell 2^53 from 2^53+1.
+func kindLess(a, b value.Value) bool {
+	if a.Kind() == value.Int {
+		return a.Int() < b.Int()
+	}
+	c, _ := a.Compare(b)
+	return c < 0
+}
+
+// sameBound reports whether two bounds are the same value (-0.0 and +0.0 are).
+func sameBound(a, b value.Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return a.IsNull() == b.IsNull()
+	}
+	return a.Equal(b)
+}
+
+// checkStats holds tbl.Stats() — a live table's derivation or a frozen view's
+// captured statistics — to the oracle over the rows the table shows.
 func checkStats(t *testing.T, tbl *Table) {
 	t.Helper()
 	got := tbl.Stats()
@@ -228,50 +279,16 @@ func checkStats(t *testing.T, tbl *Table) {
 	if want := (tbl.Len() + ZoneRows - 1) / ZoneRows; got.Zones != want {
 		t.Fatalf("stats zones %d, want %d", got.Zones, want)
 	}
-	var buf []byte
-	for p := range tbl.cols {
-		col := tbl.Col(p)
-		nonNull := 0
-		distinct := map[string]bool{}
-		min, max := value.NewNull(), value.NewNull()
-		for i := 0; i < tbl.Len(); i++ {
-			if col.Null(i) {
-				continue
-			}
-			v := col.Value(i)
-			nonNull++
-			buf = v.AppendKey(buf[:0])
-			distinct[string(buf)] = true
-			if isNaN(v) {
-				continue
-			}
-			if min.IsNull() {
-				min, max = v, v
-				continue
-			}
-			if c, err := v.Compare(min); err != nil {
-				t.Fatal(err)
-			} else if c < 0 {
-				min = v
-			}
-			if c, err := v.Compare(max); err != nil {
-				t.Fatal(err)
-			} else if c > 0 {
-				max = v
-			}
-		}
+	for p, want := range oracleStats(tbl) {
 		a := got.Attrs[p]
-		if a.NonNull != nonNull {
-			t.Fatalf("attr %d: NonNull %d, want %d", p, a.NonNull, nonNull)
+		if a.NonNull != want.NonNull {
+			t.Fatalf("attr %d: NonNull %d, want %d", p, a.NonNull, want.NonNull)
 		}
-		if a.Distinct != len(distinct) {
-			t.Fatalf("attr %d: Distinct %d, want %d", p, a.Distinct, len(distinct))
+		if a.Distinct != want.Distinct {
+			t.Fatalf("attr %d: Distinct %d, want %d", p, a.Distinct, want.Distinct)
 		}
-		if a.Min.IsNull() != min.IsNull() || (!min.IsNull() && !a.Min.Equal(min)) {
-			t.Fatalf("attr %d: Min %v, want %v", p, a.Min, min)
-		}
-		if a.Max.IsNull() != max.IsNull() || (!max.IsNull() && !a.Max.Equal(max)) {
-			t.Fatalf("attr %d: Max %v, want %v", p, a.Max, max)
+		if !sameBound(a.Min, want.Min) || !sameBound(a.Max, want.Max) {
+			t.Fatalf("attr %d: bounds [%v,%v], want [%v,%v]", p, a.Min, a.Max, want.Min, want.Max)
 		}
 	}
 }
@@ -355,49 +372,138 @@ func TestStatsNaNBounds(t *testing.T) {
 	}
 }
 
-// TestStatsRemoveRescanTriggers pins exactly which removals mark bounds
-// dirty: NULL values and NaN never do (no rescan), a value equal to a bound
-// does — including a -0.0 removal against a +0.0 bound.
-func TestStatsRemoveRescanTriggers(t *testing.T) {
-	rel := zoneSchema(t).Relations()[0]
-	mk := func(f value.Value) Tuple {
-		return Tuple{value.NewNull(), f, value.NewNull(), value.NewNull(), value.NewNull()}
+// TestStatsEdgeCases walks the cases duplicated bounds bookkeeping once got
+// wrong, holding the live table and the published snapshot to the oracle
+// after every statement: a NaN arriving first, both zero signs, an UPDATE and
+// a DELETE taking away the sole max and min, NULL-only and NaN removals, an
+// all-NULL column, a BOOL column losing one of its values, ints at 2^53 and
+// 2^53+1 (one key under value.AppendKey, two bounds), TEXT across dictionary
+// compaction, and a pinned snapshot's statistics after later writes.
+func TestStatsEdgeCases(t *testing.T) {
+	db, tbl := newZoneDB(t)
+	null := value.NewNull()
+	row := func(i int64, f float64, s string, b bool) Tuple {
+		return Tuple{value.NewInt(i), value.NewFloat(f), value.NewText(s), null, value.NewBool(b)}
 	}
-	var st tableStats
-	st.init(rel)
-	var buf []byte
-	st.add(mk(value.NewFloat(1)), &buf)
-	st.add(mk(value.NewFloat(9)), &buf)
-	st.add(mk(value.NewFloat(math.NaN())), &buf)
-	st.add(mk(value.NewNull()), &buf)
+	attr := func(p int) AttrStats { return tbl.Stats().Attrs[p] }
+	check := func(t *testing.T) {
+		t.Helper()
+		checkStats(t, tbl)
+		checkStats(t, db.Snapshot().Table("Z"))
+	}
+	insert := func(t *testing.T, tups ...Tuple) {
+		t.Helper()
+		for _, tup := range tups {
+			if err := db.Insert("Z", tup); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	where := func(t *testing.T, pred func(Tuple) bool, set func(Tuple) Tuple) {
+		t.Helper()
+		var err error
+		if set == nil {
+			_, err = db.Delete("Z", pred)
+		} else {
+			_, err = db.Update("Z", pred, set)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := func(i int64) func(Tuple) bool {
+		return func(tup Tuple) bool { return !tup[0].IsNull() && tup[0].Int() == i }
+	}
+	floatIs := func(t *testing.T, a AttrStats, lo, hi float64, distinct int) {
+		t.Helper()
+		if !sameBound(a.Min, value.NewFloat(lo)) || !sameBound(a.Max, value.NewFloat(hi)) || a.Distinct != distinct {
+			t.Fatalf("f stats [%v,%v] distinct %d, want [%v,%v] distinct %d", a.Min, a.Max, a.Distinct, lo, hi, distinct)
+		}
+	}
 
-	st.remove(mk(value.NewNull()), &buf)
-	if st.attrs[1].boundsDirty {
-		t.Fatal("NULL-only removal marked bounds dirty")
-	}
-	st.remove(mk(value.NewFloat(math.NaN())), &buf)
-	if st.attrs[1].boundsDirty {
-		t.Fatal("NaN removal marked bounds dirty")
-	}
-	st.remove(mk(value.NewFloat(5)), &buf)
-	if st.attrs[1].boundsDirty {
-		t.Fatal("interior removal marked bounds dirty")
-	}
-	// -0.0 equals +0.0 under value.Equal, so removing it against a +0.0
-	// bound must trigger the rescan.
-	var st2 tableStats
-	st2.init(rel)
-	st2.add(mk(value.NewFloat(0)), &buf)
-	st2.add(mk(value.NewFloat(9)), &buf)
-	st2.remove(mk(value.NewFloat(math.Copysign(0, -1))), &buf)
-	if !st2.attrs[1].boundsDirty {
-		t.Fatal("-0.0 removal against +0.0 minimum did not mark bounds dirty")
-	}
-	st2.attrs[1].boundsDirty = false
-	st2.remove(mk(value.NewFloat(9)), &buf)
-	if !st2.attrs[1].boundsDirty {
-		t.Fatal("max removal did not mark bounds dirty")
-	}
+	t.Run("nan-first", func(t *testing.T) {
+		insert(t, row(1, math.NaN(), "b", true), row(2, 5, "a", false))
+		check(t)
+		floatIs(t, attr(1), 5, 5, 2)
+	})
+	t.Run("both-zero-signs", func(t *testing.T) {
+		insert(t, row(3, math.Copysign(0, -1), "c", true), row(4, 0, "c", true))
+		check(t)
+		floatIs(t, attr(1), 0, 5, 3) // NaN, 5 and one zero
+	})
+	t.Run("update-removes-sole-max", func(t *testing.T) {
+		where(t, id(2), func(tup Tuple) Tuple { tup[1] = value.NewFloat(1); return tup })
+		check(t)
+		floatIs(t, attr(1), 0, 1, 3)
+	})
+	t.Run("delete-removes-sole-min-and-the-nan", func(t *testing.T) {
+		where(t, id(1), nil)
+		check(t)
+		if a := attr(0); a.Min.Int() != 2 {
+			t.Fatalf("i min %v after deleting the sole 1, want 2", a.Min)
+		}
+		floatIs(t, attr(1), 0, 1, 2)
+	})
+	t.Run("delete-one-zero-sign", func(t *testing.T) {
+		where(t, id(3), nil)
+		check(t)
+		floatIs(t, attr(1), 0, 1, 2)
+	})
+	t.Run("null-only-removal", func(t *testing.T) {
+		insert(t, Tuple{null, null, null, null, null})
+		where(t, func(tup Tuple) bool { return tup[0].IsNull() }, nil)
+		check(t)
+	})
+	t.Run("all-null-column", func(t *testing.T) {
+		if a := attr(3); a.NonNull != 0 || a.Distinct != 0 || !a.Min.IsNull() || !a.Max.IsNull() {
+			t.Fatalf("all-NULL d stats %+v", a)
+		}
+	})
+	t.Run("bool-loses-a-value", func(t *testing.T) {
+		if a := attr(4); a.Distinct != 2 {
+			t.Fatalf("b distinct %d with both values present, want 2", a.Distinct)
+		}
+		where(t, func(tup Tuple) bool { return tup[4].Bool() }, nil)
+		check(t)
+		if a := attr(4); a.Distinct != 1 || a.Max.Bool() {
+			t.Fatalf("b stats %+v after deleting every true, want only false", a)
+		}
+	})
+	t.Run("ints-at-2^53", func(t *testing.T) {
+		insert(t, row(1<<53, 2, "d", true), row(1<<53+1, 2, "d", true))
+		check(t)
+		if a := attr(0); a.Distinct != 2 || a.Max.Int() != 1<<53+1 {
+			t.Fatalf("i stats %+v, want distinct 2 (2 and one key for 2^53, 2^53+1) and max 2^53+1", a)
+		}
+		where(t, id(1<<53+1), nil)
+		check(t)
+		if a := attr(0); a.Distinct != 2 || a.Max.Int() != 1<<53 {
+			t.Fatalf("i stats %+v after deleting 2^53+1, want distinct 2 and max 2^53", a)
+		}
+	})
+	t.Run("text-across-compaction", func(t *testing.T) {
+		for k := int64(0); k < 2*dictCompactMin; k++ {
+			insert(t, row(100+k, 3, fmt.Sprintf("unique-%03d", k), false))
+		}
+		check(t)
+		before := tbl.Col(2).DictLen()
+		where(t, func(tup Tuple) bool { return tup[0].Int() >= 100 }, func(tup Tuple) Tuple { tup[2] = value.NewText("a"); return tup })
+		if after := tbl.Col(2).DictLen(); after >= before {
+			t.Fatalf("dictionary of %d entries did not compact (%d before)", after, before)
+		}
+		check(t)
+	})
+	t.Run("pinned-snapshot-after-writes", func(t *testing.T) {
+		view := db.Snapshot().Table("Z")
+		want := view.Stats()
+		where(t, func(Tuple) bool { return true }, nil)
+		insert(t, row(7, math.NaN(), "q", true))
+		check(t)
+		checkStats(t, view)
+		if got := view.Stats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pinned snapshot's stats moved with later writes:\n%+v\nwant\n%+v", got, want)
+		}
+	})
 }
 
 // TestBitmapBoundaries exhaustively exercises set/truncate/get around word
@@ -639,8 +745,9 @@ func TestFrameOfReference(t *testing.T) {
 	checkZones(t, tbl)
 }
 
-// TestMinMaxZoneFold checks that the zone-folding minMax agrees with the
-// typed scan on every kind, including NaN-bearing floats.
+// TestMinMaxZoneFold checks that the zone fold the statistics read their
+// bounds from agrees with the oracle on every kind, NaN-bearing floats
+// included.
 func TestMinMaxZoneFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	db, tbl := newZoneDB(t)
@@ -649,18 +756,10 @@ func TestMinMaxZoneFold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for p := range tbl.cols {
-		c := &tbl.cols[p]
-		zlo, zhi := c.minMaxZones()
-		slo, shi := c.minMaxScan(tbl.Len())
-		eq := func(a, b value.Value) bool {
-			if a.IsNull() != b.IsNull() {
-				return false
-			}
-			return a.IsNull() || a.Equal(b)
-		}
-		if !eq(zlo, slo) || !eq(zhi, shi) {
-			t.Fatalf("col %d: zone fold [%v,%v] vs scan [%v,%v]", p, zlo, zhi, slo, shi)
+	for p, want := range oracleStats(tbl) {
+		lo, hi := tbl.cols[p].minMaxZones()
+		if !sameBound(lo, want.Min) || !sameBound(hi, want.Max) {
+			t.Fatalf("col %d: zone fold [%v,%v], oracle [%v,%v]", p, lo, hi, want.Min, want.Max)
 		}
 	}
 }

@@ -92,3 +92,26 @@ func TestDateEpochDayRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestKey64IsAppendKeyWord pins Key64 to the word AppendKey writes after its
+// tag byte, so a count-map keyed by Key64 counts exactly the values AppendKey
+// tells apart: 2^53 and 2^53+1 as one, -0 as +0, NaN payloads apart.
+func TestKey64IsAppendKeyWord(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	for _, v := range []Value{
+		NewInt(0), NewInt(-7), NewInt(1 << 53), NewInt(1<<53 + 1), NewInt(math.MinInt64),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(2.5), NewFloat(math.Inf(-1)),
+		NewFloat(nan1), NewFloat(nan2), NewDateDays(0), NewDateDays(-4000), NewDateDays(12345),
+	} {
+		key := v.AppendKey(nil)
+		if got, want := v.Key64(), binary.BigEndian.Uint64(key[1:]); len(key) != 9 || got != want {
+			t.Errorf("%v: Key64 %#x, AppendKey %x", v, got, key)
+		}
+	}
+	if NewInt(1<<53).Key64() != NewInt(1<<53+1).Key64() || NewFloat(math.Copysign(0, -1)).Key64() != NewFloat(0).Key64() {
+		t.Error("values AppendKey encodes alike got different Key64s")
+	}
+	if NewFloat(nan1).Key64() == NewFloat(nan2).Key64() {
+		t.Error("NaN payloads share a Key64")
+	}
+}

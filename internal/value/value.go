@@ -320,17 +320,14 @@ func (v Value) AppendKey(buf []byte) []byte {
 	switch v.kind {
 	case Null:
 		return append(buf, 'n')
-	case Int:
-		return appendFloatKey(buf, float64(v.i))
-	case Float:
-		return appendFloatKey(buf, v.f)
+	case Int, Float:
+		return binary.BigEndian.AppendUint64(append(buf, 'f'), v.Key64())
 	case Text:
 		buf = append(buf, 't')
 		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
 		return append(buf, v.s...)
 	case Date:
-		buf = append(buf, 'd')
-		return binary.BigEndian.AppendUint64(buf, uint64(v.i*secondsPerDay))
+		return binary.BigEndian.AppendUint64(append(buf, 'd'), v.Key64())
 	case Bool:
 		if v.i != 0 {
 			return append(buf, 'B')
@@ -341,12 +338,28 @@ func (v Value) AppendKey(buf []byte) []byte {
 	}
 }
 
-func appendFloatKey(buf []byte, f float64) []byte {
+// Key64 is the fixed-width word AppendKey encodes for an Int, Float or Date
+// value, so two values of one of those kinds share a Key64 exactly when
+// AppendKey encodes them alike: ints by their float64 image (2^53 and 2^53+1
+// are one key), -0 folded into +0, NaN payloads kept apart. Storage counts
+// distinct numeric values by it. Other kinds return 0.
+func (v Value) Key64() uint64 {
+	switch v.kind {
+	case Int:
+		return floatKey(float64(v.i))
+	case Float:
+		return floatKey(v.f)
+	case Date:
+		return uint64(v.i * secondsPerDay)
+	}
+	return 0
+}
+
+func floatKey(f float64) uint64 {
 	if f == 0 {
 		f = 0 // collapse -0 and +0, which Equal treats as the same value
 	}
-	buf = append(buf, 'f')
-	return binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
+	return math.Float64bits(f)
 }
 
 // CatalogKind maps a catalog attribute type to the value kind it stores.

@@ -76,7 +76,7 @@
 // Update and Delete are a scan for positions in front of the same code, and
 // WAL replay calls the positional forms with the positions it logged). An
 // UPDATE copies the vectors once when a published snapshot still shares them,
-// rewrites only changed attributes and their statistics, patches only the
+// rewrites only changed attributes and their distinct counts, patches only the
 // indexes whose key changed (none at all for a non-key update), and rebuilds
 // only the zones holding a replaced row. A DELETE slides the rows behind the
 // first removed one down as blocks, copies the indexes once — frozen snapshot
@@ -94,10 +94,10 @@
 // # The query planner
 //
 // Every SELECT is planned before execution (internal/planner): per-table
-// statistics — row counts, per-attribute distinct counts, min/max, kept on
-// the column vectors and maintained incrementally by the storage layer on
-// every insert, delete, and update — drive selectivity estimates, greedy
-// join reordering by
+// statistics — row counts, per-attribute distinct counts, min/max, read off
+// the columns: bounds and NULL counts from the zone maps, TEXT distinct
+// counts from the dictionaries, numeric ones from a per-column count-map —
+// drive selectivity estimates, greedy join reordering by
 // estimated output cardinality, and per-step access-path choice between a
 // full scan, a primary-key probe, a secondary-index probe, a hash join, a
 // primary-key join, and an index-nested-loop join. Plans execute over flat
