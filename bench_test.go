@@ -486,14 +486,13 @@ func BenchmarkX10PlannerScan(b *testing.B) {
 }
 
 // BenchmarkX11GroupedAggregate measures grouped aggregation over the 100k
-// corpus two ways: the planned pipeline (which takes the fused
-// vectorized-aggregation path: typed accumulators straight off the column
-// vectors, no joined-row materialization) and the streaming grouped pipeline
-// (vec disabled: slot readers over arena rows). The planned variant's allocs
-// and bytes are gated in benchgate (tracked in BENCH_5.json; the acceptance
-// floor is ≥ 4x fewer bytes/op than the BENCH_4.json streaming recording).
-// The interpreter's env+map path, once a third variant, is a test oracle now;
-// its last numbers are in BENCH_4/5.json.
+// corpus on the planned pipeline, which takes the fused vectorized-aggregation
+// path: typed accumulators straight off the column vectors, no joined-row
+// materialization. Its allocs and bytes are gated in benchgate (tracked in
+// BENCH_5.json; the acceptance floor is ≥ 4x fewer bytes/op than the
+// BENCH_4.json streaming recording). The streaming and interpreter variants
+// it once ran beside are test-only executions now; their last numbers are in
+// BENCH_4/5.json.
 func BenchmarkX11GroupedAggregate(b *testing.B) {
 	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
 		Seed: 17, Movies: 100000, Actors: 25000, Directors: 1001,
@@ -508,26 +507,19 @@ from MOVIES m, GENRE g where m.id = g.mid group by g.genre having count(*) > 10`
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		vec  bool
-	}{{"planned", true}, {"streaming", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng.SetVecAggEnabled(mode.vec)
-			defer eng.SetVecAggEnabled(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Select(sel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) == 0 {
-					b.Fatal("no groups")
-				}
+	b.Run("planned", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Select(sel)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if len(res.Rows) == 0 {
+				b.Fatal("no groups")
+			}
+		}
+	})
 }
 
 // BenchmarkX12TopKSort measures ORDER BY + LIMIT on the planned pipeline:
@@ -762,14 +754,14 @@ from MOVIES m where m.year >= 1955 group by m.year`)
 // BenchmarkX16ZoneSkipScan measures zone-map morsel pruning on selective
 // scans over a 256k-row table whose columns are sorted (id, frame-of-
 // reference encoded) or clustered (grp; s under a sorted dictionary). Every
-// workload runs with the zone-map layer on and off; the zones=on subbenches
-// assert the skipped-morsel counter actually engaged (the smoke runs at
-// -benchtime=1x, so a silently rotten skip path fails CI) and report the
-// fraction of morsels skipped as skipratio. Time collapses with pruning but
-// is too noisy to gate; the benchgate ceilings (BENCH_6.json) gate allocs
+// subbench asserts the skipped-morsel counter actually engaged (the smoke
+// runs at -benchtime=1x, so a silently rotten skip path fails CI) and reports
+// the fraction of morsels skipped as skipratio. Time collapses with pruning
+// but is too noisy to gate; the benchgate ceilings (BENCH_6.json) gate allocs
 // everywhere and bytes on the text-range workload, where the sorted
-// dictionary's rank compares replace the O(dictionary) verdict array — the
-// zones=off run allocates ~66x more bytes per op.
+// dictionary's rank compares replace the O(dictionary) verdict array (a scan
+// without zone maps allocated ~66x more bytes per op, BENCH_6.json). The
+// zones=on in each name is kept so the gated names stay stable.
 func BenchmarkX16ZoneSkipScan(b *testing.B) {
 	db := zoneScanDB(b, 1<<18)
 	eng := engine.New(db)
@@ -800,46 +792,34 @@ where t.s >= 'u00100000' and t.s < 'u00103072'`},
 			}{"parallel", 0})
 		}
 		for _, mode := range modes {
-			for _, zones := range []bool{true, false} {
-				label := fmt.Sprintf("%s/%s/zones=off", w.name, mode.name)
-				if zones {
-					label = fmt.Sprintf("%s/%s/zones=on", w.name, mode.name)
+			b.Run(fmt.Sprintf("%s/%s/zones=on", w.name, mode.name), func(b *testing.B) {
+				eng.SetParallelism(mode.workers)
+				defer eng.SetParallelism(0)
+				// Warm up once: the first ranked read after the load pays the
+				// lazy sorted-dict rank rebuild, which would otherwise land
+				// entirely in a -benchtime=1x smoke measurement.
+				if _, err := eng.Select(sel); err != nil {
+					b.Fatal(err)
 				}
-				b.Run(label, func(b *testing.B) {
-					eng.SetParallelism(mode.workers)
-					defer eng.SetParallelism(0)
-					eng.SetZoneMapsEnabled(zones)
-					defer eng.SetZoneMapsEnabled(true)
-					// Warm up once: the first ranked read after the load pays the
-					// lazy sorted-dict rank rebuild, which would otherwise land
-					// entirely in a -benchtime=1x smoke measurement.
-					if _, err := eng.Select(sel); err != nil {
+				engine.ResetZoneSkipStats()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := eng.Select(sel)
+					if err != nil {
 						b.Fatal(err)
 					}
-					engine.ResetZoneSkipStats()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						res, err := eng.Select(sel)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if len(res.Rows) == 0 {
-							b.Fatal("selective scan matched nothing")
-						}
+					if len(res.Rows) == 0 {
+						b.Fatal("selective scan matched nothing")
 					}
-					b.StopTimer()
-					probed, skipped := engine.ZoneSkipStats()
-					if zones {
-						if skipped == 0 {
-							b.Fatal("zone maps enabled but no morsel was skipped — the pruning path has rotted")
-						}
-						b.ReportMetric(float64(skipped)/float64(probed), "skipratio")
-					} else if probed != 0 {
-						b.Fatalf("zone maps disabled but %d morsels were probed", probed)
-					}
-				})
-			}
+				}
+				b.StopTimer()
+				probed, skipped := engine.ZoneSkipStats()
+				if skipped == 0 {
+					b.Fatal("no morsel was skipped — the pruning path has rotted")
+				}
+				b.ReportMetric(float64(skipped)/float64(probed), "skipratio")
+			})
 		}
 	}
 }

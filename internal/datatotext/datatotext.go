@@ -276,11 +276,12 @@ func equals(l, r sqlparser.Expr) sqlparser.Expr {
 }
 
 // relatedTuples asks the engine for the To tuples related to the given From
-// tuple under r: through the bridge, one To tuple per bridge row in bridge
-// order (FROM via v, to t WHERE v.fk = <from key> AND t.pk = v.fk), or over
-// a direct foreign key in either direction, in To order. r.OrderBy sorts
-// them with NULLs last and ties left in that order; MaxListItems is the
-// LIMIT.
+// tuple under r: through the bridge, one To tuple per bridge row in To
+// primary-key order (FROM via v, to t WHERE v.fk = <from key> AND t.pk =
+// v.fk ORDER BY t.pk), or over a direct foreign key in either direction, in
+// To order. r.OrderBy sorts them with NULLs last and ties left in that order;
+// MaxListItems is the LIMIT. The bridged query says its order because a join
+// promises none: its rows leave in whatever order the plan joins them.
 func (t *Translator) relatedTuples(r Relationship, fromRel *catalog.Relation, fromTup storage.Tuple) ([]storage.Tuple, error) {
 	schema := t.schema()
 	toRel := schema.Relation(r.To)
@@ -326,6 +327,11 @@ func (t *Translator) relatedTuples(r Relationship, fromRel *catalog.Relation, fr
 		}
 		by := col("t", r.OrderBy)
 		sel.OrderBy = []sqlparser.OrderItem{{Expr: &sqlparser.IsNullExpr{Inner: by}}, {Expr: by, Desc: r.Desc}}
+	}
+	if r.Via != "" {
+		for _, k := range toRel.PrimaryKey {
+			sel.OrderBy = append(sel.OrderBy, sqlparser.OrderItem{Expr: col("t", k)})
+		}
 	}
 	if t.opts.MaxListItems > 0 {
 		sel.Limit = t.opts.MaxListItems

@@ -20,11 +20,11 @@ import (
 
 // The narration differential: every narrative the translator builds from the
 // engine's answers is compared with a plain-Go reference that walks the
-// tables itself — nested loops over Tuples(), a stable sort with NULLs last,
-// a slice cut — over seeded small databases that hold what the curated ones
-// lack: NULL order attributes, ties on them, duplicate bridge rows, a
-// MaxListItems cut inside a tie, NULL foreign keys, and EMP/DEPT's circular
-// direct foreign keys.
+// tables itself — nested loops over Tuples(), bridged tuples in To-key order,
+// a stable sort with NULLs last, a slice cut — over seeded small databases
+// that hold what the curated ones lack: NULL order attributes, ties on them,
+// duplicate bridge rows, a MaxListItems cut inside a tie, NULL foreign keys,
+// and EMP/DEPT's circular direct foreign keys.
 
 // refCoverage counts the hard cases the reference met, so a generator that
 // stops producing one fails the test instead of passing vacuously.
@@ -99,6 +99,15 @@ func (ref *reference) related(r Relationship, from storage.Tuple) []storage.Tupl
 				}
 			}
 		}
+		sort.SliceStable(out, func(a, b int) bool {
+			for _, k := range toRel.PrimaryKey {
+				p := toRel.AttrIndex(k)
+				if c, _ := out[a][p].Compare(out[b][p]); c != 0 {
+					return c < 0
+				}
+			}
+			return false
+		})
 	}
 	if r.OrderBy != "" {
 		p := toRel.AttrIndex(r.OrderBy)
@@ -296,6 +305,9 @@ func randomEmpDB(t *testing.T, rng *rand.Rand) *storage.Database {
 
 func TestNarrationDifferential(t *testing.T) {
 	var cov refCoverage
+	// A bridged list whose bridge order (dir2's DIRECTED row first) is not its
+	// To-key order: the narrative follows the key.
+	pinned := map[string]string{"seed 1 compact MOVIES.id = 2": "Mov2 has dir1. Mov2 has noir."}
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		desc, limit := seed%2 == 0, rng.Intn(4)
@@ -357,6 +369,12 @@ func TestNarrationDifferential(t *testing.T) {
 							if want := ref.describeEntity(rel, tup, style, c.listAttr); err != nil || got != want {
 								t.Fatalf("%s: DescribeEntity\n got %q, %v\nwant %q", where, got, err, want)
 							}
+							if want, ok := pinned[where]; ok {
+								if got != want {
+									t.Fatalf("%s: DescribeEntity\n got %q\nwant %q", where, got, want)
+								}
+								delete(pinned, where)
+							}
 							got, err = tr.DescribeEntitySplit(rel, attr, val, splitTo)
 							if want := ref.describeSplit(rel, tup, splitTo); (err == nil) != (want != "") || got != want {
 								t.Fatalf("%s: DescribeEntitySplit\n got %q, %v\nwant %q", where, got, err, want)
@@ -369,5 +387,8 @@ func TestNarrationDifferential(t *testing.T) {
 	}
 	if cov.nullOrder == 0 || cov.tie == 0 || cov.dupBridge == 0 || cov.cutInTie == 0 || cov.nullKey == 0 || cov.bothDirections == 0 {
 		t.Fatalf("the generator no longer reaches every hard case: %+v", cov)
+	}
+	if len(pinned) > 0 {
+		t.Fatalf("pinned narratives never met: %v", pinned)
 	}
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // This file proves the fused vectorized-aggregation pipeline is
-// observationally identical to both the streaming grouped pipeline and the
-// naive environment pipeline — same rows, same order, same errors — across
-// randomized GROUP BY templates with NULL group keys, DISTINCT aggregates,
-// HAVING, ORDER BY, and LIMIT; and that morsel-parallel execution is
-// byte-identical to serial at any worker count.
+// observationally identical to the streaming grouped pipeline — same rows,
+// same order, same errors — and agrees with the naive environment pipeline
+// as oracleAgrees asks (in the same order where the plan keeps FROM order)
+// across randomized GROUP BY templates with NULL group keys, DISTINCT
+// aggregates, HAVING, ORDER BY, and LIMIT; and that morsel-parallel
+// execution is byte-identical to serial at any worker count.
 
 // aggDiffDB builds a movie database with deliberate NULL pockets: ~1/6 of
 // movie years, ~1/4 of cast roles, and ~1/3 of director birth dates are
@@ -186,9 +187,10 @@ func mustSame(t *testing.T, q, labelA, labelB string, a, b *Result, errA, errB e
 
 // TestVecAggDifferential: randomized grouped templates run three ways — the
 // fused vectorized pipeline, the streaming grouped pipeline (vec disabled),
-// and the naive environment pipeline (planner disabled) — and must agree
-// byte for byte. The vec path must actually execute for a healthy share of
-// templates, or the comparison is vacuous.
+// and the naive environment pipeline (the oracle) — and must agree as
+// vecAggThreeWays asks. The vec path must actually execute for a healthy
+// share of templates, and some plan must reorder, or the comparison is
+// vacuous.
 func TestVecAggDifferential(t *testing.T) {
 	db := aggDiffDB(t, 900, 101)
 	ex := New(db)
@@ -204,14 +206,20 @@ func TestVecAggDifferential(t *testing.T) {
 		`select d.bdate, count(*) from DIRECTOR d group by d.bdate order by 1`,
 		`select count(distinct d.bdate) from DIRECTOR d`,
 	)
+	reordered := 0
 	for _, q := range queries {
-		if vecAggThreeWays(t, ex, q) {
+		fused, r := vecAggThreeWays(t, ex, q)
+		if fused {
 			vecRan++
+		}
+		if r {
+			reordered++
 		}
 	}
 	if vecRan < len(queries)/3 {
 		t.Fatalf("vec-aggregate ran for only %d/%d templates — the differential is vacuous", vecRan, len(queries))
 	}
+	requireReordered(t, reordered)
 
 	// Queries that take the fused pipeline on the engine's own compile-time
 	// bounds, the only ones there are: an AVG(DISTINCT) whose float sum is
@@ -224,17 +232,18 @@ func TestVecAggDifferential(t *testing.T) {
 		`select avg(distinct t.v) from T t`,
 		`select * from T t group by t.id, t.g, t.v order by 1 limit 9`,
 	} {
-		if !vecAggThreeWays(t, bounds, q) {
+		if fused, _ := vecAggThreeWays(t, bounds, q); !fused {
 			t.Errorf("%s\ndid not run the fused pipeline", q)
 		}
 	}
 }
 
 // vecAggThreeWays runs q through the fused vectorized pipeline, the streaming
-// grouped pipeline and the naive environment pipeline, requires the same rows
-// or the same error from all three, and reports whether the first run really
-// was fused.
-func vecAggThreeWays(t *testing.T, ex *Engine, q string) (fused bool) {
+// grouped pipeline and the naive environment pipeline. The streaming run must
+// give the same rows or error byte for byte, the naive one the same error or
+// the rows oracleAgrees asks for. It reports whether the first run really was
+// fused and whether its plan reordered the joins.
+func vecAggThreeWays(t *testing.T, ex *Engine, q string) (fused, reordered bool) {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(q)
 	if err != nil {
@@ -251,8 +260,92 @@ func vecAggThreeWays(t *testing.T, ex *Engine, q string) (fused bool) {
 	ex.useOracle(true)
 	naiveRes, naiveErr := ex.Select(sel)
 	ex.useOracle(false)
-	mustSame(t, q, "vec", "naive", vecRes, naiveRes, vecErr, naiveErr)
-	return fused
+	if vecErr != nil || naiveErr != nil {
+		mustSame(t, q, "vec", "naive", vecRes, naiveRes, vecErr, naiveErr)
+		return fused, false
+	}
+	oracleAgrees(t, ex, sel, plan, vecRes, naiveRes)
+	return fused, reorders(plan)
+}
+
+// TestVecAggReorderedJoins: grouped queries over a join the planner reorders
+// — U's selective filter puts U's scan first — run the fused pipeline, equal
+// the streaming executor byte for byte, are identical serial and parallel,
+// and equal the oracle as multisets: exactly for integer aggregates, within a
+// relative 1e-12 for float SUM and AVG, which the pipeline adds in U's order
+// and the interpreter in T's. Both join access paths are covered (t.id is
+// T's primary key, t.k an unindexed copy of it) and both grouping tiers
+// (t.k, u.tag overflows the array domain).
+func TestVecAggReorderedJoins(t *testing.T) {
+	oldThreshold, oldMorsel := parallelThreshold, morselRows
+	parallelThreshold, morselRows = 8, 128
+	defer func() { parallelThreshold, morselRows = oldThreshold, oldMorsel }()
+
+	schema := catalog.NewSchema("reordered")
+	for _, rel := range []*catalog.Relation{
+		{Name: "T", PrimaryKey: []string{"id"}, Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true}, {Name: "g", Type: catalog.Int},
+			{Name: "k", Type: catalog.Int}, {Name: "f", Type: catalog.Float}}},
+		{Name: "U", PrimaryKey: []string{"id"}, Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true}, {Name: "tid", Type: catalog.Int}, {Name: "tag", Type: catalog.Int}}},
+	} {
+		if err := schema.AddRelation(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := storage.NewDatabase(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < n; i++ {
+		f := value.NewFloat(rng.Float64() * 1000)
+		if rng.Intn(10) == 0 {
+			f = value.NewNull()
+		}
+		id := value.NewInt(int64(i))
+		if err := db.Insert("T", storage.Tuple{id, value.NewInt(int64(rng.Intn(6))), id, f}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert("U", storage.Tuple{id, value.NewInt(int64(rng.Intn(n))), value.NewInt(int64(rng.Intn(50)))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex := New(db)
+	keys := []string{"t.g", "u.tag", "t.g, u.tag", "t.k, u.tag"}
+	joins := []string{"t.id = u.tid", "t.k = u.tid"}
+	filters := []string{"u.tag < 3", "u.tag = 7", "u.tag between 10 and 12"}
+	aggs := []string{"count(*)", "sum(u.tag)", "avg(u.tag)", "count(distinct u.tag)", "sum(t.f)", "avg(t.f)", "min(t.f)", "max(t.f)"}
+	pick := func(s []string) string { return s[rng.Intn(len(s))] }
+	parallel := 0
+	for i := 0; i < 40; i++ {
+		k := pick(keys)
+		q := fmt.Sprintf("select %s, %s, %s from T t, U u where %s and %s group by %s",
+			k, pick(aggs), pick(aggs), pick(joins), pick(filters), k)
+		if i%3 == 0 {
+			q += " order by 1 limit 4"
+		}
+		if fused, reordered := vecAggThreeWays(t, ex, q); !fused || !reordered {
+			t.Fatalf("%s\nfused %v, reordered %v: want the fused pipeline on a reordered plan", q, fused, reordered)
+		}
+		sel, err := sqlparser.ParseSelect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.SetParallelism(1)
+		serialRes, serialErr := ex.Select(sel)
+		ex.SetParallelism(4)
+		parRes, plan, parErr := ex.SelectExplained(sel)
+		ex.SetParallelism(0)
+		if parErr == nil && hasParallelScan(plan) {
+			parallel++
+		}
+		mustSame(t, q, "serial", "parallel", serialRes, parRes, serialErr, parErr)
+	}
+	if parallel == 0 {
+		t.Fatal("no template ran a parallel scan — the serial/parallel comparison is vacuous")
+	}
 }
 
 // avgDistinctBoundDB builds T(id, g, v) with v in [2^40, 2^40+50): 64·max|v|

@@ -147,22 +147,31 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (n int, err error) {
 			return 0, fmt.Errorf("engine: relation %s has no attribute %q", rel.Name, a.Column)
 		}
 	}
-	positions, err := ex.dmlPositions(tbl, alias, stmt.Where)
+	pq, positions, err := ex.dmlPositions(tbl, alias, stmt.Where)
 	if err != nil {
 		return 0, err
 	}
 
+	// The SET expressions compile over the WHERE's single-table plan, whose
+	// row layout is the tuple's.
+	compile := pq.compile
+	if o := ex.st.oracle.Load(); o != nil {
+		compile = func(e sqlparser.Expr) rowEval { return o.set(pq, e) }
+	}
+	set := make([]rowEval, len(stmt.Set))
+	for i, a := range stmt.Set {
+		set[i] = compile(a.Value)
+	}
 	var evalErr error
-	// One environment and one value scratch serve every row: evaluation
-	// never retains them.
-	en := &env{bindings: []binding{{alias: alias, rel: rel}}}
+	// One context and one value scratch serve every row: evaluation never
+	// retains them.
+	ec := pq.newCtx()
 	newVals := make([]value.Value, len(stmt.Set))
 	apply := func(tup storage.Tuple) storage.Tuple {
-		en.bindings[0].tuple = tup
 		// Evaluate all RHS before assigning, per SQL simultaneous-update
 		// semantics (sal = sal * 2 uses the old sal).
-		for i, a := range stmt.Set {
-			v, err := ex.evalExpr(a.Value, en, nil)
+		for i, ev := range set {
+			v, err := ev(ec, tup)
 			if err != nil {
 				evalErr = err
 				return tup // this row stays as it is; the statement goes on
@@ -199,7 +208,7 @@ func (ex *Engine) execDelete(stmt *sqlparser.DeleteStmt) (n int, err error) {
 	if alias == "" {
 		alias = tbl.Relation().Name
 	}
-	positions, err := ex.dmlPositions(tbl, alias, stmt.Where)
+	_, positions, err := ex.dmlPositions(tbl, alias, stmt.Where)
 	if err != nil {
 		return 0, err
 	}
@@ -208,38 +217,40 @@ func (ex *Engine) execDelete(stmt *sqlparser.DeleteStmt) (n int, err error) {
 
 // dmlPositions resolves an UPDATE or DELETE WHERE to the ascending positions
 // of the rows it matches in the live table, before any of them mutates. It
-// builds the plan `SELECT * FROM rel alias WHERE where` would get and runs
-// it for the rows' provenance alone — a primary-key or index probe, or the
-// vectorized filter prefix with zone skipping and the compiled residual
-// filters — polling the budget where a SELECT's scan does. A budget trip or
-// an evaluation error therefore leaves no trace, with or without a budget.
+// builds the plan `SELECT * FROM rel alias WHERE where` would get, a scan
+// step alone, and runs it for the scan's row positions — a primary-key or
+// index probe, or the vectorized filter prefix with zone skipping and the
+// compiled residual filters — polling the budget where a SELECT's scan does.
+// A budget trip or an evaluation error therefore leaves no trace, with or
+// without a budget. The plan is returned for UPDATE's SET to compile over.
 //
 // Positions stay valid until the apply because engine DML is serialized (core
 // holds execMu): nothing else mutates the table in between.
-func (ex *Engine) dmlPositions(tbl *storage.Table, alias string, where sqlparser.Expr) ([]int, error) {
+func (ex *Engine) dmlPositions(tbl *storage.Table, alias string, where sqlparser.Expr) (*plannedQuery, []int, error) {
 	if err := ex.bud.Step(0); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	sel := &sqlparser.SelectStmt{Where: where, Limit: -1}
+	pq := ex.compilePlan(ex.planFor(sel, []fromEntry{{rel: tbl.Relation(), tbl: tbl, alias: alias}}, false), nil)
 	if where == nil {
 		positions := make([]int, tbl.Len())
 		for i := range positions {
 			positions[i] = i
 		}
-		return positions, nil
+		return pq, positions, nil
 	}
 	if o := ex.st.oracle.Load(); o != nil {
-		return o.positions(ex, tbl, alias, where)
+		positions, err := o.positions(ex, tbl, alias, where)
+		return pq, positions, err
 	}
-	sel := &sqlparser.SelectStmt{Where: where, Limit: -1}
-	pq := ex.compilePlan(ex.planFor(sel, []fromEntry{{rel: tbl.Relation(), tbl: tbl, alias: alias}}, false), nil)
-	pq.track = true // the provenance is the answer
+	pq.scanPos = true
 	cur, err := ex.runPipeline(pq)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	positions := make([]int, len(cur.prov))
-	for i, p := range cur.prov {
-		positions[i] = int(p[0])
+	positions := make([]int, len(cur.pos))
+	for i, p := range cur.pos {
+		positions[i] = int(p)
 	}
-	return positions, nil
+	return pq, positions, nil
 }

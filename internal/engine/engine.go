@@ -32,8 +32,8 @@ type Engine struct {
 }
 
 // engineState is the mutable configuration shared between the root engine
-// and its snapshot-bound clones: one view registry and one set of pipeline
-// toggles, whichever surface a statement arrives through.
+// and its snapshot-bound clones: one view registry and one worker cap,
+// whichever surface a statement arrives through.
 type engineState struct {
 	vmu   sync.RWMutex
 	views map[string]*sqlparser.SelectStmt
@@ -42,27 +42,23 @@ type engineState struct {
 	// GOMAXPROCS, 1 forces serial execution.
 	par atomic.Int32
 
-	// noVecAgg disables the fused vectorized-aggregation pipeline
-	// (SetVecAggEnabled), forcing grouped queries onto the streaming
-	// row-at-a-time aggregation — differential tests compare the two.
-	noVecAgg atomic.Bool
-
-	// noZoneMaps disables zone-map scan pruning (SetZoneMapsEnabled), forcing
-	// scans to test every row instead of skipping morsels whose min/max
-	// bounds disprove the filters.
+	// noVecAgg, noZoneMaps and oracle are false and nil in production. Only
+	// the engine's tests set them (export_test.go), to hold one execution to
+	// another: noVecAgg sends grouped queries through the streaming
+	// aggregation instead of the fused pipeline, noZoneMaps makes scans test
+	// every row against plain payloads, and oracle answers every SELECT
+	// (subqueries and view bodies included), every UPDATE/DELETE WHERE and
+	// every UPDATE SET expression on the interpreter instead of a plan.
+	noVecAgg   atomic.Bool
 	noZoneMaps atomic.Bool
-
-	// oracle, when set, answers every SELECT (subqueries and view bodies
-	// included) and resolves every UPDATE/DELETE WHERE instead of a plan.
-	// Only the engine's tests set it (export_test.go), to hold the planned
-	// pipeline to the interpreter; it is nil in production.
-	oracle atomic.Pointer[oracle]
+	oracle     atomic.Pointer[oracle]
 }
 
 // oracle is the test-installed interpreter (see engineState.oracle).
 type oracle struct {
 	selectRows func(ex *Engine, sel *sqlparser.SelectStmt, entries []fromEntry, outer *env, earlyLimit int) (*Result, error)
 	positions  func(ex *Engine, tbl *storage.Table, alias string, where sqlparser.Expr) ([]int, error)
+	set        func(pq *plannedQuery, e sqlparser.Expr) rowEval
 }
 
 // New creates an engine over db.
@@ -72,7 +68,7 @@ func New(db *storage.Database) *Engine {
 
 // At returns a reader engine bound to the given snapshot: every table
 // resolution, statistic, and zone probe reads the snapshot's frozen state,
-// while views and pipeline toggles stay shared with the root engine. The
+// while views and the worker cap stay shared with the root engine. The
 // clone is cheap (three words) — core pins a snapshot per question and
 // discards the clone after answering.
 func (ex *Engine) At(snap *storage.Snapshot) *Engine {

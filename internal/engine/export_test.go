@@ -1,13 +1,27 @@
 package engine
 
 // useOracle routes every SELECT of ex and of the engines sharing its state —
-// subqueries and view bodies included — and every UPDATE/DELETE WHERE to the
-// interpreter (interp_test.go) when on, and back to the planned pipeline when
-// off. A SELECT the interpreter answers reports no plan.
+// subqueries and view bodies included — every UPDATE/DELETE WHERE and every
+// UPDATE SET expression to the interpreter (interp_test.go) when on, and back
+// to the planned pipeline when off. A SELECT the interpreter answers reports
+// no plan.
 func (ex *Engine) useOracle(on bool) {
 	if on {
-		ex.st.oracle.Store(&oracle{selectRows: interpSelect, positions: interpPositions})
+		ex.st.oracle.Store(&oracle{selectRows: interpSelect, positions: interpPositions, set: interpSet})
 	} else {
 		ex.st.oracle.Store(nil)
 	}
 }
+
+// SetVecAggEnabled toggles the fused vectorized-aggregation pipeline.
+// Disabled, grouped queries that would take it run the streaming
+// row-at-a-time aggregation instead — differential tests force this to prove
+// the two produce identical rows. Safe for concurrent use.
+func (ex *Engine) SetVecAggEnabled(on bool) { ex.st.noVecAgg.Store(!on) }
+
+// SetZoneMapsEnabled toggles the zone-map layer as a whole (default on):
+// morsel pruning plus the encoded scan fast paths that ride on the same
+// metadata (frame-of-reference delta reads, sorted-dictionary rank compares).
+// Off reverts every scan to testing each row against plain payloads —
+// differential tests compare the two executions.
+func (ex *Engine) SetZoneMapsEnabled(on bool) { ex.st.noZoneMaps.Store(!on) }

@@ -192,6 +192,7 @@ func TestDistinctOrderLimitDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := New(db)
+	reordered := 0
 	for _, sql := range []string{
 		"select distinct m.year from MOVIES m order by m.year desc",
 		"select distinct m.year from MOVIES m order by 1 desc limit 4",
@@ -207,8 +208,11 @@ func TestDistinctOrderLimitDifferential(t *testing.T) {
 		"select distinct count(*) from GENRE g group by g.genre order by count(*) desc limit 2",
 		"select distinct a.name from CAST c, ACTOR a where c.aid = a.id order by a.name limit 7",
 	} {
-		comparePlannedNaive(t, ex, sql)
+		if comparePlannedNaive(t, ex, sql) {
+			reordered++
+		}
 	}
+	requireReordered(t, reordered)
 }
 
 // TestTopKMatchesFullSort pins heap/stable-sort equivalence on tie-heavy

@@ -79,6 +79,10 @@ func interpPositions(ex *Engine, tbl *storage.Table, alias string, where sqlpars
 	return positions, nil
 }
 
+// interpSet evaluates an UPDATE SET expression on the interpreter: evalExpr
+// over an environment binding the updated row under the statement's alias.
+func interpSet(pq *plannedQuery, e sqlparser.Expr) rowEval { return pq.bridge(e) }
+
 // joinFrom produces every joined environment. Inner joins use nested loops
 // with pushed-down predicates plus a hash-join fast path for equality
 // predicates; LEFT/RIGHT joins null-extend. A WHERE conjunct is pulled into an

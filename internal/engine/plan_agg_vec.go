@@ -288,7 +288,7 @@ func (pq *plannedQuery) compileVecAgg(sel *sqlparser.SelectStmt, entries []fromE
 // group-key columns with their tier parameters.
 func (pq *plannedQuery) compileVecKeys(sel *sqlparser.SelectStmt) (*vecAggExec, bool) {
 	plan := pq.plan
-	if plan.Reordered || len(pq.postEvals) > 0 || len(plan.Steps) == 0 {
+	if len(pq.postEvals) > 0 || len(plan.Steps) == 0 {
 		return nil, false
 	}
 	for si, st := range plan.Steps {
@@ -427,8 +427,8 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 					}
 					// The distinct sum is recomputed from the value set in
 					// code order; integer sums are order-free, float (AVG)
-					// sums must be provably exact to match the interpreter's
-					// first-seen accumulation.
+					// sums must be provably exact to match the streaming
+					// pipeline's first-seen accumulation.
 					if a.Func == sqlparser.AggAvg && !va.avgExact(spec, pos, true) {
 						return 0, false
 					}
@@ -440,7 +440,7 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 				if spec.distinct {
 					return 0, false
 				}
-				spec.exact = false // float sums replicate the interpreter's row order: serial only
+				spec.exact = false // float sums replicate the pipeline's row order: serial only
 			default:
 				return 0, false // non-numeric SUM/AVG errors; keep the generic path
 			}

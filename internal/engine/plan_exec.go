@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -124,34 +123,6 @@ func (a *rowArena) peek() []value.Value {
 
 func (a *rowArena) commit() { a.buf = a.buf[a.width:] }
 
-// provArena is the same for provenance vectors (per-step source tuple
-// positions), used to restore FROM-major row order after join reordering.
-type provArena struct {
-	width     int
-	buf       []int32
-	chunkRows int
-}
-
-func (a *provArena) peek() []int32 {
-	if len(a.buf) < a.width {
-		if a.chunkRows < arenaMaxChunkRows {
-			if a.chunkRows == 0 {
-				a.chunkRows = arenaFirstChunkRows
-			} else {
-				a.chunkRows *= 2
-			}
-		}
-		n := a.width * a.chunkRows
-		if n == 0 {
-			n = 1
-		}
-		a.buf = make([]int32, n)
-	}
-	return a.buf[:a.width:a.width]
-}
-
-func (a *provArena) commit() { a.buf = a.buf[a.width:] }
-
 // ---------------------------------------------------------------------------
 // Compiled query state
 // ---------------------------------------------------------------------------
@@ -171,8 +142,10 @@ type plannedQuery struct {
 	// zp, when set, holds the zone-map probes of the base scan's vectorized
 	// filters (and the plan carries a zone-skip shape step). scanBase consults
 	// it per storage zone and skips morsels whose bounds disprove the filters.
-	zp    *zoneProbeSet
-	track bool // provenance tracking (plan was reordered)
+	zp *zoneProbeSet
+	// scanPos records the scan step's row position beside each row (batch.pos)
+	// — the answer of a DML WHERE, whose plan is the scan step alone.
+	scanPos bool
 	// scope is the number of steps whose FROM entries column references
 	// resolve against while compiling: all of them, except while compileAt
 	// compiles a step's filters over the entries bound so far.
@@ -196,7 +169,6 @@ type rowEval func(ec *evalCtx, row []value.Value) (value.Value, error)
 type evalCtx struct {
 	pq      *plannedQuery
 	rows    rowArena
-	prov    provArena
 	keyBuf  []byte
 	scratch []value.Value
 	bridges []*env
@@ -205,11 +177,7 @@ type evalCtx struct {
 }
 
 func (pq *plannedQuery) newCtx() *evalCtx {
-	return &evalCtx{
-		pq:   pq,
-		rows: rowArena{width: pq.plan.Width},
-		prov: provArena{width: len(pq.plan.Steps)},
-	}
+	return &evalCtx{pq: pq, rows: rowArena{width: pq.plan.Width}}
 }
 
 // scratchRow returns a full-width row for evaluating self-filters against a
@@ -587,7 +555,6 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 		stepVec:   make([][]vecPred, len(plan.Steps)),
 		stepSelf:  make([][]rowEval, len(plan.Steps)),
 		stepPost:  make([][]rowEval, len(plan.Steps)),
-		track:     plan.Reordered,
 		scope:     len(plan.Steps),
 	}
 	for si, st := range plan.Steps {
@@ -638,16 +605,17 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 // Pipeline execution
 // ---------------------------------------------------------------------------
 
-// batch is one worker's output: rows plus (optionally) provenance vectors.
+// batch is one worker's output: rows plus, when the query records them
+// (scanPos), the scan step's row position of each.
 type batch struct {
 	rows [][]value.Value
-	prov [][]int32
+	pos  []int32
 }
 
 // emit speculatively fills a row from base plus the step table's row ti
 // (read straight off the column vectors), applies the step's compiled
 // filters, and keeps it on success.
-func (ec *evalCtx) emit(out *batch, base []value.Value, baseProv []int32, st *planner.Step, si int, ti int32, evals ...[]rowEval) error {
+func (ec *evalCtx) emit(out *batch, base []value.Value, st *planner.Step, ti int32, evals ...[]rowEval) error {
 	r := ec.rows.peek()
 	if base != nil {
 		copy(r, base)
@@ -670,14 +638,8 @@ func (ec *evalCtx) emit(out *batch, base []value.Value, baseProv []int32, st *pl
 	if ec.matched != nil {
 		ec.matched[ti].Store(true)
 	}
-	if ec.pq.track {
-		p := ec.prov.peek()
-		if baseProv != nil {
-			copy(p, baseProv)
-		}
-		p[si] = ti
-		ec.prov.commit()
-		out.prov = append(out.prov, p)
+	if ec.pq.scanPos {
+		out.pos = append(out.pos, ti)
 	}
 	return nil
 }
@@ -748,12 +710,9 @@ func (ex *Engine) gatherBatches(pq *plannedQuery, n int, fn func(ec *evalCtx, lo
 		total += len(outs[w].rows)
 	}
 	merged := batch{rows: make([][]value.Value, 0, total)}
-	if pq.track {
-		merged.prov = make([][]int32, 0, total)
-	}
 	for w := range outs {
 		merged.rows = append(merged.rows, outs[w].rows...)
-		merged.prov = append(merged.prov, outs[w].prov...)
+		merged.pos = append(merged.pos, outs[w].pos...)
 	}
 	if err := growBatch(ex.bud, &merged); err != nil {
 		return batch{}, err
@@ -772,22 +731,12 @@ func growBatch(bud *Budget, b *batch) error {
 	return bud.Grow(len(b.rows) * len(b.rows[0]) * slotBytes)
 }
 
-// runPlan executes the pipeline and returns the joined, residual-filtered
-// rows in the order the nested-loop interpreter produces.
-func (ex *Engine) runPlan(pq *plannedQuery) ([][]value.Value, error) {
-	cur, err := ex.runPipeline(pq)
-	if err != nil {
-		return nil, err
-	}
-	if pq.track && len(cur.rows) > 1 {
-		sortByProvenance(pq, &cur)
-	}
-	return cur.rows, nil
-}
-
 // runPipeline runs the scan step, the join steps and the residual filters,
-// and returns the surviving rows in pipeline order, with their provenance
-// when the query tracks it.
+// and returns the surviving rows in pipeline order: the scan's rows in table
+// order, each followed by its matches, step by step. That order is the same
+// at every worker count, and it is FROM-major only when the plan keeps FROM
+// order; SQL promises no order without a total ORDER BY, so nothing restores
+// it.
 func (ex *Engine) runPipeline(pq *plannedQuery) (batch, error) {
 	steps := pq.plan.Steps
 	var cur batch
@@ -825,8 +774,8 @@ func (ex *Engine) runPipeline(pq *plannedQuery) (batch, error) {
 				}
 				if keep {
 					out.rows = append(out.rows, row)
-					if pq.track {
-						out.prov = append(out.prov, cur.prov[i])
+					if pq.scanPos {
+						out.pos = append(out.pos, cur.pos[i])
 					}
 				}
 			}
@@ -839,29 +788,6 @@ func (ex *Engine) runPipeline(pq *plannedQuery) (batch, error) {
 	}
 	pq.plan.ActualRows = len(cur.rows)
 	return cur, nil
-}
-
-// sortByProvenance restores FROM-major lexicographic order — exactly the
-// order the nested-loop interpreter emits — after join reordering.
-func sortByProvenance(pq *plannedQuery, cur *batch) {
-	idx := make([]int, len(cur.rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := cur.prov[idx[a]], cur.prov[idx[b]]
-		for _, si := range pq.fromOrder {
-			if pa[si] != pb[si] {
-				return pa[si] < pb[si]
-			}
-		}
-		return false
-	})
-	sorted := make([][]value.Value, len(cur.rows))
-	for i, j := range idx {
-		sorted[i] = cur.rows[j]
-	}
-	cur.rows = sorted
 }
 
 // runScanStep produces the first row set: full scan, primary-key probe, or
@@ -883,7 +809,7 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error)
 			if !pq.vecPass(si, pos) {
 				continue
 			}
-			if err := ec.emit(&out, nil, nil, st, si, int32(pos), evals...); err != nil {
+			if err := ec.emit(&out, nil, st, int32(pos), evals...); err != nil {
 				return batch{}, err
 			}
 		}
@@ -898,7 +824,7 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error)
 					if tested && !pq.vecPass(si, ti) {
 						continue
 					}
-					if err = ec.emit(out, nil, nil, st, si, int32(ti), evals...); err != nil {
+					if err = ec.emit(out, nil, st, int32(ti), evals...); err != nil {
 						return false
 					}
 				}
@@ -1187,13 +1113,6 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 	tbl := st.Input.Tbl
 	self, post := pq.stepSelf[si], pq.stepPost[si]
 
-	baseProv := func(i int) []int32 {
-		if pq.track {
-			return cur.prov[i]
-		}
-		return nil
-	}
-
 	var match func(ec *evalCtx, out *batch, i int) error
 	switch st.Access {
 	case planner.JoinHash:
@@ -1220,7 +1139,7 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 				return nil
 			}
 			for p := chain.head[k]; p != 0; p = chain.next[p-1] {
-				if err := ec.emit(out, cur.rows[i], baseProv(i), st, si, chain.row(p-1), post); err != nil {
+				if err := ec.emit(out, cur.rows[i], st, chain.row(p-1), post); err != nil {
 					return err
 				}
 			}
@@ -1236,7 +1155,7 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 			if !ok || !pq.vecPass(si, pos) {
 				return nil
 			}
-			return ec.emit(out, cur.rows[i], baseProv(i), st, si, int32(pos), self, post)
+			return ec.emit(out, cur.rows[i], st, int32(pos), self, post)
 		}
 
 	case planner.JoinIndex:
@@ -1252,7 +1171,7 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 				if !pq.vecPass(si, pos) {
 					continue
 				}
-				if err := ec.emit(out, cur.rows[i], baseProv(i), st, si, int32(pos), self, post); err != nil {
+				if err := ec.emit(out, cur.rows[i], st, int32(pos), self, post); err != nil {
 					return err
 				}
 			}
@@ -1267,7 +1186,7 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 		inner := pq.loopInner(si, tbl, keep)
 		match = func(ec *evalCtx, out *batch, i int) error {
 			for _, ti := range inner {
-				if err := ec.emit(out, cur.rows[i], baseProv(i), st, si, ti, post); err != nil {
+				if err := ec.emit(out, cur.rows[i], st, ti, post); err != nil {
 					return err
 				}
 			}
@@ -1296,8 +1215,7 @@ func (ec *evalCtx) probeKey(base []value.Value, slots []int) bool {
 // outer row that kept no match, that row padded with NULLs in its place. A
 // RIGHT step flags every table row it emits — atomically, since workers may
 // match the same row — and afterwards emits the unflagged rows in ascending
-// position, NULL in every slot before the step's own. Outer-join plans keep
-// FROM order, so they never track provenance.
+// position, NULL in every slot before the step's own.
 func (ex *Engine) joinRows(pq *plannedQuery, st *planner.Step, cur batch, match func(ec *evalCtx, out *batch, i int) error) (batch, error) {
 	var matched []atomic.Bool
 	if st.Join == sqlparser.JoinRight {
@@ -1376,7 +1294,7 @@ func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, pl
 			return res, err
 		}
 	}
-	rows, err := ex.runPlan(pq)
+	cur, err := ex.runPipeline(pq)
 	if err != nil {
 		return nil, err
 	}
@@ -1385,9 +1303,9 @@ func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, pl
 		return nil, err
 	}
 	if grouped {
-		return ex.execPlannedGrouped(sel, entries, pq, rows, items, cols)
+		return ex.execPlannedGrouped(sel, entries, pq, cur.rows, items, cols)
 	}
-	return ex.execPlannedFlat(sel, pq, rows, items, cols, earlyLimit)
+	return ex.execPlannedFlat(sel, pq, cur.rows, items, cols, earlyLimit)
 }
 
 // execPlannedFlat projects joined rows through compiled item evaluators and
@@ -1484,19 +1402,6 @@ func (pq *plannedQuery) flatOrderKeys(sel *sqlparser.SelectStmt, items []sqlpars
 // ---------------------------------------------------------------------------
 // Public planner API
 // ---------------------------------------------------------------------------
-
-// SetVecAggEnabled toggles the fused vectorized-aggregation pipeline.
-// Disabled, grouped queries that would take it run the streaming
-// row-at-a-time aggregation instead — differential tests force this to prove
-// the two produce identical rows. Safe for concurrent use.
-func (ex *Engine) SetVecAggEnabled(on bool) { ex.st.noVecAgg.Store(!on) }
-
-// SetZoneMapsEnabled toggles the zone-map layer as a whole (default on):
-// morsel pruning plus the encoded scan fast paths that ride on the same
-// metadata (frame-of-reference delta reads, sorted-dictionary rank compares).
-// Off reverts every scan to testing each row against plain payloads —
-// differential tests and benchmarks compare the two executions.
-func (ex *Engine) SetZoneMapsEnabled(on bool) { ex.st.noZoneMaps.Store(!on) }
 
 // Plan builds (without executing) the plan the engine would use for sel,
 // compiled as far as an execution compiles it before its first row: the shape

@@ -19,7 +19,8 @@ import (
 //
 // Error parity with the interpreter is deliberate: the grouping rule is
 // checked before any group key is evaluated, group iteration order is
-// first-seen order over rows in the interpreter's order, aggregate errors are
+// first-seen order over rows in pipeline order (the interpreter's wherever
+// the plan keeps FROM order), aggregate errors are
 // recorded during accumulation but surface only when the query reads the
 // aggregate (HAVING before select items, ORDER BY keys last), and sort-key
 // resolution errors are deferred until there is a row to sort.

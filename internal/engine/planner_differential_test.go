@@ -2,7 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -13,47 +16,146 @@ import (
 	"repro/internal/value"
 )
 
-// comparePlannedNaive runs one query through the planned pipeline and through
-// the interpreter (the oracle) and requires identical output — same columns,
-// same rows, same row ORDER (the planned pipeline restores FROM-major order
-// after join reordering, so even unordered queries must match exactly).
-// Both-error counts as agreement.
-func comparePlannedNaive(t *testing.T, ex *Engine, sql string) {
+// This file holds the planned pipeline to the interpreter (the oracle) on
+// what SQL fixes of an answer. Rows of a query without a total ORDER BY come
+// out in pipeline order: FROM-major, the interpreter's nested-loop order,
+// only where the plan keeps FROM order. Where the planner reordered the joins
+// the comparison loosens to what SQL promises (see oracleAgrees), and every
+// suite over joins requires at least one such comparison, so the looser rule
+// is exercised wherever it applies.
+
+// reorders reports whether plan runs its steps in another order than FROM.
+func reorders(plan *planner.Plan) bool {
+	for i, st := range plan.Steps {
+		if st.FromPos != i {
+			return true
+		}
+	}
+	return false
+}
+
+// requireReordered fails a differential suite none of whose n comparisons
+// ran a reordered plan.
+func requireReordered(t *testing.T, n int) {
 	t.Helper()
+	if n == 0 {
+		t.Fatal("no comparison ran a reordered plan: the multiset rule went untested")
+	}
+}
+
+// comparePlannedNaive runs one query through the planned pipeline and through
+// the oracle and requires the same columns and the rows oracleAgrees asks
+// for. Both-error counts as agreement. It reports whether the executed plan
+// reordered the joins.
+func comparePlannedNaive(t *testing.T, ex *Engine, sql string) (reordered bool) {
+	t.Helper()
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		t.Fatalf("parse %s: %v", sql, err)
+	}
 	ex.useOracle(false)
-	planned, errP := ex.Query(sql)
+	planned, plan, errP := ex.SelectExplained(sel)
 	ex.useOracle(true)
-	naive, errN := ex.Query(sql)
+	naive, errN := ex.Select(sel)
 	ex.useOracle(false)
 
 	if (errP != nil) != (errN != nil) {
 		t.Fatalf("%s\nplanned err = %v, naive err = %v", sql, errP, errN)
 	}
 	if errP != nil {
-		return
+		return false
 	}
-	if len(planned.Columns) != len(naive.Columns) {
+	oracleAgrees(t, ex, sel, plan, planned, naive)
+	return reorders(plan)
+}
+
+// oracleAgrees holds a planned answer to the oracle's. Where the executed
+// plan kept FROM order the two are identical, row order included. Where it
+// reordered the joins only a total ORDER BY would fix the order, so the rows
+// compare as multisets; and under a LIMIT, which rows survive depends on that
+// order too, so the planned rows must be as many as the oracle's and each
+// appear in the oracle's answer without the LIMIT. Floats of a reordered
+// answer agree within a relative 1e-12: the two executors add them in
+// different orders.
+func oracleAgrees(t *testing.T, ex *Engine, sel *sqlparser.SelectStmt, plan *planner.Plan, planned, naive *Result) {
+	t.Helper()
+	sql := sel.SQL()
+	if fmt.Sprint(planned.Columns) != fmt.Sprint(naive.Columns) {
 		t.Fatalf("%s\ncolumns: planned %v, naive %v", sql, planned.Columns, naive.Columns)
-	}
-	for i := range planned.Columns {
-		if planned.Columns[i] != naive.Columns[i] {
-			t.Fatalf("%s\ncolumn %d: planned %q, naive %q", sql, i, planned.Columns[i], naive.Columns[i])
-		}
 	}
 	if len(planned.Rows) != len(naive.Rows) {
 		t.Fatalf("%s\nplanned %d rows, naive %d rows", sql, len(planned.Rows), len(naive.Rows))
 	}
-	for i := range planned.Rows {
-		if len(planned.Rows[i]) != len(naive.Rows[i]) {
-			t.Fatalf("%s\nrow %d arity differs", sql, i)
-		}
-		for j := range planned.Rows[i] {
-			p, n := planned.Rows[i][j], naive.Rows[i][j]
-			if p.IsNull() != n.IsNull() || (!p.IsNull() && !p.Equal(n)) {
-				t.Fatalf("%s\nrow %d col %d: planned %s, naive %s", sql, i, j, p, n)
+	if !reorders(plan) {
+		for i := range planned.Rows {
+			if len(planned.Rows[i]) != len(naive.Rows[i]) {
+				t.Fatalf("%s\nrow %d arity differs", sql, i)
+			}
+			for j := range planned.Rows[i] {
+				if p, n := planned.Rows[i][j], naive.Rows[i][j]; !p.Equal(n) {
+					t.Fatalf("%s\nrow %d col %d: planned %s, naive %s", sql, i, j, p, n)
+				}
 			}
 		}
+		return
 	}
+	want := naive.Rows
+	if sel.Limit >= 0 {
+		unlimited := *sel
+		unlimited.Limit = -1
+		ex.useOracle(true)
+		all, err := ex.Select(&unlimited)
+		ex.useOracle(false)
+		if err != nil {
+			t.Fatalf("%s\nthe oracle fails without the LIMIT: %v", sql, err)
+		}
+		want = all.Rows
+	}
+	if missing, ok := subMultiset(planned.Rows, want); !ok {
+		t.Fatalf("%s\nplanned row %v is not in the oracle's answer %v", sql, missing, want)
+	}
+}
+
+// subMultiset reports whether every row of got appears in want at least as
+// often, floats matching within a relative 1e-12; else it returns a row that
+// does not. With len(got) == len(want) it is multiset equality.
+func subMultiset(got, want []storage.Tuple) (storage.Tuple, bool) {
+	got, want = sortedRows(got), sortedRows(want)
+	j := 0
+	for _, r := range got {
+		for j < len(want) && compareRows(want[j], r) < 0 {
+			j++
+		}
+		if j == len(want) || compareRows(want[j], r) != 0 {
+			return r, false
+		}
+		j++
+	}
+	return nil, true
+}
+
+func sortedRows(rows []storage.Tuple) []storage.Tuple {
+	out := slices.Clone(rows)
+	slices.SortStableFunc(out, compareRows)
+	return out
+}
+
+// compareRows orders rows column by column by value.Key, treating two floats
+// within a relative 1e-12 of each other as equal.
+func compareRows(a, b storage.Tuple) int {
+	for j := range min(len(a), len(b)) {
+		x, y := a[j], b[j]
+		if x.Kind() == value.Float && y.Kind() == value.Float {
+			f, g := x.Float(), y.Float()
+			if f == g || math.Abs(f-g) <= 1e-12*math.Max(math.Abs(f), math.Abs(g)) {
+				continue
+			}
+		}
+		if c := strings.Compare(x.Key(), y.Key()); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
 }
 
 // TestPlannerDifferentialPaperCorpus proves planned/interpreter row equality
@@ -68,14 +170,20 @@ func TestPlannerDifferentialPaperCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	movies, emp := New(movieDB), New(empDB)
+	reordered := 0
 	for _, label := range sqlparser.PaperQueryOrder {
 		sql := sqlparser.PaperQueries[label]
 		ex := movies
 		if label == "Q0" {
 			ex = emp
 		}
-		t.Run(label, func(t *testing.T) { comparePlannedNaive(t, ex, sql) })
+		t.Run(label, func(t *testing.T) {
+			if comparePlannedNaive(t, ex, sql) {
+				reordered++
+			}
+		})
 	}
+	requireReordered(t, reordered)
 }
 
 // TestPlannerDifferentialPaperCorpusIndexed repeats the corpus with
@@ -101,13 +209,19 @@ func TestPlannerDifferentialPaperCorpusIndexed(t *testing.T) {
 		}
 	}
 	ex := New(movieDB)
+	reordered := 0
 	for _, label := range sqlparser.PaperQueryOrder {
 		if label == "Q0" {
 			continue // EMP/DEPT schema
 		}
 		sql := sqlparser.PaperQueries[label]
-		t.Run(label, func(t *testing.T) { comparePlannedNaive(t, ex, sql) })
+		t.Run(label, func(t *testing.T) {
+			if comparePlannedNaive(t, ex, sql) {
+				reordered++
+			}
+		})
 	}
+	requireReordered(t, reordered)
 }
 
 // TestPlannerDifferentialRandomized sweeps randomized filters, orders,
@@ -182,10 +296,14 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 				ops[rng.Intn(len(ops))], 1+rng.Intn(45))
 		},
 	}
+	reordered := 0
 	for trial := 0; trial < 120; trial++ {
 		sql := templates[trial%len(templates)]()
-		comparePlannedNaive(t, ex, sql)
+		if comparePlannedNaive(t, ex, sql) {
+			reordered++
+		}
 	}
+	requireReordered(t, reordered)
 }
 
 // TestPlannerDifferentialNulls builds a schema with nullable join and filter
@@ -244,6 +362,7 @@ func TestPlannerDifferentialNulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := New(db)
+	reordered := 0
 	for _, sql := range []string{
 		"select l.id, r.id from L l, R r where l.k = r.k",
 		"select l.id, r.val from L l, R r where l.k = r.k and r.val = 'v1'",
@@ -266,8 +385,11 @@ func TestPlannerDifferentialNulls(t *testing.T) {
 		// Aggregates over an empty group set.
 		"select count(l.k), sum(l.k), min(l.k), max(l.k), avg(l.k) from L l where l.id < 0",
 	} {
-		comparePlannedNaive(t, ex, sql)
+		if comparePlannedNaive(t, ex, sql) {
+			reordered++
+		}
 	}
+	requireReordered(t, reordered)
 }
 
 // hashSidesOf runs sql on the planned pipeline and returns which side each
@@ -364,6 +486,7 @@ func TestPlannerDifferentialHashBuildSides(t *testing.T) {
 		}
 	}
 	ex := New(db)
+	reordered := 0
 	for _, tc := range []struct {
 		name  string
 		join  string // the join conjuncts, shared by both runs
@@ -394,8 +517,8 @@ func TestPlannerDifferentialHashBuildSides(t *testing.T) {
 				{"select l.id, r.id from L l, R r where " + tc.join + " and " + tc.few, planner.HashOuter},
 				{"select l.id, r.id from L l, R r where " + tc.join, planner.HashTable},
 			} {
-				if !tc.apart {
-					comparePlannedNaive(t, ex, run.sql)
+				if !tc.apart && comparePlannedNaive(t, ex, run.sql) {
+					reordered++
 				}
 				sides := hashSidesOf(t, ex, run.sql)
 				switch {
@@ -413,6 +536,7 @@ func TestPlannerDifferentialHashBuildSides(t *testing.T) {
 			}
 		})
 	}
+	requireReordered(t, reordered)
 }
 
 // TestPlannerDifferentialFuzzSeeds replays the parser fuzz seed corpus
@@ -453,12 +577,16 @@ func TestPlannerDifferentialFuzzSeeds(t *testing.T) {
 			seeds = append(seeds, sqlparser.PaperQueries[label])
 		}
 	}
+	reordered := 0
 	for _, sql := range seeds {
 		if _, err := sqlparser.ParseSelect(sql); err != nil {
 			continue // non-SELECT or unparsable seeds exercise nothing here
 		}
-		comparePlannedNaive(t, ex, sql)
+		if comparePlannedNaive(t, ex, sql) {
+			reordered++
+		}
 	}
+	requireReordered(t, reordered)
 }
 
 // TestPlannerDifferentialUnknownColumn pins a review finding: a conjunct
@@ -484,31 +612,119 @@ func TestPlannerDifferentialUnknownColumn(t *testing.T) {
 	}
 }
 
-// TestPlannerJoinReorderRestoresRowOrder pins the provenance-sort guarantee
-// directly: a query the planner reorders (selective filter on the second
-// FROM entry) must emit rows in the interpreter's FROM-major nested-loop
-// order.
-func TestPlannerJoinReorderRestoresRowOrder(t *testing.T) {
-	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
-		Seed: 5, Movies: 50, Actors: 20, Directors: 4, CastPerMovie: 2, GenresPerMovie: 2,
-	})
+// TestPlannerReorderedRowsLeaveInPipelineOrder pins the row-order contract on
+// a join the planner reorders: B's selective filter puts B's scan first, and
+// B lists its rows in descending a order. The rows leave in pipeline order —
+// B's table order, whatever the worker count — not the interpreter's
+// FROM-major order; they equal the oracle's as a multiset; and a LIMIT keeps
+// the first rows of the pipeline, which oracleAgrees accepts as long as the
+// count is right and every row is in the oracle's un-LIMITed answer.
+func TestPlannerReorderedRowsLeaveInPipelineOrder(t *testing.T) {
+	old := parallelThreshold
+	parallelThreshold = 8
+	defer func() { parallelThreshold = old }()
+
+	schema := catalog.NewSchema("reorder")
+	for _, rel := range []*catalog.Relation{
+		{Name: "A", PrimaryKey: []string{"id"}, Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true}}},
+		{Name: "B", PrimaryKey: []string{"id"}, Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true}, {Name: "a", Type: catalog.Int}, {Name: "tag", Type: catalog.Int}}},
+	} {
+		if err := schema.AddRelation(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := storage.NewDatabase(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := db.Insert("A", storage.Tuple{value.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+		a := int64(n - 1 - i) // descending, so B's order is not A's
+		if err := db.Insert("B", storage.Tuple{value.NewInt(int64(i)), value.NewInt(a), value.NewInt(int64(i % 50))}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ex := New(db)
-	sql := "select m.id, g.genre from MOVIES m, GENRE g where m.id = g.mid and g.genre = 'drama'"
+	const sql = "select a.id, b.id from A a, B b where a.id = b.a and b.tag = 7"
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ex.Plan(sel)
+	ids := func(res *Result) []int64 {
+		var out []int64
+		for _, r := range res.Rows {
+			out = append(out, r[1].Int())
+		}
+		return out
+	}
+	for _, workers := range []int{1, 4} {
+		ex.SetParallelism(workers)
+		res, plan, err := ex.SelectExplained(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reorders(plan) {
+			t.Fatalf("want B scanned first, got %s", plan.Fingerprint())
+		}
+		if got, want := fmt.Sprint(ids(res)), "[7 57 107 157]"; got != want {
+			t.Fatalf("workers=%d: b.id order %s, want B's table order %s", workers, got, want)
+		}
+	}
+	ex.SetParallelism(0)
+	ex.useOracle(true)
+	naive, err := ex.Select(sel)
+	ex.useOracle(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Reordered {
-		t.Fatalf("expected the planner to reorder (GENRE filter first), fingerprint %s", plan.Fingerprint())
+	if got, want := fmt.Sprint(ids(naive)), "[157 107 57 7]"; got != want {
+		t.Fatalf("oracle b.id order %s, want FROM-major %s", got, want)
 	}
-	comparePlannedNaive(t, ex, sql)
+	if !comparePlannedNaive(t, ex, sql) || !comparePlannedNaive(t, ex, sql+" limit 2") {
+		t.Fatal("the comparisons did not run the reordered plan")
+	}
+	limited, err := ex.Query(sql + " limit 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(ids(limited)), "[7 57]"; got != want {
+		t.Fatalf("LIMIT kept b.id %s, want the pipeline's first rows %s", got, want)
+	}
+
+	// The multiset rule itself: a foreign row, or a row more often than the
+	// oracle has it, is caught.
+	row := func(vs ...int64) storage.Tuple {
+		var r storage.Tuple
+		for _, v := range vs {
+			r = append(r, value.NewInt(v))
+		}
+		return r
+	}
+	oracleRows := []storage.Tuple{row(1, 2), row(3, 4), row(1, 2)}
+	for _, tc := range []struct {
+		got  []storage.Tuple
+		want bool
+	}{
+		{[]storage.Tuple{row(1, 2), row(1, 2), row(3, 4)}, true},
+		{[]storage.Tuple{row(3, 4), row(1, 2)}, true},
+		{[]storage.Tuple{row(3, 4), row(3, 4)}, false},
+		{[]storage.Tuple{row(1, 2), row(5, 6)}, false},
+	} {
+		if _, ok := subMultiset(tc.got, oracleRows); ok != tc.want {
+			t.Errorf("subMultiset(%v, %v) = %v, want %v", tc.got, oracleRows, ok, tc.want)
+		}
+	}
+	if _, ok := subMultiset([]storage.Tuple{{value.NewFloat(0.1 + 0.2)}}, []storage.Tuple{{value.NewFloat(0.3)}}); !ok {
+		t.Error("floats a rounding apart must match")
+	}
+	if _, ok := subMultiset([]storage.Tuple{{value.NewFloat(0.3000001)}}, []storage.Tuple{{value.NewFloat(0.3)}}); ok {
+		t.Error("floats 3e-7 apart must not match")
+	}
 }
 
 // TestDMLPlannedVsInterpreter runs every way an UPDATE or DELETE resolves its
@@ -554,8 +770,10 @@ func TestDMLPlannedVsInterpreter(t *testing.T) {
 		{"DIRECTED", "delete from DIRECTED where did in (select d.id from DIRECTOR d where d.id < 3)"},
 		{"GENRE", "update GENRE g set genre = 'old' where exists (select 1 from DIRECTOR d where d.id = g.mid and d.id > 2)"},
 		{"MOVIES", "update MOVIES set year = 1 / (year - year) where id = 50"}, // SET error
-		{"MOVIES", "delete from MOVIES where 1 / (id - 60) > 0 and id < 100"},  // WHERE error: no trace
-		{"MOVIES", "delete from MOVIES where nosuch = 1"},                      // bridged: the evaluator's error
+		{"MOVIES", "update MOVIES m set title = case when m.year > 1990 then 'new' else m.title end, year = m.year + 1 where m.id < 40"},
+		{"MOVIES", "update MOVIES set year = nosuch where id = 47"},           // bridged: the evaluator's error
+		{"MOVIES", "delete from MOVIES where 1 / (id - 60) > 0 and id < 100"}, // WHERE error: no trace
+		{"MOVIES", "delete from MOVIES where nosuch = 1"},                     // bridged: the evaluator's error
 		{"DIRECTED", "delete from DIRECTED"},
 	}
 	for i := 0; i < 12; i++ {

@@ -229,12 +229,6 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, hasOuter bool) *Plan {
 	for _, st := range plan.Steps {
 		plan.EstCost += st.EstCost
 	}
-	for i, st := range plan.Steps {
-		if st.FromPos != i {
-			plan.Reordered = true
-			break
-		}
-	}
 	buildShape(plan, sel, res, stats)
 	return plan
 }

@@ -227,13 +227,9 @@ type Plan struct {
 	// limit) in execution order; empty for plain select-project-join.
 	Shape []*ShapeStep
 	// Width is the total slot count of the flat row layout.
-	Width int
-	// Reordered reports that step order differs from FROM order, in which
-	// case the engine restores FROM-major row order after the pipeline, the
-	// order the nested-loop interpreter emits.
-	Reordered bool
-	EstRows   float64
-	EstCost   float64
+	Width   int
+	EstRows float64
+	EstCost float64
 	// ActualRows is the final row count after Post filters (-1 before
 	// execution).
 	ActualRows int

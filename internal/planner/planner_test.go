@@ -66,9 +66,6 @@ func TestPlanOrdersBySelectivity(t *testing.T) {
 	if p.Steps[1].Access != planner.JoinPK {
 		t.Fatalf("second access = %s, want primary-key join", p.Steps[1].Access)
 	}
-	if !p.Reordered {
-		t.Fatal("plan should report reordering")
-	}
 	if p.Steps[0].EstRows > 10 {
 		t.Fatalf("selective equality estimated %f rows", p.Steps[0].EstRows)
 	}
@@ -140,7 +137,7 @@ func TestPlanFallbacks(t *testing.T) {
 	db := genDB(t)
 	// id is an attribute of both MOVIES and ACTOR.
 	p := buildPlan(t, db, `select title from ACTOR a, MOVIES m where id = 3 and m.year > 2000`)
-	if p.Reordered || p.Steps[0].Input.Alias != "a" {
+	if p.Steps[0].Input.Alias != "a" {
 		t.Fatalf("a plan with an unresolvable conjunct must keep FROM order, got %s", p.Fingerprint())
 	}
 	if got := p.Steps[0].PostJoinFilters; len(got) != 1 || got[0].SQL() != "id = 3" {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Frame is one framed record decoded from a byte stream.
@@ -51,6 +52,9 @@ func (e *FrameError) Unwrap() error { return e.Err }
 func (e *FrameError) Corrupt() bool {
 	return e.Reason == "checksum mismatch" || e.Reason == "implausible record length"
 }
+
+// frameChunk is the first buffer growth step of a frame payload.
+const frameChunk = 4 << 10
 
 // FrameScanner incrementally decodes framed records from r. It mirrors
 // bufio.Scanner: Scan until it returns false, then check Err — nil means the
@@ -93,16 +97,24 @@ func (s *FrameScanner) Scan() bool {
 		return false
 	}
 	sum := binary.LittleEndian.Uint32(s.hdr[4:])
-	if cap(s.buf) < size {
-		s.buf = make([]byte, size)
-	}
-	s.buf = s.buf[:size]
-	n, err = io.ReadFull(s.r, s.buf)
-	s.off += int64(n)
-	if err != nil {
-		s.done = true
-		s.err = &FrameError{Reason: "truncated record", Err: err}
-		return false
+	// The buffer grows as bytes arrive, doubling up to the claimed size, so a
+	// corrupt length prefix costs what the stream delivers, not what it claims.
+	s.buf = s.buf[:0]
+	for len(s.buf) < size {
+		if len(s.buf) == cap(s.buf) {
+			s.buf = slices.Grow(s.buf, min(max(len(s.buf), frameChunk), size-len(s.buf)))
+		}
+		n, err = io.ReadFull(s.r, s.buf[len(s.buf):min(cap(s.buf), size)])
+		s.buf = s.buf[:len(s.buf)+n]
+		s.off += int64(n)
+		if err != nil {
+			if errors.Is(err, io.EOF) && len(s.buf) > 0 {
+				err = io.ErrUnexpectedEOF // as one ReadFull of the whole payload
+			}
+			s.done = true
+			s.err = &FrameError{Reason: "truncated record", Err: err}
+			return false
+		}
 	}
 	if Checksum(s.buf) != sum {
 		s.done = true

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/iotest"
 )
@@ -18,6 +19,7 @@ func TestFrameScannerDifferential(t *testing.T) {
 		[]byte{},
 		[]byte("third record with more bytes"),
 		bytes.Repeat([]byte{0xAB}, 300),
+		bytes.Repeat([]byte{0xCD}, 2*frameChunk+100), // read over three buffer growths
 	)
 	for cut := 0; cut <= len(data); cut++ {
 		records, tail := Scan(data[:cut])
@@ -85,7 +87,7 @@ func TestFrameScannerCorruption(t *testing.T) {
 // TestFrameScannerOneByteReads drives the scanner through a reader that
 // yields one byte at a time: incremental reads must not change the result.
 func TestFrameScannerOneByteReads(t *testing.T) {
-	payloads := [][]byte{[]byte("one"), {}, bytes.Repeat([]byte{7}, 999)}
+	payloads := [][]byte{[]byte("one"), {}, bytes.Repeat([]byte{7}, 999), bytes.Repeat([]byte{8}, 2*frameChunk+100)}
 	data := buildLog(t, payloads...)
 	s := NewFrameScanner(iotest.OneByteReader(bytes.NewReader(data)))
 	for i, want := range payloads {
@@ -126,6 +128,26 @@ func TestFrameScannerSeveredStream(t *testing.T) {
 	}
 }
 
+// TestFrameScannerClaimedLengthNotAllocated pins that a plausible length
+// prefix is not an allocation request either: a header claiming 200 MiB
+// followed by 100 bytes and EOF is a truncated record, found for the cost of
+// the bytes that arrived.
+func TestFrameScannerClaimedLengthNotAllocated(t *testing.T) {
+	data := make([]byte, frameHeader+100)
+	binary.LittleEndian.PutUint32(data, 200<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrames(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	var fe *FrameError
+	if !errors.As(err, &fe) || fe.Reason != "truncated record" || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("want a truncated record, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("allocated %d bytes to read 100", got)
+	}
+}
+
 // TestFrameScannerImplausibleLength pins that a giant length prefix is
 // corruption, not an allocation request.
 func TestFrameScannerImplausibleLength(t *testing.T) {
@@ -142,8 +164,9 @@ func TestFrameScannerImplausibleLength(t *testing.T) {
 // disk, FrameScanner over the replication stream — to one reading of any
 // bytes: the same payloads in order, the same reason for stopping, a clean end
 // for both or neither, and a tail that starts where the accepted frames end.
-// The seeds are a log written through MemFS, torn, bit-flipped, and with an
-// implausible length prefix.
+// The seeds are a log written through MemFS, torn, bit-flipped, with an
+// implausible length prefix, and followed by a frame that claims more bytes
+// than arrive.
 func FuzzFrameDecoders(f *testing.F) {
 	fs := NewMemFS()
 	file, err := fs.Create("wal.log")
@@ -168,6 +191,9 @@ func FuzzFrameDecoders(f *testing.F) {
 	implausible := append([]byte(nil), log...)
 	binary.LittleEndian.PutUint32(implausible[frameHeader+len(payloads[0]):], MaxRecord+1)
 	f.Add(implausible)
+	long := binary.LittleEndian.AppendUint32(append([]byte(nil), log...), 3*frameChunk)
+	long = binary.LittleEndian.AppendUint32(long, 0)
+	f.Add(append(long, make([]byte, frameChunk+10)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		records, tail := Scan(data)

@@ -65,13 +65,14 @@
 // An UPDATE or DELETE costs the rows it matches plus the rows it moves. Its
 // WHERE resolves to ascending row positions before any row mutates, through
 // the plan SELECT * FROM rel WHERE ... would get against the live table, run
-// for the rows' provenance alone: a primary-key probe for `where id = 42`,
+// for the scan's row positions alone: a primary-key probe for `where id = 42`,
 // an index probe for an equality on an indexed attribute, otherwise the scan
 // a SELECT runs (vectorized filter prefix with zone skipping, compiled
 // residual filters, bridged subquery predicates), polling the request budget
 // where a SELECT does — so a WHERE error or a budget trip leaves no trace.
 // Every WHERE runs a plan; a column the planner cannot resolve is evaluated
-// row by row where the plan reaches it, and raises its error there. Storage
+// row by row where the plan reaches it, and raises its error there. UPDATE's
+// SET expressions compile once over the same single-table plan. Storage
 // then applies by position (Database.UpdateAt, DeleteAt; the predicate forms
 // Update and Delete are a scan for positions in front of the same code, and
 // WAL replay calls the positional forms with the positions it logged). An
@@ -113,11 +114,13 @@
 // body is materialized into a table the plan reads like any other, a
 // FROM-less SELECT plans to zero steps and one empty row, and a condition the
 // planner cannot resolve is bridged through the expression evaluator at the
-// step that binds it. The engine's original interpreter survives only in its
-// tests, as the oracle: the planned pipeline emits exactly the rows, in
-// exactly the order, the interpreter's nested loops produce, so plans are
-// observable only through speed — a property the differential test suites
-// pin.
+// step that binds it. Rows of a query without a total ORDER BY come out in
+// pipeline order — the first step's rows in table order, each followed by
+// its matches — which is the same at every worker count, and is FROM order
+// only where the plan keeps it. The engine's original interpreter survives
+// only in its tests, as the oracle: the planned pipeline emits exactly the
+// rows the interpreter's nested loops produce, in the same order when the
+// plan keeps FROM order — a property the differential test suites pin.
 //
 // Grouped queries aggregate in one of two executors. The faster is the fused
 // vectorized pipeline (the plan's vec-aggregate shape step): when every
@@ -160,9 +163,9 @@
 // versus off is byte-identical — a differential suite pins it. EXPLAIN PLAN
 // narrates the outcome: "the scan consulted zone maps over 64 morsels of
 // 4096 rows and skipped 62 of 64 morsels whose min/max bounds disproved the
-// filters without touching their payloads." Engine.SetZoneMapsEnabled(false)
-// reverts the whole layer — pruning, frame-of-reference reads, rank
-// compares — for A/B comparison.
+// filters without touching their payloads." The layer has no off switch in
+// production; the engine's tests turn it off (pruning, frame-of-reference
+// reads, rank compares) to hold the two executions to each other.
 //
 // The paper's §3.1 asks the DBMS to explain *why* a query is expensive;
 // `EXPLAIN PLAN`, System.ExplainPlan, and the talkbackd /explain endpoint
