@@ -653,6 +653,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"reads_completed":    completed,
 			"reads_cancelled":    cancelled,
 		},
+		// Answers that went out without their empty/large-answer feedback
+		// because it errored or its budget ran out.
+		"feedback": map[string]any{
+			"failed": s.sys.FeedbackFailures(),
+		},
 	}
 	if s.repl != nil {
 		// The replication role: a primary reports its outbox and per-follower

@@ -137,6 +137,9 @@ func TestEntityCancelledMidNarration(t *testing.T) {
 	if got := stats["snapshots"]["reads_cancelled"]; got != float64(1) {
 		t.Fatalf("snapshots.reads_cancelled = %v, want 1", got)
 	}
+	if got := stats["feedback"]["failed"]; got != float64(0) {
+		t.Fatalf("feedback.failed = %v, want 0: no answer lost its feedback", got)
+	}
 }
 
 // TestBodyCapNarrated413: a body over -max-body is refused with 413 and a

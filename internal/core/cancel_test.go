@@ -228,6 +228,44 @@ func TestAskRowQuota(t *testing.T) {
 	}
 }
 
+// TestFeedbackQuotaNarrated: a row quota the query fits but its empty-answer
+// feedback trips leaves the answer standing, counts the failed feedback, says
+// in the feedback what stopped it, and keeps the response out of the cache.
+func TestFeedbackQuotaNarrated(t *testing.T) {
+	cfg := dataset.DefaultGenConfig()
+	cfg.Movies = 200
+	db, err := dataset.GenerateMovieDB(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysCfg := MovieConfig()
+	sysCfg.MaxRowsScanned = 300 // the query examines 200 rows, its re-run 200 more
+	sys, err := New(db, sysCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `select m.title from MOVIES m where m.year > 3000`
+	for ask := 1; ask <= 2; ask++ {
+		resp, err := sys.Ask(q)
+		if err != nil {
+			t.Fatalf("ask %d: the query fits its quota, got %v", ask, err)
+		}
+		if resp.Answer != "There are no results." {
+			t.Fatalf("ask %d: answer %q", ask, resp.Answer)
+		}
+		if !strings.Contains(resp.Feedback, "could not finish the feedback") ||
+			!strings.Contains(resp.Feedback, "quota of 300 rows examined") {
+			t.Fatalf("ask %d: feedback %q does not narrate the quota", ask, resp.Feedback)
+		}
+		if got := sys.FeedbackFailures(); got != uint64(ask) {
+			t.Fatalf("ask %d: %d feedback failures counted", ask, got)
+		}
+	}
+	if hits := sys.CacheStats()["response"].Hits; hits != 0 {
+		t.Fatalf("a response without its feedback was served from the cache %d times", hits)
+	}
+}
+
 // TestAskContextWALStall: a WAL fsync that outlives the request deadline
 // plus the grace window surfaces as a narrated wal-stall cancellation and
 // latches the log against further writes — the record's fate on disk is

@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -111,6 +112,9 @@ type System struct {
 	readers        atomic.Int64
 	readsDone      atomic.Uint64
 	readsCancelled atomic.Uint64
+	// feedbackFailed counts answers whose feedback errored or was cancelled
+	// (see FeedbackFailures).
+	feedbackFailed atomic.Uint64
 
 	// Caches keyed on normalized SQL. Cached values are shared across
 	// sessions and treated as immutable: the engine never mutates an AST,
@@ -464,23 +468,40 @@ func (s *System) AskContext(ctx context.Context, sql string) (resp *Response, er
 	// Feedback probes re-execute predicate subsets; running them on the
 	// same pinned snapshot guarantees the diagnosis describes the version
 	// the answer came from, not whatever a concurrent writer left behind.
+	var feedErr error
 	switch {
 	case len(res.Rows) == 0:
-		diag, err := explain.New(eng, s.queries).ExplainEmpty(sel)
-		if err == nil {
+		var diag *explain.EmptyDiagnosis
+		if diag, feedErr = explain.New(eng, s.queries).ExplainEmpty(sel); feedErr == nil {
 			resp.Feedback = diag.Text
 		}
 	case len(res.Rows) > s.cfg.LargeThreshold:
-		diag, err := explain.New(eng, s.queries).ExplainLarge(sel, s.cfg.LargeThreshold)
-		if err == nil {
+		var diag *explain.LargeDiagnosis
+		if diag, feedErr = explain.New(eng, s.queries).ExplainLarge(sel, s.cfg.LargeThreshold); feedErr == nil {
 			resp.Feedback = diag.Text
 		}
+	}
+	if feedErr != nil {
+		// The answer stands without its feedback. The failure is counted, and
+		// a budget that stopped the feedback says so; the response is not
+		// cached, so the next ask tries the feedback again.
+		s.feedbackFailed.Add(1)
+		var ce *engine.CancelError
+		if errors.As(feedErr, &ce) {
+			resp.Feedback = lexicon.Sentence("I could not finish the feedback on this answer") + " " + querytotext.CancelEnglish(ce)
+		}
+		return resp, nil
 	}
 	if s.respCache != nil {
 		s.respCache.Put(respKey, resp)
 	}
 	return resp, nil
 }
+
+// FeedbackFailures counts the empty- or large-answer feedbacks that errored
+// or were cancelled since the System started: answers that went out without
+// the diagnosis they would otherwise carry.
+func (s *System) FeedbackFailures() uint64 { return s.feedbackFailed.Load() }
 
 // ExplainPlan plans and executes sql, returning the executed plan with its
 // English narration and optimization tips — the backbone of the /explain

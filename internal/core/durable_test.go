@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
@@ -79,6 +81,45 @@ func TestDurableAskSurvivesRestart(t *testing.T) {
 	}
 	if ans := askCount(t, sys2, "select g.genre from GENRE g where g.genre = 'adventure'"); !strings.Contains(ans, "no ") {
 		t.Fatalf("delete lost: %s", ans)
+	}
+}
+
+// TestDurableUpdateWithSetSubquery: an UPDATE whose SET holds a subquery
+// returns through AskContext on a durable database — the subquery reads the
+// pre-statement version, not the tables the statement holds locked — and
+// recovery replays it to the same state.
+func TestDurableUpdateWithSetSubquery(t *testing.T) {
+	fs := wal.NewMemFS()
+	sys, _ := durableMovieSystem(t, fs)
+	const upd = "update MOVIES set year = (select max(m2.year) from MOVIES m2) where id = 100"
+	done := make(chan error, 1)
+	go func() {
+		_, err := sys.AskContext(context.Background(), upd)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("UPDATE with a SET subquery did not return")
+	}
+	// A later write is not stuck behind it.
+	if _, err := sys.Ask("update MOVIES set title = 'After' where id = 101"); err != nil {
+		t.Fatal(err)
+	}
+	const probe = "select m.id, m.title, m.year from MOVIES m where m.id >= 100 and m.id <= 101 order by m.id"
+	before := askCount(t, sys, probe)
+	if !strings.Contains(before, "2008") {
+		t.Fatalf("movie 100 not set to the pre-statement maximum: %s", before)
+	}
+	sys2, report := durableMovieSystem(t, fs)
+	if report.Fresh || report.ReplayedBatches == 0 {
+		t.Fatalf("second boot replayed nothing: %+v", report)
+	}
+	if after := askCount(t, sys2, probe); after != before {
+		t.Fatalf("recovery diverged:\nbefore: %s\nafter:  %s", before, after)
 	}
 }
 

@@ -153,10 +153,22 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (n int, err error) {
 	}
 
 	// The SET expressions compile over the WHERE's single-table plan, whose
-	// row layout is the tuple's.
-	compile := pq.compile
+	// row layout is the tuple's. A subquery among them reads the database as
+	// it stood before the statement, as SQL specifies: from the version
+	// pinned here, never the live tables, whose write lock the apply below
+	// holds. A SET without one pins nothing.
+	setPQ := pq
+	for _, a := range stmt.Set {
+		if len(sqlparser.Subqueries(a.Value)) > 0 {
+			pinned := *pq
+			pinned.ex = ex.At(ex.db.Snapshot())
+			setPQ = &pinned
+			break
+		}
+	}
+	compile := setPQ.compile
 	if o := ex.st.oracle.Load(); o != nil {
-		compile = func(e sqlparser.Expr) rowEval { return o.set(pq, e) }
+		compile = func(e sqlparser.Expr) rowEval { return o.set(setPQ, e) }
 	}
 	set := make([]rowEval, len(stmt.Set))
 	for i, a := range stmt.Set {
@@ -165,7 +177,7 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (n int, err error) {
 	var evalErr error
 	// One context and one value scratch serve every row: evaluation never
 	// retains them.
-	ec := pq.newCtx()
+	ec := setPQ.newCtx()
 	newVals := make([]value.Value, len(stmt.Set))
 	apply := func(tup storage.Tuple) storage.Tuple {
 		// Evaluate all RHS before assigning, per SQL simultaneous-update

@@ -1,0 +1,93 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/dataset"
+)
+
+// execWithin runs sql on ex and fails the test if it has not returned within
+// a few seconds — a statement that deadlocks must fail, not hang the suite.
+func execWithin(t *testing.T, ex *Engine, sql string) (int, error) {
+	t.Helper()
+	type outcome struct {
+		n   int
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		_, n, err := ex.Exec(sql)
+		done <- outcome{n, err}
+	}()
+	select {
+	case o := <-done:
+		return o.n, o.err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return", sql)
+		return 0, nil
+	}
+}
+
+// TestUpdateSetSubqueryReadsPreStatement: a subquery in UPDATE's SET reads
+// the database as it stood before the statement — it neither deadlocks on
+// the write lock the apply holds nor sees the rows the statement has already
+// replaced — and the interpreter agrees.
+func TestUpdateSetSubqueryReadsPreStatement(t *testing.T) {
+	year := func(t *testing.T, ex *Engine, id int) int64 {
+		t.Helper()
+		res, err := ex.Query(fmt.Sprintf("select m.year from MOVIES m where m.id = %d", id))
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("reading movie %d: %v %v", id, res, err)
+		}
+		return res.Rows[0][0].Int()
+	}
+	stmts := []string{
+		"update MOVIES set year = (select max(m2.year) from MOVIES m2) where id = 100",
+		// Every updated row sees the pre-statement maximum, not one the
+		// statement itself raised.
+		"update MOVIES set year = (select max(m2.year) from MOVIES m2) + 1 where year < 2000",
+		// Correlated with the row being updated, over the column being updated.
+		"update MOVIES m set year = (select count(*) from MOVIES m2 where m2.year <= m.year) where m.id > 100",
+	}
+	run := func(oracle bool) (*Engine, []int) {
+		db, err := dataset.CuratedMovieDB()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := New(db)
+		ex.useOracle(oracle)
+		var affected []int
+		for i, sql := range stmts {
+			n, err := execWithin(t, ex, sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			affected = append(affected, n)
+			switch i {
+			case 0:
+				if got := year(t, ex, 100); got != 2008 {
+					t.Fatalf("oracle=%v: movie 100's year = %d, want 2008", oracle, got)
+				}
+			case 1:
+				res, err := ex.Query("select count(*) from MOVIES m where m.year = 2009")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Rows[0][0].Int(); got != int64(n) || n < 2 {
+					t.Fatalf("oracle=%v: %d rows raised to 2009, want all %d the statement updated", oracle, got, n)
+				}
+			}
+		}
+		return ex, affected
+	}
+	planned, nP := run(false)
+	naive, nN := run(true)
+	if fmt.Sprint(nP) != fmt.Sprint(nN) {
+		t.Fatalf("affected rows: planned %v, interpreter %v", nP, nN)
+	}
+	if got, want := dumpTable(t, planned.Database(), "MOVIES"), dumpTable(t, naive.Database(), "MOVIES"); got != want {
+		t.Fatalf("MOVIES differs between planned and interpreted SET:\n%s\nvs\n%s", got, want)
+	}
+}

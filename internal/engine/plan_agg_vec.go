@@ -292,7 +292,7 @@ func (pq *plannedQuery) compileVecKeys(sel *sqlparser.SelectStmt) (*vecAggExec, 
 		return nil, false
 	}
 	for si, st := range plan.Steps {
-		if len(pq.stepSelf[si]) > 0 || len(pq.stepPost[si]) > 0 || st.Join != sqlparser.JoinInner {
+		if len(pq.steps[si].self) > 0 || len(pq.steps[si].post) > 0 || st.Join != sqlparser.JoinInner {
 			return nil, false
 		}
 	}
@@ -920,8 +920,10 @@ type fusedStep struct {
 }
 
 // fusedCtx is one worker's pipeline scratch: per-step positions, the key
-// pack buffer, per-step row counters, the private aggregation state, and the
-// current (morsel, sequence) stamp.
+// pack buffer, per-step row counters, the private aggregation state, the
+// current (morsel, sequence) stamp, and the selection buffer sel every zone
+// of the worker's scan reuses, carved from buf so it is part of the context's
+// one allocation.
 type fusedCtx struct {
 	pos      []int32
 	keyBuf   []byte
@@ -929,6 +931,8 @@ type fusedCtx struct {
 	state    *vecAggState
 	m        int32
 	seq      int64
+	sel      []int32
+	buf      [selRows]int32
 }
 
 // fusedRun executes one compiled query: shared immutable step structures
@@ -940,11 +944,13 @@ type fusedRun struct {
 }
 
 func (fx *fusedRun) newCtx(va *vecAggExec) *fusedCtx {
-	return &fusedCtx{
+	fc := &fusedCtx{
 		pos:      make([]int32, len(fx.steps)),
 		stepRows: make([]int64, len(fx.steps)),
 		state:    newVecAggState(va),
 	}
+	fc.sel = fc.buf[:]
+	return fc
 }
 
 // feed pushes the current position vector through join step si and beyond,
@@ -977,7 +983,7 @@ func (fx *fusedRun) feed(fc *fusedCtx, si int) {
 			fc.keyBuf = v.AppendKey(fc.keyBuf)
 		}
 		pos, ok := fs.tbl.LookupPKPos(fc.keyBuf)
-		if !ok || !fx.pq.vecPass(si, pos) {
+		if !ok || !fx.pq.kept(si, pos) {
 			return
 		}
 		fc.pos[si] = int32(pos)
@@ -993,7 +999,7 @@ func (fx *fusedRun) feed(fc *fusedCtx, si int) {
 			fc.keyBuf = v.AppendKey(fc.keyBuf)
 		}
 		for _, pos := range fs.ix.Probe(fc.keyBuf) {
-			if !fx.pq.vecPass(si, pos) {
+			if !fx.pq.kept(si, pos) {
 				continue
 			}
 			fc.pos[si] = int32(pos)
@@ -1050,15 +1056,12 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 	if st0.Access == planner.ScanPK || st0.Access == planner.ScanIndex {
 		fc := fx.newCtx(va)
 		ctxs = []*fusedCtx{fc}
-		positions, err := scanProbePositions(st0)
+		positions, err := pq.probePositions(fc.sel[:0], st0)
 		if err != nil {
 			return nil, err
 		}
 		for _, pos := range positions {
-			if !pq.vecPass(0, pos) {
-				continue
-			}
-			fc.pos[0] = int32(pos)
+			fc.pos[0] = pos
 			fc.stepRows[0]++
 			fx.feed(fc, 1)
 		}
@@ -1162,15 +1165,13 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 }
 
 // feedRange feeds the base rows of [lo, hi) that pass step 0's vectorized
-// filters into the fused pipeline.
+// filters into the fused pipeline: scanBase selects them zone by zone in the
+// worker's selection buffer (a serial run hands it the whole table), and
+// each kept position runs down the join steps.
 func (fx *fusedRun) feedRange(fc *fusedCtx, lo, hi int) {
-	pq := fx.pq
-	pq.scanBase(lo, hi, true, func(segLo, segHi int, tested bool) bool {
-		for ti := segLo; ti < segHi; ti++ {
-			if tested && !pq.vecPass(0, ti) {
-				continue
-			}
-			fc.pos[0] = int32(ti)
+	fx.pq.scanBase(&fc.sel, lo, hi, true, func(kept []int32) bool {
+		for _, ti := range kept {
+			fc.pos[0] = ti
 			fc.stepRows[0]++
 			fx.feed(fc, 1)
 		}

@@ -135,14 +135,15 @@ type plannedQuery struct {
 	outer *env
 	// fromOrder[i] is the step index of FROM entry i.
 	fromOrder []int
-	stepVec   [][]vecPred // vectorized SelfFilter prefix per step (column tests)
-	stepSelf  [][]rowEval // compiled remaining SelfFilters per step
-	stepPost  [][]rowEval // compiled PostJoinFilters per step
-	postEvals []rowEval   // residual predicates after all joins
+	steps     []stepCode // compiled filters per step
+	postEvals []rowEval  // residual predicates after all joins
 	// zp, when set, holds the zone-map probes of the base scan's vectorized
 	// filters (and the plan carries a zone-skip shape step). scanBase consults
 	// it per storage zone and skips morsels whose bounds disprove the filters.
 	zp *zoneProbeSet
+	// sel is the selection buffer of the query's serial phases (see
+	// selection), allocated on first use.
+	sel []int32
 	// scanPos records the scan step's row position beside each row (batch.pos)
 	// — the answer of a DML WHERE, whose plan is the scan step alone.
 	scanPos bool
@@ -158,14 +159,22 @@ type plannedQuery struct {
 	leaf func(e sqlparser.Expr) (ev rowEval, handled bool)
 }
 
+// stepCode is one step's compiled filters.
+type stepCode struct {
+	vec  []vecKernel // the vectorized SelfFilter prefix, as selection kernels
+	self []rowEval   // the remaining SelfFilters
+	post []rowEval   // the PostJoinFilters
+}
+
 // rowEval evaluates one expression against a flat row.
 type rowEval func(ec *evalCtx, row []value.Value) (value.Value, error)
 
 // evalCtx is per-worker scratch: arenas, a key-encoding buffer, a scratch
-// row for build-side filters, and the reusable environment bridges, one per
-// scope. matched, set while a RIGHT join step runs, flags the table rows the
-// step has emitted. group is the group whose HAVING, select items or sort
-// keys the streaming aggregation is evaluating; its aggregates read from it.
+// row for build-side filters, the selection buffer, and the reusable
+// environment bridges, one per scope. matched, set while a RIGHT join step
+// runs, flags the table rows the step has emitted. group is the group whose
+// HAVING, select items or sort keys the streaming aggregation is evaluating;
+// its aggregates read from it.
 type evalCtx struct {
 	pq      *plannedQuery
 	rows    rowArena
@@ -174,10 +183,30 @@ type evalCtx struct {
 	bridges []*env
 	matched []atomic.Bool
 	group   *groupState
+	sel     []int32
 }
 
 func (pq *plannedQuery) newCtx() *evalCtx {
 	return &evalCtx{pq: pq, rows: rowArena{width: pq.plan.Width}}
+}
+
+// selRows is the length of a selection vector: zones are selected this many
+// positions at a time, so a vector stays in L1 while the kernels refine it
+// (X100's vector size).
+const selRows = 1024
+
+// selection returns the query's selection buffer, which its serial phases
+// (the builds, the fast path) take turns with; each worker of a gathered scan
+// has its own in its evalCtx.
+func (pq *plannedQuery) selection() []int32 { return growSel(&pq.sel) }
+
+// growSel returns the selection buffer *sel, allocating it on first use: a
+// scan whose probes skip every zone never does.
+func growSel(sel *[]int32) []int32 {
+	if *sel == nil {
+		*sel = make([]int32, selRows)
+	}
+	return *sel
 }
 
 // scratchRow returns a full-width row for evaluating self-filters against a
@@ -552,9 +581,7 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 		plan:      plan,
 		outer:     outer,
 		fromOrder: make([]int, len(plan.Steps)),
-		stepVec:   make([][]vecPred, len(plan.Steps)),
-		stepSelf:  make([][]rowEval, len(plan.Steps)),
-		stepPost:  make([][]rowEval, len(plan.Steps)),
+		steps:     make([]stepCode, len(plan.Steps)),
 		scope:     len(plan.Steps),
 	}
 	for si, st := range plan.Steps {
@@ -579,7 +606,7 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 			if !ok {
 				break
 			}
-			pq.stepVec[si] = append(pq.stepVec[si], f.pred(fast))
+			pq.steps[si].vec = append(pq.steps[si].vec, f.kernel(fast))
 			if zp != nil {
 				if p, ok := f.probe(zp.n); ok {
 					zp.probes = append(zp.probes, p)
@@ -589,10 +616,10 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 		}
 		pq.useZoneProbes(zp)
 		for _, f := range filters {
-			pq.stepSelf[si] = append(pq.stepSelf[si], pq.compileAt(si, f))
+			pq.steps[si].self = append(pq.steps[si].self, pq.compileAt(si, f))
 		}
 		for _, f := range st.PostJoinFilters {
-			pq.stepPost[si] = append(pq.stepPost[si], pq.compileAt(si, f))
+			pq.steps[si].post = append(pq.steps[si].post, pq.compileAt(si, f))
 		}
 	}
 	for _, e := range plan.Post {
@@ -795,21 +822,19 @@ func (ex *Engine) runPipeline(pq *plannedQuery) (batch, error) {
 func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error) {
 	si := pq.fromOrder[st.FromPos] // == 0
 	tbl := st.Input.Tbl
-	evals := [][]rowEval{pq.stepSelf[si], pq.stepPost[si]}
+	evals := [][]rowEval{pq.steps[si].self, pq.steps[si].post}
 
 	switch st.Access {
 	case planner.ScanPK, planner.ScanIndex:
-		positions, err := scanProbePositions(st)
+		var pk [1]int32 // room for a primary-key probe's one row
+		positions, err := pq.probePositions(pk[:0], st)
 		if err != nil {
 			return batch{}, err
 		}
 		ec := pq.newCtx()
 		var out batch
 		for _, pos := range positions {
-			if !pq.vecPass(si, pos) {
-				continue
-			}
-			if err := ec.emit(&out, nil, st, int32(pos), evals...); err != nil {
+			if err := ec.emit(&out, nil, st, pos, evals...); err != nil {
 				return batch{}, err
 			}
 		}
@@ -819,12 +844,9 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error)
 		ex.bud.AddTotal(tbl.Len())
 		out, err := ex.gatherBatches(pq, tbl.Len(), func(ec *evalCtx, lo, hi int, out *batch) error {
 			var err error
-			pq.scanBase(lo, hi, true, func(segLo, segHi int, tested bool) bool {
-				for ti := segLo; ti < segHi; ti++ {
-					if tested && !pq.vecPass(si, ti) {
-						continue
-					}
-					if err = ec.emit(out, nil, st, int32(ti), evals...); err != nil {
+			pq.scanBase(&ec.sel, lo, hi, true, func(kept []int32) bool {
+				for _, ti := range kept {
+					if err = ec.emit(out, nil, st, ti, evals...); err != nil {
 						return false
 					}
 				}
@@ -839,27 +861,31 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error)
 	}
 }
 
-// scanProbePositions resolves a first-step primary-key or index probe to row
-// positions (a NULL key value matches nothing).
-func scanProbePositions(st *planner.Step) ([]int, error) {
+// probePositions appends to dst the row positions a first-step primary-key
+// or index probe resolves to that pass the step's kernels (a NULL key value
+// matches nothing).
+func (pq *plannedQuery) probePositions(dst []int32, st *planner.Step) ([]int32, error) {
 	var kb []byte
 	for _, v := range st.KeyValues {
 		if v.IsNull() {
-			return nil, nil
+			return dst, nil
 		}
 		kb = v.AppendKey(kb)
 	}
 	if st.Access == planner.ScanPK {
 		if pos, ok := st.Input.Tbl.LookupPKPos(kb); ok {
-			return []int{pos}, nil
+			dst = append(dst, int32(pos))
 		}
-		return nil, nil
+	} else {
+		ix := st.Input.Tbl.Index(st.IndexName)
+		if ix == nil {
+			return nil, fmt.Errorf("engine: plan references missing index %q on %s", st.IndexName, st.Input.Rel.Name)
+		}
+		for _, pos := range ix.Probe(kb) {
+			dst = append(dst, int32(pos))
+		}
 	}
-	ix := st.Input.Tbl.Index(st.IndexName)
-	if ix == nil {
-		return nil, fmt.Errorf("engine: plan references missing index %q on %s", st.IndexName, st.Input.Rel.Name)
-	}
-	return ix.Probe(kb), nil
+	return pq.keepPositions(0, dst), nil
 }
 
 // buildPass visits [0, n) one storage zone at a time — from the top when down
@@ -886,12 +912,12 @@ func buildPass(bud *Budget, n int, down bool, fn func(lo, hi int) error) error {
 }
 
 // buildKeep evaluates step si's compiled (non-vectorized) self-filters over
-// every row of its table that passes the vectorized prefix, and returns the
-// mask of survivors — nil when the step has no such filters. The pass runs
-// forward and before either build, so whichever side is hashed afterwards a
-// filter error surfaces, and it is the first in row order.
+// every row of its table that the step's kernels keep, zone by zone, and
+// returns the mask of survivors — nil when the step has no such filters. The
+// pass runs forward and before either build, so whichever side is hashed
+// afterwards a filter error surfaces, and it is the first in row order.
 func (pq *plannedQuery) buildKeep(si int, st *planner.Step) ([]bool, error) {
-	self := pq.stepSelf[si]
+	self := pq.steps[si].self
 	if len(self) == 0 {
 		return nil, nil
 	}
@@ -901,35 +927,53 @@ func (pq *plannedQuery) buildKeep(si int, st *planner.Step) ([]bool, error) {
 	row := ec.scratchRow()
 	width := len(st.Input.Rel.Attributes)
 	err := buildPass(pq.ex.bud, tbl.Len(), false, func(lo, hi int) error {
-	rows:
-		for ti := lo; ti < hi; ti++ {
-			if !pq.vecPass(si, ti) {
-				continue
-			}
-			tbl.CopyRow(row[st.Offset:st.Offset+width], ti)
-			for _, ev := range self {
-				v, err := ev(ec, row)
-				if err != nil {
-					return err
+		for c := lo; c < hi; c += selRows {
+		rows:
+			for _, ti := range pq.keep(si, zoneSel(pq.selection(), c, min(c+selRows, hi))) {
+				tbl.CopyRow(row[st.Offset:st.Offset+width], int(ti))
+				for _, ev := range self {
+					v, err := ev(ec, row)
+					if err != nil {
+						return err
+					}
+					if !passes(v) {
+						continue rows
+					}
 				}
-				if !passes(v) {
-					continue rows
-				}
+				keep[ti] = true
 			}
-			keep[ti] = true
 		}
 		return nil
 	})
 	return keep, err
 }
 
+// buildSel fills sel with the positions [lo, hi), within one zone, that
+// survive step si's self-filters — keep's verdicts when buildKeep computed
+// them, the step's kernels otherwise — and returns them.
+func (pq *plannedQuery) buildSel(si int, keep []bool, sel []int32, lo, hi int) []int32 {
+	sel = zoneSel(sel, lo, hi)
+	if keep == nil {
+		return pq.keep(si, sel)
+	}
+	k := 0
+	for _, ti := range sel {
+		sel[k] = ti
+		if keep[ti] {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
 // buildKept reports whether build row ti survives the step's self-filters:
-// the precomputed mask when there is one, the vectorized prefix otherwise.
+// the precomputed mask when there is one, the kernels over the one row
+// otherwise.
 func (pq *plannedQuery) buildKept(si int, keep []bool, ti int) bool {
 	if keep != nil {
 		return keep[ti]
 	}
-	return pq.vecPass(si, ti)
+	return pq.kept(si, ti)
 }
 
 // buildChain hashes every filtered row of step si's table on its build
@@ -942,20 +986,21 @@ func (pq *plannedQuery) buildChain(si int, st *planner.Step, keep []bool) (joinC
 	chain := joinChain{head: make(map[joinKey]int32, n), next: make([]int32, n)}
 	hashed := 0
 	err := buildPass(pq.ex.bud, n, true, func(lo, hi int) error {
-		for ti := hi - 1; ti >= lo; ti-- {
-			if !pq.buildKept(si, keep, ti) {
-				continue
+		for c := hi; c > lo; c -= selRows {
+			kept := pq.buildSel(si, keep, pq.selection(), max(lo, c-selRows), c)
+			for i := len(kept) - 1; i >= 0; i-- {
+				ti := kept[i]
+				// Col.Value materializes without allocating (text shares the
+				// dictionary string), so this shares joinKeyOf's
+				// normalization instead of duplicating it per column kind.
+				k, ok := joinKeyOf(buildCol.Value(int(ti)))
+				if !ok {
+					continue
+				}
+				chain.next[ti] = chain.head[k]
+				chain.head[k] = ti + 1
+				hashed++
 			}
-			// Col.Value materializes without allocating (text shares the
-			// dictionary string), so this shares joinKeyOf's normalization
-			// instead of duplicating it per column kind.
-			k, ok := joinKeyOf(buildCol.Value(ti))
-			if !ok {
-				continue
-			}
-			chain.next[ti] = chain.head[k]
-			chain.head[k] = int32(ti) + 1
-			hashed++
 		}
 		return nil
 	})
@@ -1094,15 +1139,16 @@ func codeImages(keys map[joinKey]int32, col storage.Col) (images keyImages[uint3
 }
 
 // loopInner lists the positions of step si's table that survive its
-// self-filters (see buildKept) — the prefiltered inner side of a nested-loop
-// join. Shared by the batch join pipeline and the fused aggregation pipeline.
+// self-filters (see buildSel) — the prefiltered inner side of a nested-loop
+// join, each zone selected in the list's own free tail. Shared by the batch
+// join pipeline and the fused aggregation pipeline.
 func (pq *plannedQuery) loopInner(si int, tbl *storage.Table, keep []bool) []int32 {
 	n := tbl.Len()
 	inner := make([]int32, 0, n)
-	for ti := 0; ti < n; ti++ {
-		if pq.buildKept(si, keep, ti) {
-			inner = append(inner, int32(ti))
-		}
+	for lo := 0; lo < n; lo += storage.ZoneRows {
+		hi := min(lo+storage.ZoneRows, n)
+		kept := pq.buildSel(si, keep, inner[len(inner):hi], lo, hi)
+		inner = inner[:len(inner)+len(kept)]
 	}
 	return inner
 }
@@ -1111,7 +1157,7 @@ func (pq *plannedQuery) loopInner(si int, tbl *storage.Table, keep []bool) []int
 // the access path finds row i's matches, joinRows emits them.
 func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur batch) (batch, error) {
 	tbl := st.Input.Tbl
-	self, post := pq.stepSelf[si], pq.stepPost[si]
+	self, post := pq.steps[si].self, pq.steps[si].post
 
 	var match func(ec *evalCtx, out *batch, i int) error
 	switch st.Access {
@@ -1152,7 +1198,7 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 				return nil
 			}
 			pos, ok := tbl.LookupPKPos(ec.keyBuf)
-			if !ok || !pq.vecPass(si, pos) {
+			if !ok || !pq.kept(si, pos) {
 				return nil
 			}
 			return ec.emit(out, cur.rows[i], st, int32(pos), self, post)
@@ -1168,7 +1214,7 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 				return nil
 			}
 			for _, pos := range ix.Probe(ec.keyBuf) {
-				if !pq.vecPass(si, pos) {
+				if !pq.kept(si, pos) {
 					continue
 				}
 				if err := ec.emit(out, cur.rows[i], st, int32(pos), self, post); err != nil {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"repro/internal/planner"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -10,33 +12,70 @@ import (
 // This file lowers plan predicates onto the columnar store: a self-filter
 // conjunct of the shape <column> <op> <literal> (plus IS NULL, BETWEEN, IN,
 // and LIKE) is matched once, by lowerVecFilter, into a vecFilter descriptor.
-// Its pred method builds the vecPred that tests a row position against the
-// column vector directly — integer and date comparisons run on []int64,
-// float on []float64, and text equality compares dictionary codes without
-// touching a single string (ordering and LIKE precompute one verdict per
-// dictionary entry). Vectorized predicates never error and never materialize
-// a row, so rejected rows cost a few loads; its probe method (plan_zone.go)
-// builds the per-zone verdict of the same predicate. Only the longest
-// specializable prefix of a step's self-filters vectorizes: the remaining
-// filters keep their original evaluation order, preserving error parity with
-// the interpreter's short-circuit conjunct order.
+// Its kernel method compiles it into a selection kernel in the manner of
+// MonetDB/X100: the kernel takes a selection — ascending row positions within
+// one storage zone, a vector of at most selRows in a scan — and keeps the ones
+// that pass in one loop typed by the filter's shape, returning the kept
+// prefix. Integer and date comparisons
+// become a range test on []int64 (or on a zone's frame-of-reference byte
+// deltas), float ones on []float64, text equality a range test on dictionary
+// codes, text ordering a range test on sorted-dictionary ranks or a lookup in
+// one verdict per dictionary entry, and so does LIKE. Kernels never error and
+// never materialize a row, so a rejected row costs one iteration of a tight
+// loop and no call at all. Its probe method (plan_zone.go) builds the
+// per-zone verdict of the same predicate. Only the longest specializable
+// prefix of a step's self-filters vectorizes, and its kernels run in conjunct
+// order, each over the survivors of the one before: the remaining filters keep
+// their original evaluation order, preserving error parity with the
+// interpreter's short-circuit conjunct order.
 //
-// On top of the predicates sits a whole-query fast path: a single-table full
+// On top of the kernels sits a whole-query fast path: a single-table full
 // scan whose filters are all vectorized and whose select list reads columns
 // directly skips the arena pipeline entirely — one counting pass over the
-// vectors, then an exactly-sized projection straight from the columns.
+// selections, then an exactly-sized projection straight from the columns.
 
-// vecPred reports whether table row ti passes one vectorized predicate.
-type vecPred func(ti int) bool
-
-// vecPass applies step si's vectorized filter prefix to row ti.
-func (pq *plannedQuery) vecPass(si int, ti int) bool {
-	for _, p := range pq.stepVec[si] {
-		if !p(ti) {
-			return false
+// keep runs step si's kernels over sel, the ascending positions of one
+// storage zone, and returns the survivors, compacted into sel's prefix.
+func (pq *plannedQuery) keep(si int, sel []int32) []int32 {
+	ks := pq.steps[si].vec
+	for i := range ks {
+		if len(sel) == 0 {
+			break
 		}
+		sel = ks[i].keep(sel)
 	}
-	return true
+	return sel
+}
+
+// kept reports whether row ti passes step si's kernels: the probe sites' form
+// of keep, over the one position a key lookup found.
+func (pq *plannedQuery) kept(si, ti int) bool {
+	one := [1]int32{int32(ti)}
+	return len(pq.keep(si, one[:])) == 1
+}
+
+// keepPositions narrows ascending positions from any number of zones to those
+// that pass step si's kernels, one zone's run of them at a time.
+func (pq *plannedQuery) keepPositions(si int, ps []int32) []int32 {
+	k := 0
+	for i := 0; i < len(ps); {
+		j := i + 1
+		for j < len(ps) && ps[j]>>storage.ZoneShift == ps[i]>>storage.ZoneShift {
+			j++
+		}
+		k += copy(ps[k:], pq.keep(si, ps[i:j]))
+		i = j
+	}
+	return ps[:k]
+}
+
+// zoneSel fills sel with the positions [lo, hi) of one zone.
+func zoneSel(sel []int32, lo, hi int) []int32 {
+	sel = sel[:hi-lo]
+	for i := range sel {
+		sel[i] = int32(lo + i)
+	}
+	return sel
 }
 
 // stepCol resolves an expression to a column of st's own table; ok is false
@@ -86,17 +125,6 @@ func cmpTest(op sqlparser.BinaryOp) (test func(int) bool, equality, ok bool) {
 	}
 }
 
-func vecFalse(int) bool { return false }
-
-// notNull wraps a payload test with the column's null check (NULL compares
-// as unknown, so it always rejects). Columns with no NULLs skip the check.
-func notNull(col storage.Col, inner vecPred) vecPred {
-	if !col.HasNulls() {
-		return inner
-	}
-	return func(ti int) bool { return !col.Null(ti) && inner(ti) }
-}
-
 // vecFilterKind names the predicate shapes of the vectorized dialect.
 type vecFilterKind uint8
 
@@ -109,11 +137,12 @@ const (
 )
 
 // vecFilter is one self-filter conjunct inside the vectorized dialect, reduced
-// to what its consumers need: pred builds the row test the scan applies, and
-// probe (plan_zone.go) the per-zone verdict that lets the scan skip rows
-// without testing them. Both read the same descriptor, so the zone verdict is
-// about exactly the predicate the rows are tested with. lowerVecFilter is the
-// only constructor; a descriptor it returned cannot raise an error on any row.
+// to what its consumers need: kernel builds the selection kernel the scan
+// applies, and probe (plan_zone.go) the per-zone verdict that lets the scan
+// skip rows without testing them. Both read the same descriptor, so the zone
+// verdict is about exactly the predicate the rows are tested with.
+// lowerVecFilter is the only constructor; a descriptor it returned cannot
+// raise an error on any row.
 type vecFilter struct {
 	kind vecFilterKind
 	col  storage.Col
@@ -215,56 +244,6 @@ func (pq *plannedQuery) lowerVecFilter(st *planner.Step, e sqlparser.Expr) (vecF
 // every row, NULL subjects included, like the compiled InExpr's special case.
 func (f *vecFilter) emptyIn() bool { return len(f.list) == 0 && !f.sawNull }
 
-// pred builds the row test. NULL subjects reject everything but IS NULL and
-// the empty NOT IN; the rest follows compareOp, likeMatch and value.Equal
-// exactly. fast gates the encoded fast paths (frame-of-reference deltas,
-// sorted-dictionary rank compares) together with the rest of the zone-map
-// layer, so disabling zone maps reverts the scan to plain payload reads.
-func (f *vecFilter) pred(fast bool) vecPred {
-	col := f.col
-	switch f.kind {
-	case vfCompare:
-		if f.sawNull {
-			return vecFalse // comparison with NULL is never true
-		}
-		return cmpPred(col, f.op, f.lit, fast)
-
-	case vfLike:
-		return likePred(col, f.lit.Text(), fast)
-
-	case vfNull:
-		want := !f.negate
-		return func(ti int) bool { return col.Null(ti) == want }
-
-	case vfBetween:
-		if f.sawNull {
-			return vecFalse // NULL bound: the test is unknown for every row
-		}
-		ge := cmpPred(col, sqlparser.OpGe, f.lit, fast)
-		le := cmpPred(col, sqlparser.OpLe, f.hi, fast)
-		if f.negate {
-			return notNull(col, func(ti int) bool { return !(ge(ti) && le(ti)) })
-		}
-		return func(ti int) bool { return ge(ti) && le(ti) }
-
-	default: // vfIn
-		negate, sawNull := f.negate, f.sawNull
-		if f.emptyIn() {
-			return func(int) bool { return negate }
-		}
-		member := vecMembership(col, f.list)
-		return notNull(col, func(ti int) bool {
-			if member(ti) {
-				return !negate
-			}
-			if sawNull {
-				return false // unknown either way
-			}
-			return negate
-		})
-	}
-}
-
 // comparableKinds reports whether a column of kind ck orders against a
 // literal of kind lk without error (value.Compare's rule).
 func comparableKinds(ck, lk value.Kind) bool {
@@ -274,183 +253,564 @@ func comparableKinds(ck, lk value.Kind) bool {
 	return ck == lk && ck != value.Null
 }
 
-// cmpPred tests the column against a non-NULL literal. Across incomparable
-// kinds only = and <> get here (lowerVecFilter keeps orderings generic, so
-// their error surfaces): = is false and <> true for every non-NULL row.
-func cmpPred(col storage.Col, op sqlparser.BinaryOp, lit value.Value, fast bool) vecPred {
-	test, _, _ := cmpTest(op)
-	if !comparableKinds(col.Kind(), lit.Kind()) {
-		if op == sqlparser.OpEq {
-			return vecFalse
+// ---------------------------------------------------------------------------
+// Selection kernels
+// ---------------------------------------------------------------------------
+
+// kernelShape selects the loop a vecKernel runs.
+type kernelShape uint8
+
+const (
+	kNone    kernelShape = iota // no row passes
+	kAll                        // every row passes (every non-NULL one, with nulls set)
+	kIsNull                     // the NULL rows pass
+	kRange                      // the payload's integer image lies in r
+	kFloat                      // the float payload lies in [flo, fhi]
+	kVerdict                    // the text code's dictionary entry passes
+	kSet                        // the payload is a member of fset or iset
+)
+
+// vecKernel is one vectorized filter compiled against its column. Every
+// comparison reduces to the set of payload images it accepts, so the loops
+// test membership and never call back: NULL, NaN and ±0 decide exactly as
+// compareOp, likeMatch and value.Equal do on the rows.
+type vecKernel struct {
+	shape kernelShape
+	col   storage.Col
+	// nulls: the column holds NULLs, which the test rejects (a NULL compares
+	// as unknown), so they are dropped before the payload loop.
+	nulls bool
+	// neg keeps the rows the payload test rejects: <>, NOT BETWEEN, NOT IN.
+	neg bool
+	// kRange: the accepted integer images — Int and Date payloads, Bool as
+	// 0/1, Text codes (= and <>) or, when ranks is set, sorted-dictionary
+	// ranks. fb and d8, when set, are the Int or Date column's
+	// frame-of-reference encoding (value = fb[z] + d8[z][row&ZoneMask]),
+	// read one zone base per call.
+	r     intRange
+	ranks []uint32
+	fb    []int64
+	d8    [][]uint8
+	// kFloat: the accepted closed range of non-NaN payloads, and NaN's
+	// verdict — cmpFloat calls NaN equal to everything.
+	flo, fhi float64
+	nan      bool
+	// kVerdict: one verdict per dictionary entry.
+	verdict []bool
+	// kSet: the IN list's payload images — float64 for Int (through its
+	// float64 image, as value.Equal compares) and Float, int64 for Date days
+	// and Text codes.
+	fset map[float64]struct{}
+	iset map[int64]struct{}
+}
+
+// kernel compiles the filter into its selection kernel. fast gates the
+// encoded paths (frame-of-reference deltas, sorted-dictionary ranks) together
+// with the rest of the zone-map layer, so disabling zone maps reverts the
+// scan to plain payload reads.
+func (f *vecFilter) kernel(fast bool) vecKernel {
+	k := vecKernel{col: f.col, nulls: f.col.HasNulls()}
+	switch f.kind {
+	case vfNull:
+		switch {
+		case f.negate:
+			k.shape = kAll // the non-NULL rows
+		case k.nulls:
+			k.shape, k.nulls = kIsNull, false
+		default:
+			k.shape = kNone
 		}
-		return notNull(col, func(int) bool { return true })
+
+	case vfCompare:
+		if f.sawNull {
+			return vecKernel{shape: kNone} // comparison with NULL is never true
+		}
+		k.cmp(f.op, f.lit, fast)
+
+	case vfBetween:
+		if f.sawNull {
+			return vecKernel{shape: kNone} // NULL bound: the test is unknown for every row
+		}
+		lo, hi := k, k
+		lo.cmp(sqlparser.OpGe, f.lit, fast)
+		hi.cmp(sqlparser.OpLe, f.hi, fast)
+		k = lo.meet(&hi)
+		if f.negate {
+			k.neg, k.nan = true, !k.nan
+		}
+
+	case vfLike:
+		k.like(f.lit.Text(), fast)
+
+	default: // vfIn
+		switch {
+		case f.emptyIn():
+			if f.negate {
+				return vecKernel{shape: kAll} // NULL subjects included
+			}
+			return vecKernel{shape: kNone}
+		case f.negate && f.sawNull:
+			// x NOT IN (..., NULL, ...): members are false, non-members unknown.
+			return vecKernel{shape: kNone}
+		}
+		k.member(f.list)
+		k.neg = f.negate
 	}
+	return k
+}
+
+// cmp compiles col op lit for a literal of a kind the column compares with
+// (lowerVecFilter admits orderings across incomparable kinds never, = and <>
+// always: = is false and <> true for every non-NULL row).
+func (k *vecKernel) cmp(op sqlparser.BinaryOp, lit value.Value, fast bool) {
+	col := k.col
+	if !comparableKinds(col.Kind(), lit.Kind()) {
+		k.shape = kNone
+		if op == sqlparser.OpNe {
+			k.shape = kAll
+		}
+		return
+	}
+	k.shape = kRange
 	switch col.Kind() {
 	case value.Int:
-		lf := lit.Float()
-		if fb, d8, ok := col.FORInts(); ok && fast {
-			// Frame-of-reference path: stream one delta byte per row instead
-			// of eight payload bytes (value = zone base + delta).
-			return notNull(col, func(ti int) bool {
-				x := fb[ti>>storage.ZoneShift] + int64(d8[ti>>storage.ZoneShift][ti&storage.ZoneMask])
-				return test(cmpFloat(float64(x), lf))
-			})
-		}
-		xs := col.Ints()
-		return notNull(col, func(ti int) bool { return test(cmpFloat(float64(xs[ti]), lf)) })
-	case value.Float:
-		xs := col.Floats()
-		lf := lit.Float()
-		return notNull(col, func(ti int) bool { return test(cmpFloat(xs[ti], lf)) })
+		// value.Compare orders an Int against any numeric through float64
+		// images; imageBounds turns that order into exact integer bounds.
+		k.r, k.neg = imageBounds(lit.Float()).span(op)
+		k.forInts(fast)
 	case value.Date:
-		ld := lit.DateDays()
-		if fb, d8, ok := col.FORInts(); ok && fast {
-			return notNull(col, func(ti int) bool {
-				x := fb[ti>>storage.ZoneShift] + int64(d8[ti>>storage.ZoneShift][ti&storage.ZoneMask])
-				return test(cmpInt(x, ld))
-			})
-		}
-		xs := col.Ints()
-		return notNull(col, func(ti int) bool { return test(cmpInt(xs[ti], ld)) })
+		k.r, k.neg = exactBounds(lit.DateDays()).span(op)
+		k.forInts(fast)
 	case value.Bool:
-		xs := col.Bools()
-		lb := lit.Bool()
-		return notNull(col, func(ti int) bool { return test(cmpBool(xs[ti], lb)) })
+		k.r, k.neg = exactBounds(boolImage(lit.Bool())).span(op)
+	case value.Float:
+		k.shape = kFloat
+		k.flo, k.fhi, k.nan, k.neg = floatSpan(op, lit.Float())
 	default: // Text
-		codes := col.Codes()
-		switch op {
-		case sqlparser.OpEq:
-			code, present := col.DictCode(lit.Text())
+		ls := lit.Text()
+		switch {
+		case op == sqlparser.OpEq || op == sqlparser.OpNe:
+			code, present := col.DictCode(ls)
+			k.r, k.neg = exactBounds(int64(code)).span(op)
 			if !present {
-				return vecFalse // the string never occurs in the column
+				k.r = intRange{1, 0} // the string never occurs: no code equals it
 			}
-			return notNull(col, func(ti int) bool { return codes[ti] == code })
-		case sqlparser.OpNe:
-			code, present := col.DictCode(lit.Text())
-			if !present {
-				return notNull(col, func(int) bool { return true })
+		case fast && col.SortedDict():
+			// Sorted dictionary: the predicate is a rank-range test — no
+			// per-entry verdict array, no string touched per row.
+			lb := int64(col.LowerBoundRank(ls))
+			ub := lb
+			if _, present := col.DictCode(ls); present {
+				ub++
 			}
-			return notNull(col, func(ti int) bool { return codes[ti] != code })
+			k.r, k.neg = bounds{ge: lb, gt: ub, geOK: true, gtOK: true}.span(op)
+			k.ranks = col.Ranks()
 		default:
-			ls := lit.Text()
-			if fast && col.SortedDict() {
-				// Sorted dictionary: the predicate is a rank-range compare —
-				// no per-entry verdict array, no string touched per row.
-				ranks := col.Ranks()
-				lb := uint32(col.LowerBoundRank(ls))
-				ub := lb
-				if _, present := col.DictCode(ls); present {
-					ub++
-				}
-				var rtest func(uint32) bool
-				switch op {
-				case sqlparser.OpLt:
-					rtest = func(r uint32) bool { return r < lb }
-				case sqlparser.OpLe:
-					rtest = func(r uint32) bool { return r < ub }
-				case sqlparser.OpGt:
-					rtest = func(r uint32) bool { return r >= ub }
-				default: // OpGe
-					rtest = func(r uint32) bool { return r >= lb }
-				}
-				return notNull(col, func(ti int) bool { return rtest(ranks[codes[ti]]) })
-			}
 			// Ordering: one verdict per dictionary entry, then a code lookup
 			// per row.
-			verdict := make([]bool, col.DictLen())
-			for c := range verdict {
-				s := col.DictString(uint32(c))
-				verdict[c] = test(cmpString(s, ls))
+			test, _, _ := cmpTest(op)
+			k.shape = kVerdict
+			k.verdict = make([]bool, col.DictLen())
+			for c := range k.verdict {
+				k.verdict[c] = test(cmpString(col.DictString(uint32(c)), ls))
 			}
-			return notNull(col, func(ti int) bool { return verdict[codes[ti]] })
 		}
 	}
 }
 
-// likePred precomputes the LIKE verdict per dictionary entry. With a sorted
-// dictionary, a pure prefix pattern ('abc%') becomes a rank-range compare:
+// forInts switches an Int or Date range test onto the frame-of-reference
+// deltas when the column keeps them: one byte streamed per row instead of
+// eight payload bytes.
+func (k *vecKernel) forInts(fast bool) {
+	if fb, d8, ok := k.col.FORInts(); ok && fast {
+		k.fb, k.d8 = fb, d8
+	}
+}
+
+// meet is the conjunction of two kernels cmp compiled over the same column
+// with the same shape (BETWEEN's two bounds).
+func (k *vecKernel) meet(o *vecKernel) vecKernel {
+	m := *k
+	switch k.shape {
+	case kRange:
+		m.r = k.r.meet(o.r)
+	case kFloat:
+		m.flo, m.fhi, m.nan = max(k.flo, o.flo), min(k.fhi, o.fhi), k.nan && o.nan
+	case kVerdict:
+		for c := range m.verdict {
+			m.verdict[c] = m.verdict[c] && o.verdict[c]
+		}
+	}
+	return m
+}
+
+// like precomputes the LIKE verdict per dictionary entry. With a sorted
+// dictionary, a pure prefix pattern ('abc%') becomes a rank-range test:
 // matches are exactly the strings in [prefix, successor).
-func likePred(col storage.Col, pat string, fast bool) vecPred {
+func (k *vecKernel) like(pat string, fast bool) {
+	col := k.col
 	if fast && col.SortedDict() {
 		if prefix, prefixOnly := planner.LikePrefix(pat); prefixOnly && (prefix == "" || likePrefixSafe(prefix)) {
-			lb := uint32(col.LowerBoundRank(prefix))
-			ub := uint32(col.DictLen())
+			lb := int64(col.LowerBoundRank(prefix))
+			ub := int64(col.DictLen())
 			if succ, ok := planner.PrefixSuccessor(prefix); ok {
-				ub = uint32(col.LowerBoundRank(succ))
+				ub = int64(col.LowerBoundRank(succ))
 			}
-			ranks := col.Ranks()
-			codes := col.Codes()
-			return notNull(col, func(ti int) bool {
-				r := ranks[codes[ti]]
-				return r >= lb && r < ub
-			})
+			k.shape, k.r, k.ranks = kRange, intRange{lb, ub - 1}, col.Ranks()
+			return
 		}
 	}
-	verdict := make([]bool, col.DictLen())
-	for c := range verdict {
-		verdict[c] = likeMatch(col.DictString(uint32(c)), pat)
+	k.shape = kVerdict
+	k.verdict = make([]bool, col.DictLen())
+	for c := range k.verdict {
+		k.verdict[c] = likeMatch(col.DictString(uint32(c)), pat)
 	}
-	codes := col.Codes()
-	return notNull(col, func(ti int) bool { return verdict[codes[ti]] })
 }
 
-// vecMembership builds a payload-set membership test for the column kind.
-// List entries of foreign kinds can never match (value.Equal semantics) and
-// are simply ignored.
-func vecMembership(col storage.Col, lits []value.Value) vecPred {
+// member builds the IN list's payload set for the column kind. List entries
+// of foreign kinds can never match (value.Equal semantics) and are simply
+// left out; a Bool list is the range of its images.
+func (k *vecKernel) member(lits []value.Value) {
+	col := k.col
+	k.shape = kSet
 	switch col.Kind() {
 	case value.Int, value.Float:
-		set := make(map[float64]bool, len(lits))
+		k.fset = make(map[float64]struct{}, len(lits))
 		for _, l := range lits {
 			if l.IsNumeric() {
-				set[l.Float()] = true
+				k.fset[l.Float()] = struct{}{}
 			}
 		}
-		if col.Kind() == value.Int {
-			xs := col.Ints()
-			return func(ti int) bool { return set[float64(xs[ti])] }
-		}
-		xs := col.Floats()
-		return func(ti int) bool { return set[xs[ti]] }
 	case value.Text:
-		set := make(map[uint32]bool, len(lits))
+		k.iset = make(map[int64]struct{}, len(lits))
 		for _, l := range lits {
 			if l.Kind() == value.Text {
 				if code, present := col.DictCode(l.Text()); present {
-					set[code] = true
+					k.iset[int64(code)] = struct{}{}
 				}
 			}
 		}
-		codes := col.Codes()
-		return func(ti int) bool { return set[codes[ti]] }
 	case value.Date:
-		set := make(map[int64]bool, len(lits))
+		k.iset = make(map[int64]struct{}, len(lits))
 		for _, l := range lits {
 			if l.Kind() == value.Date {
-				set[l.DateDays()] = true
+				k.iset[l.DateDays()] = struct{}{}
 			}
 		}
-		xs := col.Ints()
-		return func(ti int) bool { return set[xs[ti]] }
 	default: // Bool
-		var hasT, hasF bool
+		k.shape, k.r = kRange, intRange{1, 0}
 		for _, l := range lits {
 			if l.Kind() == value.Bool {
-				if l.Bool() {
-					hasT = true
-				} else {
-					hasF = true
-				}
+				x := boolImage(l.Bool())
+				k.r.lo, k.r.hi = min(k.r.lo, x), max(k.r.hi, x)
 			}
-		}
-		xs := col.Bools()
-		return func(ti int) bool {
-			if xs[ti] {
-				return hasT
-			}
-			return hasF
 		}
 	}
+}
+
+// keep narrows sel, the ascending positions of one zone, to the rows that
+// pass, compacting them into sel's prefix.
+func (k *vecKernel) keep(sel []int32) []int32 {
+	switch k.shape {
+	case kNone:
+		return sel[:0]
+	case kIsNull:
+		return keepNulls(sel, k.col, true)
+	}
+	if k.nulls {
+		sel = keepNulls(sel, k.col, false)
+	}
+	col := k.col
+	switch k.shape {
+	case kRange:
+		switch {
+		case k.ranks != nil:
+			return keepRanks(sel, col.Codes(), k.ranks, k.r, k.neg)
+		case k.d8 != nil:
+			if len(sel) == 0 {
+				return sel
+			}
+			z := int(sel[0]) >> storage.ZoneShift
+			return keepRange(sel, k.d8[z], z<<storage.ZoneShift, k.r.deltas(k.fb[z]), k.neg)
+		case col.Kind() == value.Text:
+			return keepRange(sel, col.Codes(), 0, k.r, k.neg)
+		case col.Kind() == value.Bool:
+			return keepBools(sel, col.Bools(), k.r, k.neg)
+		}
+		return keepRange(sel, col.Ints(), 0, k.r, k.neg)
+	case kFloat:
+		return keepFloats(sel, col.Floats(), k.flo, k.fhi, k.nan, k.neg)
+	case kVerdict:
+		return keepVerdicts(sel, col.Codes(), k.verdict, k.neg)
+	case kSet:
+		switch col.Kind() {
+		case value.Int:
+			return keepSet(sel, col.Ints(), k.fset, k.neg)
+		case value.Float:
+			return keepSet(sel, col.Floats(), k.fset, k.neg)
+		case value.Text:
+			return keepSet(sel, col.Codes(), k.iset, k.neg)
+		}
+		return keepSet(sel, col.Ints(), k.iset, k.neg)
+	}
+	return sel // kAll
+}
+
+// The loops below store every position and advance the output index only
+// for a kept one, so the verdict never steers a branch.
+
+// keepNulls keeps the positions whose NULL flag equals want.
+func keepNulls(sel []int32, col storage.Col, want bool) []int32 {
+	k := 0
+	for _, ti := range sel {
+		sel[k] = ti
+		if col.Null(int(ti)) == want {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// keepRange keeps the positions whose payload xs[ti-off] lies in r (outside
+// it, with neg). One unsigned compare tests lo <= x <= hi: x-lo wraps far
+// past the span when x < lo.
+func keepRange[T int64 | uint32 | uint8](sel []int32, xs []T, off int, r intRange, neg bool) []int32 {
+	if r.lo > r.hi {
+		if neg {
+			return sel
+		}
+		return sel[:0]
+	}
+	lo, span := uint64(r.lo), uint64(r.hi)-uint64(r.lo)
+	k := 0
+	for _, ti := range sel {
+		sel[k] = ti
+		if (uint64(xs[int(ti)-off])-lo <= span) != neg {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// keepRanks is keepRange over the sorted-dictionary rank of each text code.
+func keepRanks(sel []int32, codes, ranks []uint32, r intRange, neg bool) []int32 {
+	if r.lo > r.hi {
+		if neg {
+			return sel
+		}
+		return sel[:0]
+	}
+	lo, span := uint64(r.lo), uint64(r.hi)-uint64(r.lo)
+	k := 0
+	for _, ti := range sel {
+		sel[k] = ti
+		if (uint64(ranks[codes[ti]])-lo <= span) != neg {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// keepBools is keepRange over Bool payloads, whose images are 0 and 1.
+func keepBools(sel []int32, xs []bool, r intRange, neg bool) []int32 {
+	t, f := r.has(1) != neg, r.has(0) != neg
+	if t == f {
+		if t {
+			return sel
+		}
+		return sel[:0]
+	}
+	k := 0
+	for _, ti := range sel {
+		sel[k] = ti
+		if xs[ti] == t {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// keepFloats keeps the positions whose payload lies in [lo, hi] (outside it,
+// with neg), and a NaN payload when nan is set.
+func keepFloats(sel []int32, xs []float64, lo, hi float64, nan, neg bool) []int32 {
+	k := 0
+	for _, ti := range sel {
+		x := xs[ti]
+		in := (x >= lo && x <= hi) != neg
+		if x != x {
+			in = nan
+		}
+		sel[k] = ti
+		if in {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// keepVerdicts keeps the positions whose dictionary entry's verdict is true
+// (false, with neg).
+func keepVerdicts(sel []int32, codes []uint32, verdict []bool, neg bool) []int32 {
+	k := 0
+	for _, ti := range sel {
+		sel[k] = ti
+		if verdict[codes[ti]] != neg {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// keepSet keeps the positions whose payload image is in set (not in it, with
+// neg).
+func keepSet[T int64 | float64 | uint32, K int64 | float64](sel []int32, xs []T, set map[K]struct{}, neg bool) []int32 {
+	k := 0
+	for _, ti := range sel {
+		_, in := set[K(xs[ti])]
+		sel[k] = ti
+		if in != neg {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// ---------------------------------------------------------------------------
+// Comparison images
+// ---------------------------------------------------------------------------
+
+// intRange is the closed interval [lo, hi] of integer images; lo > hi is
+// empty.
+type intRange struct{ lo, hi int64 }
+
+func (r intRange) has(x int64) bool { return r.lo <= x && x <= r.hi }
+
+func (r intRange) meet(o intRange) intRange { return intRange{max(r.lo, o.lo), min(r.hi, o.hi)} }
+
+// deltas maps r onto a frame-of-reference zone with the given base: the byte
+// deltas d with base+d in r.
+func (r intRange) deltas(base int64) intRange {
+	if r.lo > r.hi || r.hi < base {
+		return intRange{1, 0}
+	}
+	d := intRange{0, int64(min(uint64(r.hi)-uint64(base), math.MaxUint8))}
+	if r.lo > base {
+		d.lo = int64(min(uint64(r.lo)-uint64(base), math.MaxUint8+1))
+	}
+	return d
+}
+
+// bounds place a literal in an ordered integer domain: ge is the least image
+// comparing at or above it and gt the least comparing above it, each absent
+// (ok false) when no image does.
+type bounds struct {
+	ge, gt     int64
+	geOK, gtOK bool
+}
+
+// exactBounds places a literal that is itself an image.
+func exactBounds(l int64) bounds {
+	return bounds{ge: l, gt: l + 1, geOK: true, gtOK: l < math.MaxInt64}
+}
+
+// imageBounds places a numeric literal among Int payloads compared through
+// their float64 images, cmpFloat(float64(x), lf). The image is monotone in x,
+// so both thresholds are found by bisection, and several ints beyond ±2^53
+// may share the literal's image; a NaN literal compares equal to every image.
+func imageBounds(lf float64) bounds {
+	var b bounds
+	b.ge, b.geOK = firstInt(func(x int64) bool { return cmpFloat(float64(x), lf) >= 0 })
+	b.gt, b.gtOK = firstInt(func(x int64) bool { return cmpFloat(float64(x), lf) > 0 })
+	return b
+}
+
+// firstInt returns the least int64 for which the monotone (false, then true)
+// predicate p holds; ok is false when it holds for none.
+func firstInt(p func(int64) bool) (x int64, ok bool) {
+	if !p(math.MaxInt64) {
+		return 0, false
+	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + int64((uint64(hi)-uint64(lo))/2)
+		if p(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, true
+}
+
+// span is the set of images op accepts: an interval, or its complement when
+// neg (<>).
+func (b bounds) span(op sqlparser.BinaryOp) (r intRange, neg bool) {
+	below := func(t int64, ok bool) intRange { // the images under t
+		switch {
+		case !ok:
+			return intRange{math.MinInt64, math.MaxInt64}
+		case t == math.MinInt64:
+			return intRange{1, 0}
+		}
+		return intRange{math.MinInt64, t - 1}
+	}
+	atLeast := func(t int64, ok bool) intRange { // the images from t up
+		if !ok {
+			return intRange{1, 0}
+		}
+		return intRange{t, math.MaxInt64}
+	}
+	switch op {
+	case sqlparser.OpLt:
+		return below(b.ge, b.geOK), false
+	case sqlparser.OpLe:
+		return below(b.gt, b.gtOK), false
+	case sqlparser.OpGt:
+		return atLeast(b.gt, b.gtOK), false
+	case sqlparser.OpGe:
+		return atLeast(b.ge, b.geOK), false
+	}
+	eq := atLeast(b.ge, b.geOK).meet(below(b.gt, b.gtOK))
+	return eq, op == sqlparser.OpNe
+}
+
+func boolImage(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// floatSpan is cmpFloat(x, lit) op 0 over Float payloads: the closed range
+// [lo, hi] of non-NaN x it accepts (its complement when neg), and NaN's
+// verdict — cmpFloat calls NaN equal to everything, and -0 equal to +0, as
+// the IEEE comparisons below do.
+func floatSpan(op sqlparser.BinaryOp, lit float64) (lo, hi float64, nan, neg bool) {
+	test, _, _ := cmpTest(op)
+	inf := math.Inf(1)
+	nan = test(0)
+	switch {
+	case math.IsNaN(lit):
+		if nan { // every x compares equal to a NaN literal
+			return -inf, inf, true, false
+		}
+		return inf, -inf, false, false
+	case op == sqlparser.OpLt:
+		if lit == -inf {
+			return inf, -inf, nan, false
+		}
+		return -inf, math.Nextafter(lit, -inf), nan, false
+	case op == sqlparser.OpLe:
+		return -inf, lit, nan, false
+	case op == sqlparser.OpGt:
+		if lit == inf {
+			return inf, -inf, nan, false
+		}
+		return math.Nextafter(lit, inf), inf, nan, false
+	case op == sqlparser.OpGe:
+		return lit, inf, nan, false
+	}
+	return lit, lit, nan, op == sqlparser.OpNe
 }
 
 func cmpFloat(a, b float64) int {
@@ -509,21 +869,22 @@ type colReader struct {
 }
 
 // tryVecScan executes a fully vectorized single-table scan without the arena
-// pipeline: every filter ran as a vecPred, every select item is a direct
+// pipeline: every filter runs as a kernel, every select item is a direct
 // column read or constant, and every ORDER BY key resolves to an output
-// column. Pass one counts matches over the vectors alone; pass two fills an
-// exactly-sized projection straight from the columns. ok=false falls back to
-// the general pipeline. Select items expand only after the structural checks
-// pass: with every filter vectorized the pipeline cannot error, so resolving
-// the select list first cannot mask a join-phase error the interpreter
-// would have raised.
+// column. Both passes walk the table one zone at a time through scanBase,
+// reusing one selection buffer: pass one counts the positions the kernels
+// keep, pass two fills an exactly-sized projection straight from the
+// columns. ok=false falls back to the general pipeline. Select items expand
+// only after the structural checks pass: with every filter vectorized the
+// pipeline cannot error, so resolving the select list first cannot mask a
+// join-phase error the interpreter would have raised.
 func (ex *Engine) tryVecScan(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, earlyLimit int) (*Result, bool, error) {
 	if len(pq.plan.Steps) != 1 {
 		return nil, false, nil
 	}
 	st := pq.plan.Steps[0]
 	if st.Access != planner.ScanFull || len(pq.postEvals) > 0 ||
-		len(pq.stepSelf[0]) > 0 || len(pq.stepPost[0]) > 0 {
+		len(pq.steps[0].self) > 0 || len(pq.steps[0].post) > 0 {
 		return nil, false, nil
 	}
 	items, cols, err := expandItems(sel, entries)
@@ -563,7 +924,7 @@ func (ex *Engine) tryVecScan(sel *sqlparser.SelectStmt, entries []fromEntry, pq 
 	bud.AddTotal(n)
 	// Both passes poll the budget once per storage zone — the first charges
 	// the zone's rows — and walk what the zone probes leave of it.
-	pass := func(charge, note bool, rows func(segLo, segHi int, tested bool) bool) error {
+	pass := func(charge, note bool, rows func(kept []int32) bool) error {
 		for lo := 0; lo < n; lo += storage.ZoneRows {
 			hi := min(lo+storage.ZoneRows, n)
 			examined := 0
@@ -573,25 +934,16 @@ func (ex *Engine) tryVecScan(sel *sqlparser.SelectStmt, entries []fromEntry, pq 
 			if err := bud.Step(examined); err != nil {
 				return err
 			}
-			if !pq.scanBase(lo, hi, note, rows) {
+			if !pq.scanBase(&pq.sel, lo, hi, note, rows) {
 				break
 			}
 		}
 		return nil
 	}
-	// Counting pass: a morsel the probes prove all-true contributes its full
-	// length without testing a row.
+	// Counting pass: the selection's length is the zone's match count.
 	matched := 0
-	err = pass(true, true, func(segLo, segHi int, tested bool) bool {
-		if !tested {
-			matched += segHi - segLo
-			return true
-		}
-		for ti := segLo; ti < segHi; ti++ {
-			if pq.vecPass(0, ti) {
-				matched++
-			}
-		}
+	err = pass(true, true, func(kept []int32) bool {
+		matched += len(kept)
 		return true
 	})
 	if err != nil {
@@ -623,24 +975,22 @@ func (ex *Engine) tryVecScan(sel *sqlparser.SelectStmt, entries []fromEntry, pq 
 		return nil, true, err
 	}
 	flat := make([]value.Value, emitN*w)
-	project := func(ti int) {
-		row := flat[:w:w]
-		flat = flat[w:]
-		for i, r := range readers {
-			if r.pos < 0 {
-				row[i] = r.lit
-			} else {
-				row[i] = tbl.Col(r.pos).Value(ti)
-			}
-		}
-		out.Rows = append(out.Rows, storage.Tuple(row))
-	}
 	// Same pruning as the counting pass, whose verdicts were accounted there.
-	err = pass(false, false, func(segLo, segHi int, tested bool) bool {
-		for ti := segLo; ti < segHi && len(out.Rows) < emitN; ti++ {
-			if !tested || pq.vecPass(0, ti) {
-				project(ti)
+	err = pass(false, false, func(kept []int32) bool {
+		for _, ti := range kept {
+			if len(out.Rows) == emitN {
+				break
 			}
+			row := flat[:w:w]
+			flat = flat[w:]
+			for i, r := range readers {
+				if r.pos < 0 {
+					row[i] = r.lit
+				} else {
+					row[i] = tbl.Col(r.pos).Value(int(ti))
+				}
+			}
+			out.Rows = append(out.Rows, storage.Tuple(row))
 		}
 		return len(out.Rows) < emitN
 	})

@@ -20,8 +20,8 @@ import (
 // whole morsel without testing a row. The verdicts must describe the
 // predicate's result over EVERY row of the zone, NULLs included (NULL rejects
 // a comparison, satisfies IS NULL), and they are deliberately conservative:
-// anything the bounds cannot decide is "mixed" and the rows are tested one by
-// one, so zone-pruned execution is byte-identical to the plain scan. The
+// anything the bounds cannot decide is "mixed" and the zone's rows go through
+// the kernels, so zone-pruned execution is byte-identical to the plain scan. The
 // plan's zone-skip shape step is added here, by compilePlan, when it built a
 // probe — so EXPLAIN narrates a skip exactly when the scan consults one.
 
@@ -106,30 +106,35 @@ func (zp *zoneProbeSet) note(v zoneVerdict) {
 }
 
 // scanBase is the base-table walk every scan shares. It covers rows [lo, hi)
-// one storage zone at a time and hands rows each segment the zone probes
-// cannot rule out; tested=false means they proved the whole vectorized filter
-// prefix for the segment (or there is none), so the caller takes every row,
-// and otherwise it tests each with vecPass(0, ti). Without probes the range is
-// one segment. rows returns false to stop the walk, and scanBase reports
-// whether it ran to the end.
+// one storage zone at a time, with or without probes, skips each zone the
+// probes rule out, and hands rows the positions of the rest that pass, one
+// selection vector (selRows positions) at a time in the buffer *sel (see
+// growSel): all of them where the probes proved the whole vectorized filter
+// prefix for the zone, and otherwise what step 0's kernels keep. rows returns
+// false to stop the walk, and scanBase reports whether it ran to the end.
 //
 // With note set the walk accounts each zone whose first row lies in [lo, hi):
 // exactly one pass over the table sets it, and parallel workers never count a
 // zone twice however their ranges split it.
-func (pq *plannedQuery) scanBase(lo, hi int, note bool, rows func(segLo, segHi int, tested bool) bool) bool {
-	zp := pq.zp
-	if zp == nil {
-		return rows(lo, hi, len(pq.stepVec[0]) > 0)
-	}
+func (pq *plannedQuery) scanBase(sel *[]int32, lo, hi int, note bool, rows func(kept []int32) bool) bool {
 	for s := lo; s < hi; {
 		z := s >> storage.ZoneShift
 		e := min((z+1)<<storage.ZoneShift, hi)
-		v := zp.verdict(z)
-		if note && s == z<<storage.ZoneShift {
-			zp.note(v)
+		v := zoneMixed
+		if zp := pq.zp; zp != nil {
+			v = zp.verdict(z)
+			if note && s == z<<storage.ZoneShift {
+				zp.note(v)
+			}
 		}
-		if v != zoneAllFalse && !rows(s, e, v != zoneAllTrue) {
-			return false
+		for c := s; c < e && v != zoneAllFalse; c += selRows {
+			kept := zoneSel(growSel(sel), c, min(c+selRows, e))
+			if v == zoneMixed {
+				kept = pq.keep(0, kept)
+			}
+			if !rows(kept) {
+				return false
+			}
 		}
 		s = e
 	}
@@ -171,7 +176,7 @@ func (pq *plannedQuery) useZoneProbes(zp *zoneProbeSet) {
 	if zp == nil || len(zp.probes) == 0 {
 		return
 	}
-	zp.full = len(zp.probes) == len(pq.stepVec[0])
+	zp.full = len(zp.probes) == len(pq.steps[0].vec)
 	pq.zp = zp
 	pq.plan.Shape = slices.Insert(pq.plan.Shape, 0, zp.step)
 }
@@ -188,7 +193,7 @@ func (pq *plannedQuery) finishZoneSkip() {
 // ---------------------------------------------------------------------------
 
 // probe builds the filter's zone verdict for a table of n rows — the same
-// predicate pred tests row by row, answered from a zone's bounds and NULL
+// predicate its kernel tests on each row, answered from a zone's bounds and NULL
 // count. ok=false means bounds say nothing about it: a LIKE whose pattern has
 // no literal prefix to compare them with, or one byte-wise comparison cannot
 // be trusted on.
@@ -414,8 +419,9 @@ func constRange(pass bool) func(int) rangeVerdict {
 	return func(int) rangeVerdict { return rNone }
 }
 
-// cmpProbe is cmpPred's verdict: a mismatched-kind equality and a string the
-// dictionary never saw are constant, everything else decides from bounds.
+// cmpProbe is the comparison kernel's verdict: a mismatched-kind equality and
+// a string the dictionary never saw are constant, everything else decides
+// from bounds.
 func cmpProbe(col storage.Col, op sqlparser.BinaryOp, lit value.Value, n int) zoneProbe {
 	if !comparableKinds(col.Kind(), lit.Kind()) {
 		if op == sqlparser.OpEq {
@@ -463,8 +469,8 @@ func zoneNullProbe(col storage.Col, want bool, n int) zoneProbe {
 // zoneMembershipRange folds per-literal equality verdicts: one literal
 // covering the whole range makes every value a member; all literals missing
 // the range make none of them members. Literals of foreign kinds (and float
-// NaN, which never matches a hash probe) contribute nothing, as in
-// vecMembership.
+// NaN, which never matches a hash probe) contribute nothing, as in the IN
+// kernel's payload set.
 func zoneMembershipRange(col storage.Col, lits []value.Value) func(z int) rangeVerdict {
 	var eqs []func(z int) rangeVerdict
 	match := func(l value.Value) bool {
