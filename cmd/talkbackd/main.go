@@ -640,8 +640,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"cancelled": as.Cancelled,
 		},
 		// The MVCC shape: how much data sits in immutable sealed zones vs.
-		// mutable tails, which version readers are pinning, and how many
-		// versions writers have published since boot.
+		// mutable tails, which version readers are pinning, how many
+		// versions writers have published since boot, and how many bytes
+		// writes after a publish copied to keep those versions intact.
 		"snapshots": map[string]any{
 			"seq":                ss.Seq,
 			"published_versions": ss.Published,
@@ -649,6 +650,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"sealed_zones":       ss.SealedZones,
 			"tail_rows":          ss.TailRows,
 			"rows":               ss.Rows,
+			"cow_bytes":          ss.CopiedBytes,
 			"readers_in_flight":  inFlight,
 			"reads_completed":    completed,
 			"reads_cancelled":    cancelled,

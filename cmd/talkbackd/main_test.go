@@ -162,3 +162,38 @@ func TestInMemoryStatsOmitDurability(t *testing.T) {
 		t.Fatal("in-memory /stats reports durability")
 	}
 }
+
+// TestStatsCowBytesKeyedUpdate: a keyed UPDATE after a read copies one
+// payload chunk of the changed column plus the flat per-column state, not
+// the table — /stats reports it as snapshots.cow_bytes.
+func TestStatsCowBytesKeyedUpdate(t *testing.T) {
+	const movies = 20000 // five zones: the whole year vector is 160 KB
+	sys, err := buildSystem("movie", movies, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, sys)
+	cowBytes := func() float64 {
+		t.Helper()
+		snaps := getJSON(t, ts, "/stats", http.StatusOK)["snapshots"].(map[string]any)
+		n, ok := snaps["cow_bytes"].(float64)
+		if !ok {
+			t.Fatalf("no snapshots.cow_bytes in /stats: %v", snaps)
+		}
+		return n
+	}
+	if code, out := postAsk(t, ts, "select m.year from MOVIES m where m.id = 7777"); code != http.StatusOK {
+		t.Fatalf("read: %d %v", code, out)
+	}
+	before := cowBytes()
+	code, out := postAsk(t, ts, "update MOVIES set year = 1901 where id = 7777")
+	if code != http.StatusOK || out["affected"] != float64(1) {
+		t.Fatalf("update: %d %v", code, out)
+	}
+	// One 4096-row chunk of int64 years, plus a few KB of null words, zone
+	// summaries and chunk and frame-of-reference headers across the columns.
+	const bound = 4096*8 + 8<<10
+	if grew := cowBytes() - before; grew <= 0 || grew > bound {
+		t.Fatalf("keyed update copied %v bytes, want (0, %d]", grew, bound)
+	}
+}

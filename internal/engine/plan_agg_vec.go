@@ -68,34 +68,32 @@ const (
 // ---------------------------------------------------------------------------
 
 // vecKey is one GROUP BY column: its owning step and attribute position,
-// cached typed vectors, and the array-tier coding parameters (code 0 is
-// reserved for NULL).
+// its column, and the array-tier coding parameters (code 0 is reserved for
+// NULL).
 type vecKey struct {
 	si   int
 	pos  int
 	col  storage.Col
 	kind value.Kind
-	ints []int64
-	flts []float64
-	cds  []uint32
-	bls  []bool
 	// array tier: code = payload - base + 1, stride its positional weight.
 	base   int64
 	stride uint64
 }
 
-// arrayCode maps the key's value at position ti onto its dense code.
-func (k *vecKey) arrayCode(ti int) uint64 {
+// arrayCode maps the key's value at position ti, read through rd, onto its
+// dense code.
+func (k *vecKey) arrayCode(rd *zoneReader, ti int) uint64 {
 	if k.col.Null(ti) {
 		return 0
 	}
+	off := rd.at(ti)
 	switch k.kind {
 	case value.Int, value.Date:
-		return uint64(k.ints[ti]-k.base) + 1
+		return uint64(rd.ints[off]-k.base) + 1
 	case value.Text:
-		return uint64(k.cds[ti]) + 1
+		return uint64(rd.cds[off]) + 1
 	default: // Bool (Float never reaches the array tier)
-		if k.bls[ti] {
+		if rd.bls[off] {
 			return 2
 		}
 		return 1
@@ -103,28 +101,30 @@ func (k *vecKey) arrayCode(ti int) uint64 {
 }
 
 // pack appends the key's fixed-width (tag + 8 payload bytes) encoding at
-// position ti. Integers pack their float64 image — the same identity the
-// interpreter's encoded group keys use — and -0.0 collapses onto +0.0.
-func (k *vecKey) pack(buf []byte, ti int) []byte {
+// position ti, read through rd. Integers pack their float64 image — the same
+// identity the interpreter's encoded group keys use — and -0.0 collapses onto
+// +0.0.
+func (k *vecKey) pack(buf []byte, rd *zoneReader, ti int) []byte {
 	var tag byte
 	var b uint64
 	if !k.col.Null(ti) {
 		tag = 1
+		off := rd.at(ti)
 		switch k.kind {
 		case value.Int:
-			b = math.Float64bits(float64(k.ints[ti]))
+			b = math.Float64bits(float64(rd.ints[off]))
 		case value.Date:
-			b = uint64(k.ints[ti])
+			b = uint64(rd.ints[off])
 		case value.Float:
-			f := k.flts[ti]
+			f := rd.flts[off]
 			if f == 0 {
 				f = 0 // collapse -0 and +0, like value.AppendKey
 			}
 			b = math.Float64bits(f)
 		case value.Text:
-			b = uint64(k.cds[ti])
+			b = uint64(rd.cds[off])
 		case value.Bool:
-			if k.bls[ti] {
+			if rd.bls[off] {
 				b = 1
 			}
 		}
@@ -142,10 +142,6 @@ type vecAgg struct {
 	si       int
 	col      storage.Col
 	kind     value.Kind
-	ints     []int64
-	flts     []float64
-	cds      []uint32
-	bls      []bool
 	// exact reports the accumulator merges across partial states without
 	// rounding — the per-aggregate condition for morsel parallelism.
 	exact bool
@@ -155,18 +151,20 @@ type vecAgg struct {
 	setBase  int64
 }
 
-// distinctCode maps the argument value at ti onto its bitset position.
-func (a *vecAgg) distinctCode(ti int) uint64 {
+// distinctCode maps the argument value at ti, read through rd, onto its
+// bitset position.
+func (a *vecAgg) distinctCode(rd *zoneReader, ti int) uint64 {
+	off := rd.at(ti)
 	switch a.kind {
 	case value.Text:
-		return uint64(a.cds[ti])
+		return uint64(rd.cds[off])
 	case value.Bool:
-		if a.bls[ti] {
+		if rd.bls[off] {
 			return 1
 		}
 		return 0
 	default: // Int, Date
-		return uint64(a.ints[ti] - a.setBase)
+		return uint64(rd.ints[off] - a.setBase)
 	}
 }
 
@@ -217,20 +215,47 @@ func (pq *plannedQuery) slotOwner(slot int) (int, int) {
 	return -1, -1
 }
 
-// cacheVectors fills the typed slice cache for a column of the given kind.
-func cacheVectors(col storage.Col, kind value.Kind) (ints []int64, flts []float64, cds []uint32, bls []bool, ok bool) {
+// vecKind reports whether a column of the given kind has a typed payload
+// vector the fused pipeline reads.
+func vecKind(kind value.Kind) bool {
 	switch kind {
-	case value.Int, value.Date:
-		return col.Ints(), nil, nil, nil, true
-	case value.Float:
-		return nil, col.Floats(), nil, nil, true
-	case value.Text:
-		return nil, nil, col.Codes(), nil, true
-	case value.Bool:
-		return nil, nil, nil, col.Bools(), true
-	default:
-		return nil, nil, nil, nil, false
+	case value.Int, value.Date, value.Float, value.Text, value.Bool:
+		return true
 	}
+	return false
+}
+
+// zoneReader is one worker's window on a key or aggregate column: it holds
+// the payload chunk of the zone it read last and rebinds when a position
+// falls in another zone — once per zone on a scan, whose positions stay in
+// one zone for thousands of rows.
+type zoneReader struct {
+	col  storage.Col
+	z    int
+	ints []int64
+	flts []float64
+	cds  []uint32
+	bls  []bool
+}
+
+func newZoneReader(col storage.Col) zoneReader { return zoneReader{col: col, z: -1} }
+
+// at binds the chunk holding position ti and returns ti's offset in it.
+func (r *zoneReader) at(ti int) int {
+	if z := ti >> storage.ZoneShift; z != r.z {
+		r.z = z
+		switch r.col.Kind() {
+		case value.Int, value.Date:
+			r.ints = r.col.Ints(z)
+		case value.Float:
+			r.flts = r.col.Floats(z)
+		case value.Text:
+			r.cds = r.col.Codes(z)
+		case value.Bool:
+			r.bls = r.col.Bools(z)
+		}
+	}
+	return ti & storage.ZoneMask
 }
 
 // ---------------------------------------------------------------------------
@@ -316,8 +341,7 @@ func (pq *plannedQuery) compileVecKeys(sel *sqlparser.SelectStmt) (*vecAggExec, 
 		}
 		col := plan.Steps[si].Input.Tbl.Col(pos)
 		k := vecKey{si: si, pos: pos, col: col, kind: col.Kind()}
-		k.ints, k.flts, k.cds, k.bls, ok = cacheVectors(col, k.kind)
-		if !ok {
+		if !vecKind(k.kind) {
 			return nil, false
 		}
 		va.keys = append(va.keys, k)
@@ -404,8 +428,7 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 		}
 		col := va.pq.plan.Steps[si].Input.Tbl.Col(pos)
 		spec.si, spec.col, spec.kind = si, col, col.Kind()
-		spec.ints, spec.flts, spec.cds, spec.bls, ok = cacheVectors(col, spec.kind)
-		if !ok {
+		if !vecKind(spec.kind) {
 			return 0, false
 		}
 		switch a.Func {
@@ -681,7 +704,7 @@ func (s *vecAggState) upsert(va *vecAggExec, fc *fusedCtx) int32 {
 		var code uint64
 		for i := range va.keys {
 			k := &va.keys[i]
-			code += k.arrayCode(int(fc.pos[k.si])) * k.stride
+			code += k.arrayCode(&fc.keyRd[i], int(fc.pos[k.si])) * k.stride
 		}
 		if g := s.arrIdx[code]; g != 0 {
 			return g - 1
@@ -695,7 +718,7 @@ func (s *vecAggState) upsert(va *vecAggExec, fc *fusedCtx) int32 {
 	fc.keyBuf = fc.keyBuf[:0]
 	for i := range va.keys {
 		k := &va.keys[i]
-		fc.keyBuf = k.pack(fc.keyBuf, int(fc.pos[k.si]))
+		fc.keyBuf = k.pack(fc.keyBuf, &fc.keyRd[i], int(fc.pos[k.si]))
 	}
 	if g, ok := s.hashIdx[string(fc.keyBuf)]; ok {
 		return g - 1
@@ -731,9 +754,9 @@ func (s *vecAggState) update(va *vecAggExec, fc *fusedCtx) {
 		if spec.col.Null(ti) {
 			continue
 		}
-		a := &s.accs[j]
+		a, rd := &s.accs[j], &fc.aggRd[j]
 		if spec.distinct {
-			code := spec.distinctCode(ti)
+			code := spec.distinctCode(rd, ti)
 			set := a.sets[gi]
 			if set == nil {
 				set = make([]uint64, spec.setWords)
@@ -748,14 +771,14 @@ func (s *vecAggState) update(va *vecAggExec, fc *fusedCtx) {
 		case sqlparser.AggSum, sqlparser.AggAvg:
 			a.count[gi]++
 			if spec.kind == value.Int {
-				x := spec.ints[ti]
+				x := rd.ints[rd.at(ti)]
 				a.sumI[gi] += x
 				a.sumF[gi] += float64(x)
 			} else {
-				a.sumF[gi] += spec.flts[ti]
+				a.sumF[gi] += rd.flts[rd.at(ti)]
 			}
 		case sqlparser.AggMin, sqlparser.AggMax:
-			s.updateBest(spec, a, gi, ti, fc)
+			s.updateBest(spec, rd, a, gi, ti, fc)
 		}
 	}
 }
@@ -763,11 +786,12 @@ func (s *vecAggState) update(va *vecAggExec, fc *fusedCtx) {
 // updateBest applies one MIN/MAX candidate, mirroring value.Compare: numeric
 // kinds compare as float64 images, and only strict improvements replace the
 // held payload (so ties keep the first-seen value).
-func (s *vecAggState) updateBest(spec *vecAgg, a *vecAccs, gi int32, ti int, fc *fusedCtx) {
+func (s *vecAggState) updateBest(spec *vecAgg, rd *zoneReader, a *vecAccs, gi int32, ti int, fc *fusedCtx) {
 	min := spec.fn == sqlparser.AggMin
+	off := rd.at(ti)
 	switch spec.kind {
 	case value.Int, value.Date:
-		x := spec.ints[ti]
+		x := rd.ints[off]
 		if !a.has[gi] {
 			a.has[gi], a.bestI[gi] = true, x
 		} else {
@@ -784,7 +808,7 @@ func (s *vecAggState) updateBest(spec *vecAgg, a *vecAccs, gi int32, ti int, fc 
 			}
 		}
 	case value.Float:
-		x := spec.flts[ti]
+		x := rd.flts[off]
 		if !a.has[gi] {
 			a.has[gi], a.bestF[gi] = true, x
 		} else if c := cmpFloat(x, a.bestF[gi]); (min && c < 0) || (!min && c > 0) {
@@ -793,7 +817,7 @@ func (s *vecAggState) updateBest(spec *vecAgg, a *vecAccs, gi int32, ti int, fc 
 			return
 		}
 	case value.Text:
-		x := spec.col.DictString(spec.cds[ti])
+		x := spec.col.DictString(rd.cds[off])
 		if !a.has[gi] {
 			a.has[gi], a.bestS[gi] = true, x
 		} else if c := strings.Compare(x, a.bestS[gi]); (min && c < 0) || (!min && c > 0) {
@@ -802,7 +826,7 @@ func (s *vecAggState) updateBest(spec *vecAgg, a *vecAccs, gi int32, ti int, fc 
 			return
 		}
 	case value.Bool:
-		x := spec.bls[ti]
+		x := rd.bls[off]
 		if !a.has[gi] {
 			a.has[gi], a.bestB[gi] = true, x
 		} else if c := cmpBool(x, a.bestB[gi]); (min && c < 0) || (!min && c > 0) {
@@ -933,6 +957,11 @@ type fusedCtx struct {
 	seq      int64
 	sel      []int32
 	buf      [selRows]int32
+	// keyRd and aggRd read the group keys' and the aggregates' columns, in
+	// va.keys and va.aggs order; a query with few enough of them carves both
+	// from rdBuf.
+	keyRd, aggRd []zoneReader
+	rdBuf        [8]zoneReader
 }
 
 // fusedRun executes one compiled query: shared immutable step structures
@@ -950,6 +979,14 @@ func (fx *fusedRun) newCtx(va *vecAggExec) *fusedCtx {
 		state:    newVecAggState(va),
 	}
 	fc.sel = fc.buf[:]
+	rd := fc.rdBuf[:0]
+	for i := range va.keys {
+		rd = append(rd, newZoneReader(va.keys[i].col))
+	}
+	for _, a := range va.aggs {
+		rd = append(rd, newZoneReader(a.col))
+	}
+	fc.keyRd, fc.aggRd = rd[:len(va.keys)], rd[len(va.keys):]
 	return fc
 }
 

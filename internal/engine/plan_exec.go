@@ -1056,13 +1056,17 @@ func (pq *plannedQuery) buildChainFromOuter(si int, st *planner.Step, keep []boo
 	switch kind := buildCol.Kind(); kind {
 	case value.Int, value.Date:
 		if images, exact := intImages(chain.head, kind); exact {
-			ints := buildCol.Ints()
-			scan = func(lo, hi int) error { images.candidates(ints, lo, hi, thread); return nil }
+			scan = func(lo, hi int) error {
+				images.candidates(buildCol.Ints(lo>>storage.ZoneShift), lo, hi, thread)
+				return nil
+			}
 		}
 	case value.Text:
 		images := codeImages(chain.head, buildCol)
-		codes := buildCol.Codes()
-		scan = func(lo, hi int) error { images.candidates(codes, lo, hi, thread); return nil }
+		scan = func(lo, hi int) error {
+			images.candidates(buildCol.Codes(lo>>storage.ZoneShift), lo, hi, thread)
+			return nil
+		}
 	}
 	return chain, buildPass(pq.ex.bud, n, true, scan)
 }
@@ -1081,14 +1085,14 @@ func (ki *keyImages[T]) add(v T) {
 	ki.set[v] = struct{}{}
 }
 
-// candidates visits, from hi-1 down to lo, the positions of vec whose payload
-// is in the set. The bounds test settles most rows without a map lookup, and
-// all of them for a single key.
-func (ki *keyImages[T]) candidates(vec []T, lo, hi int, visit func(ti int)) {
+// candidates visits, from hi-1 down to lo, the positions of one zone whose
+// payload is in the set; chunk is that zone's payload chunk. The bounds test
+// settles most rows without a map lookup, and all of them for a single key.
+func (ki *keyImages[T]) candidates(chunk []T, lo, hi int, visit func(ti int)) {
 	// One unsigned comparison tests min <= v <= max (v-min wraps far past the
 	// span when v < min): a key in the middle of the column's range would make
 	// "v < min" a coin toss for the branch predictor on every row.
-	lowest, span, seg := ki.min, uint64(ki.max-ki.min), vec[lo:hi]
+	lowest, span, seg := ki.min, uint64(ki.max-ki.min), chunk[lo&storage.ZoneMask:lo&storage.ZoneMask+hi-lo]
 	for i := len(seg) - 1; i >= 0; i-- {
 		v := seg[i]
 		if uint64(v-lowest) > span {

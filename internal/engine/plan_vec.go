@@ -509,7 +509,8 @@ func (k *vecKernel) member(lits []value.Value) {
 }
 
 // keep narrows sel, the ascending positions of one zone, to the rows that
-// pass, compacting them into sel's prefix.
+// pass, compacting them into sel's prefix. The kernels read the zone's
+// payload chunk at each position's offset within the zone.
 func (k *vecKernel) keep(sel []int32) []int32 {
 	switch k.shape {
 	case kNone:
@@ -520,44 +521,44 @@ func (k *vecKernel) keep(sel []int32) []int32 {
 	if k.nulls {
 		sel = keepNulls(sel, k.col, false)
 	}
-	col := k.col
+	if len(sel) == 0 {
+		return sel
+	}
+	col, z := k.col, int(sel[0])>>storage.ZoneShift
 	switch k.shape {
 	case kRange:
 		switch {
 		case k.ranks != nil:
-			return keepRanks(sel, col.Codes(), k.ranks, k.r, k.neg)
+			return keepRanks(sel, col.Codes(z), k.ranks, k.r, k.neg)
 		case k.d8 != nil:
-			if len(sel) == 0 {
-				return sel
-			}
-			z := int(sel[0]) >> storage.ZoneShift
-			return keepRange(sel, k.d8[z], z<<storage.ZoneShift, k.r.deltas(k.fb[z]), k.neg)
+			return keepRange(sel, k.d8[z], k.r.deltas(k.fb[z]), k.neg)
 		case col.Kind() == value.Text:
-			return keepRange(sel, col.Codes(), 0, k.r, k.neg)
+			return keepRange(sel, col.Codes(z), k.r, k.neg)
 		case col.Kind() == value.Bool:
-			return keepBools(sel, col.Bools(), k.r, k.neg)
+			return keepBools(sel, col.Bools(z), k.r, k.neg)
 		}
-		return keepRange(sel, col.Ints(), 0, k.r, k.neg)
+		return keepRange(sel, col.Ints(z), k.r, k.neg)
 	case kFloat:
-		return keepFloats(sel, col.Floats(), k.flo, k.fhi, k.nan, k.neg)
+		return keepFloats(sel, col.Floats(z), k.flo, k.fhi, k.nan, k.neg)
 	case kVerdict:
-		return keepVerdicts(sel, col.Codes(), k.verdict, k.neg)
+		return keepVerdicts(sel, col.Codes(z), k.verdict, k.neg)
 	case kSet:
 		switch col.Kind() {
 		case value.Int:
-			return keepSet(sel, col.Ints(), k.fset, k.neg)
+			return keepSet(sel, col.Ints(z), k.fset, k.neg)
 		case value.Float:
-			return keepSet(sel, col.Floats(), k.fset, k.neg)
+			return keepSet(sel, col.Floats(z), k.fset, k.neg)
 		case value.Text:
-			return keepSet(sel, col.Codes(), k.iset, k.neg)
+			return keepSet(sel, col.Codes(z), k.iset, k.neg)
 		}
-		return keepSet(sel, col.Ints(), k.iset, k.neg)
+		return keepSet(sel, col.Ints(z), k.iset, k.neg)
 	}
 	return sel // kAll
 }
 
 // The loops below store every position and advance the output index only
-// for a kept one, so the verdict never steers a branch.
+// for a kept one, so the verdict never steers a branch. xs is the payload
+// chunk of the zone sel lies in, indexed by a position's offset in the zone.
 
 // keepNulls keeps the positions whose NULL flag equals want.
 func keepNulls(sel []int32, col storage.Col, want bool) []int32 {
@@ -571,10 +572,10 @@ func keepNulls(sel []int32, col storage.Col, want bool) []int32 {
 	return sel[:k]
 }
 
-// keepRange keeps the positions whose payload xs[ti-off] lies in r (outside
-// it, with neg). One unsigned compare tests lo <= x <= hi: x-lo wraps far
-// past the span when x < lo.
-func keepRange[T int64 | uint32 | uint8](sel []int32, xs []T, off int, r intRange, neg bool) []int32 {
+// keepRange keeps the positions whose payload lies in r (outside it, with
+// neg). One unsigned compare tests lo <= x <= hi: x-lo wraps far past the
+// span when x < lo.
+func keepRange[T int64 | uint32 | uint8](sel []int32, xs []T, r intRange, neg bool) []int32 {
 	if r.lo > r.hi {
 		if neg {
 			return sel
@@ -585,7 +586,7 @@ func keepRange[T int64 | uint32 | uint8](sel []int32, xs []T, off int, r intRang
 	k := 0
 	for _, ti := range sel {
 		sel[k] = ti
-		if (uint64(xs[int(ti)-off])-lo <= span) != neg {
+		if (uint64(xs[ti&storage.ZoneMask])-lo <= span) != neg {
 			k++
 		}
 	}
@@ -604,7 +605,7 @@ func keepRanks(sel []int32, codes, ranks []uint32, r intRange, neg bool) []int32
 	k := 0
 	for _, ti := range sel {
 		sel[k] = ti
-		if (uint64(ranks[codes[ti]])-lo <= span) != neg {
+		if (uint64(ranks[codes[ti&storage.ZoneMask]])-lo <= span) != neg {
 			k++
 		}
 	}
@@ -623,7 +624,7 @@ func keepBools(sel []int32, xs []bool, r intRange, neg bool) []int32 {
 	k := 0
 	for _, ti := range sel {
 		sel[k] = ti
-		if xs[ti] == t {
+		if xs[ti&storage.ZoneMask] == t {
 			k++
 		}
 	}
@@ -635,7 +636,7 @@ func keepBools(sel []int32, xs []bool, r intRange, neg bool) []int32 {
 func keepFloats(sel []int32, xs []float64, lo, hi float64, nan, neg bool) []int32 {
 	k := 0
 	for _, ti := range sel {
-		x := xs[ti]
+		x := xs[ti&storage.ZoneMask]
 		in := (x >= lo && x <= hi) != neg
 		if x != x {
 			in = nan
@@ -654,7 +655,7 @@ func keepVerdicts(sel []int32, codes []uint32, verdict []bool, neg bool) []int32
 	k := 0
 	for _, ti := range sel {
 		sel[k] = ti
-		if verdict[codes[ti]] != neg {
+		if verdict[codes[ti&storage.ZoneMask]] != neg {
 			k++
 		}
 	}
@@ -666,7 +667,7 @@ func keepVerdicts(sel []int32, codes []uint32, verdict []bool, neg bool) []int32
 func keepSet[T int64 | float64 | uint32, K int64 | float64](sel []int32, xs []T, set map[K]struct{}, neg bool) []int32 {
 	k := 0
 	for _, ti := range sel {
-		_, in := set[K(xs[ti])]
+		_, in := set[K(xs[ti&storage.ZoneMask])]
 		sel[k] = ti
 		if in != neg {
 			k++

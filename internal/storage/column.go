@@ -2,17 +2,29 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/value"
 )
 
 // This file holds the columnar backbone of a Table: one typed vector per
-// attribute plus a null bitmap. Integers live in []int64, floats in
-// []float64, text as []uint32 codes into a per-column string dictionary,
-// dates as epoch-day []int64, and booleans as []bool. Tuples exist only at
-// the API boundary — they are materialized on demand from the vectors.
+// attribute plus a null bitmap. Integers live in int64s, floats in float64s,
+// text as uint32 codes into a per-column string dictionary, dates as
+// epoch-day int64s, and booleans as bools. Tuples exist only at the API
+// boundary — they are materialized on demand from the vectors.
+//
+// Every payload vector is cut into chunks aligned with the zone maps: row i
+// lives at offset i&ZoneMask of chunk i>>ZoneShift, so a vector is a [][]T
+// header array over ZoneRows-long chunks. Chunks always have their full
+// length — positions at or past the row count hold nothing and are never
+// read — except that a table's first chunk starts short and grows by
+// replacement, so a five-row table does not hold a zone's worth per column.
+// The chunk is the unit of copy-on-write: a frozen view shares the header
+// array, and the writer clones only the chunks it overwrites afterwards (see
+// snapshot.go for the sharing rules).
 
 // bitmap is a packed bit set marking NULL positions of one column.
 //
@@ -141,19 +153,30 @@ func (d *dict) freeze() *dict {
 	return fd
 }
 
-// column is one attribute's storage: a typed vector (selected by kind) and
-// the null bitmap. NULL positions carry a zero placeholder in the vector.
-// Zone maps (zonemap.go) summarize each ZoneRows-sized range; Int/Date
+// column is one attribute's storage: a chunked typed vector (selected by
+// kind) and the null bitmap. NULL positions carry a zero placeholder in the
+// vector. Zone maps (zonemap.go) summarize each ZoneRows-sized range; Int/Date
 // columns additionally keep a frame-of-reference encoding (per-zone base +
 // byte deltas) while every zone's span fits in a byte.
 type column struct {
 	kind  value.Kind
 	nulls bitmap
-	ints  []int64 // Int payloads, or Date epoch days
-	flts  []float64
-	bls   []bool
-	codes []uint32 // Text dictionary codes
+	ints  [][]int64 // Int payloads, or Date epoch days
+	flts  [][]float64
+	bls   [][]bool
+	codes [][]uint32 // Text dictionary codes
 	dict  *dict
+	// The writer's copy-on-write record, never read by frozen views: gen
+	// counts the freezes of the column, hdrGen == gen marks the payload's
+	// chunk-header array as private, and own[z] == gen marks chunk z as cloned
+	// or allocated since the last freeze — so a freeze resets ownership in
+	// O(1). copied, shared by the database's columns, counts the bytes
+	// copy-on-write cloned (SnapshotStats.CopiedBytes); nil outside a
+	// database.
+	gen    uint64
+	hdrGen uint64
+	own    []uint64
+	copied *atomic.Uint64
 	// counts maps an Int, Float or Date value's value.Key64 to the number of
 	// live rows holding it — its size is the distinct count (stats.go). Nil
 	// for Text (dict.live counts) and Bool (the bounds tell), and in frozen
@@ -206,8 +229,8 @@ func (c *column) d8Rows() int {
 	return (len(c.d8)-1)<<ZoneShift + len(c.d8[len(c.d8)-1])
 }
 
-func newColumn(kind value.Kind) column {
-	c := column{kind: kind}
+func newColumn(kind value.Kind, copied *atomic.Uint64) column {
+	c := column{kind: kind, copied: copied}
 	switch kind {
 	case value.Text:
 		c.dict = newDict()
@@ -236,27 +259,27 @@ func (c *column) appendVal(v value.Value, row int) {
 		if !null {
 			x = v.Int()
 		}
-		c.ints = append(c.ints, x)
+		putChunked(c, &c.ints, row, x)
 	case value.Float:
 		var x float64
 		if !null {
 			x = v.Float()
 		}
-		c.flts = append(c.flts, x)
+		putChunked(c, &c.flts, row, x)
 	case value.Text:
 		var x uint32
 		if !null {
 			x = c.dict.intern(v.Text())
 		}
-		c.codes = append(c.codes, x)
+		putChunked(c, &c.codes, row, x)
 	case value.Date:
 		var x int64
 		if !null {
 			x = v.DateDays()
 		}
-		c.ints = append(c.ints, x)
+		putChunked(c, &c.ints, row, x)
 	case value.Bool:
-		c.bls = append(c.bls, !null && v.Bool())
+		putChunked(c, &c.bls, row, !null && v.Bool())
 	default:
 		panic(fmt.Sprintf("storage: column of kind %s", c.kind))
 	}
@@ -272,23 +295,30 @@ func (c *column) value(i int) value.Value {
 	}
 	switch c.kind {
 	case value.Int:
-		return value.NewInt(c.ints[i])
+		return value.NewInt(c.int(i))
 	case value.Float:
-		return value.NewFloat(c.flts[i])
+		return value.NewFloat(c.flt(i))
 	case value.Text:
-		return value.NewText(c.dict.strs[c.codes[i]])
+		return value.NewText(c.dict.strs[c.code(i)])
 	case value.Date:
-		return value.NewDateDays(c.ints[i])
+		return value.NewDateDays(c.int(i))
 	case value.Bool:
-		return value.NewBool(c.bls[i])
+		return value.NewBool(c.bl(i))
 	default:
 		return value.NewNull()
 	}
 }
 
-// setVal overwrites position i (Update path; v is coerced or NULL). Zone
-// maps are NOT maintained here — the Update path rebuilds the zones holding
-// an updated row once the write completes.
+// The payload at position i, one reader per vector type.
+func (c *column) int(i int) int64   { return c.ints[i>>ZoneShift][i&ZoneMask] }
+func (c *column) flt(i int) float64 { return c.flts[i>>ZoneShift][i&ZoneMask] }
+func (c *column) code(i int) uint32 { return c.codes[i>>ZoneShift][i&ZoneMask] }
+func (c *column) bl(i int) bool     { return c.bls[i>>ZoneShift][i&ZoneMask] }
+
+// setVal overwrites position i (Update path; v is coerced or NULL), cloning
+// the one chunk it writes if a frozen view still shares it. Zone maps are NOT
+// maintained here — the Update path rebuilds the zones holding an updated
+// row once the write completes.
 func (c *column) setVal(i int, v value.Value) {
 	null := v.IsNull()
 	c.releaseRow(i) // the old value loses this row
@@ -296,53 +326,73 @@ func (c *column) setVal(i int, v value.Value) {
 	if !null && v.Kind() != c.kind {
 		panic(fmt.Sprintf("storage: %s value stored into %s column", v.Kind(), c.kind))
 	}
+	z, off := i>>ZoneShift, i&ZoneMask
 	switch c.kind {
 	case value.Int:
-		if null {
-			c.ints[i] = 0
-		} else {
-			c.ints[i] = v.Int()
+		var x int64
+		if !null {
+			x = v.Int()
 		}
-	case value.Float:
-		if null {
-			c.flts[i] = 0
-		} else {
-			c.flts[i] = v.Float()
-		}
-	case value.Text:
-		if null {
-			c.codes[i] = 0
-		} else {
-			c.codes[i] = c.dict.intern(v.Text())
-		}
+		ownChunk(c, &c.ints, z)[off] = x
 	case value.Date:
-		if null {
-			c.ints[i] = 0
-		} else {
-			c.ints[i] = v.DateDays()
+		var x int64
+		if !null {
+			x = v.DateDays()
 		}
+		ownChunk(c, &c.ints, z)[off] = x
+	case value.Float:
+		var x float64
+		if !null {
+			x = v.Float()
+		}
+		ownChunk(c, &c.flts, z)[off] = x
+	case value.Text:
+		var x uint32
+		if !null {
+			x = c.dict.intern(v.Text())
+		}
+		ownChunk(c, &c.codes, z)[off] = x
 	case value.Bool:
-		c.bls[i] = !null && v.Bool()
+		ownChunk(c, &c.bls, z)[off] = !null && v.Bool()
 	}
 	c.retainRow(i)
 }
 
+// ownChunks makes the payload chunks [z0, z1) private to the writer — what a
+// Delete does for the chunks its compaction rewrites, and a rolled-back insert
+// suffix for the chunk its next appends land in.
+func (c *column) ownChunks(z0, z1 int) {
+	for z := z0; z < z1; z++ {
+		switch c.kind {
+		case value.Int, value.Date:
+			ownChunk(c, &c.ints, z)
+		case value.Float:
+			ownChunk(c, &c.flts, z)
+		case value.Text:
+			ownChunk(c, &c.codes, z)
+		case value.Bool:
+			ownChunk(c, &c.bls, z)
+		}
+	}
+}
+
 // moveRows slides rows [src, end) down to start at dst (Delete compaction;
-// dst <= src). Payloads move as one block; null bits move one by one, and not
-// at all for a column that never stored a NULL.
+// dst <= src) inside chunks the writer owns. Payloads move one chunk piece at
+// a time; null bits move one by one, and not at all for a column that never
+// stored a NULL.
 func (c *column) moveRows(dst, src, end int) {
 	if dst == src || src >= end {
 		return
 	}
 	switch c.kind {
 	case value.Int, value.Date:
-		copy(c.ints[dst:], c.ints[src:end])
+		moveChunked(c.ints, dst, src, end)
 	case value.Float:
-		copy(c.flts[dst:], c.flts[src:end])
+		moveChunked(c.flts, dst, src, end)
 	case value.Text:
-		copy(c.codes[dst:], c.codes[src:end])
+		moveChunked(c.codes, dst, src, end)
 	case value.Bool:
-		copy(c.bls[dst:], c.bls[src:end])
+		moveChunked(c.bls, dst, src, end)
 	}
 	if len(c.nulls.words) == 0 {
 		return
@@ -357,18 +407,127 @@ func (c *column) truncate(n int) {
 	c.nulls.truncate(n)
 	switch c.kind {
 	case value.Int, value.Date:
-		c.ints = c.ints[:n]
+		truncateChunked(c, &c.ints, n)
 	case value.Float:
-		c.flts = c.flts[:n]
+		truncateChunked(c, &c.flts, n)
 	case value.Text:
-		c.codes = c.codes[:n]
+		truncateChunked(c, &c.codes, n)
 	case value.Bool:
-		c.bls = c.bls[:n]
+		truncateChunked(c, &c.bls, n)
+	}
+}
+
+// firstChunkRows is the length a table's first chunk starts at; it doubles
+// up to ZoneRows as the table grows.
+const firstChunkRows = 8
+
+// chunksFor returns the number of chunks holding n rows.
+func chunksFor(n int) int { return (n + ZoneRows - 1) >> ZoneShift }
+
+// newChunked allocates the chunks of a vector of n rows, all owned by c's
+// writer, carved capacity-capped from one array: full-length chunks, except
+// that a vector within one zone gets a first chunk of just its rows.
+func newChunked[T any](c *column, n int) [][]T {
+	vec := make([][]T, chunksFor(n))
+	if len(vec) == 1 {
+		vec[0] = make([]T, max(n, firstChunkRows))
+	} else {
+		backing := make([]T, len(vec)<<ZoneShift)
+		for z := range vec {
+			vec[z] = backing[z<<ZoneShift : (z+1)<<ZoneShift : (z+1)<<ZoneShift]
+		}
+	}
+	c.hdrGen = c.gen
+	c.own = c.own[:0]
+	for range vec {
+		c.own = append(c.own, c.gen)
+	}
+	return vec
+}
+
+// putChunked stores x at row, the next append position — at or past every
+// frozen view's row count, so the chunk holding it may stay shared. It
+// allocates the next chunk at a zone boundary and grows a short first chunk by
+// replacement.
+func putChunked[T any](c *column, vec *[][]T, row int, x T) {
+	z, off := row>>ZoneShift, row&ZoneMask
+	if z == len(*vec) {
+		size := ZoneRows
+		if z == 0 {
+			size = firstChunkRows
+		}
+		*vec = append(*vec, make([]T, size))
+		c.own = append(c.own[:z], c.gen)
+	} else if off >= len((*vec)[z]) {
+		grown := make([]T, min(ZoneRows, 2*len((*vec)[z])))
+		copy(grown, (*vec)[z])
+		setChunk(c, vec, z, grown)
+	}
+	(*vec)[z][off] = x
+}
+
+// ownChunk returns chunk z ready for an in-place write: cloned first when it
+// is not the writer's own since the last freeze.
+func ownChunk[T any](c *column, vec *[][]T, z int) []T {
+	if c.own[z] != c.gen {
+		chunk := slices.Clone((*vec)[z])
+		c.countCopied(len(chunk) * int(unsafe.Sizeof(chunk[0])))
+		setChunk(c, vec, z, chunk)
+	}
+	return (*vec)[z]
+}
+
+// setChunk installs chunk as chunk z, owned by the writer. A header inside an
+// array a frozen view shares is never rewritten: the first replacement after
+// a freeze copies the header array (O(zones)).
+func setChunk[T any](c *column, vec *[][]T, z int, chunk []T) {
+	if c.hdrGen != c.gen {
+		*vec = slices.Clone(*vec)
+		c.hdrGen = c.gen
+		c.countCopied(len(*vec) * int(unsafe.Sizeof(chunk)))
+	}
+	(*vec)[z] = chunk
+	c.own[z] = c.gen
+}
+
+// moveChunked copies rows [src, end) down to dst (dst <= src), one run within
+// a source and a destination chunk at a time; ascending runs never overwrite
+// a position before it is read.
+func moveChunked[T any](vec [][]T, dst, src, end int) {
+	for src < end {
+		from := vec[src>>ZoneShift][src&ZoneMask:]
+		n := copy(vec[dst>>ZoneShift][dst&ZoneMask:], from[:min(len(from), end-src)])
+		dst += n
+		src += n
+	}
+}
+
+// truncateChunked drops the chunks wholly past n rows. While a frozen view
+// shares the header array the kept prefix is capacity-capped, so the next
+// chunk appended lands in a fresh array instead of over a header the view
+// still reads.
+func truncateChunked[T any](c *column, vec *[][]T, n int) {
+	k := chunksFor(n)
+	if k >= len(*vec) {
+		return
+	}
+	if c.hdrGen != c.gen {
+		*vec = (*vec)[:k:k]
+	} else {
+		*vec = (*vec)[:k]
+	}
+	c.own = c.own[:k]
+}
+
+// countCopied adds n bytes to the copy-on-write counter.
+func (c *column) countCopied(n int) {
+	if c.copied != nil {
+		c.copied.Add(uint64(n))
 	}
 }
 
 // Col is a read-only handle on one column vector, the engine's zero-copy
-// window into the table. The slices it exposes are the live storage — safe
+// window into the table. The chunks it exposes are the live storage — safe
 // for concurrent readers under the storage contract (writers are exclusive),
 // and never to be mutated.
 type Col struct {
@@ -393,17 +552,19 @@ func (c Col) HasNulls() bool {
 	return c.c.nulls.tail != 0
 }
 
-// Ints exposes the Int payloads — or, for Date columns, the epoch days.
-func (c Col) Ints() []int64 { return c.c.ints }
+// Ints exposes zone z's chunk of Int payloads — or, for Date columns, epoch
+// days: row i of the zone is Ints(z)[i&ZoneMask]. The chunk may run past the
+// table's last row; those positions hold nothing.
+func (c Col) Ints(z int) []int64 { return c.c.ints[z] }
 
-// Floats exposes the Float payloads.
-func (c Col) Floats() []float64 { return c.c.flts }
+// Floats exposes zone z's chunk of Float payloads, indexed like Ints.
+func (c Col) Floats(z int) []float64 { return c.c.flts[z] }
 
-// Bools exposes the Bool payloads.
-func (c Col) Bools() []bool { return c.c.bls }
+// Bools exposes zone z's chunk of Bool payloads, indexed like Ints.
+func (c Col) Bools(z int) []bool { return c.c.bls[z] }
 
-// Codes exposes the Text dictionary codes.
-func (c Col) Codes() []uint32 { return c.c.codes }
+// Codes exposes zone z's chunk of Text dictionary codes, indexed like Ints.
+func (c Col) Codes(z int) []uint32 { return c.c.codes[z] }
 
 // DictLen returns the dictionary size (distinct strings ever stored).
 func (c Col) DictLen() int { return len(c.c.dict.strs) }

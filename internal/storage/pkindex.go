@@ -3,25 +3,33 @@ package storage
 import (
 	"bytes"
 	"hash/maphash"
+	"slices"
+	"unsafe"
 )
 
 // This file holds the primary-key index: an open-addressed, linear-probed
 // table of row positions. A slot is one uint64 — the key's 32-bit hash in the
-// high half, pos+1 in the low half, 0 for empty — so the array holds no
-// pointer: the garbage collector never scans it, and a snapshot's private copy
-// is one memmove. Key bytes are not stored; a probe confirms a candidate by
-// re-encoding that row's key from the table's own columns (appendKeyAt), which
-// also makes a frozen view confirm against its frozen rows.
+// high half, pos+1 in the low half, 0 for empty — so the table holds no
+// pointer: the garbage collector never scans it. Key bytes are not stored; a
+// probe confirms a candidate by re-encoding that row's key from the table's
+// own columns (appendKeyAt), which also makes a frozen view confirm against
+// its frozen rows.
 //
 // The home slot and the fingerprint both come from the stored hash, so growth
 // and deletion move entries without reading a column. Deletion shifts the rest
 // of the cluster back instead of leaving tombstones.
 //
-// Sharing: a frozen snapshot view holds the slot slice of the moment it froze.
-// While shared, the array may only gain entries — an INSERT fills an empty
-// slot with a position at or past every view's row count, which the views'
-// probes skip — and growth allocates a fresh array. Removal and re-pointing
-// run only after ownIndexes made the array private.
+// The slots live in fixed pages of pkPageSlots (4 KB each): slot s is
+// pages[s>>pkPageShift][s&pkPageMask]. A table of fewer slots has one short
+// page.
+//
+// Sharing: a frozen snapshot view holds the page-header slice of the moment
+// it froze. While shared, the table may only gain entries — an INSERT fills
+// an empty slot with a position at or past every view's row count, which the
+// views' probes skip — and growth allocates fresh pages. Removal and
+// re-pointing run only after ownIndexes made the page-header array private
+// (one short copy, not the slots), and each then clones a page once, on its
+// first write to it.
 
 // pkSeed is the one hash seed of the process; hashes never leave memory.
 var pkSeed = maphash.MakeSeed()
@@ -29,11 +37,58 @@ var pkSeed = maphash.MakeSeed()
 // pkHash hashes an encoded primary key.
 func pkHash(key []byte) uint32 { return uint32(maphash.Bytes(pkSeed, key)) }
 
-// pkIndex is the slot table. len(slots) is zero or a power of two; n counts
-// the occupied slots.
+const (
+	pkPageShift = 9
+	pkPageSlots = 1 << pkPageShift
+	pkPageMask  = pkPageSlots - 1
+)
+
+// pkIndex is the slot table. size is zero or a power of two; n counts the
+// occupied slots. shared[p] marks page p as still shared with a frozen view
+// since ownIndexes; nil when every page is the writer's own.
 type pkIndex struct {
-	slots []uint64
-	n     int
+	pages  [][]uint64
+	size   int
+	n      int
+	shared []bool
+}
+
+// newPKIndex returns an empty table of size slots (a power of two), its pages
+// carved capacity-capped from one array.
+func newPKIndex(size int) pkIndex {
+	slots := make([]uint64, size)
+	pages := make([][]uint64, max(1, size>>pkPageShift))
+	for p := range pages {
+		lo, hi := p<<pkPageShift, min(size, (p+1)<<pkPageShift)
+		pages[p] = slots[lo:hi:hi]
+	}
+	return pkIndex{pages: pages, size: size}
+}
+
+func (x *pkIndex) at(s int) uint64 { return x.pages[s>>pkPageShift][s&pkPageMask] }
+
+// set writes slot s in place, cloning its page first while a frozen view
+// still shares it; it reports the bytes cloned.
+func (x *pkIndex) set(s int, e uint64) int {
+	p, copied := s>>pkPageShift, 0
+	if x.shared != nil && x.shared[p] {
+		x.pages[p] = slices.Clone(x.pages[p])
+		x.shared[p] = false
+		copied = len(x.pages[p]) * 8
+	}
+	x.pages[p][s&pkPageMask] = e
+	return copied
+}
+
+// own makes the page-header array private, leaving every page marked shared
+// until its first write; it reports the bytes copied.
+func (x *pkIndex) own() int {
+	x.pages = slices.Clone(x.pages)
+	x.shared = make([]bool, len(x.pages))
+	for p := range x.shared {
+		x.shared[p] = true
+	}
+	return len(x.pages)*int(unsafe.Sizeof([]uint64(nil))) + len(x.shared)
 }
 
 func pkEntry(h uint32, pos int) uint64 { return uint64(h)<<32 | uint64(uint32(pos+1)) }
@@ -53,40 +108,43 @@ func pkSlotsFor(n int) int {
 }
 
 // add enters (h, pos). It fills the first empty slot of the probe sequence —
-// the one change a shared array may take — or, when the entry would push the
-// load past 3/4, first moves every entry into a fresh array twice the size.
+// the one change a shared page may take — or, when the entry would push the
+// load past 3/4, first moves every entry into fresh pages twice the size.
 func (x *pkIndex) add(h uint32, pos int) {
-	if (x.n+1)*4 > len(x.slots)*3 {
-		fresh := make([]uint64, pkSlotsFor(x.n+1))
-		for _, e := range x.slots {
-			if e != 0 {
-				placeEntry(fresh, e)
+	if (x.n+1)*4 > x.size*3 {
+		fresh := newPKIndex(pkSlotsFor(x.n + 1))
+		for _, page := range x.pages {
+			for _, e := range page {
+				if e != 0 {
+					fresh.place(e)
+				}
 			}
 		}
-		x.slots = fresh
+		fresh.n = x.n
+		*x = fresh
 	}
-	placeEntry(x.slots, pkEntry(h, pos))
+	x.place(pkEntry(h, pos))
 	x.n++
 }
 
-// placeEntry writes e into the first empty slot of its probe sequence.
-func placeEntry(slots []uint64, e uint64) {
-	mask := len(slots) - 1
+// place writes e into the first empty slot of its probe sequence.
+func (x *pkIndex) place(e uint64) {
+	mask := x.size - 1
 	i := int(entryHash(e)) & mask
-	for slots[i] != 0 {
+	for x.at(i) != 0 {
 		i = (i + 1) & mask
 	}
-	slots[i] = e
+	x.pages[i>>pkPageShift][i&pkPageMask] = e
 }
 
 // slotOf returns the slot holding exactly e, or -1.
 func (x *pkIndex) slotOf(e uint64) int {
-	if len(x.slots) == 0 {
+	if x.size == 0 {
 		return -1
 	}
-	mask := len(x.slots) - 1
-	for i := int(entryHash(e)) & mask; x.slots[i] != 0; i = (i + 1) & mask {
-		if x.slots[i] == e {
+	mask := x.size - 1
+	for i := int(entryHash(e)) & mask; x.at(i) != 0; i = (i + 1) & mask {
+		if x.at(i) == e {
 			return i
 		}
 	}
@@ -96,33 +154,38 @@ func (x *pkIndex) slotOf(e uint64) int {
 // removeAt empties slot i and shifts the rest of its cluster back: an entry
 // moves into the hole when the hole lies on its probe path (between its home
 // slot and where it sits), so every remaining entry stays reachable with no
-// tombstone. The array must be private.
-func (x *pkIndex) removeAt(i int) {
-	mask := len(x.slots) - 1
-	for j := (i + 1) & mask; x.slots[j] != 0; j = (j + 1) & mask {
-		e := x.slots[j]
+// tombstone. Every page it writes is cloned first if still shared; it
+// reports the bytes cloned.
+func (x *pkIndex) removeAt(i int) int {
+	mask, copied := x.size-1, 0
+	for j := (i + 1) & mask; x.at(j) != 0; j = (j + 1) & mask {
+		e := x.at(j)
 		if (j-int(entryHash(e)))&mask >= (j-i)&mask {
-			x.slots[i] = e
+			copied += x.set(i, e)
 			i = j
 		}
 	}
-	x.slots[i] = 0
+	copied += x.set(i, 0)
 	x.n--
+	return copied
 }
 
 // pkFind returns the position of the row visible to t whose primary key
-// encodes to key (hash h), or -1. Positions at or past t's row count belong to
-// rows committed after a frozen view — invisible to it. The re-encoding buffer
-// stays on the stack: the call to appendKeyAt is direct. Concurrent callers
-// hold idxMu for reading.
-func (t *Table) pkFind(slots []uint64, key []byte, h uint32) int {
-	if len(slots) == 0 {
+// encodes to key (hash h) in index x, or -1. Positions at or past t's row
+// count belong to rows committed after a frozen view — invisible to it. The
+// re-encoding buffer stays on the stack: the call to appendKeyAt is direct.
+// Concurrent callers hold idxMu for reading.
+func (t *Table) pkFind(x *pkIndex, key []byte, h uint32) int {
+	if x.size == 0 {
 		return -1
 	}
 	var kb [64]byte
-	mask := len(slots) - 1
-	for i := int(h) & mask; slots[i] != 0; i = (i + 1) & mask {
-		e := slots[i]
+	mask := x.size - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		e := x.pages[i>>pkPageShift][i&pkPageMask]
+		if e == 0 {
+			return -1
+		}
 		if entryHash(e) != h {
 			continue
 		}
@@ -130,5 +193,4 @@ func (t *Table) pkFind(slots []uint64, key []byte, h uint32) int {
 			return pos
 		}
 	}
-	return -1
 }

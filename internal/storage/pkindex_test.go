@@ -14,10 +14,10 @@ import (
 
 // slotLayout renders the position held by every slot, -1 for empty.
 func slotLayout(x *pkIndex) []int {
-	out := make([]int, len(x.slots))
-	for i, e := range x.slots {
+	out := make([]int, x.size)
+	for i := range out {
 		out[i] = -1
-		if e != 0 {
+		if e := x.at(i); e != 0 {
 			out[i] = entryPos(e)
 		}
 	}
@@ -29,15 +29,16 @@ func slotLayout(x *pkIndex) []int {
 // occupied slots.
 func checkProbePaths(t *testing.T, x *pkIndex) {
 	t.Helper()
-	mask := len(x.slots) - 1
+	mask := x.size - 1
 	occupied := 0
-	for i, e := range x.slots {
+	for i := range x.size {
+		e := x.at(i)
 		if e == 0 {
 			continue
 		}
 		occupied++
 		for j := int(entryHash(e)) & mask; j != i; j = (j + 1) & mask {
-			if x.slots[j] == 0 {
+			if x.at(j) == 0 {
 				t.Fatalf("entry at slot %d (home %d) is cut off by empty slot %d", i, int(entryHash(e))&mask, j)
 			}
 		}
@@ -55,8 +56,8 @@ func checkPKIndex(t testing.TB, tbl *Table, step string) {
 		return
 	}
 	occupied := 0
-	for _, e := range tbl.pk.slots {
-		if e != 0 {
+	for i := range tbl.pk.size {
+		if tbl.pk.at(i) != 0 {
 			occupied++
 		}
 	}
@@ -73,7 +74,8 @@ func checkPKIndex(t testing.TB, tbl *Table, step string) {
 }
 
 func TestPKIndexClusterWrapsTheArrayEnd(t *testing.T) {
-	x := &pkIndex{slots: make([]uint64, 8)}
+	x := &pkIndex{}
+	*x = newPKIndex(8)
 	// Three keys homed at slot 6 and one at slot 7: the cluster runs 6, 7,
 	// 0, 1.
 	for pos, h := range []uint32{6, 14, 22, 7} {
@@ -111,7 +113,8 @@ func TestPKIndexBackwardShiftDeletion(t *testing.T) {
 		{"tail", 4, []int{-1, -1, 0, 1, 2, 3, -1, -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			x := &pkIndex{slots: make([]uint64, 16)}
+			x := &pkIndex{}
+			*x = newPKIndex(16)
 			for pos, h := range hashes {
 				x.add(h, pos)
 			}
@@ -128,14 +131,15 @@ func TestPKIndexBackwardShiftDeletion(t *testing.T) {
 }
 
 func TestPKIndexRepoint(t *testing.T) {
-	x := &pkIndex{slots: make([]uint64, 8)}
+	x := &pkIndex{}
+	*x = newPKIndex(8)
 	for pos, h := range []uint32{3, 11, 19} {
 		x.add(h, pos)
 	}
 	// unindexRows's move: the entry keeps its slot and hash, only its
 	// position changes.
 	slot := x.slotOf(pkEntry(11, 1))
-	x.slots[slot] = pkEntry(11, 0)
+	x.set(slot, pkEntry(11, 0))
 	if x.slotOf(pkEntry(11, 1)) >= 0 || x.slotOf(pkEntry(11, 0)) != slot {
 		t.Fatal("re-pointed entry not found at its new position")
 	}
@@ -143,8 +147,8 @@ func TestPKIndexRepoint(t *testing.T) {
 }
 
 // TestPKIndexGrowthLeavesFrozenArray freezes a copy of the index — what a
-// snapshot view holds — and keeps adding. Until growth the shared array only
-// gains entries in empty slots; growth moves the live index to a fresh array
+// snapshot view holds — and keeps adding. Until growth the shared page only
+// gains entries in empty slots; growth moves the live index to fresh pages
 // and the frozen one stops changing.
 func TestPKIndexGrowthLeavesFrozenArray(t *testing.T) {
 	x := &pkIndex{}
@@ -152,22 +156,22 @@ func TestPKIndexGrowthLeavesFrozenArray(t *testing.T) {
 		x.add(uint32(pos*8+7), pos) // all homed at slot 7: the cluster wraps
 	}
 	frozen := *x
-	before := slices.Clone(frozen.slots)
-	x.add(5*8+7, 5) // sixth entry: fills an empty slot of the shared array
-	if &x.slots[0] != &frozen.slots[0] {
+	before := slices.Clone(frozen.pages[0])
+	x.add(5*8+7, 5) // sixth entry: fills an empty slot of the shared page
+	if &x.pages[0][0] != &frozen.pages[0][0] {
 		t.Fatal("an add below the load limit reallocated")
 	}
 	for i, e := range before {
-		if e != 0 && frozen.slots[i] != e {
-			t.Fatalf("slot %d of the shared array changed", i)
+		if e != 0 && frozen.pages[0][i] != e {
+			t.Fatalf("slot %d of the shared page changed", i)
 		}
 	}
-	afterSix := slices.Clone(frozen.slots)
+	afterSix := slices.Clone(frozen.pages[0])
 	x.add(6*8+7, 6) // seventh entry crosses 3/4 of 8 slots: growth
-	if len(x.slots) != 16 || &x.slots[0] == &frozen.slots[0] {
-		t.Fatalf("growth kept the shared array (len %d)", len(x.slots))
+	if x.size != 16 || &x.pages[0][0] == &frozen.pages[0][0] {
+		t.Fatalf("growth kept the shared page (size %d)", x.size)
 	}
-	if !reflect.DeepEqual(frozen.slots, afterSix) {
+	if !reflect.DeepEqual(frozen.pages[0], afterSix) {
 		t.Fatal("growth wrote into the frozen array")
 	}
 	checkProbePaths(t, x)
@@ -207,14 +211,14 @@ func TestPKIndexRandomOps(t *testing.T) {
 				default:
 					pos := anyKey(rng, oracle)
 					slot := x.slotOf(pkEntry(oracle[pos], pos))
-					x.slots[slot] = pkEntry(oracle[pos], nextPos)
+					x.set(slot, pkEntry(oracle[pos], nextPos))
 					oracle[nextPos] = oracle[pos]
 					delete(oracle, pos)
 					nextPos++
 				}
 				checkProbePaths(t, x)
-				if x.n != len(oracle) || x.n*4 > len(x.slots)*3 {
-					t.Fatalf("step %d: n = %d over %d slots, oracle %d", step, x.n, len(x.slots), len(oracle))
+				if x.n != len(oracle) || x.n*4 > x.size*3 {
+					t.Fatalf("step %d: n = %d over %d slots, oracle %d", step, x.n, x.size, len(oracle))
 				}
 				for pos, h := range oracle {
 					if x.slotOf(pkEntry(h, pos)) < 0 {

@@ -129,15 +129,15 @@ func (c *column) appendSegment(buf []byte, rows int) []byte {
 			}
 		} else {
 			buf = append(buf, colEncRaw)
-			for _, x := range c.ints[:rows] {
-				buf = appendVarint(buf, x)
+			for i := range rows {
+				buf = appendVarint(buf, c.int(i))
 			}
 		}
 	case value.Float:
 		buf = append(buf, colEncRaw)
-		for _, f := range c.flts[:rows] {
+		for i := range rows {
 			var b [8]byte
-			byteOrderPutFloat(b[:], f)
+			byteOrderPutFloat(b[:], c.flt(i))
 			buf = append(buf, b[:]...)
 		}
 	case value.Text:
@@ -148,14 +148,14 @@ func (c *column) appendSegment(buf []byte, rows int) []byte {
 		for _, s := range c.dict.strs {
 			buf = appendString(buf, s)
 		}
-		for _, code := range c.codes[:rows] {
-			buf = appendUvarint(buf, uint64(code))
+		for i := range rows {
+			buf = appendUvarint(buf, uint64(c.code(i)))
 		}
 	case value.Bool:
 		buf = append(buf, colEncRaw)
 		packed := make([]byte, (rows+7)/8)
-		for i, b := range c.bls[:rows] {
-			if b {
+		for i := range rows {
+			if c.bl(i) {
 				packed[i>>3] |= 1 << (uint(i) & 7)
 			}
 		}
@@ -320,7 +320,7 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 	}
 	switch c.kind {
 	case value.Int, value.Date:
-		c.ints = make([]int64, rows)
+		c.ints = newChunked[int64](c, rows)
 		switch enc {
 		case colEncFOR:
 			zones := d.uvarint()
@@ -336,11 +336,11 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 			}
 			for i := 0; i < rows; i++ {
 				delta := d.byte()
-				c.ints[i] = bases[i>>ZoneShift] + int64(delta)
+				c.ints[i>>ZoneShift][i&ZoneMask] = bases[i>>ZoneShift] + int64(delta)
 			}
 		case colEncRaw:
-			for i := range c.ints {
-				c.ints[i] = d.varint()
+			for i := range rows {
+				c.ints[i>>ZoneShift][i&ZoneMask] = d.varint()
 			}
 		default:
 			return fmt.Errorf("unknown int encoding 0x%02x", enc)
@@ -350,16 +350,16 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 		// one that never crashed.
 		for i := 0; i < rows; i++ {
 			if c.nulls.get(i) {
-				c.ints[i] = 0
+				c.ints[i>>ZoneShift][i&ZoneMask] = 0
 			}
 		}
 	case value.Float:
 		if enc != colEncRaw {
 			return fmt.Errorf("unknown float encoding 0x%02x", enc)
 		}
-		c.flts = make([]float64, rows)
-		for i := range c.flts {
-			c.flts[i] = math.Float64frombits(d.uint64le())
+		c.flts = newChunked[float64](c, rows)
+		for i := range rows {
+			c.flts[i>>ZoneShift][i&ZoneMask] = math.Float64frombits(d.uint64le())
 		}
 	case value.Text:
 		if enc != colEncRaw {
@@ -383,8 +383,8 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 			c.dict.strs[i] = s
 			c.dict.code[s] = uint32(i)
 		}
-		c.codes = make([]uint32, rows)
-		for i := range c.codes {
+		c.codes = newChunked[uint32](c, rows)
+		for i := range rows {
 			code := d.uvarint()
 			if d.err != nil {
 				return d.err
@@ -395,7 +395,7 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 			if code >= dictLen {
 				return fmt.Errorf("code %d outside dictionary of %d", code, dictLen)
 			}
-			c.codes[i] = uint32(code)
+			c.codes[i>>ZoneShift][i&ZoneMask] = uint32(code)
 		}
 		if ranked == 1 {
 			c.dict.ranked = true
@@ -411,9 +411,9 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 		}
 		packed := d.buf[d.off : d.off+packedLen]
 		d.off += packedLen
-		c.bls = make([]bool, rows)
-		for i := range c.bls {
-			c.bls[i] = packed[i>>3]&(1<<(uint(i)&7)) != 0
+		c.bls = newChunked[bool](c, rows)
+		for i := range rows {
+			c.bls[i>>ZoneShift][i&ZoneMask] = packed[i>>3]&(1<<(uint(i)&7)) != 0
 		}
 	}
 	if d.err != nil {

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/value"
@@ -25,27 +27,49 @@ import (
 // the boundary, not the data: O(zones + attrs) per dirty table, so a bulk load
 // publishing per statement stays linear.
 //
-// Safety rests on a handful of invariants, enforced across column.go,
-// zonemap.go, and storage.go:
+// Payload vectors are chunked along the zones (column.go), and the chunk is
+// the unit of copy-on-write: a write after a publish copies the chunks it
+// touches, not the table. Safety rests on a handful of invariants, enforced
+// across column.go, zonemap.go, pkindex.go and storage.go:
 //
-//   - Appends (INSERT) write only at positions >= the frozen row count, which
-//     is beyond every frozen slice's length — sharing the prefix is race-free.
-//   - In-place mutators (DELETE compaction, UPDATE) unshare first:
-//     prepareMutate clones the payload vectors, null words, and zone slice of
-//     a shared table before the first row moves.
-//   - The one in-place append-path mutation — a frame-of-reference rebase of
-//     the partial chunk — clones the chunk when the d8Cow flag marks it
+//   - A frozen view shares each payload's chunk-header array, capped at its
+//     own chunk count. A header inside a shared array is never rewritten: the
+//     writer's first replacement after a freeze copies the header array
+//     (O(zones)) and then installs the new chunk in its private copy. Chunks
+//     keep their full ZoneRows length and reads are bounded by the row count,
+//     so only a table's first chunk, which starts short, is ever replaced to
+//     grow.
+//   - Appends (INSERT) write only at positions >= every frozen row count, which
+//     frozen views never read — the chunk holding them may stay shared.
+//   - The writer records which chunks it owns since the last freeze (one
+//     generation stamp per chunk; a freeze bumps the column's generation, so
+//     it forgets every ownership in O(1)). An in-place write clones its chunk
+//     first unless the writer owns it: UPDATE owns the chunk of each changed
+//     column at each updated row; DELETE owns every chunk from the first
+//     removed row's zone to the end, which are the rows that shift and the
+//     chunk the next appends land in; a rolled-back insert suffix owns the
+//     chunk holding its new end, since a version may have been published
+//     inside the suffix; dictionary compaction owns every chunk of its
+//     column. A truncation below a shared header array caps the array, so the
+//     next chunk lands in a fresh one.
+//   - The flat per-column state — null-bitmap words, zone summaries and the
+//     frame-of-reference headers, all KB-sized — is cloned whole by
+//     prepareMutate ahead of the first in-place mutation after a freeze. The
+//     one in-place append-path mutation, a frame-of-reference rebase of the
+//     partial delta chunk, clones the chunk when the d8Cow flag marks it
 //     shared.
 //   - Indexes are shared under a per-table idxMu; probes filter positions at
 //     or past the frozen row count. A shared index only gains entries: an
-//     INSERT fills an empty primary-key slot, and a slot array that must grow
-//     is replaced by a fresh one. A DELETE or key-changing UPDATE swaps in
-//     private copies (ownIndexes: one memmove of the slot array, flat clones
-//     of the secondary maps) before it removes or re-points an entry,
-//     replacing — never editing — the bucket slices it changes.
+//     INSERT fills an empty primary-key slot, and a slot table that must grow
+//     is replaced by fresh pages. A DELETE or key-changing UPDATE first swaps
+//     in private headers (ownIndexes: the primary key's page-header array,
+//     flat clones of the secondary maps); the primary key then clones each
+//     4 KB page once, on its first removal or re-pointing, and the secondary
+//     buckets it changes are replaced, never edited.
 //   - Dictionary maps are shared under codeMu; compaction replaces structures
-//     instead of mutating them, and only after prepareMutate unshared the
-//     code vector.
+//     instead of mutating them.
+//
+// SnapshotStats.CopiedBytes counts every byte these rules clone.
 //
 // Sequence numbers: on a durable database the snapshot seq IS the WAL commit
 // seq — a snapshot names exactly the fsynced prefix it reflects, and the
@@ -144,15 +168,20 @@ type SnapshotStats struct {
 	TailRows int
 	// Rows is the total row count across tables at the current version.
 	Rows int
+	// CopiedBytes counts the bytes copy-on-write cloned since the database
+	// was created: payload chunks, primary-key pages, header arrays and the
+	// flat per-column state a mutation after a freeze copies.
+	CopiedBytes uint64
 }
 
 // SnapshotStats reports the current version's segment/snapshot counters.
 func (db *Database) SnapshotStats() SnapshotStats {
 	snap := db.Snapshot()
 	out := SnapshotStats{
-		Seq:       snap.seq,
-		Published: db.published.Load(),
-		Tables:    len(snap.tables),
+		Seq:         snap.seq,
+		Published:   db.published.Load(),
+		Tables:      len(snap.tables),
+		CopiedBytes: db.copied.Load(),
 	}
 	for _, t := range snap.tables {
 		sealed := t.rows >> ZoneShift
@@ -278,21 +307,25 @@ func (t *Table) freeze() *Table {
 	return ft
 }
 
-// freezeInto populates fc as an immutable view of c's first rows values.
+// freezeInto populates fc as an immutable view of c's first rows values. The
+// view shares the chunk headers covering those rows; bumping c's generation
+// hands every chunk, and the header array, back to copy-on-write.
 func (c *column) freezeInto(fc *column, rows int) {
 	fc.kind = c.kind
 	fc.forOff = true
+	k := chunksFor(rows)
 	switch c.kind {
 	case value.Int, value.Date:
-		fc.ints = c.ints[:rows:rows]
+		fc.ints = c.ints[:k:k]
 	case value.Float:
-		fc.flts = c.flts[:rows:rows]
+		fc.flts = c.flts[:k:k]
 	case value.Text:
-		fc.codes = c.codes[:rows:rows]
+		fc.codes = c.codes[:k:k]
 		fc.dict = c.dict.freeze()
 	case value.Bool:
-		fc.bls = c.bls[:rows:rows]
+		fc.bls = c.bls[:k:k]
 	}
+	c.gen++
 	// Null bitmap: share the full words, privately copy the masked boundary
 	// word the writer is still filling.
 	fullWords := rows >> 6
@@ -341,12 +374,13 @@ func (c *column) freezeInto(fc *column, rows int) {
 	}
 }
 
-// prepareMutate unshares a table from every published snapshot ahead of an
-// in-place mutation (DELETE compaction, UPDATE overwrite): the payload
-// vectors, null words, and zone summaries are cloned so frozen readers keep
-// the originals. Append-only paths never call it — they extend past every
-// frozen view's length. The rollback path doesn't either: it only truncates
-// headers and re-extends at or past the frozen boundary.
+// prepareMutate unshares a table's flat per-column state from every published
+// snapshot ahead of an in-place mutation (DELETE compaction, UPDATE
+// overwrite): the null words, the zone summaries and the frame-of-reference
+// headers are cloned so frozen readers keep the originals. Payload chunks are
+// not — each is cloned when first written (ownChunk). Append-only paths never
+// call it — they extend past every frozen view's length; a rolled-back insert
+// suffix does, since a version may have been published inside it.
 func (t *Table) prepareMutate() {
 	if !t.shared {
 		return
@@ -354,25 +388,18 @@ func (t *Table) prepareMutate() {
 	t.shared = false
 	for j := range t.cols {
 		c := &t.cols[j]
-		switch c.kind {
-		case value.Int, value.Date:
-			c.ints = append([]int64(nil), c.ints...)
-		case value.Float:
-			c.flts = append([]float64(nil), c.flts...)
-		case value.Text:
-			c.codes = append([]uint32(nil), c.codes...)
-		case value.Bool:
-			c.bls = append([]bool(nil), c.bls...)
-		}
-		c.nulls.words = append([]uint64(nil), c.nulls.words...)
-		c.zones = append([]zone(nil), c.zones...)
+		c.nulls.words = slices.Clone(c.nulls.words)
+		c.zones = slices.Clone(c.zones)
+		n := len(c.nulls.words)*8 + len(c.zones)*int(unsafe.Sizeof(zone{}))
 		if !c.forOff {
 			// Chunks themselves are rebuilt (never shifted in place) by the
 			// zone rebuild that follows every delete/update, so only the
 			// headers need to be private. d8Cow stays as it is: an update that
 			// rebuilds an earlier zone leaves the partial chunk shared.
-			c.fb = append([]int64(nil), c.fb...)
-			c.d8 = append([][]uint8(nil), c.d8...)
+			c.fb = slices.Clone(c.fb)
+			c.d8 = slices.Clone(c.d8)
+			n += len(c.fb)*8 + len(c.d8)*int(unsafe.Sizeof([]uint8(nil)))
 		}
+		c.countCopied(n)
 	}
 }

@@ -215,9 +215,25 @@ func viewPrint(tbl *Table) string {
 	return sb.String()
 }
 
+// pkPageEdgeRow returns the row whose primary-key entry sits in the last slot
+// of a page while the next page's first slot holds an entry displaced from
+// its home: removing the row shifts that entry back across the page boundary.
+// It returns -1 when no cluster straddles a page boundary.
+func pkPageEdgeRow(tbl *Table) int {
+	mask := tbl.pk.size - 1
+	for s := pkPageSlots - 1; s+1 < tbl.pk.size; s += pkPageSlots {
+		e, next := tbl.pk.at(s), tbl.pk.at(s+1)
+		if e != 0 && next != 0 && int(entryHash(next))&mask != s+1 {
+			return entryPos(e)
+		}
+	}
+	return -1
+}
+
 // TestPinnedSnapshotSurvivesKeyedDML pins a snapshot, then runs a keyed
 // UPDATE (key-preserving and key-changing) or DELETE against the head, the
-// middle, both sides of a zone boundary and the tail of the live table,
+// middle, both sides of a zone boundary, a primary-key entry whose removal
+// shifts another across a slot-page boundary, and the tail of the live table,
 // followed — in the same statement batch, so no freeze re-arms the
 // copy-on-write flags in between — by inserts that grow the indexes and
 // rebase the frame-of-reference chunk the view shares. The first statement's
@@ -277,10 +293,17 @@ func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 		{"delete", func(pos int) (int, error) { return db.DeleteAt("T", []int{pos}) }},
 	}
 	for _, kind := range kinds {
-		for _, where := range []string{"head", "middle", "zone-end", "zone-start", "tail"} {
+		for _, where := range []string{"head", "middle", "zone-end", "zone-start", "pk-page-edge", "tail"} {
 			t.Run(kind.name+"/"+where, func(t *testing.T) {
 				rows := db.Table("T").Len()
 				pos := map[string]int{"head": 0, "middle": rows / 2, "zone-end": ZoneRows - 1, "zone-start": ZoneRows, "tail": rows - 1}[where]
+				if where == "pk-page-edge" {
+					// The hash seed is per process: add rows until a cluster
+					// straddles a page boundary.
+					for pos = pkPageEdgeRow(db.Table("T")); pos < 0; pos = pkPageEdgeRow(db.Table("T")) {
+						insert(int64(100 + rng.Intn(20)))
+					}
+				}
 				view := db.Snapshot().Table("T")
 				want := viewPrint(view)
 
@@ -303,11 +326,11 @@ func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 				db.BeginBatch()
 				n, err := kind.apply(pos)
 				live := db.Table("T")
-				slots := len(live.pk.slots)
+				slots := live.pk.size
 				for i := 0; i < 3 || !resized; i++ {
 					insert(lowDay)
 					lowDay--
-					resized = resized || len(live.pk.slots) != slots
+					resized = resized || live.pk.size != slots
 				}
 				if cerr := db.CommitBatch(); cerr != nil {
 					t.Fatal(cerr)

@@ -85,7 +85,7 @@ func (c *column) retainRow(i int) {
 	}
 	switch c.kind {
 	case value.Text:
-		c.dict.retain(c.codes[i])
+		c.dict.retain(c.code(i))
 	case value.Int, value.Float, value.Date:
 		c.counts[c.value(i).Key64()]++
 	}
@@ -98,7 +98,7 @@ func (c *column) releaseRow(i int) {
 	}
 	switch c.kind {
 	case value.Text:
-		c.dict.release(c.codes[i])
+		c.dict.release(c.code(i))
 	case value.Int, value.Float, value.Date:
 		k := c.value(i).Key64()
 		if c.counts[k] <= 1 {

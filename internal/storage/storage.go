@@ -8,12 +8,16 @@
 // that DBMS, built from scratch so the whole reproduction is self-contained
 // and deterministic.
 //
-// Storage layout: a Table holds one column per attribute — []int64 for INT,
-// []float64 for FLOAT, []uint32 dictionary codes plus a per-column string
-// dictionary for TEXT, epoch-day []int64 for DATE, []bool for BOOL — each
-// with a packed null bitmap. The Tuple-based API (Tuple, Tuples, LookupPK,
-// LookupIndex) is a compatibility surface that materializes rows on demand.
-// The query engine reads tables through Col handles and CopyRow.
+// Storage layout: a Table holds one column per attribute — int64 for INT,
+// float64 for FLOAT, uint32 dictionary codes plus a per-column string
+// dictionary for TEXT, epoch-day int64 for DATE, bool for BOOL — each with a
+// packed null bitmap. Payload vectors are cut into ZoneRows-row chunks
+// aligned with the zone maps ([][]T), and the primary-key slot table into
+// 4 KB pages, so a write after a snapshot publish copies only the chunks and
+// pages it touches (snapshot.go). The Tuple-based API (Tuple, Tuples,
+// LookupPK, LookupIndex) is a compatibility surface that materializes rows on
+// demand. The query engine reads tables through per-zone Col handles and
+// CopyRow.
 package storage
 
 import (
@@ -79,8 +83,8 @@ type Table struct {
 	// owner points back to the containing database so table-level DDL
 	// (CreateIndex) can reach the durability layer.
 	owner *Database
-	// pk maps primary-key values to row positions (pkindex.go): a flat,
-	// pointer-free slot array that a frozen view shares by slice header.
+	// pk maps primary-key values to row positions (pkindex.go): pointer-free
+	// slot pages that a frozen view shares by page-header slice.
 	// pkPos lists the key's attribute positions, nil for a relation without a
 	// primary key.
 	pk    pkIndex
@@ -100,12 +104,12 @@ type Table struct {
 	// columns instead (stats.go).
 	frozen    bool
 	statsView *TableStats
-	// shared marks that the live vectors are referenced by a published
-	// snapshot: the next in-place mutation must prepareMutate first, and
-	// dictionary compaction is deferred until then. idxShared is the same for
-	// the pk slots and the secondary maps: while it is set they may only gain
-	// entries, and the next removal or re-pointing of an entry must
-	// ownIndexes first. dirty marks the table as changed since the last
+	// shared marks that the live columns' flat state is referenced by a
+	// published snapshot: the next in-place mutation must prepareMutate first
+	// (payload chunks track their own sharing, column.go). idxShared is the
+	// same for the pk page headers and the secondary maps: while it is set
+	// they may only gain entries, and the next removal or re-pointing of an
+	// entry must ownIndexes first. dirty marks the table as changed since the last
 	// publish, so a publish re-freezes only what a statement touched. All
 	// three are guarded by db.mu.
 	shared    bool
@@ -147,6 +151,13 @@ func (t *Table) appendKeyAt(buf []byte, row int, positions []int) []byte {
 		buf = t.cols[p].value(row).AppendKey(buf)
 	}
 	return buf
+}
+
+// countCopied adds n bytes cloned by copy-on-write to the database's counter.
+func (t *Table) countCopied(n int) {
+	if t.owner != nil {
+		t.owner.copied.Add(uint64(n))
+	}
 }
 
 // Relation returns the catalog metadata of the table.
@@ -233,7 +244,7 @@ func (t *Table) PKPositions() []int { return t.pkPos }
 func (t *Table) LookupPKPos(key []byte) (int, bool) {
 	h := pkHash(key)
 	t.idxMu.RLock()
-	pos := t.pkFind(t.pk.slots, key, h)
+	pos := t.pkFind(&t.pk, key, h)
 	t.idxMu.RUnlock()
 	return pos, pos >= 0
 }
@@ -422,6 +433,8 @@ type Database struct {
 	// readOnly marks a replication follower (replication.go): local mutations
 	// are refused, replicated applies replay under the recovering flag.
 	readOnly atomic.Bool
+	// copied counts the bytes copy-on-write cloned (SnapshotStats.CopiedBytes).
+	copied atomic.Uint64
 }
 
 // NewDatabase creates empty tables for every relation in the schema.
@@ -444,7 +457,7 @@ func NewDatabase(schema *catalog.Schema) (*Database, error) {
 func (db *Database) addTable(r *catalog.Relation) *Table {
 	tbl := &Table{rel: r, cols: make([]column, len(r.Attributes)), owner: db, idxMu: &sync.RWMutex{}}
 	for i, a := range r.Attributes {
-		tbl.cols[i] = newColumn(value.CatalogKind(a.Type))
+		tbl.cols[i] = newColumn(value.CatalogKind(a.Type), &db.copied)
 	}
 	if len(r.PrimaryKey) > 0 {
 		tbl.pkPos = make([]int, len(r.PrimaryKey))
@@ -580,7 +593,7 @@ func (db *Database) insertLocked(relName string, tup Tuple) error {
 		}
 		tbl.keyBuf = tup.AppendKey(tbl.keyBuf[:0], tbl.pkPos)
 		pkh = pkHash(tbl.keyBuf)
-		if tbl.pkFind(tbl.pk.slots, tbl.keyBuf, pkh) >= 0 {
+		if tbl.pkFind(&tbl.pk, tbl.keyBuf, pkh) >= 0 {
 			return fmt.Errorf("storage: duplicate primary key %s in %s", tup.pkString(tbl.pkPos), r.Name)
 		}
 	}
@@ -626,37 +639,39 @@ func (t Tuple) pkString(positions []int) string {
 	return strings.Join(parts, "|")
 }
 
+// checkForeignKey refuses tup when its fk values are all non-NULL and no row
+// of the referenced relation holds them. INSERT runs it on every row, UPDATE
+// on a replacement that changes an fk attribute.
 func (db *Database) checkForeignKey(r *catalog.Relation, fk catalog.ForeignKey, tup Tuple) error {
 	ref := db.tables[strings.ToLower(fk.RefRelation)]
 	if ref == nil {
 		return fmt.Errorf("storage: foreign key of %s references missing table %q", r.Name, fk.RefRelation)
 	}
-	keyVals := make(Tuple, len(fk.Attrs))
-	for i, a := range fk.Attrs {
-		v := tup[r.AttrIndex(a)]
-		if v.IsNull() {
+	for _, a := range fk.Attrs {
+		if tup[r.AttrIndex(a)].IsNull() {
 			return nil // SQL: NULL FK values are not checked
 		}
-		keyVals[i] = v
 	}
-	// Fast path: FK references the primary key.
+	// Fast path: FK references the primary key — one probe of an encoded key
+	// in the referenced table's PK declaration order.
 	if ref.rel.IsPrimaryKey(fk.RefAttrs) && ref.pkPos != nil {
-		ordered := make(Tuple, len(fk.RefAttrs))
-		for i, pos := range ref.pkPos {
-			// pkPos is in PK declaration order; align keyVals to it.
+		var kb [64]byte
+		key := kb[:0]
+		for _, pos := range ref.pkPos {
 			for j, ra := range fk.RefAttrs {
 				if ref.rel.AttrIndex(ra) == pos {
-					ordered[i] = keyVals[j]
+					key = tup[r.AttrIndex(fk.Attrs[j])].AppendKey(key)
 				}
 			}
 		}
-		if _, ok := ref.LookupPK(ordered); !ok {
+		if _, ok := ref.LookupPKPos(key); !ok {
 			return fmt.Errorf("storage: foreign key violation: %s(%s) -> %s(%s) value %s not found",
-				r.Name, strings.Join(fk.Attrs, ","), fk.RefRelation, strings.Join(fk.RefAttrs, ","), keyVals.String())
+				r.Name, strings.Join(fk.Attrs, ","), fk.RefRelation, strings.Join(fk.RefAttrs, ","), fkValues(r, fk, tup))
 		}
 		return nil
 	}
 	// Slow path: scan the referenced columns.
+	keyVals := fkValues(r, fk, tup)
 	refPos := make([]int, len(fk.RefAttrs))
 	for i, a := range fk.RefAttrs {
 		refPos[i] = ref.rel.AttrIndex(a)
@@ -675,6 +690,15 @@ func (db *Database) checkForeignKey(r *catalog.Relation, fk catalog.ForeignKey, 
 	}
 	return fmt.Errorf("storage: foreign key violation: %s -> %s value %s not found",
 		r.Name, fk.RefRelation, keyVals.String())
+}
+
+// fkValues returns tup's values of fk's attributes, in fk order.
+func fkValues(r *catalog.Relation, fk catalog.ForeignKey, tup Tuple) Tuple {
+	vals := make(Tuple, len(fk.Attrs))
+	for i, a := range fk.Attrs {
+		vals[i] = tup[r.AttrIndex(a)]
+	}
+	return vals
 }
 
 // write runs one mutating storage call: refuse it up front when the log has
@@ -738,8 +762,8 @@ func (db *Database) Update(relName string, pred func(Tuple) bool, fn func(Tuple)
 
 // UpdateAt replaces the rows of relName at the given strictly ascending
 // positions with what fn returns for each (fn may edit and return its
-// argument). NOT NULL, types and primary-key uniqueness are re-checked on
-// every replacement before the row mutates; a failure stops the statement
+// argument). NOT NULL, types, changed foreign keys and primary-key uniqueness
+// are re-checked on every replacement before the row mutates; a failure stops the statement
 // there, leaving the earlier rows updated and logged. The cost is
 // proportional to the rows replaced: only changed attributes touch their
 // vectors and statistics, only indexes whose key changed are patched, and
@@ -786,9 +810,15 @@ func (db *Database) deleteAtLocked(tbl *Table, positions []int) (int, error) {
 	if len(positions) == 0 {
 		return 0, nil
 	}
-	// First in-place mutation of a possibly-shared table: unshare the vectors
-	// so frozen snapshot readers keep the originals.
+	// First in-place mutation of a possibly-shared table: unshare the flat
+	// state, and own the chunks from the first removed row's zone on — the
+	// rows that shift, and the chunk the next appends land in — so frozen
+	// snapshot readers keep the originals.
 	tbl.prepareMutate()
+	keep := tbl.rows - len(positions)
+	for j := range tbl.cols {
+		tbl.cols[j].ownChunks(positions[0]>>ZoneShift, chunksFor(keep))
+	}
 	for _, p := range positions {
 		for j := range tbl.cols {
 			tbl.cols[j].releaseRow(p)
@@ -866,6 +896,13 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 				repl[j] = coerced
 			}
 		}
+		for _, fk := range r.ForeignKey {
+			if fkChanged(r, fk, old, repl) {
+				if err := db.checkForeignKey(r, fk, repl); err != nil {
+					return len(applied), err
+				}
+			}
+		}
 		if err := tbl.reindexRow(i, old, repl); err != nil {
 			return len(applied), err
 		}
@@ -873,8 +910,9 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 			if sameStored(old[j], repl[j]) {
 				continue
 			}
-			// First overwrite of a possibly-shared table: unshare the vectors
-			// so frozen snapshot readers keep the originals.
+			// First overwrite of a possibly-shared table: unshare the flat
+			// state so frozen snapshot readers keep the originals (setVal
+			// clones the one chunk it writes).
 			tbl.prepareMutate()
 			tbl.cols[j].setVal(i, repl[j])
 			colChanged[j] = true
@@ -894,6 +932,16 @@ func sameStored(a, b value.Value) bool {
 	return a.Kind() == b.Kind() && a.Equal(b)
 }
 
+// fkChanged reports whether the replacement alters an attribute of fk.
+func fkChanged(r *catalog.Relation, fk catalog.ForeignKey, old, repl Tuple) bool {
+	for _, a := range fk.Attrs {
+		if p := r.AttrIndex(a); !sameStored(old[p], repl[p]) {
+			return true
+		}
+	}
+	return false
+}
+
 // keyChanged reports whether the replacement alters the key over positions.
 func keyChanged(old, repl Tuple, positions []int) bool {
 	for _, p := range positions {
@@ -904,19 +952,21 @@ func keyChanged(old, repl Tuple, positions []int) bool {
 	return false
 }
 
-// ownIndexes makes the primary-key slots and the secondary buckets private to
-// the live table before an entry is removed or re-pointed. Frozen snapshot
-// views share them and only filter by position, so they must keep an
-// untouched copy: the slot array is copied in one memmove, the secondary maps
-// are cloned flat (bucket slices stay shared and are replaced, never edited,
-// by the patching code), and both are swapped in under idxMu. Inserts never
-// need this — they only add positions past every frozen view.
+// ownIndexes makes the primary-key page headers and the secondary buckets
+// private to the live table before an entry is removed or re-pointed. Frozen
+// snapshot views share them and only filter by position, so they must keep
+// an untouched copy: the page-header array is copied (each page is cloned
+// later, on its first write), the secondary maps are cloned flat (bucket
+// slices stay shared and are replaced, never edited, by the patching code),
+// and both are swapped in under idxMu. Inserts never need this — they only
+// add positions past every frozen view.
 func (t *Table) ownIndexes() {
 	if !t.idxShared {
 		return
 	}
 	t.idxShared = false
-	pk := pkIndex{slots: append([]uint64(nil), t.pk.slots...), n: t.pk.n}
+	pk := t.pk
+	t.countCopied(pk.own())
 	var secondary map[string]*hashIndex
 	if len(t.secondary) > 0 {
 		secondary = make(map[string]*hashIndex, len(t.secondary))
@@ -940,7 +990,7 @@ func (t *Table) reindexRow(i int, old, repl Tuple) error {
 		var kb [64]byte
 		newKey := repl.AppendKey(kb[:0], t.pkPos)
 		newHash = pkHash(newKey)
-		if at := t.pkFind(t.pk.slots, newKey, newHash); at >= 0 && at != i {
+		if at := t.pkFind(&t.pk, newKey, newHash); at >= 0 && at != i {
 			return fmt.Errorf("storage: duplicate primary key %s in %s", repl.pkString(t.pkPos), t.rel.Name)
 		}
 	}
@@ -959,7 +1009,7 @@ func (t *Table) reindexRow(i int, old, repl Tuple) error {
 	defer t.idxMu.Unlock()
 	if pkChanged {
 		t.keyBuf = old.AppendKey(t.keyBuf[:0], t.pkPos)
-		t.pk.removeAt(t.pk.slotOf(pkEntry(pkHash(t.keyBuf), i)))
+		t.countCopied(t.pk.removeAt(t.pk.slotOf(pkEntry(pkHash(t.keyBuf), i))))
 		t.pk.add(newHash, i)
 	}
 	for _, idx := range t.secondary {
@@ -1015,11 +1065,11 @@ func (t *Table) unindexRows(removed []int) {
 			h := pkHash(t.keyBuf)
 			slot := t.pk.slotOf(pkEntry(h, r))
 			if k < len(removed) && removed[k] == r {
-				t.pk.removeAt(slot)
+				t.countCopied(t.pk.removeAt(slot))
 				k++
 				continue
 			}
-			t.pk.slots[slot] = pkEntry(h, r-k)
+			t.countCopied(t.pk.set(slot, pkEntry(h, r-k)))
 		}
 	}
 	if len(t.secondary) == 0 {
@@ -1063,11 +1113,11 @@ func (t *Table) unindexRows(removed []int) {
 func (t *Table) rebuildIndexes() error {
 	var pk pkIndex
 	if t.pkPos != nil {
-		pk.slots = make([]uint64, pkSlotsFor(t.rows))
+		pk = newPKIndex(pkSlotsFor(t.rows))
 		for pos := 0; pos < t.rows; pos++ {
 			t.keyBuf = t.appendKeyAt(t.keyBuf[:0], pos, t.pkPos)
 			h := pkHash(t.keyBuf)
-			if at := t.pkFind(pk.slots, t.keyBuf, h); at >= 0 {
+			if at := t.pkFind(&pk, t.keyBuf, h); at >= 0 {
 				return fmt.Errorf("rows %d and %d share primary key %s", at, pos, t.Tuple(pos).pkString(t.pkPos))
 			}
 			pk.add(h, pos)
@@ -1176,6 +1226,14 @@ func (db *Database) LoadCSV(relName string, r io.Reader) (int, error) {
 func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
 	if tbl.rows <= start {
 		return
+	}
+	// A version published since start may still read rows past it (an
+	// in-memory database publishes every inserted row), so the rows appended
+	// next must not land in anything that version shares: unshare the flat
+	// state and own the chunk holding start.
+	tbl.prepareMutate()
+	for j := range tbl.cols {
+		tbl.cols[j].ownChunks(start>>ZoneShift, chunksFor(start))
 	}
 	for i := start; i < tbl.rows; i++ {
 		for j := range tbl.cols {

@@ -88,7 +88,7 @@ func (c *column) zoneExtend(row int) {
 	}
 	switch c.kind {
 	case value.Int, value.Date:
-		x := c.ints[row]
+		x := c.int(row)
 		if !zn.has {
 			zn.has, zn.sorted = true, true
 			zn.minI, zn.maxI = x, x
@@ -97,7 +97,7 @@ func (c *column) zoneExtend(row int) {
 				c.d8[z] = append(c.d8[z], 0)
 			}
 		} else {
-			if x < c.ints[zn.lastRow] {
+			if x < c.int(int(zn.lastRow)) {
 				zn.sorted = false
 			}
 			if x < zn.minI {
@@ -110,7 +110,7 @@ func (c *column) zoneExtend(row int) {
 			}
 		}
 	case value.Float:
-		x := c.flts[row]
+		x := c.flt(row)
 		if math.IsNaN(x) {
 			zn.hasNaN = true
 			zn.sorted = false
@@ -120,7 +120,7 @@ func (c *column) zoneExtend(row int) {
 			zn.has, zn.sorted = true, true
 			zn.minF, zn.maxF = x, x
 		} else {
-			if x < c.flts[zn.lastRow] {
+			if x < c.flt(int(zn.lastRow)) {
 				zn.sorted = false
 			}
 			if x < zn.minF {
@@ -130,12 +130,12 @@ func (c *column) zoneExtend(row int) {
 			}
 		}
 	case value.Text:
-		s := c.dict.strs[c.codes[row]]
+		s := c.dict.strs[c.code(row)]
 		if !zn.has {
 			zn.has, zn.sorted = true, true
 			zn.minS, zn.maxS = s, s
 		} else {
-			if s < c.dict.strs[c.codes[zn.lastRow]] {
+			if s < c.dict.strs[c.code(int(zn.lastRow))] {
 				zn.sorted = false
 			}
 			if s < zn.minS {
@@ -146,7 +146,7 @@ func (c *column) zoneExtend(row int) {
 		}
 	case value.Bool:
 		var x int64
-		if c.bls[row] {
+		if c.bl(row) {
 			x = 1
 		}
 		if !zn.has {
@@ -154,7 +154,7 @@ func (c *column) zoneExtend(row int) {
 			zn.minI, zn.maxI = x, x
 		} else {
 			prev := int64(0)
-			if c.bls[zn.lastRow] {
+			if c.bl(int(zn.lastRow)) {
 				prev = 1
 			}
 			if x < prev {
@@ -191,6 +191,7 @@ func (c *column) forAppend(z, row int, x int64) {
 		// The chunk is shared with a frozen snapshot (which also keeps its own
 		// copy of the old base); shift a private clone instead.
 		c.d8[z] = append([]uint8(nil), c.d8[z]...)
+		c.countCopied(len(c.d8[z]))
 		c.d8Cow = false
 	}
 	// x became the new minimum: shift the zone's deltas onto the new base.
@@ -368,9 +369,10 @@ func (d *dict) release(c uint32) {
 
 // maybeCompactDict drops dead dictionary entries once they outnumber the live
 // ones (and the dictionary is big enough to matter), remapping the code
-// vector. Codes are reassigned in first-seen order among survivors, so the
-// engine's per-entry verdict loops shrink back to the live vocabulary.
-func (c *column) maybeCompactDict() {
+// vector over the column's rows — every chunk of it, each made private first.
+// Codes are reassigned in first-seen order among survivors, so the engine's
+// per-entry verdict loops shrink back to the live vocabulary.
+func (c *column) maybeCompactDict(rows int) {
 	if c.kind != value.Text {
 		return
 	}
@@ -395,11 +397,14 @@ func (c *column) maybeCompactDict() {
 		refs = append(refs, d.refs[old])
 		code[s] = nc
 	}
-	for i := range c.codes {
-		if c.nulls.get(i) {
-			c.codes[i] = 0 // NULL placeholder; never dereferenced
-		} else {
-			c.codes[i] = remap[c.codes[i]]
+	for z := range chunksFor(rows) {
+		chunk := ownChunk(c, &c.codes, z)
+		for off := range min(ZoneRows, rows-z<<ZoneShift) {
+			if c.nulls.get(z<<ZoneShift + off) {
+				chunk[off] = 0 // NULL placeholder; never dereferenced
+			} else {
+				chunk[off] = remap[chunk[off]]
+			}
 		}
 	}
 	d.strs, d.refs = strs, refs
@@ -440,12 +445,7 @@ func (t *Table) finishWrite(dirtyFrom int) {
 	for j := range t.cols {
 		c := &t.cols[j]
 		c.rebuildZonesFrom(dirtyFrom, t.rows)
-		if !t.shared {
-			// Compaction remaps the code vector in place, so it may only run
-			// when prepareMutate has unshared it from every snapshot. The
-			// rollback path skips it; the next delete/update compacts instead.
-			c.maybeCompactDict()
-		}
+		c.maybeCompactDict(t.rows)
 	}
 }
 
@@ -459,9 +459,7 @@ func (t *Table) finishUpdate(zones []int, colChanged []bool) {
 				c.rebuildZone(z, t.rows)
 			}
 		}
-		if !t.shared {
-			c.maybeCompactDict()
-		}
+		c.maybeCompactDict(t.rows)
 	}
 }
 

@@ -111,7 +111,7 @@ func checkZones(t *testing.T, tbl *Table) {
 				}
 				switch col.Kind() {
 				case value.Int, value.Date:
-					x := col.Ints()[i]
+					x := col.Ints(i >> ZoneShift)[i&ZoneMask]
 					if first {
 						loI, hiI, first = x, x, false
 					} else if x < loI {
@@ -120,7 +120,7 @@ func checkZones(t *testing.T, tbl *Table) {
 						hiI = x
 					}
 				case value.Float:
-					x := col.Floats()[i]
+					x := col.Floats(i >> ZoneShift)[i&ZoneMask]
 					if math.IsNaN(x) {
 						hasNaN = true
 						continue
@@ -133,7 +133,7 @@ func checkZones(t *testing.T, tbl *Table) {
 						hiF = x
 					}
 				case value.Text:
-					s := col.DictString(col.Codes()[i])
+					s := col.DictString(col.Codes(i >> ZoneShift)[i&ZoneMask])
 					if first {
 						loS, hiS, first = s, s, false
 					} else if s < loS {
@@ -143,7 +143,7 @@ func checkZones(t *testing.T, tbl *Table) {
 					}
 				case value.Bool:
 					var x int64
-					if col.Bools()[i] {
+					if col.Bools(i >> ZoneShift)[i&ZoneMask] {
 						x = 1
 					}
 					if first {
@@ -197,15 +197,15 @@ func checkZones(t *testing.T, tbl *Table) {
 				if col.Null(i) {
 					continue
 				}
-				if got := base[i>>ZoneShift] + int64(d8[i>>ZoneShift][i&ZoneMask]); got != col.Ints()[i] {
-					t.Fatalf("col %d row %d: FOR decodes %d, payload %d", p, i, got, col.Ints()[i])
+				if got := base[i>>ZoneShift] + int64(d8[i>>ZoneShift][i&ZoneMask]); got != col.Ints(i >> ZoneShift)[i&ZoneMask] {
+					t.Fatalf("col %d row %d: FOR decodes %d, payload %d", p, i, got, col.Ints(i >> ZoneShift)[i&ZoneMask])
 				}
 			}
 		}
 		// Whatever mix of appends, suffix rebuilds and single-zone rebuilds
 		// produced the zones, they must equal (sortedness and last bounded
 		// row included) the zones of the same values appended from scratch.
-		fresh := newColumn(col.Kind())
+		fresh := newColumn(col.Kind(), nil)
 		for i := 0; i < n; i++ {
 			fresh.appendVal(col.Value(i), i)
 		}
@@ -598,7 +598,7 @@ func TestDictCompactionOnChurn(t *testing.T) {
 	}
 	// Codes were remapped: every row still reads back its string.
 	for i := 0; i < tbl.Len(); i++ {
-		want := fmt.Sprintf("w%d", tbl.Col(0).Ints()[i]%8)
+		want := fmt.Sprintf("w%d", tbl.Col(0).Ints(i >> ZoneShift)[i&ZoneMask]%8)
 		if got := col.Value(i).Text(); got != want {
 			t.Fatalf("row %d reads %q after compaction, want %q", i, got, want)
 		}
