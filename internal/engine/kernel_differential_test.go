@@ -124,10 +124,9 @@ func kernelSelections(n int) [][]int32 {
 	return sels
 }
 
-// checkKernel compiles where over ex's table V as the single kernel of a
-// scan, runs it over each selection, and holds the kept rows to the
-// interpreter's positions want.
-func checkKernel(t *testing.T, ex *Engine, where sqlparser.Expr, want map[int32]bool, sels [][]int32) {
+// singleKernel compiles where over ex's table V as the single kernel of a
+// scan.
+func singleKernel(t *testing.T, ex *Engine, where sqlparser.Expr) *vecKernel {
 	t.Helper()
 	sel := &sqlparser.SelectStmt{
 		Items: []sqlparser.SelectItem{{Expr: &sqlparser.Star{}}},
@@ -143,8 +142,17 @@ func checkKernel(t *testing.T, ex *Engine, where sqlparser.Expr, want map[int32]
 	if len(pq.plan.Steps) != 1 || len(pq.steps[0].vec) != 1 {
 		t.Fatalf("%s: lowered to %d kernels, want 1", where.SQL(), len(pq.steps[0].vec))
 	}
+	return &pq.steps[0].vec[0]
+}
+
+// checkKernel compiles where over ex's table V as the single kernel of a
+// scan, runs it over each selection, and holds the kept rows to the
+// interpreter's positions want.
+func checkKernel(t *testing.T, ex *Engine, where sqlparser.Expr, want map[int32]bool, sels [][]int32) {
+	t.Helper()
+	k := singleKernel(t, ex, where)
 	for _, s := range sels {
-		got := pq.keep(0, slices.Clone(s))
+		got := k.keep(slices.Clone(s))
 		var exp []int32
 		for _, p := range s {
 			if want[p] {

@@ -279,9 +279,11 @@ func TestZoneSkipOnlyForAppliedFilters(t *testing.T) {
 }
 
 // TestShapeStepsSayWhatRan asserts, over the paper corpus and the vec, zone
-// and aggregation differential corpora, what annotating the plan from the
-// compilers gives: zone-skip is in the executed plan exactly when the run
-// probed zones, and with a pipeline switched off its steps are absent.
+// (with and without a sorted dictionary) and aggregation differential
+// corpora, what annotating the plan from the compilers gives: zone-skip is in
+// the executed plan exactly when the run probed zones, and with a pipeline
+// switched off its steps are absent. It also pins how many zones each corpus
+// probes and skips, so a zone verdict that decides less fails here.
 func TestShapeStepsSayWhatRan(t *testing.T) {
 	movieDB, err := dataset.CuratedMovieDB()
 	if err != nil {
@@ -304,29 +306,35 @@ func TestShapeStepsSayWhatRan(t *testing.T) {
 		name    string
 		ex      *Engine
 		queries []string
+		// probed and skipped are the corpus's zone totals.
+		probed, skipped int64
 	}{
-		{"paper", New(movieDB), paper},
-		{"vec", New(vecTestDB(t, 90, 31)), draw(vecTemplates(rand.New(rand.NewSource(77))), 60)},
-		{"zone", New(zoneTestDB(t, false)), draw(zoneTemplates(rand.New(rand.NewSource(113))), 64)},
-		{"agg", New(aggDiffDB(t, 5000, 303)), aggTemplates(rand.New(rand.NewSource(404)), 40)},
+		{"paper", New(movieDB), paper, 0, 0},
+		{"vec", New(vecTestDB(t, 90, 31)), draw(vecTemplates(rand.New(rand.NewSource(77))), 60), 0, 0},
+		{"zone", New(zoneTestDB(t, false)), draw(zoneTemplates(rand.New(rand.NewSource(113))), 64), 208, 128},
+		{"zone-sorted", New(zoneTestDB(t, true)), draw(zoneTemplates(rand.New(rand.NewSource(113))), 64), 208, 128},
+		{"agg", New(aggDiffDB(t, 5000, 303)), aggTemplates(rand.New(rand.NewSource(404)), 40), 34, 0},
 	}
-	explained := func(t *testing.T, ex *Engine, q string) (plan *planner.Plan, probed int64) {
-		before, _ := ZoneSkipStats()
+	explained := func(t *testing.T, ex *Engine, q string) (plan *planner.Plan, probed, skipped int64) {
+		p0, s0 := ZoneSkipStats()
 		_, plan, err := ex.SelectExplained(mustParse(t, q))
-		after, _ := ZoneSkipStats()
+		p1, s1 := ZoneSkipStats()
 		if err != nil {
-			return nil, 0
+			return nil, 0, 0
 		}
-		return plan, after - before
+		return plan, p1 - p0, s1 - s0
 	}
 	for _, c := range corpora {
 		t.Run(c.name, func(t *testing.T) {
 			var zoned, fused, parallel int
+			var probedAll, skippedAll int64
 			for _, q := range c.queries {
-				plan, probed := explained(t, c.ex, q)
+				plan, probed, skipped := explained(t, c.ex, q)
 				if plan == nil {
 					continue // both pipelines raise the error; there is no plan to read
 				}
+				probedAll += probed
+				skippedAll += skipped
 				if hasZoneSkip(plan) != (probed > 0) {
 					t.Errorf("%s\nzone-skip step %v, zones probed %d: %s", q, hasZoneSkip(plan), probed, plan.Fingerprint())
 				}
@@ -344,22 +352,25 @@ func TestShapeStepsSayWhatRan(t *testing.T) {
 				}
 
 				c.ex.SetZoneMapsEnabled(false)
-				plan, probed = explained(t, c.ex, q)
+				plan, probed, _ = explained(t, c.ex, q)
 				c.ex.SetZoneMapsEnabled(true)
 				if hasZoneSkip(plan) || probed > 0 {
 					t.Errorf("%s\nzone maps off: zone-skip step %v, zones probed %d", q, hasZoneSkip(plan), probed)
 				}
 
 				c.ex.SetVecAggEnabled(false)
-				plan, _ = explained(t, c.ex, q)
+				plan, _, _ = explained(t, c.ex, q)
 				c.ex.SetVecAggEnabled(true)
 				if vecAggStep(plan) != nil || hasParallelScan(plan) {
 					t.Errorf("%s\nvec-aggregate off: shape %v", q, shapeKinds(plan))
 				}
 			}
 			t.Logf("%d queries: %d zone-skip, %d vec-aggregate, %d parallel-scan", len(c.queries), zoned, fused, parallel)
+			if probedAll != c.probed || skippedAll != c.skipped {
+				t.Errorf("zones probed %d, skipped %d; want %d, %d", probedAll, skippedAll, c.probed, c.skipped)
+			}
 			switch c.name {
-			case "zone":
+			case "zone", "zone-sorted":
 				if zoned == 0 {
 					t.Error("no query of the zone corpus probed a zone")
 				}

@@ -137,10 +137,10 @@ type plannedQuery struct {
 	fromOrder []int
 	steps     []stepCode // compiled filters per step
 	postEvals []rowEval  // residual predicates after all joins
-	// zp, when set, holds the zone-map probes of the base scan's vectorized
-	// filters (and the plan carries a zone-skip shape step). scanBase consults
-	// it per storage zone and skips morsels whose bounds disprove the filters.
-	zp *zoneProbeSet
+	// zs, when set, arms the base scan's zone verdicts (and the plan carries
+	// a zone-skip shape step): scanBase asks step 0's kernels about each
+	// storage zone and skips morsels whose bounds disprove them.
+	zs *zoneSkip
 	// sel is the selection buffer of the query's serial phases (see
 	// selection), allocated on first use.
 	sel []int32
@@ -572,9 +572,9 @@ func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) rowEval {
 // ---------------------------------------------------------------------------
 
 // compilePlan resolves a plan's predicates against the engine. A step's
-// filters compile over the FROM entries bound by then. When the base scan's
-// filters lower to zone probes
-// the plan's shape gains its zone-skip step here.
+// filters compile over the FROM entries bound by then. When zone bounds can
+// decide a kernel of the base scan, the plan's shape gains its zone-skip step
+// here.
 func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 	pq := &plannedQuery{
 		ex:        ex,
@@ -593,28 +593,19 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
 		// Only a prefix is safe: vectorized predicates never error, so
 		// hoisting one past a generic filter that can error would change
 		// which rows (if any) reach that filter — the prefix keeps the
-		// original evaluation order intact. The base scan's prefix also
-		// lowers to zone probes, when probing the scan can pay: only
-		// predicates the scan applies may justify skipping rows.
-		var zp *zoneProbeSet
-		if si == 0 {
-			zp = pq.newZoneProbeSet()
-		}
+		// original evaluation order intact.
 		filters := st.SelfFilters
 		for len(filters) > 0 {
-			f, ok := pq.lowerVecFilter(st, filters[0])
+			k, ok := pq.lowerVecFilter(st, filters[0], fast)
 			if !ok {
 				break
 			}
-			pq.steps[si].vec = append(pq.steps[si].vec, f.kernel(fast))
-			if zp != nil {
-				if p, ok := f.probe(zp.n); ok {
-					zp.probes = append(zp.probes, p)
-				}
-			}
+			pq.steps[si].vec = append(pq.steps[si].vec, k)
 			filters = filters[1:]
 		}
-		pq.useZoneProbes(zp)
+		if si == 0 {
+			pq.useZoneSkip(fast)
+		}
 		for _, f := range filters {
 			pq.steps[si].self = append(pq.steps[si].self, pq.compileAt(si, f))
 		}

@@ -11,23 +11,23 @@ import (
 
 // This file lowers plan predicates onto the columnar store: a self-filter
 // conjunct of the shape <column> <op> <literal> (plus IS NULL, BETWEEN, IN,
-// and LIKE) is matched once, by lowerVecFilter, into a vecFilter descriptor.
-// Its kernel method compiles it into a selection kernel in the manner of
-// MonetDB/X100: the kernel takes a selection — ascending row positions within
-// one storage zone, a vector of at most selRows in a scan — and keeps the ones
-// that pass in one loop typed by the filter's shape, returning the kept
-// prefix. Integer and date comparisons
+// and LIKE) is matched and compiled once, by lowerVecFilter, into a selection
+// kernel in the manner of MonetDB/X100: the kernel takes a selection —
+// ascending row positions within one storage zone, a vector of at most
+// selRows in a scan — and keeps the ones that pass in one loop typed by the
+// filter's shape, returning the kept prefix. Integer and date comparisons
 // become a range test on []int64 (or on a zone's frame-of-reference byte
 // deltas), float ones on []float64, text equality a range test on dictionary
 // codes, text ordering a range test on sorted-dictionary ranks or a lookup in
 // one verdict per dictionary entry, and so does LIKE. Kernels never error and
 // never materialize a row, so a rejected row costs one iteration of a tight
-// loop and no call at all. Its probe method (plan_zone.go) builds the
-// per-zone verdict of the same predicate. Only the longest specializable
-// prefix of a step's self-filters vectorizes, and its kernels run in conjunct
-// order, each over the survivors of the one before: the remaining filters keep
-// their original evaluation order, preserving error parity with the
-// interpreter's short-circuit conjunct order.
+// loop and no call at all. The kernel is the filter's only compiled form: its
+// zone method (plan_zone.go) reads the per-zone verdict off the same accepted
+// set the loop tests. Only the longest specializable prefix of a step's
+// self-filters vectorizes, and its kernels run in conjunct order, each over
+// the survivors of the one before: the remaining filters keep their original
+// evaluation order, preserving error parity with the interpreter's
+// short-circuit conjunct order.
 //
 // On top of the kernels sits a whole-query fast path: a single-table full
 // scan whose filters are all vectorized and whose select list reads columns
@@ -125,124 +125,140 @@ func cmpTest(op sqlparser.BinaryOp) (test func(int) bool, equality, ok bool) {
 	}
 }
 
-// vecFilterKind names the predicate shapes of the vectorized dialect.
-type vecFilterKind uint8
-
-const (
-	vfCompare vecFilterKind = iota // column <comparison> literal
-	vfLike                         // column LIKE pattern
-	vfNull                         // column IS [NOT] NULL
-	vfBetween                      // column [NOT] BETWEEN literal AND literal
-	vfIn                           // column [NOT] IN (literal, ...)
-)
-
-// vecFilter is one self-filter conjunct inside the vectorized dialect, reduced
-// to what its consumers need: kernel builds the selection kernel the scan
-// applies, and probe (plan_zone.go) the per-zone verdict that lets the scan
-// skip rows without testing them. Both read the same descriptor, so the zone
-// verdict is about exactly the predicate the rows are tested with.
-// lowerVecFilter is the only constructor; a descriptor it returned cannot
-// raise an error on any row.
-type vecFilter struct {
-	kind vecFilterKind
-	col  storage.Col
-	op   sqlparser.BinaryOp // vfCompare: the operator, oriented column-op-literal
-	lit  value.Value        // the literal, the pattern, or BETWEEN's lower bound
-	hi   value.Value        // BETWEEN's upper bound
-	list []value.Value      // vfIn: the non-NULL entries
-	// negate: IS NOT NULL, NOT BETWEEN, NOT IN.
-	negate bool
-	// sawNull: a NULL literal took part — a comparison or a bound that is true
-	// for no row, or an IN entry that makes every non-match unknown.
-	sawNull bool
-}
-
 // lowerVecFilter matches one self-filter conjunct of step st against the
-// vectorized dialect. ok=false means the conjunct is outside it — another
-// shape, an operand that is not a column of this step or a literal, or a kind
-// combination whose evaluation raises an error the generic path must surface
-// (an ordering across incomparable kinds, LIKE over non-text) — and compiles
-// normally.
-func (pq *plannedQuery) lowerVecFilter(st *planner.Step, e sqlparser.Expr) (vecFilter, bool) {
-	var f vecFilter
-	var ok bool
+// vectorized dialect and compiles it into its selection kernel. ok=false means
+// the conjunct is outside the dialect — another shape, an operand that is not
+// a column of this step or a literal, or a kind combination whose evaluation
+// raises an error the generic path must surface (an ordering across
+// incomparable kinds, LIKE over non-text) — and compiles normally; a kernel it
+// returns cannot raise an error on any row. fast gates the encoded paths
+// (frame-of-reference deltas, sorted-dictionary ranks) together with the rest
+// of the zone-map layer, so disabling zone maps reverts the scan to plain
+// payload reads.
+func (pq *plannedQuery) lowerVecFilter(st *planner.Step, e sqlparser.Expr, fast bool) (vecKernel, bool) {
+	on := func(col storage.Col) vecKernel {
+		return vecKernel{col: col, nulls: col.HasNulls(), n: st.Input.Tbl.Len()}
+	}
 	switch x := e.(type) {
 	case *sqlparser.BinaryExpr:
 		_, equality, isCmp := cmpTest(x.Op)
 		if !isCmp && x.Op != sqlparser.OpLike {
-			return f, false
+			return vecKernel{}, false
 		}
-		f.op = x.Op
-		if f.col, ok = pq.stepCol(st, x.Left); ok {
-			f.lit, ok = litOf(x.Right)
+		op := x.Op
+		col, ok := pq.stepCol(st, x.Left)
+		var lit value.Value
+		if ok {
+			lit, ok = litOf(x.Right)
 		} else if isCmp { // pattern LIKE col stays generic
-			if f.lit, ok = litOf(x.Left); ok {
-				f.col, ok = pq.stepCol(st, x.Right)
-				f.op = x.Op.Inverse()
+			if lit, ok = litOf(x.Left); ok {
+				col, ok = pq.stepCol(st, x.Right)
+				op = x.Op.Inverse()
 			}
 		}
 		if !ok {
-			return f, false
+			return vecKernel{}, false
 		}
-		if !isCmp {
-			f.kind = vfLike
-			return f, f.col.Kind() == value.Text && f.lit.Kind() == value.Text
+		switch {
+		case !isCmp && (col.Kind() != value.Text || lit.Kind() != value.Text):
+			return vecKernel{}, false
+		case isCmp && lit.IsNull():
+			return vecKernel{shape: kNone}, true // comparison with NULL is never true
+		case isCmp && !equality && !comparableKinds(col.Kind(), lit.Kind()):
+			return vecKernel{}, false
 		}
-		f.sawNull = f.lit.IsNull()
-		// = and <> across incomparable kinds are constant verdicts.
-		return f, f.sawNull || equality || comparableKinds(f.col.Kind(), f.lit.Kind())
+		k := on(col)
+		if isCmp {
+			k.cmp(op, lit, fast)
+		} else {
+			k.like(lit.Text(), fast)
+		}
+		return k, true
 
 	case *sqlparser.IsNullExpr:
-		f.kind, f.negate = vfNull, x.Negate
-		f.col, ok = pq.stepCol(st, x.Inner)
-		return f, ok
+		col, ok := pq.stepCol(st, x.Inner)
+		if !ok {
+			return vecKernel{}, false
+		}
+		k := on(col)
+		switch {
+		case x.Negate:
+			k.shape = kAll // the non-NULL rows
+		case k.nulls:
+			k.shape, k.nulls = kIsNull, false
+		default:
+			k.shape = kNone
+		}
+		return k, true
 
 	case *sqlparser.BetweenExpr:
-		f.kind, f.negate = vfBetween, x.Negate
-		if f.col, ok = pq.stepCol(st, x.Subject); !ok {
-			return f, false
+		col, ok := pq.stepCol(st, x.Subject)
+		if !ok {
+			return vecKernel{}, false
 		}
-		if f.lit, ok = litOf(x.Lo); !ok {
-			return f, false
+		lo, ok := litOf(x.Lo)
+		if !ok {
+			return vecKernel{}, false
 		}
-		if f.hi, ok = litOf(x.Hi); !ok {
-			return f, false
+		hi, ok := litOf(x.Hi)
+		switch {
+		case !ok:
+			return vecKernel{}, false
+		case lo.IsNull() || hi.IsNull():
+			return vecKernel{shape: kNone}, true // NULL bound: the test is unknown for every row
+		case !comparableKinds(col.Kind(), lo.Kind()) || !comparableKinds(col.Kind(), hi.Kind()):
+			// Both bound comparisons must be error-free for every non-NULL subject.
+			return vecKernel{}, false
 		}
-		f.sawNull = f.lit.IsNull() || f.hi.IsNull()
-		// Both bound comparisons must be error-free for every non-NULL subject.
-		return f, f.sawNull ||
-			comparableKinds(f.col.Kind(), f.lit.Kind()) && comparableKinds(f.col.Kind(), f.hi.Kind())
+		k, kh := on(col), on(col)
+		k.cmp(sqlparser.OpGe, lo, fast)
+		kh.cmp(sqlparser.OpLe, hi, fast)
+		k.meet(&kh)
+		if x.Negate {
+			k.neg, k.nan = true, !k.nan
+		}
+		return k, true
 
 	case *sqlparser.InExpr:
-		f.kind, f.negate = vfIn, x.Negate
 		if x.Subquery != nil {
-			return f, false
+			return vecKernel{}, false
 		}
-		if f.col, ok = pq.stepCol(st, x.Subject); !ok {
-			return f, false
+		col, ok := pq.stepCol(st, x.Subject)
+		if !ok {
+			return vecKernel{}, false
 		}
-		f.list = make([]value.Value, 0, len(x.List))
+		lits := make([]value.Value, 0, len(x.List))
+		sawNull := false
 		for _, it := range x.List {
 			lit, ok := litOf(it)
 			if !ok {
-				return f, false
+				return vecKernel{}, false
 			}
 			if lit.IsNull() {
-				f.sawNull = true
+				sawNull = true
 				continue
 			}
-			f.list = append(f.list, lit)
+			lits = append(lits, lit)
 		}
-		return f, true
-
-	default:
-		return f, false
+		switch {
+		case len(x.List) == 0:
+			// No entries at all: false — and NOT IN true — for every row, NULL
+			// subjects included, like the compiled InExpr's special case.
+			if x.Negate {
+				return vecKernel{shape: kAll}, true
+			}
+			return vecKernel{shape: kNone}, true
+		case x.Negate && sawNull:
+			// x NOT IN (..., NULL, ...): members are false, non-members unknown.
+			return vecKernel{shape: kNone}, true
+		}
+		k := on(col)
+		k.member(lits)
+		k.neg = x.Negate
+		return k, true
 	}
+	return vecKernel{}, false
 }
-
-// emptyIn reports an IN with no entries at all: false — and NOT IN true — for
-// every row, NULL subjects included, like the compiled InExpr's special case.
-func (f *vecFilter) emptyIn() bool { return len(f.list) == 0 && !f.sawNull }
 
 // comparableKinds reports whether a column of kind ck orders against a
 // literal of kind lk without error (value.Compare's rule).
@@ -273,7 +289,8 @@ const (
 // vecKernel is one vectorized filter compiled against its column. Every
 // comparison reduces to the set of payload images it accepts, so the loops
 // test membership and never call back: NULL, NaN and ±0 decide exactly as
-// compareOp, likeMatch and value.Equal do on the rows.
+// compareOp, likeMatch and value.Equal do on the rows. The same set, held
+// against a zone's bounds, is the kernel's zone verdict.
 type vecKernel struct {
 	shape kernelShape
 	col   storage.Col
@@ -302,61 +319,16 @@ type vecKernel struct {
 	// and Text codes.
 	fset map[float64]struct{}
 	iset map[int64]struct{}
-}
-
-// kernel compiles the filter into its selection kernel. fast gates the
-// encoded paths (frame-of-reference deltas, sorted-dictionary ranks) together
-// with the rest of the zone-map layer, so disabling zone maps reverts the
-// scan to plain payload reads.
-func (f *vecFilter) kernel(fast bool) vecKernel {
-	k := vecKernel{col: f.col, nulls: f.col.HasNulls()}
-	switch f.kind {
-	case vfNull:
-		switch {
-		case f.negate:
-			k.shape = kAll // the non-NULL rows
-		case k.nulls:
-			k.shape, k.nulls = kIsNull, false
-		default:
-			k.shape = kNone
-		}
-
-	case vfCompare:
-		if f.sawNull {
-			return vecKernel{shape: kNone} // comparison with NULL is never true
-		}
-		k.cmp(f.op, f.lit, fast)
-
-	case vfBetween:
-		if f.sawNull {
-			return vecKernel{shape: kNone} // NULL bound: the test is unknown for every row
-		}
-		lo, hi := k, k
-		lo.cmp(sqlparser.OpGe, f.lit, fast)
-		hi.cmp(sqlparser.OpLe, f.hi, fast)
-		k = lo.meet(&hi)
-		if f.negate {
-			k.neg, k.nan = true, !k.nan
-		}
-
-	case vfLike:
-		k.like(f.lit.Text(), fast)
-
-	default: // vfIn
-		switch {
-		case f.emptyIn():
-			if f.negate {
-				return vecKernel{shape: kAll} // NULL subjects included
-			}
-			return vecKernel{shape: kNone}
-		case f.negate && f.sawNull:
-			// x NOT IN (..., NULL, ...): members are false, non-members unknown.
-			return vecKernel{shape: kNone}
-		}
-		k.member(f.list)
-		k.neg = f.negate
-	}
-	return k
+	// str: a text kernel's accepted strings as an interval, which its zone
+	// verdict compares with a zone's string bounds (codes are not ordered like
+	// the strings, and a zone keeps the strings, not their ranks).
+	str strSpan
+	// blind: zone bounds cannot decide the test — a LIKE whose pattern has no
+	// literal prefix to compare them with, or one byte-wise comparison cannot
+	// be trusted on.
+	blind bool
+	// n is the table's row count, which sizes its last zone.
+	n int
 }
 
 // cmp compiles col op lit for a literal of a kind the column compares with
@@ -388,6 +360,7 @@ func (k *vecKernel) cmp(op sqlparser.BinaryOp, lit value.Value, fast bool) {
 		k.flo, k.fhi, k.nan, k.neg = floatSpan(op, lit.Float())
 	default: // Text
 		ls := lit.Text()
+		k.str = strSpanOf(op, ls)
 		switch {
 		case op == sqlparser.OpEq || op == sqlparser.OpNe:
 			code, present := col.DictCode(ls)
@@ -427,38 +400,42 @@ func (k *vecKernel) forInts(fast bool) {
 	}
 }
 
-// meet is the conjunction of two kernels cmp compiled over the same column
-// with the same shape (BETWEEN's two bounds).
-func (k *vecKernel) meet(o *vecKernel) vecKernel {
-	m := *k
+// meet narrows k to its conjunction with o, a kernel cmp compiled over the
+// same column with the same shape (BETWEEN's two bounds).
+func (k *vecKernel) meet(o *vecKernel) {
 	switch k.shape {
 	case kRange:
-		m.r = k.r.meet(o.r)
+		k.r = k.r.meet(o.r)
 	case kFloat:
-		m.flo, m.fhi, m.nan = max(k.flo, o.flo), min(k.fhi, o.fhi), k.nan && o.nan
+		k.flo, k.fhi, k.nan = max(k.flo, o.flo), min(k.fhi, o.fhi), k.nan && o.nan
 	case kVerdict:
-		for c := range m.verdict {
-			m.verdict[c] = m.verdict[c] && o.verdict[c]
+		for c := range k.verdict {
+			k.verdict[c] = k.verdict[c] && o.verdict[c]
 		}
 	}
-	return m
+	k.str = k.str.meet(o.str)
 }
 
-// like precomputes the LIKE verdict per dictionary entry. With a sorted
-// dictionary, a pure prefix pattern ('abc%') becomes a rank-range test:
-// matches are exactly the strings in [prefix, successor).
+// like precomputes the LIKE verdict per dictionary entry. Every match sorts
+// inside [prefix, successor) of the pattern's literal prefix, and a pure
+// prefix pattern ('abc%') matches exactly those strings: with a sorted
+// dictionary it becomes a rank-range test. A prefix that is empty, or that
+// byte-wise order cannot be trusted on, leaves zone bounds blind to the test.
 func (k *vecKernel) like(pat string, fast bool) {
 	col := k.col
-	if fast && col.SortedDict() {
-		if prefix, prefixOnly := planner.LikePrefix(pat); prefixOnly && (prefix == "" || likePrefixSafe(prefix)) {
-			lb := int64(col.LowerBoundRank(prefix))
-			ub := int64(col.DictLen())
-			if succ, ok := planner.PrefixSuccessor(prefix); ok {
-				ub = int64(col.LowerBoundRank(succ))
-			}
-			k.shape, k.r, k.ranks = kRange, intRange{lb, ub - 1}, col.Ranks()
-			return
+	prefix, prefixOnly := planner.LikePrefix(pat)
+	succ, succOK := planner.PrefixSuccessor(prefix)
+	safe := likePrefixSafe(prefix)
+	k.str = strSpan{lo: prefix, hi: succ, hiOK: succOK, loose: !prefixOnly}
+	k.blind = prefix == "" || !safe
+	if fast && prefixOnly && safe && col.SortedDict() {
+		lb := int64(col.LowerBoundRank(prefix))
+		ub := int64(col.DictLen())
+		if succOK {
+			ub = int64(col.LowerBoundRank(succ))
 		}
+		k.shape, k.r, k.ranks = kRange, intRange{lb, ub - 1}, col.Ranks()
+		return
 	}
 	k.shape = kVerdict
 	k.verdict = make([]bool, col.DictLen())
@@ -773,6 +750,42 @@ func (b bounds) span(op sqlparser.BinaryOp) (r intRange, neg bool) {
 	}
 	eq := atLeast(b.ge, b.geOK).meet(below(b.gt, b.gtOK))
 	return eq, op == sqlparser.OpNe
+}
+
+// strSpan is the half-open string interval [lo, hi) — unbounded above
+// without hiOK — holding every string a text kernel accepts, and only those
+// unless loose. The empty string is the least string, so lo = "" leaves it
+// unbounded below.
+type strSpan struct {
+	lo, hi      string
+	hiOK, loose bool
+}
+
+// strSpanOf is the interval of strings x with cmpString(x, s) op 0; = and <>
+// both give [s, s], which the kernel's neg turns into its complement for <>.
+func strSpanOf(op sqlparser.BinaryOp, s string) strSpan {
+	switch op {
+	case sqlparser.OpLt:
+		return strSpan{hi: s, hiOK: true}
+	case sqlparser.OpGe:
+		return strSpan{lo: s}
+	}
+	next := s + "\x00" // the least string above s
+	switch op {
+	case sqlparser.OpLe:
+		return strSpan{hi: next, hiOK: true}
+	case sqlparser.OpGt:
+		return strSpan{lo: next}
+	}
+	return strSpan{lo: s, hi: next, hiOK: true}
+}
+
+func (s strSpan) meet(o strSpan) strSpan {
+	m := strSpan{lo: max(s.lo, o.lo), hi: s.hi, hiOK: s.hiOK, loose: s.loose || o.loose}
+	if o.hiOK && (!s.hiOK || o.hi < s.hi) {
+		m.hi, m.hiOK = o.hi, true
+	}
+	return m
 }
 
 func boolImage(b bool) int64 {

@@ -8,55 +8,55 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/planner"
-	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
 
 // This file consumes the storage layer's zone maps: per-morsel min/max/null
-// summaries (storage.ZoneRows positions each) that the scan probes before
-// touching column payloads. A probe is a vecFilter's per-zone verdict —
-// all-false lets the scan skip the morsel outright, all-true lets it take the
-// whole morsel without testing a row. The verdicts must describe the
-// predicate's result over EVERY row of the zone, NULLs included (NULL rejects
-// a comparison, satisfies IS NULL), and they are deliberately conservative:
-// anything the bounds cannot decide is "mixed" and the zone's rows go through
-// the kernels, so zone-pruned execution is byte-identical to the plain scan. The
-// plan's zone-skip shape step is added here, by compilePlan, when it built a
-// probe — so EXPLAIN narrates a skip exactly when the scan consults one.
+// summaries (storage.ZoneRows positions each) that the scan consults before
+// touching column payloads. The verdict on a zone is read off the selection
+// kernels themselves: each kernel compares the set of payload images it
+// accepts with the zone's typed bounds and NULL count, so the verdict is about
+// exactly the predicate the rows are tested with. All-false lets the scan skip
+// the morsel outright, all-true lets it take the whole morsel without testing
+// a row. A verdict describes the predicate's result over EVERY row of the
+// zone, NULLs included (NULL rejects a comparison, satisfies IS NULL), and it
+// is deliberately conservative: anything the bounds cannot decide — a zone
+// holding NaN, a LIKE with no usable literal prefix — is "mixed" and the
+// zone's rows go through the kernels, so zone-pruned execution is
+// byte-identical to the plain scan. The plan's zone-skip shape step is added
+// here, by compilePlan, when some kernel the scan applies can be decided from
+// bounds — so EXPLAIN narrates a skip exactly when the scan consults them.
 
-// zoneVerdict is a probe's answer for one zone.
+// zoneVerdict is a kernel's answer for one zone. The verdicts are ordered
+// from no row to every row, so a conjunction's verdict is the least of its
+// conjuncts', a disjunction's the greatest, and a negation's the mirror.
 type zoneVerdict int8
 
 const (
-	zoneMixed    zoneVerdict = iota // bounds cannot decide; test each row
-	zoneAllFalse                    // no row of the zone passes the predicate
+	zoneAllFalse zoneVerdict = iota // no row of the zone passes the predicate
+	zoneMixed                       // bounds cannot decide; test each row
 	zoneAllTrue                     // every row of the zone passes
 )
 
-// rangeVerdict is predicate truth over a zone's non-NULL values only; the
-// NULL rows are folded in afterwards by wrapZoneProbe.
-type rangeVerdict int8
+// not is the verdict of the negated test when neg is set.
+func (v zoneVerdict) not(neg bool) zoneVerdict {
+	if neg {
+		return zoneAllTrue - v
+	}
+	return v
+}
 
-const (
-	rMixed rangeVerdict = iota
-	rNone               // no bounded value satisfies
-	rAll                // every bounded value satisfies
-)
+func verdictOf(pass bool) zoneVerdict {
+	if pass {
+		return zoneAllTrue
+	}
+	return zoneAllFalse
+}
 
-// zoneProbe answers one filter conjunct for zone z.
-type zoneProbe func(z int) zoneVerdict
-
-// zoneProbeSet is the compiled zone side of a base scan: one probe per
-// vectorized filter conjunct whose verdict zone bounds can give.
-type zoneProbeSet struct {
-	probes []zoneProbe
-	// full reports that every vectorized predicate has a probe, so an
-	// all-true combined verdict proves the whole vectorized prefix passes.
-	full bool
-	// n is the table's row count; step the plan's zone-skip shape step, which
-	// reports the zones skipped once the scan is done.
-	n       int
+// zoneSkip is the zone side of a base scan: the plan's zone-skip shape step,
+// which reports the zones skipped once the scan is done.
+type zoneSkip struct {
 	step    *planner.ShapeStep
 	skipped atomic.Int64
 }
@@ -77,41 +77,36 @@ func ResetZoneSkipStats() {
 	zoneStatSkipped.Store(0)
 }
 
-// verdict combines the probes for zone z: any all-false skips the zone;
-// all-true requires every probe to agree and the set to cover every
-// vectorized predicate.
-func (zp *zoneProbeSet) verdict(z int) zoneVerdict {
-	v := zoneMixed
-	if zp.full {
-		v = zoneAllTrue
-	}
-	for _, p := range zp.probes {
-		switch p(z) {
-		case zoneAllFalse:
-			return zoneAllFalse
-		case zoneMixed:
-			v = zoneMixed
+// zoneVerdict is the conjunction of step 0's kernel verdicts on zone z: any
+// all-false skips the zone, all-true needs every kernel to agree, and a kernel
+// bounds cannot decide answers mixed.
+func (pq *plannedQuery) zoneVerdict(z int) zoneVerdict {
+	ks := pq.steps[0].vec
+	v := zoneAllTrue
+	for i := range ks {
+		if v = min(v, ks[i].zone(z)); v == zoneAllFalse {
+			break
 		}
 	}
 	return v
 }
 
 // note records one probed zone's outcome.
-func (zp *zoneProbeSet) note(v zoneVerdict) {
+func (zs *zoneSkip) note(v zoneVerdict) {
 	zoneStatProbed.Add(1)
 	if v == zoneAllFalse {
-		zp.skipped.Add(1)
+		zs.skipped.Add(1)
 		zoneStatSkipped.Add(1)
 	}
 }
 
 // scanBase is the base-table walk every scan shares. It covers rows [lo, hi)
-// one storage zone at a time, with or without probes, skips each zone the
-// probes rule out, and hands rows the positions of the rest that pass, one
-// selection vector (selRows positions) at a time in the buffer *sel (see
-// growSel): all of them where the probes proved the whole vectorized filter
-// prefix for the zone, and otherwise what step 0's kernels keep. rows returns
-// false to stop the walk, and scanBase reports whether it ran to the end.
+// one storage zone at a time, with or without zone verdicts, skips each zone
+// the kernels rule out, and hands rows the positions of the rest that pass,
+// one selection vector (selRows positions) at a time in the buffer *sel (see
+// growSel): all of them where the kernels proved the zone passes all of them,
+// and otherwise what step 0's kernels keep. rows returns false to stop the
+// walk, and scanBase reports whether it ran to the end.
 //
 // With note set the walk accounts each zone whose first row lies in [lo, hi):
 // exactly one pass over the table sets it, and parallel workers never count a
@@ -121,10 +116,10 @@ func (pq *plannedQuery) scanBase(sel *[]int32, lo, hi int, note bool, rows func(
 		z := s >> storage.ZoneShift
 		e := min((z+1)<<storage.ZoneShift, hi)
 		v := zoneMixed
-		if zp := pq.zp; zp != nil {
-			v = zp.verdict(z)
+		if zs := pq.zs; zs != nil {
+			v = pq.zoneVerdict(z)
 			if note && s == z<<storage.ZoneShift {
-				zp.note(v)
+				zs.note(v)
 			}
 		}
 		for c := s; c < e && v != zoneAllFalse; c += selRows {
@@ -143,374 +138,170 @@ func (pq *plannedQuery) scanBase(sel *[]int32, lo, hi int, note bool, rows func(
 
 // zoneLenAt returns the number of rows zone z covers in a table of n rows.
 func zoneLenAt(z, n int) int {
-	lo := z << storage.ZoneShift
-	hi := lo + storage.ZoneRows
-	if hi > n {
-		hi = n
-	}
-	return hi - lo
+	return min(n-z<<storage.ZoneShift, storage.ZoneRows)
 }
 
-// newZoneProbeSet returns an empty probe set for the plan's base scan when
-// probing it can pay — the planner's cost gate passes, zone maps are enabled
-// and every column's zones are in sync with the table — and nil otherwise.
-// compilePlan fills it from the step's vectorized filters.
-func (pq *plannedQuery) newZoneProbeSet() *zoneProbeSet {
+// useZoneSkip arms the base scan's zone verdicts, and says so first in the
+// plan's shape, when consulting them can pay — the planner's cost gate
+// passes, zone maps are enabled (fast) and every column's zones are in sync
+// with the table — and some kernel the scan applies can be decided from
+// bounds: only predicates the scan applies may justify skipping rows.
+func (pq *plannedQuery) useZoneSkip(fast bool) {
 	st := pq.plan.Steps[0]
 	step := planner.ZoneSkipStep(st)
-	if step == nil || pq.ex.st.noZoneMaps.Load() {
-		return nil
+	if step == nil || !fast || !slices.ContainsFunc(pq.steps[0].vec, func(k vecKernel) bool { return !k.blind }) {
+		return
 	}
 	n := st.Input.Tbl.Len()
 	for pos := range st.Input.Rel.Attributes {
 		if !st.Input.Tbl.Col(pos).ZonesSynced(n) {
-			return nil
+			return
 		}
 	}
-	return &zoneProbeSet{n: n, step: step}
-}
-
-// useZoneProbes arms the scan with the probes compilePlan collected, if any,
-// and says so first in the plan's shape.
-func (pq *plannedQuery) useZoneProbes(zp *zoneProbeSet) {
-	if zp == nil || len(zp.probes) == 0 {
-		return
-	}
-	zp.full = len(zp.probes) == len(pq.steps[0].vec)
-	pq.zp = zp
-	pq.plan.Shape = slices.Insert(pq.plan.Shape, 0, zp.step)
+	pq.zs = &zoneSkip{step: step}
+	pq.plan.Shape = slices.Insert(pq.plan.Shape, 0, step)
 }
 
 // finishZoneSkip records on the shape step how many morsels the scan skipped.
 func (pq *plannedQuery) finishZoneSkip() {
-	if pq.zp != nil {
-		pq.zp.step.ActualRows = int(pq.zp.skipped.Load())
+	if pq.zs != nil {
+		pq.zs.step.ActualRows = int(pq.zs.skipped.Load())
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Probes
+// Kernel verdicts
 // ---------------------------------------------------------------------------
 
-// probe builds the filter's zone verdict for a table of n rows — the same
-// predicate its kernel tests on each row, answered from a zone's bounds and NULL
-// count. ok=false means bounds say nothing about it: a LIKE whose pattern has
-// no literal prefix to compare them with, or one byte-wise comparison cannot
-// be trusted on.
-func (f *vecFilter) probe(n int) (zoneProbe, bool) {
-	col := f.col
-	switch f.kind {
-	case vfCompare:
-		if f.sawNull {
-			return zoneConst(zoneAllFalse), true
-		}
-		return cmpProbe(col, f.op, f.lit, n), true
-
-	case vfLike:
-		// Any match sorts inside [prefix, successor), so zone string bounds
-		// outside that range are all-false; a pure prefix pattern inside it
-		// (NULL-free) is all-true.
-		prefix, prefixOnly := planner.LikePrefix(f.lit.Text())
-		if prefix == "" || !likePrefixSafe(prefix) {
-			return nil, false
-		}
-		succ, succOK := planner.PrefixSuccessor(prefix)
-		return wrapZoneProbe(col, n, func(z int) rangeVerdict {
-			lo, hi, ok := col.ZoneTextBounds(z)
-			if !ok {
-				return rMixed
-			}
-			if hi < prefix || (succOK && lo >= succ) {
-				return rNone
-			}
-			if prefixOnly && lo >= prefix && (!succOK || hi < succ) {
-				return rAll
-			}
-			return rMixed
-		}), true
-
-	case vfNull:
-		return zoneNullProbe(col, !f.negate, n), true
-
-	case vfBetween:
-		if f.sawNull {
-			return zoneConst(zoneAllFalse), true
-		}
-		// The two bound comparisons composed; NULL subjects reject either way.
-		ge := zoneCmpRange(col, sqlparser.OpGe, f.lit)
-		le := zoneCmpRange(col, sqlparser.OpLe, f.hi)
-		rv := func(z int) rangeVerdict {
-			a, b := ge(z), le(z)
-			switch {
-			case a == rNone || b == rNone:
-				return rNone
-			case a == rAll && b == rAll:
-				return rAll
-			}
-			return rMixed
-		}
-		if f.negate {
-			rv = rangeNot(rv)
-		}
-		return wrapZoneProbe(col, n, rv), true
-
-	default: // vfIn
-		if f.emptyIn() {
-			if f.negate {
-				return zoneConst(zoneAllTrue), true
-			}
-			return zoneConst(zoneAllFalse), true
-		}
-		if f.negate && f.sawNull {
-			// x NOT IN (..., NULL, ...): members are false, non-members unknown.
-			return zoneConst(zoneAllFalse), true
-		}
-		rv := zoneMembershipRange(col, f.list)
-		if f.negate {
-			rv = rangeNot(rv)
-		}
-		return wrapZoneProbe(col, n, rv), true
-	}
-}
-
-func zoneConst(v zoneVerdict) zoneProbe { return func(int) zoneVerdict { return v } }
-
-// wrapZoneProbe folds NULL rows into a value-level verdict: an all-NULL zone
-// rejects any value predicate wholesale, and all-true additionally requires
-// the zone to be NULL-free (NULL rows evaluate false).
-func wrapZoneProbe(col storage.Col, n int, rv func(z int) rangeVerdict) zoneProbe {
-	return func(z int) zoneVerdict {
-		nulls := col.ZoneNulls(z)
-		if nulls == zoneLenAt(z, n) {
-			return zoneAllFalse
-		}
-		switch rv(z) {
-		case rNone:
-			return zoneAllFalse
-		case rAll:
-			if nulls == 0 {
-				return zoneAllTrue
-			}
-		}
+// zone is the kernel's verdict on zone z, read off the set of payload images
+// it accepts: that set against the zone's typed bounds decides the zone's
+// non-NULL rows, and its NULL count folds in the rest — an all-NULL zone
+// fails every value test, and all-true needs a NULL-free zone.
+func (k *vecKernel) zone(z int) zoneVerdict {
+	switch {
+	case k.shape == kNone:
+		return zoneAllFalse
+	case k.shape == kAll && !k.nulls:
+		return zoneAllTrue
+	case k.blind:
 		return zoneMixed
 	}
-}
-
-func rangeAll(int) rangeVerdict { return rAll }
-
-// rangeNot flips a value-level verdict (NOT BETWEEN, NOT IN).
-func rangeNot(rv func(z int) rangeVerdict) func(z int) rangeVerdict {
-	return func(z int) rangeVerdict {
-		switch rv(z) {
-		case rAll:
-			return rNone
-		case rNone:
-			return rAll
+	nulls := k.col.ZoneNulls(z)
+	allNull := nulls == zoneLenAt(z, k.n)
+	switch {
+	case k.shape == kIsNull && allNull:
+		return zoneAllTrue
+	case k.shape == kIsNull:
+		if nulls == 0 {
+			return zoneAllFalse
 		}
-		return rMixed
+		return zoneMixed
+	case allNull:
+		return zoneAllFalse
 	}
-}
-
-// cmpRangeVerdict decides a comparison against a literal from the three-way
-// compares of the zone's min and max against it. Ordering predicates select a
-// half-line, so both endpoints inside means the whole range is, and both
-// outside means none of it is; equality selects a point.
-func cmpRangeVerdict(op sqlparser.BinaryOp, cmpLo, cmpHi int) rangeVerdict {
-	switch op {
-	case sqlparser.OpEq:
-		if cmpLo > 0 || cmpHi < 0 {
-			return rNone
-		}
-		if cmpLo == 0 && cmpHi == 0 {
-			return rAll
-		}
-	case sqlparser.OpNe:
-		if cmpLo > 0 || cmpHi < 0 {
-			return rAll
-		}
-		if cmpLo == 0 && cmpHi == 0 {
-			return rNone
-		}
-	default:
-		test, _, _ := cmpTest(op)
-		tLo, tHi := test(cmpLo), test(cmpHi)
-		switch {
-		case tLo && tHi:
-			return rAll
-		case !tLo && !tHi:
-			return rNone
-		}
+	v := k.values(z)
+	if v == zoneAllTrue && nulls > 0 {
+		return zoneMixed
 	}
-	return rMixed
+	return v
 }
 
-// zoneCmpRange builds the value-level verdict of col-op-lit over zone bounds,
-// for a literal of a kind the column orders against.
-func zoneCmpRange(col storage.Col, op sqlparser.BinaryOp, lit value.Value) func(z int) rangeVerdict {
-	test, _, _ := cmpTest(op)
-	switch col.Kind() {
-	case value.Int:
-		lf := lit.Float()
-		if math.IsNaN(lf) {
-			// cmpFloat(x, NaN) is 0 for every x: the predicate is constant.
-			return constRange(test(0))
+// values is the kernel's verdict on the non-NULL rows of zone z, which holds
+// at least one.
+func (k *vecKernel) values(z int) zoneVerdict {
+	col := k.col
+	switch k.shape {
+	case kAll:
+		return zoneAllTrue
+	case kSet:
+		return k.members(z).not(k.neg)
+	case kFloat:
+		// A zone holding NaN is decided only by a test that treats every
+		// float and NaN alike.
+		lo, hi, nan := floatBounds(col, z)
+		v := within(lo, hi, k.flo, k.fhi).not(k.neg)
+		if nan && v != verdictOf(k.nan) {
+			return zoneMixed
 		}
-		return func(z int) rangeVerdict {
-			lo, hi, ok := col.ZoneIntBounds(z)
-			if !ok {
-				return rMixed
-			}
-			return cmpRangeVerdict(op, cmpFloat(float64(lo), lf), cmpFloat(float64(hi), lf))
-		}
-	case value.Float:
-		lf := lit.Float()
-		if math.IsNaN(lf) {
-			return constRange(test(0))
-		}
-		return func(z int) rangeVerdict {
-			if col.ZoneHasNaN(z) {
-				// NaN compares as equal under cmpFloat and sits outside the
-				// bounds; the zone can never be decided wholesale.
-				return rMixed
-			}
-			lo, hi, ok := col.ZoneFloatBounds(z)
-			if !ok {
-				return rMixed
-			}
-			return cmpRangeVerdict(op, cmpFloat(lo, lf), cmpFloat(hi, lf))
-		}
-	case value.Date:
-		ld := lit.DateDays()
-		return func(z int) rangeVerdict {
-			lo, hi, ok := col.ZoneIntBounds(z)
-			if !ok {
-				return rMixed
-			}
-			return cmpRangeVerdict(op, cmpInt(lo, ld), cmpInt(hi, ld))
-		}
-	case value.Bool:
-		var lb int64
-		if lit.Bool() {
-			lb = 1
-		}
-		return func(z int) rangeVerdict {
-			lo, hi, ok := col.ZoneIntBounds(z)
-			if !ok {
-				return rMixed
-			}
-			return cmpRangeVerdict(op, cmpInt(lo, lb), cmpInt(hi, lb))
-		}
-	default: // Text
-		ls := lit.Text()
-		return func(z int) rangeVerdict {
-			lo, hi, ok := col.ZoneTextBounds(z)
-			if !ok {
-				return rMixed
-			}
-			return cmpRangeVerdict(op, cmpString(lo, ls), cmpString(hi, ls))
-		}
-	}
-}
-
-func constRange(pass bool) func(int) rangeVerdict {
-	if pass {
-		return rangeAll
-	}
-	return func(int) rangeVerdict { return rNone }
-}
-
-// cmpProbe is the comparison kernel's verdict: a mismatched-kind equality and
-// a string the dictionary never saw are constant, everything else decides
-// from bounds.
-func cmpProbe(col storage.Col, op sqlparser.BinaryOp, lit value.Value, n int) zoneProbe {
-	if !comparableKinds(col.Kind(), lit.Kind()) {
-		if op == sqlparser.OpEq {
-			return zoneConst(zoneAllFalse)
-		}
-		return wrapZoneProbe(col, n, rangeAll) // <> across kinds: true when non-NULL
+		return v
 	}
 	if col.Kind() == value.Text {
-		if _, present := col.DictCode(lit.Text()); !present {
-			switch op {
-			case sqlparser.OpEq:
-				return zoneConst(zoneAllFalse)
-			case sqlparser.OpNe:
-				return wrapZoneProbe(col, n, rangeAll)
-			}
+		if k.shape == kRange && k.r.lo > k.r.hi {
+			return zoneAllFalse.not(k.neg) // no code or rank passes
 		}
+		lo, hi, _ := col.ZoneTextBounds(z)
+		return k.str.zone(lo, hi).not(k.neg)
 	}
-	return wrapZoneProbe(col, n, zoneCmpRange(col, op, lit))
+	lo, hi, _ := col.ZoneIntBounds(z)
+	return within(lo, hi, k.r.lo, k.r.hi).not(k.neg)
 }
 
-// zoneNullProbe answers IS [NOT] NULL straight from the zone's NULL count.
-func zoneNullProbe(col storage.Col, want bool, n int) zoneProbe {
-	return func(z int) zoneVerdict {
-		nulls := col.ZoneNulls(z)
-		allNull := nulls == zoneLenAt(z, n)
-		if want {
-			if allNull {
-				return zoneAllTrue
-			}
-			if nulls == 0 {
-				return zoneAllFalse
-			}
-		} else {
-			if nulls == 0 {
-				return zoneAllTrue
-			}
-			if allNull {
-				return zoneAllFalse
-			}
-		}
-		return zoneMixed
+// floatBounds is zone z's bounds as float64 images — an Int column's through
+// the images it compares by — widened to every float when the zone holds
+// NaN, which lies outside them.
+func floatBounds(col storage.Col, z int) (lo, hi float64, nan bool) {
+	if col.Kind() == value.Int {
+		l, h, _ := col.ZoneIntBounds(z)
+		return float64(l), float64(h), false
 	}
+	lo, hi, _ = col.ZoneFloatBounds(z)
+	if nan = col.ZoneHasNaN(z); nan {
+		lo, hi = math.Inf(-1), math.Inf(1)
+	}
+	return lo, hi, nan
 }
 
-// zoneMembershipRange folds per-literal equality verdicts: one literal
-// covering the whole range makes every value a member; all literals missing
-// the range make none of them members. Literals of foreign kinds (and float
-// NaN, which never matches a hash probe) contribute nothing, as in the IN
-// kernel's payload set.
-func zoneMembershipRange(col storage.Col, lits []value.Value) func(z int) rangeVerdict {
-	var eqs []func(z int) rangeVerdict
-	match := func(l value.Value) bool {
-		switch col.Kind() {
-		case value.Int, value.Float:
-			return l.IsNumeric() && !math.IsNaN(l.Float())
-		default:
-			return l.Kind() == col.Kind()
+// members is the IN list's verdict on zone z's values: every one of them is
+// a member when some entry is the zone's only value, and none is when every
+// entry lies outside the bounds. NaN is never a member.
+func (k *vecKernel) members(z int) zoneVerdict {
+	col := k.col
+	v := zoneAllFalse
+	switch col.Kind() {
+	case value.Text:
+		lo, hi, _ := col.ZoneTextBounds(z)
+		for c := range k.iset {
+			s := col.DictString(uint32(c))
+			v = max(v, within(lo, hi, s, s))
 		}
-	}
-	for _, l := range lits {
-		if !match(l) {
-			continue
+	case value.Date:
+		lo, hi, _ := col.ZoneIntBounds(z)
+		for x := range k.iset {
+			v = max(v, within(lo, hi, x, x))
 		}
-		if col.Kind() == value.Text {
-			if _, present := col.DictCode(l.Text()); !present {
-				continue // never occurs in the column
+	default: // Int and Float
+		lo, hi, _ := floatBounds(col, z)
+		for x := range k.fset {
+			if x == x { // a NaN entry matches nothing
+				v = max(v, within(lo, hi, x, x))
 			}
 		}
-		eqs = append(eqs, zoneCmpRange(col, sqlparser.OpEq, l))
 	}
-	hasNaN := func(z int) bool { return col.Kind() == value.Float && col.ZoneHasNaN(z) }
-	return func(z int) rangeVerdict {
-		v := rNone
-		for _, eq := range eqs {
-			switch eq(z) {
-			case rAll:
-				// Every bounded value equals this literal; NaN values (outside
-				// the bounds) never match a membership set, so they demote the
-				// verdict.
-				if hasNaN(z) {
-					return rMixed
-				}
-				return rAll
-			case rMixed:
-				v = rMixed
-			}
-		}
-		return v // rNone holds even with NaN present: NaN is never a member
+	return v
+}
+
+// within places a zone's closed bounds [lo, hi] against the closed interval
+// [a, b] a test accepts: all-true inside it, all-false clear of it.
+func within[T int64 | float64 | string](lo, hi, a, b T) zoneVerdict {
+	switch {
+	case a > b || hi < a || lo > b:
+		return zoneAllFalse
+	case a <= lo && hi <= b:
+		return zoneAllTrue
 	}
+	return zoneMixed
+}
+
+// zone places a zone's string bounds [lo, hi] against the interval: all-false
+// clear of it, all-true inside it when it holds only accepted strings.
+func (s *strSpan) zone(lo, hi string) zoneVerdict {
+	switch {
+	case hi < s.lo || s.hiOK && lo >= s.hi:
+		return zoneAllFalse
+	case !s.loose && lo >= s.lo && (!s.hiOK || hi < s.hi):
+		return zoneAllTrue
+	}
+	return zoneMixed
 }
 
 // likePrefixSafe reports whether byte-wise prefix pruning agrees with

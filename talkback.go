@@ -149,16 +149,18 @@
 // its own node.
 //
 // Selective scans prune whole morsels before touching payloads: when the
-// planner prices a multi-morsel full scan as selective enough, the engine
-// lowers each filter the scan applies vectorized to a probe over the column
-// zone maps as well — one lowering feeds both the row test and the probe —
-// and, having built at least one, adds the zone-skip shape step to the plan. Every scan site — the vectorized
-// single-table scan, the general gather loop, and the fused aggregation's
-// serial and parallel morsel loops — skips a 4096-row morsel whose min/max
-// bounds disprove the filters, and count-style passes short-circuit morsels
-// the bounds prove entirely matching. Probes stay conservative around the
-// dialect's edges (NULL-laden zones never claim all-true, NaN-bearing float
-// zones refuse range verdicts because NaN = x is true here, LIKE prefixes
+// planner prices a multi-morsel full scan as selective enough, each filter
+// the scan applies vectorized answers per zone from the column zone maps —
+// the selection kernel that tests the rows holds its accepted set against the
+// zone's bounds — and, when some kernel can be decided from bounds, the
+// engine adds the zone-skip shape step to the plan. Every scan site — the
+// vectorized single-table scan, the general gather loop, and the fused
+// aggregation's serial and parallel morsel loops — skips a 4096-row morsel
+// whose min/max bounds disprove the filters, and count-style passes
+// short-circuit morsels the bounds prove entirely matching. Verdicts stay
+// conservative around the dialect's edges (NULL-laden zones never claim
+// all-true, NaN-bearing float zones decide only a test that treats every
+// float alike because NaN = x is true here, LIKE prefixes
 // prune only when byte order and rune matching provably agree), so zones on
 // versus off is byte-identical — a differential suite pins it. EXPLAIN PLAN
 // narrates the outcome: "the scan consulted zone maps over 64 morsels of
