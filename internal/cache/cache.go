@@ -13,6 +13,8 @@ import (
 	"hash/maphash"
 	"strings"
 	"sync"
+
+	"repro/internal/sqlparser"
 )
 
 // shardCount is the number of independent lock domains. Must be a power of
@@ -146,90 +148,50 @@ func (c *Cache[V]) Stats() Stats {
 	return out
 }
 
-// NormalizeSQL canonicalizes a SQL string for use as a cache key, mirroring
-// the lexer's token-level insensitivities: "--" line comments and "/* */"
-// block comments are stripped (exactly as sqlparser's skipSpaceAndComments
-// does), runs of the four bytes that function skips (space, tab, LF, CR)
-// collapse to one space, ASCII letters outside quotes are lowercased, and one
-// trailing semicolon is trimmed with the space around it. Two statements that differ only in
-// layout, comments, keyword case, or identifier case therefore share a cache
-// entry; single-quoted literals and double-quoted identifiers keep their
-// exact bytes, so statements differing inside quotes never collide. Nothing
-// else is folded: a text the lexer rejects (a no-break space, a Kelvin sign
-// for K) must not share the key of a text it accepts, or its error would
-// depend on what is cached.
+// NormalizeSQL canonicalizes a SQL string for use as a cache key. It reads
+// the text token by token with sqlparser's Lexer.Scan, so a key sees exactly
+// the tokens, comments and gaps the parser sees, and it applies four rules:
+// every gap (space, tab, LF, CR and comments) between tokens becomes one
+// space; ASCII letters outside quotes are lowercased; single-quoted literals
+// and double-quoted identifiers keep their exact bytes; and one trailing
+// semicolon is dropped together with the gap before it. Two statements that
+// differ only in layout, comments, keyword case, or identifier case therefore
+// share a cache entry, while statements differing inside quotes never
+// collide. Nothing else is folded: a text the lexer rejects (a no-break space,
+// a Kelvin sign for K) must not share the key of a text it accepts, or its
+// error would depend on what is cached.
 func NormalizeSQL(sql string) string {
 	var b strings.Builder
 	b.Grow(len(sql))
-	const (
-		code = iota
-		inString
-		inIdent
-	)
-	state := code
-	pendingSpace := false
-	// Byte by byte: every byte acted on below is ASCII, and no byte of a
-	// multi-byte UTF-8 sequence is, so valid text normalizes as it would rune
-	// by rune while invalid bytes — which the lexer reads as they are — stay
-	// distinct instead of all decoding to U+FFFD.
-	for i := 0; i < len(sql); i++ {
-		c := sql[i]
-		switch state {
-		case inString:
-			b.WriteByte(c)
-			if c == '\'' {
-				state = code
-			}
-			continue
-		case inIdent:
-			b.WriteByte(c)
-			if c == '"' {
-				state = code
-			}
-			continue
+	lx := sqlparser.NewLexer(sql)
+	cut := -1 // where a trailing ";" and its gap begin
+	for {
+		kind, start, end, gap := lx.Scan()
+		if kind == sqlparser.TokEOF {
+			break
 		}
-		// Comments separate tokens just like whitespace.
-		if c == '-' && i+1 < len(sql) && sql[i+1] == '-' {
-			for i < len(sql) && sql[i] != '\n' {
-				i++
-			}
-			pendingSpace = b.Len() > 0
-			continue
+		// The parser accepts one statement terminator, so only one is
+		// dropped: "q;;" is a parse error and must not share the key of "q".
+		cut = -1
+		if kind == sqlparser.TokOp && sql[start:end] == ";" {
+			cut = b.Len()
 		}
-		if c == '/' && i+1 < len(sql) && sql[i+1] == '*' {
-			i += 2
-			for i+1 < len(sql) && !(sql[i] == '*' && sql[i+1] == '/') {
-				i++
-			}
-			i++ // land on the trailing '/' (or past the end)
-			pendingSpace = b.Len() > 0
-			continue
-		}
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			pendingSpace = b.Len() > 0
-			continue
-		}
-		if pendingSpace {
+		if gap && b.Len() > 0 {
 			b.WriteByte(' ')
-			pendingSpace = false
 		}
-		switch c {
-		case '\'':
-			state = inString
-		case '"':
-			state = inIdent
-		default:
+		if kind != sqlparser.TokIdent { // only bare words hold letters outside quotes
+			b.WriteString(sql[start:end])
+			continue
+		}
+		for _, c := range []byte(sql[start:end]) {
 			if 'A' <= c && c <= 'Z' {
 				c += 'a' - 'A'
 			}
+			b.WriteByte(c)
 		}
-		b.WriteByte(c)
 	}
-	// The parser accepts one statement terminator, so only one is trimmed:
-	// "q;;" is a parse error and must not share the key of "q".
-	out := b.String()
-	if state == code {
-		out = strings.TrimSuffix(strings.TrimSuffix(out, ";"), " ")
+	if cut >= 0 {
+		return b.String()[:cut]
 	}
-	return out
+	return b.String()
 }

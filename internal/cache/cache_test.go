@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
+
+	"repro/internal/sqlparser"
 )
 
 func TestGetPut(t *testing.T) {
@@ -246,6 +249,68 @@ func TestNormalizeSQLKeysUnchangedOnValidUTF8(t *testing.T) {
 			t.Fatalf("NormalizeSQL(%q) = %q, was %q", sql, got, want)
 		}
 	}
+}
+
+// TestNormalizeSQLAllocs pins the key pass of a cache hit to its one
+// allocation, the key itself, on hot_ask's two statement shapes: a point
+// lookup and the paper's Brad-Pitt three-way join.
+func TestNormalizeSQLAllocs(t *testing.T) {
+	for _, sql := range []string{
+		"select m.title, m.year from MOVIES m where m.id = 42",
+		"select m.title from MOVIES m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
+	} {
+		if n := testing.AllocsPerRun(100, func() { NormalizeSQL(sql) }); n > 1 {
+			t.Errorf("NormalizeSQL(%q) allocates %v times, want 1", sql, n)
+		}
+	}
+}
+
+// normalizeSeeds are the texts TestNormalizeSQL compares, as fuzz seeds.
+var normalizeSeeds = []string{
+	"select * from MOVIES", "SELECT  *\nFROM movies ;", "select * from MOVIES; ",
+	"SELECT M.TITLE FROM movies M WHERE m.year > 2000;;", "select m.title from MOVIES m ; ;",
+	"select 'a", "select 'a;", "select * from ACTOR a where a.name = 'Brad Pitt'",
+	"select 'a  b'", "select a -- trailing note\nfrom T", "select a /* block */ from T",
+	"-- don't trip\nselect 'ABC'", "select 1--1", "select a / b from T",
+	"select\tm.title\r\nfrom MOVIES m where m.id = 100", "select m.title from MOVIES\u00a0m where m.id = 100",
+	"select m.title from MOVIES m where m.id = 100 \u00a0;", "select \u212a from t",
+	`select "a  b" from T`, `select "Col" from T`, "select * from T where c = 'x\xff'",
+	`select * from T where c = "x\xfe"`,
+}
+
+// FuzzNormalizeSQL holds the cache key, which every /ask and /describe body
+// reaches, to three properties: it never panics; on valid UTF-8 it is the
+// key normalizeSQLRunes gives; and a statement that parses keeps parsing
+// from its key, to the same SQL up to identifier case. Run the harness with:
+//
+//	go test -fuzz=FuzzNormalizeSQL ./internal/cache
+func FuzzNormalizeSQL(f *testing.F) {
+	for _, s := range normalizeSeeds {
+		f.Add(s)
+	}
+	for _, q := range sqlparser.PaperQueries {
+		f.Add(q)
+	}
+	f.Add(sqlparser.PaperQ6Verbatim)
+	f.Fuzz(func(t *testing.T, sql string) {
+		key := NormalizeSQL(sql)
+		if utf8.ValidString(sql) {
+			if want := normalizeSQLRunes(sql); key != want {
+				t.Fatalf("NormalizeSQL(%q) = %q, want %q", sql, key, want)
+			}
+		}
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			return
+		}
+		keyed, err := sqlparser.Parse(key)
+		if err != nil {
+			t.Fatalf("%q parses but its key %q does not: %v", sql, key, err)
+		}
+		if a, b := stmt.SQL(), keyed.SQL(); !strings.EqualFold(a, b) {
+			t.Fatalf("%q prints %q but its key %q prints %q", sql, a, key, b)
+		}
+	})
 }
 
 func TestClear(t *testing.T) {

@@ -17,9 +17,11 @@ import (
 // pipeline to. It joins FROM entries left to right with nested loops (and a
 // hash lookup for an inner equi-join), binds every tuple variable in an
 // environment chain and evaluates every expression with evalExpr, applying
-// each WHERE conjunct as soon as its tuple variables are bound; grouped
-// queries partition those environments and evaluate aggregates lazily per
-// group (execGrouped), and ORDER BY sorts through them (orderRows).
+// each WHERE conjunct as soon as its tuple variables are bound (one that reads
+// only the entry being joined filters all of that entry's tuples first, as
+// the planned pipeline's self-filters do); grouped queries partition those
+// environments and evaluate aggregates lazily per group (execGrouped), and
+// ORDER BY sorts through them (orderRows).
 // export_test.go installs it (useOracle); production never runs it.
 
 // interpSelect runs a SELECT on the interpreter.
@@ -207,6 +209,35 @@ func (ex *Engine) joinStep(envs []*env, prefix []fromEntry, stepConj []sqlparser
 		return nil, err
 	}
 
+	// A conjunct over e alone filters every tuple of e before the join, as
+	// the planned pipeline's self-filters do, so whether it raises an error
+	// does not depend on which tuples the join goes on to match.
+	if e.joinKind == sqlparser.JoinInner && len(envs) > 0 {
+		var self, rest []sqlparser.Expr
+		for _, c := range stepConj {
+			if selfConj(c, prefix) {
+				self = append(self, c)
+			} else {
+				rest = append(rest, c)
+			}
+		}
+		if len(self) > 0 {
+			var kept []storage.Tuple
+			for ti, tup := range tuples {
+				if err := ex.bud.Tick(ti); err != nil {
+					return nil, err
+				}
+				en := &env{parent: outer, bindings: []binding{{alias: e.alias, rel: e.rel, tuple: tup}}}
+				if ok, err := ex.allPass(self, en); err != nil {
+					return nil, err
+				} else if ok {
+					kept = append(kept, tup)
+				}
+			}
+			tuples, stepConj = kept, rest
+		}
+	}
+
 	// Hash-join fast path: find an equality conjunct linking e to an
 	// already-bound alias.
 	var probeExpr sqlparser.Expr // evaluated against the existing env
@@ -253,14 +284,8 @@ func (ex *Engine) joinStep(envs []*env, prefix []fromEntry, stepConj []sqlparser
 	matchTuple := func(base *env, tup storage.Tuple, conds []sqlparser.Expr) (*env, error) {
 		cand := &env{parent: base.parent}
 		cand.bindings = append(append([]binding{}, base.bindings...), binding{alias: e.alias, rel: e.rel, tuple: tup})
-		for _, c := range conds {
-			v, err := ex.evalExpr(c, cand, nil)
-			if err != nil {
-				return nil, err
-			}
-			if !passes(v) {
-				return nil, nil
-			}
+		if ok, err := ex.allPass(conds, cand); !ok {
+			return nil, err
 		}
 		return cand, nil
 	}
@@ -354,6 +379,41 @@ func (ex *Engine) joinStep(envs []*env, prefix []fromEntry, stepConj []sqlparser
 		return out, nil
 	}
 	return crossMatch(envs, tuples)
+}
+
+// allPass reports whether every condition passes in en, stopping at the
+// first that does not.
+func (ex *Engine) allPass(conds []sqlparser.Expr, en *env) (bool, error) {
+	for _, c := range conds {
+		v, err := ex.evalExpr(c, en, nil)
+		if err != nil || !passes(v) {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// selfConj reports whether c reads the prefix's last entry alone: it has no
+// subquery and at least one column reference, and each reference names an
+// attribute of that entry and is bound by no entry before it.
+func selfConj(c sqlparser.Expr, prefix []fromEntry) bool {
+	e := &prefix[len(prefix)-1]
+	refs := sqlparser.ColumnRefs(c)
+	if len(refs) == 0 || !conjBound(c, map[string]*catalog.Relation{strings.ToLower(e.alias): e.rel}, false) {
+		return false
+	}
+	for _, ref := range refs {
+		if e.rel.AttrIndex(ref.Column) < 0 {
+			return false
+		}
+		for _, o := range prefix[:len(prefix)-1] {
+			if ref.Table == "" && o.rel.AttrIndex(ref.Column) >= 0 ||
+				ref.Table != "" && (strings.EqualFold(o.alias, ref.Table) || strings.EqualFold(o.rel.Name, ref.Table)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // outerJoinStep implements LEFT JOIN (preserve existing envs) and RIGHT JOIN

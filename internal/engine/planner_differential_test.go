@@ -493,7 +493,6 @@ func TestPlannerDifferentialHashBuildSides(t *testing.T) {
 		few   string // the filter that leaves a handful of outer rows
 		never bool   // the handful is empty: the join step never runs
 		fails bool   // the planned run must raise the filter's error
-		apart bool   // ... which the interpreter does not: skip the comparison
 	}{
 		{name: "null and duplicate int keys", join: "l.k = r.k", few: "l.id < 8"},
 		{name: "int keys past 2^53", join: "l.k = r.k", few: "l.id >= 36"},
@@ -503,21 +502,20 @@ func TestPlannerDifferentialHashBuildSides(t *testing.T) {
 		{name: "date keys", join: "l.d = r.d", few: "l.id < 8"},
 		{name: "text keys into an int column", join: "l.t = r.k", few: "l.id < 8"},
 		{name: "empty outer batch", join: "l.k = r.k", few: "l.id < 0", never: true},
-		// R's own filter is not vectorizable. The planned pipeline runs it
-		// over every row of R before joining, whichever side it then hashes;
-		// the interpreter runs it on the rows its own hash lookup returns. So
-		// both fail on R row 22 (k = 1, as in L row 1), and only the planned
-		// pipeline fails on R row 20, whose k is NULL — on both build sides.
+		// R's own filter is not vectorizable. Both executors run it over
+		// every row of R before joining, whichever side the planned pipeline
+		// then hashes, so both fail on R row 22 (k = 1, as in L row 1) and on
+		// R row 20, whose k is NULL and matches no key.
 		{name: "self filter", join: "1 / (r.id + 100) >= 0 and l.k = r.k", few: "l.id < 8"},
 		{name: "self filter failing on a row that joins", join: "1 / (r.id - 22) >= 0 and l.k = r.k", few: "l.id < 8", fails: true},
-		{name: "self filter failing on a row no key matches", join: "1 / (r.id - 20) >= 0 and l.k = r.k", few: "l.id < 8", fails: true, apart: true},
+		{name: "self filter failing on a row no key matches", join: "1 / (r.id - 20) >= 0 and l.k = r.k", few: "l.id < 8", fails: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, run := range []struct{ sql, side string }{
 				{"select l.id, r.id from L l, R r where " + tc.join + " and " + tc.few, planner.HashOuter},
 				{"select l.id, r.id from L l, R r where " + tc.join, planner.HashTable},
 			} {
-				if !tc.apart && comparePlannedNaive(t, ex, run.sql) {
+				if comparePlannedNaive(t, ex, run.sql) {
 					reordered++
 				}
 				sides := hashSidesOf(t, ex, run.sql)

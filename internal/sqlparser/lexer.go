@@ -10,7 +10,6 @@ package sqlparser
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokenKind identifies the lexical class of a token.
@@ -74,15 +73,16 @@ var keywords = map[string]bool{
 
 // Lexer scans SQL text into tokens.
 type Lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src string
+	pos int // where Scan resumes
+	// line is the 1-based line of offset seen, which lies on the line that
+	// begins at offset bol: Next counts newlines forward from seen.
+	line, bol, seen int
 }
 
 // NewLexer creates a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
 
 // Tokenize scans the whole input, returning tokens without the trailing EOF.
@@ -101,78 +101,104 @@ func Tokenize(src string) ([]Token, error) {
 	}
 }
 
-func (lx *Lexer) peek() byte {
-	if lx.pos >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos]
-}
-
-func (lx *Lexer) peekAt(off int) byte {
-	if lx.pos+off >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos+off]
-}
-
-func (lx *Lexer) advance() byte {
-	c := lx.src[lx.pos]
-	lx.pos++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
-	}
-	return c
-}
-
-// Next returns the next token.
-func (lx *Lexer) Next() (Token, error) {
-	lx.skipSpaceAndComments()
-	line, col := lx.line, lx.col
-	if lx.pos >= len(lx.src) {
-		return Token{Kind: TokEOF, Line: line, Col: col}, nil
-	}
-	c := lx.peek()
-	switch {
-	case isIdentStart(c):
-		return lx.lexWord(line, col), nil
-	case unicode.IsDigit(rune(c)) || (c == '.' && unicode.IsDigit(rune(lx.peekAt(1)))):
-		return lx.lexNumber(line, col)
-	case c == '\'':
-		return lx.lexString(line, col)
-	case c == '"':
-		return lx.lexQuotedIdent(line, col)
-	default:
-		return lx.lexOp(line, col)
-	}
-}
-
-func (lx *Lexer) skipSpaceAndComments() {
-	for lx.pos < len(lx.src) {
-		c := lx.peek()
+// Scan advances past the next token and returns its kind, its byte span
+// src[start:end], and whether space or a comment came before it. It is the one
+// place that decides the dialect's lexical rules, what a token, a comment, a
+// quote and a gap are: Next builds the parser's tokens on it and
+// cache.NormalizeSQL builds the cache key on it.
+//
+// A gap is any run of space, tab, LF and CR, "--" comments to the end of the
+// line and "/* */" comments (an unterminated one runs to the end of input).
+// Scan's kinds are coarser than Next's: a bare word is TokIdent whether or not
+// it is reserved, and a quoted run, a single-quoted string or a double-quoted
+// identifier, is TokString. Scan goes on past an invalid token: one unexpected
+// byte, an unterminated quote running to the end of input, or the digits of a
+// number that runs into a letter. At the end of input it returns TokEOF with
+// start == end == len(src). Scan does not allocate.
+func (lx *Lexer) Scan() (kind TokenKind, start, end int, gap bool) {
+	src, i := lx.src, lx.pos
+	for i < len(src) {
+		c := src[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			lx.advance()
-		case c == '-' && lx.peekAt(1) == '-':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
-			}
-		case c == '/' && lx.peekAt(1) == '*':
-			lx.advance()
-			lx.advance()
-			for lx.pos < len(lx.src) && !(lx.peek() == '*' && lx.peekAt(1) == '/') {
-				lx.advance()
-			}
-			if lx.pos < len(lx.src) {
-				lx.advance()
-				lx.advance()
-			}
+			i++
+		case c == '-' && i+1 < len(src) && src[i+1] == '-':
+			i = skipPast(src, i+2, "\n")
+		case c == '/' && i+1 < len(src) && src[i+1] == '*':
+			i = skipPast(src, i+2, "*/")
 		default:
-			return
+			kind, end = scanToken(src, i)
+			lx.pos = end
+			return kind, i, end, gap
+		}
+		gap = true
+	}
+	lx.pos = i
+	return TokEOF, i, i, gap
+}
+
+// skipPast returns the offset just past the first mark at or after i, or
+// len(src) when there is none.
+func skipPast(src string, i int, mark string) int {
+	if j := strings.Index(src[i:], mark); j >= 0 {
+		return i + j + len(mark)
+	}
+	return len(src)
+}
+
+// scanToken returns the kind and end of the token that begins at src[i], not
+// space or a comment (see Scan).
+func scanToken(src string, i int) (TokenKind, int) {
+	c := src[i]
+	switch {
+	case isIdentStart(c):
+		j := i + 1
+		for j < len(src) && isIdentPart(src[j]) {
+			j++
+		}
+		return TokIdent, j
+	case isDigit(c) || c == '.' && i+1 < len(src) && isDigit(src[i+1]):
+		j, dot := i, false
+		for j < len(src) {
+			if !isDigit(src[j]) {
+				if src[j] != '.' || dot || j+1 == len(src) || !isDigit(src[j+1]) {
+					break
+				}
+				dot = true
+			}
+			j++
+		}
+		if j < len(src) && isIdentStart(src[j]) {
+			return TokInvalid, j
+		}
+		return TokNumber, j
+	case c == '\'':
+		for j := i + 1; ; {
+			k := strings.IndexByte(src[j:], '\'')
+			if k < 0 {
+				return TokInvalid, len(src)
+			}
+			j += k + 1
+			if j == len(src) || src[j] != '\'' {
+				return TokString, j
+			}
+			j++ // '' is an escaped quote
+		}
+	case c == '"':
+		if k := strings.IndexByte(src[i+1:], '"'); k >= 0 {
+			return TokString, i + k + 2
+		}
+		return TokInvalid, len(src)
+	}
+	if i+1 < len(src) {
+		if c2 := src[i+1]; c2 == '=' && (c == '<' || c == '>' || c == '!') || c == '<' && c2 == '>' {
+			return TokOp, i + 2
 		}
 	}
+	if strings.IndexByte("=<>+-*/(),.;%", c) >= 0 {
+		return TokOp, i + 1
+	}
+	return TokInvalid, i + 1
 }
 
 func isIdentStart(c byte) bool {
@@ -180,102 +206,63 @@ func isIdentStart(c byte) bool {
 }
 
 func isIdentPart(c byte) bool {
-	return isIdentStart(c) || ('0' <= c && c <= '9')
+	return isIdentStart(c) || isDigit(c)
 }
 
-func (lx *Lexer) lexWord(line, col int) Token {
-	start := lx.pos
-	for lx.pos < len(lx.src) && isIdentPart(lx.peek()) {
-		lx.advance()
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// Next returns the next token, with keywords uppercased, quotes and escapes
+// stripped from strings and quoted identifiers, and "<>" spelled "!=". An
+// invalid token comes with its error.
+func (lx *Lexer) Next() (Token, error) {
+	kind, start, end, _ := lx.Scan()
+	line, col := lx.lineCol(start)
+	text := lx.src[start:end]
+	tok := Token{Kind: kind, Text: text, Line: line, Col: col}
+	switch kind {
+	case TokIdent:
+		if upper := strings.ToUpper(text); keywords[upper] {
+			tok.Kind, tok.Text = TokKeyword, upper
+		}
+	case TokString:
+		tok.Text = text[1 : len(text)-1]
+		if text[0] == '"' {
+			tok.Kind = TokIdent
+		} else {
+			tok.Text = strings.ReplaceAll(tok.Text, "''", "'")
+		}
+	case TokOp:
+		if text == "<>" {
+			tok.Text = "!="
+		}
+	case TokInvalid:
+		switch c := text[0]; {
+		case c == '\'':
+			tok.Text = ""
+			return tok, fmt.Errorf("sql:%d:%d: unterminated string literal", line, col)
+		case c == '"':
+			tok.Text = ""
+			return tok, fmt.Errorf("sql:%d:%d: unterminated quoted identifier", line, col)
+		case c == '.' || isDigit(c):
+			// The number's text ends at the letter it runs into.
+			return tok, fmt.Errorf("sql:%d:%d: malformed number %q", line, col, lx.src[start:end+1])
+		default:
+			// The byte reads as a Latin-1 rune: "\xff" is quoted as "ÿ".
+			tok.Text = string(rune(c))
+			return tok, fmt.Errorf("sql:%d:%d: unexpected character %q", line, col, tok.Text)
+		}
 	}
-	word := lx.src[start:lx.pos]
-	upper := strings.ToUpper(word)
-	if keywords[upper] {
-		return Token{Kind: TokKeyword, Text: upper, Line: line, Col: col}
-	}
-	return Token{Kind: TokIdent, Text: word, Line: line, Col: col}
+	return tok, nil
 }
 
-func (lx *Lexer) lexNumber(line, col int) (Token, error) {
-	start := lx.pos
-	seenDot := false
-	for lx.pos < len(lx.src) {
-		c := lx.peek()
-		if unicode.IsDigit(rune(c)) {
-			lx.advance()
-			continue
-		}
-		if c == '.' && !seenDot && unicode.IsDigit(rune(lx.peekAt(1))) {
-			seenDot = true
-			lx.advance()
-			continue
-		}
-		break
+// lineCol returns the 1-based line and byte column of offset off, which is
+// at or past every offset asked about before.
+func (lx *Lexer) lineCol(off int) (line, col int) {
+	since := lx.src[lx.seen:off]
+	if n := strings.Count(since, "\n"); n > 0 {
+		lx.line += n
+		lx.bol = lx.seen + strings.LastIndexByte(since, '\n') + 1
 	}
-	text := lx.src[start:lx.pos]
-	if lx.pos < len(lx.src) && isIdentStart(lx.peek()) {
-		return Token{Kind: TokInvalid, Text: text, Line: line, Col: col},
-			fmt.Errorf("sql:%d:%d: malformed number %q", line, col, text+string(lx.peek()))
-	}
-	return Token{Kind: TokNumber, Text: text, Line: line, Col: col}, nil
-}
-
-func (lx *Lexer) lexString(line, col int) (Token, error) {
-	lx.advance() // opening quote
-	var b strings.Builder
-	for {
-		if lx.pos >= len(lx.src) {
-			return Token{Kind: TokInvalid, Line: line, Col: col},
-				fmt.Errorf("sql:%d:%d: unterminated string literal", line, col)
-		}
-		c := lx.advance()
-		if c == '\'' {
-			if lx.peek() == '\'' { // escaped quote
-				lx.advance()
-				b.WriteByte('\'')
-				continue
-			}
-			return Token{Kind: TokString, Text: b.String(), Line: line, Col: col}, nil
-		}
-		b.WriteByte(c)
-	}
-}
-
-func (lx *Lexer) lexQuotedIdent(line, col int) (Token, error) {
-	lx.advance() // opening quote
-	var b strings.Builder
-	for {
-		if lx.pos >= len(lx.src) {
-			return Token{Kind: TokInvalid, Line: line, Col: col},
-				fmt.Errorf("sql:%d:%d: unterminated quoted identifier", line, col)
-		}
-		c := lx.advance()
-		if c == '"' {
-			return Token{Kind: TokIdent, Text: b.String(), Line: line, Col: col}, nil
-		}
-		b.WriteByte(c)
-	}
-}
-
-func (lx *Lexer) lexOp(line, col int) (Token, error) {
-	c := lx.advance()
-	two := ""
-	if lx.pos < len(lx.src) {
-		two = string(c) + string(lx.peek())
-	}
-	switch two {
-	case "<=", ">=", "!=", "<>":
-		lx.advance()
-		if two == "<>" {
-			two = "!="
-		}
-		return Token{Kind: TokOp, Text: two, Line: line, Col: col}, nil
-	}
-	switch c {
-	case '=', '<', '>', '+', '-', '*', '/', '(', ')', ',', '.', ';', '%':
-		return Token{Kind: TokOp, Text: string(c), Line: line, Col: col}, nil
-	default:
-		return Token{Kind: TokInvalid, Text: string(c), Line: line, Col: col},
-			fmt.Errorf("sql:%d:%d: unexpected character %q", line, col, string(c))
-	}
+	lx.seen = off
+	return lx.line, off - lx.bol + 1
 }

@@ -148,6 +148,40 @@ func TestLexerDirect(t *testing.T) {
 	}
 }
 
+// TestScan pins the scanner that both the parser and the cache key read:
+// spans, gaps and coarse kinds, going on past every kind of invalid token,
+// and the error texts Next gives those tokens.
+func TestScan(t *testing.T) {
+	src := "SELECT x1 /* c */'it''s'\"Q\"<>.5 9a -- c\n\xff'open"
+	want := []struct {
+		kind TokenKind
+		text string
+		gap  bool
+	}{
+		{TokIdent, "SELECT", false}, {TokIdent, "x1", true}, {TokString, "'it''s'", true},
+		{TokString, `"Q"`, false}, {TokOp, "<>", false}, {TokNumber, ".5", false},
+		{TokInvalid, "9", true}, {TokIdent, "a", false}, {TokInvalid, "\xff", true},
+		{TokInvalid, "'open", false}, {TokEOF, "", false},
+	}
+	lx := NewLexer(src)
+	for i, w := range want {
+		kind, start, end, gap := lx.Scan()
+		if kind != w.kind || src[start:end] != w.text || gap != w.gap {
+			t.Fatalf("token %d = %v %q gap %v, want %v %q gap %v", i, kind, src[start:end], gap, w.kind, w.text, w.gap)
+		}
+	}
+	for src, want := range map[string]string{
+		"select\n  9a": `sql:2:3: malformed number "9a"`,
+		"x \xff":       `sql:1:3: unexpected character "ÿ"`, // the byte read as a Latin-1 rune
+		"x 'open":      "sql:1:3: unterminated string literal",
+		`x "open`:      "sql:1:3: unterminated quoted identifier",
+	} {
+		if _, err := Tokenize(src); err == nil || err.Error() != want {
+			t.Errorf("Tokenize(%q) error = %v, want %s", src, err, want)
+		}
+	}
+}
+
 func TestQuotedIdentifiers(t *testing.T) {
 	sel := mustSelect(t, `select t."strange name" from T t`)
 	c := sel.Items[0].Expr.(*ColumnRef)

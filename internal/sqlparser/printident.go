@@ -14,20 +14,14 @@ func quoteIdent(s string) string {
 	return `"` + s + `"`
 }
 
+// plainIdent reports whether s lexes as one bare word: the lexer's
+// identifier rule is the only one.
 func plainIdent(s string) bool {
-	if s == "" {
+	if s == "" || !isIdentStart(s[0]) {
 		return false
 	}
-	for i, r := range s {
-		switch {
-		case r == '_',
-			r >= 'a' && r <= 'z',
-			r >= 'A' && r <= 'Z':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
+	for i := 1; i < len(s); i++ {
+		if !isIdentPart(s[i]) {
 			return false
 		}
 	}
