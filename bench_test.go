@@ -1357,3 +1357,35 @@ func BenchmarkX21KeyedDML(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkX23PaperNested runs the paper's path query Q1 and its nested
+// queries — Q5 (IN chain, Q1's nested twin), Q6 (double NOT EXISTS), Q7
+// (correlated scalar subquery in HAVING) and Q9 (correlated <= ALL) — through
+// engine.Select on a 200-movie generated DB. Every subquery runs once per
+// outer row, planned and compiled per invocation, so this is where the cost
+// of subquery execution shows; allocs are gated in
+// cmd/benchgate/ceilings.json.
+func BenchmarkX23PaperNested(b *testing.B) {
+	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
+		Seed: 23, Movies: 200, Actors: 80, Directors: 16,
+		CastPerMovie: 2, GenresPerMovie: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := engine.New(db)
+	for _, label := range []string{"Q1", "Q5", "Q6", "Q7", "Q9"} {
+		sel, err := sqlparser.ParseSelect(sqlparser.PaperQueries[label])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(label, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Select(sel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,33 +12,11 @@ import (
 	"repro/internal/engine"
 	"repro/internal/leakcheck"
 	"repro/internal/querytotext"
+	"repro/internal/simtest"
 	"repro/internal/storage"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
-
-// pollCancelCtx cancels deterministically after a scripted number of Err()
-// polls — the same device the engine's differential suite uses, here driving
-// the full AskContext pipeline.
-type pollCancelCtx struct {
-	after int64
-	polls atomic.Int64
-	done  chan struct{}
-}
-
-func newPollCancelCtx(after int64) *pollCancelCtx {
-	return &pollCancelCtx{after: after, done: make(chan struct{})}
-}
-
-func (c *pollCancelCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (c *pollCancelCtx) Done() <-chan struct{}       { return c.done }
-func (c *pollCancelCtx) Value(any) any               { return nil }
-func (c *pollCancelCtx) Err() error {
-	if c.polls.Add(1) > c.after {
-		return context.Canceled
-	}
-	return nil
-}
 
 func generatedMovieSystem(t *testing.T, movies int) *System {
 	t.Helper()
@@ -70,17 +47,17 @@ func TestAskContextCancelMidQuery(t *testing.T) {
 	           where m.id = c.mid and c.aid = a.id and m.year > 1950`
 
 	// Count the query's polls, then cancel halfway.
-	ctr := newPollCancelCtx(1 << 62)
+	ctr := simtest.NewPollCancel(1 << 62)
 	if _, err := sys.AskContext(ctr, q); err != nil {
 		t.Fatalf("uncancelled run: %v", err)
 	}
-	polls := ctr.polls.Load()
+	polls := ctr.Polls()
 	if polls < 2 {
 		t.Fatalf("query polled only %d times; cannot cancel mid-flight", polls)
 	}
 	_, _, cancelledBefore := sys.ReaderStats()
 
-	_, err := sys.AskContext(newPollCancelCtx(polls/2), q)
+	_, err := sys.AskContext(simtest.NewPollCancel(polls/2), q)
 	if !engine.IsCancel(err) {
 		t.Fatalf("mid-query cancel returned %v, want CancelError", err)
 	}
@@ -110,16 +87,16 @@ func TestAskContextCancelledDMLNoTrace(t *testing.T) {
 
 	// Poll count on a throwaway system.
 	probe := generatedMovieSystem(t, 120)
-	ctr := newPollCancelCtx(1 << 62)
+	ctr := simtest.NewPollCancel(1 << 62)
 	if _, err := probe.AskContext(ctr, stmt); err != nil {
 		t.Fatal(err)
 	}
-	polls := ctr.polls.Load()
+	polls := ctr.Polls()
 
 	sys := generatedMovieSystem(t, 120)
 	before := dumpRel(t, sys, "MOVIES")
 	for p := int64(0); p < polls; p++ {
-		resp, err := sys.AskContext(newPollCancelCtx(p), stmt)
+		resp, err := sys.AskContext(simtest.NewPollCancel(p), stmt)
 		if err == nil {
 			// The trip landed after the last poll: the statement must have
 			// applied fully. Put the table back for the next round.
@@ -161,19 +138,19 @@ func TestCancelNarrationLossFree(t *testing.T) {
 		},
 	}
 	for name, narrate := range narrations {
-		ctr := newPollCancelCtx(1 << 62)
+		ctr := simtest.NewPollCancel(1 << 62)
 		want, err := narrate(ctr)
 		if err != nil || want == "" {
 			t.Fatalf("%s: uncancelled narration = %q, %v", name, want, err)
 		}
-		polls := ctr.polls.Load()
+		polls := ctr.Polls()
 		if polls < 3 {
 			t.Fatalf("%s polled its budget only %d times", name, polls)
 		}
 		_, _, cancelledBefore := sys.ReaderStats()
 		var cancels uint64
 		for p := int64(0); p <= polls; p++ {
-			got, err := narrate(newPollCancelCtx(p))
+			got, err := narrate(simtest.NewPollCancel(p))
 			switch {
 			case err == nil && got != want:
 				t.Fatalf("%s, cancel at poll %d: narrative %q, want %q", name, p, got, want)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,40 +11,16 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/leakcheck"
+	"repro/internal/simtest"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
 
-// pollCancelCtx is a deterministic cancellation source: its Err() flips to
-// context.Canceled after a scripted number of polls. Budgets poll Err() at
-// every Step, so "cancel after N polls" lands the trip at a precise,
-// repeatable point inside the execution loops — including mid-morsel inside
-// parallel workers, which poll concurrently (the counter is atomic).
-type pollCancelCtx struct {
-	after int64
-	polls atomic.Int64
-	done  chan struct{}
-}
-
-func newPollCancelCtx(after int64) *pollCancelCtx {
-	return &pollCancelCtx{after: after, done: make(chan struct{})}
-}
-
-func (c *pollCancelCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (c *pollCancelCtx) Done() <-chan struct{}       { return c.done }
-func (c *pollCancelCtx) Value(any) any               { return nil }
-func (c *pollCancelCtx) Err() error {
-	if c.polls.Add(1) > c.after {
-		return context.Canceled
-	}
-	return nil
-}
-
 // budgetAfter binds ex to a budget that cancels after n polls and returns
 // both. after = 1<<62 never trips and is used to count a query's polls.
-func budgetAfter(ex *Engine, n int64) (*Engine, *pollCancelCtx) {
-	ctx := newPollCancelCtx(n)
+func budgetAfter(ex *Engine, n int64) (*Engine, *simtest.PollCancel) {
+	ctx := simtest.NewPollCancel(n)
 	return ex.WithBudget(budget.New(ctx, 0, 0)), ctx
 }
 
@@ -100,7 +75,7 @@ func TestCancelDifferentialRandomPoints(t *testing.T) {
 			t.Fatalf("%s with inert budget: %v", q, err)
 		}
 		sameResult(t, q, baseline, res)
-		polls := ctr.polls.Load()
+		polls := ctr.Polls()
 		if polls == 0 {
 			t.Fatalf("%s: execution never polled its budget", q)
 		}
@@ -185,7 +160,7 @@ func TestCancelDMLLossFree(t *testing.T) {
 			if _, _, err := countEng.ExecStatement(stmt); err != nil {
 				t.Fatal(err)
 			}
-			polls := ctr.polls.Load()
+			polls := ctr.Polls()
 			if polls == 0 {
 				t.Fatalf("%s: DML never polled its budget", tc.name)
 			}

@@ -81,7 +81,7 @@ func (ex *Engine) execInsert(stmt *sqlparser.InsertStmt) (n int, err error) {
 	}
 
 	if stmt.Query != nil {
-		res, err := ex.execSelect(stmt.Query, nil)
+		res, err := ex.execSelect(stmt.Query)
 		if err != nil {
 			return 0, err // source SELECT failed or was cancelled: nothing applied yet
 		}
@@ -96,13 +96,18 @@ func (ex *Engine) execInsert(stmt *sqlparser.InsertStmt) (n int, err error) {
 		}
 		return n, nil
 	}
+	// VALUES expressions compile over the FROM-less plan `select <exprs>`
+	// runs: no FROM entry and no outer scope binds a name, and its one row is
+	// empty.
+	pq := ex.compilePlan(ex.planFor(&sqlparser.SelectStmt{Limit: -1}, nil, false), nil)
+	compile, ec := ex.dmlCompiler(pq), pq.newCtx()
 	for _, row := range stmt.Rows {
 		if cerr := ex.bud.Tick(n); cerr != nil {
 			return cancelled(cerr)
 		}
 		vals := make([]value.Value, len(row))
 		for i, e := range row {
-			v, err := ex.evalExpr(e, &env{}, nil)
+			v, err := compile(e)(ec, []value.Value{})
 			if err != nil {
 				return n, err
 			}
@@ -166,10 +171,7 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (n int, err error) {
 			break
 		}
 	}
-	compile := setPQ.compile
-	if o := ex.st.oracle.Load(); o != nil {
-		compile = func(e sqlparser.Expr) rowEval { return o.set(setPQ, e) }
-	}
+	compile := ex.dmlCompiler(setPQ)
 	set := make([]rowEval, len(stmt.Set))
 	for i, a := range stmt.Set {
 		set[i] = compile(a.Value)
@@ -225,6 +227,15 @@ func (ex *Engine) execDelete(stmt *sqlparser.DeleteStmt) (n int, err error) {
 		return 0, err
 	}
 	return ex.db.DeleteAt(tbl.Relation().Name, positions)
+}
+
+// dmlCompiler compiles UPDATE SET or INSERT VALUES expressions over pq — on
+// the interpreter when the engine's tests installed it.
+func (ex *Engine) dmlCompiler(pq *plannedQuery) func(sqlparser.Expr) rowEval {
+	if o := ex.st.oracle.Load(); o != nil {
+		return func(e sqlparser.Expr) rowEval { return o.set(pq, e) }
+	}
+	return pq.compile
 }
 
 // dmlPositions resolves an UPDATE or DELETE WHERE to the ascending positions

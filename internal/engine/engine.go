@@ -48,7 +48,8 @@ type engineState struct {
 	// aggregation instead of the fused pipeline, noZoneMaps makes scans test
 	// every row against plain payloads, and oracle answers every SELECT
 	// (subqueries and view bodies included), every UPDATE/DELETE WHERE and
-	// every UPDATE SET expression on the interpreter instead of a plan.
+	// every UPDATE SET and INSERT VALUES expression on the interpreter
+	// instead of a plan.
 	noVecAgg   atomic.Bool
 	noZoneMaps atomic.Bool
 	oracle     atomic.Pointer[oracle]
@@ -56,7 +57,7 @@ type engineState struct {
 
 // oracle is the test-installed interpreter (see engineState.oracle).
 type oracle struct {
-	selectRows func(ex *Engine, sel *sqlparser.SelectStmt, entries []fromEntry, outer *env, earlyLimit int) (*Result, error)
+	selectRows func(ex *Engine, sel *sqlparser.SelectStmt, entries []fromEntry, earlyLimit int) (*Result, error)
 	positions  func(ex *Engine, tbl *storage.Table, alias string, where sqlparser.Expr) ([]int, error)
 	set        func(pq *plannedQuery, e sqlparser.Expr) rowEval
 }
@@ -143,7 +144,7 @@ func (ex *Engine) Query(src string) (*Result, error) {
 
 // Select executes a parsed SELECT statement.
 func (ex *Engine) Select(sel *sqlparser.SelectStmt) (*Result, error) {
-	return ex.execSelect(sel, nil)
+	return ex.execSelect(sel)
 }
 
 // Exec parses and executes any statement; for SELECT it returns the result,
@@ -162,7 +163,7 @@ func (ex *Engine) Exec(src string) (res *Result, count int, err error) {
 func (ex *Engine) ExecStatement(stmt sqlparser.Statement) (res *Result, count int, err error) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
-		r, err := ex.execSelect(s, nil)
+		r, err := ex.execSelect(s)
 		return r, 0, err
 	case *sqlparser.InsertStmt:
 		n, err := ex.execInsert(s)
@@ -226,28 +227,20 @@ type fromEntry struct {
 	joinOn   sqlparser.Expr // only for explicit joins
 }
 
-// execSelectRows runs a (sub)query and returns the raw rows; limit >= 0
-// caps output early (used by EXISTS).
-func (ex *Engine) execSelectRows(sel *sqlparser.SelectStmt, outer *env, limit int) ([]storage.Tuple, error) {
-	res, err := ex.execSelectBounded(sel, outer, limit)
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
+func (ex *Engine) execSelect(sel *sqlparser.SelectStmt) (*Result, error) {
+	return ex.execSelectBounded(sel, nil, -1)
 }
 
-func (ex *Engine) execSelect(sel *sqlparser.SelectStmt, outer *env) (*Result, error) {
-	return ex.execSelectBounded(sel, outer, -1)
-}
-
-func (ex *Engine) execSelectBounded(sel *sqlparser.SelectStmt, outer *env, earlyLimit int) (*Result, error) {
+// execSelectBounded runs a query, a subquery when outer is set; earlyLimit >=
+// 0 caps its output early (EXISTS and scalar subqueries).
+func (ex *Engine) execSelectBounded(sel *sqlparser.SelectStmt, outer *outerScope, earlyLimit int) (*Result, error) {
 	res, _, err := ex.execSelectExplained(sel, outer, earlyLimit)
 	return res, err
 }
 
 // execSelectExplained is execSelectBounded plus the plan that produced the
 // result, with actual row counts filled in.
-func (ex *Engine) execSelectExplained(sel *sqlparser.SelectStmt, outer *env, earlyLimit int) (*Result, *planner.Plan, error) {
+func (ex *Engine) execSelectExplained(sel *sqlparser.SelectStmt, outer *outerScope, earlyLimit int) (*Result, *planner.Plan, error) {
 	if err := ex.bud.Step(0); err != nil {
 		return nil, nil, err
 	}
@@ -256,7 +249,7 @@ func (ex *Engine) execSelectExplained(sel *sqlparser.SelectStmt, outer *env, ear
 		return nil, nil, err
 	}
 	if o := ex.st.oracle.Load(); o != nil {
-		res, err := o.selectRows(ex, sel, entries, outer, earlyLimit)
+		res, err := o.selectRows(ex, sel, entries, earlyLimit)
 		return res, nil, err
 	}
 	plan := ex.planFor(sel, entries, outer != nil)
@@ -386,7 +379,7 @@ func (ex *Engine) flattenFrom(from []*sqlparser.TableRef) ([]fromEntry, error) {
 // type a view column always had — and a column whose values mix kinds, which
 // no column vector can hold, is refused.
 func (ex *Engine) materializeView(name string, q *sqlparser.SelectStmt) (*storage.Table, error) {
-	res, err := ex.execSelect(q, nil)
+	res, err := ex.execSelect(q)
 	if err != nil {
 		return nil, fmt.Errorf("engine: materializing view %s: %v", name, err)
 	}
@@ -469,36 +462,37 @@ func itemName(it sqlparser.SelectItem) string {
 	return it.Expr.SQL()
 }
 
-// resolveEntryColumn resolves a column reference against the FROM entries,
-// mirroring env.lookup's top scope: qualified names take the first
-// alias-or-relation match, unqualified names must be unique.
-func resolveEntryColumn(entries []fromEntry, ref *sqlparser.ColumnRef) (int, int, bool) {
-	if ref.Table != "" {
-		for i := range entries {
-			e := &entries[i]
-			if strings.EqualFold(e.alias, ref.Table) || strings.EqualFold(e.rel.Name, ref.Table) {
-				pos := e.rel.AttrIndex(ref.Column)
-				if pos < 0 {
-					return 0, 0, false
-				}
-				return i, pos, true
-			}
+// resolveIn resolves a column reference among n FROM entries by SQL's rules
+// for one scope: a qualified name takes the first entry, in FROM order, whose
+// alias or relation matches, and an unqualified name must be an attribute of
+// exactly one entry. entry(i) is entry i's alias and relation, ok=false for
+// an entry out of scope. i < 0 with a nil error means no entry binds the
+// name; err is a matched relation without the attribute, or an ambiguous
+// name.
+func resolveIn(ref *sqlparser.ColumnRef, n int, entry func(i int) (alias string, rel *catalog.Relation, ok bool)) (i, pos int, err error) {
+	i = -1
+	for j := 0; j < n; j++ {
+		alias, rel, ok := entry(j)
+		if !ok {
+			continue
 		}
-		return 0, 0, false
-	}
-	found, fpos := -1, -1
-	for i := range entries {
-		if pos := entries[i].rel.AttrIndex(ref.Column); pos >= 0 {
-			if found >= 0 {
-				return 0, 0, false // ambiguous
+		if ref.Table != "" {
+			if !strings.EqualFold(alias, ref.Table) && !strings.EqualFold(rel.Name, ref.Table) {
+				continue
 			}
-			found, fpos = i, pos
+			if pos = rel.AttrIndex(ref.Column); pos < 0 {
+				return -1, 0, fmt.Errorf("engine: relation %s has no attribute %q", rel.Name, ref.Column)
+			}
+			return j, pos, nil
+		}
+		if p := rel.AttrIndex(ref.Column); p >= 0 {
+			if i >= 0 {
+				return -1, 0, fmt.Errorf("engine: ambiguous column %q", ref.Column)
+			}
+			i, pos = j, p
 		}
 	}
-	if found < 0 {
-		return 0, 0, false
-	}
-	return found, fpos, true
+	return i, pos, nil
 }
 
 // grouping is a grouped query's GROUP BY list, each expression's SQL text
@@ -538,9 +532,10 @@ func (g *grouping) index(e sqlparser.Expr) (int, bool) {
 		if !ok {
 			continue
 		}
-		ei, ep, eok := resolveEntryColumn(g.entries, eRef)
-		xi, xp, xok := resolveEntryColumn(g.entries, xRef)
-		if eok && xok && ei == xi && ep == xp {
+		entry := func(i int) (string, *catalog.Relation, bool) { return g.entries[i].alias, g.entries[i].rel, true }
+		ei, ep, eerr := resolveIn(eRef, len(g.entries), entry)
+		xi, xp, xerr := resolveIn(xRef, len(g.entries), entry)
+		if eerr == nil && xerr == nil && ei >= 0 && ei == xi && ep == xp {
 			return j, true
 		}
 	}
@@ -549,9 +544,9 @@ func (g *grouping) index(e sqlparser.Expr) (int, bool) {
 
 // check enforces the standard-SQL grouping rule: in a grouped query, a
 // column reference is legal only inside an aggregate or when the enclosing
-// expression appears in GROUP BY. Subquery subtrees are exempt — they
-// evaluate against the group's representative environment, which is how
-// correlated HAVING subqueries reference grouping columns.
+// expression appears in GROUP BY. Subquery subtrees are exempt — their outer
+// scope is the group's representative row, which is how correlated HAVING
+// subqueries reference grouping columns.
 func (g *grouping) check(e sqlparser.Expr) error {
 	var bad *sqlparser.ColumnRef
 	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {

@@ -146,7 +146,7 @@ func TestGroupedColumnRule(t *testing.T) {
 
 // TestGroupedStreamingCompiles is a white-box check that grouped queries,
 // subquery-bearing ones included, compile to the streaming path's program —
-// the subquery bridged at its node — and answer as the interpreter does.
+// the subquery compiled at its node — and answer as the interpreter does.
 func TestGroupedStreamingCompiles(t *testing.T) {
 	db, err := dataset.CuratedMovieDB()
 	if err != nil {
@@ -298,8 +298,9 @@ func compareAggPaths(t *testing.T, ex *Engine, sql string) {
 // TestGroupedSubqueryDifferential holds grouped queries with subqueries — in
 // HAVING, select items, ORDER BY keys and aggregate arguments, correlated to
 // grouping columns or to an enclosing query — to the interpreter. The
-// streaming path bridges each subquery at its node over the group's
-// representative row; the no-rows group binds nothing, as in the interpreter.
+// streaming path compiles each subquery at its node with the group's
+// representative row as its outer scope; the no-rows group binds nothing, as
+// in the interpreter.
 func TestGroupedSubqueryDifferential(t *testing.T) {
 	db, err := dataset.CuratedMovieDB()
 	if err != nil {
@@ -339,6 +340,19 @@ func TestGroupedSubqueryDifferential(t *testing.T) {
 		"select m.title, (select count(*) from GENRE g where g.mid = m.id having exists (select * from CAST c where c.mid = m.id)) from MOVIES m",
 		"select m.title from MOVIES m where 0 < (select count(*) from GENRE g where g.mid = m.id and 1 = 0 having exists (select * from CAST c where c.mid = m.id))",
 		"select m.title from MOVIES m where exists (select g.genre from GENRE g where g.mid = m.id group by g.genre having m.year > 1990)",
+	} {
+		compareAggPaths(t, ex, sql)
+	}
+	// HAVING over an empty table without GROUP BY: the one group has no
+	// rows, so a correlated reference binds nothing and fails, but only if
+	// the subquery reaches it.
+	if _, _, err := ex.Exec("delete from GENRE"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"select count(*) from GENRE g having exists (select * from CAST c where c.mid = g.mid)",
+		"select count(*), max(g.genre) from GENRE g having 0 = (select count(*) from CAST c where c.role = 'nobody' and c.mid = g.mid)",
+		"select count(*) from GENRE g having not exists (select * from MOVIES m where m.id = g.mid) or count(*) = 0",
 	} {
 		compareAggPaths(t, ex, sql)
 	}

@@ -21,11 +21,37 @@ import (
 // only the entry being joined filters all of that entry's tuples first, as
 // the planned pipeline's self-filters do); grouped queries partition those
 // environments and evaluate aggregates lazily per group (execGrouped), and
-// ORDER BY sorts through them (orderRows).
+// ORDER BY sorts through them (orderRows). A subquery runs on the interpreter
+// too (interpRows), with the environment of the row at hand as its outer
+// scope, so no node of an oracle answer is evaluated by production code.
 // export_test.go installs it (useOracle); production never runs it.
 
 // interpSelect runs a SELECT on the interpreter.
-func interpSelect(ex *Engine, sel *sqlparser.SelectStmt, entries []fromEntry, outer *env, earlyLimit int) (*Result, error) {
+func interpSelect(ex *Engine, sel *sqlparser.SelectStmt, entries []fromEntry, earlyLimit int) (*Result, error) {
+	return interpScope(ex, sel, entries, nil, earlyLimit)
+}
+
+// interpRows runs a subquery on the interpreter with outer as its enclosing
+// scope, as execSelectBounded runs one: a budget poll, then FROM flattened
+// (views materialized), then the query; limit >= 0 caps its rows early.
+func (ex *Engine) interpRows(sub *sqlparser.SelectStmt, outer *env, limit int) ([]storage.Tuple, error) {
+	if err := ex.bud.Step(0); err != nil {
+		return nil, err
+	}
+	entries, err := ex.flattenFrom(sub.From)
+	if err != nil {
+		return nil, err
+	}
+	res, err := interpScope(ex, sub, entries, outer, limit)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
+// interpScope runs a SELECT on the interpreter under the enclosing scope
+// outer, nil at the top.
+func interpScope(ex *Engine, sel *sqlparser.SelectStmt, entries []fromEntry, outer *env, earlyLimit int) (*Result, error) {
 	envs, err := ex.joinFrom(entries, sqlparser.Conjuncts(sel.Where), outer)
 	if err != nil {
 		return nil, err
@@ -81,9 +107,20 @@ func interpPositions(ex *Engine, tbl *storage.Table, alias string, where sqlpars
 	return positions, nil
 }
 
-// interpSet evaluates an UPDATE SET expression on the interpreter: evalExpr
-// over an environment binding the updated row under the statement's alias.
-func interpSet(pq *plannedQuery, e sqlparser.Expr) rowEval { return pq.bridge(e) }
+// interpSet evaluates an UPDATE SET or INSERT VALUES expression on the
+// interpreter: evalExpr over an environment binding pq's FROM entries to the
+// row — the updated row under the statement's alias, or nothing for VALUES.
+func interpSet(pq *plannedQuery, e sqlparser.Expr) rowEval {
+	return func(_ *evalCtx, row []value.Value) (value.Value, error) {
+		en := &env{}
+		for _, si := range pq.fromOrder {
+			st := pq.plan.Steps[si]
+			tup := storage.Tuple(row[st.Offset : st.Offset+len(st.Input.Rel.Attributes)])
+			en.bindings = append(en.bindings, binding{alias: st.Input.Alias, rel: st.Input.Rel, tuple: tup})
+		}
+		return pq.ex.evalExpr(e, en, nil)
+	}
+}
 
 // joinFrom produces every joined environment. Inner joins use nested loops
 // with pushed-down predicates plus a hash-join fast path for equality
@@ -291,6 +328,11 @@ func (ex *Engine) joinStep(envs []*env, prefix []fromEntry, stepConj []sqlparser
 	}
 
 	if probeExpr != nil {
+		if len(tuples) == 0 {
+			// No tuple to pair an environment with: like the nested loop,
+			// evaluate nothing, so the probe's error cannot surface.
+			return nil, nil
+		}
 		ht := make(map[string][]storage.Tuple, len(tuples))
 		for _, tup := range tuples {
 			v := tup[buildPos]
@@ -744,4 +786,353 @@ func (ex *Engine) orderRows(sel *sqlparser.SelectStmt, entries []fromEntry, out 
 		out.Rows[i] = rows[i].row
 	}
 	return nil
+}
+
+// binding associates one tuple variable with its relation and current tuple.
+type binding struct {
+	alias string
+	rel   *catalog.Relation
+	tuple storage.Tuple
+}
+
+// env is a chain of binding scopes; inner subqueries see outer bindings for
+// correlation.
+type env struct {
+	parent   *env
+	bindings []binding
+}
+
+// lookup resolves a column reference to its current value.
+func (e *env) lookup(ref *sqlparser.ColumnRef) (value.Value, error) {
+	for scope := e; scope != nil; scope = scope.parent {
+		if ref.Table != "" {
+			for i := range scope.bindings {
+				b := &scope.bindings[i]
+				if strings.EqualFold(b.alias, ref.Table) || strings.EqualFold(b.rel.Name, ref.Table) {
+					pos := b.rel.AttrIndex(ref.Column)
+					if pos < 0 {
+						return value.Value{}, fmt.Errorf("engine: relation %s has no attribute %q", b.rel.Name, ref.Column)
+					}
+					return b.tuple[pos], nil
+				}
+			}
+			continue
+		}
+		// Unqualified: must be unambiguous within the scope.
+		found := -1
+		var out value.Value
+		for i := range scope.bindings {
+			b := &scope.bindings[i]
+			pos := b.rel.AttrIndex(ref.Column)
+			if pos >= 0 {
+				if found >= 0 {
+					return value.Value{}, fmt.Errorf("engine: ambiguous column %q", ref.Column)
+				}
+				found = i
+				out = b.tuple[pos]
+			}
+		}
+		if found >= 0 {
+			return out, nil
+		}
+	}
+	return value.Value{}, fmt.Errorf("engine: unknown column %s", ref.SQL())
+}
+
+// groupCtx carries the rows of the current group during aggregate
+// evaluation. When nil, aggregate expressions are illegal.
+type groupCtx struct {
+	rows []*env
+}
+
+// evalExpr evaluates an expression under env; gc is non-nil only inside
+// grouped evaluation (HAVING and grouped SELECT items).
+func (ex *Engine) evalExpr(e sqlparser.Expr, en *env, gc *groupCtx) (value.Value, error) {
+	switch x := e.(type) {
+	case *sqlparser.Literal:
+		return x.Value, nil
+
+	case *sqlparser.ColumnRef:
+		if x.Column == "*" {
+			return value.Value{}, fmt.Errorf("engine: %s is not a scalar expression", x.SQL())
+		}
+		if gc != nil {
+			// Inside a grouped context a bare column is evaluated on the
+			// group's representative row (valid when it is functionally
+			// dependent on the GROUP BY columns, which the planner checks).
+			if len(gc.rows) == 0 {
+				return value.NewNull(), nil
+			}
+			return gc.rows[0].lookup(x)
+		}
+		return en.lookup(x)
+
+	case *sqlparser.BinaryExpr:
+		return ex.evalBinary(x, en, gc)
+
+	case *sqlparser.NotExpr:
+		v, err := ex.evalExpr(x.Inner, en, gc)
+		if err != nil {
+			return value.Value{}, err
+		}
+		if v.IsNull() {
+			return v, nil
+		}
+		if v.Kind() != value.Bool {
+			return value.Value{}, fmt.Errorf("engine: NOT applied to %s", v.Kind())
+		}
+		return value.NewBool(!v.Bool()), nil
+
+	case *sqlparser.IsNullExpr:
+		v, err := ex.evalExpr(x.Inner, en, gc)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.NewBool(v.IsNull() != x.Negate), nil
+
+	case *sqlparser.BetweenExpr:
+		subj, err := ex.evalExpr(x.Subject, en, gc)
+		if err != nil {
+			return value.Value{}, err
+		}
+		lo, err := ex.evalExpr(x.Lo, en, gc)
+		if err != nil {
+			return value.Value{}, err
+		}
+		hi, err := ex.evalExpr(x.Hi, en, gc)
+		if err != nil {
+			return value.Value{}, err
+		}
+		if subj.IsNull() || lo.IsNull() || hi.IsNull() {
+			return value.NewNull(), nil
+		}
+		c1, err := subj.Compare(lo)
+		if err != nil {
+			return value.Value{}, err
+		}
+		c2, err := subj.Compare(hi)
+		if err != nil {
+			return value.Value{}, err
+		}
+		in := c1 >= 0 && c2 <= 0
+		return value.NewBool(in != x.Negate), nil
+
+	case *sqlparser.AggregateExpr:
+		if gc == nil {
+			return value.Value{}, fmt.Errorf("engine: aggregate %s outside grouped context", x.SQL())
+		}
+		return ex.evalAggregate(x, gc)
+
+	case *sqlparser.InExpr:
+		return ex.evalIn(x, en, gc)
+
+	case *sqlparser.ExistsExpr:
+		rows, err := ex.interpRows(x.Subquery, en, 1)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.NewBool((len(rows) > 0) != x.Negate), nil
+
+	case *sqlparser.QuantifiedExpr:
+		return ex.evalQuantified(x, en, gc)
+
+	case *sqlparser.SubqueryExpr:
+		return ex.evalScalarSubquery(x.Subquery, en)
+
+	case *sqlparser.CaseExpr:
+		for _, w := range x.Whens {
+			cond, err := ex.evalExpr(w.Cond, en, gc)
+			if err != nil {
+				return value.Value{}, err
+			}
+			if !cond.IsNull() && cond.Kind() == value.Bool && cond.Bool() {
+				return ex.evalExpr(w.Then, en, gc)
+			}
+		}
+		if x.Else != nil {
+			return ex.evalExpr(x.Else, en, gc)
+		}
+		return value.NewNull(), nil
+
+	case *sqlparser.Star:
+		return value.Value{}, fmt.Errorf("engine: * is not a scalar expression")
+
+	default:
+		return value.Value{}, fmt.Errorf("engine: cannot evaluate %T", e)
+	}
+}
+
+func (ex *Engine) evalBinary(x *sqlparser.BinaryExpr, en *env, gc *groupCtx) (value.Value, error) {
+	switch x.Op {
+	case sqlparser.OpAnd, sqlparser.OpOr:
+		l, err := ex.evalExpr(x.Left, en, gc)
+		if err != nil {
+			return value.Value{}, err
+		}
+		// Three-valued short circuit.
+		if !l.IsNull() && l.Kind() == value.Bool {
+			if x.Op == sqlparser.OpAnd && !l.Bool() {
+				return value.NewBool(false), nil
+			}
+			if x.Op == sqlparser.OpOr && l.Bool() {
+				return value.NewBool(true), nil
+			}
+		}
+		r, err := ex.evalExpr(x.Right, en, gc)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return threeValued(x.Op, l, r)
+	}
+
+	l, err := ex.evalExpr(x.Left, en, gc)
+	if err != nil {
+		return value.Value{}, err
+	}
+	r, err := ex.evalExpr(x.Right, en, gc)
+	if err != nil {
+		return value.Value{}, err
+	}
+	if l.IsNull() || r.IsNull() {
+		return value.NewNull(), nil
+	}
+
+	switch x.Op {
+	case sqlparser.OpEq:
+		return compareOp(l, r, true, func(c int) bool { return c == 0 })
+	case sqlparser.OpNe:
+		return compareOp(l, r, true, func(c int) bool { return c != 0 })
+	case sqlparser.OpLt:
+		return compareOp(l, r, false, func(c int) bool { return c < 0 })
+	case sqlparser.OpLe:
+		return compareOp(l, r, false, func(c int) bool { return c <= 0 })
+	case sqlparser.OpGt:
+		return compareOp(l, r, false, func(c int) bool { return c > 0 })
+	case sqlparser.OpGe:
+		return compareOp(l, r, false, func(c int) bool { return c >= 0 })
+	case sqlparser.OpLike:
+		if l.Kind() != value.Text || r.Kind() != value.Text {
+			return value.Value{}, fmt.Errorf("engine: LIKE requires text operands")
+		}
+		return value.NewBool(likeMatch(l.Text(), r.Text())), nil
+	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv, sqlparser.OpMod:
+		return arith(x.Op, l, r)
+	default:
+		return value.Value{}, fmt.Errorf("engine: unsupported operator %s", x.Op)
+	}
+}
+
+func (ex *Engine) evalIn(x *sqlparser.InExpr, en *env, gc *groupCtx) (value.Value, error) {
+	subj, err := ex.evalExpr(x.Subject, en, gc)
+	if err != nil {
+		return value.Value{}, err
+	}
+	if x.Subquery != nil {
+		rows, err := ex.interpRows(x.Subquery, en, -1)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return inRows(subj, rows, x.Negate)
+	}
+	var in inTest
+	for _, item := range x.List {
+		v, err := ex.evalExpr(item, en, gc)
+		if err != nil {
+			return value.Value{}, err
+		}
+		in.add(subj, v)
+	}
+	return in.result(subj, x.Negate), nil
+}
+
+func (ex *Engine) evalQuantified(x *sqlparser.QuantifiedExpr, en *env, gc *groupCtx) (value.Value, error) {
+	subj, err := ex.evalExpr(x.Subject, en, gc)
+	if err != nil {
+		return value.Value{}, err
+	}
+	rows, err := ex.interpRows(x.Subquery, en, -1)
+	if err != nil {
+		return value.Value{}, err
+	}
+	return quantify(x, subj, rows)
+}
+
+func (ex *Engine) evalScalarSubquery(sub *sqlparser.SelectStmt, en *env) (value.Value, error) {
+	rows, err := ex.interpRows(sub, en, 2)
+	if err != nil {
+		return value.Value{}, err
+	}
+	return scalarOf(rows)
+}
+
+func (ex *Engine) evalAggregate(x *sqlparser.AggregateExpr, gc *groupCtx) (value.Value, error) {
+	// COUNT(*) counts rows.
+	if x.Arg == nil {
+		return value.NewInt(int64(len(gc.rows))), nil
+	}
+	var vals []value.Value
+	seen := map[string]bool{}
+	for _, rowEnv := range gc.rows {
+		v, err := ex.evalExpr(x.Arg, rowEnv, nil)
+		if err != nil {
+			return value.Value{}, err
+		}
+		if v.IsNull() {
+			continue
+		}
+		if x.Distinct {
+			k := v.Key()
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+		}
+		vals = append(vals, v)
+	}
+	switch x.Func {
+	case sqlparser.AggCount:
+		return value.NewInt(int64(len(vals))), nil
+	case sqlparser.AggSum, sqlparser.AggAvg:
+		if len(vals) == 0 {
+			return value.NewNull(), nil
+		}
+		allInt := true
+		sumF := 0.0
+		sumI := int64(0)
+		for _, v := range vals {
+			if !v.IsNumeric() {
+				return value.Value{}, fmt.Errorf("engine: %s over non-numeric values", x.Func)
+			}
+			if v.Kind() == value.Int {
+				sumI += v.Int()
+			} else {
+				allInt = false
+			}
+			sumF += v.Float()
+		}
+		if x.Func == sqlparser.AggSum {
+			if allInt {
+				return value.NewInt(sumI), nil
+			}
+			return value.NewFloat(sumF), nil
+		}
+		return value.NewFloat(sumF / float64(len(vals))), nil
+	case sqlparser.AggMin, sqlparser.AggMax:
+		if len(vals) == 0 {
+			return value.NewNull(), nil
+		}
+		best := vals[0]
+		for _, v := range vals[1:] {
+			c, err := v.Compare(best)
+			if err != nil {
+				return value.Value{}, err
+			}
+			if (x.Func == sqlparser.AggMin && c < 0) || (x.Func == sqlparser.AggMax && c > 0) {
+				best = v
+			}
+		}
+		return best, nil
+	default:
+		return value.Value{}, fmt.Errorf("engine: unknown aggregate")
+	}
 }

@@ -182,7 +182,7 @@ func TestPlannerDifferentialOuterJoins(t *testing.T) {
 		{"select 'a', null, 2.5", ""},
 		{"select l.id from L l where exists (select 1 where l.k > 3)", "post{1}"},
 		{"select l.id from L l where exists (select 1 from S s right join R r on s.k = r.k where r.id = l.id and s.id is null)", "post{1}"},
-		// Conditions the planner cannot resolve, bridged where the interpreter
+		// Conditions the planner cannot resolve, compiled where the interpreter
 		// evaluates them: an unqualified or forward ON reference, a subquery in
 		// ON, an ambiguous WHERE column.
 		{"select l.id, s.id from L l left join S s on s.k = l.k and note = 'n1'", "s:left hash join{1}"},

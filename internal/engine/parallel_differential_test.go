@@ -40,13 +40,17 @@ var parallelCorpus = []string{
 	 where m.year > 2000`,
 	`select m.title, g.genre from MOVIES m right join GENRE g
 	 on m.id = g.mid and m.year > 1990`,
-	// Grouped queries whose subqueries are bridged at their nodes: the
+	// Grouped queries whose subqueries compile at their nodes: the
 	// paper's Q7 (a HAVING subquery correlated to a grouping column), and
 	// subqueries in an aggregate argument and in an IN over a grouping key.
 	sqlparser.PaperQueries["Q7"],
 	`select m.year, sum((select count(*) from GENRE g where g.mid = m.id)) from MOVIES m
 	 where m.year > 1990 group by m.year
 	 having m.year in (select m2.year from MOVIES m2 where m2.id < 300)`,
+	// A correlated EXISTS in the residual filter, which workers evaluate over
+	// their chunks of the scan, each subquery reading its worker's row.
+	`select m.title from MOVIES m where m.year > 1995
+	 and exists (select * from DIRECTED r where r.mid = m.id and r.did < 40)`,
 }
 
 func cloneResult(r *Result) *Result {

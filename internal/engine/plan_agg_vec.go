@@ -542,8 +542,8 @@ func (va *vecAggExec) avgExact(spec *vecAgg, pos int, distinct bool) bool {
 // the synthetic group row [key values..., aggregate results...]. Every
 // column reference must match a GROUP BY key; aggregates land in their
 // result slots. ok=false means some expression is outside the dialect (a
-// stray column, an ungated aggregate, or a node the standard lowering would
-// bridge over the synthetic row, which binds no FROM entry) — fall back.
+// stray column, an ungated aggregate, a star or a subquery, which would
+// compile over the synthetic row, which binds no FROM entry) — fall back.
 func (va *vecAggExec) compilePost(sel *sqlparser.SelectStmt, entries []fromEntry, items []sqlparser.SelectItem) bool {
 	pq := va.pq
 	nK := len(va.keys)

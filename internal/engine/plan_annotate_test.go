@@ -133,7 +133,7 @@ func TestVecAggGate(t *testing.T) {
 	}
 
 	// A subquery in HAVING is outside the fused dialect: the streaming
-	// aggregate runs it, bridging the subquery at its node.
+	// aggregate runs it, compiling the subquery at its node.
 	p = buildPlan(t, db, `select m.year, count(*) from MOVIES m group by m.year
 		having count(*) > (select min(g.mid) from GENRE g)`)
 	got = kinds(p)

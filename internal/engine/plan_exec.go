@@ -3,9 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync/atomic"
 
+	"repro/internal/catalog"
 	"repro/internal/planner"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -16,10 +16,12 @@ import (
 // entry owns a contiguous slot range laid out in clause order; a row is one
 // []value.Value of the plan's width, allocated from chunked arenas so the
 // join inner loop performs no per-row allocations, no map lookups, and no
-// string comparisons. Every expression compiles to a closure over slots; only
-// the nodes that need an environment (subqueries, outer correlations,
-// references the planner could not resolve) evaluate through a reusable
-// environment bridge, over the FROM entries bound where they run.
+// string comparisons. Every expression compiles to a closure over slots. A
+// subquery compiles to a closure that plans and runs it for the row at hand,
+// with that row as its outer scope (outerScope): its references to the
+// enclosing query read the enclosing row's slots. A node that can only fail
+// (a star, an aggregate outside a group, a reference nothing binds) compiles
+// to its error, raised when a row reaches it.
 
 // ---------------------------------------------------------------------------
 // Hash keys
@@ -128,11 +130,11 @@ func (a *rowArena) commit() { a.buf = a.buf[a.width:] }
 // ---------------------------------------------------------------------------
 
 // plannedQuery is one plan compiled against the engine: slot-resolved
-// predicate closures per step plus the residual (bridged) predicates.
+// predicate closures per step plus the residual predicates.
 type plannedQuery struct {
 	ex    *Engine
 	plan  *planner.Plan
-	outer *env
+	outer *outerScope // the enclosing query of a subquery; nil at the top
 	// fromOrder[i] is the step index of FROM entry i.
 	fromOrder []int
 	steps     []stepCode // compiled filters per step
@@ -170,17 +172,15 @@ type stepCode struct {
 type rowEval func(ec *evalCtx, row []value.Value) (value.Value, error)
 
 // evalCtx is per-worker scratch: arenas, a key-encoding buffer, a scratch
-// row for build-side filters, the selection buffer, and the reusable
-// environment bridges, one per scope. matched, set while a RIGHT join step
-// runs, flags the table rows the step has emitted. group is the group whose
-// HAVING, select items or sort keys the streaming aggregation is evaluating;
-// its aggregates read from it.
+// row for build-side filters and the selection buffer. matched, set while a
+// RIGHT join step runs, flags the table rows the step has emitted. group is
+// the group whose HAVING, select items or sort keys the streaming aggregation
+// is evaluating; its aggregates read from it.
 type evalCtx struct {
 	pq      *plannedQuery
 	rows    rowArena
 	keyBuf  []byte
 	scratch []value.Value
-	bridges []*env
 	matched []atomic.Bool
 	group   *groupState
 	sel     []int32
@@ -218,42 +218,6 @@ func (ec *evalCtx) scratchRow() []value.Value {
 	return ec.scratch
 }
 
-// envAt exposes the flat row as an environment chain over the FROM entries
-// the first scope steps bound (bindings in FROM order, outer scope as parent)
-// for the nodes the compiler bridged. One env per scope is reused across
-// rows; evaluation never retains it. A nil row is the one group an aggregate
-// without GROUP BY forms over no rows: the interpreter evaluates it over an
-// environment with no bindings and no parent.
-func (ec *evalCtx) envAt(scope int, row []value.Value) *env {
-	if row == nil {
-		return &env{}
-	}
-	pq := ec.pq
-	if ec.bridges == nil {
-		ec.bridges = make([]*env, len(pq.plan.Steps)+1)
-	}
-	en := ec.bridges[scope]
-	if en == nil {
-		en = &env{parent: pq.outer, bindings: make([]binding, 0, scope)}
-		for _, si := range pq.fromOrder {
-			if si < scope {
-				st := pq.plan.Steps[si]
-				en.bindings = append(en.bindings, binding{alias: st.Input.Alias, rel: st.Input.Rel})
-			}
-		}
-		ec.bridges[scope] = en
-	}
-	b := 0
-	for _, si := range pq.fromOrder {
-		if si < scope {
-			st := pq.plan.Steps[si]
-			en.bindings[b].tuple = storage.Tuple(row[st.Offset : st.Offset+len(st.Input.Rel.Attributes)])
-			b++
-		}
-	}
-	return en
-}
-
 // passes applies SQL WHERE truthiness: NULL and non-boolean reject.
 func passes(v value.Value) bool {
 	return !v.IsNull() && v.Kind() == value.Bool && v.Bool()
@@ -263,71 +227,85 @@ func passes(v value.Value) bool {
 // Expression compilation
 // ---------------------------------------------------------------------------
 
-// slotOf resolves a column reference to an absolute slot among the FROM
-// entries in scope, mirroring env.lookup (first alias-or-relation match in
-// FROM order; unqualified names must be unique). ok=false means the reference
-// needs the bridge.
-func (pq *plannedQuery) slotOf(ref *sqlparser.ColumnRef) (int, bool) {
-	steps := pq.plan.Steps
-	if ref.Table != "" {
-		for _, si := range pq.fromOrder {
-			if si >= pq.scope {
-				continue
-			}
-			st := steps[si]
-			if strings.EqualFold(st.Input.Alias, ref.Table) || strings.EqualFold(st.Input.Rel.Name, ref.Table) {
-				pos := st.Input.Rel.AttrIndex(ref.Column)
-				if pos < 0 {
-					return 0, false // surfaces env.lookup's runtime error
-				}
-				return st.Offset + pos, true
-			}
-		}
-		return 0, false // outer correlation (or unknown): bridge
-	}
-	found := -1
-	for _, si := range pq.fromOrder {
-		if si >= pq.scope {
-			continue
-		}
-		st := steps[si]
-		if pos := st.Input.Rel.AttrIndex(ref.Column); pos >= 0 {
-			if found >= 0 {
-				return 0, false // ambiguous: bridge reproduces the error
-			}
-			found = st.Offset + pos
-		}
-	}
-	if found < 0 {
-		return 0, false
-	}
-	return found, true
+// outerScope is what a subquery's column references resolve against past its
+// own FROM entries: the row of the enclosing query that invoked it, read over
+// the FROM entries bound where the subquery's node compiled, then that
+// query's own outer scope. A nil row — the one group an aggregate without
+// GROUP BY forms over no rows — binds nothing and ends the chain.
+type outerScope struct {
+	pq    *plannedQuery
+	scope int
+	row   []value.Value
 }
 
-// bridge evaluates node x on the interpreter over the FROM entries in scope —
-// the one place planned execution calls evalExpr, for the nodes that need an
-// environment: subqueries, aggregates outside a group, stars and column
-// references slotOf cannot resolve. The node's parents stay compiled; each
-// mirrors evalExpr given its children's values and errors, so the mixture
-// answers as the interpreter does.
-func (pq *plannedQuery) bridge(x sqlparser.Expr) rowEval {
+// column compiles a reference the subquery's own entries do not bind: the
+// first scope outward that binds it, read once, since the enclosing row stays
+// put while the subquery runs; or the lookup's error.
+func (o *outerScope) column(ref *sqlparser.ColumnRef) rowEval {
+	for ; o != nil && o.row != nil; o = o.pq.outer {
+		slot, err := o.pq.resolve(ref, o.scope)
+		if err != nil {
+			return fails(err)
+		}
+		if slot >= 0 {
+			v := o.row[slot]
+			return func(*evalCtx, []value.Value) (value.Value, error) { return v, nil }
+		}
+	}
+	return fails(fmt.Errorf("engine: unknown column %s", ref.SQL()))
+}
+
+// resolve finds ref among the FROM entries the first scope steps bound (see
+// resolveIn); slot < 0 with a nil error means none binds it.
+func (pq *plannedQuery) resolve(ref *sqlparser.ColumnRef, scope int) (slot int, err error) {
+	i, pos, err := resolveIn(ref, len(pq.fromOrder), func(i int) (string, *catalog.Relation, bool) {
+		in := pq.plan.Steps[pq.fromOrder[i]].Input
+		return in.Alias, in.Rel, pq.fromOrder[i] < scope
+	})
+	if i < 0 || err != nil {
+		return -1, err
+	}
+	return pq.plan.Steps[pq.fromOrder[i]].Offset + pos, nil
+}
+
+// slotOf resolves a column reference to an absolute slot among the FROM
+// entries in scope; ok=false means it reads an outer scope or fails.
+func (pq *plannedQuery) slotOf(ref *sqlparser.ColumnRef) (int, bool) {
+	slot, err := pq.resolve(ref, pq.scope)
+	return slot, err == nil && slot >= 0
+}
+
+// fails compiles a node that can only raise err, which it does on each row
+// that reaches it.
+func fails(err error) rowEval {
+	return func(*evalCtx, []value.Value) (value.Value, error) { return value.Value{}, err }
+}
+
+// subquery compiles a subquery node: its subject, when there is one, first;
+// then sub, run with the FROM entries in scope and the row at hand as its
+// outer scope, fetching at most limit rows when limit >= 0; then outcome
+// over the subject's value and sub's rows.
+func (pq *plannedQuery) subquery(sub *sqlparser.SelectStmt, limit int, subject sqlparser.Expr, outcome func(s value.Value, rows []storage.Tuple) (value.Value, error)) rowEval {
+	var subj rowEval = func(*evalCtx, []value.Value) (value.Value, error) { return value.Value{}, nil }
+	if subject != nil {
+		subj = pq.compile(subject)
+	}
 	scope := pq.scope
 	return func(ec *evalCtx, row []value.Value) (value.Value, error) {
-		return ec.pq.ex.evalExpr(x, ec.envAt(scope, row), nil)
-	}
-}
-
-// subqueryRows runs sub with the FROM entries in scope as its outer
-// environment, for the IN and quantified comparisons whose subject compiles.
-func (pq *plannedQuery) subqueryRows(sub *sqlparser.SelectStmt) func(ec *evalCtx, row []value.Value) ([]storage.Tuple, error) {
-	scope := pq.scope
-	return func(ec *evalCtx, row []value.Value) ([]storage.Tuple, error) {
-		return ec.pq.ex.execSelectRows(sub, ec.envAt(scope, row), -1)
+		s, err := subj(ec, row)
+		if err != nil {
+			return value.Value{}, err
+		}
+		res, err := pq.ex.execSelectBounded(sub, &outerScope{pq: pq, scope: scope, row: row}, limit)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return outcome(s, res.Rows)
 	}
 }
 
 // compileAt lowers a filter of step si over the FROM entries steps 0..si
-// bound — the entries the interpreter evaluates it over.
+// bound.
 func (pq *plannedQuery) compileAt(si int, e sqlparser.Expr) rowEval {
 	pq.scope = si + 1
 	ev := pq.compile(e)
@@ -335,8 +313,7 @@ func (pq *plannedQuery) compileAt(si int, e sqlparser.Expr) rowEval {
 	return ev
 }
 
-// compile lowers an expression to a slot-addressed closure, bridging only the
-// nodes that need the interpreter (see bridge).
+// compile lowers an expression to a slot-addressed closure.
 func (pq *plannedQuery) compile(e sqlparser.Expr) rowEval {
 	if pq.leaf != nil {
 		if ev, handled := pq.leaf(e); handled {
@@ -349,9 +326,15 @@ func (pq *plannedQuery) compile(e sqlparser.Expr) rowEval {
 		return func(*evalCtx, []value.Value) (value.Value, error) { return v, nil }
 
 	case *sqlparser.ColumnRef:
-		slot, ok := pq.slotOf(x)
-		if !ok {
-			return pq.bridge(x) // an outer correlation, or env.lookup's error
+		if x.Column == "*" {
+			return fails(fmt.Errorf("engine: %s is not a scalar expression", x.SQL()))
+		}
+		slot, err := pq.resolve(x, pq.scope)
+		switch {
+		case err != nil:
+			return fails(err)
+		case slot < 0:
+			return pq.outer.column(x)
 		}
 		return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }
 
@@ -417,22 +400,13 @@ func (pq *plannedQuery) compile(e sqlparser.Expr) rowEval {
 		}
 
 	case *sqlparser.InExpr:
-		subj := pq.compile(x.Subject)
 		negate := x.Negate
 		if x.Subquery != nil {
-			rows := pq.subqueryRows(x.Subquery)
-			return func(ec *evalCtx, row []value.Value) (value.Value, error) {
-				s, err := subj(ec, row)
-				if err != nil {
-					return value.Value{}, err
-				}
-				rs, err := rows(ec, row)
-				if err != nil {
-					return value.Value{}, err
-				}
-				return inRows(s, rs, negate)
-			}
+			return pq.subquery(x.Subquery, -1, x.Subject, func(s value.Value, rows []storage.Tuple) (value.Value, error) {
+				return inRows(s, rows, negate)
+			})
 		}
+		subj := pq.compile(x.Subject)
 		items := make([]rowEval, len(x.List))
 		for i, it := range x.List {
 			items[i] = pq.compile(it)
@@ -454,18 +428,9 @@ func (pq *plannedQuery) compile(e sqlparser.Expr) rowEval {
 		}
 
 	case *sqlparser.QuantifiedExpr:
-		subj, rows := pq.compile(x.Subject), pq.subqueryRows(x.Subquery)
-		return func(ec *evalCtx, row []value.Value) (value.Value, error) {
-			s, err := subj(ec, row)
-			if err != nil {
-				return value.Value{}, err
-			}
-			rs, err := rows(ec, row)
-			if err != nil {
-				return value.Value{}, err
-			}
-			return quantify(x, s, rs)
-		}
+		return pq.subquery(x.Subquery, -1, x.Subject, func(s value.Value, rows []storage.Tuple) (value.Value, error) {
+			return quantify(x, s, rows)
+		})
 
 	case *sqlparser.CaseExpr:
 		conds := make([]rowEval, len(x.Whens))
@@ -493,9 +458,25 @@ func (pq *plannedQuery) compile(e sqlparser.Expr) rowEval {
 			return value.NewNull(), nil
 		}
 
+	case *sqlparser.ExistsExpr:
+		negate := x.Negate
+		return pq.subquery(x.Subquery, 1, nil, func(_ value.Value, rows []storage.Tuple) (value.Value, error) {
+			return value.NewBool((len(rows) > 0) != negate), nil
+		})
+
+	case *sqlparser.SubqueryExpr:
+		return pq.subquery(x.Subquery, 2, nil, func(_ value.Value, rows []storage.Tuple) (value.Value, error) {
+			return scalarOf(rows)
+		})
+
+	case *sqlparser.AggregateExpr:
+		return fails(fmt.Errorf("engine: aggregate %s outside grouped context", x.SQL()))
+
+	case *sqlparser.Star:
+		return fails(fmt.Errorf("engine: * is not a scalar expression"))
+
 	default:
-		// EXISTS, scalar subqueries, aggregates outside a group, stars.
-		return pq.bridge(e)
+		return fails(fmt.Errorf("engine: cannot evaluate %T", e))
 	}
 }
 
@@ -509,7 +490,7 @@ func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) rowEval {
 			if err != nil {
 				return value.Value{}, err
 			}
-			// Three-valued short circuit, mirroring evalBinary.
+			// Three-valued short circuit.
 			if !lv.IsNull() && lv.Kind() == value.Bool {
 				if op == sqlparser.OpAnd && !lv.Bool() {
 					return value.NewBool(false), nil
@@ -575,7 +556,7 @@ func (pq *plannedQuery) compileBinary(x *sqlparser.BinaryExpr) rowEval {
 // filters compile over the FROM entries bound by then. When zone bounds can
 // decide a kernel of the base scan, the plan's shape gains its zone-skip step
 // here.
-func (ex *Engine) compilePlan(plan *planner.Plan, outer *env) *plannedQuery {
+func (ex *Engine) compilePlan(plan *planner.Plan, outer *outerScope) *plannedQuery {
 	pq := &plannedQuery{
 		ex:        ex,
 		plan:      plan,
@@ -1320,7 +1301,7 @@ func (ex *Engine) planFor(sel *sqlparser.SelectStmt, entries []fromEntry, hasOut
 // execPlanned runs a plan end to end: the join pipeline, then
 // aggregation or projection, DISTINCT, ORDER BY (full sort or a bounded
 // top-K heap), and LIMIT — all over flat slot-addressed rows.
-func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, plan *planner.Plan, outer *env, earlyLimit int, grouped bool) (*Result, error) {
+func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, plan *planner.Plan, outer *outerScope, earlyLimit int, grouped bool) (*Result, error) {
 	pq := ex.compilePlan(plan, outer)
 	if !grouped {
 		// Fully vectorized single-table scans project straight from the
@@ -1360,7 +1341,7 @@ func (ex *Engine) execPlannedFlat(sel *sqlparser.SelectStmt, pq *plannedQuery, r
 		switch x := it.Expr.(type) {
 		case *sqlparser.Literal:
 		case *sqlparser.ColumnRef:
-			// A slot read cannot fail; a bridged lookup can.
+			// A slot read cannot fail; a failing lookup can.
 			if _, ok := pq.slotOf(x); !ok {
 				pure = false
 			}

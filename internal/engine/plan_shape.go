@@ -15,7 +15,9 @@ import (
 // to slot readers), slot-compiled ORDER BY sort keys with a bounded top-K
 // heap when a LIMIT is present, and LIMIT pushdown into the projection loop.
 // Every grouped query the fused pipeline (plan_agg_vec.go) declines runs
-// here; a subquery anywhere in it is bridged at its node like any other.
+// here; a subquery anywhere in it compiles at its node like any other, with
+// the group's representative row (or, in an aggregate argument, the joined
+// row) as its outer scope.
 //
 // Error parity with the interpreter is deliberate: the grouping rule is
 // checked before any group key is evaluated, group iteration order is
@@ -241,7 +243,7 @@ type aggSpec struct {
 // which is when the interpreter would compute it. err is the argument's first
 // evaluation error; valErr, the first value the aggregate cannot take (a
 // non-numeric SUM, incomparable MIN/MAX), stops accumulation but yields to an
-// evaluation error on a later row, as in evalAggregate.
+// evaluation error on a later row, as in the oracle's evalAggregate.
 type aggAcc struct {
 	err     error
 	valErr  error
@@ -306,7 +308,7 @@ func (a *aggAcc) update(ec *evalCtx, spec *aggSpec, row []value.Value) {
 	}
 }
 
-// result finalizes the accumulator, mirroring evalAggregate's semantics:
+// result finalizes the accumulator, mirroring the oracle's evalAggregate:
 // COUNT(*) counts group rows, SUM stays integer over all-integer input,
 // empty inputs yield NULL for SUM/AVG/MIN/MAX.
 func (a *aggAcc) result(spec *aggSpec, groupRows int64) (value.Value, error) {

@@ -45,8 +45,8 @@ func requireReordered(t *testing.T, n int) {
 
 // comparePlannedNaive runs one query through the planned pipeline and through
 // the oracle and requires the same columns and the rows oracleAgrees asks
-// for. Both-error counts as agreement. It reports whether the executed plan
-// reordered the joins.
+// for. Both failing with the same error text counts as agreement. It reports
+// whether the executed plan reordered the joins.
 func comparePlannedNaive(t *testing.T, ex *Engine, sql string) (reordered bool) {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
@@ -63,6 +63,9 @@ func comparePlannedNaive(t *testing.T, ex *Engine, sql string) (reordered bool) 
 		t.Fatalf("%s\nplanned err = %v, naive err = %v", sql, errP, errN)
 	}
 	if errP != nil {
+		if errP.Error() != errN.Error() {
+			t.Fatalf("%s\nerror text differs: planned %q, naive %q", sql, errP, errN)
+		}
 		return false
 	}
 	oracleAgrees(t, ex, sel, plan, planned, naive)
@@ -569,6 +572,25 @@ func TestPlannerDifferentialFuzzSeeds(t *testing.T) {
 		"select count(*) from MOVIES m where m.year > 3000",
 		"select m.year, count(*) from MOVIES m group by m.year having count(*) >= 2 order by count(*) desc, m.year limit 3",
 		"select case when m.year > 2000 then 'new' else 'old' end, count(*) from MOVIES m group by case when m.year > 2000 then 'new' else 'old' end order by 2 desc",
+		// Doubly nested correlation: the innermost subquery reads the
+		// outermost FROM, past a scope that does not bind the name; the
+		// nearest scope wins when both do.
+		"select m.title from MOVIES m where exists (select * from CAST c where c.mid = m.id and c.aid in (select a.id from ACTOR a where a.id % 2 = m.id % 2))",
+		"select m.title, (select count(*) from CAST c where c.mid = m.id and exists (select * from GENRE g where g.mid = m.id and g.genre != c.role)) from MOVIES m",
+		"select m.title from MOVIES m where exists (select * from CAST c where exists (select * from GENRE g where g.mid = c.mid and year > 2000))",
+		"select m.title from MOVIES m where exists (select * from CAST m where m.mid = 101 and exists (select * from GENRE g where g.mid = m.mid))",
+		// Outer references that fail: unknown, ambiguous, a matched relation
+		// without the attribute. The error fires on the first row that
+		// reaches the reference, and not at all when none does.
+		"select m.title from MOVIES m where exists (select * from GENRE g where g.mid = x.id)",
+		"select m.title from MOVIES m where m.id < 0 and exists (select * from GENRE g where g.mid = x.id)",
+		"select m.title from MOVIES m, MOVIES m2 where m.id = m2.id and exists (select * from GENRE g where g.mid = id)",
+		"select m.title from MOVIES m where exists (select * from GENRE g, GENRE g2 where mid = m.id)",
+		"select m.title from MOVIES m where exists (select * from GENRE g where g.mid = m.id and g.genre = m.nosuch)",
+		"select m.title from MOVIES m where m.year > 2005 and exists (select * from GENRE g where g.mid = m.id and g.genre = MOVIES.nosuch)",
+		"select m.title, case when m.id = 101 then (select count(*) from GENRE g where g.mid = m.nosuch) else 0 end from MOVIES m",
+		"select m.title, case when m.id = -1 then (select count(*) from GENRE g where g.mid = m.nosuch) else 0 end from MOVIES m",
+		"select m.title from MOVIES m where exists (select * from CAST c where c.mid = m.id and exists (select * from GENRE g where g.mid = c.nosuch))",
 	}
 	for _, label := range sqlparser.PaperQueryOrder {
 		if label != "Q0" {
@@ -727,8 +749,8 @@ func TestPlannerReorderedRowsLeaveInPipelineOrder(t *testing.T) {
 
 // TestDMLPlannedVsInterpreter runs every way an UPDATE or DELETE resolves its
 // WHERE — primary-key probe, index probe, vectorized range with zone
-// skipping, compiled residual filter, subquery residual, bridged unknown
-// column, no WHERE at all — once with planned positions and once on the
+// skipping, compiled residual filter, subquery residual, unknown column, no
+// WHERE at all — once with planned positions and once on the
 // interpreter, which pre-scans the table with the same WHERE. Both must
 // affect the same number of rows, leave the same table, and fail or succeed
 // the same way.
@@ -769,10 +791,16 @@ func TestDMLPlannedVsInterpreter(t *testing.T) {
 		{"GENRE", "update GENRE g set genre = 'old' where exists (select 1 from DIRECTOR d where d.id = g.mid and d.id > 2)"},
 		{"MOVIES", "update MOVIES set year = 1 / (year - year) where id = 50"}, // SET error
 		{"MOVIES", "update MOVIES m set title = case when m.year > 1990 then 'new' else m.title end, year = m.year + 1 where m.id < 40"},
-		{"MOVIES", "update MOVIES set year = nosuch where id = 47"},           // bridged: the evaluator's error
+		{"MOVIES", "update MOVIES set year = nosuch where id = 47"},           // the unknown column's error
 		{"MOVIES", "delete from MOVIES where 1 / (id - 60) > 0 and id < 100"}, // WHERE error: no trace
-		{"MOVIES", "delete from MOVIES where nosuch = 1"},                     // bridged: the evaluator's error
+		{"MOVIES", "delete from MOVIES where nosuch = 1"},                     // the unknown column's error
 		{"DIRECTED", "delete from DIRECTED"},
+		// INSERT VALUES compiles over a FROM-less plan: no name is bound.
+		{"MOVIES", "insert into MOVIES (id, title, year) values (900100, 'sub', (select max(m.year) from MOVIES m where m.id < 30))"},
+		{"MOVIES", "insert into MOVIES (id, title, year) values (900101, 'ref', year)"},
+		{"MOVIES", "insert into MOVIES (id, title, year) values (900102, 'star', m.*)"},
+		{"MOVIES", "insert into MOVIES (id, title, year) values (900103, 'multi', (select d.id from DIRECTOR d))"},
+		{"MOVIES", "insert into MOVIES (id, title, year) values (900104, 'corr', (select count(*) from GENRE g where g.mid = id))"},
 	}
 	for i := 0; i < 12; i++ {
 		lo := 1950 + rng.Intn(60)
@@ -784,7 +812,7 @@ func TestDMLPlannedVsInterpreter(t *testing.T) {
 	for _, tc := range stmts {
 		_, nP, errP := planned.Exec(tc.sql)
 		_, nN, errN := naive.Exec(tc.sql)
-		if (errP != nil) != (errN != nil) {
+		if (errP != nil) != (errN != nil) || errP != nil && errP.Error() != errN.Error() {
 			t.Fatalf("%s\nplanned err = %v, interpreter err = %v", tc.sql, errP, errN)
 		}
 		if nP != nN {

@@ -53,7 +53,7 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, hasOuter bool) *Plan {
 	}
 	fromOrder := outerJoins
 	for _, c := range conjs {
-		fromOrder = fromOrder || c.bridged || c.on >= 0
+		fromOrder = fromOrder || c.opaque || c.on >= 0
 	}
 
 	plan := &Plan{Width: width, ActualRows: -1}

@@ -13,7 +13,8 @@
 // Outer joins keep FROM order, and a conjunct the planner cannot resolve — an
 // ambiguous or unknown column, an ON condition reaching past its own join —
 // is placed, unanalyzed, at the step where the engine's test interpreter
-// evaluates it; the engine bridges it through its evaluator there.
+// evaluates it; the engine compiles it there, to the error its first row
+// raises.
 package planner
 
 import (
@@ -221,7 +222,7 @@ type Plan struct {
 	Steps []*Step
 	// Post holds residual conjuncts evaluated after all joins: subquery
 	// predicates, outer-scope correlations, and anything unresolvable at
-	// plan time. They run through the engine's environment bridge.
+	// plan time.
 	Post []sqlparser.Expr
 	// Shape lists the post-join shaping stages (aggregate, sort, top-k,
 	// limit) in execution order; empty for plain select-project-join.
@@ -317,11 +318,11 @@ type conjunct struct {
 	consumed bool
 	// eq is set for `colref = colref` conjuncts linking two distinct inputs.
 	eq *joinEdge
-	// bridged marks a conjunct the planner cannot resolve to slots: an
+	// opaque marks a conjunct the planner cannot resolve to slots: an
 	// ambiguous or unknown reference, or an ON conjunct that is not resolved
 	// within its own join. The plan keeps FROM order and places it where the
-	// interpreter evaluates it; the engine bridges it there.
-	bridged bool
+	// interpreter evaluates it; the engine compiles it there.
+	opaque bool
 	// on is the FROM position whose join step an ON conjunct is pinned to, -1
 	// for a WHERE conjunct and for an inner join's ON conjunct planned like
 	// one. after is the last RIGHT join's position (-1 for none): a WHERE
@@ -348,7 +349,7 @@ type resolver struct {
 // errAmbiguous, errUnresolved, and errBadAttr classify resolution failures:
 // an unresolved name may be an outer-scope correlation (legal in
 // subqueries); ambiguity and a matched table with a missing attribute are
-// bridged, so they raise the evaluator's error wherever a row reaches them.
+// opaque, so they raise the engine's error wherever a row reaches them.
 var (
 	errAmbiguous  = fmt.Errorf("ambiguous column reference")
 	errUnresolved = fmt.Errorf("unresolved column reference")
@@ -417,7 +418,7 @@ func hasSubquery(e sqlparser.Expr) bool {
 // analyze classifies one conjunct. Subqueries and outer-scope correlations
 // defer to the residual phase. Ambiguous references, attributes missing on a
 // matched relation and names that resolve nowhere when no outer scope can
-// supply them are bridged: the evaluator raises its error on the first row
+// supply them are opaque: the engine raises its error on the first row
 // that reaches the conjunct, and none when no row does.
 func analyze(e sqlparser.Expr, res *resolver, hasOuter bool) *conjunct {
 	c := &conjunct{expr: e, inputs: map[int]bool{}, on: -1, after: -1}
@@ -433,10 +434,10 @@ func analyze(e sqlparser.Expr, res *resolver, hasOuter bool) *conjunct {
 		case err == errUnresolved && hasOuter:
 			c.post = true // outer correlation: defer to the residual phase
 		default:
-			c.bridged = true
+			c.opaque = true
 		}
 	}
-	if c.bridged {
+	if c.opaque {
 		c.post = false
 		return c
 	}
@@ -461,11 +462,11 @@ func analyze(e sqlparser.Expr, res *resolver, hasOuter bool) *conjunct {
 // joins a conjunct resolved within its own join — every reference qualified
 // and bound by FROM positions 0..i — is planned like a WHERE conjunct, which
 // is equivalent for inner joins. Any other ON conjunct is pinned to its join
-// step, where it sees exactly its FROM prefix, and is bridged unless every
+// step, where it sees exactly its FROM prefix, and is opaque unless every
 // reference resolves within that prefix.
 func analyzeOn(e sqlparser.Expr, res *resolver, i int, hasOuter, outerJoins bool) *conjunct {
 	c := analyze(e, res, hasOuter)
-	within := !c.post && !c.bridged
+	within := !c.post && !c.opaque
 	for in := range c.inputs {
 		within = within && in <= i
 	}
@@ -478,7 +479,7 @@ func analyzeOn(e sqlparser.Expr, res *resolver, i int, hasOuter, outerJoins bool
 	}
 	c.on = i
 	if !within {
-		c.post, c.bridged, c.eq = false, true, nil
+		c.post, c.opaque, c.eq = false, true, nil
 	}
 	return c
 }
@@ -498,13 +499,13 @@ func (c *conjunct) at(i int, in *Input) bool {
 // resolved single-input conjunct over it that may filter its step, except on
 // a RIGHT step, whose own rows are the side it keeps.
 func (c *conjunct) selfAt(i int, in *Input) bool {
-	return !c.post && !c.bridged && len(c.inputs) == 1 && c.inputs[i] &&
+	return !c.post && !c.opaque && len(c.inputs) == 1 && c.inputs[i] &&
 		c.at(i, in) && in.Join != sqlparser.JoinRight
 }
 
 // stepOf returns the FROM position of the step a conjunct filters in a plan
 // that keeps FROM order, or -1 when it filters the joined rows after every
-// step. An ON conjunct pinned to its join stays there; a bridged WHERE
+// step. An ON conjunct pinned to its join stays there; an opaque WHERE
 // conjunct goes where the interpreter evaluates it; a resolved one binds at
 // its last input, but no earlier than the last RIGHT join, and not at an outer
 // join step — a WHERE conjunct there filters the padded rows after the join.
@@ -512,7 +513,7 @@ func stepOf(c *conjunct, inputs []Input) int {
 	switch {
 	case c.on >= 0:
 		return c.on
-	case c.bridged:
+	case c.opaque:
 		return interpreterStep(c.expr, inputs, c.after)
 	}
 	si := max(c.after, 0)

@@ -132,7 +132,7 @@ func TestPlanSubqueryGoesResidual(t *testing.T) {
 // TestPlanFallbacks: constructs the planner once refused are planned now. An
 // ambiguous unqualified column keeps FROM order and waits, unanalyzed, where
 // the interpreter binds it — at the first entry that has the column, the
-// only one bound there — for the engine to bridge.
+// only one bound there — for the engine to compile.
 func TestPlanFallbacks(t *testing.T) {
 	db := genDB(t)
 	// id is an attribute of both MOVIES and ACTOR.

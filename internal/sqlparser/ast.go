@@ -165,22 +165,62 @@ type BinaryExpr struct {
 
 func (*BinaryExpr) expr() {}
 
-// SQL renders the expression with minimal parentheses around nested boolean
-// operators of lower precedence.
-func (b *BinaryExpr) SQL() string {
-	l, r := b.Left.SQL(), b.Right.SQL()
-	if b.Op == OpAnd || b.Op == OpOr {
-		if inner, ok := b.Left.(*BinaryExpr); ok && inner.Op == OpOr && b.Op == OpAnd {
-			l = "(" + l + ")"
+// Binding strengths, loosest first: how tightly the grammar binds an
+// expression as an operand.
+const (
+	precOr = iota + 1
+	precAnd
+	precNot
+	precCompare // comparisons, LIKE, IN, BETWEEN, IS NULL, EXISTS, quantified
+	precAdd
+	precMul
+	precAtom // literals, columns, aggregates, CASE, parenthesized forms
+)
+
+// precedence is how tightly the grammar binds e as an operand.
+func precedence(e Expr) int {
+	switch x := e.(type) {
+	case *BinaryExpr:
+		switch x.Op {
+		case OpOr:
+			return precOr
+		case OpAnd:
+			return precAnd
+		case OpAdd, OpSub:
+			return precAdd
+		case OpMul, OpDiv, OpMod:
+			return precMul
 		}
-		if inner, ok := b.Right.(*BinaryExpr); ok && inner.Op == OpOr && b.Op == OpAnd {
-			r = "(" + r + ")"
-		}
-		if inner, ok := b.Right.(*BinaryExpr); ok && (inner.Op == OpAnd || inner.Op == OpOr) && b.Op != inner.Op {
-			r = "(" + r + ")"
-		}
+		return precCompare
+	case *NotExpr:
+		return precNot
+	case *IsNullExpr, *BetweenExpr, *InExpr, *ExistsExpr, *QuantifiedExpr:
+		return precCompare
 	}
-	return l + " " + b.Op.String() + " " + r
+	return precAtom
+}
+
+// operand renders e in a position the grammar parses at binding strength
+// min, parenthesized when e binds more loosely.
+func operand(e Expr, min int) string {
+	if precedence(e) < min {
+		return "(" + e.SQL() + ")"
+	}
+	return e.SQL()
+}
+
+// SQL renders the expression so that it parses back to the same tree: an
+// operand that binds more loosely than the operator is parenthesized, and so
+// is a right operand that binds equally, since every binary operator parses
+// left-associatively (and comparisons not at all, so a left comparison
+// operand of a comparison is parenthesized too).
+func (b *BinaryExpr) SQL() string {
+	p := precedence(b)
+	left := p
+	if p == precCompare {
+		left++
+	}
+	return operand(b.Left, left) + " " + b.Op.String() + " " + operand(b.Right, p+1)
 }
 
 // NotExpr is logical negation.
@@ -190,10 +230,11 @@ type NotExpr struct {
 
 func (*NotExpr) expr() {}
 
-// SQL renders NOT with parentheses around compound operands.
+// SQL renders NOT with parentheses around compound operands, and around
+// EXISTS, which NOT would otherwise fold into NOT EXISTS.
 func (n *NotExpr) SQL() string {
 	switch n.Inner.(type) {
-	case *BinaryExpr:
+	case *BinaryExpr, *ExistsExpr:
 		return "NOT (" + n.Inner.SQL() + ")"
 	default:
 		return "NOT " + n.Inner.SQL()
@@ -211,9 +252,9 @@ func (*IsNullExpr) expr() {}
 // SQL renders the test.
 func (e *IsNullExpr) SQL() string {
 	if e.Negate {
-		return e.Inner.SQL() + " IS NOT NULL"
+		return operand(e.Inner, precAdd) + " IS NOT NULL"
 	}
-	return e.Inner.SQL() + " IS NULL"
+	return operand(e.Inner, precAdd) + " IS NULL"
 }
 
 // BetweenExpr is x BETWEEN lo AND hi.
@@ -231,7 +272,7 @@ func (e *BetweenExpr) SQL() string {
 	if e.Negate {
 		not = "NOT "
 	}
-	return e.Subject.SQL() + " " + not + "BETWEEN " + e.Lo.SQL() + " AND " + e.Hi.SQL()
+	return operand(e.Subject, precAdd) + " " + not + "BETWEEN " + operand(e.Lo, precAdd) + " AND " + operand(e.Hi, precAdd)
 }
 
 // AggFunc enumerates aggregate functions.
@@ -302,14 +343,15 @@ func (e *InExpr) SQL() string {
 	if e.Negate {
 		not = "NOT "
 	}
+	subj := operand(e.Subject, precAdd)
 	if e.Subquery != nil {
-		return e.Subject.SQL() + " " + not + "IN (" + e.Subquery.SQL() + ")"
+		return subj + " " + not + "IN (" + e.Subquery.SQL() + ")"
 	}
 	parts := make([]string, len(e.List))
 	for i, x := range e.List {
-		parts[i] = x.SQL()
+		parts[i] = operand(x, precAdd)
 	}
-	return e.Subject.SQL() + " " + not + "IN (" + strings.Join(parts, ", ") + ")"
+	return subj + " " + not + "IN (" + strings.Join(parts, ", ") + ")"
 }
 
 // ExistsExpr is `[NOT] EXISTS (subquery)`.
@@ -345,7 +387,7 @@ func (e *QuantifiedExpr) SQL() string {
 	if e.All {
 		q = "ALL"
 	}
-	return e.Subject.SQL() + " " + e.Op.String() + " " + q + " (" + e.Subquery.SQL() + ")"
+	return operand(e.Subject, precAdd) + " " + e.Op.String() + " " + q + " (" + e.Subquery.SQL() + ")"
 }
 
 // SubqueryExpr is a scalar subquery used as an expression, e.g.

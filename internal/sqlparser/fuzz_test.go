@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -22,15 +23,18 @@ var fuzzSeeds = []string{
 	"select * from T where exists (select 1 from U where U.id = T.id)",
 	"select * from T where x <= all (select y from U)",
 	"select -1 + 2 * (3 - 4) / 5 % 6",
+	"select (1 - 2) * 3, 1 / (r.id - 20), -(1 + 2), 2 * (3 / 2), 1 - (2 - 3) from R r",
+	"select * from T where (a = b) = c and not (exists (select 1 from U)) and (x or y) and (p and q)",
 	"explain plan select m.title from MOVIES m where m.id = 1",
 	"explain select a.x from A a join B b on a.id = b.id",
 }
 
-// FuzzParse asserts two properties over arbitrary input: the parser never
+// FuzzParse asserts three properties over arbitrary input: the parser never
 // panics, and for every accepted statement the parse → print → parse
-// round-trip is stable — printing the reparsed AST reproduces the printed
-// SQL byte-for-byte. Seeded with the full paper corpus; run the harness
-// with:
+// round-trip is faithful — the reparsed AST equals the parsed one, so the
+// printer keeps every parenthesis that matters — and stable — printing the
+// reparsed AST reproduces the printed SQL byte-for-byte. Seeded with the full
+// paper corpus; run the harness with:
 //
 //	go test -fuzz=FuzzParse ./internal/sqlparser
 func FuzzParse(f *testing.F) {
@@ -50,6 +54,9 @@ func FuzzParse(f *testing.F) {
 		stmt2, err := Parse(printed)
 		if err != nil {
 			t.Fatalf("printer emitted unparsable SQL\ninput:   %q\nprinted: %q\nerror:   %v", src, printed, err)
+		}
+		if !reflect.DeepEqual(stmt2, stmt) {
+			t.Fatalf("printed SQL parses to another tree\ninput:   %q\nprinted: %q", src, printed)
 		}
 		if reprinted := stmt2.SQL(); reprinted != printed {
 			t.Fatalf("round-trip not stable\ninput:  %q\nfirst:  %q\nsecond: %q", src, printed, reprinted)

@@ -68,7 +68,7 @@
 // for the scan's row positions alone: a primary-key probe for `where id = 42`,
 // an index probe for an equality on an indexed attribute, otherwise the scan
 // a SELECT runs (vectorized filter prefix with zone skipping, compiled
-// residual filters, bridged subquery predicates), polling the request budget
+// residual filters, compiled subquery predicates), polling the request budget
 // where a SELECT does — so a WHERE error or a budget trip leaves no trace.
 // Every WHERE runs a plan; a column the planner cannot resolve is evaluated
 // row by row where the plan reaches it, and raises its error there. UPDATE's
@@ -112,12 +112,14 @@
 // outer joins keep FROM order (a LEFT step pads a row so far that matched
 // nothing, a RIGHT step then emits its relation's unmatched rows), a view's
 // body is materialized into a table the plan reads like any other, a
-// FROM-less SELECT plans to zero steps and one empty row, and a condition the
-// planner cannot resolve is bridged through the expression evaluator at the
-// step that binds it. Rows of a query without a total ORDER BY come out in
-// pipeline order — the first step's rows in table order, each followed by
-// its matches — which is the same at every worker count, and is FROM order
-// only where the plan keeps it. The engine's original interpreter survives
+// FROM-less SELECT plans to zero steps and one empty row, a condition the
+// planner cannot resolve compiles to its error at the step that binds it, and
+// a subquery compiles to a closure that plans and runs it per invocation, its
+// references to the enclosing query reading that query's row. Rows of a
+// query without a total ORDER BY come out in pipeline order — the first
+// step's rows in table order, each followed by its matches — which is the
+// same at every worker count, and is FROM order only where the plan keeps
+// it. The engine's original interpreter survives
 // only in its tests, as the oracle: the planned pipeline emits exactly the
 // rows the interpreter's nested loops produce, in the same order when the
 // plan keeps FROM order — a property the differential test suites pin.
@@ -145,8 +147,7 @@
 // parallel-scan step — so the plan names a tier only if it runs. Every other
 // grouped query uses the streaming aggregation pass: group keys and
 // accumulators compiled to slot readers over arena rows, HAVING a compiled
-// post-filter, and a subquery anywhere in them bridged to the interpreter at
-// its own node.
+// post-filter, and a subquery anywhere in them compiled at its own node.
 //
 // Selective scans prune whole morsels before touching payloads: when the
 // planner prices a multi-morsel full scan as selective enough, each filter
