@@ -489,6 +489,14 @@ func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		s.queryError(w, err)
 		return
 	}
+	// A cached SELECT is encoded once, by the first request it answers; DML,
+	// EXPLAIN and uncached answers are encoded per request and dropped with
+	// their Response.
+	writeBody(w, http.StatusOK, resp.Wire(encodeAsk))
+}
+
+// encodeAsk renders resp as the /ask reply body.
+func encodeAsk(resp *core.Response) []byte {
 	out := askResponse{
 		Verification: translationOut(resp.Verification),
 		Affected:     resp.Affected,
@@ -513,7 +521,7 @@ func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 			out.Rows[i] = cells
 		}
 	}
-	writeJSON(w, out)
+	return encodeJSON(out)
 }
 
 func (s *server) handleDescribe(w http.ResponseWriter, r *http.Request) {
@@ -740,24 +748,31 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bo
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// encodeJSON renders v as every JSON reply but httpError's: indented by two
+// spaces, HTML-escaped, with a trailing newline. The slice is exactly the
+// reply's length, since a cached /ask reply is held as long as its entry.
+func encodeJSON(v any) []byte {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		log.Printf("encoding response: %v", err)
+		return nil
 	}
+	out := make([]byte, len(b)+1)
+	copy(out, b)
+	out[len(b)] = '\n'
+	return out
 }
 
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
+
 // writeJSONStatus is writeJSON with a non-200 status line.
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
+func writeJSONStatus(w http.ResponseWriter, code int, v any) { writeBody(w, code, encodeJSON(v)) }
+
+// writeBody sends an encoded JSON reply.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("encoding response: %v", err)
-	}
+	w.Write(body)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

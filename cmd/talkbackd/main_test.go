@@ -8,21 +8,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
 
 func newTestServer(t *testing.T, sys *core.System) *httptest.Server {
 	t.Helper()
-	s := &server{
-		sys:         sys,
-		adm:         core.NewAdmission(8, 16),
-		deadline:    10 * time.Second,
-		maxBody:     1 << 20,
-		maxSessions: 4096,
-		sessions:    make(map[string]string),
-	}
+	s := testServer(sys)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ask", s.guard(s.handleAsk))
 	mux.HandleFunc("GET /stats", s.handleStats)

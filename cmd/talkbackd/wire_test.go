@@ -1,0 +1,185 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/sqlparser"
+)
+
+// testServer is a server over sys with talkbackd's default limits.
+func testServer(sys *core.System) *server {
+	return &server{
+		sys:         sys,
+		adm:         core.NewAdmission(8, 16),
+		deadline:    10 * time.Second,
+		maxBody:     1 << 20,
+		maxSessions: 4096,
+		sessions:    make(map[string]string),
+	}
+}
+
+// askBytes sends one POST /ask through guard(handleAsk) and returns the
+// reply's status and body.
+func askBytes(tb testing.TB, h http.HandlerFunc, sql string) (int, []byte) {
+	tb.Helper()
+	body, err := json.Marshal(askRequest{SQL: sql})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodPost, "/ask", bytes.NewReader(body)))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// wireQueries are the replies TestAskWireFormat pins: the paper's Brad-Pitt
+// join and an outer join whose padded cells are SQL NULL.
+var wireQueries = []struct{ name, sql string }{
+	{"ask_q1", sqlparser.PaperQueries["Q1"]},
+	{"ask_null", "select m.title, g.genre from MOVIES m left join GENRE g on g.mid = m.id and g.genre = 'comedy' where m.year >= 2005"},
+}
+
+// TestAskWireFormat pins the exact /ask reply bytes: two-space indentation,
+// field order, HTML escaping, null cells and the trailing newline are part
+// of the API. A cache miss and the hit after it must both match.
+func TestAskWireFormat(t *testing.T) {
+	sys, err := buildSystem("movie", 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testServer(sys)
+	h := s.guard(s.handleAsk)
+	for _, q := range wireQueries {
+		path := filepath.Join("testdata", q.name+".golden")
+		code, got := askBytes(t, h, q.sql)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", q.name, code, got)
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: reply differs from %s:\n%s", q.name, path, got)
+		}
+		if _, hit := askBytes(t, h, q.sql); !bytes.Equal(hit, want) {
+			t.Errorf("%s: cached reply differs from %s:\n%s", q.name, path, hit)
+		}
+	}
+}
+
+// TestAskReplyMemo: a cached SELECT's reply is the miss's bytes, a commit
+// retires the stored bytes with their cache entry, a DML reply is encoded
+// anew each time, and concurrent first hits agree.
+func TestAskReplyMemo(t *testing.T) {
+	sys, err := buildSystem("movie", 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testServer(sys)
+	h := s.guard(s.handleAsk)
+	ask := func(sql string) []byte {
+		t.Helper()
+		code, body := askBytes(t, h, sql)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", sql, code, body)
+		}
+		return body
+	}
+	hits := func() int64 { return sys.CacheStats()["response"].Hits }
+
+	const recent = "select m.title from MOVIES m where m.year >= 2007"
+	miss := ask(recent)
+	before := hits()
+	if hit := ask(recent); !bytes.Equal(hit, miss) || hits() != before+1 {
+		t.Fatalf("hit (%d new hits) differs from the miss:\n%s\nvs\n%s", hits()-before, hit, miss)
+	}
+
+	ask("insert into MOVIES (id, title, year) values (999, 'Fresh Reel', 2026)")
+	fresh := ask(recent)
+	if !bytes.Contains(fresh, []byte("Fresh Reel")) {
+		t.Fatalf("reply after a committed insert lacks the new row:\n%s", fresh)
+	}
+	if hit := ask(recent); !bytes.Equal(hit, fresh) {
+		t.Fatalf("hit after the insert differs from its miss:\n%s\nvs\n%s", hit, fresh)
+	}
+
+	const purge = "delete from MOVIES where year >= 2026"
+	first, second := ask(purge), ask(purge)
+	if !strings.Contains(string(first), `"affected": 1`) || strings.Contains(string(second), `"affected"`) {
+		t.Fatalf("repeated DML replies were not each encoded anew:\n%s\nthen\n%s", first, second)
+	}
+
+	// Concurrent first hits: the cache holds an answer no reply has been
+	// encoded for yet, and eight requests race to encode it.
+	const point = "select m.title, m.year from MOVIES m where m.id = 120"
+	cached, err := sys.Ask(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeAsk(cached)
+	bodies := make([][]byte, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, bodies[i] = askBytes(t, h, point)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, b := range bodies {
+		if !bytes.Equal(b, want) {
+			t.Fatalf("concurrent hit %d:\n%s\nwant\n%s", i, b, want)
+		}
+	}
+}
+
+// BenchmarkX24ServeHit is talkbackd's share of a response-cache hit: one
+// POST /ask through the real guard(handleAsk), recorded by
+// httptest.NewRecorder, after one warm-up ask has cached the answer and its
+// reply. Its allocations are gated, so the hit path stays one Write.
+func BenchmarkX24ServeHit(b *testing.B) {
+	for _, q := range []struct{ name, sql string }{
+		{"point", "select m.title, m.year from MOVIES m where m.id = 120"},
+		{"join", sqlparser.PaperQueries["Q1"]},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			sys, err := buildSystem("movie", 0, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := testServer(sys)
+			h := s.guard(s.handleAsk)
+			body, _ := json.Marshal(askRequest{SQL: q.sql})
+			if code, reply := askBytes(b, h, q.sql); code != http.StatusOK {
+				b.Fatalf("warm-up: status %d: %s", code, reply)
+			}
+			rd := bytes.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, "/ask", io.NopCloser(rd))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				rec := httptest.NewRecorder()
+				h(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -350,7 +351,9 @@ func (s *System) CacheStats() map[string]cache.Stats {
 	return out
 }
 
-// Response is a full talk-back interaction.
+// Response is a full talk-back interaction. A SELECT's Response may be shared
+// through the response cache, together with the encoded reply it carries
+// (Wire); callers must not mutate it.
 type Response struct {
 	// Verification is the NL rendering of the query, shown before results.
 	Verification *querytotext.Translation
@@ -366,6 +369,32 @@ type Response struct {
 	// Plan records the executed query plan (nil for DML). Cached responses
 	// keep it, so a served answer always says which plan produced it.
 	Plan *planner.Summary
+
+	// wire is the reply encoded by the first Wire call. It lives and dies
+	// with the Response, so a cached answer's bytes are dropped with its
+	// cache entry and never outlive the snapshot they describe.
+	wire atomic.Pointer[[]byte]
+}
+
+// Wire returns r encoded for the wire: the bytes an earlier call stored, or
+// encode(r), stored for the next call. A Response served from the response
+// cache is encoded once however many requests it answers. The memo is meant
+// for one reply format (talkbackd's /ask body), and its contract is the
+// caller's to keep:
+//   - every caller passes the same encoder, a pure function of r: the memo
+//     does not record which encoder filled it, so a different one gets the
+//     first one's bytes. Two racing first calls may both encode; either
+//     result is kept.
+//   - a Response is never copied (go vet's copylocks reports copies): a copy
+//     carries the stored bytes, which no longer describe it once a field of
+//     the copy changes.
+func (r *Response) Wire(encode func(*Response) []byte) []byte {
+	if b := r.wire.Load(); b != nil {
+		return *b
+	}
+	b := encode(r)
+	r.wire.Store(&b)
+	return b
 }
 
 // Ask runs the complete loop: translate, execute, narrate the answer, and
@@ -404,11 +433,12 @@ func (s *System) AskContext(ctx context.Context, sql string) (resp *Response, er
 	// table statistics (hence plan choice) only change with the data, the
 	// key also pins the plan: a cached Response can never be served under
 	// a different plan than the one recorded in its Plan field. The
-	// returned Response is shared; callers must not mutate it.
+	// returned Response is shared, and so is the reply its Wire method
+	// stores; callers must not mutate either.
 	key := cache.NormalizeSQL(sql)
 	var respKey string
 	if s.respCache != nil {
-		respKey = fmt.Sprintf("%d|%d|%s", snap.Seq(), s.dataGen.Load(), key)
+		respKey = responseKey(snap.Seq(), s.dataGen.Load(), key)
 		if cached, ok := s.respCache.Get(respKey); ok {
 			return cached, nil
 		}
@@ -496,6 +526,17 @@ func (s *System) AskContext(ctx context.Context, sql string) (resp *Response, er
 		s.respCache.Put(respKey, resp)
 	}
 	return resp, nil
+}
+
+// responseKey is the response cache's key, "seq|gen|key", built without
+// fmt (which boxes each number above 255): one allocation, the string.
+func responseKey(seq uint64, gen int64, key string) string {
+	var buf [42]byte // two 20-digit numbers and two separators
+	b := strconv.AppendUint(buf[:0], seq, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, gen, 10)
+	b = append(b, '|')
+	return string(b) + key
 }
 
 // FeedbackFailures counts the empty- or large-answer feedbacks that errored
