@@ -873,6 +873,13 @@ func zoneScanDB(b *testing.B, n int) *storage.Database {
 // checkpointed columnar segment (the post-graceful-shutdown path). The disk
 // image is built once per shape and cloned per iteration, so each op is one
 // full recovery of the same bytes.
+//
+//   - wal-replay: 50 000 rows of the one-table X17 schema, 100 per batch.
+//   - checkpoint-load: the same rows as one checkpoint segment with a
+//     512-entry dictionary.
+//   - checkpoint-load-movies: a checkpoint of a generated movie database
+//     (20 000 movies, 10 000 actors): six table segments, which load
+//     concurrently, and dictionaries of titles, names and roles.
 func BenchmarkX17Recovery(b *testing.B) {
 	const rows = 50_000
 	const perBatch = 100
@@ -910,35 +917,66 @@ func BenchmarkX17Recovery(b *testing.B) {
 		}
 		return fs
 	}
+	movieSchema := func(b *testing.B) *storage.Database {
+		db, err := storage.NewDatabase(dataset.MovieSchema())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return db
+	}
+	// buildMovies checkpoints the generated database — EnableDurability on a
+	// populated database writes its first checkpoint — and returns the disk
+	// and its row count.
+	buildMovies := func(b *testing.B) (*wal.MemFS, int) {
+		b.Helper()
+		cfg := dataset.DefaultGenConfig()
+		cfg.Movies, cfg.Actors = 20_000, 10_000
+		db, err := dataset.GenerateMovieDB(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs := wal.NewMemFS()
+		if _, err := db.EnableDurability(fs, storage.DurableOptions{CheckpointBytes: -1}); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.CloseDurability(); err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for _, name := range db.TableNames() {
+			n += db.Table(name).Len()
+		}
+		return fs, n
+	}
 
 	for _, shape := range []struct {
-		name       string
-		checkpoint bool
+		name     string
+		empty    func(b *testing.B) *storage.Database
+		disk     func(b *testing.B) (*wal.MemFS, int)
+		replayed int
 	}{
-		{"wal-replay", false},
-		{"checkpoint-load", true},
+		{"wal-replay", recoveryBenchDB, func(b *testing.B) (*wal.MemFS, int) { return build(b, false), rows }, rows / perBatch},
+		{"checkpoint-load", recoveryBenchDB, func(b *testing.B) (*wal.MemFS, int) { return build(b, true), rows }, 0},
+		{"checkpoint-load-movies", movieSchema, buildMovies, 0},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			disk := build(b, shape.checkpoint)
+			disk, want := shape.disk(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				db := recoveryBenchDB(b)
+				db := shape.empty(b)
 				report, err := db.EnableDurability(disk.Clone(), storage.DurableOptions{CheckpointBytes: -1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if report.Rows != rows || !report.Clean() {
-					b.Fatalf("recovery: rows=%d clean=%v", report.Rows, report.Clean())
+				if report.Rows != want || !report.Clean() {
+					b.Fatalf("recovery: rows=%d (want %d) clean=%v", report.Rows, want, report.Clean())
 				}
-				if shape.checkpoint && report.ReplayedBatches != 0 {
-					b.Fatalf("checkpoint shape replayed %d batches", report.ReplayedBatches)
-				}
-				if !shape.checkpoint && report.ReplayedBatches != rows/perBatch {
-					b.Fatalf("wal shape replayed %d batches", report.ReplayedBatches)
+				if report.ReplayedBatches != shape.replayed {
+					b.Fatalf("replayed %d batches, want %d", report.ReplayedBatches, shape.replayed)
 				}
 			}
-			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			b.ReportMetric(float64(want)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
 }

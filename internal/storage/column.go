@@ -109,8 +109,10 @@ type dict struct {
 	order     []uint32
 }
 
-func newDict() *dict {
-	return &dict{code: make(map[string]uint32), codeMu: &sync.RWMutex{}}
+// newDict returns an empty dictionary whose code map is presized for size
+// entries.
+func newDict(size int) *dict {
+	return &dict{code: make(map[string]uint32, size), codeMu: &sync.RWMutex{}}
 }
 
 // intern returns the code for s, assigning the next one on first sight.
@@ -233,7 +235,7 @@ func newColumn(kind value.Kind, copied *atomic.Uint64) column {
 	c := column{kind: kind, copied: copied}
 	switch kind {
 	case value.Text:
-		c.dict = newDict()
+		c.dict = newDict(0)
 	case value.Int, value.Float, value.Date:
 		c.counts = make(map[uint64]int32)
 	}

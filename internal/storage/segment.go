@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -205,28 +207,63 @@ func (db *Database) loadCheckpoint(data []byte) (lastSeq uint64, err error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, rec := range records[1:] {
-		if err := db.loadSegment(rec.Payload); err != nil {
-			return 0, err
+
+	// Name every segment's table first, so an unknown or repeated table is
+	// refused before any table is touched.
+	type segment struct {
+		tbl  *Table
+		name string
+		d    walDecoder // positioned just past the name
+	}
+	segs := make([]segment, len(records)-1)
+	for i, rec := range records[1:] {
+		seg := &segs[i]
+		seg.d = walDecoder{buf: rec.Payload}
+		seg.name = seg.d.string()
+		if seg.d.err != nil {
+			return 0, seg.d.err
 		}
+		seg.tbl = db.tables[strings.ToLower(seg.name)]
+		if seg.tbl == nil {
+			return 0, fmt.Errorf("storage: checkpoint holds unknown relation %q", seg.name)
+		}
+		for _, prev := range segs[:i] {
+			if prev.tbl == seg.tbl {
+				return 0, fmt.Errorf("storage: checkpoint holds table %s twice", seg.name)
+			}
+		}
+		if seg.tbl.rows != 0 {
+			return 0, fmt.Errorf("storage: loading checkpoint into non-empty table %s", seg.name)
+		}
+	}
+
+	// Then every segment decodes into its own table in its own goroutine; the
+	// tables share no state the load writes. The first failure in file order
+	// is the one reported, however the goroutines finish.
+	errs := make([]error, len(segs))
+	var wg sync.WaitGroup
+	for i := range segs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = segs[i].tbl.loadSegment(segs[i].name, &segs[i].d)
+		}()
+	}
+	wg.Wait()
+	if err := cmp.Or(errs...); err != nil {
+		return 0, err
 	}
 	return lastSeq, nil
 }
 
-func (db *Database) loadSegment(payload []byte) error {
-	d := &walDecoder{buf: payload}
-	name := d.string()
+// loadSegment decodes the rest of a segment naming tbl — d sits just past the
+// name — and rebuilds the table's derived state from it.
+func (tbl *Table) loadSegment(name string, d *walDecoder) error {
+	payload := d.buf
 	rows := d.uvarint()
 	colCount := d.uvarint()
 	if d.err != nil {
 		return d.err
-	}
-	tbl := db.tables[strings.ToLower(name)]
-	if tbl == nil {
-		return fmt.Errorf("storage: checkpoint holds unknown relation %q", name)
-	}
-	if tbl.rows != 0 {
-		return fmt.Errorf("storage: loading checkpoint into non-empty table %s", name)
 	}
 	if colCount != uint64(len(tbl.cols)) {
 		return fmt.Errorf("storage: checkpoint %s has %d columns, schema wants %d", name, colCount, len(tbl.cols))
@@ -372,16 +409,28 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 		if dictLen > uint64(len(d.buf)) {
 			return fmt.Errorf("dictionary of %d entries exceeds segment", dictLen)
 		}
-		c.dict = newDict()
+		// The whole dictionary section becomes one string and every entry a
+		// substring of it: one allocation per dictionary, not one per entry.
+		start := d.off
+		for range dictLen {
+			d.bytes()
+		}
+		if d.err != nil {
+			return d.err
+		}
+		section := string(d.buf[start:d.off])
+		entries := walDecoder{buf: d.buf[start:d.off]}
+		c.dict = newDict(int(dictLen))
 		c.dict.strs = make([]string, dictLen)
 		c.dict.refs = make([]int32, dictLen)
 		for i := range c.dict.strs {
-			s := d.string()
-			if _, dup := c.dict.code[s]; dup && d.err == nil {
-				return fmt.Errorf("dictionary holds %q twice", s)
-			}
+			n := len(entries.bytes())
+			s := section[entries.off-n : entries.off]
 			c.dict.strs[i] = s
 			c.dict.code[s] = uint32(i)
+			if len(c.dict.code) != i+1 {
+				return fmt.Errorf("dictionary holds %q twice", s)
+			}
 		}
 		c.codes = newChunked[uint32](c, rows)
 		for i := range rows {

@@ -47,13 +47,17 @@ func tableSegments(t testing.TB, checkpoint []byte) [][]byte {
 	return out
 }
 
-// frameCheckpoint puts one table segment behind a valid header for db's
-// schema, both records CRC-framed, so the bytes reach the segment decoder.
-func frameCheckpoint(db *Database, segment []byte) []byte {
+// frameCheckpoint puts table segments behind a valid header for db's schema,
+// every record CRC-framed, so the bytes reach the segment decoder.
+func frameCheckpoint(db *Database, segments ...[]byte) []byte {
 	header := append([]byte(segmentMagic), appendUvarint(nil, SchemaFingerprint(db))...)
 	header = appendUvarint(header, 0) // WAL floor
-	header = appendUvarint(header, 1) // one table
-	return wal.AppendRecord(wal.AppendRecord(nil, header), segment)
+	header = appendUvarint(header, uint64(len(segments)))
+	out := wal.AppendRecord(nil, header)
+	for _, seg := range segments {
+		out = wal.AppendRecord(out, seg)
+	}
+	return out
 }
 
 // recoverFrom boots a fresh database of schema from a disk holding only the
@@ -165,6 +169,97 @@ func TestCheckpointWithDuplicatePrimaryKeyRefuses(t *testing.T) {
 	}
 }
 
+// TestCheckpointNamingATableTwiceRefuses loads checkpoints whose two
+// segments both name T, one empty and one holding rows, in either order. The
+// load must refuse both before decoding either, instead of letting the second
+// copy replace an empty first one.
+func TestCheckpointNamingATableTwiceRefuses(t *testing.T) {
+	_, emptyCk := checkpointFile(t, columnarTestSchema(), func(*Database) {})
+	_, fullCk := checkpointFile(t, columnarTestSchema(), func(db *Database) {
+		for id := int64(1); id <= 3; id++ {
+			if err := db.Insert("T", Tuple{value.NewInt(id), value.NewInt(id), value.NewNull(), value.NewText("a"), value.NewNull(), value.NewNull()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	empty, full := tableSegments(t, emptyCk)[0], tableSegments(t, fullCk)[0]
+	for _, tc := range []struct {
+		name     string
+		segments [][]byte
+	}{
+		{"empty-then-full", [][]byte{empty, full}},
+		{"full-then-empty", [][]byte{full, empty}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := NewDatabase(columnarTestSchema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = db.loadCheckpoint(frameCheckpoint(db, tc.segments...))
+			if err == nil {
+				t.Fatalf("a checkpoint naming T twice loaded %d rows", db.Table("T").Len())
+			}
+			if want := "storage: checkpoint holds table T twice"; err.Error() != want {
+				t.Fatalf("refusal %q, want %q", err, want)
+			}
+			if n := db.Table("T").Len(); n != 0 {
+				t.Fatalf("refused load left %d rows in T", n)
+			}
+		})
+	}
+}
+
+// TestCheckpointLoadReportsFirstFailingSegment loads a checkpoint whose
+// second and third segments are both corrupt: MOVIES fails only at its last
+// bytes, after every column decoded, and RATINGS at its header. The segments
+// load concurrently, so RATINGS usually fails first; the refusal must still
+// be MOVIES's, the first failing segment in file order, on every load.
+func TestCheckpointLoadReportsFirstFailingSegment(t *testing.T) {
+	fs := wal.NewMemFS()
+	live := newDurDB(t)
+	seedVariety(t, live)
+	if _, err := live.EnableDurability(fs, DurableOptions{CheckpointBytes: -1}); err != nil {
+		t.Fatal(err)
+	}
+	segs := tableSegments(t, fs.Bytes(CheckpointFileName))
+	if len(segs) != 3 {
+		t.Fatalf("checkpoint of %d tables, want DIRECTOR, MOVIES, RATINGS", len(segs))
+	}
+	// MOVIES ends with its index's attribute name; renaming it fails the
+	// index rebuild, the last step of the segment's load.
+	movies := slices.Clone(segs[1])
+	if !strings.HasSuffix(string(movies), "did") {
+		t.Fatal("MOVIES segment does not end with its index attribute")
+	}
+	movies[len(movies)-1] = 'x'
+	// RATINGS promises one column too many.
+	d := walDecoder{buf: segs[2]}
+	name, rows, cols := d.string(), d.uvarint(), d.uvarint()
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	ratings := appendUvarint(appendUvarint(appendString(nil, name), rows), cols+1)
+	ratings = append(ratings, segs[2][d.off:]...)
+
+	load := func(segments ...[]byte) error {
+		db := newDurDB(t)
+		_, err := db.loadCheckpoint(frameCheckpoint(db, segments...))
+		if err == nil {
+			t.Fatal("a corrupt checkpoint loaded")
+		}
+		return err
+	}
+	want := load(segs[0], movies, segs[2]).Error()
+	if other := load(segs[0], segs[1], ratings).Error(); other == want {
+		t.Fatalf("both corruptions refuse with %q; the test cannot tell them apart", want)
+	}
+	for i := range 50 {
+		if got := load(segs[0], movies, ratings).Error(); got != want {
+			t.Fatalf("load %d: refusal %q, want the second segment's %q", i, got, want)
+		}
+	}
+}
+
 // TestReplicatedCheckpointWithSecondaryIndex re-seeds a follower from a
 // checkpoint that defines a secondary index. The load holds the database
 // lock while it rebuilds the index, so the rebuild must not take it again.
@@ -266,43 +361,88 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 	return append(out, view.appendSegment(nil))
 }
 
-// FuzzLoadCheckpoint feeds table segments to the checkpoint loader behind a
-// valid header and valid CRCs. Whatever the bytes, the load refuses or
+// fuzzSchema is the columnar test table T beside a second relation U, so a
+// fuzzed T segment always loads next to another table's.
+func fuzzSchema() *catalog.Schema {
+	s := columnarTestSchema()
+	if err := s.AddRelation(&catalog.Relation{
+		Name: "U",
+		Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true},
+			{Name: "name", Type: catalog.Text},
+		},
+		PrimaryKey: []string{"id"},
+	}); err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// uPrint renders U's rows and each row's primary-key probe.
+func uPrint(tbl *Table) string {
+	var sb strings.Builder
+	for i := 0; i < tbl.Len(); i++ {
+		row := tbl.Tuple(i)
+		got, ok := tbl.LookupPK(Tuple{row[0]})
+		fmt.Fprintf(&sb, "%d %s pk=%v %s\n", i, row, ok, got)
+	}
+	return sb.String()
+}
+
+// FuzzLoadCheckpoint feeds table segments of T to the checkpoint loader
+// behind a valid header and valid CRCs, followed by a fixed valid segment of
+// U, so the two decode concurrently. Whatever the bytes, the load refuses or
 // installs a consistent table: no panic, one primary-key entry per row with
 // every row's key probing to its own position, no NULL bit past the last
 // row, a dictionary whose strings each map back to their own code, and zones
-// and statistics equal to a from-scratch derivation.
+// and statistics equal to a from-scratch derivation. U loads intact beside it.
 func FuzzLoadCheckpoint(f *testing.F) {
 	for _, seg := range fuzzSeedSegments(f) {
 		f.Add(seg)
 	}
+	live, ck := checkpointFile(f, fuzzSchema(), func(db *Database) {
+		for id := int64(1); id <= 40; id++ {
+			name := value.NewText(fmt.Sprint("u", id%7))
+			if id%5 == 0 {
+				name = value.NewNull()
+			}
+			if err := db.Insert("U", Tuple{value.NewInt(id), name}); err != nil {
+				f.Fatal(err)
+			}
+		}
+	})
+	uSegment, uWant := tableSegments(f, ck)[1], uPrint(live.Table("U"))
 	f.Fuzz(func(t *testing.T, segment []byte) {
-		db, err := NewDatabase(columnarTestSchema())
+		db, err := NewDatabase(fuzzSchema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.loadCheckpoint(frameCheckpoint(db, segment)); err != nil {
+		if _, err := db.loadCheckpoint(frameCheckpoint(db, segment, uSegment)); err != nil {
 			return
 		}
-		tbl := db.Table("T")
-		checkPKIndex(t, tbl, "load")
-		for p := range tbl.cols {
-			c := &tbl.cols[p]
-			for i := tbl.Len(); i < len(c.nulls.words)*64; i++ {
-				if c.nulls.get(i) {
-					t.Fatalf("col %d: NULL bit at %d, past the %d rows", p, i, tbl.Len())
-				}
-			}
-			if c.kind != value.Text {
-				continue
-			}
-			for code, s := range c.dict.strs {
-				if got, ok := tbl.Col(p).DictCode(s); !ok || got != uint32(code) {
-					t.Fatalf("col %d: dictionary string %q maps to code %d, stored at %d", p, s, got, code)
-				}
-			}
+		if got := uPrint(db.Table("U")); got != uWant {
+			t.Fatalf("U loaded as\n%s\nwant\n%s", got, uWant)
 		}
-		checkZones(t, tbl)
-		checkStats(t, tbl)
+		for _, tbl := range []*Table{db.Table("T"), db.Table("U")} {
+			checkPKIndex(t, tbl, "load")
+			for p := range tbl.cols {
+				c := &tbl.cols[p]
+				for i := tbl.Len(); i < len(c.nulls.words)*64; i++ {
+					if c.nulls.get(i) {
+						t.Fatalf("%s col %d: NULL bit at %d, past the %d rows", tbl.rel.Name, p, i, tbl.Len())
+					}
+				}
+				if c.kind != value.Text {
+					continue
+				}
+				for code, s := range c.dict.strs {
+					if got, ok := tbl.Col(p).DictCode(s); !ok || got != uint32(code) {
+						t.Fatalf("%s col %d: dictionary string %q maps to code %d, stored at %d", tbl.rel.Name, p, s, got, code)
+					}
+				}
+			}
+			checkZones(t, tbl)
+			checkStats(t, tbl)
+		}
 	})
 }

@@ -134,18 +134,22 @@ func (d *walDecoder) uint64le() uint64 {
 	return x
 }
 
-func (d *walDecoder) string() string {
+func (d *walDecoder) string() string { return string(d.bytes()) }
+
+// bytes consumes a length-prefixed string and returns its bytes in place,
+// without copying them.
+func (d *walDecoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.buf)-d.off) {
 		d.fail("string length %d exceeds record", n)
-		return ""
+		return nil
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
 }
 
 func (d *walDecoder) value() value.Value {

@@ -391,6 +391,10 @@ func (c *column) maybeCompactDict(rows int) {
 			// (their rows legitimately hold codes the live table dropped).
 			continue
 		}
+		// A loaded dictionary's entries are substrings of one section
+		// (segment.go); a kept entry is cloned so the compacted dictionary
+		// does not pin the whole section.
+		s = strings.Clone(s)
 		nc := uint32(len(strs))
 		remap[old] = nc
 		strs = append(strs, s)
