@@ -23,8 +23,9 @@ import (
 // logical op to a pending buffer, and the batch flushes (append + fsync) as
 // one framed record before the caller's statement returns. Recovery loads
 // the checkpoint, replays the WAL's longest valid committed prefix through
-// the ordinary DML paths, and quarantines whatever tail a crash or bit rot
-// left behind — it never fails on a corrupt log, and it never trusts one.
+// the locked write internals live DML uses, and quarantines whatever tail a
+// crash or bit rot left behind — it never fails on a corrupt log, and it
+// never trusts one.
 //
 // A WAL append or fsync that fails latches the layer into a permanent
 // failed state: every later write is rejected with ErrWALFailed. Appending
@@ -257,13 +258,8 @@ func (db *Database) EnableDurability(fs wal.FS, opts DurableOptions) (*RecoveryR
 		return nil, errors.New("storage: durable state exists but the database is not empty; recover into a schema-only database")
 	}
 
-	// Recovery replays through the ordinary DML paths; suppress the per-op
-	// snapshot publishes they would trigger and install one version at the
-	// end, at the recovered sequence.
-	db.recovering.Store(true)
-	defer db.recovering.Store(false)
-
-	var lastSeq uint64
+	// Neither the checkpoint load nor the WAL replay publishes: one version
+	// installs at the end, at the recovered sequence.
 	var ckData []byte
 	if ok, _ := fs.Exists(CheckpointFileName); ok {
 		data, err := wal.ReadAll(fs, CheckpointFileName)
@@ -271,20 +267,19 @@ func (db *Database) EnableDurability(fs wal.FS, opts DurableOptions) (*RecoveryR
 			return nil, fmt.Errorf("storage: reading checkpoint: %w", err)
 		}
 		ckData = data
-		lastSeq, err = db.loadCheckpoint(data)
+		report.CheckpointSeq, err = db.loadCheckpoint(data)
 		if err != nil {
 			return nil, err
 		}
 		report.CheckpointRows = db.totalRows()
-		report.CheckpointSeq = lastSeq
 	}
 
-	appliedSeq := lastSeq
+	report.LastSeq = report.CheckpointSeq
 	validEnd := 0
 	walExisted, _ := fs.Exists(WALFileName)
 	if walExisted {
 		var err error
-		validEnd, err = db.replayWAL(fs, ckData, lastSeq, &appliedSeq, report)
+		validEnd, err = db.replayWAL(fs, ckData, report)
 		if err != nil {
 			return nil, err
 		}
@@ -310,28 +305,23 @@ func (db *Database) EnableDurability(fs wal.FS, opts DurableOptions) (*RecoveryR
 		// so snapshot seqs never regress. The initial checkpoint below records
 		// this floor, keeping later recoveries consistent with it.
 		db.mu.Lock()
-		if db.pubSeq > appliedSeq {
-			appliedSeq = db.pubSeq
-		}
+		report.LastSeq = max(report.LastSeq, db.pubSeq)
 		db.mu.Unlock()
 	}
 	dur := &durability{fs: fs, w: wal.NewWriter(f, int64(validEnd)), opts: opts, report: report}
-	dur.seq.Store(appliedSeq)
+	dur.seq.Store(report.LastSeq)
 	dur.walBytes.Store(int64(validEnd))
-	dur.floor.Store(lastSeq)
+	dur.floor.Store(report.CheckpointSeq)
 	db.dur = dur
-
-	report.LastSeq = appliedSeq
 
 	// Recovery is done: publish the recovered state as one version at the
 	// recovered sequence, so snapshot readers and the initial checkpoint see
 	// it.
-	db.recovering.Store(false)
 	db.mu.Lock()
 	for _, t := range db.tables {
 		t.dirty = true
 	}
-	db.publishLocked(appliedSeq)
+	db.publishLocked(report.LastSeq)
 	db.mu.Unlock()
 
 	// First boot of this directory (or a crash before the first checkpoint
@@ -351,7 +341,7 @@ func (db *Database) EnableDurability(fs wal.FS, opts DurableOptions) (*RecoveryR
 // of that prefix. ckData is the raw checkpoint segment (nil when none
 // existed): if a record fails partway through application, the database is
 // rebuilt from it so no half-applied statement batch survives recovery.
-func (db *Database) replayWAL(fs wal.FS, ckData []byte, lastSeq uint64, appliedSeq *uint64, report *RecoveryReport) (int, error) {
+func (db *Database) replayWAL(fs wal.FS, ckData []byte, report *RecoveryReport) (int, error) {
 	data, rerr := wal.ReadAll(fs, WALFileName)
 	records, tail := wal.Scan(data)
 	validEnd := len(data)
@@ -362,52 +352,24 @@ func (db *Database) replayWAL(fs wal.FS, ckData []byte, lastSeq uint64, appliedS
 		report.TailReason = tail.Reason
 		report.LostBatches = tail.Lost
 	}
-	for idx, rec := range records {
-		d := &walDecoder{buf: rec.Payload}
-		seq := d.uvarint()
-		var err error
-		applied := false
-		switch {
-		case d.err != nil:
-			err = d.err
-		case seq <= lastSeq:
-			report.SkippedBatches++
-			continue
-		case seq != *appliedSeq+1:
-			err = fmt.Errorf("sequence %d follows %d", seq, *appliedSeq)
-		default:
-			applied = true
-			var ops int
-			ops, err = db.replayBatch(d)
-			if err == nil {
-				*appliedSeq = seq
-				if report.FirstSeq == 0 {
-					report.FirstSeq = seq
-				}
-				report.ReplayedBatches++
-				report.ReplayedOps += ops
+	if idx, partial, err := db.replayRecords(records, report); err != nil {
+		if partial {
+			// replayBatch failed partway: some of the record's ops are
+			// applied. A statement batch is the unit of recovery atomicity,
+			// so rebuild from the checkpoint and the known-good record
+			// prefix — none of the broken record survives.
+			if rbErr := db.rebuildPrefix(ckData, records[:idx]); rbErr != nil {
+				return 0, fmt.Errorf("storage: rolling back partial batch: %w", rbErr)
 			}
 		}
-		if err != nil {
-			if applied {
-				// replayBatch failed partway: some of the record's ops are
-				// applied. A statement batch is the unit of recovery
-				// atomicity, so rebuild from the checkpoint and the known-good
-				// record prefix — none of the broken record survives.
-				if rbErr := db.rebuildPrefix(ckData, records[:idx], lastSeq); rbErr != nil {
-					return 0, fmt.Errorf("storage: rolling back partial batch: %w", rbErr)
-				}
-			}
-			// The record framed and checksummed but does not decode or
-			// apply — treat it and everything after as the corrupt tail.
-			validEnd = rec.Off
-			quarantine = data[rec.Off:]
-			report.TailReason = err.Error()
-			report.LostBatches = len(records) - idx
-			if tail != nil {
-				report.LostBatches += tail.Lost
-			}
-			break
+		// The record framed and checksummed but does not decode, follow or
+		// apply — treat it and everything after as the corrupt tail.
+		validEnd = records[idx].Off
+		quarantine = data[validEnd:]
+		report.TailReason = err.Error()
+		report.LostBatches = len(records) - idx
+		if tail != nil {
+			report.LostBatches += tail.Lost
 		}
 	}
 	if rerr != nil && report.TailReason == "" {
@@ -445,36 +407,55 @@ func (db *Database) replayWAL(fs wal.FS, ckData []byte, lastSeq uint64, appliedS
 	return validEnd, nil
 }
 
+// replayRecords is the one sequence rule of recovery: onto tables that hold
+// the checkpoint at report.CheckpointSeq and the records up to report.LastSeq,
+// it skips a record at or below the checkpoint (the crash between checkpoint
+// and log truncation leaves some behind), refuses one that does not follow
+// LastSeq, and applies the rest in order, each under one hold of db.mu. It
+// stops at the first record that does not decode, follow or apply and
+// returns its index and error; partial reports that the record's ops had
+// begun to apply, so some of them may sit in the tables. report counts the
+// skipped and replayed records and advances LastSeq.
+func (db *Database) replayRecords(records []wal.Record, report *RecoveryReport) (failed int, partial bool, err error) {
+	for i, rec := range records {
+		d := &walDecoder{buf: rec.Payload}
+		seq := d.uvarint()
+		switch {
+		case d.err != nil:
+			return i, false, d.err
+		case seq <= report.CheckpointSeq:
+			report.SkippedBatches++
+			continue
+		case seq != report.LastSeq+1:
+			return i, false, fmt.Errorf("sequence %d follows %d", seq, report.LastSeq)
+		}
+		db.mu.Lock()
+		ops, err := db.replayBatch(d)
+		db.mu.Unlock()
+		if err != nil {
+			return i, true, err
+		}
+		report.LastSeq = seq
+		if report.FirstSeq == 0 {
+			report.FirstSeq = seq
+		}
+		report.ReplayedBatches++
+		report.ReplayedOps += ops
+	}
+	return len(records), false, nil
+}
+
 // rebuildPrefix restores db to the state reached by the checkpoint plus the
 // given known-good WAL records. It is the rollback path for a record that
 // fails partway through replayBatch — rebuilding from scratch is O(log) but
 // only runs once, on the rare corrupt-record recovery.
-func (db *Database) rebuildPrefix(ckData []byte, records []wal.Record, lastSeq uint64) error {
-	db.resetTables()
-	if ckData != nil {
-		if _, err := db.loadCheckpoint(ckData); err != nil {
-			return err
-		}
+func (db *Database) rebuildPrefix(ckData []byte, records []wal.Record) error {
+	floor, err := db.reseed(ckData)
+	if err != nil {
+		return err
 	}
-	applied := lastSeq
-	for _, rec := range records {
-		d := &walDecoder{buf: rec.Payload}
-		seq := d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		if seq <= lastSeq {
-			continue
-		}
-		if seq != applied+1 {
-			return fmt.Errorf("sequence %d follows %d", seq, applied)
-		}
-		if _, err := db.replayBatch(d); err != nil {
-			return err
-		}
-		applied = seq
-	}
-	return nil
+	_, _, err = db.replayRecords(records, &RecoveryReport{CheckpointSeq: floor, LastSeq: floor})
+	return err
 }
 
 func writeFile(fs wal.FS, name string, data []byte) error {

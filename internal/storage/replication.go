@@ -103,12 +103,13 @@ func (db *Database) ReplicationBacklog(fromSeq uint64) (checkpoint []byte, frame
 }
 
 // ApplyReplicatedRecord applies one shipped WAL record to a follower
-// database: the ops replay through the ordinary DML paths with per-op
-// publishes suppressed, then one version installs at the record's sequence —
-// so snapshot readers see record atomicity, exactly as they do on the
-// primary. The caller owns continuity (a sequence gap is divergence, not
-// this function's concern). On an apply error the live tables may hold a
-// partial record, but no version is published: the caller must latch and
+// database: under one hold of db.mu the ops replay through the same locked
+// write internals recovery uses, then one version installs at the record's
+// sequence — so snapshot readers see record atomicity, exactly as they do on
+// the primary, and no local write lands in between (the follower refuses
+// those anyway). The caller owns continuity (a sequence gap is divergence,
+// not this function's concern). On an apply error the live tables may hold
+// a partial record, but no version is published: the caller must latch and
 // stop applying, which keeps every readable snapshot record-atomic.
 func (db *Database) ApplyReplicatedRecord(record []byte) (seq uint64, ops int, err error) {
 	if db.dur != nil {
@@ -119,16 +120,13 @@ func (db *Database) ApplyReplicatedRecord(record []byte) (seq uint64, ops int, e
 	if d.err != nil {
 		return 0, 0, fmt.Errorf("storage: replicated record has no sequence: %w", d.err)
 	}
-	db.recovering.Store(true)
-	ops, err = db.replayBatch(d)
-	db.recovering.Store(false)
-	if err != nil {
-		return seq, ops, err
-	}
 	db.mu.Lock()
-	db.publishLocked(seq)
-	db.mu.Unlock()
-	return seq, ops, nil
+	defer db.mu.Unlock()
+	ops, err = db.replayBatch(d)
+	if err == nil {
+		db.publishLocked(seq)
+	}
+	return seq, ops, err
 }
 
 // LoadReplicatedCheckpoint re-seeds a follower from a primary's raw
@@ -141,8 +139,7 @@ func (db *Database) LoadReplicatedCheckpoint(checkpoint []byte) (floor uint64, r
 	if db.dur != nil {
 		return 0, 0, errors.New("storage: replicated checkpoints load into in-memory followers only")
 	}
-	db.resetTables()
-	floor, err = db.loadCheckpoint(checkpoint)
+	floor, err = db.reseed(checkpoint)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -160,20 +157,13 @@ func CheckpointFloor(checkpoint []byte) (uint64, error) {
 	if len(records) == 0 {
 		return 0, errors.New("storage: checkpoint has no header record")
 	}
-	d := &walDecoder{buf: records[0].Payload}
-	for range segmentMagic {
-		d.byte()
-	}
-	d.uvarint() // schema fingerprint; LoadReplicatedCheckpoint verifies it
-	floor := d.uvarint()
-	if d.err != nil {
-		return 0, fmt.Errorf("storage: checkpoint header: %w", d.err)
-	}
-	return floor, nil
+	// The schema fingerprint is LoadReplicatedCheckpoint's to verify.
+	_, floor, _, err := checkpointHeader(records[0].Payload)
+	return floor, err
 }
 
 // SetReadOnly marks the database a replication follower: every local
-// mutation is refused with ErrReadOnlyReplica. Replicated applies still run —
-// they replay under the recovery flag, which bypasses the refusal the same
-// way WAL replay does.
+// mutation is refused with ErrReadOnlyReplica, at all times — also while a
+// replicated record applies, since ApplyReplicatedRecord writes through the
+// locked internals below the public DML and never through the refusal.
 func (db *Database) SetReadOnly(ro bool) { db.readOnly.Store(ro) }

@@ -115,6 +115,55 @@ func TestApplyReplicatedRecord(t *testing.T) {
 	}
 }
 
+// TestFollowerRefusesLocalWritesDuringApply pins that a follower refuses
+// local DML while a replicated record applies, not only between records: a
+// local insert accepted mid-apply would publish with the replicated version
+// and leave the follower holding rows the primary's log never had.
+func TestFollowerRefusesLocalWritesDuringApply(t *testing.T) {
+	primary, follower, frames := newReplicatedPair(t)
+	const rows = 20000
+	primary.BeginBatch()
+	for id := 1; id <= rows; id++ {
+		insDirector(t, primary, id)
+	}
+	if err := primary.CommitBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*frames) != 1 {
+		t.Fatalf("the batch committed as %d records, want 1", len(*frames))
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := follower.ApplyReplicatedRecord((*frames)[0].Record)
+		done <- err
+	}()
+	attempts, accepted := 0, 0
+	for id := rows + 1; ; id++ {
+		err := follower.Insert("DIRECTOR", Tuple{value.NewInt(int64(id)), value.NewText("local"), value.NewNull()})
+		attempts++
+		if !errors.Is(err, ErrReadOnlyReplica) {
+			accepted++
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("apply: %v", err)
+			}
+			if accepted > 0 {
+				t.Fatalf("follower accepted %d of %d local inserts during the apply", accepted, attempts)
+			}
+			if got, want := follower.Snapshot().Table("DIRECTOR").Len(), primary.Snapshot().Table("DIRECTOR").Len(); got != want {
+				t.Fatalf("follower holds %d DIRECTOR rows, primary %d", got, want)
+			}
+			if got := follower.Table("DIRECTOR").Len(); got != rows {
+				t.Fatalf("follower's live table holds %d rows, want %d", got, rows)
+			}
+			return
+		default:
+		}
+	}
+}
+
 // TestApplyReplicatedRecordPartialFailure pins record atomicity on the
 // follower: a record that fails midway publishes nothing — readers never see
 // half a statement batch, they see the last fully applied sequence.
@@ -211,6 +260,38 @@ func TestReplicationBacklog(t *testing.T) {
 	ck, frames, last, err = primary.ReplicationBacklog(5)
 	if err != nil || ck != nil || len(frames) != 0 || last != 5 {
 		t.Fatalf("caught-up backlog: ck=%v frames=%d last=%d err=%v", ck != nil, len(frames), last, err)
+	}
+}
+
+// TestCheckpointFloorChecksMagic offers a checkpoint whose CRC-valid header
+// frame carries the wrong segment magic. CheckpointFloor — the follower's
+// peek before it wipes anything — must refuse it with the text the loader
+// gives, not read a floor out of a segment the loader would refuse.
+func TestCheckpointFloorChecksMagic(t *testing.T) {
+	_, ck := checkpointFile(t, columnarTestSchema(), func(*Database) {})
+	records, _ := wal.Scan(ck)
+	header := append([]byte("TBSEG0"), records[0].Payload[len(segmentMagic):]...)
+	bad := wal.AppendRecord(nil, header)
+	for _, rec := range records[1:] {
+		bad = wal.AppendRecord(bad, rec.Payload)
+	}
+	db, err := NewDatabase(columnarTestSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, loadErr := db.loadCheckpoint(bad)
+	if loadErr == nil {
+		t.Fatal("loader accepted the wrong magic")
+	}
+	floor, err := CheckpointFloor(bad)
+	if err == nil {
+		t.Fatalf("CheckpointFloor read floor %d past the wrong magic", floor)
+	}
+	if err.Error() != loadErr.Error() {
+		t.Fatalf("CheckpointFloor refused with %q, the loader with %q", err, loadErr)
+	}
+	if _, err := CheckpointFloor(ck); err != nil {
+		t.Fatalf("CheckpointFloor refused a good checkpoint: %v", err)
 	}
 }
 

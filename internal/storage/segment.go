@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"hash/fnv"
@@ -173,6 +174,40 @@ func byteOrderPutFloat(b []byte, f float64) {
 	}
 }
 
+// reseed replaces every table with an empty, dirty one and loads ckData into
+// them: the state a follower re-seeds to, and the base recovery's rollback
+// replays a known-good prefix onto. A nil ckData (recovery found no
+// checkpoint) leaves the tables empty at floor 0. Published versions keep
+// the old tables until the caller publishes.
+func (db *Database) reseed(ckData []byte) (floor uint64, err error) {
+	db.mu.Lock()
+	db.tables = make(map[string]*Table, len(db.tables))
+	for _, r := range db.schema.Relations() {
+		db.addTable(r)
+	}
+	db.mu.Unlock()
+	if ckData == nil {
+		return 0, nil
+	}
+	return db.loadCheckpoint(ckData)
+}
+
+// checkpointHeader decodes a checkpoint's header record: the segment magic,
+// then the schema fingerprint, the WAL sequence floor and the table count.
+func checkpointHeader(payload []byte) (fingerprint, floor, tables uint64, err error) {
+	if !bytes.HasPrefix(payload, []byte(segmentMagic)) {
+		return 0, 0, 0, fmt.Errorf("storage: checkpoint header is not %q", segmentMagic)
+	}
+	d := &walDecoder{buf: payload, off: len(segmentMagic)}
+	fingerprint = d.uvarint()
+	floor = d.uvarint()
+	tables = d.uvarint()
+	if d.err != nil {
+		return 0, 0, 0, fmt.Errorf("storage: checkpoint header: %w", d.err)
+	}
+	return fingerprint, floor, tables, nil
+}
+
 // loadCheckpoint deserializes a checkpoint into db, whose tables must be
 // empty. It returns the WAL sequence floor recorded at checkpoint time.
 // Every structural mismatch is an error, never a panic — corrupt checkpoints
@@ -185,19 +220,9 @@ func (db *Database) loadCheckpoint(data []byte) (lastSeq uint64, err error) {
 	if len(records) == 0 {
 		return 0, fmt.Errorf("storage: empty checkpoint")
 	}
-	hd := &walDecoder{buf: records[0].Payload}
-	magic := make([]byte, len(segmentMagic))
-	for i := range magic {
-		magic[i] = hd.byte()
-	}
-	if hd.err != nil || string(magic) != segmentMagic {
-		return 0, fmt.Errorf("storage: checkpoint header is not %q", segmentMagic)
-	}
-	fingerprint := hd.uvarint()
-	lastSeq = hd.uvarint()
-	tableCount := hd.uvarint()
-	if hd.err != nil {
-		return 0, hd.err
+	fingerprint, lastSeq, tableCount, err := checkpointHeader(records[0].Payload)
+	if err != nil {
+		return 0, err
 	}
 	if fingerprint != SchemaFingerprint(db) {
 		return 0, fmt.Errorf("storage: checkpoint was written under a different schema (fingerprint %x, want %x)", fingerprint, SchemaFingerprint(db))

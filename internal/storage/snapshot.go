@@ -218,15 +218,12 @@ func (db *Database) publishLocked(seq uint64) {
 }
 
 // buildVersionLocked freezes the dirty tables into a new version at seq but
-// does not install it; the caller holds db.mu. It returns nil when no publish
-// is needed (nothing dirty, or recovery is replaying). The second return
-// lists the tables that were frozen, so a durable commit whose WAL flush
-// fails can re-mark them dirty instead of installing a version the log never
-// acknowledged.
+// does not install it; the caller holds db.mu. It returns nil when nothing
+// is dirty. The second return lists the tables that were frozen, so a durable
+// commit whose WAL flush fails can re-mark them dirty instead of installing a
+// version the log never acknowledged. WAL replay and replicated applies never
+// get here per op: they publish once, at the record's or recovery's end.
 func (db *Database) buildVersionLocked(seq uint64) (*Snapshot, []*Table) {
-	if db.recovering.Load() {
-		return nil, nil // recovery publishes once, at the end, not per replayed op
-	}
 	prev := db.version.Load()
 	dirty := false
 	for _, t := range db.tables {

@@ -258,17 +258,15 @@ func (t *Table) CreateIndex(name string, attrs ...string) error {
 		return err
 	}
 	if t.owner != nil && t.owner.dur != nil {
-		// The pending buffer is guarded by db.mu. During recovery dur is nil,
-		// so WAL replay never takes this branch.
+		// The pending buffer is guarded by db.mu.
 		t.owner.mu.Lock()
 		t.dirty = true
 		t.owner.dur.logCreateIndex(t.rel.Name, name, attrs)
 		t.owner.mu.Unlock()
 		return t.owner.autoCommit()
 	}
-	if t.owner != nil && !t.owner.recovering.Load() {
+	if t.owner != nil {
 		// In-memory path: publish so snapshot planners see the access path.
-		// During WAL replay publishes are suppressed.
 		t.owner.mu.Lock()
 		t.dirty = true
 		t.owner.publishLocked(t.owner.nextPubSeqLocked())
@@ -278,8 +276,8 @@ func (t *Table) CreateIndex(name string, attrs ...string) error {
 }
 
 // addIndex builds the named index over the table's rows — CreateIndex without
-// the log record and the publish, which is what a checkpoint load (holding
-// db.mu) needs.
+// the log record and the publish, which is what a checkpoint load and a WAL
+// replay (both holding db.mu) need.
 func (t *Table) addIndex(name string, attrs []string) error {
 	if _, dup := t.secondary[name]; dup {
 		return fmt.Errorf("storage: duplicate index %q on %s", name, t.rel.Name)
@@ -424,14 +422,12 @@ type Database struct {
 	// version is the published MVCC snapshot (snapshot.go): readers pin it
 	// once and run lock-free against frozen tables. pubSeq is the sequence of
 	// the last publish (guarded by db.mu); durable commits publish at the WAL
-	// sequence instead. published counts installed versions; recovering
-	// suppresses per-op publishes while the WAL replays.
-	version    atomic.Pointer[Snapshot]
-	pubSeq     uint64
-	published  atomic.Uint64
-	recovering atomic.Bool
-	// readOnly marks a replication follower (replication.go): local mutations
-	// are refused, replicated applies replay under the recovering flag.
+	// sequence instead. published counts installed versions.
+	version   atomic.Pointer[Snapshot]
+	pubSeq    uint64
+	published atomic.Uint64
+	// readOnly marks a replication follower (replication.go): every local
+	// mutation is refused; replicated records apply below the public DML.
 	readOnly atomic.Bool
 	// copied counts the bytes copy-on-write cloned (SnapshotStats.CopiedBytes).
 	copied atomic.Uint64
@@ -470,18 +466,6 @@ func (db *Database) addTable(r *catalog.Relation) *Table {
 	return tbl
 }
 
-// resetTables replaces every table with an empty, dirty one — the schema-only
-// state a checkpoint loads into, for a follower re-seed and for recovery's
-// rebuild of a known-good prefix. Published versions keep the old tables.
-func (db *Database) resetTables() {
-	db.mu.Lock()
-	db.tables = make(map[string]*Table, len(db.tables))
-	for _, r := range db.schema.Relations() {
-		db.addTable(r)
-	}
-	db.mu.Unlock()
-}
-
 // DetachedTable loads rows into a table of rel that belongs to no database —
 // no schema validation, log or snapshot — through the same insert path as a
 // database table, so it has the same column vectors, zone maps and
@@ -490,7 +474,7 @@ func DetachedTable(rel *catalog.Relation, rows []Tuple) (*Table, error) {
 	db := &Database{tables: make(map[string]*Table, 1)}
 	tbl := db.addTable(rel)
 	for _, row := range rows {
-		if err := db.insertLocked(rel.Name, row); err != nil {
+		if err := db.insertLocked(tbl, row); err != nil {
 			return nil, err
 		}
 	}
@@ -505,6 +489,14 @@ func (db *Database) Table(name string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.tables[strings.ToLower(name)]
+}
+
+// tableLocked returns the table of relName; the caller holds db.mu.
+func (db *Database) tableLocked(relName string) (*Table, error) {
+	if tbl := db.tables[strings.ToLower(relName)]; tbl != nil {
+		return tbl, nil
+	}
+	return nil, fmt.Errorf("storage: unknown relation %q", relName)
 }
 
 // TableNames returns the sorted relation names that have tables.
@@ -522,10 +514,10 @@ func (db *Database) TableNames() []string {
 // writeOK rejects a mutation up front when the WAL has latched failed (the
 // op could never be flushed, so refusing before applying keeps the in-memory
 // state aligned with what the log can acknowledge) or when the database is a
-// read-only replication follower (replicated applies run under the
-// recovering flag and pass).
+// read-only replication follower. Replayed and replicated records never come
+// through here: they apply through the locked internals (replayBatch).
 func (db *Database) writeOK() error {
-	if db.readOnly.Load() && !db.recovering.Load() {
+	if db.readOnly.Load() {
 		return ErrReadOnlyReplica
 	}
 	if d := db.dur; d != nil {
@@ -542,7 +534,10 @@ func (db *Database) Insert(relName string, tup Tuple) error {
 		return err
 	}
 	db.mu.Lock()
-	err := db.insertLocked(relName, tup)
+	tbl, err := db.tableLocked(relName)
+	if err == nil {
+		err = db.insertLocked(tbl, tup)
+	}
 	if db.dur == nil {
 		// In-memory commit point: install the new version while still holding
 		// db.mu. Durable databases publish at WAL-commit time instead, so the
@@ -559,11 +554,8 @@ func (db *Database) Insert(relName string, tup Tuple) error {
 	return db.autoCommit()
 }
 
-func (db *Database) insertLocked(relName string, tup Tuple) error {
-	tbl := db.tables[strings.ToLower(relName)]
-	if tbl == nil {
-		return fmt.Errorf("storage: unknown relation %q", relName)
-	}
+// insertLocked is the one insert path; the caller holds db.mu.
+func (db *Database) insertLocked(tbl *Table, tup Tuple) error {
 	r := tbl.rel
 	if len(tup) != len(r.Attributes) {
 		return fmt.Errorf("storage: %s expects %d values, got %d", r.Name, len(r.Attributes), len(tup))
@@ -713,11 +705,9 @@ func (db *Database) write(relName string, apply func(*Table) (int, error)) (int,
 	}
 	db.mu.Lock()
 	var n int
-	var err error
-	if tbl := db.tables[strings.ToLower(relName)]; tbl != nil {
+	tbl, err := db.tableLocked(relName)
+	if err == nil {
 		n, err = apply(tbl)
-	} else {
-		err = fmt.Errorf("storage: unknown relation %q", relName)
 	}
 	if db.dur == nil {
 		db.publishLocked(db.nextPubSeqLocked())
@@ -1204,7 +1194,7 @@ func (db *Database) LoadCSV(relName string, r io.Reader) (int, error) {
 	db.mu.Lock()
 	start := tbl.rows
 	for n, tup := range tuples {
-		if err := db.insertLocked(relName, tup); err != nil {
+		if err := db.insertLocked(tbl, tup); err != nil {
 			db.rollbackSuffixLocked(tbl, start)
 			db.mu.Unlock()
 			db.DiscardBatch()

@@ -152,6 +152,16 @@ func (d *walDecoder) bytes() []byte {
 	return b
 }
 
+// count reads an element count, refusing one larger than the record.
+func (d *walDecoder) count(what string) int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)) {
+		d.fail("%s count %d exceeds record", what, n)
+		return 0
+	}
+	return int(n)
+}
+
 func (d *walDecoder) value() value.Value {
 	switch k := d.byte(); k {
 	case 'n':
@@ -252,34 +262,34 @@ type updatedRow struct {
 // ---------------------------------------------------------------------------
 
 // replayBatch decodes and applies one committed WAL record body (after its
-// sequence number). Any decode or apply error aborts the batch — the caller
-// quarantines the log from this record onward.
+// sequence number) through the locked write internals live DML uses; the
+// caller holds db.mu for the whole record, so nothing else writes between its
+// ops and no op publishes or commits. Any decode or apply error aborts the
+// batch — the caller keeps its partial ops out of every published version.
 func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 	opCount := d.uvarint()
 	for i := uint64(0); i < opCount; i++ {
+		op := d.byte()
+		if d.err == nil && (op < opInsert || op > opCreateIndex) {
+			return ops, fmt.Errorf("storage: wal decode: unknown op 0x%02x", op)
+		}
+		rel := d.string()
 		if d.err != nil {
 			return ops, d.err
 		}
-		switch op := d.byte(); op {
+		tbl, err := db.tableLocked(rel)
+		if err != nil {
+			return ops, err
+		}
+		switch op {
 		case opInsert:
-			rel := d.string()
 			tup := d.tuple()
 			if d.err != nil {
 				return ops, d.err
 			}
-			if err := db.Insert(rel, tup); err != nil {
-				return ops, err
-			}
+			err = db.insertLocked(tbl, tup)
 		case opDelete:
-			rel := d.string()
-			n := d.uvarint()
-			if d.err != nil {
-				return ops, d.err
-			}
-			if n > uint64(len(d.buf)) {
-				return ops, fmt.Errorf("storage: wal decode: delete count %d exceeds record", n)
-			}
-			positions := make([]int, n)
+			positions := make([]int, d.count("delete"))
 			pos := 0
 			for j := range positions {
 				pos += int(d.uvarint())
@@ -288,20 +298,10 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 			if d.err != nil {
 				return ops, d.err
 			}
-			if _, err := db.DeleteAt(rel, positions); err != nil {
-				return ops, err
-			}
+			_, err = db.deleteAtLocked(tbl, positions)
 		case opUpdate:
-			rel := d.string()
-			n := d.uvarint()
-			if d.err != nil {
-				return ops, d.err
-			}
-			if n > uint64(len(d.buf)) {
-				return ops, fmt.Errorf("storage: wal decode: update count %d exceeds record", n)
-			}
-			positions := make([]int, n)
-			repls := make([]Tuple, n)
+			positions := make([]int, d.count("update"))
+			repls := make([]Tuple, len(positions))
 			for j := range positions {
 				positions[j] = int(d.uvarint())
 				repls[j] = d.tuple()
@@ -309,44 +309,28 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 			if d.err != nil {
 				return ops, d.err
 			}
-			next := 0 // UpdateAt asks for replacements in position order
-			if _, err := db.UpdateAt(rel, positions, func(Tuple) Tuple {
+			next := 0 // updateAtLocked asks for replacements in position order
+			_, err = db.updateAtLocked(tbl, positions, func(Tuple) Tuple {
 				next++
 				return repls[next-1]
-			}); err != nil {
-				return ops, err
-			}
+			})
 		case opCreateIndex:
-			rel := d.string()
 			name := d.string()
-			nAttrs := d.uvarint()
-			if d.err != nil {
-				return ops, d.err
-			}
-			if nAttrs > uint64(len(d.buf)) {
-				return ops, fmt.Errorf("storage: wal decode: attr count %d exceeds record", nAttrs)
-			}
-			attrs := make([]string, nAttrs)
+			attrs := make([]string, d.count("attr"))
 			for j := range attrs {
 				attrs[j] = d.string()
 			}
 			if d.err != nil {
 				return ops, d.err
 			}
-			tbl := db.Table(rel)
-			if tbl == nil {
-				return ops, fmt.Errorf("storage: wal replay: unknown relation %q", rel)
+			if err = tbl.addIndex(name, attrs); err == nil {
+				tbl.dirty = true
 			}
-			if err := tbl.CreateIndex(name, attrs...); err != nil {
-				return ops, err
-			}
-		default:
-			return ops, fmt.Errorf("storage: wal decode: unknown op 0x%02x", op)
+		}
+		if err != nil {
+			return ops, err
 		}
 		ops++
 	}
-	if d.err != nil {
-		return ops, d.err
-	}
-	return ops, nil
+	return ops, d.err
 }
