@@ -1329,8 +1329,8 @@ func BenchmarkX20Replication(b *testing.B) {
 //     rows) per op, shifting it a century forward and back in alternation.
 //
 // A keyed statement must cost the rows it touches — a PK probe, one copy of
-// the vectors a published snapshot shares, one zone rebuild — not a pass over
-// the table. Allocs and bytes are gated in cmd/benchgate/ceilings.json; one
+// the chunks a published snapshot shares, the row's values subtracted from
+// and folded into its zones — not a pass over the table. Allocs and bytes are gated in cmd/benchgate/ceilings.json; one
 // warm-up op runs off the clock so -benchtime=1x measures the steady state.
 func BenchmarkX21KeyedDML(b *testing.B) {
 	const rows = 20_000

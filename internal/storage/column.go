@@ -196,11 +196,11 @@ type column struct {
 	// Frame-of-reference encoding: fb holds one base per zone, d8 one
 	// ZoneRows-capacity chunk of byte deltas per zone (value = fb[z] +
 	// d8[z][row&ZoneMask]). forOff sticks once any zone's span overflows a
-	// byte. d8Cow marks the current partial chunk as shared with a frozen
-	// snapshot: a rebase (the only in-place mutation) clones it first.
+	// byte. d8Own[z] == gen marks chunk z as the writer's own since the last
+	// freeze, like own for the payload chunks (ownD8).
 	fb     []int64
 	d8     [][]uint8
-	d8Cow  bool
+	d8Own  []uint64
 	forOff bool
 }
 
@@ -318,12 +318,12 @@ func (c *column) code(i int) uint32 { return c.codes[i>>ZoneShift][i&ZoneMask] }
 func (c *column) bl(i int) bool     { return c.bls[i>>ZoneShift][i&ZoneMask] }
 
 // setVal overwrites position i (Update path; v is coerced or NULL), cloning
-// the one chunk it writes if a frozen view still shares it. Zone maps are NOT
-// maintained here — the Update path rebuilds the zones holding an updated
-// row once the write completes.
+// the one chunk it writes if a frozen view still shares it. The old value
+// leaves row i's zone and the new one arrives in it.
 func (c *column) setVal(i int, v value.Value) {
 	null := v.IsNull()
 	c.releaseRow(i) // the old value loses this row
+	c.unfold(i)
 	c.nulls.set(i, null)
 	if !null && v.Kind() != c.kind {
 		panic(fmt.Sprintf("storage: %s value stored into %s column", v.Kind(), c.kind))
@@ -358,11 +358,12 @@ func (c *column) setVal(i int, v value.Value) {
 		ownChunk(c, &c.bls, z)[off] = !null && v.Bool()
 	}
 	c.retainRow(i)
+	c.arrive(i)
 }
 
-// ownChunks makes the payload chunks [z0, z1) private to the writer — what a
-// Delete does for the chunks its compaction rewrites, and a rolled-back insert
-// suffix for the chunk its next appends land in.
+// ownChunks makes the payload and frame-of-reference chunks [z0, z1) private
+// to the writer — what a Delete does for the chunks its compaction rewrites,
+// and a rolled-back insert suffix for the chunk its next appends land in.
 func (c *column) ownChunks(z0, z1 int) {
 	for z := z0; z < z1; z++ {
 		switch c.kind {
@@ -375,17 +376,23 @@ func (c *column) ownChunks(z0, z1 int) {
 		case value.Bool:
 			ownChunk(c, &c.bls, z)
 		}
+		if !c.forOff {
+			c.ownD8(z)
+		}
 	}
 }
 
 // moveRows slides rows [src, end) down to start at dst (Delete compaction;
-// dst <= src) inside chunks the writer owns. Payloads move one chunk piece at
-// a time; null bits move one by one, and not at all for a column that never
-// stored a NULL.
+// dst <= src) inside chunks the writer owns. Payloads and frame-of-reference
+// bytes move one chunk piece at a time; null bits move one by one, and not at
+// all for a column that never stored a NULL. A row the slide carries into a
+// lower zone leaves its old zone's summary and arrives in the new one.
 func (c *column) moveRows(dst, src, end int) {
 	if dst == src || src >= end {
 		return
 	}
+	shift := src - dst
+	eachCrossing(dst, end-shift, shift, func(d int) { c.unfold(d + shift) })
 	switch c.kind {
 	case value.Int, value.Date:
 		moveChunked(c.ints, dst, src, end)
@@ -396,15 +403,33 @@ func (c *column) moveRows(dst, src, end int) {
 	case value.Bool:
 		moveChunked(c.bls, dst, src, end)
 	}
-	if len(c.nulls.words) == 0 {
-		return
+	if !c.forOff {
+		moveChunked(c.d8, dst, src, end)
 	}
-	for i := src; i < end; i++ {
-		c.nulls.set(dst+i-src, c.nulls.get(i))
+	if len(c.nulls.words) != 0 {
+		for i := src; i < end; i++ {
+			c.nulls.set(dst+i-src, c.nulls.get(i))
+		}
+	}
+	eachCrossing(dst, end-shift, shift, c.arrive)
+}
+
+// eachCrossing calls fn for every destination row d in [lo, hi) of a slide by
+// shift whose source row d+shift lies in a later zone: the last shift rows of
+// each destination zone, or all of them once shift spans a zone.
+func eachCrossing(lo, hi, shift int, fn func(int)) {
+	for d := lo; d < hi; {
+		next := (d>>ZoneShift + 1) << ZoneShift
+		for r := max(d, next-shift); r < min(hi, next); r++ {
+			fn(r)
+		}
+		d = next
 	}
 }
 
-// truncate drops every position at n or beyond.
+// truncate drops every position at n or beyond, with the zones and
+// frame-of-reference bytes past it; the caller has already subtracted the
+// dropped rows from the zone that keeps some of its rows.
 func (c *column) truncate(n int) {
 	c.nulls.truncate(n)
 	switch c.kind {
@@ -416,6 +441,14 @@ func (c *column) truncate(n int) {
 		truncateChunked(c, &c.codes, n)
 	case value.Bool:
 		truncateChunked(c, &c.bls, n)
+	}
+	k := chunksFor(n)
+	c.zones, c.zrows = c.zones[:k], n
+	if !c.forOff {
+		c.fb, c.d8, c.d8Own = c.fb[:k], c.d8[:k], c.d8Own[:k]
+		if k > 0 {
+			c.d8[k-1] = c.d8[k-1][:n-(k-1)<<ZoneShift]
+		}
 	}
 }
 

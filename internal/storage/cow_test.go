@@ -96,8 +96,8 @@ func viewSum(t *testing.T, tbl *storage.Table, label string) uint64 {
 			il, ih, iok := col.ZoneIntBounds(z)
 			fl, fh, fok := col.ZoneFloatBounds(z)
 			tl, th, tok := col.ZoneTextBounds(z)
-			fmt.Fprintf(h, "%d %v %d %d %v %g %g %v %q %q %v;",
-				col.ZoneNulls(z), col.ZoneSorted(z), il, ih, iok, fl, fh, fok, tl, th, tok)
+			fmt.Fprintf(h, "%d %d %d %v %g %g %v %q %q %v;",
+				col.ZoneNulls(z), il, ih, iok, fl, fh, fok, tl, th, tok)
 		}
 	}
 	return h.Sum64()

@@ -80,7 +80,7 @@ func zonesAll(t *testing.T, db *Database) string {
 			col := tbl.Col(i)
 			fmt.Fprintf(&sb, "%s.%d zones=%d synced=%v", name, i, col.ZoneCount(), col.ZonesSynced(tbl.Len()))
 			for z := 0; z < col.ZoneCount(); z++ {
-				fmt.Fprintf(&sb, " [n=%d s=%v", col.ZoneNulls(z), col.ZoneSorted(z))
+				fmt.Fprintf(&sb, " [n=%d", col.ZoneNulls(z))
 				if lo, hi, ok := col.ZoneIntBounds(z); ok {
 					fmt.Fprintf(&sb, " i%d:%d", lo, hi)
 				}

@@ -339,7 +339,7 @@ func (tbl *Table) loadSegment(name string, d *walDecoder) error {
 	// (and frame-of-reference deltas, and with them the bounds and NULL counts
 	// the statistics read), primary key and secondary indexes.
 	for i := range tbl.cols {
-		tbl.cols[i].rebuildZonesFrom(0, n)
+		tbl.cols[i].buildZones(n)
 	}
 	if err := tbl.rebuildIndexes(); err != nil {
 		return fmt.Errorf("storage: checkpoint %s: %w", name, err)

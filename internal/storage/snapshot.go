@@ -52,12 +52,14 @@ import (
 //     inside the suffix; dictionary compaction owns every chunk of its
 //     column. A truncation below a shared header array caps the array, so the
 //     next chunk lands in a fresh one.
-//   - The flat per-column state — null-bitmap words, zone summaries and the
-//     frame-of-reference headers, all KB-sized — is cloned whole by
-//     prepareMutate ahead of the first in-place mutation after a freeze. The
-//     one in-place append-path mutation, a frame-of-reference rebase of the
-//     partial delta chunk, clones the chunk when the d8Cow flag marks it
-//     shared.
+//   - Frame-of-reference delta chunks keep stamps of their own (d8Own) and
+//     follow the same rule: UPDATE owns the chunk its row's byte is rewritten
+//     in, DELETE the chunks its bytes slide through, and an append that
+//     rebases a zone the chunk it shifts. A frozen view copies the bases and
+//     the chunk headers, so the writer rewrites both in place.
+//   - The flat per-column state — null-bitmap words and zone summaries, both
+//     KB-sized — is cloned whole by prepareMutate ahead of the first in-place
+//     mutation after a freeze.
 //   - Indexes are shared under a per-table idxMu; probes filter positions at
 //     or past the frozen row count. A shared index only gains entries: an
 //     INSERT fills an empty primary-key slot, and a slot table that must grow
@@ -334,9 +336,9 @@ func (c *column) freezeInto(fc *column, rows int) {
 		fc.nulls.tail = c.nulls.words[fullWords] & (1<<uint(rem) - 1)
 	}
 	// Zone maps: share the sealed zones, privately copy the partial boundary
-	// zone. If the zones are mid-rebuild (they never are at a commit point,
-	// but degrade gracefully rather than corrupt), the frozen view simply
-	// reports unsynced zones and the engine falls back to full scans.
+	// zone. If the zones do not cover the rows (they always do at a commit
+	// point, but degrade gracefully rather than corrupt), the frozen view
+	// simply reports unsynced zones and the engine falls back to full scans.
 	if c.zrows != rows {
 		return
 	}
@@ -350,10 +352,10 @@ func (c *column) freezeInto(fc *column, rows int) {
 		fc.ztail = c.zones[fullZones]
 		fc.hasZTail = true
 	}
-	// Frame-of-reference: share the sealed chunks, cap the partial one, and
-	// privately copy the bases (a writer rebase overwrites the boundary base
-	// in place). The writer's partial chunk is marked copy-on-write so the
-	// one in-place mutation — a rebase shift — clones before writing.
+	// Frame-of-reference: share the chunks, capping the partial one, and
+	// privately copy the bases and the chunk headers — the writer rewrites
+	// both in place. The generation bump above hands every chunk back to
+	// copy-on-write (ownD8).
 	if c.forOff || c.d8Rows() != rows {
 		return
 	}
@@ -365,17 +367,17 @@ func (c *column) freezeInto(fc *column, rows int) {
 		last := fc.d8[n-1]
 		inZone := rows - (n-1)<<ZoneShift
 		fc.d8[n-1] = last[:inZone:inZone]
-		if inZone < ZoneRows {
-			c.d8Cow = true
-		}
 	}
 }
 
 // prepareMutate unshares a table's flat per-column state from every published
 // snapshot ahead of an in-place mutation (DELETE compaction, UPDATE
-// overwrite): the null words, the zone summaries and the frame-of-reference
-// headers are cloned so frozen readers keep the originals. Payload chunks are
-// not — each is cloned when first written (ownChunk). Append-only paths never
+// overwrite): the null words and the zone summaries are cloned so frozen
+// readers keep the originals. The frame-of-reference bases and chunk headers
+// need no clone — every frozen view holds its own copies (freezeInto). Chunks
+// are not cloned here either: each payload chunk is cloned when first written
+// (ownChunk), and each frame-of-reference chunk likewise (ownD8), since a
+// DELETE slides its bytes and an UPDATE rewrites one. Append-only paths never
 // call it — they extend past every frozen view's length; a rolled-back insert
 // suffix does, since a version may have been published inside it.
 func (t *Table) prepareMutate() {
@@ -387,16 +389,6 @@ func (t *Table) prepareMutate() {
 		c := &t.cols[j]
 		c.nulls.words = slices.Clone(c.nulls.words)
 		c.zones = slices.Clone(c.zones)
-		n := len(c.nulls.words)*8 + len(c.zones)*int(unsafe.Sizeof(zone{}))
-		if !c.forOff {
-			// Chunks themselves are rebuilt (never shifted in place) by the
-			// zone rebuild that follows every delete/update, so only the
-			// headers need to be private. d8Cow stays as it is: an update that
-			// rebuilds an earlier zone leaves the partial chunk shared.
-			c.fb = slices.Clone(c.fb)
-			c.d8 = slices.Clone(c.d8)
-			n += len(c.fb)*8 + len(c.d8)*int(unsafe.Sizeof([]uint8(nil)))
-		}
-		c.countCopied(n)
+		c.countCopied(len(c.nulls.words)*8 + len(c.zones)*int(unsafe.Sizeof(zone{})))
 	}
 }

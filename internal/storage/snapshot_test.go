@@ -198,8 +198,8 @@ func viewPrint(tbl *Table) string {
 			il, ih, iok := col.ZoneIntBounds(z)
 			fl, fh, fok := col.ZoneFloatBounds(z)
 			tl, th, tok := col.ZoneTextBounds(z)
-			fmt.Fprintf(&sb, " [n=%d s=%v %d:%d:%v %g:%g:%v %q:%q:%v]",
-				col.ZoneNulls(z), col.ZoneSorted(z), il, ih, iok, fl, fh, fok, tl, th, tok)
+			fmt.Fprintf(&sb, " [n=%d %d:%d:%v %g:%g:%v %q:%q:%v]",
+				col.ZoneNulls(z), il, ih, iok, fl, fh, fok, tl, th, tok)
 		}
 		if base, delta, ok := col.FORInts(); ok {
 			var sum int64

@@ -732,8 +732,9 @@ func (db *Database) Delete(relName string, pred func(Tuple) bool) (int, error) {
 // positions — the shape the engine's planned WHERE produces and the WAL
 // records — in time proportional to the rows removed plus the rows behind the
 // first one, which shift down. The removed rows' values leave the distinct
-// counts, indexes are patched for the removed and the shifted rows, and zone
-// maps rebuild from the first removed row's zone.
+// counts and their zones, indexes are patched for the removed and the shifted
+// rows, and a row that slides into the previous zone leaves one zone map for
+// the other; only a zone that lost one of its bounds is rescanned.
 func (db *Database) DeleteAt(relName string, positions []int) (int, error) {
 	return db.write(relName, func(tbl *Table) (int, error) {
 		return db.deleteAtLocked(tbl, positions)
@@ -756,8 +757,8 @@ func (db *Database) Update(relName string, pred func(Tuple) bool, fn func(Tuple)
 // are re-checked on every replacement before the row mutates; a failure stops the statement
 // there, leaving the earlier rows updated and logged. The cost is
 // proportional to the rows replaced: only changed attributes touch their
-// vectors and statistics, only indexes whose key changed are patched, and
-// only the zones holding a replaced row rebuild.
+// vectors, statistics and zone maps, only indexes whose key changed are
+// patched, and only a zone whose bound a replaced value held is rescanned.
 func (db *Database) UpdateAt(relName string, positions []int, fn func(Tuple) Tuple) (int, error) {
 	return db.write(relName, func(tbl *Table) (int, error) {
 		return db.updateAtLocked(tbl, positions, fn)
@@ -812,6 +813,7 @@ func (db *Database) deleteAtLocked(tbl *Table, positions []int) (int, error) {
 	for _, p := range positions {
 		for j := range tbl.cols {
 			tbl.cols[j].releaseRow(p)
+			tbl.cols[j].unfold(p)
 		}
 	}
 	tbl.unindexRows(positions) // reads the keys of the rows about to move
@@ -832,7 +834,7 @@ func (db *Database) deleteAtLocked(tbl *Table, positions []int) (int, error) {
 		tbl.cols[j].truncate(w)
 	}
 	tbl.rows = w
-	tbl.finishWrite(positions[0])
+	tbl.finishWrite(positions[0] >> ZoneShift)
 	tbl.dirty = true
 	if db.dur != nil {
 		db.dur.logDelete(tbl.rel.Name, positions)
@@ -850,15 +852,13 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 	}
 	r := tbl.rel
 	var applied []updatedRow
-	var zones []int // ascending zones holding a replaced row
-	colChanged := make([]bool, len(tbl.cols))
-	// Zones are refreshed even when a constraint aborts the loop midway:
-	// earlier rows were already updated.
+	// Stale zones are rescanned even when a constraint aborts the loop
+	// midway: earlier rows were already updated.
 	defer func() {
 		if len(applied) == 0 {
 			return
 		}
-		tbl.finishUpdate(zones, colChanged)
+		tbl.finishWrite(applied[0].pos >> ZoneShift)
 		tbl.dirty = true
 		if db.dur != nil {
 			db.dur.logUpdate(r.Name, applied)
@@ -905,10 +905,6 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 			// clones the one chunk it writes).
 			tbl.prepareMutate()
 			tbl.cols[j].setVal(i, repl[j])
-			colChanged[j] = true
-		}
-		if z := i >> ZoneShift; len(zones) == 0 || zones[len(zones)-1] != z {
-			zones = append(zones, z)
 		}
 		applied = append(applied, updatedRow{pos: i, repl: repl})
 	}
@@ -1228,6 +1224,7 @@ func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
 	for i := start; i < tbl.rows; i++ {
 		for j := range tbl.cols {
 			tbl.cols[j].releaseRow(i)
+			tbl.cols[j].unfold(i)
 		}
 	}
 	for j := range tbl.cols {
@@ -1235,7 +1232,7 @@ func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
 	}
 	tbl.rows = start
 	_ = tbl.rebuildIndexes() // a prefix of rows with distinct keys keeps them distinct
-	tbl.finishWrite(start)
+	tbl.finishWrite(start >> ZoneShift)
 	tbl.dirty = true
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,21 +12,33 @@ import (
 
 // This file adds per-morsel zone maps and lightweight encodings on top of the
 // column vectors. Every ZoneRows-sized range of a column keeps a zone: its
-// null count, typed min/max bounds over the comparable values, and whether the
-// range is sorted — enough for a predicate to decide a whole morsel without
-// touching the payload vector. Zones are extended incrementally on Insert
-// (appendVal), rebuilt from the first removed row after Delete, and rebuilt
-// one by one where a row was replaced after Update, so a write never pays
-// more than the zones it disturbed.
+// null count and typed min/max bounds over the comparable values — enough for
+// a predicate to decide a whole morsel without touching the payload vector.
 //
-// Two encodings ride on the same maintenance pass:
+// Zones follow the rows a write touches, the maintenance rule of small
+// materialized aggregates. A value arriving — an appended row, an UPDATE's new
+// value, a row a DELETE slides down from the next zone — is folded in, which
+// only widens the bounds. A value leaving — a deleted row, an UPDATE's old
+// value, a row sliding down to the previous zone — is subtracted: that adjusts
+// the NULL count, and marks the zone stale only when the value sits on one of
+// its bounds or is NaN, since what else the zone holds is unknown. Before a
+// write returns it rescans its stale zones (rederive), so it pays for the rows
+// it touches plus the zones whose extremes it removed. Checkpoint load builds
+// every zone from scratch (buildZones).
+//
+// Two encodings ride on the same maintenance:
 //
 //   - Frame-of-reference for Int/Date columns: when every zone's value span
-//     fits in a byte, the column keeps a per-zone base plus one uint8 delta
-//     per row. Range predicates then stream 1/8th of the bytes. The encoding
-//     drops out permanently the first time a zone's span overflows — sorted
-//     or clustered columns keep it, random wide columns shed it immediately.
-//     A zone whose values are all equal (min == max) is the degenerate
+//     fits in a byte, the column keeps a per-zone base — the zone minimum —
+//     plus one uint8 delta per row. Range predicates then stream 1/8th of the
+//     bytes. An appended value below the base rebases the zone's deltas; an
+//     UPDATE rewrites its row's one byte; a DELETE slides the bytes with the
+//     payload and re-encodes a row that crosses into another zone against
+//     that zone's base. A value that does not fit under its zone's base marks
+//     the zone stale, and the rescan re-encodes it. The encoding drops out
+//     permanently the first time a zone's span overflows — sorted or
+//     clustered columns keep it, random wide columns shed it immediately. A
+//     zone whose values are all equal (min == max) is the degenerate
 //     run-length case: its deltas are all zero and bounds alone decide every
 //     predicate.
 //
@@ -51,17 +64,18 @@ const (
 // incomparable), so a float zone flags hasNaN and predicates treat it as
 // undecidable instead.
 type zone struct {
-	nulls   int32
-	lastRow int32 // last bounded row, for incremental sortedness; -1 if none
-	has     bool  // any bounded (non-NULL, non-NaN) value
-	sorted  bool  // bounded values non-decreasing in row order
-	hasNaN  bool
-	minI    int64 // Int/Date bounds; Bool bounds as 0/1
-	maxI    int64
-	minF    float64
-	maxF    float64
-	minS    string // Text bounds (shared dictionary strings)
-	maxS    string
+	nulls  int32
+	has    bool // any bounded (non-NULL, non-NaN) value
+	hasNaN bool
+	// stale marks a zone a write could not subtract a value from; the write
+	// rescans it before returning, so no reader ever sees it set.
+	stale bool
+	minI  int64 // Int/Date bounds; Bool bounds as 0/1
+	maxI  int64
+	minF  float64
+	maxF  float64
+	minS  string // Text bounds (shared dictionary strings)
+	maxS  string
 }
 
 // zoneExtend folds the just-appended row into its zone, growing the zone
@@ -70,190 +84,217 @@ type zone struct {
 func (c *column) zoneExtend(row int) {
 	z := row >> ZoneShift
 	if z == len(c.zones) {
-		c.zones = append(c.zones, zone{lastRow: -1})
+		c.zones = append(c.zones, zone{})
 		if !c.forOff {
 			c.fb = append(c.fb, 0)
 			c.d8 = append(c.d8, nil)
-			c.d8Cow = false // a fresh chunk is writer-private
+			c.d8Own = append(c.d8Own, c.gen) // a fresh chunk is writer-private
 		}
 	}
 	c.zrows = row + 1
-	zn := &c.zones[z]
+	c.fold(&c.zones[z], row)
+	if !c.forOff {
+		c.forAppend(z, row)
+	}
+}
+
+// fold widens zn by row's stored value: a NULL counts, a NaN flags the zone,
+// and a bounded value stretches the bounds — keeping the first-seen of equal
+// bounds, as a pass in row order does.
+func (c *column) fold(zn *zone, row int) {
 	if c.nulls.get(row) {
 		zn.nulls++
-		if !c.forOff {
-			c.d8[z] = append(c.d8[z], 0) // placeholder; never read for NULL rows
+		return
+	}
+	switch c.kind {
+	case value.Int, value.Date:
+		widen(zn, &zn.minI, &zn.maxI, c.int(row))
+	case value.Float:
+		if x := c.flt(row); math.IsNaN(x) {
+			zn.hasNaN = true
+		} else {
+			widen(zn, &zn.minF, &zn.maxF, x)
 		}
+	case value.Text:
+		widen(zn, &zn.minS, &zn.maxS, c.dict.strs[c.code(row)])
+	case value.Bool:
+		widen(zn, &zn.minI, &zn.maxI, b2i(c.bl(row)))
+	}
+}
+
+// widen stretches [*lo, *hi] over x; the zone's first bounded value sets both.
+func widen[T int64 | float64 | string](zn *zone, lo, hi *T, x T) {
+	if !zn.has {
+		zn.has = true
+		*lo, *hi = x, x
+	} else if x < *lo {
+		*lo = x
+	} else if x > *hi {
+		*hi = x
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// unfold subtracts row's stored value from its zone ahead of the value
+// leaving: a NULL uncounts, and a value on one of the bounds — or a NaN, which
+// the bounds leave out — marks the zone stale.
+func (c *column) unfold(row int) {
+	zn := &c.zones[row>>ZoneShift]
+	if zn.stale {
+		return
+	}
+	if c.nulls.get(row) {
+		zn.nulls--
 		return
 	}
 	switch c.kind {
 	case value.Int, value.Date:
 		x := c.int(row)
-		if !zn.has {
-			zn.has, zn.sorted = true, true
-			zn.minI, zn.maxI = x, x
-			if !c.forOff {
-				c.fb[z] = x
-				c.d8[z] = append(c.d8[z], 0)
-			}
-		} else {
-			if x < c.int(int(zn.lastRow)) {
-				zn.sorted = false
-			}
-			if x < zn.minI {
-				zn.minI = x
-			} else if x > zn.maxI {
-				zn.maxI = x
-			}
-			if !c.forOff {
-				c.forAppend(z, row, x)
-			}
-		}
+		zn.stale = x == zn.minI || x == zn.maxI
 	case value.Float:
 		x := c.flt(row)
-		if math.IsNaN(x) {
-			zn.hasNaN = true
-			zn.sorted = false
-			return
-		}
-		if !zn.has {
-			zn.has, zn.sorted = true, true
-			zn.minF, zn.maxF = x, x
-		} else {
-			if x < c.flt(int(zn.lastRow)) {
-				zn.sorted = false
-			}
-			if x < zn.minF {
-				zn.minF = x
-			} else if x > zn.maxF {
-				zn.maxF = x
-			}
-		}
+		zn.stale = math.IsNaN(x) || x == zn.minF || x == zn.maxF
 	case value.Text:
 		s := c.dict.strs[c.code(row)]
-		if !zn.has {
-			zn.has, zn.sorted = true, true
-			zn.minS, zn.maxS = s, s
-		} else {
-			if s < c.dict.strs[c.code(int(zn.lastRow))] {
-				zn.sorted = false
-			}
-			if s < zn.minS {
-				zn.minS = s
-			} else if s > zn.maxS {
-				zn.maxS = s
-			}
-		}
+		zn.stale = s == zn.minS || s == zn.maxS
 	case value.Bool:
-		var x int64
-		if c.bl(row) {
-			x = 1
-		}
-		if !zn.has {
-			zn.has, zn.sorted = true, true
-			zn.minI, zn.maxI = x, x
-		} else {
-			prev := int64(0)
-			if c.bl(int(zn.lastRow)) {
-				prev = 1
-			}
-			if x < prev {
-				zn.sorted = false
-			}
-			if x < zn.minI {
-				zn.minI = x
-			} else if x > zn.maxI {
-				zn.maxI = x
-			}
-		}
+		x := b2i(c.bl(row))
+		zn.stale = x == zn.minI || x == zn.maxI
 	}
-	zn.lastRow = int32(row)
 }
 
-// forAppend extends the frame-of-reference deltas with x. The base is
-// maintained as the zone minimum: a value below it rebases the zone's deltas
-// (bounded by the zone size), a span past a byte drops the encoding for good.
-// A rebase is the only in-place chunk mutation, so it is the one spot that
-// honors the copy-on-write flag a snapshot freeze leaves behind.
-func (c *column) forAppend(z, row int, x int64) {
+// arrive folds row's newly stored value into its zone out of row order — an
+// UPDATE's new value, a row a DELETE slid in — and writes its
+// frame-of-reference byte. Two arrivals mark the zone stale instead: a float
+// equal to a bound but for its sign (-0.0 against +0.0), because a pass in row
+// order keeps whichever comes first; and an Int/Date value that does not fit
+// in a byte above the zone's base.
+func (c *column) arrive(row int) {
+	z := row >> ZoneShift
+	zn := &c.zones[z]
+	if zn.stale {
+		return
+	}
+	null := c.nulls.get(row)
+	if c.kind == value.Float && zn.has && !null {
+		x := c.flt(row)
+		if x == zn.minF && math.Signbit(x) != math.Signbit(zn.minF) ||
+			x == zn.maxF && math.Signbit(x) != math.Signbit(zn.maxF) {
+			zn.stale = true
+			return
+		}
+	}
+	c.fold(zn, row)
+	if c.forOff || null {
+		return // a NULL row's byte is a placeholder, never read
+	}
 	base := c.fb[z]
-	if d := x - base; d >= 0 && d <= 255 {
-		c.d8[z] = append(c.d8[z], uint8(d))
+	d := c.int(row) - base
+	if zn.minI != base || uint64(d) > 255 {
+		zn.stale = true // a new minimum, or past the byte
+		return
+	}
+	c.ownD8(z)[row&ZoneMask] = uint8(d)
+}
+
+// rederive rescans zone z over its rows below n and re-encodes its
+// frame-of-reference chunk.
+func (c *column) rederive(z, n int) {
+	lo := z << ZoneShift
+	hi := min(lo+ZoneRows, n)
+	var zn zone
+	for r := lo; r < hi; r++ {
+		c.fold(&zn, r)
+	}
+	c.zones[z] = zn
+	if c.forOff {
+		return
+	}
+	var base int64
+	if zn.has {
+		if uint64(zn.maxI-zn.minI) > 255 {
+			c.forDrop()
+			return
+		}
+		base = zn.minI
+	}
+	chunk := c.d8[z]
+	if c.d8Own[z] != c.gen || cap(chunk) < hi-lo {
+		chunk = make([]uint8, 0, ZoneRows)
+		c.d8Own[z] = c.gen
+	}
+	chunk = chunk[:hi-lo]
+	for r := lo; r < hi; r++ {
+		var b uint8
+		if !c.nulls.get(r) {
+			b = uint8(c.int(r) - base)
+		}
+		chunk[r-lo] = b
+	}
+	c.fb[z], c.d8[z] = base, chunk
+}
+
+// buildZones summarizes a column's n rows from scratch — checkpoint load, the
+// one place zones are not maintained row by row.
+func (c *column) buildZones(n int) {
+	if n == 0 {
+		return
+	}
+	k := chunksFor(n)
+	c.zones, c.zrows = make([]zone, k), n
+	if !c.forOff {
+		c.fb, c.d8, c.d8Own = make([]int64, k), make([][]uint8, k), make([]uint64, k)
+	}
+	for z := range k {
+		c.rederive(z, n)
+	}
+}
+
+// forAppend extends zone z's frame-of-reference deltas with the appended row;
+// the zone's bounds already include it. A value below the base — or the
+// zone's first bounded value — rebases the zone's deltas onto it (bounded by
+// the zone size); a span past a byte drops the encoding for good.
+func (c *column) forAppend(z, row int) {
+	if c.nulls.get(row) {
+		c.d8[z] = append(c.d8[z], 0) // placeholder; never read for NULL rows
 		return
 	}
 	zn := &c.zones[z]
-	span := zn.maxI - zn.minI // bounds already include x
-	if span < 0 || span > 255 {
+	if uint64(zn.maxI-zn.minI) > 255 {
 		c.forDrop()
 		return
 	}
-	if c.d8Cow {
-		// The chunk is shared with a frozen snapshot (which also keeps its own
-		// copy of the old base); shift a private clone instead.
-		c.d8[z] = append([]uint8(nil), c.d8[z]...)
+	if base := c.fb[z]; base != zn.minI {
+		chunk := c.ownD8(z)
+		shift := uint8(base - zn.minI)
+		for i := range chunk {
+			chunk[i] += shift // NULL placeholders shift too; they are never read
+		}
+		c.fb[z] = zn.minI
+	}
+	c.d8[z] = append(c.d8[z], uint8(c.int(row)-zn.minI))
+}
+
+// ownD8 returns frame-of-reference chunk z ready for an in-place write:
+// cloned first when it is not the writer's own since the last freeze.
+func (c *column) ownD8(z int) []uint8 {
+	if c.d8Own[z] != c.gen {
+		c.d8[z] = slices.Clone(c.d8[z])
 		c.countCopied(len(c.d8[z]))
-		c.d8Cow = false
+		c.d8Own[z] = c.gen
 	}
-	// x became the new minimum: shift the zone's deltas onto the new base.
-	shift := uint8(base - zn.minI)
-	chunk := c.d8[z]
-	for i := range chunk {
-		chunk[i] += shift // NULL placeholders shift too; they are never read
-	}
-	c.fb[z] = zn.minI
-	c.d8[z] = append(chunk, uint8(x-zn.minI))
+	return c.d8[z]
 }
 
 func (c *column) forDrop() {
 	c.forOff = true
-	c.fb, c.d8 = nil, nil
-}
-
-// rebuildZonesFrom discards every zone from the one containing row onward and
-// re-derives them (and the frame-of-reference vectors) over rows [.., n).
-// Delete calls it once per write with the first removed row.
-func (c *column) rebuildZonesFrom(row, n int) {
-	z0 := row >> ZoneShift
-	if z0 > len(c.zones) {
-		z0 = len(c.zones)
-	}
-	c.zones = c.zones[:z0]
-	c.zrows = z0 << ZoneShift
-	if !c.forOff {
-		c.fb = c.fb[:z0]
-		c.d8 = c.d8[:z0]
-		c.d8Cow = false // the partial chunk was dropped; re-extension allocates fresh
-	}
-	for r := c.zrows; r < n; r++ {
-		c.zoneExtend(r)
-	}
-}
-
-// rebuildZone re-derives zone z alone (and its frame-of-reference chunk, as a
-// fresh allocation — a frozen snapshot may hold the old one) over its rows
-// below n. Update calls it for each zone holding a replaced row; the zones
-// around it, and how many rows the zones cover, are left as they are.
-func (c *column) rebuildZone(z, n int) {
-	lo := z << ZoneShift
-	hi := lo + ZoneRows
-	last := hi >= n
-	if last {
-		hi = n
-	}
-	zrows, cow := c.zrows, c.d8Cow
-	c.zones[z] = zone{lastRow: -1}
-	if !c.forOff {
-		c.fb[z] = 0
-		c.d8[z] = make([]uint8, 0, hi-lo)
-		c.d8Cow = false // the chunk being refilled is private
-	}
-	for r := lo; r < hi; r++ {
-		c.zoneExtend(r)
-	}
-	c.zrows = zrows
-	if !last {
-		c.d8Cow = cow // still describes the partial chunk, which was not touched
-	}
+	c.fb, c.d8, c.d8Own = nil, nil, nil
 }
 
 // minMaxZones folds the zone bounds instead of rescanning payloads; the
@@ -321,30 +362,6 @@ func (c *column) minMaxZones() (min, max value.Value) {
 		return value.NewText(loS), value.NewText(hiS)
 	}
 	return value.NewNull(), value.NewNull()
-}
-
-// count returns the number of set bits below position n.
-func (b *bitmap) count(n int) int {
-	total := 0
-	full := n >> 6
-	if full > len(b.words) {
-		full = len(b.words)
-	}
-	for _, w := range b.words[:full] {
-		total += popcount64(w)
-	}
-	if rem := n & 63; rem != 0 && full < len(b.words) {
-		total += popcount64(b.words[full] & ((1 << uint(rem)) - 1))
-	}
-	return total
-}
-
-func popcount64(w uint64) int {
-	n := 0
-	for ; w != 0; w &= w - 1 {
-		n++
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -439,28 +456,18 @@ func (d *dict) buildRanks() {
 	d.rankStale.Store(false)
 }
 
-// finishWrite runs the per-column write-completion maintenance after rows
-// moved (Delete, suffix rollback): rebuild zones from the first disturbed row
-// and compact churned dictionaries. Sorted-dict ranks are NOT rebuilt here —
-// every statement of a bulk load grows the vocabulary, so an eager
-// per-statement re-sort would make loading quadratic; the next ranked read
-// rebuilds once instead.
-func (t *Table) finishWrite(dirtyFrom int) {
+// finishWrite completes a write that moved or replaced rows from zone z0 on
+// (DELETE, UPDATE, suffix rollback): every column rescans the zones the write
+// left stale and compacts a churned dictionary. Sorted-dict ranks are NOT
+// rebuilt here — every statement of a bulk load grows the vocabulary, so an
+// eager per-statement re-sort would make loading quadratic; the next ranked
+// read rebuilds once instead.
+func (t *Table) finishWrite(z0 int) {
 	for j := range t.cols {
 		c := &t.cols[j]
-		c.rebuildZonesFrom(dirtyFrom, t.rows)
-		c.maybeCompactDict(t.rows)
-	}
-}
-
-// finishUpdate is finishWrite for rows replaced in place: only the given
-// zones rebuild, and only in the columns a replacement changed.
-func (t *Table) finishUpdate(zones []int, colChanged []bool) {
-	for j := range t.cols {
-		c := &t.cols[j]
-		if colChanged[j] {
-			for _, z := range zones {
-				c.rebuildZone(z, t.rows)
+		for z := z0; z < len(c.zones); z++ {
+			if c.zones[z].stale {
+				c.rederive(z, t.rows)
 			}
 		}
 		c.maybeCompactDict(t.rows)
@@ -519,9 +526,6 @@ func (c Col) ZonesSynced(n int) bool { return c.c.zrows == n }
 
 // ZoneNulls returns the NULL count of zone z.
 func (c Col) ZoneNulls(z int) int { return int(c.c.zoneAt(z).nulls) }
-
-// ZoneSorted reports whether zone z's bounded values are non-decreasing.
-func (c Col) ZoneSorted(z int) bool { return c.c.zoneAt(z).sorted }
 
 // ZoneHasNaN reports whether zone z holds any NaN (floats only): its bounds
 // cover the comparable values but cannot decide predicates wholesale.

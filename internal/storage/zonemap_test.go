@@ -2,9 +2,12 @@ package storage
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/catalog"
@@ -202,15 +205,25 @@ func checkZones(t *testing.T, tbl *Table) {
 				}
 			}
 		}
-		// Whatever mix of appends, suffix rebuilds and single-zone rebuilds
-		// produced the zones, they must equal (sortedness and last bounded
-		// row included) the zones of the same values appended from scratch.
+		// Whatever mix of appends, subtractions, out-of-order arrivals and
+		// rescans produced the zones, they must equal the zones of the same
+		// values appended from scratch.
 		fresh := newColumn(col.Kind(), nil)
 		for i := 0; i < n; i++ {
 			fresh.appendVal(col.Value(i), i)
 		}
 		if !reflect.DeepEqual(fresh.zones, tbl.cols[p].zones) {
 			t.Fatalf("col %d: zones differ from a from-scratch rebuild", p)
+		}
+		if c := &tbl.cols[p]; !c.forOff && !fresh.forOff && !reflect.DeepEqual(fresh.fb, c.fb) {
+			t.Fatalf("col %d: frame-of-reference bases %v, a from-scratch rebuild has %v", p, c.fb, fresh.fb)
+		}
+		// DeepEqual holds -0.0 and +0.0 equal; a printed bound does not.
+		for z := range fresh.zones {
+			f, g := &fresh.zones[z], &tbl.cols[p].zones[z]
+			if math.Float64bits(f.minF) != math.Float64bits(g.minF) || math.Float64bits(f.maxF) != math.Float64bits(g.maxF) {
+				t.Fatalf("col %d zone %d: float bounds [%v,%v], a from-scratch rebuild has [%v,%v]", p, z, g.minF, g.maxF, f.minF, f.maxF)
+			}
 		}
 	}
 }
@@ -506,6 +519,19 @@ func TestStatsEdgeCases(t *testing.T) {
 	})
 }
 
+// count returns the number of set bits below position n.
+func (b *bitmap) count(n int) int {
+	total := 0
+	full := min(n>>6, len(b.words))
+	for _, w := range b.words[:full] {
+		total += bits.OnesCount64(w)
+	}
+	if rem := n & 63; rem != 0 && full < len(b.words) {
+		total += bits.OnesCount64(b.words[full] & ((1 << uint(rem)) - 1))
+	}
+	return total
+}
+
 // TestBitmapBoundaries exhaustively exercises set/truncate/get around word
 // boundaries (63/64/65 and every other count up to two words plus change): a
 // stale bit after truncate would corrupt null counts and zone maps.
@@ -762,4 +788,202 @@ func TestMinMaxZoneFold(t *testing.T) {
 			t.Fatalf("col %d: zone fold [%v,%v], oracle [%v,%v]", p, lo, hi, want.Min, want.Max)
 		}
 	}
+}
+
+// zoneFuzzRows is FuzzZoneMaintenance's table size: two full zones and a
+// short third one.
+const zoneFuzzRows = 2*ZoneRows + 37
+
+// zoneFuzzRow is base row r of FuzzZoneMaintenance's table. Each zone z holds
+// i in [1000z, 1000z+199] and d in [20000+100z, 20000+100z+49], both inside a
+// byte, so the frame-of-reference encoding is on; f's minimum is +0.0, first
+// at row 4, and rows 10 and 4100 hold the only NaN of their zones; in the
+// short last zone i, s and b each hold a single bounded value.
+func zoneFuzzRow(r int) Tuple {
+	z := r >> ZoneShift
+	tup := Tuple{
+		value.NewInt(int64(1000*z + r%200)),
+		value.NewFloat(float64((r + 3) % 7)),
+		value.NewText(fmt.Sprintf("w%02d", r%23)),
+		value.NewDateDays(int64(20000 + 100*z + r%50)),
+		value.NewBool(r%3 == 0),
+	}
+	if r%20 == 7 || z == 2 && r != 2*ZoneRows+5 {
+		tup[0] = value.NewNull()
+	}
+	if r == 10 || r == 4100 {
+		tup[1] = value.NewFloat(math.NaN())
+	} else if r%13 == 5 {
+		tup[1] = value.NewNull()
+	}
+	if r%17 == 2 || z == 2 && r != 2*ZoneRows+5 {
+		tup[2] = value.NewNull()
+	}
+	if r%19 == 0 {
+		tup[3] = value.NewNull()
+	}
+	if r%29 == 1 || z == 2 && r != 2*ZoneRows+8 {
+		tup[4] = value.NewNull()
+	}
+	return tup
+}
+
+// zoneFuzzValue is column p's value for selector v in zone z: values on and
+// between the zone's bounds, one below the minimum (a frame-of-reference
+// rebase), one past a byte above it (an overflow), a small i whatever the
+// zone, the two zeros, NaN and NULL.
+func zoneFuzzValue(p, z int, v byte) value.Value {
+	null := value.NewNull()
+	switch p {
+	case 0:
+		switch k := int(v) % 8; k {
+		case 6:
+			return value.NewInt(7)
+		case 7:
+			return null
+		default:
+			return value.NewInt(int64(1000*z) + []int64{-1, 0, 100, 199, 200, 300}[k])
+		}
+	case 1:
+		return []value.Value{null, value.NewFloat(math.Copysign(0, -1)), value.NewFloat(0),
+			value.NewFloat(math.NaN()), value.NewFloat(6), value.NewFloat(7), value.NewFloat(3)}[int(v)%7]
+	case 2:
+		return []value.Value{null, value.NewText("w00"), value.NewText("w22"), value.NewText("w10"),
+			value.NewText("a"), value.NewText("z")}[int(v)%6]
+	case 3:
+		days := []int64{-1, 0, 49, 300}
+		if int(v)%5 == 4 {
+			return null
+		}
+		return value.NewDateDays(int64(20000+100*z) + days[int(v)%5])
+	}
+	return []value.Value{null, value.NewBool(true), value.NewBool(false)}[int(v)%3]
+}
+
+// zoneFuzzOp encodes one FuzzZoneMaintenance op: kind 0 inserts, 1 deletes
+// row pos, 2 updates row pos's column col (5: every column) to the selector v.
+func zoneFuzzOp(kind, col, pos int, v byte) []byte {
+	return []byte{byte(kind + 3*col), byte(pos >> 8), byte(pos), v}
+}
+
+// zoneView hashes everything a frozen view reads of its zones: coverage,
+// every zone's summary (floats by their bits), and each row's value and
+// frame-of-reference decoding.
+func zoneView(tbl *Table) uint64 {
+	h := fnv.New64a()
+	n := tbl.Len()
+	var buf []byte
+	for p := range tbl.cols {
+		col := tbl.Col(p)
+		fmt.Fprintf(h, "col %d synced=%v zones=%d\n", p, col.ZonesSynced(n), col.ZoneCount())
+		for z := 0; z < col.ZoneCount(); z++ {
+			il, ih, iok := col.ZoneIntBounds(z)
+			fl, fh, fok := col.ZoneFloatBounds(z)
+			tl, th, tok := col.ZoneTextBounds(z)
+			fmt.Fprintf(h, " [%d %v %d:%d:%v %x:%x:%v %q:%q:%v]", col.ZoneNulls(z), col.ZoneHasNaN(z),
+				il, ih, iok, math.Float64bits(fl), math.Float64bits(fh), fok, tl, th, tok)
+		}
+		base, d8, forOK := col.FORInts()
+		fmt.Fprintf(h, "\n for=%v", forOK)
+		buf = buf[:0]
+		for i := 0; i < n; i++ {
+			buf = append(col.Value(i).AppendKey(buf), ' ')
+			if forOK && !col.Null(i) {
+				buf = strconv.AppendInt(buf, base[i>>ZoneShift]+int64(d8[i>>ZoneShift][i&ZoneMask]), 10)
+			}
+		}
+		h.Write(buf)
+	}
+	return h.Sum64()
+}
+
+// FuzzZoneMaintenance applies single-row Insert, DeleteAt and UpdateAt ops to
+// a three-zone table of every kind, decoded four bytes an op. After each op
+// the zones must equal a from-scratch rebuild (frame-of-reference parity
+// included), the statistics the oracle's, and the version published before
+// the op must still read its old zones and bytes.
+func FuzzZoneMaintenance(f *testing.F) {
+	z2 := 2 * ZoneRows
+	seeds := [][][]byte{
+		// A bound leaving: row 199 holds zone 0's max i, row 200 its min.
+		{zoneFuzzOp(2, 0, 199, 2), zoneFuzzOp(1, 0, 200, 0), zoneFuzzOp(1, 0, 4295, 0)},
+		// A -0.0 arriving before the zone's first +0.0 minimum, then +0.0
+		// arriving where the -0.0 bound is.
+		{zoneFuzzOp(2, 1, 1, 1), zoneFuzzOp(2, 1, 0, 2), zoneFuzzOp(2, 1, 1, 2)},
+		// NaN leaving: the only NaN of zones 0 and 1, one updated, one deleted.
+		{zoneFuzzOp(2, 1, 10, 4), zoneFuzzOp(1, 0, 4100, 0), zoneFuzzOp(2, 1, 12, 3)},
+		// NULL to value and back, across kinds.
+		{zoneFuzzOp(2, 0, 7, 2), zoneFuzzOp(2, 2, 2, 4), zoneFuzzOp(2, 4, 0, 0),
+			zoneFuzzOp(2, 3, 19, 2), zoneFuzzOp(2, 1, 5, 5), zoneFuzzOp(2, 0, 8, 6)},
+		// A frame-of-reference rebase by update and by append, then an
+		// overflow that drops the encoding.
+		{zoneFuzzOp(2, 0, 50, 0), zoneFuzzOp(2, 3, 51, 0), zoneFuzzOp(0, 0, 0, 0),
+			zoneFuzzOp(2, 0, 60, 5), zoneFuzzOp(1, 0, 61, 0)},
+		// Mid-table deletes: rows slide from zone 1 to 0 and 2 to 1.
+		{zoneFuzzOp(1, 0, 100, 0), zoneFuzzOp(1, 0, 4096, 0), zoneFuzzOp(1, 0, 0, 0),
+			zoneFuzzOp(2, 5, 4095, 3), zoneFuzzOp(1, 0, 4094, 0)},
+		// The last zone's only bounded i, s and b leaving; a small i then
+		// arrives in the zone left without one.
+		{zoneFuzzOp(2, 2, z2+5, 0), zoneFuzzOp(1, 0, z2+8, 0), zoneFuzzOp(2, 5, z2+1, 7),
+			zoneFuzzOp(2, 0, z2+5, 7), zoneFuzzOp(2, 0, z2+2, 6)},
+		// Everything at once, on every column.
+		{zoneFuzzOp(0, 0, 0, 1), zoneFuzzOp(2, 5, 4096, 5), zoneFuzzOp(1, 0, 3, 0),
+			zoneFuzzOp(2, 5, z2, 3), zoneFuzzOp(0, 0, 0, 6), zoneFuzzOp(1, 0, z2-1, 0)},
+	}
+	for _, ops := range seeds {
+		var in []byte
+		for _, op := range ops {
+			in = append(in, op...)
+		}
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) > 24 {
+			in = in[:24] // six ops: every op rechecks the whole table
+		}
+		db, tbl := newZoneDB(t)
+		db.mu.Lock()
+		for r := range zoneFuzzRows {
+			if err := db.insertLocked(tbl, zoneFuzzRow(r)); err != nil {
+				db.mu.Unlock()
+				t.Fatal(err)
+			}
+		}
+		db.publishLocked(db.nextPubSeqLocked())
+		db.mu.Unlock()
+		for ; len(in) >= 4; in = in[4:] {
+			kind, col := int(in[0])%3, int(in[0])/3%6
+			pos, v := (int(in[1])<<8|int(in[2]))%tbl.Len(), in[3]
+			frozen := db.Snapshot().Table("Z")
+			before := zoneView(frozen)
+			var err error
+			switch kind {
+			case 0:
+				tup := make(Tuple, len(tbl.cols))
+				for p := range tup {
+					tup[p] = zoneFuzzValue(p, tbl.Len()>>ZoneShift, v)
+				}
+				err = db.Insert("Z", tup)
+			case 1:
+				_, err = db.DeleteAt("Z", []int{pos})
+			case 2:
+				_, err = db.UpdateAt("Z", []int{pos}, func(repl Tuple) Tuple {
+					for p := range repl {
+						if col == 5 || col == p {
+							repl[p] = zoneFuzzValue(p, pos>>ZoneShift, v)
+						}
+					}
+					return repl
+				})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkZones(t, tbl)
+			checkStats(t, tbl)
+			if after := zoneView(frozen); after != before {
+				t.Fatalf("op %d on row %d changed the zones of the version published before it", kind, pos)
+			}
+		}
+	})
 }
