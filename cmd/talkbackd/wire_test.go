@@ -8,13 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/simtest"
 	"repro/internal/sqlparser"
 )
 
@@ -149,25 +149,6 @@ func TestAskReplyMemo(t *testing.T) {
 	}
 }
 
-// settleAllocs returns once the process has gone a few short sleeps without
-// allocating. Every GC wakes the runtime's cleanup goroutine for unique.Make's
-// maps (net/netip keeps some), and that goroutine's six allocations land in
-// whichever window ReadMemStats measures next; under CPU load it runs late
-// enough to fall inside a one-op benchmark.
-func settleAllocs() {
-	var prev, cur runtime.MemStats
-	runtime.ReadMemStats(&prev)
-	for quiet := 0; quiet < 3; prev = cur {
-		time.Sleep(time.Millisecond)
-		runtime.ReadMemStats(&cur)
-		if cur.Mallocs == prev.Mallocs {
-			quiet++
-		} else {
-			quiet = 0
-		}
-	}
-}
-
 // BenchmarkX24ServeHit is talkbackd's share of a response-cache hit: one
 // POST /ask through the real guard(handleAsk), recorded by
 // httptest.NewRecorder, after one warm-up ask has cached the answer and its
@@ -192,8 +173,7 @@ func BenchmarkX24ServeHit(b *testing.B) {
 			}
 			rd := bytes.NewReader(body)
 			req := httptest.NewRequest(http.MethodPost, "/ask", io.NopCloser(rd))
-			runtime.GC()
-			settleAllocs()
+			simtest.SettleAllocs()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

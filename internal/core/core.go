@@ -644,8 +644,7 @@ func (s *System) DrainReaders() {
 // InvalidateResults discards all cached SELECT responses. Ask does this
 // automatically for DML it executes; callers that mutate data behind the
 // System's back (direct engine Exec, storage Insert/Update/Delete, CSV
-// loads, CreateIndex — which can change plan choice) must call it
-// themselves. The generation bump makes stale entries
+// loads) must call it themselves. The generation bump makes stale entries
 // unreachable immediately — including Puts from SELECTs still in flight,
 // which land under the old generation — and the Clear releases their
 // memory rather than waiting for LRU pressure.

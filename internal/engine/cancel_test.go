@@ -115,20 +115,11 @@ func TestCancelDMLLossFree(t *testing.T) {
 		// One statement per way a WHERE resolves to positions.
 		{name: "update-pk-probe", sql: `update MOVIES set year = 1999 where id = 42`, rel: "MOVIES"},
 		{name: "delete-pk-probe", sql: `delete from MOVIES where id = 42`, rel: "MOVIES"},
-		{name: "delete-index-probe", sql: `delete from CAST where aid = 7`, rel: "CAST"},
+		{name: "delete-non-key-equality", sql: `delete from CAST where aid = 7`, rel: "CAST"},
 		{name: "update-vectorized-range", sql: `update MOVIES set year = year + 100 where year between 1960 and 1975`, rel: "MOVIES"},
 		{name: "delete-subquery-residual", sql: `delete from DIRECTED where did in (select d.id from DIRECTOR d where d.id < 20)`, rel: "DIRECTED"},
 		{name: "update-interpreter-fallback", sql: `update MOVIES m set year = year + 1 where m.year > 1980`, rel: "MOVIES", naive: true},
 		{name: "delete-interpreter-fallback", sql: `delete from DIRECTED where did in (select d.id from DIRECTOR d where d.id < 20)`, rel: "DIRECTED", naive: true},
-	}
-	// newDB builds the statement's database: the generated movies plus the
-	// index the index-probe shape needs.
-	newDB := func(t *testing.T) *storage.Database {
-		db := cancelTestDB(t)
-		if err := db.Table("CAST").CreateIndex("ix_cast_aid", "aid"); err != nil {
-			t.Fatal(err)
-		}
-		return db
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range stmts {
@@ -143,7 +134,7 @@ func TestCancelDMLLossFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The uncancelled outcome, on its own database.
-			wantDB := newDB(t)
+			wantDB := cancelTestDB(t)
 			wantEng := newEngine(wantDB)
 			_, wantN, err := wantEng.ExecStatement(stmt)
 			if err != nil {
@@ -155,7 +146,7 @@ func TestCancelDMLLossFree(t *testing.T) {
 			wantAfter := dumpTable(t, wantDB, tc.rel)
 
 			// Poll count for this statement on a fresh database.
-			countDB := newDB(t)
+			countDB := cancelTestDB(t)
 			countEng, ctr := budgetAfter(newEngine(countDB), 1<<62)
 			if _, _, err := countEng.ExecStatement(stmt); err != nil {
 				t.Fatal(err)
@@ -182,7 +173,7 @@ func TestCancelDMLLossFree(t *testing.T) {
 				}
 			}
 			for _, p := range points {
-				db := newDB(t)
+				db := cancelTestDB(t)
 				before := dumpTable(t, db, tc.rel)
 				bex, _ := budgetAfter(newEngine(db), p)
 				_, n, err := bex.ExecStatement(stmt)

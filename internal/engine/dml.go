@@ -241,8 +241,8 @@ func (ex *Engine) dmlCompiler(pq *plannedQuery) func(sqlparser.Expr) rowEval {
 // dmlPositions resolves an UPDATE or DELETE WHERE to the ascending positions
 // of the rows it matches in the live table, before any of them mutates. It
 // builds the plan `SELECT * FROM rel alias WHERE where` would get, a scan
-// step alone, and runs it for the scan's row positions — a primary-key or
-// index probe, or the vectorized filter prefix with zone skipping and the
+// step alone, and runs it for the scan's row positions — a primary-key
+// probe, or the vectorized filter prefix with zone skipping and the
 // compiled residual filters — polling the budget where a SELECT's scan does.
 // A budget trip or an evaluation error therefore leaves no trace, with or
 // without a budget. The plan is returned for UPDATE's SET to compile over.

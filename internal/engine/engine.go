@@ -273,13 +273,6 @@ func explainResult(plan *planner.Plan) *Result {
 			}
 			detail = st.Join + " outer join" + detail
 		}
-		if st.Index != "" {
-			if detail != "" {
-				detail += " via " + st.Index
-			} else {
-				detail = "via " + st.Index
-			}
-		}
 		if len(st.Filters) > 0 {
 			if detail != "" {
 				detail += "; "

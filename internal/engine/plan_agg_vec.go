@@ -938,9 +938,8 @@ type fusedStep struct {
 	tbl    *storage.Table
 	chain  joinChain    // JoinHash
 	probe  fusedProbe   // JoinHash
-	probes []fusedProbe // JoinPK / JoinIndex
-	ix     *storage.Index
-	inner  []int32 // JoinLoop: prefiltered inner positions
+	probes []fusedProbe // JoinPK
+	inner  []int32      // JoinLoop: prefiltered inner positions
 }
 
 // fusedCtx is one worker's pipeline scratch: per-step positions, the key
@@ -1026,23 +1025,6 @@ func (fx *fusedRun) feed(fc *fusedCtx, si int) {
 		fc.pos[si] = int32(pos)
 		fc.stepRows[si]++
 		fx.feed(fc, si+1)
-	case planner.JoinIndex:
-		fc.keyBuf = fc.keyBuf[:0]
-		for _, pr := range fs.probes {
-			v := pr.col.Value(int(fc.pos[pr.si]))
-			if v.IsNull() {
-				return
-			}
-			fc.keyBuf = v.AppendKey(fc.keyBuf)
-		}
-		for _, pos := range fs.ix.Probe(fc.keyBuf) {
-			if !fx.pq.kept(si, pos) {
-				continue
-			}
-			fc.pos[si] = int32(pos)
-			fc.stepRows[si]++
-			fx.feed(fc, si+1)
-		}
 	default: // JoinLoop
 		for _, ti := range fs.inner {
 			fc.pos[si] = ti
@@ -1070,16 +1052,10 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 			if fs.chain, err = pq.buildChain(si, st, nil); err != nil {
 				return nil, err
 			}
-		case planner.JoinPK, planner.JoinIndex:
+		case planner.JoinPK:
 			for _, slot := range st.ProbeSlots {
 				psi, ppos := pq.slotOwner(slot)
 				fs.probes = append(fs.probes, fusedProbe{si: psi, col: steps[psi].Input.Tbl.Col(ppos)})
-			}
-			if st.Access == planner.JoinIndex {
-				fs.ix = st.Input.Tbl.Index(st.IndexName)
-				if fs.ix == nil {
-					return nil, fmt.Errorf("engine: plan references missing index %q on %s", st.IndexName, st.Input.Rel.Name)
-				}
 			}
 		default: // JoinLoop
 			fs.inner = pq.loopInner(si, st.Input.Tbl, nil)
@@ -1090,14 +1066,10 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 	var ctxs []*fusedCtx
 	var ordered []int32
 	var final *vecAggState
-	if st0.Access == planner.ScanPK || st0.Access == planner.ScanIndex {
+	if st0.Access == planner.ScanPK {
 		fc := fx.newCtx(va)
 		ctxs = []*fusedCtx{fc}
-		positions, err := pq.probePositions(fc.sel[:0], st0)
-		if err != nil {
-			return nil, err
-		}
-		for _, pos := range positions {
+		for _, pos := range pq.probePositions(fc.sel[:0], st0) {
 			fc.pos[0] = pos
 			fc.stepRows[0]++
 			fx.feed(fc, 1)

@@ -789,23 +789,19 @@ func (ex *Engine) runPipeline(pq *plannedQuery) (batch, error) {
 	return cur, nil
 }
 
-// runScanStep produces the first row set: full scan, primary-key probe, or
-// index probe, with the step's compiled filters applied inline.
+// runScanStep produces the first row set: full scan or primary-key probe,
+// with the step's compiled filters applied inline.
 func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error) {
 	si := pq.fromOrder[st.FromPos] // == 0
 	tbl := st.Input.Tbl
 	evals := [][]rowEval{pq.steps[si].self, pq.steps[si].post}
 
 	switch st.Access {
-	case planner.ScanPK, planner.ScanIndex:
+	case planner.ScanPK:
 		var pk [1]int32 // room for a primary-key probe's one row
-		positions, err := pq.probePositions(pk[:0], st)
-		if err != nil {
-			return batch{}, err
-		}
 		ec := pq.newCtx()
 		var out batch
-		for _, pos := range positions {
+		for _, pos := range pq.probePositions(pk[:0], st) {
 			if err := ec.emit(&out, nil, st, pos, evals...); err != nil {
 				return batch{}, err
 			}
@@ -833,31 +829,21 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error)
 	}
 }
 
-// probePositions appends to dst the row positions a first-step primary-key
-// or index probe resolves to that pass the step's kernels (a NULL key value
+// probePositions appends to dst the row position a first-step primary-key
+// probe resolves to, if it passes the step's kernels (a NULL key value
 // matches nothing).
-func (pq *plannedQuery) probePositions(dst []int32, st *planner.Step) ([]int32, error) {
+func (pq *plannedQuery) probePositions(dst []int32, st *planner.Step) []int32 {
 	var kb []byte
 	for _, v := range st.KeyValues {
 		if v.IsNull() {
-			return dst, nil
+			return dst
 		}
 		kb = v.AppendKey(kb)
 	}
-	if st.Access == planner.ScanPK {
-		if pos, ok := st.Input.Tbl.LookupPKPos(kb); ok {
-			dst = append(dst, int32(pos))
-		}
-	} else {
-		ix := st.Input.Tbl.Index(st.IndexName)
-		if ix == nil {
-			return nil, fmt.Errorf("engine: plan references missing index %q on %s", st.IndexName, st.Input.Rel.Name)
-		}
-		for _, pos := range ix.Probe(kb) {
-			dst = append(dst, int32(pos))
-		}
+	if pos, ok := st.Input.Tbl.LookupPKPos(kb); ok {
+		dst = append(dst, int32(pos))
 	}
-	return pq.keepPositions(0, dst), nil
+	return pq.keepPositions(0, dst)
 }
 
 // buildPass visits [0, n) one storage zone at a time — from the top when down
@@ -1180,26 +1166,6 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 			return ec.emit(out, cur.rows[i], st, int32(pos), self, post)
 		}
 
-	case planner.JoinIndex:
-		ix := tbl.Index(st.IndexName)
-		if ix == nil {
-			return batch{}, fmt.Errorf("engine: plan references missing index %q on %s", st.IndexName, st.Input.Rel.Name)
-		}
-		match = func(ec *evalCtx, out *batch, i int) error {
-			if !ec.probeKey(cur.rows[i], st.ProbeSlots) {
-				return nil
-			}
-			for _, pos := range ix.Probe(ec.keyBuf) {
-				if !pq.kept(si, pos) {
-					continue
-				}
-				if err := ec.emit(out, cur.rows[i], st, int32(pos), self, post); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-
 	default: // JoinLoop — prefilter the inner side once, then cross.
 		keep, err := pq.buildKeep(si, st)
 		if err != nil {
@@ -1218,7 +1184,7 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 	return ex.joinRows(pq, st, cur, match)
 }
 
-// probeKey encodes base's PK or index probe key from the given slots into
+// probeKey encodes base's primary-key probe key from the given slots into
 // ec.keyBuf; false for a NULL part, which matches nothing.
 func (ec *evalCtx) probeKey(base []value.Value, slots []int) bool {
 	ec.keyBuf = ec.keyBuf[:0]

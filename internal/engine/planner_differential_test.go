@@ -189,27 +189,13 @@ func TestPlannerDifferentialPaperCorpus(t *testing.T) {
 	requireReordered(t, reordered)
 }
 
-// TestPlannerDifferentialPaperCorpusIndexed repeats the corpus with
-// secondary indexes on every join and filter column, forcing the planner
-// through its index-nested-loop and index-probe paths.
+// TestPlannerDifferentialPaperCorpusIndexed repeats the movie half of the
+// corpus on one engine, whose only keyed access path on the join and filter
+// columns is the primary key.
 func TestPlannerDifferentialPaperCorpusIndexed(t *testing.T) {
 	movieDB, err := dataset.CuratedMovieDB()
 	if err != nil {
 		t.Fatal(err)
-	}
-	for tbl, attrs := range map[string][]string{
-		"CAST":     {"mid", "aid", "role"},
-		"DIRECTED": {"mid", "did"},
-		"GENRE":    {"mid", "genre"},
-		"ACTOR":    {"name"},
-		"MOVIES":   {"title", "year"},
-		"DIRECTOR": {"name"},
-	} {
-		for _, a := range attrs {
-			if err := movieDB.Table(tbl).CreateIndex("ix_"+tbl+"_"+a, a); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	ex := New(movieDB)
 	reordered := 0
@@ -228,19 +214,12 @@ func TestPlannerDifferentialPaperCorpusIndexed(t *testing.T) {
 }
 
 // TestPlannerDifferentialRandomized sweeps randomized filters, orders,
-// grouping, and join shapes over a generated database, with and without
-// secondary indexes.
+// grouping, and join shapes over a generated database.
 func TestPlannerDifferentialRandomized(t *testing.T) {
 	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
 		Seed: 91, Movies: 120, Actors: 45, Directors: 8, CastPerMovie: 3, GenresPerMovie: 2,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Table("CAST").CreateIndex("ix_cast_aid", "aid"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Table("GENRE").CreateIndex("ix_genre_genre", "genre"); err != nil {
 		t.Fatal(err)
 	}
 	ex := New(db)
@@ -310,8 +289,8 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 }
 
 // TestPlannerDifferentialNulls builds a schema with nullable join and filter
-// columns, loads NULL-riddled rows, and proves the planner's hash, index,
-// and primary-key probes agree with the interpreter's three-valued evaluation.
+// columns, loads NULL-riddled rows, and proves the planner's hash and
+// primary-key probes agree with the interpreter's three-valued evaluation.
 func TestPlannerDifferentialNulls(t *testing.T) {
 	schema := catalog.NewSchema("nulls")
 	if err := schema.AddRelation(&catalog.Relation{
@@ -360,9 +339,6 @@ func TestPlannerDifferentialNulls(t *testing.T) {
 		if err := db.Insert("R", storage.Tuple{value.NewInt(int64(i)), maybeInt(), maybeText("v")}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := db.Table("R").CreateIndex("ix_r_k", "k"); err != nil {
-		t.Fatal(err)
 	}
 	ex := New(db)
 	reordered := 0
@@ -748,7 +724,7 @@ func TestPlannerReorderedRowsLeaveInPipelineOrder(t *testing.T) {
 }
 
 // TestDMLPlannedVsInterpreter runs every way an UPDATE or DELETE resolves its
-// WHERE — primary-key probe, index probe, vectorized range with zone
+// WHERE — primary-key probe, vectorized range with zone
 // skipping, compiled residual filter, subquery residual, unknown column, no
 // WHERE at all — once with planned positions and once on the
 // interpreter, which pre-scans the table with the same WHERE. Both must
@@ -761,9 +737,6 @@ func TestDMLPlannedVsInterpreter(t *testing.T) {
 			Seed: 23, Movies: 5000, Actors: 60, Directors: 8, CastPerMovie: 1, GenresPerMovie: 1,
 		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Table("CAST").CreateIndex("ix_cast_aid", "aid"); err != nil {
 			t.Fatal(err)
 		}
 		ex := New(db)

@@ -188,16 +188,13 @@ func TestVecDifferentialRandomized(t *testing.T) {
 }
 
 // TestVecDifferentialJoins checks that vectorized self-filters applied at
-// hash-join build sides, index probes, and loop prefilters agree with naive
+// hash-join build sides, primary-key probes, and loop prefilters agree with naive
 // execution on the movie corpus.
 func TestVecDifferentialJoins(t *testing.T) {
 	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
 		Seed: 47, Movies: 150, Actors: 50, Directors: 9, CastPerMovie: 2, GenresPerMovie: 2,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Table("CAST").CreateIndex("ix_cast_mid", "mid"); err != nil {
 		t.Fatal(err)
 	}
 	ex := New(db)
@@ -210,7 +207,7 @@ func TestVecDifferentialJoins(t *testing.T) {
 			fmt.Sprintf("select m.title, g.genre from MOVIES m, GENRE g where m.id = g.mid and m.year > %d", year),
 			// Vec filter on both sides plus a LIKE on dictionary text.
 			fmt.Sprintf("select m.title from MOVIES m, GENRE g where m.id = g.mid and g.genre like 's%%' and m.year <= %d", year),
-			// Vec filter at an index-probe step.
+			// Vec filter on CAST joined by MOVIES' key.
 			fmt.Sprintf("select m.title, c.role from MOVIES m, CAST c where m.id = c.mid and c.aid in (%d, %d) and m.year >= %d",
 				1+rng.Intn(50), 1+rng.Intn(50), year),
 			// Vec prefix + generic residual mixing at one step.

@@ -10,7 +10,7 @@ import (
 
 // Cost model constants, in scanned-tuple units.
 const (
-	costProbe    = 1.5 // one hash probe (pk or index)
+	costProbe    = 1.5 // one primary-key probe
 	costHashLoad = 1.0 // insert one build tuple into a hash table
 	costEmit     = 0.1 // materialize one output row
 )
@@ -117,8 +117,6 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, hasOuter bool) *Plan {
 		if firstStep.EstRows > 1 {
 			firstStep.EstRows = 1
 		}
-	case ScanIndex:
-		firstStep.EstCost = costProbe + firstStep.EstRows
 	default:
 		firstStep.EstCost = float64(stats[first].Rows)
 	}
@@ -373,8 +371,8 @@ func isConnected(i int, bound []bool, conjs []*conjunct) bool {
 	return false
 }
 
-// chooseScanAccess upgrades a first-step full scan to a primary-key or
-// index probe when literal equality filters cover the key. Covered filter
+// chooseScanAccess upgrades a first-step full scan to a primary-key probe
+// when literal equality filters cover the key. Covered filter
 // conjuncts stay in the filter list — re-checking an equality the probe
 // already enforced is cheap and keeps the execution paths uniform.
 func chooseScanAccess(st *Step, in int, conjs []*conjunct, res *resolver, stats *storage.TableStats) {
@@ -425,15 +423,6 @@ func chooseScanAccess(st *Step, in int, conjs []*conjunct, res *resolver, stats 
 	if vals, ok := covered(st.Input.Tbl.PKPositions()); ok {
 		st.Access = ScanPK
 		st.KeyValues = vals
-		return
-	}
-	for _, info := range st.Input.Tbl.IndexInfos() {
-		if vals, ok := covered(info.Positions); ok {
-			st.Access = ScanIndex
-			st.IndexName = info.Name
-			st.KeyValues = vals
-			return
-		}
 	}
 }
 
@@ -522,7 +511,6 @@ func planJoinStep(i int, cur float64, bound []bool, conjs []*conjunct, res *reso
 
 	type method struct {
 		access  Access
-		index   string
 		used    []edgeInfo
 		estRows float64
 		cost    float64
@@ -536,22 +524,6 @@ func planJoinStep(i int, cur float64, bound []bool, conjs []*conjunct, res *reso
 			estRows: cur * match,
 			cost:    cur*costProbe + cur*match*costEmit,
 		})
-	}
-	for _, info := range inputs[i].Tbl.IndexInfos() {
-		if used, ok := coverKey(info.Positions); ok {
-			f := rows * localSel
-			for _, p := range info.Positions {
-				f /= distinctOf(p)
-			}
-			if f < 0.1/rowsOrOne(rows) {
-				f = 0
-			}
-			methods = append(methods, method{
-				access: JoinIndex, index: info.Name, used: used,
-				estRows: cur * f,
-				cost:    cur*costProbe + cur*f*costEmit,
-			})
-		}
 	}
 	// Hash join on the first edge (the interpreter's choice).
 	he := edges[0]
@@ -568,7 +540,6 @@ func planJoinStep(i int, cur float64, bound []bool, conjs []*conjunct, res *reso
 		}
 	}
 	st.Access = best.access
-	st.IndexName = best.index
 	st.EstRows = best.estRows
 	st.EstCost = best.cost
 	var descs []string
@@ -583,11 +554,6 @@ func planJoinStep(i int, cur float64, bound []bool, conjs []*conjunct, res *reso
 	case JoinPK:
 		st.ProbeSlots = make([]int, len(pkPos))
 		for k := range pkPos {
-			st.ProbeSlots[k] = best.used[k].probeSlot
-		}
-	case JoinIndex:
-		st.ProbeSlots = make([]int, len(best.used))
-		for k := range best.used {
 			st.ProbeSlots[k] = best.used[k].probeSlot
 		}
 	}
@@ -608,13 +574,6 @@ func planJoinStep(i int, cur float64, bound []bool, conjs []*conjunct, res *reso
 		st.EstRows = 0.05
 	}
 	return st
-}
-
-func rowsOrOne(r float64) float64 {
-	if r < 1 {
-		return 1
-	}
-	return r
 }
 
 func inConjSet(set []*conjunct, c *conjunct) bool {

@@ -2,8 +2,8 @@
 // conjuncts, estimates selectivities and join cardinalities from the storage
 // statistics (Table.Stats), orders inner joins greedily by
 // estimated output size, and picks an access path per step — full scan,
-// primary-key probe, secondary-index probe, hash join, primary-key join, or
-// index-nested-loop join. The paper's §3.1 motivates feedback about *why* a
+// primary-key probe, hash join, primary-key join, or nested loop. The
+// paper's §3.1 motivates feedback about *why* a
 // query is expensive; the Plan produced here is both the engine's execution
 // recipe and the artifact EXPLAIN PLAN narrates back to the user.
 //
@@ -46,10 +46,8 @@ type Access int
 const (
 	ScanFull Access = iota
 	ScanPK
-	ScanIndex
 	JoinHash
 	JoinPK
-	JoinIndex
 	JoinLoop
 )
 
@@ -60,14 +58,10 @@ func (a Access) String() string {
 		return "full scan"
 	case ScanPK:
 		return "primary-key probe"
-	case ScanIndex:
-		return "index probe"
 	case JoinHash:
 		return "hash join"
 	case JoinPK:
 		return "primary-key join"
-	case JoinIndex:
-		return "index join"
 	case JoinLoop:
 		return "nested loop"
 	default:
@@ -85,18 +79,16 @@ type Step struct {
 	// row layout.
 	Offset int
 	Access Access
-	// IndexName names the secondary index (ScanIndex / JoinIndex).
-	IndexName string
-	// KeyValues are the literal probe values for ScanPK / ScanIndex, aligned
-	// with the key positions of the primary key / index.
+	// KeyValues are the literal probe values for ScanPK, aligned with the key
+	// positions of the primary key.
 	KeyValues []value.Value
 	// BuildPos / ProbeSlot drive JoinHash: build a hash table over this
 	// relation's attribute BuildPos, probe it with the current row's absolute
 	// slot ProbeSlot.
 	BuildPos  int
 	ProbeSlot int
-	// ProbeSlots drive JoinPK / JoinIndex: absolute slots supplying the key
-	// values, aligned with the pk/index key positions.
+	// ProbeSlots drive JoinPK: absolute slots supplying the key values,
+	// aligned with the primary key's positions.
 	ProbeSlots []int
 	// Join is JoinLeft or JoinRight for an outer join step. A LEFT step keeps
 	// every row so far, padding this relation with NULLs for a row that kept
@@ -250,11 +242,6 @@ func (p *Plan) Fingerprint() string {
 			b.WriteString(w + " ")
 		}
 		b.WriteString(st.Access.String())
-		if st.IndexName != "" {
-			b.WriteByte('[')
-			b.WriteString(st.IndexName)
-			b.WriteByte(']')
-		}
 		if len(st.SelfFilters)+len(st.PostJoinFilters) > 0 {
 			fmt.Fprintf(&b, "{%d}", len(st.SelfFilters)+len(st.PostJoinFilters))
 		}

@@ -71,20 +71,6 @@ func TestPlanOrdersBySelectivity(t *testing.T) {
 	}
 }
 
-// TestPlanPicksIndexProbe: an equality filter covered by a secondary index
-// becomes an index probe instead of a full scan.
-func TestPlanPicksIndexProbe(t *testing.T) {
-	db := genDB(t)
-	if err := db.Table("MOVIES").CreateIndex("ix_movies_title", "title"); err != nil {
-		t.Fatal(err)
-	}
-	p := buildPlan(t, db, `select m.year from MOVIES m where m.title = 'Movie 42'`)
-	st := p.Steps[0]
-	if st.Access != planner.ScanIndex || st.IndexName != "ix_movies_title" {
-		t.Fatalf("access = %s index %q, want index probe via ix_movies_title", st.Access, st.IndexName)
-	}
-}
-
 // TestPlanPicksPKProbe: literal equality on the whole primary key becomes a
 // point probe.
 func TestPlanPicksPKProbe(t *testing.T) {
@@ -94,24 +80,6 @@ func TestPlanPicksPKProbe(t *testing.T) {
 	}
 	if p.EstRows > 1 {
 		t.Fatalf("estimated %f rows for a pk probe", p.EstRows)
-	}
-}
-
-// TestPlanPicksIndexJoin: with an index on the join column and a tiny probe
-// side, the planner prefers index nested loops over hashing the big table.
-func TestPlanPicksIndexJoin(t *testing.T) {
-	db := genDB(t)
-	if err := db.Table("CAST").CreateIndex("ix_cast_mid", "mid"); err != nil {
-		t.Fatal(err)
-	}
-	p := buildPlan(t, db,
-		`select c.role from MOVIES m, CAST c where m.id = c.mid and m.id = 5`)
-	if p.Steps[0].Access != planner.ScanPK {
-		t.Fatalf("first access = %s", p.Steps[0].Access)
-	}
-	st := p.Steps[1]
-	if st.Access != planner.JoinIndex || st.IndexName != "ix_cast_mid" {
-		t.Fatalf("join access = %s index %q, want index join via ix_cast_mid", st.Access, st.IndexName)
 	}
 }
 
@@ -322,7 +290,6 @@ func TestShapeStepCostGates(t *testing.T) {
 		"under one morsel":  scan(planner.ScanFull, m-1, 1),
 		"unselective":       scan(planner.ScanFull, 2*m, float64(m)+1),
 		"primary-key probe": scan(planner.ScanPK, 2*m, 1),
-		"index probe":       scan(planner.ScanIndex, 2*m, 1),
 	} {
 		if zs := planner.ZoneSkipStep(st); zs != nil {
 			t.Errorf("%s earned a zone-skip step: %+v", name, zs)
@@ -339,7 +306,7 @@ func TestShapeStepCostGates(t *testing.T) {
 	if ps := planner.ParallelScanStep(scan(planner.ScanFull, planner.ParallelScanMinRows-1, 17)); ps != nil {
 		t.Errorf("small table earned a parallel-scan step: %+v", ps)
 	}
-	if ps := planner.ParallelScanStep(scan(planner.ScanIndex, 10*m, 17)); ps != nil {
-		t.Errorf("index probe earned a parallel-scan step: %+v", ps)
+	if ps := planner.ParallelScanStep(scan(planner.ScanPK, 10*m, 17)); ps != nil {
+		t.Errorf("primary-key probe earned a parallel-scan step: %+v", ps)
 	}
 }

@@ -15,7 +15,6 @@ type StepSummary struct {
 	Access   string `json:"access"`
 	// Join is "left" or "right" for an outer join step (see Step.Join).
 	Join    string   `json:"join,omitempty"`
-	Index   string   `json:"index,omitempty"`
 	JoinKey string   `json:"join_key,omitempty"`
 	Filters []string `json:"filters,omitempty"`
 	// TableRows is the relation cardinality at plan time; EstRows the
@@ -79,7 +78,6 @@ func (p *Plan) Summarize() *Summary {
 			Relation:   st.Input.Rel.Name,
 			Access:     st.Access.String(),
 			Join:       st.outerWord(),
-			Index:      st.IndexName,
 			JoinKey:    st.JoinDesc,
 			TableRows:  st.TableRows,
 			EstRows:    st.EstRows,
@@ -90,7 +88,7 @@ func (p *Plan) Summarize() *Summary {
 			HashedRows:  st.HashedRows,
 			ScannedRows: st.ScannedRows,
 		}
-		if st.Access == ScanPK || st.Access == ScanIndex {
+		if st.Access == ScanPK {
 			ss.JoinKey = "" // key probes are literal, not join-driven
 		}
 		for _, f := range st.SelfFilters {
@@ -98,9 +96,6 @@ func (p *Plan) Summarize() *Summary {
 		}
 		for _, f := range st.PostJoinFilters {
 			ss.Filters = append(ss.Filters, f.SQL())
-		}
-		if st.IndexName != "" {
-			s.IndexesUsed = append(s.IndexesUsed, st.Input.Rel.Name+"."+st.IndexName)
 		}
 		if st.Access == ScanPK || st.Access == JoinPK {
 			s.IndexesUsed = append(s.IndexesUsed, st.Input.Rel.Name+".<primary key>")
@@ -205,7 +200,7 @@ func (p *Plan) Tips() []string {
 }
 
 // indexableEqFilter finds an equality-with-literal filter attribute on a
-// scan step — the classic candidate for a secondary index.
+// scan step — the classic candidate for an index.
 func indexableEqFilter(st *Step) (string, bool) {
 	for _, group := range [][]sqlparser.Expr{st.SelfFilters, st.PostJoinFilters} {
 		if attr, ok := indexableEqIn(group, st); ok {

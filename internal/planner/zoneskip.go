@@ -19,7 +19,7 @@ const zoneSkipMaxSelectivity = 0.5
 // — a full scan over a table with more than one zone whose filters are
 // estimated selective enough that whole morsels plausibly fall out — and nil
 // for any other. The engine asks before it compiles the step's filters, so a
-// primary-key or index probe pays one comparison, and puts the step first in
+// primary-key probe pays one comparison, and puts the step first in
 // the plan's shape when a filter lowered to a probe.
 func ZoneSkipStep(first *Step) *ShapeStep {
 	if first.Access != ScanFull || first.TableRows < MorselRows {

@@ -31,8 +31,6 @@ func PlanEnglish(s *planner.Summary) string {
 			b.WriteString("scans all of " + target)
 		case "primary-key probe":
 			b.WriteString("fetches one row of " + target + " by primary key")
-		case "index probe":
-			fmt.Fprintf(&b, "probes the %s index of %s", st.Index, target)
 		case "hash join":
 			if st.HashSide == planner.HashOuter {
 				fmt.Fprintf(&b, "hashes the %s so far and scans %s once for %s",
@@ -42,8 +40,6 @@ func PlanEnglish(s *planner.Summary) string {
 			}
 		case "primary-key join":
 			fmt.Fprintf(&b, "looks up %s by primary key for each row so far, using %s", target, st.JoinKey)
-		case "index join":
-			fmt.Fprintf(&b, "probes the %s index of %s for each row so far, using %s", st.Index, target, st.JoinKey)
 		default: // nested loop
 			b.WriteString("pairs every row so far with every row of " + target)
 		}

@@ -1,13 +1,36 @@
 // Package simtest is a test helper for deterministic fault schedules, in the
 // style of internal/leakcheck. It holds the sources tests script a run's
-// faults with; PollCancel is the cancellation one.
+// faults with; PollCancel is the cancellation one. SettleAllocs quiets the
+// runtime before a one-op allocation reading.
 package simtest
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
+
+// SettleAllocs runs a garbage collection and returns once the process has
+// gone a few short sleeps without allocating. Every GC wakes the runtime's
+// cleanup goroutine for unique.Make's maps (net/netip keeps some), and that
+// goroutine's six allocations land in whichever window ReadMemStats measures
+// next; under CPU load it runs late enough to fall inside a one-op benchmark.
+// Call it just before b.ResetTimer.
+func SettleAllocs() {
+	runtime.GC()
+	var prev, cur runtime.MemStats
+	runtime.ReadMemStats(&prev)
+	for quiet := 0; quiet < 3; prev = cur {
+		time.Sleep(time.Millisecond)
+		runtime.ReadMemStats(&cur)
+		if cur.Mallocs == prev.Mallocs {
+			quiet++
+		} else {
+			quiet = 0
+		}
+	}
+}
 
 // PollCancel is a deterministic cancellation source: its Err() flips to
 // context.Canceled after a scripted number of polls. Budgets poll Err() at

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -14,10 +13,10 @@ import (
 )
 
 // This file proves the columnar Table is observably identical to a plain
-// row store: a randomized Insert/Delete/Update/LoadCSV/index workload runs
-// against the real Database while the test maintains its own []Tuple oracle,
-// and after every operation Scan, LookupPK, LookupIndex, and DumpCSV must
-// agree with the oracle exactly. A second test holds the statistics to their
+// row store: a randomized Insert/Delete/Update/LoadCSV workload runs against
+// the real Database while the test maintains its own []Tuple oracle, and
+// after every operation Scan, LookupPK, and DumpCSV must agree with the
+// oracle exactly. A second test holds the statistics to their
 // oracle (checkStats) after the same kind of workload.
 
 func columnarTestSchema() *catalog.Schema {
@@ -106,41 +105,6 @@ func checkAgainstOracle(t *testing.T, db *Database, oracle []Tuple, step string)
 	if _, ok := tbl.LookupPK(Tuple{value.NewInt(-999)}); ok {
 		t.Fatalf("%s: LookupPK found a phantom row", step)
 	}
-	// LookupIndex over every index and every key the oracle holds (rows with
-	// a NULL key attribute never match; order is row order).
-	for _, info := range tbl.IndexInfos() {
-		byKey := map[string][]Tuple{}
-		keyVals := map[string][]value.Value{}
-		for _, row := range oracle {
-			if nullKey(row, info.Positions) {
-				continue
-			}
-			k := row.Key(info.Positions)
-			byKey[k] = append(byKey[k], row)
-			if keyVals[k] == nil {
-				for _, p := range info.Positions {
-					keyVals[k] = append(keyVals[k], row[p])
-				}
-			}
-		}
-		if got := len(tbl.secondary[info.Name].buckets); got != len(byKey) {
-			t.Fatalf("%s: index %s holds %d keys, oracle %d", step, info.Name, got, len(byKey))
-		}
-		for k, want := range byKey {
-			got, err := tbl.LookupIndex(info.Name, keyVals[k]...)
-			if err != nil {
-				t.Fatalf("%s: LookupIndex: %v", step, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: LookupIndex(%s, %v) = %d rows, oracle %d", step, info.Name, keyVals[k], len(got), len(want))
-			}
-			for j := range got {
-				if !tuplesEqual(got[j], want[j]) {
-					t.Fatalf("%s: LookupIndex(%s, %v)[%d] = %s, oracle %s", step, info.Name, keyVals[k], j, got[j], want[j])
-				}
-			}
-		}
-	}
 	// DumpCSV byte-for-byte against a dump rendered from the oracle.
 	var gotCSV bytes.Buffer
 	if err := db.DumpCSV("T", &gotCSV); err != nil {
@@ -171,9 +135,6 @@ func TestColumnarDifferentialFuzz(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			db, err := NewDatabase(columnarTestSchema())
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Table("T").CreateIndex("by_n", "n"); err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(seed))
@@ -274,38 +235,16 @@ func TestColumnarDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// checkIndexesMatchRebuild proves the patched indexes hold what a rebuild
-// from the vectors would. The primary key is compared logically — every row
-// is found at its own position and the index holds exactly one entry per row
-// — because its slot layout depends on insertion order. The secondary maps
-// must be equal: same keys, same positions, same bucket order, no emptied
-// bucket left behind. The patched structures are put back, so the next
-// statement patches what the previous one left.
-func checkIndexesMatchRebuild(t *testing.T, tbl *Table, step string) {
-	t.Helper()
-	checkPKIndex(t, tbl, step)
-	pk, secondary, shared := tbl.pk, tbl.secondary, tbl.idxShared
-	if err := tbl.rebuildIndexes(); err != nil {
-		t.Fatalf("%s: rebuild: %v", step, err)
-	}
-	for name, idx := range tbl.secondary {
-		if !reflect.DeepEqual(secondary[name].buckets, idx.buckets) {
-			t.Fatalf("%s: patched index %s differs from a rebuild", step, name)
-		}
-	}
-	tbl.pk, tbl.secondary, tbl.idxShared = pk, secondary, shared
-}
-
 // TestPositionalDMLDifferentialFuzz drives UpdateAt, DeleteAt and the
-// predicate wrappers over a two-zone table with a single-attribute and a
-// composite index: key-changing updates (some onto a taken key, which must be
-// refused with the earlier rows applied), updates that NULL an indexed
-// attribute, and deletes at the head, the zone boundaries and the tail, with
-// inserts in between so the shared index maps keep growing. After every
-// statement the table must agree with the row-store oracle, its indexes with
-// a rebuild, and its zones and statistics with a from-scratch derivation. The
-// database is in-memory, so every statement publishes and the next one runs
-// the copy-on-write paths.
+// predicate wrappers over a two-zone table: key-changing updates (some onto a
+// taken key, which must be refused with the earlier rows applied), updates
+// that NULL an attribute, and deletes at the head, the zone boundaries and the
+// tail, with inserts in between so the shared primary-key slots keep growing.
+// After every statement the table must agree with the row-store oracle, its
+// primary key must find every row at its position, and its zones and
+// statistics must agree with a from-scratch derivation. The database is
+// in-memory, so every statement publishes and the next one runs the
+// copy-on-write paths.
 func TestPositionalDMLDifferentialFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -314,12 +253,6 @@ func TestPositionalDMLDifferentialFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 			tbl := db.Table("T")
-			if err := tbl.CreateIndex("by_n", "n"); err != nil {
-				t.Fatal(err)
-			}
-			if err := tbl.CreateIndex("by_s_n", "s", "n"); err != nil {
-				t.Fatal(err)
-			}
 			rng := rand.New(rand.NewSource(seed))
 			var oracle []Tuple
 			var nextID int64
@@ -381,10 +314,10 @@ func TestPositionalDMLDifferentialFuzz(t *testing.T) {
 					positions := pick()
 					var fn func(Tuple) Tuple
 					switch rng.Intn(4) {
-					case 0: // no indexed attribute changes
+					case 0: // no key attribute changes
 						f := value.NewFloat(float64(rng.Intn(10)) / 4)
 						fn = func(tup Tuple) Tuple { tup[2] = f; return tup }
-					case 1: // both secondary keys change, sometimes to NULL
+					case 1: // two non-key attributes change, sometimes to NULL
 						nv := randVal(rng, 1, &nextID)
 						sv := randVal(rng, 3, &nextID)
 						fn = func(tup Tuple) Tuple { tup[1], tup[3] = nv, sv; return tup }
@@ -453,7 +386,7 @@ func TestPositionalDMLDifferentialFuzz(t *testing.T) {
 					}
 				}
 				checkAgainstOracle(t, db, oracle, step)
-				checkIndexesMatchRebuild(t, tbl, step)
+				checkPKIndex(t, tbl, step)
 				checkZones(t, tbl)
 				checkStats(t, tbl)
 			}

@@ -201,13 +201,6 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 			})
 		}
 	}
-	// One secondary index mid-stream, then a little more churn after it.
-	steps = append(steps[:len(steps)/2],
-		append([]matrixStep{{apply: func(t testing.TB, db *Database) {
-			if err := db.Table("MOVIES").CreateIndex("movies_did", "did"); err != nil {
-				t.Fatalf("create index: %v", err)
-			}
-		}}}, steps[len(steps)/2:]...)...)
 	return steps
 }
 

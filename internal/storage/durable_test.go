@@ -142,9 +142,6 @@ func seedVariety(t *testing.T, db *Database) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Table("MOVIES").CreateIndex("movies_did", "did"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -167,19 +164,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got := fingerprint(t, db2); got != want {
 		t.Errorf("reopened database diverges:\n--- want\n%s\n--- got\n%s", want, got)
 	}
-	// The secondary index came back and probes correctly.
-	rows, err := db2.Table("MOVIES").LookupIndex("movies_did", value.NewInt(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Error("recovered index returned nothing")
-	}
-	for _, r := range rows {
-		if r[3].Int() != 2 {
-			t.Errorf("index row has did=%s", r[3])
-		}
-	}
 }
 
 func TestReopenAfterDML(t *testing.T) {
@@ -201,9 +185,6 @@ func TestReopenAfterDML(t *testing.T) {
 		func(tup Tuple) Tuple { tup[1] = value.NewText("updated-" + tup[1].Text()); return tup }); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Table("DIRECTOR").CreateIndex("dir_name", "name"); err != nil {
-		t.Fatal(err)
-	}
 	csv := "id,title,year,did\n100,CSV Movie,1999,3\n101,Another,2001,6\n"
 	if n, err := db.LoadCSV("MOVIES", strings.NewReader(csv)); err != nil || n != 2 {
 		t.Fatalf("LoadCSV: n=%d err=%v", n, err)
@@ -220,9 +201,6 @@ func TestReopenAfterDML(t *testing.T) {
 	}
 	if got := fingerprint(t, db2); got != want {
 		t.Errorf("replayed database diverges:\n--- want\n%s\n--- got\n%s", want, got)
-	}
-	if _, err := db2.Table("DIRECTOR").LookupIndex("dir_name", value.NewText("updated-d3")); err != nil {
-		t.Errorf("replayed index: %v", err)
 	}
 }
 

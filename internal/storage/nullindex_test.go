@@ -7,7 +7,7 @@ import (
 	"repro/internal/value"
 )
 
-// nullableSchema is a one-relation schema with a nullable indexed attribute.
+// nullableSchema is a one-relation schema with nullable attributes.
 func nullableSchema(t *testing.T) *Database {
 	t.Helper()
 	s := catalog.NewSchema("nulls")
@@ -27,92 +27,6 @@ func nullableSchema(t *testing.T) *Database {
 		t.Fatal(err)
 	}
 	return db
-}
-
-// TestLookupIndexNullSemantics pins SQL equality semantics on hash indexes:
-// a NULL probe matches nothing, and tuples with NULL in an indexed
-// attribute are invisible to equality probes — exactly what a scan
-// evaluating `k = x` keeps under three-valued logic.
-func TestLookupIndexNullSemantics(t *testing.T) {
-	db := nullableSchema(t)
-	tbl := db.Table("T")
-	rows := []struct {
-		id int64
-		k  value.Value
-	}{
-		{1, value.NewInt(7)},
-		{2, value.NewNull()},
-		{3, value.NewInt(7)},
-		{4, value.NewNull()},
-	}
-	for _, r := range rows {
-		if err := db.Insert("T", Tuple{value.NewInt(r.id), r.k, value.NewText("x")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.CreateIndex("by_k", "k"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Equality probe: only the two non-NULL sevens.
-	got, err := tbl.LookupIndex("by_k", value.NewInt(7))
-	if err != nil || len(got) != 2 {
-		t.Fatalf("LookupIndex(7) = %d rows, %v; want 2", len(got), err)
-	}
-	// NULL probe: nothing — NULL = NULL is unknown, not true.
-	got, err = tbl.LookupIndex("by_k", value.NewNull())
-	if err != nil || len(got) != 0 {
-		t.Fatalf("LookupIndex(NULL) = %d rows, %v; want 0", len(got), err)
-	}
-
-	// Agreement with the scan-based path for every key incl. NULL.
-	for _, probe := range []value.Value{value.NewInt(7), value.NewInt(99), value.NewNull()} {
-		viaIndex, err := tbl.LookupIndex("by_k", probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var viaScan []Tuple
-		for _, tup := range tbl.Tuples() {
-			// Scan semantics of `k = probe`: NULL on either side rejects.
-			if !tup[1].IsNull() && !probe.IsNull() && tup[1].Equal(probe) {
-				viaScan = append(viaScan, tup)
-			}
-		}
-		if len(viaIndex) != len(viaScan) {
-			t.Fatalf("probe %s: index %d rows, scan %d rows", probe, len(viaIndex), len(viaScan))
-		}
-	}
-}
-
-// TestIndexNullSemanticsSurviveDML: the NULL exclusion must hold for tuples
-// inserted after index creation and after the Delete/Update rebuild.
-func TestIndexNullSemanticsSurviveDML(t *testing.T) {
-	db := nullableSchema(t)
-	tbl := db.Table("T")
-	if err := tbl.CreateIndex("by_k", "k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Insert("T", Tuple{value.NewInt(1), value.NewNull(), value.NewText("a")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Insert("T", Tuple{value.NewInt(2), value.NewInt(5), value.NewText("b")}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := tbl.LookupIndex("by_k", value.NewNull()); len(got) != 0 {
-		t.Fatalf("NULL probe found %d rows after incremental insert", len(got))
-	}
-	// Update rebuilds indexes; NULLs must stay excluded.
-	if _, err := db.Update("T",
-		func(tup Tuple) bool { return tup[0].Int() == 2 },
-		func(tup Tuple) Tuple { tup[1] = value.NewNull(); return tup }); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := tbl.LookupIndex("by_k", value.NewInt(5)); len(got) != 0 {
-		t.Fatalf("stale index entry for updated-to-NULL key: %d rows", len(got))
-	}
-	if got, _ := tbl.LookupIndex("by_k", value.NewNull()); len(got) != 0 {
-		t.Fatalf("NULL probe found %d rows after rebuild", len(got))
-	}
 }
 
 // TestLookupPKNullNeverMatches: primary-key probes follow the same rule.
@@ -153,18 +67,18 @@ func TestTupleKeyNoAdjacentCollision(t *testing.T) {
 	}
 }
 
-// TestCompositeIndexSeparatorCollision: two distinct composite keys that the
-// old separator scheme conflated must land in distinct buckets.
+// TestCompositeIndexSeparatorCollision: two distinct composite primary keys
+// that a separator-joined encoding conflated must stay distinct in the
+// primary-key index — both insert, and each probes to its own row.
 func TestCompositeIndexSeparatorCollision(t *testing.T) {
 	s := catalog.NewSchema("c")
 	if err := s.AddRelation(&catalog.Relation{
 		Name: "P",
 		Attributes: []*catalog.Attribute{
-			{Name: "id", Type: catalog.Int, NotNull: true},
-			{Name: "x", Type: catalog.Text},
-			{Name: "y", Type: catalog.Text},
+			{Name: "x", Type: catalog.Text, NotNull: true},
+			{Name: "y", Type: catalog.Text, NotNull: true},
 		},
-		PrimaryKey: []string{"id"},
+		PrimaryKey: []string{"x", "y"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -172,19 +86,19 @@ func TestCompositeIndexSeparatorCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := db.Table("P")
-	if err := tbl.CreateIndex("by_xy", "x", "y"); err != nil {
-		t.Fatal(err)
+	keys := []Tuple{
+		{value.NewText("t:a"), value.NewText("b")},
+		{value.NewText("t"), value.NewText("a|t:b")},
 	}
-	if err := db.Insert("P", Tuple{value.NewInt(1), value.NewText("t:a"), value.NewText("b")}); err != nil {
-		t.Fatal(err)
+	for _, k := range keys {
+		if err := db.Insert("P", k.Clone()); err != nil {
+			t.Fatalf("insert %s: %v", k, err)
+		}
 	}
-	if err := db.Insert("P", Tuple{value.NewInt(2), value.NewText("t"), value.NewText("a|t:b")}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tbl.LookupIndex("by_xy", value.NewText("t:a"), value.NewText("b"))
-	if err != nil || len(got) != 1 {
-		t.Fatalf("composite probe = %d rows, %v; want exactly the first tuple", len(got), err)
+	for _, k := range keys {
+		if got, ok := db.Table("P").LookupPK(k); !ok || !tuplesEqual(got, k) {
+			t.Fatalf("LookupPK(%s) = %s, %v; want exactly that row", k, got, ok)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 // it froze. While shared, the table may only gain entries — an INSERT fills
 // an empty slot with a position at or past every view's row count, which the
 // views' probes skip — and growth allocates fresh pages. Removal and
-// re-pointing run only after ownIndexes made the page-header array private
+// re-pointing run only after ownPK made the page-header array private
 // (one short copy, not the slots), and each then clones a page once, on its
 // first write to it.
 
@@ -45,7 +45,7 @@ const (
 
 // pkIndex is the slot table. size is zero or a power of two; n counts the
 // occupied slots. shared[p] marks page p as still shared with a frozen view
-// since ownIndexes; nil when every page is the writer's own.
+// since ownPK; nil when every page is the writer's own.
 type pkIndex struct {
 	pages  [][]uint64
 	size   int

@@ -21,9 +21,9 @@ import (
 // columns with a live frame-of-reference encoding spill exactly that (one
 // varint base per zone plus one byte delta per row), text columns spill their
 // dictionary pages (strings once, then per-row codes), floats spill raw bits,
-// and bools bit-pack. On load, zone maps, frame-of-reference deltas, indexes,
-// and statistics are rebuilt from the vectors — derived state is never
-// trusted from disk.
+// and bools bit-pack. On load, zone maps, frame-of-reference deltas, the
+// primary key and statistics are rebuilt from the vectors — derived state is
+// never trusted from disk.
 
 // segmentMagic versions the checkpoint format.
 const segmentMagic = "TBSEG1"
@@ -77,16 +77,9 @@ func (t *Table) appendSegment(buf []byte) []byte {
 	for i := range t.cols {
 		buf = t.cols[i].appendSegment(buf, t.rows)
 	}
-	infos := t.IndexInfos()
-	buf = appendUvarint(buf, uint64(len(infos)))
-	for _, info := range infos {
-		buf = appendString(buf, info.Name)
-		buf = appendUvarint(buf, uint64(len(info.Attrs)))
-		for _, a := range info.Attrs {
-			buf = appendString(buf, a)
-		}
-	}
-	return buf
+	// The index-definition count, always zero: the primary key rebuilds from
+	// the vectors, and a segment that defines an index is refused on load.
+	return appendUvarint(buf, 0)
 }
 
 // Column payload encodings within a segment.
@@ -304,31 +297,12 @@ func (tbl *Table) loadSegment(name string, d *walDecoder) error {
 	}
 	tbl.rows = n
 
-	// Secondary index definitions; the structures rebuild below.
-	idxCount := d.uvarint()
-	if d.err != nil {
-		return d.err
-	}
-	if idxCount > uint64(len(payload)) {
-		return fmt.Errorf("storage: checkpoint %s index count %d exceeds segment", name, idxCount)
-	}
-	type idxDef struct {
-		name  string
-		attrs []string
-	}
-	defs := make([]idxDef, idxCount)
-	for i := range defs {
-		defs[i].name = d.string()
-		nAttrs := d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		if nAttrs > uint64(len(payload)) {
-			return fmt.Errorf("storage: checkpoint %s index attr count exceeds segment", name)
-		}
-		defs[i].attrs = make([]string, nAttrs)
-		for j := range defs[i].attrs {
-			defs[i].attrs[j] = d.string()
+	// Older checkpoints could define secondary hash indexes after the
+	// columns. This version has none, and a definition is refused by name:
+	// loading the rows without it would silently drop what the file says.
+	if d.uvarint() > 0 {
+		if idx := d.string(); d.err == nil {
+			return fmt.Errorf("storage: checkpoint %s defines index %q, but only primary keys are indexed; the checkpoint cannot load", name, idx)
 		}
 	}
 	if d.err != nil {
@@ -337,17 +311,12 @@ func (tbl *Table) loadSegment(name string, d *walDecoder) error {
 
 	// Rebuild every piece of derived state from the loaded vectors: zones
 	// (and frame-of-reference deltas, and with them the bounds and NULL counts
-	// the statistics read), primary key and secondary indexes.
+	// the statistics read) and the primary key.
 	for i := range tbl.cols {
 		tbl.cols[i].buildZones(n)
 	}
-	if err := tbl.rebuildIndexes(); err != nil {
+	if err := tbl.rebuildPK(); err != nil {
 		return fmt.Errorf("storage: checkpoint %s: %w", name, err)
-	}
-	for _, def := range defs {
-		if err := tbl.addIndex(def.name, def.attrs); err != nil {
-			return fmt.Errorf("storage: checkpoint %s: %w", name, err)
-		}
 	}
 	return nil
 }

@@ -225,13 +225,9 @@ func TestCheckpointLoadReportsFirstFailingSegment(t *testing.T) {
 	if len(segs) != 3 {
 		t.Fatalf("checkpoint of %d tables, want DIRECTOR, MOVIES, RATINGS", len(segs))
 	}
-	// MOVIES ends with its index's attribute name; renaming it fails the
-	// index rebuild, the last step of the segment's load.
-	movies := slices.Clone(segs[1])
-	if !strings.HasSuffix(string(movies), "did") {
-		t.Fatal("MOVIES segment does not end with its index attribute")
-	}
-	movies[len(movies)-1] = 'x'
+	// MOVIES ends with an older writer's index definition, refused after
+	// every column decoded.
+	movies := withIndexDefinition(t, segs[1], "movies_did", "did")
 	// RATINGS promises one column too many.
 	d := walDecoder{buf: segs[2]}
 	name, rows, cols := d.string(), d.uvarint(), d.uvarint()
@@ -261,45 +257,36 @@ func TestCheckpointLoadReportsFirstFailingSegment(t *testing.T) {
 }
 
 // TestReplicatedCheckpointWithSecondaryIndex re-seeds a follower from a
-// checkpoint that defines a secondary index. The load holds the database
-// lock while it rebuilds the index, so the rebuild must not take it again.
+// checkpoint whose T segment defines a secondary index, as older writers
+// emitted one. The re-seed must return, refuse with the table and the index
+// named, and publish no version.
 func TestReplicatedCheckpointWithSecondaryIndex(t *testing.T) {
-	live, ck := checkpointFile(t, columnarTestSchema(), func(db *Database) {
-		if err := db.Table("T").CreateIndex("by_n", "n"); err != nil {
-			t.Fatal(err)
-		}
-		for id := int64(1); id <= 3; id++ {
-			if err := db.Insert("T", Tuple{value.NewInt(id), value.NewInt(id % 2), value.NewNull(), value.NewText("a"), value.NewNull(), value.NewNull()}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
 	follower, err := NewDatabase(columnarTestSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap, published := follower.Snapshot(), follower.Published()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := follower.LoadReplicatedCheckpoint(ck)
+		_, _, err := follower.LoadReplicatedCheckpoint(legacyIndexCheckpoint(t))
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+		if err == nil || !strings.Contains(err.Error(), legacyIndexRefusal) {
+			t.Fatalf("re-seed: %v; want %q", err, legacyIndexRefusal)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("re-seed from a checkpoint with a secondary index did not return")
 	}
-	if got, want := viewPrint(follower.Snapshot().Table("T")), viewPrint(live.Snapshot().Table("T")); got != want {
-		t.Fatalf("re-seeded\n%s\nwant\n%s", got, want)
+	if follower.Snapshot() != snap || follower.Published() != published {
+		t.Fatal("refused re-seed published a version")
 	}
 }
 
 // fuzzSeedSegments checkpoints a few shapes of the columnar test table: NULL-
-// heavy random rows under two secondary indexes and a sorted dictionary, a
-// table past one zone, and an all-NULL text column; then it adds two forged
-// segments.
+// heavy random rows under a sorted dictionary, a table past one zone, and an
+// all-NULL text column; then it adds three forged segments.
 func fuzzSeedSegments(t testing.TB) [][]byte {
 	rng := rand.New(rand.NewSource(5))
 	var nextID int64
@@ -319,12 +306,6 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 	var out [][]byte
 	for _, build := range []func(db *Database){
 		func(db *Database) {
-			if err := db.Table("T").CreateIndex("by_n", "n"); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Table("T").CreateIndex("by_s_n", "s", "n"); err != nil {
-				t.Fatal(err)
-			}
 			if err := db.EnableSortedDict("T", "s"); err != nil {
 				t.Fatal(err)
 			}
@@ -342,8 +323,9 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 		_, ck := checkpointFile(t, columnarTestSchema(), build)
 		out = append(out, tableSegments(t, ck)...)
 	}
-	// Two forgeries no writer produces, which the loader must refuse: a NULL
-	// bit past the last row, and a dictionary holding one string twice.
+	// Three forgeries this writer never produces, which the loader must
+	// refuse: a NULL bit past the last row, a dictionary holding one string
+	// twice, and an older writer's secondary-index definition.
 	db, err := NewDatabase(columnarTestSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +340,8 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 	out = append(out, view.appendSegment(nil))
 	view = db.Table("T").freeze()
 	view.cols[3].dict = &dict{strs: append(slices.Clone(view.cols[3].dict.strs), "s1")}
-	return append(out, view.appendSegment(nil))
+	out = append(out, view.appendSegment(nil))
+	return append(out, withIndexDefinition(t, out[0], "by_n", "n"))
 }
 
 // fuzzSchema is the columnar test table T beside a second relation U, so a

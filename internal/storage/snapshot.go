@@ -60,14 +60,12 @@ import (
 //   - The flat per-column state — null-bitmap words and zone summaries, both
 //     KB-sized — is cloned whole by prepareMutate ahead of the first in-place
 //     mutation after a freeze.
-//   - Indexes are shared under a per-table idxMu; probes filter positions at
-//     or past the frozen row count. A shared index only gains entries: an
-//     INSERT fills an empty primary-key slot, and a slot table that must grow
+//   - The primary-key index is shared under a per-table idxMu; probes filter
+//     positions at or past the frozen row count. A shared index only gains
+//     entries: an INSERT fills an empty slot, and a slot table that must grow
 //     is replaced by fresh pages. A DELETE or key-changing UPDATE first swaps
-//     in private headers (ownIndexes: the primary key's page-header array,
-//     flat clones of the secondary maps); the primary key then clones each
-//     4 KB page once, on its first removal or re-pointing, and the secondary
-//     buckets it changes are replaced, never edited.
+//     in a private page-header array (ownPK), then clones each 4 KB page
+//     once, on its first removal or re-pointing.
 //   - Dictionary maps are shared under codeMu; compaction replaces structures
 //     instead of mutating them.
 //
@@ -286,14 +284,13 @@ func (db *Database) nextPubSeqLocked() uint64 {
 func (t *Table) freeze() *Table {
 	rows := t.rows
 	ft := &Table{
-		rel:       t.rel,
-		rows:      rows,
-		owner:     t.owner,
-		pk:        t.pk,
-		pkPos:     t.pkPos,
-		secondary: t.secondary,
-		idxMu:     t.idxMu,
-		frozen:    true,
+		rel:    t.rel,
+		rows:   rows,
+		owner:  t.owner,
+		pk:     t.pk,
+		pkPos:  t.pkPos,
+		idxMu:  t.idxMu,
+		frozen: true,
 	}
 	ft.cols = make([]column, len(t.cols))
 	for i := range t.cols {

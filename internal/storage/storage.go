@@ -1,7 +1,8 @@
 // Package storage implements the in-memory relational storage substrate the
 // translation pipeline runs against: columnar tables (one typed vector per
 // attribute, dictionary-encoded text, null bitmaps) with primary-key /
-// foreign-key / NOT NULL enforcement, hash indexes, and CSV import/export.
+// foreign-key / NOT NULL enforcement, a primary-key index, and CSV
+// import/export.
 //
 // The paper assumes a DBMS holds the schema and data whose contents and
 // queries are translated; this package (together with internal/engine) is
@@ -15,18 +16,15 @@
 // aligned with the zone maps ([][]T), and the primary-key slot table into
 // 4 KB pages, so a write after a snapshot publish copies only the chunks and
 // pages it touches (snapshot.go). The Tuple-based API (Tuple, Tuples,
-// LookupPK, LookupIndex) is a compatibility surface that materializes rows on
-// demand. The query engine reads tables through per-zone Col handles and
-// CopyRow.
+// LookupPK) is a compatibility surface that materializes rows on demand. The
+// query engine reads tables through per-zone Col handles and CopyRow.
 package storage
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"maps"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,14 +72,14 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Table stores one relation as column vectors plus its indexes and
+// Table stores one relation as column vectors plus its primary-key index and
 // statistics.
 type Table struct {
 	rel  *catalog.Relation
 	cols []column
 	rows int
-	// owner points back to the containing database so table-level DDL
-	// (CreateIndex) can reach the durability layer.
+	// owner points back to the containing database, whose copied-bytes
+	// counter copy-on-write adds to.
 	owner *Database
 	// pk maps primary-key values to row positions (pkindex.go): pointer-free
 	// slot pages that a frozen view shares by page-header slice.
@@ -89,15 +87,13 @@ type Table struct {
 	// primary key.
 	pk    pkIndex
 	pkPos []int
-	// secondary maps index name -> (value key -> row positions).
-	secondary map[string]*hashIndex
 	// keyBuf is writer-side scratch for key encoding; writers are exclusive
 	// per the storage contract, readers never touch it.
 	keyBuf []byte
-	// idxMu guards the pk slots and the secondary buckets, which are shared
-	// between the live table and its frozen snapshot views: writers mutate
-	// under it, snapshot probes read under it and filter positions past their
-	// frozen row count. The pointer is shared across freezes.
+	// idxMu guards the pk slots, which are shared between the live table and
+	// its frozen snapshot views: writers mutate under it, snapshot probes
+	// read under it and filter positions past their frozen row count. The
+	// pointer is shared across freezes.
 	idxMu *sync.RWMutex
 	// frozen marks an immutable snapshot view (see snapshot.go); statsView is
 	// its point-in-time statistics. Live tables derive Stats() from their
@@ -107,41 +103,14 @@ type Table struct {
 	// shared marks that the live columns' flat state is referenced by a
 	// published snapshot: the next in-place mutation must prepareMutate first
 	// (payload chunks track their own sharing, column.go). idxShared is the
-	// same for the pk page headers and the secondary maps: while it is set
-	// they may only gain entries, and the next removal or re-pointing of an
-	// entry must ownIndexes first. dirty marks the table as changed since the last
-	// publish, so a publish re-freezes only what a statement touched. All
-	// three are guarded by db.mu.
+	// same for the pk page headers: while it is set they may only gain
+	// entries, and the next removal or re-pointing of an entry must ownPK
+	// first. dirty marks the table as changed since the last publish, so a
+	// publish re-freezes only what a statement touched. All three are guarded
+	// by db.mu.
 	shared    bool
 	idxShared bool
 	dirty     bool
-}
-
-type hashIndex struct {
-	positions []int
-	buckets   map[string][]int
-}
-
-// nullKey reports whether the tuple is NULL in any of the given positions —
-// such tuples are invisible to index equality probes (SQL: NULL = x is
-// unknown), so they are never entered into hash-index buckets.
-func nullKey(tup Tuple, positions []int) bool {
-	for _, p := range positions {
-		if tup[p].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-// nullKeyAt is nullKey over stored columns.
-func (t *Table) nullKeyAt(row int, positions []int) bool {
-	for _, p := range positions {
-		if t.cols[p].nulls.get(row) {
-			return true
-		}
-	}
-	return false
 }
 
 // appendKeyAt appends the composite key of the given attribute positions of
@@ -247,166 +216,6 @@ func (t *Table) LookupPKPos(key []byte) (int, bool) {
 	pos := t.pkFind(&t.pk, key, h)
 	t.idxMu.RUnlock()
 	return pos, pos >= 0
-}
-
-// CreateIndex builds a named hash index over the given attributes. Rows
-// with a NULL value in any indexed attribute are not entered: an index
-// equality probe can never match NULL, mirroring WHERE-clause comparison
-// semantics.
-func (t *Table) CreateIndex(name string, attrs ...string) error {
-	if err := t.addIndex(name, attrs); err != nil {
-		return err
-	}
-	if t.owner != nil && t.owner.dur != nil {
-		// The pending buffer is guarded by db.mu.
-		t.owner.mu.Lock()
-		t.dirty = true
-		t.owner.dur.logCreateIndex(t.rel.Name, name, attrs)
-		t.owner.mu.Unlock()
-		return t.owner.autoCommit()
-	}
-	if t.owner != nil {
-		// In-memory path: publish so snapshot planners see the access path.
-		t.owner.mu.Lock()
-		t.dirty = true
-		t.owner.publishLocked(t.owner.nextPubSeqLocked())
-		t.owner.mu.Unlock()
-	}
-	return nil
-}
-
-// addIndex builds the named index over the table's rows — CreateIndex without
-// the log record and the publish, which is what a checkpoint load and a WAL
-// replay (both holding db.mu) need.
-func (t *Table) addIndex(name string, attrs []string) error {
-	if _, dup := t.secondary[name]; dup {
-		return fmt.Errorf("storage: duplicate index %q on %s", name, t.rel.Name)
-	}
-	positions := make([]int, len(attrs))
-	for i, a := range attrs {
-		p := t.rel.AttrIndex(a)
-		if p < 0 {
-			return fmt.Errorf("storage: index %q on %s references unknown attribute %q", name, t.rel.Name, a)
-		}
-		positions[i] = p
-	}
-	idx := &hashIndex{positions: positions, buckets: make(map[string][]int)}
-	for pos := 0; pos < t.rows; pos++ {
-		if t.nullKeyAt(pos, positions) {
-			continue
-		}
-		t.keyBuf = t.appendKeyAt(t.keyBuf[:0], pos, positions)
-		idx.buckets[string(t.keyBuf)] = append(idx.buckets[string(t.keyBuf)], pos)
-	}
-	t.idxMu.Lock()
-	if t.secondary == nil {
-		t.secondary = make(map[string]*hashIndex)
-	}
-	t.secondary[name] = idx
-	t.idxMu.Unlock()
-	return nil
-}
-
-// LookupIndex returns tuples matching the key values on the named index. A
-// NULL key value never matches any tuple, and tuples that are NULL in an
-// indexed attribute are never returned — identical to what a scan evaluating
-// `attr = key` would keep.
-func (t *Table) LookupIndex(name string, key ...value.Value) ([]Tuple, error) {
-	t.idxMu.RLock()
-	idx, ok := t.secondary[name]
-	t.idxMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: unknown index %q on %s", name, t.rel.Name)
-	}
-	if len(key) != len(idx.positions) {
-		return nil, fmt.Errorf("storage: index %q expects %d key values, got %d", name, len(idx.positions), len(key))
-	}
-	for _, v := range key {
-		if v.IsNull() {
-			return nil, nil
-		}
-	}
-	var kb [64]byte
-	buf := Tuple(key).AppendKey(kb[:0], identityPositions(len(key)))
-	t.idxMu.RLock()
-	positions := idx.buckets[string(buf)]
-	t.idxMu.RUnlock()
-	out := make([]Tuple, 0, len(positions))
-	for _, p := range positions {
-		if p >= t.rows {
-			break // appended after this view froze; bucket positions ascend
-		}
-		out = append(out, t.Tuple(p))
-	}
-	return out, nil
-}
-
-// Index is a read-only handle on a secondary hash index, used by the query
-// planner's index-nested-loop joins to probe without per-call name lookups.
-type Index struct {
-	t   *Table
-	idx *hashIndex
-}
-
-// Index returns a handle on the named secondary index, or nil.
-func (t *Table) Index(name string) *Index {
-	t.idxMu.RLock()
-	idx, ok := t.secondary[name]
-	t.idxMu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return &Index{t: t, idx: idx}
-}
-
-// KeyPositions returns the indexed attribute positions in key order. The
-// slice is shared; callers must not mutate it.
-func (ix *Index) KeyPositions() []int { return ix.idx.positions }
-
-// Probe returns the positions of rows matching an encoded key (built with
-// value.AppendKey over the key values in KeyPositions order), in insertion
-// order. The slice is shared; callers must not mutate it. Callers must not
-// encode NULL key values — a NULL probe never matches.
-func (ix *Index) Probe(key []byte) []int {
-	ix.t.idxMu.RLock()
-	positions := ix.idx.buckets[string(key)]
-	ix.t.idxMu.RUnlock()
-	// Positions appended after a frozen view's boundary belong to rows it
-	// cannot see; buckets grow in ascending order, so trim from the tail.
-	for len(positions) > 0 && positions[len(positions)-1] >= ix.t.rows {
-		positions = positions[:len(positions)-1]
-	}
-	return positions
-}
-
-// IndexInfo describes one secondary index for planning.
-type IndexInfo struct {
-	Name string
-	// Attrs are the indexed attribute names in key order.
-	Attrs []string
-	// Positions are the corresponding attribute positions.
-	Positions []int
-}
-
-// IndexInfos lists the table's secondary indexes sorted by name (so plans
-// are deterministic).
-func (t *Table) IndexInfos() []IndexInfo {
-	t.idxMu.RLock()
-	secondary := t.secondary
-	t.idxMu.RUnlock()
-	if len(secondary) == 0 {
-		return nil
-	}
-	out := make([]IndexInfo, 0, len(secondary))
-	for name, idx := range secondary {
-		info := IndexInfo{Name: name, Positions: idx.positions}
-		for _, p := range idx.positions {
-			info.Attrs = append(info.Attrs, t.rel.Attributes[p].Name)
-		}
-		out = append(out, info)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
 }
 
 // Database is a schema plus one table per relation. It is safe for
@@ -594,21 +403,14 @@ func (db *Database) insertLocked(tbl *Table, tup Tuple) error {
 			return err
 		}
 	}
-	// Index insertions mutate structures shared with frozen snapshot views,
-	// so they run under idxMu; the new positions sit at or past every frozen
-	// row count, which the snapshot-side probes filter out.
-	tbl.idxMu.Lock()
-	for _, idx := range tbl.secondary {
-		if nullKey(tup, idx.positions) {
-			continue
-		}
-		k := tup.Key(idx.positions)
-		idx.buckets[k] = append(idx.buckets[k], tbl.rows)
-	}
+	// The pk insertion mutates slots shared with frozen snapshot views, so it
+	// runs under idxMu; the new position sits at or past every frozen row
+	// count, which the snapshot-side probes filter out.
 	if tbl.pkPos != nil {
+		tbl.idxMu.Lock()
 		tbl.pk.add(pkh, tbl.rows)
+		tbl.idxMu.Unlock()
 	}
-	tbl.idxMu.Unlock()
 	for i := range tbl.cols {
 		tbl.cols[i].appendVal(tup[i], tbl.rows)
 	}
@@ -732,9 +534,9 @@ func (db *Database) Delete(relName string, pred func(Tuple) bool) (int, error) {
 // positions — the shape the engine's planned WHERE produces and the WAL
 // records — in time proportional to the rows removed plus the rows behind the
 // first one, which shift down. The removed rows' values leave the distinct
-// counts and their zones, indexes are patched for the removed and the shifted
-// rows, and a row that slides into the previous zone leaves one zone map for
-// the other; only a zone that lost one of its bounds is rescanned.
+// counts and their zones, the primary key is patched for the removed and the
+// shifted rows, and a row that slides into the previous zone leaves one zone
+// map for the other; only a zone that lost one of its bounds is rescanned.
 func (db *Database) DeleteAt(relName string, positions []int) (int, error) {
 	return db.write(relName, func(tbl *Table) (int, error) {
 		return db.deleteAtLocked(tbl, positions)
@@ -757,8 +559,8 @@ func (db *Database) Update(relName string, pred func(Tuple) bool, fn func(Tuple)
 // are re-checked on every replacement before the row mutates; a failure stops the statement
 // there, leaving the earlier rows updated and logged. The cost is
 // proportional to the rows replaced: only changed attributes touch their
-// vectors, statistics and zone maps, only indexes whose key changed are
-// patched, and only a zone whose bound a replaced value held is rescanned.
+// vectors, statistics and zone maps, the primary key is patched only when it
+// changed, and only a zone whose bound a replaced value held is rescanned.
 func (db *Database) UpdateAt(relName string, positions []int, fn func(Tuple) Tuple) (int, error) {
 	return db.write(relName, func(tbl *Table) (int, error) {
 		return db.updateAtLocked(tbl, positions, fn)
@@ -938,165 +740,83 @@ func keyChanged(old, repl Tuple, positions []int) bool {
 	return false
 }
 
-// ownIndexes makes the primary-key page headers and the secondary buckets
-// private to the live table before an entry is removed or re-pointed. Frozen
-// snapshot views share them and only filter by position, so they must keep
-// an untouched copy: the page-header array is copied (each page is cloned
-// later, on its first write), the secondary maps are cloned flat (bucket
-// slices stay shared and are replaced, never edited, by the patching code),
-// and both are swapped in under idxMu. Inserts never need this — they only
-// add positions past every frozen view.
-func (t *Table) ownIndexes() {
+// ownPK makes the primary-key page headers private to the live table before
+// an entry is removed or re-pointed. Frozen snapshot views share them and only
+// filter by position, so they must keep an untouched copy: the page-header
+// array is copied (each page is cloned later, on its first write) and swapped
+// in under idxMu. Inserts never need this — they only add positions past
+// every frozen view.
+func (t *Table) ownPK() {
 	if !t.idxShared {
 		return
 	}
 	t.idxShared = false
 	pk := t.pk
 	t.countCopied(pk.own())
-	var secondary map[string]*hashIndex
-	if len(t.secondary) > 0 {
-		secondary = make(map[string]*hashIndex, len(t.secondary))
-		for name, idx := range t.secondary {
-			secondary[name] = &hashIndex{positions: idx.positions, buckets: maps.Clone(idx.buckets)}
-		}
-	}
 	t.idxMu.Lock()
-	t.pk, t.secondary = pk, secondary
+	t.pk = pk
 	t.idxMu.Unlock()
 }
 
 // reindexRow re-keys row i for a replacement tuple: nothing at all when no
-// primary-key or indexed attribute changes, otherwise the old key leaves and
-// the new key enters each affected index. A new primary key that already
-// belongs to another row is refused before anything is touched.
+// primary-key attribute changes, otherwise the old key leaves and the new key
+// enters. A new primary key that already belongs to another row is refused
+// before anything is touched.
 func (t *Table) reindexRow(i int, old, repl Tuple) error {
-	pkChanged := t.pkPos != nil && keyChanged(old, repl, t.pkPos)
-	var newHash uint32
-	if pkChanged {
-		var kb [64]byte
-		newKey := repl.AppendKey(kb[:0], t.pkPos)
-		newHash = pkHash(newKey)
-		if at := t.pkFind(&t.pk, newKey, newHash); at >= 0 && at != i {
-			return fmt.Errorf("storage: duplicate primary key %s in %s", repl.pkString(t.pkPos), t.rel.Name)
-		}
-	}
-	secChanged := false
-	for _, idx := range t.secondary {
-		if keyChanged(old, repl, idx.positions) {
-			secChanged = true
-			break
-		}
-	}
-	if !pkChanged && !secChanged {
+	if t.pkPos == nil || !keyChanged(old, repl, t.pkPos) {
 		return nil
 	}
-	t.ownIndexes()
+	var kb [64]byte
+	newKey := repl.AppendKey(kb[:0], t.pkPos)
+	newHash := pkHash(newKey)
+	if at := t.pkFind(&t.pk, newKey, newHash); at >= 0 && at != i {
+		return fmt.Errorf("storage: duplicate primary key %s in %s", repl.pkString(t.pkPos), t.rel.Name)
+	}
+	t.ownPK()
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	if pkChanged {
-		t.keyBuf = old.AppendKey(t.keyBuf[:0], t.pkPos)
-		t.countCopied(t.pk.removeAt(t.pk.slotOf(pkEntry(pkHash(t.keyBuf), i))))
-		t.pk.add(newHash, i)
-	}
-	for _, idx := range t.secondary {
-		if !keyChanged(old, repl, idx.positions) {
-			continue
-		}
-		// Buckets ascend; a changed one is rebuilt as a fresh slice, because
-		// a frozen view's map may still hold the old one.
-		if !nullKey(old, idx.positions) {
-			t.keyBuf = old.AppendKey(t.keyBuf[:0], idx.positions)
-			bucket := idx.buckets[string(t.keyBuf)]
-			at := sort.SearchInts(bucket, i)
-			idx.replace(t.keyBuf, slices.Concat(bucket[:at], bucket[at+1:]))
-		}
-		if !nullKey(repl, idx.positions) {
-			t.keyBuf = repl.AppendKey(t.keyBuf[:0], idx.positions)
-			bucket := idx.buckets[string(t.keyBuf)]
-			at := sort.SearchInts(bucket, i)
-			idx.replace(t.keyBuf, slices.Concat(bucket[:at], []int{i}, bucket[at:]))
-		}
-	}
+	t.keyBuf = old.AppendKey(t.keyBuf[:0], t.pkPos)
+	t.countCopied(t.pk.removeAt(t.pk.slotOf(pkEntry(pkHash(t.keyBuf), i))))
+	t.pk.add(newHash, i)
 	return nil
 }
 
-// replace installs a rebuilt bucket, dropping the key when it emptied.
-func (idx *hashIndex) replace(key []byte, bucket []int) {
-	if len(bucket) == 0 {
-		delete(idx.buckets, string(key))
-		return
-	}
-	idx.buckets[string(key)] = bucket
-}
-
-// unindexRows patches the indexes for a delete of the given ascending
+// unindexRows patches the primary key for a delete of the given ascending
 // positions, called while the vectors still hold the pre-compaction layout:
 // the removed rows' keys leave, and every row behind the first removed one is
 // re-pointed at the position it is about to slide down to. Rows in front of
 // it are not visited, re-encoded or allocated for.
 func (t *Table) unindexRows(removed []int) {
-	if t.pkPos == nil && len(t.secondary) == 0 {
+	if t.pkPos == nil {
 		return
 	}
-	t.ownIndexes()
+	t.ownPK()
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	first := removed[0]
-	if t.pkPos != nil {
-		// Ascending order keeps (hash, position) unique while the walk runs:
-		// every position re-pointed so far is below r.
-		k := 0 // removed positions below r
-		for r := first; r < t.rows; r++ {
-			t.keyBuf = t.appendKeyAt(t.keyBuf[:0], r, t.pkPos)
-			h := pkHash(t.keyBuf)
-			slot := t.pk.slotOf(pkEntry(h, r))
-			if k < len(removed) && removed[k] == r {
-				t.countCopied(t.pk.removeAt(slot))
-				k++
-				continue
-			}
-			t.countCopied(t.pk.set(slot, pkEntry(h, r-k)))
+	// Ascending order keeps (hash, position) unique while the walk runs:
+	// every position re-pointed so far is below r.
+	k := 0 // removed positions below r
+	for r := removed[0]; r < t.rows; r++ {
+		t.keyBuf = t.appendKeyAt(t.keyBuf[:0], r, t.pkPos)
+		h := pkHash(t.keyBuf)
+		slot := t.pk.slotOf(pkEntry(h, r))
+		if k < len(removed) && removed[k] == r {
+			t.countCopied(t.pk.removeAt(slot))
+			k++
+			continue
 		}
-	}
-	if len(t.secondary) == 0 {
-		return
-	}
-	// A bucket is rebuilt when the scan meets its first position at or behind
-	// the first removed row; seen marks its later positions as done.
-	seen := make([]bool, t.rows-first)
-	for _, idx := range t.secondary {
-		clear(seen)
-		for r := first; r < t.rows; r++ {
-			if seen[r-first] || t.nullKeyAt(r, idx.positions) {
-				continue
-			}
-			t.keyBuf = t.appendKeyAt(t.keyBuf[:0], r, idx.positions)
-			bucket := idx.buckets[string(t.keyBuf)]
-			at := sort.SearchInts(bucket, first)
-			shifted := make([]int, at, len(bucket))
-			copy(shifted, bucket[:at])
-			for _, q := range bucket[at:] {
-				seen[q-first] = true
-				k := sort.SearchInts(removed, q)
-				if k < len(removed) && removed[k] == q {
-					continue
-				}
-				shifted = append(shifted, q-k)
-			}
-			idx.replace(t.keyBuf, shifted)
-		}
+		t.countCopied(t.pk.set(slot, pkEntry(h, r-k)))
 	}
 }
 
-// rebuildIndexes rebuilds the primary-key slots and every secondary index
-// from the vectors — for a loaded segment, and for a rolled-back insert
-// suffix, whose keys are easier to drop wholesale than to find. It builds
-// fresh structures and swaps them in under idxMu: frozen snapshot views keep
-// the previous — now immutable — ones, whose positions still describe the
-// frozen row layout that the frozen vectors hold. Two rows with one primary
-// key (only a corrupt checkpoint can hold them) are refused, leaving the
-// indexes as they were.
-func (t *Table) rebuildIndexes() error {
+// rebuildPK rebuilds the primary-key slots from the vectors — for a loaded
+// segment, and for a rolled-back insert suffix, whose keys are easier to drop
+// wholesale than to find. It builds fresh slots and swaps them in under idxMu:
+// frozen snapshot views keep the previous — now immutable — ones, whose
+// positions still describe the frozen row layout that the frozen vectors
+// hold. Two rows with one primary key (only a corrupt checkpoint can hold
+// them) are refused, leaving the index as it was.
+func (t *Table) rebuildPK() error {
 	var pk pkIndex
 	if t.pkPos != nil {
 		pk = newPKIndex(pkSlotsFor(t.rows))
@@ -1109,26 +829,8 @@ func (t *Table) rebuildIndexes() error {
 			pk.add(h, pos)
 		}
 	}
-	var secondary map[string]*hashIndex
-	if len(t.secondary) > 0 {
-		secondary = make(map[string]*hashIndex, len(t.secondary))
-		for name, idx := range t.secondary {
-			fresh := &hashIndex{positions: idx.positions, buckets: make(map[string][]int, t.rows)}
-			for pos := 0; pos < t.rows; pos++ {
-				if t.nullKeyAt(pos, fresh.positions) {
-					continue
-				}
-				t.keyBuf = t.appendKeyAt(t.keyBuf[:0], pos, fresh.positions)
-				fresh.buckets[string(t.keyBuf)] = append(fresh.buckets[string(t.keyBuf)], pos)
-			}
-			secondary[name] = fresh
-		}
-	}
 	t.idxMu.Lock()
 	t.pk = pk
-	if secondary != nil {
-		t.secondary = secondary
-	}
 	t.idxMu.Unlock()
 	t.idxShared = false
 	return nil
@@ -1208,7 +910,7 @@ func (db *Database) LoadCSV(relName string, r io.Reader) (int, error) {
 }
 
 // rollbackSuffixLocked removes rows [start, tbl.rows) — the suffix a failed
-// bulk load appended — restoring statistics, indexes, and zone maps.
+// bulk load appended — restoring statistics, the primary key, and zone maps.
 func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
 	if tbl.rows <= start {
 		return
@@ -1231,16 +933,16 @@ func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
 		tbl.cols[j].truncate(start)
 	}
 	tbl.rows = start
-	_ = tbl.rebuildIndexes() // a prefix of rows with distinct keys keeps them distinct
+	_ = tbl.rebuildPK() // a prefix of rows with distinct keys keeps them distinct
 	tbl.finishWrite(start >> ZoneShift)
 	tbl.dirty = true
 }
 
 // RollbackInsertSuffix removes relName's rows from position keep onward —
 // the in-memory half of cancelling a partially applied INSERT (the caller
-// discards the statement's batch for the log-side half). Statistics,
-// indexes, and zone maps are restored; a non-durable database publishes the
-// rolled-back state so snapshot readers never see the cancelled suffix.
+// discards the statement's batch for the log-side half). Statistics, the
+// primary key, and zone maps are restored; a non-durable database publishes
+// the rolled-back state so snapshot readers never see the cancelled suffix.
 func (db *Database) RollbackInsertSuffix(relName string, keep int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -145,48 +145,6 @@ func TestForeignKey(t *testing.T) {
 	}
 }
 
-func TestSecondaryIndex(t *testing.T) {
-	db := newDB(t)
-	ins(t, db, "DIRECTOR", value.NewInt(1), value.NewText("A"), value.NewNull())
-	tbl := db.Table("MOVIES")
-	if err := tbl.CreateIndex("by_year", "year"); err != nil {
-		t.Fatal(err)
-	}
-	ins(t, db, "MOVIES", value.NewInt(1), value.NewText("T1"), value.NewInt(2005), value.NewInt(1))
-	ins(t, db, "MOVIES", value.NewInt(2), value.NewText("T2"), value.NewInt(2005), value.NewInt(1))
-	ins(t, db, "MOVIES", value.NewInt(3), value.NewText("T3"), value.NewInt(2004), value.NewInt(1))
-	got, err := tbl.LookupIndex("by_year", value.NewInt(2005))
-	if err != nil || len(got) != 2 {
-		t.Fatalf("LookupIndex = %v, %v", got, err)
-	}
-	if _, err := tbl.LookupIndex("nope", value.NewInt(1)); err == nil {
-		t.Error("unknown index accepted")
-	}
-	if _, err := tbl.LookupIndex("by_year"); err == nil {
-		t.Error("wrong key arity accepted")
-	}
-	if err := tbl.CreateIndex("by_year", "year"); err == nil {
-		t.Error("duplicate index accepted")
-	}
-	if err := tbl.CreateIndex("bad", "nope"); err == nil {
-		t.Error("index on unknown attribute accepted")
-	}
-}
-
-func TestIndexBuiltOverExistingTuples(t *testing.T) {
-	db := newDB(t)
-	ins(t, db, "DIRECTOR", value.NewInt(1), value.NewText("A"), value.NewNull())
-	ins(t, db, "MOVIES", value.NewInt(1), value.NewText("T1"), value.NewInt(1999), value.NewInt(1))
-	tbl := db.Table("MOVIES")
-	if err := tbl.CreateIndex("by_year", "year"); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := tbl.LookupIndex("by_year", value.NewInt(1999))
-	if len(got) != 1 {
-		t.Errorf("index missed pre-existing tuple: %v", got)
-	}
-}
-
 func TestDelete(t *testing.T) {
 	db := newDB(t)
 	ins(t, db, "DIRECTOR", value.NewInt(1), value.NewText("A"), value.NewNull())
@@ -370,46 +328,6 @@ func TestInsertLookupProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: secondary index lookups agree with a full scan.
-func TestIndexScanAgreementProperty(t *testing.T) {
-	f := func(vals []uint8) bool {
-		s := catalog.NewSchema("p")
-		_ = s.AddRelation(&catalog.Relation{
-			Name: "T",
-			Attributes: []*catalog.Attribute{
-				{Name: "k", Type: catalog.Int, NotNull: true},
-				{Name: "g", Type: catalog.Int},
-			},
-			PrimaryKey: []string{"k"},
-		})
-		db, _ := NewDatabase(s)
-		tbl := db.Table("T")
-		_ = tbl.CreateIndex("by_g", "g")
-		for i, v := range vals {
-			_ = db.Insert("T", Tuple{value.NewInt(int64(i)), value.NewInt(int64(v % 4))})
-		}
-		for g := int64(0); g < 4; g++ {
-			idx, err := tbl.LookupIndex("by_g", value.NewInt(g))
-			if err != nil {
-				return false
-			}
-			scanCount := 0
-			for _, tup := range tbl.Tuples() {
-				if tup[1].Int() == g {
-					scanCount++
-				}
-			}
-			if len(idx) != scanCount {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }

@@ -18,17 +18,21 @@ import (
 //	insert      0x01 | rel | arity | value*
 //	delete      0x02 | rel | count | position-delta*        (ascending rows)
 //	update      0x03 | rel | count | (position, arity, value*)*
-//	createindex 0x04 | rel | name | attrCount | attr*
+//	index       0x04 | rel | name | attrCount | attr*            (refused)
+//
+// Op 0x04 defined a secondary hash index in older logs. This version indexes
+// primary keys only and refuses such a record by table and index name rather
+// than skipping it.
 //
 // Values encode as a kind byte plus a typed payload: 'n' NULL, 'i' zigzag
 // int, 'f' 8-byte float bits, 't' length-prefixed text, 'd' zigzag epoch
 // days, 'B'/'b' bool. Strings are length-prefixed so frames cannot alias.
 
 const (
-	opInsert      = 0x01
-	opDelete      = 0x02
-	opUpdate      = 0x03
-	opCreateIndex = 0x04
+	opInsert   = 0x01
+	opDelete   = 0x02
+	opUpdate   = 0x03
+	opIndexDef = 0x04
 )
 
 func appendUvarint(buf []byte, x uint64) []byte { return binary.AppendUvarint(buf, x) }
@@ -240,17 +244,6 @@ func (d *durability) logUpdate(rel string, rows []updatedRow) {
 	d.pendingOps++
 }
 
-func (d *durability) logCreateIndex(rel, name string, attrs []string) {
-	d.pending = append(d.pending, opCreateIndex)
-	d.pending = appendString(d.pending, rel)
-	d.pending = appendString(d.pending, name)
-	d.pending = appendUvarint(d.pending, uint64(len(attrs)))
-	for _, a := range attrs {
-		d.pending = appendString(d.pending, a)
-	}
-	d.pendingOps++
-}
-
 // updatedRow is one applied UPDATE: the row position and its replacement.
 type updatedRow struct {
 	pos  int
@@ -270,7 +263,7 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 	opCount := d.uvarint()
 	for i := uint64(0); i < opCount; i++ {
 		op := d.byte()
-		if d.err == nil && (op < opInsert || op > opCreateIndex) {
+		if d.err == nil && (op < opInsert || op > opIndexDef) {
 			return ops, fmt.Errorf("storage: wal decode: unknown op 0x%02x", op)
 		}
 		rel := d.string()
@@ -314,18 +307,12 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 				next++
 				return repls[next-1]
 			})
-		case opCreateIndex:
+		case opIndexDef:
 			name := d.string()
-			attrs := make([]string, d.count("attr"))
-			for j := range attrs {
-				attrs[j] = d.string()
-			}
 			if d.err != nil {
 				return ops, d.err
 			}
-			if err = tbl.addIndex(name, attrs); err == nil {
-				tbl.dirty = true
-			}
+			return ops, fmt.Errorf("storage: wal record defines index %q on %s, but only primary keys are indexed; the log cannot replay", name, tbl.rel.Name)
 		}
 		if err != nil {
 			return ops, err

@@ -11,10 +11,10 @@ import (
 
 // TestAppendKeyEncodingCompat pins the AppendKey byte encoding against
 // independently constructed golden bytes. The encoding is load-bearing far
-// beyond this package — primary-key maps, secondary-index buckets, statistics
-// count-maps, grouping and DISTINCT keys are all built from it — so shrinking
-// the Value struct (dates to epoch days, bool into the int payload) must not
-// move a single byte.
+// beyond this package — primary-key slots, statistics count-maps, grouping
+// and DISTINCT keys are all built from it — so shrinking the Value struct
+// (dates to epoch days, bool into the int payload) must not move a single
+// byte.
 func TestAppendKeyEncodingCompat(t *testing.T) {
 	floatKey := func(f float64) []byte {
 		var b [9]byte

@@ -33,7 +33,7 @@
 // attribute — []int64 for INT, []float64 for FLOAT, dictionary-encoded TEXT
 // as []uint32 codes into a per-column string dictionary, DATE as epoch-day
 // []int64, []bool for BOOL — each with a packed null bitmap. The row-shaped
-// API (Tuple, Tuples, LookupPK, LookupIndex, CSV import/export) is a
+// API (Tuple, Tuples, LookupPK, CSV import/export) is a
 // compatibility surface that materializes tuples on demand. The query
 // pipeline reads the vectors directly: arena rows fill via CopyRow, simple
 // filters vectorize into typed comparisons on the column payloads (text
@@ -66,10 +66,10 @@
 // WHERE resolves to ascending row positions before any row mutates, through
 // the plan SELECT * FROM rel WHERE ... would get against the live table, run
 // for the scan's row positions alone: a primary-key probe for `where id = 42`,
-// an index probe for an equality on an indexed attribute, otherwise the scan
-// a SELECT runs (vectorized filter prefix with zone skipping, compiled
-// residual filters, compiled subquery predicates), polling the request budget
-// where a SELECT does — so a WHERE error or a budget trip leaves no trace.
+// otherwise the scan a SELECT runs (vectorized filter prefix with zone
+// skipping, compiled residual filters, compiled subquery predicates), polling
+// the request budget where a SELECT does — so a WHERE error or a budget trip
+// leaves no trace.
 // Every WHERE runs a plan; a column the planner cannot resolve is evaluated
 // row by row where the plan reaches it, and raises its error there. UPDATE's
 // SET expressions compile once over the same single-table plan. Storage
@@ -77,11 +77,12 @@
 // Update and Delete are a scan for positions in front of the same code, and
 // WAL replay calls the positional forms with the positions it logged). An
 // UPDATE copies the vectors once when a published snapshot still shares them,
-// rewrites only changed attributes and their distinct counts, patches only the
-// indexes whose key changed (none at all for a non-key update), and rebuilds
-// only the zones holding a replaced row. A DELETE slides the rows behind the
-// first removed one down as blocks, copies the indexes once — frozen snapshot
-// views share them — and re-points only the removed and the moved rows. The
+// rewrites only changed attributes and their distinct counts, patches the
+// primary key only when it changed (not at all for a non-key update), and
+// rebuilds only the zones holding a replaced row. A DELETE slides the rows
+// behind the first removed one down as blocks, copies the primary key's page
+// headers once — frozen snapshot views share them — and re-points only the
+// removed and the moved rows. The
 // primary key is a flat, pointer-free slot table of row positions (each slot
 // the key's hash and a position; a probe confirms against the row's own
 // columns), so that copy is one memmove, like each column vector's, rather
@@ -100,10 +101,10 @@
 // counts from the dictionaries, numeric ones from a per-column count-map —
 // drive selectivity estimates, greedy join reordering by
 // estimated output cardinality, and per-step access-path choice between a
-// full scan, a primary-key probe, a secondary-index probe, a hash join, a
-// primary-key join, and an index-nested-loop join. Plans execute over flat
-// slot-addressed rows: every column reference resolves to a slot at plan
-// time, so the join inner loop does no map lookups, string comparisons, or
+// full scan, a primary-key probe, a hash join, a primary-key join, and a
+// nested loop. The primary key is the one keyed access path. Plans execute
+// over flat slot-addressed rows: every column reference resolves to a slot
+// at plan time, so the join inner loop does no map lookups, string comparisons, or
 // per-row environment copies (a ~28,000x allocation reduction on the 100k-row
 // join benchmark; see BENCH_2.json). The pipeline extends past the join:
 // ORDER BY sort keys compile to slot readers, a bounded top-K heap stands in
@@ -237,8 +238,8 @@
 // graceful shutdown, and on demand via System.Checkpoint. Recovery loads
 // the checkpoint and replays the WAL tail through the same code paths as
 // live execution (logged UPDATE and DELETE positions go straight to the
-// positional apply) — zone maps, statistics, dictionaries, and indexes are
-// rebuilt, and recovered state is bit-identical to never-crashed state. A
+// positional apply) — zone maps, statistics, dictionaries, and the primary
+// key are rebuilt, and recovered state is bit-identical to never-crashed state. A
 // damaged log never fails recovery: the longest valid committed prefix is
 // salvaged, the damaged suffix is set aside in wal.corrupt, and the
 // outcome is narrated in English ("I replayed 14202 of the 14207
