@@ -480,13 +480,14 @@ func BenchmarkX10PlannerScan(b *testing.B) {
 }
 
 // BenchmarkX11GroupedAggregate measures grouped aggregation over the 100k
-// corpus on the planned pipeline, which takes the fused vectorized-aggregation
-// path: typed accumulators straight off the column vectors, no joined-row
-// materialization. Its allocs and bytes are gated in benchgate (tracked in
-// BENCH_5.json; the acceptance floor is ≥ 4x fewer bytes/op than the
-// BENCH_4.json streaming recording). The streaming and interpreter variants
-// it once ran beside are test-only executions now; their last numbers are in
-// BENCH_4/5.json.
+// corpus on the aggregator's two feeds. planned takes the fused
+// vectorized-aggregation path: typed accumulators straight off the column
+// vectors, no joined-row materialization (tracked in BENCH_5.json; the
+// acceptance floor is ≥ 4x fewer bytes/op than the BENCH_4.json row-at-a-time
+// recording). row-fed groups the same join by the expression m.year / 10,
+// which is outside the fused dialect, so the joined rows are materialized and
+// fed to the same group table and accumulators. Both arms' allocs and bytes
+// are gated in benchgate.
 func BenchmarkX11GroupedAggregate(b *testing.B) {
 	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
 		Seed: 17, Movies: 100000, Actors: 25000, Directors: 1001,
@@ -496,24 +497,26 @@ func BenchmarkX11GroupedAggregate(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng := engine.New(db)
-	sel, err := sqlparser.ParseSelect(`select g.genre, count(*), avg(m.year), max(m.year)
-from MOVIES m, GENRE g where m.id = g.mid group by g.genre having count(*) > 10`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("planned", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := eng.Select(sel)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Rows) == 0 {
-				b.Fatal("no groups")
-			}
+	for _, arm := range []struct{ name, key string }{{"planned", "g.genre"}, {"row-fed", "m.year / 10"}} {
+		sel, err := sqlparser.ParseSelect(`select ` + arm.key + `, count(*), avg(m.year), max(m.year)
+from MOVIES m, GENRE g where m.id = g.mid group by ` + arm.key + ` having count(*) > 10`)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := eng.Select(sel)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) == 0 {
+					b.Fatal("no groups")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkX12TopKSort measures ORDER BY + LIMIT on the planned pipeline:

@@ -13,13 +13,13 @@ import (
 	"repro/internal/value"
 )
 
-// This file proves the fused vectorized-aggregation pipeline is
-// observationally identical to the streaming grouped pipeline — same rows,
-// same order, same errors — and agrees with the naive environment pipeline
-// as oracleAgrees asks (in the same order where the plan keeps FROM order)
-// across randomized GROUP BY templates with NULL group keys, DISTINCT
-// aggregates, HAVING, ORDER BY, and LIMIT; and that morsel-parallel
-// execution is byte-identical to serial at any worker count.
+// This file proves the fused vectorized-aggregation pipeline agrees with the
+// naive environment pipeline (the oracle) as oracleAgrees asks — the same
+// rows, in the same order where the plan keeps FROM order, and the same
+// errors — across randomized GROUP BY templates with NULL group keys,
+// DISTINCT aggregates, HAVING, ORDER BY, and LIMIT; and that morsel-parallel
+// execution is byte-identical to serial at any worker count. The row feeder
+// answers to the oracle in rowfed_differential_test.go.
 
 // aggDiffDB builds a movie database with deliberate NULL pockets: ~1/6 of
 // movie years, ~1/4 of cast roles, and ~1/3 of director birth dates are
@@ -86,11 +86,21 @@ func aggDiffDB(t testing.TB, movies int, seed int64) *storage.Database {
 	return db
 }
 
-// aggTemplates generates randomized grouped queries: single-table and
-// post-join, array-tier (small int/text domains) and hash-tier (wide int
-// composites) group keys, NULL-able keys and arguments, DISTINCT aggregates,
-// HAVING, ORDER BY (column, aggregate, ordinal), and LIMIT.
+// aggTemplates generates n randomized grouped queries (aggTemplate) from rng.
 func aggTemplates(rng *rand.Rand, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = aggTemplate(rng.Intn)
+	}
+	return out
+}
+
+// aggTemplate draws one grouped query, each choice from pick (a value in
+// [0, n)): single-table and post-join, array-tier (small int/text domains)
+// and hash-tier (wide int composites) group keys, NULL-able keys and
+// arguments, DISTINCT aggregates, HAVING, ORDER BY (column, aggregate,
+// ordinal), and LIMIT.
+func aggTemplate(pick func(n int) int) string {
 	keySets := [][2]string{
 		{"m.year", "MOVIES m, CAST c where m.id = c.mid"},
 		{"c.role", "MOVIES m, CAST c where m.id = c.mid"},
@@ -118,44 +128,40 @@ func aggTemplates(rng *rand.Rand, n int) []string {
 		"", "and m.year >= 1960", "and m.year between 1955 and 1995",
 		"and m.title like 'Movie 1%'",
 	}
-	var out []string
-	for i := 0; i < n; i++ {
-		ks := keySets[rng.Intn(len(keySets))]
-		pool := aggs
-		if ks[1] == "MOVIES m" {
-			pool = singleAggs
-		}
-		nAggs := 1 + rng.Intn(3)
-		sel := ks[0]
-		chosen := make([]string, 0, nAggs)
-		for j := 0; j < nAggs; j++ {
-			a := pool[rng.Intn(len(pool))]
-			sel += ", " + a
-			chosen = append(chosen, a)
-		}
-		from := ks[1]
-		if w := wheres[rng.Intn(len(wheres))]; w != "" {
-			if ks[1] == "MOVIES m" {
-				from += " where " + w[len("and "):]
-			} else {
-				from += " " + w
-			}
-		}
-		q := fmt.Sprintf("select %s from %s group by %s", sel, from, ks[0])
-		if h := havings[rng.Intn(len(havings))]; h != "" {
-			q += " " + h
-		}
-		switch rng.Intn(4) {
-		case 1:
-			q += " order by " + chosen[0] + " desc, 1"
-		case 2:
-			q += " order by 1"
-		case 3:
-			q += fmt.Sprintf(" order by %s limit %d", ks[0], 1+rng.Intn(5))
-		}
-		out = append(out, q)
+	ks := keySets[pick(len(keySets))]
+	pool := aggs
+	if ks[1] == "MOVIES m" {
+		pool = singleAggs
 	}
-	return out
+	nAggs := 1 + pick(3)
+	sel := ks[0]
+	chosen := make([]string, 0, nAggs)
+	for j := 0; j < nAggs; j++ {
+		a := pool[pick(len(pool))]
+		sel += ", " + a
+		chosen = append(chosen, a)
+	}
+	from := ks[1]
+	if w := wheres[pick(len(wheres))]; w != "" {
+		if ks[1] == "MOVIES m" {
+			from += " where " + w[len("and "):]
+		} else {
+			from += " " + w
+		}
+	}
+	q := fmt.Sprintf("select %s from %s group by %s", sel, from, ks[0])
+	if h := havings[pick(len(havings))]; h != "" {
+		q += " " + h
+	}
+	switch pick(4) {
+	case 1:
+		q += " order by " + chosen[0] + " desc, 1"
+	case 2:
+		q += " order by 1"
+	case 3:
+		q += fmt.Sprintf(" order by %s limit %d", ks[0], 1+pick(5))
+	}
+	return q
 }
 
 func mustSame(t *testing.T, q, labelA, labelB string, a, b *Result, errA, errB error) {
@@ -185,10 +191,9 @@ func mustSame(t *testing.T, q, labelA, labelB string, a, b *Result, errA, errB e
 	}
 }
 
-// TestVecAggDifferential: randomized grouped templates run three ways — the
-// fused vectorized pipeline, the streaming grouped pipeline (vec disabled),
-// and the naive environment pipeline (the oracle) — and must agree as
-// vecAggThreeWays asks. The vec path must actually execute for a healthy
+// TestVecAggDifferential: randomized grouped templates run on the planned
+// pipeline and on the naive environment pipeline (the oracle) and must agree
+// as fusedVsOracle asks. The vec path must actually execute for a healthy
 // share of templates, and some plan must reorder, or the comparison is
 // vacuous.
 func TestVecAggDifferential(t *testing.T) {
@@ -208,7 +213,7 @@ func TestVecAggDifferential(t *testing.T) {
 	)
 	reordered := 0
 	for _, q := range queries {
-		fused, r := vecAggThreeWays(t, ex, q)
+		fused, r := fusedVsOracle(t, ex, q)
 		if fused {
 			vecRan++
 		}
@@ -232,18 +237,17 @@ func TestVecAggDifferential(t *testing.T) {
 		`select avg(distinct t.v) from T t`,
 		`select * from T t group by t.id, t.g, t.v order by 1 limit 9`,
 	} {
-		if fused, _ := vecAggThreeWays(t, bounds, q); !fused {
+		if fused, _ := fusedVsOracle(t, bounds, q); !fused {
 			t.Errorf("%s\ndid not run the fused pipeline", q)
 		}
 	}
 }
 
-// vecAggThreeWays runs q through the fused vectorized pipeline, the streaming
-// grouped pipeline and the naive environment pipeline. The streaming run must
-// give the same rows or error byte for byte, the naive one the same error or
-// the rows oracleAgrees asks for. It reports whether the first run really was
-// fused and whether its plan reordered the joins.
-func vecAggThreeWays(t *testing.T, ex *Engine, q string) (fused, reordered bool) {
+// fusedVsOracle runs q through the planned pipeline and the naive
+// environment pipeline, which must give the same error or the rows
+// oracleAgrees asks for. It reports whether the planned run really was fused
+// and whether its plan reordered the joins.
+func fusedVsOracle(t *testing.T, ex *Engine, q string) (fused, reordered bool) {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(q)
 	if err != nil {
@@ -251,11 +255,6 @@ func vecAggThreeWays(t *testing.T, ex *Engine, q string) (fused, reordered bool)
 	}
 	vecRes, plan, vecErr := ex.SelectExplained(sel)
 	fused = vecErr == nil && vecAggStep(plan) != nil
-
-	ex.SetVecAggEnabled(false)
-	streamRes, streamErr := ex.Select(sel)
-	ex.SetVecAggEnabled(true)
-	mustSame(t, q, "vec", "streaming", vecRes, streamRes, vecErr, streamErr)
 
 	ex.useOracle(true)
 	naiveRes, naiveErr := ex.Select(sel)
@@ -269,9 +268,8 @@ func vecAggThreeWays(t *testing.T, ex *Engine, q string) (fused, reordered bool)
 }
 
 // TestVecAggReorderedJoins: grouped queries over a join the planner reorders
-// — U's selective filter puts U's scan first — run the fused pipeline, equal
-// the streaming executor byte for byte, are identical serial and parallel,
-// and equal the oracle as multisets: exactly for integer aggregates, within a
+// — U's selective filter puts U's scan first — run the fused pipeline, are
+// identical serial and parallel, and equal the oracle as multisets: exactly for integer aggregates, within a
 // relative 1e-12 for float SUM and AVG, which the pipeline adds in U's order
 // and the interpreter in T's. Both join access paths are covered (t.id is
 // T's primary key, t.k an unindexed copy of it) and both grouping tiers
@@ -326,7 +324,7 @@ func TestVecAggReorderedJoins(t *testing.T) {
 		if i%3 == 0 {
 			q += " order by 1 limit 4"
 		}
-		if fused, reordered := vecAggThreeWays(t, ex, q); !fused || !reordered {
+		if fused, reordered := fusedVsOracle(t, ex, q); !fused || !reordered {
 			t.Fatalf("%s\nfused %v, reordered %v: want the fused pipeline on a reordered plan", q, fused, reordered)
 		}
 		sel, err := sqlparser.ParseSelect(q)
@@ -437,9 +435,9 @@ func TestVecAggDistinctSelect(t *testing.T) {
 	}
 }
 
-// TestVecAggShapeDowngrade: with the vec pipeline disabled, the executed
-// plan's shape narrates the generic aggregate — never a path that did not
-// run.
+// TestVecAggShapeDowngrade: a query's expression-key twin runs on the row
+// feeder, and its executed plan's shape narrates the generic aggregate —
+// never a path that did not run.
 func TestVecAggShapeDowngrade(t *testing.T) {
 	db := aggDiffDB(t, 2500, 606)
 	ex := New(db)
@@ -452,16 +450,18 @@ func TestVecAggShapeDowngrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if vecAggStep(plan) == nil || !hasParallelScan(plan) {
-		t.Fatalf("enabled run should report vec-aggregate + parallel-scan, got %v", shapeKinds(plan))
+		t.Fatalf("fused run should report vec-aggregate + parallel-scan, got %v", shapeKinds(plan))
 	}
-	ex.SetVecAggEnabled(false)
-	defer ex.SetVecAggEnabled(true)
-	_, plan, err = ex.SelectExplained(sel)
+	twin, err := sqlparser.ParseSelect(`select m.year + 0, count(*) from MOVIES m group by m.year + 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, plan, err = ex.SelectExplained(twin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vecAggStep(plan) != nil || hasParallelScan(plan) {
-		t.Fatalf("disabled run must downgrade the shape, got %v", shapeKinds(plan))
+		t.Fatalf("row-fed run must downgrade the shape, got %v", shapeKinds(plan))
 	}
 	if len(plan.Shape) != 1 || plan.Shape[0].Kind != planner.ShapeAggregate {
 		t.Fatalf("downgraded shape = %v", shapeKinds(plan))

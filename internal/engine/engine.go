@@ -42,15 +42,12 @@ type engineState struct {
 	// GOMAXPROCS, 1 forces serial execution.
 	par atomic.Int32
 
-	// noVecAgg, noZoneMaps and oracle are false and nil in production. Only
-	// the engine's tests set them (export_test.go), to hold one execution to
-	// another: noVecAgg sends grouped queries through the streaming
-	// aggregation instead of the fused pipeline, noZoneMaps makes scans test
-	// every row against plain payloads, and oracle answers every SELECT
-	// (subqueries and view bodies included), every UPDATE/DELETE WHERE and
-	// every UPDATE SET and INSERT VALUES expression on the interpreter
-	// instead of a plan.
-	noVecAgg   atomic.Bool
+	// noZoneMaps and oracle are false and nil in production. Only the
+	// engine's tests set them (export_test.go), to hold one execution to
+	// another: noZoneMaps makes scans test every row against plain payloads,
+	// and oracle answers every SELECT (subqueries and view bodies included),
+	// every UPDATE/DELETE WHERE and every UPDATE SET and INSERT VALUES
+	// expression on the interpreter instead of a plan.
 	noZoneMaps atomic.Bool
 	oracle     atomic.Pointer[oracle]
 }

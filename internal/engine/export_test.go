@@ -13,12 +13,6 @@ func (ex *Engine) useOracle(on bool) {
 	}
 }
 
-// SetVecAggEnabled toggles the fused vectorized-aggregation pipeline.
-// Disabled, grouped queries that would take it run the streaming
-// row-at-a-time aggregation instead — differential tests force this to prove
-// the two produce identical rows. Safe for concurrent use.
-func (ex *Engine) SetVecAggEnabled(on bool) { ex.st.noVecAgg.Store(!on) }
-
 // SetZoneMapsEnabled toggles the zone-map layer as a whole (default on):
 // morsel pruning plus the encoded scan fast paths that ride on the same
 // metadata (frame-of-reference delta reads, sorted-dictionary rank compares).

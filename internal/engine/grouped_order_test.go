@@ -145,8 +145,8 @@ func TestGroupedColumnRule(t *testing.T) {
 }
 
 // TestGroupedStreamingCompiles is a white-box check that grouped queries,
-// subquery-bearing ones included, compile to the streaming path's program —
-// the subquery compiled at its node — and answer as the interpreter does.
+// subquery-bearing ones included, compile to the row feeder's program — the
+// subquery compiled at its node — and answer as the interpreter does.
 func TestGroupedStreamingCompiles(t *testing.T) {
 	db, err := dataset.CuratedMovieDB()
 	if err != nil {
@@ -173,10 +173,10 @@ func TestGroupedStreamingCompiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ge := newGroupedExec(sel, newGrouping(sel, entries), pq, items)
-		if len(ge.items) != len(items) || (sel.Having != nil) != (ge.having != nil) || len(ge.keys) != len(sel.OrderBy) {
-			t.Errorf("%s: streaming program incomplete: %d/%d items, having %v, %d/%d keys",
-				sql, len(ge.items), len(items), ge.having != nil, len(ge.keys), len(sel.OrderBy))
+		va := pq.compileRowAgg(sel, newGrouping(sel, entries), items)
+		if len(va.gbEvals) != len(sel.GroupBy) || len(va.items) != len(items) || (sel.Having != nil) != (va.having != nil) || len(va.sortKeys) != len(sel.OrderBy) {
+			t.Errorf("%s: row-fed program incomplete: %d/%d keys, %d/%d items, having %v, %d/%d sort keys",
+				sql, len(va.gbEvals), len(sel.GroupBy), len(va.items), len(items), va.having != nil, len(va.sortKeys), len(sel.OrderBy))
 		}
 		comparePlannedNaive(t, ex, sql)
 	}
@@ -283,22 +283,22 @@ func TestLimitPushdownErrorParity(t *testing.T) {
 	}
 }
 
-// compareAggPaths is comparePlannedNaive with the fused vec-aggregate
-// pipeline enabled and then disabled, so a grouped query is held to the
-// interpreter on both grouped executors.
+// compareAggPaths is comparePlannedNaive over sql and, when sql is grouped,
+// over its row-fed twin, so a grouped query the fused pipeline takes is held
+// to the interpreter on both of the aggregator's feeds.
 func compareAggPaths(t *testing.T, ex *Engine, sql string) {
 	t.Helper()
-	defer ex.SetVecAggEnabled(true)
-	for _, on := range []bool{true, false} {
-		ex.SetVecAggEnabled(on)
-		comparePlannedNaive(t, ex, sql)
+	comparePlannedNaive(t, ex, sql)
+	if twin, ok := rowFedTwin(t, sql); ok {
+		requireRowFed(t, ex, twin)
+		comparePlannedNaive(t, ex, twin)
 	}
 }
 
 // TestGroupedSubqueryDifferential holds grouped queries with subqueries — in
 // HAVING, select items, ORDER BY keys and aggregate arguments, correlated to
-// grouping columns or to an enclosing query — to the interpreter. The
-// streaming path compiles each subquery at its node with the group's
+// grouping columns or to an enclosing query — to the interpreter. The row
+// feeder compiles each subquery at its node with the group's
 // representative row as its outer scope; the no-rows group binds nothing, as
 // in the interpreter.
 func TestGroupedSubqueryDifferential(t *testing.T) {
@@ -358,7 +358,7 @@ func TestGroupedSubqueryDifferential(t *testing.T) {
 	}
 }
 
-// TestGroupedAggregateErrorsOnlyWhenRead pins a streaming-path fix: an
+// TestGroupedAggregateErrorsOnlyWhenRead pins a row-feed fix: an
 // aggregate's accumulation error surfaces only if the query reads the
 // aggregate, as in the interpreter — not because HAVING or an item mentions
 // it under a branch that is never taken.
@@ -376,16 +376,15 @@ func TestGroupedAggregateErrorsOnlyWhenRead(t *testing.T) {
 		{"select m.year, case when 1 = 0 then sum(m.title) else 1 end from MOVIES m group by m.year", 10},
 	} {
 		compareAggPaths(t, ex, q.sql)
-		for _, on := range []bool{true, false} {
-			ex.SetVecAggEnabled(on)
-			res, err := ex.Query(q.sql)
+		twin, _ := rowFedTwin(t, q.sql)
+		for _, sql := range []string{q.sql, twin} {
+			res, err := ex.Query(sql)
 			if err != nil {
-				t.Errorf("%s (vec-aggregate %v): %v, want %d rows", q.sql, on, err, q.rows)
+				t.Errorf("%s: %v, want %d rows", sql, err, q.rows)
 			} else if len(res.Rows) != q.rows {
-				t.Errorf("%s (vec-aggregate %v): %d rows, want %d", q.sql, on, len(res.Rows), q.rows)
+				t.Errorf("%s: %d rows, want %d", sql, len(res.Rows), q.rows)
 			}
 		}
-		ex.SetVecAggEnabled(true)
 	}
 }
 

@@ -16,16 +16,20 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the fused vectorized-aggregation pipeline: grouped queries
-// that compile onto it run scan → joins → grouping as one push-based loop
-// over table positions, never materializing a joined row, and the plan's
-// aggregate step becomes vec-aggregate to say so. Group keys and
-// aggregate arguments read typed column vectors directly; accumulators are
-// unboxed typed arrays indexed by a dense group number. Two tiers map a row
-// to its group: when every key is dictionary- or range-codeable with a small
+// This file is the engine's one aggregator. Its group table and
+// accumulators are fed one of two ways. Grouped queries that compile onto the
+// fused pipeline run scan → joins → grouping as one push-based loop over
+// table positions, never materializing a joined row, and the plan's
+// aggregate step becomes vec-aggregate to say so: group keys and aggregate
+// arguments read typed column vectors directly, and accumulators are unboxed
+// typed arrays indexed by a dense group number. Two tiers map such a row to
+// its group: when every key is dictionary- or range-codeable with a small
 // combined domain, a flat array indexed by the composed code; otherwise a
 // hash table over fixed-width packed key bytes. DISTINCT aggregates track
-// per-group bitsets over the argument's code domain.
+// per-group bitsets over the argument's code domain. Every other grouped
+// query feeds the join pipeline's rows (aggregateRows): the hash tier keyed
+// by value.AppendKey over the evaluated GROUP BY values, and boxed argument
+// values (updateRow). Either way the groups finish alike (finishVecAgg).
 //
 // Parallelism is morsel-driven: workers claim fixed-size ranges of base-table
 // positions from an atomic cursor, aggregate into private states, and the
@@ -38,12 +42,16 @@ import (
 // only when no predicate can raise an error, so the worker count can never
 // change results or error behavior.
 //
-// Interpreter parity details: integer group keys and MIN/MAX comparisons
-// go through float64 images, because that is how the generic pipeline's
-// encoded keys and value.Compare behave; MIN/MAX ties keep the first-seen
-// payload (tracked by stamp in parallel mode); AVG divides the same float
-// sum the interpreter's accumulator builds, row by row in serial mode and
-// merged only when merging is exact.
+// Both feeds answer as the interpreter oracle does: integer group keys and
+// MIN/MAX comparisons go through float64 images, because that is how
+// value.AppendKey and value.Compare treat integers; MIN/MAX ties keep the
+// first-seen value (tracked by stamp in parallel mode); AVG divides a float
+// sum built row by row in serial mode and merged only when merging is exact;
+// groups come out in first-seen order over rows in pipeline order (the
+// oracle's wherever the plan keeps FROM order). The row feed also checks the
+// grouping rule before it evaluates any group key, and a boxed aggregate's
+// error surfaces only when the query reads the aggregate: HAVING before the
+// select items, ORDER BY keys last.
 
 // morselRows is the number of base-table positions one morsel covers. A
 // variable so tests can shrink it to force multi-morsel scheduling on small
@@ -134,11 +142,13 @@ func (k *vecKey) pack(buf []byte, rd *zoneReader, ti int) []byte {
 		byte(b>>24), byte(b>>16), byte(b>>8), byte(b))
 }
 
-// vecAgg is one distinct aggregate expression compiled onto a column.
+// vecAgg is one distinct aggregate expression compiled onto a column, or,
+// row-fed, onto its argument's evaluation over the joined row (arg).
 type vecAgg struct {
 	fn       sqlparser.AggFunc
 	star     bool // no argument: the group row count
-	distinct bool // tracked through a per-group bitset
+	distinct bool // a per-group bitset; row-fed, a set of value.AppendKey keys
+	arg      rowEval
 	si       int
 	col      storage.Col
 	kind     value.Kind
@@ -168,20 +178,32 @@ func (a *vecAgg) distinctCode(rd *zoneReader, ti int) uint64 {
 	}
 }
 
-// vecAggExec is a grouped query compiled for the fused pipeline.
+// boxed reports a row-fed aggregate with an argument.
+func (a *vecAgg) boxed() bool { return a.arg != nil }
+
+// vecAggExec is a grouped query compiled for the aggregator: for the fused
+// pipeline, or row-fed (rowFed, with gbEvals evaluating the GROUP BY
+// expressions over a joined row).
 type vecAggExec struct {
-	pq     *plannedQuery
-	keys   []vecKey
-	aggs   []*vecAgg
-	aggIdx map[string]int
-	stats  []*storage.TableStats // lazy per-step snapshots
+	pq      *plannedQuery
+	keys    []vecKey
+	rowFed  bool
+	gbEvals []rowEval
+	aggs    []*vecAgg
+	aggIdx  map[string]int
+	stats   []*storage.TableStats // lazy per-step snapshots
 	// arrayTier selects the flat composed-code lookup; domain is its size.
 	arrayTier bool
 	domain    uint64
 	keyW      int // hash tier: packed bytes per key vector
 	parallel  bool
-	// Post-aggregation program over the synthetic group row
-	// [key values..., aggregate results...].
+	// outside records that compilePost met an expression outside the
+	// fused dialect.
+	outside bool
+	// Post-aggregation program over the group row [prefix...,
+	// aggregate results...], whose prefix is pw values wide: the key values
+	// when column-fed, the representative (first) joined row when row-fed.
+	pw       int
 	having   rowEval
 	items    []rowEval
 	sortKeys []plannedSortKey
@@ -263,7 +285,8 @@ func (r *zoneReader) at(ti int) int {
 // ---------------------------------------------------------------------------
 
 // tryVecAgg runs the fused vectorized aggregation when the grouped query
-// compiles onto it. ok=false falls back to the streaming grouped pipeline.
+// compiles onto it. ok=false leaves the query to the row feeder
+// (aggregateRows).
 func (ex *Engine) tryVecAgg(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery) (*Result, bool, error) {
 	va, cols, ok := pq.compileVecAgg(sel, entries)
 	if !ok {
@@ -277,24 +300,21 @@ func (ex *Engine) tryVecAgg(sel *sqlparser.SelectStmt, entries []fromEntry, pq *
 // fits, records that on the plan: the aggregate shape step becomes
 // vec-aggregate, preceded by a parallel-scan step when every aggregate merges
 // exactly and the planner prices the base scan as worth fanning out. ok=false
-// — the pipeline is disabled, or a predicate, group key or grouped expression
-// is outside its dialect — leaves the plan as the planner built it.
+// — a predicate, group key or grouped expression is outside its dialect —
+// leaves the plan as the planner built it.
 func (pq *plannedQuery) compileVecAgg(sel *sqlparser.SelectStmt, entries []fromEntry) (*vecAggExec, []string, bool) {
 	plan := pq.plan
-	if pq.ex.st.noVecAgg.Load() {
-		return nil, nil, false
-	}
 	va, ok := pq.compileVecKeys(sel)
 	if !ok {
 		return nil, nil, false
 	}
 	items, cols, err := expandItems(sel, entries)
 	if err != nil {
-		// The streaming path raises the identical error (its join phase
-		// cannot fail when every filter is vectorized), so just decline.
+		// The row feeder raises the identical error (its join phase cannot
+		// fail when every filter is vectorized), so just decline.
 		return nil, nil, false
 	}
-	if !va.compilePost(sel, entries, items) {
+	if !va.compilePost(sel, newGrouping(sel, entries), items) {
 		return nil, nil, false
 	}
 	// Every grouped plan has its aggregate step (planner.Build).
@@ -346,6 +366,7 @@ func (pq *plannedQuery) compileVecKeys(sel *sqlparser.SelectStmt) (*vecAggExec, 
 		}
 		va.keys = append(va.keys, k)
 	}
+	va.pw = len(va.keys)
 
 	// Tier decision: composed-code array when every key codes into a small
 	// dense domain, packed-key hash otherwise.
@@ -403,8 +424,10 @@ func (va *vecAggExec) keyCard(k *vecKey) uint64 {
 	}
 }
 
-// addAgg registers (or reuses) the typed accumulator for one aggregate
-// expression; ok=false means it is outside the typed-accumulator dialect.
+// addAgg registers (or reuses) the accumulator for one aggregate expression:
+// row-fed, its argument compiled over the joined row; column-fed, a typed
+// accumulator over its column, where ok=false means it is outside the
+// typed-accumulator dialect.
 func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 	key := a.SQL()
 	if idx, ok := va.aggIdx[key]; ok {
@@ -413,6 +436,8 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 	spec := &vecAgg{fn: a.Func, distinct: a.Distinct}
 	if a.Arg == nil {
 		spec.star, spec.exact, spec.distinct = true, true, false
+	} else if va.rowFed {
+		spec.arg = va.pq.compile(a.Arg)
 	} else {
 		ref, ok := a.Arg.(*sqlparser.ColumnRef)
 		if !ok || ref.Column == "*" {
@@ -450,8 +475,8 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 					}
 					// The distinct sum is recomputed from the value set in
 					// code order; integer sums are order-free, float (AVG)
-					// sums must be provably exact to match the streaming
-					// pipeline's first-seen accumulation.
+					// sums must be provably exact to match the oracle's
+					// first-seen accumulation.
 					if a.Func == sqlparser.AggAvg && !va.avgExact(spec, pos, true) {
 						return 0, false
 					}
@@ -465,7 +490,7 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 				}
 				spec.exact = false // float sums replicate the pipeline's row order: serial only
 			default:
-				return 0, false // non-numeric SUM/AVG errors; keep the generic path
+				return 0, false // non-numeric SUM/AVG errors; leave it to the row feeder
 			}
 		default:
 			return 0, false
@@ -539,36 +564,54 @@ func (va *vecAggExec) avgExact(spec *vecAgg, pos int, distinct bool) bool {
 }
 
 // compilePost lowers HAVING, the select items, and the ORDER BY keys onto
-// the synthetic group row [key values..., aggregate results...]. Every
-// column reference must match a GROUP BY key; aggregates land in their
-// result slots. ok=false means some expression is outside the dialect (a
-// stray column, an ungated aggregate, a star or a subquery, which would
-// compile over the synthetic row, which binds no FROM entry) — fall back.
-func (va *vecAggExec) compilePost(sel *sqlparser.SelectStmt, entries []fromEntry, items []sqlparser.SelectItem) bool {
-	pq := va.pq
-	nK := len(va.keys)
-	gb := newGrouping(sel, entries)
-	fits := true
-	refuse := func() (rowEval, bool) { fits = false; return nil, true }
-	gpq := *pq
+// the group row [prefix..., aggregate results...]. A GROUP BY match reads
+// its key value (column-fed) or evaluates the key over the representative
+// row (row-fed); an aggregate reads its result slot. Column-fed, any other
+// column reference, a star or a subquery is outside the dialect — the group
+// row binds no FROM entry — and so is an aggregate no typed accumulator
+// takes: ok=false, and the query goes to the row feeder. Row-fed, they
+// compile over the representative row as in any query; the caller has
+// enforced the grouping rule.
+func (va *vecAggExec) compilePost(sel *sqlparser.SelectStmt, gb *grouping, items []sqlparser.SelectItem) bool {
+	read := func(slot int) rowEval {
+		return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }
+	}
+	gpq := *va.pq
 	gpq.leaf = func(e sqlparser.Expr) (rowEval, bool) {
 		if j, ok := gb.index(e); ok {
-			slot := j
-			return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }, true
+			if va.rowFed {
+				return va.gbEvals[j], true
+			}
+			return read(j), true
 		}
 		switch x := e.(type) {
 		case *sqlparser.AggregateExpr:
 			idx, ok := va.addAgg(x)
 			if !ok {
-				return refuse()
+				va.outside = true
+				return nil, true
 			}
-			slot := nK + idx
-			return func(_ *evalCtx, row []value.Value) (value.Value, error) { return row[slot], nil }, true
+			if !va.aggs[idx].boxed() {
+				return read(va.pw + idx), true
+			}
+			// A row-fed aggregate's evaluation or value error surfaces
+			// only here, where the query reads it.
+			slot := va.pw + idx
+			return func(ec *evalCtx, row []value.Value) (value.Value, error) {
+				if ec.failed != nil && ec.failed[idx] != nil {
+					return value.Value{}, ec.failed[idx]
+				}
+				return row[slot], nil
+			}, true
 		case *sqlparser.ColumnRef, *sqlparser.Star, *sqlparser.ExistsExpr, *sqlparser.SubqueryExpr, *sqlparser.QuantifiedExpr:
-			return refuse()
+			if !va.rowFed {
+				va.outside = true
+				return nil, true
+			}
 		case *sqlparser.InExpr:
-			if x.Subquery != nil {
-				return refuse()
+			if x.Subquery != nil && !va.rowFed {
+				va.outside = true
+				return nil, true
 			}
 		}
 		return nil, false
@@ -595,7 +638,7 @@ func (va *vecAggExec) compilePost(sel *sqlparser.SelectStmt, entries []fromEntry
 		}
 		va.sortKeys = append(va.sortKeys, k)
 	}
-	return fits
+	return !va.outside
 }
 
 // ---------------------------------------------------------------------------
@@ -603,10 +646,14 @@ func (va *vecAggExec) compilePost(sel *sqlparser.SelectStmt, entries []fromEntry
 // ---------------------------------------------------------------------------
 
 // vecAccs holds one aggregate's per-group accumulator columns; only the
-// slices the function and argument kind need are grown. bestM/bestSeq stamp
-// when the current MIN/MAX payload was first seen, so parallel merges keep
-// the first-seen payload among compare-equal candidates (float images can
-// tie across distinct payloads: huge ints, -0.0 vs +0.0).
+// slices the function, the argument kind and the feed need are grown.
+// bestM/bestSeq stamp when the current MIN/MAX payload was first seen, so
+// parallel merges keep the first-seen payload among compare-equal candidates
+// (float images can tie across distinct payloads: huge ints, -0.0 vs +0.0).
+// A boxed aggregate shares count, the sums and has, and adds its own
+// columns: flt (a SUM saw a float), best (the MIN/MAX value), seen (the
+// DISTINCT set), and its deferred errors — err, the argument's first
+// evaluation error, and valErr, the first value the aggregate cannot take.
 type vecAccs struct {
 	count   []int64
 	sumI    []int64
@@ -619,54 +666,83 @@ type vecAccs struct {
 	bestM   []int32
 	bestSeq []int64
 	sets    [][]uint64
+	flt     []bool
+	best    []value.Value
+	seen    []map[string]bool
+	err     []error
+	valErr  []error
+}
+
+// growCol appends n zero values to a per-group column. A new column starts
+// with room for 8 groups, so a query with few groups allocates each column
+// once.
+func growCol[T any](s []T, n int) []T {
+	if cap(s) == 0 {
+		s = make([]T, 0, 8*n)
+	}
+	return append(s, make([]T, n)...)
 }
 
 func (a *vecAccs) grow(spec *vecAgg) {
-	if spec.star {
+	switch {
+	case spec.star:
 		return
-	}
-	if spec.distinct {
-		a.sets = append(a.sets, nil)
+	case spec.boxed():
+		a.err = growCol(a.err, 1)
+		a.valErr = growCol(a.valErr, 1)
+		if spec.distinct {
+			a.seen = growCol(a.seen, 1)
+		}
+	case spec.distinct:
+		a.sets = growCol(a.sets, 1)
 		return
 	}
 	switch spec.fn {
 	case sqlparser.AggCount:
-		a.count = append(a.count, 0)
+		a.count = growCol(a.count, 1)
 	case sqlparser.AggSum, sqlparser.AggAvg:
-		a.count = append(a.count, 0)
-		a.sumF = append(a.sumF, 0)
-		if spec.kind == value.Int {
-			a.sumI = append(a.sumI, 0)
+		a.count = growCol(a.count, 1)
+		a.sumF = growCol(a.sumF, 1)
+		if spec.kind == value.Int || spec.boxed() {
+			a.sumI = growCol(a.sumI, 1)
+		}
+		if spec.boxed() {
+			a.flt = growCol(a.flt, 1)
 		}
 	case sqlparser.AggMin, sqlparser.AggMax:
-		a.has = append(a.has, false)
+		a.has = growCol(a.has, 1)
+		if spec.boxed() {
+			a.best = growCol(a.best, 1)
+			return
+		}
 		switch spec.kind {
 		case value.Int, value.Date:
-			a.bestI = append(a.bestI, 0)
+			a.bestI = growCol(a.bestI, 1)
 		case value.Float:
-			a.bestF = append(a.bestF, 0)
+			a.bestF = growCol(a.bestF, 1)
 		case value.Text:
-			a.bestS = append(a.bestS, "")
+			a.bestS = growCol(a.bestS, 1)
 		case value.Bool:
-			a.bestB = append(a.bestB, false)
+			a.bestB = growCol(a.bestB, 1)
 		}
 		if spec.kind == value.Int || spec.kind == value.Float {
-			a.bestM = append(a.bestM, 0)
-			a.bestSeq = append(a.bestSeq, 0)
+			a.bestM = growCol(a.bestM, 1)
+			a.bestSeq = growCol(a.bestSeq, 1)
 		}
 	}
 }
 
 // vecAggState is one worker's aggregation state: the group lookup (array or
-// hash tier), dense per-group key values, row counts, first-seen stamps, and
-// one accumulator column set per aggregate.
+// hash tier), dense per-group group-row prefixes, row counts, first-seen
+// stamps (kept only when partial states merge), and one accumulator column
+// set per aggregate.
 type vecAggState struct {
 	n        int
 	arrIdx   []int32          // array tier: composed code -> group+1 (0 empty)
 	codes    []uint64         // array tier: composed code per group (merge re-lookup)
-	hashIdx  map[string]int32 // hash tier: packed key -> group+1
-	keySlab  []byte           // hash tier: packed keys, keyW bytes per group
-	keyVals  []value.Value    // nKeys values per group, first-seen row
+	hashIdx  map[string]int32 // hash tier: packed (row-fed: AppendKey) key -> group+1
+	keySlab  []byte           // column-fed hash tier: packed keys, keyW bytes per group
+	prefix   []value.Value    // pw values per group, from its first-seen row
 	rows     []int64
 	firstM   []int32
 	firstSeq []int64
@@ -677,24 +753,34 @@ func newVecAggState(va *vecAggExec) *vecAggState {
 	s := &vecAggState{accs: make([]vecAccs, len(va.aggs))}
 	if va.arrayTier {
 		s.arrIdx = make([]int32, va.domain)
-	} else {
+	} else if len(va.keys)+len(va.gbEvals) > 0 {
+		// Row-fed without GROUP BY, every row joins the one group: no index.
 		s.hashIdx = make(map[string]int32)
 	}
 	return s
 }
 
-// addGroup appends one zeroed group and returns its dense index. The caller
-// fills keyVals and stamps.
+// addGroup appends one zeroed group, its prefix all NULL, and returns its
+// dense index. The caller fills the prefix and, in a parallel run, the
+// group's stamp.
 func (s *vecAggState) addGroup(va *vecAggExec) int32 {
 	gi := int32(s.n)
 	s.n++
-	s.rows = append(s.rows, 0)
-	s.firstM = append(s.firstM, 0)
-	s.firstSeq = append(s.firstSeq, 0)
+	s.rows = growCol(s.rows, 1)
+	s.prefix = growCol(s.prefix, va.pw)
+	if va.parallel {
+		s.firstM = growCol(s.firstM, 1)
+		s.firstSeq = growCol(s.firstSeq, 1)
+	}
 	for j := range s.accs {
 		s.accs[j].grow(va.aggs[j])
 	}
 	return gi
+}
+
+// prefixOf is group gi's prefix.
+func (s *vecAggState) prefixOf(va *vecAggExec, gi int32) []value.Value {
+	return s.prefix[int(gi)*va.pw : (int(gi)+1)*va.pw]
 }
 
 // upsert maps the current row (positions in fc.pos) to its dense group,
@@ -733,12 +819,15 @@ func (s *vecAggState) upsert(va *vecAggExec, fc *fusedCtx) int32 {
 // fillGroup materializes the group's key values from the creating row and
 // records its first-seen stamp.
 func (s *vecAggState) fillGroup(va *vecAggExec, fc *fusedCtx, gi int32) {
+	keys := s.prefixOf(va, gi)
 	for i := range va.keys {
 		k := &va.keys[i]
-		s.keyVals = append(s.keyVals, k.col.Value(int(fc.pos[k.si])))
+		keys[i] = k.col.Value(int(fc.pos[k.si]))
 	}
-	s.firstM[gi] = fc.m
-	s.firstSeq[gi] = fc.seq
+	if va.parallel {
+		s.firstM[gi] = fc.m
+		s.firstSeq[gi] = fc.seq
+	}
 }
 
 // update consumes one joined row (by positions) into the state.
@@ -840,64 +929,138 @@ func (s *vecAggState) updateBest(spec *vecAgg, rd *zoneReader, a *vecAccs, gi in
 	}
 }
 
+// updateRow consumes one joined row into group gi: the row feeder's update,
+// over boxed argument values, with the oracle's semantics. An argument's
+// first evaluation error stops its aggregate; NULLs are skipped, and so is
+// everything after the first value the aggregate cannot take (a non-numeric
+// SUM, incomparable MIN/MAX), though the argument still evaluates, since a
+// later evaluation error outranks it. DISTINCT drops repeats by
+// value.AppendKey; SUM stays integer over all-integer input; MIN/MAX compare
+// with value.Compare and keep the first-seen value on ties.
+func (s *vecAggState) updateRow(va *vecAggExec, ec *evalCtx, gi int32, row []value.Value) {
+	s.rows[gi]++
+	for j, spec := range va.aggs {
+		a := &s.accs[j]
+		if spec.star || a.err[gi] != nil {
+			continue
+		}
+		v, err := spec.arg(ec, row)
+		if err != nil {
+			a.err[gi] = err
+			continue
+		}
+		if v.IsNull() || a.valErr[gi] != nil {
+			continue
+		}
+		if spec.distinct {
+			ec.keyBuf = v.AppendKey(ec.keyBuf[:0])
+			if a.seen[gi][string(ec.keyBuf)] {
+				continue
+			}
+			if a.seen[gi] == nil {
+				a.seen[gi] = map[string]bool{}
+			}
+			a.seen[gi][string(ec.keyBuf)] = true
+		}
+		switch spec.fn {
+		case sqlparser.AggCount:
+			a.count[gi]++
+		case sqlparser.AggSum, sqlparser.AggAvg:
+			if !v.IsNumeric() {
+				a.valErr[gi] = fmt.Errorf("engine: %s over non-numeric values", spec.fn)
+				continue
+			}
+			a.count[gi]++
+			if v.Kind() == value.Int {
+				a.sumI[gi] += v.Int()
+			} else {
+				a.flt[gi] = true
+			}
+			a.sumF[gi] += v.Float()
+		default: // AggMin, AggMax
+			if !a.has[gi] {
+				a.has[gi], a.best[gi] = true, v
+				continue
+			}
+			c, err := v.Compare(a.best[gi])
+			if err != nil {
+				a.valErr[gi] = err
+			} else if (spec.fn == sqlparser.AggMin && c < 0) || (spec.fn == sqlparser.AggMax && c > 0) {
+				a.best[gi] = v
+			}
+		}
+	}
+}
+
 // finalize materializes one aggregate's result for group gi, mirroring the
 // interpreter's accumulator semantics (NULL on empty input for SUM/AVG/MIN/MAX,
-// integer SUM over integer input, float AVG).
-func (s *vecAggState) finalize(va *vecAggExec, j int, gi int32) value.Value {
+// integer SUM over integer input, float AVG). Only a boxed aggregate can
+// fail: its evaluation error first, then its value error.
+func (s *vecAggState) finalize(va *vecAggExec, j int, gi int32) (value.Value, error) {
 	spec := va.aggs[j]
 	if spec.star {
-		return value.NewInt(s.rows[gi])
+		return value.NewInt(s.rows[gi]), nil
 	}
 	a := &s.accs[j]
-	if spec.distinct {
+	if spec.boxed() {
+		if err := a.err[gi]; err != nil {
+			return value.Value{}, err
+		}
+		if err := a.valErr[gi]; err != nil {
+			return value.Value{}, err
+		}
+	} else if spec.distinct {
 		set := a.sets[gi]
 		n, sumI, sumF := setFold(spec, set)
 		switch spec.fn {
 		case sqlparser.AggCount:
-			return value.NewInt(n)
+			return value.NewInt(n), nil
 		case sqlparser.AggSum:
 			if n == 0 {
-				return value.NewNull()
+				return value.NewNull(), nil
 			}
-			return value.NewInt(sumI)
+			return value.NewInt(sumI), nil
 		default: // AggAvg
 			if n == 0 {
-				return value.NewNull()
+				return value.NewNull(), nil
 			}
-			return value.NewFloat(sumF / float64(n))
+			return value.NewFloat(sumF / float64(n)), nil
 		}
 	}
 	switch spec.fn {
 	case sqlparser.AggCount:
-		return value.NewInt(a.count[gi])
+		return value.NewInt(a.count[gi]), nil
 	case sqlparser.AggSum:
 		if a.count[gi] == 0 {
-			return value.NewNull()
+			return value.NewNull(), nil
 		}
-		if spec.kind == value.Int {
-			return value.NewInt(a.sumI[gi])
+		if spec.kind == value.Int || (spec.boxed() && !a.flt[gi]) {
+			return value.NewInt(a.sumI[gi]), nil
 		}
-		return value.NewFloat(a.sumF[gi])
+		return value.NewFloat(a.sumF[gi]), nil
 	case sqlparser.AggAvg:
 		if a.count[gi] == 0 {
-			return value.NewNull()
+			return value.NewNull(), nil
 		}
-		return value.NewFloat(a.sumF[gi] / float64(a.count[gi]))
+		return value.NewFloat(a.sumF[gi] / float64(a.count[gi])), nil
 	default: // AggMin, AggMax
 		if !a.has[gi] {
-			return value.NewNull()
+			return value.NewNull(), nil
+		}
+		if spec.boxed() {
+			return a.best[gi], nil
 		}
 		switch spec.kind {
 		case value.Int:
-			return value.NewInt(a.bestI[gi])
+			return value.NewInt(a.bestI[gi]), nil
 		case value.Date:
-			return value.NewDateDays(a.bestI[gi])
+			return value.NewDateDays(a.bestI[gi]), nil
 		case value.Float:
-			return value.NewFloat(a.bestF[gi])
+			return value.NewFloat(a.bestF[gi]), nil
 		case value.Text:
-			return value.NewText(a.bestS[gi])
+			return value.NewText(a.bestS[gi]), nil
 		default:
-			return value.NewBool(a.bestB[gi])
+			return value.NewBool(a.bestB[gi]), nil
 		}
 	}
 }
@@ -1151,12 +1314,6 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 			ordered = stampOrder(final)
 		}
 	}
-	if ordered == nil {
-		ordered = make([]int32, final.n)
-		for i := range ordered {
-			ordered[i] = int32(i)
-		}
-	}
 
 	// Bookkeeping: per-step and total actual row counts, summed over workers.
 	for si := range steps {
@@ -1170,7 +1327,7 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 	setShapeActual(pq.plan, planner.ShapeParallelScan, steps[0].ActualRows)
 	pq.finishZoneSkip()
 
-	return ex.finishVecAgg(sel, pq, va, final, ordered, cols)
+	return ex.finishVecAgg(sel, pq, pq.newCtx(), va, final, ordered, cols)
 }
 
 // feedRange feeds the base rows of [lo, hi) that pass step 0's vectorized
@@ -1210,7 +1367,6 @@ func stampOrder(s *vecAggState) []int32 {
 // is reconstructed afterwards from the first-seen stamps.
 func mergeVecAggStates(va *vecAggExec, parts []*vecAggState) *vecAggState {
 	g := newVecAggState(va)
-	nK := len(va.keys)
 	for _, p := range parts {
 		for gi := int32(0); gi < int32(p.n); gi++ {
 			mgi, created := g.adopt(va, p, gi)
@@ -1220,7 +1376,7 @@ func mergeVecAggStates(va *vecAggExec, parts []*vecAggState) *vecAggState {
 				// The earliest-seen row also defines the group's key values
 				// (identical payloads except for float -0/+0 and huge-int
 				// aliases, where the interpreter keeps the first).
-				copy(g.keyVals[int(mgi)*nK:(int(mgi)+1)*nK], p.keyVals[int(gi)*nK:(int(gi)+1)*nK])
+				copy(g.prefixOf(va, mgi), p.prefixOf(va, gi))
 			}
 			g.rows[mgi] += p.rows[gi]
 			for j, spec := range va.aggs {
@@ -1233,7 +1389,6 @@ func mergeVecAggStates(va *vecAggExec, parts []*vecAggState) *vecAggState {
 
 // adopt finds (or creates) the merged group matching part group gi.
 func (g *vecAggState) adopt(va *vecAggExec, p *vecAggState, gi int32) (int32, bool) {
-	nK := len(va.keys)
 	if va.arrayTier {
 		code := p.codes[gi]
 		if m := g.arrIdx[code]; m != 0 {
@@ -1242,7 +1397,7 @@ func (g *vecAggState) adopt(va *vecAggExec, p *vecAggState, gi int32) (int32, bo
 		mgi := g.addGroup(va)
 		g.arrIdx[code] = mgi + 1
 		g.codes = append(g.codes, code)
-		g.keyVals = append(g.keyVals, p.keyVals[int(gi)*nK:(int(gi)+1)*nK]...)
+		copy(g.prefixOf(va, mgi), p.prefixOf(va, gi))
 		g.firstM[mgi], g.firstSeq[mgi] = p.firstM[gi], p.firstSeq[gi]
 		return mgi, true
 	}
@@ -1253,7 +1408,7 @@ func (g *vecAggState) adopt(va *vecAggExec, p *vecAggState, gi int32) (int32, bo
 	mgi := g.addGroup(va)
 	g.keySlab = append(g.keySlab, key...)
 	g.hashIdx[string(key)] = mgi + 1
-	g.keyVals = append(g.keyVals, p.keyVals[int(gi)*nK:(int(gi)+1)*nK]...)
+	copy(g.prefixOf(va, mgi), p.prefixOf(va, gi))
 	g.firstM[mgi], g.firstSeq[mgi] = p.firstM[gi], p.firstSeq[gi]
 	return mgi, true
 }
@@ -1338,26 +1493,103 @@ func copyBest(spec *vecAgg, m *vecAccs, mgi int32, p *vecAccs, pgi int32) {
 	}
 }
 
-// finishVecAgg finalizes the groups in first-seen order: HAVING, projection,
-// and shared shaping (DISTINCT, ORDER BY, LIMIT) over synthetic group rows.
-func (ex *Engine) finishVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vecAggExec, g *vecAggState, ordered []int32, cols []string) (*Result, error) {
-	// A grouped query with no GROUP BY and no input rows still yields one
-	// group (COUNT(*) = 0).
-	if len(sel.GroupBy) == 0 && g.n == 0 {
-		ordered = append(ordered, g.addGroup(va))
+// aggregateRows is the row feeder: the aggregator over the join pipeline's
+// rows, for a grouped query outside the fused dialect. The grouping rule is
+// checked first, in the interpreter's order (select items, then HAVING).
+// Rows then group on the hash tier, keyed by value.AppendKey over the
+// evaluated GROUP BY values, whose evaluation error stops the query at once;
+// each group's first row is its representative, the prefix of its group row.
+func (ex *Engine) aggregateRows(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, rows [][]value.Value, items []sqlparser.SelectItem, cols []string) (*Result, error) {
+	gb := newGrouping(sel, entries)
+	for _, it := range items {
+		if err := gb.check(it.Expr); err != nil {
+			return nil, err
+		}
 	}
-	nK, nA := len(va.keys), len(va.aggs)
-	extW := nK + nA
-	flat := make([]value.Value, len(ordered)*extW)
+	if sel.Having != nil {
+		if err := gb.check(sel.Having); err != nil {
+			return nil, err
+		}
+	}
+	va := pq.compileRowAgg(sel, gb, items)
+	s := newVecAggState(va)
 	ec := pq.newCtx()
+	var key []byte
+	for _, row := range rows {
+		key = key[:0]
+		for _, gev := range va.gbEvals {
+			v, err := gev(ec, row)
+			if err != nil {
+				return nil, err
+			}
+			key = v.AppendKey(key)
+		}
+		g := int32(s.n) // without GROUP BY: the one group, once it exists
+		if s.hashIdx != nil {
+			g = s.hashIdx[string(key)]
+		}
+		if g == 0 {
+			g = s.addGroup(va) + 1
+			if s.hashIdx != nil {
+				s.hashIdx[string(key)] = g
+			}
+			copy(s.prefixOf(va, g-1), row)
+		}
+		s.updateRow(va, ec, g-1, row)
+	}
+	return ex.finishVecAgg(sel, pq, ec, va, s, nil, cols)
+}
+
+// compileRowAgg compiles a grouped query for the row feeder: the GROUP BY
+// expressions and aggregate arguments over the joined row, and the
+// post-aggregation program over the group row.
+func (pq *plannedQuery) compileRowAgg(sel *sqlparser.SelectStmt, gb *grouping, items []sqlparser.SelectItem) *vecAggExec {
+	va := &vecAggExec{pq: pq, rowFed: true, aggIdx: map[string]int{}, pw: pq.plan.Width}
+	for _, g := range sel.GroupBy {
+		va.gbEvals = append(va.gbEvals, pq.compile(g))
+	}
+	va.compilePost(sel, gb, items)
+	return va
+}
+
+// finishVecAgg finalizes the groups, in ordered (nil: first-seen order),
+// into group rows, then runs HAVING, projection, and shared shaping
+// (DISTINCT, ORDER BY, LIMIT) over them. A boxed aggregate's error waits in
+// ec.failed while its group's row is under evaluation.
+func (ex *Engine) finishVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, ec *evalCtx, va *vecAggExec, g *vecAggState, ordered []int32, cols []string) (*Result, error) {
+	// A grouped query with no GROUP BY and no input rows still yields one
+	// group (COUNT(*) = 0). It has no representative row, so its subqueries
+	// see no outer row.
+	if len(sel.GroupBy) == 0 && g.n == 0 {
+		if gi := g.addGroup(va); ordered != nil {
+			ordered = append(ordered, gi)
+		}
+		ec.unbound = true
+	}
+	pw, nA := va.pw, len(va.aggs)
+	extW := pw + nA
+	flat := make([]value.Value, g.n*extW)
 	out := &Result{Columns: cols}
-	var exts [][]value.Value
-	for _, gi := range ordered {
+	var exts [][]value.Value   // group row per output row, for the sort keys
+	var failed map[int][]error // output row -> ec.failed of its group
+	for k := 0; k < g.n; k++ {
+		gi := int32(k)
+		if ordered != nil {
+			gi = ordered[k]
+		}
 		ext := flat[:extW:extW]
 		flat = flat[extW:]
-		copy(ext[:nK], g.keyVals[int(gi)*nK:(int(gi)+1)*nK])
+		copy(ext, g.prefixOf(va, gi))
+		ec.failed = nil
 		for j := 0; j < nA; j++ {
-			ext[nK+j] = g.finalize(va, j, gi)
+			v, err := g.finalize(va, j, gi)
+			if err != nil {
+				if ec.failed == nil {
+					ec.failed = make([]error, nA)
+				}
+				ec.failed[j] = err
+			}
+			ext[pw+j] = v
 		}
 		if va.having != nil {
 			v, err := va.having(ec, ext)
@@ -1376,15 +1608,28 @@ func (ex *Engine) finishVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *
 			}
 			row[i] = v
 		}
+		if ec.failed != nil {
+			if failed == nil {
+				failed = map[int][]error{}
+			}
+			failed[len(out.Rows)] = ec.failed
+		}
 		out.Rows = append(out.Rows, row)
-		exts = append(exts, ext)
+		if len(va.sortKeys) > 0 {
+			exts = append(exts, ext)
+		}
 	}
-	setShapeActual(pq.plan, planner.ShapeVecAggregate, len(out.Rows))
+	step := planner.ShapeVecAggregate
+	if va.rowFed {
+		step = planner.ShapeAggregate
+	}
+	setShapeActual(pq.plan, step, len(out.Rows))
 
 	keyOf := func(i int, k *plannedSortKey) (value.Value, error) {
 		if k.col >= 0 {
 			return out.Rows[i][k.col], nil
 		}
+		ec.failed = failed[i]
 		return k.eval(ec, exts[i])
 	}
 	return ex.shapeResult(sel, pq, out, va.sortKeys, keyOf)

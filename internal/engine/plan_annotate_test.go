@@ -132,8 +132,8 @@ func TestVecAggGate(t *testing.T) {
 		t.Fatalf("expression-argument shape kinds = %v, want [aggregate]", got)
 	}
 
-	// A subquery in HAVING is outside the fused dialect: the streaming
-	// aggregate runs it, compiling the subquery at its node.
+	// A subquery in HAVING is outside the fused dialect: the row feeder
+	// runs it, compiling the subquery at its node.
 	p = buildPlan(t, db, `select m.year, count(*) from MOVIES m group by m.year
 		having count(*) > (select min(g.mid) from GENRE g)`)
 	got = kinds(p)
@@ -142,7 +142,7 @@ func TestVecAggGate(t *testing.T) {
 	}
 
 	// A stray (ungrouped, unaggregated) column is a grouping-rule error the
-	// streaming path raises: generic aggregate.
+	// row feeder raises: generic aggregate.
 	p = buildPlan(t, db, `select m.title, count(*) from MOVIES m group by m.year`)
 	got = kinds(p)
 	if len(got) != 1 || got[0] != planner.ShapeAggregate {
@@ -281,8 +281,9 @@ func TestZoneSkipOnlyForAppliedFilters(t *testing.T) {
 // TestShapeStepsSayWhatRan asserts, over the paper corpus and the vec, zone
 // (with and without a sorted dictionary) and aggregation differential
 // corpora, what annotating the plan from the compilers gives: zone-skip is in
-// the executed plan exactly when the run probed zones, and with a pipeline
-// switched off its steps are absent. It also pins how many zones each corpus
+// the executed plan exactly when the run probed zones, with zone maps
+// switched off it is absent, and a grouped query's row-fed twin reports the
+// generic aggregate and no parallel scan. It also pins how many zones each corpus
 // probes and skips, so a zone verdict that decides less fails here.
 func TestShapeStepsSayWhatRan(t *testing.T) {
 	movieDB, err := dataset.CuratedMovieDB()
@@ -358,11 +359,11 @@ func TestShapeStepsSayWhatRan(t *testing.T) {
 					t.Errorf("%s\nzone maps off: zone-skip step %v, zones probed %d", q, hasZoneSkip(plan), probed)
 				}
 
-				c.ex.SetVecAggEnabled(false)
-				plan, _, _ = explained(t, c.ex, q)
-				c.ex.SetVecAggEnabled(true)
-				if vecAggStep(plan) != nil || hasParallelScan(plan) {
-					t.Errorf("%s\nvec-aggregate off: shape %v", q, shapeKinds(plan))
+				if twin, ok := rowFedTwin(t, q); ok {
+					plan, _, _ = explained(t, c.ex, twin)
+					if plan != nil && (shapeStep(plan, planner.ShapeAggregate) == nil || hasParallelScan(plan)) {
+						t.Errorf("%s\nrow-fed twin: shape %v", twin, shapeKinds(plan))
+					}
 				}
 			}
 			t.Logf("%d queries: %d zone-skip, %d vec-aggregate, %d parallel-scan", len(c.queries), zoned, fused, parallel)

@@ -154,10 +154,10 @@ type plannedQuery struct {
 	// compiles a step's filters over the entries bound so far.
 	scope int
 	// leaf, when set, intercepts compilation of every subexpression before
-	// the standard lowering. The grouped pipelines use a copy of the query
-	// with leaf set to map aggregates and GROUP BY matches onto their group
-	// state (see plan_shape.go and plan_agg_vec.go). handled=false falls
-	// through to the standard lowering.
+	// the standard lowering. The aggregator uses a copy of the query with
+	// leaf set to map aggregates and GROUP BY matches onto the group row
+	// (compilePost, plan_agg_vec.go). handled=false falls through to the
+	// standard lowering.
 	leaf func(e sqlparser.Expr) (ev rowEval, handled bool)
 }
 
@@ -173,16 +173,19 @@ type rowEval func(ec *evalCtx, row []value.Value) (value.Value, error)
 
 // evalCtx is per-worker scratch: arenas, a key-encoding buffer, a scratch
 // row for build-side filters and the selection buffer. matched, set while a
-// RIGHT join step runs, flags the table rows the step has emitted. group is
-// the group whose HAVING, select items or sort keys the streaming aggregation
-// is evaluating; its aggregates read from it.
+// RIGHT join step runs, flags the table rows the step has emitted. failed and
+// unbound describe the group whose row a grouped query's HAVING, select items
+// or sort keys are evaluating (finishVecAgg): failed holds its aggregates'
+// deferred errors, by aggregate (nil when none failed), and unbound marks the
+// one group an aggregate without GROUP BY forms over no rows.
 type evalCtx struct {
 	pq      *plannedQuery
 	rows    rowArena
 	keyBuf  []byte
 	scratch []value.Value
 	matched []atomic.Bool
-	group   *groupState
+	failed  []error
+	unbound bool
 	sel     []int32
 }
 
@@ -230,8 +233,8 @@ func passes(v value.Value) bool {
 // outerScope is what a subquery's column references resolve against past its
 // own FROM entries: the row of the enclosing query that invoked it, read over
 // the FROM entries bound where the subquery's node compiled, then that
-// query's own outer scope. A nil row — the one group an aggregate without
-// GROUP BY forms over no rows — binds nothing and ends the chain.
+// query's own outer scope. A nil row — an unbound group's (evalCtx.unbound)
+// — binds nothing and ends the chain.
 type outerScope struct {
 	pq    *plannedQuery
 	scope int
@@ -295,6 +298,9 @@ func (pq *plannedQuery) subquery(sub *sqlparser.SelectStmt, limit int, subject s
 		s, err := subj(ec, row)
 		if err != nil {
 			return value.Value{}, err
+		}
+		if ec.unbound {
+			row = nil
 		}
 		res, err := pq.ex.execSelectBounded(sub, &outerScope{pq: pq, scope: scope, row: row}, limit)
 		if err != nil {
@@ -1277,7 +1283,8 @@ func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, pl
 		}
 	} else {
 		// Grouped queries inside the fused dialect run the scan→join→aggregate
-		// pipeline over typed accumulators, never materializing a joined row.
+		// pipeline over typed accumulators, never materializing a joined row;
+		// the rest feed the aggregator the joined rows.
 		if res, ok, err := ex.tryVecAgg(sel, entries, pq); ok {
 			return res, err
 		}
@@ -1291,7 +1298,7 @@ func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, pl
 		return nil, err
 	}
 	if grouped {
-		return ex.execPlannedGrouped(sel, entries, pq, cur.rows, items, cols)
+		return ex.aggregateRows(sel, entries, pq, cur.rows, items, cols)
 	}
 	return ex.execPlannedFlat(sel, pq, cur.rows, items, cols, earlyLimit)
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/planner"
@@ -10,22 +9,13 @@ import (
 	"repro/internal/value"
 )
 
-// This file extends planned execution past the join pipeline: streaming hash
-// aggregation over flat rows (group keys and aggregate accumulators compiled
-// to slot readers), slot-compiled ORDER BY sort keys with a bounded top-K
-// heap when a LIMIT is present, and LIMIT pushdown into the projection loop.
-// Every grouped query the fused pipeline (plan_agg_vec.go) declines runs
-// here; a subquery anywhere in it compiles at its node like any other, with
-// the group's representative row (or, in an aggregate argument, the joined
-// row) as its outer scope.
+// This file shapes a planned result after projection or aggregation (the
+// aggregator is plan_agg_vec.go): slot-compiled ORDER BY sort keys with a
+// bounded top-K heap when a LIMIT is present, DISTINCT, and LIMIT.
 //
-// Error parity with the interpreter is deliberate: the grouping rule is
-// checked before any group key is evaluated, group iteration order is
-// first-seen order over rows in pipeline order (the interpreter's wherever
-// the plan keeps FROM order), aggregate errors are
-// recorded during accumulation but surface only when the query reads the
-// aggregate (HAVING before select items, ORDER BY keys last), and sort-key
-// resolution errors are deferred until there is a row to sort.
+// Error parity with the interpreter is deliberate: sort-key resolution
+// errors are deferred until there is a row to sort, and comparison errors
+// surface even under LIMIT 0.
 
 // ---------------------------------------------------------------------------
 // Sort keys, top-K, and shared shaping
@@ -224,305 +214,4 @@ func setShapeFinal(plan *planner.Plan, n int) {
 			sh.ActualRows = n
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Streaming aggregation
-// ---------------------------------------------------------------------------
-
-// aggSpec is one distinct aggregate expression of the query, compiled to an
-// accumulator update over the joined row. arg is nil for COUNT(*).
-type aggSpec struct {
-	fn       sqlparser.AggFunc
-	arg      rowEval
-	distinct bool
-}
-
-// aggAcc is one aggregate's running state within a group. Errors are
-// recorded, not raised: they surface when the query reads the aggregate,
-// which is when the interpreter would compute it. err is the argument's first
-// evaluation error; valErr, the first value the aggregate cannot take (a
-// non-numeric SUM, incomparable MIN/MAX), stops accumulation but yields to an
-// evaluation error on a later row, as in the oracle's evalAggregate.
-type aggAcc struct {
-	err     error
-	valErr  error
-	count   int64 // non-NULL (post-DISTINCT) values
-	sumI    int64
-	sumF    float64
-	allInt  bool
-	best    value.Value
-	hasBest bool
-	seen    map[string]bool
-	keyBuf  []byte
-}
-
-func (a *aggAcc) update(ec *evalCtx, spec *aggSpec, row []value.Value) {
-	if a.err != nil || spec.arg == nil {
-		return
-	}
-	v, err := spec.arg(ec, row)
-	if err != nil {
-		a.err = err
-		return
-	}
-	if v.IsNull() || a.valErr != nil {
-		return
-	}
-	if spec.distinct {
-		if a.seen == nil {
-			a.seen = map[string]bool{}
-		}
-		a.keyBuf = v.AppendKey(a.keyBuf[:0])
-		if a.seen[string(a.keyBuf)] {
-			return
-		}
-		a.seen[string(a.keyBuf)] = true
-	}
-	a.count++
-	switch spec.fn {
-	case sqlparser.AggSum, sqlparser.AggAvg:
-		if !v.IsNumeric() {
-			a.valErr = fmt.Errorf("engine: %s over non-numeric values", spec.fn)
-			return
-		}
-		if v.Kind() == value.Int {
-			a.sumI += v.Int()
-		} else {
-			a.allInt = false
-		}
-		a.sumF += v.Float()
-	case sqlparser.AggMin, sqlparser.AggMax:
-		if !a.hasBest {
-			a.best, a.hasBest = v, true
-			return
-		}
-		c, err := v.Compare(a.best)
-		if err != nil {
-			a.valErr = err
-			return
-		}
-		if (spec.fn == sqlparser.AggMin && c < 0) || (spec.fn == sqlparser.AggMax && c > 0) {
-			a.best = v
-		}
-	}
-}
-
-// result finalizes the accumulator, mirroring the oracle's evalAggregate:
-// COUNT(*) counts group rows, SUM stays integer over all-integer input,
-// empty inputs yield NULL for SUM/AVG/MIN/MAX.
-func (a *aggAcc) result(spec *aggSpec, groupRows int64) (value.Value, error) {
-	if spec.arg == nil {
-		return value.NewInt(groupRows), nil
-	}
-	if a.err != nil {
-		return value.Value{}, a.err
-	}
-	if a.valErr != nil {
-		return value.Value{}, a.valErr
-	}
-	switch spec.fn {
-	case sqlparser.AggCount:
-		return value.NewInt(a.count), nil
-	case sqlparser.AggSum:
-		if a.count == 0 {
-			return value.NewNull(), nil
-		}
-		if a.allInt {
-			return value.NewInt(a.sumI), nil
-		}
-		return value.NewFloat(a.sumF), nil
-	case sqlparser.AggAvg:
-		if a.count == 0 {
-			return value.NewNull(), nil
-		}
-		return value.NewFloat(a.sumF / float64(a.count)), nil
-	case sqlparser.AggMin, sqlparser.AggMax:
-		if !a.hasBest {
-			return value.NewNull(), nil
-		}
-		return a.best, nil
-	default:
-		return value.Value{}, fmt.Errorf("engine: unknown aggregate")
-	}
-}
-
-// groupState is one group's running state: the representative (first) joined
-// row, the row count, and one accumulator per aggregate.
-type groupState struct {
-	rep  []value.Value
-	rows int64
-	accs []aggAcc
-}
-
-func newGroupState(rep []value.Value, nAggs int) *groupState {
-	gs := &groupState{rep: rep, accs: make([]aggAcc, nAggs)}
-	for i := range gs.accs {
-		gs.accs[i].allInt = true
-	}
-	return gs
-}
-
-// groupedExec is a grouped query compiled against the planned row layout:
-// group keys and aggregate arguments over the joined row; HAVING, select
-// items and sort keys over the group's representative row, reading each
-// aggregate from the group under evaluation (evalCtx.group).
-type groupedExec struct {
-	gbEvals []rowEval
-	aggs    []*aggSpec
-	having  rowEval
-	items   []rowEval
-	keys    []plannedSortKey
-}
-
-// newGroupedExec compiles the grouped query. The caller has enforced the
-// grouping rule, so outside subqueries every column reference of HAVING and
-// the select items sits in a grouping expression or an aggregate.
-func newGroupedExec(sel *sqlparser.SelectStmt, gb *grouping, pq *plannedQuery, items []sqlparser.SelectItem) *groupedExec {
-	ge := &groupedExec{}
-	for _, g := range sel.GroupBy {
-		ge.gbEvals = append(ge.gbEvals, pq.compile(g))
-	}
-	aggIdx := map[string]int{}
-	gpq := *pq
-	gpq.leaf = func(e sqlparser.Expr) (rowEval, bool) {
-		if j, ok := gb.index(e); ok {
-			// The representative row is a joined row, so the grouping
-			// expression's compiled form reads it directly.
-			return ge.gbEvals[j], true
-		}
-		a, ok := e.(*sqlparser.AggregateExpr)
-		if !ok {
-			return nil, false
-		}
-		key := a.SQL()
-		idx, seen := aggIdx[key]
-		if !seen {
-			idx = len(ge.aggs)
-			aggIdx[key] = idx
-			spec := &aggSpec{fn: a.Func, distinct: a.Distinct}
-			if a.Arg != nil {
-				spec.arg = pq.compile(a.Arg)
-			}
-			ge.aggs = append(ge.aggs, spec)
-		}
-		spec := ge.aggs[idx]
-		// Finalized on every read, so an accumulation error surfaces only
-		// if the query reads the aggregate — when the interpreter would
-		// compute it.
-		return func(ec *evalCtx, _ []value.Value) (value.Value, error) {
-			return ec.group.accs[idx].result(spec, ec.group.rows)
-		}, true
-	}
-	if sel.Having != nil {
-		ge.having = gpq.compile(sel.Having)
-	}
-	for _, it := range items {
-		ge.items = append(ge.items, gpq.compile(it.Expr))
-	}
-	for _, o := range sel.OrderBy {
-		k := plannedSortKey{col: -1, desc: o.Desc}
-		if col, ok, err := orderTarget(o, items); err != nil {
-			k.err = err
-		} else if ok {
-			k.col = col
-		} else if sel.Distinct {
-			// Group alignment is lost after dedup; mirror the interpreter's error.
-			k.err = fmt.Errorf("engine: ORDER BY expression %s is not in the select list", o.Expr.SQL())
-		} else if err := gb.check(o.Expr); err != nil {
-			k.err = err
-		} else {
-			k.eval = gpq.compile(o.Expr)
-		}
-		ge.keys = append(ge.keys, k)
-	}
-	return ge
-}
-
-// execPlannedGrouped aggregates the joined rows on the streaming path, after
-// enforcing the standard-SQL grouping rule in the interpreter's order: select
-// items, then HAVING.
-func (ex *Engine) execPlannedGrouped(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, rows [][]value.Value, items []sqlparser.SelectItem, cols []string) (*Result, error) {
-	gb := newGrouping(sel, entries)
-	for _, it := range items {
-		if err := gb.check(it.Expr); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Having != nil {
-		if err := gb.check(sel.Having); err != nil {
-			return nil, err
-		}
-	}
-	return ex.runGroupedPlan(sel, pq, newGroupedExec(sel, gb, pq, items), rows, cols)
-}
-
-// runGroupedPlan is the streaming hash aggregation: one pass over the joined
-// rows accumulating per-group state keyed by the encoded grouping values,
-// then HAVING, projection, and shaping per group in first-seen order.
-func (ex *Engine) runGroupedPlan(sel *sqlparser.SelectStmt, pq *plannedQuery, ge *groupedExec, rows [][]value.Value, cols []string) (*Result, error) {
-	ec := pq.newCtx()
-	byKey := make(map[string]*groupState)
-	var order []*groupState
-	var keyBuf []byte // reused; value.AppendKey keys cannot collide across adjacent values
-	for _, row := range rows {
-		keyBuf = keyBuf[:0]
-		for _, gev := range ge.gbEvals {
-			v, err := gev(ec, row)
-			if err != nil {
-				return nil, err
-			}
-			keyBuf = v.AppendKey(keyBuf)
-		}
-		gs, ok := byKey[string(keyBuf)]
-		if !ok {
-			gs = newGroupState(row, len(ge.aggs))
-			byKey[string(keyBuf)] = gs
-			order = append(order, gs)
-		}
-		gs.rows++
-		for i, spec := range ge.aggs {
-			gs.accs[i].update(ec, spec, row)
-		}
-	}
-	// A grouped query with no GROUP BY and no input rows still yields one
-	// group (COUNT(*) = 0), whose nil representative row binds nothing.
-	if len(sel.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, newGroupState(nil, len(ge.aggs)))
-	}
-
-	out := &Result{Columns: cols}
-	var emitted []*groupState
-	for _, gs := range order {
-		ec.group = gs
-		if ge.having != nil {
-			v, err := ge.having(ec, gs.rep)
-			if err != nil {
-				return nil, err
-			}
-			if !passes(v) {
-				continue
-			}
-		}
-		row := make(storage.Tuple, len(ge.items))
-		for i, itEval := range ge.items {
-			v, err := itEval(ec, gs.rep)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out.Rows = append(out.Rows, row)
-		emitted = append(emitted, gs)
-	}
-	setShapeActual(pq.plan, planner.ShapeAggregate, len(out.Rows))
-
-	keyOf := func(i int, k *plannedSortKey) (value.Value, error) {
-		if k.col >= 0 {
-			return out.Rows[i][k.col], nil
-		}
-		ec.group = emitted[i]
-		return k.eval(ec, emitted[i].rep)
-	}
-	return ex.shapeResult(sel, pq, out, ge.keys, keyOf)
 }

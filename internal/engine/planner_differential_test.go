@@ -95,7 +95,7 @@ func oracleAgrees(t *testing.T, ex *Engine, sel *sqlparser.SelectStmt, plan *pla
 				t.Fatalf("%s\nrow %d arity differs", sql, i)
 			}
 			for j := range planned.Rows[i] {
-				if p, n := planned.Rows[i][j], naive.Rows[i][j]; !p.Equal(n) {
+				if p, n := planned.Rows[i][j], naive.Rows[i][j]; !p.Equal(n) || p.Kind() != n.Kind() {
 					t.Fatalf("%s\nrow %d col %d: planned %s, naive %s", sql, i, j, p, n)
 				}
 			}
@@ -180,30 +180,6 @@ func TestPlannerDifferentialPaperCorpus(t *testing.T) {
 		if label == "Q0" {
 			ex = emp
 		}
-		t.Run(label, func(t *testing.T) {
-			if comparePlannedNaive(t, ex, sql) {
-				reordered++
-			}
-		})
-	}
-	requireReordered(t, reordered)
-}
-
-// TestPlannerDifferentialPaperCorpusIndexed repeats the movie half of the
-// corpus on one engine, whose only keyed access path on the join and filter
-// columns is the primary key.
-func TestPlannerDifferentialPaperCorpusIndexed(t *testing.T) {
-	movieDB, err := dataset.CuratedMovieDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := New(movieDB)
-	reordered := 0
-	for _, label := range sqlparser.PaperQueryOrder {
-		if label == "Q0" {
-			continue // EMP/DEPT schema
-		}
-		sql := sqlparser.PaperQueries[label]
 		t.Run(label, func(t *testing.T) {
 			if comparePlannedNaive(t, ex, sql) {
 				reordered++

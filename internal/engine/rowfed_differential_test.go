@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sqlparser"
+	"repro/internal/value"
 )
 
 // This file holds grouped queries that the fused pipeline's dialect excludes
@@ -43,8 +44,9 @@ var rowFedKeys = map[string][]string{
 
 // rowFedArgs are aggregates no typed accumulator takes, so the first
 // aggregate of every template comes from here: expression and
-// DISTINCT-expression arguments, mixed integer/float sums, per-row subqueries,
-// a text SUM (a value error), and an argument that fails to evaluate on some
+// DISTINCT-expression arguments, mixed integer/float sums, MIN/MAX over
+// integers and floats that tie (the first seen wins), per-row subqueries, a
+// text SUM (a value error), and an argument that fails to evaluate on some
 // rows, beside a value error on others (the evaluation error wins).
 var rowFedArgs = []string{
 	"sum(m.year / 10)",
@@ -56,6 +58,8 @@ var rowFedArgs = []string{
 	"max(case when m.year is null then 'none' else m.title end)",
 	"sum(case when m.id % 2 = 0 then m.year else m.year * 0.5 end)",
 	"avg(m.year * 1.5)",
+	"max(case when m.id % 2 = 0 then m.year else m.year * 1.0 end)",
+	"min(case when m.id % 3 = 0 then m.year * 1.0 else m.year end)",
 	"sum((select count(*) from GENRE g2 where g2.mid = m.id))",
 	"count(distinct (select min(g2.genre) from GENRE g2 where g2.mid = m.id))",
 	"sum(m.title)",
@@ -142,6 +146,31 @@ func requireRowFed(t *testing.T, ex *Engine, sql string) {
 	}
 }
 
+// rowFedTwin is sql with `count(1) >= 0` ANDed onto its HAVING: the same
+// answer, but a COUNT over a literal is no typed accumulator's, so the twin
+// always runs on the row feeder. ok=false means sql is not a grouped query,
+// which a HAVING would make one.
+func rowFedTwin(t *testing.T, sql string) (twin string, ok bool) {
+	t.Helper()
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		t.Fatalf("parse %s: %v", sql, err)
+	}
+	if !sel.Grouped() {
+		return "", false
+	}
+	var always sqlparser.Expr = &sqlparser.BinaryExpr{
+		Op:    sqlparser.OpGe,
+		Left:  &sqlparser.AggregateExpr{Func: sqlparser.AggCount, Arg: &sqlparser.Literal{Value: value.NewInt(1)}},
+		Right: &sqlparser.Literal{Value: value.NewInt(0)},
+	}
+	if sel.Having != nil {
+		always = &sqlparser.BinaryExpr{Op: sqlparser.OpAnd, Left: sel.Having, Right: always}
+	}
+	sel.Having = always
+	return sel.SQL(), true
+}
+
 // TestRowFedAggDifferential holds randomized row-fed templates to the
 // interpreter: rows, order where the plan keeps FROM order, and error text.
 // Most templates must answer, so the comparison is not just of errors.
@@ -162,4 +191,51 @@ func TestRowFedAggDifferential(t *testing.T) {
 	if answered < n/2 {
 		t.Fatalf("only %d/%d templates answered — the differential is mostly of errors", answered, n)
 	}
+}
+
+// FuzzGroupedDifferential holds grouped queries from both grammars — the
+// fused templates (aggTemplate) and the row-fed ones (rowFedTemplate) — to
+// the interpreter. The first byte picks the grammar (even: fused), each later
+// byte one choice, modulo its range, and choices past the end are 0. A
+// row-fed query must plan the row-fed agg step. The seeds are the first
+// templates of TestVecAggDifferential's and TestRowFedAggDifferential's
+// corpora, recorded as the bytes that draw them.
+func FuzzGroupedDifferential(f *testing.F) {
+	draw := func(grammar byte, pick func(n int) int) string {
+		if grammar%2 == 0 {
+			return aggTemplate(pick)
+		}
+		return rowFedTemplate(pick)
+	}
+	for grammar, seed := range []int64{202, 808} {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 16; i++ {
+			data := []byte{byte(grammar)}
+			draw(byte(grammar), func(n int) int {
+				v := rng.Intn(n)
+				data = append(data, byte(v))
+				return v
+			})
+			f.Add(data)
+		}
+	}
+	ex := New(aggDiffDB(f, 300, 707))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		rest := data[1:]
+		q := draw(data[0], func(n int) int {
+			if len(rest) == 0 {
+				return 0
+			}
+			v := int(rest[0]) % n
+			rest = rest[1:]
+			return v
+		})
+		if data[0]%2 == 1 {
+			requireRowFed(t, ex, q)
+		}
+		comparePlannedNaive(t, ex, q)
+	})
 }

@@ -146,9 +146,10 @@
 // out), and the engine's compiler, having compiled the query onto the fused
 // pipeline, turns the plan's aggregate step into vec-aggregate and adds the
 // parallel-scan step — so the plan names a tier only if it runs. Every other
-// grouped query uses the streaming aggregation pass: group keys and
-// accumulators compiled to slot readers over arena rows, HAVING a compiled
-// post-filter, and a subquery anywhere in them compiled at its own node.
+// grouped query feeds the same group table and accumulators the arena rows:
+// group keys and aggregate arguments compiled to slot readers, HAVING a
+// compiled post-filter, and a subquery anywhere in them compiled at its own
+// node.
 //
 // Selective scans prune whole morsels before touching payloads: when the
 // planner prices a multi-morsel full scan as selective enough, each filter
