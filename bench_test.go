@@ -866,12 +866,12 @@ func zoneScanDB(b *testing.B, n int) *storage.Database {
 // ---------------------------------------------------------------------------
 
 // BenchmarkX17Recovery measures the two halves of boot-after-crash: replaying
-// a WAL of committed statement batches into an empty database, and loading a
+// a WAL of committed statements into an empty database, and loading a
 // checkpointed columnar segment (the post-graceful-shutdown path). The disk
 // image is built once per shape and cloned per iteration, so each op is one
 // full recovery of the same bytes.
 //
-//   - wal-replay: 50 000 rows of the one-table X17 schema, 100 per batch.
+//   - wal-replay: 50 000 rows of the one-table X17 schema, 100 per record.
 //   - checkpoint-load: the same rows as one checkpoint segment with a
 //     512-entry dictionary.
 //   - checkpoint-load-movies: a checkpoint of a generated movie database
@@ -888,19 +888,17 @@ func BenchmarkX17Recovery(b *testing.B) {
 		if _, err := db.EnableDurability(fs, storage.DurableOptions{CheckpointBytes: -1}); err != nil {
 			b.Fatal(err)
 		}
+		batch := make([]storage.Tuple, perBatch)
 		for i := 0; i < rows; i += perBatch {
-			db.BeginBatch()
-			for j := i; j < i+perBatch; j++ {
-				if err := db.Insert("T", storage.Tuple{
-					value.NewInt(int64(j)),
-					value.NewInt(int64(j / 4096)),
-					value.NewInt(int64(j % 97)),
-					value.NewText(fmt.Sprintf("u%08d", j%512)),
-				}); err != nil {
-					b.Fatal(err)
+			for j := range batch {
+				batch[j] = storage.Tuple{
+					value.NewInt(int64(i + j)),
+					value.NewInt(int64((i + j) / 4096)),
+					value.NewInt(int64((i + j) % 97)),
+					value.NewText(fmt.Sprintf("u%08d", (i+j)%512)),
 				}
 			}
-			if err := db.CommitBatch(); err != nil {
+			if _, err := db.InsertRows(context.Background(), "T", batch); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -176,11 +176,7 @@ func TestCancelNarrationLossFree(t *testing.T) {
 
 func dumpRel(t *testing.T, sys *System, rel string) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := sys.Database().DumpCSV(rel, &buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+	return fmt.Sprint(sys.Database().Table(rel).Tuples())
 }
 
 // TestAskRowQuota: the Config quota alone (no context) bounds a query and

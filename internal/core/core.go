@@ -79,10 +79,11 @@ type Config struct {
 //
 // Reads never wait on writers. Every read pins the storage layer's current
 // MVCC snapshot on entry and runs the whole pipeline — planning, execution,
-// narration, feedback — against that immutable version, so a long DML batch
-// or checkpoint in another session cannot block it and can never change what
-// it sees mid-query. DML submitted through Ask is serialized against other
-// System DML by an internal writer lock; it no longer excludes readers.
+// narration, feedback — against that immutable version, so a long DML
+// statement or checkpoint in another session cannot block it and can never
+// change what it sees mid-query. DML submitted through Ask is serialized
+// against other System DML by an internal writer lock; it no longer excludes
+// readers.
 type System struct {
 	db      *storage.Database
 	eng     *engine.Engine
@@ -643,8 +644,8 @@ func (s *System) DrainReaders() {
 
 // InvalidateResults discards all cached SELECT responses. Ask does this
 // automatically for DML it executes; callers that mutate data behind the
-// System's back (direct engine Exec, storage Insert/Update/Delete, CSV
-// loads) must call it themselves. The generation bump makes stale entries
+// System's back (direct engine Exec, storage Insert/InsertRows/Update/
+// Delete) must call it themselves. The generation bump makes stale entries
 // unreachable immediately — including Puts from SELECTs still in flight,
 // which land under the old generation — and the Clear releases their
 // memory rather than waiting for LRU pressure.

@@ -12,6 +12,7 @@
 package dataset
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -386,7 +387,9 @@ var titleNouns = []string{
 }
 
 // GenerateMovieDB builds a deterministic synthetic database of the Fig. 1
-// schema at the configured scale.
+// schema at the configured scale. It draws every table's rows first and then
+// loads each table with one storage call, in foreign-key order — one
+// statement, and one published version, per table.
 func GenerateMovieDB(cfg GenConfig) (*storage.Database, error) {
 	db, err := storage.NewDatabase(MovieSchema())
 	if err != nil {
@@ -396,19 +399,16 @@ func GenerateMovieDB(cfg GenConfig) (*storage.Database, error) {
 	name := func() string {
 		return firstNames[rng.Intn(len(firstNames))] + " " + lastNames[rng.Intn(len(lastNames))]
 	}
+	var directors, actors, movies, directed, cast, genres []storage.Tuple
 	for d := 0; d < cfg.Directors; d++ {
 		bd := time.Date(1920+rng.Intn(70), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC)
-		if err := db.Insert("DIRECTOR", storage.Tuple{
+		directors = append(directors, storage.Tuple{
 			i(int64(d + 1)), s(name()), value.NewDate(bd),
 			s(lastNames[rng.Intn(len(lastNames))] + " City"),
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
 	for a := 0; a < cfg.Actors; a++ {
-		if err := db.Insert("ACTOR", storage.Tuple{i(int64(a + 1)), s(name())}); err != nil {
-			return nil, err
-		}
+		actors = append(actors, storage.Tuple{i(int64(a + 1)), s(name())})
 	}
 	for m := 0; m < cfg.Movies; m++ {
 		mid := int64(m + 1)
@@ -416,14 +416,10 @@ func GenerateMovieDB(cfg GenConfig) (*storage.Database, error) {
 			titleAdjectives[rng.Intn(len(titleAdjectives))],
 			titleNouns[rng.Intn(len(titleNouns))], m)
 		year := int64(1950 + rng.Intn(60))
-		if err := db.Insert("MOVIES", storage.Tuple{i(mid), s(title), i(year)}); err != nil {
-			return nil, err
-		}
+		movies = append(movies, storage.Tuple{i(mid), s(title), i(year)})
 		if cfg.Directors > 0 {
 			did := int64(1 + rng.Intn(cfg.Directors))
-			if err := db.Insert("DIRECTED", storage.Tuple{i(mid), i(did)}); err != nil {
-				return nil, err
-			}
+			directed = append(directed, storage.Tuple{i(mid), i(did)})
 		}
 		if cfg.Actors > 0 && cfg.CastPerMovie > 0 {
 			n := 1 + rng.Intn(cfg.CastPerMovie*2-1)
@@ -434,10 +430,7 @@ func GenerateMovieDB(cfg GenConfig) (*storage.Database, error) {
 					continue
 				}
 				seen[aid] = true
-				role := fmt.Sprintf("Role %d-%d", mid, aid)
-				if err := db.Insert("CAST", storage.Tuple{i(mid), i(aid), s(role)}); err != nil {
-					return nil, err
-				}
+				cast = append(cast, storage.Tuple{i(mid), i(aid), s(fmt.Sprintf("Role %d-%d", mid, aid))})
 			}
 		}
 		if cfg.GenresPerMovie > 0 {
@@ -449,10 +442,19 @@ func GenerateMovieDB(cfg GenConfig) (*storage.Database, error) {
 					continue
 				}
 				seen[gn] = true
-				if err := db.Insert("GENRE", storage.Tuple{i(mid), s(gn)}); err != nil {
-					return nil, err
-				}
+				genres = append(genres, storage.Tuple{i(mid), s(gn)})
 			}
+		}
+	}
+	for _, t := range []struct {
+		rel  string
+		rows []storage.Tuple
+	}{
+		{"DIRECTOR", directors}, {"ACTOR", actors}, {"MOVIES", movies},
+		{"DIRECTED", directed}, {"CAST", cast}, {"GENRE", genres},
+	} {
+		if _, err := db.InsertRows(context.Background(), t.rel, t.rows); err != nil {
+			return nil, err
 		}
 	}
 	return db, nil

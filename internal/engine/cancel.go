@@ -59,13 +59,3 @@ func (ex *Engine) WithBudget(b *Budget) *Engine {
 
 // Budget returns the engine's budget (nil for an unbounded engine).
 func (ex *Engine) Budget() *Budget { return ex.bud }
-
-// commitBatch closes the statement batch opened by a DML statement,
-// threading the budget's context into the WAL sync so a stalled disk
-// surfaces as a bounded, narrated error instead of an indefinite hang.
-func (ex *Engine) commitBatch() error {
-	if ex.bud != nil {
-		return ex.db.CommitBatchContext(ex.bud.Context())
-	}
-	return ex.db.CommitBatch()
-}

@@ -1,9 +1,10 @@
 package engine
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 // budgetAfter binds ex to a budget that cancels after n polls and returns
@@ -200,11 +202,11 @@ func TestCancelDMLLossFree(t *testing.T) {
 
 func dumpTable(t *testing.T, db *storage.Database, rel string) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := db.DumpCSV(rel, &buf); err != nil {
-		t.Fatal(err)
+	tbl := db.Table(rel)
+	if tbl == nil {
+		t.Fatalf("no table %s", rel)
 	}
-	return buf.String()
+	return fmt.Sprint(tbl.Tuples())
 }
 
 // TestCancelErrorNarratesProgress pins the error surface: a deadline trip
@@ -341,5 +343,140 @@ func TestRowQuotaTrips(t *testing.T) {
 	}
 	if ce.Cause != CauseRowQuota || ce.Limit != 10 {
 		t.Fatalf("cause %q limit %d, want %q limit 10", ce.Cause, ce.Limit, CauseRowQuota)
+	}
+}
+
+// rawWriteCancel is a cancellation source that, at its first poll, makes a
+// raw-API insert into ACTOR — a writer outside the engine — and from then
+// on reports the request cancelled.
+type rawWriteCancel struct {
+	db   *storage.Database
+	once sync.Once
+	err  error // the raw insert's outcome
+	done chan struct{}
+}
+
+func (c *rawWriteCancel) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *rawWriteCancel) Done() <-chan struct{}       { return c.done }
+func (c *rawWriteCancel) Value(any) any               { return nil }
+func (c *rawWriteCancel) Err() error {
+	c.once.Do(func() {
+		c.err = c.db.Insert("ACTOR", storage.Tuple{value.NewInt(777), value.NewText("Raw Writer")})
+	})
+	return context.Canceled
+}
+
+// TestCancelledInsertKeepsConcurrentRawWrite pins that a cancelled INSERT
+// cannot take another writer's acknowledged statement down with it: a raw
+// insert made while the INSERT runs is in the log when the INSERT is
+// cancelled, so recovery restores exactly the tables memory holds.
+func TestCancelledInsertKeepsConcurrentRawWrite(t *testing.T) {
+	db, err := dataset.CuratedMovieDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := wal.NewMemFS()
+	if _, err := db.EnableDurability(fs, storage.DurableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &rawWriteCancel{db: db, done: make(chan struct{})}
+	ex := New(db).WithBudget(budget.New(ctx, 0, 0))
+	stmt, err := sqlparser.Parse(`insert into DIRECTOR (id, name) values (9001, 'A'), (9002, 'B')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ex.ExecStatement(stmt); !IsCancel(err) {
+		t.Fatalf("INSERT under a cancelling budget returned %v", err)
+	}
+	if ctx.err != nil {
+		t.Fatalf("raw insert: %v", ctx.err)
+	}
+	if got := db.Table("ACTOR").Len(); got != 14 {
+		t.Fatalf("ACTOR holds %d rows, want the 13 curated plus the raw one", got)
+	}
+	recovered, err := storage.NewDatabase(dataset.MovieSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recovered.EnableDurability(fs.Clone(), storage.DurableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range db.TableNames() {
+		if got, want := dumpTable(t, recovered, rel), dumpTable(t, db, rel); got != want {
+			t.Errorf("%s recovers as\n%s\nmemory holds\n%s", rel, got, want)
+		}
+	}
+}
+
+// TestInsertPublishesOneVersion pins that a multi-row INSERT is one
+// statement to readers: on an in-memory database it publishes one version,
+// and a reader pinning snapshots while it runs sees none of its rows or all
+// of them.
+func TestInsertPublishesOneVersion(t *testing.T) {
+	db, err := dataset.CuratedMovieDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := db.Table("DIRECTOR").Len()
+	stop, seen := make(chan struct{}), make(chan map[int]bool)
+	go func() {
+		counts := map[int]bool{}
+		for {
+			counts[db.Snapshot().Table("DIRECTOR").Len()-base] = true
+			select {
+			case <-stop:
+				seen <- counts
+				return
+			default:
+			}
+		}
+	}()
+	before := db.Published()
+	_, n, err := New(db).Exec(`insert into DIRECTOR (id, name) values (9001, 'A'), (9002, 'B'), (9003, 'C'), (9004, 'D')`)
+	close(stop)
+	counts := <-seen
+	if err != nil || n != 4 {
+		t.Fatalf("INSERT: n=%d err=%v", n, err)
+	}
+	if got := db.Published() - before; got != 1 {
+		t.Errorf("the INSERT published %d versions, want 1", got)
+	}
+	for c := range counts {
+		if c != 0 && c != 4 {
+			t.Errorf("a reader saw %d of the statement's 4 rows", c)
+		}
+	}
+}
+
+// TestCancelledInsertSubqueryLeavesNoTrace cancels a VALUES INSERT at every
+// poll, including the polls of a subquery in its second row: a trip there
+// is a cancellation like any other, so the first row must not be applied.
+func TestCancelledInsertSubqueryLeavesNoTrace(t *testing.T) {
+	stmt, err := sqlparser.Parse(`insert into DIRECTOR (id, name) values (9001, 'A'), ((select max(d.id) from DIRECTOR d where d.id < 9000) + 9000, 'B')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	countEng, ctr := budgetAfter(New(cancelTestDB(t)), 1<<62)
+	if _, n, err := countEng.ExecStatement(stmt); err != nil || n != 2 {
+		t.Fatalf("uncancelled INSERT: n=%d err=%v", n, err)
+	}
+	polls := ctr.Polls()
+	if polls < 3 {
+		t.Fatalf("the INSERT polled %d times; want the subquery's polls too", polls)
+	}
+	for p := int64(0); p < polls; p++ {
+		db := cancelTestDB(t)
+		before := dumpTable(t, db, "DIRECTOR")
+		bex, _ := budgetAfter(New(db), p)
+		_, n, err := bex.ExecStatement(stmt)
+		switch {
+		case err == nil && n == 2:
+		case IsCancel(err):
+			if after := dumpTable(t, db, "DIRECTOR"); after != before {
+				t.Fatalf("cancelled at poll %d/%d: DIRECTOR changed — cancellation left a trace", p, polls)
+			}
+		default:
+			t.Fatalf("at poll %d: n=%d err=%v", p, n, err)
+		}
 	}
 }

@@ -8,44 +8,25 @@ import (
 	"repro/internal/value"
 )
 
-// execInsert runs INSERT ... VALUES or INSERT ... SELECT. The whole
-// statement is one WAL batch: rows applied before a mid-statement failure
-// remain in the table (matching the storage layer's partial-apply
-// semantics), and they flush to the log even on the error path — the commit
-// error, if any, outranks none but never masks the statement's own.
-//
-// Cancellation is the exception to partial apply: a budget that trips mid-
-// statement rolls the inserted suffix back and discards the batch's ops, so
-// a cancelled INSERT leaves no trace in memory or in the log. Once every row
-// is applied the statement commits even if the deadline has passed — the
+// execInsert runs INSERT ... VALUES or INSERT ... SELECT as one storage
+// call. Every row is evaluated first — the VALUES expressions, polling the
+// budget per row, or the source SELECT — so the expressions read the table
+// as it stood before the statement, and the evaluated rows then apply with
+// one InsertRows: one WAL record, one published version. A budget trip can
+// only land before that call, so a cancelled INSERT leaves no trace in
+// memory or in the log. An evaluation error stops the evaluation at its row:
+// the rows before it still apply, and the error is returned unless applying
+// them failed. Rows applied before a constraint failure remain in the table
+// and the log (the storage layer's partial-apply rule). Once the call is
+// made the statement commits even if the deadline has passed — the
 // loss-free contract is "commits through the WAL or leaves no trace", never
 // half of each.
-func (ex *Engine) execInsert(stmt *sqlparser.InsertStmt) (n int, err error) {
-	ex.db.BeginBatch()
-	batchClosed := false
-	defer func() {
-		if batchClosed {
-			return
-		}
-		if cerr := ex.commitBatch(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
+func (ex *Engine) execInsert(stmt *sqlparser.InsertStmt) (int, error) {
 	tbl := ex.db.Table(stmt.Relation)
 	if tbl == nil {
 		return 0, fmt.Errorf("engine: unknown relation %q", stmt.Relation)
 	}
 	rel := tbl.Relation()
-	start := tbl.Len()
-	// cancelled rolls a tripped statement back: in-memory suffix first, then
-	// the batch's pending log ops. The batch is closed by the discard, so the
-	// deferred commit stays out of the way.
-	cancelled := func(cerr error) (int, error) {
-		ex.db.RollbackInsertSuffix(rel.Name, start)
-		ex.db.DiscardBatch()
-		batchClosed = true
-		return 0, cerr
-	}
 
 	// Map statement columns to attribute positions; default is declaration
 	// order over all attributes.
@@ -66,63 +47,81 @@ func (ex *Engine) execInsert(stmt *sqlparser.InsertStmt) (n int, err error) {
 		}
 	}
 
-	insertRow := func(vals []value.Value) error {
-		if len(vals) != len(positions) {
-			return fmt.Errorf("engine: INSERT into %s expects %d values, got %d", rel.Name, len(positions), len(vals))
-		}
-		tup := make(storage.Tuple, len(rel.Attributes))
-		for i := range tup {
-			tup[i] = value.NewNull()
-		}
-		for i, p := range positions {
-			tup[p] = vals[i]
-		}
-		return ex.db.Insert(rel.Name, tup)
-	}
-
+	// The rows to insert: the source SELECT's, or the VALUES rows, evaluated
+	// one at a time into vals. VALUES expressions compile over the FROM-less
+	// plan `select <exprs>` runs: no FROM entry and no outer scope binds a
+	// name, and its one row is empty.
+	var (
+		selected []storage.Tuple
+		compile  func(sqlparser.Expr) rowEval
+		ec       *evalCtx
+		vals     []value.Value
+	)
+	count := len(stmt.Rows)
 	if stmt.Query != nil {
 		res, err := ex.execSelect(stmt.Query)
 		if err != nil {
-			return 0, err // source SELECT failed or was cancelled: nothing applied yet
+			return 0, err // source SELECT failed or was cancelled: nothing applied
 		}
-		for _, row := range res.Rows {
-			if cerr := ex.bud.Tick(n); cerr != nil {
-				return cancelled(cerr)
-			}
-			if err := insertRow(row); err != nil {
-				return n, err
-			}
-			n++
-		}
-		return n, nil
+		selected, count = res.Rows, len(res.Rows)
+	} else {
+		pq := ex.compilePlan(ex.planFor(&sqlparser.SelectStmt{Limit: -1}, nil, false), nil)
+		compile, ec = ex.dmlCompiler(pq), pq.newCtx()
 	}
-	// VALUES expressions compile over the FROM-less plan `select <exprs>`
-	// runs: no FROM entry and no outer scope binds a name, and its one row is
-	// empty.
-	pq := ex.compilePlan(ex.planFor(&sqlparser.SelectStmt{Limit: -1}, nil, false), nil)
-	compile, ec := ex.dmlCompiler(pq), pq.newCtx()
-	for _, row := range stmt.Rows {
-		if cerr := ex.bud.Tick(n); cerr != nil {
-			return cancelled(cerr)
+
+	// The evaluated tuples share one backing array, and a one-row INSERT
+	// keeps its row list on the stack.
+	width := len(rel.Attributes)
+	flat := make([]value.Value, count*width)
+	var one [1]storage.Tuple
+	rows := one[:0]
+	var evalErr error
+	for i := 0; i < count; i++ {
+		if evalErr = ex.bud.Tick(i); evalErr != nil {
+			break
 		}
-		vals := make([]value.Value, len(row))
-		for i, e := range row {
-			v, err := compile(e)(ec, []value.Value{})
-			if err != nil {
-				return n, err
+		if selected != nil {
+			vals = selected[i]
+		} else {
+			row := stmt.Rows[i]
+			if cap(vals) < len(row) {
+				vals = make([]value.Value, len(row))
 			}
-			vals[i] = v
+			vals = vals[:len(row)]
+			for j, e := range row {
+				if vals[j], evalErr = compile(e)(ec, []value.Value{}); evalErr != nil {
+					break
+				}
+			}
+			if evalErr != nil {
+				break
+			}
 		}
-		if err := insertRow(vals); err != nil {
-			return n, err
+		if len(vals) != len(positions) {
+			evalErr = fmt.Errorf("engine: INSERT into %s expects %d values, got %d", rel.Name, len(positions), len(vals))
+			break
 		}
-		n++
+		tup := storage.Tuple(flat[i*width : (i+1)*width : (i+1)*width])
+		for j := range tup {
+			tup[j] = value.NewNull()
+		}
+		for j, p := range positions {
+			tup[p] = vals[j]
+		}
+		rows = append(rows, tup)
 	}
-	return n, nil
+	if len(rows) == 0 || evalErr != nil && IsCancel(evalErr) {
+		return 0, evalErr
+	}
+	n, err := ex.db.InsertRows(ex.bud.Context(), rel.Name, rows)
+	if err != nil {
+		return n, err
+	}
+	return n, evalErr
 }
 
 // execUpdate runs UPDATE ... SET ... WHERE; SET expressions may reference
-// the current tuple. The statement runs as one WAL batch (see execInsert).
+// the current tuple. The statement is one storage call (see execInsert).
 //
 // The WHERE is resolved to row positions before any row mutates (see
 // dmlPositions): a budget trip or an evaluation error there returns with the
@@ -130,13 +129,7 @@ func (ex *Engine) execInsert(stmt *sqlparser.InsertStmt) (n int, err error) {
 // constraint failure stops it at that row with the earlier rows updated and
 // logged, and a row whose SET expression fails is left as it was while the
 // rest are updated.
-func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (n int, err error) {
-	ex.db.BeginBatch()
-	defer func() {
-		if cerr := ex.commitBatch(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
+func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 	tbl := ex.db.Table(stmt.Relation)
 	if tbl == nil {
 		return 0, fmt.Errorf("engine: unknown relation %q", stmt.Relation)
@@ -197,23 +190,17 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (n int, err error) {
 		}
 		return tup
 	}
-	n, err = ex.db.UpdateAt(rel.Name, positions, apply)
+	n, err := ex.db.UpdateAt(ex.bud.Context(), rel.Name, positions, apply)
 	if evalErr != nil {
 		return n, evalErr
 	}
 	return n, err
 }
 
-// execDelete runs DELETE FROM ... WHERE. The statement runs as one WAL
-// batch (see execInsert); the WHERE resolves to positions before any row is
-// removed, exactly like execUpdate.
-func (ex *Engine) execDelete(stmt *sqlparser.DeleteStmt) (n int, err error) {
-	ex.db.BeginBatch()
-	defer func() {
-		if cerr := ex.commitBatch(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
+// execDelete runs DELETE FROM ... WHERE as one storage call (see
+// execInsert); the WHERE resolves to positions before any row is removed,
+// exactly like execUpdate.
+func (ex *Engine) execDelete(stmt *sqlparser.DeleteStmt) (int, error) {
 	tbl := ex.db.Table(stmt.Relation)
 	if tbl == nil {
 		return 0, fmt.Errorf("engine: unknown relation %q", stmt.Relation)
@@ -226,7 +213,7 @@ func (ex *Engine) execDelete(stmt *sqlparser.DeleteStmt) (n int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	return ex.db.DeleteAt(tbl.Relation().Name, positions)
+	return ex.db.DeleteAt(ex.bud.Context(), tbl.Relation().Name, positions)
 }
 
 // dmlCompiler compiles UPDATE SET or INSERT VALUES expressions over pq — on

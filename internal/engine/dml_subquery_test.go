@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,5 +90,38 @@ func TestUpdateSetSubqueryReadsPreStatement(t *testing.T) {
 	}
 	if got, want := dumpTable(t, planned.Database(), "MOVIES"), dumpTable(t, naive.Database(), "MOVIES"); got != want {
 		t.Fatalf("MOVIES differs between planned and interpreted SET:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestInsertValuesSubqueryReadsPreStatement pins INSERT's statement-level
+// reads: every VALUES row is evaluated before any row applies, so a subquery
+// over the target table sees it as it stood before the statement. Both rows
+// here compute id 1006 from the six curated directors; the second is refused
+// as a duplicate and the first, applied before it, stays. (When one row could
+// see the one before it, the ids were 1006 and 1007.) The interpreter agrees.
+func TestInsertValuesSubqueryReadsPreStatement(t *testing.T) {
+	const sql = "insert into DIRECTOR (id, name) values " +
+		"((select count(*) from DIRECTOR) + 1000, 'a'), ((select count(*) from DIRECTOR) + 1000, 'b')"
+	for _, oracle := range []bool{false, true} {
+		db, err := dataset.CuratedMovieDB()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := New(db)
+		ex.useOracle(oracle)
+		n, err := execWithin(t, ex, sql)
+		if err == nil || !strings.Contains(err.Error(), "duplicate primary key 1006") {
+			t.Fatalf("oracle=%v: %d rows, error %v; want the second row refused as a duplicate of 1006", oracle, n, err)
+		}
+		if n != 1 {
+			t.Fatalf("oracle=%v: %d rows applied, want the first", oracle, n)
+		}
+		res, err := ex.Query("select d.id, d.name from DIRECTOR d where d.id >= 1000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Rows); got != "[(1006, a)]" {
+			t.Fatalf("oracle=%v: inserted directors %s, want [(1006, a)]", oracle, got)
+		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 // Concurrency: an Engine is safe for concurrent queries (Query/Select/Exec
 // of SELECTs) — the view registry is lock-protected and query evaluation
 // never mutates engine or AST state. Reads resolve tables through src, which
-// is either the live database (DML statements read their own writes) or a
-// pinned storage.Snapshot (At); snapshot-bound engines run the whole planned
+// is either the live database (each statement reads what the statements
+// before it committed, never its own partial writes) or a pinned
+// storage.Snapshot (At); snapshot-bound engines run the whole planned
 // pipeline against immutable frozen tables, so any number of them execute
 // concurrently with a committing writer. DML always goes to the live database
 // and follows the storage layer's contract.

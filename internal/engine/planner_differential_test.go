@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -143,12 +144,16 @@ func sortedRows(rows []storage.Tuple) []storage.Tuple {
 	return out
 }
 
-// compareRows orders rows column by column by value.Key, treating two floats
-// within a relative 1e-12 of each other as equal.
+// compareRows orders rows column by column by kind and then by value.Key,
+// treating two floats within a relative 1e-12 of each other as equal. The
+// kind comes first because value.Key gives INT 1 and FLOAT 1.0 one key.
 func compareRows(a, b storage.Tuple) int {
 	for j := range min(len(a), len(b)) {
 		x, y := a[j], b[j]
-		if x.Kind() == value.Float && y.Kind() == value.Float {
+		if c := cmp.Compare(x.Kind(), y.Kind()); c != 0 {
+			return c
+		}
+		if x.Kind() == value.Float {
 			f, g := x.Float(), y.Float()
 			if f == g || math.Abs(f-g) <= 1e-12*math.Max(math.Abs(f), math.Abs(g)) {
 				continue
@@ -159,6 +164,22 @@ func compareRows(a, b storage.Tuple) int {
 		}
 	}
 	return len(a) - len(b)
+}
+
+// TestCompareRowsTellsKinds pins the multiset comparison reordered plans
+// are held to: INT 1 and FLOAT 1.0 differ, two floats a relative 1e-13 apart
+// match.
+func TestCompareRowsTellsKinds(t *testing.T) {
+	one, oneF := storage.Tuple{value.NewInt(1)}, storage.Tuple{value.NewFloat(1)}
+	if compareRows(one, oneF) == 0 || compareRows(oneF, one) == 0 {
+		t.Error("INT 1 and FLOAT 1.0 compare equal")
+	}
+	if _, ok := subMultiset([]storage.Tuple{one}, []storage.Tuple{oneF}); ok {
+		t.Error("INT 1 found in an answer holding FLOAT 1.0")
+	}
+	if compareRows(oneF, storage.Tuple{value.NewFloat(1 + 1e-13)}) != 0 {
+		t.Error("floats within the tolerance compare unequal")
+	}
 }
 
 // TestPlannerDifferentialPaperCorpus proves planned/interpreter row equality

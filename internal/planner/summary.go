@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/lexicon"
-	"repro/internal/sqlparser"
 )
 
 // StepSummary is the externally consumable description of one plan step.
@@ -147,39 +146,13 @@ func (sh *ShapeStep) Detail() string {
 	}
 }
 
-// tipScanThreshold is the table size above which an unindexed selective
-// filter earns an index suggestion.
-const tipScanThreshold = 1000
-
-// Tips derives optimization suggestions from the plan: missing indexes on
-// selective scan filters and hash-join keys, cartesian products, and
-// per-row residual subqueries — the §3.1 "why is this query expensive"
+// Tips derives optimization suggestions from the plan: cartesian products
+// and per-row residual subqueries — the §3.1 "why is this query expensive"
 // feedback in actionable form.
 func (p *Plan) Tips() []string {
 	var tips []string
 	for _, st := range p.Steps {
-		switch st.Access {
-		case ScanFull:
-			if st.TableRows < tipScanThreshold {
-				continue
-			}
-			if attr, ok := indexableEqFilter(st); ok {
-				tips = append(tips, fmt.Sprintf(
-					"an index on %s(%s) would turn the full scan of %s rows into a probe",
-					st.Input.Rel.Name, attr, lexicon.NumberWord(st.TableRows)))
-			}
-		case JoinHash:
-			if st.TableRows >= tipScanThreshold {
-				attr := st.Input.Rel.Attributes[st.BuildPos].Name
-				did := "hashing"
-				if st.HashSide == HashOuter {
-					did = "scanning"
-				}
-				tips = append(tips, fmt.Sprintf(
-					"an index on %s(%s) would let the join probe instead of %s %s rows",
-					st.Input.Rel.Name, attr, did, lexicon.NumberWord(st.TableRows)))
-			}
-		case JoinLoop:
+		if st.Access == JoinLoop {
 			tips = append(tips, fmt.Sprintf(
 				"%s joins without an equality condition (a cross product); adding one would shrink the intermediate result",
 				st.Input.Alias))
@@ -197,38 +170,4 @@ func (p *Plan) Tips() []string {
 			lexicon.CountNoun(subqueries, "residual predicate")))
 	}
 	return tips
-}
-
-// indexableEqFilter finds an equality-with-literal filter attribute on a
-// scan step — the classic candidate for an index.
-func indexableEqFilter(st *Step) (string, bool) {
-	for _, group := range [][]sqlparser.Expr{st.SelfFilters, st.PostJoinFilters} {
-		if attr, ok := indexableEqIn(group, st); ok {
-			return attr, ok
-		}
-	}
-	return "", false
-}
-
-func indexableEqIn(filters []sqlparser.Expr, st *Step) (string, bool) {
-	for _, f := range filters {
-		b, ok := f.(*sqlparser.BinaryExpr)
-		if !ok || b.Op != sqlparser.OpEq {
-			continue
-		}
-		var col *sqlparser.ColumnRef
-		if c, ok := b.Left.(*sqlparser.ColumnRef); ok {
-			if _, lit := literalOf(b.Right); lit {
-				col = c
-			}
-		} else if c, ok := b.Right.(*sqlparser.ColumnRef); ok {
-			if _, lit := literalOf(b.Left); lit {
-				col = c
-			}
-		}
-		if col != nil && st.Input.Rel.AttrIndex(col.Column) >= 0 {
-			return st.Input.Rel.Attr(col.Column).Name, true
-		}
-	}
-	return "", false
 }

@@ -362,8 +362,8 @@ func (c *column) setVal(i int, v value.Value) {
 }
 
 // ownChunks makes the payload and frame-of-reference chunks [z0, z1) private
-// to the writer — what a Delete does for the chunks its compaction rewrites,
-// and a rolled-back insert suffix for the chunk its next appends land in.
+// to the writer — what a Delete does for the chunks its compaction rewrites
+// and the chunk its next appends land in.
 func (c *column) ownChunks(z0, z1 int) {
 	for z := z0; z < z1; z++ {
 		switch c.kind {

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -13,10 +13,10 @@ import (
 )
 
 // This file proves the columnar Table is observably identical to a plain
-// row store: a randomized Insert/Delete/Update/LoadCSV workload runs against
-// the real Database while the test maintains its own []Tuple oracle, and
-// after every operation Scan, LookupPK, and DumpCSV must agree with the
-// oracle exactly. A second test holds the statistics to their
+// row store: a randomized Insert/InsertRows/Delete/Update workload runs
+// against the real Database while the test maintains its own []Tuple oracle,
+// and after every operation Tuples and LookupPK must agree with the oracle
+// exactly. A second test holds the statistics to their
 // oracle (checkStats) after the same kind of workload.
 
 func columnarTestSchema() *catalog.Schema {
@@ -105,26 +105,6 @@ func checkAgainstOracle(t *testing.T, db *Database, oracle []Tuple, step string)
 	if _, ok := tbl.LookupPK(Tuple{value.NewInt(-999)}); ok {
 		t.Fatalf("%s: LookupPK found a phantom row", step)
 	}
-	// DumpCSV byte-for-byte against a dump rendered from the oracle.
-	var gotCSV bytes.Buffer
-	if err := db.DumpCSV("T", &gotCSV); err != nil {
-		t.Fatalf("%s: DumpCSV: %v", step, err)
-	}
-	var wantCSV strings.Builder
-	wantCSV.WriteString("id,n,f,s,d,b\n")
-	for _, row := range oracle {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			if !v.IsNull() {
-				cells[j] = v.String()
-			}
-		}
-		wantCSV.WriteString(strings.Join(cells, ","))
-		wantCSV.WriteByte('\n')
-	}
-	if gotCSV.String() != wantCSV.String() {
-		t.Fatalf("%s: DumpCSV mismatch\ngot:\n%s\nwant:\n%s", step, gotCSV.String(), wantCSV.String())
-	}
 }
 
 // TestColumnarDifferentialFuzz runs the randomized workload. The oracle
@@ -158,29 +138,28 @@ func TestColumnarDifferentialFuzz(t *testing.T) {
 					} else if len(oracle) == 0 {
 						t.Fatalf("insert %s rejected on empty table: %v", before, err)
 					}
-				case choice < 6: // insert via LoadCSV (shuffled header)
+				case choice < 6: // multi-row insert of partly NULL rows
 					rows := 1 + rng.Intn(3)
-					var csvText strings.Builder
-					csvText.WriteString("n,id,s\n")
 					var loaded []Tuple
 					for r := 0; r < rows; r++ {
 						nextID++
 						n := rng.Intn(7)
 						s := fmt.Sprintf("w-%d", rng.Intn(5))
-						csvText.WriteString(fmt.Sprintf("%d,%d,%s\n", n, nextID, s))
 						loaded = append(loaded, Tuple{
 							value.NewInt(nextID), value.NewInt(int64(n)), value.NewNull(),
 							value.NewText(s), value.NewNull(), value.NewNull(),
 						})
 					}
-					n, err := db.LoadCSV("T", strings.NewReader(csvText.String()))
+					n, err := db.InsertRows(context.Background(), "T", loaded)
 					if err != nil {
-						t.Fatalf("LoadCSV: %v", err)
+						t.Fatalf("InsertRows: %v", err)
 					}
 					if n != rows {
-						t.Fatalf("LoadCSV loaded %d rows, want %d", n, rows)
+						t.Fatalf("InsertRows inserted %d rows, want %d", n, rows)
 					}
-					oracle = append(oracle, loaded...)
+					for _, tup := range loaded {
+						oracle = append(oracle, tup.Clone())
+					}
 				case choice < 8: // delete by predicate
 					k := int64(rng.Intn(7))
 					pred := func(tup Tuple) bool {
@@ -303,7 +282,7 @@ func TestPositionalDMLDifferentialFuzz(t *testing.T) {
 					insert()
 				case choice < 5: // DeleteAt
 					positions := pick()
-					n, err := db.DeleteAt("T", positions)
+					n, err := db.DeleteAt(context.Background(), "T", positions)
 					if err != nil || n != len(positions) {
 						t.Fatalf("%s: DeleteAt(%v) = %d, %v", step, positions, n, err)
 					}
@@ -352,7 +331,7 @@ func TestPositionalDMLDifferentialFuzz(t *testing.T) {
 							return oracle[positions[next-1]].Clone()
 						}
 					}
-					n, err := db.UpdateAt("T", positions, replay)
+					n, err := db.UpdateAt(context.Background(), "T", positions, replay)
 					if n != want || (err != nil) != wantErr {
 						t.Fatalf("%s: UpdateAt(%v) = %d, %v; oracle %d, refused=%v", step, positions, n, err, want, wantErr)
 					}

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -202,7 +203,7 @@ func (r *cowRun) insert(label string) {
 func (r *cowRun) update(label string, positions []int, repls []storage.Tuple) {
 	r.stmt(label, func() {
 		k := 0
-		n, err := r.db.UpdateAt("T", positions, func(storage.Tuple) storage.Tuple {
+		n, err := r.db.UpdateAt(context.Background(), "T", positions, func(storage.Tuple) storage.Tuple {
 			k++
 			return repls[k-1].Clone()
 		})
@@ -237,7 +238,7 @@ func (r *cowRun) changed(positions []int, rekey bool) []storage.Tuple {
 
 func (r *cowRun) delete(label string, positions []int) {
 	r.stmt(label, func() {
-		if n, err := r.db.DeleteAt("T", positions); err != nil || n != len(positions) {
+		if n, err := r.db.DeleteAt(context.Background(), "T", positions); err != nil || n != len(positions) {
 			r.t.Fatalf("%s: n=%d err=%v", label, n, err)
 		}
 		for i := len(positions) - 1; i >= 0; i-- {
@@ -316,15 +317,6 @@ func TestChunkedCopyOnWriteProperty(t *testing.T) {
 	for i := range 5 {
 		r.insert(fmt.Sprintf("append %d after the truncation", i))
 	}
-	keep := len(r.model)
-	for i := range 4 {
-		r.insert(fmt.Sprintf("insert %d of a suffix to roll back", i))
-	}
-	r.stmt("rollback of the insert suffix", func() {
-		db.RollbackInsertSuffix("T", keep)
-		r.model = r.model[:keep]
-	})
-	r.insert("append after the rollback")
 
 	// Dictionary compaction: a hundred fresh strings, then every one of them
 	// dead again, leave dead entries dominating a dictionary worth compacting.

@@ -1,9 +1,9 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/value"
@@ -16,7 +16,7 @@ import (
 // statements. The durable run's WAL is then cut at every record boundary, at
 // sampled intra-record offsets, and hit with bit flips — and every mutilated
 // disk must recover, without error, to byte-identical observable state
-// (CSV dump of every table + planner statistics) with the oracle as of the
+// (every table's rows + planner statistics) with the oracle as of the
 // last committed statement the surviving prefix holds.
 
 // matrixStep is one workload statement. Steps tagged checkpoint run only on
@@ -29,7 +29,7 @@ type matrixStep struct {
 // matrixWorkload builds the deterministic statement sequence. Int values
 // stay in narrow ranges so the frame-of-reference encoding stays active
 // through checkpoints, and several statements fail on purpose (duplicate
-// keys on INSERT and on UPDATE, bad CSV) to exercise the
+// keys on single- and multi-row INSERT and on UPDATE) to exercise the
 // no-op-commits-nothing and the partial-apply paths. Keyed statements go
 // through UpdateAt / DeleteAt, and every logged UPDATE and DELETE replays
 // through them.
@@ -58,26 +58,24 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 	}
 	for i := 0; i < 30; i++ {
 		switch rng.Intn(12) {
-		case 0, 1, 2, 3: // movie inserts, batched three at a time
+		case 0, 1, 2, 3: // movie inserts, three in one statement
 			base, did, year := nextMovie, rng.Intn(10), 1960+rng.Intn(60)
 			nullTitle := rng.Intn(4) == 0
 			nextMovie += 3
 			add(func(t testing.TB, db *Database) {
-				db.BeginBatch()
-				for j := 0; j < 3; j++ {
+				rows := make([]Tuple, 3)
+				for j := range rows {
 					title := value.NewNull()
 					if !nullTitle {
 						title = value.NewText(fmt.Sprintf("film-%d", (base+j)%9))
 					}
-					if err := db.Insert("MOVIES", Tuple{
+					rows[j] = Tuple{
 						value.NewInt(int64(base + j)), title,
 						value.NewInt(int64(year + j)), value.NewInt(int64(did)),
-					}); err != nil {
-						t.Fatalf("insert movie %d: %v", base+j, err)
 					}
 				}
-				if err := db.CommitBatch(); err != nil {
-					t.Fatalf("commit movies: %v", err)
+				if n, err := db.InsertRows(context.Background(), "MOVIES", rows); err != nil || n != 3 {
+					t.Fatalf("insert movies %d..%d: n=%d err=%v", base, base+2, n, err)
 				}
 			})
 		case 4: // rating insert with awkward floats
@@ -124,21 +122,24 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 					t.Fatal("duplicate director accepted")
 				}
 			})
-		case 8: // CSV load; every other one fails and must roll back
+		case 8: // two-row insert; every other one carries a third, duplicate row
 			base := nextMovie
 			nextMovie += 2
 			fail := rng.Intn(2) == 0
 			add(func(t testing.TB, db *Database) {
-				csv := fmt.Sprintf("id,title,year,did\n%d,csv-a,1970,1\n%d,csv-b,1971,2\n", base, base+1)
-				if fail {
-					csv += fmt.Sprintf("%d,csv-dup,1972,3\n", base) // duplicate pk
+				rows := []Tuple{
+					{value.NewInt(int64(base)), value.NewText("multi-a"), value.NewInt(1970), value.NewInt(1)},
+					{value.NewInt(int64(base + 1)), value.NewText("multi-b"), value.NewInt(1971), value.NewInt(2)},
 				}
-				n, err := db.LoadCSV("MOVIES", strings.NewReader(csv))
-				if fail && (err == nil || n != 0) {
-					t.Fatalf("failing CSV: n=%d err=%v", n, err)
+				if fail {
+					rows = append(rows, Tuple{value.NewInt(int64(base)), value.NewText("multi-dup"), value.NewInt(1972), value.NewInt(3)})
+				}
+				n, err := db.InsertRows(context.Background(), "MOVIES", rows)
+				if fail && (err == nil || n != 2) {
+					t.Fatalf("duplicate third row: n=%d err=%v", n, err)
 				}
 				if !fail && (err != nil || n != 2) {
-					t.Fatalf("good CSV: n=%d err=%v", n, err)
+					t.Fatalf("two rows: n=%d err=%v", n, err)
 				}
 			})
 		case 9: // update that trips NOT NULL midway: partial apply
@@ -159,27 +160,30 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 					t.Fatal("NOT NULL violation accepted")
 				}
 			})
-		case 10: // keyed update and delete by position, as the engine issues them
+		case 10: // keyed update, then keyed delete, as the engine issues them
 			pick := rng.Intn(1 << 16)
 			year := int64(1960 + rng.Intn(60))
+			at := func(db *Database) int {
+				if rows := db.Table("MOVIES").Len(); rows >= 2 {
+					return pick % (rows - 1)
+				}
+				return -1
+			}
 			add(func(t testing.TB, db *Database) {
-				rows := db.Table("MOVIES").Len()
-				if rows < 2 {
-					return
+				if at := at(db); at >= 0 {
+					if n, err := db.UpdateAt(context.Background(), "MOVIES", []int{at}, func(tup Tuple) Tuple {
+						tup[2] = value.NewInt(year)
+						return tup
+					}); err != nil || n != 1 {
+						t.Fatalf("keyed update: n=%d err=%v", n, err)
+					}
 				}
-				at := pick % (rows - 1)
-				db.BeginBatch() // one step, one record
-				if n, err := db.UpdateAt("MOVIES", []int{at}, func(tup Tuple) Tuple {
-					tup[2] = value.NewInt(year)
-					return tup
-				}); err != nil || n != 1 {
-					t.Fatalf("keyed update: n=%d err=%v", n, err)
-				}
-				if n, err := db.DeleteAt("MOVIES", []int{at + 1}); err != nil || n != 1 {
-					t.Fatalf("keyed delete: n=%d err=%v", n, err)
-				}
-				if err := db.CommitBatch(); err != nil {
-					t.Fatalf("commit keyed pair: %v", err)
+			})
+			add(func(t testing.TB, db *Database) {
+				if at := at(db); at >= 0 {
+					if n, err := db.DeleteAt(context.Background(), "MOVIES", []int{at + 1}); err != nil || n != 1 {
+						t.Fatalf("keyed delete: n=%d err=%v", n, err)
+					}
 				}
 			})
 		case 11: // re-key two rows onto one fresh id: the second is refused
@@ -191,7 +195,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 					return
 				}
 				at := pick % (rows - 1)
-				n, err := db.UpdateAt("MOVIES", []int{at, at + 1}, func(tup Tuple) Tuple {
+				n, err := db.UpdateAt(context.Background(), "MOVIES", []int{at, at + 1}, func(tup Tuple) Tuple {
 					tup[0] = value.NewInt(fresh)
 					return tup
 				})

@@ -16,16 +16,16 @@ import (
 // wal.FS so the crash tests can run against an in-memory disk):
 //
 //	checkpoint.seg   columnar snapshot of every table + the WAL sequence floor
-//	wal.log          framed records, one per committed statement batch
+//	wal.log          framed records, one per committed statement
 //	wal.corrupt      quarantined unusable log tail from the last recovery
 //
 // The protocol is log-before-acknowledge: every applied mutation appends a
-// logical op to a pending buffer, and the batch flushes (append + fsync) as
-// one framed record before the caller's statement returns. Recovery loads
-// the checkpoint, replays the WAL's longest valid committed prefix through
-// the locked write internals live DML uses, and quarantines whatever tail a
-// crash or bit rot left behind — it never fails on a corrupt log, and it
-// never trusts one.
+// logical op to a pending buffer, and a statement — one mutating storage
+// call — flushes it (append + fsync) as one framed record before it
+// returns. Recovery loads the checkpoint, replays the WAL's longest valid
+// committed prefix through the locked write internals live DML uses, and
+// quarantines whatever tail a crash or bit rot left behind — it never fails
+// on a corrupt log, and it never trusts one.
 //
 // A WAL append or fsync that fails latches the layer into a permanent
 // failed state: every later write is rejected with ErrWALFailed. Appending
@@ -33,10 +33,11 @@ import (
 // acknowledged statements silently lost — so the only safe answers are
 // stop or restart (a restart re-runs recovery, which salvages the log).
 //
-// Locking: the pending buffer, batch depth, and rollback marks are guarded
-// by db.mu (the op encoders run inside the DML paths, which hold it);
-// the log writer and its rotation are guarded by durability.mu. Lock order
-// is durability.mu before db.mu, never the reverse.
+// Locking: the pending buffer is guarded by db.mu (the op encoders run
+// inside the DML paths, which hold it); the log writer and its rotation are
+// guarded by durability.mu. Lock order is durability.mu before db.mu, never
+// the reverse. Two raw-API writers racing between their applies may share
+// one record; each returns only once that record is fsynced.
 
 // Durable file names inside the database directory.
 const (
@@ -66,8 +67,9 @@ type DurableOptions struct {
 
 	// SyncGrace bounds how long a commit waits for the WAL append+fsync
 	// after its request context expires. Zero means DefaultSyncGrace. The
-	// grace applies only to deadline-carrying commits
-	// (CommitBatchContext); plain commits wait for the disk indefinitely.
+	// grace applies only to calls whose context can expire (InsertRows,
+	// UpdateAt, DeleteAt under a request); the raw Insert, Update and Delete
+	// wait for the disk indefinitely.
 	SyncGrace time.Duration
 }
 
@@ -101,7 +103,7 @@ type RecoveryReport struct {
 	Fresh bool
 	// CheckpointRows counts rows restored from the checkpoint segment.
 	CheckpointRows int
-	// ReplayedBatches and ReplayedOps count WAL records (statement batches)
+	// ReplayedBatches and ReplayedOps count WAL records (one per statement)
 	// and individual ops applied on top of the checkpoint.
 	ReplayedBatches int
 	ReplayedOps     int
@@ -153,24 +155,18 @@ type DurabilityStats struct {
 // it.
 var ErrWALFailed = errors.New("storage: write-ahead log failed; writes are rejected until restart")
 
-// errCheckpointBusy reports a checkpoint attempted while a statement batch
-// is open or ops are waiting to flush. Auto-checkpoints skip it and retry at
-// the next commit; explicit callers see it as an error.
-var errCheckpointBusy = errors.New("storage: checkpoint inside an open statement batch")
-
-// walMark is a nesting level's rollback point into the pending buffer.
-type walMark struct {
-	off int
-	ops int
-}
+// errCheckpointBusy reports a checkpoint attempted while ops another writer
+// applied are waiting to flush. Auto-checkpoints skip it and retry at the
+// next commit; explicit callers see it as an error.
+var errCheckpointBusy = errors.New("storage: checkpoint while a statement is waiting to flush")
 
 // walFailure wraps the first WAL write error for the latch.
 type walFailure struct{ err error }
 
-// durability is the per-database WAL state. The pending buffer, depth, and
-// marks are guarded by db.mu (the op encoders run inside DML paths holding
-// it); mu serializes log flushes and writer rotation; the counters are
-// atomic because /stats reads them concurrently with writers.
+// durability is the per-database WAL state. The pending buffer is guarded
+// by db.mu (the op encoders run inside DML paths holding it); mu serializes
+// log flushes and writer rotation; the counters are atomic because /stats
+// reads them concurrently with writers.
 type durability struct {
 	fs   wal.FS
 	opts DurableOptions
@@ -178,10 +174,8 @@ type durability struct {
 	mu sync.Mutex  // guards w and the flush/rotate protocol
 	w  *wal.Writer // log writer; rotated by Checkpoint
 
-	pending    []byte // encoded ops of the open batch (guarded by db.mu)
+	pending    []byte // encoded ops applied since the last flush (guarded by db.mu)
 	pendingOps int
-	depth      int
-	marks      []walMark
 	rec        []byte // record scratch: seq + opCount + pending (guarded by mu)
 
 	// failed latches the first WAL append/fsync error; once set, every
@@ -340,7 +334,7 @@ func (db *Database) EnableDurability(fs wal.FS, opts DurableOptions) (*RecoveryR
 // rewrites the log file down to its valid prefix. It returns the byte length
 // of that prefix. ckData is the raw checkpoint segment (nil when none
 // existed): if a record fails partway through application, the database is
-// rebuilt from it so no half-applied statement batch survives recovery.
+// rebuilt from it so no half-applied statement survives recovery.
 func (db *Database) replayWAL(fs wal.FS, ckData []byte, report *RecoveryReport) (int, error) {
 	data, rerr := wal.ReadAll(fs, WALFileName)
 	records, tail := wal.Scan(data)
@@ -355,7 +349,7 @@ func (db *Database) replayWAL(fs wal.FS, ckData []byte, report *RecoveryReport) 
 	if idx, partial, err := db.replayRecords(records, report); err != nil {
 		if partial {
 			// replayBatch failed partway: some of the record's ops are
-			// applied. A statement batch is the unit of recovery atomicity,
+			// applied. A statement's record is the unit of recovery atomicity,
 			// so rebuild from the checkpoint and the known-good record
 			// prefix — none of the broken record survives.
 			if rbErr := db.rebuildPrefix(ckData, records[:idx]); rbErr != nil {
@@ -476,8 +470,8 @@ func writeFile(fs wal.FS, name string, data []byte) error {
 
 // Checkpoint seals and persists the published version to the checkpoint
 // segment (temporary file + atomic rename) and truncates the WAL. It fails
-// with an error when a statement batch is open or ops are waiting to flush;
-// the automatic checkpoint path simply retries at a later commit.
+// with an error when ops are waiting to flush; the automatic checkpoint path
+// simply retries at a later commit.
 //
 // Holding durability.mu for the whole call blocks commits (so no record can
 // land above the floor while the segment writes), but serialization reads
@@ -502,7 +496,7 @@ func (db *Database) Checkpoint() error {
 	// before releasing durability.mu, so the pinned snapshot reflects exactly
 	// the records at or below the floor.
 	db.mu.RLock()
-	if d.depth > 0 || d.pendingOps > 0 {
+	if d.pendingOps > 0 {
 		db.mu.RUnlock()
 		return errCheckpointBusy
 	}
@@ -594,86 +588,6 @@ func (db *Database) DurabilityStats() (stats DurabilityStats, ok bool) {
 	}, true
 }
 
-// ---------------------------------------------------------------------------
-// Statement batches
-// ---------------------------------------------------------------------------
-
-// BeginBatch opens a statement batch: ops logged until the matching
-// CommitBatch flush as one WAL record (one unit of recovery atomicity).
-// Batches nest; only the outermost commit writes. No-op when not durable.
-func (db *Database) BeginBatch() {
-	d := db.dur
-	if d == nil {
-		return
-	}
-	db.mu.Lock()
-	d.depth++
-	d.marks = append(d.marks, walMark{off: len(d.pending), ops: d.pendingOps})
-	db.mu.Unlock()
-}
-
-// CommitBatch closes the innermost batch. At depth zero the accumulated ops
-// flush and fsync; the error (e.g. a failed fsync) must reach the client
-// before the statement is acknowledged.
-func (db *Database) CommitBatch() error {
-	return db.CommitBatchContext(nil)
-}
-
-// CommitBatchContext is CommitBatch with the request's context threaded
-// down to the WAL flush: when ctx carries a deadline or cancellation, the
-// append+fsync is bounded — a disk still stalled SyncGrace past the
-// context's expiry surfaces as a *StallError instead of hanging the
-// request forever. A nil or non-cancellable ctx waits indefinitely.
-func (db *Database) CommitBatchContext(ctx context.Context) error {
-	d := db.dur
-	if d == nil {
-		return nil
-	}
-	db.mu.Lock()
-	if d.depth == 0 {
-		db.mu.Unlock()
-		return nil
-	}
-	d.depth--
-	d.marks = d.marks[:len(d.marks)-1]
-	still := d.depth > 0
-	db.mu.Unlock()
-	if still {
-		return nil
-	}
-	return d.commit(db, ctx)
-}
-
-// DiscardBatch closes the innermost batch and rolls its ops out of the
-// pending buffer — the log-side half of a rollback (the caller is
-// responsible for undoing the in-memory mutations).
-func (db *Database) DiscardBatch() {
-	d := db.dur
-	if d == nil {
-		return
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if d.depth == 0 {
-		return
-	}
-	m := d.marks[len(d.marks)-1]
-	d.marks = d.marks[:len(d.marks)-1]
-	d.depth--
-	d.pending = d.pending[:m.off]
-	d.pendingOps = m.ops
-}
-
-// autoCommit flushes the pending ops when no batch is open — the direct
-// storage-call path (engine statements run inside explicit batches).
-func (db *Database) autoCommit() error {
-	d := db.dur
-	if d == nil {
-		return nil
-	}
-	return d.commit(db, nil)
-}
-
 // commit writes the pending ops as one framed, fsynced WAL record. It takes
 // durability.mu (serializing flushes and rotation) and then db.mu just long
 // enough to snapshot and clear the pending buffer — concurrent raw-API
@@ -684,11 +598,6 @@ func (db *Database) autoCommit() error {
 func (d *durability) commit(db *Database, ctx context.Context) error {
 	d.mu.Lock()
 	db.mu.Lock()
-	if d.depth > 0 {
-		db.mu.Unlock()
-		d.mu.Unlock()
-		return nil
-	}
 	if err := d.failedErr(); err != nil {
 		// The applied-but-unflushed ops can never reach the log; drop them so
 		// the buffer does not grow without bound while failing.
@@ -711,7 +620,7 @@ func (d *durability) commit(db *Database, ctx context.Context) error {
 	ops := d.pendingOps
 	d.pending = d.pending[:0]
 	d.pendingOps = 0
-	// Freeze the batch's tables into a version at the WAL sequence while
+	// Freeze the statement's tables into a version at the WAL sequence while
 	// still inside the db.mu window — the state the record describes cannot
 	// drift before the fsync, because any later mutation queues behind
 	// durability.mu for the NEXT record. The version installs only after the
@@ -738,8 +647,8 @@ func (d *durability) commit(db *Database, ctx context.Context) error {
 	needCk := d.opts.CheckpointBytes > 0 && d.w.Offset() >= d.opts.CheckpointBytes
 	d.mu.Unlock()
 	if needCk {
-		// Auto-checkpoint: racing writers may have opened a batch or queued
-		// ops since the flush; skip and retry at a later commit.
+		// Auto-checkpoint: racing writers may have queued ops since the
+		// flush; skip and retry at a later commit.
 		if err := db.Checkpoint(); err != nil && !errors.Is(err, errCheckpointBusy) {
 			return err
 		}

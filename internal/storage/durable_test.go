@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -41,15 +42,15 @@ func newDurDB(t testing.TB) *Database {
 	return db
 }
 
-// dumpAll renders every table as CSV — the observable-contents fingerprint
+// dumpAll renders every table's rows — the observable-contents fingerprint
 // the recovery tests compare.
 func dumpAll(t *testing.T, db *Database) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, name := range db.TableNames() {
 		sb.WriteString("== " + name + "\n")
-		if err := db.DumpCSV(name, &sb); err != nil {
-			t.Fatalf("dump %s: %v", name, err)
+		for _, tup := range db.Table(name).Tuples() {
+			sb.WriteString(tup.String() + "\n")
 		}
 	}
 	return sb.String()
@@ -185,9 +186,12 @@ func TestReopenAfterDML(t *testing.T) {
 		func(tup Tuple) Tuple { tup[1] = value.NewText("updated-" + tup[1].Text()); return tup }); err != nil {
 		t.Fatal(err)
 	}
-	csv := "id,title,year,did\n100,CSV Movie,1999,3\n101,Another,2001,6\n"
-	if n, err := db.LoadCSV("MOVIES", strings.NewReader(csv)); err != nil || n != 2 {
-		t.Fatalf("LoadCSV: n=%d err=%v", n, err)
+	movies := []Tuple{
+		{value.NewInt(100), value.NewText("Two Rows"), value.NewInt(1999), value.NewInt(3)},
+		{value.NewInt(101), value.NewText("Another"), value.NewInt(2001), value.NewInt(6)},
+	}
+	if n, err := db.InsertRows(context.Background(), "MOVIES", movies); err != nil || n != 2 {
+		t.Fatalf("InsertRows: n=%d err=%v", n, err)
 	}
 	want := fingerprint(t, db)
 
@@ -210,24 +214,25 @@ func TestPartialBatchPersists(t *testing.T) {
 	if _, err := db.EnableDurability(fs, DurableOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// Statement batch where the 4th row hits a duplicate key: the three
-	// applied rows stay in the table (storage semantics) and must therefore
-	// be in the log too.
-	db.BeginBatch()
-	var insErr error
+	// One statement whose 4th row hits a duplicate key: the three applied
+	// rows stay in the table (storage semantics) and must therefore be in
+	// the log too, as one record.
+	var rows []Tuple
 	for _, id := range []int64{1, 2, 3, 2} {
-		if insErr = db.Insert("DIRECTOR", Tuple{value.NewInt(id), value.NewText("x"), value.NewNull()}); insErr != nil {
-			break
-		}
+		rows = append(rows, Tuple{value.NewInt(id), value.NewText("x"), value.NewNull()})
 	}
-	if insErr == nil {
+	n, err := db.InsertRows(context.Background(), "DIRECTOR", rows)
+	if err == nil {
 		t.Fatal("duplicate key accepted")
 	}
-	if err := db.CommitBatch(); err != nil {
-		t.Fatal(err)
+	if n != 3 {
+		t.Fatalf("InsertRows applied %d rows before the duplicate, want 3", n)
 	}
 	if got := db.Table("DIRECTOR").Len(); got != 3 {
 		t.Fatalf("in-memory rows = %d", got)
+	}
+	if st, _ := db.DurabilityStats(); st.Batches != 1 || st.Ops != 3 {
+		t.Fatalf("the statement committed %d records of %d ops, want 1 of 3", st.Batches, st.Ops)
 	}
 
 	db2 := newDurDB(t)
@@ -309,8 +314,8 @@ func TestAppendFailureLatches(t *testing.T) {
 	if _, err := db.Update("DIRECTOR", func(Tuple) bool { return true }, func(tup Tuple) Tuple { return tup }); !errors.Is(err, ErrWALFailed) {
 		t.Fatalf("update after append failure returned %v, want ErrWALFailed", err)
 	}
-	if _, err := db.LoadCSV("DIRECTOR", strings.NewReader("id,name,bdate\n9,x,\n")); !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("load after append failure returned %v, want ErrWALFailed", err)
+	if _, err := db.InsertRows(context.Background(), "DIRECTOR", []Tuple{{value.NewInt(9), value.NewText("x"), value.NewNull()}}); !errors.Is(err, ErrWALFailed) {
+		t.Fatalf("multi-row insert after append failure returned %v, want ErrWALFailed", err)
 	}
 	if err := db.Checkpoint(); !errors.Is(err, ErrWALFailed) {
 		t.Fatalf("checkpoint after append failure returned %v, want ErrWALFailed", err)
@@ -585,55 +590,6 @@ func TestEnableDurabilityRejectsNonEmptyWithState(t *testing.T) {
 	}
 }
 
-func TestLoadCSVRollback(t *testing.T) {
-	fs := wal.NewMemFS()
-	db := newDurDB(t)
-	if _, err := db.EnableDurability(fs, DurableOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	ins(t, db, "DIRECTOR", value.NewInt(1), value.NewText("keep"), value.NewNull())
-	before := fingerprint(t, db)
-
-	// Row 3 duplicates row 1's primary key: the whole load must roll back.
-	bad := "id,name,bdate\n10,a,\n11,b,\n10,c,\n"
-	n, err := db.LoadCSV("DIRECTOR", strings.NewReader(bad))
-	if err == nil {
-		t.Fatal("duplicate-key CSV loaded")
-	}
-	if n != 0 {
-		t.Errorf("failed load reported %d rows", n)
-	}
-	if got := fingerprint(t, db); got != before {
-		t.Errorf("failed load left residue:\n--- before\n%s\n--- after\n%s", before, got)
-	}
-	// A value that does not parse rejects before any mutation.
-	if _, err := db.LoadCSV("DIRECTOR", strings.NewReader("id,name,bdate\nnot-an-int,a,\n")); err == nil {
-		t.Fatal("unparseable CSV loaded")
-	}
-	if got := fingerprint(t, db); got != before {
-		t.Error("parse-failure load left residue")
-	}
-	// The log agrees: a reopen sees only the surviving row.
-	db2 := newDurDB(t)
-	if _, err := db2.EnableDurability(fs, DurableOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := db2.Table("DIRECTOR").Len(); got != 1 {
-		t.Errorf("recovered rows = %d, want 1", got)
-	}
-	// And a good load after the failures both applies and persists.
-	if n, err := db.LoadCSV("DIRECTOR", strings.NewReader("id,name,bdate\n20,x,\n21,y,1950-01-01\n")); err != nil || n != 2 {
-		t.Fatalf("good load: n=%d err=%v", n, err)
-	}
-	db3 := newDurDB(t)
-	if _, err := db3.EnableDurability(fs, DurableOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := db3.Table("DIRECTOR").Len(); got != 3 {
-		t.Errorf("recovered rows = %d, want 3", got)
-	}
-}
-
 func TestDurabilityStatsCounters(t *testing.T) {
 	fs := wal.NewMemFS()
 	db := newDurDB(t)
@@ -678,7 +634,12 @@ func craftRecord(t *testing.T, fs wal.FS, seq uint64, opCount int, ops []byte) {
 	t.Helper()
 	payload := appendUvarint(nil, seq)
 	payload = appendUvarint(payload, uint64(opCount))
-	payload = append(payload, ops...)
+	appendRecord(t, fs, append(payload, ops...))
+}
+
+// appendRecord frames a record payload onto the log in fs.
+func appendRecord(t *testing.T, fs wal.FS, payload []byte) {
+	t.Helper()
 	f, err := fs.OpenAppend(WALFileName)
 	if err != nil {
 		t.Fatal(err)
@@ -907,5 +868,72 @@ func TestConcurrentRawWriters(t *testing.T) {
 	}
 	if got := db2.Table("DIRECTOR").Len(); got != writers*each {
 		t.Errorf("recovered rows = %d, want %d", got, writers*each)
+	}
+}
+
+// spliceRecords joins two consecutive commit records into the one record an
+// older log, or two raw writers sharing a flush, can hold: the first record's
+// sequence, the two op counts summed, the ops concatenated.
+func spliceRecords(t testing.TB, first, second []byte) []byte {
+	t.Helper()
+	a, b := &walDecoder{buf: first}, &walDecoder{buf: second}
+	seq, na := a.uvarint(), a.uvarint()
+	b.uvarint()
+	nb := b.uvarint()
+	if a.err != nil || b.err != nil {
+		t.Fatalf("splicing records: %v, %v", a.err, b.err)
+	}
+	out := appendUvarint(nil, seq)
+	out = appendUvarint(out, na+nb)
+	out = append(out, first[a.off:]...)
+	return append(out, second[b.off:]...)
+}
+
+// TestMixedKindRecordReplay pins that a record mixing op kinds — a keyed
+// UPDATE and a keyed DELETE in one record, which a statement no longer
+// writes but an older log or two raw writers sharing one flush can hold —
+// recovers to exactly the state its two one-statement records do.
+func TestMixedKindRecordReplay(t *testing.T) {
+	fs := wal.NewMemFS()
+	db := newDurDB(t)
+	if _, err := db.EnableDurability(fs, DurableOptions{CheckpointBytes: -1}); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(1); id <= 6; id++ {
+		ins(t, db, "DIRECTOR", value.NewInt(id), value.NewText(fmt.Sprintf("d-%d", id)), value.NewNull())
+	}
+	ctx := context.Background()
+	if n, err := db.UpdateAt(ctx, "DIRECTOR", []int{1, 3}, func(tup Tuple) Tuple {
+		tup[1] = value.NewText("renamed")
+		return tup
+	}); err != nil || n != 2 {
+		t.Fatalf("keyed update: n=%d err=%v", n, err)
+	}
+	if n, err := db.DeleteAt(ctx, "DIRECTOR", []int{2, 3}); err != nil || n != 2 {
+		t.Fatalf("keyed delete: n=%d err=%v", n, err)
+	}
+	want := fingerprint(t, db)
+	if err := db.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	records, tail := wal.Scan(fs.Bytes(WALFileName))
+	if tail != nil || len(records) != 8 {
+		t.Fatalf("log holds %d records (tail %+v), want 8", len(records), tail)
+	}
+	update, del := records[6], records[7]
+
+	disk := fs.Clone()
+	disk.Truncate(WALFileName, update.Off)
+	appendRecord(t, disk, spliceRecords(t, update.Payload, del.Payload))
+	db2 := newDurDB(t)
+	report, err := db2.EnableDurability(disk, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Clean() || report.ReplayedBatches != 7 || report.ReplayedOps != 8 {
+		t.Fatalf("report: %+v, want a clean replay of 7 records and 8 ops", report)
+	}
+	if got := fingerprint(t, db2); got != want {
+		t.Errorf("the mixed record recovers elsewhere than its two records:\n--- want\n%s\n--- got\n%s", want, got)
 	}
 }

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestUpdateChecksChangedForeignKeys(t *testing.T) {
 	}
 
 	k := 0
-	n, err := db.UpdateAt("CAST", []int{0, 1}, func(tup storage.Tuple) storage.Tuple {
+	n, err := db.UpdateAt(context.Background(), "CAST", []int{0, 1}, func(tup storage.Tuple) storage.Tuple {
 		k++
 		if k == 1 {
 			tup[2] = value.NewText("renamed")
@@ -82,13 +83,13 @@ func TestUpdateLeavesUnchangedForeignKeysAlone(t *testing.T) {
 	if _, err := db.Delete("MOVIES", func(tup storage.Tuple) bool { return tup[0].Equal(entry[0]) }); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := db.UpdateAt("CAST", []int{0}, func(tup storage.Tuple) storage.Tuple {
+	if n, err := db.UpdateAt(context.Background(), "CAST", []int{0}, func(tup storage.Tuple) storage.Tuple {
 		tup[2] = value.NewText("still here")
 		return tup
 	}); err != nil || n != 1 {
 		t.Fatalf("update of a dangling row's role: n=%d err=%v", n, err)
 	}
-	if n, err := db.UpdateAt("CAST", []int{0}, func(tup storage.Tuple) storage.Tuple {
+	if n, err := db.UpdateAt(context.Background(), "CAST", []int{0}, func(tup storage.Tuple) storage.Tuple {
 		tup[0] = value.NewInt(999999)
 		return tup
 	}); err == nil || n != 0 {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -122,15 +123,15 @@ func TestApplyReplicatedRecord(t *testing.T) {
 func TestFollowerRefusesLocalWritesDuringApply(t *testing.T) {
 	primary, follower, frames := newReplicatedPair(t)
 	const rows = 20000
-	primary.BeginBatch()
-	for id := 1; id <= rows; id++ {
-		insDirector(t, primary, id)
+	batch := make([]Tuple, rows)
+	for id := range batch {
+		batch[id] = Tuple{value.NewInt(int64(id + 1)), value.NewText(fmt.Sprintf("d-%d", id+1)), value.NewNull()}
 	}
-	if err := primary.CommitBatch(); err != nil {
-		t.Fatal(err)
+	if n, err := primary.InsertRows(context.Background(), "DIRECTOR", batch); err != nil || n != rows {
+		t.Fatalf("InsertRows: n=%d err=%v", n, err)
 	}
 	if len(*frames) != 1 {
-		t.Fatalf("the batch committed as %d records, want 1", len(*frames))
+		t.Fatalf("the statement committed as %d records, want 1", len(*frames))
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -166,7 +167,7 @@ func TestFollowerRefusesLocalWritesDuringApply(t *testing.T) {
 
 // TestApplyReplicatedRecordPartialFailure pins record atomicity on the
 // follower: a record that fails midway publishes nothing — readers never see
-// half a statement batch, they see the last fully applied sequence.
+// half a statement, they see the last fully applied sequence.
 func TestApplyReplicatedRecordPartialFailure(t *testing.T) {
 	primary, follower, frames := newReplicatedPair(t)
 	insDirector(t, primary, 1)
@@ -358,17 +359,27 @@ func fuzzRecordSeeds(t testing.TB) (checkpoint []byte, records [][]byte) {
 	return checkpoint, records
 }
 
-// FuzzApplyRecord feeds arbitrary record payloads through the WAL batch
+// FuzzApplyRecord feeds arbitrary record payloads through the WAL record
 // decoder into a follower re-seeded from a checkpoint taken halfway through
 // the crash-matrix workload; the seeds are the records that workload
-// committed, plus an older writer's index definition. Whatever the bytes: no
+// committed, each keyed update spliced with the keyed delete that follows it
+// (one record of mixed op kinds, as older logs and two raw writers sharing a
+// flush hold), plus an older writer's index definition. Whatever the bytes: no
 // panic; a refused record publishes no version; after an accepted one every
 // table's statistics — live and as published — equal the oracle, its zones a
 // from-scratch derivation, and its primary key finds every row.
 func FuzzApplyRecord(f *testing.F) {
 	checkpoint, records := fuzzRecordSeeds(f)
-	for _, rec := range records {
+	mixed := 0
+	for i, rec := range records {
 		f.Add(rec)
+		if i > 0 && firstOp(f, records[i-1]) == opUpdate && firstOp(f, rec) == opDelete {
+			f.Add(spliceRecords(f, records[i-1], rec))
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		f.Fatal("the workload committed no keyed update followed by a keyed delete")
 	}
 	f.Add(legacyIndexRecord(uint64(len(records)+1), "MOVIES", "movies_did", "did"))
 	f.Fuzz(func(t *testing.T, record []byte) {
@@ -392,4 +403,17 @@ func FuzzApplyRecord(f *testing.F) {
 			checkPKIndex(t, tbl, name)
 		}
 	})
+}
+
+// firstOp returns the kind byte of a commit record's first op.
+func firstOp(t testing.TB, record []byte) byte {
+	t.Helper()
+	d := &walDecoder{buf: record}
+	d.uvarint() // seq
+	d.uvarint() // op count
+	op := d.byte()
+	if d.err != nil {
+		t.Fatalf("record header: %v", d.err)
+	}
+	return op
 }

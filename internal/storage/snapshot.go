@@ -47,10 +47,8 @@ import (
 //     first unless the writer owns it: UPDATE owns the chunk of each changed
 //     column at each updated row; DELETE owns every chunk from the first
 //     removed row's zone to the end, which are the rows that shift and the
-//     chunk the next appends land in; a rolled-back insert suffix owns the
-//     chunk holding its new end, since a version may have been published
-//     inside the suffix; dictionary compaction owns every chunk of its
-//     column. A truncation below a shared header array caps the array, so the
+//     chunk the next appends land in; dictionary compaction owns every
+//     chunk of its column. A truncation below a shared header array caps the array, so the
 //     next chunk lands in a fresh one.
 //   - Frame-of-reference delta chunks keep stamps of their own (d8Own) and
 //     follow the same rule: UPDATE owns the chunk its row's byte is rewritten
@@ -78,8 +76,8 @@ import (
 // serve a stale result.
 
 // TableSource is a read surface the engine can plan and execute against:
-// either the live *Database (DML statements read their own writes) or an
-// immutable *Snapshot (concurrent readers).
+// either the live *Database (each statement reads what the statements
+// before it committed) or an immutable *Snapshot (concurrent readers).
 type TableSource interface {
 	// Table returns the named relation's table view, or nil.
 	Table(name string) *Table
@@ -104,7 +102,7 @@ type Snapshot struct {
 }
 
 // Seq returns the commit sequence this snapshot reflects. On a durable
-// database it equals the WAL sequence of the last committed batch.
+// database it equals the WAL sequence of the last committed record.
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
 // Schema returns the catalog schema.
@@ -375,8 +373,7 @@ func (c *column) freezeInto(fc *column, rows int) {
 // are not cloned here either: each payload chunk is cloned when first written
 // (ownChunk), and each frame-of-reference chunk likewise (ownD8), since a
 // DELETE slides its bytes and an UPDATE rewrites one. Append-only paths never
-// call it — they extend past every frozen view's length; a rolled-back insert
-// suffix does, since a version may have been published inside it.
+// call it — they extend past every frozen view's length.
 func (t *Table) prepareMutate() {
 	if !t.shared {
 		return

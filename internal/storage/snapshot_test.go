@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -225,7 +226,7 @@ func pkPageEdgeRow(tbl *Table) int {
 // UPDATE (key-preserving and key-changing) or DELETE against the head, the
 // middle, both sides of a zone boundary, a primary-key entry whose removal
 // shifts another across a slot-page boundary, and the tail of the live table,
-// followed — in the same statement batch, so no freeze re-arms the
+// followed — in the same storage call, so no freeze re-arms the
 // copy-on-write flags in between — by inserts that grow the primary key and
 // rebase the frame-of-reference chunk the view shares. The first statement's
 // inserts run on until the primary-key slot array the view shares has to
@@ -243,17 +244,20 @@ func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	nextID := int64(0)
-	insert := func(day int64) {
-		t.Helper()
+	row := func(day int64) Tuple {
 		nextID++
 		n := value.NewNull()
 		if rng.Intn(5) > 0 {
 			n = value.NewInt(int64(rng.Intn(7)))
 		}
-		if err := db.Insert("T", Tuple{
+		return Tuple{
 			value.NewInt(nextID), n, value.NewFloat(float64(rng.Intn(9)) / 2),
 			value.NewText(fmt.Sprintf("w-%d", rng.Intn(5))), value.NewDateDays(day), value.NewBool(rng.Intn(2) == 0),
-		}); err != nil {
+		}
+	}
+	insert := func(day int64) {
+		t.Helper()
+		if err := db.Insert("T", row(day)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,22 +267,25 @@ func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 	lowDay := int64(99) // each round inserts a new minimum: a rebase of the partial chunk
 	resized := false
 
+	// A statement runs on the locked internals so the inserts can follow the
+	// keyed write inside one storage call — as they do when two raw writers
+	// share one commit.
 	type dml struct {
 		name  string
-		apply func(pos int) (int, error)
+		apply func(tbl *Table, pos int) (int, error)
 	}
 	kinds := []dml{
-		{"update", func(pos int) (int, error) {
-			return db.UpdateAt("T", []int{pos}, func(tup Tuple) Tuple { tup[2] = value.NewFloat(-1); return tup })
+		{"update", func(tbl *Table, pos int) (int, error) {
+			return db.updateAtLocked(tbl, []int{pos}, func(tup Tuple) Tuple { tup[2] = value.NewFloat(-1); return tup })
 		}},
-		{"rekey", func(pos int) (int, error) {
-			return db.UpdateAt("T", []int{pos}, func(tup Tuple) Tuple {
+		{"rekey", func(tbl *Table, pos int) (int, error) {
+			return db.updateAtLocked(tbl, []int{pos}, func(tup Tuple) Tuple {
 				nextID++
 				tup[0], tup[1] = value.NewInt(nextID), value.NewInt(9)
 				return tup
 			})
 		}},
-		{"delete", func(pos int) (int, error) { return db.DeleteAt("T", []int{pos}) }},
+		{"delete", func(tbl *Table, pos int) (int, error) { return db.deleteAtLocked(tbl, []int{pos}) }},
 	}
 	for _, kind := range kinds {
 		for _, where := range []string{"head", "middle", "zone-end", "zone-start", "pk-page-edge", "tail"} {
@@ -311,18 +318,18 @@ func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 						}
 					}
 				}()
-				db.BeginBatch()
-				n, err := kind.apply(pos)
-				live := db.Table("T")
-				slots := live.pk.size
-				for i := 0; i < 3 || !resized; i++ {
-					insert(lowDay)
-					lowDay--
-					resized = resized || live.pk.size != slots
-				}
-				if cerr := db.CommitBatch(); cerr != nil {
-					t.Fatal(cerr)
-				}
+				n, err := db.write(context.Background(), "T", func(live *Table) (int, error) {
+					n, err := kind.apply(live, pos)
+					slots := live.pk.size
+					for i := 0; i < 3 || !resized; i++ {
+						if err := db.insertLocked(live, row(lowDay)); err != nil {
+							t.Error(err)
+						}
+						lowDay--
+						resized = resized || live.pk.size != slots
+					}
+					return n, err
+				})
 				close(stop)
 				<-done
 				if err != nil || n != 1 {

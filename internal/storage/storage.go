@@ -1,8 +1,9 @@
 // Package storage implements the in-memory relational storage substrate the
 // translation pipeline runs against: columnar tables (one typed vector per
 // attribute, dictionary-encoded text, null bitmaps) with primary-key /
-// foreign-key / NOT NULL enforcement, a primary-key index, and CSV
-// import/export.
+// foreign-key / NOT NULL enforcement and a primary-key index. Every mutating
+// call is one statement: it commits one WAL record on a durable database, or
+// publishes one version in memory.
 //
 // The paper assumes a DBMS holds the schema and data whose contents and
 // queries are translated; this package (together with internal/engine) is
@@ -21,9 +22,8 @@
 package storage
 
 import (
-	"encoding/csv"
+	"context"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -337,30 +337,27 @@ func (db *Database) writeOK() error {
 
 // Insert validates and appends a tuple to the named relation. Checks, in
 // order: arity, NOT NULL, type conformance, primary-key uniqueness, and
-// foreign-key existence.
+// foreign-key existence. It is a one-row InsertRows whose commit waits for
+// the disk indefinitely.
 func (db *Database) Insert(relName string, tup Tuple) error {
-	if err := db.writeOK(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	tbl, err := db.tableLocked(relName)
-	if err == nil {
-		err = db.insertLocked(tbl, tup)
-	}
-	if db.dur == nil {
-		// In-memory commit point: install the new version while still holding
-		// db.mu. Durable databases publish at WAL-commit time instead, so the
-		// snapshot seq always names an fsynced prefix.
-		db.publishLocked(db.nextPubSeqLocked())
-	}
-	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	// Outside an explicit statement batch the insert commits (fsyncs) on its
-	// own; the flush runs after mu is released because a triggered
-	// checkpoint re-acquires it for reading.
-	return db.autoCommit()
+	_, err := db.InsertRows(context.Background(), relName, []Tuple{tup})
+	return err
+}
+
+// InsertRows appends rows to the named relation in order, as one statement:
+// one WAL record on a durable database, one published version in memory. It
+// stops at the first row Insert's checks refuse and returns how many rows it
+// appended before it; those rows stay, and are logged. ctx bounds the commit's
+// append+fsync (see DurableOptions.SyncGrace).
+func (db *Database) InsertRows(ctx context.Context, relName string, rows []Tuple) (int, error) {
+	return db.write(ctx, relName, func(tbl *Table) (int, error) {
+		for n, tup := range rows {
+			if err := db.insertLocked(tbl, tup); err != nil {
+				return n, err
+			}
+		}
+		return len(rows), nil
+	})
 }
 
 // insertLocked is the one insert path; the caller holds db.mu.
@@ -495,13 +492,16 @@ func fkValues(r *catalog.Relation, fk catalog.ForeignKey, tup Tuple) Tuple {
 	return vals
 }
 
-// write runs one mutating storage call: refuse it up front when the log has
-// latched or the database is a follower, apply it under db.mu, publish the
-// in-memory commit point (durable databases publish at WAL-commit time
-// instead), and flush. The flush runs even when apply failed — rows changed
-// before a mid-statement constraint failure are applied state that must reach
-// the log at this statement boundary, not ride inside the next one's record.
-func (db *Database) write(relName string, apply func(*Table) (int, error)) (int, error) {
+// write runs one statement — one mutating storage call: refuse it up front
+// when the log has latched or the database is a follower, apply it under one
+// hold of db.mu, publish the in-memory commit point (durable databases publish
+// at WAL-commit time instead, so a snapshot seq always names an fsynced
+// prefix), and flush, bounded by ctx. The flush runs even when apply failed —
+// rows changed before a mid-statement constraint failure are applied state
+// that must reach the log at this statement boundary, not ride inside the
+// next one's record. It runs after db.mu is released because a triggered
+// checkpoint re-acquires it for reading.
+func (db *Database) write(ctx context.Context, relName string, apply func(*Table) (int, error)) (int, error) {
 	if err := db.writeOK(); err != nil {
 		return 0, err
 	}
@@ -515,8 +515,10 @@ func (db *Database) write(relName string, apply func(*Table) (int, error)) (int,
 		db.publishLocked(db.nextPubSeqLocked())
 	}
 	db.mu.Unlock()
-	if ferr := db.autoCommit(); err == nil {
-		err = ferr
+	if d := db.dur; d != nil {
+		if ferr := d.commit(db, ctx); err == nil {
+			err = ferr
+		}
 	}
 	return n, err
 }
@@ -525,7 +527,7 @@ func (db *Database) write(relName string, apply func(*Table) (int, error)) (int,
 // scan for the matching positions in front of DeleteAt's apply. pred sees one
 // reused scratch tuple and must not retain it.
 func (db *Database) Delete(relName string, pred func(Tuple) bool) (int, error) {
-	return db.write(relName, func(tbl *Table) (int, error) {
+	return db.write(context.Background(), relName, func(tbl *Table) (int, error) {
 		return db.deleteAtLocked(tbl, tbl.positionsWhere(pred))
 	})
 }
@@ -537,8 +539,9 @@ func (db *Database) Delete(relName string, pred func(Tuple) bool) (int, error) {
 // counts and their zones, the primary key is patched for the removed and the
 // shifted rows, and a row that slides into the previous zone leaves one zone
 // map for the other; only a zone that lost one of its bounds is rescanned.
-func (db *Database) DeleteAt(relName string, positions []int) (int, error) {
-	return db.write(relName, func(tbl *Table) (int, error) {
+// ctx bounds the commit, as for InsertRows.
+func (db *Database) DeleteAt(ctx context.Context, relName string, positions []int) (int, error) {
+	return db.write(ctx, relName, func(tbl *Table) (int, error) {
 		return db.deleteAtLocked(tbl, positions)
 	})
 }
@@ -548,7 +551,7 @@ func (db *Database) DeleteAt(relName string, positions []int) (int, error) {
 // it was before the first replacement. pred sees one reused scratch tuple and
 // must not retain it.
 func (db *Database) Update(relName string, pred func(Tuple) bool, fn func(Tuple) Tuple) (int, error) {
-	return db.write(relName, func(tbl *Table) (int, error) {
+	return db.write(context.Background(), relName, func(tbl *Table) (int, error) {
 		return db.updateAtLocked(tbl, tbl.positionsWhere(pred), fn)
 	})
 }
@@ -561,8 +564,9 @@ func (db *Database) Update(relName string, pred func(Tuple) bool, fn func(Tuple)
 // proportional to the rows replaced: only changed attributes touch their
 // vectors, statistics and zone maps, the primary key is patched only when it
 // changed, and only a zone whose bound a replaced value held is rescanned.
-func (db *Database) UpdateAt(relName string, positions []int, fn func(Tuple) Tuple) (int, error) {
-	return db.write(relName, func(tbl *Table) (int, error) {
+// ctx bounds the commit, as for InsertRows.
+func (db *Database) UpdateAt(ctx context.Context, relName string, positions []int, fn func(Tuple) Tuple) (int, error) {
+	return db.write(ctx, relName, func(tbl *Table) (int, error) {
 		return db.updateAtLocked(tbl, positions, fn)
 	})
 }
@@ -809,13 +813,11 @@ func (t *Table) unindexRows(removed []int) {
 	}
 }
 
-// rebuildPK rebuilds the primary-key slots from the vectors — for a loaded
-// segment, and for a rolled-back insert suffix, whose keys are easier to drop
-// wholesale than to find. It builds fresh slots and swaps them in under idxMu:
-// frozen snapshot views keep the previous — now immutable — ones, whose
-// positions still describe the frozen row layout that the frozen vectors
-// hold. Two rows with one primary key (only a corrupt checkpoint can hold
-// them) are refused, leaving the index as it was.
+// rebuildPK rebuilds the primary-key slots from the vectors of a loaded
+// segment. It builds fresh slots and swaps them in under idxMu: frozen
+// snapshot views keep the previous — now immutable — ones. Two rows with one
+// primary key (only a corrupt checkpoint can hold them) are refused, leaving
+// the index as it was.
 func (t *Table) rebuildPK() error {
 	var pk pkIndex
 	if t.pkPos != nil {
@@ -834,157 +836,6 @@ func (t *Table) rebuildPK() error {
 	t.idxMu.Unlock()
 	t.idxShared = false
 	return nil
-}
-
-// LoadCSV bulk-loads a relation from CSV with a header row naming the
-// attributes (any order). Empty cells load as NULL. The load is atomic: on
-// any error — malformed CSV, a value that does not parse, a constraint
-// violation — the table is restored to its pre-load state and the count is
-// zero. Nothing half-loaded survives, in memory or in the log.
-func (db *Database) LoadCSV(relName string, r io.Reader) (int, error) {
-	if err := db.writeOK(); err != nil {
-		return 0, err
-	}
-	tbl := db.Table(relName)
-	if tbl == nil {
-		return 0, fmt.Errorf("storage: unknown relation %q", relName)
-	}
-	rel := tbl.rel
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return 0, fmt.Errorf("storage: reading CSV header for %s: %v", relName, err)
-	}
-	colPos := make([]int, len(header))
-	for i, h := range header {
-		p := rel.AttrIndex(strings.TrimSpace(h))
-		if p < 0 {
-			return 0, fmt.Errorf("storage: CSV header %q is not an attribute of %s", h, relName)
-		}
-		colPos[i] = p
-	}
-	// Parse every record before touching the table: syntax and value errors
-	// reject the whole file without a single mutation to undo.
-	var tuples []Tuple
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, fmt.Errorf("storage: reading CSV row for %s: %v", relName, err)
-		}
-		tup := make(Tuple, len(rel.Attributes))
-		for i, cell := range rec {
-			a := rel.Attributes[colPos[i]]
-			v, err := value.Parse(cell, value.CatalogKind(a.Type))
-			if err != nil {
-				return 0, fmt.Errorf("storage: %s row %d: %v", relName, len(tuples)+1, err)
-			}
-			tup[colPos[i]] = v
-		}
-		tuples = append(tuples, tup)
-	}
-	// Insert under one statement batch: the whole load is one WAL record.
-	// A constraint failure mid-way rolls the already-inserted suffix back
-	// out of the table and discards the batch's ops from the log.
-	db.BeginBatch()
-	db.mu.Lock()
-	start := tbl.rows
-	for n, tup := range tuples {
-		if err := db.insertLocked(tbl, tup); err != nil {
-			db.rollbackSuffixLocked(tbl, start)
-			db.mu.Unlock()
-			db.DiscardBatch()
-			return 0, fmt.Errorf("storage: %s row %d: %v", relName, n+1, err)
-		}
-	}
-	if db.dur == nil {
-		db.publishLocked(db.nextPubSeqLocked())
-	}
-	db.mu.Unlock()
-	if err := db.CommitBatch(); err != nil {
-		return 0, err
-	}
-	return len(tuples), nil
-}
-
-// rollbackSuffixLocked removes rows [start, tbl.rows) — the suffix a failed
-// bulk load appended — restoring statistics, the primary key, and zone maps.
-func (db *Database) rollbackSuffixLocked(tbl *Table, start int) {
-	if tbl.rows <= start {
-		return
-	}
-	// A version published since start may still read rows past it (an
-	// in-memory database publishes every inserted row), so the rows appended
-	// next must not land in anything that version shares: unshare the flat
-	// state and own the chunk holding start.
-	tbl.prepareMutate()
-	for j := range tbl.cols {
-		tbl.cols[j].ownChunks(start>>ZoneShift, chunksFor(start))
-	}
-	for i := start; i < tbl.rows; i++ {
-		for j := range tbl.cols {
-			tbl.cols[j].releaseRow(i)
-			tbl.cols[j].unfold(i)
-		}
-	}
-	for j := range tbl.cols {
-		tbl.cols[j].truncate(start)
-	}
-	tbl.rows = start
-	_ = tbl.rebuildPK() // a prefix of rows with distinct keys keeps them distinct
-	tbl.finishWrite(start >> ZoneShift)
-	tbl.dirty = true
-}
-
-// RollbackInsertSuffix removes relName's rows from position keep onward —
-// the in-memory half of cancelling a partially applied INSERT (the caller
-// discards the statement's batch for the log-side half). Statistics, the
-// primary key, and zone maps are restored; a non-durable database publishes
-// the rolled-back state so snapshot readers never see the cancelled suffix.
-func (db *Database) RollbackInsertSuffix(relName string, keep int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	tbl := db.tables[strings.ToLower(relName)]
-	if tbl == nil {
-		return
-	}
-	db.rollbackSuffixLocked(tbl, keep)
-	if db.dur == nil {
-		db.publishLocked(db.nextPubSeqLocked())
-	}
-}
-
-// DumpCSV writes the relation as CSV with a header row.
-func (db *Database) DumpCSV(relName string, w io.Writer) error {
-	tbl := db.Table(relName)
-	if tbl == nil {
-		return fmt.Errorf("storage: unknown relation %q", relName)
-	}
-	cw := csv.NewWriter(w)
-	header := make([]string, len(tbl.rel.Attributes))
-	for i, a := range tbl.rel.Attributes {
-		header[i] = a.Name
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	rec := make([]string, len(tbl.cols))
-	for row := 0; row < tbl.rows; row++ {
-		for i := range tbl.cols {
-			if tbl.cols[i].nulls.get(row) {
-				rec[i] = ""
-			} else {
-				rec[i] = tbl.cols[i].value(row).String()
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Stats summarizes table cardinalities; the explain subsystem uses it for

@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -189,52 +187,6 @@ func TestUpdate(t *testing.T) {
 	}
 	if _, err := db.Update("NOPE", nil, nil); err == nil {
 		t.Error("Update on unknown relation accepted")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	db := newDB(t)
-	csvIn := "id,name,bdate\n1,Woody Allen,1935-12-01\n2,G. Loucas,\n"
-	n, err := db.LoadCSV("DIRECTOR", strings.NewReader(csvIn))
-	if err != nil || n != 2 {
-		t.Fatalf("LoadCSV = %d, %v", n, err)
-	}
-	if d := db.Table("DIRECTOR").Tuple(0)[2]; d.Kind() != value.Date {
-		t.Errorf("bdate kind = %v", d.Kind())
-	}
-	if !db.Table("DIRECTOR").Tuple(1)[2].IsNull() {
-		t.Error("empty cell should be NULL")
-	}
-	var out bytes.Buffer
-	if err := db.DumpCSV("DIRECTOR", &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "Woody Allen") || !strings.Contains(out.String(), "1935-12-01") {
-		t.Errorf("DumpCSV output:\n%s", out.String())
-	}
-	// Reload the dump into a fresh DB.
-	db2 := newDB(t)
-	if _, err := db2.LoadCSV("DIRECTOR", bytes.NewReader(out.Bytes())); err != nil {
-		t.Fatalf("reload: %v", err)
-	}
-	if db2.Table("DIRECTOR").Len() != 2 {
-		t.Error("round trip lost tuples")
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	db := newDB(t)
-	if _, err := db.LoadCSV("NOPE", strings.NewReader("x\n")); err == nil {
-		t.Error("unknown relation accepted")
-	}
-	if _, err := db.LoadCSV("DIRECTOR", strings.NewReader("id,bogus\n1,2\n")); err == nil {
-		t.Error("unknown column accepted")
-	}
-	if _, err := db.LoadCSV("DIRECTOR", strings.NewReader("id,name\nxyz,A\n")); err == nil {
-		t.Error("bad int accepted")
-	}
-	if err := db.DumpCSV("NOPE", &bytes.Buffer{}); err == nil {
-		t.Error("dump of unknown relation accepted")
 	}
 }
 

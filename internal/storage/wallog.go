@@ -9,9 +9,12 @@ import (
 )
 
 // This file is the logical-op codec of the write-ahead log. Every applied
-// mutation encodes as one op; one WAL record carries one committed batch
-// (all the ops of one statement, with a monotonic sequence number), so
-// recovery's unit of atomicity is exactly the unit Ask acknowledges.
+// mutation encodes as one op; one WAL record carries the ops of one
+// committed statement — one mutating storage call — under a monotonic
+// sequence number, so recovery's unit of atomicity is exactly the unit Ask
+// acknowledges. (Two raw-API writers whose applies race may share a record,
+// and older logs hold records of several calls; replay treats any record as
+// one unit.)
 //
 // Op layout (all integers varint unless noted):
 //

@@ -457,7 +457,7 @@ func (d *dict) buildRanks() {
 }
 
 // finishWrite completes a write that moved or replaced rows from zone z0 on
-// (DELETE, UPDATE, suffix rollback): every column rescans the zones the write
+// (DELETE, UPDATE): every column rescans the zones the write
 // left stale and compacts a churned dictionary. Sorted-dict ranks are NOT
 // rebuilt here — every statement of a bulk load grows the vocabulary, so an
 // eager per-statement re-sort would make loading quadratic; the next ranked

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -965,9 +966,9 @@ func FuzzZoneMaintenance(f *testing.F) {
 				}
 				err = db.Insert("Z", tup)
 			case 1:
-				_, err = db.DeleteAt("Z", []int{pos})
+				_, err = db.DeleteAt(context.Background(), "Z", []int{pos})
 			case 2:
-				_, err = db.UpdateAt("Z", []int{pos}, func(repl Tuple) Tuple {
+				_, err = db.UpdateAt(context.Background(), "Z", []int{pos}, func(repl Tuple) Tuple {
 					for p := range repl {
 						if col == 5 || col == p {
 							repl[p] = zoneFuzzValue(p, pos>>ZoneShift, v)

@@ -421,7 +421,8 @@ func Coerce(v Value, k Kind) (Value, error) {
 }
 
 // Parse converts a raw string into a Value of the requested kind; empty
-// strings become NULL. It is the CSV-loading entry point.
+// strings become NULL. talkbackd's /entity parses its value parameter with
+// it.
 func Parse(raw string, k Kind) (Value, error) {
 	if raw == "" {
 		return NewNull(), nil

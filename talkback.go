@@ -33,7 +33,7 @@
 // attribute — []int64 for INT, []float64 for FLOAT, dictionary-encoded TEXT
 // as []uint32 codes into a per-column string dictionary, DATE as epoch-day
 // []int64, []bool for BOOL — each with a packed null bitmap. The row-shaped
-// API (Tuple, Tuples, LookupPK, CSV import/export) is a
+// API (Tuple, Tuples, LookupPK) is a
 // compatibility surface that materializes tuples on demand. The query
 // pipeline reads the vectors directly: arena rows fill via CopyRow, simple
 // filters vectorize into typed comparisons on the column payloads (text
@@ -175,9 +175,9 @@
 // The paper's §3.1 asks the DBMS to explain *why* a query is expensive;
 // `EXPLAIN PLAN`, System.ExplainPlan, and the talkbackd /explain endpoint
 // answer with the plan's steps, estimated versus actual row counts, the
-// indexes used, and optimization tips ("an index on CAST(role) would turn
-// the full scan of two hundred thousand rows into a probe"), all rendered
-// in English by the query translator. Post-join shaping — aggregation
+// indexes used, and optimization tips ("g joins without an equality
+// condition (a cross product); adding one would shrink the intermediate
+// result"), all rendered in English by the query translator. Post-join shaping — aggregation
 // (with group counts estimated from distinct statistics), sorting, top-K,
 // limiting — shows up as its own `EXPLAIN PLAN` rows and narration
 // sentences. Every Ask response also records the fingerprint of the plan
@@ -199,7 +199,7 @@
 // pins the published version on entry and runs its whole pipeline
 // (planning with snapshot-local statistics, vectorized execution,
 // narration, empty/large-answer diagnosis) against those frozen tables
-// without taking any lock, so a long DML batch or a running checkpoint
+// without taking any lock, so a long DML statement or a running checkpoint
 // cannot block it and can never change what it sees mid-query. EXPLAIN
 // narrates the fact: "Answered from snapshot @41 while two writers
 // committed without blocking this read."
@@ -227,9 +227,9 @@
 //
 // A System is in-memory by default. core.NewDurable (or
 // storage.Database.EnableDurability) attaches a write-ahead log: every
-// DML statement batch is CRC32C-framed, appended to wal.log, and fsynced
-// before Ask acknowledges it, so a crash loses at most statements whose
-// Ask call never returned. A failed append or fsync latches the layer:
+// DML statement is one storage call whose ops form one record, which is
+// CRC32C-framed, appended to wal.log, and fsynced before Ask acknowledges
+// it, so a crash loses at most statements whose Ask call never returned. A failed append or fsync latches the layer:
 // every later write is rejected with storage.ErrWALFailed until a restart
 // re-runs recovery, so no statement is ever acknowledged past a torn
 // frame. Checkpoints serialize every table's typed
