@@ -405,8 +405,8 @@ func BenchmarkX7AskEndToEnd(b *testing.B) {
 }
 
 // BenchmarkX8AskCached measures the serving-layer cache: repeated Ask of
-// the same query with the parse/graph/translation caches on vs. off. The
-// cached variant must come out ≥2x faster (tracked in BENCH_1.json).
+// the same query with the parse, translation and response caches on vs.
+// off. The cached variant must come out ≥2x faster (tracked in BENCH_1.json).
 func BenchmarkX8AskCached(b *testing.B) {
 	build := func(b *testing.B, disable bool) *talkback.System {
 		db, err := dataset.CuratedMovieDB()
@@ -705,13 +705,13 @@ where m.id = c.mid and c.role = 'Role 7-19'`
 
 // BenchmarkX15MorselAggregate measures the fused vectorized aggregation over
 // a single-table 100k scan: group keys and accumulators read the column
-// vectors directly (flat array tier over the year domain), with the morsel
-// scheduler either pinned to one worker or free to fan out. Host ns/op
-// varies run to run by ~35%, so the gate (benchgate, BENCH_5.json) is on
-// allocs — which also prove the morsel machinery allocates per worker, not
-// per row. The parallel subbench runs even on a single core (one worker
-// claims every morsel); the differential suite separately proves any worker
-// count is byte-identical.
+// vectors directly (flat array tier over the year domain), with the scan
+// either pinned to one worker or free to fan out over contiguous ranges, one
+// per worker. Host ns/op varies run to run by ~35%, so the gate (benchgate,
+// BENCH_5.json) is on allocs — which also prove the parallel scan allocates
+// per worker, not per row. The parallel subbench runs serially on a single
+// core (the engine's gate gives it one worker); the differential suite
+// separately proves any worker count is byte-identical.
 func BenchmarkX15MorselAggregate(b *testing.B) {
 	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
 		Seed: 29, Movies: 100000, Actors: 25000, Directors: 1001,

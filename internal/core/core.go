@@ -52,8 +52,8 @@ type Config struct {
 	LargeThreshold int
 	// MaxNarratedRows caps answer narration (default 10).
 	MaxNarratedRows int
-	// CacheSize bounds each of the parse/graph/translation caches (entries;
-	// default 512).
+	// CacheSize bounds each of the parse, translation and response caches
+	// (entries; default 512).
 	CacheSize int
 	// DisableCache turns the query caches off entirely — every Ask
 	// re-parses and re-translates. Differential tests use this to prove
@@ -120,10 +120,8 @@ type System struct {
 
 	// Caches keyed on normalized SQL. Cached values are shared across
 	// sessions and treated as immutable: the engine never mutates an AST,
-	// and callers must not mutate a returned Translation, query graph, or
-	// Response.
+	// and callers must not mutate a returned Translation or Response.
 	parseCache *cache.Cache[sqlparser.Statement]
-	graphCache *cache.Cache[*querygraph.Graph]
 	transCache *cache.Cache[*querytotext.Translation]
 
 	// respCache holds full SELECT Responses keyed on (snapshot seq, data
@@ -176,7 +174,6 @@ func New(db *storage.Database, cfg Config) (*System, error) {
 	}
 	if !cfg.DisableCache {
 		sys.parseCache = cache.New[sqlparser.Statement](cfg.CacheSize)
-		sys.graphCache = cache.New[*querygraph.Graph](cfg.CacheSize)
 		sys.transCache = cache.New[*querytotext.Translation](cfg.CacheSize)
 		sys.respCache = cache.New[*Response](cfg.CacheSize)
 	}
@@ -307,10 +304,10 @@ func (s *System) DescribeQuery(sql string) (*querytotext.Translation, error) {
 	return s.translateCached(key, stmt)
 }
 
-// QueryGraph builds the Fig. 2-style query graph of a SELECT. Graphs are
-// cached per normalized SQL and shared; callers must not mutate them.
+// QueryGraph builds the Fig. 2-style query graph of a SELECT, each call
+// anew; the statement itself comes through the parse cache.
 func (s *System) QueryGraph(sql string) (*querygraph.Graph, error) {
-	stmt, key, err := s.parseCached(sql)
+	stmt, _, err := s.parseCached(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -318,30 +315,15 @@ func (s *System) QueryGraph(sql string) (*querygraph.Graph, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: query graphs require a SELECT statement")
 	}
-	if s.graphCache != nil {
-		if g, ok := s.graphCache.Get(key); ok {
-			return g, nil
-		}
-	}
-	g, err := querygraph.Build(sel, s.db.Schema())
-	if err != nil {
-		return nil, err
-	}
-	if s.graphCache != nil {
-		s.graphCache.Put(key, g)
-	}
-	return g, nil
+	return querygraph.Build(sel, s.db.Schema())
 }
 
-// CacheStats reports hit/miss/eviction counters for the parse, query-graph,
-// translation, and response caches; empty when caching is disabled.
+// CacheStats reports hit/miss/eviction counters for the parse, translation,
+// and response caches; empty when caching is disabled.
 func (s *System) CacheStats() map[string]cache.Stats {
-	out := make(map[string]cache.Stats, 4)
+	out := make(map[string]cache.Stats, 3)
 	if s.parseCache != nil {
 		out["parse"] = s.parseCache.Stats()
-	}
-	if s.graphCache != nil {
-		out["graph"] = s.graphCache.Stats()
 	}
 	if s.transCache != nil {
 		out["translation"] = s.transCache.Stats()

@@ -387,19 +387,26 @@ var titleNouns = []string{
 }
 
 // GenerateMovieDB builds a deterministic synthetic database of the Fig. 1
-// schema at the configured scale. It draws every table's rows first and then
-// loads each table with one storage call, in foreign-key order — one
-// statement, and one published version, per table.
+// schema at the configured scale, loading in foreign-key order: DIRECTOR and
+// ACTOR with one storage call each, then the movies in chunks of
+// storage.ZoneRows — each chunk's MOVIES, DIRECTED, CAST and GENRE rows drawn
+// and loaded with one storage call per table, so only one chunk of drawn
+// rows is alive at a time. One statement, and one published version, per
+// call.
 func GenerateMovieDB(cfg GenConfig) (*storage.Database, error) {
 	db, err := storage.NewDatabase(MovieSchema())
 	if err != nil {
 		return nil, err
 	}
+	load := func(rel string, rows []storage.Tuple) error {
+		_, err := db.InsertRows(context.Background(), rel, rows)
+		return err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	name := func() string {
 		return firstNames[rng.Intn(len(firstNames))] + " " + lastNames[rng.Intn(len(lastNames))]
 	}
-	var directors, actors, movies, directed, cast, genres []storage.Tuple
+	var directors, actors []storage.Tuple
 	for d := 0; d < cfg.Directors; d++ {
 		bd := time.Date(1920+rng.Intn(70), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC)
 		directors = append(directors, storage.Tuple{
@@ -410,51 +417,58 @@ func GenerateMovieDB(cfg GenConfig) (*storage.Database, error) {
 	for a := 0; a < cfg.Actors; a++ {
 		actors = append(actors, storage.Tuple{i(int64(a + 1)), s(name())})
 	}
-	for m := 0; m < cfg.Movies; m++ {
-		mid := int64(m + 1)
-		title := fmt.Sprintf("%s %s %d",
-			titleAdjectives[rng.Intn(len(titleAdjectives))],
-			titleNouns[rng.Intn(len(titleNouns))], m)
-		year := int64(1950 + rng.Intn(60))
-		movies = append(movies, storage.Tuple{i(mid), s(title), i(year)})
-		if cfg.Directors > 0 {
-			did := int64(1 + rng.Intn(cfg.Directors))
-			directed = append(directed, storage.Tuple{i(mid), i(did)})
-		}
-		if cfg.Actors > 0 && cfg.CastPerMovie > 0 {
-			n := 1 + rng.Intn(cfg.CastPerMovie*2-1)
-			seen := map[int64]bool{}
-			for c := 0; c < n; c++ {
-				aid := int64(1 + rng.Intn(cfg.Actors))
-				if seen[aid] {
-					continue
-				}
-				seen[aid] = true
-				cast = append(cast, storage.Tuple{i(mid), i(aid), s(fmt.Sprintf("Role %d-%d", mid, aid))})
-			}
-		}
-		if cfg.GenresPerMovie > 0 {
-			n := 1 + rng.Intn(cfg.GenresPerMovie*2-1)
-			seen := map[string]bool{}
-			for g := 0; g < n; g++ {
-				gn := genreNames[rng.Intn(len(genreNames))]
-				if seen[gn] {
-					continue
-				}
-				seen[gn] = true
-				genres = append(genres, storage.Tuple{i(mid), s(gn)})
-			}
-		}
+	if err := load("DIRECTOR", directors); err != nil {
+		return nil, err
 	}
-	for _, t := range []struct {
-		rel  string
-		rows []storage.Tuple
-	}{
-		{"DIRECTOR", directors}, {"ACTOR", actors}, {"MOVIES", movies},
-		{"DIRECTED", directed}, {"CAST", cast}, {"GENRE", genres},
-	} {
-		if _, err := db.InsertRows(context.Background(), t.rel, t.rows); err != nil {
-			return nil, err
+	if err := load("ACTOR", actors); err != nil {
+		return nil, err
+	}
+	var movies, directed, cast, genres []storage.Tuple
+	for lo := 0; lo < cfg.Movies; lo += storage.ZoneRows {
+		movies, directed, cast, genres = movies[:0], directed[:0], cast[:0], genres[:0]
+		for m := lo; m < min(lo+storage.ZoneRows, cfg.Movies); m++ {
+			mid := int64(m + 1)
+			title := fmt.Sprintf("%s %s %d",
+				titleAdjectives[rng.Intn(len(titleAdjectives))],
+				titleNouns[rng.Intn(len(titleNouns))], m)
+			year := int64(1950 + rng.Intn(60))
+			movies = append(movies, storage.Tuple{i(mid), s(title), i(year)})
+			if cfg.Directors > 0 {
+				did := int64(1 + rng.Intn(cfg.Directors))
+				directed = append(directed, storage.Tuple{i(mid), i(did)})
+			}
+			if cfg.Actors > 0 && cfg.CastPerMovie > 0 {
+				n := 1 + rng.Intn(cfg.CastPerMovie*2-1)
+				seen := map[int64]bool{}
+				for c := 0; c < n; c++ {
+					aid := int64(1 + rng.Intn(cfg.Actors))
+					if seen[aid] {
+						continue
+					}
+					seen[aid] = true
+					cast = append(cast, storage.Tuple{i(mid), i(aid), s(fmt.Sprintf("Role %d-%d", mid, aid))})
+				}
+			}
+			if cfg.GenresPerMovie > 0 {
+				n := 1 + rng.Intn(cfg.GenresPerMovie*2-1)
+				seen := map[string]bool{}
+				for g := 0; g < n; g++ {
+					gn := genreNames[rng.Intn(len(genreNames))]
+					if seen[gn] {
+						continue
+					}
+					seen[gn] = true
+					genres = append(genres, storage.Tuple{i(mid), s(gn)})
+				}
+			}
+		}
+		for _, t := range []struct {
+			rel  string
+			rows []storage.Tuple
+		}{{"MOVIES", movies}, {"DIRECTED", directed}, {"CAST", cast}, {"GENRE", genres}} {
+			if err := load(t.rel, t.rows); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return db, nil

@@ -138,10 +138,12 @@ func TestGenerateZeroSatellites(t *testing.T) {
 }
 
 // TestGenerateMovieDBContents pins every generated row, in every table's
-// order, for two configurations — the default one the benchmark and the
-// server's -scale boot use, and one without directors, actors or genres.
-// The hashes were recorded from the generator that inserted row by row, so
-// any change to the RNG draws, the values or the load order shows here.
+// order, for three configurations — the default one the benchmark and the
+// server's -scale boot use, one without directors, actors or genres, and one
+// whose movies load in three chunks. The first two hashes were recorded from
+// the generator that inserted row by row and the third from the one that
+// drew every table before loading it, so any change to the RNG draws, the
+// values or the load order shows here.
 func TestGenerateMovieDBContents(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  GenConfig
@@ -149,6 +151,9 @@ func TestGenerateMovieDBContents(t *testing.T) {
 	}{
 		{DefaultGenConfig(), "7c44f32b0d8796c8e3dbc9f570636ca1b4e46143f4ea2354736ca2bb51595bc6"},
 		{GenConfig{Seed: 5, Movies: 30}, "588c4b920cf73eb99a6e2c7e0f58b6720149a66bc09c9e2db8795261ce877518"},
+		// Three load chunks of movies, the last one partial.
+		{GenConfig{Seed: 3, Movies: 9000, Actors: 300, Directors: 40, CastPerMovie: 2, GenresPerMovie: 2},
+			"e4df7d166f4b45aa58e312cb84d01a6e64c441ba1ac74b2a97271ebcb2265f0c"},
 	} {
 		db, err := GenerateMovieDB(tc.cfg)
 		if err != nil {

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -17,7 +19,7 @@ import (
 // naive environment pipeline (the oracle) as oracleAgrees asks — the same
 // rows, in the same order where the plan keeps FROM order, and the same
 // errors — across randomized GROUP BY templates with NULL group keys,
-// DISTINCT aggregates, HAVING, ORDER BY, and LIMIT; and that morsel-parallel
+// DISTINCT aggregates, HAVING, ORDER BY, and LIMIT; and that parallel
 // execution is byte-identical to serial at any worker count. The row feeder
 // answers to the oracle in rowfed_differential_test.go.
 
@@ -275,9 +277,9 @@ func fusedVsOracle(t *testing.T, ex *Engine, q string) (fused, reordered bool) {
 // T's primary key, t.k an unindexed copy of it) and both grouping tiers
 // (t.k, u.tag overflows the array domain).
 func TestVecAggReorderedJoins(t *testing.T) {
-	oldThreshold, oldMorsel := parallelThreshold, morselRows
-	parallelThreshold, morselRows = 8, 128
-	defer func() { parallelThreshold, morselRows = oldThreshold, oldMorsel }()
+	oldThreshold := parallelThreshold
+	parallelThreshold = 8
+	defer func() { parallelThreshold = oldThreshold }()
 
 	schema := catalog.NewSchema("reordered")
 	for _, rel := range []*catalog.Relation{
@@ -379,16 +381,15 @@ func avgDistinctBoundDB(t *testing.T) *storage.Database {
 	return db
 }
 
-// TestVecAggParallelDifferential: morsel-driven parallel aggregation must be
-// byte-identical to serial execution at any worker count. Thresholds and the
-// morsel size shrink so a small database schedules many morsels across many
-// workers.
+// TestVecAggParallelDifferential: parallel aggregation over contiguous scan
+// ranges must be byte-identical to serial execution at any worker count. The
+// threshold shrinks so every base scan of a small database fans out.
 func TestVecAggParallelDifferential(t *testing.T) {
-	oldThreshold, oldMorsel := parallelThreshold, morselRows
-	parallelThreshold, morselRows = 8, 128
-	defer func() { parallelThreshold, morselRows = oldThreshold, oldMorsel }()
+	oldThreshold := parallelThreshold
+	parallelThreshold = 8
+	defer func() { parallelThreshold = oldThreshold }()
 
-	db := aggDiffDB(t, 2500, 303) // ≥ ParallelScanMinRows movies, so pscan schedules
+	db := aggDiffDB(t, 2500, 303)
 	ex := New(db)
 	rng := rand.New(rand.NewSource(404))
 	parallelRan := 0
@@ -400,7 +401,7 @@ func TestVecAggParallelDifferential(t *testing.T) {
 		}
 		ex.SetParallelism(1)
 		serialRes, serialErr := ex.Select(sel)
-		ex.SetParallelism(7) // deliberately not a divisor of the morsel count
+		ex.SetParallelism(7) // ranges that cut zones and scan-ordered groups unevenly
 		parRes, plan, parErr := ex.SelectExplained(sel)
 		ex.SetParallelism(0)
 		if parErr == nil && hasParallelScan(plan) {
@@ -441,6 +442,7 @@ func TestVecAggDistinctSelect(t *testing.T) {
 func TestVecAggShapeDowngrade(t *testing.T) {
 	db := aggDiffDB(t, 2500, 606)
 	ex := New(db)
+	ex.SetParallelism(2)
 	sel, err := sqlparser.ParseSelect(`select m.year, count(*) from MOVIES m group by m.year`)
 	if err != nil {
 		t.Fatal(err)
@@ -477,4 +479,99 @@ func shapeKinds(plan *planner.Plan) []planner.ShapeKind {
 		out = append(out, sh.Kind)
 	}
 	return out
+}
+
+// TestVecAggTiesAcrossChunks puts compare-equal but distinct payloads in
+// different workers' scan ranges: integer group keys and MIN/MAX arguments
+// 2^53 and 2^53+1, which share one float image, and float ones -0.0 and
+// +0.0. Row 0 holds the first-seen payload, in worker 0's range; its twin is
+// the last row, in the last worker's range. The serial accumulator keeps the
+// first-seen payload as the group's key and as its MIN and MAX, so every
+// worker count must give the serial answer payload for payload (an Int stays
+// an Int, -0.0 stays -0.0), and that answer must be the oracle's.
+func TestVecAggTiesAcrossChunks(t *testing.T) {
+	schema := catalog.NewSchema("ties")
+	if err := schema.AddRelation(&catalog.Relation{
+		Name: "T", PrimaryKey: []string{"id"}, Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true},
+			{Name: "k", Type: catalog.Int}, {Name: "v", Type: catalog.Int},
+			{Name: "fk", Type: catalog.Float}, {Name: "fv", Type: catalog.Float}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := storage.NewDatabase(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8400 // past the parallel gate and two zones; 2, 3 and 7 workers split it evenly
+	const big = int64(1) << 53
+	negZero := math.Copysign(0, -1)
+	for i := 0; i < n; i++ {
+		k, v := int64(i%5), int64(i)
+		fk, fv := float64(i%4)+0.5, float64(i)+0.5
+		switch i {
+		case 0:
+			k, v, fk, fv = big, big, negZero, negZero
+		case n - 1:
+			k, v, fk, fv = big+1, big+1, 0, 0
+		}
+		if err := db.Insert("T", storage.Tuple{value.NewInt(int64(i)), value.NewInt(k), value.NewInt(v),
+			value.NewFloat(fk), value.NewFloat(fv)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// payloads renders a result exactly: kind and payload bits of every value.
+	payloads := func(res *Result) string {
+		var b strings.Builder
+		for _, row := range res.Rows {
+			for _, v := range row {
+				switch v.Kind() {
+				case value.Int:
+					fmt.Fprintf(&b, "i%d ", v.Int())
+				case value.Float:
+					fmt.Fprintf(&b, "f%x ", math.Float64bits(v.Float()))
+				default:
+					fmt.Fprintf(&b, "%s ", v.Key())
+				}
+			}
+			b.WriteString("\n")
+		}
+		return b.String()
+	}
+	ex := New(db)
+	for _, q := range []string{
+		`select t.k, count(*), min(t.v), max(t.v) from T t group by t.k`,
+		`select t.fk, count(*), min(t.fv), max(t.fv) from T t group by t.fk`,
+		`select min(t.v), max(t.v), min(t.fv), max(t.fv), count(*) from T t where t.k > 1000`,
+	} {
+		sel := mustParse(t, q)
+		ex.SetParallelism(1)
+		serial, err := ex.Select(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := payloads(serial)
+		ex.useOracle(true)
+		oracle, err := ex.Select(sel)
+		ex.useOracle(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := payloads(oracle); got != want {
+			t.Fatalf("%s\nserial:\n%soracle:\n%s", q, want, got)
+		}
+		for _, workers := range []int{2, 3, 7} {
+			ex.SetParallelism(workers)
+			res, plan, err := ex.SelectExplained(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hasParallelScan(plan) {
+				t.Fatalf("%s at %d workers: plan %s ran serially", q, workers, plan.Fingerprint())
+			}
+			if got := payloads(res); got != want {
+				t.Fatalf("%s at %d workers:\n%swant (serial):\n%s", q, workers, got, want)
+			}
+		}
+	}
 }

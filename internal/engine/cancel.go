@@ -9,8 +9,8 @@ import (
 // This file is the engine half of deadline-aware execution. A Budget carries
 // one request's context (deadline + cancellation) and resource quotas into
 // the execution loops; every loop polls it cooperatively at morsel
-// boundaries (gatherBatches sub-chunks worker ranges at storage-zone
-// boundaries, the fused aggregation loop checks per claimed morsel, and the
+// boundaries (the engine's scheduler, fanOut, sub-chunks every worker's range
+// of a scan, join or fused aggregation at storage-zone boundaries, and the
 // interpreter — the tests' oracle — ticks every budget.TickRows iterations).
 // A tripped budget latches a single *CancelError so concurrent workers agree
 // on the first cause, stop claiming work, and the whole pipeline unwinds

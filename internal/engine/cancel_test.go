@@ -52,11 +52,11 @@ func TestCancelDifferentialRandomPoints(t *testing.T) {
 	oldThreshold := parallelThreshold
 	parallelThreshold = 64
 	defer func() { parallelThreshold = oldThreshold }()
-	oldMorsel := morselRows
-	morselRows = 128
-	defer func() { morselRows = oldMorsel }()
 
+	// Four workers split every scan past the threshold into four ranges, each
+	// polled before it runs, so trips land mid-scan on tables of one zone.
 	eng := New(db)
+	eng.SetParallelism(4)
 	rng := rand.New(rand.NewSource(42))
 	for _, q := range parallelCorpus {
 		sel, err := sqlparser.ParseSelect(q)

@@ -221,10 +221,9 @@ func TestExplainPlanShapeRows(t *testing.T) {
 }
 
 // TestExplainPlanVecAggregate pins the EXPLAIN PLAN rendering of the fused
-// vectorized-aggregation shape: a parallel-scan shape row (with the morsel
-// size and the scanned-row count) followed by a vec-aggregate row, both
-// stable across runs because the planner's gate is driven by statistics, not
-// runtime worker counts.
+// vectorized-aggregation shape: a parallel-scan shape row (with the worker
+// count and the scanned-row count) followed by a vec-aggregate row. The
+// worker count is set, so the rendering does not depend on the host's cores.
 func TestExplainPlanVecAggregate(t *testing.T) {
 	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
 		Seed: 31, Movies: 4000, Actors: 800, Directors: 41, CastPerMovie: 1, GenresPerMovie: 1,
@@ -233,6 +232,7 @@ func TestExplainPlanVecAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := New(db)
+	ex.SetParallelism(2)
 	res, _, err := ex.Exec(`explain plan select g.genre, count(*), avg(m.year)
 		from MOVIES m, GENRE g where m.id = g.mid group by g.genre having count(*) > 10`)
 	if err != nil {
@@ -252,7 +252,7 @@ func TestExplainPlanVecAggregate(t *testing.T) {
 	if pscan == nil {
 		t.Fatalf("no parallel-scan shape row:\n%s", res)
 	}
-	if pscan[0] != "morsels of 4096 rows" {
+	if pscan[0] != "2 workers over contiguous ranges" {
 		t.Errorf("parallel-scan detail = %q", pscan[0])
 	}
 	if pscan[1] != "4000" {

@@ -5,10 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/planner"
 	"repro/internal/sqlparser"
@@ -31,32 +28,29 @@ import (
 // by value.AppendKey over the evaluated GROUP BY values, and boxed argument
 // values (updateRow). Either way the groups finish alike (finishVecAgg).
 //
-// Parallelism is morsel-driven: workers claim fixed-size ranges of base-table
-// positions from an atomic cursor, aggregate into private states, and the
-// merge orders groups by their first-seen (morsel, sequence) stamp — so
-// parallel output is byte-identical to serial execution. A parallel scan is
-// scheduled (and the plan gains a parallel-scan step) only when every
+// Parallelism runs on the engine's one scheduler (fanOut): the base scan
+// splits into contiguous position ranges, one per worker, each aggregating
+// into a private state, and the states merge in range order — worker 0's
+// groups first, each part's in creation order — which is the order a serial
+// scan creates them in, so parallel output is byte-identical to serial
+// execution. The worker count is decided once, at compile time, and the plan
+// gains a parallel-scan step exactly when it is above one: only when every
 // aggregate's partial states merge exactly (integer sums are associative;
-// float sums qualify only when provably free of rounding) and the planner
-// prices the base table as large enough; the fused pipeline as a whole runs
-// only when no predicate can raise an error, so the worker count can never
-// change results or error behavior.
+// float sums qualify only when provably free of rounding) and the engine's
+// parallel gate passes. The fused pipeline as a whole runs only when no
+// predicate can raise an error, so the worker count can never change results
+// or error behavior.
 //
 // Both feeds answer as the interpreter oracle does: integer group keys and
 // MIN/MAX comparisons go through float64 images, because that is how
 // value.AppendKey and value.Compare treat integers; MIN/MAX ties keep the
-// first-seen value (tracked by stamp in parallel mode); AVG divides a float
-// sum built row by row in serial mode and merged only when merging is exact;
-// groups come out in first-seen order over rows in pipeline order (the
-// oracle's wherever the plan keeps FROM order). The row feed also checks the
+// first-seen value (a merge replaces only on a strict improvement); AVG
+// divides a float sum built row by row in serial mode and merged only when
+// merging is exact; groups come out in first-seen order over rows in
+// pipeline order (the oracle's wherever the plan keeps FROM order). The row feed also checks the
 // grouping rule before it evaluates any group key, and a boxed aggregate's
 // error surfaces only when the query reads the aggregate: HAVING before the
 // select items, ORDER BY keys last.
-
-// morselRows is the number of base-table positions one morsel covers. A
-// variable so tests can shrink it to force multi-morsel scheduling on small
-// tables; production keeps the planner's constant.
-var morselRows = planner.MorselRows
 
 const (
 	// maxArrayDomain bounds the composed group-code domain of the flat
@@ -153,7 +147,7 @@ type vecAgg struct {
 	col      storage.Col
 	kind     value.Kind
 	// exact reports the accumulator merges across partial states without
-	// rounding — the per-aggregate condition for morsel parallelism.
+	// rounding — the per-aggregate condition for a parallel scan.
 	exact bool
 	// DISTINCT bitset geometry: one bit per code, code = payload - setBase
 	// (dictionary code for text, 0/1 for bool).
@@ -196,7 +190,8 @@ type vecAggExec struct {
 	arrayTier bool
 	domain    uint64
 	keyW      int // hash tier: packed bytes per key vector
-	parallel  bool
+	// workers is the base scan's worker count, decided at compile time.
+	workers int
 	// outside records that compilePost met an expression outside the
 	// fused dialect.
 	outside bool
@@ -298,10 +293,11 @@ func (ex *Engine) tryVecAgg(sel *sqlparser.SelectStmt, entries []fromEntry, pq *
 
 // compileVecAgg compiles a grouped query for the fused pipeline and, when it
 // fits, records that on the plan: the aggregate shape step becomes
-// vec-aggregate, preceded by a parallel-scan step when every aggregate merges
-// exactly and the planner prices the base scan as worth fanning out. ok=false
-// — a predicate, group key or grouped expression is outside its dialect —
-// leaves the plan as the planner built it.
+// vec-aggregate, preceded by a parallel-scan step when the base scan will
+// run on more than one worker — every aggregate merges exactly and the
+// engine's parallel gate passes for the full scan. ok=false — a predicate,
+// group key or grouped expression is outside its dialect — leaves the plan
+// as the planner built it.
 func (pq *plannedQuery) compileVecAgg(sel *sqlparser.SelectStmt, entries []fromEntry) (*vecAggExec, []string, bool) {
 	plan := pq.plan
 	va, ok := pq.compileVecKeys(sel)
@@ -320,11 +316,17 @@ func (pq *plannedQuery) compileVecAgg(sel *sqlparser.SelectStmt, entries []fromE
 	// Every grouped plan has its aggregate step (planner.Build).
 	i := slices.IndexFunc(plan.Shape, func(sh *planner.ShapeStep) bool { return sh.Kind == planner.ShapeAggregate })
 	plan.Shape[i].Kind = planner.ShapeVecAggregate
-	if va.allExact() {
-		if ps := planner.ParallelScanStep(plan.Steps[0]); ps != nil {
-			va.parallel = true
-			plan.Shape = slices.Insert(plan.Shape, i, ps)
-		}
+	va.workers = 1
+	if st0 := plan.Steps[0]; st0.Access == planner.ScanFull && va.allExact() {
+		va.workers = pq.ex.workersFor(st0.Input.Tbl.Len())
+	}
+	if va.workers > 1 {
+		plan.Shape = slices.Insert(plan.Shape, i, &planner.ShapeStep{
+			Kind:       planner.ShapeParallelScan,
+			K:          va.workers,
+			EstRows:    plan.Steps[0].EstRows,
+			ActualRows: -1,
+		})
 	}
 	return va, cols, true
 }
@@ -647,30 +649,25 @@ func (va *vecAggExec) compilePost(sel *sqlparser.SelectStmt, gb *grouping, items
 
 // vecAccs holds one aggregate's per-group accumulator columns; only the
 // slices the function, the argument kind and the feed need are grown.
-// bestM/bestSeq stamp when the current MIN/MAX payload was first seen, so
-// parallel merges keep the first-seen payload among compare-equal candidates
-// (float images can tie across distinct payloads: huge ints, -0.0 vs +0.0).
 // A boxed aggregate shares count, the sums and has, and adds its own
 // columns: flt (a SUM saw a float), best (the MIN/MAX value), seen (the
 // DISTINCT set), and its deferred errors — err, the argument's first
 // evaluation error, and valErr, the first value the aggregate cannot take.
 type vecAccs struct {
-	count   []int64
-	sumI    []int64
-	sumF    []float64
-	has     []bool
-	bestI   []int64
-	bestF   []float64
-	bestS   []string
-	bestB   []bool
-	bestM   []int32
-	bestSeq []int64
-	sets    [][]uint64
-	flt     []bool
-	best    []value.Value
-	seen    []map[string]bool
-	err     []error
-	valErr  []error
+	count  []int64
+	sumI   []int64
+	sumF   []float64
+	has    []bool
+	bestI  []int64
+	bestF  []float64
+	bestS  []string
+	bestB  []bool
+	sets   [][]uint64
+	flt    []bool
+	best   []value.Value
+	seen   []map[string]bool
+	err    []error
+	valErr []error
 }
 
 // growCol appends n zero values to a per-group column. A new column starts
@@ -725,28 +722,21 @@ func (a *vecAccs) grow(spec *vecAgg) {
 		case value.Bool:
 			a.bestB = growCol(a.bestB, 1)
 		}
-		if spec.kind == value.Int || spec.kind == value.Float {
-			a.bestM = growCol(a.bestM, 1)
-			a.bestSeq = growCol(a.bestSeq, 1)
-		}
 	}
 }
 
 // vecAggState is one worker's aggregation state: the group lookup (array or
-// hash tier), dense per-group group-row prefixes, row counts, first-seen
-// stamps (kept only when partial states merge), and one accumulator column
-// set per aggregate.
+// hash tier), dense per-group group-row prefixes and row counts in group
+// creation order, and one accumulator column set per aggregate.
 type vecAggState struct {
-	n        int
-	arrIdx   []int32          // array tier: composed code -> group+1 (0 empty)
-	codes    []uint64         // array tier: composed code per group (merge re-lookup)
-	hashIdx  map[string]int32 // hash tier: packed (row-fed: AppendKey) key -> group+1
-	keySlab  []byte           // column-fed hash tier: packed keys, keyW bytes per group
-	prefix   []value.Value    // pw values per group, from its first-seen row
-	rows     []int64
-	firstM   []int32
-	firstSeq []int64
-	accs     []vecAccs
+	n       int
+	arrIdx  []int32          // array tier: composed code -> group+1 (0 empty)
+	codes   []uint64         // array tier: composed code per group (merge re-lookup)
+	hashIdx map[string]int32 // hash tier: packed (row-fed: AppendKey) key -> group+1
+	keySlab []byte           // column-fed hash tier: packed keys, keyW bytes per group
+	prefix  []value.Value    // pw values per group, from its first-seen row
+	rows    []int64
+	accs    []vecAccs
 }
 
 func newVecAggState(va *vecAggExec) *vecAggState {
@@ -761,17 +751,12 @@ func newVecAggState(va *vecAggExec) *vecAggState {
 }
 
 // addGroup appends one zeroed group, its prefix all NULL, and returns its
-// dense index. The caller fills the prefix and, in a parallel run, the
-// group's stamp.
+// dense index. The caller fills the prefix.
 func (s *vecAggState) addGroup(va *vecAggExec) int32 {
 	gi := int32(s.n)
 	s.n++
 	s.rows = growCol(s.rows, 1)
 	s.prefix = growCol(s.prefix, va.pw)
-	if va.parallel {
-		s.firstM = growCol(s.firstM, 1)
-		s.firstSeq = growCol(s.firstSeq, 1)
-	}
 	for j := range s.accs {
 		s.accs[j].grow(va.aggs[j])
 	}
@@ -784,7 +769,7 @@ func (s *vecAggState) prefixOf(va *vecAggExec, gi int32) []value.Value {
 }
 
 // upsert maps the current row (positions in fc.pos) to its dense group,
-// creating it on first sight with the row's key values and stamp.
+// creating it on first sight with the row's key values.
 func (s *vecAggState) upsert(va *vecAggExec, fc *fusedCtx) int32 {
 	if va.arrayTier {
 		var code uint64
@@ -816,23 +801,17 @@ func (s *vecAggState) upsert(va *vecAggExec, fc *fusedCtx) int32 {
 	return gi
 }
 
-// fillGroup materializes the group's key values from the creating row and
-// records its first-seen stamp.
+// fillGroup materializes the group's key values from the creating row.
 func (s *vecAggState) fillGroup(va *vecAggExec, fc *fusedCtx, gi int32) {
 	keys := s.prefixOf(va, gi)
 	for i := range va.keys {
 		k := &va.keys[i]
 		keys[i] = k.col.Value(int(fc.pos[k.si]))
 	}
-	if va.parallel {
-		s.firstM[gi] = fc.m
-		s.firstSeq[gi] = fc.seq
-	}
 }
 
 // update consumes one joined row (by positions) into the state.
 func (s *vecAggState) update(va *vecAggExec, fc *fusedCtx) {
-	fc.seq++
 	gi := s.upsert(va, fc)
 	s.rows[gi]++
 	for j, spec := range va.aggs {
@@ -867,7 +846,7 @@ func (s *vecAggState) update(va *vecAggExec, fc *fusedCtx) {
 				a.sumF[gi] += rd.flts[rd.at(ti)]
 			}
 		case sqlparser.AggMin, sqlparser.AggMax:
-			s.updateBest(spec, rd, a, gi, ti, fc)
+			updateBest(spec, rd, a, gi, ti)
 		}
 	}
 }
@@ -875,57 +854,31 @@ func (s *vecAggState) update(va *vecAggExec, fc *fusedCtx) {
 // updateBest applies one MIN/MAX candidate, mirroring value.Compare: numeric
 // kinds compare as float64 images, and only strict improvements replace the
 // held payload (so ties keep the first-seen value).
-func (s *vecAggState) updateBest(spec *vecAgg, rd *zoneReader, a *vecAccs, gi int32, ti int, fc *fusedCtx) {
+func updateBest(spec *vecAgg, rd *zoneReader, a *vecAccs, gi int32, ti int) {
 	min := spec.fn == sqlparser.AggMin
+	better := func(c int) bool { return (min && c < 0) || (!min && c > 0) }
 	off := rd.at(ti)
 	switch spec.kind {
-	case value.Int, value.Date:
-		x := rd.ints[off]
-		if !a.has[gi] {
+	case value.Int:
+		if x := rd.ints[off]; !a.has[gi] || better(cmpFloat(float64(x), float64(a.bestI[gi]))) {
 			a.has[gi], a.bestI[gi] = true, x
-		} else {
-			var c int
-			if spec.kind == value.Int {
-				c = cmpFloat(float64(x), float64(a.bestI[gi]))
-			} else {
-				c = cmpInt(x, a.bestI[gi])
-			}
-			if (min && c < 0) || (!min && c > 0) {
-				a.bestI[gi] = x
-			} else {
-				return
-			}
+		}
+	case value.Date:
+		if x := rd.ints[off]; !a.has[gi] || better(cmpInt(x, a.bestI[gi])) {
+			a.has[gi], a.bestI[gi] = true, x
 		}
 	case value.Float:
-		x := rd.flts[off]
-		if !a.has[gi] {
+		if x := rd.flts[off]; !a.has[gi] || better(cmpFloat(x, a.bestF[gi])) {
 			a.has[gi], a.bestF[gi] = true, x
-		} else if c := cmpFloat(x, a.bestF[gi]); (min && c < 0) || (!min && c > 0) {
-			a.bestF[gi] = x
-		} else {
-			return
 		}
 	case value.Text:
-		x := spec.col.DictString(rd.cds[off])
-		if !a.has[gi] {
+		if x := spec.col.DictString(rd.cds[off]); !a.has[gi] || better(strings.Compare(x, a.bestS[gi])) {
 			a.has[gi], a.bestS[gi] = true, x
-		} else if c := strings.Compare(x, a.bestS[gi]); (min && c < 0) || (!min && c > 0) {
-			a.bestS[gi] = x
-		} else {
-			return
 		}
 	case value.Bool:
-		x := rd.bls[off]
-		if !a.has[gi] {
+		if x := rd.bls[off]; !a.has[gi] || better(cmpBool(x, a.bestB[gi])) {
 			a.has[gi], a.bestB[gi] = true, x
-		} else if c := cmpBool(x, a.bestB[gi]); (min && c < 0) || (!min && c > 0) {
-			a.bestB[gi] = x
-		} else {
-			return
 		}
-	}
-	if a.bestM != nil {
-		a.bestM[gi], a.bestSeq[gi] = fc.m, fc.seq
 	}
 }
 
@@ -1106,17 +1059,14 @@ type fusedStep struct {
 }
 
 // fusedCtx is one worker's pipeline scratch: per-step positions, the key
-// pack buffer, per-step row counters, the private aggregation state, the
-// current (morsel, sequence) stamp, and the selection buffer sel every zone
-// of the worker's scan reuses, carved from buf so it is part of the context's
-// one allocation.
+// pack buffer, per-step row counters, the private aggregation state, and the
+// selection buffer sel every zone of the worker's scan reuses, carved from
+// buf so it is part of the context's one allocation.
 type fusedCtx struct {
 	pos      []int32
 	keyBuf   []byte
 	stepRows []int64
 	state    *vecAggState
-	m        int32
-	seq      int64
 	sel      []int32
 	buf      [selRows]int32
 	// keyRd and aggRd read the group keys' and the aggregates' columns, in
@@ -1198,8 +1148,8 @@ func (fx *fusedRun) feed(fc *fusedCtx, si int) {
 }
 
 // runVecAgg drives the fused pipeline: build the join structures, scan the
-// base table (morsel-parallel when scheduled), merge partial states, and
-// shape the grouped output.
+// base table (on va.workers workers), merge partial states, and shape the
+// grouped output.
 func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vecAggExec, cols []string) (*Result, error) {
 	steps := pq.plan.Steps
 	fx := &fusedRun{pq: pq, va: va, steps: make([]fusedStep, len(steps))}
@@ -1226,93 +1176,31 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 	}
 
 	st0 := steps[0]
-	var ctxs []*fusedCtx
-	var ordered []int32
-	var final *vecAggState
+	ctxs := make([]*fusedCtx, va.workers)
+	for w := range ctxs {
+		ctxs[w] = fx.newCtx(va)
+	}
 	if st0.Access == planner.ScanPK {
-		fc := fx.newCtx(va)
-		ctxs = []*fusedCtx{fc}
+		fc := ctxs[0]
 		for _, pos := range pq.probePositions(fc.sel[:0], st0) {
 			fc.pos[0] = pos
 			fc.stepRows[0]++
 			fx.feed(fc, 1)
 		}
-		final = fc.state
 	} else {
 		n := st0.Input.Tbl.Len()
 		ex.bud.AddTotal(n)
-		workers := 1
-		if va.parallel {
-			workers = ex.workersFor(n)
-			if nm := (n + morselRows - 1) / morselRows; workers > nm {
-				workers = nm
-			}
+		err := ex.fanOut(n, va.workers, func(w, lo, hi int) error {
+			fx.feedRange(ctxs[w], lo, hi)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if workers <= 1 {
-			fc := fx.newCtx(va)
-			ctxs = []*fusedCtx{fc}
-			if bud := ex.bud; bud != nil {
-				// Feed morsel by morsel so cancellation lands at morsel
-				// boundaries; fc.m/fc.seq are untouched, so the first-seen
-				// stamps match the single feedRange(0, n) call exactly.
-				for lo := 0; lo < n; lo += morselRows {
-					hi := lo + morselRows
-					if hi > n {
-						hi = n
-					}
-					if err := bud.Step(hi - lo); err != nil {
-						return nil, err
-					}
-					fx.feedRange(fc, lo, hi)
-				}
-			} else {
-				fx.feedRange(fc, 0, n)
-			}
-			final = fc.state
-		} else {
-			nMorsels := (n + morselRows - 1) / morselRows
-			ctxs = make([]*fusedCtx, workers)
-			bud := ex.bud
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				fc := fx.newCtx(va)
-				ctxs[w] = fc
-				wg.Add(1)
-				go func(fc *fusedCtx) {
-					defer wg.Done()
-					for {
-						m := int(cursor.Add(1)) - 1
-						if m >= nMorsels {
-							return
-						}
-						lo := m * morselRows
-						hi := lo + morselRows
-						if hi > n {
-							hi = n
-						}
-						// A tripped budget stops every worker at its next
-						// morsel claim; the latched cause surfaces after the
-						// join below.
-						if bud.Step(hi-lo) != nil {
-							return
-						}
-						fc.m, fc.seq = int32(m), 0
-						fx.feedRange(fc, lo, hi)
-					}
-				}(fc)
-			}
-			wg.Wait()
-			if err := bud.Err(); err != nil {
-				return nil, err
-			}
-			states := make([]*vecAggState, len(ctxs))
-			for i, fc := range ctxs {
-				states[i] = fc.state
-			}
-			final = mergeVecAggStates(va, states)
-			ordered = stampOrder(final)
-		}
+	}
+	final := ctxs[0].state
+	if len(ctxs) > 1 {
+		final = mergeVecAggStates(va, ctxs)
 	}
 
 	// Bookkeeping: per-step and total actual row counts, summed over workers.
@@ -1327,13 +1215,13 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 	setShapeActual(pq.plan, planner.ShapeParallelScan, steps[0].ActualRows)
 	pq.finishZoneSkip()
 
-	return ex.finishVecAgg(sel, pq, pq.newCtx(), va, final, ordered, cols)
+	return ex.finishVecAgg(sel, pq, pq.newCtx(), va, final, cols)
 }
 
 // feedRange feeds the base rows of [lo, hi) that pass step 0's vectorized
 // filters into the fused pipeline: scanBase selects them zone by zone in the
-// worker's selection buffer (a serial run hands it the whole table), and
-// each kept position runs down the join steps.
+// worker's selection buffer, and each kept position runs down the join
+// steps.
 func (fx *fusedRun) feedRange(fc *fusedCtx, lo, hi int) {
 	fx.pq.scanBase(&fc.sel, lo, hi, true, func(kept []int32) bool {
 		for _, ti := range kept {
@@ -1345,39 +1233,18 @@ func (fx *fusedRun) feedRange(fc *fusedCtx, lo, hi int) {
 	})
 }
 
-// stampOrder sorts the merged groups by first-seen stamp — the order a
-// serial scan would have created them in.
-func stampOrder(s *vecAggState) []int32 {
-	order := make([]int32, s.n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ga, gb := order[a], order[b]
-		if s.firstM[ga] != s.firstM[gb] {
-			return s.firstM[ga] < s.firstM[gb]
-		}
-		return s.firstSeq[ga] < s.firstSeq[gb]
-	})
-	return order
-}
-
-// mergeVecAggStates folds per-worker partial states into one, in any order:
-// every accumulator the parallel gate admits merges exactly, and group order
-// is reconstructed afterwards from the first-seen stamps.
-func mergeVecAggStates(va *vecAggExec, parts []*vecAggState) *vecAggState {
+// mergeVecAggStates folds the workers' partial states into one, in worker
+// order — the order of their contiguous scan ranges — adopting each part's
+// groups in creation order: a group's place and key values come from the
+// first part that created it, so the merged groups stand in the order a
+// serial scan creates them. Every accumulator the parallel gate admits
+// merges exactly.
+func mergeVecAggStates(va *vecAggExec, ctxs []*fusedCtx) *vecAggState {
 	g := newVecAggState(va)
-	for _, p := range parts {
+	for _, fc := range ctxs {
+		p := fc.state
 		for gi := int32(0); gi < int32(p.n); gi++ {
-			mgi, created := g.adopt(va, p, gi)
-			if created || p.firstM[gi] < g.firstM[mgi] ||
-				(p.firstM[gi] == g.firstM[mgi] && p.firstSeq[gi] < g.firstSeq[mgi]) {
-				g.firstM[mgi], g.firstSeq[mgi] = p.firstM[gi], p.firstSeq[gi]
-				// The earliest-seen row also defines the group's key values
-				// (identical payloads except for float -0/+0 and huge-int
-				// aliases, where the interpreter keeps the first).
-				copy(g.prefixOf(va, mgi), p.prefixOf(va, gi))
-			}
+			mgi := g.adopt(va, p, gi)
 			g.rows[mgi] += p.rows[gi]
 			for j, spec := range va.aggs {
 				mergeAcc(spec, &g.accs[j], mgi, &p.accs[j], gi)
@@ -1387,33 +1254,37 @@ func mergeVecAggStates(va *vecAggExec, parts []*vecAggState) *vecAggState {
 	return g
 }
 
-// adopt finds (or creates) the merged group matching part group gi.
-func (g *vecAggState) adopt(va *vecAggExec, p *vecAggState, gi int32) (int32, bool) {
+// adopt finds the merged group matching part group gi, or creates it with
+// the part's key values.
+func (g *vecAggState) adopt(va *vecAggExec, p *vecAggState, gi int32) int32 {
 	if va.arrayTier {
 		code := p.codes[gi]
 		if m := g.arrIdx[code]; m != 0 {
-			return m - 1, false
+			return m - 1
 		}
 		mgi := g.addGroup(va)
 		g.arrIdx[code] = mgi + 1
 		g.codes = append(g.codes, code)
 		copy(g.prefixOf(va, mgi), p.prefixOf(va, gi))
-		g.firstM[mgi], g.firstSeq[mgi] = p.firstM[gi], p.firstSeq[gi]
-		return mgi, true
+		return mgi
 	}
 	key := p.keySlab[int(gi)*va.keyW : (int(gi)+1)*va.keyW]
 	if m, ok := g.hashIdx[string(key)]; ok {
-		return m - 1, false
+		return m - 1
 	}
 	mgi := g.addGroup(va)
 	g.keySlab = append(g.keySlab, key...)
 	g.hashIdx[string(key)] = mgi + 1
 	copy(g.prefixOf(va, mgi), p.prefixOf(va, gi))
-	g.firstM[mgi], g.firstSeq[mgi] = p.firstM[gi], p.firstSeq[gi]
-	return mgi, true
+	return mgi
 }
 
-// mergeAcc folds part accumulator pgi into merged accumulator mgi.
+// mergeAcc folds part accumulator pgi into merged accumulator mgi. The part
+// comes from a later scan range than everything merged so far, so a MIN/MAX
+// payload replaces the held one only on a strict improvement: a
+// compare-equal but distinct payload (float images tie across huge ints and
+// across -0.0 and +0.0) keeps the first-seen one, like the serial
+// accumulator.
 func mergeAcc(spec *vecAgg, m *vecAccs, mgi int32, p *vecAccs, pgi int32) {
 	if spec.star {
 		return
@@ -1446,50 +1317,35 @@ func mergeAcc(spec *vecAgg, m *vecAccs, mgi int32, p *vecAccs, pgi int32) {
 		if !p.has[pgi] {
 			return
 		}
-		if !m.has[mgi] {
-			copyBest(spec, m, mgi, p, pgi)
-			return
+		if m.has[mgi] {
+			var c int
+			switch spec.kind {
+			case value.Int:
+				c = cmpFloat(float64(p.bestI[pgi]), float64(m.bestI[mgi]))
+			case value.Date:
+				c = cmpInt(p.bestI[pgi], m.bestI[mgi])
+			case value.Float:
+				c = cmpFloat(p.bestF[pgi], m.bestF[mgi])
+			case value.Text:
+				c = strings.Compare(p.bestS[pgi], m.bestS[mgi])
+			default:
+				c = cmpBool(p.bestB[pgi], m.bestB[mgi])
+			}
+			if (spec.fn == sqlparser.AggMin && c >= 0) || (spec.fn == sqlparser.AggMax && c <= 0) {
+				return
+			}
 		}
-		min := spec.fn == sqlparser.AggMin
-		var c int
+		m.has[mgi] = true
 		switch spec.kind {
-		case value.Int:
-			c = cmpFloat(float64(p.bestI[pgi]), float64(m.bestI[mgi]))
-		case value.Date:
-			c = cmpInt(p.bestI[pgi], m.bestI[mgi])
+		case value.Int, value.Date:
+			m.bestI[mgi] = p.bestI[pgi]
 		case value.Float:
-			c = cmpFloat(p.bestF[pgi], m.bestF[mgi])
+			m.bestF[mgi] = p.bestF[pgi]
 		case value.Text:
-			c = strings.Compare(p.bestS[pgi], m.bestS[mgi])
+			m.bestS[mgi] = p.bestS[pgi]
 		default:
-			c = cmpBool(p.bestB[pgi], m.bestB[mgi])
+			m.bestB[mgi] = p.bestB[pgi]
 		}
-		if (min && c < 0) || (!min && c > 0) {
-			copyBest(spec, m, mgi, p, pgi)
-		} else if c == 0 && m.bestM != nil &&
-			(p.bestM[pgi] < m.bestM[mgi] ||
-				(p.bestM[pgi] == m.bestM[mgi] && p.bestSeq[pgi] < m.bestSeq[mgi])) {
-			// Compare-equal but distinct payloads (float-image ties): keep
-			// the first-seen one, like the serial accumulator.
-			copyBest(spec, m, mgi, p, pgi)
-		}
-	}
-}
-
-func copyBest(spec *vecAgg, m *vecAccs, mgi int32, p *vecAccs, pgi int32) {
-	m.has[mgi] = true
-	switch spec.kind {
-	case value.Int, value.Date:
-		m.bestI[mgi] = p.bestI[pgi]
-	case value.Float:
-		m.bestF[mgi] = p.bestF[pgi]
-	case value.Text:
-		m.bestS[mgi] = p.bestS[pgi]
-	default:
-		m.bestB[mgi] = p.bestB[pgi]
-	}
-	if m.bestM != nil {
-		m.bestM[mgi], m.bestSeq[mgi] = p.bestM[pgi], p.bestSeq[pgi]
 	}
 }
 
@@ -1537,7 +1393,7 @@ func (ex *Engine) aggregateRows(sel *sqlparser.SelectStmt, entries []fromEntry, 
 		}
 		s.updateRow(va, ec, g-1, row)
 	}
-	return ex.finishVecAgg(sel, pq, ec, va, s, nil, cols)
+	return ex.finishVecAgg(sel, pq, ec, va, s, cols)
 }
 
 // compileRowAgg compiles a grouped query for the row feeder: the GROUP BY
@@ -1552,18 +1408,15 @@ func (pq *plannedQuery) compileRowAgg(sel *sqlparser.SelectStmt, gb *grouping, i
 	return va
 }
 
-// finishVecAgg finalizes the groups, in ordered (nil: first-seen order),
-// into group rows, then runs HAVING, projection, and shared shaping
+// finishVecAgg finalizes the groups, in first-seen order, into group rows, then runs HAVING, projection, and shared shaping
 // (DISTINCT, ORDER BY, LIMIT) over them. A boxed aggregate's error waits in
 // ec.failed while its group's row is under evaluation.
-func (ex *Engine) finishVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, ec *evalCtx, va *vecAggExec, g *vecAggState, ordered []int32, cols []string) (*Result, error) {
+func (ex *Engine) finishVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, ec *evalCtx, va *vecAggExec, g *vecAggState, cols []string) (*Result, error) {
 	// A grouped query with no GROUP BY and no input rows still yields one
 	// group (COUNT(*) = 0). It has no representative row, so its subqueries
 	// see no outer row.
 	if len(sel.GroupBy) == 0 && g.n == 0 {
-		if gi := g.addGroup(va); ordered != nil {
-			ordered = append(ordered, gi)
-		}
+		g.addGroup(va)
 		ec.unbound = true
 	}
 	pw, nA := va.pw, len(va.aggs)
@@ -1572,11 +1425,7 @@ func (ex *Engine) finishVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, ec *
 	out := &Result{Columns: cols}
 	var exts [][]value.Value   // group row per output row, for the sort keys
 	var failed map[int][]error // output row -> ec.failed of its group
-	for k := 0; k < g.n; k++ {
-		gi := int32(k)
-		if ordered != nil {
-			gi = ordered[k]
-		}
+	for gi := int32(0); gi < int32(g.n); gi++ {
 		ext := flat[:extW:extW]
 		flat = flat[extW:]
 		copy(ext, g.prefixOf(va, gi))

@@ -1,19 +1,21 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/planner"
+	"repro/internal/querytotext"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 )
 
 // This file pins which plans carry the zone-skip, parallel-scan and
 // vec-aggregate shape steps. The engine's compilers add them — the planner
-// contributes only the cost gates — so the tables that used to pin the
+// contributes only the zone-skip cost gate — so the tables that used to pin the
 // planner's gates live here and read the plan through Engine.Plan, which
 // compiles exactly as an execution does and runs nothing.
 
@@ -35,11 +37,24 @@ func hasZoneSkip(p *planner.Plan) bool     { return shapeStep(p, planner.ShapeZo
 // buildPlan is the compiled, unexecuted plan of sql over db.
 func buildPlan(t *testing.T, db *storage.Database, sql string) *planner.Plan {
 	t.Helper()
-	p, err := New(db).Plan(mustParse(t, sql))
+	return planOn(t, New(db), sql)
+}
+
+// planOn is the compiled, unexecuted plan of sql on ex.
+func planOn(t *testing.T, ex *Engine, sql string) *planner.Plan {
+	t.Helper()
+	p, err := ex.Plan(mustParse(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// withWorkers caps ex's fan-out at n workers, so a test that expects a
+// parallel-scan step does not depend on the host's core count.
+func withWorkers(ex *Engine, n int) *Engine {
+	ex.SetParallelism(n)
+	return ex
 }
 
 func genMovieDB(t *testing.T, cfg dataset.GenConfig) *storage.Database {
@@ -90,18 +105,19 @@ func TestPlanShapeVecAggregate(t *testing.T) {
 }
 
 // TestVecAggGate pins the vectorized-aggregation gate: which grouped queries
-// earn the vec-aggregate shape, when a morsel-parallel scan is scheduled, and
-// which shapes stay on the generic aggregate.
+// earn the vec-aggregate shape, when a parallel scan is scheduled, and which
+// shapes stay on the generic aggregate.
 func TestVecAggGate(t *testing.T) {
 	db := genMovieDB(t, dataset.GenConfig{
 		Seed: 7, Movies: 4000, Actors: 500, Directors: 21, CastPerMovie: 2, GenresPerMovie: 1,
 	})
 	kinds := shapeKinds
+	ex := withWorkers(New(db), 2)
 
 	// Single-table grouped scan over a vectorizable filter: vec-aggregate
-	// with a morsel-parallel scan (COUNT/MIN merge exactly; the table is
-	// large enough to fan out).
-	p := buildPlan(t, db, `select m.year, count(*), min(m.title) from MOVIES m
+	// with a parallel scan (COUNT/MIN merge exactly; the table is large
+	// enough to fan out).
+	p := planOn(t, ex, `select m.year, count(*), min(m.title) from MOVIES m
 		where m.year >= 1960 group by m.year`)
 	got := kinds(p)
 	if len(got) != 2 || got[0] != planner.ShapeParallelScan || got[1] != planner.ShapeVecAggregate {
@@ -110,13 +126,13 @@ func TestVecAggGate(t *testing.T) {
 	if !strings.Contains(p.Fingerprint(), ">pscan>vagg{1,2}") {
 		t.Errorf("fingerprint = %q", p.Fingerprint())
 	}
-	if p.Shape[0].K != planner.MorselRows {
-		t.Errorf("parallel-scan K = %d, want the morsel size", p.Shape[0].K)
+	if p.Shape[0].K != 2 {
+		t.Errorf("parallel-scan K = %d, want the worker count", p.Shape[0].K)
 	}
 
 	// Post-join grouping with AVG over a bounded int column still merges
 	// exactly: parallel-scan stays.
-	p = buildPlan(t, db, `select g.genre, count(*), avg(m.year) from MOVIES m, GENRE g
+	p = planOn(t, ex, `select g.genre, count(*), avg(m.year) from MOVIES m, GENRE g
 		where m.id = g.mid group by g.genre`)
 	got = kinds(p)
 	if len(got) != 2 || got[0] != planner.ShapeParallelScan || got[1] != planner.ShapeVecAggregate {
@@ -126,7 +142,7 @@ func TestVecAggGate(t *testing.T) {
 	// Float sums replicate naive row-order accumulation: vec-aggregate
 	// without a parallel scan. (MOVIES has no float column; a non-column
 	// aggregate argument must instead fall back entirely.)
-	p = buildPlan(t, db, `select m.year, sum(m.id + 1) from MOVIES m group by m.year`)
+	p = planOn(t, ex, `select m.year, sum(m.id + 1) from MOVIES m group by m.year`)
 	got = kinds(p)
 	if len(got) != 1 || got[0] != planner.ShapeAggregate {
 		t.Fatalf("expression-argument shape kinds = %v, want [aggregate]", got)
@@ -134,7 +150,7 @@ func TestVecAggGate(t *testing.T) {
 
 	// A subquery in HAVING is outside the fused dialect: the row feeder
 	// runs it, compiling the subquery at its node.
-	p = buildPlan(t, db, `select m.year, count(*) from MOVIES m group by m.year
+	p = planOn(t, ex, `select m.year, count(*) from MOVIES m group by m.year
 		having count(*) > (select min(g.mid) from GENRE g)`)
 	got = kinds(p)
 	if len(got) != 1 || got[0] != planner.ShapeAggregate {
@@ -143,7 +159,7 @@ func TestVecAggGate(t *testing.T) {
 
 	// A stray (ungrouped, unaggregated) column is a grouping-rule error the
 	// row feeder raises: generic aggregate.
-	p = buildPlan(t, db, `select m.title, count(*) from MOVIES m group by m.year`)
+	p = planOn(t, ex, `select m.title, count(*) from MOVIES m group by m.year`)
 	got = kinds(p)
 	if len(got) != 1 || got[0] != planner.ShapeAggregate {
 		t.Fatalf("stray-column shape kinds = %v, want [aggregate]", got)
@@ -153,7 +169,7 @@ func TestVecAggGate(t *testing.T) {
 	small := genMovieDB(t, dataset.GenConfig{
 		Seed: 9, Movies: 100, Actors: 30, Directors: 3, CastPerMovie: 2, GenresPerMovie: 1,
 	})
-	p = buildPlan(t, small, `select m.year, count(*) from MOVIES m group by m.year`)
+	p = planOn(t, withWorkers(New(small), 2), `select m.year, count(*) from MOVIES m group by m.year`)
 	got = kinds(p)
 	if len(got) != 1 || got[0] != planner.ShapeVecAggregate {
 		t.Fatalf("small-table shape kinds = %v, want [vec-aggregate]", got)
@@ -227,7 +243,7 @@ func TestZoneSkipShapeGating(t *testing.T) {
 // TestZoneSkipShapeComposes: the step rides in front of vec-aggregate and
 // parallel-scan shaping without disturbing them.
 func TestZoneSkipShapeComposes(t *testing.T) {
-	p := buildPlan(t, bigDB(t),
+	p := planOn(t, withWorkers(New(bigDB(t)), 2),
 		`select m.year, count(*) from MOVIES m where m.year < 1940 group by m.year`)
 	fp := p.Fingerprint()
 	if !strings.Contains(fp, ">zskip") || !strings.Contains(fp, ">pscan") || !strings.Contains(fp, ">vagg") {
@@ -314,7 +330,7 @@ func TestShapeStepsSayWhatRan(t *testing.T) {
 		{"vec", New(vecTestDB(t, 90, 31)), draw(vecTemplates(rand.New(rand.NewSource(77))), 60), 0, 0},
 		{"zone", New(zoneTestDB(t, false)), draw(zoneTemplates(rand.New(rand.NewSource(113))), 64), 208, 128},
 		{"zone-sorted", New(zoneTestDB(t, true)), draw(zoneTemplates(rand.New(rand.NewSource(113))), 64), 208, 128},
-		{"agg", New(aggDiffDB(t, 5000, 303)), aggTemplates(rand.New(rand.NewSource(404)), 40), 34, 0},
+		{"agg", withWorkers(New(aggDiffDB(t, 5000, 303)), 2), aggTemplates(rand.New(rand.NewSource(404)), 40), 34, 0},
 	}
 	explained := func(t *testing.T, ex *Engine, q string) (plan *planner.Plan, probed, skipped int64) {
 		p0, s0 := ZoneSkipStats()
@@ -381,5 +397,46 @@ func TestShapeStepsSayWhatRan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParallelScanOnlyWhenWorkersRan: the parallel-scan step is in a grouped
+// query's plan exactly when its scan runs on more than one worker, with K
+// the worker count — in the compiled plan (Plan) and in the executed one
+// (SelectExplained) alike — and the narration speaks of workers only then.
+func TestParallelScanOnlyWhenWorkersRan(t *testing.T) {
+	db := genMovieDB(t, dataset.GenConfig{
+		Seed: 7, Movies: 4000, Actors: 500, Directors: 21, CastPerMovie: 1, GenresPerMovie: 1,
+	})
+	sel := mustParse(t, `select g.genre, count(*), min(g.mid) from GENRE g where g.mid > 1000 group by g.genre`)
+	for _, workers := range []int{1, 2, 3} {
+		ex := withWorkers(New(db), workers)
+		planned, err := ex.Plan(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ran, err := ex.SelectExplained(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []*planner.Plan{planned, ran} {
+			if vecAggStep(p) == nil {
+				t.Fatalf("%d workers: not on the fused pipeline: %s", workers, p.Fingerprint())
+			}
+			ps := shapeStep(p, planner.ShapeParallelScan)
+			english := querytotext.PlanEnglish(p.Summarize())
+			if workers == 1 {
+				if ps != nil || strings.Contains(p.Fingerprint(), "pscan") || strings.Contains(english, "worker") {
+					t.Errorf("serial run says it fanned out: %s\n%s", p.Fingerprint(), english)
+				}
+				continue
+			}
+			if ps == nil || ps.K != workers {
+				t.Fatalf("%d workers: parallel-scan step %+v in %s", workers, ps, p.Fingerprint())
+			}
+			if want := fmt.Sprintf("split into %d contiguous ranges, one per worker", workers); !strings.Contains(english, want) {
+				t.Errorf("%d workers: narration lacks %q:\n%s", workers, want, english)
+			}
+		}
 	}
 }

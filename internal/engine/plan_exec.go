@@ -649,75 +649,35 @@ func (ec *evalCtx) emit(out *batch, base []value.Value, st *planner.Step, ti int
 	return nil
 }
 
-// gatherBatches fans fn out over [0, n) in order-preserving chunks, each
-// worker with its own evalCtx and arenas. With a budget bound, every worker
-// sub-chunks its range at storage-zone boundaries and polls the budget
-// between sub-chunks — the cooperative cancellation point of every planned
-// scan, join, and residual-filter loop. Zone alignment keeps scanBase's zone
-// accounting identical to the unbudgeted walk.
+// gatherBatches runs fn over [0, n) on the engine's scheduler (fanOut),
+// each worker with its own evalCtx, arenas and output batch, and concatenates
+// the batches in chunk order.
 func (ex *Engine) gatherBatches(pq *plannedQuery, n int, fn func(ec *evalCtx, lo, hi int, out *batch) error) (batch, error) {
-	if bud := ex.bud; bud != nil {
-		inner := fn
-		fn = func(ec *evalCtx, lo, hi int, out *batch) error {
-			for s := lo; s < hi; {
-				e := (s>>storage.ZoneShift + 1) << storage.ZoneShift
-				if e > hi {
-					e = hi
-				}
-				if err := bud.Step(e - s); err != nil {
-					return err
-				}
-				if err := inner(ec, s, e, out); err != nil {
-					return err
-				}
-				s = e
-			}
-			return nil
-		}
-	}
 	workers := ex.workersFor(n)
-	if workers <= 1 {
-		var out batch
-		err := fn(pq.newCtx(), 0, n, &out)
-		if err == nil {
-			err = growBatch(ex.bud, &out)
-		}
-		return out, err
+	parts := make([]struct {
+		ec  evalCtx
+		out batch
+	}, workers)
+	for w := range parts {
+		parts[w].ec = *pq.newCtx()
 	}
-	chunk := (n + workers - 1) / workers
-	outs := make([]batch, workers)
-	errs := make([]error, workers)
-	done := make(chan int, workers)
-	launched := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		launched++
-		go func(w, lo, hi int) {
-			errs[w] = fn(pq.newCtx(), lo, hi, &outs[w])
-			done <- w
-		}(w, lo, hi)
+	err := ex.fanOut(n, workers, func(w, lo, hi int) error {
+		return fn(&parts[w].ec, lo, hi, &parts[w].out)
+	})
+	if err != nil {
+		return batch{}, err
 	}
-	for i := 0; i < launched; i++ {
-		<-done
-	}
-	var total int
-	for w := range outs {
-		if errs[w] != nil {
-			return batch{}, errs[w]
+	merged := parts[0].out
+	if workers > 1 {
+		var total int
+		for w := range parts {
+			total += len(parts[w].out.rows)
 		}
-		total += len(outs[w].rows)
-	}
-	merged := batch{rows: make([][]value.Value, 0, total)}
-	for w := range outs {
-		merged.rows = append(merged.rows, outs[w].rows...)
-		merged.pos = append(merged.pos, outs[w].pos...)
+		merged = batch{rows: make([][]value.Value, 0, total)}
+		for w := range parts {
+			merged.rows = append(merged.rows, parts[w].out.rows...)
+			merged.pos = append(merged.pos, parts[w].out.pos...)
+		}
 	}
 	if err := growBatch(ex.bud, &merged); err != nil {
 		return batch{}, err

@@ -310,14 +310,11 @@ func TestZoneSkipCounters(t *testing.T) {
 	}
 }
 
-// TestZoneSkipParallelShrunkMorsels shrinks the engine's morsel size below
-// the storage zone granularity so parallel workers claim sub-zone ranges; the
-// zone walker must still prune correctly and count each zone exactly once.
-func TestZoneSkipParallelShrunkMorsels(t *testing.T) {
-	old := morselRows
-	morselRows = 300
-	defer func() { morselRows = old }()
-
+// TestZoneSkipParallelSubZoneChunks runs four workers over a table of three
+// full zones and 700 rows, so every worker's contiguous range starts or ends
+// inside a storage zone; the zone walker must still prune correctly and
+// count each zone exactly once.
+func TestZoneSkipParallelSubZoneChunks(t *testing.T) {
 	ex := New(zoneTestDB(t, false))
 	ex.SetParallelism(4)
 	defer ex.SetParallelism(0)
@@ -335,7 +332,7 @@ func TestZoneSkipParallelShrunkMorsels(t *testing.T) {
 	}
 	probed, _ := ZoneSkipStats()
 	if want := int64((zoneTestRows + storage.ZoneRows - 1) / storage.ZoneRows); probed != want {
-		t.Fatalf("parallel sub-zone morsels counted %d zones, want %d", probed, want)
+		t.Fatalf("parallel sub-zone ranges counted %d zones, want %d", probed, want)
 	}
 }
 

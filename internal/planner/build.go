@@ -235,8 +235,7 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, hasOuter bool) *Plan {
 // top-k, limit — the engine will run after the join pipeline, with group
 // counts estimated from per-attribute distinct statistics. The engine's
 // compilers add the steps that say how the scan and the aggregation run
-// (zone-skip, parallel-scan, vec-aggregate); see ZoneSkipStep and
-// ParallelScanStep.
+// (zone-skip, parallel-scan, vec-aggregate); see ZoneSkipStep.
 func buildShape(plan *Plan, sel *sqlparser.SelectStmt, res *resolver, stats []storage.TableStats) {
 	cur := plan.EstRows
 	if sel.Grouped() {

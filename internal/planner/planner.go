@@ -143,15 +143,16 @@ type ShapeKind int
 
 // Shaping step kinds. Build emits the first four; the last three say how the
 // scan and the aggregation run and are added by the engine's compilers, the
-// only code that knows what it will run (Build contributes their cost gates,
-// ParallelScanStep and ZoneSkipStep). ShapeParallelScan and ShapeVecAggregate
-// are the vectorized-aggregation pair: a parallel-scan step marks the base
-// scan as morsel-driven (fixed-size position ranges claimed by workers from a
-// shared cursor), and a vec-aggregate step replaces the generic aggregate
-// when every group key and aggregate argument reads a typed column vector
-// directly, so the engine accumulates into unboxed typed arrays instead of
-// hashing boxed rows. In a plan's shape they come in the order zone-skip,
-// parallel-scan, [vec-]aggregate, sort or top-k, limit.
+// only code that knows what it will run (Build contributes the zone-skip
+// cost gate, ZoneSkipStep). ShapeParallelScan and ShapeVecAggregate are the
+// vectorized-aggregation pair: a vec-aggregate step replaces the generic
+// aggregate when every group key and aggregate argument reads a typed column
+// vector directly, so the engine accumulates into unboxed typed arrays
+// instead of hashing boxed rows, and a parallel-scan step in front of it
+// says the base scan ran split into K contiguous ranges, one per worker,
+// whose partial aggregates merge in scan order. In a plan's shape they come
+// in the order zone-skip, parallel-scan, [vec-]aggregate, sort or top-k,
+// limit.
 const (
 	ShapeAggregate ShapeKind = iota
 	ShapeSort

@@ -270,8 +270,8 @@ func TestPlanShapeSteps(t *testing.T) {
 	}
 }
 
-// TestShapeStepCostGates pins the two cost decisions the planner keeps about
-// how a base scan runs; the engine's compilers ask them before annotating.
+// TestShapeStepCostGates pins the cost decision the planner keeps about how a
+// base scan runs; the engine's compiler asks it before annotating.
 func TestShapeStepCostGates(t *testing.T) {
 	scan := func(access planner.Access, rows int, est float64) *planner.Step {
 		return &planner.Step{Access: access, TableRows: rows, EstRows: est}
@@ -295,16 +295,5 @@ func TestShapeStepCostGates(t *testing.T) {
 	}
 	if zs := planner.ZoneSkipStep(scan(planner.ScanFull, 2*m, float64(m))); zs == nil {
 		t.Error("a scan estimated to keep exactly half its rows is still worth probing")
-	}
-
-	ps := planner.ParallelScanStep(scan(planner.ScanFull, planner.ParallelScanMinRows, 17))
-	if ps == nil || ps.Kind != planner.ShapeParallelScan || ps.K != m || ps.EstRows != 17 || ps.ActualRows != -1 {
-		t.Fatalf("large full scan: %+v", ps)
-	}
-	if ps := planner.ParallelScanStep(scan(planner.ScanFull, planner.ParallelScanMinRows-1, 17)); ps != nil {
-		t.Errorf("small table earned a parallel-scan step: %+v", ps)
-	}
-	if ps := planner.ParallelScanStep(scan(planner.ScanPK, 10*m, 17)); ps != nil {
-		t.Errorf("primary-key probe earned a parallel-scan step: %+v", ps)
 	}
 }

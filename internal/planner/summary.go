@@ -120,7 +120,7 @@ func (p *Plan) Summarize() *Summary {
 func (sh *ShapeStep) Detail() string {
 	switch sh.Kind {
 	case ShapeParallelScan:
-		return fmt.Sprintf("morsels of %d rows", sh.K)
+		return fmt.Sprintf("%d workers over contiguous ranges", sh.K)
 	case ShapeZoneSkip:
 		return fmt.Sprintf("zone maps over %d morsels of %d rows", sh.K, MorselRows)
 	case ShapeAggregate, ShapeVecAggregate:

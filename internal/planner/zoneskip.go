@@ -1,6 +1,10 @@
 package planner
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/storage"
+)
 
 // This file is the planner's share of zone-map scan pruning: its cost. Which
 // filters lower to a zone probe is decided by the engine's compiler, which
@@ -9,6 +13,11 @@ import "strings"
 // says when a base scan is large and selective enough for probing to pay.
 // LikePrefix and PrefixSuccessor are the string arithmetic the engine's LIKE
 // probe and its sorted-dictionary rank compare share.
+
+// MorselRows is the number of base-table positions one zone-map morsel
+// covers: the storage layer's zone granularity, so one zone summary decides
+// a whole morsel.
+const MorselRows = storage.ZoneRows
 
 // zoneSkipMaxSelectivity is the estimated fraction of base rows surviving the
 // scan's own filters above which zone probing is not worth the bookkeeping:

@@ -81,7 +81,7 @@ func PlanEnglish(s *planner.Summary) string {
 		case "vec-aggregate":
 			fmt.Fprintf(&b, "The rows are aggregated straight off the column vectors into typed per-group accumulators (%s), about %s groups, without materializing a joined row", sh.Detail, formatCount(sh.EstRows))
 		case "parallel-scan":
-			fmt.Fprintf(&b, "The base scan is split into %s that parallel workers claim from a shared cursor, each aggregating privately; the partial results merge in a fixed order, so the answer is identical at any worker count", sh.Detail)
+			fmt.Fprintf(&b, "The base scan is split into %d contiguous ranges, one per worker, each aggregating privately; the partial results merge in scan order, so the answer is identical at any worker count", sh.K)
 		case "zone-skip":
 			if sh.ActualRows >= 0 {
 				fmt.Fprintf(&b, "The scan consulted %s and skipped %d of %d morsels whose min/max bounds disproved the filters without touching their payloads", sh.Detail, sh.ActualRows, sh.K)

@@ -506,7 +506,7 @@ func TestPlanEnglishShape(t *testing.T) {
 }
 
 // TestPlanEnglishVecAggregate pins the narration of the vectorized
-// aggregation shape: the morsel-parallel scan and the typed-accumulator
+// aggregation shape: the parallel scan and the typed-accumulator
 // aggregate each get a sentence, with the observed counts attached.
 func TestPlanEnglishVecAggregate(t *testing.T) {
 	s := &planner.Summary{
@@ -518,13 +518,13 @@ func TestPlanEnglishVecAggregate(t *testing.T) {
 			{Alias: "m", Relation: "MOVIES", Access: "full scan", TableRows: 100000, EstRows: 100000, EstCost: 100000, ActualRows: 100000},
 		},
 		Shape: []planner.ShapeSummary{
-			{Kind: "parallel-scan", Detail: "morsels of 4096 rows", K: 4096, EstRows: 100000, ActualRows: 100000},
+			{Kind: "parallel-scan", Detail: "4 workers over contiguous ranges", K: 4, EstRows: 100000, ActualRows: 100000},
 			{Kind: "vec-aggregate", Detail: "group by g.genre; COUNT(*), AVG(m.year); having COUNT(*) > 10", EstRows: 8, ActualRows: 8},
 		},
 	}
 	text := PlanEnglish(s)
 	for _, want := range []string{
-		"The base scan is split into morsels of 4096 rows that parallel workers claim from a shared cursor, each aggregating privately; the partial results merge in a fixed order, so the answer is identical at any worker count — 100000 seen.",
+		"The base scan is split into 4 contiguous ranges, one per worker, each aggregating privately; the partial results merge in scan order, so the answer is identical at any worker count — 100000 seen.",
 		"The rows are aggregated straight off the column vectors into typed per-group accumulators (group by g.genre; COUNT(*), AVG(m.year); having COUNT(*) > 10), about 8 groups, without materializing a joined row — 8 seen.",
 		"The query produced eight rows.",
 	} {

@@ -51,7 +51,7 @@ const (
 	ZoneShift = 12
 	// ZoneRows is the zone-map granularity: one zone summarizes one
 	// morsel-sized range of rows. planner.MorselRows aliases this constant so
-	// morsel-parallel scans and zone maps always agree on the unit.
+	// the planner's zone-skip estimate and the zone maps agree on the unit.
 	ZoneRows = 1 << ZoneShift
 
 	// ZoneMask extracts a row's offset within its zone; the engine indexes

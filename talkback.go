@@ -45,12 +45,14 @@
 // composite-key encoding every hash structure is built on is byte-for-byte
 // stable across the layout change.
 //
-// Every column additionally keeps a zone map: per 4096-row range (the same
-// morsel unit the parallel scan claims), the null count, typed min/max
-// bounds, a sortedness flag, and NaN presence for floats — extended
-// incrementally on insert, rebuilt from the first removed row's zone on
-// delete, and rebuilt zone by zone where a row was replaced on update. Two
-// lightweight encodings ride on the same maintenance pass:
+// Every column additionally keeps a zone map: per 4096-row range (the unit
+// at which scans poll their budget), the null count, typed min/max bounds,
+// and NaN presence for floats — maintained per row: an arriving value (an
+// inserted row, an UPDATE's new value, a row a DELETE slides into the zone)
+// widens the bounds, and a leaving one adjusts the null count and marks its
+// zone for a rescan only when it sat on a bound or was NaN, so a write pays
+// for the rows it touches. Two lightweight encodings ride on the same
+// maintenance pass:
 // Int/Date columns whose per-zone spans fit a byte carry frame-of-reference
 // deltas (a per-zone base plus one uint8 per row, so range predicates stream
 // an eighth of the bytes), and a text column opted in via EnableSortedDict
@@ -135,17 +137,20 @@
 // is ever materialized. Rows map to groups through a flat array indexed by
 // the composed key code when statistics bound the combined key domain
 // (dictionary sizes × min-max spans), and through a hash table over packed
-// fixed-width key bytes otherwise. The base scan is morsel-driven when every
+// fixed-width key bytes otherwise. The base scan fans out when every
 // accumulator provably merges without rounding (integer sums are
 // associative; AVG qualifies when statistics bound every intermediate float
-// sum under 2^53): workers claim fixed-size position ranges from an atomic
-// cursor and the merge restores first-seen group order by (morsel, sequence)
-// stamps, so any worker count is byte-identical to serial execution — the
-// plan's parallel-scan shape step records the choice. The planner knows
-// neither dialect: it prices the scan (is the base table large enough to fan
-// out), and the engine's compiler, having compiled the query onto the fused
-// pipeline, turns the plan's aggregate step into vec-aggregate and adds the
-// parallel-scan step — so the plan names a tier only if it runs. Every other
+// sum under 2^53) and the table is large enough: on the engine's one
+// scheduler, which every parallel loop shares, each worker aggregates one
+// contiguous range of positions privately, and the partial states merge in
+// range order — the order a serial scan creates the groups in, with a
+// MIN/MAX replaced only on a strict improvement — so any worker count is
+// byte-identical to serial execution. The planner knows neither dialect nor
+// the worker count: the engine's compiler, having compiled the query onto
+// the fused pipeline, turns the plan's aggregate step into vec-aggregate
+// and, when it will run more than one worker, adds a parallel-scan step
+// naming the count — so the plan names a tier, or workers, only if they
+// run. Every other
 // grouped query feeds the same group table and accumulators the arena rows:
 // group keys and aggregate arguments compiled to slot readers, HAVING a
 // compiled post-filter, and a subquery anywhere in them compiled at its own
@@ -158,7 +163,7 @@
 // zone's bounds — and, when some kernel can be decided from bounds, the
 // engine adds the zone-skip shape step to the plan. Every scan site — the
 // vectorized single-table scan, the general gather loop, and the fused
-// aggregation's serial and parallel morsel loops — skips a 4096-row morsel
+// aggregation's per-worker ranges — skips a 4096-row morsel
 // whose min/max bounds disprove the filters, and count-style passes
 // short-circuit morsels the bounds prove entirely matching. Verdicts stay
 // conservative around the dialect's edges (NULL-laden zones never claim
@@ -253,8 +258,9 @@
 // Every request carries a budget: core.System.AskContext (and the
 // Context variants of ExplainPlan and the describes) derives one from
 // the caller's context deadline plus the Config.MaxRowsScanned /
-// MaxBytesScanned quotas, and every execution loop polls it — parallel
-// scan morsels, the fused vectorized aggregate, row pipelines, and DML.
+// MaxBytesScanned quotas, and every execution loop polls it — each
+// zone-sized piece of a scan, the fused vectorized aggregate, row
+// pipelines, and DML.
 // A tripped budget returns a *engine.CancelError that names the cause
 // (deadline, cancellation, row quota, memory quota, wal-stall) and how
 // far the query got; querytotext.CancelEnglish renders it as a
