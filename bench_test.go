@@ -705,11 +705,12 @@ where m.id = c.mid and c.role = 'Role 7-19'`
 
 // BenchmarkX15MorselAggregate measures the fused vectorized aggregation over
 // a single-table 100k scan: group keys and accumulators read the column
-// vectors directly (flat array tier over the year domain), with the scan
-// either pinned to one worker or free to fan out over contiguous ranges, one
-// per worker. Host ns/op varies run to run by ~35%, so the gate (benchgate,
-// BENCH_5.json) is on allocs — which also prove the parallel scan allocates
-// per worker, not per row. The parallel subbench runs serially on a single
+// vectors directly (flat array tier over the year domain), one selection
+// vector at a time, with the scan either pinned to one worker or free to fan
+// out over contiguous ranges, one per worker. Host ns/op varies run to run by
+// ~35%, so the gate (benchgate; ceilings from BENCH_41.json) is on allocs and
+// bytes — which also prove the parallel scan allocates per worker, not per
+// row. The parallel subbench runs serially on a single
 // core (the engine's gate gives it one worker); the differential suite
 // separately proves any worker count is byte-identical.
 func BenchmarkX15MorselAggregate(b *testing.B) {

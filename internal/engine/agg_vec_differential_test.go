@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -98,10 +100,11 @@ func aggTemplates(rng *rand.Rand, n int) []string {
 }
 
 // aggTemplate draws one grouped query, each choice from pick (a value in
-// [0, n)): single-table and post-join, array-tier (small int/text domains)
+// [0, n)): single-table (MOVIES, GENRE and CAST, each with its own
+// arguments and filters) and post-join, array-tier (small int/text domains)
 // and hash-tier (wide int composites) group keys, NULL-able keys and
-// arguments, DISTINCT aggregates, HAVING, ORDER BY (column, aggregate,
-// ordinal), and LIMIT.
+// arguments, DISTINCT aggregates over integers and text, text MIN/MAX,
+// HAVING, ORDER BY (column, aggregate, ordinal), and LIMIT.
 func aggTemplate(pick func(n int) int) string {
 	keySets := [][2]string{
 		{"m.year", "MOVIES m, CAST c where m.id = c.mid"},
@@ -109,50 +112,78 @@ func aggTemplate(pick func(n int) int) string {
 		{"m.year, c.role", "MOVIES m, CAST c where m.id = c.mid"},
 		{"g.genre", "MOVIES m, GENRE g where m.id = g.mid"},
 		{"m.year", "MOVIES m"},
+		{"g.genre", "GENRE g"},
+		{"c.role", "CAST c"},
 		// Wide composite of two primary-key columns: the composed domain
 		// overflows the array tier, forcing packed-key hashing.
 		{"m.id, c.mid", "MOVIES m, CAST c where m.id = c.mid"},
 	}
-	aggs := []string{
-		"count(*)", "count(c.role)", "count(distinct c.role)",
-		"sum(m.year)", "avg(m.year)", "min(m.year)", "max(m.year)",
-		"min(m.title)", "max(m.title)", "count(distinct m.year)",
+	type pools struct{ aggs, wheres, havings []string }
+	joined := pools{
+		aggs: []string{
+			"count(*)", "count(c.role)", "count(distinct c.role)",
+			"sum(m.year)", "avg(m.year)", "min(m.year)", "max(m.year)",
+			"min(m.title)", "max(m.title)", "count(distinct m.year)",
+		},
+		wheres: []string{
+			"", "and m.year >= 1960", "and m.year between 1955 and 1995",
+			"and m.title like 'Movie 1%'",
+		},
+		havings: []string{
+			"", "having count(*) > 2", "having count(*) > 1000000",
+			"having avg(m.year) > 1970", "having min(m.year) is not null",
+		},
 	}
-	singleAggs := []string{
-		"count(*)", "sum(m.year)", "avg(m.year)", "min(m.title)",
-		"max(m.year)", "count(distinct m.year)", "count(m.year)",
-	}
-	havings := []string{
-		"", "having count(*) > 2", "having count(*) > 1000000",
-		"having avg(m.year) > 1970", "having min(m.year) is not null",
-	}
-	wheres := []string{
-		"", "and m.year >= 1960", "and m.year between 1955 and 1995",
-		"and m.title like 'Movie 1%'",
+	single := map[string]pools{
+		"MOVIES m": {
+			aggs: []string{
+				"count(*)", "sum(m.year)", "avg(m.year)", "min(m.title)",
+				"max(m.year)", "count(distinct m.year)", "count(m.year)",
+				"max(m.title)", "count(distinct m.title)",
+			},
+			wheres:  joined.wheres,
+			havings: joined.havings,
+		},
+		"GENRE g": {
+			aggs: []string{
+				"count(*)", "min(g.genre)", "max(g.genre)", "count(distinct g.genre)",
+				"sum(g.mid)", "avg(g.mid)", "min(g.mid)", "count(distinct g.mid)",
+			},
+			wheres:  []string{"", "and g.mid > 300", "and g.genre <> 'drama'"},
+			havings: []string{"", "having count(*) > 2", "having min(g.mid) < 100"},
+		},
+		"CAST c": {
+			aggs: []string{
+				"count(*)", "count(c.role)", "count(distinct c.role)", "min(c.role)",
+				"max(c.role)", "sum(c.aid)", "max(c.aid)", "count(distinct c.aid)",
+			},
+			wheres:  []string{"", "and c.mid between 100 and 700", "and c.role like 'Role 1%'"},
+			havings: []string{"", "having count(*) > 2", "having max(c.role) is not null"},
+		},
 	}
 	ks := keySets[pick(len(keySets))]
-	pool := aggs
-	if ks[1] == "MOVIES m" {
-		pool = singleAggs
+	pool, oneTable := single[ks[1]]
+	if !oneTable {
+		pool = joined
 	}
 	nAggs := 1 + pick(3)
 	sel := ks[0]
 	chosen := make([]string, 0, nAggs)
 	for j := 0; j < nAggs; j++ {
-		a := pool[pick(len(pool))]
+		a := pool.aggs[pick(len(pool.aggs))]
 		sel += ", " + a
 		chosen = append(chosen, a)
 	}
 	from := ks[1]
-	if w := wheres[pick(len(wheres))]; w != "" {
-		if ks[1] == "MOVIES m" {
+	if w := pool.wheres[pick(len(pool.wheres))]; w != "" {
+		if oneTable {
 			from += " where " + w[len("and "):]
 		} else {
 			from += " " + w
 		}
 	}
 	q := fmt.Sprintf("select %s from %s group by %s", sel, from, ks[0])
-	if h := havings[pick(len(havings))]; h != "" {
+	if h := pool.havings[pick(len(pool.havings))]; h != "" {
 		q += " " + h
 	}
 	switch pick(4) {
@@ -520,24 +551,6 @@ func TestVecAggTiesAcrossChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// payloads renders a result exactly: kind and payload bits of every value.
-	payloads := func(res *Result) string {
-		var b strings.Builder
-		for _, row := range res.Rows {
-			for _, v := range row {
-				switch v.Kind() {
-				case value.Int:
-					fmt.Fprintf(&b, "i%d ", v.Int())
-				case value.Float:
-					fmt.Fprintf(&b, "f%x ", math.Float64bits(v.Float()))
-				default:
-					fmt.Fprintf(&b, "%s ", v.Key())
-				}
-			}
-			b.WriteString("\n")
-		}
-		return b.String()
-	}
 	ex := New(db)
 	for _, q := range []string{
 		`select t.k, count(*), min(t.v), max(t.v) from T t group by t.k`,
@@ -574,4 +587,149 @@ func TestVecAggTiesAcrossChunks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// payloads renders a result exactly: kind and payload bits of every value.
+func payloads(res *Result) string {
+	var b strings.Builder
+	for _, row := range res.Rows {
+		for _, v := range row {
+			switch v.Kind() {
+			case value.Int:
+				fmt.Fprintf(&b, "i%d ", v.Int())
+			case value.Float:
+				fmt.Fprintf(&b, "f%x ", math.Float64bits(v.Float()))
+			default:
+				fmt.Fprintf(&b, "%s ", v.Key())
+			}
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestVecAggBatchEdges holds the fused aggregation's batch edges to the
+// oracle, at one worker and at GOMAXPROCS (and three) workers, payload for
+// payload. T spans three full zones and a partial one. Only the middle zone
+// holds NULL keys and NULL arguments, so the typed loops read the NULL
+// bitmap there and take the zone maps' word for it elsewhere. Key 100 is
+// first seen at position 1023, the last of the scan's first selection
+// vector, and key 101 at position 255, the last of the first group-number
+// batch. Compare-equal but distinct MIN/MAX payloads (2^53 and 2^53+1, -0.0
+// and +0.0) tie inside one vector, where the first seen must win. Joined
+// with U, every worker's tail batch of joined rows fills and flushes many
+// times within its range, and the range's last rows flush at its end.
+func TestVecAggBatchEdges(t *testing.T) {
+	schema := catalog.NewSchema("edges")
+	for _, r := range []*catalog.Relation{
+		{Name: "T", PrimaryKey: []string{"id"}, Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true},
+			{Name: "k", Type: catalog.Int}, {Name: "s", Type: catalog.Text},
+			{Name: "v", Type: catalog.Int}, {Name: "f", Type: catalog.Float}}},
+		{Name: "U", PrimaryKey: []string{"id"}, Attributes: []*catalog.Attribute{
+			{Name: "id", Type: catalog.Int, NotNull: true},
+			{Name: "tid", Type: catalog.Int}, {Name: "w", Type: catalog.Int}}},
+	} {
+		if err := schema.AddRelation(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := storage.NewDatabase(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3*storage.ZoneRows + 1500
+	const big = int64(1) << 53
+	null := value.NewNull()
+	var rows, urows []storage.Tuple
+	for i := 0; i < n; i++ {
+		k, s := value.NewInt(int64(i%7)), value.NewText(fmt.Sprintf("s%d", i%11))
+		v, f := value.NewInt(int64(i*37%1001)), value.NewFloat(float64(i)*0.5+1)
+		switch i {
+		case 255:
+			k = value.NewInt(101)
+		case 1023, 9000:
+			k = value.NewInt(100)
+		// Rows 3, 10, 17 and 24 are in group 3, rows 5 and 12 in group 5.
+		case 3:
+			v = value.NewInt(big)
+		case 10:
+			v = value.NewInt(big + 1)
+		case 17:
+			v = value.NewInt(-big - 1)
+		case 24:
+			v = value.NewInt(-big)
+		case 5:
+			f = value.NewFloat(math.Copysign(0, -1))
+		case 12:
+			f = value.NewFloat(0)
+		}
+		if i>>storage.ZoneShift == 1 {
+			if i%5 == 0 {
+				k = null
+			}
+			if i%3 == 0 {
+				s = null
+			}
+			if i%4 == 0 {
+				v, f = null, null
+			}
+		}
+		rows = append(rows, storage.Tuple{value.NewInt(int64(i)), k, s, v, f})
+		for j := 0; j < i%3; j++ {
+			urows = append(urows, storage.Tuple{value.NewInt(int64(len(urows))), value.NewInt(int64(i)), value.NewInt(int64(i % 13))})
+		}
+	}
+	for rel, tuples := range map[string][]storage.Tuple{"T": rows, "U": urows} {
+		if _, err := db.InsertRows(context.Background(), rel, tuples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kcol := db.Table("T").Col(1)
+	if kcol.ZoneNulls(0) != 0 || kcol.ZoneNulls(1) == 0 || kcol.ZoneNulls(2) != 0 || kcol.ZoneNulls(3) != 0 {
+		t.Fatal("T.k: NULLs are not confined to the middle zone")
+	}
+
+	ex := New(db)
+	for _, q := range []string{
+		`select t.k, count(*), count(t.v), sum(t.v), min(t.v), max(t.v), min(t.f), max(t.f) from T t group by t.k`,
+		`select t.s, count(*), min(t.s), max(t.s), count(distinct t.s), count(distinct t.k) from T t group by t.s`,
+		`select t.k, t.s, count(t.f), max(t.v) from T t where t.id > 200 group by t.k, t.s`,
+		`select t.f, count(*), min(t.v) from T t where t.k = 5 group by t.f`,
+		`select t.k, count(*) from T t where t.id = 1023 group by t.k`,
+		`select t.k, count(*), sum(u.w), min(t.v), max(t.v), max(u.w) from T t, U u where t.id = u.tid group by t.k`,
+		`select u.w, t.s, count(*), min(t.f), count(distinct t.s) from T t, U u where t.id = u.tid and u.w > 3 group by u.w, t.s`,
+		`select t.k, count(*), max(u.w) from T t, U u where t.id = 1023 and u.tid = t.id group by t.k`,
+	} {
+		sel := mustParse(t, q)
+		var want string
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0), 3} {
+			ex.SetParallelism(workers)
+			fused, _ := fusedVsOracle(t, ex, q)
+			if !fused {
+				t.Fatalf("%s at %d workers did not run vec-aggregate", q, workers)
+			}
+			res, err := ex.Select(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := payloads(res); want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s at %d workers:\n%swant (one worker):\n%s", q, workers, got, want)
+			}
+		}
+		if !strings.Contains(q, " U u") {
+			ex.useOracle(true)
+			oracle, err := ex.Select(sel)
+			ex.useOracle(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := payloads(oracle); got != want {
+				t.Fatalf("%s\nfused:\n%soracle:\n%s", q, want, got)
+			}
+		}
+	}
+	ex.SetParallelism(0)
 }

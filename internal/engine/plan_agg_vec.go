@@ -15,15 +15,21 @@ import (
 
 // This file is the engine's one aggregator. Its group table and
 // accumulators are fed one of two ways. Grouped queries that compile onto the
-// fused pipeline run scan → joins → grouping as one push-based loop over
-// table positions, never materializing a joined row, and the plan's
-// aggregate step becomes vec-aggregate to say so: group keys and aggregate
-// arguments read typed column vectors directly, and accumulators are unboxed
-// typed arrays indexed by a dense group number. Two tiers map such a row to
-// its group: when every key is dictionary- or range-codeable with a small
-// combined domain, a flat array indexed by the composed code; otherwise a
-// hash table over fixed-width packed key bytes. DISTINCT aggregates track
-// per-group bitsets over the argument's code domain. Every other grouped
+// fused pipeline run scan → joins → grouping over batches of table
+// positions, never materializing a joined row, and the plan's aggregate step
+// becomes vec-aggregate to say so: group keys and aggregate arguments read
+// typed column vectors directly, and accumulators are unboxed typed arrays
+// indexed by a dense group number. The state takes one batch of rows per
+// call (updateBatch), in the manner of MonetDB/X100 (Boncz, Zukowski & Nes,
+// CIDR 2005): a scan-only plan's kept selection vectors as they are, a
+// primary-key probe's positions, a join plan's joined rows gathered in a
+// small per-worker tail batch. Each batch runs in passes of one typed loop
+// per key or aggregate: the rows' group numbers, their row counts, the
+// accumulators. Two tiers map a row to its group: when every key is
+// dictionary- or range-codeable with a small combined domain, a flat array
+// indexed by the composed code; otherwise a hash table over fixed-width
+// packed key bytes. DISTINCT aggregates track per-group bitsets over the
+// argument's code domain. Every other grouped
 // query feeds the join pipeline's rows (aggregateRows): the hash tier keyed
 // by value.AppendKey over the evaluated GROUP BY values, and boxed argument
 // values (updateRow). Either way the groups finish alike (finishVecAgg).
@@ -69,64 +75,116 @@ const (
 // Compiled form
 // ---------------------------------------------------------------------------
 
-// vecKey is one GROUP BY column: its owning step and attribute position,
-// its column, and the array-tier coding parameters (code 0 is reserved for
-// NULL).
-type vecKey struct {
-	si   int
-	pos  int
-	col  storage.Col
-	kind value.Kind
-	// array tier: code = payload - base + 1, stride its positional weight.
-	base   int64
-	stride uint64
+// vecCol is a column the fused pipeline reads: its owning step, attribute
+// position and handle, and whether its zone maps cover the table (zoned), so
+// that a zone's NULL count can stand in for its NULL bitmap.
+type vecCol struct {
+	si, pos int
+	col     storage.Col
+	kind    value.Kind
+	zoned   bool
 }
 
-// arrayCode maps the key's value at position ti, read through rd, onto its
-// dense code.
-func (k *vecKey) arrayCode(rd *zoneReader, ti int) uint64 {
-	if k.col.Null(ti) {
-		return 0
+// vecColumn compiles a plain column reference of the query onto the column it
+// reads; ok is false for anything else, or a column without a typed payload
+// vector.
+func (pq *plannedQuery) vecColumn(e sqlparser.Expr) (vecCol, bool) {
+	ref, ok := e.(*sqlparser.ColumnRef)
+	if !ok || ref.Column == "*" {
+		return vecCol{}, false
 	}
-	off := rd.at(ti)
-	switch k.kind {
-	case value.Int, value.Date:
-		return uint64(rd.ints[off]-k.base) + 1
-	case value.Text:
-		return uint64(rd.cds[off]) + 1
-	default: // Bool (Float never reaches the array tier)
-		if rd.bls[off] {
-			return 2
+	slot, ok := pq.slotOf(ref)
+	if !ok {
+		return vecCol{}, false
+	}
+	si, pos := pq.slotOwner(slot)
+	if si < 0 {
+		return vecCol{}, false
+	}
+	tbl := pq.plan.Steps[si].Input.Tbl
+	col := tbl.Col(pos)
+	c := vecCol{si: si, pos: pos, col: col, kind: col.Kind(), zoned: col.ZonesSynced(tbl.Len())}
+	return c, vecKind(c.kind)
+}
+
+// nullsIn reports whether zone z may hold a NULL, which a typed loop must
+// then read off the bitmap row by row.
+func (c *vecCol) nullsIn(z int) bool { return !c.zoned || c.col.ZoneNulls(z) > 0 }
+
+// vecKey is one GROUP BY column with its array-tier coding parameters (code
+// 0 is reserved for NULL).
+type vecKey struct {
+	vecCol
+	// array tier: code = payload - base + 1, stride its positional weight.
+	base   int64
+	stride int32
+}
+
+// addCodes adds the key's weighted array-tier code at each position of pos
+// to the composed code in the same place of g: one typed loop per zone the
+// positions visit.
+func (k *vecKey) addCodes(pos, g []int32) {
+	col, stride := k.col, k.stride
+	for len(pos) > 0 {
+		n := zoneRun(pos)
+		z := int(pos[0]) >> storage.ZoneShift
+		run, out := pos[:n], g[:n]
+		nulls := k.nullsIn(z)
+		switch k.kind {
+		case value.Int, value.Date:
+			chunk, base := col.Ints(z), k.base-1
+			for r, ti := range run {
+				if !nulls || !col.Null(int(ti)) {
+					out[r] += int32(chunk[ti&storage.ZoneMask]-base) * stride
+				}
+			}
+		case value.Text:
+			chunk := col.Codes(z)
+			for r, ti := range run {
+				if !nulls || !col.Null(int(ti)) {
+					out[r] += int32(chunk[ti&storage.ZoneMask]+1) * stride
+				}
+			}
+		default: // Bool (Float never reaches the array tier)
+			chunk := col.Bools(z)
+			for r, ti := range run {
+				if !nulls || !col.Null(int(ti)) {
+					c := int32(1)
+					if chunk[ti&storage.ZoneMask] {
+						c = 2
+					}
+					out[r] += c * stride
+				}
+			}
 		}
-		return 1
+		pos, g = pos[n:], g[n:]
 	}
 }
 
 // pack appends the key's fixed-width (tag + 8 payload bytes) encoding at
-// position ti, read through rd. Integers pack their float64 image — the same
-// identity the interpreter's encoded group keys use — and -0.0 collapses onto
-// +0.0.
-func (k *vecKey) pack(buf []byte, rd *zoneReader, ti int) []byte {
+// position ti. Integers pack their float64 image — the same identity the
+// interpreter's encoded group keys use — and -0.0 collapses onto +0.0.
+func (k *vecKey) pack(buf []byte, ti int) []byte {
 	var tag byte
 	var b uint64
 	if !k.col.Null(ti) {
 		tag = 1
-		off := rd.at(ti)
+		z, off := ti>>storage.ZoneShift, ti&storage.ZoneMask
 		switch k.kind {
 		case value.Int:
-			b = math.Float64bits(float64(rd.ints[off]))
+			b = math.Float64bits(float64(k.col.Ints(z)[off]))
 		case value.Date:
-			b = uint64(rd.ints[off])
+			b = uint64(k.col.Ints(z)[off])
 		case value.Float:
-			f := rd.flts[off]
+			f := k.col.Floats(z)[off]
 			if f == 0 {
 				f = 0 // collapse -0 and +0, like value.AppendKey
 			}
 			b = math.Float64bits(f)
 		case value.Text:
-			b = uint64(rd.cds[off])
+			b = uint64(k.col.Codes(z)[off])
 		case value.Bool:
-			if rd.bls[off] {
+			if k.col.Bools(z)[off] {
 				b = 1
 			}
 		}
@@ -143,9 +201,7 @@ type vecAgg struct {
 	star     bool // no argument: the group row count
 	distinct bool // a per-group bitset; row-fed, a set of value.AppendKey keys
 	arg      rowEval
-	si       int
-	col      storage.Col
-	kind     value.Kind
+	vecCol
 	// exact reports the accumulator merges across partial states without
 	// rounding — the per-aggregate condition for a parallel scan.
 	exact bool
@@ -153,23 +209,6 @@ type vecAgg struct {
 	// (dictionary code for text, 0/1 for bool).
 	setWords int
 	setBase  int64
-}
-
-// distinctCode maps the argument value at ti, read through rd, onto its
-// bitset position.
-func (a *vecAgg) distinctCode(rd *zoneReader, ti int) uint64 {
-	off := rd.at(ti)
-	switch a.kind {
-	case value.Text:
-		return uint64(rd.cds[off])
-	case value.Bool:
-		if rd.bls[off] {
-			return 1
-		}
-		return 0
-	default: // Int, Date
-		return uint64(rd.ints[off] - a.setBase)
-	}
 }
 
 // boxed reports a row-fed aggregate with an argument.
@@ -240,39 +279,6 @@ func vecKind(kind value.Kind) bool {
 		return true
 	}
 	return false
-}
-
-// zoneReader is one worker's window on a key or aggregate column: it holds
-// the payload chunk of the zone it read last and rebinds when a position
-// falls in another zone — once per zone on a scan, whose positions stay in
-// one zone for thousands of rows.
-type zoneReader struct {
-	col  storage.Col
-	z    int
-	ints []int64
-	flts []float64
-	cds  []uint32
-	bls  []bool
-}
-
-func newZoneReader(col storage.Col) zoneReader { return zoneReader{col: col, z: -1} }
-
-// at binds the chunk holding position ti and returns ti's offset in it.
-func (r *zoneReader) at(ti int) int {
-	if z := ti >> storage.ZoneShift; z != r.z {
-		r.z = z
-		switch r.col.Kind() {
-		case value.Int, value.Date:
-			r.ints = r.col.Ints(z)
-		case value.Float:
-			r.flts = r.col.Floats(z)
-		case value.Text:
-			r.cds = r.col.Codes(z)
-		case value.Bool:
-			r.bls = r.col.Bools(z)
-		}
-	}
-	return ti & storage.ZoneMask
 }
 
 // ---------------------------------------------------------------------------
@@ -349,24 +355,11 @@ func (pq *plannedQuery) compileVecKeys(sel *sqlparser.SelectStmt) (*vecAggExec, 
 		stats:  make([]*storage.TableStats, len(plan.Steps)),
 	}
 	for _, g := range sel.GroupBy {
-		ref, ok := g.(*sqlparser.ColumnRef)
-		if !ok || ref.Column == "*" {
-			return nil, false
-		}
-		slot, ok := pq.slotOf(ref)
+		c, ok := pq.vecColumn(g)
 		if !ok {
 			return nil, false
 		}
-		si, pos := pq.slotOwner(slot)
-		if si < 0 {
-			return nil, false
-		}
-		col := plan.Steps[si].Input.Tbl.Col(pos)
-		k := vecKey{si: si, pos: pos, col: col, kind: col.Kind()}
-		if !vecKind(k.kind) {
-			return nil, false
-		}
-		va.keys = append(va.keys, k)
+		va.keys = append(va.keys, vecKey{vecCol: c})
 	}
 	va.pw = len(va.keys)
 
@@ -382,7 +375,7 @@ func (pq *plannedQuery) compileVecKeys(sel *sqlparser.SelectStmt) (*vecAggExec, 
 			va.domain = 0
 			break
 		}
-		k.stride = va.domain
+		k.stride = int32(va.domain)
 		va.domain *= card
 	}
 	va.keyW = 9 * len(va.keys)
@@ -441,27 +434,15 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 	} else if va.rowFed {
 		spec.arg = va.pq.compile(a.Arg)
 	} else {
-		ref, ok := a.Arg.(*sqlparser.ColumnRef)
-		if !ok || ref.Column == "*" {
-			return 0, false
-		}
-		slot, ok := va.pq.slotOf(ref)
+		c, ok := va.pq.vecColumn(a.Arg)
 		if !ok {
 			return 0, false
 		}
-		si, pos := va.pq.slotOwner(slot)
-		if si < 0 {
-			return 0, false
-		}
-		col := va.pq.plan.Steps[si].Input.Tbl.Col(pos)
-		spec.si, spec.col, spec.kind = si, col, col.Kind()
-		if !vecKind(spec.kind) {
-			return 0, false
-		}
+		spec.vecCol = c
 		switch a.Func {
 		case sqlparser.AggCount:
 			spec.exact = true
-			if spec.distinct && !va.distinctSetup(spec, pos) {
+			if spec.distinct && !va.distinctSetup(spec) {
 				return 0, false
 			}
 		case sqlparser.AggMin, sqlparser.AggMax:
@@ -472,19 +453,19 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 			switch spec.kind {
 			case value.Int:
 				if spec.distinct {
-					if !va.distinctSetup(spec, pos) {
+					if !va.distinctSetup(spec) {
 						return 0, false
 					}
 					// The distinct sum is recomputed from the value set in
 					// code order; integer sums are order-free, float (AVG)
 					// sums must be provably exact to match the oracle's
 					// first-seen accumulation.
-					if a.Func == sqlparser.AggAvg && !va.avgExact(spec, pos, true) {
+					if a.Func == sqlparser.AggAvg && !va.avgExact(spec, true) {
 						return 0, false
 					}
 					spec.exact = true
 				} else {
-					spec.exact = a.Func == sqlparser.AggSum || va.avgExact(spec, pos, false)
+					spec.exact = a.Func == sqlparser.AggSum || va.avgExact(spec, false)
 				}
 			case value.Float:
 				if spec.distinct {
@@ -506,7 +487,7 @@ func (va *vecAggExec) addAgg(a *sqlparser.AggregateExpr) (int, bool) {
 
 // distinctSetup sizes the DISTINCT bitset from the argument's value domain:
 // dictionary size for text, min..max span for integers and dates.
-func (va *vecAggExec) distinctSetup(spec *vecAgg, pos int) bool {
+func (va *vecAggExec) distinctSetup(spec *vecAgg) bool {
 	switch spec.kind {
 	case value.Text:
 		n := int64(spec.col.DictLen())
@@ -517,7 +498,7 @@ func (va *vecAggExec) distinctSetup(spec *vecAgg, pos int) bool {
 	case value.Bool:
 		spec.setWords = 1
 	case value.Int, value.Date:
-		at := &va.statsOf(spec.si).Attrs[pos]
+		at := &va.statsOf(spec.si).Attrs[spec.pos]
 		if at.Min.IsNull() {
 			spec.setWords = 1
 			return true
@@ -548,8 +529,8 @@ func (va *vecAggExec) distinctSetup(spec *vecAgg, pos int) bool {
 // avgExact reports whether every float64 sum AVG can build over this
 // argument is exactly representable — the worst case being the joined row
 // count (or the distinct-domain width) times the largest absolute value.
-func (va *vecAggExec) avgExact(spec *vecAgg, pos int, distinct bool) bool {
-	at := &va.statsOf(spec.si).Attrs[pos]
+func (va *vecAggExec) avgExact(spec *vecAgg, distinct bool) bool {
+	at := &va.statsOf(spec.si).Attrs[spec.pos]
 	if at.Min.IsNull() {
 		return true
 	}
@@ -731,7 +712,7 @@ func (a *vecAccs) grow(spec *vecAgg) {
 type vecAggState struct {
 	n       int
 	arrIdx  []int32          // array tier: composed code -> group+1 (0 empty)
-	codes   []uint64         // array tier: composed code per group (merge re-lookup)
+	codes   []int32          // array tier: composed code per group (merge re-lookup)
 	hashIdx map[string]int32 // hash tier: packed (row-fed: AppendKey) key -> group+1
 	keySlab []byte           // column-fed hash tier: packed keys, keyW bytes per group
 	prefix  []value.Value    // pw values per group, from its first-seen row
@@ -768,116 +749,237 @@ func (s *vecAggState) prefixOf(va *vecAggExec, gi int32) []value.Value {
 	return s.prefix[int(gi)*va.pw : (int(gi)+1)*va.pw]
 }
 
-// upsert maps the current row (positions in fc.pos) to its dense group,
-// creating it on first sight with the row's key values.
-func (s *vecAggState) upsert(va *vecAggExec, fc *fusedCtx) int32 {
-	if va.arrayTier {
-		var code uint64
-		for i := range va.keys {
-			k := &va.keys[i]
-			code += k.arrayCode(&fc.keyRd[i], int(fc.pos[k.si])) * k.stride
-		}
-		if g := s.arrIdx[code]; g != 0 {
-			return g - 1
-		}
-		gi := s.addGroup(va)
-		s.arrIdx[code] = gi + 1
-		s.codes = append(s.codes, code)
-		s.fillGroup(va, fc, gi)
-		return gi
-	}
-	fc.keyBuf = fc.keyBuf[:0]
-	for i := range va.keys {
-		k := &va.keys[i]
-		fc.keyBuf = k.pack(fc.keyBuf, &fc.keyRd[i], int(fc.pos[k.si]))
-	}
-	if g, ok := s.hashIdx[string(fc.keyBuf)]; ok {
-		return g - 1
-	}
-	gi := s.addGroup(va)
-	s.keySlab = append(s.keySlab, fc.keyBuf...)
-	s.hashIdx[string(fc.keyBuf)] = gi + 1
-	s.fillGroup(va, fc, gi)
-	return gi
+// batchRows sizes a worker's one batch buffer (fusedCtx.scratch, 1 KB): a
+// scan-only plan's updateBatch numbers this many rows' groups at a time.
+const batchRows = 256
+
+// rowBatch is n joined rows by position, in pipeline order: step si's
+// positions are at[si*stride:][:n]. A scan-only plan's batch is its kept
+// selection vector (stride 0).
+type rowBatch struct {
+	at        []int32
+	stride, n int
 }
 
-// fillGroup materializes the group's key values from the creating row.
-func (s *vecAggState) fillGroup(va *vecAggExec, fc *fusedCtx, gi int32) {
+func (b rowBatch) step(si int) []int32 { return b.at[si*b.stride:][:b.n] }
+
+// updateBatch consumes a batch of joined rows into the state, len(fc.grp)
+// rows at a time in three passes, each one typed loop per key or aggregate
+// over them (the vectorized execution of MonetDB/X100, Boncz, Zukowski & Nes,
+// CIDR 2005): the rows' group numbers, then the row counts, then the
+// accumulators. The passes visit the rows in batch order, so groups are
+// created, float sums added up and MIN/MAX ties settled as row-at-a-time
+// consumption would.
+func (s *vecAggState) updateBatch(va *vecAggExec, fc *fusedCtx, b rowBatch) {
+	for lo := 0; lo < b.n; lo += len(fc.grp) {
+		sub := rowBatch{at: b.at[lo:], stride: b.stride, n: min(len(fc.grp), b.n-lo)}
+		g := fc.grp[:sub.n]
+		s.groupBatch(va, fc, sub, g)
+		rows := s.rows
+		for _, gi := range g {
+			rows[gi]++
+		}
+		for j, spec := range va.aggs {
+			if !spec.star {
+				s.accs[j].updateBatch(spec, sub.step(spec.si), g)
+			}
+		}
+	}
+}
+
+// groupBatch writes the dense group number of each row of b into g, creating
+// groups in row order with the row's key values. The array tier composes
+// every row's code in g first, key by key, then maps the codes to groups;
+// the hash tier packs and looks up one row at a time.
+func (s *vecAggState) groupBatch(va *vecAggExec, fc *fusedCtx, b rowBatch, g []int32) {
+	if va.arrayTier {
+		clear(g)
+		for i := range va.keys {
+			k := &va.keys[i]
+			k.addCodes(b.step(k.si), g)
+		}
+		idx := s.arrIdx
+		for r, code := range g {
+			gi := idx[code]
+			if gi == 0 {
+				gi = s.addGroup(va) + 1
+				idx[code] = gi
+				s.codes = append(s.codes, code)
+				s.fillGroup(va, b, r, gi-1)
+			}
+			g[r] = gi - 1
+		}
+		return
+	}
+	for r := range g {
+		fc.keyBuf = fc.keyBuf[:0]
+		for i := range va.keys {
+			k := &va.keys[i]
+			fc.keyBuf = k.pack(fc.keyBuf, int(b.step(k.si)[r]))
+		}
+		gi, ok := s.hashIdx[string(fc.keyBuf)]
+		if !ok {
+			gi = s.addGroup(va) + 1
+			s.keySlab = append(s.keySlab, fc.keyBuf...)
+			s.hashIdx[string(fc.keyBuf)] = gi
+			s.fillGroup(va, b, r, gi-1)
+		}
+		g[r] = gi - 1
+	}
+}
+
+// fillGroup materializes group gi's key values from row r of b, its first.
+func (s *vecAggState) fillGroup(va *vecAggExec, b rowBatch, r int, gi int32) {
 	keys := s.prefixOf(va, gi)
 	for i := range va.keys {
 		k := &va.keys[i]
-		keys[i] = k.col.Value(int(fc.pos[k.si]))
+		keys[i] = k.col.Value(int(b.step(k.si)[r]))
 	}
 }
 
-// update consumes one joined row (by positions) into the state.
-func (s *vecAggState) update(va *vecAggExec, fc *fusedCtx) {
-	gi := s.upsert(va, fc)
-	s.rows[gi]++
-	for j, spec := range va.aggs {
-		if spec.star {
-			continue
+// updateBatch folds the argument's values at positions pos into the
+// accumulators of groups g, row by row in order: one typed loop per zone
+// the positions visit. NULLs are skipped.
+func (a *vecAccs) updateBatch(spec *vecAgg, pos, g []int32) {
+	for len(pos) > 0 {
+		n := zoneRun(pos)
+		a.updateZone(spec, int(pos[0])>>storage.ZoneShift, pos[:n], g[:n])
+		pos, g = pos[n:], g[n:]
+	}
+}
+
+// updateZone is updateBatch over positions of zone z. MIN/MAX mirror
+// value.Compare — numeric kinds compare as float64 images — and replace the
+// held payload only on a strict improvement, so ties keep the first-seen
+// value.
+func (a *vecAccs) updateZone(spec *vecAgg, z int, pos, g []int32) {
+	col := spec.col
+	nulls := spec.nullsIn(z)
+	null := func(ti int32) bool { return nulls && col.Null(int(ti)) }
+	const m = storage.ZoneMask
+	if spec.distinct {
+		var ints []int64
+		var cds []uint32
+		var bls []bool
+		switch spec.kind {
+		case value.Text:
+			cds = col.Codes(z)
+		case value.Bool:
+			bls = col.Bools(z)
+		default: // Int, Date
+			ints = col.Ints(z)
 		}
-		ti := int(fc.pos[spec.si])
-		if spec.col.Null(ti) {
-			continue
-		}
-		a, rd := &s.accs[j], &fc.aggRd[j]
-		if spec.distinct {
-			code := spec.distinctCode(rd, ti)
-			set := a.sets[gi]
+		sets := a.sets
+		for r, ti := range pos {
+			if null(ti) {
+				continue
+			}
+			var code uint64
+			switch {
+			case cds != nil:
+				code = uint64(cds[ti&m])
+			case bls != nil:
+				if bls[ti&m] {
+					code = 1
+				}
+			default:
+				code = uint64(ints[ti&m] - spec.setBase)
+			}
+			set := sets[g[r]]
 			if set == nil {
 				set = make([]uint64, spec.setWords)
-				a.sets[gi] = set
+				sets[g[r]] = set
 			}
 			set[code>>6] |= 1 << (code & 63)
-			continue
 		}
-		switch spec.fn {
-		case sqlparser.AggCount:
-			a.count[gi]++
-		case sqlparser.AggSum, sqlparser.AggAvg:
-			a.count[gi]++
-			if spec.kind == value.Int {
-				x := rd.ints[rd.at(ti)]
-				a.sumI[gi] += x
-				a.sumF[gi] += float64(x)
-			} else {
-				a.sumF[gi] += rd.flts[rd.at(ti)]
-			}
-		case sqlparser.AggMin, sqlparser.AggMax:
-			updateBest(spec, rd, a, gi, ti)
-		}
+		return
 	}
-}
-
-// updateBest applies one MIN/MAX candidate, mirroring value.Compare: numeric
-// kinds compare as float64 images, and only strict improvements replace the
-// held payload (so ties keep the first-seen value).
-func updateBest(spec *vecAgg, rd *zoneReader, a *vecAccs, gi int32, ti int) {
-	min := spec.fn == sqlparser.AggMin
-	better := func(c int) bool { return (min && c < 0) || (!min && c > 0) }
-	off := rd.at(ti)
-	switch spec.kind {
-	case value.Int:
-		if x := rd.ints[off]; !a.has[gi] || better(cmpFloat(float64(x), float64(a.bestI[gi]))) {
-			a.has[gi], a.bestI[gi] = true, x
+	count, has := a.count, a.has
+	switch spec.fn {
+	case sqlparser.AggCount:
+		for r, ti := range pos {
+			if !null(ti) {
+				count[g[r]]++
+			}
 		}
-	case value.Date:
-		if x := rd.ints[off]; !a.has[gi] || better(cmpInt(x, a.bestI[gi])) {
-			a.has[gi], a.bestI[gi] = true, x
+	case sqlparser.AggSum, sqlparser.AggAvg:
+		sumF := a.sumF
+		if spec.kind == value.Int {
+			chunk, sumI := col.Ints(z), a.sumI
+			for r, ti := range pos {
+				if !null(ti) {
+					x, gi := chunk[ti&m], g[r]
+					count[gi]++
+					sumI[gi] += x
+					sumF[gi] += float64(x)
+				}
+			}
+			return
 		}
-	case value.Float:
-		if x := rd.flts[off]; !a.has[gi] || better(cmpFloat(x, a.bestF[gi])) {
-			a.has[gi], a.bestF[gi] = true, x
+		chunk := col.Floats(z)
+		for r, ti := range pos {
+			if !null(ti) {
+				count[g[r]]++
+				sumF[g[r]] += chunk[ti&m]
+			}
 		}
-	case value.Text:
-		if x := spec.col.DictString(rd.cds[off]); !a.has[gi] || better(strings.Compare(x, a.bestS[gi])) {
-			a.has[gi], a.bestS[gi] = true, x
+	case sqlparser.AggMin, sqlparser.AggMax:
+		// c*sgn > 0: the candidate beats the held value.
+		sgn := 1
+		if spec.fn == sqlparser.AggMin {
+			sgn = -1
 		}
-	case value.Bool:
-		if x := rd.bls[off]; !a.has[gi] || better(cmpBool(x, a.bestB[gi])) {
-			a.has[gi], a.bestB[gi] = true, x
+		switch spec.kind {
+		case value.Int:
+			chunk, best := col.Ints(z), a.bestI
+			for r, ti := range pos {
+				if null(ti) {
+					continue
+				}
+				if x, gi := chunk[ti&m], g[r]; !has[gi] || cmpFloat(float64(x), float64(best[gi]))*sgn > 0 {
+					has[gi], best[gi] = true, x
+				}
+			}
+		case value.Date:
+			chunk, best := col.Ints(z), a.bestI
+			for r, ti := range pos {
+				if null(ti) {
+					continue
+				}
+				if x, gi := chunk[ti&m], g[r]; !has[gi] || cmpInt(x, best[gi])*sgn > 0 {
+					has[gi], best[gi] = true, x
+				}
+			}
+		case value.Float:
+			chunk, best := col.Floats(z), a.bestF
+			for r, ti := range pos {
+				if null(ti) {
+					continue
+				}
+				if x, gi := chunk[ti&m], g[r]; !has[gi] || cmpFloat(x, best[gi])*sgn > 0 {
+					has[gi], best[gi] = true, x
+				}
+			}
+		case value.Text:
+			chunk, best := col.Codes(z), a.bestS
+			for r, ti := range pos {
+				if null(ti) {
+					continue
+				}
+				if x, gi := col.DictString(chunk[ti&m]), g[r]; !has[gi] || strings.Compare(x, best[gi])*sgn > 0 {
+					has[gi], best[gi] = true, x
+				}
+			}
+		case value.Bool:
+			chunk, best := col.Bools(z), a.bestB
+			for r, ti := range pos {
+				if null(ti) {
+					continue
+				}
+				if x, gi := chunk[ti&m], g[r]; !has[gi] || cmpBool(x, best[gi])*sgn > 0 {
+					has[gi], best[gi] = true, x
+				}
+			}
 		}
 	}
 }
@@ -1058,22 +1160,25 @@ type fusedStep struct {
 	inner  []int32      // JoinLoop: prefiltered inner positions
 }
 
-// fusedCtx is one worker's pipeline scratch: per-step positions, the key
-// pack buffer, per-step row counters, the private aggregation state, and the
-// selection buffer sel every zone of the worker's scan reuses, carved from
-// buf so it is part of the context's one allocation.
+// fusedCtx is one worker's pipeline scratch: the private aggregation state,
+// per-step row counters, the key pack buffer, the selection buffer sel every
+// zone of the worker's scan reuses (carved from buf, so it is part of the
+// context's one allocation), and scratch, its one batch buffer. Rows reach
+// the state a batch at a time. A scan-only plan's batches are its kept
+// selection vectors as they are, and updateBatch numbers their groups in
+// grp, all of scratch. A join plan splits scratch into tail, where the
+// pipeline appends each joined row's positions (step-major, tailRows per
+// step) until it is full or the worker's range ends, and grp, their group
+// numbers; pos holds the positions of the row the join steps are building.
 type fusedCtx struct {
-	pos      []int32
-	keyBuf   []byte
-	stepRows []int64
-	state    *vecAggState
-	sel      []int32
-	buf      [selRows]int32
-	// keyRd and aggRd read the group keys' and the aggregates' columns, in
-	// va.keys and va.aggs order; a query with few enough of them carves both
-	// from rdBuf.
-	keyRd, aggRd []zoneReader
-	rdBuf        [8]zoneReader
+	state           *vecAggState
+	stepRows        []int64
+	keyBuf          []byte
+	sel             []int32
+	buf             [selRows]int32
+	scratch         [batchRows]int32
+	grp, tail, pos  []int32
+	tailRows, nTail int
 }
 
 // fusedRun executes one compiled query: shared immutable step structures
@@ -1086,28 +1191,55 @@ type fusedRun struct {
 
 func (fx *fusedRun) newCtx(va *vecAggExec) *fusedCtx {
 	fc := &fusedCtx{
-		pos:      make([]int32, len(fx.steps)),
-		stepRows: make([]int64, len(fx.steps)),
 		state:    newVecAggState(va),
+		stepRows: make([]int64, len(fx.steps)),
 	}
-	fc.sel = fc.buf[:]
-	rd := fc.rdBuf[:0]
-	for i := range va.keys {
-		rd = append(rd, newZoneReader(va.keys[i].col))
+	fc.sel, fc.grp = fc.buf[:], fc.scratch[:]
+	if n := len(fx.steps); n > 1 {
+		fc.pos = make([]int32, n)
+		fc.tailRows = max(batchRows/(n+1), 1)
+		buf := fc.scratch[:]
+		if (n+1)*fc.tailRows > len(buf) { // past 255 steps
+			buf = make([]int32, (n+1)*fc.tailRows)
+		}
+		fc.tail, fc.grp = buf[:n*fc.tailRows], buf[n*fc.tailRows:(n+1)*fc.tailRows]
 	}
-	for _, a := range va.aggs {
-		rd = append(rd, newZoneReader(a.col))
-	}
-	fc.keyRd, fc.aggRd = rd[:len(va.keys)], rd[len(va.keys):]
 	return fc
 }
 
+// consume takes one vector of base positions that pass step 0: straight to
+// the state when the plan has no joins, down the join steps otherwise.
+func (fx *fusedRun) consume(fc *fusedCtx, kept []int32) {
+	fc.stepRows[0] += int64(len(kept))
+	if len(fx.steps) == 1 {
+		fc.state.updateBatch(fx.va, fc, rowBatch{at: kept, n: len(kept)})
+		return
+	}
+	for _, ti := range kept {
+		fc.pos[0] = ti
+		fx.feed(fc, 1)
+	}
+}
+
+// flush hands the join rows gathered in tail to the state.
+func (fx *fusedRun) flush(fc *fusedCtx) {
+	if fc.nTail > 0 {
+		fc.state.updateBatch(fx.va, fc, rowBatch{at: fc.tail, stride: fc.tailRows, n: fc.nTail})
+		fc.nTail = 0
+	}
+}
+
 // feed pushes the current position vector through join step si and beyond,
-// updating the aggregation state at the end of the pipeline. No predicate on
-// this path can error (the vec gate guarantees it).
+// appending each joined row to the tail batch at the end of the pipeline. No
+// predicate on this path can error (the vec gate guarantees it).
 func (fx *fusedRun) feed(fc *fusedCtx, si int) {
 	if si == len(fx.steps) {
-		fc.state.update(fx.va, fc)
+		for sj, ti := range fc.pos {
+			fc.tail[sj*fc.tailRows+fc.nTail] = ti
+		}
+		if fc.nTail++; fc.nTail == fc.tailRows {
+			fx.flush(fc)
+		}
 		return
 	}
 	fs := &fx.steps[si]
@@ -1182,11 +1314,8 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 	}
 	if st0.Access == planner.ScanPK {
 		fc := ctxs[0]
-		for _, pos := range pq.probePositions(fc.sel[:0], st0) {
-			fc.pos[0] = pos
-			fc.stepRows[0]++
-			fx.feed(fc, 1)
-		}
+		fx.consume(fc, pq.probePositions(fc.sel[:0], st0))
+		fx.flush(fc)
 	} else {
 		n := st0.Input.Tbl.Len()
 		ex.bud.AddTotal(n)
@@ -1220,17 +1349,14 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 
 // feedRange feeds the base rows of [lo, hi) that pass step 0's vectorized
 // filters into the fused pipeline: scanBase selects them zone by zone in the
-// worker's selection buffer, and each kept position runs down the join
-// steps.
+// worker's selection buffer, one vector at a time, and the range's last join
+// rows flush at its end.
 func (fx *fusedRun) feedRange(fc *fusedCtx, lo, hi int) {
 	fx.pq.scanBase(&fc.sel, lo, hi, true, func(kept []int32) bool {
-		for _, ti := range kept {
-			fc.pos[0] = ti
-			fc.stepRows[0]++
-			fx.feed(fc, 1)
-		}
+		fx.consume(fc, kept)
 		return true
 	})
+	fx.flush(fc)
 }
 
 // mergeVecAggStates folds the workers' partial states into one, in worker

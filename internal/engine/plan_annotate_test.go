@@ -330,7 +330,7 @@ func TestShapeStepsSayWhatRan(t *testing.T) {
 		{"vec", New(vecTestDB(t, 90, 31)), draw(vecTemplates(rand.New(rand.NewSource(77))), 60), 0, 0},
 		{"zone", New(zoneTestDB(t, false)), draw(zoneTemplates(rand.New(rand.NewSource(113))), 64), 208, 128},
 		{"zone-sorted", New(zoneTestDB(t, true)), draw(zoneTemplates(rand.New(rand.NewSource(113))), 64), 208, 128},
-		{"agg", withWorkers(New(aggDiffDB(t, 5000, 303)), 2), aggTemplates(rand.New(rand.NewSource(404)), 40), 34, 0},
+		{"agg", withWorkers(New(aggDiffDB(t, 5000, 303)), 2), aggTemplates(rand.New(rand.NewSource(404)), 40), 31, 2},
 	}
 	explained := func(t *testing.T, ex *Engine, q string) (plan *planner.Plan, probed, skipped int64) {
 		p0, s0 := ZoneSkipStats()

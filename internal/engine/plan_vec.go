@@ -59,14 +59,21 @@ func (pq *plannedQuery) kept(si, ti int) bool {
 func (pq *plannedQuery) keepPositions(si int, ps []int32) []int32 {
 	k := 0
 	for i := 0; i < len(ps); {
-		j := i + 1
-		for j < len(ps) && ps[j]>>storage.ZoneShift == ps[i]>>storage.ZoneShift {
-			j++
-		}
+		j := i + zoneRun(ps[i:])
 		k += copy(ps[k:], pq.keep(si, ps[i:j]))
 		i = j
 	}
 	return ps[:k]
+}
+
+// zoneRun returns how many positions at the head of ps (at least one) lie in
+// the storage zone of ps[0].
+func zoneRun(ps []int32) int {
+	n, z := 1, ps[0]>>storage.ZoneShift
+	for n < len(ps) && ps[n]>>storage.ZoneShift == z {
+		n++
+	}
+	return n
 }
 
 // zoneSel fills sel with the positions [lo, hi) of one zone.

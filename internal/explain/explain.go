@@ -287,10 +287,11 @@ func (e *Explainer) ExplainPlan(sel *sqlparser.SelectStmt) (*PlanDiagnosis, erro
 }
 
 // countFiltered counts rows of one box's relation surviving its unary
-// filters.
+// filters. Each filter is parenthesised: an OR conjunct renders without its
+// outer parentheses, and AND binds tighter than OR.
 func (e *Explainer) countFiltered(box *querygraph.Box) (int, error) {
-	src := fmt.Sprintf("select * from %s %s where %s",
-		box.Relation, box.Alias, strings.Join(box.Where, " and "))
+	src := fmt.Sprintf("select * from %s %s where (%s)",
+		box.Relation, box.Alias, strings.Join(box.Where, ") and ("))
 	r, err := e.ex.Query(src)
 	if err != nil {
 		return 0, err

@@ -154,6 +154,35 @@ func TestExplainLargeWeakFilter(t *testing.T) {
 	}
 }
 
+// An OR conjunct keeps its grouping when a box's filters are recounted, so
+// the order of the conjuncts does not change the diagnosis.
+func TestExplainLargeOrConjunct(t *testing.T) {
+	e := newExplainer(t)
+	var texts []string
+	var kept []float64
+	for _, where := range []string{
+		"(m.year > 1990 or m.year < 1900) and m.year < 2006",
+		"m.year < 2006 and (m.year > 1990 or m.year < 1900)",
+	} {
+		d, err := e.ExplainLarge(parse(t, "select m.title, c.role from MOVIES m, CAST c where m.id = c.mid and "+where), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Large {
+			t.Fatalf("%s: not large: %+v", where, d)
+		}
+		for _, c := range d.Contributions {
+			if strings.EqualFold(c.Relation, "MOVIES") {
+				kept = append(kept, c.Filtered)
+			}
+		}
+		texts = append(texts, d.Text)
+	}
+	if len(kept) != 2 || kept[0] != kept[1] || texts[0] != texts[1] {
+		t.Errorf("conjunct order changed the diagnosis: MOVIES kept %v\n%s\n%s", kept, texts[0], texts[1])
+	}
+}
+
 func TestExplainLargeWithinThreshold(t *testing.T) {
 	e := newExplainer(t)
 	sel := parse(t, "select m.title from MOVIES m where m.id = 100")
