@@ -663,6 +663,10 @@ func (s *System) NarrateResult(res *engine.Result) string {
 		text = lexicon.Sentence(fmt.Sprintf("There are %s: %s",
 			lexicon.CountNoun(len(res.Rows), "answer"), lexicon.JoinAnd(items)))
 	default:
+		names := make([]string, len(res.Columns))
+		for ci, c := range res.Columns {
+			names[ci] = lexicon.Humanize(c)
+		}
 		var sentences []string
 		for _, r := range rows {
 			fields := make([]string, 0, len(r))
@@ -670,7 +674,7 @@ func (s *System) NarrateResult(res *engine.Result) string {
 				if v.IsNull() {
 					continue
 				}
-				fields = append(fields, fmt.Sprintf("%s %s", lexicon.Humanize(res.Columns[ci]), v.Prose()))
+				fields = append(fields, names[ci]+" "+v.Prose())
 			}
 			sentences = append(sentences, lexicon.Sentence("One result has "+lexicon.JoinAnd(fields)))
 		}

@@ -287,14 +287,16 @@ func (e *Explainer) ExplainPlan(sel *sqlparser.SelectStmt) (*PlanDiagnosis, erro
 }
 
 // countFiltered counts rows of one box's relation surviving its unary
-// filters. Each filter is parenthesised: an OR conjunct renders without its
-// outer parentheses, and AND binds tighter than OR.
+// filters.
 func (e *Explainer) countFiltered(box *querygraph.Box) (int, error) {
-	src := fmt.Sprintf("select * from %s %s where (%s)",
-		box.Relation, box.Alias, strings.Join(box.Where, ") and ("))
-	r, err := e.ex.Query(src)
+	r, err := e.ex.Select(&sqlparser.SelectStmt{
+		Items: []sqlparser.SelectItem{{Expr: &sqlparser.AggregateExpr{Func: sqlparser.AggCount}}},
+		From:  []*sqlparser.TableRef{{Relation: box.Relation, Alias: box.Alias}},
+		Where: sqlparser.AndAll(box.Where),
+		Limit: -1,
+	})
 	if err != nil {
 		return 0, err
 	}
-	return len(r.Rows), nil
+	return int(r.Rows[0][0].Int()), nil
 }

@@ -10,6 +10,7 @@ package querygraph
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -18,30 +19,32 @@ import (
 )
 
 // Box is one parameterized class: a tuple variable with its compartments.
+// The compartments hold the statement's own nodes; render.go writes their
+// text.
 type Box struct {
 	// Alias is the tuple variable (the paper's relation_alias); equals the
 	// relation name when the query declares no alias.
 	Alias string
 	// Relation is the relation name (the <<FROM>> compartment).
 	Relation string
-	// Select lists this box's output attributes in the paper's
-	// "alias.relation.attribute: alias" form.
-	Select []string
-	// Where lists unary constraints — predicates referencing only this
+	// Select lists this box's output items, rendered in the paper's
+	// "alias.relation.attribute: alias" form when they name its column.
+	Select []sqlparser.SelectItem
+	// Where lists unary constraints — conjuncts referencing only this
 	// tuple variable.
-	Where []string
-	// Having lists this box's HAVING constraints.
-	Having []string
+	Where []sqlparser.Expr
+	// Having lists this box's HAVING conjuncts.
+	Having []sqlparser.Expr
 	// GroupBy and OrderBy are the attached notes.
-	GroupBy []string
-	OrderBy []string
+	GroupBy []sqlparser.Expr
+	OrderBy []sqlparser.OrderItem
 }
 
 // JoinEdge connects two tuple variables through a predicate.
 type JoinEdge struct {
 	From, To string // aliases
-	// Cond is the predicate text, e.g. "m.id = c.mid".
-	Cond string
+	// Cond is the conjunct comparing a column of each, e.g. m.id = c.mid.
+	Cond *sqlparser.BinaryExpr
 	// FK reports whether the predicate follows a declared foreign key —
 	// the distinction between Q1/Q2-style graphs and the non-FK joins of
 	// Q3/Q4 that the paper calls out.
@@ -93,11 +96,14 @@ type Nested struct {
 	Graph *Graph
 	// Conn is the attachment connector.
 	Conn Connector
-	// Link is the textual attachment, e.g. "m.id IN NQ1" or "1 < NQ1".
-	Link string
-	// Correlations lists predicates inside the subquery that reference
-	// parent tuple variables, e.g. "g.mid = m.id".
-	Correlations []string
+	// Link is the conjunct that attaches the block: an IN, EXISTS or
+	// quantified predicate over the subquery, or a comparison with it.
+	// LinkText renders it with the subquery replaced by Label, e.g.
+	// "m.id IN NQ1" or "1 < NQ1".
+	Link sqlparser.Expr
+	// Correlations lists conjuncts inside the subquery that reference
+	// parent tuple variables, e.g. g.mid = m.id.
+	Correlations []sqlparser.Expr
 	// FromHaving marks blocks attached under HAVING rather than WHERE.
 	FromHaving bool
 }
@@ -112,8 +118,6 @@ type Graph struct {
 	Joins []JoinEdge
 	// Nested holds attached subquery blocks in discovery order.
 	Nested []*Nested
-	// Outputs lists the query's projected expressions (SQL text).
-	Outputs []string
 
 	schema *catalog.Schema
 	byName map[string]*Box
@@ -162,7 +166,6 @@ func build(sel *sqlparser.SelectStmt, schema *catalog.Schema, lab *labeler) (*Gr
 
 	// SELECT items.
 	for _, it := range sel.Items {
-		g.Outputs = append(g.Outputs, it.SQL())
 		g.assignSelectItem(it)
 	}
 
@@ -183,10 +186,8 @@ func build(sel *sqlparser.SelectStmt, schema *catalog.Schema, lab *labeler) (*Gr
 
 	// GROUP BY notes.
 	for _, gb := range sel.GroupBy {
-		if box := g.boxOf(gb); box != nil {
-			box.GroupBy = append(box.GroupBy, g.qualify(gb))
-		} else if len(g.Boxes) > 0 {
-			g.Boxes[0].GroupBy = append(g.Boxes[0].GroupBy, gb.SQL())
+		if box := g.boxOrFirst(gb); box != nil {
+			box.GroupBy = append(box.GroupBy, gb)
 		}
 	}
 
@@ -199,37 +200,36 @@ func build(sel *sqlparser.SelectStmt, schema *catalog.Schema, lab *labeler) (*Gr
 
 	// ORDER BY notes.
 	for _, ob := range sel.OrderBy {
-		if box := g.boxOf(ob.Expr); box != nil {
-			box.OrderBy = append(box.OrderBy, g.qualify(ob.Expr))
-		} else if len(g.Boxes) > 0 {
-			g.Boxes[0].OrderBy = append(g.Boxes[0].OrderBy, ob.SQL())
+		if box := g.boxOrFirst(ob.Expr); box != nil {
+			box.OrderBy = append(box.OrderBy, ob)
 		}
 	}
 
 	return g, nil
 }
 
+// boxOrFirst returns the one box an expression's columns name, else the
+// first box; nil when the query has no FROM entry.
+func (g *Graph) boxOrFirst(e sqlparser.Expr) *Box {
+	if box := g.boxOf(e); box != nil {
+		return box
+	}
+	if len(g.Boxes) > 0 {
+		return g.Boxes[0]
+	}
+	return nil
+}
+
 // assignSelectItem files a select item into the box of its tuple variable;
 // itemless expressions (count(*), literals) go to the last box, matching
 // Fig. 7's placement of count(*) in the CAST class.
 func (g *Graph) assignSelectItem(it sqlparser.SelectItem) {
-	entry := it.Expr.SQL()
-	if c, ok := it.Expr.(*sqlparser.ColumnRef); ok && c.Column != "*" {
-		if box := g.box(c.Table); box != nil {
-			entry = fmt.Sprintf("%s.%s.%s", box.Alias, box.Relation, c.Column)
-			if it.Alias != "" {
-				entry += ": " + it.Alias
-			}
-			box.Select = append(box.Select, entry)
-			return
-		}
+	box := g.boxOf(it.Expr)
+	if box == nil && len(g.Boxes) > 0 {
+		box = g.Boxes[len(g.Boxes)-1]
 	}
-	if box := g.boxOf(it.Expr); box != nil {
-		box.Select = append(box.Select, entry)
-		return
-	}
-	if len(g.Boxes) > 0 {
-		g.Boxes[len(g.Boxes)-1].Select = append(g.Boxes[len(g.Boxes)-1].Select, entry)
+	if box != nil {
+		box.Select = append(box.Select, it)
 	}
 }
 
@@ -301,17 +301,6 @@ func (g *Graph) boxByColumn(col string) *Box {
 	return found
 }
 
-// qualify renders a column expression in the paper's alias.relation.attr
-// form when possible.
-func (g *Graph) qualify(e sqlparser.Expr) string {
-	if c, ok := e.(*sqlparser.ColumnRef); ok {
-		if b := g.box(c.Table); b != nil {
-			return fmt.Sprintf("%s.%s.%s", b.Alias, b.Relation, c.Column)
-		}
-	}
-	return e.SQL()
-}
-
 // assignConjunct files one WHERE/HAVING conjunct: join edge, unary
 // constraint, or nested block.
 func (g *Graph) assignConjunct(c sqlparser.Expr, lab *labeler, having bool) error {
@@ -323,31 +312,23 @@ func (g *Graph) assignConjunct(c sqlparser.Expr, lab *labeler, having bool) erro
 			if x.Negate {
 				conn = ConnNotIn
 			}
-			return g.attachNested(x.Subquery, conn, x.Subject.SQL(), lab, having)
+			return g.attachNested(x.Subquery, conn, c, lab, having)
 		}
 	case *sqlparser.ExistsExpr:
 		conn := ConnExists
 		if x.Negate {
 			conn = ConnNotExists
 		}
-		return g.attachNested(x.Subquery, conn, "", lab, having)
+		return g.attachNested(x.Subquery, conn, c, lab, having)
 	case *sqlparser.QuantifiedExpr:
 		conn := ConnAny
 		if x.All {
 			conn = ConnAll
 		}
-		link := fmt.Sprintf("%s %s %s", x.Subject.SQL(), x.Op, conn)
-		return g.attachNested(x.Subquery, conn, link, lab, having)
+		return g.attachNested(x.Subquery, conn, c, lab, having)
 	case *sqlparser.BinaryExpr:
-		if sub, side := scalarSubquerySide(x); sub != nil {
-			var other sqlparser.Expr
-			if side == "right" {
-				other = x.Left
-			} else {
-				other = x.Right
-			}
-			link := fmt.Sprintf("%s %s NQ", other.SQL(), x.Op)
-			return g.attachNested(sub, ConnScalar, link, lab, having)
+		if sub, _ := scalarSubquery(x); sub != nil {
+			return g.attachNested(sub, ConnScalar, c, lab, having)
 		}
 	}
 
@@ -361,7 +342,7 @@ func (g *Graph) assignConjunct(c sqlparser.Expr, lab *labeler, having bool) erro
 			if lb != nil && rb != nil && lb != rb {
 				g.Joins = append(g.Joins, JoinEdge{
 					From: lb.Alias, To: rb.Alias,
-					Cond: c.SQL(),
+					Cond: b,
 					FK:   b.Op == sqlparser.OpEq && g.isFKJoin(lb, l.Column, rb, r.Column),
 					Equi: b.Op == sqlparser.OpEq,
 				})
@@ -370,25 +351,18 @@ func (g *Graph) assignConjunct(c sqlparser.Expr, lab *labeler, having bool) erro
 		}
 	}
 
-	// Unary constraint: all refs inside a single box.
-	if box := g.boxOf(c); box != nil {
-		if having {
-			box.Having = append(box.Having, c.SQL())
-		} else {
-			box.Where = append(box.Where, c.SQL())
-		}
-		return nil
+	// Unary constraint: all refs inside a single box; the rest (e.g.
+	// literal-only predicates) attach to the first box.
+	box := g.boxOrFirst(c)
+	switch {
+	case box == nil:
+		return fmt.Errorf("querygraph: cannot place predicate %q", c.SQL())
+	case having:
+		box.Having = append(box.Having, c)
+	default:
+		box.Where = append(box.Where, c)
 	}
-	// Fallback: attach to the first box (e.g. literal-only predicates).
-	if len(g.Boxes) > 0 {
-		if having {
-			g.Boxes[0].Having = append(g.Boxes[0].Having, c.SQL())
-		} else {
-			g.Boxes[0].Where = append(g.Boxes[0].Where, c.SQL())
-		}
-		return nil
-	}
-	return fmt.Errorf("querygraph: cannot place predicate %q", c.SQL())
+	return nil
 }
 
 func (g *Graph) resolveBoxForRef(c *sqlparser.ColumnRef) *Box {
@@ -401,17 +375,19 @@ func (g *Graph) resolveBoxForRef(c *sqlparser.ColumnRef) *Box {
 	return nil
 }
 
-func scalarSubquerySide(b *sqlparser.BinaryExpr) (*sqlparser.SelectStmt, string) {
+// scalarSubquery returns the subquery a comparison attaches as a nested
+// block — its right operand's, else its left's — and whether it is the left.
+func scalarSubquery(b *sqlparser.BinaryExpr) (sub *sqlparser.SelectStmt, left bool) {
 	if !b.Op.IsComparison() {
-		return nil, ""
+		return nil, false
 	}
 	if s, ok := b.Right.(*sqlparser.SubqueryExpr); ok {
-		return s.Subquery, "right"
+		return s.Subquery, false
 	}
 	if s, ok := b.Left.(*sqlparser.SubqueryExpr); ok {
-		return s.Subquery, "left"
+		return s.Subquery, true
 	}
-	return nil, ""
+	return nil, false
 }
 
 // isFKJoin reports whether lb.lcol = rb.rcol follows a declared foreign key
@@ -441,33 +417,24 @@ func (g *Graph) isFKJoin(lb *Box, lcol string, rb *Box, rcol string) bool {
 	return covers(lRel, lcol, rRel, rcol) || covers(rRel, rcol, lRel, lcol)
 }
 
-func (g *Graph) attachNested(sub *sqlparser.SelectStmt, conn Connector, link string, lab *labeler, having bool) error {
+func (g *Graph) attachNested(sub *sqlparser.SelectStmt, conn Connector, link sqlparser.Expr, lab *labeler, having bool) error {
 	label := lab.next()
 	inner, err := build(sub, g.schema, lab)
 	if err != nil {
 		return err
 	}
-	if link == "" {
-		link = conn.String() + " " + label
-	} else {
-		link = strings.Replace(link, "NQ", label, 1)
-		if !strings.Contains(link, label) {
-			link += " " + label
-		}
-	}
-	blk := &Nested{
+	g.Nested = append(g.Nested, &Nested{
 		Label: label, Graph: inner, Conn: conn, Link: link, FromHaving: having,
-	}
-	blk.Correlations = correlations(inner, g)
-	g.Nested = append(g.Nested, blk)
+		Correlations: correlations(inner, g),
+	})
 	return nil
 }
 
-// correlations finds predicates of the inner graph that reference a tuple
-// variable of the parent (an alias the inner query does not declare).
-func correlations(inner, parent *Graph) []string {
-	var out []string
-	seen := map[string]bool{}
+// correlations finds conjuncts of the inner graph that reference a tuple
+// variable of the parent (an alias the inner query does not declare),
+// listing a conjunct the subquery repeats once.
+func correlations(inner, parent *Graph) []sqlparser.Expr {
+	var out []sqlparser.Expr
 	collect := func(e sqlparser.Expr) {
 		refsOuter := false
 		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
@@ -478,10 +445,15 @@ func correlations(inner, parent *Graph) []string {
 			}
 			return true
 		})
-		if refsOuter && !seen[e.SQL()] {
-			seen[e.SQL()] = true
-			out = append(out, e.SQL())
+		if !refsOuter {
+			return
 		}
+		for _, seen := range out {
+			if reflect.DeepEqual(seen, e) {
+				return
+			}
+		}
+		out = append(out, e)
 	}
 	for _, c := range sqlparser.Conjuncts(inner.Stmt.Where) {
 		collect(c)

@@ -25,6 +25,27 @@ func buildQ(t *testing.T, label string) *Graph {
 	return g
 }
 
+// compartment returns the entries g.ASCII() writes under <<tag>> in the box
+// of alias.
+func compartment(g *Graph, alias, tag string) []string {
+	var out []string
+	inBox, inTag := false, false
+	for _, line := range strings.Split(g.ASCII(), "\n") {
+		l := strings.Trim(line, "| ")
+		switch {
+		case strings.HasPrefix(l, "+-"):
+			inTag = false
+		case strings.HasPrefix(l, "<<alias>> "):
+			inBox, inTag = l == "<<alias>> "+alias, false
+		case strings.HasPrefix(l, "<<"):
+			inTag = inBox && l == "<<"+tag+">>"
+		case inTag:
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 // TestQ1Figure3 checks the structure of Fig. 3: three boxes in a path, FK
 // joins, the actor-name constraint in the ACTOR box, title in MOVIES.
 func TestQ1Figure3(t *testing.T) {
@@ -35,11 +56,11 @@ func TestQ1Figure3(t *testing.T) {
 	if g.Boxes[0].Alias != "m" || g.Boxes[0].Relation != "MOVIES" {
 		t.Errorf("box0 = %+v", g.Boxes[0])
 	}
-	if len(g.Boxes[0].Select) != 1 || !strings.Contains(g.Boxes[0].Select[0], "m.MOVIES.title") {
-		t.Errorf("MOVIES select = %v", g.Boxes[0].Select)
+	if sel := compartment(g, "m", "SELECT"); len(sel) != 1 || sel[0] != "m.MOVIES.title" {
+		t.Errorf("MOVIES select = %q", sel)
 	}
 	aBox := g.Boxes[2]
-	if len(aBox.Where) != 1 || !strings.Contains(aBox.Where[0], "Brad Pitt") {
+	if len(aBox.Where) != 1 || aBox.Where[0].SQL() != "a.name = 'Brad Pitt'" {
 		t.Errorf("ACTOR where = %v", aBox.Where)
 	}
 	if len(g.Joins) != 2 || !g.AllJoinsFK() {
@@ -140,8 +161,8 @@ func TestQ5NestedBlocks(t *testing.T) {
 	if n1.Conn != ConnIn || n1.Label != "NQ1" {
 		t.Errorf("block1 = %+v", n1)
 	}
-	if !strings.Contains(n1.Link, "m.id") || !strings.Contains(n1.Link, "NQ1") {
-		t.Errorf("link = %q", n1.Link)
+	if out := g.ASCII(); !strings.Contains(out, "NQ1: attached under WHERE via m.id IN NQ1\n") {
+		t.Errorf("link not rendered:\n%s", out)
 	}
 	if len(n1.Graph.Nested) != 1 || n1.Graph.Nested[0].Label != "NQ2" {
 		t.Fatalf("inner nesting = %+v", n1.Graph.Nested)
@@ -174,19 +195,11 @@ func TestQ7Figure7(t *testing.T) {
 	if len(g.Boxes) != 2 {
 		t.Fatalf("boxes = %d", len(g.Boxes))
 	}
-	m := g.Boxes[0]
-	if len(m.GroupBy) != 2 || !strings.Contains(m.GroupBy[0], "m.MOVIES.id") {
-		t.Errorf("group-by note = %v", m.GroupBy)
+	if gb := compartment(g, "m", "GROUP BY"); len(gb) != 2 || gb[0] != "m.MOVIES.id" {
+		t.Errorf("group-by note = %q", gb)
 	}
-	c := g.Boxes[1]
-	found := false
-	for _, s := range c.Select {
-		if strings.Contains(s, "COUNT(*)") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("count(*) not in CAST box: %v", c.Select)
+	if sel := compartment(g, "c", "SELECT"); len(sel) != 1 || sel[0] != "COUNT(*)" {
+		t.Errorf("count(*) not in CAST box: %q", sel)
 	}
 	if len(g.Nested) != 1 {
 		t.Fatalf("nested = %d", len(g.Nested))
@@ -195,8 +208,8 @@ func TestQ7Figure7(t *testing.T) {
 	if !blk.FromHaving || blk.Conn != ConnScalar {
 		t.Errorf("having block = %+v", blk)
 	}
-	if !strings.Contains(blk.Link, "1 <") || !strings.Contains(blk.Link, "NQ1") {
-		t.Errorf("link = %q", blk.Link)
+	if out := g.ASCII(); !strings.Contains(out, "NQ1: attached under HAVING via 1 < NQ1\n") {
+		t.Errorf("link not rendered:\n%s", out)
 	}
 	if len(blk.Graph.Boxes) != 1 || blk.Graph.Boxes[0].Relation != "GENRE" {
 		t.Errorf("nested box = %+v", blk.Graph.Boxes)
@@ -215,8 +228,8 @@ func TestQ8Q9Structure(t *testing.T) {
 	if len(g9.Nested) != 1 || g9.Nested[0].Conn != ConnAll {
 		t.Fatalf("Q9 block = %+v", g9.Nested)
 	}
-	if !strings.Contains(g9.Nested[0].Link, "<= ALL") {
-		t.Errorf("Q9 link = %q", g9.Nested[0].Link)
+	if out := g9.ASCII(); !strings.Contains(out, "NQ1: attached under WHERE via m.year <= ALL NQ1\n") {
+		t.Errorf("Q9 link not rendered:\n%s", out)
 	}
 	if len(g9.Nested[0].Graph.MultiInstanceRelations()) != 1 {
 		t.Errorf("Q9 subquery multi-instance = %v", g9.Nested[0].Graph.MultiInstanceRelations())
@@ -323,8 +336,56 @@ func TestOrderByNote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Boxes[0].OrderBy) != 1 || !strings.Contains(g.Boxes[0].OrderBy[0], "m.MOVIES.year") {
-		t.Errorf("order-by note = %v", g.Boxes[0].OrderBy)
+	if ob := compartment(g, "m", "ORDER BY"); len(ob) != 1 || ob[0] != "m.MOVIES.year" {
+		t.Errorf("order-by note = %q", ob)
+	}
+}
+
+// buildSQL builds the movie-schema graph of one SELECT.
+func buildSQL(t *testing.T, src string) *Graph {
+	t.Helper()
+	sel, err := sqlparser.ParseSelect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Build(sel, dataset.MovieSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestLinkKeepsLiterals: the link names the block by its label without
+// touching the other operand, even a literal holding "NQ".
+func TestLinkKeepsLiterals(t *testing.T) {
+	g := buildSQL(t, "select m.title from MOVIES m where 'UNQUOTED' = (select max(m2.title) from MOVIES m2)")
+	if out := g.ASCII(); !strings.Contains(out, "NQ1: attached under WHERE via 'UNQUOTED' = NQ1\n") {
+		t.Errorf("link not rendered:\n%s", out)
+	}
+}
+
+// TestLinkNamesMembership: IN and NOT IN links keep their connector.
+func TestLinkNamesMembership(t *testing.T) {
+	for sql, want := range map[string]string{
+		"select m.title from MOVIES m where m.id in (select c.mid from CAST c)":     "via m.id IN NQ1\n",
+		"select m.title from MOVIES m where m.id not in (select c.mid from CAST c)": "via m.id NOT IN NQ1\n",
+	} {
+		if out := buildSQL(t, sql).ASCII(); !strings.Contains(out, want) {
+			t.Errorf("%s: want %q in\n%s", sql, want, out)
+		}
+	}
+}
+
+// TestLinkScalarKeepsSide: a scalar subquery on the left of a comparison
+// stays on the left.
+func TestLinkScalarKeepsSide(t *testing.T) {
+	for sql, want := range map[string]string{
+		"select m.title from MOVIES m where (select count(*) from CAST c where c.mid = m.id) < 3": "via NQ1 < 3\n",
+		"select m.title from MOVIES m where 3 > (select count(*) from CAST c where c.mid = m.id)": "via 3 > NQ1\n",
+	} {
+		if out := buildSQL(t, sql).ASCII(); !strings.Contains(out, want) {
+			t.Errorf("%s: want %q in\n%s", sql, want, out)
+		}
 	}
 }
 

@@ -75,18 +75,11 @@ func renderGolden(b *strings.Builder, q goldenQuery) {
 		fmt.Fprintf(b, "parse error: %v\n", err)
 		return
 	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				fmt.Fprintf(b, "translate panic: %v\n", r)
-			}
-		}()
-		if out, err := tr.Translate(sel); err != nil {
-			fmt.Fprintf(b, "translate error: %v\n", err)
-		} else {
-			fmt.Fprintf(b, "translate: %s\n", out.Text)
-		}
-	}()
+	if out, err := tr.Translate(sel); err != nil {
+		fmt.Fprintf(b, "translate error: %v\n", err)
+	} else {
+		fmt.Fprintf(b, "translate: %s\n", out.Text)
+	}
 	g, err := querygraph.Build(sel, schema)
 	if err != nil {
 		fmt.Fprintf(b, "graph error: %v\n", err)

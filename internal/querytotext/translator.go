@@ -97,6 +97,10 @@ func (t *Translator) Translate(sel *sqlparser.SelectStmt) (*Translation, error) 
 // ORDER BY / LIMIT / DISTINCT riders.
 func (t *Translator) translateSPJ(sel *sqlparser.SelectStmt, g *querygraph.Graph) string {
 	anchor := t.pickAnchor(g)
+	if anchor == nil {
+		// No FROM entry: nothing to anchor a noun phrase on.
+		return t.TranslateNaive(sel, g)
+	}
 	np := t.anchorNounPhrase(g, anchor)
 	head := t.projectionPhrase(sel, g, anchor, np)
 	if sel.Distinct {
@@ -179,7 +183,7 @@ func (t *Translator) anchorNounPhrase(g *querygraph.Graph, anchor *querygraph.Bo
 		}
 		rel := t.schema.Relation(b.Relation)
 		for _, cond := range b.Where {
-			attr, val, eq := parseEqualityConst(cond)
+			attr, val, eq := equalityConst(cond)
 			verb, hasVerb := t.verbs.Lookup(b.Relation, anchor.Relation)
 			isHeading := rel != nil && strings.EqualFold(relHeading(rel), attr)
 			switch {
@@ -198,13 +202,13 @@ func (t *Translator) anchorNounPhrase(g *querygraph.Graph, anchor *querygraph.Bo
 				// "directors of the movie 'Match Point'".
 				ofPhrases = append(ofPhrases, "of the "+conceptOf(rel, b.Relation)+" '"+val+"'")
 			default:
-				generic = append(generic, t.constraintEnglish(cond, rel, b))
+				generic = append(generic, constraintEnglish(cond))
 			}
 		}
 	}
 	// Anchor's own unary constraints.
 	for _, cond := range anchor.Where {
-		generic = append(generic, t.constraintEnglish(cond, anchorRel, anchor))
+		generic = append(generic, constraintEnglish(cond))
 	}
 
 	var np strings.Builder
@@ -238,12 +242,8 @@ func (t *Translator) anchorNounPhrase(g *querygraph.Graph, anchor *querygraph.Bo
 
 // constraintEnglish renders one unary constraint as a "whose ..." fragment:
 // "year is 2005".
-func (t *Translator) constraintEnglish(cond string, rel *catalog.Relation, box *querygraph.Box) string {
-	e, err := parsePredicate(cond)
-	if err != nil {
-		return cond
-	}
-	if b, ok := e.(*sqlparser.BinaryExpr); ok && b.Op.IsComparison() {
+func constraintEnglish(cond sqlparser.Expr) string {
+	if b, ok := cond.(*sqlparser.BinaryExpr); ok && b.Op.IsComparison() {
 		if c, ok := b.Left.(*sqlparser.ColumnRef); ok {
 			gloss := lexicon.Humanize(c.Column)
 			if lit, ok := b.Right.(*sqlparser.Literal); ok {
@@ -252,26 +252,13 @@ func (t *Translator) constraintEnglish(cond string, rel *catalog.Relation, box *
 			return gloss + " " + opEnglish(b.Op) + " " + b.Right.SQL()
 		}
 	}
-	return cond
+	return cond.SQL()
 }
 
-// parsePredicate re-parses a rendered predicate string back into an Expr.
-func parsePredicate(cond string) (sqlparser.Expr, error) {
-	sel, err := sqlparser.ParseSelect("select 1 from T t where " + cond)
-	if err != nil {
-		return nil, err
-	}
-	return sel.Where, nil
-}
-
-// parseEqualityConst extracts (attr, quoted value) from "a.name = 'Brad
-// Pitt'"-style conditions.
-func parseEqualityConst(cond string) (attr, val string, ok bool) {
-	e, err := parsePredicate(cond)
-	if err != nil {
-		return "", "", false
-	}
-	b, isBin := e.(*sqlparser.BinaryExpr)
+// equalityConst extracts (attr, value) from a.name = 'Brad Pitt'-style
+// conditions.
+func equalityConst(cond sqlparser.Expr) (attr, val string, ok bool) {
+	b, isBin := cond.(*sqlparser.BinaryExpr)
 	if !isBin || b.Op != sqlparser.OpEq {
 		return "", "", false
 	}
@@ -472,17 +459,9 @@ func (t *Translator) cyclicAttributePhrase(sel *sqlparser.SelectStmt, g *querygr
 		return "", false
 	}
 	anchorRel := t.schema.Relation(anchor.Relation)
-	// Parse the non-FK equality "c.role = m.title".
-	e, err := parsePredicate(attrEdge.Cond)
-	if err != nil {
-		return "", false
-	}
-	b, ok := e.(*sqlparser.BinaryExpr)
-	if !ok {
-		return "", false
-	}
-	l, lok := b.Left.(*sqlparser.ColumnRef)
-	r, rok := b.Right.(*sqlparser.ColumnRef)
+	// The non-FK equality c.role = m.title.
+	l, lok := attrEdge.Cond.Left.(*sqlparser.ColumnRef)
+	r, rok := attrEdge.Cond.Right.(*sqlparser.ColumnRef)
 	if !lok || !rok {
 		return "", false
 	}
@@ -520,27 +499,25 @@ func (t *Translator) TranslateNaive(sel *sqlparser.SelectStmt, g *querygraph.Gra
 		clauses = append(clauses, t.operandEnglish(it.Expr, g))
 	}
 	head := "Find " + lexicon.JoinAnd(clauses)
-	var conds []string
-	for _, j := range g.Joins {
-		if e, err := parsePredicate(j.Cond); err == nil {
-			conds = append(conds, t.PredicateEnglish(e, g))
-		} else {
-			conds = append(conds, j.Cond)
-		}
-	}
-	for _, b := range g.Boxes {
-		for _, w := range b.Where {
-			if e, err := parsePredicate(w); err == nil {
-				conds = append(conds, t.PredicateEnglish(e, g))
-			} else {
-				conds = append(conds, w)
-			}
-		}
-	}
-	if len(conds) > 0 {
+	if conds := t.conditionsEnglish(g); len(conds) > 0 {
 		head += " such that " + strings.Join(conds, ", and ")
 	}
 	return lexicon.Sentence(head)
+}
+
+// conditionsEnglish renders the join edges' predicates, then each box's
+// unary constraints.
+func (t *Translator) conditionsEnglish(g *querygraph.Graph) []string {
+	var conds []string
+	for _, j := range g.Joins {
+		conds = append(conds, t.PredicateEnglish(j.Cond, g))
+	}
+	for _, b := range g.Boxes {
+		for _, w := range b.Where {
+			conds = append(conds, t.PredicateEnglish(w, g))
+		}
+	}
+	return conds
 }
 
 // ---------------------------------------------------------------------------
@@ -665,15 +642,27 @@ func havingThreshold(having sqlparser.Expr) (int, bool) {
 	return 0, false
 }
 
+// boxWithCount returns the box whose select items hold a COUNT.
 func boxWithCount(g *querygraph.Graph) *querygraph.Box {
 	for _, b := range g.Boxes {
-		for _, s := range b.Select {
-			if strings.Contains(s, "COUNT(") {
+		for _, it := range b.Select {
+			if hasCount(it.Expr) {
 				return b
 			}
 		}
 	}
 	return nil
+}
+
+func hasCount(e sqlparser.Expr) bool {
+	found := false
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+		if a, ok := x.(*sqlparser.AggregateExpr); ok && a.Func == sqlparser.AggCount {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // countedConcept maps a count(*) box to the concept being counted: for a
@@ -852,20 +841,7 @@ func (t *Translator) proceduralText(sel *sqlparser.SelectStmt, g *querygraph.Gra
 	}
 
 	// Step 2: join and filter conditions.
-	var conds []string
-	for _, j := range g.Joins {
-		if e, err := parsePredicate(j.Cond); err == nil {
-			conds = append(conds, t.PredicateEnglish(e, g))
-		}
-	}
-	for _, b := range g.Boxes {
-		for _, w := range b.Where {
-			if e, err := parsePredicate(w); err == nil {
-				conds = append(conds, t.PredicateEnglish(e, g))
-			}
-		}
-	}
-	if len(conds) > 0 {
+	if conds := t.conditionsEnglish(g); len(conds) > 0 {
 		steps = append(steps, lexicon.Sentence("Keep the combinations where "+strings.Join(conds, ", and where ")))
 	}
 
@@ -880,11 +856,11 @@ func (t *Translator) proceduralText(sel *sqlparser.SelectStmt, g *querygraph.Gra
 			step = "Keep a combination only if the following finds something: " + inner
 		case querygraph.ConnIn, querygraph.ConnNotIn:
 			step = fmt.Sprintf("Evaluate the nested question (%s) and test membership (%s): %s",
-				blk.Label, blk.Link, inner)
+				blk.Label, blk.LinkText(), inner)
 		case querygraph.ConnAll, querygraph.ConnAny:
-			step = fmt.Sprintf("Compare against every value of the nested question (%s): %s", blk.Link, inner)
+			step = fmt.Sprintf("Compare against every value of the nested question (%s): %s", blk.LinkText(), inner)
 		default:
-			step = fmt.Sprintf("Compute the nested value (%s): %s", blk.Link, inner)
+			step = fmt.Sprintf("Compute the nested value (%s): %s", blk.LinkText(), inner)
 		}
 		steps = append(steps, lexicon.Sentence(step))
 	}

@@ -481,7 +481,7 @@ func DetectComparative(g *querygraph.Graph, schema *catalog.Schema) (*Comparativ
 			if !sameAliasPair(j, aliases[0], aliases[1]) || j.Equi || j.FK {
 				continue
 			}
-			attr, op, subject := parseComparison(j, rel)
+			attr, subject, greater := comparison(j.Cond, rel)
 			if attr == "" || rel.IsPrimaryKey([]string{attr}) {
 				continue
 			}
@@ -494,7 +494,7 @@ func DetectComparative(g *querygraph.Graph, schema *catalog.Schema) (*Comparativ
 				Relation: rel.Name,
 				Aliases:  [2]string{subject, object},
 				Attr:     attr,
-				Greater:  op == ">" || op == ">=",
+				Greater:  greater,
 				RoleAttr: roleAttr, RoleRelation: roleRel,
 			}, true
 		}
@@ -516,62 +516,45 @@ func sameAliasPair(j querygraph.JoinEdge, a, b string) bool {
 		(strings.EqualFold(j.From, b) && strings.EqualFold(j.To, a))
 }
 
-// condOnKey reports whether a condition like "a1.id > a2.id" compares the
+// condOnKey reports whether a condition like a1.id > a2.id compares the
 // relation's single-attribute primary key with itself.
-func condOnKey(cond string, rel *catalog.Relation) bool {
+func condOnKey(cond *sqlparser.BinaryExpr, rel *catalog.Relation) bool {
 	if len(rel.PrimaryKey) != 1 {
 		return false
 	}
-	key := strings.ToLower(rel.PrimaryKey[0])
-	lower := strings.ToLower(cond)
-	return strings.Count(lower, "."+key) >= 2
+	l, r, ok := qualifiedPair(cond)
+	return ok && strings.EqualFold(l.Column, rel.PrimaryKey[0]) && strings.EqualFold(r.Column, rel.PrimaryKey[0])
 }
 
-// parseComparison extracts (attr, op, subjectAlias) from a comparison edge
-// like "e1.sal > e2.sal"; subject is the side that is greater for > ops.
-func parseComparison(j querygraph.JoinEdge, rel *catalog.Relation) (attr, op, subject string) {
-	cond := j.Cond
-	for _, cand := range []string{">=", "<=", ">", "<", "!="} {
-		if i := strings.Index(cond, cand); i >= 0 {
-			left := strings.TrimSpace(cond[:i])
-			right := strings.TrimSpace(cond[i+len(cand):])
-			la, lattr, lok := splitQualified(left)
-			ra, rattr, rok := splitQualified(right)
-			if !lok || !rok || !strings.EqualFold(lattr, rattr) {
-				return "", "", ""
-			}
-			if rel.AttrIndex(lattr) < 0 {
-				return "", "", ""
-			}
-			switch cand {
-			case ">", ">=":
-				return lattr, cand, la
-			case "<", "<=":
-				return lattr, revOp(cand), ra
-			default:
-				return lattr, cand, la
-			}
-		}
-	}
-	return "", "", ""
-}
-
-func revOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	}
-	return op
-}
-
-func splitQualified(s string) (alias, attr string, ok bool) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 2 {
+// comparison reads an order or inequality comparison of one attribute of
+// rel across two tuple variables, like e1.sal > e2.sal. subject is the
+// greater side's alias, and greater is false for != (subject is then the
+// left side).
+func comparison(cond *sqlparser.BinaryExpr, rel *catalog.Relation) (attr, subject string, greater bool) {
+	l, r, ok := qualifiedPair(cond)
+	if !ok || !strings.EqualFold(l.Column, r.Column) || rel.AttrIndex(l.Column) < 0 {
 		return "", "", false
 	}
-	return parts[0], parts[1], true
+	switch cond.Op {
+	case sqlparser.OpGt, sqlparser.OpGe:
+		return l.Column, l.Table, true
+	case sqlparser.OpLt, sqlparser.OpLe:
+		return l.Column, r.Table, true
+	case sqlparser.OpNe:
+		return l.Column, l.Table, false
+	}
+	return "", "", false
+}
+
+// qualifiedPair returns the two column references a join edge compares
+// when both name their tuple variable.
+func qualifiedPair(cond *sqlparser.BinaryExpr) (l, r *sqlparser.ColumnRef, ok bool) {
+	l, lok := cond.Left.(*sqlparser.ColumnRef)
+	r, rok := cond.Right.(*sqlparser.ColumnRef)
+	if !lok || !rok || l.Table == "" || r.Table == "" {
+		return nil, nil, false
+	}
+	return l, r, true
 }
 
 // commonNeighbor finds a relation reachable from both aliases via FK equi
@@ -629,7 +612,7 @@ func findRoleAttr(g *querygraph.Graph, schema *catalog.Schema, object string) (a
 		if !j.Equi {
 			continue
 		}
-		var otherAlias, otherSide, objSide string
+		var otherAlias, otherSide string
 		switch {
 		case strings.EqualFold(j.From, object):
 			otherAlias = j.To
@@ -638,26 +621,18 @@ func findRoleAttr(g *querygraph.Graph, schema *catalog.Schema, object string) (a
 		default:
 			continue
 		}
-		// Parse "x.a = y.b"; pick the side not belonging to object.
-		parts := strings.SplitN(j.Cond, "=", 2)
-		if len(parts) != 2 {
+		// Of x.a = y.b, pick the side not belonging to object.
+		l, r, ok := qualifiedPair(j.Cond)
+		if !ok {
 			continue
 		}
-		l := strings.TrimSpace(parts[0])
-		r := strings.TrimSpace(parts[1])
-		la, lattr, lok := splitQualified(l)
-		ra, rattr, rok := splitQualified(r)
-		if !lok || !rok {
-			continue
-		}
-		if strings.EqualFold(la, object) {
-			objSide, otherSide = lattr, rattr
-		} else if strings.EqualFold(ra, object) {
-			objSide, otherSide = rattr, lattr
+		if strings.EqualFold(l.Table, object) {
+			otherSide = r.Column
+		} else if strings.EqualFold(r.Table, object) {
+			otherSide = l.Column
 		} else {
 			continue
 		}
-		_ = objSide
 		// The role attribute lives on the other relation.
 		for _, box := range g.Boxes {
 			if strings.EqualFold(box.Alias, otherAlias) {
