@@ -9,9 +9,10 @@ import (
 // This file is the engine half of deadline-aware execution. A Budget carries
 // one request's context (deadline + cancellation) and resource quotas into
 // the execution loops; every loop polls it cooperatively at morsel
-// boundaries (the engine's scheduler, fanOut, sub-chunks every worker's range
-// of a scan, join or fused aggregation at storage-zone boundaries, and the
-// interpreter — the tests' oracle — ticks every budget.TickRows iterations).
+// boundaries (every worker's range of a scan, join or fused aggregation is
+// cut at storage-zone boundaries with a poll before each piece — see zones
+// in parallel.go — and the interpreter — the tests' oracle — ticks every
+// budget.TickRows iterations).
 // A tripped budget latches a single *CancelError so concurrent workers agree
 // on the first cause, stop claiming work, and the whole pipeline unwinds
 // without partial results escaping.

@@ -53,8 +53,9 @@ func TestCancelDifferentialRandomPoints(t *testing.T) {
 	parallelThreshold = 64
 	defer func() { parallelThreshold = oldThreshold }()
 
-	// Four workers split every scan past the threshold into four ranges, each
-	// polled before it runs, so trips land mid-scan on tables of one zone.
+	// Four workers split every join, aggregation and generic-filter scan past
+	// the threshold into four ranges, each polled before it runs, so trips
+	// land mid-step on tables of one zone.
 	eng := New(db)
 	eng.SetParallelism(4)
 	rng := rand.New(rand.NewSource(42))
@@ -211,10 +212,11 @@ func dumpTable(t *testing.T, db *storage.Database, rel string) string {
 
 // TestCancelErrorNarratesProgress pins the error surface: a deadline trip
 // reports cause, elapsed time, and the examined/total row counters the
-// narration layer renders.
+// narration layer renders. MOVIES spans three storage zones, and the scan
+// polls once per zone, so the query needs more polls than its budget of two
+// allows at any worker count.
 func TestCancelErrorNarratesProgress(t *testing.T) {
-	db := cancelTestDB(t)
-	eng, _ := budgetAfter(New(db), 2)
+	eng, _ := budgetAfter(New(bigDB(t)), 2)
 	sel, err := sqlparser.ParseSelect(`select m.title from MOVIES m where m.year > 1900`)
 	if err != nil {
 		t.Fatal(err)

@@ -253,8 +253,7 @@ func (ex *Engine) dmlPositions(tbl *storage.Table, alias string, where sqlparser
 		positions, err := o.positions(ex, tbl, alias, where)
 		return pq, positions, err
 	}
-	pq.scanPos = true
-	cur, err := ex.runPipeline(pq)
+	cur, err := ex.runPipeline(pq, -1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -177,3 +177,40 @@ func TestParallelErrorPropagation(t *testing.T) {
 		t.Fatal("expected evaluation error from parallel scan")
 	}
 }
+
+// TestResultRowsExactlySized pins late materialization: the projection
+// writes straight into a result sized to the rows it holds, serial or fanned
+// out, so no result grows past its rows. The first query's filter does not
+// vectorize and runs on each kept row as a generic self-filter; the second
+// adds a LIMIT the projection stops at; the third joins.
+func TestResultRowsExactlySized(t *testing.T) {
+	db := cancelTestDB(t)
+	oldThreshold := parallelThreshold
+	parallelThreshold = 64
+	defer func() { parallelThreshold = oldThreshold }()
+
+	eng := New(db)
+	for _, q := range []string{
+		`select m.title from MOVIES m where m.year + 0 > 1990`,
+		`select m.title from MOVIES m where m.year + 0 > 1990 limit 2`,
+		`select m.title, g.genre from MOVIES m, GENRE g where m.id = g.mid`,
+	} {
+		sel, err := sqlparser.ParseSelect(q)
+		if err != nil {
+			t.Fatalf("parse %s: %v", q, err)
+		}
+		for _, workers := range []int{1, 4} {
+			eng.SetParallelism(workers)
+			res, err := eng.Select(sel)
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", q, workers, err)
+			}
+			if len(res.Rows) < 2 {
+				t.Fatalf("%s at %d workers: %d rows, want several", q, workers, len(res.Rows))
+			}
+			if cap(res.Rows) != len(res.Rows) {
+				t.Errorf("%s at %d workers: cap(Rows) = %d, len = %d", q, workers, cap(res.Rows), len(res.Rows))
+			}
+		}
+	}
+}

@@ -1481,7 +1481,7 @@ func mergeAcc(spec *vecAgg, m *vecAccs, mgi int32, p *vecAccs, pgi int32) {
 // Rows then group on the hash tier, keyed by value.AppendKey over the
 // evaluated GROUP BY values, whose evaluation error stops the query at once;
 // each group's first row is its representative, the prefix of its group row.
-func (ex *Engine) aggregateRows(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, rows [][]value.Value, items []sqlparser.SelectItem, cols []string) (*Result, error) {
+func (ex *Engine) aggregateRows(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, rows *rowSet, items []sqlparser.SelectItem, cols []string) (*Result, error) {
 	gb := newGrouping(sel, entries)
 	for _, it := range items {
 		if err := gb.check(it.Expr); err != nil {
@@ -1497,7 +1497,8 @@ func (ex *Engine) aggregateRows(sel *sqlparser.SelectStmt, entries []fromEntry, 
 	s := newVecAggState(va)
 	ec := pq.newCtx()
 	var key []byte
-	for _, row := range rows {
+	for i := range rows.len() {
+		row := rows.row(ec, i)
 		key = key[:0]
 		for _, gev := range va.gbEvals {
 			v, err := gev(ec, row)

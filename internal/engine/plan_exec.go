@@ -14,14 +14,18 @@ import (
 
 // This file executes planner.Plans over flat slot-addressed rows. Each FROM
 // entry owns a contiguous slot range laid out in clause order; a row is one
-// []value.Value of the plan's width, allocated from chunked arenas so the
-// join inner loop performs no per-row allocations, no map lookups, and no
-// string comparisons. Every expression compiles to a closure over slots. A
-// subquery compiles to a closure that plans and runs it for the row at hand,
-// with that row as its outer scope (outerScope): its references to the
-// enclosing query read the enclosing row's slots. A node that can only fail
-// (a star, an aggregate outside a group, a reference nothing binds) compiles
-// to its error, raised when a row reaches it.
+// []value.Value of the plan's width. The scan step yields row positions, and
+// a row is materialized where it is first needed: a single-table query reads
+// each kept position into a scratch row and projects it into the result, a
+// join plan copies the kept rows into one slab, and a join step's rows come
+// from chunked arenas, so the join inner loop performs no per-row
+// allocations, no map lookups, and no string comparisons. Every expression
+// compiles to a closure over slots. A subquery compiles to a closure that
+// plans and runs it for the row at hand, with that row as its outer scope
+// (outerScope): its references to the enclosing query read the enclosing
+// row's slots. A node that can only fail (a star, an aggregate outside a
+// group, a reference nothing binds) compiles to its error, raised when a row
+// reaches it.
 
 // ---------------------------------------------------------------------------
 // Hash keys
@@ -146,9 +150,6 @@ type plannedQuery struct {
 	// sel is the selection buffer of the query's serial phases (see
 	// selection), allocated on first use.
 	sel []int32
-	// scanPos records the scan step's row position beside each row (batch.pos)
-	// — the answer of a DML WHERE, whose plan is the scan step alone.
-	scanPos bool
 	// scope is the number of steps whose FROM entries column references
 	// resolve against while compiling: all of them, except while compileAt
 	// compiles a step's filters over the entries bound so far.
@@ -171,8 +172,8 @@ type stepCode struct {
 // rowEval evaluates one expression against a flat row.
 type rowEval func(ec *evalCtx, row []value.Value) (value.Value, error)
 
-// evalCtx is per-worker scratch: arenas, a key-encoding buffer, a scratch
-// row for build-side filters and the selection buffer. matched, set while a
+// evalCtx is per-worker scratch: arenas, a key-encoding buffer and a scratch
+// row for reading one table row at a time (scanRow). matched, set while a
 // RIGHT join step runs, flags the table rows the step has emitted. failed and
 // unbound describe the group whose row a grouped query's HAVING, select items
 // or sort keys are evaluating (finishVecAgg): failed holds its aggregates'
@@ -186,7 +187,6 @@ type evalCtx struct {
 	matched []atomic.Bool
 	failed  []error
 	unbound bool
-	sel     []int32
 }
 
 func (pq *plannedQuery) newCtx() *evalCtx {
@@ -199,8 +199,7 @@ func (pq *plannedQuery) newCtx() *evalCtx {
 const selRows = 1024
 
 // selection returns the query's selection buffer, which its serial phases
-// (the builds, the fast path) take turns with; each worker of a gathered scan
-// has its own in its evalCtx.
+// (the builds) take turns with; each worker of a scan has its own.
 func (pq *plannedQuery) selection() []int32 { return growSel(&pq.sel) }
 
 // growSel returns the selection buffer *sel, allocating it on first use: a
@@ -212,8 +211,8 @@ func growSel(sel *[]int32) []int32 {
 	return *sel
 }
 
-// scratchRow returns a full-width row for evaluating self-filters against a
-// lone build-side tuple.
+// scratchRow returns the context's full-width row for evaluating expressions
+// against one table row at a time (scanRow).
 func (ec *evalCtx) scratchRow() []value.Value {
 	if ec.scratch == nil {
 		ec.scratch = make([]value.Value, ec.pq.plan.Width)
@@ -587,6 +586,9 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *outerScope) *plannedQue
 			if !ok {
 				break
 			}
+			if pq.steps[si].vec == nil {
+				pq.steps[si].vec = make([]vecKernel, 0, len(filters))
+			}
 			pq.steps[si].vec = append(pq.steps[si].vec, k)
 			filters = filters[1:]
 		}
@@ -610,53 +612,82 @@ func (ex *Engine) compilePlan(plan *planner.Plan, outer *outerScope) *plannedQue
 // Pipeline execution
 // ---------------------------------------------------------------------------
 
-// batch is one worker's output: rows plus, when the query records them
-// (scanPos), the scan step's row position of each.
-type batch struct {
+// rowSet is what the pipeline hands the projection, the aggregator and a DML
+// WHERE: the joined rows (a FROM-less SELECT's one empty row), or, for a plan
+// that is its scan step alone, the positions the scan kept, which a consumer
+// reads into a scratch row one at a time (row) — late materialization (Abadi
+// et al., ICDE 2007).
+type rowSet struct {
 	rows [][]value.Value
 	pos  []int32
+	scan *planner.Step // the step pos indexes; nil when rows holds the rows
+}
+
+func (rs *rowSet) len() int {
+	if rs.scan != nil {
+		return len(rs.pos)
+	}
+	return len(rs.rows)
+}
+
+// row returns row i, a scan position's in ec's scratch row: valid until ec
+// reads another.
+func (rs *rowSet) row(ec *evalCtx, i int) []value.Value {
+	if rs.scan != nil {
+		return ec.scanRow(rs.scan, rs.pos[i])
+	}
+	return rs.rows[i]
+}
+
+// scanRow reads row ti of step st's table into the step's slots of ec's
+// scratch row and returns the row.
+func (ec *evalCtx) scanRow(st *planner.Step, ti int32) []value.Value {
+	r := ec.scratchRow()
+	st.Input.Tbl.CopyRow(r[st.Offset:st.Offset+len(st.Input.Rel.Attributes)], int(ti))
+	return r
+}
+
+// passAll applies the compiled filters to row in order and reports whether
+// every one passes; the first error stops it.
+func (ec *evalCtx) passAll(row []value.Value, filters ...[]rowEval) (bool, error) {
+	for _, group := range filters {
+		for _, ev := range group {
+			v, err := ev(ec, row)
+			if err != nil || !passes(v) {
+				return false, err
+			}
+		}
+	}
+	return true, nil
 }
 
 // emit speculatively fills a row from base plus the step table's row ti
 // (read straight off the column vectors), applies the step's compiled
 // filters, and keeps it on success.
-func (ec *evalCtx) emit(out *batch, base []value.Value, st *planner.Step, ti int32, evals ...[]rowEval) error {
+func (ec *evalCtx) emit(out *[][]value.Value, base []value.Value, st *planner.Step, ti int32, evals ...[]rowEval) error {
 	r := ec.rows.peek()
-	if base != nil {
-		copy(r, base)
-	}
+	copy(r, base)
 	n := len(st.Input.Rel.Attributes)
 	st.Input.Tbl.CopyRow(r[st.Offset:st.Offset+n], int(ti))
-	for _, group := range evals {
-		for _, ev := range group {
-			v, err := ev(ec, r)
-			if err != nil {
-				return err
-			}
-			if !passes(v) {
-				return nil
-			}
-		}
+	if ok, err := ec.passAll(r, evals...); !ok {
+		return err
 	}
 	ec.rows.commit()
-	out.rows = append(out.rows, r)
+	*out = append(*out, r)
 	if ec.matched != nil {
 		ec.matched[ti].Store(true)
-	}
-	if ec.pq.scanPos {
-		out.pos = append(out.pos, ti)
 	}
 	return nil
 }
 
-// gatherBatches runs fn over [0, n) on the engine's scheduler (fanOut),
-// each worker with its own evalCtx, arenas and output batch, and concatenates
-// the batches in chunk order.
-func (ex *Engine) gatherBatches(pq *plannedQuery, n int, fn func(ec *evalCtx, lo, hi int, out *batch) error) (batch, error) {
+// gatherRows runs a join step's fn over [0, n) on the engine's scheduler
+// (fanOut), each worker with its own evalCtx, arenas and output rows, and
+// concatenates the rows in chunk order.
+func (ex *Engine) gatherRows(pq *plannedQuery, n int, fn func(ec *evalCtx, lo, hi int, out *[][]value.Value) error) ([][]value.Value, error) {
 	workers := ex.workersFor(n)
 	parts := make([]struct {
 		ec  evalCtx
-		out batch
+		out [][]value.Value
 	}, workers)
 	for w := range parts {
 		parts[w].ec = *pq.newCtx()
@@ -665,35 +696,36 @@ func (ex *Engine) gatherBatches(pq *plannedQuery, n int, fn func(ec *evalCtx, lo
 		return fn(&parts[w].ec, lo, hi, &parts[w].out)
 	})
 	if err != nil {
-		return batch{}, err
+		return nil, err
 	}
 	merged := parts[0].out
 	if workers > 1 {
 		var total int
 		for w := range parts {
-			total += len(parts[w].out.rows)
+			total += len(parts[w].out)
 		}
-		merged = batch{rows: make([][]value.Value, 0, total)}
+		merged = make([][]value.Value, 0, total)
 		for w := range parts {
-			merged.rows = append(merged.rows, parts[w].out.rows...)
-			merged.pos = append(merged.pos, parts[w].out.pos...)
+			merged = append(merged, parts[w].out...)
 		}
 	}
-	if err := growBatch(ex.bud, &merged); err != nil {
-		return batch{}, err
+	if err := growRows(ex.bud, merged); err != nil {
+		return nil, err
 	}
 	return merged, nil
 }
 
-// growBatch charges a stage's materialized rows against the memory quota.
-// The estimate is deliberately coarse — slots dominate an arena row's
-// footprint — and zero-cost for nil budgets.
-func growBatch(bud *Budget, b *batch) error {
-	if bud == nil || len(b.rows) == 0 {
+// slotBytes is what the memory quota charges for one materialized slot. The
+// estimate is deliberately coarse — slots dominate a row's footprint.
+const slotBytes = 24
+
+// growRows charges a stage's materialized rows against the memory quota;
+// zero-cost for nil budgets.
+func growRows(bud *Budget, rows [][]value.Value) error {
+	if bud == nil || len(rows) == 0 {
 		return nil
 	}
-	const slotBytes = 24
-	return bud.Grow(len(b.rows) * len(b.rows[0]) * slotBytes)
+	return bud.Grow(len(rows) * len(rows[0]) * slotBytes)
 }
 
 // runPipeline runs the scan step, the join steps and the residual filters,
@@ -701,98 +733,200 @@ func growBatch(bud *Budget, b *batch) error {
 // order, each followed by its matches, step by step. That order is the same
 // at every worker count, and it is FROM-major only when the plan keeps FROM
 // order; SQL promises no order without a total ORDER BY, so nothing restores
-// it.
-func (ex *Engine) runPipeline(pq *plannedQuery) (batch, error) {
+// it. A plan with join steps materializes the scan's rows for the first join
+// in one slab, exactly sized; a plan without them returns the positions, at
+// most limit of them when limit >= 0 and no residual filter follows the scan.
+func (ex *Engine) runPipeline(pq *plannedQuery, limit int) (rowSet, error) {
 	steps := pq.plan.Steps
-	var cur batch
+	if len(steps) != 1 || len(pq.postEvals) > 0 {
+		limit = -1
+	}
+	var cur rowSet
 	if len(steps) == 0 {
 		cur.rows = [][]value.Value{{}} // a FROM-less SELECT's one empty row
-	}
-	for si, st := range steps {
-		var err error
-		switch {
-		case si == 0:
-			cur, err = ex.runScanStep(pq, st)
-		case len(cur.rows) > 0 || st.Join == sqlparser.JoinRight:
-			// With no row so far only a RIGHT join has rows to emit.
-			cur, err = ex.runJoinStep(pq, si, st, cur)
-		}
+	} else {
+		pos, matched, err := ex.runScanStep(pq, steps[0], limit)
 		if err != nil {
-			return batch{}, err
+			return rowSet{}, err
+		}
+		steps[0].ActualRows = matched
+		cur = rowSet{pos: pos, scan: steps[0]}
+		if len(steps) > 1 {
+			cur = rowSet{rows: pq.scanRows(steps[0], pos)}
+			if err := growRows(ex.bud, cur.rows); err != nil {
+				return rowSet{}, err
+			}
+		}
+	}
+	for si := 1; si < len(steps); si++ {
+		st := steps[si]
+		// With no row so far only a RIGHT join has rows to emit.
+		if len(cur.rows) > 0 || st.Join == sqlparser.JoinRight {
+			var err error
+			if cur.rows, err = ex.runJoinStep(pq, si, st, cur.rows); err != nil {
+				return rowSet{}, err
+			}
 		}
 		st.ActualRows = len(cur.rows)
 	}
-	if len(pq.postEvals) > 0 && len(cur.rows) > 0 {
-		filtered, err := ex.gatherBatches(pq, len(cur.rows), func(ec *evalCtx, lo, hi int, out *batch) error {
-			for i := lo; i < hi; i++ {
-				row := cur.rows[i]
-				keep := true
-				for _, ev := range pq.postEvals {
-					v, err := ev(ec, row)
-					if err != nil {
-						return err
-					}
-					if !passes(v) {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					out.rows = append(out.rows, row)
-					if pq.scanPos {
-						out.pos = append(out.pos, cur.pos[i])
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return batch{}, err
+	if len(pq.postEvals) > 0 && cur.len() > 0 {
+		var err error
+		if cur, err = ex.residual(pq, cur); err != nil {
+			return rowSet{}, err
 		}
-		cur = filtered
 	}
-	pq.plan.ActualRows = len(cur.rows)
+	pq.plan.ActualRows = cur.len()
+	if limit >= 0 {
+		pq.plan.ActualRows = steps[0].ActualRows // every row that passed, not only those kept
+	}
 	return cur, nil
 }
 
-// runScanStep produces the first row set: full scan or primary-key probe,
-// with the step's compiled filters applied inline.
-func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step) (batch, error) {
-	si := pq.fromOrder[st.FromPos] // == 0
-	tbl := st.Input.Tbl
-	evals := [][]rowEval{pq.steps[si].self, pq.steps[si].post}
+// scanRows materializes the scan step's kept positions as full-width rows
+// carved from one slab.
+func (pq *plannedQuery) scanRows(st *planner.Step, pos []int32) [][]value.Value {
+	w, n := pq.plan.Width, len(st.Input.Rel.Attributes)
+	slab := make([]value.Value, len(pos)*w)
+	rows := make([][]value.Value, len(pos))
+	for i, ti := range pos {
+		r := slab[i*w : (i+1)*w : (i+1)*w]
+		st.Input.Tbl.CopyRow(r[st.Offset:st.Offset+n], int(ti))
+		rows[i] = r
+	}
+	return rows
+}
 
-	switch st.Access {
-	case planner.ScanPK:
-		var pk [1]int32 // room for a primary-key probe's one row
+// residual drops the rows that fail a residual predicate, keeping the order
+// of the rest; the first error in chunk order is the first in row order.
+func (ex *Engine) residual(pq *plannedQuery, cur rowSet) (rowSet, error) {
+	n := cur.len()
+	workers := ex.workersFor(n)
+	ctxs := make([]evalCtx, workers)
+	for w := range ctxs {
+		ctxs[w] = *pq.newCtx()
+	}
+	keep := make([]bool, n)
+	err := ex.fanOut(n, workers, func(w, lo, hi int) error {
+		var err error
+		for i := lo; i < hi && err == nil; i++ {
+			keep[i], err = ctxs[w].passAll(cur.row(&ctxs[w], i), pq.postEvals)
+		}
+		return err
+	})
+	if err != nil {
+		return rowSet{}, err
+	}
+	if cur.scan != nil {
+		cur.pos = compact(cur.pos, keep)
+	} else {
+		cur.rows = compact(cur.rows, keep)
+	}
+	return cur, nil
+}
+
+// compact closes up the elements of s whose keep flag is set, in order.
+func compact[T any](s []T, keep []bool) []T {
+	k := 0
+	for i, ok := range keep {
+		if ok {
+			s[k] = s[i]
+			k++
+		}
+	}
+	return s[:k]
+}
+
+// scanPart is one worker's share of a full scan: its evaluation context, the
+// selection buffer its zones reuse, and the positions it kept.
+type scanPart struct {
+	ec       evalCtx
+	sel, pos []int32
+	matched  int // rows of the range that pass the step's filters
+}
+
+// runScanStep returns, in table order, the positions of the scan step's
+// table that pass the step's filters — a primary-key probe's one position, or
+// a full scan's — and how many rows pass. Filtering stays in the per-zone walk
+// (scanBase: kernels and zone verdicts); the step's generic filters run on a
+// scratch row. Each worker walks its range twice: it counts what the kernels
+// keep — the walk that polls the budget, once per zone, and notes the zones —
+// then fills a position vector of exactly that size. The vectors join in
+// chunk order. Only generic filters, which must see every row, make a full
+// scan fan out: without them a scan is a kernel loop and a copy per zone,
+// cheaper than a goroutine, and a limit >= 0 caps the positions kept.
+func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step, limit int) (pos []int32, matched int, err error) {
+	self, post := pq.steps[0].self, pq.steps[0].post
+	if st.Access == planner.ScanPK {
 		ec := pq.newCtx()
-		var out batch
-		for _, pos := range pq.probePositions(pk[:0], st) {
-			if err := ec.emit(&out, nil, st, pos, evals...); err != nil {
-				return batch{}, err
+		pos := pq.probePositions(nil, st)
+		for _, ti := range pos { // at most one
+			if ok, err := ec.passAll(ec.scanRow(st, ti), self, post); !ok {
+				return nil, 0, err
 			}
 		}
-		return out, nil
-
-	default: // ScanFull
-		ex.bud.AddTotal(tbl.Len())
-		out, err := ex.gatherBatches(pq, tbl.Len(), func(ec *evalCtx, lo, hi int, out *batch) error {
-			var err error
-			pq.scanBase(&ec.sel, lo, hi, true, func(kept []int32) bool {
-				for _, ti := range kept {
-					if err = ec.emit(out, nil, st, ti, evals...); err != nil {
-						return false
-					}
-				}
+		return pos, len(pos), nil
+	}
+	n := st.Input.Tbl.Len()
+	ex.bud.AddTotal(n)
+	workers, generic := 1, len(self)+len(post) > 0
+	if generic {
+		workers, limit = ex.workersFor(n), -1
+	}
+	parts := make([]scanPart, workers)
+	err = spread(n, len(parts), func(w, lo, hi int) error {
+		p := &parts[w]
+		p.ec = *pq.newCtx()
+		err := zones(ex.bud, lo, hi, func(s, e int) error {
+			pq.scanBase(&p.sel, s, e, true, func(kept []int32) bool {
+				p.matched += len(kept)
 				return true
 			})
-			return err
+			return nil
 		})
-		if err == nil {
-			pq.finishZoneSkip()
+		size := p.matched
+		if limit >= 0 {
+			size = min(size, limit)
 		}
-		return out, err
+		if err != nil || size == 0 {
+			return err
+		}
+		p.pos = make([]int32, 0, size)
+		pq.scanBase(&p.sel, lo, hi, false, func(kept []int32) bool {
+			if !generic {
+				p.pos = append(p.pos, kept[:min(len(kept), size-len(p.pos))]...)
+				return len(p.pos) < size
+			}
+			for _, ti := range kept {
+				var ok bool
+				if ok, err = p.ec.passAll(p.ec.scanRow(st, ti), self, post); err != nil {
+					return false
+				}
+				if ok {
+					p.pos = append(p.pos, ti)
+				}
+			}
+			return true
+		})
+		if generic {
+			p.matched = len(p.pos)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
 	}
+	pq.finishZoneSkip()
+	if len(parts) == 1 {
+		return parts[0].pos, parts[0].matched, nil
+	}
+	for w := range parts {
+		matched += len(parts[w].pos)
+	}
+	pos = make([]int32, 0, matched)
+	for w := range parts {
+		pos = append(pos, parts[w].pos...)
+	}
+	return pos, matched, nil
 }
 
 // probePositions appends to dst the row position a first-step primary-key
@@ -806,10 +940,10 @@ func (pq *plannedQuery) probePositions(dst []int32, st *planner.Step) []int32 {
 		}
 		kb = v.AppendKey(kb)
 	}
-	if pos, ok := st.Input.Tbl.LookupPKPos(kb); ok {
+	if pos, ok := st.Input.Tbl.LookupPKPos(kb); ok && pq.kept(0, pos) {
 		dst = append(dst, int32(pos))
 	}
-	return pq.keepPositions(0, dst)
+	return dst
 }
 
 // buildPass visits [0, n) one storage zone at a time — from the top when down
@@ -848,23 +982,14 @@ func (pq *plannedQuery) buildKeep(si int, st *planner.Step) ([]bool, error) {
 	tbl := st.Input.Tbl
 	keep := make([]bool, tbl.Len())
 	ec := pq.newCtx()
-	row := ec.scratchRow()
-	width := len(st.Input.Rel.Attributes)
 	err := buildPass(pq.ex.bud, tbl.Len(), false, func(lo, hi int) error {
 		for c := lo; c < hi; c += selRows {
-		rows:
 			for _, ti := range pq.keep(si, zoneSel(pq.selection(), c, min(c+selRows, hi))) {
-				tbl.CopyRow(row[st.Offset:st.Offset+width], int(ti))
-				for _, ev := range self {
-					v, err := ev(ec, row)
-					if err != nil {
-						return err
-					}
-					if !passes(v) {
-						continue rows
-					}
+				ok, err := ec.passAll(ec.scanRow(st, ti), self)
+				if err != nil {
+					return err
 				}
-				keep[ti] = true
+				keep[ti] = ok
 			}
 		}
 		return nil
@@ -1083,11 +1208,11 @@ func (pq *plannedQuery) loopInner(si int, tbl *storage.Table, keep []bool) []int
 
 // runJoinStep extends every current row with matches from the step's table:
 // the access path finds row i's matches, joinRows emits them.
-func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur batch) (batch, error) {
+func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur [][]value.Value) ([][]value.Value, error) {
 	tbl := st.Input.Tbl
 	self, post := pq.steps[si].self, pq.steps[si].post
 
-	var match func(ec *evalCtx, out *batch, i int) error
+	var match func(ec *evalCtx, out *[][]value.Value, i int) error
 	switch st.Access {
 	case planner.JoinHash:
 		// Build (serial), on whichever side is smaller: the filtered table, or
@@ -1095,25 +1220,25 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 		// row, so rows come out in outer order, then ascending table position.
 		keep, err := pq.buildKeep(si, st)
 		if err != nil {
-			return batch{}, err
+			return nil, err
 		}
 		var chain joinChain
-		if len(cur.rows) < tbl.Len() {
-			chain, err = pq.buildChainFromOuter(si, st, keep, cur.rows)
+		if len(cur) < tbl.Len() {
+			chain, err = pq.buildChainFromOuter(si, st, keep, cur)
 		} else {
 			chain, err = pq.buildChain(si, st, keep)
 		}
 		if err != nil {
-			return batch{}, err
+			return nil, err
 		}
 		probeSlot := st.ProbeSlot
-		match = func(ec *evalCtx, out *batch, i int) error {
-			k, ok := joinKeyOf(cur.rows[i][probeSlot])
+		match = func(ec *evalCtx, out *[][]value.Value, i int) error {
+			k, ok := joinKeyOf(cur[i][probeSlot])
 			if !ok {
 				return nil
 			}
 			for p := chain.head[k]; p != 0; p = chain.next[p-1] {
-				if err := ec.emit(out, cur.rows[i], st, chain.row(p-1), post); err != nil {
+				if err := ec.emit(out, cur[i], st, chain.row(p-1), post); err != nil {
 					return err
 				}
 			}
@@ -1121,26 +1246,26 @@ func (ex *Engine) runJoinStep(pq *plannedQuery, si int, st *planner.Step, cur ba
 		}
 
 	case planner.JoinPK:
-		match = func(ec *evalCtx, out *batch, i int) error {
-			if !ec.probeKey(cur.rows[i], st.ProbeSlots) {
+		match = func(ec *evalCtx, out *[][]value.Value, i int) error {
+			if !ec.probeKey(cur[i], st.ProbeSlots) {
 				return nil
 			}
 			pos, ok := tbl.LookupPKPos(ec.keyBuf)
 			if !ok || !pq.kept(si, pos) {
 				return nil
 			}
-			return ec.emit(out, cur.rows[i], st, int32(pos), self, post)
+			return ec.emit(out, cur[i], st, int32(pos), self, post)
 		}
 
 	default: // JoinLoop — prefilter the inner side once, then cross.
 		keep, err := pq.buildKeep(si, st)
 		if err != nil {
-			return batch{}, err
+			return nil, err
 		}
 		inner := pq.loopInner(si, tbl, keep)
-		match = func(ec *evalCtx, out *batch, i int) error {
+		match = func(ec *evalCtx, out *[][]value.Value, i int) error {
 			for _, ti := range inner {
-				if err := ec.emit(out, cur.rows[i], st, ti, post); err != nil {
+				if err := ec.emit(out, cur[i], st, ti, post); err != nil {
 					return err
 				}
 			}
@@ -1170,25 +1295,25 @@ func (ec *evalCtx) probeKey(base []value.Value, slots []int) bool {
 // RIGHT step flags every table row it emits — atomically, since workers may
 // match the same row — and afterwards emits the unflagged rows in ascending
 // position, NULL in every slot before the step's own.
-func (ex *Engine) joinRows(pq *plannedQuery, st *planner.Step, cur batch, match func(ec *evalCtx, out *batch, i int) error) (batch, error) {
+func (ex *Engine) joinRows(pq *plannedQuery, st *planner.Step, cur [][]value.Value, match func(ec *evalCtx, out *[][]value.Value, i int) error) ([][]value.Value, error) {
 	var matched []atomic.Bool
 	if st.Join == sqlparser.JoinRight {
 		matched = make([]atomic.Bool, st.Input.Tbl.Len())
 	}
 	width := len(st.Input.Rel.Attributes)
-	out, err := ex.gatherBatches(pq, len(cur.rows), func(ec *evalCtx, lo, hi int, out *batch) error {
+	out, err := ex.gatherRows(pq, len(cur), func(ec *evalCtx, lo, hi int, out *[][]value.Value) error {
 		ec.matched = matched
 		for i := lo; i < hi; i++ {
-			n := len(out.rows)
+			n := len(*out)
 			if err := match(ec, out, i); err != nil {
 				return err
 			}
-			if st.Join == sqlparser.JoinLeft && len(out.rows) == n {
+			if st.Join == sqlparser.JoinLeft && len(*out) == n {
 				r := ec.rows.peek()
-				copy(r, cur.rows[i])
+				copy(r, cur[i])
 				clear(r[st.Offset : st.Offset+width])
 				ec.rows.commit()
-				out.rows = append(out.rows, r)
+				*out = append(*out, r)
 			}
 		}
 		return nil
@@ -1196,11 +1321,11 @@ func (ex *Engine) joinRows(pq *plannedQuery, st *planner.Step, cur batch, match 
 	if err != nil || matched == nil {
 		return out, err
 	}
-	ec, kept := pq.newCtx(), len(out.rows)
+	ec, kept := pq.newCtx(), len(out)
 	for ti := range matched {
 		if ti&storage.ZoneMask == 0 {
 			if err := ex.bud.Step(0); err != nil {
-				return batch{}, err
+				return nil, err
 			}
 		}
 		if matched[ti].Load() {
@@ -1210,9 +1335,9 @@ func (ex *Engine) joinRows(pq *plannedQuery, st *planner.Step, cur batch, match 
 		clear(r)
 		st.Input.Tbl.CopyRow(r[st.Offset:st.Offset+width], ti)
 		ec.rows.commit()
-		out.rows = append(out.rows, r)
+		out = append(out, r)
 	}
-	return out, growBatch(ex.bud, &batch{rows: out.rows[kept:]})
+	return out, growRows(ex.bud, out[kept:])
 }
 
 // ---------------------------------------------------------------------------
@@ -1235,13 +1360,7 @@ func (ex *Engine) planFor(sel *sqlparser.SelectStmt, entries []fromEntry, hasOut
 // top-K heap), and LIMIT — all over flat slot-addressed rows.
 func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, plan *planner.Plan, outer *outerScope, earlyLimit int, grouped bool) (*Result, error) {
 	pq := ex.compilePlan(plan, outer)
-	if !grouped {
-		// Fully vectorized single-table scans project straight from the
-		// column vectors, skipping row materialization entirely.
-		if res, ok, err := ex.tryVecScan(sel, entries, pq, earlyLimit); ok {
-			return res, err
-		}
-	} else {
+	if grouped {
 		// Grouped queries inside the fused dialect run the scan→join→aggregate
 		// pipeline over typed accumulators, never materializing a joined row;
 		// the rest feed the aggregator the joined rows.
@@ -1249,7 +1368,11 @@ func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, pl
 			return res, err
 		}
 	}
-	cur, err := ex.runPipeline(pq)
+	limit := -1
+	if !grouped {
+		limit = pq.rowLimit(sel, earlyLimit)
+	}
+	cur, err := ex.runPipeline(pq, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -1258,72 +1381,80 @@ func (ex *Engine) execPlanned(sel *sqlparser.SelectStmt, entries []fromEntry, pl
 		return nil, err
 	}
 	if grouped {
-		return ex.aggregateRows(sel, entries, pq, cur.rows, items, cols)
+		return ex.aggregateRows(sel, entries, pq, &cur, items, cols)
 	}
-	return ex.execPlannedFlat(sel, pq, cur.rows, items, cols, earlyLimit)
+	return ex.execPlannedFlat(sel, pq, &cur, items, cols, limit)
 }
 
-// execPlannedFlat projects joined rows through compiled item evaluators and
-// shapes the result. Without ORDER BY or DISTINCT the LIMIT (and any caller
-// bound) pushes down into the projection loop, stopping it early.
-func (ex *Engine) execPlannedFlat(sel *sqlparser.SelectStmt, pq *plannedQuery, rows [][]value.Value, items []sqlparser.SelectItem, cols []string, earlyLimit int) (*Result, error) {
-	evals := make([]rowEval, len(items))
-	pure := true // no projection expression can error
-	for i, it := range items {
-		evals[i] = pq.compile(it.Expr)
+// rowLimit is how many rows an ungrouped query projects: without ORDER BY or
+// DISTINCT the first rows are the answer, so LIMIT (and a caller's bound)
+// pushes down; -1 when every row is projected. The interpreter projects every
+// joined row before truncating, so the LIMIT may stop the projection only
+// when no select item can error past the bound — otherwise a planned run
+// would swallow an error the interpreter raises. The caller's bound
+// (subquery probes) mirrors the interpreter's early exit exactly, including
+// its sel.Limit < 0 guard.
+func (pq *plannedQuery) rowLimit(sel *sqlparser.SelectStmt, earlyLimit int) int {
+	switch {
+	case len(sel.OrderBy) > 0 || sel.Distinct:
+		return -1
+	case sel.Limit < 0:
+		return earlyLimit
+	}
+	for _, it := range sel.Items {
 		switch x := it.Expr.(type) {
-		case *sqlparser.Literal:
+		case *sqlparser.Literal, *sqlparser.Star:
 		case *sqlparser.ColumnRef:
 			// A slot read cannot fail; a failing lookup can.
-			if _, ok := pq.slotOf(x); !ok {
-				pure = false
+			if _, ok := pq.slotOf(x); !ok && x.Column != "*" {
+				return -1
 			}
 		default:
-			pure = false
+			return -1
 		}
 	}
-	// LIMIT pushdown: without ORDER BY or DISTINCT the first rows are the
-	// answer. The interpreter projects every joined row before truncating,
-	// so the LIMIT may stop the loop only when no projection expression can
-	// error past the bound — otherwise a planned run would swallow an error
-	// the interpreter raises. The caller's bound (subquery probes) mirrors
-	// the interpreter's early exit exactly, including its sel.Limit < 0
-	// guard.
-	bound := -1
-	if len(sel.OrderBy) == 0 && !sel.Distinct {
-		if sel.Limit >= 0 && pure {
-			bound = sel.Limit
-		}
-		if earlyLimit >= 0 && sel.Limit < 0 {
-			bound = earlyLimit
-		}
+	return sel.Limit
+}
+
+// execPlannedFlat projects the pipeline's rows through compiled item
+// evaluators straight into the result — one slab, sized to the rows it will
+// hold, at most limit of them when limit >= 0 (see rowLimit) — and shapes it.
+func (ex *Engine) execPlannedFlat(sel *sqlparser.SelectStmt, pq *plannedQuery, cur *rowSet, items []sqlparser.SelectItem, cols []string, limit int) (*Result, error) {
+	evals := make([]rowEval, len(items))
+	for i, it := range items {
+		evals[i] = pq.compile(it.Expr)
 	}
-	out := &Result{Columns: cols}
+	n := cur.len()
+	if limit >= 0 {
+		n = min(n, limit)
+	}
+	w := len(items)
+	if err := ex.bud.Grow(n * w * slotBytes); err != nil {
+		return nil, err
+	}
+	out := &Result{Columns: cols, Rows: make([]storage.Tuple, n)}
+	flat := make([]value.Value, n*w)
 	ec := pq.newCtx()
-	proj := rowArena{width: len(items)}
-	for _, row := range rows {
-		if bound >= 0 && len(out.Rows) >= bound {
-			break
-		}
-		r := proj.peek()
-		for i, ev := range evals {
+	for i := range out.Rows {
+		row := cur.row(ec, i)
+		r := flat[i*w : (i+1)*w : (i+1)*w]
+		for j, ev := range evals {
 			v, err := ev(ec, row)
 			if err != nil {
 				return nil, err
 			}
-			r[i] = v
+			r[j] = v
 		}
-		proj.commit()
-		out.Rows = append(out.Rows, storage.Tuple(r))
+		out.Rows[i] = r
 	}
-	// rows stays aligned with out.Rows (no early exit is possible when an
-	// ORDER BY is present), so expression sort keys evaluate over the joined
-	// row backing each output row.
+	// The pipeline's rows stay aligned with out.Rows (no early exit is
+	// possible when an ORDER BY is present), so expression sort keys evaluate
+	// over the row backing each output row.
 	keyOf := func(i int, k *plannedSortKey) (value.Value, error) {
 		if k.col >= 0 {
 			return out.Rows[i][k.col], nil
 		}
-		return k.eval(ec, rows[i])
+		return k.eval(ec, cur.row(ec, i))
 	}
 	return ex.shapeResult(sel, pq, out, pq.flatOrderKeys(sel, items), keyOf)
 }

@@ -28,11 +28,6 @@ import (
 // the survivors of the one before: the remaining filters keep their original
 // evaluation order, preserving error parity with the interpreter's
 // short-circuit conjunct order.
-//
-// On top of the kernels sits a whole-query fast path: a single-table full
-// scan whose filters are all vectorized and whose select list reads columns
-// directly skips the arena pipeline entirely — one counting pass over the
-// selections, then an exactly-sized projection straight from the columns.
 
 // keep runs step si's kernels over sel, the ascending positions of one
 // storage zone, and returns the survivors, compacted into sel's prefix.
@@ -52,18 +47,6 @@ func (pq *plannedQuery) keep(si int, sel []int32) []int32 {
 func (pq *plannedQuery) kept(si, ti int) bool {
 	one := [1]int32{int32(ti)}
 	return len(pq.keep(si, one[:])) == 1
-}
-
-// keepPositions narrows ascending positions from any number of zones to those
-// that pass step si's kernels, one zone's run of them at a time.
-func (pq *plannedQuery) keepPositions(si int, ps []int32) []int32 {
-	k := 0
-	for i := 0; i < len(ps); {
-		j := i + zoneRun(ps[i:])
-		k += copy(ps[k:], pq.keep(si, ps[i:j]))
-		i = j
-	}
-	return ps[:k]
 }
 
 // zoneRun returns how many positions at the head of ps (at least one) lie in
@@ -876,152 +859,4 @@ func cmpString(a, b string) int {
 	default:
 		return 0
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Single-table scan→project fast path
-// ---------------------------------------------------------------------------
-
-// colReader projects one select item straight from the table: a column
-// position (lit unset) or a constant literal (pos < 0).
-type colReader struct {
-	pos int
-	lit value.Value
-}
-
-// tryVecScan executes a fully vectorized single-table scan without the arena
-// pipeline: every filter runs as a kernel, every select item is a direct
-// column read or constant, and every ORDER BY key resolves to an output
-// column. Both passes walk the table one zone at a time through scanBase,
-// reusing one selection buffer: pass one counts the positions the kernels
-// keep, pass two fills an exactly-sized projection straight from the
-// columns. ok=false falls back to the general pipeline. Select items expand
-// only after the structural checks pass: with every filter vectorized the
-// pipeline cannot error, so resolving the select list first cannot mask a
-// join-phase error the interpreter would have raised.
-func (ex *Engine) tryVecScan(sel *sqlparser.SelectStmt, entries []fromEntry, pq *plannedQuery, earlyLimit int) (*Result, bool, error) {
-	if len(pq.plan.Steps) != 1 {
-		return nil, false, nil
-	}
-	st := pq.plan.Steps[0]
-	if st.Access != planner.ScanFull || len(pq.postEvals) > 0 ||
-		len(pq.steps[0].self) > 0 || len(pq.steps[0].post) > 0 {
-		return nil, false, nil
-	}
-	items, cols, err := expandItems(sel, entries)
-	if err != nil {
-		return nil, true, err
-	}
-	tbl := st.Input.Tbl
-	width := len(st.Input.Rel.Attributes)
-	readers := make([]colReader, len(items))
-	for i, it := range items {
-		switch x := it.Expr.(type) {
-		case *sqlparser.ColumnRef:
-			slot, ok := pq.slotOf(x)
-			if !ok || slot < 0 || slot >= width {
-				return nil, false, nil
-			}
-			readers[i] = colReader{pos: slot}
-		case *sqlparser.Literal:
-			readers[i] = colReader{pos: -1, lit: x.Value}
-		default:
-			return nil, false, nil
-		}
-	}
-	// ORDER BY keys resolve through the same flatOrderKeys logic as the
-	// general pipeline (one copy of the ordinal/select-list semantics);
-	// a key that compiled to an expression needs the source row, which
-	// the fast path never materializes — fall back.
-	keys := pq.flatOrderKeys(sel, items)
-	for j := range keys {
-		if keys[j].eval != nil {
-			return nil, false, nil
-		}
-	}
-
-	n := tbl.Len()
-	bud := ex.bud
-	bud.AddTotal(n)
-	// Both passes poll the budget once per storage zone — the first charges
-	// the zone's rows — and walk what the zone probes leave of it.
-	pass := func(charge, note bool, rows func(kept []int32) bool) error {
-		for lo := 0; lo < n; lo += storage.ZoneRows {
-			hi := min(lo+storage.ZoneRows, n)
-			examined := 0
-			if charge {
-				examined = hi - lo
-			}
-			if err := bud.Step(examined); err != nil {
-				return err
-			}
-			if !pq.scanBase(&pq.sel, lo, hi, note, rows) {
-				break
-			}
-		}
-		return nil
-	}
-	// Counting pass: the selection's length is the zone's match count.
-	matched := 0
-	err = pass(true, true, func(kept []int32) bool {
-		matched += len(kept)
-		return true
-	})
-	if err != nil {
-		return nil, true, err
-	}
-	pq.finishZoneSkip()
-	st.ActualRows = matched
-	pq.plan.ActualRows = matched
-
-	// LIMIT pushdown mirrors execPlannedFlat: column reads and constants
-	// cannot error, so the projection may stop at the bound.
-	bound := -1
-	if len(sel.OrderBy) == 0 && !sel.Distinct {
-		if sel.Limit >= 0 {
-			bound = sel.Limit
-		}
-		if earlyLimit >= 0 && sel.Limit < 0 {
-			bound = earlyLimit
-		}
-	}
-	emitN := matched
-	if bound >= 0 && bound < emitN {
-		emitN = bound
-	}
-
-	out := &Result{Columns: cols, Rows: make([]storage.Tuple, 0, emitN)}
-	w := len(items)
-	if err := bud.Grow(emitN * w * 24); err != nil {
-		return nil, true, err
-	}
-	flat := make([]value.Value, emitN*w)
-	// Same pruning as the counting pass, whose verdicts were accounted there.
-	err = pass(false, false, func(kept []int32) bool {
-		for _, ti := range kept {
-			if len(out.Rows) == emitN {
-				break
-			}
-			row := flat[:w:w]
-			flat = flat[w:]
-			for i, r := range readers {
-				if r.pos < 0 {
-					row[i] = r.lit
-				} else {
-					row[i] = tbl.Col(r.pos).Value(int(ti))
-				}
-			}
-			out.Rows = append(out.Rows, storage.Tuple(row))
-		}
-		return len(out.Rows) < emitN
-	})
-	if err != nil {
-		return nil, true, err
-	}
-
-	keyOf := func(i int, k *plannedSortKey) (value.Value, error) {
-		return out.Rows[i][k.col], nil
-	}
-	res, err := ex.shapeResult(sel, pq, out, keys, keyOf)
-	return res, true, err
 }

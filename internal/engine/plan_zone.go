@@ -106,12 +106,12 @@ func (zs *zoneSkip) note(v zoneVerdict) {
 // one selection vector (selRows positions) at a time in the buffer *sel (see
 // growSel): all of them where the kernels proved the zone passes all of them,
 // and otherwise what step 0's kernels keep. rows returns false to stop the
-// walk, and scanBase reports whether it ran to the end.
+// walk.
 //
 // With note set the walk accounts each zone whose first row lies in [lo, hi):
 // exactly one pass over the table sets it, and parallel workers never count a
 // zone twice however their ranges split it.
-func (pq *plannedQuery) scanBase(sel *[]int32, lo, hi int, note bool, rows func(kept []int32) bool) bool {
+func (pq *plannedQuery) scanBase(sel *[]int32, lo, hi int, note bool, rows func(kept []int32) bool) {
 	for s := lo; s < hi; {
 		z := s >> storage.ZoneShift
 		e := min((z+1)<<storage.ZoneShift, hi)
@@ -128,12 +128,11 @@ func (pq *plannedQuery) scanBase(sel *[]int32, lo, hi int, note bool, rows func(
 				kept = pq.keep(0, kept)
 			}
 			if !rows(kept) {
-				return false
+				return
 			}
 		}
 		s = e
 	}
-	return true
 }
 
 // zoneLenAt returns the number of rows zone z covers in a table of n rows.

@@ -22,8 +22,8 @@ func mustParse(t *testing.T, sql string) *sqlparser.SelectStmt {
 }
 
 // This file stresses the vectorized predicate layer and the single-table
-// scan→project fast path: every template below lands (at least partly) in
-// lowerVecFilter's dialect — column-vs-literal comparisons on every column
+// scan, whose kept positions the projection reads straight into the result:
+// every template below lands (at least partly) in lowerVecFilter's dialect — column-vs-literal comparisons on every column
 // kind, IS NULL, BETWEEN, IN lists with NULLs, LIKE over dictionary text,
 // and cross-kind equality — and must agree with the interpreter
 // row for row, order included, on NULL-riddled data.
@@ -153,7 +153,7 @@ func vecTemplates(rng *rand.Rand) []func() string {
 			return fmt.Sprintf("select v.id from V v where v.n + 0 = %d and v.s = 'tag-1'", rng.Intn(10))
 		},
 		func() string {
-			// Shaping on top of the fast path.
+			// Shaping on top of the vectorized scan.
 			return fmt.Sprintf("select v.id, v.n from V v where v.n %s %d order by v.n desc, v.id limit %d",
 				op(), rng.Intn(10), 1+rng.Intn(12))
 		},
@@ -161,7 +161,7 @@ func vecTemplates(rng *rand.Rand) []func() string {
 			return fmt.Sprintf("select distinct v.s from V v where v.n %s %d order by v.s", op(), rng.Intn(10))
 		},
 		func() string {
-			// Bare LIMIT pushdown (no ORDER BY) over the fast path.
+			// Bare LIMIT pushdown (no ORDER BY) into the projection.
 			return fmt.Sprintf("select v.id from V v where v.n %s %d limit %d", op(), rng.Intn(10), rng.Intn(9))
 		},
 		func() string {
@@ -169,7 +169,7 @@ func vecTemplates(rng *rand.Rand) []func() string {
 			return fmt.Sprintf("select 7, v.id from V v where v.f %s 1.5", op())
 		},
 		func() string {
-			// Star projection through the fast path.
+			// Star projection of the scan's positions.
 			return fmt.Sprintf("select * from V v where v.d between DATE '1969-12-%02d' and DATE '1970-01-%02d'",
 				20+rng.Intn(10), 1+rng.Intn(20))
 		},
@@ -177,7 +177,7 @@ func vecTemplates(rng *rand.Rand) []func() string {
 }
 
 // TestVecDifferentialRandomized sweeps randomized vectorizable predicates on
-// a single table through planned (fast path) and naive execution.
+// a single table through planned and naive execution.
 func TestVecDifferentialRandomized(t *testing.T) {
 	ex := New(vecTestDB(t, 90, 31))
 	templates := vecTemplates(rand.New(rand.NewSource(77)))
@@ -221,10 +221,10 @@ func TestVecDifferentialJoins(t *testing.T) {
 	requireReordered(t, reordered)
 }
 
-// TestVecScanFastPathExplain pins that the fast path records the same
-// per-step and plan cardinalities EXPLAIN exposes on the general path: the
-// matched row count, not the post-LIMIT count.
-func TestVecScanFastPathExplain(t *testing.T) {
+// TestVecScanExplain pins the per-step and plan cardinalities EXPLAIN exposes
+// for a vectorized single-table scan: the matched row count, not the
+// post-LIMIT count.
+func TestVecScanExplain(t *testing.T) {
 	db, err := dataset.CuratedMovieDB()
 	if err != nil {
 		t.Fatal(err)

@@ -216,7 +216,8 @@ func (e *Explainer) ExplainLarge(sel *sqlparser.SelectStmt, threshold int) (*Lar
 		return diag, nil
 	}
 
-	g, err := querygraph.Build(sel, e.ex.Source().Schema())
+	schema := e.ex.Source().Schema()
+	g, err := querygraph.Build(sel, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -241,15 +242,21 @@ func (e *Explainer) ExplainLarge(sel *sqlparser.SelectStmt, threshold int) (*Lar
 		return diag.Contributions[a].Rows > diag.Contributions[b].Rows
 	})
 
+	// A relation is named by the plural of its catalog concept: "movies",
+	// "cast entries".
 	var reasons []string
 	for _, c := range diag.Contributions {
+		things := strings.ToLower(c.Relation)
+		if rel := schema.Relation(c.Relation); rel != nil {
+			things = lexicon.Pluralize(rel.Concept())
+		}
 		switch {
 		case c.Filtered >= 0.999:
-			reasons = append(reasons, fmt.Sprintf("%s contributes all of its %s unrestricted",
-				strings.ToLower(lexicon.Pluralize(c.Relation)), lexicon.CountNoun(c.Rows, "row")))
+			reasons = append(reasons, fmt.Sprintf("%s contribute all of their %s unrestricted",
+				things, lexicon.CountNoun(c.Rows, "row")))
 		case c.Filtered >= 0.5:
-			reasons = append(reasons, fmt.Sprintf("the filter on %s keeps %d%% of its %d rows",
-				strings.ToLower(c.Relation), int(c.Filtered*100), c.Rows))
+			reasons = append(reasons, fmt.Sprintf("the filter on %s keeps %d%% of their %d rows",
+				things, int(c.Filtered*100), c.Rows))
 		}
 	}
 	diag.Text = fmt.Sprintf("The query returns %d rows (threshold %d).", diag.Rows, threshold)

@@ -295,3 +295,28 @@ func TestExplainPlanFallback(t *testing.T) {
 		t.Errorf("narration = %q", diag.Text)
 	}
 }
+
+// A size reason names each relation by the plural of its catalog concept,
+// not by a pluralized relation name ("movieses", "casts").
+func TestExplainLargeNamesConcepts(t *testing.T) {
+	db, err := dataset.GenerateMovieDB(dataset.GenConfig{
+		Seed: 3, Movies: 300, Actors: 50, Directors: 9, CastPerMovie: 2, GenresPerMovie: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(engine.New(db), querytotext.New(db.Schema(), querytotext.MovieVerbs(), querytotext.Options{}))
+	for sql, want := range map[string]string{
+		"select m.title from MOVIES m where 1 = 1 and m.year is not null":                "movies contribute all of their 300 rows unrestricted",
+		"select m.title, c.role from MOVIES m, CAST c where m.id = c.mid":                "cast entries contribute all of their 575 rows unrestricted",
+		"select m.title, c.role from MOVIES m, CAST c where m.id = c.mid and c.mid > 30": "the filter on cast entries keeps",
+	} {
+		d, err := e.ExplainLarge(parse(t, sql), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(d.Text, want) {
+			t.Errorf("%s:\n%s\nwant it to say %q", sql, d.Text, want)
+		}
+	}
+}

@@ -80,7 +80,7 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, hasOuter bool) *Plan {
 		localSel[i] = 1
 	}
 	for _, c := range conjs {
-		for in := range c.inputs {
+		for _, in := range c.inputs {
 			if c.selfAt(in, &inputs[in]) {
 				localSel[in] *= selectivity(c.expr, in, res, &stats[in])
 			}
@@ -203,7 +203,7 @@ func Build(sel *sqlparser.SelectStmt, inputs []Input, hasOuter bool) *Plan {
 			continue
 		}
 		last := 0
-		for in := range c.inputs {
+		for _, in := range c.inputs {
 			if planPos[in] > last {
 				last = planPos[in]
 			}

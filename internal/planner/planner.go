@@ -19,6 +19,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -297,8 +298,10 @@ func (st *Step) outerWord() string {
 // conjunct is one analyzed WHERE/ON conjunct.
 type conjunct struct {
 	expr sqlparser.Expr
-	// inputs is the set of FROM entries referenced (by index).
-	inputs map[int]bool
+	// inputs is the set of FROM entries referenced (by index), ascending;
+	// it starts in buf, which holds the common one or two without allocating.
+	inputs []int
+	buf    [2]int
 	// post marks conjuncts deferred to the residual phase: subqueries and
 	// references the planner cannot resolve locally (outer correlation).
 	post bool
@@ -409,22 +412,30 @@ func hasSubquery(e sqlparser.Expr) bool {
 // supply them are opaque: the engine raises its error on the first row
 // that reaches the conjunct, and none when no row does.
 func analyze(e sqlparser.Expr, res *resolver, hasOuter bool) *conjunct {
-	c := &conjunct{expr: e, inputs: map[int]bool{}, on: -1, after: -1}
+	c := &conjunct{expr: e, on: -1, after: -1}
+	c.inputs = c.buf[:0]
 	if hasSubquery(e) {
 		c.post = true
 		return c
 	}
-	for _, ref := range sqlparser.ColumnRefs(e) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+		ref, ok := x.(*sqlparser.ColumnRef)
+		if !ok {
+			return true
+		}
 		in, _, err := res.resolve(ref)
 		switch {
 		case err == nil:
-			c.inputs[in] = true
+			if i, found := slices.BinarySearch(c.inputs, in); !found {
+				c.inputs = slices.Insert(c.inputs, i, in)
+			}
 		case err == errUnresolved && hasOuter:
 			c.post = true // outer correlation: defer to the residual phase
 		default:
 			c.opaque = true
 		}
-	}
+		return true
+	})
 	if c.opaque {
 		c.post = false
 		return c
@@ -455,7 +466,7 @@ func analyze(e sqlparser.Expr, res *resolver, hasOuter bool) *conjunct {
 func analyzeOn(e sqlparser.Expr, res *resolver, i int, hasOuter, outerJoins bool) *conjunct {
 	c := analyze(e, res, hasOuter)
 	within := !c.post && !c.opaque
-	for in := range c.inputs {
+	for _, in := range c.inputs {
 		within = within && in <= i
 	}
 	qualified := true
@@ -487,7 +498,7 @@ func (c *conjunct) at(i int, in *Input) bool {
 // resolved single-input conjunct over it that may filter its step, except on
 // a RIGHT step, whose own rows are the side it keeps.
 func (c *conjunct) selfAt(i int, in *Input) bool {
-	return !c.post && !c.opaque && len(c.inputs) == 1 && c.inputs[i] &&
+	return !c.post && !c.opaque && len(c.inputs) == 1 && c.inputs[0] == i &&
 		c.at(i, in) && in.Join != sqlparser.JoinRight
 }
 
@@ -505,7 +516,7 @@ func stepOf(c *conjunct, inputs []Input) int {
 		return interpreterStep(c.expr, inputs, c.after)
 	}
 	si := max(c.after, 0)
-	for in := range c.inputs {
+	for _, in := range c.inputs {
 		si = max(si, in)
 	}
 	if inputs[si].Join != sqlparser.JoinInner {

@@ -102,7 +102,8 @@ type Nested struct {
 	// "m.id IN NQ1" or "1 < NQ1".
 	Link sqlparser.Expr
 	// Correlations lists conjuncts inside the subquery that reference
-	// parent tuple variables, e.g. g.mid = m.id.
+	// tuple variables of an enclosing block — the parent's or one further
+	// out — e.g. g.mid = m.id.
 	Correlations []sqlparser.Expr
 	// FromHaving marks blocks attached under HAVING rather than WHERE.
 	FromHaving bool
@@ -121,12 +122,13 @@ type Graph struct {
 
 	schema *catalog.Schema
 	byName map[string]*Box
+	outer  *Graph // the enclosing block's graph; nil at the top
 }
 
 // Build constructs the query graph of sel against schema. The schema may be
 // nil; FK classification of join edges then degrades to non-FK.
 func Build(sel *sqlparser.SelectStmt, schema *catalog.Schema) (*Graph, error) {
-	return build(sel, schema, newLabeler())
+	return build(sel, schema, newLabeler(), nil)
 }
 
 type labeler struct{ n int }
@@ -138,8 +140,8 @@ func (l *labeler) next() string {
 	return fmt.Sprintf("NQ%d", l.n)
 }
 
-func build(sel *sqlparser.SelectStmt, schema *catalog.Schema, lab *labeler) (*Graph, error) {
-	g := &Graph{Stmt: sel, schema: schema, byName: make(map[string]*Box)}
+func build(sel *sqlparser.SelectStmt, schema *catalog.Schema, lab *labeler, outer *Graph) (*Graph, error) {
+	g := &Graph{Stmt: sel, schema: schema, byName: make(map[string]*Box), outer: outer}
 
 	// Boxes from FROM (flattening explicit join chains).
 	var addRef func(t *sqlparser.TableRef) error
@@ -419,28 +421,29 @@ func (g *Graph) isFKJoin(lb *Box, lcol string, rb *Box, rcol string) bool {
 
 func (g *Graph) attachNested(sub *sqlparser.SelectStmt, conn Connector, link sqlparser.Expr, lab *labeler, having bool) error {
 	label := lab.next()
-	inner, err := build(sub, g.schema, lab)
+	inner, err := build(sub, g.schema, lab, g)
 	if err != nil {
 		return err
 	}
 	g.Nested = append(g.Nested, &Nested{
 		Label: label, Graph: inner, Conn: conn, Link: link, FromHaving: having,
-		Correlations: correlations(inner, g),
+		Correlations: correlations(inner),
 	})
 	return nil
 }
 
 // correlations finds conjuncts of the inner graph that reference a tuple
-// variable of the parent (an alias the inner query does not declare),
-// listing a conjunct the subquery repeats once.
-func correlations(inner, parent *Graph) []sqlparser.Expr {
+// variable of an enclosing block (an alias the inner query does not declare
+// and some block around it does), listing a conjunct the subquery repeats
+// once.
+func correlations(inner *Graph) []sqlparser.Expr {
 	var out []sqlparser.Expr
 	collect := func(e sqlparser.Expr) {
 		refsOuter := false
 		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-			if c, ok := x.(*sqlparser.ColumnRef); ok && c.Table != "" {
-				if inner.box(c.Table) == nil && parent.box(c.Table) != nil {
-					refsOuter = true
+			if c, ok := x.(*sqlparser.ColumnRef); ok && c.Table != "" && inner.box(c.Table) == nil {
+				for g := inner.outer; g != nil && !refsOuter; g = g.outer {
+					refsOuter = g.box(c.Table) != nil
 				}
 			}
 			return true

@@ -188,6 +188,34 @@ func TestQ6DoubleNotExists(t *testing.T) {
 	}
 }
 
+// TestCorrelationsReachEveryEnclosingBlock: a subquery correlates with any
+// block around it, not only its parent — Q6's innermost block with the
+// outermost query's m as well as with g1 — while a reference no block
+// declares is no correlation.
+func TestCorrelationsReachEveryEnclosingBlock(t *testing.T) {
+	innermost := buildQ(t, "Q6").Nested[0].Graph.Nested[0]
+	var got []string
+	for _, c := range innermost.Correlations {
+		got = append(got, c.SQL())
+	}
+	if want := "g2.mid = m.id; g2.genre = g1.genre"; strings.Join(got, "; ") != want {
+		t.Errorf("innermost correlations = %q, want %q", strings.Join(got, "; "), want)
+	}
+
+	sel, err := sqlparser.ParseSelect(`select a.title from MOVIES a where not exists (
+		select * from GENRE g1 where not exists (select * from GENRE a2 where a2.mid = m.id))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Build(sel, dataset.MovieSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := g.Nested[0].Graph.Nested[0].Correlations; len(c) != 0 {
+		t.Errorf("undeclared m counted as a correlation: %v", c)
+	}
+}
+
 // TestQ7Figure7 checks Fig. 7: group-by note on the MOVIES box, count(*) in
 // the CAST box, and the HAVING-attached scalar block NQ1 over GENRE.
 func TestQ7Figure7(t *testing.T) {

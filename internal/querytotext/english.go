@@ -168,9 +168,23 @@ func (t *Translator) operandEnglish(e sqlparser.Expr, g *querygraph.Graph) strin
 	case *sqlparser.SubqueryExpr:
 		return "the result of a nested query"
 	case *sqlparser.BinaryExpr:
-		return t.operandEnglish(x.Left, g) + " " + x.Op.String() + " " + t.operandEnglish(x.Right, g)
+		// Parenthesized like BinaryExpr.SQL: a left operand that binds more
+		// loosely, a right one that binds no more tightly — (1 - 2) * 3,
+		// 1 - (2 - 3), and 2 * (3 / 2), which integer division sets apart
+		// from 2 * 3 / 2.
+		p := sqlparser.Precedence(x)
+		return t.arithOperand(x.Left, g, p) + " " + x.Op.String() + " " + t.arithOperand(x.Right, g, p+1)
 	}
 	return e.SQL()
+}
+
+// arithOperand renders an operand of arithmetic, in parentheses when it binds
+// more loosely than prec.
+func (t *Translator) arithOperand(e sqlparser.Expr, g *querygraph.Graph, prec int) string {
+	if sqlparser.Precedence(e) < prec {
+		return "(" + t.operandEnglish(e, g) + ")"
+	}
+	return t.operandEnglish(e, g)
 }
 
 // ---------------------------------------------------------------------------

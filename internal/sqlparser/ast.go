@@ -177,8 +177,9 @@ const (
 	precAtom // literals, columns, aggregates, CASE, parenthesized forms
 )
 
-// precedence is how tightly the grammar binds e as an operand.
-func precedence(e Expr) int {
+// Precedence is how tightly the grammar binds e as an operand: a larger
+// number binds more tightly.
+func Precedence(e Expr) int {
 	switch x := e.(type) {
 	case *BinaryExpr:
 		switch x.Op {
@@ -203,7 +204,7 @@ func precedence(e Expr) int {
 // operand renders e in a position the grammar parses at binding strength
 // min, parenthesized when e binds more loosely.
 func operand(e Expr, min int) string {
-	if precedence(e) < min {
+	if Precedence(e) < min {
 		return "(" + e.SQL() + ")"
 	}
 	return e.SQL()
@@ -215,7 +216,7 @@ func operand(e Expr, min int) string {
 // left-associatively (and comparisons not at all, so a left comparison
 // operand of a comparison is parenthesized too).
 func (b *BinaryExpr) SQL() string {
-	p := precedence(b)
+	p := Precedence(b)
 	left := p
 	if p == precCompare {
 		left++
@@ -817,10 +818,27 @@ func Conjuncts(e Expr) []Expr {
 	if e == nil {
 		return nil
 	}
+	return appendConjuncts(make([]Expr, 0, countConjuncts(e)), e)
+}
+
+func appendConjuncts(dst []Expr, e Expr) []Expr {
 	if b, ok := e.(*BinaryExpr); ok && b.Op == OpAnd {
-		return append(Conjuncts(b.Left), Conjuncts(b.Right)...)
+		return appendConjuncts(appendConjuncts(dst, b.Left), b.Right)
 	}
-	return []Expr{e}
+	if e == nil {
+		return dst
+	}
+	return append(dst, e)
+}
+
+func countConjuncts(e Expr) int {
+	if e == nil {
+		return 0
+	}
+	if b, ok := e.(*BinaryExpr); ok && b.Op == OpAnd {
+		return countConjuncts(b.Left) + countConjuncts(b.Right)
+	}
+	return 1
 }
 
 // AndAll rebuilds a conjunction from parts; nil for an empty slice.

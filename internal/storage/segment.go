@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/value"
@@ -241,7 +240,7 @@ func (db *Database) loadCheckpoint(data []byte) (lastSeq uint64, err error) {
 		if seg.d.err != nil {
 			return 0, seg.d.err
 		}
-		seg.tbl = db.tables[strings.ToLower(seg.name)]
+		seg.tbl = tableNamed(db.tables, seg.name)
 		if seg.tbl == nil {
 			return 0, fmt.Errorf("storage: checkpoint holds unknown relation %q", seg.name)
 		}

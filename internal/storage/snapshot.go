@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"unsafe"
 
 	"repro/internal/catalog"
@@ -109,7 +108,7 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 func (s *Snapshot) Schema() *catalog.Schema { return s.schema }
 
 // Table returns the frozen table view for the named relation, or nil.
-func (s *Snapshot) Table(name string) *Table { return s.tables[strings.ToLower(name)] }
+func (s *Snapshot) Table(name string) *Table { return tableNamed(s.tables, name) }
 
 // TableNames returns the sorted relation names in the snapshot.
 func (s *Snapshot) TableNames() []string {

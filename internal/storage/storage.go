@@ -297,12 +297,32 @@ func (db *Database) Schema() *catalog.Schema { return db.schema }
 func (db *Database) Table(name string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.tables[strings.ToLower(name)]
+	return tableNamed(db.tables, name)
+}
+
+// tableNamed looks name up in tables, which are keyed by lower-case relation
+// name, without allocating the lower-case key when name is short ASCII.
+func tableNamed(tables map[string]*Table, name string) *Table {
+	var buf [64]byte
+	if len(name) > len(buf) {
+		return tables[strings.ToLower(name)]
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case c >= 0x80:
+			return tables[strings.ToLower(name)]
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return tables[string(buf[:len(name)])]
 }
 
 // tableLocked returns the table of relName; the caller holds db.mu.
 func (db *Database) tableLocked(relName string) (*Table, error) {
-	if tbl := db.tables[strings.ToLower(relName)]; tbl != nil {
+	if tbl := tableNamed(db.tables, relName); tbl != nil {
 		return tbl, nil
 	}
 	return nil, fmt.Errorf("storage: unknown relation %q", relName)
@@ -434,7 +454,7 @@ func (t Tuple) pkString(positions []int) string {
 // of the referenced relation holds them. INSERT runs it on every row, UPDATE
 // on a replacement that changes an fk attribute.
 func (db *Database) checkForeignKey(r *catalog.Relation, fk catalog.ForeignKey, tup Tuple) error {
-	ref := db.tables[strings.ToLower(fk.RefRelation)]
+	ref := tableNamed(db.tables, fk.RefRelation)
 	if ref == nil {
 		return fmt.Errorf("storage: foreign key of %s references missing table %q", r.Name, fk.RefRelation)
 	}

@@ -323,3 +323,35 @@ func BenchmarkLookupPK(b *testing.B) {
 		tbl.LookupPK(key)
 	}
 }
+
+// A relation is found under any letter case, without allocating for an ASCII
+// name, and a non-ASCII name folds as strings.ToLower folds it.
+func TestTableLookupFoldsCase(t *testing.T) {
+	s := testSchema(t)
+	if err := s.AddRelation(&catalog.Relation{
+		Name:       "Café",
+		Attributes: []*catalog.Attribute{{Name: "id", Type: catalog.Int, NotNull: true}},
+		PrimaryKey: []string{"id"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := NewDatabase(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	movies := db.Table("movies")
+	for _, name := range []string{"MOVIES", "Movies", "mOvIeS"} {
+		if db.Table(name) != movies || movies == nil {
+			t.Errorf("Table(%q) is not MOVIES' table", name)
+		}
+	}
+	if db.Table("CAFÉ") == nil || db.Table("CAFÉ") != db.Table("café") {
+		t.Error("Table(\"CAFÉ\") does not find Café")
+	}
+	if db.Table("MOVIE") != nil {
+		t.Error("Table(\"MOVIE\") found a table")
+	}
+	if n := testing.AllocsPerRun(100, func() { db.Table("MOVIES") }); n != 0 {
+		t.Errorf("Table(\"MOVIES\") allocates %.0f times", n)
+	}
+}

@@ -488,7 +488,7 @@ func (db *Database) EnableSortedDict(relName, attr string) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	tbl := db.tables[strings.ToLower(relName)]
+	tbl := tableNamed(db.tables, relName)
 	if tbl == nil {
 		return fmt.Errorf("storage: unknown relation %q", relName)
 	}

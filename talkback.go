@@ -38,9 +38,9 @@
 // pipeline reads the vectors directly: arena rows fill via CopyRow, simple
 // filters vectorize into typed comparisons on the column payloads (text
 // equality compares dictionary codes; LIKE and text ordering precompute one
-// verdict per dictionary entry), and a fully vectorized single-table scan
-// projects its result straight from the columns without materializing any
-// intermediate row. Values themselves are small — value.Value is 40 bytes,
+// verdict per dictionary entry), and the scan hands on row positions, so a
+// single-table query materializes each row once, in its exactly-sized
+// result. Values themselves are small — value.Value is 40 bytes,
 // storing dates as epoch days and booleans in the integer payload — and the
 // composite-key encoding every hash structure is built on is byte-for-byte
 // stable across the layout change.
@@ -162,8 +162,8 @@
 // the selection kernel that tests the rows holds its accepted set against the
 // zone's bounds — and, when some kernel can be decided from bounds, the
 // engine adds the zone-skip shape step to the plan. Every scan site — the
-// vectorized single-table scan, the general gather loop, and the fused
-// aggregation's per-worker ranges — skips a 4096-row morsel
+// row pipeline's scan step and the fused aggregation's per-worker ranges —
+// skips a 4096-row morsel
 // whose min/max bounds disprove the filters, and count-style passes
 // short-circuit morsels the bounds prove entirely matching. Verdicts stay
 // conservative around the dialect's edges (NULL-laden zones never claim
