@@ -633,7 +633,7 @@ func BenchmarkX14JoinBuild(b *testing.B) {
 // hashes the one ACTOR row and scans CAST.aid for it, so nothing is allocated
 // per CAST row: allocs/op at movies=20000 must stay within 1.25x of
 // movies=2000 (gated in cmd/benchgate/ceilings.json, tracked in
-// BENCH_19.json). The large-outer side of the same choice is X14 and X9.
+// BENCH_19.json). The large-outer side of the same choice is X14.
 func BenchmarkX22JoinSmallOuter(b *testing.B) {
 	for _, movies := range []int{2000, 20000} {
 		gen := dataset.DefaultGenConfig()
@@ -661,14 +661,73 @@ func BenchmarkX22JoinSmallOuter(b *testing.B) {
 	}
 }
 
+// BenchmarkX26UnclusteredScan measures the scan behind an actor's entity
+// narrative: an equality on CAST.aid, which the table is not ordered by, so
+// no zone is skipped and the selection kernel reads all 80 000 rows. scan is
+// the bare filter; entity is the /entity request's query (datatotext's
+// relatedTuples through CAST), whose scan feeds a primary-key join into
+// MOVIES. Each op asks for the next of a fixed set of actors that have cast
+// rows; allocs and bytes are gated in cmd/benchgate/ceilings.json.
+func BenchmarkX26UnclusteredScan(b *testing.B) {
+	gen := dataset.DefaultGenConfig()
+	gen.Movies, gen.Actors = 20000, 10000
+	db, err := dataset.GenerateMovieDB(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := db.Table("CAST").Len(); n < 80000 {
+		b.Fatalf("CAST holds %d rows, want at least 80000", n)
+	}
+	eng := engine.New(db)
+	for _, arm := range []struct{ name, sql string }{
+		{"scan", "select c.mid from CAST c where c.aid = %d"},
+		{"entity", "select t.* from CAST v, MOVIES t where v.aid = %d and t.id = v.mid"},
+	} {
+		var sels []*sqlparser.SelectStmt
+		for k := 1; len(sels) < 16; k += 619 {
+			sel, err := sqlparser.ParseSelect(fmt.Sprintf(arm.sql, k))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res, err := eng.Select(sel); err != nil {
+				b.Fatal(err)
+			} else if len(res.Rows) > 0 {
+				sels = append(sels, sel)
+			}
+		}
+		b.Run(arm.name, func(b *testing.B) {
+			// Two collections empty every sync.Pool, the scan's survivor
+			// bitmaps' included, so a one-op reading always pays for its
+			// bitmap and repeats from run to run.
+			runtime.GC()
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := eng.Select(sels[i%len(sels)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) == 0 {
+					b.Fatal("the actor has no cast rows")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkX9ParallelJoin measures the engine's fan-out on a two-table
-// hash join at 10k and 100k probe rows, serial vs. all cores. On a
-// single-core host the parallel subbenches skip with an explanation instead
-// of recording a meaningless 0% speedup: workersFor caps at GOMAXPROCS, so
-// serial and parallel are the same execution by construction.
+// hash join at 10k and 100k probe rows, serial vs. all cores: the CAST
+// filter keeps nearly every row, so the plan scans MOVIES, hashes it and
+// probes it with CAST, and the join step's rows so far (every movie) pass
+// parallelThreshold. Each parallel arm first checks that the join step ran
+// on more than one worker. On a single-core host the parallel subbenches
+// skip with an explanation instead of recording a meaningless 0% speedup:
+// workersFor caps at GOMAXPROCS, so serial and parallel are the same
+// execution by construction.
 func BenchmarkX9ParallelJoin(b *testing.B) {
 	src := `select m.title from MOVIES m, CAST c
-where m.id = c.mid and c.role = 'Role 7-19'`
+where m.id = c.mid and c.aid > 100`
 	sel, err := sqlparser.ParseSelect(src)
 	if err != nil {
 		b.Fatal(err)
@@ -691,6 +750,15 @@ where m.id = c.mid and c.role = 'Role 7-19'`
 					b.Skip("GOMAXPROCS=1: the fan-out caps at one worker, so this measurement would equal the serial subbench; run on a multi-core host to record parallel speedup")
 				}
 				eng.SetParallelism(mode.workers)
+				if mode.workers == 0 {
+					_, plan, err := eng.SelectExplained(sel)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if join := plan.Steps[len(plan.Steps)-1]; join.Workers < 2 {
+						b.Fatalf("plan %s: the join step ran on %d worker(s)", plan.Fingerprint(), join.Workers)
+					}
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

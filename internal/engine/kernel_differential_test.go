@@ -14,31 +14,40 @@ import (
 // predicate shape lowerVecFilter admits — every column kind under every
 // operator, [NOT] BETWEEN, [NOT] IN with NULL entries, IS [NOT] NULL, LIKE with
 // and without a sorted dictionary — is compiled into its kernel, with the
-// encoded paths (frame-of-reference deltas, dictionary ranks) on and off, and
-// run over empty, one-row, sparse, full-zone, partial-tail-zone and frozen
-// snapshot boundary-zone selections. Each must keep exactly the rows the
-// interpreter keeps, in selection order.
+// encoded paths (frame-of-reference deltas, dictionary ranks) on and off. Its
+// selection form runs over empty, one-row, sparse, full-zone,
+// partial-tail-zone and frozen snapshot boundary-zone selections, and its
+// range form over ranges that start at a zone's head or mid-zone and that end
+// a full or a partial last zone, on NULL-riddled columns and on NULL-free
+// ones, where the range form reads the payload itself. Each must keep exactly
+// the rows the interpreter keeps, in position order.
 
 // kernelTestDB is vecTestDB's NULL-riddled table spanning a full zone and a
 // partial tail zone, whose tail also holds the values comparisons get wrong
-// most easily: NaN, -0.0 and +0.0, infinities, and ints around and beyond
-// 2^53, where several share one float64 image.
+// most easily (see addKernelEdgeRows).
 func kernelTestDB(t *testing.T) *storage.Database {
 	t.Helper()
 	db := vecTestDB(t, storage.ZoneRows+200, 61)
+	addKernelEdgeRows(t, db, storage.ZoneRows+200)
+	return db
+}
+
+// addKernelEdgeRows appends to V, from id first on, the values comparisons
+// get wrong most easily: NaN, -0.0 and +0.0, infinities, and ints around and
+// beyond 2^53, where several share one float64 image.
+func addKernelEdgeRows(t *testing.T, db *storage.Database, first int) {
+	t.Helper()
 	nan, negZero, inf := math.NaN(), math.Copysign(0, -1), math.Inf(1)
 	ints := []int64{1 << 53, 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64, 0}
 	floats := []float64{nan, negZero, 0, inf, -inf, 2}
 	for i := range ints {
-		id := int64(storage.ZoneRows + 200 + i)
 		if err := db.Insert("V", storage.Tuple{
-			value.NewInt(id), value.NewInt(ints[i]), value.NewFloat(floats[i]),
+			value.NewInt(int64(first + i)), value.NewInt(ints[i]), value.NewFloat(floats[i]),
 			value.NewText("tag-9"), value.NewDateDays(int64(i)), value.NewBool(i%2 == 0),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return db
 }
 
 // kernelPredicates lists one conjunct per lowered shape over kernelTestDB's
@@ -145,23 +154,54 @@ func singleKernel(t *testing.T, ex *Engine, where sqlparser.Expr) *vecKernel {
 	return &pq.steps[0].vec[0]
 }
 
+// kernelRanges returns the ranges a kernel's range form runs over in a table
+// of n rows, each within one zone and at most selRows long: empty, a zone's
+// head, one starting mid-zone, the end of a full zone, the partial last zone
+// from its head and from mid-way to its last row, and each of the last rows
+// alone.
+func kernelRanges(n int) [][2]int {
+	last := n &^ storage.ZoneMask // the first row of the partial last zone
+	rs := [][2]int{{0, 0}, {0, min(n, selRows)}, {13, min(n, 13+selRows/2)},
+		{max(last, n-selRows), n}, {max(last, n-150), n}}
+	if last > 0 {
+		rs = append(rs, [2]int{last - 300, last}, [2]int{last, min(n, last+selRows)})
+	}
+	for p := max(last, n-8); p < n; p++ {
+		rs = append(rs, [2]int{p, p + 1})
+	}
+	return rs
+}
+
 // checkKernel compiles where over ex's table V as the single kernel of a
-// scan, runs it over each selection, and holds the kept rows to the
-// interpreter's positions want.
-func checkKernel(t *testing.T, ex *Engine, where sqlparser.Expr, want map[int32]bool, sels [][]int32) {
+// scan, runs its selection form over each selection and its range form over
+// each range, and holds the kept rows to the interpreter's positions want —
+// and, over a range, to the selection form over the range's positions.
+func checkKernel(t *testing.T, ex *Engine, where sqlparser.Expr, want map[int32]bool, sels [][]int32, ranges [][2]int) {
 	t.Helper()
 	k := singleKernel(t, ex, where)
-	for _, s := range sels {
-		got := k.keep(slices.Clone(s))
+	wanted := func(s []int32) []int32 {
 		var exp []int32
 		for _, p := range s {
 			if want[p] {
 				exp = append(exp, p)
 			}
 		}
-		if !slices.Equal(got, exp) {
+		return exp
+	}
+	for _, s := range sels {
+		if got, exp := k.keep(slices.Clone(s)), wanted(s); !slices.Equal(got, exp) {
 			t.Fatalf("%s over %d positions from %v: kernel kept %v, interpreter %v",
 				where.SQL(), len(s), s[:min(len(s), 1)], got, exp)
+		}
+	}
+	buf, sel := make([]int32, selRows), make([]int32, selRows)
+	for _, r := range ranges {
+		exp := wanted(zoneSel(sel, r[0], r[1]))
+		got := k.selectRange(buf, r[0], r[1])
+		kept := k.keep(zoneSel(sel, r[0], r[1]))
+		if !slices.Equal(got, exp) || !slices.Equal(kept, exp) {
+			t.Fatalf("%s over [%d, %d): range form kept %v, selection form %v, interpreter %v",
+				where.SQL(), r[0], r[1], got, kept, exp)
 		}
 	}
 }
@@ -181,26 +221,24 @@ func interpKeeps(t *testing.T, ex *Engine, where sqlparser.Expr) map[int32]bool 
 	return keep
 }
 
-func TestKernelDifferential(t *testing.T) {
-	db := kernelTestDB(t)
-	ex := New(db)
-	n := db.Table("V").Len()
-	sels := kernelSelections(n)
-	preds := kernelPredicates()
-	wants := make([]map[int32]bool, len(preds))
-	for i, p := range preds {
-		wants[i] = interpKeeps(t, ex, p)
-	}
-	isText := func(p sqlparser.Expr) bool {
-		text := false
-		sqlparser.WalkExpr(p, func(x sqlparser.Expr) bool {
-			if ref, ok := x.(*sqlparser.ColumnRef); ok && ref.Column == "s" {
-				text = true
-			}
-			return true
-		})
-		return text
-	}
+// readsText reports whether predicate p reads V's text column s, the only one
+// whose kernels read a sorted dictionary's ranks.
+func readsText(p sqlparser.Expr) bool {
+	text := false
+	sqlparser.WalkExpr(p, func(x sqlparser.Expr) bool {
+		if ref, ok := x.(*sqlparser.ColumnRef); ok && ref.Column == "s" {
+			text = true
+		}
+		return true
+	})
+	return text
+}
+
+// checkKernels runs checkKernel for every predicate over ex's table V with
+// the encoded paths on and off, and again for the text predicates once s
+// keeps a sorted dictionary.
+func checkKernels(t *testing.T, db *storage.Database, ex *Engine, preds []sqlparser.Expr, wants []map[int32]bool, sels [][]int32, ranges [][2]int) {
+	t.Helper()
 	for _, sorted := range []bool{false, true} {
 		if sorted {
 			if err := db.EnableSortedDict("V", "s"); err != nil {
@@ -210,14 +248,26 @@ func TestKernelDifferential(t *testing.T) {
 		for _, fast := range []bool{true, false} {
 			ex.SetZoneMapsEnabled(fast)
 			for i, p := range preds {
-				if sorted && !isText(p) {
-					continue // only text kernels read the dictionary's ranks
+				if sorted && !readsText(p) {
+					continue
 				}
-				checkKernel(t, ex, p, wants[i], sels)
+				checkKernel(t, ex, p, wants[i], sels, ranges)
 			}
 		}
 	}
 	ex.SetZoneMapsEnabled(true)
+}
+
+func TestKernelDifferential(t *testing.T) {
+	db := kernelTestDB(t)
+	ex := New(db)
+	n := db.Table("V").Len()
+	preds := kernelPredicates()
+	wants := make([]map[int32]bool, len(preds))
+	for i, p := range preds {
+		wants[i] = interpKeeps(t, ex, p)
+	}
+	checkKernels(t, db, ex, preds, wants, kernelSelections(n), kernelRanges(n))
 
 	// A frozen snapshot's boundary zone: the writer keeps extending the zone
 	// past the snapshot, whose kernels must see only its own rows.
@@ -236,6 +286,31 @@ func TestKernelDifferential(t *testing.T) {
 	}
 	boundary := [][]int32{kernelSelections(n)[3]}
 	for _, p := range preds {
-		checkKernel(t, at, p, interpKeeps(t, at, p), boundary)
+		checkKernel(t, at, p, interpKeeps(t, at, p), boundary, [][2]int{{n &^ storage.ZoneMask, n}})
 	}
+}
+
+// TestKernelRangeFormNullFree holds every kernel shape to the interpreter on
+// a table without NULLs, where no NULL pre-pass runs and the range form's
+// payload loop reads the range itself: one partial zone, its edge rows last.
+func TestKernelRangeFormNullFree(t *testing.T) {
+	const rows = 1500
+	db := vecTestTable(t, rows, 67, false)
+	addKernelEdgeRows(t, db, rows)
+	ex := New(db)
+	tbl := db.Table("V")
+	for pos := range 6 {
+		if tbl.Col(pos).HasNulls() {
+			t.Fatalf("column %d holds NULLs", pos)
+		}
+	}
+	if _, _, ok := tbl.Col(4).FORInts(); !ok {
+		t.Fatal("d keeps no frame-of-reference deltas")
+	}
+	preds := kernelPredicates()
+	wants := make([]map[int32]bool, len(preds))
+	for i, p := range preds {
+		wants[i] = interpKeeps(t, ex, p)
+	}
+	checkKernels(t, db, ex, preds, wants, nil, kernelRanges(tbl.Len()))
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -210,6 +211,55 @@ func TestResultRowsExactlySized(t *testing.T) {
 			}
 			if cap(res.Rows) != len(res.Rows) {
 				t.Errorf("%s at %d workers: cap(Rows) = %d, len = %d", q, workers, cap(res.Rows), len(res.Rows))
+			}
+		}
+	}
+}
+
+// TestJoinStepRecordsWorkers checks that a join step records how many
+// workers its rows so far were split over: one when serial, four when four
+// may run and the rows pass the lowered threshold.
+func TestJoinStepRecordsWorkers(t *testing.T) {
+	db := cancelTestDB(t)
+	oldThreshold := parallelThreshold
+	parallelThreshold = 64
+	defer func() { parallelThreshold = oldThreshold }()
+
+	eng := New(db)
+	sel := mustParse(t, `select m.title, g.genre from MOVIES m, GENRE g where m.id = g.mid`)
+	for _, workers := range []int{1, 4} {
+		eng.SetParallelism(workers)
+		_, plan, err := eng.SelectExplained(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.Steps[1].Workers; got != workers {
+			t.Errorf("at %d workers: the join step records %d (plan %s)", workers, got, plan.Fingerprint())
+		}
+	}
+}
+
+// TestMarkSurvivors holds markSurvivors to setting one bit per kept
+// position, over sparse selections and contiguous runs that start and end
+// at every offset within a word.
+func TestMarkSurvivors(t *testing.T) {
+	const first, n = 128, 600
+	for lo := first; lo < first+130; lo += 7 {
+		for _, hi := range []int{lo + 1, lo + 63, lo + 64, lo + 65, lo + 200, first + n} {
+			for _, step := range []int{1, 3} {
+				var kept []int32
+				for p := lo; p < hi; p += step {
+					kept = append(kept, int32(p))
+				}
+				bits := make([]uint64, n/64+1)
+				markSurvivors(bits, first, kept)
+				for p := first; p < first+n; p++ {
+					i := p - first
+					set := bits[i>>6]&(1<<(i&63)) != 0
+					if want := slices.Contains(kept, int32(p)); set != want {
+						t.Fatalf("kept %d..%d step %d: bit of %d is %v", lo, hi, step, p, set)
+					}
+				}
 			}
 		}
 	}

@@ -1352,10 +1352,7 @@ func (ex *Engine) runVecAgg(sel *sqlparser.SelectStmt, pq *plannedQuery, va *vec
 // worker's selection buffer, one vector at a time, and the range's last join
 // rows flush at its end.
 func (fx *fusedRun) feedRange(fc *fusedCtx, lo, hi int) {
-	fx.pq.scanBase(&fc.sel, lo, hi, true, func(kept []int32) bool {
-		fx.consume(fc, kept)
-		return true
-	})
+	fx.pq.scanBase(&fc.sel, lo, hi, func(kept []int32) { fx.consume(fc, kept) })
 	fx.flush(fc)
 }
 

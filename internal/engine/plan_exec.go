@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -680,11 +682,12 @@ func (ec *evalCtx) emit(out *[][]value.Value, base []value.Value, st *planner.St
 	return nil
 }
 
-// gatherRows runs a join step's fn over [0, n) on the engine's scheduler
-// (fanOut), each worker with its own evalCtx, arenas and output rows, and
-// concatenates the rows in chunk order.
-func (ex *Engine) gatherRows(pq *plannedQuery, n int, fn func(ec *evalCtx, lo, hi int, out *[][]value.Value) error) ([][]value.Value, error) {
+// gatherRows runs join step st's fn over [0, n) on the engine's scheduler
+// (fanOut), each worker with its own evalCtx, arenas and output rows, records
+// the worker count on st, and concatenates the rows in chunk order.
+func (ex *Engine) gatherRows(pq *plannedQuery, st *planner.Step, n int, fn func(ec *evalCtx, lo, hi int, out *[][]value.Value) error) ([][]value.Value, error) {
 	workers := ex.workersFor(n)
+	st.Workers = workers
 	parts := make([]struct {
 		ec  evalCtx
 		out [][]value.Value
@@ -837,23 +840,61 @@ func compact[T any](s []T, keep []bool) []T {
 }
 
 // scanPart is one worker's share of a full scan: its evaluation context, the
-// selection buffer its zones reuse, and the positions it kept.
+// selection buffer its zones reuse, the bitmap of its kernels' survivors
+// (from the first survivor's word to the range's end, taken at the first
+// survivor), and the positions it kept.
 type scanPart struct {
 	ec       evalCtx
 	sel, pos []int32
+	kept     *[]uint64
 	matched  int // rows of the range that pass the step's filters
+}
+
+// survivorPool holds zeroed survivor bitmaps (*[]uint64), so a scan run per
+// request or per subquery invocation reuses one instead of allocating it.
+var survivorPool sync.Pool
+
+// takeSurvivors returns a zeroed bitmap of words words from survivorPool.
+func takeSurvivors(words int) *[]uint64 {
+	if b, _ := survivorPool.Get().(*[]uint64); b != nil && cap(*b) >= words {
+		*b = (*b)[:words]
+		return b
+	}
+	b := make([]uint64, words)
+	return &b
+}
+
+// markSurvivors sets the bits of the ascending positions kept in bits, whose
+// first bit is position first. A contiguous run — a zone the verdicts passed
+// whole, a step without kernels — is set a word at a time.
+func markSurvivors(bits []uint64, first int, kept []int32) {
+	lo, hi := int(kept[0])-first, int(kept[len(kept)-1])-first+1
+	if hi-lo != len(kept) {
+		for _, ti := range kept {
+			i := int(ti) - first
+			bits[i>>6] |= 1 << (i & 63)
+		}
+		return
+	}
+	for i := lo; i < hi; {
+		n := min(64-i&63, hi-i)
+		bits[i>>6] |= ^uint64(0) >> (64 - n) << (i & 63)
+		i += n
+	}
 }
 
 // runScanStep returns, in table order, the positions of the scan step's
 // table that pass the step's filters — a primary-key probe's one position, or
 // a full scan's — and how many rows pass. Filtering stays in the per-zone walk
 // (scanBase: kernels and zone verdicts); the step's generic filters run on a
-// scratch row. Each worker walks its range twice: it counts what the kernels
-// keep — the walk that polls the budget, once per zone, and notes the zones —
-// then fills a position vector of exactly that size. The vectors join in
-// chunk order. Only generic filters, which must see every row, make a full
-// scan fan out: without them a scan is a kernel loop and a copy per zone,
-// cheaper than a goroutine, and a limit >= 0 caps the positions kept.
+// scratch row. Each worker runs the kernels over its range once — the walk
+// that polls the budget, once per zone, and notes the zones — marking their
+// survivors in a bitmap and counting them, then reads the bitmap into a
+// position vector of exactly that size, running the generic filters on the
+// way. The vectors join in chunk order. Only generic filters, which must see
+// every row, make a full scan fan out: without them a scan is a kernel loop
+// per zone, cheaper than a goroutine, and a limit >= 0 caps the positions
+// kept.
 func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step, limit int) (pos []int32, matched int, err error) {
 	self, post := pq.steps[0].self, pq.steps[0].post
 	if st.Access == planner.ScanPK {
@@ -876,13 +917,27 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step, limit int) (po
 	err = spread(n, len(parts), func(w, lo, hi int) error {
 		p := &parts[w]
 		p.ec = *pq.newCtx()
+		var first, last int // the first bit's position, the last survivor's
 		err := zones(ex.bud, lo, hi, func(s, e int) error {
-			pq.scanBase(&p.sel, s, e, true, func(kept []int32) bool {
+			pq.scanBase(&p.sel, s, e, func(kept []int32) {
+				if p.kept == nil {
+					first = int(kept[0]) &^ 63
+					p.kept = takeSurvivors((hi - first + 63) >> 6)
+				}
+				markSurvivors(*p.kept, first, kept)
 				p.matched += len(kept)
-				return true
+				last = int(kept[len(kept)-1])
 			})
 			return nil
 		})
+		if p.kept == nil {
+			return err
+		}
+		words := (*p.kept)[:(last-first)>>6+1]
+		defer func() {
+			clear(words)
+			survivorPool.Put(p.kept)
+		}()
 		size := p.matched
 		if limit >= 0 {
 			size = min(size, limit)
@@ -891,22 +946,21 @@ func (ex *Engine) runScanStep(pq *plannedQuery, st *planner.Step, limit int) (po
 			return err
 		}
 		p.pos = make([]int32, 0, size)
-		pq.scanBase(&p.sel, lo, hi, false, func(kept []int32) bool {
-			if !generic {
-				p.pos = append(p.pos, kept[:min(len(kept), size-len(p.pos))]...)
-				return len(p.pos) < size
-			}
-			for _, ti := range kept {
-				var ok bool
-				if ok, err = p.ec.passAll(p.ec.scanRow(st, ti), self, post); err != nil {
-					return false
+		for i := 0; i < len(words) && len(p.pos) < size && err == nil; i++ {
+			for word := words[i]; word != 0 && len(p.pos) < size; word &= word - 1 {
+				ti := int32(first + i<<6 + bits.TrailingZeros64(word))
+				if generic {
+					var ok bool
+					if ok, err = p.ec.passAll(p.ec.scanRow(st, ti), self, post); err != nil {
+						break
+					}
+					if !ok {
+						continue
+					}
 				}
-				if ok {
-					p.pos = append(p.pos, ti)
-				}
+				p.pos = append(p.pos, ti)
 			}
-			return true
-		})
+		}
 		if generic {
 			p.matched = len(p.pos)
 		}
@@ -984,7 +1038,7 @@ func (pq *plannedQuery) buildKeep(si int, st *planner.Step) ([]bool, error) {
 	ec := pq.newCtx()
 	err := buildPass(pq.ex.bud, tbl.Len(), false, func(lo, hi int) error {
 		for c := lo; c < hi; c += selRows {
-			for _, ti := range pq.keep(si, zoneSel(pq.selection(), c, min(c+selRows, hi))) {
+			for _, ti := range pq.selectRange(si, pq.selection(), c, min(c+selRows, hi)) {
 				ok, err := ec.passAll(ec.scanRow(st, ti), self)
 				if err != nil {
 					return err
@@ -1001,14 +1055,14 @@ func (pq *plannedQuery) buildKeep(si int, st *planner.Step) ([]bool, error) {
 // survive step si's self-filters — keep's verdicts when buildKeep computed
 // them, the step's kernels otherwise — and returns them.
 func (pq *plannedQuery) buildSel(si int, keep []bool, sel []int32, lo, hi int) []int32 {
-	sel = zoneSel(sel, lo, hi)
 	if keep == nil {
-		return pq.keep(si, sel)
+		return pq.selectRange(si, sel, lo, hi)
 	}
+	sel = sel[:hi-lo]
 	k := 0
-	for _, ti := range sel {
-		sel[k] = ti
-		if keep[ti] {
+	for i, ok := range keep[lo:hi] {
+		sel[k] = int32(lo + i)
+		if ok {
 			k++
 		}
 	}
@@ -1301,7 +1355,7 @@ func (ex *Engine) joinRows(pq *plannedQuery, st *planner.Step, cur [][]value.Val
 		matched = make([]atomic.Bool, st.Input.Tbl.Len())
 	}
 	width := len(st.Input.Rel.Attributes)
-	out, err := ex.gatherRows(pq, len(cur), func(ec *evalCtx, lo, hi int, out *[][]value.Value) error {
+	out, err := ex.gatherRows(pq, st, len(cur), func(ec *evalCtx, lo, hi int, out *[][]value.Value) error {
 		ec.matched = matched
 		for i := lo; i < hi; i++ {
 			n := len(*out)

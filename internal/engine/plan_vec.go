@@ -12,41 +12,48 @@ import (
 // This file lowers plan predicates onto the columnar store: a self-filter
 // conjunct of the shape <column> <op> <literal> (plus IS NULL, BETWEEN, IN,
 // and LIKE) is matched and compiled once, by lowerVecFilter, into a selection
-// kernel in the manner of MonetDB/X100: the kernel takes a selection —
-// ascending row positions within one storage zone, a vector of at most
-// selRows in a scan — and keeps the ones that pass in one loop typed by the
-// filter's shape, returning the kept prefix. Integer and date comparisons
-// become a range test on []int64 (or on a zone's frame-of-reference byte
-// deltas), float ones on []float64, text equality a range test on dictionary
-// codes, text ordering a range test on sorted-dictionary ranks or a lookup in
-// one verdict per dictionary entry, and so does LIKE. Kernels never error and
-// never materialize a row, so a rejected row costs one iteration of a tight
-// loop and no call at all. The kernel is the filter's only compiled form: its
-// zone method (plan_zone.go) reads the per-zone verdict off the same accepted
-// set the loop tests. Only the longest specializable prefix of a step's
-// self-filters vectorizes, and its kernels run in conjunct order, each over
-// the survivors of the one before: the remaining filters keep their original
-// evaluation order, preserving error parity with the interpreter's
-// short-circuit conjunct order.
+// kernel in the manner of MonetDB/X100. A kernel has two forms, each one loop
+// typed by the filter's shape. The range form reads the payload of a run of
+// consecutive positions within one storage zone — at most selRows of them in
+// a scan — in order, and writes only the positions that pass; the selection
+// form takes a selection, ascending positions within one zone, and keeps the
+// ones that pass, returning the kept prefix. A step's first kernel runs in
+// range form and each later one in selection form over the survivors of the
+// one before (selectRange), so no kernel writes a position only to gather
+// the payload back through it. Integer and date comparisons become a range
+// test on []int64 (or on a zone's frame-of-reference byte deltas), float ones
+// on []float64, text equality a range test on dictionary codes, text ordering
+// a range test on sorted-dictionary ranks or a lookup in one verdict per
+// dictionary entry, and so does LIKE. Kernels never error and never
+// materialize a row, so a rejected row costs one iteration of a tight loop
+// and no call at all. The kernel is the filter's only compiled form: its zone
+// method (plan_zone.go) reads the per-zone verdict off the same accepted set
+// the loops test. Only the longest specializable prefix of a step's
+// self-filters vectorizes, and its kernels run in conjunct order: the
+// remaining filters keep their original evaluation order, preserving error
+// parity with the interpreter's short-circuit conjunct order.
 
-// keep runs step si's kernels over sel, the ascending positions of one
-// storage zone, and returns the survivors, compacted into sel's prefix.
-func (pq *plannedQuery) keep(si int, sel []int32) []int32 {
+// selectRange writes to buf the positions [lo, hi), all within one storage
+// zone and at most len(buf) of them, that pass step si's kernels, and returns
+// them: the first kernel reads the range densely, the others narrow what it
+// kept.
+func (pq *plannedQuery) selectRange(si int, buf []int32, lo, hi int) []int32 {
 	ks := pq.steps[si].vec
-	for i := range ks {
-		if len(sel) == 0 {
-			break
-		}
+	if len(ks) == 0 {
+		return zoneSel(buf, lo, hi)
+	}
+	sel := ks[0].selectRange(buf, lo, hi)
+	for i := 1; i < len(ks) && len(sel) > 0; i++ {
 		sel = ks[i].keep(sel)
 	}
 	return sel
 }
 
 // kept reports whether row ti passes step si's kernels: the probe sites' form
-// of keep, over the one position a key lookup found.
+// of selectRange, over the one position a key lookup found.
 func (pq *plannedQuery) kept(si, ti int) bool {
-	one := [1]int32{int32(ti)}
-	return len(pq.keep(si, one[:])) == 1
+	var one [1]int32
+	return len(pq.selectRange(si, one[:], ti, ti+1)) == 1
 }
 
 // zoneRun returns how many positions at the head of ps (at least one) lie in
@@ -476,21 +483,75 @@ func (k *vecKernel) member(lits []value.Value) {
 }
 
 // keep narrows sel, the ascending positions of one zone, to the rows that
-// pass, compacting them into sel's prefix. The kernels read the zone's
-// payload chunk at each position's offset within the zone.
+// pass, compacting them into sel's prefix: the selection form.
 func (k *vecKernel) keep(sel []int32) []int32 {
-	switch k.shape {
-	case kNone:
+	switch {
+	case k.shape == kNone:
 		return sel[:0]
-	case kIsNull:
+	case k.shape == kIsNull:
 		return keepNulls(sel, k.col, true)
-	}
-	if k.nulls {
+	case k.nulls:
 		sel = keepNulls(sel, k.col, false)
 	}
 	if len(sel) == 0 {
 		return sel
 	}
+	return k.test(sel)
+}
+
+// selectRange writes to buf the positions [lo, hi) of one zone that pass and
+// returns them: the range form. The NULL pre-pass, when the column holds
+// NULLs, reads the range and the payload test then narrows its survivors;
+// otherwise the payload test reads the range itself.
+func (k *vecKernel) selectRange(buf []int32, lo, hi int) []int32 {
+	switch {
+	case k.shape == kNone:
+		return buf[:0]
+	case k.shape == kIsNull:
+		return rangeNulls(buf, k.col, lo, hi, true)
+	case k.nulls:
+		if sel := rangeNulls(buf, k.col, lo, hi, false); len(sel) > 0 {
+			return k.test(sel)
+		}
+		return buf[:0]
+	}
+	col, z, base := k.col, lo>>storage.ZoneShift, int32(lo)
+	at, end := lo&storage.ZoneMask, lo&storage.ZoneMask+hi-lo
+	switch k.shape {
+	case kRange:
+		switch {
+		case k.ranks != nil:
+			return rangeRanks(buf, base, col.Codes(z)[at:end], k.ranks, k.r, k.neg)
+		case k.d8 != nil:
+			return rangeIn(buf, base, k.d8[z][at:end], k.r.deltas(k.fb[z]), k.neg)
+		case col.Kind() == value.Text:
+			return rangeIn(buf, base, col.Codes(z)[at:end], k.r, k.neg)
+		case col.Kind() == value.Bool:
+			return rangeBools(buf, base, col.Bools(z)[at:end], k.r, k.neg)
+		}
+		return rangeIn(buf, base, col.Ints(z)[at:end], k.r, k.neg)
+	case kFloat:
+		return rangeFloats(buf, base, col.Floats(z)[at:end], k.flo, k.fhi, k.nan, k.neg)
+	case kVerdict:
+		return rangeVerdicts(buf, base, col.Codes(z)[at:end], k.verdict, k.neg)
+	case kSet:
+		switch col.Kind() {
+		case value.Int:
+			return rangeSet(buf, base, col.Ints(z)[at:end], k.fset, k.neg)
+		case value.Float:
+			return rangeSet(buf, base, col.Floats(z)[at:end], k.fset, k.neg)
+		case value.Text:
+			return rangeSet(buf, base, col.Codes(z)[at:end], k.iset, k.neg)
+		}
+		return rangeSet(buf, base, col.Ints(z)[at:end], k.iset, k.neg)
+	}
+	return zoneSel(buf, lo, hi) // kAll
+}
+
+// test is the payload test of the selection form, over non-NULL positions.
+// The kernels read the zone's payload chunk at each position's offset within
+// the zone.
+func (k *vecKernel) test(sel []int32) []int32 {
 	col, z := k.col, int(sel[0])>>storage.ZoneShift
 	switch k.shape {
 	case kRange:
@@ -524,8 +585,10 @@ func (k *vecKernel) keep(sel []int32) []int32 {
 }
 
 // The loops below store every position and advance the output index only
-// for a kept one, so the verdict never steers a branch. xs is the payload
-// chunk of the zone sel lies in, indexed by a position's offset in the zone.
+// for a kept one, so the verdict never steers a branch. A keep loop's xs is
+// the payload chunk of the zone sel lies in, indexed by a position's offset
+// in the zone; a range loop's xs is the stretch of that chunk holding
+// positions base, base+1, …, read in order.
 
 // keepNulls keeps the positions whose NULL flag equals want.
 func keepNulls(sel []int32, col storage.Col, want bool) []int32 {
@@ -537,6 +600,19 @@ func keepNulls(sel []int32, col storage.Col, want bool) []int32 {
 		}
 	}
 	return sel[:k]
+}
+
+// rangeNulls is keepNulls over the positions [lo, hi).
+func rangeNulls(buf []int32, col storage.Col, lo, hi int, want bool) []int32 {
+	buf = buf[:hi-lo]
+	k := 0
+	for ti := lo; ti < hi; ti++ {
+		buf[k] = int32(ti)
+		if col.Null(ti) == want {
+			k++
+		}
+	}
+	return buf[:k]
 }
 
 // keepRange keeps the positions whose payload lies in r (outside it, with
@@ -560,6 +636,26 @@ func keepRange[T int64 | uint32 | uint8](sel []int32, xs []T, r intRange, neg bo
 	return sel[:k]
 }
 
+// rangeIn is keepRange's range form.
+func rangeIn[T int64 | uint32 | uint8](buf []int32, base int32, xs []T, r intRange, neg bool) []int32 {
+	if r.lo > r.hi {
+		if neg {
+			return zoneSel(buf, int(base), int(base)+len(xs))
+		}
+		return buf[:0]
+	}
+	lo, span := uint64(r.lo), uint64(r.hi)-uint64(r.lo)
+	buf = buf[:len(xs)]
+	k := 0
+	for i, x := range xs {
+		buf[k] = base + int32(i)
+		if (uint64(x)-lo <= span) != neg {
+			k++
+		}
+	}
+	return buf[:k]
+}
+
 // keepRanks is keepRange over the sorted-dictionary rank of each text code.
 func keepRanks(sel []int32, codes, ranks []uint32, r intRange, neg bool) []int32 {
 	if r.lo > r.hi {
@@ -579,10 +675,37 @@ func keepRanks(sel []int32, codes, ranks []uint32, r intRange, neg bool) []int32
 	return sel[:k]
 }
 
+// rangeRanks is keepRanks' range form.
+func rangeRanks(buf []int32, base int32, codes, ranks []uint32, r intRange, neg bool) []int32 {
+	if r.lo > r.hi {
+		if neg {
+			return zoneSel(buf, int(base), int(base)+len(codes))
+		}
+		return buf[:0]
+	}
+	lo, span := uint64(r.lo), uint64(r.hi)-uint64(r.lo)
+	buf = buf[:len(codes)]
+	k := 0
+	for i, c := range codes {
+		buf[k] = base + int32(i)
+		if (uint64(ranks[c])-lo <= span) != neg {
+			k++
+		}
+	}
+	return buf[:k]
+}
+
+// boolsPass is the Bool payload a range test over the images 0 and 1 keeps;
+// every payload passes, or none does, when all is set.
+func boolsPass(r intRange, neg bool) (t, all bool) {
+	t, f := r.has(1) != neg, r.has(0) != neg
+	return t, t == f
+}
+
 // keepBools is keepRange over Bool payloads, whose images are 0 and 1.
 func keepBools(sel []int32, xs []bool, r intRange, neg bool) []int32 {
-	t, f := r.has(1) != neg, r.has(0) != neg
-	if t == f {
+	t, all := boolsPass(r, neg)
+	if all {
 		if t {
 			return sel
 		}
@@ -598,22 +721,60 @@ func keepBools(sel []int32, xs []bool, r intRange, neg bool) []int32 {
 	return sel[:k]
 }
 
-// keepFloats keeps the positions whose payload lies in [lo, hi] (outside it,
-// with neg), and a NaN payload when nan is set.
+// rangeBools is keepBools' range form.
+func rangeBools(buf []int32, base int32, xs []bool, r intRange, neg bool) []int32 {
+	t, all := boolsPass(r, neg)
+	if all {
+		if t {
+			return zoneSel(buf, int(base), int(base)+len(xs))
+		}
+		return buf[:0]
+	}
+	buf = buf[:len(xs)]
+	k := 0
+	for i, x := range xs {
+		buf[k] = base + int32(i)
+		if x == t {
+			k++
+		}
+	}
+	return buf[:k]
+}
+
+// floatPasses is the float test: x lies in [lo, hi] (outside it, with neg),
+// and a NaN passes when nan is set.
+func floatPasses(x, lo, hi float64, nan, neg bool) bool {
+	in := (x >= lo && x <= hi) != neg
+	if x != x {
+		in = nan
+	}
+	return in
+}
+
+// keepFloats keeps the positions whose payload passes floatPasses.
 func keepFloats(sel []int32, xs []float64, lo, hi float64, nan, neg bool) []int32 {
 	k := 0
 	for _, ti := range sel {
-		x := xs[ti&storage.ZoneMask]
-		in := (x >= lo && x <= hi) != neg
-		if x != x {
-			in = nan
-		}
+		in := floatPasses(xs[ti&storage.ZoneMask], lo, hi, nan, neg)
 		sel[k] = ti
 		if in {
 			k++
 		}
 	}
 	return sel[:k]
+}
+
+// rangeFloats is keepFloats' range form.
+func rangeFloats(buf []int32, base int32, xs []float64, lo, hi float64, nan, neg bool) []int32 {
+	buf = buf[:len(xs)]
+	k := 0
+	for i, x := range xs {
+		buf[k] = base + int32(i)
+		if floatPasses(x, lo, hi, nan, neg) {
+			k++
+		}
+	}
+	return buf[:k]
 }
 
 // keepVerdicts keeps the positions whose dictionary entry's verdict is true
@@ -629,6 +790,19 @@ func keepVerdicts(sel []int32, codes []uint32, verdict []bool, neg bool) []int32
 	return sel[:k]
 }
 
+// rangeVerdicts is keepVerdicts' range form.
+func rangeVerdicts(buf []int32, base int32, codes []uint32, verdict []bool, neg bool) []int32 {
+	buf = buf[:len(codes)]
+	k := 0
+	for i, c := range codes {
+		buf[k] = base + int32(i)
+		if verdict[c] != neg {
+			k++
+		}
+	}
+	return buf[:k]
+}
+
 // keepSet keeps the positions whose payload image is in set (not in it, with
 // neg).
 func keepSet[T int64 | float64 | uint32, K int64 | float64](sel []int32, xs []T, set map[K]struct{}, neg bool) []int32 {
@@ -641,6 +815,20 @@ func keepSet[T int64 | float64 | uint32, K int64 | float64](sel []int32, xs []T,
 		}
 	}
 	return sel[:k]
+}
+
+// rangeSet is keepSet's range form.
+func rangeSet[T int64 | float64 | uint32, K int64 | float64](buf []int32, base int32, xs []T, set map[K]struct{}, neg bool) []int32 {
+	buf = buf[:len(xs)]
+	k := 0
+	for i, x := range xs {
+		_, in := set[K(x)]
+		buf[k] = base + int32(i)
+		if in != neg {
+			k++
+		}
+	}
+	return buf[:k]
 }
 
 // ---------------------------------------------------------------------------

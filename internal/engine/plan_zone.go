@@ -103,32 +103,34 @@ func (zs *zoneSkip) note(v zoneVerdict) {
 // scanBase is the base-table walk every scan shares. It covers rows [lo, hi)
 // one storage zone at a time, with or without zone verdicts, skips each zone
 // the kernels rule out, and hands rows the positions of the rest that pass,
-// one selection vector (selRows positions) at a time in the buffer *sel (see
-// growSel): all of them where the kernels proved the zone passes all of them,
-// and otherwise what step 0's kernels keep. rows returns false to stop the
-// walk.
+// one non-empty selection vector (of at most selRows positions) at a time in
+// the buffer *sel (see growSel): all of them where the kernels proved the
+// zone passes all of them, and otherwise what step 0's kernels keep, the
+// first of them reading the vector's range of the zone in order
+// (selectRange).
 //
-// With note set the walk accounts each zone whose first row lies in [lo, hi):
-// exactly one pass over the table sets it, and parallel workers never count a
-// zone twice however their ranges split it.
-func (pq *plannedQuery) scanBase(sel *[]int32, lo, hi int, note bool, rows func(kept []int32) bool) {
+// The walk accounts each zone whose first row lies in [lo, hi), so parallel
+// workers never count a zone twice however their ranges split it.
+func (pq *plannedQuery) scanBase(sel *[]int32, lo, hi int, rows func(kept []int32)) {
 	for s := lo; s < hi; {
 		z := s >> storage.ZoneShift
 		e := min((z+1)<<storage.ZoneShift, hi)
 		v := zoneMixed
 		if zs := pq.zs; zs != nil {
 			v = pq.zoneVerdict(z)
-			if note && s == z<<storage.ZoneShift {
+			if s == z<<storage.ZoneShift {
 				zs.note(v)
 			}
 		}
 		for c := s; c < e && v != zoneAllFalse; c += selRows {
-			kept := zoneSel(growSel(sel), c, min(c+selRows, e))
+			kept, end := growSel(sel), min(c+selRows, e)
 			if v == zoneMixed {
-				kept = pq.keep(0, kept)
+				kept = pq.selectRange(0, kept, c, end)
+			} else {
+				kept = zoneSel(kept, c, end)
 			}
-			if !rows(kept) {
-				return
+			if len(kept) > 0 {
+				rows(kept)
 			}
 		}
 		s = e

@@ -32,6 +32,13 @@ func mustParse(t *testing.T, sql string) *sqlparser.SelectStmt {
 // in each nullable attribute.
 func vecTestDB(t *testing.T, rows int, seed int64) *storage.Database {
 	t.Helper()
+	return vecTestTable(t, rows, seed, true)
+}
+
+// vecTestTable is vecTestDB with the NULLs left out when nulls is false: the
+// same rows, a NULL's place holding the value drawn for it.
+func vecTestTable(t *testing.T, rows int, seed int64, nulls bool) *storage.Database {
+	t.Helper()
 	schema := catalog.NewSchema("vec")
 	if err := schema.AddRelation(&catalog.Relation{
 		Name: "V",
@@ -53,7 +60,7 @@ func vecTestDB(t *testing.T, rows int, seed int64) *storage.Database {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	maybe := func(v value.Value) value.Value {
-		if rng.Intn(4) == 0 {
+		if rng.Intn(4) == 0 && nulls {
 			return value.NewNull()
 		}
 		return v

@@ -125,6 +125,9 @@ type Step struct {
 	HashSide    string
 	HashedRows  int
 	ScannedRows int
+	// Workers is how many workers a join step split the rows so far over
+	// when it ran (zero before, 1 when it ran serially).
+	Workers int
 
 	// consumedConjs is planning scratch: the conjuncts this step's access
 	// path folded in, flagged by markConsumed once the step wins.
