@@ -716,6 +716,59 @@ func BenchmarkX26UnclusteredScan(b *testing.B) {
 	}
 }
 
+// BenchmarkX27BulkInsert measures the one insert path on the bulk load's
+// shape: each op is one InsertRows of a 4 096-row CAST chunk — two foreign
+// keys probed, a composite primary key, a TEXT column whose roles are new to
+// its dictionary — into a generated 20 000-movie database in memory, and the
+// version it publishes. The chunk's rows pair 4 096 movies with an actor the
+// setup added, and each op's roles are its own; after each op, off the clock,
+// the chunk is deleted again (a tail delete), so every op inserts into the
+// same table. Allocs and bytes are gated in cmd/benchgate/ceilings.json.
+func BenchmarkX27BulkInsert(b *testing.B) {
+	const chunk = 4096
+	gen := dataset.DefaultGenConfig()
+	gen.Movies, gen.Actors = 20000, 10000
+	db, err := dataset.GenerateMovieDB(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	actors := make([]storage.Tuple, 64)
+	for a := range actors {
+		actors[a] = storage.Tuple{value.NewInt(int64(gen.Actors + 1 + a)), value.NewText(fmt.Sprintf("X27 Actor %d", a))}
+	}
+	if _, err := db.InsertRows(context.Background(), "ACTOR", actors); err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]storage.Tuple, chunk)
+	tail := make([]int, chunk)
+	// A collection empties the pooled insert scratch, so every one-op
+	// reading pays for it alike.
+	simtest.SettleAllocs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		aid := int64(gen.Actors + 1 + i%len(actors))
+		for r := range rows {
+			mid := int64(1 + (i/len(actors)*chunk+r)%gen.Movies)
+			rows[r] = storage.Tuple{value.NewInt(mid), value.NewInt(aid), value.NewText(fmt.Sprintf("X27 Role %d-%d", i, r))}
+		}
+		base := db.Table("CAST").Len()
+		b.StartTimer()
+		if n, err := db.InsertRows(context.Background(), "CAST", rows); err != nil || n != chunk {
+			b.Fatalf("inserted %d of %d rows: %v", n, chunk, err)
+		}
+		b.StopTimer()
+		for r := range tail {
+			tail[r] = base + r
+		}
+		if _, err := db.DeleteAt(context.Background(), "CAST", tail); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkX9ParallelJoin measures the engine's fan-out on a two-table
 // hash join at 10k and 100k probe rows, serial vs. all cores: the CAST
 // filter keeps nearly every row, so the plan scans MOVIES, hashes it and

@@ -478,19 +478,20 @@ func (s *System) AskContext(ctx context.Context, sql string) (resp *Response, er
 	resp.Plan = plan.Summarize()
 	resp.Answer = s.NarrateResult(res)
 
-	// Feedback probes re-execute predicate subsets; running them on the
-	// same pinned snapshot guarantees the diagnosis describes the version
-	// the answer came from, not whatever a concurrent writer left behind.
+	// Feedback reads the answer and its plan, and its probes re-execute
+	// predicate subsets; running them on the same pinned snapshot
+	// guarantees the diagnosis describes the version the answer came from,
+	// not whatever a concurrent writer left behind.
 	var feedErr error
 	switch {
 	case len(res.Rows) == 0:
 		var diag *explain.EmptyDiagnosis
-		if diag, feedErr = explain.New(eng, s.queries).ExplainEmpty(sel); feedErr == nil {
+		if diag, feedErr = explain.New(eng, s.queries).ExplainEmptyAnswer(sel, res); feedErr == nil {
 			resp.Feedback = diag.Text
 		}
 	case len(res.Rows) > s.cfg.LargeThreshold:
 		var diag *explain.LargeDiagnosis
-		if diag, feedErr = explain.New(eng, s.queries).ExplainLarge(sel, s.cfg.LargeThreshold); feedErr == nil {
+		if diag, feedErr = explain.New(eng, s.queries).ExplainLargeAnswer(sel, res, plan, s.cfg.LargeThreshold); feedErr == nil {
 			resp.Feedback = diag.Text
 		}
 	}

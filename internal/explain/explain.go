@@ -60,13 +60,19 @@ type EmptyDiagnosis struct {
 	Text string
 }
 
-// ExplainEmpty diagnoses why a SELECT returns no rows. Non-empty answers
-// return a diagnosis with Empty=false.
+// ExplainEmpty diagnoses why a SELECT returns no rows, answering it first.
+// Non-empty answers return a diagnosis with Empty=false.
 func (e *Explainer) ExplainEmpty(sel *sqlparser.SelectStmt) (*EmptyDiagnosis, error) {
 	res, err := e.ex.Select(sel)
 	if err != nil {
 		return nil, err
 	}
+	return e.ExplainEmptyAnswer(sel, res)
+}
+
+// ExplainEmptyAnswer is ExplainEmpty for a caller that already holds the
+// query's answer res, which it does not run again.
+func (e *Explainer) ExplainEmptyAnswer(sel *sqlparser.SelectStmt, res *engine.Result) (*EmptyDiagnosis, error) {
 	if len(res.Rows) > 0 {
 		return &EmptyDiagnosis{
 			Empty: false,
@@ -202,13 +208,22 @@ type LargeDiagnosis struct {
 	Text string
 }
 
-// ExplainLarge explains why an answer is large (more rows than threshold):
-// which relations contribute most rows and which filters barely restrict.
+// ExplainLarge explains why an answer is large (more rows than threshold),
+// answering the query first: which relations contribute most rows and which
+// filters barely restrict.
 func (e *Explainer) ExplainLarge(sel *sqlparser.SelectStmt, threshold int) (*LargeDiagnosis, error) {
-	res, err := e.ex.Select(sel)
+	res, plan, err := e.ex.SelectExplained(sel)
 	if err != nil {
 		return nil, err
 	}
+	return e.ExplainLargeAnswer(sel, res, plan, threshold)
+}
+
+// ExplainLargeAnswer is ExplainLarge for a caller that already holds the
+// query's answer res and the plan that produced it: the query does not run
+// again, and a one-step plan's scan already counted the rows its relation's
+// filters keep.
+func (e *Explainer) ExplainLargeAnswer(sel *sqlparser.SelectStmt, res *engine.Result, plan *planner.Plan, threshold int) (*LargeDiagnosis, error) {
 	diag := &LargeDiagnosis{Rows: len(res.Rows), Large: len(res.Rows) > threshold}
 	if !diag.Large {
 		diag.Text = fmt.Sprintf("The query returns %s, within the threshold of %d.",
@@ -231,7 +246,11 @@ func (e *Explainer) ExplainLarge(sel *sqlparser.SelectStmt, threshold int) (*Lar
 		}
 		contrib := SizeContribution{Relation: box.Relation, Rows: total, Filtered: 1}
 		if len(box.Where) > 0 && total > 0 {
-			kept, err := e.countFiltered(box)
+			kept, ok := scanKept(sel, g, plan)
+			var err error
+			if !ok {
+				kept, err = e.countFiltered(box)
+			}
 			if err == nil {
 				contrib.Filtered = float64(kept) / float64(total)
 			}
@@ -291,6 +310,21 @@ func (e *Explainer) ExplainPlan(sel *sqlparser.SelectStmt) (*PlanDiagnosis, erro
 		Text: querytotext.PlanEnglish(s),
 		Tips: s.Tips,
 	}, nil
+}
+
+// scanKept returns the rows the one box of g keeps under its filters as the
+// answer's plan counted them: when the plan is one scan step with no residual
+// filters and the box's filters are every conjunct of the WHERE clause, the
+// step's ActualRows is exactly what countFiltered would count.
+func scanKept(sel *sqlparser.SelectStmt, g *querygraph.Graph, plan *planner.Plan) (int, bool) {
+	if plan == nil || len(plan.Steps) != 1 || len(plan.Post) != 0 || len(g.Boxes) != 1 {
+		return 0, false
+	}
+	st := plan.Steps[0]
+	if st.ActualRows < 0 || len(g.Boxes[0].Where) != len(sqlparser.Conjuncts(sel.Where)) {
+		return 0, false
+	}
+	return st.ActualRows, true
 }
 
 // countFiltered counts rows of one box's relation surviving its unary

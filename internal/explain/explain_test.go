@@ -320,3 +320,60 @@ func TestExplainLargeNamesConcepts(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainAnswerReuse holds the feedback a caller gets for the answer it
+// already has to the feedback that answers the query itself: a one-step
+// plan's scan count stands in for the recount of its relation's filters — a
+// LIMIT, an aggregate, a primary-key probe and a subquery conjunct (which the
+// box's filters leave out, so the recount runs) included — and the empty
+// diagnosis reads the answer it is given.
+func TestExplainAnswerReuse(t *testing.T) {
+	e := newExplainer(t)
+	for _, sql := range []string{
+		"select m.title from MOVIES m where m.year > 1990",
+		"select m.title from MOVIES m where m.year > 1990 and m.title <> 'Anna' limit 3",
+		"select m.year, count(*) from MOVIES m where m.year < 2005 group by m.year",
+		"select m.title from MOVIES m where m.id = 100 and m.year > 1900",
+		"select m.title from MOVIES m where m.year > 1900 and m.id in (select c.mid from CAST c)",
+		"select m.title, c.role from MOVIES m, CAST c where m.id = c.mid and m.year > 1900",
+	} {
+		sel := parse(t, sql)
+		res, plan, err := e.ex.SelectExplained(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.ExplainLargeAnswer(sel, res, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.ExplainLargeAnswer(sel, res, plan, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Text != want.Text || len(got.Contributions) != len(want.Contributions) {
+			t.Errorf("%s:\nfrom the plan: %s\nrecounted:     %s", sql, got.Text, want.Text)
+			continue
+		}
+		for i := range got.Contributions {
+			if got.Contributions[i] != want.Contributions[i] {
+				t.Errorf("%s: contribution %d from the plan %+v, recounted %+v", sql, i, got.Contributions[i], want.Contributions[i])
+			}
+		}
+	}
+	sel := parse(t, "select m.title from MOVIES m where m.year > 3000 and m.title = 'Anna'")
+	res, err := e.ex.Select(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.ExplainEmptyAnswer(sel, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.ExplainEmpty(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Text != want.Text || !got.Empty {
+		t.Errorf("empty answer: given %q, answered itself %q", got.Text, want.Text)
+	}
+}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -67,6 +68,24 @@ func (b *bitmap) set(i int, v bool) {
 	}
 }
 
+// any reports whether a bit in [lo, hi) is set, a word at a time; a column
+// that never stored a NULL answers without reading a word.
+func (b *bitmap) any(lo, hi int) bool {
+	for w := lo >> 6; w < len(b.words) && w<<6 < hi; w++ {
+		word := b.words[w]
+		if w == lo>>6 {
+			word &^= 1<<(uint(lo)&63) - 1
+		}
+		if w == (hi-1)>>6 && hi&63 != 0 {
+			word &= 1<<(uint(hi)&63) - 1
+		}
+		if word != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // truncate clears every bit at position n or beyond.
 func (b *bitmap) truncate(n int) {
 	full := (n + 63) >> 6
@@ -97,6 +116,10 @@ type dict struct {
 	// through retainRow/releaseRow (stats.go).
 	refs []int32
 	live int
+	// held marks codeMu as held by the writer across a statement's append
+	// (appendPayloads takes it at the first new string, appendRows releases
+	// it).
+	held bool
 	// ranked turns on the sorted dictionary: rank maps code -> sort rank,
 	// order maps rank -> code. Writers flag rankStale when the vocabulary
 	// changes; the tables rebuild lazily on the next ranked read (guarded by
@@ -109,25 +132,29 @@ type dict struct {
 	order     []uint32
 }
 
-// newDict returns an empty dictionary whose code map is presized for size
-// entries.
-func newDict(size int) *dict {
-	return &dict{code: make(map[string]uint32, size), codeMu: &sync.RWMutex{}}
+// newDict returns an empty dictionary.
+func newDict() *dict {
+	return &dict{code: make(map[string]uint32), codeMu: &sync.RWMutex{}}
 }
 
-// intern returns the code for s, assigning the next one on first sight.
+// intern returns the code for s, assigning the next one on first sight. Only
+// the writer calls it: the writer alone mutates the code map, so its lookup
+// takes no lock, and only an insertion excludes snapshot readers.
 func (d *dict) intern(s string) uint32 {
-	d.codeMu.RLock()
-	c, ok := d.code[s]
-	d.codeMu.RUnlock()
-	if ok {
+	if c, ok := d.code[s]; ok {
 		return c
 	}
-	c = uint32(len(d.strs))
-	d.strs = append(d.strs, s)
 	d.codeMu.Lock()
+	defer d.codeMu.Unlock()
+	return d.add(s)
+}
+
+// add assigns the next code to s, which the dictionary does not hold; the
+// caller holds codeMu.
+func (d *dict) add(s string) uint32 {
+	c := uint32(len(d.strs))
+	d.strs = append(d.strs, s)
 	d.code[s] = c
-	d.codeMu.Unlock()
 	d.refs = append(d.refs, 0)
 	if d.ranked {
 		d.rankStale.Store(true)
@@ -183,7 +210,7 @@ type column struct {
 	// live rows holding it — its size is the distinct count (stats.go). Nil
 	// for Text (dict.live counts) and Bool (the bounds tell), and in frozen
 	// columns, whose statistics are captured at freeze.
-	counts map[uint64]int32
+	counts *countMap
 	// zones summarize ZoneRows-sized ranges; zrows is the number of rows they
 	// cover (== the table's row count whenever no write is in flight).
 	zones []zone
@@ -235,9 +262,9 @@ func newColumn(kind value.Kind, copied *atomic.Uint64) column {
 	c := column{kind: kind, copied: copied}
 	switch kind {
 	case value.Text:
-		c.dict = newDict(0)
+		c.dict = newDict()
 	case value.Int, value.Float, value.Date:
-		c.counts = make(map[uint64]int32)
+		c.counts = new(countMap)
 	}
 	if kind != value.Int && kind != value.Date {
 		c.forOff = true // frame-of-reference applies to Int/Date only
@@ -245,48 +272,110 @@ func newColumn(kind value.Kind, copied *atomic.Uint64) column {
 	return c
 }
 
-// appendVal appends v at position row (== the current column length). The
-// caller has already coerced v to the column kind or NULL; anything else is
-// a storage-invariant violation.
-func (c *column) appendVal(v value.Value, row int) {
-	null := v.IsNull()
-	if null {
-		c.nulls.set(row, true)
-	} else if v.Kind() != c.kind {
-		panic(fmt.Sprintf("storage: %s value appended to %s column", v.Kind(), c.kind))
-	}
+// appendPayloads stores attribute j of rows at positions lo, lo+1, ... (lo
+// is the current column length) and marks their NULLs; extend then folds the
+// range into the derived state. The caller has already coerced every value to
+// the column kind or NULL; anything else is a storage-invariant violation.
+// A TEXT column takes codeMu at its first new string and keeps it (held) for
+// the caller to release once the statement's rows are stored — one hold per
+// statement — copying a string it keeps when borrowed says the values alias
+// a buffer the caller reuses.
+func (c *column) appendPayloads(rows []Tuple, j, lo int, borrowed bool) {
+	hi := lo + len(rows)
 	switch c.kind {
 	case value.Int:
-		var x int64
-		if !null {
-			x = v.Int()
+		vec := growChunked(c, &c.ints, lo, hi)
+		for r := lo; r < hi; {
+			chunk, end := vec[r>>ZoneShift], min(hi, (r|ZoneMask)+1)
+			for ; r < end; r++ {
+				if v := rows[r-lo][j]; c.stored(v, r) {
+					chunk[r&ZoneMask] = v.Int()
+				}
+			}
 		}
-		putChunked(c, &c.ints, row, x)
-	case value.Float:
-		var x float64
-		if !null {
-			x = v.Float()
-		}
-		putChunked(c, &c.flts, row, x)
-	case value.Text:
-		var x uint32
-		if !null {
-			x = c.dict.intern(v.Text())
-		}
-		putChunked(c, &c.codes, row, x)
 	case value.Date:
-		var x int64
-		if !null {
-			x = v.DateDays()
+		vec := growChunked(c, &c.ints, lo, hi)
+		for r := lo; r < hi; {
+			chunk, end := vec[r>>ZoneShift], min(hi, (r|ZoneMask)+1)
+			for ; r < end; r++ {
+				if v := rows[r-lo][j]; c.stored(v, r) {
+					chunk[r&ZoneMask] = v.DateDays()
+				}
+			}
 		}
-		putChunked(c, &c.ints, row, x)
+	case value.Float:
+		vec := growChunked(c, &c.flts, lo, hi)
+		for r := lo; r < hi; {
+			chunk, end := vec[r>>ZoneShift], min(hi, (r|ZoneMask)+1)
+			for ; r < end; r++ {
+				if v := rows[r-lo][j]; c.stored(v, r) {
+					chunk[r&ZoneMask] = v.Float()
+				}
+			}
+		}
 	case value.Bool:
-		putChunked(c, &c.bls, row, !null && v.Bool())
+		vec := growChunked(c, &c.bls, lo, hi)
+		for r := lo; r < hi; {
+			chunk, end := vec[r>>ZoneShift], min(hi, (r|ZoneMask)+1)
+			for ; r < end; r++ {
+				if v := rows[r-lo][j]; c.stored(v, r) {
+					chunk[r&ZoneMask] = v.Bool()
+				}
+			}
+		}
+	case value.Text:
+		vec := growChunked(c, &c.codes, lo, hi)
+		d := c.dict
+		for r := lo; r < hi; {
+			chunk, end := vec[r>>ZoneShift], min(hi, (r|ZoneMask)+1)
+			for ; r < end; r++ {
+				v := rows[r-lo][j]
+				if !c.stored(v, r) {
+					continue
+				}
+				// The writer alone mutates the code map, so its own lookups
+				// need no lock; only an insertion excludes snapshot
+				// readers, and the lock it takes stays held (held) until
+				// the caller ends the statement's append.
+				s := v.Text()
+				code, ok := d.code[s]
+				if !ok {
+					if !d.held {
+						d.codeMu.Lock()
+						d.held = true
+					}
+					if borrowed {
+						s = strings.Clone(s)
+					}
+					code = d.add(s)
+				}
+				chunk[r&ZoneMask] = code
+			}
+		}
 	default:
 		panic(fmt.Sprintf("storage: column of kind %s", c.kind))
 	}
-	c.retainRow(row)
-	c.zoneExtend(row)
+}
+
+// stored reports whether v is a value to store at row, marking row NULL
+// when v is NULL; a NULL row keeps the chunk's zero placeholder.
+func (c *column) stored(v value.Value, row int) bool {
+	if k := v.Kind(); k != c.kind {
+		c.misfit(v, row)
+		return false
+	}
+	return true
+}
+
+// misfit marks row NULL for a NULL value and panics on any other value of
+// the wrong kind, out of stored's inlined body.
+//
+//go:noinline
+func (c *column) misfit(v value.Value, row int) {
+	if !v.IsNull() {
+		panic(fmt.Sprintf("storage: %s value appended to %s column", v.Kind(), c.kind))
+	}
+	c.nulls.set(row, true)
 }
 
 // value materializes position i. Text shares the dictionary string; no
@@ -480,25 +569,31 @@ func newChunked[T any](c *column, n int) [][]T {
 	return vec
 }
 
-// putChunked stores x at row, the next append position — at or past every
-// frozen view's row count, so the chunk holding it may stay shared. It
-// allocates the next chunk at a zone boundary and grows a short first chunk by
-// replacement.
-func putChunked[T any](c *column, vec *[][]T, row int, x T) {
-	z, off := row>>ZoneShift, row&ZoneMask
-	if z == len(*vec) {
-		size := ZoneRows
-		if z == 0 {
-			size = firstChunkRows
-		}
-		*vec = append(*vec, make([]T, size))
-		c.own = append(c.own[:z], c.gen)
-	} else if off >= len((*vec)[z]) {
-		grown := make([]T, min(ZoneRows, 2*len((*vec)[z])))
-		copy(grown, (*vec)[z])
-		setChunk(c, vec, z, grown)
+// growChunked makes room for rows [lo, hi) past the vector's last row — at
+// or past every frozen view's row count, so the chunks holding them may stay
+// shared — and returns the vector. It grows a short first chunk by
+// replacement, doubling it until it holds hi rows (the length one-row appends
+// would have doubled it to), and allocates the next full chunks at zone
+// boundaries.
+func growChunked[T any](c *column, vec *[][]T, lo, hi int) [][]T {
+	if len(*vec) == 0 {
+		*vec = append(*vec, make([]T, firstChunkRows))
+		c.own = append(c.own[:0], c.gen)
 	}
-	(*vec)[z][off] = x
+	if first := (*vec)[0]; len(*vec) == 1 && len(first) < min(hi, ZoneRows) {
+		size := len(first)
+		for size < min(hi, ZoneRows) {
+			size *= 2
+		}
+		grown := make([]T, size)
+		copy(grown, first[:min(lo, len(first))])
+		setChunk(c, vec, 0, grown)
+	}
+	for z := len(*vec); z < chunksFor(hi); z++ {
+		*vec = append(*vec, make([]T, ZoneRows))
+		c.own = append(c.own[:z], c.gen)
+	}
+	return *vec
 }
 
 // ownChunk returns chunk z ready for an in-place write: cloned first when it

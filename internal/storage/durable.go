@@ -177,6 +177,9 @@ type durability struct {
 	pending    []byte // encoded ops applied since the last flush (guarded by db.mu)
 	pendingOps int
 	rec        []byte // record scratch: seq + opCount + pending (guarded by mu)
+	// frozen collects the tables a commit froze (guarded by mu), for
+	// redirty when its flush fails.
+	frozen []*Table
 
 	// failed latches the first WAL append/fsync error; once set, every
 	// commit and checkpoint is rejected with ErrWALFailed.
@@ -411,6 +414,11 @@ func (db *Database) replayWAL(fs wal.FS, ckData []byte, report *RecoveryReport) 
 // begun to apply, so some of them may sit in the tables. report counts the
 // skipped and replayed records and advances LastSeq.
 func (db *Database) replayRecords(records []wal.Record, report *RecoveryReport) (failed int, partial bool, err error) {
+	defer func() {
+		db.mu.Lock()
+		db.replay.release()
+		db.mu.Unlock()
+	}()
 	for i, rec := range records {
 		d := &walDecoder{buf: rec.Payload}
 		seq := d.uvarint()
@@ -626,11 +634,12 @@ func (d *durability) commit(db *Database, ctx context.Context) error {
 	// durability.mu for the NEXT record. The version installs only after the
 	// fsync succeeds: a snapshot seq always names an acknowledged, durable
 	// prefix of the log.
-	snap, frozen := db.buildVersionLocked(seq)
+	d.frozen = d.frozen[:0]
+	snap := db.buildVersionLocked(seq, &d.frozen)
 	db.mu.Unlock()
 	if err := d.walIO(ctx, d.rec); err != nil {
 		d.latch(err)
-		db.redirty(frozen)
+		db.redirty(d.frozen)
 		d.mu.Unlock()
 		return err
 	}

@@ -111,26 +111,37 @@ func pkSlotsFor(n int) int {
 // the one change a shared page may take — or, when the entry would push the
 // load past 3/4, first moves every entry into fresh pages twice the size.
 func (x *pkIndex) add(h uint32, pos int) {
-	if (x.n+1)*4 > x.size*3 {
-		fresh := newPKIndex(pkSlotsFor(x.n + 1))
-		for _, page := range x.pages {
-			for _, e := range page {
-				if e != 0 {
-					fresh.place(e)
-				}
-			}
-		}
-		fresh.n = x.n
-		*x = fresh
-	}
+	x.reserve(1)
 	x.place(pkEntry(h, pos))
 	x.n++
 }
 
+// reserve makes room for k more entries at a load of at most 3/4, moving
+// every entry into fresh pages of the size that holds them all when the
+// current ones do not: a batch of adds grows the table at most once.
+func (x *pkIndex) reserve(k int) {
+	if (x.n+k)*4 <= x.size*3 {
+		return
+	}
+	fresh := newPKIndex(pkSlotsFor(x.n + k))
+	for _, page := range x.pages {
+		for _, e := range page {
+			if e != 0 {
+				fresh.place(e)
+			}
+		}
+	}
+	fresh.n = x.n
+	*x = fresh
+}
+
 // place writes e into the first empty slot of its probe sequence.
-func (x *pkIndex) place(e uint64) {
+func (x *pkIndex) place(e uint64) { x.placeFrom(int(entryHash(e))&(x.size-1), e) }
+
+// placeFrom writes e into the first empty slot from slot i on, which lies on
+// e's probe sequence with no empty slot before it.
+func (x *pkIndex) placeFrom(i int, e uint64) {
 	mask := x.size - 1
-	i := int(entryHash(e)) & mask
 	for x.at(i) != 0 {
 		i = (i + 1) & mask
 	}
@@ -176,21 +187,29 @@ func (x *pkIndex) removeAt(i int) int {
 // re-encoding buffer stays on the stack: the call to appendKeyAt is direct.
 // Concurrent callers hold idxMu for reading.
 func (t *Table) pkFind(x *pkIndex, key []byte, h uint32) int {
+	pos, _ := t.pkProbe(x, key, h)
+	return pos
+}
+
+// pkProbe is pkFind that also returns, when the key is absent, the empty
+// slot its walk ended at (-1 for a table of no slots): where an insert of the
+// key goes, or — once other adds have filled it — where its walk goes on.
+func (t *Table) pkProbe(x *pkIndex, key []byte, h uint32) (pos, empty int) {
 	if x.size == 0 {
-		return -1
+		return -1, -1
 	}
 	var kb [64]byte
 	mask := x.size - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		e := x.pages[i>>pkPageShift][i&pkPageMask]
 		if e == 0 {
-			return -1
+			return -1, i
 		}
 		if entryHash(e) != h {
 			continue
 		}
 		if pos := entryPos(e); pos < t.rows && bytes.Equal(t.appendKeyAt(kb[:0], pos, t.pkPos), key) {
-			return pos
+			return pos, -1
 		}
 	}
 }

@@ -94,7 +94,9 @@ func (db *Database) ReplicationBacklog(fromSeq uint64) (checkpoint []byte, frame
 		if seq <= fromSeq {
 			continue
 		}
-		frames = append(frames, CommitFrame{Seq: seq, Record: append([]byte(nil), rec.Payload...)})
+		// The frames share the one buffer the log was read into, capped so
+		// an append to one cannot run into the next.
+		frames = append(frames, CommitFrame{Seq: seq, Record: rec.Payload[:len(rec.Payload):len(rec.Payload)]})
 		if seq > last {
 			last = seq
 		}
@@ -123,6 +125,7 @@ func (db *Database) ApplyReplicatedRecord(record []byte) (seq uint64, ops int, e
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	ops, err = db.replayBatch(d)
+	db.replay.release()
 	if err == nil {
 		db.publishLocked(seq)
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/value"
@@ -22,7 +23,7 @@ import (
 // dictionary pages (strings once, then per-row codes), floats spill raw bits,
 // and bools bit-pack. On load, zone maps, frame-of-reference deltas, the
 // primary key and statistics are rebuilt from the vectors — derived state is
-// never trusted from disk.
+// never trusted from disk — one goroutine per column and one for the key.
 
 // segmentMagic versions the checkpoint format.
 const segmentMagic = "TBSEG1"
@@ -37,16 +38,19 @@ func SchemaFingerprint(db *Database) uint64 {
 }
 
 // writeCheckpointTables serializes the given tables into w: header record
-// first, then one record per table in sorted name order. lastSeq is the WAL
+// first, then one record per table in sorted lower-case name order. lastSeq is the WAL
 // sequence floor — recovery skips WAL records at or below it, which makes the
 // checkpoint-then-truncate sequence crash-safe at every intermediate point.
 // Checkpoints pass a pinned snapshot's frozen tables, so serialization runs
 // without db.mu and never blocks readers or writers; the caller guarantees
 // the floor and the table set describe the same committed prefix.
-func (db *Database) writeCheckpointTables(w *wal.Writer, tables map[string]*Table, lastSeq uint64) error {
+func (db *Database) writeCheckpointTables(w *wal.Writer, tables []*Table, lastSeq uint64) error {
 	names := make([]string, 0, len(tables))
-	for name := range tables {
+	byName := make(map[string]*Table, len(tables))
+	for _, t := range tables {
+		name := strings.ToLower(t.rel.Name)
 		names = append(names, name)
+		byName[name] = t
 	}
 	sort.Strings(names)
 
@@ -59,7 +63,7 @@ func (db *Database) writeCheckpointTables(w *wal.Writer, tables map[string]*Tabl
 		return err
 	}
 	for _, name := range names {
-		tbl := tables[name]
+		tbl := byName[name]
 		buf = tbl.appendSegment(buf[:0])
 		if err := w.Append(buf); err != nil {
 			return fmt.Errorf("storage: checkpointing %s: %w", tbl.rel.Name, err)
@@ -173,7 +177,7 @@ func byteOrderPutFloat(b []byte, f float64) {
 // the old tables until the caller publishes.
 func (db *Database) reseed(ckData []byte) (floor uint64, err error) {
 	db.mu.Lock()
-	db.tables = make(map[string]*Table, len(db.tables))
+	db.tables = make([]*Table, 0, len(db.tables))
 	for _, r := range db.schema.Relations() {
 		db.addTable(r)
 	}
@@ -240,7 +244,7 @@ func (db *Database) loadCheckpoint(data []byte) (lastSeq uint64, err error) {
 		if seg.d.err != nil {
 			return 0, seg.d.err
 		}
-		seg.tbl = tableNamed(db.tables, seg.name)
+		seg.tbl = db.index.table(db.tables, seg.name)
 		if seg.tbl == nil {
 			return 0, fmt.Errorf("storage: checkpoint holds unknown relation %q", seg.name)
 		}
@@ -308,14 +312,47 @@ func (tbl *Table) loadSegment(name string, d *walDecoder) error {
 		return d.err
 	}
 
-	// Rebuild every piece of derived state from the loaded vectors: zones
-	// (and frame-of-reference deltas, and with them the bounds and NULL counts
-	// the statistics read) and the primary key.
+	// Rebuild every piece of derived state from the loaded vectors, each
+	// column's with the range builder appends use — distinct counts or
+	// dictionary references, zones, frame-of-reference deltas, and with them
+	// the bounds and NULL counts the statistics read — and the primary key.
+	// They share nothing they write, so they run in parallel.
+	// A TEXT column's dictionary code map fills there too.
+	var wg sync.WaitGroup
+	errs := make([]error, len(tbl.cols))
 	for i := range tbl.cols {
-		tbl.cols[i].buildZones(n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &tbl.cols[i]
+			if c.kind == value.Text {
+				errs[i] = c.dict.buildCodes()
+			}
+			c.extend(0, n)
+		}()
 	}
-	if err := tbl.rebuildPK(); err != nil {
+	err := tbl.rebuildPK()
+	wg.Wait()
+	for i, cerr := range errs {
+		if cerr != nil {
+			return fmt.Errorf("storage: checkpoint %s.%s: %w", name, tbl.rel.Attributes[i].Name, cerr)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("storage: checkpoint %s: %w", name, err)
+	}
+	return nil
+}
+
+// buildCodes fills a loaded dictionary's code map from its strings, refusing
+// one that holds a string twice.
+func (d *dict) buildCodes() error {
+	d.code = make(map[string]uint32, len(d.strs))
+	for i, s := range d.strs {
+		d.code[s] = uint32(i)
+		if len(d.code) != i+1 {
+			return fmt.Errorf("dictionary holds %q twice", s)
+		}
 	}
 	return nil
 }
@@ -413,17 +450,13 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 		}
 		section := string(d.buf[start:d.off])
 		entries := walDecoder{buf: d.buf[start:d.off]}
-		c.dict = newDict(int(dictLen))
+		// The code map fills in the parallel phase (buildCodes).
+		c.dict = &dict{codeMu: &sync.RWMutex{}}
 		c.dict.strs = make([]string, dictLen)
 		c.dict.refs = make([]int32, dictLen)
 		for i := range c.dict.strs {
 			n := len(entries.bytes())
-			s := section[entries.off-n : entries.off]
-			c.dict.strs[i] = s
-			c.dict.code[s] = uint32(i)
-			if len(c.dict.code) != i+1 {
-				return fmt.Errorf("dictionary holds %q twice", s)
-			}
+			c.dict.strs[i] = section[entries.off-n : entries.off]
 		}
 		c.codes = newChunked[uint32](c, rows)
 		for i := range rows {
@@ -458,11 +491,5 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 			c.bls[i>>ZoneShift][i&ZoneMask] = packed[i>>3]&(1<<(uint(i)&7)) != 0
 		}
 	}
-	if d.err != nil {
-		return d.err
-	}
-	for i := 0; i < rows; i++ {
-		c.retainRow(i) // dictionary references and distinct counts
-	}
-	return nil
+	return d.err
 }

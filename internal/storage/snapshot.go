@@ -97,7 +97,8 @@ type TableSource interface {
 type Snapshot struct {
 	seq    uint64
 	schema *catalog.Schema
-	tables map[string]*Table
+	tables []*Table
+	index  tableIndex
 }
 
 // Seq returns the commit sequence this snapshot reflects. On a durable
@@ -108,7 +109,7 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 func (s *Snapshot) Schema() *catalog.Schema { return s.schema }
 
 // Table returns the frozen table view for the named relation, or nil.
-func (s *Snapshot) Table(name string) *Table { return tableNamed(s.tables, name) }
+func (s *Snapshot) Table(name string) *Table { return s.index.table(s.tables, name) }
 
 // TableNames returns the sorted relation names in the snapshot.
 func (s *Snapshot) TableNames() []string {
@@ -209,18 +210,18 @@ func (db *Database) Published() uint64 {
 // the current version already reflects the state (EnableSortedDict forces a
 // table dirty to re-publish a flag change at the same seq).
 func (db *Database) publishLocked(seq uint64) {
-	if snap, _ := db.buildVersionLocked(seq); snap != nil {
+	if snap := db.buildVersionLocked(seq, nil); snap != nil {
 		db.installVersion(snap)
 	}
 }
 
 // buildVersionLocked freezes the dirty tables into a new version at seq but
 // does not install it; the caller holds db.mu. It returns nil when nothing
-// is dirty. The second return lists the tables that were frozen, so a durable
+// is dirty. A non-nil frozen collects the tables it froze, so a durable
 // commit whose WAL flush fails can re-mark them dirty instead of installing a
 // version the log never acknowledged. WAL replay and replicated applies never
 // get here per op: they publish once, at the record's or recovery's end.
-func (db *Database) buildVersionLocked(seq uint64) (*Snapshot, []*Table) {
+func (db *Database) buildVersionLocked(seq uint64, frozen *[]*Table) *Snapshot {
 	prev := db.version.Load()
 	dirty := false
 	for _, t := range db.tables {
@@ -230,23 +231,22 @@ func (db *Database) buildVersionLocked(seq uint64) (*Snapshot, []*Table) {
 		}
 	}
 	if !dirty && prev != nil && len(prev.tables) == len(db.tables) {
-		return nil, nil
+		return nil
 	}
-	tables := make(map[string]*Table, len(db.tables))
-	var frozen []*Table
-	for name, t := range db.tables {
-		if !t.dirty && prev != nil {
-			if pt, ok := prev.tables[name]; ok {
-				tables[name] = pt
-				continue
-			}
+	tables := make([]*Table, len(db.tables))
+	for i, t := range db.tables {
+		if !t.dirty && prev != nil && i < len(prev.tables) {
+			tables[i] = prev.tables[i]
+			continue
 		}
-		tables[name] = t.freeze()
+		tables[i] = t.freeze()
 		t.dirty = false
-		frozen = append(frozen, t)
+		if frozen != nil {
+			*frozen = append(*frozen, t)
+		}
 	}
 	db.pubSeq = seq
-	return &Snapshot{seq: seq, schema: db.schema, tables: tables}, frozen
+	return &Snapshot{seq: seq, schema: db.schema, tables: tables, index: db.index}
 }
 
 // installVersion makes a built version the published one.
@@ -280,7 +280,11 @@ func (db *Database) nextPubSeqLocked() uint64 {
 // copy-on-write paths for the next in-place mutation.
 func (t *Table) freeze() *Table {
 	rows := t.rows
-	ft := &Table{
+	// The view and its statistics share one allocation.
+	fv := &struct {
+		Table
+		stats TableStats
+	}{Table: Table{
 		rel:    t.rel,
 		rows:   rows,
 		owner:  t.owner,
@@ -288,13 +292,14 @@ func (t *Table) freeze() *Table {
 		pkPos:  t.pkPos,
 		idxMu:  t.idxMu,
 		frozen: true,
-	}
+	}}
+	ft := &fv.Table
 	ft.cols = make([]column, len(t.cols))
 	for i := range t.cols {
 		t.cols[i].freezeInto(&ft.cols[i], rows)
 	}
-	sv := t.Stats()
-	ft.statsView = &sv
+	fv.stats = t.Stats()
+	ft.statsView = &fv.stats
 	t.shared = true
 	t.idxShared = true
 	return ft

@@ -322,7 +322,7 @@ func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 					n, err := kind.apply(live, pos)
 					slots := live.pk.size
 					for i := 0; i < 3 || !resized; i++ {
-						if err := db.insertLocked(live, row(lowDay)); err != nil {
+						if _, err := db.insertRowsLocked(live, []Tuple{row(lowDay)}, false); err != nil {
 							t.Error(err)
 						}
 						lowDay--

@@ -1,6 +1,10 @@
 package storage
 
-import "repro/internal/value"
+import (
+	"math/bits"
+
+	"repro/internal/value"
+)
 
 // This file reads table statistics off state the columns already keep, so
 // every number has one copy: bounds fold from the zone maps (NaN excluded,
@@ -71,14 +75,15 @@ func (c *column) stats(rows int) AttrStats {
 			}
 		}
 	default:
-		a.Distinct = len(c.counts)
+		a.Distinct = c.counts.n
 	}
 	return a
 }
 
 // retainRow notes that row i's stored value is live: a text row holds its
 // dictionary code, a numeric row counts once more under its value.Key64.
-// Writers call it after storing the payload and the null bit.
+// UPDATE calls it after storing the payload and the null bit; appends and
+// loads count a whole range with retainRange.
 func (c *column) retainRow(i int) {
 	if c.nulls.get(i) {
 		return
@@ -87,7 +92,55 @@ func (c *column) retainRow(i int) {
 	case value.Text:
 		c.dict.retain(c.code(i))
 	case value.Int, value.Float, value.Date:
-		c.counts[c.value(i).Key64()]++
+		c.counts.add(c.value(i).Key64(), 1)
+	}
+}
+
+// retainRange is retainRow over the appended rows [lo, hi), in one typed
+// pass that counts a run of equal values once.
+func (c *column) retainRange(lo, hi int) {
+	switch c.kind {
+	case value.Text:
+		d := c.dict
+		retainRuns(c, c.codes, lo, hi, func(code uint32, n int32) {
+			if d.refs[code] == 0 {
+				d.live++
+			}
+			d.refs[code] += n
+		})
+	case value.Int:
+		retainRuns(c, c.ints, lo, hi, func(x int64, n int32) { c.counts.add(value.NewInt(x).Key64(), n) })
+	case value.Date:
+		retainRuns(c, c.ints, lo, hi, func(x int64, n int32) { c.counts.add(value.NewDateDays(x).Key64(), n) })
+	case value.Float:
+		retainRuns(c, c.flts, lo, hi, func(x float64, n int32) { c.counts.add(value.NewFloat(x).Key64(), n) })
+	}
+}
+
+// retainRuns calls add once per run of equal non-NULL payloads in rows
+// [lo, hi) of vec, with the run's length; NULL rows neither count nor break
+// a run. A NaN equals nothing, so each NaN counts alone under its own key,
+// as retainRow counts it.
+func retainRuns[T int64 | float64 | uint32](c *column, vec [][]T, lo, hi int, add func(T, int32)) {
+	nulls := c.nulls.any(lo, hi)
+	var prev T
+	var run int32
+	for r := lo; r < hi; r++ {
+		if nulls && c.nulls.get(r) {
+			continue
+		}
+		x := vec[r>>ZoneShift][r&ZoneMask]
+		if run > 0 && x == prev {
+			run++
+			continue
+		}
+		if run > 0 {
+			add(prev, run)
+		}
+		prev, run = x, 1
+	}
+	if run > 0 {
+		add(prev, run)
 	}
 }
 
@@ -100,11 +153,84 @@ func (c *column) releaseRow(i int) {
 	case value.Text:
 		c.dict.release(c.code(i))
 	case value.Int, value.Float, value.Date:
-		k := c.value(i).Key64()
-		if c.counts[k] <= 1 {
-			delete(c.counts, k)
-		} else {
-			c.counts[k]--
+		c.counts.remove(c.value(i).Key64())
+	}
+}
+
+// countMap counts the live rows of each value.Key64 of a numeric column; its
+// size is the column's distinct count. It is an open-addressed, linear-probed
+// table of (key, count) slots, a zero count marking an empty one, that holds
+// no pointer and updates a key with one probe sequence; removing a key shifts
+// the rest of its cluster back, as the primary key's table does.
+type countMap struct {
+	keys   []uint64
+	counts []int32
+	n      int
+	shift  uint // 64 - log2(len(keys))
+}
+
+// home returns key's first slot: Fibonacci hashing of the key with its high
+// half folded in, since integer and date keys are float bits whose low bits
+// are mostly zero.
+func (m *countMap) home(key uint64) int {
+	return int((key ^ key>>32) * 0x9E3779B97F4A7C15 >> m.shift)
+}
+
+// add counts n more rows holding key.
+func (m *countMap) add(key uint64, n int32) {
+	if (m.n+1)*4 > len(m.keys)*3 {
+		m.grow()
+	}
+	mask := len(m.keys) - 1
+	i := m.home(key)
+	for m.counts[i] != 0 {
+		if m.keys[i] == key {
+			m.counts[i] += n
+			return
+		}
+		i = (i + 1) & mask
+	}
+	m.keys[i], m.counts[i] = key, n
+	m.n++
+}
+
+// grow doubles the table (to eight slots at first) and re-places every key.
+func (m *countMap) grow() {
+	keys, counts := m.keys, m.counts
+	size := max(8, 2*len(keys))
+	m.keys, m.counts = make([]uint64, size), make([]int32, size)
+	m.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for j, c := range counts {
+		if c == 0 {
+			continue
+		}
+		i := m.home(keys[j])
+		for m.counts[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.keys[i], m.counts[i] = keys[j], c
+	}
+}
+
+// remove counts one row fewer holding key, which the table holds.
+func (m *countMap) remove(key uint64) {
+	mask := len(m.keys) - 1
+	i := m.home(key)
+	for m.keys[i] != key || m.counts[i] == 0 {
+		i = (i + 1) & mask
+	}
+	if m.counts[i]--; m.counts[i] > 0 {
+		return
+	}
+	// Shift back every later entry of the cluster whose probe path crosses
+	// the hole.
+	for j := (i + 1) & mask; m.counts[j] != 0; j = (j + 1) & mask {
+		if (j-m.home(m.keys[j]))&mask >= (j-i)&mask {
+			m.keys[i], m.counts[i] = m.keys[j], m.counts[j]
+			m.counts[j] = 0
+			i = j
 		}
 	}
+	m.n--
 }

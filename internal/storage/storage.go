@@ -22,9 +22,9 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -90,6 +90,10 @@ type Table struct {
 	// keyBuf is writer-side scratch for key encoding; writers are exclusive
 	// per the storage contract, readers never touch it.
 	keyBuf []byte
+	// fks are the relation's foreign keys resolved against the database
+	// (foreignKeys), once fksResolved.
+	fks         []fkCheck
+	fksResolved bool
 	// idxMu guards the pk slots, which are shared between the live table and
 	// its frozen snapshot views: writers mutate under it, snapshot probes
 	// read under it and filter positions past their frozen row count. The
@@ -223,7 +227,10 @@ func (t *Table) LookupPKPos(key []byte) (int, bool) {
 type Database struct {
 	mu     sync.RWMutex
 	schema *catalog.Schema
-	tables map[string]*Table
+	// tables holds one table per relation in schema order; index finds
+	// them by name. Every snapshot shares index and holds its own slice.
+	tables []*Table
+	index  tableIndex
 	// dur is the attached durability layer (durable.go), nil for a purely
 	// in-memory database. It is set once by EnableDurability before any
 	// concurrent use and consulted by the DML paths to log applied ops.
@@ -240,6 +247,8 @@ type Database struct {
 	readOnly atomic.Bool
 	// copied counts the bytes copy-on-write cloned (SnapshotStats.CopiedBytes).
 	copied atomic.Uint64
+	// replay is replayBatch's reused row buffer, guarded by db.mu.
+	replay insertRun
 }
 
 // NewDatabase creates empty tables for every relation in the schema.
@@ -247,7 +256,7 @@ func NewDatabase(schema *catalog.Schema) (*Database, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	db := &Database{schema: schema, tables: make(map[string]*Table)}
+	db := &Database{schema: schema, index: make(tableIndex)}
 	for _, r := range schema.Relations() {
 		db.addTable(r)
 	}
@@ -271,7 +280,12 @@ func (db *Database) addTable(r *catalog.Relation) *Table {
 		}
 	}
 	tbl.dirty = true
-	db.tables[strings.ToLower(r.Name)] = tbl
+	// A relation keeps its position: reseed adds the tables again in the
+	// same order and leaves the index, which snapshots read, as it is.
+	if key := strings.ToLower(r.Name); len(db.index) == len(db.tables) {
+		db.index[key] = len(db.tables)
+	}
+	db.tables = append(db.tables, tbl)
 	return tbl
 }
 
@@ -280,12 +294,10 @@ func (db *Database) addTable(r *catalog.Relation) *Table {
 // database table, so it has the same column vectors, zone maps and
 // statistics. The engine materializes a view's rows into one.
 func DetachedTable(rel *catalog.Relation, rows []Tuple) (*Table, error) {
-	db := &Database{tables: make(map[string]*Table, 1)}
+	db := &Database{index: make(tableIndex, 1)}
 	tbl := db.addTable(rel)
-	for _, row := range rows {
-		if err := db.insertLocked(tbl, row); err != nil {
-			return nil, err
-		}
+	if _, err := db.insertRowsLocked(tbl, rows, false); err != nil {
+		return nil, err
 	}
 	return tbl, nil
 }
@@ -297,32 +309,49 @@ func (db *Database) Schema() *catalog.Schema { return db.schema }
 func (db *Database) Table(name string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return tableNamed(db.tables, name)
+	return db.index.table(db.tables, name)
 }
 
-// tableNamed looks name up in tables, which are keyed by lower-case relation
-// name, without allocating the lower-case key when name is short ASCII.
-func tableNamed(tables map[string]*Table, name string) *Table {
+// tableIndex maps a lower-case relation name to its table's position in
+// schema order, the layout of a database's tables and of every snapshot's.
+type tableIndex map[string]int
+
+// table returns the table of the named relation in tables, or nil, without
+// allocating the lower-case key when name is short ASCII.
+func (ix tableIndex) table(tables []*Table, name string) *Table {
 	var buf [64]byte
+	key := ""
 	if len(name) > len(buf) {
-		return tables[strings.ToLower(name)]
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 0x80:
-			return tables[strings.ToLower(name)]
-		case 'A' <= c && c <= 'Z':
-			c += 'a' - 'A'
+		key = strings.ToLower(name)
+	} else {
+		for i := 0; i < len(name); i++ {
+			c := name[i]
+			if c >= 0x80 {
+				key = strings.ToLower(name)
+				break
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[i] = c
 		}
-		buf[i] = c
 	}
-	return tables[string(buf[:len(name)])]
+	var i int
+	var ok bool
+	if key != "" {
+		i, ok = ix[key]
+	} else {
+		i, ok = ix[string(buf[:len(name)])]
+	}
+	if !ok || i >= len(tables) {
+		return nil
+	}
+	return tables[i]
 }
 
 // tableLocked returns the table of relName; the caller holds db.mu.
 func (db *Database) tableLocked(relName string) (*Table, error) {
-	if tbl := tableNamed(db.tables, relName); tbl != nil {
+	if tbl := db.index.table(db.tables, relName); tbl != nil {
 		return tbl, nil
 	}
 	return nil, fmt.Errorf("storage: unknown relation %q", relName)
@@ -357,7 +386,7 @@ func (db *Database) writeOK() error {
 
 // Insert validates and appends a tuple to the named relation. Checks, in
 // order: arity, NOT NULL, type conformance, primary-key uniqueness, and
-// foreign-key existence. It is a one-row InsertRows whose commit waits for
+// foreign-key existence (insert.go). It is a one-row InsertRows whose commit waits for
 // the disk indefinitely.
 func (db *Database) Insert(relName string, tup Tuple) error {
 	_, err := db.InsertRows(context.Background(), relName, []Tuple{tup})
@@ -366,150 +395,14 @@ func (db *Database) Insert(relName string, tup Tuple) error {
 
 // InsertRows appends rows to the named relation in order, as one statement:
 // one WAL record on a durable database, one published version in memory. It
-// stops at the first row Insert's checks refuse and returns how many rows it
-// appended before it; those rows stay, and are logged. ctx bounds the commit's
+// checks each row as Insert would, counting the statement's earlier rows as
+// part of the table, stops at the first row refused and returns how many rows
+// it appended before it; those rows stay, and are logged. ctx bounds the commit's
 // append+fsync (see DurableOptions.SyncGrace).
 func (db *Database) InsertRows(ctx context.Context, relName string, rows []Tuple) (int, error) {
 	return db.write(ctx, relName, func(tbl *Table) (int, error) {
-		for n, tup := range rows {
-			if err := db.insertLocked(tbl, tup); err != nil {
-				return n, err
-			}
-		}
-		return len(rows), nil
+		return db.insertRowsLocked(tbl, rows, false)
 	})
-}
-
-// insertLocked is the one insert path; the caller holds db.mu.
-func (db *Database) insertLocked(tbl *Table, tup Tuple) error {
-	r := tbl.rel
-	if len(tup) != len(r.Attributes) {
-		return fmt.Errorf("storage: %s expects %d values, got %d", r.Name, len(r.Attributes), len(tup))
-	}
-	for i, a := range r.Attributes {
-		v := tup[i]
-		if v.IsNull() {
-			if a.NotNull {
-				return fmt.Errorf("storage: %s.%s is NOT NULL", r.Name, a.Name)
-			}
-			continue
-		}
-		want := value.CatalogKind(a.Type)
-		if v.Kind() != want {
-			coerced, err := value.Coerce(v, want)
-			if err != nil {
-				return fmt.Errorf("storage: %s.%s: %v", r.Name, a.Name, err)
-			}
-			tup[i] = coerced
-		}
-	}
-	var pkh uint32
-	if tbl.pkPos != nil {
-		if uint64(tbl.rows) >= math.MaxUint32 {
-			// The index stores pos+1 in 32 bits.
-			return fmt.Errorf("storage: %s is full at %d rows", r.Name, tbl.rows)
-		}
-		tbl.keyBuf = tup.AppendKey(tbl.keyBuf[:0], tbl.pkPos)
-		pkh = pkHash(tbl.keyBuf)
-		if tbl.pkFind(&tbl.pk, tbl.keyBuf, pkh) >= 0 {
-			return fmt.Errorf("storage: duplicate primary key %s in %s", tup.pkString(tbl.pkPos), r.Name)
-		}
-	}
-	for _, fk := range r.ForeignKey {
-		if err := db.checkForeignKey(r, fk, tup); err != nil {
-			return err
-		}
-	}
-	// The pk insertion mutates slots shared with frozen snapshot views, so it
-	// runs under idxMu; the new position sits at or past every frozen row
-	// count, which the snapshot-side probes filter out.
-	if tbl.pkPos != nil {
-		tbl.idxMu.Lock()
-		tbl.pk.add(pkh, tbl.rows)
-		tbl.idxMu.Unlock()
-	}
-	for i := range tbl.cols {
-		tbl.cols[i].appendVal(tup[i], tbl.rows)
-	}
-	tbl.rows++
-	// appendVal extended the zone maps and the distinct counts; sorted-dict
-	// ranks rebuild lazily on the next ranked read, so bulk loads stay linear.
-	tbl.dirty = true
-	if db.dur != nil {
-		db.dur.logInsert(r.Name, tup)
-	}
-	return nil
-}
-
-// pkString renders primary-key values for error messages.
-func (t Tuple) pkString(positions []int) string {
-	parts := make([]string, len(positions))
-	for i, p := range positions {
-		parts[i] = t[p].String()
-	}
-	return strings.Join(parts, "|")
-}
-
-// checkForeignKey refuses tup when its fk values are all non-NULL and no row
-// of the referenced relation holds them. INSERT runs it on every row, UPDATE
-// on a replacement that changes an fk attribute.
-func (db *Database) checkForeignKey(r *catalog.Relation, fk catalog.ForeignKey, tup Tuple) error {
-	ref := tableNamed(db.tables, fk.RefRelation)
-	if ref == nil {
-		return fmt.Errorf("storage: foreign key of %s references missing table %q", r.Name, fk.RefRelation)
-	}
-	for _, a := range fk.Attrs {
-		if tup[r.AttrIndex(a)].IsNull() {
-			return nil // SQL: NULL FK values are not checked
-		}
-	}
-	// Fast path: FK references the primary key — one probe of an encoded key
-	// in the referenced table's PK declaration order.
-	if ref.rel.IsPrimaryKey(fk.RefAttrs) && ref.pkPos != nil {
-		var kb [64]byte
-		key := kb[:0]
-		for _, pos := range ref.pkPos {
-			for j, ra := range fk.RefAttrs {
-				if ref.rel.AttrIndex(ra) == pos {
-					key = tup[r.AttrIndex(fk.Attrs[j])].AppendKey(key)
-				}
-			}
-		}
-		if _, ok := ref.LookupPKPos(key); !ok {
-			return fmt.Errorf("storage: foreign key violation: %s(%s) -> %s(%s) value %s not found",
-				r.Name, strings.Join(fk.Attrs, ","), fk.RefRelation, strings.Join(fk.RefAttrs, ","), fkValues(r, fk, tup))
-		}
-		return nil
-	}
-	// Slow path: scan the referenced columns.
-	keyVals := fkValues(r, fk, tup)
-	refPos := make([]int, len(fk.RefAttrs))
-	for i, a := range fk.RefAttrs {
-		refPos[i] = ref.rel.AttrIndex(a)
-	}
-	for row := 0; row < ref.rows; row++ {
-		match := true
-		for i, p := range refPos {
-			if ref.cols[p].nulls.get(row) || !ref.cols[p].value(row).Equal(keyVals[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return nil
-		}
-	}
-	return fmt.Errorf("storage: foreign key violation: %s -> %s value %s not found",
-		r.Name, fk.RefRelation, keyVals.String())
-}
-
-// fkValues returns tup's values of fk's attributes, in fk order.
-func fkValues(r *catalog.Relation, fk catalog.ForeignKey, tup Tuple) Tuple {
-	vals := make(Tuple, len(fk.Attrs))
-	for i, a := range fk.Attrs {
-		vals[i] = tup[r.AttrIndex(a)]
-	}
-	return vals
 }
 
 // write runs one statement — one mutating storage call: refuse it up front
@@ -690,6 +583,7 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 			db.dur.logUpdate(r.Name, applied)
 		}
 	}()
+	fks := db.foreignKeys(tbl)
 	old := make(Tuple, len(tbl.cols))
 	for _, i := range positions {
 		tbl.CopyRow(old, i)
@@ -712,9 +606,9 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 				repl[j] = coerced
 			}
 		}
-		for _, fk := range r.ForeignKey {
-			if fkChanged(r, fk, old, repl) {
-				if err := db.checkForeignKey(r, fk, repl); err != nil {
+		for _, fc := range fks {
+			if keyChanged(old, repl, fc.attrs) {
+				if err := fc.check(r, repl, nil, nil); err != nil {
 					return len(applied), err
 				}
 			}
@@ -742,16 +636,6 @@ func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) T
 // harmless, the write just is not skipped.
 func sameStored(a, b value.Value) bool {
 	return a.Kind() == b.Kind() && a.Equal(b)
-}
-
-// fkChanged reports whether the replacement alters an attribute of fk.
-func fkChanged(r *catalog.Relation, fk catalog.ForeignKey, old, repl Tuple) bool {
-	for _, a := range fk.Attrs {
-		if p := r.AttrIndex(a); !sameStored(old[p], repl[p]) {
-			return true
-		}
-	}
-	return false
 }
 
 // keyChanged reports whether the replacement alters the key over positions.
@@ -842,13 +726,23 @@ func (t *Table) rebuildPK() error {
 	var pk pkIndex
 	if t.pkPos != nil {
 		pk = newPKIndex(pkSlotsFor(t.rows))
+		var kb [64]byte
+		mask := pk.size - 1
 		for pos := 0; pos < t.rows; pos++ {
 			t.keyBuf = t.appendKeyAt(t.keyBuf[:0], pos, t.pkPos)
 			h := pkHash(t.keyBuf)
-			if at := t.pkFind(&pk, t.keyBuf, h); at >= 0 {
-				return fmt.Errorf("rows %d and %d share primary key %s", at, pos, t.Tuple(pos).pkString(t.pkPos))
+			// One walk of the probe sequence both looks for the key and
+			// finds the empty slot it goes in: the slots are sized for every
+			// row, so no entry moves.
+			i := int(h) & mask
+			for e := pk.at(i); e != 0; e = pk.at(i) {
+				if at := entryPos(e); entryHash(e) == h && bytes.Equal(t.appendKeyAt(kb[:0], at, t.pkPos), t.keyBuf) {
+					return fmt.Errorf("rows %d and %d share primary key %s", at, pos, t.Tuple(pos).pkString(t.pkPos))
+				}
+				i = (i + 1) & mask
 			}
-			pk.add(h, pos)
+			pk.pages[i>>pkPageShift][i&pkPageMask] = pkEntry(h, pos)
+			pk.n++
 		}
 	}
 	t.idxMu.Lock()

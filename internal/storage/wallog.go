@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -169,7 +172,9 @@ func (d *walDecoder) count(what string) int {
 	return int(n)
 }
 
-func (d *walDecoder) value() value.Value {
+// value decodes one value; borrow returns text that aliases the record
+// instead of a copy.
+func (d *walDecoder) value(borrow bool) value.Value {
 	switch k := d.byte(); k {
 	case 'n':
 		return value.NewNull()
@@ -178,7 +183,11 @@ func (d *walDecoder) value() value.Value {
 	case 'f':
 		return value.NewFloat(math.Float64frombits(d.uint64le()))
 	case 't':
-		return value.NewText(d.string())
+		if b := d.bytes(); borrow {
+			return value.NewText(unsafe.String(unsafe.SliceData(b), len(b)))
+		} else {
+			return value.NewText(string(b))
+		}
 	case 'd':
 		return value.NewDateDays(d.varint())
 	case 'B':
@@ -202,7 +211,7 @@ func (d *walDecoder) tuple() Tuple {
 	}
 	tup := make(Tuple, arity)
 	for i := range tup {
-		tup[i] = d.value()
+		tup[i] = d.value(false)
 	}
 	return tup
 }
@@ -260,30 +269,59 @@ type updatedRow struct {
 // replayBatch decodes and applies one committed WAL record body (after its
 // sequence number) through the locked write internals live DML uses; the
 // caller holds db.mu for the whole record, so nothing else writes between its
-// ops and no op publishes or commits. Any decode or apply error aborts the
-// batch — the caller keeps its partial ops out of every published version.
+// ops and no op publishes or commits. A run of consecutive inserts into one
+// table decodes into the database's reused row buffer — its text borrowed
+// from the record — and applies as one batch, which checks its rows in order
+// as the one-row inserts it logged were checked. Any decode or apply error
+// aborts the batch — the caller keeps its partial ops out of every published
+// version. ops counts the ops applied, an insert run's accepted rows
+// included.
 func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
+	run := &db.replay
+	run.reset(nil)
+	// flush applies the pending insert run; an apply error wins over a
+	// decode error that stopped the run, as it would have one op at a time.
+	flush := func() error {
+		if run.tbl == nil {
+			return nil
+		}
+		n, err := db.insertRowsLocked(run.tbl, run.tuples(), true)
+		ops += n
+		run.reset(nil)
+		return err
+	}
 	opCount := d.uvarint()
 	for i := uint64(0); i < opCount; i++ {
 		op := d.byte()
 		if d.err == nil && (op < opInsert || op > opIndexDef) {
-			return ops, fmt.Errorf("storage: wal decode: unknown op 0x%02x", op)
+			return ops, cmp.Or(flush(), fmt.Errorf("storage: wal decode: unknown op 0x%02x", op))
 		}
-		rel := d.string()
+		rel := d.bytes()
 		if d.err != nil {
-			return ops, d.err
+			return ops, cmp.Or(flush(), d.err)
 		}
-		tbl, err := db.tableLocked(rel)
+		// A run goes on while the ops name its table as the catalog does,
+		// as every logged op does.
+		if op == opInsert && run.tbl != nil && string(rel) == run.tbl.rel.Name {
+			if !run.decodeRow(d) {
+				return ops, cmp.Or(flush(), d.err)
+			}
+			continue
+		}
+		if err := flush(); err != nil {
+			return ops, err
+		}
+		tbl, err := db.tableLocked(unsafe.String(unsafe.SliceData(rel), len(rel)))
 		if err != nil {
 			return ops, err
 		}
 		switch op {
 		case opInsert:
-			tup := d.tuple()
-			if d.err != nil {
-				return ops, d.err
+			run.reset(tbl)
+			if !run.decodeRow(d) {
+				return ops, cmp.Or(flush(), d.err)
 			}
-			err = db.insertLocked(tbl, tup)
+			continue
 		case opDelete:
 			positions := make([]int, d.count("delete"))
 			pos := 0
@@ -322,5 +360,73 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 		}
 		ops++
 	}
+	if err := flush(); err != nil {
+		return ops, err
+	}
 	return ops, d.err
+}
+
+// insertRun is replay's reused row buffer: the decoded rows of one run of
+// inserts into tbl, their values laid end to end.
+type insertRun struct {
+	tbl  *Table
+	vals []value.Value
+	ends []int // row k is vals[ends[k-1]:ends[k]]
+	rows []Tuple
+}
+
+// reset empties the run and starts one into tbl (nil: no run).
+func (r *insertRun) reset(tbl *Table) {
+	r.tbl, r.vals, r.ends = tbl, r.vals[:0], r.ends[:0]
+}
+
+// release clears the buffer's values, which borrow the text of the records
+// decoded into it, once they have applied: recovery after its last record,
+// a follower after each.
+func (r *insertRun) release() {
+	clear(r.vals[:cap(r.vals)])
+	r.reset(nil)
+}
+
+// decodeRow appends one insert op's tuple, its text borrowed from the record;
+// false reports a decode error (in d.err).
+func (r *insertRun) decodeRow(d *walDecoder) bool {
+	arity := d.uvarint()
+	if d.err == nil && arity > uint64(len(d.buf)-d.off)+1 {
+		d.fail("arity %d exceeds record", arity)
+	}
+	if d.err != nil {
+		return false
+	}
+	start := len(r.vals)
+	r.vals = slices.Grow(r.vals, int(arity))[:start+int(arity)]
+	for i := start; i < len(r.vals) && d.err == nil; i++ {
+		// An INT, the common case, decodes here; any other kind (or a
+		// short record) goes through value.
+		if d.off < len(d.buf) && d.buf[d.off] == 'i' {
+			if x, n := binary.Varint(d.buf[d.off+1:]); n > 0 {
+				d.off += 1 + n
+				r.vals[i] = value.NewInt(x)
+				continue
+			}
+		}
+		r.vals[i] = d.value(true)
+	}
+	if d.err != nil {
+		r.vals = r.vals[:start]
+		return false
+	}
+	r.ends = append(r.ends, len(r.vals))
+	return true
+}
+
+// tuples returns the run's rows, sliced out of the value buffer.
+func (r *insertRun) tuples() []Tuple {
+	r.rows = r.rows[:0]
+	start := 0
+	for _, end := range r.ends {
+		r.rows = append(r.rows, r.vals[start:end:end])
+		start = end
+	}
+	return r.rows
 }

@@ -24,7 +24,7 @@ import (
 // its bounds or is NaN, since what else the zone holds is unknown. Before a
 // write returns it rescans its stale zones (rederive), so it pays for the rows
 // it touches plus the zones whose extremes it removed. Checkpoint load builds
-// every zone from scratch (buildZones).
+// every zone with the same range builder appends use (extend).
 //
 // Two encodings ride on the same maintenance:
 //
@@ -78,23 +78,77 @@ type zone struct {
 	maxS  string
 }
 
-// zoneExtend folds the just-appended row into its zone, growing the zone
-// slice (and the frame-of-reference vectors) at morsel boundaries. Called
-// with the payload and null bit already stored.
-func (c *column) zoneExtend(row int) {
-	z := row >> ZoneShift
-	if z == len(c.zones) {
-		c.zones = append(c.zones, zone{})
+// extend folds rows [lo, hi) — appended at the column's end, payloads and
+// NULL bits stored — into the derived state: the distinct counts or
+// dictionary references, then each zone the range touches, one typed pass per
+// zone, growing the zone slice (and the frame-of-reference vectors) at zone
+// boundaries. An append and a checkpoint load (over [0, n)) both build it
+// this way.
+func (c *column) extend(lo, hi int) {
+	c.retainRange(lo, hi)
+	for z := lo >> ZoneShift; z < chunksFor(hi); z++ {
+		a, b := max(lo, z<<ZoneShift), min(hi, (z+1)<<ZoneShift)
+		if z == len(c.zones) {
+			c.zones = append(c.zones, zone{})
+			if !c.forOff {
+				c.fb = append(c.fb, 0)
+				c.d8 = append(c.d8, nil)
+				c.d8Own = append(c.d8Own, c.gen) // a fresh chunk is writer-private
+			}
+		}
+		c.foldRange(&c.zones[z], a, b)
 		if !c.forOff {
-			c.fb = append(c.fb, 0)
-			c.d8 = append(c.d8, nil)
-			c.d8Own = append(c.d8Own, c.gen) // a fresh chunk is writer-private
+			c.forExtend(z, a, b)
 		}
 	}
-	c.zrows = row + 1
-	c.fold(&c.zones[z], row)
-	if !c.forOff {
-		c.forAppend(z, row)
+	c.zrows = hi
+}
+
+// foldRange folds rows [a, b) of one zone into zn in row order, as fold
+// would one row at a time, reading the zone's payload chunk directly.
+func (c *column) foldRange(zn *zone, a, b int) {
+	nulls := c.nulls.any(a, b)
+	off := a &^ ZoneMask
+	switch c.kind {
+	case value.Int, value.Date:
+		chunk := c.ints[a>>ZoneShift]
+		for r := a; r < b; r++ {
+			if nulls && c.nulls.get(r) {
+				zn.nulls++
+			} else {
+				widen(zn, &zn.minI, &zn.maxI, chunk[r-off])
+			}
+		}
+	case value.Float:
+		chunk := c.flts[a>>ZoneShift]
+		for r := a; r < b; r++ {
+			switch x := chunk[r-off]; {
+			case nulls && c.nulls.get(r):
+				zn.nulls++
+			case math.IsNaN(x):
+				zn.hasNaN = true
+			default:
+				widen(zn, &zn.minF, &zn.maxF, x)
+			}
+		}
+	case value.Text:
+		chunk, strs := c.codes[a>>ZoneShift], c.dict.strs
+		for r := a; r < b; r++ {
+			if nulls && c.nulls.get(r) {
+				zn.nulls++
+			} else {
+				widen(zn, &zn.minS, &zn.maxS, strs[chunk[r-off]])
+			}
+		}
+	case value.Bool:
+		chunk := c.bls[a>>ZoneShift]
+		for r := a; r < b; r++ {
+			if nulls && c.nulls.get(r) {
+				zn.nulls++
+			} else {
+				widen(zn, &zn.minI, &zn.maxI, b2i(chunk[r-off]))
+			}
+		}
 	}
 }
 
@@ -240,37 +294,17 @@ func (c *column) rederive(z, n int) {
 	c.fb[z], c.d8[z] = base, chunk
 }
 
-// buildZones summarizes a column's n rows from scratch — checkpoint load, the
-// one place zones are not maintained row by row.
-func (c *column) buildZones(n int) {
-	if n == 0 {
-		return
-	}
-	k := chunksFor(n)
-	c.zones, c.zrows = make([]zone, k), n
-	if !c.forOff {
-		c.fb, c.d8, c.d8Own = make([]int64, k), make([][]uint8, k), make([]uint64, k)
-	}
-	for z := range k {
-		c.rederive(z, n)
-	}
-}
-
-// forAppend extends zone z's frame-of-reference deltas with the appended row;
-// the zone's bounds already include it. A value below the base — or the
-// zone's first bounded value — rebases the zone's deltas onto it (bounded by
-// the zone size); a span past a byte drops the encoding for good.
-func (c *column) forAppend(z, row int) {
-	if c.nulls.get(row) {
-		c.d8[z] = append(c.d8[z], 0) // placeholder; never read for NULL rows
-		return
-	}
+// forExtend extends zone z's frame-of-reference deltas over rows [a, b);
+// the zone's bounds already include them. A minimum below the base — or the
+// zone's first bounded value — rebases the zone's earlier deltas onto it
+// once; a span past a byte drops the encoding for good.
+func (c *column) forExtend(z, a, b int) {
 	zn := &c.zones[z]
-	if uint64(zn.maxI-zn.minI) > 255 {
+	if zn.has && uint64(zn.maxI-zn.minI) > 255 {
 		c.forDrop()
 		return
 	}
-	if base := c.fb[z]; base != zn.minI {
+	if base := c.fb[z]; zn.has && base != zn.minI {
 		chunk := c.ownD8(z)
 		shift := uint8(base - zn.minI)
 		for i := range chunk {
@@ -278,7 +312,17 @@ func (c *column) forAppend(z, row int) {
 		}
 		c.fb[z] = zn.minI
 	}
-	c.d8[z] = append(c.d8[z], uint8(c.int(row)-zn.minI))
+	base, off := c.fb[z], a&^ZoneMask
+	chunk, payload := slices.Grow(c.d8[z], b-a), c.ints[z]
+	nulls := c.nulls.any(a, b)
+	for r := a; r < b; r++ {
+		var d uint8 // placeholder for a NULL row; never read
+		if !nulls || !c.nulls.get(r) {
+			d = uint8(payload[r-off] - base)
+		}
+		chunk = append(chunk, d)
+	}
+	c.d8[z] = chunk
 }
 
 // ownD8 returns frame-of-reference chunk z ready for an in-place write:
@@ -488,7 +532,7 @@ func (db *Database) EnableSortedDict(relName, attr string) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	tbl := tableNamed(db.tables, relName)
+	tbl := db.index.table(db.tables, relName)
 	if tbl == nil {
 		return fmt.Errorf("storage: unknown relation %q", relName)
 	}

@@ -208,11 +208,8 @@ func checkZones(t *testing.T, tbl *Table) {
 		}
 		// Whatever mix of appends, subtractions, out-of-order arrivals and
 		// rescans produced the zones, they must equal the zones of the same
-		// values appended from scratch.
-		fresh := newColumn(col.Kind(), nil)
-		for i := 0; i < n; i++ {
-			fresh.appendVal(col.Value(i), i)
-		}
+		// values rescanned from scratch, row by row.
+		fresh := rescannedColumn(col, n)
 		if !reflect.DeepEqual(fresh.zones, tbl.cols[p].zones) {
 			t.Fatalf("col %d: zones differ from a from-scratch rebuild", p)
 		}
@@ -227,6 +224,31 @@ func checkZones(t *testing.T, tbl *Table) {
 			}
 		}
 	}
+}
+
+// rescannedColumn holds col's first n values with zones built from scratch
+// by the one-row fold of the stale-zone rescan (rederive), independently of
+// the range builder appends and loads use.
+func rescannedColumn(col Col, n int) *column {
+	fresh := newColumn(col.Kind(), nil)
+	vals, rows := make([]value.Value, n), make([]Tuple, n)
+	for i := range rows {
+		vals[i] = col.Value(i)
+		rows[i] = vals[i : i+1 : i+1]
+	}
+	fresh.appendPayloads(rows, 0, 0, false)
+	k := chunksFor(n)
+	if k == 0 {
+		return &fresh
+	}
+	fresh.zones, fresh.zrows = make([]zone, k), n
+	if !fresh.forOff {
+		fresh.fb, fresh.d8, fresh.d8Own = make([]int64, k), make([][]uint8, k), make([]uint64, k)
+	}
+	for z := range k {
+		fresh.rederive(z, n)
+	}
+	return &fresh
 }
 
 // oracleStats derives every attribute's statistics from the rows alone — the
@@ -862,9 +884,31 @@ func zoneFuzzValue(p, z int, v byte) value.Value {
 }
 
 // zoneFuzzOp encodes one FuzzZoneMaintenance op: kind 0 inserts, 1 deletes
-// row pos, 2 updates row pos's column col (5: every column) to the selector v.
+// row pos, 2 updates row pos's column col (5: every column) to the selector v,
+// 3 inserts the batch zoneFuzzBatch draws from pos and v.
 func zoneFuzzOp(kind, col, pos int, v byte) []byte {
-	return []byte{byte(kind + 3*col), byte(pos >> 8), byte(pos), v}
+	return []byte{byte(kind + 4*col), byte(pos >> 8), byte(pos), v}
+}
+
+// zoneFuzzBatch is the multi-row InsertRows of FuzzZoneMaintenance's op kind
+// 3: 2 to 300 rows, by sel, of selector-drawn values for the zones they land
+// in, and a row that fails INT coercion at v%n when v%4 == 3. It returns the
+// rows and how many of them the insert must accept.
+func zoneFuzzBatch(tableRows, sel int, v byte) ([]Tuple, int) {
+	n := 2 + sel%299
+	rows := make([]Tuple, n)
+	for r := range rows {
+		rows[r] = make(Tuple, 5)
+		for p := range rows[r] {
+			rows[r][p] = zoneFuzzValue(p, (tableRows+r)>>ZoneShift, v+byte(r*(p+1)))
+		}
+	}
+	if v%4 != 3 {
+		return rows, n
+	}
+	k := int(v) % n
+	rows[k][0] = value.NewText("x")
+	return rows, k
 }
 
 // zoneView hashes everything a frozen view reads of its zones: coverage,
@@ -898,8 +942,9 @@ func zoneView(tbl *Table) uint64 {
 	return h.Sum64()
 }
 
-// FuzzZoneMaintenance applies single-row Insert, DeleteAt and UpdateAt ops to
-// a three-zone table of every kind, decoded four bytes an op. After each op
+// FuzzZoneMaintenance applies single-row Insert, DeleteAt and UpdateAt ops and
+// multi-row InsertRows ops (2 to 300 rows, some refused partway) to a
+// three-zone table of every kind, decoded four bytes an op. After each op
 // the zones must equal a from-scratch rebuild (frame-of-reference parity
 // included), the statistics the oracle's, and the version published before
 // the op must still read its old zones and bytes.
@@ -927,6 +972,10 @@ func FuzzZoneMaintenance(f *testing.F) {
 		// arrives in the zone left without one.
 		{zoneFuzzOp(2, 2, z2+5, 0), zoneFuzzOp(1, 0, z2+8, 0), zoneFuzzOp(2, 5, z2+1, 7),
 			zoneFuzzOp(2, 0, z2+5, 7), zoneFuzzOp(2, 0, z2+2, 6)},
+		// Batches: 300 rows filling the last zone and opening the next, one
+		// refused at its eighth row, a delete sliding rows back, two rows.
+		{zoneFuzzOp(3, 0, 298, 0), zoneFuzzOp(3, 0, 100, 7), zoneFuzzOp(1, 0, 4090, 0),
+			zoneFuzzOp(3, 0, 0, 2)},
 		// Everything at once, on every column.
 		{zoneFuzzOp(0, 0, 0, 1), zoneFuzzOp(2, 5, 4096, 5), zoneFuzzOp(1, 0, 3, 0),
 			zoneFuzzOp(2, 5, z2, 3), zoneFuzzOp(0, 0, 0, 6), zoneFuzzOp(1, 0, z2-1, 0)},
@@ -943,17 +992,15 @@ func FuzzZoneMaintenance(f *testing.F) {
 			in = in[:24] // six ops: every op rechecks the whole table
 		}
 		db, tbl := newZoneDB(t)
-		db.mu.Lock()
-		for r := range zoneFuzzRows {
-			if err := db.insertLocked(tbl, zoneFuzzRow(r)); err != nil {
-				db.mu.Unlock()
-				t.Fatal(err)
-			}
+		base := make([]Tuple, zoneFuzzRows)
+		for r := range base {
+			base[r] = zoneFuzzRow(r)
 		}
-		db.publishLocked(db.nextPubSeqLocked())
-		db.mu.Unlock()
+		if _, err := db.InsertRows(context.Background(), "Z", base); err != nil {
+			t.Fatal(err)
+		}
 		for ; len(in) >= 4; in = in[4:] {
-			kind, col := int(in[0])%3, int(in[0])/3%6
+			kind, col := int(in[0])%4, int(in[0])/4%6
 			pos, v := (int(in[1])<<8|int(in[2]))%tbl.Len(), in[3]
 			frozen := db.Snapshot().Table("Z")
 			before := zoneView(frozen)
@@ -976,6 +1023,14 @@ func FuzzZoneMaintenance(f *testing.F) {
 					}
 					return repl
 				})
+			case 3:
+				rows, want := zoneFuzzBatch(tbl.Len(), int(in[1])<<8|int(in[2]), v)
+				var n int
+				n, err = db.InsertRows(context.Background(), "Z", rows)
+				if n != want || (err == nil) != (want == len(rows)) {
+					t.Fatalf("batch of %d rows: %d inserted (%v), want %d", len(rows), n, err, want)
+				}
+				err = nil
 			}
 			if err != nil {
 				t.Fatal(err)
