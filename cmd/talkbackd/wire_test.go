@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -183,6 +184,86 @@ func BenchmarkX24ServeHit(b *testing.B) {
 				if rec.Code != http.StatusOK {
 					b.Fatalf("status %d: %s", rec.Code, rec.Body)
 				}
+			}
+		})
+	}
+}
+
+// replyCases are the non-SELECT replies TestReplyWireFormat pins, each sent
+// through its real handler on a fresh curated server. The 429 holds the one
+// execution slot of a queue-less valve; the 403 asks a read-only database to
+// write.
+var replyCases = []struct {
+	name string
+	code int
+	send func(tb testing.TB, s *server) *httptest.ResponseRecorder
+}{
+	{"describe_q6", http.StatusOK, func(tb testing.TB, s *server) *httptest.ResponseRecorder {
+		return post(s.guard(s.handleDescribe), "/describe", askBody(tb, sqlparser.PaperQueries["Q6"]))
+	}},
+	{"entity_actor", http.StatusOK, func(tb testing.TB, s *server) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.guard(s.handleEntity)(rec, httptest.NewRequest(http.MethodGet, "/entity?rel=ACTOR&attr=name&value=Brad%20Pitt", nil))
+		return rec
+	}},
+	{"ask_dml", http.StatusOK, func(tb testing.TB, s *server) *httptest.ResponseRecorder {
+		return post(s.guard(s.handleAsk), "/ask", askBody(tb, "insert into MOVIES (id, title, year) values (999, 'Fresh <Reel> & \"Co\"', 2026)"))
+	}},
+	{"session", http.StatusOK, func(tb testing.TB, s *server) *httptest.ResponseRecorder {
+		return post(s.handleSession, "/session", []byte(`{"session":"<s&1>\u2028","profile":""}`))
+	}},
+	{"shed_429", http.StatusTooManyRequests, func(tb testing.TB, s *server) *httptest.ResponseRecorder {
+		s.adm = core.NewAdmission(1, 0)
+		release, err := s.adm.Acquire(context.Background())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		defer release()
+		return post(s.guard(s.handleAsk), "/ask", askBody(tb, "select m.title from MOVIES m"))
+	}},
+	{"readonly_403", http.StatusForbidden, func(tb testing.TB, s *server) *httptest.ResponseRecorder {
+		s.sys.Database().SetReadOnly(true)
+		return post(s.guard(s.handleAsk), "/ask", askBody(tb, "delete from MOVIES where id = 1"))
+	}},
+}
+
+func askBody(tb testing.TB, sql string) []byte {
+	tb.Helper()
+	body, err := json.Marshal(askRequest{SQL: sql})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// post sends body to h as a POST to path and records the reply.
+func post(h http.HandlerFunc, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// TestReplyWireFormat pins the exact bytes of /describe, /entity, a DML
+// /ask, /session and two narrated refusals, as TestAskWireFormat does for
+// SELECT replies.
+func TestReplyWireFormat(t *testing.T) {
+	for _, c := range replyCases {
+		t.Run(c.name, func(t *testing.T) {
+			sys, err := buildSystem("movie", 0, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := c.send(t, testServer(sys))
+			if rec.Code != c.code {
+				t.Fatalf("status %d, want %d: %s", rec.Code, c.code, rec.Body)
+			}
+			path := filepath.Join("testdata", c.name+".golden")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+				t.Errorf("reply differs from %s:\n%s", path, got)
 			}
 		})
 	}
