@@ -741,8 +741,8 @@ func BenchmarkX27BulkInsert(b *testing.B) {
 	}
 	rows := make([]storage.Tuple, chunk)
 	tail := make([]int, chunk)
-	// A collection empties the pooled insert scratch, so every one-op
-	// reading pays for it alike.
+	// The collector's background work settles first, so the one-op reading
+	// counts the insert alone.
 	simtest.SettleAllocs()
 	b.ReportAllocs()
 	b.ResetTimer()

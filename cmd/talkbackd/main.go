@@ -410,10 +410,9 @@ func (s *server) shed(w http.ResponseWriter, ov *core.OverloadError) {
 	} else {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSONStatus(w, code, map[string]string{
-		"error":  ov.Error(),
-		"answer": querytotext.OverloadEnglish(ov.Running, ov.Waiting, ov.Limit, ov.Waited, ov.TimedOut),
-	})
+	writeFields(w, code,
+		"answer", querytotext.OverloadEnglish(ov.Running, ov.Waiting, ov.Limit, ov.Waited, ov.TimedOut),
+		"error", ov.Error())
 }
 
 // queryError answers a failed query. Budget cancellations — deadline, client
@@ -423,10 +422,9 @@ func (s *server) queryError(w http.ResponseWriter, err error) {
 	if errors.Is(err, storage.ErrReadOnlyReplica) {
 		// DML on a follower: a role violation, not a malformed query — 403
 		// with the refusal narrated and the fix (ask the primary) named.
-		writeJSONStatus(w, http.StatusForbidden, map[string]string{
-			"error":  err.Error(),
-			"answer": querytotext.ReadOnlyEnglish(),
-		})
+		writeFields(w, http.StatusForbidden,
+			"answer", querytotext.ReadOnlyEnglish(),
+			"error", err.Error())
 		return
 	}
 	var ce *engine.CancelError
@@ -442,10 +440,9 @@ func (s *server) queryError(w http.ResponseWriter, err error) {
 	case engine.CauseWALStall:
 		code = http.StatusServiceUnavailable
 	}
-	writeJSONStatus(w, code, map[string]string{
-		"error":  err.Error(),
-		"answer": querytotext.CancelEnglish(ce),
-	})
+	writeFields(w, code,
+		"answer", querytotext.CancelEnglish(ce),
+		"error", err.Error())
 }
 
 // askRequest is the body of POST /ask and POST /describe. Query responses
@@ -453,30 +450,6 @@ func (s *server) queryError(w http.ResponseWriter, err error) {
 // personalize the narration endpoints (GET /entity).
 type askRequest struct {
 	SQL string `json:"sql"`
-}
-
-// translationJSON flattens a querytotext.Translation.
-type translationJSON struct {
-	Text        string   `json:"text"`
-	Category    string   `json:"category,omitempty"`
-	Subtype     string   `json:"subtype,omitempty"`
-	Declarative bool     `json:"declarative"`
-	Notes       []string `json:"notes,omitempty"`
-}
-
-type askResponse struct {
-	Verification *translationJSON `json:"verification,omitempty"`
-	Columns      []string         `json:"columns,omitempty"`
-	// Rows render SQL NULL as JSON null, distinct from the empty string.
-	Rows     [][]*string `json:"rows,omitempty"`
-	RowCount int         `json:"row_count"`
-	Affected int         `json:"affected,omitempty"`
-	Answer   string      `json:"answer"`
-	Feedback string      `json:"feedback,omitempty"`
-	// Plan is the fingerprint of the query plan that produced the answer
-	// (cached responses report the plan that originally produced them);
-	// POST /explain returns the full structured plan.
-	Plan string `json:"plan,omitempty"`
 }
 
 func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
@@ -495,35 +468,6 @@ func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, resp.Wire(encodeAsk))
 }
 
-// encodeAsk renders resp as the /ask reply body.
-func encodeAsk(resp *core.Response) []byte {
-	out := askResponse{
-		Verification: translationOut(resp.Verification),
-		Affected:     resp.Affected,
-		Answer:       resp.Answer,
-		Feedback:     resp.Feedback,
-	}
-	if resp.Plan != nil {
-		out.Plan = resp.Plan.Fingerprint
-	}
-	if resp.Result != nil {
-		out.Columns = resp.Result.Columns
-		out.RowCount = len(resp.Result.Rows)
-		out.Rows = make([][]*string, len(resp.Result.Rows))
-		for i, row := range resp.Result.Rows {
-			cells := make([]*string, len(row))
-			for j, v := range row {
-				if !v.IsNull() {
-					s := v.String()
-					cells[j] = &s
-				}
-			}
-			out.Rows[i] = cells
-		}
-	}
-	return encodeJSON(out)
-}
-
 func (s *server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	var req askRequest
 	if !s.decodeBody(w, r, &req) {
@@ -534,7 +478,7 @@ func (s *server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, translationOut(tr))
+	writeBody(w, http.StatusOK, encodeTranslation(tr))
 }
 
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -554,11 +498,11 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]string{
-		"name":      s.sys.Database().Schema().Name,
-		"ddl":       s.sys.Database().Schema().String(),
-		"narrative": s.sys.DescribeSchema(),
-	})
+	sch := s.sys.Database().Schema()
+	writeFields(w, http.StatusOK,
+		"ddl", sch.String(),
+		"name", sch.Name,
+		"narrative", s.sys.DescribeSchema())
 }
 
 func (s *server) handleEntity(w http.ResponseWriter, r *http.Request) {
@@ -588,7 +532,7 @@ func (s *server) handleEntity(w http.ResponseWriter, r *http.Request) {
 		s.queryError(w, err)
 		return
 	}
-	writeJSON(w, map[string]string{"narrative": text})
+	writeFields(w, http.StatusOK, "narrative", text)
 }
 
 // sessionRequest is the body of POST /session.
@@ -624,7 +568,7 @@ func (s *server) handleSession(w http.ResponseWriter, r *http.Request) {
 		s.sessions[req.Session] = req.Profile
 	}
 	s.mu.Unlock()
-	writeJSON(w, map[string]string{"session": req.Session, "profile": req.Profile})
+	writeFields(w, http.StatusOK, "profile", req.Profile, "session", req.Session)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -716,19 +660,6 @@ func (s *server) profileOf(session string) string {
 	return s.sessions[session]
 }
 
-func translationOut(tr *talkback.Translation) *translationJSON {
-	if tr == nil {
-		return nil
-	}
-	return &translationJSON{
-		Text:        tr.Text,
-		Category:    tr.Class.Category.String(),
-		Subtype:     tr.Class.Subtype.String(),
-		Declarative: tr.Declarative,
-		Notes:       tr.Notes,
-	}
-}
-
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err := dec.Decode(into); err != nil {
@@ -736,10 +667,9 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bo
 		if errors.As(err, &tooBig) {
 			// An oversized body is a client asking too much, not a malformed
 			// request: 413, narrated like every other refusal.
-			writeJSONStatus(w, http.StatusRequestEntityTooLarge, map[string]string{
-				"error":  err.Error(),
-				"answer": querytotext.BodyLimitEnglish(tooBig.Limit),
-			})
+			writeFields(w, http.StatusRequestEntityTooLarge,
+				"answer", querytotext.BodyLimitEnglish(tooBig.Limit),
+				"error", err.Error())
 			return false
 		}
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
@@ -748,9 +678,11 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bo
 	return true
 }
 
-// encodeJSON renders v as every JSON reply but httpError's: indented by two
-// spaces, HTML-escaped, with a trailing newline. The slice is exactly the
-// reply's length, since a cached /ask reply is held as long as its entry.
+// encodeJSON renders v as json.MarshalIndent does, with a trailing newline.
+// Only /stats and /explain use it: their bodies are open maps and planner
+// structs. Every other reply has a fixed shape and is written, to the same
+// bytes, by the writer in wire.go; httpError's compact {"error": ...} is the
+// one exception to both.
 func encodeJSON(v any) []byte {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -763,10 +695,12 @@ func encodeJSON(v any) []byte {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
+func writeJSON(w http.ResponseWriter, v any) { writeBody(w, http.StatusOK, encodeJSON(v)) }
 
-// writeJSONStatus is writeJSON with a non-200 status line.
-func writeJSONStatus(w http.ResponseWriter, code int, v any) { writeBody(w, code, encodeJSON(v)) }
+// writeFields sends a flat JSON object of string members (encodeFields).
+func writeFields(w http.ResponseWriter, code int, kv ...string) {
+	writeBody(w, code, encodeFields(kv...))
+}
 
 // writeBody sends an encoded JSON reply.
 func writeBody(w http.ResponseWriter, code int, body []byte) {

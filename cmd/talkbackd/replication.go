@@ -115,19 +115,17 @@ func (s *server) refuseStale(w http.ResponseWriter) bool {
 	st := s.repl.follower.Status()
 	if st.Quarantined {
 		w.Header().Set("Retry-After", "5")
-		writeJSONStatus(w, http.StatusServiceUnavailable, map[string]string{
-			"error":  "follower quarantined: " + st.QuarantineReason,
-			"answer": querytotext.QuarantineEnglish(st.QuarantineSeq, st.QuarantineReason),
-		})
+		writeFields(w, http.StatusServiceUnavailable,
+			"answer", querytotext.QuarantineEnglish(st.QuarantineSeq, st.QuarantineReason),
+			"error", "follower quarantined: "+st.QuarantineReason)
 		return true
 	}
 	if st.Lag > s.repl.maxLag {
 		w.Header().Set("Retry-After", "1")
-		writeJSONStatus(w, http.StatusServiceUnavailable, map[string]string{
-			"error": fmt.Sprintf("follower lag %d exceeds -max-lag %d", st.Lag, s.repl.maxLag),
-			"answer": querytotext.FollowerLagEnglish(st.Lag, s.repl.maxLag) + " " +
+		writeFields(w, http.StatusServiceUnavailable,
+			"answer", querytotext.FollowerLagEnglish(st.Lag, s.repl.maxLag)+" "+
 				querytotext.CatchupEnglish(&st.Catchup),
-		})
+			"error", fmt.Sprintf("follower lag %d exceeds -max-lag %d", st.Lag, s.repl.maxLag))
 		return true
 	}
 	return false

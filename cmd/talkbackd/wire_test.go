@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/simtest"
 	"repro/internal/sqlparser"
+	"repro/internal/value"
 )
 
 // testServer is a server over sys with talkbackd's default limits.
@@ -35,12 +37,7 @@ func testServer(sys *core.System) *server {
 // reply's status and body.
 func askBytes(tb testing.TB, h http.HandlerFunc, sql string) (int, []byte) {
 	tb.Helper()
-	body, err := json.Marshal(askRequest{SQL: sql})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	h(rec, httptest.NewRequest(http.MethodPost, "/ask", bytes.NewReader(body)))
+	rec := post(h, "/ask", askBody(tb, sql))
 	return rec.Code, rec.Body.Bytes()
 }
 
@@ -264,6 +261,64 @@ func TestReplyWireFormat(t *testing.T) {
 			}
 			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
 				t.Errorf("reply differs from %s:\n%s", path, got)
+			}
+		})
+	}
+}
+
+// BenchmarkX28EncodeReply is talkbackd's encode layer on the cold path: one
+// reply written from an answer already in hand, on a generated 2 000-movie
+// database. ask-large is the cold cycle's large answer (every role cast in
+// forty-one movies, explained), ask-dml an UPDATE's reply, describe a
+// two-table /describe and entity an ACTOR /entity. Its allocations are
+// gated. Before the clock starts, the reply scratch pool is primed with
+// buffers any P can take, so a one-op reading counts the encode and not a
+// pool miss after the goroutine changes P, and the collector's background
+// work settles (as in X24).
+func BenchmarkX28EncodeReply(b *testing.B) {
+	sys, err := buildSystem("movie", 2000, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	large, err := sys.Ask("select c.role from CAST c where c.mid between 100 and 140")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(large.Result.Rows) <= 100 || large.Feedback == "" {
+		b.Fatalf("ask-large: %d rows, feedback %q", len(large.Result.Rows), large.Feedback)
+	}
+	dml, err := sys.Ask("update MOVIES set year = 2001 where id = 7")
+	if err != nil || dml.Affected != 1 {
+		b.Fatalf("ask-dml: %v, %d affected", err, dml.Affected)
+	}
+	tr, err := sys.DescribeQuery("select m.title from MOVIES m, DIRECTED d where m.id = d.mid and d.did = 7 and m.year > 1990 and m.id > 300")
+	if err != nil {
+		b.Fatal(err)
+	}
+	narrative, err := sys.DescribeEntityAsContext(context.Background(), "", "ACTOR", "id", value.NewInt(1))
+	if err != nil || !strings.Contains(narrative, "plays in") {
+		b.Fatalf("entity: %v: %q", err, narrative)
+	}
+	for _, c := range []struct {
+		name   string
+		encode func() []byte
+	}{
+		{"ask-large", func() []byte { return encodeAsk(large) }},
+		{"ask-dml", func() []byte { return encodeAsk(dml) }},
+		{"describe", func() []byte { return encodeTranslation(tr) }},
+		{"entity", func() []byte { return encodeFields("narrative", narrative) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < 2*runtime.GOMAXPROCS(0); i++ {
+				buf := make([]byte, 0, 64<<10)
+				scratch.Put(&buf)
+			}
+			simtest.SettleAllocs()
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.encode())))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.encode()
 			}
 		})
 	}

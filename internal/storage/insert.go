@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/value"
@@ -176,7 +175,8 @@ func (t Tuple) pkString(positions []int) string {
 // batchKeys indexes the primary keys of a statement's accepted rows: their
 // hashes, and an open-addressed table of row numbers over them, probed like
 // the primary key's own — a candidate is confirmed by re-encoding its row's
-// key. It is a statement's scratch, drawn from batchPool.
+// key. It is a statement's scratch: the database's own (Database.batch),
+// reused from statement to statement under db.mu.
 type batchKeys struct {
 	hashes []uint32
 	// at is where each row's probe of the primary key ended, the slot its
@@ -185,15 +185,19 @@ type batchKeys struct {
 	slots []uint32 // row+1, 0 for empty
 }
 
-// batchPool holds batchKeys between statements; the collector empties it, so
-// no table keeps a bulk load's scratch.
-var batchPool = sync.Pool{New: func() any { return new(batchKeys) }}
+// batchKeep is the most rows whose scratch a database keeps after a
+// statement (about 20 bytes a row): a bulk load's is dropped with it.
+const batchKeep = 1 << 14
 
-// reset empties the index for a statement of n rows; a one-row statement
-// keeps no table, having no earlier rows to probe, and neither does a table
-// without a primary key.
+// reset empties the index for a statement of n rows, with room for all of
+// them; a one-row statement keeps no table, having no earlier rows to probe,
+// and neither does a table without a primary key.
 func (b *batchKeys) reset(n int, keyed bool) {
-	b.hashes, b.at = b.hashes[:0], b.at[:0]
+	if cap(b.hashes) < n {
+		b.hashes, b.at = make([]uint32, 0, n), make([]int32, 0, n)
+	} else {
+		b.hashes, b.at = b.hashes[:0], b.at[:0]
+	}
 	size := 0
 	if n > 1 && keyed {
 		size = pkSlotsFor(n)
@@ -246,8 +250,7 @@ func (b *batchKeys) add(h uint32, at int) {
 // would log them. borrowed marks TEXT values that alias a buffer the caller
 // reuses (a WAL record): the dictionary copies a string it keeps.
 func (db *Database) insertRowsLocked(tbl *Table, rows []Tuple, borrowed bool) (int, error) {
-	b := batchPool.Get().(*batchKeys)
-	defer batchPool.Put(b)
+	b := &db.batch
 	n, err := db.checkRows(tbl, rows, b)
 	if n > 0 {
 		tbl.appendRows(rows[:n], b, borrowed)
@@ -256,6 +259,9 @@ func (db *Database) insertRowsLocked(tbl *Table, rows []Tuple, borrowed bool) (i
 				db.dur.logInsert(tbl.rel.Name, tup)
 			}
 		}
+	}
+	if cap(b.hashes) > batchKeep {
+		*b = batchKeys{}
 	}
 	return n, err
 }

@@ -249,6 +249,8 @@ type Database struct {
 	copied atomic.Uint64
 	// replay is replayBatch's reused row buffer, guarded by db.mu.
 	replay insertRun
+	// batch is insertRowsLocked's primary-key scratch, guarded by db.mu.
+	batch batchKeys
 }
 
 // NewDatabase creates empty tables for every relation in the schema.

@@ -185,6 +185,27 @@ func (v Value) String() string {
 	}
 }
 
+// AppendString appends String's text to buf, without allocating for any
+// known kind.
+func (v Value) AppendString(buf []byte) []byte {
+	switch v.kind {
+	case Null:
+		return append(buf, "NULL"...)
+	case Int:
+		return strconv.AppendInt(buf, v.i, 10)
+	case Float:
+		return strconv.AppendFloat(buf, v.f, 'g', -1, 64)
+	case Text:
+		return append(buf, v.s...)
+	case Date:
+		return v.Date().AppendFormat(buf, "2006-01-02")
+	case Bool:
+		return strconv.AppendBool(buf, v.i != 0)
+	default:
+		return fmt.Appendf(buf, "Value(%d)", int(v.kind))
+	}
+}
+
 // SQL renders the value as a SQL literal.
 func (v Value) SQL() string {
 	switch v.kind {

@@ -56,13 +56,20 @@ func TestString(t *testing.T) {
 		{NewNull(), "NULL"},
 		{NewInt(-4), "-4"},
 		{NewFloat(1.5), "1.5"},
+		{NewFloat(-2e21), "-2e+21"},
+		{NewInt(9223372036854775807), "9223372036854775807"},
 		{NewText("Brad Pitt"), "Brad Pitt"},
 		{NewBool(false), "false"},
+		{NewBool(true), "true"},
+		{Value{kind: Kind(42)}, "Value(42)"},
 		{NewDate(time.Date(1935, 12, 1, 0, 0, 0, 0, time.UTC)), "1935-12-01"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%v) = %q, want %q", c.v.Kind(), got, c.want)
+		}
+		if got := string(c.v.AppendString([]byte("x"))); got != "x"+c.want {
+			t.Errorf("AppendString(%v) = %q, want %q", c.v.Kind(), got, "x"+c.want)
 		}
 	}
 }
