@@ -1455,9 +1455,11 @@ func BenchmarkX20Replication(b *testing.B) {
 // the chunks a published snapshot shares, the row's values subtracted from
 // and folded into its zones — not a pass over the table. Allocs and bytes are gated in cmd/benchgate/ceilings.json; one
 // warm-up op runs off the clock so -benchtime=1x measures the steady state.
+// Each shape also reports the WAL bytes its statements log per op (logB/op,
+// the log's growth in DurabilityStats; the log never checkpoints here).
 func BenchmarkX21KeyedDML(b *testing.B) {
 	const rows = 20_000
-	build := func(b *testing.B) *core.System {
+	build := func(b *testing.B) (*core.System, *storage.Database) {
 		b.Helper()
 		gen := dataset.DefaultGenConfig()
 		gen.Movies = rows
@@ -1472,7 +1474,15 @@ func BenchmarkX21KeyedDML(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return sys
+		return sys, db
+	}
+	walBytes := func(b *testing.B, db *storage.Database) int64 {
+		b.Helper()
+		st, ok := db.DurabilityStats()
+		if !ok {
+			b.Fatal("the database is not durable")
+		}
+		return st.WALBytes
 	}
 	ask := func(b *testing.B, sys *core.System, want int, sql string) {
 		b.Helper()
@@ -1507,14 +1517,17 @@ func BenchmarkX21KeyedDML(b *testing.B) {
 		}},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			sys := build(b)
+			sys, db := build(b)
 			shape.op(b, sys, 0)
 			shape.op(b, sys, 1)
+			logged := walBytes(b, db)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				shape.op(b, sys, i+2)
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(walBytes(b, db)-logged)/float64(b.N), "logB/op")
 		})
 	}
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -125,10 +127,12 @@ func (ex *Engine) execInsert(stmt *sqlparser.InsertStmt) (int, error) {
 //
 // The WHERE is resolved to row positions before any row mutates (see
 // dmlPositions): a budget trip or an evaluation error there returns with the
-// table untouched. Past that point the statement commits what it applied: a
-// constraint failure stops it at that row with the earlier rows updated and
-// logged, and a row whose SET expression fails is left as it was while the
-// rest are updated.
+// table untouched. Each SET expression is then evaluated once per matched
+// row, over one reused scratch row, into one run of new values per set
+// attribute, and the runs apply with one UpdateAt. Past that point the
+// statement commits what it applied: a constraint failure stops it at that
+// row with the earlier rows updated and logged, and a row whose SET
+// expression fails is left as it was while the rest are updated.
 func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 	tbl := ex.db.Table(stmt.Relation)
 	if tbl == nil {
@@ -153,8 +157,8 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 	// The SET expressions compile over the WHERE's single-table plan, whose
 	// row layout is the tuple's. A subquery among them reads the database as
 	// it stood before the statement, as SQL specifies: from the version
-	// pinned here, never the live tables, whose write lock the apply below
-	// holds. A SET without one pins nothing.
+	// pinned here, never the live tables, which the apply below writes. A SET
+	// without one pins nothing.
 	setPQ := pq
 	for _, a := range stmt.Set {
 		if len(sqlparser.Subqueries(a.Value)) > 0 {
@@ -169,32 +173,71 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 	for i, a := range stmt.Set {
 		set[i] = compile(a.Value)
 	}
-	var evalErr error
-	// One context and one value scratch serve every row: evaluation never
-	// retains them.
+
+	// The set attributes in ascending order, and the run each SET item
+	// writes: a later SET of one attribute overwrites an earlier one, as
+	// assignments in SET order do.
+	ints := make([]int, 2*len(setPos))
+	attrs, runOf := ints[:len(setPos)], ints[len(setPos):]
+	copy(attrs, setPos)
+	slices.Sort(attrs)
+	attrs = slices.Compact(attrs)
+	for i, p := range setPos {
+		runOf[i], _ = slices.BinarySearch(attrs, p)
+	}
+	n := len(positions)
+	vals := make([]value.Value, len(attrs)*n)
+	// One context, one scratch row and one value scratch serve every row:
+	// evaluation never retains them.
 	ec := setPQ.newCtx()
-	newVals := make([]value.Value, len(stmt.Set))
-	apply := func(tup storage.Tuple) storage.Tuple {
+	scratch := make([]value.Value, len(rel.Attributes)+len(set))
+	row, newVals := storage.Tuple(scratch[:len(rel.Attributes)]), scratch[len(rel.Attributes):]
+	type evalFail struct {
+		k   int
+		err error
+	}
+	var fails []evalFail
+	for k, p := range positions {
+		tbl.CopyRow(row, p)
 		// Evaluate all RHS before assigning, per SQL simultaneous-update
 		// semantics (sal = sal * 2 uses the old sal).
+		var evalErr error
 		for i, ev := range set {
-			v, err := ev(ec, tup)
-			if err != nil {
-				evalErr = err
-				return tup // this row stays as it is; the statement goes on
+			if newVals[i], evalErr = ev(ec, row); evalErr != nil {
+				break
 			}
-			newVals[i] = v
 		}
-		for i, p := range setPos {
-			tup[p] = newVals[i]
+		if evalErr != nil {
+			// This row stays as it is: its runs hold its stored values, and
+			// the statement goes on.
+			fails = append(fails, evalFail{k, evalErr})
+			for c, a := range attrs {
+				vals[c*n+k] = row[a]
+			}
+			continue
 		}
-		return tup
+		for i, v := range newVals {
+			vals[runOf[i]*n+k] = v
+		}
 	}
-	n, err := ex.db.UpdateAt(ex.bud.Context(), rel.Name, positions, apply)
-	if evalErr != nil {
-		return n, evalErr
+	applied, err := ex.db.UpdateAt(ex.bud.Context(), rel.Name, positions, attrs, vals)
+	// An evaluation error is reported over a constraint failure, as when
+	// each row's SET was evaluated as the check reached it: the last one
+	// among the rows the check reached — the applied rows and the one
+	// refused, or none when the statement was refused before its first row.
+	reached := n
+	if applied < n {
+		reached = applied + 1
+		if errors.Is(err, storage.ErrReadOnlyReplica) || errors.Is(err, storage.ErrWALFailed) {
+			reached = 0
+		}
 	}
-	return n, err
+	for i := len(fails) - 1; i >= 0; i-- {
+		if fails[i].k < reached {
+			return applied, fails[i].err
+		}
+	}
+	return applied, err
 }
 
 // execDelete runs DELETE FROM ... WHERE as one storage call (see

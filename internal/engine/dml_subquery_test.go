@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/storage"
 )
 
 // execWithin runs sql on ex and fails the test if it has not returned within
@@ -122,6 +124,51 @@ func TestInsertValuesSubqueryReadsPreStatement(t *testing.T) {
 		}
 		if got := fmt.Sprint(res.Rows); got != "[(1006, a)]" {
 			t.Fatalf("oracle=%v: inserted directors %s, want [(1006, a)]", oracle, got)
+		}
+	}
+}
+
+// TestUpdateErrorOrder pins which error an UPDATE reports when one row's SET
+// fails to evaluate and another row is refused by a constraint: the
+// evaluation error when its row comes no later than the refused one (the
+// statement reached it), the refusal when the failing row comes after it. A
+// row whose SET fails stays as it was. The interpreter agrees.
+func TestUpdateErrorOrder(t *testing.T) {
+	for _, tc := range []struct {
+		sql     string
+		n       int
+		err     string
+		ageOfE1 int64
+	}{
+		// Row eid 1 fails to evaluate and stays; row eid 2's new key 5
+		// belongs to row eid 5.
+		{"update EMP e set eid = 5, age = 1 / (e.eid - 1)", 1, "engine: division by zero", 52},
+		// Row eid 1's new key is refused before row eid 4 fails.
+		{"update EMP e set eid = 5, age = 1 / (e.eid - 4)", 0, "storage: duplicate primary key 5 in EMP", 52},
+		// No refusal: every row but eid 1 updates.
+		{"update EMP e set age = 1 / (e.eid - 1)", 6, "engine: division by zero", 52},
+	} {
+		for _, oracle := range []bool{false, true} {
+			db, err := dataset.CuratedEmpDept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := New(db)
+			ex.useOracle(oracle)
+			n, err := execWithin(t, ex, tc.sql)
+			if n != tc.n || fmt.Sprint(err) != tc.err {
+				t.Errorf("oracle=%v %s: %d, %v; want %d, %s", oracle, tc.sql, n, err, tc.n, tc.err)
+			}
+			res, qerr := ex.Query("select e.age from EMP e where e.eid = 1")
+			if qerr != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != tc.ageOfE1 {
+				t.Errorf("oracle=%v %s: row eid 1 reads %v (%v), want age %d", oracle, tc.sql, res, qerr, tc.ageOfE1)
+			}
+			// A follower refuses the statement before its first row: the
+			// refusal, not the evaluation error, is reported.
+			db.SetReadOnly(true)
+			if n, err := execWithin(t, ex, tc.sql); n != 0 || !errors.Is(err, storage.ErrReadOnlyReplica) {
+				t.Errorf("oracle=%v %s on a follower: %d, %v", oracle, tc.sql, n, err)
+			}
 		}
 	}
 }

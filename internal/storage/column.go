@@ -113,7 +113,7 @@ type dict struct {
 	codeMu *sync.RWMutex
 	// refs[c] counts live rows holding code c; live counts codes with
 	// refs > 0 — the column's distinct count. Maintained by the writer paths
-	// through retainRow/releaseRow (stats.go).
+	// (retainRange and releaseRow in stats.go, setRun in update.go).
 	refs []int32
 	live int
 	// held marks codeMu as held by the writer across a statement's append
@@ -135,18 +135,6 @@ type dict struct {
 // newDict returns an empty dictionary.
 func newDict() *dict {
 	return &dict{code: make(map[string]uint32), codeMu: &sync.RWMutex{}}
-}
-
-// intern returns the code for s, assigning the next one on first sight. Only
-// the writer calls it: the writer alone mutates the code map, so its lookup
-// takes no lock, and only an insertion excludes snapshot readers.
-func (d *dict) intern(s string) uint32 {
-	if c, ok := d.code[s]; ok {
-		return c
-	}
-	d.codeMu.Lock()
-	defer d.codeMu.Unlock()
-	return d.add(s)
 }
 
 // add assigns the next code to s, which the dictionary does not hold; the
@@ -405,50 +393,6 @@ func (c *column) int(i int) int64   { return c.ints[i>>ZoneShift][i&ZoneMask] }
 func (c *column) flt(i int) float64 { return c.flts[i>>ZoneShift][i&ZoneMask] }
 func (c *column) code(i int) uint32 { return c.codes[i>>ZoneShift][i&ZoneMask] }
 func (c *column) bl(i int) bool     { return c.bls[i>>ZoneShift][i&ZoneMask] }
-
-// setVal overwrites position i (Update path; v is coerced or NULL), cloning
-// the one chunk it writes if a frozen view still shares it. The old value
-// leaves row i's zone and the new one arrives in it.
-func (c *column) setVal(i int, v value.Value) {
-	null := v.IsNull()
-	c.releaseRow(i) // the old value loses this row
-	c.unfold(i)
-	c.nulls.set(i, null)
-	if !null && v.Kind() != c.kind {
-		panic(fmt.Sprintf("storage: %s value stored into %s column", v.Kind(), c.kind))
-	}
-	z, off := i>>ZoneShift, i&ZoneMask
-	switch c.kind {
-	case value.Int:
-		var x int64
-		if !null {
-			x = v.Int()
-		}
-		ownChunk(c, &c.ints, z)[off] = x
-	case value.Date:
-		var x int64
-		if !null {
-			x = v.DateDays()
-		}
-		ownChunk(c, &c.ints, z)[off] = x
-	case value.Float:
-		var x float64
-		if !null {
-			x = v.Float()
-		}
-		ownChunk(c, &c.flts, z)[off] = x
-	case value.Text:
-		var x uint32
-		if !null {
-			x = c.dict.intern(v.Text())
-		}
-		ownChunk(c, &c.codes, z)[off] = x
-	case value.Bool:
-		ownChunk(c, &c.bls, z)[off] = !null && v.Bool()
-	}
-	c.retainRow(i)
-	c.arrive(i)
-}
 
 // ownChunks makes the payload and frame-of-reference chunks [z0, z1) private
 // to the writer — what a Delete does for the chunks its compaction rewrites

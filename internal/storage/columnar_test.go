@@ -317,21 +317,18 @@ func TestPositionalDMLDifferentialFuzz(t *testing.T) {
 						oracle[p] = repl
 						want++
 					}
-					// fn draws fresh ids from nextID: replay the draw the
-					// oracle made so storage sees the same replacements.
-					next := 0
-					replay := func(Tuple) Tuple { next++; return oracle[positions[next-1]].Clone() }
-					if wantErr {
-						failing := fn(oracle[positions[want]].Clone())
-						replay = func(Tuple) Tuple {
-							next++
-							if next-1 == want {
-								return failing
-							}
-							return oracle[positions[next-1]].Clone()
-						}
+					// fn draws fresh ids from nextID: storage gets the
+					// replacements the oracle drew, and the rows past a
+					// refused one as they are.
+					repls := make([]Tuple, len(positions))
+					for k, p := range positions {
+						repls[k] = oracle[p].Clone()
 					}
-					n, err := db.UpdateAt(context.Background(), "T", positions, replay)
+					if wantErr {
+						repls[want] = fn(oracle[positions[want]].Clone())
+					}
+					attrs, vals := wholeRows(len(db.Table("T").Relation().Attributes), repls)
+					n, err := db.UpdateAt(context.Background(), "T", positions, attrs, vals)
 					if n != want || (err != nil) != wantErr {
 						t.Fatalf("%s: UpdateAt(%v) = %d, %v; oracle %d, refused=%v", step, positions, n, err, want, wantErr)
 					}

@@ -202,11 +202,17 @@ func (r *cowRun) insert(label string) {
 // update replaces the rows at positions with repls, in one statement.
 func (r *cowRun) update(label string, positions []int, repls []storage.Tuple) {
 	r.stmt(label, func() {
-		k := 0
-		n, err := r.db.UpdateAt(context.Background(), "T", positions, func(storage.Tuple) storage.Tuple {
-			k++
-			return repls[k-1].Clone()
-		})
+		// Every attribute is set, a run of the replacements' values each.
+		width := len(repls[0])
+		attrs := make([]int, width)
+		vals := make([]value.Value, 0, width*len(repls))
+		for j := range attrs {
+			attrs[j] = j
+			for _, repl := range repls {
+				vals = append(vals, repl[j])
+			}
+		}
+		n, err := r.db.UpdateAt(context.Background(), "T", positions, attrs, vals)
 		if err != nil || n != len(positions) {
 			r.t.Fatalf("%s: n=%d err=%v", label, n, err)
 		}

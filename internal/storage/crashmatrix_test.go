@@ -30,9 +30,9 @@ type matrixStep struct {
 // stay in narrow ranges so the frame-of-reference encoding stays active
 // through checkpoints, and several statements fail on purpose (duplicate
 // keys on single- and multi-row INSERT and on UPDATE) to exercise the
-// no-op-commits-nothing and the partial-apply paths. Keyed statements go
-// through UpdateAt / DeleteAt, and every logged UPDATE and DELETE replays
-// through them.
+// no-op-commits-nothing and the partial-apply paths; a multi-row column
+// UpdateAt trips NOT NULL midway. Keyed statements go through UpdateAt /
+// DeleteAt, and every logged UPDATE and DELETE replays through them.
 func matrixWorkload(rng *rand.Rand) []matrixStep {
 	var steps []matrixStep
 	add := func(f func(t testing.TB, db *Database)) {
@@ -171,10 +171,7 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 			}
 			add(func(t testing.TB, db *Database) {
 				if at := at(db); at >= 0 {
-					if n, err := db.UpdateAt(context.Background(), "MOVIES", []int{at}, func(tup Tuple) Tuple {
-						tup[2] = value.NewInt(year)
-						return tup
-					}); err != nil || n != 1 {
+					if n, err := db.UpdateAt(context.Background(), "MOVIES", []int{at}, []int{2}, []value.Value{value.NewInt(year)}); err != nil || n != 1 {
 						t.Fatalf("keyed update: n=%d err=%v", n, err)
 					}
 				}
@@ -195,12 +192,34 @@ func matrixWorkload(rng *rand.Rand) []matrixStep {
 					return
 				}
 				at := pick % (rows - 1)
-				n, err := db.UpdateAt(context.Background(), "MOVIES", []int{at, at + 1}, func(tup Tuple) Tuple {
-					tup[0] = value.NewInt(fresh)
-					return tup
-				})
+				n, err := db.UpdateAt(context.Background(), "MOVIES", []int{at, at + 1}, []int{0},
+					[]value.Value{value.NewInt(fresh), value.NewInt(fresh)})
 				if n != 1 || err == nil {
 					t.Fatalf("re-key onto one id: n=%d err=%v", n, err)
+				}
+			})
+		}
+		if i%10 == 9 {
+			// Names and birth dates of every other director, a column at a
+			// time; a NULL name at the third row stops the statement there,
+			// with the two rows before it updated and logged. It draws
+			// nothing from rng, so the rest of the workload stays as seeded.
+			day := int64(i)
+			add(func(t testing.TB, db *Database) {
+				var positions []int
+				for p := 0; p < db.Table("DIRECTOR").Len(); p += 2 {
+					positions = append(positions, p)
+				}
+				n := len(positions)
+				vals := make([]value.Value, 2*n)
+				for k := range positions {
+					vals[k] = value.NewText(fmt.Sprintf("col-%d", k))
+					vals[n+k] = value.NewDateDays(day + int64(k))
+				}
+				vals[2] = value.NewNull()
+				got, err := db.UpdateAt(context.Background(), "DIRECTOR", positions, []int{1, 2}, vals)
+				if got != 2 || err == nil {
+					t.Fatalf("column update tripping NOT NULL at its third row: n=%d err=%v", got, err)
 				}
 			})
 		}

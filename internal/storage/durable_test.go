@@ -725,7 +725,7 @@ func TestPartialBatchReplayAtomicity(t *testing.T) {
 	// forges a duplicate key, must take its earlier, applied ops back out.
 	keyedUpdate := func(pos int, id int64, name string) []byte {
 		var sd durability
-		sd.logUpdate("DIRECTOR", []updatedRow{{pos: pos, repl: Tuple{value.NewInt(id), value.NewText(name), value.NewNull()}}})
+		sd.logUpdate("DIRECTOR", []int{pos}, []int{0, 1, 2}, []value.Value{value.NewInt(id), value.NewText(name), value.NewNull()}, 1)
 		return sd.pending
 	}
 	keyedDelete := func(positions ...int) []byte {
@@ -903,10 +903,8 @@ func TestMixedKindRecordReplay(t *testing.T) {
 		ins(t, db, "DIRECTOR", value.NewInt(id), value.NewText(fmt.Sprintf("d-%d", id)), value.NewNull())
 	}
 	ctx := context.Background()
-	if n, err := db.UpdateAt(ctx, "DIRECTOR", []int{1, 3}, func(tup Tuple) Tuple {
-		tup[1] = value.NewText("renamed")
-		return tup
-	}); err != nil || n != 2 {
+	renamed := value.NewText("renamed")
+	if n, err := db.UpdateAt(ctx, "DIRECTOR", []int{1, 3}, []int{1}, []value.Value{renamed, renamed}); err != nil || n != 2 {
 		t.Fatalf("keyed update: n=%d err=%v", n, err)
 	}
 	if n, err := db.DeleteAt(ctx, "DIRECTOR", []int{2, 3}); err != nil || n != 2 {

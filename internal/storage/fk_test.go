@@ -35,16 +35,9 @@ func TestUpdateChecksChangedForeignKeys(t *testing.T) {
 		t.Fatal("insert of a dangling cast entry was accepted")
 	}
 
-	k := 0
-	n, err := db.UpdateAt(context.Background(), "CAST", []int{0, 1}, func(tup storage.Tuple) storage.Tuple {
-		k++
-		if k == 1 {
-			tup[2] = value.NewText("renamed")
-		} else {
-			tup[0] = value.NewInt(999999)
-		}
-		return tup
-	})
+	// Row 0's role is renamed, row 1's movie moved to a missing one.
+	n, err := db.UpdateAt(context.Background(), "CAST", []int{0, 1}, []int{0, 2},
+		[]value.Value{first[0], value.NewInt(999999), value.NewText("renamed"), second[2]})
 	if err == nil || n != 1 {
 		t.Fatalf("dangling update: n=%d err=%v, want one row updated and a refusal", n, err)
 	}
@@ -83,16 +76,10 @@ func TestUpdateLeavesUnchangedForeignKeysAlone(t *testing.T) {
 	if _, err := db.Delete("MOVIES", func(tup storage.Tuple) bool { return tup[0].Equal(entry[0]) }); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := db.UpdateAt(context.Background(), "CAST", []int{0}, func(tup storage.Tuple) storage.Tuple {
-		tup[2] = value.NewText("still here")
-		return tup
-	}); err != nil || n != 1 {
+	if n, err := db.UpdateAt(context.Background(), "CAST", []int{0}, []int{2}, []value.Value{value.NewText("still here")}); err != nil || n != 1 {
 		t.Fatalf("update of a dangling row's role: n=%d err=%v", n, err)
 	}
-	if n, err := db.UpdateAt(context.Background(), "CAST", []int{0}, func(tup storage.Tuple) storage.Tuple {
-		tup[0] = value.NewInt(999999)
-		return tup
-	}); err == nil || n != 0 {
+	if n, err := db.UpdateAt(context.Background(), "CAST", []int{0}, []int{0}, []value.Value{value.NewInt(999999)}); err == nil || n != 0 {
 		t.Fatalf("update to another missing movie: n=%d err=%v", n, err)
 	}
 }

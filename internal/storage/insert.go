@@ -84,10 +84,11 @@ func (db *Database) foreignKeys(tbl *Table) []fkCheck {
 
 // check refuses tup when its fk values are all non-NULL and no row of the
 // referenced relation holds them. INSERT runs it on every row, UPDATE on a
-// replacement that changes an fk attribute. An INSERT passes the statement's
-// rows accepted so far as batch — when fk references its own table they
-// count as rows of it — and keys indexing their primary keys; UPDATE passes
-// neither.
+// replacement that changes an fk attribute of a key into another table
+// (a key into the updated table itself goes to colUpdate.checkSelfFK). An
+// INSERT passes the statement's rows accepted so far as batch — when fk
+// references its own table they count as rows of it — and keys indexing
+// their primary keys; UPDATE passes neither.
 // The caller's keyBuf may hold tup's own key: check encodes into its own.
 func (fc *fkCheck) check(r *catalog.Relation, tup Tuple, batch []Tuple, keys *batchKeys) error {
 	if fc.ref == nil {
@@ -117,8 +118,7 @@ func (fc *fkCheck) check(r *catalog.Relation, tup Tuple, batch []Tuple, keys *ba
 			}
 			return nil
 		}
-		return fmt.Errorf("storage: foreign key violation: %s(%s) -> %s(%s) value %s not found",
-			r.Name, strings.Join(fc.fk.Attrs, ","), fc.fk.RefRelation, strings.Join(fc.fk.RefAttrs, ","), fc.values(tup))
+		return fc.refused(r, tup)
 	}
 	// Scan the referenced columns, then — for a key into its own table —
 	// the statement's earlier rows.
@@ -148,6 +148,15 @@ func (fc *fkCheck) check(r *catalog.Relation, tup Tuple, batch []Tuple, keys *ba
 				return nil
 			}
 		}
+	}
+	return fc.refused(r, tup)
+}
+
+// refused is the violation error for tup, whose key no referenced row holds.
+func (fc *fkCheck) refused(r *catalog.Relation, tup Tuple) error {
+	if fc.probe != nil {
+		return fmt.Errorf("storage: foreign key violation: %s(%s) -> %s(%s) value %s not found",
+			r.Name, strings.Join(fc.fk.Attrs, ","), fc.fk.RefRelation, strings.Join(fc.fk.RefAttrs, ","), fc.values(tup))
 	}
 	return fmt.Errorf("storage: foreign key violation: %s -> %s value %s not found",
 		r.Name, fc.fk.RefRelation, fc.values(tup))

@@ -364,7 +364,8 @@ func fuzzRecordSeeds(t testing.TB) (checkpoint []byte, records [][]byte) {
 // the crash-matrix workload; the seeds are the records that workload
 // committed, each keyed update spliced with the keyed delete that follows it
 // (one record of mixed op kinds, as older logs and two raw writers sharing a
-// flush hold), plus an older writer's index definition. Whatever the bytes: no
+// flush hold), plus an older writer's index definition and the update ops of
+// updateSeedOps, malformed ones included. Whatever the bytes: no
 // panic; a refused record publishes no version; after an accepted one every
 // table's statistics — live and as published — equal the oracle, its zones a
 // from-scratch derivation, and its primary key finds every row.
@@ -381,7 +382,12 @@ func FuzzApplyRecord(f *testing.F) {
 	if mixed == 0 {
 		f.Fatal("the workload committed no keyed update followed by a keyed delete")
 	}
-	f.Add(legacyIndexRecord(uint64(len(records)+1), "MOVIES", "movies_did", "did"))
+	seq := uint64(len(records) + 1)
+	f.Add(legacyIndexRecord(seq, "MOVIES", "movies_did", "did"))
+	for _, op := range updateSeedOps() {
+		rec := appendUvarint(appendUvarint(nil, seq), 1)
+		f.Add(append(rec, op...))
+	}
 	f.Fuzz(func(t *testing.T, record []byte) {
 		follower := newDurDB(t)
 		follower.SetReadOnly(true)
@@ -403,6 +409,36 @@ func FuzzApplyRecord(f *testing.F) {
 			checkPKIndex(t, tbl, name)
 		}
 	})
+}
+
+// updateSeedOps returns FuzzApplyRecord's hand-made update ops on MOVIES
+// (id, title, year, did): a valid column update of two rows; the same cut
+// short; one naming an attribute past the table's, one naming an attribute
+// twice, one whose positions repeat, one whose positions run backwards, one
+// past the table's rows, and one whose count runs past the record; and a
+// whole-row update (op 0x03) as older versions logged it.
+func updateSeedOps() [][]byte {
+	update := func(positions, attrs []int, vals ...value.Value) []byte {
+		var sd durability
+		sd.logUpdate("MOVIES", positions, attrs, vals, len(positions))
+		return sd.pending
+	}
+	title, year := value.NewText("seeded"), value.NewInt(1999)
+	valid := update([]int{0, 1}, []int{1, 2}, title, title, year, year)
+	var legacy durability
+	legacy.logRowUpdate("MOVIES", []updatedRow{{pos: 0, repl: Tuple{value.NewInt(1_000_000), title, year, value.NewNull()}}})
+	overrun := append([]byte{opUpdate}, appendString(nil, "MOVIES")...)
+	return [][]byte{
+		valid,
+		valid[:len(valid)-3],
+		update([]int{0}, []int{9}, year),
+		update([]int{0}, []int{2, 2}, year, year),
+		update([]int{1, 1}, []int{2}, year, year),
+		update([]int{1, 0}, []int{2}, year, year),
+		update([]int{1 << 20}, []int{2}, year),
+		appendUvarint(overrun, 1<<40),
+		legacy.pending,
+	}
 }
 
 // firstOp returns the kind byte of a commit record's first op.

@@ -276,14 +276,11 @@ func TestPinnedSnapshotSurvivesKeyedDML(t *testing.T) {
 	}
 	kinds := []dml{
 		{"update", func(tbl *Table, pos int) (int, error) {
-			return db.updateAtLocked(tbl, []int{pos}, func(tup Tuple) Tuple { tup[2] = value.NewFloat(-1); return tup })
+			return db.updateAtLocked(tbl, []int{pos}, []int{2}, []value.Value{value.NewFloat(-1)}, false)
 		}},
 		{"rekey", func(tbl *Table, pos int) (int, error) {
-			return db.updateAtLocked(tbl, []int{pos}, func(tup Tuple) Tuple {
-				nextID++
-				tup[0], tup[1] = value.NewInt(nextID), value.NewInt(9)
-				return tup
-			})
+			nextID++
+			return db.updateAtLocked(tbl, []int{pos}, []int{0, 1}, []value.Value{value.NewInt(nextID), value.NewInt(9)}, false)
 		}},
 		{"delete", func(tbl *Table, pos int) (int, error) { return db.deleteAtLocked(tbl, []int{pos}) }},
 	}

@@ -13,7 +13,7 @@ import (
 // live-code count, and a BOOL column's follows from its bounds. Only INT,
 // DATE and FLOAT columns keep a count-map of their own — the numeric twin of
 // the dictionary's per-code references, maintained by the same column
-// writers (retainRow/releaseRow).
+// writers (retainRange, releaseRow, and the update path's setRun).
 
 // AttrStats summarizes one attribute for cardinality estimation.
 type AttrStats struct {
@@ -80,24 +80,10 @@ func (c *column) stats(rows int) AttrStats {
 	return a
 }
 
-// retainRow notes that row i's stored value is live: a text row holds its
-// dictionary code, a numeric row counts once more under its value.Key64.
-// UPDATE calls it after storing the payload and the null bit; appends and
-// loads count a whole range with retainRange.
-func (c *column) retainRow(i int) {
-	if c.nulls.get(i) {
-		return
-	}
-	switch c.kind {
-	case value.Text:
-		c.dict.retain(c.code(i))
-	case value.Int, value.Float, value.Date:
-		c.counts.add(c.value(i).Key64(), 1)
-	}
-}
-
-// retainRange is retainRow over the appended rows [lo, hi), in one typed
-// pass that counts a run of equal values once.
+// retainRange notes that the appended rows [lo, hi) hold their stored
+// values: a text row holds its dictionary code, a numeric row counts once
+// more under its value.Key64. One typed pass counts a run of equal values
+// once.
 func (c *column) retainRange(lo, hi int) {
 	switch c.kind {
 	case value.Text:
@@ -120,7 +106,7 @@ func (c *column) retainRange(lo, hi int) {
 // retainRuns calls add once per run of equal non-NULL payloads in rows
 // [lo, hi) of vec, with the run's length; NULL rows neither count nor break
 // a run. A NaN equals nothing, so each NaN counts alone under its own key,
-// as retainRow counts it.
+// as a row at a time would count it.
 func retainRuns[T int64 | float64 | uint32](c *column, vec [][]T, lo, hi int, add func(T, int32)) {
 	nulls := c.nulls.any(lo, hi)
 	var prev T
@@ -144,7 +130,9 @@ func retainRuns[T int64 | float64 | uint32](c *column, vec [][]T, lo, hi int, ad
 	}
 }
 
-// releaseRow undoes retainRow ahead of row i's removal or overwrite.
+// releaseRow notes that row i's stored value leaves ahead of the row's
+// removal: a text row releases its dictionary code, a numeric row counts
+// once less under its value.Key64.
 func (c *column) releaseRow(i int) {
 	if c.nulls.get(i) {
 		return

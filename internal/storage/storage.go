@@ -247,8 +247,8 @@ type Database struct {
 	readOnly atomic.Bool
 	// copied counts the bytes copy-on-write cloned (SnapshotStats.CopiedBytes).
 	copied atomic.Uint64
-	// replay is replayBatch's reused row buffer, guarded by db.mu.
-	replay insertRun
+	// replay is replayBatch's reused decode buffer, guarded by db.mu.
+	replay replayBuf
 	// batch is insertRowsLocked's primary-key scratch, guarded by db.mu.
 	batch batchKeys
 }
@@ -461,31 +461,6 @@ func (db *Database) DeleteAt(ctx context.Context, relName string, positions []in
 	})
 }
 
-// Update applies fn to every row of relName matching pred: a scan for the
-// matching positions in front of UpdateAt's apply, so pred sees every row as
-// it was before the first replacement. pred sees one reused scratch tuple and
-// must not retain it.
-func (db *Database) Update(relName string, pred func(Tuple) bool, fn func(Tuple) Tuple) (int, error) {
-	return db.write(context.Background(), relName, func(tbl *Table) (int, error) {
-		return db.updateAtLocked(tbl, tbl.positionsWhere(pred), fn)
-	})
-}
-
-// UpdateAt replaces the rows of relName at the given strictly ascending
-// positions with what fn returns for each (fn may edit and return its
-// argument). NOT NULL, types, changed foreign keys and primary-key uniqueness
-// are re-checked on every replacement before the row mutates; a failure stops the statement
-// there, leaving the earlier rows updated and logged. The cost is
-// proportional to the rows replaced: only changed attributes touch their
-// vectors, statistics and zone maps, the primary key is patched only when it
-// changed, and only a zone whose bound a replaced value held is rescanned.
-// ctx bounds the commit, as for InsertRows.
-func (db *Database) UpdateAt(ctx context.Context, relName string, positions []int, fn func(Tuple) Tuple) (int, error) {
-	return db.write(ctx, relName, func(tbl *Table) (int, error) {
-		return db.updateAtLocked(tbl, positions, fn)
-	})
-}
-
 // positionsWhere scans the table for the rows pred accepts. One scratch tuple
 // serves every call, keeping the scan allocation-free.
 func (t *Table) positionsWhere(pred func(Tuple) bool) []int {
@@ -563,93 +538,6 @@ func (db *Database) deleteAtLocked(tbl *Table, positions []int) (int, error) {
 	return len(positions), nil
 }
 
-// updateAtLocked is the one update path; the caller holds db.mu. Applied
-// (position, replacement) pairs are logged — even when a constraint aborts
-// the loop midway, because the earlier rows really were updated and recovery
-// must reproduce them.
-func (db *Database) updateAtLocked(tbl *Table, positions []int, fn func(Tuple) Tuple) (int, error) {
-	if err := tbl.checkPositions(positions); err != nil {
-		return 0, err
-	}
-	r := tbl.rel
-	var applied []updatedRow
-	// Stale zones are rescanned even when a constraint aborts the loop
-	// midway: earlier rows were already updated.
-	defer func() {
-		if len(applied) == 0 {
-			return
-		}
-		tbl.finishWrite(applied[0].pos >> ZoneShift)
-		tbl.dirty = true
-		if db.dur != nil {
-			db.dur.logUpdate(r.Name, applied)
-		}
-	}()
-	fks := db.foreignKeys(tbl)
-	old := make(Tuple, len(tbl.cols))
-	for _, i := range positions {
-		tbl.CopyRow(old, i)
-		repl := fn(old.Clone())
-		if len(repl) != len(r.Attributes) {
-			return len(applied), fmt.Errorf("storage: update of %s produced wrong arity", r.Name)
-		}
-		for j, a := range r.Attributes {
-			if repl[j].IsNull() {
-				if a.NotNull {
-					return len(applied), fmt.Errorf("storage: %s.%s is NOT NULL", r.Name, a.Name)
-				}
-				continue
-			}
-			if want := value.CatalogKind(a.Type); repl[j].Kind() != want {
-				coerced, err := value.Coerce(repl[j], want)
-				if err != nil {
-					return len(applied), fmt.Errorf("storage: %s.%s: %v", r.Name, a.Name, err)
-				}
-				repl[j] = coerced
-			}
-		}
-		for _, fc := range fks {
-			if keyChanged(old, repl, fc.attrs) {
-				if err := fc.check(r, repl, nil, nil); err != nil {
-					return len(applied), err
-				}
-			}
-		}
-		if err := tbl.reindexRow(i, old, repl); err != nil {
-			return len(applied), err
-		}
-		for j := range tbl.cols {
-			if sameStored(old[j], repl[j]) {
-				continue
-			}
-			// First overwrite of a possibly-shared table: unshare the flat
-			// state so frozen snapshot readers keep the originals (setVal
-			// clones the one chunk it writes).
-			tbl.prepareMutate()
-			tbl.cols[j].setVal(i, repl[j])
-		}
-		applied = append(applied, updatedRow{pos: i, repl: repl})
-	}
-	return len(applied), nil
-}
-
-// sameStored reports whether replacing a by b would leave the stored value as
-// it is. NaN never equals itself, so a NaN replacement counts as a change —
-// harmless, the write just is not skipped.
-func sameStored(a, b value.Value) bool {
-	return a.Kind() == b.Kind() && a.Equal(b)
-}
-
-// keyChanged reports whether the replacement alters the key over positions.
-func keyChanged(old, repl Tuple, positions []int) bool {
-	for _, p := range positions {
-		if !sameStored(old[p], repl[p]) {
-			return true
-		}
-	}
-	return false
-}
-
 // ownPK makes the primary-key page headers private to the live table before
 // an entry is removed or re-pointed. Frozen snapshot views share them and only
 // filter by position, so they must keep an untouched copy: the page-header
@@ -666,29 +554,6 @@ func (t *Table) ownPK() {
 	t.idxMu.Lock()
 	t.pk = pk
 	t.idxMu.Unlock()
-}
-
-// reindexRow re-keys row i for a replacement tuple: nothing at all when no
-// primary-key attribute changes, otherwise the old key leaves and the new key
-// enters. A new primary key that already belongs to another row is refused
-// before anything is touched.
-func (t *Table) reindexRow(i int, old, repl Tuple) error {
-	if t.pkPos == nil || !keyChanged(old, repl, t.pkPos) {
-		return nil
-	}
-	var kb [64]byte
-	newKey := repl.AppendKey(kb[:0], t.pkPos)
-	newHash := pkHash(newKey)
-	if at := t.pkFind(&t.pk, newKey, newHash); at >= 0 && at != i {
-		return fmt.Errorf("storage: duplicate primary key %s in %s", repl.pkString(t.pkPos), t.rel.Name)
-	}
-	t.ownPK()
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	t.keyBuf = old.AppendKey(t.keyBuf[:0], t.pkPos)
-	t.countCopied(t.pk.removeAt(t.pk.slotOf(pkEntry(pkHash(t.keyBuf), i))))
-	t.pk.add(newHash, i)
-	return nil
 }
 
 // unindexRows patches the primary key for a delete of the given ascending

@@ -23,22 +23,30 @@ import (
 //
 //	insert      0x01 | rel | arity | value*
 //	delete      0x02 | rel | count | position-delta*        (ascending rows)
-//	update      0x03 | rel | count | (position, arity, value*)*
+//	update      0x05 | rel | count | position-delta* | attrCount | (attr | value*count)*
+//	row update  0x03 | rel | count | (position, arity, value*)*  (read only)
 //	index       0x04 | rel | name | attrCount | attr*            (refused)
 //
-// Op 0x04 defined a secondary hash index in older logs. This version indexes
-// primary keys only and refuses such a record by table and index name rather
-// than skipping it.
+// An update lists its rows once, as ascending position deltas, then each
+// attribute it sets — ascending attribute indexes — with that attribute's
+// values at those rows, in row order; the attributes it does not set are not
+// logged. Op 0x03, one whole replacement row per position, is what older
+// versions logged an UPDATE as; it is read only from older logs, decoded a
+// run per attribute into the replay buffer and applied through the same
+// update path. Op 0x04 defined a secondary hash
+// index in older logs. This version indexes primary keys only and refuses
+// such a record by table and index name rather than skipping it.
 //
 // Values encode as a kind byte plus a typed payload: 'n' NULL, 'i' zigzag
 // int, 'f' 8-byte float bits, 't' length-prefixed text, 'd' zigzag epoch
 // days, 'B'/'b' bool. Strings are length-prefixed so frames cannot alias.
 
 const (
-	opInsert   = 0x01
-	opDelete   = 0x02
-	opUpdate   = 0x03
-	opIndexDef = 0x04
+	opInsert    = 0x01
+	opDelete    = 0x02
+	opUpdateRow = 0x03
+	opIndexDef  = 0x04
+	opUpdate    = 0x05
 )
 
 func appendUvarint(buf []byte, x uint64) []byte { return binary.AppendUvarint(buf, x) }
@@ -200,22 +208,6 @@ func (d *walDecoder) value(borrow bool) value.Value {
 	}
 }
 
-func (d *walDecoder) tuple() Tuple {
-	arity := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if arity > uint64(len(d.buf)-d.off)+1 {
-		d.fail("arity %d exceeds record", arity)
-		return nil
-	}
-	tup := make(Tuple, arity)
-	for i := range tup {
-		tup[i] = d.value(false)
-	}
-	return tup
-}
-
 // ---------------------------------------------------------------------------
 // Op encoding (writer side)
 // ---------------------------------------------------------------------------
@@ -233,33 +225,36 @@ func (d *durability) logInsert(rel string, tup Tuple) {
 func (d *durability) logDelete(rel string, positions []int) {
 	d.pending = append(d.pending, opDelete)
 	d.pending = appendString(d.pending, rel)
-	d.pending = appendUvarint(d.pending, uint64(len(positions)))
-	prev := 0
-	for _, p := range positions {
-		d.pending = appendUvarint(d.pending, uint64(p-prev))
-		prev = p
-	}
+	d.pending = appendPositions(d.pending, positions)
 	d.pendingOps++
 }
 
-func (d *durability) logUpdate(rel string, rows []updatedRow) {
+// logUpdate logs the rows an update applied: their positions, then each set
+// attribute with its values at them. vals holds one run of stride values per
+// attribute, the applied rows' first.
+func (d *durability) logUpdate(rel string, positions, attrs []int, vals []value.Value, stride int) {
 	d.pending = append(d.pending, opUpdate)
 	d.pending = appendString(d.pending, rel)
-	d.pending = appendUvarint(d.pending, uint64(len(rows)))
-	for _, u := range rows {
-		d.pending = appendUvarint(d.pending, uint64(u.pos))
-		d.pending = appendUvarint(d.pending, uint64(len(u.repl)))
-		for _, v := range u.repl {
+	d.pending = appendPositions(d.pending, positions)
+	d.pending = appendUvarint(d.pending, uint64(len(attrs)))
+	for c, a := range attrs {
+		d.pending = appendUvarint(d.pending, uint64(a))
+		for _, v := range vals[c*stride : c*stride+len(positions)] {
 			d.pending = appendWalValue(d.pending, v)
 		}
 	}
 	d.pendingOps++
 }
 
-// updatedRow is one applied UPDATE: the row position and its replacement.
-type updatedRow struct {
-	pos  int
-	repl Tuple
+// appendPositions appends a count and the ascending positions as deltas.
+func appendPositions(buf []byte, positions []int) []byte {
+	buf = appendUvarint(buf, uint64(len(positions)))
+	prev := 0
+	for _, p := range positions {
+		buf = appendUvarint(buf, uint64(p-prev))
+		prev = p
+	}
+	return buf
 }
 
 // ---------------------------------------------------------------------------
@@ -270,12 +265,12 @@ type updatedRow struct {
 // sequence number) through the locked write internals live DML uses; the
 // caller holds db.mu for the whole record, so nothing else writes between its
 // ops and no op publishes or commits. A run of consecutive inserts into one
-// table decodes into the database's reused row buffer — its text borrowed
-// from the record — and applies as one batch, which checks its rows in order
-// as the one-row inserts it logged were checked. Any decode or apply error
-// aborts the batch — the caller keeps its partial ops out of every published
-// version. ops counts the ops applied, an insert run's accepted rows
-// included.
+// table decodes into the database's reused buffer — its text borrowed from
+// the record — and applies as one batch, which checks its rows in order as
+// the one-row inserts it logged were checked; an update decodes into the same
+// buffer and applies a column at a time. Any decode or apply error aborts the
+// batch — the caller keeps its partial ops out of every published version.
+// ops counts the ops applied, an insert run's accepted rows included.
 func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 	run := &db.replay
 	run.reset(nil)
@@ -293,7 +288,7 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 	opCount := d.uvarint()
 	for i := uint64(0); i < opCount; i++ {
 		op := d.byte()
-		if d.err == nil && (op < opInsert || op > opIndexDef) {
+		if d.err == nil && (op < opInsert || op > opUpdate) {
 			return ops, cmp.Or(flush(), fmt.Errorf("storage: wal decode: unknown op 0x%02x", op))
 		}
 		rel := d.bytes()
@@ -334,20 +329,18 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 			}
 			_, err = db.deleteAtLocked(tbl, positions)
 		case opUpdate:
-			positions := make([]int, d.count("update"))
-			repls := make([]Tuple, len(positions))
-			for j := range positions {
-				positions[j] = int(d.uvarint())
-				repls[j] = d.tuple()
+			if !run.decodeUpdate(d) {
+				return ops, d.err
 			}
+			_, err = db.updateAtLocked(tbl, run.pos, run.attrs, run.vals, true)
+		case opUpdateRow:
+			rows := run.decodeRowUpdate(d, len(tbl.cols))
 			if d.err != nil {
 				return ops, d.err
 			}
-			next := 0 // updateAtLocked asks for replacements in position order
-			_, err = db.updateAtLocked(tbl, positions, func(Tuple) Tuple {
-				next++
-				return repls[next-1]
-			})
+			if err = tbl.checkPositions(run.pos); err == nil {
+				_, err = db.updateWholeRowsLocked(tbl, run.pos, run.vals, rows, true)
+			}
 		case opIndexDef:
 			name := d.string()
 			if d.err != nil {
@@ -366,31 +359,34 @@ func (db *Database) replayBatch(d *walDecoder) (ops int, err error) {
 	return ops, d.err
 }
 
-// insertRun is replay's reused row buffer: the decoded rows of one run of
-// inserts into tbl, their values laid end to end.
-type insertRun struct {
-	tbl  *Table
-	vals []value.Value
-	ends []int // row k is vals[ends[k-1]:ends[k]]
-	rows []Tuple
+// replayBuf is replay's reused decode buffer: the rows of one run of inserts
+// into tbl, their values laid end to end, or one update's positions, set
+// attributes and runs of values. Its text borrows the record decoded into it.
+type replayBuf struct {
+	tbl   *Table
+	vals  []value.Value
+	ends  []int // insert row k is vals[ends[k-1]:ends[k]]
+	rows  []Tuple
+	pos   []int
+	attrs []int
 }
 
-// reset empties the run and starts one into tbl (nil: no run).
-func (r *insertRun) reset(tbl *Table) {
+// reset empties the buffer and starts an insert run into tbl (nil: no run).
+func (r *replayBuf) reset(tbl *Table) {
 	r.tbl, r.vals, r.ends = tbl, r.vals[:0], r.ends[:0]
 }
 
 // release clears the buffer's values, which borrow the text of the records
 // decoded into it, once they have applied: recovery after its last record,
 // a follower after each.
-func (r *insertRun) release() {
+func (r *replayBuf) release() {
 	clear(r.vals[:cap(r.vals)])
 	r.reset(nil)
 }
 
 // decodeRow appends one insert op's tuple, its text borrowed from the record;
 // false reports a decode error (in d.err).
-func (r *insertRun) decodeRow(d *walDecoder) bool {
+func (r *replayBuf) decodeRow(d *walDecoder) bool {
 	arity := d.uvarint()
 	if d.err == nil && arity > uint64(len(d.buf)-d.off)+1 {
 		d.fail("arity %d exceeds record", arity)
@@ -401,16 +397,7 @@ func (r *insertRun) decodeRow(d *walDecoder) bool {
 	start := len(r.vals)
 	r.vals = slices.Grow(r.vals, int(arity))[:start+int(arity)]
 	for i := start; i < len(r.vals) && d.err == nil; i++ {
-		// An INT, the common case, decodes here; any other kind (or a
-		// short record) goes through value.
-		if d.off < len(d.buf) && d.buf[d.off] == 'i' {
-			if x, n := binary.Varint(d.buf[d.off+1:]); n > 0 {
-				d.off += 1 + n
-				r.vals[i] = value.NewInt(x)
-				continue
-			}
-		}
-		r.vals[i] = d.value(true)
+		r.vals[i] = d.borrowedValue()
 	}
 	if d.err != nil {
 		r.vals = r.vals[:start]
@@ -421,7 +408,7 @@ func (r *insertRun) decodeRow(d *walDecoder) bool {
 }
 
 // tuples returns the run's rows, sliced out of the value buffer.
-func (r *insertRun) tuples() []Tuple {
+func (r *replayBuf) tuples() []Tuple {
 	r.rows = r.rows[:0]
 	start := 0
 	for _, end := range r.ends {
@@ -429,4 +416,77 @@ func (r *insertRun) tuples() []Tuple {
 		start = end
 	}
 	return r.rows
+}
+
+// decodeUpdate decodes an update op's positions, set attributes and runs of
+// values, its text borrowed from the record; false reports a decode error
+// (in d.err). Order and range are left to the update path's own checks.
+func (r *replayBuf) decodeUpdate(d *walDecoder) bool {
+	n := d.count("update")
+	r.pos = r.pos[:0]
+	pos := 0
+	for range n {
+		pos += int(d.uvarint())
+		r.pos = append(r.pos, pos)
+	}
+	w := d.count("update attribute")
+	if d.err == nil && uint64(n)*uint64(w) > uint64(len(d.buf)-d.off) {
+		d.fail("%d values of %d attributes exceed record", n*w, w)
+	}
+	if d.err != nil {
+		return false
+	}
+	r.attrs = r.attrs[:0]
+	r.vals = slices.Grow(r.vals[:0], n*w)
+	for range w {
+		r.attrs = append(r.attrs, int(d.uvarint()))
+		for range n {
+			r.vals = append(r.vals, d.borrowedValue())
+		}
+	}
+	return d.err == nil
+}
+
+// decodeRowUpdate decodes an older log's update op, one whole replacement
+// row per position, into one run per attribute of a table of w attributes,
+// its text borrowed from the record. rows is how many leading replacements
+// have w values; the values of the rows from the first that does not are
+// left out.
+func (r *replayBuf) decodeRowUpdate(d *walDecoder, w int) (rows int) {
+	n := d.count("update")
+	r.pos = r.pos[:0]
+	r.vals = slices.Grow(r.vals[:0], n*w)[:n*w]
+	rows = n
+	for k := 0; k < n && d.err == nil; k++ {
+		r.pos = append(r.pos, int(d.uvarint()))
+		arity := d.uvarint()
+		if d.err == nil && arity > uint64(len(d.buf)-d.off)+1 {
+			d.fail("arity %d exceeds record", arity)
+		}
+		if d.err != nil {
+			break
+		}
+		if arity != uint64(w) {
+			rows = min(rows, k)
+		}
+		for j := range int(arity) {
+			if v := d.borrowedValue(); k < rows {
+				r.vals[j*n+k] = v
+			}
+		}
+	}
+	return rows
+}
+
+// borrowedValue decodes one value, its text aliasing the record. An INT, the
+// common case, decodes here; any other kind (or a short record) goes through
+// value.
+func (d *walDecoder) borrowedValue() value.Value {
+	if d.err == nil && d.off < len(d.buf) && d.buf[d.off] == 'i' {
+		if x, n := binary.Varint(d.buf[d.off+1:]); n > 0 {
+			d.off += 1 + n
+			return value.NewInt(x)
+		}
+	}
+	return d.value(true)
 }

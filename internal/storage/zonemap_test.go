@@ -885,9 +885,44 @@ func zoneFuzzValue(p, z int, v byte) value.Value {
 
 // zoneFuzzOp encodes one FuzzZoneMaintenance op: kind 0 inserts, 1 deletes
 // row pos, 2 updates row pos's column col (5: every column) to the selector v,
-// 3 inserts the batch zoneFuzzBatch draws from pos and v.
+// 3 inserts the batch zoneFuzzBatch draws from pos and v, 4 runs the
+// multi-row update zoneFuzzUpdate draws from pos, col and v.
 func zoneFuzzOp(kind, col, pos int, v byte) []byte {
-	return []byte{byte(kind + 4*col), byte(pos >> 8), byte(pos), v}
+	return []byte{byte(kind + 5*col), byte(pos >> 8), byte(pos), v}
+}
+
+// zoneFuzzUpdate is the multi-row column update of FuzzZoneMaintenance's op
+// kind 4: column col (5: every column) over 2 to 33 rows spaced 1 to 8 apart
+// (by v) that straddle the zone boundary after row sel, set to selector-drawn
+// values for the zones they sit in; when it sets i and v%4 == 3, the row at
+// v%n fails INT coercion. It returns the statement and how many rows the
+// update must accept.
+func zoneFuzzUpdate(tableRows, sel, col int, v byte) (positions, attrs []int, vals []value.Value, want int) {
+	m, step := 2+int(v)%32, 1+int(v>>5)
+	b := (sel>>ZoneShift + 1) << ZoneShift
+	if b >= tableRows {
+		b = ZoneRows
+	}
+	for p := max(0, b-m/2*step); len(positions) < m && p < tableRows; p += step {
+		positions = append(positions, p)
+	}
+	attrs = []int{col}
+	if col == 5 {
+		attrs = []int{0, 1, 2, 3, 4}
+	}
+	n := len(positions)
+	vals = make([]value.Value, len(attrs)*n)
+	for c, a := range attrs {
+		for k, p := range positions {
+			vals[c*n+k] = zoneFuzzValue(a, p>>ZoneShift, v+byte(k*(a+1)))
+		}
+	}
+	if attrs[0] != 0 || v%4 != 3 {
+		return positions, attrs, vals, n
+	}
+	want = int(v) % n
+	vals[want] = value.NewText("x")
+	return positions, attrs, vals, want
 }
 
 // zoneFuzzBatch is the multi-row InsertRows of FuzzZoneMaintenance's op kind
@@ -942,9 +977,11 @@ func zoneView(tbl *Table) uint64 {
 	return h.Sum64()
 }
 
-// FuzzZoneMaintenance applies single-row Insert, DeleteAt and UpdateAt ops and
-// multi-row InsertRows ops (2 to 300 rows, some refused partway) to a
-// three-zone table of every kind, decoded four bytes an op. After each op
+// FuzzZoneMaintenance applies single-row Insert, DeleteAt and UpdateAt ops,
+// multi-row InsertRows ops (2 to 300 rows, some refused partway) and
+// multi-row column UpdateAt ops across a zone boundary (2 to 33 rows, some
+// refused partway) to a three-zone table of every kind, decoded four bytes
+// an op. After each op
 // the zones must equal a from-scratch rebuild (frame-of-reference parity
 // included), the statistics the oracle's, and the version published before
 // the op must still read its old zones and bytes.
@@ -976,6 +1013,11 @@ func FuzzZoneMaintenance(f *testing.F) {
 		// refused at its eighth row, a delete sliding rows back, two rows.
 		{zoneFuzzOp(3, 0, 298, 0), zoneFuzzOp(3, 0, 100, 7), zoneFuzzOp(1, 0, 4090, 0),
 			zoneFuzzOp(3, 0, 0, 2)},
+		// Column updates across the boundaries of zones 0|1 and 1|2: every
+		// column over 16 rows three apart, i over 21 rows two apart refused
+		// at the tenth (the nine before it apply), d over 33 adjacent rows.
+		{zoneFuzzOp(4, 5, 100, 0x4e), zoneFuzzOp(4, 0, ZoneRows+9, 0x33), zoneFuzzOp(4, 3, 0, 0x1f),
+			zoneFuzzOp(4, 1, 5, 0x02), zoneFuzzOp(4, 2, ZoneRows, 0xe0)},
 		// Everything at once, on every column.
 		{zoneFuzzOp(0, 0, 0, 1), zoneFuzzOp(2, 5, 4096, 5), zoneFuzzOp(1, 0, 3, 0),
 			zoneFuzzOp(2, 5, z2, 3), zoneFuzzOp(0, 0, 0, 6), zoneFuzzOp(1, 0, z2-1, 0)},
@@ -1000,7 +1042,7 @@ func FuzzZoneMaintenance(f *testing.F) {
 			t.Fatal(err)
 		}
 		for ; len(in) >= 4; in = in[4:] {
-			kind, col := int(in[0])%4, int(in[0])/4%6
+			kind, col := int(in[0])%5, int(in[0])/5%6
 			pos, v := (int(in[1])<<8|int(in[2]))%tbl.Len(), in[3]
 			frozen := db.Snapshot().Table("Z")
 			before := zoneView(frozen)
@@ -1015,20 +1057,29 @@ func FuzzZoneMaintenance(f *testing.F) {
 			case 1:
 				_, err = db.DeleteAt(context.Background(), "Z", []int{pos})
 			case 2:
-				_, err = db.UpdateAt(context.Background(), "Z", []int{pos}, func(repl Tuple) Tuple {
-					for p := range repl {
-						if col == 5 || col == p {
-							repl[p] = zoneFuzzValue(p, pos>>ZoneShift, v)
-						}
-					}
-					return repl
-				})
+				attrs := []int{col}
+				if col == 5 {
+					attrs = []int{0, 1, 2, 3, 4}
+				}
+				vals := make([]value.Value, len(attrs))
+				for c, a := range attrs {
+					vals[c] = zoneFuzzValue(a, pos>>ZoneShift, v)
+				}
+				_, err = db.UpdateAt(context.Background(), "Z", []int{pos}, attrs, vals)
 			case 3:
 				rows, want := zoneFuzzBatch(tbl.Len(), int(in[1])<<8|int(in[2]), v)
 				var n int
 				n, err = db.InsertRows(context.Background(), "Z", rows)
 				if n != want || (err == nil) != (want == len(rows)) {
 					t.Fatalf("batch of %d rows: %d inserted (%v), want %d", len(rows), n, err, want)
+				}
+				err = nil
+			case 4:
+				positions, attrs, vals, want := zoneFuzzUpdate(tbl.Len(), pos, col, v)
+				var n int
+				n, err = db.UpdateAt(context.Background(), "Z", positions, attrs, vals)
+				if n != want || (err == nil) != (want == len(positions)) {
+					t.Fatalf("update of %d rows: %d updated (%v), want %d", len(positions), n, err, want)
 				}
 				err = nil
 			}

@@ -74,14 +74,17 @@
 // leaves no trace.
 // Every WHERE runs a plan; a column the planner cannot resolve is evaluated
 // row by row where the plan reaches it, and raises its error there. UPDATE's
-// SET expressions compile once over the same single-table plan. Storage
+// SET expressions compile once over the same single-table plan and evaluate
+// once per matched row into one run of values per set attribute. Storage
 // then applies by position (Database.UpdateAt, DeleteAt; the predicate forms
 // Update and Delete are a scan for positions in front of the same code, and
 // WAL replay calls the positional forms with the positions it logged). An
-// UPDATE copies the vectors once when a published snapshot still shares them,
-// rewrites only changed attributes and their distinct counts, patches the
-// primary key only when it changed (not at all for a non-key update), and
-// rebuilds only the zones holding a replaced row. A DELETE slides the rows
+// UPDATE checks its rows before it writes them, then writes a column at a
+// time: it copies each touched chunk once when a published snapshot still
+// shares it, rewrites only changed values and their distinct counts, patches
+// the primary key only when it changed (not at all for a non-key update),
+// rescans only the zones whose bounds a replaced value held, and logs only
+// the set columns. A DELETE slides the rows
 // behind the first removed one down as blocks, copies the primary key's page
 // headers once — frozen snapshot views share them — and re-points only the
 // removed and the moved rows. The
