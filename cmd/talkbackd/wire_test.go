@@ -222,6 +222,16 @@ var replyCases = []struct {
 		s.sys.Database().SetReadOnly(true)
 		return post(s.guard(s.handleAsk), "/ask", askBody(tb, "delete from MOVIES where id = 1"))
 	}},
+	{"body_malformed_400", http.StatusBadRequest, func(tb testing.TB, s *server) *httptest.ResponseRecorder {
+		return post(s.guard(s.handleAsk), "/ask", []byte(`{"sql": select m.title from MOVIES m}`))
+	}},
+	{"body_type_400", http.StatusBadRequest, func(tb testing.TB, s *server) *httptest.ResponseRecorder {
+		return post(s.guard(s.handleAsk), "/ask", []byte(`{"sql": 7}`))
+	}},
+	{"body_cap_413", http.StatusRequestEntityTooLarge, func(tb testing.TB, s *server) *httptest.ResponseRecorder {
+		s.maxBody = 128
+		return post(s.guard(s.handleAsk), "/ask", askBody(tb, "select m.title from MOVIES m where m.title = '"+strings.Repeat("x", 512)+"'"))
+	}},
 }
 
 func askBody(tb testing.TB, sql string) []byte {
