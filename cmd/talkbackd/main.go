@@ -373,20 +373,21 @@ func recoverJSON(next http.Handler) http.Handler {
 
 // guard wraps a query-serving handler with the request budget and the
 // admission valve. The budget is the -deadline joined to the client's own
-// cancellation (r.Context()); the valve sheds requests the server has no
-// room for before they pin a snapshot or plan anything. Shed requests and
-// queue-wait timeouts answer in English like everything else.
-func (s *server) guard(h http.HandlerFunc) http.HandlerFunc {
+// cancellation (r.Context()), as a core.RequestContext: its timer is armed
+// only when something waits on it, so a cache hit or a /describe never
+// arms one. The valve sheds requests the server has no room for before they
+// pin a snapshot or plan anything. Shed requests and queue-wait timeouts
+// answer in English like everything else.
+func (s *server) guard(h queryHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		// A bounded-staleness follower sheds stale reads before admission:
 		// the refusal is cheaper than a queue slot and narrated all the same.
 		if s.refuseStale(w) {
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.deadline)
-		defer cancel()
-		release, err := s.adm.Acquire(ctx)
-		if err != nil {
+		ctx := core.NewRequestContext(r.Context(), s.deadline)
+		defer ctx.Cancel()
+		if err := s.adm.Admit(ctx); err != nil {
 			var ov *core.OverloadError
 			if errors.As(err, &ov) {
 				s.shed(w, ov)
@@ -395,10 +396,13 @@ func (s *server) guard(h http.HandlerFunc) http.HandlerFunc {
 			httpError(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		defer release()
-		h(w, r.WithContext(ctx))
+		defer s.adm.Release()
+		h(ctx, w, r)
 	}
 }
+
+// A queryHandler serves one request under guard's budget, ctx.
+type queryHandler func(ctx context.Context, w http.ResponseWriter, r *http.Request)
 
 // shed answers an admission refusal: 429 for an instant shed (queue full),
 // 504 for a request whose deadline expired while queued. Both narrate the
@@ -452,12 +456,12 @@ type askRequest struct {
 	SQL string `json:"sql"`
 }
 
-func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
-	var req askRequest
-	if !s.decodeBody(w, r, &req) {
+func (s *server) handleAsk(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+	req, ok := decodeBody[askRequest](s, w, r)
+	if !ok {
 		return
 	}
-	resp, err := s.sys.AskContext(r.Context(), req.SQL)
+	resp, err := s.sys.AskContext(ctx, req.SQL)
 	if err != nil {
 		s.queryError(w, err)
 		return
@@ -468,9 +472,9 @@ func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, resp.Wire(encodeAsk))
 }
 
-func (s *server) handleDescribe(w http.ResponseWriter, r *http.Request) {
-	var req askRequest
-	if !s.decodeBody(w, r, &req) {
+func (s *server) handleDescribe(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+	req, ok := decodeBody[askRequest](s, w, r)
+	if !ok {
 		return
 	}
 	tr, err := s.sys.DescribeQuery(req.SQL)
@@ -481,12 +485,12 @@ func (s *server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, encodeTranslation(tr))
 }
 
-func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req askRequest
-	if !s.decodeBody(w, r, &req) {
+func (s *server) handleExplain(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+	req, ok := decodeBody[askRequest](s, w, r)
+	if !ok {
 		return
 	}
-	diag, err := s.sys.ExplainPlanContext(r.Context(), req.SQL)
+	diag, err := s.sys.ExplainPlanContext(ctx, req.SQL)
 	if err != nil {
 		s.queryError(w, err)
 		return
@@ -505,7 +509,7 @@ func (s *server) handleSchema(w http.ResponseWriter, r *http.Request) {
 		"narrative", s.sys.DescribeSchema())
 }
 
-func (s *server) handleEntity(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleEntity(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	rel, attr, raw := q.Get("rel"), q.Get("attr"), q.Get("value")
 	if rel == "" || attr == "" || raw == "" {
@@ -527,7 +531,7 @@ func (s *server) handleEntity(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	text, err := s.sys.DescribeEntityAsContext(r.Context(), s.profileOf(q.Get("session")), rel, attr, v)
+	text, err := s.sys.DescribeEntityAsContext(ctx, s.profileOf(q.Get("session")), rel, attr, v)
 	if err != nil {
 		s.queryError(w, err)
 		return
@@ -542,8 +546,8 @@ type sessionRequest struct {
 }
 
 func (s *server) handleSession(w http.ResponseWriter, r *http.Request) {
-	var req sessionRequest
-	if !s.decodeBody(w, r, &req) {
+	req, ok := decodeBody[sessionRequest](s, w, r)
+	if !ok {
 		return
 	}
 	if strings.TrimSpace(req.Session) == "" {
@@ -660,24 +664,6 @@ func (s *server) profileOf(session string) string {
 	return s.sessions[session]
 }
 
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			// An oversized body is a client asking too much, not a malformed
-			// request: 413, narrated like every other refusal.
-			writeFields(w, http.StatusRequestEntityTooLarge,
-				"answer", querytotext.BodyLimitEnglish(tooBig.Limit),
-				"error", err.Error())
-			return false
-		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
 // encodeJSON renders v as json.MarshalIndent does, with a trailing newline.
 // Only /stats and /explain use it: their bodies are open maps and planner
 // structs. Every other reply has a fixed shape and is written, to the same
@@ -702,15 +688,19 @@ func writeFields(w http.ResponseWriter, code int, kv ...string) {
 	writeBody(w, code, encodeFields(kv...))
 }
 
+// jsonType is every reply's Content-Type, one value shared by all of them
+// (net/http only reads it), so setting it allocates nothing.
+var jsonType = []string{"application/json"}
+
 // writeBody sends an encoded JSON reply.
 func writeBody(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(code)
 	w.Write(body)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }

@@ -78,6 +78,33 @@ func TestOverloadShedNarrated(t *testing.T) {
 	}
 }
 
+// TestQueueTimeoutNarrated504: with the one execution slot held, a request
+// that waits in the queue past -deadline is shed with 504 and a narrated
+// answer — the queue's wait is what arms guard's deadline.
+func TestQueueTimeoutNarrated504(t *testing.T) {
+	sys, err := buildSystem("movie", 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := overloadTestServer(t, sys, core.NewAdmission(1, 1), 1<<20, 16)
+	s.deadline = 50 * time.Millisecond
+	release, err := s.adm.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	code, out := postAsk(t, ts, "select m.title from MOVIES m")
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d %v, want 504", code, out)
+	}
+	if ans, _ := out["answer"].(string); !strings.Contains(ans, "give up") {
+		t.Fatalf("504 answer: %q", ans)
+	}
+	if st := s.adm.Stats(); st.TimedOut != 1 {
+		t.Fatalf("admission counters: %+v", st)
+	}
+}
+
 // cancelAfterPolls is a request context that reports cancellation from its
 // n-th Err() poll on — a deadline that falls at a chosen point of a narration.
 type cancelAfterPolls struct {
@@ -106,7 +133,7 @@ func TestEntityCancelledMidNarration(t *testing.T) {
 	s, _ := overloadTestServer(t, sys, core.NewAdmission(1, 0), 1<<20, 16)
 	entity := func(ctx context.Context) (int, map[string]any) {
 		rec := httptest.NewRecorder()
-		s.handleEntity(rec, httptest.NewRequest("GET", "/entity?rel=DIRECTOR&attr=id&value=1", nil).WithContext(ctx))
+		s.handleEntity(ctx, rec, httptest.NewRequest("GET", "/entity?rel=DIRECTOR&attr=id&value=1", nil))
 		var out map[string]any
 		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
 			t.Fatal(err)

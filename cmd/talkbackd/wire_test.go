@@ -150,9 +150,10 @@ func TestAskReplyMemo(t *testing.T) {
 // BenchmarkX24ServeHit is talkbackd's share of a response-cache hit: one
 // POST /ask through the real guard(handleAsk), recorded by
 // httptest.NewRecorder, after one warm-up ask has cached the answer and its
-// reply. Its allocations are gated, so the hit path stays one Write; the
-// clock starts after a GC whose background work has settled, so the one-op
-// reading counts the hit alone.
+// reply. Its allocations are gated, so the hit path stays one Write. The
+// body buffer pool is primed with buffers any P can take, and the clock
+// starts after a GC whose background work has settled, so the one-op
+// reading counts the hit alone (as in X28).
 func BenchmarkX24ServeHit(b *testing.B) {
 	for _, q := range []struct{ name, sql string }{
 		{"point", "select m.title, m.year from MOVIES m where m.id = 120"},
@@ -171,6 +172,10 @@ func BenchmarkX24ServeHit(b *testing.B) {
 			}
 			rd := bytes.NewReader(body)
 			req := httptest.NewRequest(http.MethodPost, "/ask", io.NopCloser(rd))
+			for i := 0; i < 2*runtime.GOMAXPROCS(0); i++ {
+				buf := make([]byte, 0, 1<<10)
+				bodyBufs.Put(&buf)
+			}
 			simtest.SettleAllocs()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -68,14 +68,26 @@ func (e *OverloadError) Error() string {
 // works through an OverloadError.
 func (e *OverloadError) Unwrap() error { return e.Err }
 
-// Acquire admits the request, blocking in the wait queue if execution slots
-// are full, and returns the release func the caller must invoke when done
-// (it is idempotent). It returns an *OverloadError when the request is shed.
+// Acquire admits the request as Admit does and returns the release func the
+// caller must invoke when done (it is idempotent). It returns an
+// *OverloadError when the request is shed.
 func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
+	if err := a.Admit(ctx); err != nil {
+		return nil, err
+	}
+	var once sync.Once
+	return func() { once.Do(a.Release) }, nil
+}
+
+// Admit admits the request, blocking in the wait queue if execution slots
+// are full; the caller calls Release exactly once when done. It returns an
+// *OverloadError when the request is shed. An admitted request that found a
+// free slot never calls ctx.Done.
+func (a *Admission) Admit(ctx context.Context) error {
 	select {
 	case a.sem <- struct{}{}:
 		a.admitted.Add(1)
-		return a.releaseFunc(), nil
+		return nil
 	default:
 	}
 	// Slots full: claim a queue position, or shed on the spot if the queue
@@ -85,18 +97,18 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	if w := a.waiting.Add(1); w > int64(a.queue) {
 		a.waiting.Add(-1)
 		a.rejected.Add(1)
-		return nil, &OverloadError{Running: len(a.sem), Waiting: int(w) - 1, Limit: a.limit}
+		return &OverloadError{Running: len(a.sem), Waiting: int(w) - 1, Limit: a.limit}
 	}
 	start := time.Now()
 	select {
 	case a.sem <- struct{}{}:
 		a.waiting.Add(-1)
 		a.admitted.Add(1)
-		return a.releaseFunc(), nil
+		return nil
 	case <-ctx.Done():
 		w := a.waiting.Add(-1)
 		a.timedOut.Add(1)
-		return nil, &OverloadError{
+		return &OverloadError{
 			Running:  len(a.sem),
 			Waiting:  int(w),
 			Limit:    a.limit,
@@ -107,10 +119,8 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-func (a *Admission) releaseFunc() func() {
-	var once sync.Once
-	return func() { once.Do(func() { <-a.sem }) }
-}
+// Release frees the slot an Admit took.
+func (a *Admission) Release() { <-a.sem }
 
 // NoteCancelled records a request that was admitted but then stopped
 // mid-execution by its budget — the serving layer calls it so /stats can

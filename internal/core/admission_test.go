@@ -11,9 +11,9 @@ import (
 	"repro/internal/querytotext"
 )
 
-// TestAdmissionValve pins the valve's three outcomes: immediate admit,
-// queue-then-admit, instant shed on a full queue, and a queued request
-// timed out by its own deadline.
+// TestAdmissionValve pins the valve's outcomes: immediate admit, instant
+// shed on a full queue, a queued request shed when its context is
+// cancelled, and one timed out by its own deadline.
 func TestAdmissionValve(t *testing.T) {
 	defer leakcheck.Check(t)()
 	a := NewAdmission(1, 1)
@@ -67,10 +67,22 @@ func TestAdmissionValve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
+
+	// A queued request whose deadline passes sheds as timed out (talkbackd's
+	// 504) under either request deadline: the queue's wait arms a
+	// RequestContext's timer.
+	for _, dc := range deadlineContexts {
+		ctx, cancel := dc.with(20 * time.Millisecond)
+		err := a.Admit(ctx)
+		cancel()
+		if !errors.As(err, &ov) || !ov.TimedOut || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: queued past its deadline: %v", dc.name, err)
+		}
+	}
 	release2()
 
 	st := a.Stats()
-	if st.Admitted != 2 || st.Rejected != 1 || st.TimedOut != 1 {
+	if st.Admitted != 2 || st.Rejected != 1 || st.TimedOut != 1+uint64(len(deadlineContexts)) {
 		t.Fatalf("counters: %+v", st)
 	}
 	if st.Running != 0 || st.Waiting != 0 {

@@ -74,8 +74,40 @@ func TestAskContextCancelMidQuery(t *testing.T) {
 	if cancelledAfter != cancelledBefore+1 {
 		t.Fatalf("reads_cancelled %d, want %d", cancelledAfter, cancelledBefore+1)
 	}
+	// A deadline that passes mid-query trips CauseDeadline under either
+	// request deadline, and the read counts as cancelled.
+	const slow = `select count(*) from CAST c where c.aid > (select avg(c2.aid) from CAST c2 where c2.mid <> c.mid)`
+	for _, dc := range deadlineContexts {
+		ctx, cancel := dc.with(50 * time.Millisecond)
+		_, _, before := sys.ReaderStats()
+		_, err := sys.AskContext(ctx, slow)
+		cancel()
+		if !errors.As(err, &ce) || ce.Cause != engine.CauseDeadline {
+			t.Fatalf("%s: query past its deadline returned %v, want a %s CancelError", dc.name, err, engine.CauseDeadline)
+		}
+		if _, _, after := sys.ReaderStats(); after != before+1 {
+			t.Fatalf("%s: reads_cancelled %d, want %d", dc.name, after, before+1)
+		}
+	}
+
 	// A wedged pin would hang here; returning at all is the assertion.
 	sys.DrainReaders()
+}
+
+// deadlineContexts build a request deadline both ways: context.WithTimeout,
+// and the RequestContext talkbackd's guard uses, whose timer the first Done
+// arms.
+var deadlineContexts = []struct {
+	name string
+	with func(time.Duration) (context.Context, func())
+}{
+	{"WithTimeout", func(d time.Duration) (context.Context, func()) {
+		return context.WithTimeout(context.Background(), d)
+	}},
+	{"RequestContext", func(d time.Duration) (context.Context, func()) {
+		c := NewRequestContext(context.Background(), d)
+		return c, c.Cancel
+	}},
 }
 
 // TestAskContextCancelledDMLNoTrace: a DML statement cancelled mid-flight
@@ -244,45 +276,49 @@ func TestFeedbackQuotaNarrated(t *testing.T) {
 // latches the log against further writes — the record's fate on disk is
 // unknown, so appending past it would risk silent loss.
 func TestAskContextWALStall(t *testing.T) {
-	defer leakcheck.Check(t)()
-	ffs := wal.NewFaultFS(wal.NewMemFS())
-	db, err := dataset.CuratedMovieDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, _, err := NewDurable(db, ffs, storage.DurableOptions{SyncGrace: 20 * time.Millisecond}, MovieConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs.DelaySyncs(400 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = sys.AskContext(ctx, "insert into MOVIES (id, title, year) values (998, 'Stalled', 2026)")
-	var ce *engine.CancelError
-	if !errors.As(err, &ce) || ce.Cause != engine.CauseWALStall {
-		t.Fatalf("stalled commit returned %v, want wal-stall CancelError", err)
-	}
-	// The caller got an answer bounded by deadline + grace, not by the disk.
-	if waited := time.Since(start); waited > 300*time.Millisecond {
-		t.Fatalf("stalled commit held the caller %v", waited)
-	}
-	if text := querytotext.CancelEnglish(ce); !strings.Contains(text, "write-ahead log") {
-		t.Fatalf("narration: %q", text)
-	}
-	var st *storage.StallError
-	if !errors.As(err, &st) {
-		t.Fatalf("CancelError does not wrap the StallError: %v", err)
-	}
-	// Latched: even with the disk healthy again, writes are rejected until
-	// restart, because the stalled record may or may not be on disk.
-	ffs.ClearFaults()
-	if _, err := sys.Ask("insert into MOVIES (id, title, year) values (997, 'After', 2026)"); err == nil {
-		t.Fatal("write accepted after a WAL stall")
-	}
-	// Reads still work.
-	if _, err := sys.Ask("select m.title from MOVIES m where m.id = 1"); err != nil {
-		t.Fatalf("read after stall: %v", err)
+	for _, dc := range deadlineContexts {
+		t.Run(dc.name, func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			ffs := wal.NewFaultFS(wal.NewMemFS())
+			db, err := dataset.CuratedMovieDB()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, _, err := NewDurable(db, ffs, storage.DurableOptions{SyncGrace: 20 * time.Millisecond}, MovieConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ffs.DelaySyncs(400 * time.Millisecond)
+			ctx, cancel := dc.with(50 * time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, err = sys.AskContext(ctx, "insert into MOVIES (id, title, year) values (998, 'Stalled', 2026)")
+			var ce *engine.CancelError
+			if !errors.As(err, &ce) || ce.Cause != engine.CauseWALStall {
+				t.Fatalf("stalled commit returned %v, want wal-stall CancelError", err)
+			}
+			// The caller got an answer bounded by deadline + grace, not by the disk.
+			if waited := time.Since(start); waited > 300*time.Millisecond {
+				t.Fatalf("stalled commit held the caller %v", waited)
+			}
+			if text := querytotext.CancelEnglish(ce); !strings.Contains(text, "write-ahead log") {
+				t.Fatalf("narration: %q", text)
+			}
+			var st *storage.StallError
+			if !errors.As(err, &st) {
+				t.Fatalf("CancelError does not wrap the StallError: %v", err)
+			}
+			// Latched: even with the disk healthy again, writes are rejected until
+			// restart, because the stalled record may or may not be on disk.
+			ffs.ClearFaults()
+			if _, err := sys.Ask("insert into MOVIES (id, title, year) values (997, 'After', 2026)"); err == nil {
+				t.Fatal("write accepted after a WAL stall")
+			}
+			// Reads still work.
+			if _, err := sys.Ask("select m.title from MOVIES m where m.id = 1"); err != nil {
+				t.Fatalf("read after stall: %v", err)
+			}
+		})
 	}
 }
 
@@ -290,34 +326,38 @@ func TestAskContextWALStall(t *testing.T) {
 // inside the grace window commits normally — an expired request deadline
 // alone must never latch the log or tear a statement that already applied.
 func TestAskContextSlowSyncWithinGrace(t *testing.T) {
-	defer leakcheck.Check(t)()
-	ffs := wal.NewFaultFS(wal.NewMemFS())
-	db, err := dataset.CuratedMovieDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, _, err := NewDurable(db, ffs, storage.DurableOptions{SyncGrace: 5 * time.Second}, MovieConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs.DelaySyncs(300 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	resp, err := sys.AskContext(ctx, "insert into MOVIES (id, title, year) values (996, 'Slow Disk', 2026)")
-	if err != nil {
-		t.Fatalf("slow-but-healthy sync failed the statement: %v", err)
-	}
-	if resp.Affected != 1 {
-		t.Fatalf("affected %d", resp.Affected)
-	}
-	ffs.ClearFaults()
-	// The statement committed whole: visible now and after the WAL latch
-	// check (writes were never rejected).
-	if ans := askCount(t, sys, "select m.title from MOVIES m where m.id = 996"); !strings.Contains(ans, "Slow Disk") {
-		t.Fatalf("committed row missing: %s", ans)
-	}
-	if _, err := sys.Ask("insert into MOVIES (id, title, year) values (995, 'Next', 2026)"); err != nil {
-		t.Fatalf("write after within-grace sync: %v", err)
+	for _, dc := range deadlineContexts {
+		t.Run(dc.name, func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			ffs := wal.NewFaultFS(wal.NewMemFS())
+			db, err := dataset.CuratedMovieDB()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, _, err := NewDurable(db, ffs, storage.DurableOptions{SyncGrace: 5 * time.Second}, MovieConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ffs.DelaySyncs(300 * time.Millisecond)
+			ctx, cancel := dc.with(100 * time.Millisecond)
+			defer cancel()
+			resp, err := sys.AskContext(ctx, "insert into MOVIES (id, title, year) values (996, 'Slow Disk', 2026)")
+			if err != nil {
+				t.Fatalf("slow-but-healthy sync failed the statement: %v", err)
+			}
+			if resp.Affected != 1 {
+				t.Fatalf("affected %d", resp.Affected)
+			}
+			ffs.ClearFaults()
+			// The statement committed whole: visible now and after the WAL latch
+			// check (writes were never rejected).
+			if ans := askCount(t, sys, "select m.title from MOVIES m where m.id = 996"); !strings.Contains(ans, "Slow Disk") {
+				t.Fatalf("committed row missing: %s", ans)
+			}
+			if _, err := sys.Ask("insert into MOVIES (id, title, year) values (995, 'Next', 2026)"); err != nil {
+				t.Fatalf("write after within-grace sync: %v", err)
+			}
+		})
 	}
 }
 

@@ -395,11 +395,10 @@ func (s *System) Ask(sql string) (*Response, error) {
 // stops either commits whole through the WAL or leaves no trace. A context
 // that can never fire and zero quotas make AskContext byte-identical to Ask.
 func (s *System) AskContext(ctx context.Context, sql string) (resp *Response, err error) {
-	bud := engine.NewBudget(ctx, s.cfg.MaxRowsScanned, s.cfg.MaxBytesScanned)
 	// Requests already abandoned by their caller are refused before pinning
 	// a snapshot or touching any cache.
-	if err := bud.Step(0); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, engine.NewBudget(ctx, s.cfg.MaxRowsScanned, s.cfg.MaxBytesScanned).Step(0)
 	}
 	// Pin the MVCC version first: everything below — the response cache
 	// key, planning, execution, narration, feedback — is answered from
@@ -426,6 +425,9 @@ func (s *System) AskContext(ctx context.Context, sql string) (resp *Response, er
 			return cached, nil
 		}
 	}
+	// The budget is built past the hit path: building it calls ctx.Done,
+	// which arms a RequestContext's timer, and a hit waits on nothing.
+	bud := engine.NewBudget(ctx, s.cfg.MaxRowsScanned, s.cfg.MaxBytesScanned)
 
 	stmt, err := s.parseCachedKey(key, sql)
 	if err != nil {

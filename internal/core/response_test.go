@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestResponseKey holds the response-cache key to the "%d|%d|%s" it has
@@ -29,7 +31,8 @@ func TestResponseKey(t *testing.T) {
 // TestAskHitAllocs pins a response-cache hit to two allocations, the
 // normalized text and the response-cache key, on a system past 300 commits,
 // where the snapshot seq and the data generation no longer fit fmt's
-// preallocated small integers.
+// preallocated small integers: through Ask, and through AskContext under a
+// RequestContext.
 func TestAskHitAllocs(t *testing.T) {
 	s := movieSystem(t)
 	for i := 0; i < 300; i++ {
@@ -50,6 +53,16 @@ func TestAskHitAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Ask(sql) }); n > 2 {
 		t.Errorf("a response-cache hit allocates %v times, want at most 2", n)
+	}
+	// Under talkbackd's request deadline a hit costs the same, and never
+	// arms the deadline's timer.
+	ctx := NewRequestContext(context.Background(), time.Minute)
+	defer ctx.Cancel()
+	if n := testing.AllocsPerRun(100, func() { s.AskContext(ctx, sql) }); n > 2 {
+		t.Errorf("a response-cache hit under a RequestContext allocates %v times, want at most 2", n)
+	}
+	if ctx.state.Load() != idle {
+		t.Error("a response-cache hit armed the request deadline")
 	}
 }
 
