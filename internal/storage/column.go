@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -105,11 +106,12 @@ func (b *bitmap) truncate(n int) {
 // code<->rank tables in string sort order.
 type dict struct {
 	strs []string
-	code map[string]uint32
-	// codeMu guards the code map, which is shared between the writer's dict
-	// and the frozen clones handed to snapshots: the writer interns under the
-	// write lock while snapshot readers probe DictCode concurrently. The
-	// pointer is shared across clones so everyone serializes on one lock.
+	code *codeTable
+	// codeMu guards the code table (codetable.go), which is shared between
+	// the writer's dict and the frozen clones handed to snapshots: the writer
+	// interns under the write lock while snapshot readers probe DictCode
+	// concurrently. The pointer is shared across clones so everyone
+	// serializes on one lock.
 	codeMu *sync.RWMutex
 	// refs[c] counts live rows holding code c; live counts codes with
 	// refs > 0 — the column's distinct count. Maintained by the writer paths
@@ -134,15 +136,18 @@ type dict struct {
 
 // newDict returns an empty dictionary.
 func newDict() *dict {
-	return &dict{code: make(map[string]uint32), codeMu: &sync.RWMutex{}}
+	return &dict{code: newCodeTable(0), codeMu: &sync.RWMutex{}}
 }
 
-// add assigns the next code to s, which the dictionary does not hold; the
-// caller holds codeMu.
-func (d *dict) add(s string) uint32 {
+// find returns the code of s, whose hash is h.
+func (d *dict) find(s string, h uint32) (uint32, bool) { return d.code.find(d.strs, s, h) }
+
+// add assigns the next code to s (hash h), which the dictionary does not
+// hold; the caller holds codeMu.
+func (d *dict) add(s string, h uint32) uint32 {
 	c := uint32(len(d.strs))
 	d.strs = append(d.strs, s)
-	d.code[s] = c
+	d.code.add(h, c)
 	d.refs = append(d.refs, 0)
 	if d.ranked {
 		d.rankStale.Store(true)
@@ -151,10 +156,10 @@ func (d *dict) add(s string) uint32 {
 }
 
 // freeze builds a snapshot clone of the dictionary: the vocabulary is the
-// length-capped strs prefix (the writer only appends), the code map is shared
-// under codeMu with lookups filtered to the frozen vocabulary, and the rank
-// tables rebuild lazily — privately, over the frozen vocabulary — on the
-// clone's first ranked read. refs stay with the writer; a frozen dict never
+// length-capped strs prefix (the writer only appends), the code table is
+// shared under codeMu with lookups filtered to the frozen vocabulary, and
+// the rank tables rebuild lazily — privately, over the frozen vocabulary —
+// on the clone's first ranked read. refs stay with the writer; a frozen dict never
 // retains or releases.
 func (d *dict) freeze() *dict {
 	fd := &dict{
@@ -321,12 +326,13 @@ func (c *column) appendPayloads(rows []Tuple, j, lo int, borrowed bool) {
 				if !c.stored(v, r) {
 					continue
 				}
-				// The writer alone mutates the code map, so its own lookups
-				// need no lock; only an insertion excludes snapshot
+				// The writer alone mutates the code table, so its own
+				// lookups need no lock; only an insertion excludes snapshot
 				// readers, and the lock it takes stays held (held) until
 				// the caller ends the statement's append.
 				s := v.Text()
-				code, ok := d.code[s]
+				h := strHash(s)
+				code, ok := d.find(s, h)
 				if !ok {
 					if !d.held {
 						d.codeMu.Lock()
@@ -335,7 +341,7 @@ func (c *column) appendPayloads(rows []Tuple, j, lo int, borrowed bool) {
 					if borrowed {
 						s = strings.Clone(s)
 					}
-					code = d.add(s)
+					code = d.add(s, h)
 				}
 				chunk[r&ZoneMask] = code
 			}
@@ -386,6 +392,34 @@ func (c *column) value(i int) value.Value {
 	default:
 		return value.NewNull()
 	}
+}
+
+// appendKey appends position i's key image — the bytes value.AppendKey
+// writes for the value the column holds there — read straight from the typed
+// vector: the primary key's bulk build (rebuildPK) and every probe's
+// confirmation encode through it.
+func (c *column) appendKey(buf []byte, i int) []byte {
+	if c.nulls.get(i) {
+		return append(buf, 'n')
+	}
+	switch c.kind {
+	case value.Int:
+		return binary.BigEndian.AppendUint64(append(buf, 'f'), value.NewInt(c.int(i)).Key64())
+	case value.Float:
+		return binary.BigEndian.AppendUint64(append(buf, 'f'), value.NewFloat(c.flt(i)).Key64())
+	case value.Date:
+		return binary.BigEndian.AppendUint64(append(buf, 'd'), value.NewDateDays(c.int(i)).Key64())
+	case value.Text:
+		s := c.dict.strs[c.code(i)]
+		buf = binary.AppendUvarint(append(buf, 't'), uint64(len(s)))
+		return append(buf, s...)
+	case value.Bool:
+		if c.bl(i) {
+			return append(buf, 'B')
+		}
+		return append(buf, 'b')
+	}
+	return append(buf, '?')
 }
 
 // The payload at position i, one reader per vector type.
@@ -647,18 +681,15 @@ func (c Col) DictLen() int { return len(c.c.dict.strs) }
 func (c Col) DictString(code uint32) string { return c.c.dict.strs[code] }
 
 // DictCode looks up the code for s; ok is false when s never occurred in the
-// column — which proves no row equals s without touching a single string. The
-// map is shared with the writer's dictionary (codeMu serializes against
-// interning), and codes past the frozen vocabulary — strings first seen after
-// the snapshot — report as absent.
+// column — which proves no row equals s without comparing more than the
+// strings that share its hash. The code table is shared with the writer's
+// dictionary (codeMu serializes against interning), and codes past the frozen
+// vocabulary — strings first seen after the snapshot — report as absent.
 func (c Col) DictCode(s string) (uint32, bool) {
-	d := c.c.dict
+	d, h := c.c.dict, strHash(s)
 	d.codeMu.RLock()
-	code, ok := d.code[s]
+	code, ok := d.find(s, h)
 	d.codeMu.RUnlock()
-	if ok && code >= uint32(len(d.strs)) {
-		return 0, false
-	}
 	return code, ok
 }
 

@@ -53,10 +53,14 @@ type pkIndex struct {
 	shared []bool
 }
 
-// newPKIndex returns an empty table of size slots (a power of two), its pages
-// carved capacity-capped from one array.
-func newPKIndex(size int) pkIndex {
-	slots := make([]uint64, size)
+// newPKIndex returns an empty table of size slots (a power of two).
+func newPKIndex(size int) pkIndex { return pkIndexOver(make([]uint64, size)) }
+
+// pkIndexOver returns the table over slots (a power-of-two count of them),
+// its pages carved capacity-capped from the one array; n is left for the
+// caller to set.
+func pkIndexOver(slots []uint64) pkIndex {
+	size := len(slots)
 	pages := make([][]uint64, max(1, size>>pkPageShift))
 	for p := range pages {
 		lo, hi := p<<pkPageShift, min(size, (p+1)<<pkPageShift)
@@ -133,6 +137,55 @@ func (x *pkIndex) reserve(k int) {
 	}
 	fresh.n = x.n
 	*x = fresh
+}
+
+// bulkPlace fills slots — an empty table of a power-of-two size that holds
+// every entry at a load of at most 3/4 — with the entry (hashes[i], i) of
+// every i, as a radix-partitioned hash-table build (Balkesen et al., ICDE
+// 2013): a counting sort orders the entries by the 4 KB page of their home
+// slot, stably, and placement then fills the pages in slot order instead of
+// writing a random slot per entry. Both the primary key's bulk build and a
+// loaded dictionary's code table are built by it.
+//
+// An entry that same reports equal to one already placed is left out.
+// bulkPlace returns the pair a walk in index order would meet first — the
+// repeated value's first index and the earliest index that repeats any
+// value — or -1, -1 when every entry was placed. Equal values share a hash,
+// hence a page, and a page's entries keep their index order, so the first of
+// them is placed before the others reach it.
+func bulkPlace(slots []uint64, hashes []uint32, same func(a, b int) bool) (first, repeat int) {
+	mask := len(slots) - 1
+	starts := make([]int, mask>>pkPageShift+2)
+	for _, h := range hashes {
+		starts[(int(h)&mask)>>pkPageShift+1]++
+	}
+	for p := 1; p < len(starts); p++ {
+		starts[p] += starts[p-1]
+	}
+	sorted := make([]uint64, len(hashes))
+	for i, h := range hashes {
+		p := (int(h) & mask) >> pkPageShift
+		sorted[starts[p]] = pkEntry(h, i)
+		starts[p]++
+	}
+	first, repeat = -1, -1
+	for _, e := range sorted {
+		h, i := entryHash(e), entryPos(e)
+		s := int(h) & mask
+		for o := slots[s]; o != 0; o = slots[s] {
+			if at := entryPos(o); entryHash(o) == h && same(at, i) {
+				if repeat < 0 || i < repeat {
+					first, repeat = at, i
+				}
+				break
+			}
+			s = (s + 1) & mask
+		}
+		if slots[s] == 0 {
+			slots[s] = e
+		}
+	}
+	return first, repeat
 }
 
 // place writes e into the first empty slot of its probe sequence.

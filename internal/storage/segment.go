@@ -317,7 +317,7 @@ func (tbl *Table) loadSegment(name string, d *walDecoder) error {
 	// dictionary references, zones, frame-of-reference deltas, and with them
 	// the bounds and NULL counts the statistics read — and the primary key.
 	// They share nothing they write, so they run in parallel.
-	// A TEXT column's dictionary code map fills there too.
+	// A TEXT column's dictionary code table fills there too.
 	var wg sync.WaitGroup
 	errs := make([]error, len(tbl.cols))
 	for i := range tbl.cols {
@@ -344,16 +344,20 @@ func (tbl *Table) loadSegment(name string, d *walDecoder) error {
 	return nil
 }
 
-// buildCodes fills a loaded dictionary's code map from its strings, refusing
-// one that holds a string twice.
+// buildCodes fills a loaded dictionary's code table from its strings in
+// bulk, as the primary key's is built (bulkPlace), refusing one that holds a
+// string twice: the string named is the earliest entry that repeats one.
 func (d *dict) buildCodes() error {
-	d.code = make(map[string]uint32, len(d.strs))
-	for i, s := range d.strs {
-		d.code[s] = uint32(i)
-		if len(d.code) != i+1 {
-			return fmt.Errorf("dictionary holds %q twice", s)
-		}
+	hashes := make([]uint32, len(d.strs))
+	for c, s := range d.strs {
+		hashes[c] = strHash(s)
 	}
+	t := newCodeTable(len(d.strs))
+	if _, repeat := bulkPlace(t.slots, hashes, func(a, b int) bool { return d.strs[a] == d.strs[b] }); repeat >= 0 {
+		return fmt.Errorf("dictionary holds %q twice", d.strs[repeat])
+	}
+	t.n = len(d.strs)
+	d.code = t
 	return nil
 }
 
@@ -450,7 +454,7 @@ func (c *column) loadSegment(d *walDecoder, rows int) error {
 		}
 		section := string(d.buf[start:d.off])
 		entries := walDecoder{buf: d.buf[start:d.off]}
-		// The code map fills in the parallel phase (buildCodes).
+		// The code table fills in the parallel phase (buildCodes).
 		c.dict = &dict{codeMu: &sync.RWMutex{}}
 		c.dict.strs = make([]string, dictLen)
 		c.dict.refs = make([]int32, dictLen)

@@ -286,7 +286,7 @@ func TestReplicatedCheckpointWithSecondaryIndex(t *testing.T) {
 
 // fuzzSeedSegments checkpoints a few shapes of the columnar test table: NULL-
 // heavy random rows under a sorted dictionary, a table past one zone, and an
-// all-NULL text column; then it adds three forged segments.
+// all-NULL text column; then it adds four forged segments.
 func fuzzSeedSegments(t testing.TB) [][]byte {
 	rng := rand.New(rand.NewSource(5))
 	var nextID int64
@@ -323,9 +323,10 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 		_, ck := checkpointFile(t, columnarTestSchema(), build)
 		out = append(out, tableSegments(t, ck)...)
 	}
-	// Three forgeries this writer never produces, which the loader must
+	// Four forgeries this writer never produces, which the loader must
 	// refuse: a NULL bit past the last row, a dictionary holding one string
-	// twice, and an older writer's secondary-index definition.
+	// twice, a primary key held by two rows (written under the relation
+	// without its key), and an older writer's secondary-index definition.
 	db, err := NewDatabase(columnarTestSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -341,6 +342,16 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 	view = db.Table("T").freeze()
 	view.cols[3].dict = &dict{strs: append(slices.Clone(view.cols[3].dict.strs), "s1")}
 	out = append(out, view.appendSegment(nil))
+	keyless := columnarTestSchema()
+	keyless.Relation("T").PrimaryKey = nil
+	_, ck := checkpointFile(t, keyless, func(db *Database) {
+		for _, id := range []int64{1, 2, 1} {
+			if err := db.Insert("T", Tuple{value.NewInt(id), value.NewInt(id), value.NewNull(), value.NewText("k"), value.NewNull(), value.NewNull()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	out = append(out, tableSegments(t, ck)...)
 	return append(out, withIndexDefinition(t, out[0], "by_n", "n"))
 }
 

@@ -63,8 +63,9 @@ import (
 //     is replaced by fresh pages. A DELETE or key-changing UPDATE first swaps
 //     in a private page-header array (ownPK), then clones each 4 KB page
 //     once, on its first removal or re-pointing.
-//   - Dictionary maps are shared under codeMu; compaction replaces structures
-//     instead of mutating them.
+//   - Dictionary code tables are shared under codeMu: interning adds entries
+//     (growth swaps in a larger slot array under the lock), and compaction
+//     replaces the table instead of mutating it.
 //
 // SnapshotStats.CopiedBytes counts every byte these rules clone.
 //

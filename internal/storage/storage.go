@@ -118,10 +118,11 @@ type Table struct {
 }
 
 // appendKeyAt appends the composite key of the given attribute positions of
-// row i, reading the column vectors directly.
+// row i straight from the typed vectors (column.appendKey), without
+// materializing a value.Value.
 func (t *Table) appendKeyAt(buf []byte, row int, positions []int) []byte {
 	for _, p := range positions {
-		buf = t.cols[p].value(row).AppendKey(buf)
+		buf = t.cols[p].appendKey(buf, row)
 	}
 	return buf
 }
@@ -585,38 +586,39 @@ func (t *Table) unindexRows(removed []int) {
 }
 
 // rebuildPK rebuilds the primary-key slots from the vectors of a loaded
-// segment. It builds fresh slots and swaps them in under idxMu: frozen
-// snapshot views keep the previous — now immutable — ones. Two rows with one
-// primary key (only a corrupt checkpoint can hold them) are refused, leaving
-// the index as it was.
+// segment, in bulk: one pass hashes every row's key image, read from the
+// typed vectors, and bulkPlace fills fresh slots, sized for every row, page
+// by page. The slots are swapped in under idxMu: frozen snapshot views keep
+// the previous — now immutable — ones. Two rows with one primary key (only a
+// corrupt checkpoint can hold them) are refused, leaving the index as it
+// was, naming the rows a row-order walk would: the key's first row and the
+// earliest row that repeats any key.
 func (t *Table) rebuildPK() error {
 	var pk pkIndex
 	if t.pkPos != nil {
-		pk = newPKIndex(pkSlotsFor(t.rows))
-		var kb [64]byte
-		mask := pk.size - 1
-		for pos := 0; pos < t.rows; pos++ {
+		hashes := make([]uint32, t.rows)
+		for pos := range hashes {
 			t.keyBuf = t.appendKeyAt(t.keyBuf[:0], pos, t.pkPos)
-			h := pkHash(t.keyBuf)
-			// One walk of the probe sequence both looks for the key and
-			// finds the empty slot it goes in: the slots are sized for every
-			// row, so no entry moves.
-			i := int(h) & mask
-			for e := pk.at(i); e != 0; e = pk.at(i) {
-				if at := entryPos(e); entryHash(e) == h && bytes.Equal(t.appendKeyAt(kb[:0], at, t.pkPos), t.keyBuf) {
-					return fmt.Errorf("rows %d and %d share primary key %s", at, pos, t.Tuple(pos).pkString(t.pkPos))
-				}
-				i = (i + 1) & mask
-			}
-			pk.pages[i>>pkPageShift][i&pkPageMask] = pkEntry(h, pos)
-			pk.n++
+			hashes[pos] = pkHash(t.keyBuf)
 		}
+		slots := make([]uint64, pkSlotsFor(t.rows))
+		if first, repeat := bulkPlace(slots, hashes, t.sameKey); repeat >= 0 {
+			return fmt.Errorf("rows %d and %d share primary key %s", first, repeat, t.Tuple(repeat).pkString(t.pkPos))
+		}
+		pk = pkIndexOver(slots)
+		pk.n = t.rows
 	}
 	t.idxMu.Lock()
 	t.pk = pk
 	t.idxMu.Unlock()
 	t.idxShared = false
 	return nil
+}
+
+// sameKey reports whether rows a and b hold one primary key.
+func (t *Table) sameKey(a, b int) bool {
+	var ka, kb [64]byte
+	return bytes.Equal(t.appendKeyAt(ka[:0], a, t.pkPos), t.appendKeyAt(kb[:0], b, t.pkPos))
 }
 
 // Stats summarizes table cardinalities; the explain subsystem uses it for

@@ -455,15 +455,16 @@ func setTextRun(c *column, tbl *Table, positions []int, vals []value.Value, borr
 		var code uint32
 		if !null {
 			s := v.Text()
+			h := strHash(s)
 			var ok bool
-			if code, ok = d.code[s]; !ok {
-				// The writer alone mutates the code map, so its lookup
+			if code, ok = d.find(s, h); !ok {
+				// The writer alone mutates the code table, so its lookup
 				// needs no lock; an insertion excludes snapshot readers.
 				if borrowed {
 					s = strings.Clone(s)
 				}
 				d.codeMu.Lock()
-				code = d.add(s)
+				code = d.add(s, h)
 				d.codeMu.Unlock()
 			}
 			d.retain(code)

@@ -132,15 +132,16 @@ func (t *Table) rowLoopReindex(i int, old, repl Tuple) error {
 }
 
 // intern returns the code for s, assigning the next one on first sight. Only
-// the writer calls it: the writer alone mutates the code map, so its lookup
+// the writer calls it: the writer alone mutates the code table, so its lookup
 // takes no lock, and only an insertion excludes snapshot readers.
 func (d *dict) intern(s string) uint32 {
-	if c, ok := d.code[s]; ok {
+	h := strHash(s)
+	if c, ok := d.find(s, h); ok {
 		return c
 	}
 	d.codeMu.Lock()
 	defer d.codeMu.Unlock()
-	return d.add(s)
+	return d.add(s, h)
 }
 
 // setVal overwrites position i (Update path; v is coerced or NULL), cloning

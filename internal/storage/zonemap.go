@@ -444,12 +444,12 @@ func (c *column) maybeCompactDict(rows int) {
 	remap := make([]uint32, len(d.strs))
 	strs := make([]string, 0, d.live)
 	refs := make([]int32, 0, d.live)
-	code := make(map[string]uint32, d.live)
+	code := newCodeTable(d.live)
 	for old, s := range d.strs {
 		if d.refs[old] <= 0 {
-			// Dead entries are simply left out of the fresh map — the old map
-			// is never mutated, because frozen snapshots may still read it
-			// (their rows legitimately hold codes the live table dropped).
+			// Dead entries are simply left out of the fresh table — the old
+			// one is never mutated, because frozen snapshots may still read
+			// it (their rows legitimately hold codes the live table dropped).
 			continue
 		}
 		// A loaded dictionary's entries are substrings of one section
@@ -460,7 +460,7 @@ func (c *column) maybeCompactDict(rows int) {
 		remap[old] = nc
 		strs = append(strs, s)
 		refs = append(refs, d.refs[old])
-		code[s] = nc
+		code.add(strHash(s), nc)
 	}
 	for z := range chunksFor(rows) {
 		chunk := ownChunk(c, &c.codes, z)
