@@ -476,20 +476,3 @@ func TestExplainPlanEndpointBackbone(t *testing.T) {
 		t.Fatal("EXPLAIN of DML accepted")
 	}
 }
-
-// TestAskFoldsArithmeticForThePlanOnly asks a query whose key predicate is
-// literal arithmetic: the engine plans the folded form, a primary-key probe,
-// while the verification text still reads the statement as the user wrote it.
-func TestAskFoldsArithmeticForThePlanOnly(t *testing.T) {
-	s := movieSystem(t)
-	resp, err := s.Ask("select m.title from MOVIES m where m.id = 1 + 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Plan == nil || resp.Plan.Fingerprint != "m:primary-key probe{1}" {
-		t.Errorf("plan = %+v, want a primary-key probe", resp.Plan)
-	}
-	if !strings.Contains(resp.Verification.Text, "1 + 1") {
-		t.Errorf("verification = %q, want the statement's own 1 + 1", resp.Verification.Text)
-	}
-}

@@ -3,10 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
-	"repro/internal/catalog"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -190,25 +188,17 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 	n := len(positions)
 	vals := make([]value.Value, len(attrs)*n)
 	// One context, one scratch row and one value scratch serve every row:
-	// evaluation never retains them. A matched row is copied into the
-	// scratch only as far as the statement reads it (setReads).
+	// evaluation never retains them.
 	ec := setPQ.newCtx()
 	scratch := make([]value.Value, len(rel.Attributes)+len(set))
 	row, newVals := storage.Tuple(scratch[:len(rel.Attributes)]), scratch[len(rel.Attributes):]
-	read, partial := setReads(rel, stmt.Set, attrs)
 	type evalFail struct {
 		k   int
 		err error
 	}
 	var fails []evalFail
 	for k, p := range positions {
-		if !partial {
-			tbl.CopyRow(row, p)
-		}
-		for m := read; m != 0; m &= m - 1 {
-			a := bits.TrailingZeros64(m)
-			row[a] = tbl.Col(a).Value(p)
-		}
+		tbl.CopyRow(row, p)
 		// Evaluate all RHS before assigning, per SQL simultaneous-update
 		// semantics (sal = sal * 2 uses the old sal).
 		var evalErr error
@@ -248,35 +238,6 @@ func (ex *Engine) execUpdate(stmt *sqlparser.UpdateStmt) (int, error) {
 		}
 	}
 	return applied, err
-}
-
-// setReads returns the set of attributes UPDATE reads of each matched row,
-// one bit per attribute position: the set attributes, whose stored values a
-// row whose SET fails keeps, and every attribute a SET expression names.
-// partial is false — read the whole row — when a SET holds a subquery, whose
-// correlated references the walk does not follow, or the relation has more
-// attributes than the set has bits.
-func setReads(rel *catalog.Relation, set []sqlparser.Assignment, attrs []int) (read uint64, partial bool) {
-	if len(rel.Attributes) > 64 {
-		return 0, false
-	}
-	for _, a := range attrs {
-		read |= 1 << a
-	}
-	for _, a := range set {
-		if len(sqlparser.Subqueries(a.Value)) > 0 {
-			return 0, false
-		}
-		sqlparser.WalkExpr(a.Value, func(e sqlparser.Expr) bool {
-			if ref, ok := e.(*sqlparser.ColumnRef); ok {
-				if p := rel.AttrIndex(ref.Column); p >= 0 {
-					read |= 1 << p
-				}
-			}
-			return true
-		})
-	}
-	return read, true
 }
 
 // execDelete runs DELETE FROM ... WHERE as one storage call (see

@@ -172,54 +172,3 @@ func TestUpdateErrorOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestUpdateCopiesWhatSetReads checks that UPDATE, which copies a matched row
-// only as far as its SET reads it, still gives each SET every attribute it
-// names: another attribute than the one set, a name in another case, and
-// attributes named only inside a correlated subquery (which reads the whole
-// row). Each run's values are checked against the rows as they stood.
-func TestUpdateCopiesWhatSetReads(t *testing.T) {
-	for _, tc := range []struct {
-		sql  string
-		want func(eid, age, did int64) int64
-	}{
-		{"update EMP e set age = e.eid * 100 + e.DID where e.eid > 0", func(eid, _, did int64) int64 { return eid*100 + did }},
-		{"update EMP set age = EID + age where eid > 0", func(eid, age, _ int64) int64 { return eid + age }},
-		{"update EMP e set age = (select count(*) from EMP e2 where e2.did = e.did and e2.eid <= e.eid) where e.eid > 0",
-			nil},
-	} {
-		db, err := dataset.CuratedEmpDept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := New(db)
-		before, err := ex.Query("select e.eid, e.age, e.did from EMP e")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := execWithin(t, ex, tc.sql); err != nil {
-			t.Fatalf("%s: %v", tc.sql, err)
-		}
-		after, err := ex.Query("select e.eid, e.age from EMP e")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range before.Rows {
-			eid, age, did := r[0].Int(), r[1].Int(), r[2].Int()
-			want := int64(0)
-			if tc.want != nil {
-				want = tc.want(eid, age, did)
-			} else {
-				// The rank of eid among its department's employees.
-				for _, o := range before.Rows {
-					if o[2].Int() == did && o[0].Int() <= eid {
-						want++
-					}
-				}
-			}
-			if got := after.Rows[i][1].Int(); after.Rows[i][0].Int() != eid || got != want {
-				t.Errorf("%s: employee %d's age is %d, want %d", tc.sql, eid, got, want)
-			}
-		}
-	}
-}

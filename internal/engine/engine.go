@@ -142,7 +142,7 @@ func (ex *Engine) Query(src string) (*Result, error) {
 
 // Select executes a parsed SELECT statement.
 func (ex *Engine) Select(sel *sqlparser.SelectStmt) (*Result, error) {
-	return ex.execSelect(foldSelect(sel))
+	return ex.execSelect(sel)
 }
 
 // Exec parses and executes any statement; for SELECT it returns the result,
@@ -157,10 +157,9 @@ func (ex *Engine) Exec(src string) (res *Result, count int, err error) {
 
 // ExecStatement executes an already-parsed statement (see Exec); callers
 // with a cached AST use it to skip re-parsing. The statement is not
-// mutated: the engine plans and runs a copy whose constant arithmetic is
-// folded (fold.go).
+// mutated.
 func (ex *Engine) ExecStatement(stmt sqlparser.Statement) (res *Result, count int, err error) {
-	switch s := foldStatement(stmt).(type) {
+	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		r, err := ex.execSelect(s)
 		return r, 0, err
@@ -174,7 +173,7 @@ func (ex *Engine) ExecStatement(stmt sqlparser.Statement) (res *Result, count in
 		n, err := ex.execDelete(s)
 		return nil, n, err
 	case *sqlparser.ExplainStmt:
-		if _, plan, err := ex.execSelectExplained(s.Query, nil, -1); err == nil {
+		if _, plan, err := ex.SelectExplained(s.Query); err == nil {
 			return explainResult(plan), 0, nil
 		} else {
 			return nil, 0, err
@@ -371,7 +370,7 @@ func (ex *Engine) flattenFrom(from []*sqlparser.TableRef) ([]fromEntry, error) {
 // type a view column always had — and a column whose values mix kinds, which
 // no column vector can hold, is refused.
 func (ex *Engine) materializeView(name string, q *sqlparser.SelectStmt) (*storage.Table, error) {
-	res, err := ex.execSelect(foldSelect(q))
+	res, err := ex.execSelect(q)
 	if err != nil {
 		return nil, fmt.Errorf("engine: materializing view %s: %v", name, err)
 	}

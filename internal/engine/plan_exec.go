@@ -1548,7 +1548,6 @@ func (pq *plannedQuery) flatOrderKeys(sel *sqlparser.SelectStmt, items []sqlpars
 // carries the zone-skip, parallel-scan and vec-aggregate steps a run would
 // report.
 func (ex *Engine) Plan(sel *sqlparser.SelectStmt) (*planner.Plan, error) {
-	sel = foldSelect(sel)
 	entries, err := ex.flattenFrom(sel.From)
 	if err != nil {
 		return nil, err
@@ -1564,5 +1563,5 @@ func (ex *Engine) Plan(sel *sqlparser.SelectStmt) (*planner.Plan, error) {
 // SelectExplained executes sel and returns both the result and the executed
 // plan with per-step actual row counts — the EXPLAIN PLAN backbone.
 func (ex *Engine) SelectExplained(sel *sqlparser.SelectStmt) (*Result, *planner.Plan, error) {
-	return ex.execSelectExplained(foldSelect(sel), nil, -1)
+	return ex.execSelectExplained(sel, nil, -1)
 }

@@ -106,10 +106,12 @@ func (b *bitmap) truncate(n int) {
 // code<->rank tables in string sort order.
 type dict struct {
 	strs []string
-	code *codeTable
-	// codeMu guards the code table (codetable.go), which is shared between
-	// the writer's dict and the frozen clones handed to snapshots: the writer
-	// interns under the write lock while snapshot readers probe DictCode
+	// code maps each string to its code: the primary key's slot table
+	// (pkindex.go) with code+1 in place of pos+1, confirmed against strs.
+	code *pkIndex
+	// codeMu guards the code table, which is shared between the writer's
+	// dict and the frozen clones handed to snapshots: the writer interns
+	// under the write lock while snapshot readers probe DictCode
 	// concurrently. The pointer is shared across clones so everyone
 	// serializes on one lock.
 	codeMu *sync.RWMutex
@@ -136,18 +138,36 @@ type dict struct {
 
 // newDict returns an empty dictionary.
 func newDict() *dict {
-	return &dict{code: newCodeTable(0), codeMu: &sync.RWMutex{}}
+	return &dict{code: new(pkIndex), codeMu: &sync.RWMutex{}}
 }
 
-// find returns the code of s, whose hash is h.
-func (d *dict) find(s string, h uint32) (uint32, bool) { return d.code.find(d.strs, s, h) }
+// find returns the code of s, whose hash is h. Codes at or past len(strs)
+// are strings a frozen clone's writer interned after it froze — invisible
+// to the clone, as later rows are to a frozen view's primary key. Callers
+// hold codeMu.
+func (d *dict) find(s string, h uint32) (uint32, bool) {
+	x := d.code
+	if x.size == 0 {
+		return 0, false
+	}
+	mask := x.size - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		e := x.at(i)
+		if e == 0 {
+			return 0, false
+		}
+		if c := entryPos(e); entryHash(e) == h && c < len(d.strs) && d.strs[c] == s {
+			return uint32(c), true
+		}
+	}
+}
 
 // add assigns the next code to s (hash h), which the dictionary does not
 // hold; the caller holds codeMu.
 func (d *dict) add(s string, h uint32) uint32 {
 	c := uint32(len(d.strs))
 	d.strs = append(d.strs, s)
-	d.code.add(h, c)
+	d.code.add(h, int(c))
 	d.refs = append(d.refs, 0)
 	if d.ranked {
 		d.rankStale.Store(true)

@@ -30,12 +30,20 @@ import (
 // re-pointing run only after ownPK made the page-header array private
 // (one short copy, not the slots), and each then clones a page once, on its
 // first write to it.
+//
+// A TEXT column's dictionary keeps its string→code map in the same table
+// (dict.code, column.go), code+1 in the low half, confirmed against its own
+// strings. Its clones share the one *pkIndex under codeMu; the writer only
+// adds to it, and compaction builds a fresh one.
 
 // pkSeed is the one hash seed of the process; hashes never leave memory.
 var pkSeed = maphash.MakeSeed()
 
 // pkHash hashes an encoded primary key.
 func pkHash(key []byte) uint32 { return uint32(maphash.Bytes(pkSeed, key)) }
+
+// strHash hashes a dictionary string.
+func strHash(s string) uint32 { return uint32(maphash.String(pkSeed, s)) }
 
 const (
 	pkPageShift = 9

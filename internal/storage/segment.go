@@ -352,12 +352,13 @@ func (d *dict) buildCodes() error {
 	for c, s := range d.strs {
 		hashes[c] = strHash(s)
 	}
-	t := newCodeTable(len(d.strs))
-	if _, repeat := bulkPlace(t.slots, hashes, func(a, b int) bool { return d.strs[a] == d.strs[b] }); repeat >= 0 {
+	slots := make([]uint64, pkSlotsFor(len(d.strs)))
+	if _, repeat := bulkPlace(slots, hashes, func(a, b int) bool { return d.strs[a] == d.strs[b] }); repeat >= 0 {
 		return fmt.Errorf("dictionary holds %q twice", d.strs[repeat])
 	}
-	t.n = len(d.strs)
-	d.code = t
+	x := pkIndexOver(slots)
+	x.n = len(d.strs)
+	d.code = &x
 	return nil
 }
 

@@ -444,7 +444,8 @@ func (c *column) maybeCompactDict(rows int) {
 	remap := make([]uint32, len(d.strs))
 	strs := make([]string, 0, d.live)
 	refs := make([]int32, 0, d.live)
-	code := newCodeTable(d.live)
+	code := new(pkIndex)
+	code.reserve(d.live)
 	for old, s := range d.strs {
 		if d.refs[old] <= 0 {
 			// Dead entries are simply left out of the fresh table — the old
@@ -460,7 +461,7 @@ func (c *column) maybeCompactDict(rows int) {
 		remap[old] = nc
 		strs = append(strs, s)
 		refs = append(refs, d.refs[old])
-		code.add(strHash(s), nc)
+		code.add(strHash(s), int(nc))
 	}
 	for z := range chunksFor(rows) {
 		chunk := ownChunk(c, &c.codes, z)
